@@ -3,8 +3,7 @@
 //! The build environment has no registry access, so instead of
 //! serde/serde_json this module prints and parses the one fixed schema the
 //! figure harness needs. The emitted layout matches what
-//! `serde_json::to_string_pretty` would produce for the same structs, so
-//! downstream consumers of EXPERIMENTS.md dumps see no difference.
+//! `serde_json::to_string_pretty` would produce for the same structs.
 
 use crate::{Figure, Series};
 

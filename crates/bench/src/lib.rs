@@ -3,7 +3,7 @@
 //! One entry point per figure of §5 of the paper, plus ablations for the
 //! §4 optimizations. Each returns a [`Figure`]: labelled series of
 //! `(problem size, simulated cycles)` points that can be printed as a
-//! table (`render`) or dumped as JSON for EXPERIMENTS.md.
+//! table (`render`) or dumped as JSON (`to_json`).
 //!
 //! Binaries: `fig6`, `fig7`, `fig8`, `map_ablation`, `procopt_ablation`.
 //!
@@ -311,70 +311,6 @@ pub fn procopt_ablation(ns: &[usize]) -> Figure {
         title: "Processor optimization: digit histogram".into(),
         x_label: "N (samples)".into(),
         series: vec![on, off],
-    }
-}
-
-// ---- executor backend A/B ------------------------------------------------
-
-/// Compile a benchmark program once with an explicitly pinned executor
-/// backend (so ambient `UC_EXEC` / `UC_IR_OPT` cannot skew an A/B run).
-pub fn compile_pinned(
-    src: &str,
-    defines: &[(&str, i64)],
-    backend: uc_core::ExecBackend,
-) -> Program {
-    let cfg = ExecConfig {
-        backend,
-        ir_opt: uc_core::IrOpt::Balanced,
-        ..config()
-    };
-    Program::compile_with_defines(src, cfg, defines)
-        .unwrap_or_else(|d| panic!("benchmark program failed to compile:\n{d}"))
-}
-
-/// Mean wall-clock nanoseconds per repeat execution: compile (and, for
-/// the IR backend, lower + optimize) once, then run `main` `reps` times
-/// on the warmed program. This is the serving-loop shape `uc serve`
-/// needs — the per-run cost is pure execution, no front-end work.
-pub fn repeat_exec_ns(
-    src: &str,
-    defines: &[(&str, i64)],
-    backend: uc_core::ExecBackend,
-    reps: u32,
-) -> u64 {
-    let mut p = compile_pinned(src, defines, backend);
-    p.run().unwrap_or_else(|e| panic!("benchmark program failed: {e}"));
-    let start = std::time::Instant::now();
-    for _ in 0..reps {
-        p.run().unwrap_or_else(|e| panic!("benchmark program failed: {e}"));
-    }
-    (start.elapsed().as_nanos() / u128::from(reps.max(1))) as u64
-}
-
-/// Compile-once/run-many throughput of the two executor backends on the
-/// Figure 6/7 APSP kernels, measured in the same session so the A/B is
-/// honest. Points are mean ns per execution; lower is better.
-pub fn exec_repeat(ns: &[usize], reps: u32) -> Figure {
-    let mut series = Vec::new();
-    for (kernel, src) in [("fig6 O(N^2)", UC_APSP_N2), ("fig7 O(N^3)", UC_APSP_N3)] {
-        for (tag, backend) in [
-            ("AST walker", uc_core::ExecBackend::Ast),
-            ("register IR", uc_core::ExecBackend::Ir),
-        ] {
-            let mut s =
-                Series { label: format!("{kernel} — {tag}"), points: Vec::new() };
-            for &n in ns {
-                let defines = [("N", n as i64), ("LOGN", log2_ceil(n).max(1))];
-                s.points.push((n, repeat_exec_ns(src, &defines, backend, reps)));
-            }
-            series.push(s);
-        }
-    }
-    Figure {
-        id: "exec_repeat".into(),
-        title: "Executor backends: mean wall-clock (ns) per repeat execution".into(),
-        x_label: "N (nodes)".into(),
-        series,
     }
 }
 

@@ -11,7 +11,7 @@
 //!
 //! The constants below are not microsecond-accurate CM-2 figures; they
 //! preserve the *ordering and rough ratios* of instruction classes, which
-//! is what the paper's curve shapes depend on (see DESIGN.md §2).
+//! is what the paper's curve shapes depend on.
 
 /// Instruction classes the machine charges for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,7 +51,7 @@ impl Default for CostModel {
     /// sequential baseline of `uc-seqc` (1 cycle per sequential abstract
     /// op): one SIMD macro-instruction costs tens of sequential ops, the
     /// front-end-dispatch ratio of a CM-2 vs its SUN-4 front end. That
-    /// constant is what places Figure 8's crossover; see DESIGN.md §2.
+    /// constant is what places Figure 8's crossover.
     fn default() -> Self {
         CostModel {
             alu: 30,

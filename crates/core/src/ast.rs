@@ -106,6 +106,26 @@ pub enum Stmt {
     Empty,
 }
 
+impl Stmt {
+    /// Source span of a statement, when it carries one (blocks and `;`
+    /// do not: an error inside them reports the enclosing statement).
+    pub fn span(&self) -> Option<Span> {
+        match self {
+            Stmt::Expr(e) => Some(e.span()),
+            Stmt::Decl(v) => Some(v.span),
+            Stmt::IndexSets(defs) => defs.first().map(|d| d.span),
+            Stmt::If { span, .. }
+            | Stmt::While { span, .. }
+            | Stmt::For { span, .. }
+            | Stmt::Return(_, span)
+            | Stmt::Break(span)
+            | Stmt::Continue(span) => Some(*span),
+            Stmt::Uc(uc) => Some(uc.span),
+            Stmt::Block(_) | Stmt::Empty => None,
+        }
+    }
+}
+
 /// Which UC construct a [`UcStmt`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UcKind {

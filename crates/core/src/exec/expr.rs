@@ -316,9 +316,7 @@ impl Program {
             "abs" | "ABS" => {
                 let v = self.eval(&args[0])?;
                 match v {
-                    PV::Scalar(Scalar::Int(x)) => Ok(PV::Scalar(Scalar::Int(x.wrapping_abs()))),
-                    PV::Scalar(Scalar::Float(x)) => Ok(PV::Scalar(Scalar::Float(x.abs()))),
-                    PV::Scalar(Scalar::Bool(b)) => Ok(PV::Scalar(Scalar::Int(b as i64))),
+                    PV::Scalar(s) => Ok(PV::Scalar(scalar_abs(s))),
                     PV::Field { .. } => {
                         let ty = self.pv_type(&v)?;
                         let ty = if ty == ElemType::Bool { ElemType::Int } else { ty };
@@ -338,16 +336,7 @@ impl Program {
                 let mop = if name == "min" { BinOp::Min } else { BinOp::Max };
                 match (&l, &r) {
                     (PV::Scalar(a), PV::Scalar(b)) => {
-                        let v = if a.elem_type() == ElemType::Float
-                            || b.elem_type() == ElemType::Float
-                        {
-                            let (x, y) = (a.as_float(), b.as_float());
-                            Scalar::Float(if name == "min" { x.min(y) } else { x.max(y) })
-                        } else {
-                            let (x, y) = (a.as_int(), b.as_int());
-                            Scalar::Int(if name == "min" { x.min(y) } else { x.max(y) })
-                        };
-                        Ok(PV::Scalar(v))
+                        Ok(PV::Scalar(scalar_minmax(*a, *b, name == "min")))
                     }
                     _ => {
                         let ty = self.common_type(&l, &r)?;
@@ -370,14 +359,13 @@ impl Program {
                 "swap(...) is a statement, not an expression".into(),
             )),
             _ => {
-                // User-defined function: front-end call; in a parallel
-                // context it is allowed when all arguments are scalars
-                // (e.g. `power2(j)`-style helpers over seq elements).
-                let f = self
-                    .checked
-                    .funcs
+                // User-defined function: a front-end call, re-entering the
+                // VM. In a parallel context it is allowed when all
+                // arguments are scalars (e.g. helpers over seq elements).
+                let fi = *self
+                    .ir
+                    .by_name
                     .get(name)
-                    .cloned()
                     .ok_or_else(|| RuntimeError::Unbound(name.to_string()))?;
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
@@ -392,8 +380,7 @@ impl Program {
                         }
                     }
                 }
-                let ret = self.call_function(&f, vals)?;
-                Ok(PV::Scalar(ret.unwrap_or(Scalar::Int(0))))
+                Ok(PV::Scalar(super::vm::call(self, fi, vals)?))
             }
         }
     }
@@ -407,6 +394,26 @@ pub(crate) fn scalar_unary(op: UnaryOp, s: Scalar) -> Scalar {
         (UnaryOp::Neg, Scalar::Bool(b)) => Scalar::Int(-(b as i64)),
         (UnaryOp::Not, s) => Scalar::Int(!s.as_bool() as i64),
         (UnaryOp::BitNot, s) => Scalar::Int(!s.as_int()),
+    }
+}
+
+/// Front-end `abs` (type-preserving; bool becomes int).
+pub(crate) fn scalar_abs(s: Scalar) -> Scalar {
+    match s {
+        Scalar::Int(x) => Scalar::Int(x.wrapping_abs()),
+        Scalar::Float(x) => Scalar::Float(x.abs()),
+        Scalar::Bool(b) => Scalar::Int(b as i64),
+    }
+}
+
+/// Front-end `min`/`max` with float promotion.
+pub(crate) fn scalar_minmax(a: Scalar, b: Scalar, is_min: bool) -> Scalar {
+    if a.elem_type() == ElemType::Float || b.elem_type() == ElemType::Float {
+        let (x, y) = (a.as_float(), b.as_float());
+        Scalar::Float(if is_min { x.min(y) } else { x.max(y) })
+    } else {
+        let (x, y) = (a.as_int(), b.as_int());
+        Scalar::Int(if is_min { x.min(y) } else { x.max(y) })
     }
 }
 

@@ -3,8 +3,10 @@
 //! Runs a checked UC program on the Connection Machine simulator. The
 //! execution model mirrors the paper's implementation:
 //!
-//! * the **front end** interprets sequential statements and holds scalar
-//!   variables;
+//! * the **front end** runs sequential statements, `seq` sweeps and user
+//!   function calls, and holds scalar variables — this is the register
+//!   VM in `vm`, executing the IR that [`crate::ir`] lowers every
+//!   function to;
 //! * every *parallel construct* materialises an **iteration space** — a VP
 //!   set whose geometry is the Cartesian product of the construct's index
 //!   sets (nested constructs extend the enclosing space, so parallelism
@@ -18,9 +20,13 @@
 //!   variable must be identical") is enforced by the router's collision
 //!   detection.
 //!
-//! Submodules: `space` (iteration spaces and lifting), `expr`
+//! The VM hands each parallel construct, and each expression or
+//! declaration the lowering left as a tree escape, to the evaluators in
+//! the other submodules: `space` (iteration spaces and lifting), `expr`
 //! (expression evaluation), `access` (array access paths), `reduce`
-//! (reduction evaluation), `stmt` (statements and the four constructs).
+//! (reduction evaluation), `stmt` (the parallel constructs and the
+//! statements that may appear inside them). A user call met there
+//! re-enters the VM.
 
 mod access;
 mod expr;
@@ -30,11 +36,12 @@ mod stmt;
 mod vm;
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use uc_cm::{CmError, ElemType, FieldId, Machine, MachineConfig, MachineLimits, Scalar, VpSetId};
 
-use crate::ast::FuncDef;
 use crate::diag::Diagnostics;
+use crate::ir::IrProgram;
 use crate::mapping::{self, ArrayMapping};
 use crate::opt;
 use crate::parser;
@@ -43,14 +50,17 @@ use crate::span::Span;
 
 pub use space::ParCtx;
 
-// Shared scalar semantics, reused verbatim by the IR lowering/passes and
-// the register VM so both backends compute bit-identical values.
-pub(crate) use expr::{front_end_rand, scalar_binary, scalar_unary};
+// Scalar semantics shared by the tree evaluators, the IR passes' constant
+// folder and the register VM, so all three compute bit-identical values.
+pub(crate) use expr::{
+    front_end_rand, scalar_abs, scalar_binary, scalar_minmax, scalar_unary,
+};
 pub(crate) use space::coerce_scalar;
 
 /// Native stack for the interpreter thread. Sized so the default
 /// [`ExecLimits::max_call_depth`] of 256 UC activations fits with wide
-/// margin even in debug builds (~8 KiB of host stack per activation).
+/// margin even in debug builds when every call re-enters the VM from a
+/// tree escape (~8 KiB of host stack per activation).
 const EXEC_STACK_BYTES: usize = 16 * 1024 * 1024;
 
 /// Resource budgets governing one program, replacing the hard-coded caps
@@ -96,60 +106,20 @@ impl Default for ExecLimits {
     }
 }
 
-/// Which executor runs the front end of the program.
-///
-/// Both backends drive the same simulated machine through the same
-/// charged operations, so results, cycle counts, and budget behaviour
-/// are bit-identical; the difference is purely host-side speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecBackend {
-    /// The original recursive AST tree-walker.
-    Ast,
-    /// The compiled register IR (see [`crate::ir`]): front-end control
-    /// flow and scalar arithmetic run on a flat bytecode interpreter;
-    /// parallel constructs execute through the same tree paths the AST
-    /// backend uses.
-    Ir,
-}
-
-impl ExecBackend {
-    /// Backend selected by the `UC_EXEC` environment variable:
-    /// `UC_EXEC=ast` forces the tree-walker, anything else (including
-    /// unset) selects the register IR.
-    pub fn from_env() -> ExecBackend {
-        match std::env::var("UC_EXEC").as_deref() {
-            Ok("ast") => ExecBackend::Ast,
-            _ => ExecBackend::Ir,
-        }
-    }
-}
-
 /// How aggressively the IR optimizer may rewrite the program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IrOpt {
     /// Cycle-preserving passes only (constant folding, dead-store
-    /// elimination, jump threading on front-end instructions). The IR
-    /// backend stays bit-identical to the AST backend — same results,
-    /// same simulated cycles, same errors.
+    /// elimination, jump threading on front-end instructions, which
+    /// charge no simulated cycles). The default.
     Balanced,
     /// Additionally rewrite parallel constructs: dead-context
     /// elimination (drop constant-false `st` arms, strip constant-true
     /// predicates) and communication coalescing (merge adjacent `par`
     /// constructs over the same index sets into one space setup). These
-    /// remove charged machine operations, so cycle counts may drop below
-    /// the AST backend's; results are unchanged.
+    /// remove charged machine operations, so cycle counts may drop;
+    /// results are unchanged. `uc run|check --ir-opt aggressive`.
     Aggressive,
-}
-
-impl IrOpt {
-    /// Level selected by `UC_IR_OPT`: `aggressive` opts in, anything
-    /// else (including unset) keeps the cycle-preserving default.
-    pub fn from_env() -> IrOpt {
-        match std::env::var("UC_IR_OPT").as_deref() {
-            Ok("aggressive") => IrOpt::Aggressive,
-            _ => IrOpt::Balanced,
-        }
-    }
 }
 
 /// Executor configuration.
@@ -170,10 +140,7 @@ pub struct ExecConfig {
     pub constfold: bool,
     /// Resource budgets (fuel, memory, recursion, loop caps, deadline).
     pub limits: ExecLimits,
-    /// Front-end executor: compiled register IR (default) or the AST
-    /// tree-walker. `Default` honours `UC_EXEC=ast`.
-    pub backend: ExecBackend,
-    /// IR optimization level. `Default` honours `UC_IR_OPT=aggressive`.
+    /// IR optimization level.
     pub ir_opt: IrOpt,
 }
 
@@ -186,8 +153,7 @@ impl Default for ExecConfig {
             procopt: true,
             constfold: true,
             limits: ExecLimits::default(),
-            backend: ExecBackend::from_env(),
-            ir_opt: IrOpt::from_env(),
+            ir_opt: IrOpt::Balanced,
         }
     }
 }
@@ -320,15 +286,16 @@ pub(crate) struct ArrayStorage {
 /// A local variable binding.
 #[derive(Debug, Clone)]
 pub(crate) enum LocalVar {
-    /// Front-end scalar (function locals, parameters, `seq` elements).
+    /// Front-end scalar bound by tree-evaluated code: a declaration the
+    /// lowering escaped, or the element of a `seq` nested in a `par`.
     Scalar(Scalar),
     /// Per-VP variable declared inside a parallel body; `level` is the
     /// context-stack depth it lives at.
     ParField { field: FieldId, level: usize },
     /// Function-local array.
     Array(ArrayStorage),
-    /// A scalar that lives in the current frame's IR register file
-    /// ([`Frame::regs`]). The IR executor binds lowered locals by name so
+    /// A scalar that lives in the current frame's register file
+    /// ([`Frame::regs`]). The VM binds lowered locals by name so
     /// tree-evaluated fragments (parallel constructs, array accesses)
     /// resolve and assign them through the ordinary scope walk.
     Slot(usize),
@@ -345,9 +312,8 @@ pub(crate) struct Scope {
 #[derive(Debug, Default)]
 pub(crate) struct Frame {
     pub scopes: Vec<Scope>,
-    /// Register file of the IR executor (empty for tree-walked frames).
-    /// Named locals occupy the low registers and are also reachable by
-    /// name through `scopes` via [`LocalVar::Slot`].
+    /// The VM's register file. Named locals occupy the low registers and
+    /// are also reachable by name through `scopes` via [`LocalVar::Slot`].
     pub regs: Vec<Scalar>,
 }
 
@@ -369,9 +335,8 @@ pub struct Program {
     /// public accessors.
     pub(crate) globals: Vec<Scalar>,
     pub(crate) global_index: HashMap<String, u32>,
-    /// Lowered register IR (always built; executed when
-    /// [`ExecConfig::backend`] is [`ExecBackend::Ir`]).
-    pub(crate) ir: Option<std::sync::Arc<crate::ir::IrProgram>>,
+    /// The lowered register IR the VM executes.
+    pub(crate) ir: Arc<IrProgram>,
     /// Parallel-context stack (innermost last).
     pub(crate) ctx: Vec<ParCtx>,
     /// Function activation stack.
@@ -443,6 +408,21 @@ impl Program {
         if diags.has_errors() {
             return Err(diags);
         }
+        let (globals, global_index) = global_scalars(&checked);
+        let ir = crate::ir::lower_program(&checked, &global_index, config.ir_opt);
+        // The VM is the only executor, so a function the lowering gave up
+        // on (`body: None`) cannot run at all.
+        if let Some(f) = ir.funcs.iter().find(|f| f.body.is_none()) {
+            diags.error(
+                checked.funcs[&f.name].span,
+                format!(
+                    "function `{}` needs more than {} registers; split it up",
+                    f.name,
+                    crate::ir::Reg::MAX
+                ),
+            );
+            return Err(diags);
+        }
         let machine = Machine::new(MachineConfig {
             phys_procs: config.phys_procs,
             limits: MachineLimits {
@@ -457,9 +437,9 @@ impl Program {
             machine,
             spaces: HashMap::new(),
             arrays: HashMap::new(),
-            globals: Vec::new(),
-            global_index: HashMap::new(),
-            ir: None,
+            globals,
+            global_index,
+            ir: Arc::new(ir),
             ctx: Vec::new(),
             frames: Vec::new(),
             rand_counter: 0,
@@ -472,29 +452,21 @@ impl Program {
             exec_span: Span::default(),
             call_stack: Vec::new(),
         };
-        p.allocate_globals(&maps).map_err(|e| {
+        p.allocate_arrays(&maps).map_err(|e| {
             let mut d = Diagnostics::default();
             d.error(crate::span::Span::default(), format!("allocation failed: {e}"));
             d
         })?;
-        p.ir = Some(std::sync::Arc::new(crate::ir::lower_program(
-            &p.checked,
-            &p.global_index,
-            p.config.ir_opt,
-        )));
         Ok(p)
     }
 
     /// The optimized register IR in its stable text form (`uc run
     /// --emit ir`). See [`crate::ir`] for the format.
     pub fn emit_ir(&self) -> String {
-        match &self.ir {
-            Some(ir) => crate::ir::text::render(ir),
-            None => String::new(),
-        }
+        crate::ir::text::render(&self.ir)
     }
 
-    fn allocate_globals(&mut self, maps: &[(String, ArrayMapping)]) -> RResult<()> {
+    fn allocate_arrays(&mut self, maps: &[(String, ArrayMapping)]) -> RResult<()> {
         let arrays: Vec<(String, sema::ArrayInfo)> = self
             .checked
             .arrays
@@ -517,25 +489,6 @@ impl Program {
             let field = self.machine.alloc(vp, &name, ty)?;
             self.arrays
                 .insert(name, ArrayStorage { field, ty, shape: info.shape, mapping });
-        }
-        let mut scalars: Vec<(String, (crate::ast::Type, Option<i64>))> = self
-            .checked
-            .scalars
-            .iter()
-            .map(|(n, i)| (n.clone(), *i))
-            .collect();
-        // Sorted so global indices (and the IR text that prints them) are
-        // deterministic across runs.
-        scalars.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, (ty, init)) in scalars {
-            let v = init.unwrap_or(0);
-            let scalar = match ty {
-                crate::ast::Type::Float => Scalar::Float(v as f64),
-                _ => Scalar::Int(v),
-            };
-            let idx = self.globals.len() as u32;
-            self.globals.push(scalar);
-            self.global_index.insert(name, idx);
         }
         Ok(())
     }
@@ -567,26 +520,27 @@ impl Program {
         if let Some(ms) = self.config.limits.timeout_ms {
             self.machine.arm_deadline(ms);
         }
-        // The tree-walker recurses natively once per UC activation, which
-        // at the default 256-frame budget overruns a 2 MiB thread stack
-        // in debug builds; it runs on a dedicated thread with enough
-        // stack that the call-depth budget — not the host stack — is the
-        // limit. The IR executor keeps its activations on the heap and
-        // its native recursion bounded by statement nesting, so when the
-        // lowered program certifies that bound (`inline_ok`) the run
-        // stays on the calling thread — skipping the ~50 µs thread spawn
-        // that would otherwise dominate short repeated runs.
-        let inline = self.config.backend == ExecBackend::Ir
-            && self.ir.as_ref().is_some_and(|ir| ir.inline_ok);
-        let outcome = if inline {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_inner()))
+        // The VM keeps its activations on the heap, so its native
+        // recursion is bounded by the nesting of one tree escape — unless
+        // an escape contains a user call, which re-enters the VM natively
+        // once per UC activation and at the default 256-frame budget
+        // would overrun a 2 MiB thread stack in debug builds. When the
+        // lowered program certifies the bound (`inline_ok`) the run stays
+        // on the calling thread, skipping a ~50 µs thread spawn that
+        // would dominate short repeated runs; otherwise it gets a
+        // dedicated thread with enough stack that the call-depth budget —
+        // not the host stack — is the limit.
+        let outcome = if self.ir.inline_ok {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| vm::run_main(self)))
         } else {
             std::thread::scope(|scope| {
                 std::thread::Builder::new()
                     .name("uc-exec".into())
                     .stack_size(EXEC_STACK_BYTES)
                     .spawn_scoped(scope, || {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_inner()))
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            vm::run_main(self)
+                        }))
                     })
                     .expect("spawn uc-exec thread")
                     .join()
@@ -619,20 +573,6 @@ impl Program {
                 })
             }
         }
-    }
-
-    fn run_inner(&mut self) -> RResult<()> {
-        if self.config.backend == ExecBackend::Ir && self.ir.is_some() {
-            return vm::run_main(self);
-        }
-        let main: FuncDef = self
-            .checked
-            .funcs
-            .get("main")
-            .cloned()
-            .ok_or_else(|| RuntimeError::Unbound("main".into()))?;
-        self.call_function(&main, Vec::new())?;
-        Ok(())
     }
 
     /// Elapsed simulated cycles.
@@ -771,4 +711,23 @@ impl Program {
             let _ = self.machine.free(id);
         }
     }
+}
+
+/// Initial values and indices of the global scalars. Sorted by name so
+/// global indices (and the IR text that prints them) are deterministic
+/// across runs.
+fn global_scalars(checked: &Checked) -> (Vec<Scalar>, HashMap<String, u32>) {
+    let mut scalars: Vec<_> = checked.scalars.iter().collect();
+    scalars.sort_by(|a, b| a.0.cmp(b.0));
+    let mut values = Vec::with_capacity(scalars.len());
+    let mut index = HashMap::with_capacity(scalars.len());
+    for (name, (ty, init)) in scalars {
+        let v = init.unwrap_or(0);
+        index.insert(name.clone(), values.len() as u32);
+        values.push(match ty {
+            crate::ast::Type::Float => Scalar::Float(v as f64),
+            _ => Scalar::Int(v),
+        });
+    }
+    (values, index)
 }

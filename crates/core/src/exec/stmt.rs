@@ -1,71 +1,22 @@
-//! Statement execution and the four UC constructs.
+//! The parallel constructs, and the statements that may appear inside
+//! them.
+//!
+//! The register VM drives execution; it reaches this module only through
+//! a tree escape ([`crate::ir::Instr::Tree`]) holding one parallel
+//! construct, one declaration it could not register-allocate, an
+//! index-set definition or a `swap`. Sequential control flow never
+//! arrives here: outside parallel constructs it is lowered to VM jumps,
+//! and inside them sema rejects it.
 
 use uc_cm::{BinOp, ElemType, FieldId, ReduceOp, Scalar};
 
 use super::space::coerce_scalar;
-use super::{ArrayStorage, Frame, LocalVar, Program, RResult, RuntimeError, Scope, PV};
-use crate::ast::{Block, Expr, FuncDef, IndexSetDef, IndexSetInit, ScBlock, Stmt, Type, UcKind, UcStmt};
+use super::{ArrayStorage, LocalVar, Program, RResult, RuntimeError, Scope, PV};
+use crate::ast::{Block, Expr, IndexSetDef, IndexSetInit, ScBlock, Stmt, Type, UcKind, UcStmt};
 use crate::mapping::ArrayMapping;
 use crate::sema::IndexSetInfo;
 
-/// Front-end control flow.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Flow {
-    Normal,
-    Return(Option<Scalar>),
-    Break,
-    Continue,
-}
-
 impl Program {
-    /// Call a user function with scalar arguments.
-    pub(crate) fn call_function(
-        &mut self,
-        f: &FuncDef,
-        args: Vec<Scalar>,
-    ) -> RResult<Option<Scalar>> {
-        let max_depth = self.config.limits.max_call_depth;
-        if self.frames.len() >= max_depth {
-            // `max_depth` frames may be live; the call creating one more traps.
-            return Err(RuntimeError::CallDepthExceeded { max: max_depth });
-        }
-        let mut scope = Scope::default();
-        for ((ty, name), v) in f.params.iter().zip(args) {
-            let ty = match ty {
-                Type::Float => ElemType::Float,
-                _ => ElemType::Int,
-            };
-            scope.vars.insert(name.clone(), LocalVar::Scalar(coerce_scalar(v, ty)));
-        }
-        self.frames.push(Frame { scopes: vec![scope], regs: Vec::new() });
-        // exec_span currently points at the calling statement — that is
-        // the call site recorded for the error stack. Popped on success
-        // only, so a failing run still shows where it was.
-        self.call_stack.push((f.name.clone(), self.exec_span));
-        // A user function runs on the front end even when called from a
-        // parallel construct (its arguments are scalars); hide the
-        // caller's iteration spaces for the duration of the call. The
-        // machine-side context masks stay pushed — front-end element
-        // access ignores them.
-        let saved_ctx = std::mem::take(&mut self.ctx);
-        let flow = self.exec_block(&f.body);
-        self.ctx = saved_ctx;
-        let frame = self.frames.pop().expect("frame pushed above");
-        self.free_frame(frame);
-        let flow = flow?;
-        self.call_stack.pop();
-        match flow {
-            Flow::Return(v) => Ok(v),
-            _ => Ok(None),
-        }
-    }
-
-    fn free_frame(&mut self, frame: Frame) {
-        for scope in frame.scopes {
-            self.free_scope_vars(scope);
-        }
-    }
-
     pub(crate) fn free_scope_vars(&mut self, scope: Scope) {
         for (_, var) in scope.vars {
             match var {
@@ -80,55 +31,20 @@ impl Program {
         }
     }
 
-    pub(crate) fn exec_block(&mut self, b: &Block) -> RResult<Flow> {
+    fn exec_block(&mut self, b: &Block) -> RResult<()> {
         self.frames.last_mut().expect("inside a frame").scopes.push(Scope::default());
-        let mut flow = Flow::Normal;
-        for s in &b.stmts {
-            match self.exec_stmt(s) {
-                Ok(Flow::Normal) => {}
-                other => {
-                    flow = match other {
-                        Ok(f) => f,
-                        Err(e) => {
-                            let scope =
-                                self.frames.last_mut().expect("frame").scopes.pop().unwrap();
-                            self.free_scope_vars(scope);
-                            return Err(e);
-                        }
-                    };
-                    break;
-                }
-            }
-        }
-        let scope = self.frames.last_mut().expect("frame").scopes.pop().unwrap();
+        let result = b.stmts.iter().try_for_each(|s| self.exec_stmt(s));
+        let scope = self.frames.last_mut().expect("frame").scopes.pop().expect("pushed above");
         self.free_scope_vars(scope);
-        Ok(flow)
+        result
     }
 
-    /// Source span of a statement, when it carries one. `None` keeps the
-    /// enclosing statement's span (blocks, `;`).
-    pub(crate) fn stmt_span(s: &Stmt) -> Option<crate::span::Span> {
-        match s {
-            Stmt::Expr(e) => Some(e.span()),
-            Stmt::Decl(v) => Some(v.span),
-            Stmt::IndexSets(defs) => defs.first().map(|d| d.span),
-            Stmt::If { span, .. }
-            | Stmt::While { span, .. }
-            | Stmt::For { span, .. }
-            | Stmt::Return(_, span)
-            | Stmt::Break(span)
-            | Stmt::Continue(span) => Some(*span),
-            Stmt::Uc(uc) => Some(uc.span),
-            Stmt::Block(_) | Stmt::Empty => None,
-        }
-    }
-
-    pub(crate) fn exec_stmt(&mut self, s: &Stmt) -> RResult<Flow> {
-        if let Some(sp) = Self::stmt_span(s) {
+    pub(crate) fn exec_stmt(&mut self, s: &Stmt) -> RResult<()> {
+        if let Some(sp) = s.span() {
             self.exec_span = sp;
         }
         match s {
-            Stmt::Empty => Ok(Flow::Normal),
+            Stmt::Empty => Ok(()),
             Stmt::Expr(e) => {
                 // `swap` is a statement-level builtin: read both operands
                 // synchronously, then store crosswise.
@@ -140,17 +56,14 @@ impl Program {
                         let b = self.store(&args[0], b, true)?;
                         self.release(a);
                         self.release(b);
-                        return Ok(Flow::Normal);
+                        return Ok(());
                     }
                 }
                 let v = self.eval(e)?;
                 self.release(v);
-                Ok(Flow::Normal)
+                Ok(())
             }
-            Stmt::Decl(v) => {
-                self.exec_decl(v)?;
-                Ok(Flow::Normal)
-            }
+            Stmt::Decl(v) => self.exec_decl(v),
             Stmt::IndexSets(defs) => {
                 for def in defs {
                     let info = self.eval_index_set_def(def)?;
@@ -163,98 +76,12 @@ impl Program {
                         .index_sets
                         .insert(def.name.clone(), info);
                 }
-                Ok(Flow::Normal)
+                Ok(())
             }
             Stmt::Block(b) => self.exec_block(b),
-            Stmt::If { cond, then_branch, else_branch, .. } => {
-                if !self.ctx.is_empty() {
-                    return Err(RuntimeError::NotSupported(
-                        "`if` inside a parallel construct (use `st` predicates)".into(),
-                    ));
-                }
-                if self.eval_scalar(cond)?.as_bool() {
-                    self.exec_stmt(then_branch)
-                } else if let Some(e) = else_branch {
-                    self.exec_stmt(e)
-                } else {
-                    Ok(Flow::Normal)
-                }
-            }
-            Stmt::While { cond, body, .. } => {
-                if !self.ctx.is_empty() {
-                    return Err(RuntimeError::NotSupported(
-                        "`while` inside a parallel construct".into(),
-                    ));
-                }
-                let mut iters = 0u64;
-                while self.eval_scalar(cond)?.as_bool() {
-                    iters += 1;
-                    if iters > self.config.limits.max_iterations {
-                        return Err(RuntimeError::IterationLimit("while loop"));
-                    }
-                    // A pure front-end loop body never ticks the machine,
-                    // so the deadline must be polled here.
-                    self.machine.poll_deadline()?;
-                    match self.exec_stmt(body)? {
-                        Flow::Break => break,
-                        Flow::Return(v) => return Ok(Flow::Return(v)),
-                        _ => {}
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::For { init, cond, step, body, .. } => {
-                if !self.ctx.is_empty() {
-                    return Err(RuntimeError::NotSupported(
-                        "`for` inside a parallel construct".into(),
-                    ));
-                }
-                if let Some(e) = init {
-                    let v = self.eval(e)?;
-                    self.release(v);
-                }
-                let mut iters = 0u64;
-                loop {
-                    if let Some(c) = cond {
-                        if !self.eval_scalar(c)?.as_bool() {
-                            break;
-                        }
-                    }
-                    iters += 1;
-                    if iters > self.config.limits.max_iterations {
-                        return Err(RuntimeError::IterationLimit("for loop"));
-                    }
-                    self.machine.poll_deadline()?;
-                    match self.exec_stmt(body)? {
-                        Flow::Break => break,
-                        Flow::Return(v) => return Ok(Flow::Return(v)),
-                        _ => {}
-                    }
-                    if let Some(e) = step {
-                        let v = self.eval(e)?;
-                        self.release(v);
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Return(e, _) => {
-                if !self.ctx.is_empty() {
-                    return Err(RuntimeError::NotSupported(
-                        "`return` inside a parallel construct".into(),
-                    ));
-                }
-                let v = match e {
-                    Some(e) => Some(self.eval_scalar(e)?),
-                    None => None,
-                };
-                Ok(Flow::Return(v))
-            }
-            Stmt::Break(_) => Ok(Flow::Break),
-            Stmt::Continue(_) => Ok(Flow::Continue),
-            Stmt::Uc(uc) => {
-                self.exec_uc(uc)?;
-                Ok(Flow::Normal)
-            }
+            Stmt::Uc(uc) => self.exec_uc(uc),
+            // `if`/loops/`return`/`break`/`continue`.
+            _ => unreachable!("sequential control flow is lowered to VM jumps"),
         }
     }
 
@@ -374,16 +201,6 @@ impl Program {
         }
     }
 
-    /// Execute a parallel body statement, rejecting front-end flow.
-    fn exec_par_body(&mut self, s: &Stmt) -> RResult<()> {
-        match self.exec_stmt(s)? {
-            Flow::Normal => Ok(()),
-            _ => Err(RuntimeError::NotSupported(
-                "return/break/continue inside a parallel construct".into(),
-            )),
-        }
-    }
-
     fn exec_par(&mut self, uc: &UcStmt) -> RResult<()> {
         let level = self.push_space(&uc.idxs)?;
         let result = (|| -> RResult<()> {
@@ -474,11 +291,11 @@ impl Program {
                 match mask {
                     Some(m) => {
                         self.machine.push_context(*m)?;
-                        let r = self.exec_par_body(body);
+                        let r = self.exec_stmt(body);
                         self.machine.pop_context(vp)?;
                         r?;
                     }
-                    None => self.exec_par_body(body)?,
+                    None => self.exec_stmt(body)?,
                 }
             }
             if let Some(others) = &uc.others {
@@ -488,7 +305,7 @@ impl Program {
                     self.machine.binop(BinOp::LogOr, or, or, *m)?;
                 }
                 self.machine.push_context_others(or)?;
-                let r = self.exec_par_body(others);
+                let r = self.exec_stmt(others);
                 self.machine.pop_context(vp)?;
                 self.machine.free(or)?;
                 r?;
@@ -503,7 +320,12 @@ impl Program {
         Ok(enabled)
     }
 
+    /// `seq` nested in a parallel construct (a front-end `seq` is lowered
+    /// to a VM loop): each element is one synchronous step whose
+    /// predicates become masks over the enclosing space (Figure 3's
+    /// partial sums).
     fn exec_seq(&mut self, uc: &UcStmt) -> RResult<()> {
+        debug_assert!(!self.ctx.is_empty(), "front-end seq reached the tree evaluator");
         let set = self
             .lookup_index_set(&uc.idxs[0])
             .ok_or_else(|| RuntimeError::Unbound(uc.idxs[0].clone()))?;
@@ -525,7 +347,7 @@ impl Program {
                         .expect("scope")
                         .vars
                         .insert(set.elem.clone(), LocalVar::Scalar(Scalar::Int(v)));
-                    any_enabled |= self.exec_seq_element(uc)?;
+                    any_enabled |= self.run_arms(uc, uc.star)?;
                 }
                 if !uc.star || !any_enabled {
                     break;
@@ -536,50 +358,6 @@ impl Program {
         let scope = self.frames.last_mut().expect("frame").scopes.pop().unwrap();
         self.free_scope_vars(scope);
         result
-    }
-
-    /// One element of a seq sweep. Returns whether any arm was enabled.
-    fn exec_seq_element(&mut self, uc: &UcStmt) -> RResult<bool> {
-        let mut enabled = false;
-        if self.ctx.is_empty() {
-            // Front-end: predicates gate execution per element.
-            let mut any_arm = false;
-            for ScBlock { pred, body } in &uc.arms {
-                let on = match pred {
-                    Some(p) => self.eval_scalar(p)?.as_bool(),
-                    None => true,
-                };
-                if on {
-                    any_arm = true;
-                    enabled = true;
-                    match self.exec_stmt(body)? {
-                        Flow::Normal => {}
-                        _ => {
-                            return Err(RuntimeError::NotSupported(
-                                "return/break/continue inside seq".into(),
-                            ))
-                        }
-                    }
-                }
-            }
-            if !any_arm {
-                if let Some(others) = &uc.others {
-                    match self.exec_stmt(others)? {
-                        Flow::Normal => {}
-                        _ => {
-                            return Err(RuntimeError::NotSupported(
-                                "return/break/continue inside seq".into(),
-                            ))
-                        }
-                    }
-                }
-            }
-        } else {
-            // Inside a parallel construct: predicates become masks over
-            // the enclosing space (Figure 3's partial sums).
-            enabled = self.run_arms(uc, uc.star)?;
-        }
-        Ok(enabled)
     }
 
     fn exec_oneof(&mut self, uc: &UcStmt) -> RResult<()> {
@@ -633,11 +411,11 @@ impl Program {
                         match masks[k] {
                             Some(m) => {
                                 self.machine.push_context(m)?;
-                                let r = self.exec_par_body(body);
+                                let r = self.exec_stmt(body);
                                 self.machine.pop_context(vp)?;
                                 r
                             }
-                            None => self.exec_par_body(body),
+                            None => self.exec_stmt(body),
                         }
                     }
                     None => Ok(()),

@@ -1,18 +1,18 @@
-//! The register-machine evaluator for the compiled IR.
+//! The register VM: the front end of the execution model.
 //!
 //! Executes [`crate::ir::IrProgram`] bodies over per-activation register
-//! files, keeping UC activations on an explicit heap stack (`Act`) so
-//! the VM itself never recurses natively — only tree escapes do. Every
-//! budget check, error span, and side-effect order matches the AST
-//! tree-walker exactly; see `crate::ir` for the invariants.
-
-use std::sync::Arc;
+//! files. It owns every user call and all sequential control flow —
+//! `if`/loops/`return`, front-end `seq` sweeps, recursion — keeping UC
+//! activations on an explicit heap stack (`Act`), so the VM itself never
+//! recurses natively. Parallel constructs and the expressions lowering
+//! could not compile are tree escapes into the sibling modules; a user
+//! call met inside one comes back through [`call`].
 
 use uc_cm::{ElemType, Scalar};
 
 use super::{
-    coerce_scalar, front_end_rand, scalar_unary, scalar_binary, Frame, LocalVar, Program,
-    RResult, RuntimeError, Scope,
+    coerce_scalar, front_end_rand, scalar_abs, scalar_binary, scalar_minmax, scalar_unary, Frame,
+    LocalVar, Program, RResult, RuntimeError, Scope,
 };
 use crate::ir::{Instr, IrProgram, Reg};
 use crate::stdlib;
@@ -23,45 +23,54 @@ struct Act {
     pc: usize,
     /// Caller register receiving the return value.
     ret_dst: Reg,
+    /// Open front-end `seq` sweeps, innermost last: the set's elements
+    /// and the position of the next one.
+    seqs: Vec<(Vec<i64>, usize)>,
 }
 
-/// Run `main()` under the IR backend.
+/// Run `main()`.
 pub(crate) fn run_main(p: &mut Program) -> RResult<()> {
-    let ir: Arc<IrProgram> = p.ir.as_ref().expect("IR is built at compile time").clone();
-    let Some(&main_idx) = ir.by_name.get("main") else {
+    let Some(&main) = p.ir.by_name.get("main") else {
         return Err(RuntimeError::Unbound("main".into()));
     };
-    // An unlowered `main` runs wholly through the tree-walker. So does a
-    // `main` with parameters: the tree-walker's entry call passes no
-    // arguments and leaves such parameters unbound, which register
-    // initialization cannot reproduce.
-    if ir.funcs[main_idx].body.is_none() || !ir.funcs[main_idx].params.is_empty() {
-        let main = p
-            .checked
-            .funcs
-            .get("main")
-            .cloned()
-            .ok_or_else(|| RuntimeError::Unbound("main".into()))?;
-        p.call_function(&main, Vec::new())?;
-        return Ok(());
-    }
+    call(p, main, Vec::new()).map(|_| ())
+}
+
+/// Run function `fi` to completion and return its value (0 when it
+/// returns none). This is the entry for `main` and the re-entry for user
+/// calls met by tree-evaluated code, which nests one native `exec` per
+/// such call.
+pub(crate) fn call(p: &mut Program, fi: usize, args: Vec<Scalar>) -> RResult<Scalar> {
+    let ir = p.ir.clone();
     let base_frames = p.frames.len();
-    let result = exec(p, &ir, main_idx);
+    // A user function runs on the front end even when called from a
+    // parallel construct (its arguments are scalars); hide the caller's
+    // iteration spaces for the duration of the call. The machine-side
+    // context masks stay pushed — front-end element access ignores them.
+    let saved_ctx = std::mem::take(&mut p.ctx);
+    let result = exec(p, &ir, fi, args);
+    p.ctx = saved_ctx;
     if result.is_err() {
-        // Unwind like the tree-walker: every frame's scopes freed
-        // innermost-first, the call stack left intact for the report.
+        // Free every frame this call opened, scopes innermost-first, so
+        // the caller unwinds over its own frame. The call stack is left
+        // intact for the error report.
         while p.frames.len() > base_frames {
-            let mut frame = p.frames.pop().expect("frames counted above");
-            while let Some(scope) = frame.scopes.pop() {
-                p.free_scope_vars(scope);
-            }
+            pop_frame(p);
         }
     }
     result
 }
 
+/// Drop the innermost frame, freeing its scopes innermost-first.
+fn pop_frame(p: &mut Program) {
+    let mut frame = p.frames.pop().expect("frame per activation");
+    while let Some(scope) = frame.scopes.pop() {
+        p.free_scope_vars(scope);
+    }
+}
+
 /// Push an activation: depth check, register file with coerced
-/// parameters, runtime frame, call-stack entry. Mirrors `call_function`.
+/// parameters, runtime frame, call-stack entry.
 fn enter(
     p: &mut Program,
     ir: &IrProgram,
@@ -72,6 +81,7 @@ fn enter(
 ) -> RResult<()> {
     let max_depth = p.config.limits.max_call_depth;
     if p.frames.len() >= max_depth {
+        // `max_depth` frames may be live; the call creating one more traps.
         return Err(RuntimeError::CallDepthExceeded { max: max_depth });
     }
     let f = &ir.funcs[fi];
@@ -80,20 +90,23 @@ fn enter(
         regs[i] = coerce_scalar(v, if float { ElemType::Float } else { ElemType::Int });
     }
     p.frames.push(Frame { scopes: vec![Scope::default()], regs });
+    // exec_span still points at the calling statement — that is the call
+    // site recorded for the error stack. Popped on return only, so a
+    // failing run still shows where it was.
     p.call_stack.push((f.name.clone(), p.exec_span));
-    acts.push(Act { func: fi, pc: 0, ret_dst });
+    acts.push(Act { func: fi, pc: 0, ret_dst, seqs: Vec::new() });
     Ok(())
 }
 
-fn exec(p: &mut Program, ir: &IrProgram, main_idx: usize) -> RResult<()> {
+fn exec(p: &mut Program, ir: &IrProgram, entry: usize, args: Vec<Scalar>) -> RResult<Scalar> {
     let mut acts: Vec<Act> = Vec::with_capacity(8);
-    enter(p, ir, main_idx, &mut acts, 0, Vec::new())?;
+    enter(p, ir, entry, &mut acts, 0, args)?;
     loop {
         let act = acts.last_mut().expect("active function");
         let fi = act.func;
         let pc = act.pc;
         act.pc += 1;
-        let body = ir.funcs[fi].body.as_ref().expect("only lowered functions enter");
+        let body = ir.funcs[fi].body.as_ref().expect("compile rejects unlowered functions");
         match &body.code[pc] {
             Instr::Const { dst, v } => set(p, *dst, *v),
             Instr::Copy { dst, src } => {
@@ -151,24 +164,8 @@ fn exec(p: &mut Program, ir: &IrProgram, main_idx: usize) -> RResult<()> {
                 p.machine.poll_deadline()?;
             }
             Instr::Call { dst, f, args } => {
-                let fi = *f as usize;
                 let vals: Vec<Scalar> = args.iter().map(|&r| get(p, r)).collect();
-                if ir.funcs[fi].body.is_some() {
-                    enter(p, ir, fi, &mut acts, *dst, vals)?;
-                } else {
-                    // Unlowered callee: the tree-walker runs the whole
-                    // call (only reachable on the big-stack thread —
-                    // `inline_ok` requires every function lowered).
-                    let name = &ir.funcs[fi].name;
-                    let fd = p
-                        .checked
-                        .funcs
-                        .get(name)
-                        .cloned()
-                        .ok_or_else(|| RuntimeError::Unbound(name.clone()))?;
-                    let ret = p.call_function(&fd, vals)?;
-                    set(p, *dst, ret.unwrap_or(Scalar::Int(0)));
-                }
+                enter(p, ir, *f as usize, &mut acts, *dst, vals)?;
             }
             Instr::Rand { dst } => {
                 let seed = p.next_rand_seed();
@@ -179,37 +176,23 @@ fn exec(p: &mut Program, ir: &IrProgram, main_idx: usize) -> RResult<()> {
                 set(p, *dst, v);
             }
             Instr::Abs { dst, a } => {
-                let v = match get(p, *a) {
-                    Scalar::Int(x) => Scalar::Int(x.wrapping_abs()),
-                    Scalar::Float(x) => Scalar::Float(x.abs()),
-                    Scalar::Bool(b) => Scalar::Int(b as i64),
-                };
+                let v = scalar_abs(get(p, *a));
                 set(p, *dst, v);
             }
             Instr::MinMax { dst, a, b, is_min } => {
-                let (x, y) = (get(p, *a), get(p, *b));
-                let v = if x.elem_type() == ElemType::Float || y.elem_type() == ElemType::Float {
-                    let (x, y) = (x.as_float(), y.as_float());
-                    Scalar::Float(if *is_min { x.min(y) } else { x.max(y) })
-                } else {
-                    let (x, y) = (x.as_int(), y.as_int());
-                    Scalar::Int(if *is_min { x.min(y) } else { x.max(y) })
-                };
+                let v = scalar_minmax(get(p, *a), get(p, *b), *is_min);
                 set(p, *dst, v);
             }
             Instr::Ret { src } => {
-                let v = src.map(|r| get(p, r));
+                // A valueless return yields 0.
+                let v = src.map_or(Scalar::Int(0), |r| get(p, r));
                 let done = acts.pop().expect("active");
-                let mut frame = p.frames.pop().expect("frame per activation");
-                while let Some(scope) = frame.scopes.pop() {
-                    p.free_scope_vars(scope);
-                }
+                pop_frame(p);
                 p.call_stack.pop();
                 if acts.is_empty() {
-                    return Ok(());
+                    return Ok(v);
                 }
-                // A valueless return yields 0, like `eval_call`.
-                set(p, done.ret_dst, v.unwrap_or(Scalar::Int(0)));
+                set(p, done.ret_dst, v);
             }
             Instr::EnterScope => {
                 p.frames.last_mut().expect("frame").scopes.push(Scope::default());
@@ -239,12 +222,26 @@ fn exec(p: &mut Program, ir: &IrProgram, main_idx: usize) -> RResult<()> {
                 let v = p.eval(&body.exprs[*e as usize])?;
                 p.release(v);
             }
-            Instr::Tree { s } => {
-                // Lowering only escapes statements that complete with
-                // normal flow (parallel constructs, declarations, index
-                // sets, `swap`).
-                let flow = p.exec_stmt(&body.stmts[*s as usize])?;
-                debug_assert!(matches!(flow, super::stmt::Flow::Normal));
+            Instr::Tree { s } => p.exec_stmt(&body.stmts[*s as usize])?,
+            Instr::SeqEnter { set } => {
+                let info = p
+                    .lookup_index_set(set)
+                    .ok_or_else(|| RuntimeError::Unbound(set.clone()))?;
+                acts.last_mut().expect("active").seqs.push((info.elements, 0));
+            }
+            Instr::SeqNext { elem, more } => {
+                let (elements, pos) =
+                    acts.last_mut().expect("active").seqs.last_mut().expect("inside a seq");
+                let next = elements.get(*pos).copied();
+                // An exhausted sweep rewinds, ready for `*seq` to repeat it.
+                *pos = if next.is_some() { *pos + 1 } else { 0 };
+                if let Some(v) = next {
+                    set(p, *elem, Scalar::Int(v));
+                }
+                set(p, *more, Scalar::Int(next.is_some() as i64));
+            }
+            Instr::SeqExit => {
+                acts.last_mut().expect("active").seqs.pop();
             }
             Instr::Nop => {}
         }

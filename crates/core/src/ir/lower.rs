@@ -1,34 +1,37 @@
 //! Lowering from the checked AST to the register IR.
 //!
-//! Lowering is *total* and *conservative*: every statement either becomes
-//! register instructions whose semantics provably match the tree-walker,
-//! or a tree escape that runs the original AST fragment through the
-//! tree-walker itself. Expression lowering is all-or-nothing per
-//! statement-level expression — if any subexpression cannot be lowered
-//! (array access, reduction, parallel value, unknown name), the partial
-//! instructions are rolled back and the *whole* expression escapes. This
-//! guarantees escapes occur exactly at the positions where the
-//! tree-walker calls `eval_scalar` (conditions, returns, initializers)
-//! or `eval`+release (expression statements, `for` init/step), so error
-//! messages, spans, and side-effect order are identical by construction.
+//! Lowering is *total*: every statement either becomes register
+//! instructions or a tree escape that hands the original AST fragment to
+//! the evaluators in `crate::exec`. Sequential control flow — `if`,
+//! loops, `return`/`break`/`continue`, front-end `seq` — and user calls
+//! always become instructions; sema has already rejected them where
+//! they cannot (inside parallel constructs), so nothing downstream
+//! re-decides control flow. Escapes are one parallel construct, one
+//! expression, or one declaration.
 //!
-//! The lowerer mirrors the runtime scope structure: every lowered block
-//! emits `EnterScope`/`ExitScopes`, every register-allocated local also
-//! gets a `BindName` so tree escapes resolve it by name, and any name
-//! bound by an escaped declaration is *poisoned* — later references to
-//! it fall back to by-name resolution.
+//! Expression lowering is all-or-nothing per statement-level expression:
+//! if any subexpression cannot be lowered (array access, reduction,
+//! parallel value, unknown name), the partial instructions are rolled
+//! back and the *whole* expression escapes, so an expression's side
+//! effects and errors keep their source order whichever side runs it.
+//!
+//! The lowerer mirrors the lexical scope structure at runtime: every
+//! lowered block emits `EnterScope`/`ExitScopes`, every
+//! register-allocated local also gets a `BindName` so tree escapes
+//! resolve it by name, and any name bound by an escaped declaration is
+//! *poisoned* — later references to it fall back to by-name resolution.
 
 use std::collections::HashMap;
 
 use uc_cm::Scalar;
 
 use super::{Instr, IrBody, IrFunc, IrProgram, Reg, Target};
-use crate::ast::{BinaryOp, Block, Expr, FuncDef, Stmt, Type};
+use crate::ast::{BinaryOp, Block, Expr, FuncDef, Stmt, Type, UcKind, UcStmt};
 use crate::exec::IrOpt;
 use crate::sema::Checked;
 
-/// Builtins the tree-walker dispatches before user functions; calls to
-/// these never recurse through `call_function`.
+/// Builtins, which shadow user functions of the same name; a call to one
+/// inside a tree escape never re-enters the VM.
 const BUILTINS: &[&str] = &["power2", "rand", "abs", "ABS", "min", "max", "swap"];
 
 /// Maximum AST depth of a tree-escaped fragment for the program to stay
@@ -56,7 +59,7 @@ pub fn lower_program(
     let mut funcs = Vec::with_capacity(funcs_src.len());
     let mut inline_ok = true;
     for f in &funcs_src {
-        let (func, stats) = Lowerer::new(checked, global_index, &by_name, &funcs_src).run(f);
+        let (func, stats) = Lowerer::new(checked, global_index, &by_name).run(f);
         inline_ok &= func.body.is_some()
             && !stats.tree_user_call
             && stats.max_tree_depth <= MAX_INLINE_TREE_DEPTH;
@@ -76,8 +79,8 @@ pub fn lower_program(
 
 /// Inline-eligibility facts gathered while lowering one function.
 struct FuncStats {
-    /// A tree escape contains a user-function call (would recurse
-    /// natively through `call_function`).
+    /// A tree escape contains a user-function call (which re-enters
+    /// the VM natively).
     tree_user_call: bool,
     /// Deepest AST subtree handed to a tree escape.
     max_tree_depth: usize,
@@ -111,15 +114,17 @@ struct Lowerer<'a> {
     checked: &'a Checked,
     global_index: &'a HashMap<String, u32>,
     func_by_name: &'a HashMap<String, usize>,
-    funcs_src: &'a [FuncDef],
 
     code: Vec<Instr>,
     stmts: Vec<Stmt>,
     exprs: Vec<Expr>,
 
     /// Compile-time mirror of the runtime scope stack (prologue scope +
-    /// one per lowered block).
+    /// one per lowered block or `seq`).
     scopes: Vec<HashMap<String, Binding>>,
+    /// Function-local index sets in scope, innermost last: `(scope
+    /// depth, set, element name)`. Global sets resolve through `checked`.
+    local_sets: Vec<(usize, String, String)>,
     open_scopes: u16,
     loops: Vec<LoopCtx>,
 
@@ -142,17 +147,16 @@ impl<'a> Lowerer<'a> {
         checked: &'a Checked,
         global_index: &'a HashMap<String, u32>,
         func_by_name: &'a HashMap<String, usize>,
-        funcs_src: &'a [FuncDef],
     ) -> Self {
         Lowerer {
             checked,
             global_index,
             func_by_name,
-            funcs_src,
             code: Vec::new(),
             stmts: Vec::new(),
             exprs: Vec::new(),
             scopes: Vec::new(),
+            local_sets: Vec::new(),
             open_scopes: 0,
             loops: Vec::new(),
             labels: Vec::new(),
@@ -181,8 +185,7 @@ impl<'a> Lowerer<'a> {
         self.watermark = self.perm_limit;
         self.next_perm = f.params.len() as u32;
 
-        // Prologue: parameters live in the frame's base scope, exactly
-        // where `call_function` puts them.
+        // Prologue: parameters live in the frame's base scope.
         self.scopes.push(HashMap::new());
         for (i, (ty, name)) in f.params.iter().enumerate() {
             let idx = i as Reg;
@@ -193,8 +196,7 @@ impl<'a> Lowerer<'a> {
                 .insert(name.clone(), Binding::Slot { idx, float: *ty == Type::Float });
         }
         self.lower_block(&f.body);
-        // Falling off the end returns nothing, like `exec_block` ending
-        // with `Flow::Normal`.
+        // Falling off the end returns nothing.
         self.code.push(Instr::Ret { src: None });
 
         for (i, l) in &self.patches {
@@ -270,16 +272,31 @@ impl<'a> Lowerer<'a> {
         self.scopes.last_mut().expect("inside a scope")
     }
 
+    /// Open a lexical scope and its runtime mirror.
+    fn enter_scope(&mut self) {
+        self.code.push(Instr::EnterScope);
+        self.open_scopes += 1;
+        self.scopes.push(HashMap::new());
+    }
+
+    fn exit_scope(&mut self) {
+        self.scopes.pop();
+        self.open_scopes -= 1;
+        let depth = self.scopes.len();
+        self.local_sets.retain(|(d, ..)| *d <= depth);
+        self.code.push(Instr::ExitScopes { n: 1 });
+    }
+
     // ---- escapes ------------------------------------------------------
 
     fn emit_span(&mut self, s: &Stmt) {
-        if let Some(sp) = crate::exec::Program::stmt_span(s) {
+        if let Some(sp) = s.span() {
             self.code.push(Instr::SetSpan { span: sp });
         }
     }
 
-    /// Escape a whole statement to the tree-walker. `exec_stmt` sets the
-    /// span itself, so no `SetSpan` is emitted here.
+    /// Escape a whole statement to the tree evaluator. `exec_stmt` sets
+    /// the span itself, so no `SetSpan` is emitted here.
     fn tree_stmt(&mut self, s: &Stmt) {
         self.poison_decls(s);
         let mut call = false;
@@ -298,8 +315,9 @@ impl<'a> Lowerer<'a> {
         self.stats.max_tree_depth = self.stats.max_tree_depth.max(d);
     }
 
-    /// Lower an expression at an `eval_scalar` position, escaping the
-    /// whole expression if it cannot be compiled.
+    /// Lower an expression whose value is needed (condition, return
+    /// value, initializer), escaping the whole expression if it cannot
+    /// be compiled.
     fn lower_value(&mut self, e: &Expr) -> Reg {
         if let Some(r) = self.try_expr(e) {
             return r;
@@ -312,7 +330,8 @@ impl<'a> Lowerer<'a> {
         t
     }
 
-    /// Lower an expression at a statement (`eval` + release) position.
+    /// Lower an expression evaluated for effect (expression statement,
+    /// `for` init/step).
     fn lower_effect(&mut self, e: &Expr) {
         if self.try_expr(e).is_some() {
             return; // value discarded; DSE cleans up pure leftovers
@@ -470,14 +489,12 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// Builtins match before user functions, exactly like `eval_call`.
-    /// Argument-count mismatches escape so the tree-walker produces the
-    /// identical behaviour (including its panics on missing arguments
-    /// and its silent `zip` truncation for user calls).
+    /// Builtins match before user functions, as in `eval_call`. Sema has
+    /// checked every arity.
     fn go_call(&mut self, name: &str, args: &[Expr]) -> Option<Reg> {
         match name {
             "power2" => {
-                let a = self.go_expr(args.first()?)?;
+                let a = self.go_expr(&args[0])?;
                 let t = self.temp();
                 self.code.push(Instr::Power2 { dst: t, a });
                 Some(t)
@@ -489,15 +506,12 @@ impl<'a> Lowerer<'a> {
                 Some(t)
             }
             "abs" | "ABS" => {
-                let a = self.go_expr(args.first()?)?;
+                let a = self.go_expr(&args[0])?;
                 let t = self.temp();
                 self.code.push(Instr::Abs { dst: t, a });
                 Some(t)
             }
             "min" | "max" => {
-                if args.len() < 2 {
-                    return None;
-                }
                 let a = self.go_expr(&args[0])?;
                 let b = self.go_expr(&args[1])?;
                 let t = self.temp();
@@ -507,9 +521,6 @@ impl<'a> Lowerer<'a> {
             "swap" => None, // expression-position swap is an error: escape
             _ => {
                 let &fi = self.func_by_name.get(name)?;
-                if self.funcs_src[fi].params.len() != args.len() {
-                    return None;
-                }
                 let mut regs = Vec::with_capacity(args.len());
                 for a in args {
                     regs.push(self.go_expr(a)?);
@@ -524,19 +535,15 @@ impl<'a> Lowerer<'a> {
     // ---- statements ---------------------------------------------------
 
     fn lower_block(&mut self, b: &Block) {
-        self.code.push(Instr::EnterScope);
-        self.open_scopes += 1;
-        self.scopes.push(HashMap::new());
+        self.enter_scope();
         for s in &b.stmts {
             self.reset_temps();
             self.lower_stmt(s);
         }
-        self.scopes.pop();
-        self.open_scopes -= 1;
-        self.code.push(Instr::ExitScopes { n: 1 });
+        self.exit_scope();
     }
 
-    /// A branch body (`if`/loop). A bare declaration here binds
+    /// A branch body (`if`/loop/`seq` arm). A bare declaration here binds
     /// conditionally, which registers cannot express: escape it.
     fn lower_branch(&mut self, s: &Stmt) {
         self.reset_temps();
@@ -552,7 +559,7 @@ impl<'a> Lowerer<'a> {
             Stmt::Empty => {}
             Stmt::Block(b) => self.lower_block(b),
             Stmt::Expr(e) => {
-                // Statement-level `swap` is a tree-walker special form.
+                // Statement-level `swap` is a tree-evaluated special form.
                 if let Expr::Call { name, .. } = e {
                     if name == "swap" {
                         self.tree_stmt(s);
@@ -579,12 +586,19 @@ impl<'a> Lowerer<'a> {
                 let slot = self.alloc_perm();
                 let float = v.ty == Type::Float;
                 self.code.push(Instr::StoreSlot { slot, src: init, float });
-                // The binding appears only after the initializer ran,
-                // like `exec_decl`.
+                // The binding appears only after the initializer ran.
                 self.code.push(Instr::BindName { name: v.name.clone(), slot });
                 self.scope_mut().insert(v.name.clone(), Binding::Slot { idx: slot, float });
             }
-            Stmt::IndexSets(_) | Stmt::Uc(_) => self.tree_stmt(s),
+            Stmt::IndexSets(defs) => {
+                let depth = self.scopes.len();
+                for d in defs {
+                    self.local_sets.push((depth, d.name.clone(), d.elem.clone()));
+                }
+                self.tree_stmt(s);
+            }
+            Stmt::Uc(uc) if uc.kind == UcKind::Seq => self.lower_seq(s, uc),
+            Stmt::Uc(_) => self.tree_stmt(s),
             Stmt::If { cond, then_branch, else_branch, .. } => {
                 self.emit_span(s);
                 let c = self.lower_value(cond);
@@ -660,7 +674,7 @@ impl<'a> Lowerer<'a> {
                 let src = e.as_ref().map(|e| self.lower_value(e));
                 self.code.push(Instr::Ret { src });
             }
-            Stmt::Break(_) => {
+            Stmt::Break(_) | Stmt::Continue(_) => {
                 self.emit_span(s);
                 match self.loops.last().copied() {
                     Some(lc) => {
@@ -668,45 +682,96 @@ impl<'a> Lowerer<'a> {
                         if n > 0 {
                             self.code.push(Instr::ExitScopes { n });
                         }
-                        self.emit_jump(lc.break_to, |t| Instr::Jump { t });
+                        let to =
+                            if matches!(s, Stmt::Break(_)) { lc.break_to } else { lc.continue_to };
+                        self.emit_jump(to, |t| Instr::Jump { t });
                     }
-                    // `break` outside any loop unwinds to the caller
-                    // (`call_function` maps stray flow to `Ok(None)`).
-                    None => self.code.push(Instr::Ret { src: None }),
-                }
-            }
-            Stmt::Continue(_) => {
-                self.emit_span(s);
-                match self.loops.last().copied() {
-                    Some(lc) => {
-                        let n = self.open_scopes - lc.open_scopes;
-                        if n > 0 {
-                            self.code.push(Instr::ExitScopes { n });
-                        }
-                        self.emit_jump(lc.continue_to, |t| Instr::Jump { t });
-                    }
+                    // Outside any loop both leave the function.
                     None => self.code.push(Instr::Ret { src: None }),
                 }
             }
         }
     }
 
+    /// Front-end `seq` / `*seq` (§3.5). Function bodies always run with
+    /// no parallel construct open, so every `seq` the lowerer reaches
+    /// sweeps on the front end; a `seq` nested in a `par` body is part of
+    /// that construct's tree escape and runs under context masks instead.
+    fn lower_seq(&mut self, s: &Stmt, uc: &UcStmt) {
+        let set = &uc.idxs[0];
+        let elem_name = self
+            .local_sets
+            .iter()
+            .rev()
+            .find(|(_, n, _)| n == set)
+            .map(|(_, _, e)| e.clone())
+            .or_else(|| self.checked.index_set(set).map(|i| i.elem.clone()))
+            .expect("sema resolved the index set");
+        self.emit_span(s);
+        self.code.push(Instr::SeqEnter { set: set.clone() });
+        self.enter_scope();
+        let elem = self.alloc_perm();
+        self.code.push(Instr::BindName { name: elem_name.clone(), slot: elem });
+        self.scope_mut().insert(elem_name, Binding::Slot { idx: elem, float: false });
+        let cnt = self.alloc_perm();
+        self.code.push(Instr::IterInit { slot: cnt });
+        // `*seq` sweeps again while some arm ran during the last sweep;
+        // `others` runs for an element when none of its arms did.
+        let swept = uc.star.then(|| self.alloc_perm());
+        let matched = uc.others.as_ref().map(|_| self.alloc_perm());
+        let (sweep, next, done) = (self.new_label(), self.new_label(), self.new_label());
+        self.bind(sweep);
+        self.code.push(Instr::IterCheck { slot: cnt, label: "*seq" });
+        self.set_flag(swept, 0);
+        self.bind(next);
+        self.reset_temps();
+        let more = self.temp();
+        self.code.push(Instr::SeqNext { elem, more });
+        self.emit_jump(done, |t| Instr::JumpIfFalse { c: more, t });
+        self.set_flag(matched, 0);
+        for arm in &uc.arms {
+            let skip = self.new_label();
+            if let Some(p) = &arm.pred {
+                self.reset_temps();
+                let c = self.lower_value(p);
+                self.emit_jump(skip, |t| Instr::JumpIfFalse { c, t });
+            }
+            self.set_flag(swept, 1);
+            self.set_flag(matched, 1);
+            self.lower_branch(&arm.body);
+            self.bind(skip);
+        }
+        if let (Some(others), Some(c)) = (&uc.others, matched) {
+            let skip = self.new_label();
+            self.emit_jump(skip, |t| Instr::JumpIfTrue { c, t });
+            self.lower_branch(others);
+            self.bind(skip);
+        }
+        self.emit_jump(next, |t| Instr::Jump { t });
+        self.bind(done);
+        if let Some(c) = swept {
+            self.emit_jump(sweep, |t| Instr::JumpIfTrue { c, t });
+        }
+        self.exit_scope();
+        self.code.push(Instr::SeqExit);
+    }
+
+    /// `r[flag] = v`, for a `seq` flag the construct needs.
+    fn set_flag(&mut self, flag: Option<Reg>, v: i64) {
+        if let Some(dst) = flag {
+            self.code.push(Instr::Const { dst, v: Scalar::Int(v) });
+        }
+    }
+
     /// Names bound by an escaped statement must resolve by name from
     /// then on. Blocks are not descended — their bindings die with the
-    /// block — but conditional and parallel bodies may leak bindings
-    /// into the enclosing runtime scope.
+    /// block — but a parallel body that is a bare declaration leaks its
+    /// binding into the enclosing runtime scope.
     fn poison_decls(&mut self, s: &Stmt) {
         match s {
             Stmt::Decl(v) => {
                 self.scope_mut().insert(v.name.clone(), Binding::Poisoned);
             }
-            Stmt::If { then_branch, else_branch, .. } => {
-                self.poison_decls(then_branch);
-                if let Some(e) = else_branch {
-                    self.poison_decls(e);
-                }
-            }
-            Stmt::While { body, .. } | Stmt::For { body, .. } => self.poison_decls(body),
             Stmt::Uc(uc) => {
                 for arm in &uc.arms {
                     self.poison_decls(&arm.body);
@@ -721,8 +786,9 @@ impl<'a> Lowerer<'a> {
 }
 
 /// Upper bound on named registers a function needs: parameters, scalar
-/// declarations, and one iteration counter per loop. Overcounts (e.g.
-/// declarations that end up escaped) are harmless.
+/// declarations, one iteration counter per loop, and a front-end `seq`'s
+/// element, counter and flags. Overcounts (e.g. declarations that end up
+/// escaped) are harmless.
 fn count_perms(s: &Stmt, n: &mut usize) {
     match s {
         Stmt::Decl(v) if v.dims.is_empty() => *n += 1,
@@ -740,6 +806,15 @@ fn count_perms(s: &Stmt, n: &mut usize) {
         Stmt::While { body, .. } | Stmt::For { body, .. } => {
             *n += 1;
             count_perms(body, n);
+        }
+        Stmt::Uc(uc) if uc.kind == UcKind::Seq => {
+            *n += 2 + uc.star as usize + uc.others.is_some() as usize;
+            for arm in &uc.arms {
+                count_perms(&arm.body, n);
+            }
+            if let Some(o) = &uc.others {
+                count_perms(o, n);
+            }
         }
         // Parallel constructs escape whole; nothing inside them is
         // register-allocated.
@@ -773,21 +848,6 @@ fn stmt_depth(s: &Stmt, user_call: &mut bool) -> usize {
             .max()
             .unwrap_or(0),
         Stmt::Block(b) => b.stmts.iter().map(|s| stmt_depth(s, user_call)).max().unwrap_or(0),
-        Stmt::If { cond, then_branch, else_branch, .. } => expr_depth(cond, user_call)
-            .max(stmt_depth(then_branch, user_call))
-            .max(else_branch.as_ref().map_or(0, |e| stmt_depth(e, user_call))),
-        Stmt::While { cond, body, .. } => {
-            expr_depth(cond, user_call).max(stmt_depth(body, user_call))
-        }
-        Stmt::For { init, cond, step, body, .. } => init
-            .iter()
-            .chain(cond.iter())
-            .chain(step.iter())
-            .map(|e| expr_depth(e, user_call))
-            .max()
-            .unwrap_or(0)
-            .max(stmt_depth(body, user_call)),
-        Stmt::Return(e, _) => e.as_ref().map_or(0, |e| expr_depth(e, user_call)),
         Stmt::Uc(uc) => uc
             .arms
             .iter()
@@ -800,7 +860,9 @@ fn stmt_depth(s: &Stmt, user_call: &mut bool) -> usize {
             .max()
             .unwrap_or(0)
             .max(uc.others.as_ref().map_or(0, |o| stmt_depth(o, user_call))),
-        Stmt::Break(_) | Stmt::Continue(_) | Stmt::Empty => 0,
+        // Control flow never sits inside an escape (sema rejects it in
+        // parallel constructs).
+        _ => 0,
     };
     d + 1
 }

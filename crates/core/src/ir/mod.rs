@@ -1,39 +1,44 @@
 //! The compiled register IR.
 //!
-//! The AST tree-walker in [`crate::exec`] re-dispatches on every node of
-//! every expression, every iteration — pure host-side overhead, since
-//! front-end scalar work charges no simulated cycles. This module lowers
+//! Front-end scalar work charges no simulated cycles, so interpreting it
+//! node by node would be pure host-side overhead. This module lowers
 //! each checked function into a flat instruction sequence over a
-//! per-activation register file, which the register-machine evaluator in
-//! `exec::vm` runs without any native recursion of its own.
+//! per-activation register file, which the register VM in `exec::vm`
+//! runs without any native recursion of its own. The VM is the only
+//! driver of execution: every user call and all sequential control flow
+//! go through these instructions.
 //!
 //! ## Shape of the IR
 //!
 //! A function body is a `Vec<Instr>` plus two side tables of AST
-//! fragments. Three instruction families split the work:
+//! fragments. Four instruction families split the work:
 //!
 //! * **Registers** (`Const`, `Copy`, `Bin`, `Un`, `Truthy`, `StoreSlot`,
 //!   `LoadGlobal`, `StoreGlobal`, `Jump*`, `Call`, `Ret`, builtins) —
 //!   front-end control flow and scalar arithmetic, fully compiled.
 //!   Named locals live in the low registers ("slots"); expression
 //!   temporaries above them, reset per statement.
-//! * **Tree escapes** (`Tree`, `EvalExpr`, `EvalEffect`) — parallel
-//!   constructs, array accesses, reductions, and anything else the
-//!   lowering cannot prove scalar runs through the *same* tree-walking
-//!   code the AST backend uses, on an AST fragment stored in the side
-//!   table. `BindName`/`EnterScope`/`ExitScopes` mirror the runtime
-//!   scope structure so those fragments resolve lowered locals by name
-//!   (via [`crate::exec` `LocalVar::Slot`]).
-//! * **Budget ops** (`IterInit`/`IterCheck`, `SetSpan`) — reproduce the
-//!   tree-walker's iteration caps, deadline polls, and error spans
-//!   exactly, so a failing program reports the identical `RunError`
-//!   under either backend.
+//! * **Sweeps** (`SeqEnter`/`SeqNext`/`SeqExit`) — front-end `seq` and
+//!   `*seq`: the element binding, the `st` arms, `others` and the
+//!   repeat-while-enabled test are ordinary register code around them.
+//! * **Tree escapes** (`Tree`, `EvalExpr`, `EvalEffect`) — one parallel
+//!   construct, one expression (array accesses, reductions, anything the
+//!   lowering cannot prove scalar) or one declaration, evaluated by
+//!   `crate::exec` on an AST fragment stored in the side table.
+//!   `BindName`/`EnterScope`/`ExitScopes` mirror the lexical scope
+//!   structure at runtime so those fragments resolve lowered locals by
+//!   name (via [`crate::exec` `LocalVar::Slot`]).
+//! * **Budget ops** (`IterInit`/`IterCheck`, `SetSpan`) — iteration caps,
+//!   deadline polls, and the statement span a `RunError` reports.
 //!
-//! Lowering is total: a construct the compiler cannot lower becomes a
-//! tree escape, and a function whose lowering would overflow the
-//! register file keeps `body: None` (the VM calls it through the
-//! tree-walker). Behaviour is therefore always identical to the AST
-//! backend; lowering quality only affects host speed.
+//! A construct the compiler cannot lower becomes a tree escape; a
+//! function whose lowering would overflow the register file keeps
+//! `body: None`, which `Program::compile_with_defines` reports as a
+//! compile error.
+//!
+//! Still tree escapes, and the remaining work of ROADMAP item 2: `par`,
+//! `oneof` and `solve` (including a `seq` nested inside one, which runs
+//! under context masks), reductions, array access paths and `swap`.
 //!
 //! ## Pass pipeline
 //!
@@ -42,13 +47,12 @@
 //! known conditions, dead-store elimination on expression temporaries,
 //! unreachable-code removal, and scope-instruction stripping for
 //! functions with no tree escapes. All of these touch only uncharged
-//! front-end instructions, so results, simulated cycles, and errors are
-//! bit-identical to the tree-walker ([`IrOpt::Balanced`], the default).
+//! front-end instructions, so results, simulated cycles, and errors do
+//! not depend on them ([`IrOpt::Balanced`], the default).
 //! [`IrOpt::Aggressive`] additionally rewrites parallel constructs at
 //! the AST level before lowering — dead-context elimination and
 //! communication coalescing — which removes *charged* machine
-//! operations: results are unchanged but cycle counts may drop below
-//! the AST backend's.
+//! operations: results are unchanged but cycle counts may drop.
 //!
 //! `uc run --emit ir` (and `uc check --emit ir`) print the program in
 //! the stable text form produced by [`text::render`].
@@ -72,7 +76,7 @@ pub type Reg = u16;
 /// Instruction index (jump target).
 pub type Target = u32;
 
-/// One IR instruction. See the module docs for the three families.
+/// One IR instruction. See the module docs for the four families.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     /// `r[dst] = v`
@@ -99,22 +103,21 @@ pub enum Instr {
     JumpIfFalse { c: Reg, t: Target },
     /// Jump when `r[c]` is truthy.
     JumpIfTrue { c: Reg, t: Target },
-    /// `exec_span = span` — emitted where the tree-walker's `exec_stmt`
-    /// would set the span, so errors report identical positions.
+    /// `exec_span = span` — emitted at the start of each lowered
+    /// statement, so a `RunError` reports the statement that trapped.
     SetSpan { span: Span },
     /// `r[slot] = 0` — reset a loop's iteration counter.
     IterInit { slot: Reg },
     /// Bump the counter, trap on [`crate::exec::ExecLimits::max_iterations`],
-    /// poll the wall-clock deadline. Placed where the tree-walker checks:
-    /// after the condition, before the body.
+    /// poll the wall-clock deadline. Placed after a loop's condition and
+    /// before its body, or at the top of a `seq` sweep.
     IterCheck { slot: Reg, label: &'static str },
-    /// Call a lowered function: arity-matched, scalar args from registers,
+    /// Call a function: arity-matched, scalar args from registers,
     /// `r[dst]` receives the return value (0 when the callee returns
-    /// nothing). Falls back to the tree-walker when the callee is
-    /// unlowered.
+    /// nothing).
     Call { dst: Reg, f: u32, args: Vec<Reg> },
     /// `r[dst] = rand()` — consumes one seed from the deterministic
-    /// stream, exactly like the tree-walker's front-end `rand()`.
+    /// stream shared with the parallel `rand()`.
     Rand { dst: Reg },
     /// `r[dst] = power2(r[a])`
     Power2 { dst: Reg, a: Reg },
@@ -132,14 +135,25 @@ pub enum Instr {
     /// Bind `name` to register `slot` in the innermost runtime scope so
     /// tree escapes resolve it by name.
     BindName { name: String, slot: Reg },
-    /// `r[dst] = eval_scalar(exprs[e])` through the tree-walker.
+    /// `r[dst] = exprs[e]`, evaluated by the tree evaluator to a
+    /// front-end scalar.
     EvalExpr { dst: Reg, e: u32 },
-    /// Evaluate `exprs[e]` for effect through the tree-walker.
+    /// Evaluate `exprs[e]` for effect by the tree evaluator.
     EvalEffect { e: u32 },
-    /// Execute `stmts[s]` through the tree-walker (parallel constructs,
-    /// declarations it cannot register-allocate, `swap`, index sets).
-    /// Lowering guarantees such statements complete with normal flow.
+    /// Execute `stmts[s]` by the tree evaluator: a parallel construct, a
+    /// declaration that cannot be register-allocated, `swap`, or an
+    /// index-set definition. None of these transfers control.
     Tree { s: u32 },
+    /// Open a front-end `seq` sweep over the index set `set`, resolved by
+    /// name like any tree-evaluated construct does (innermost local
+    /// definition first, then globals).
+    SeqEnter { set: String },
+    /// Advance the innermost sweep: `r[elem]` = the next element and
+    /// `r[more] = 1`, or `r[more] = 0` once the sweep is exhausted — which
+    /// also rewinds it, so `*seq` can sweep again.
+    SeqNext { elem: Reg, more: Reg },
+    /// Close the innermost sweep.
+    SeqExit,
     /// No operation (pass output; compacted away).
     Nop,
 }
@@ -160,15 +174,15 @@ pub struct IrBody {
 pub struct IrFunc {
     pub name: String,
     /// Parameter coercion: `true` = float, `false` = int (everything
-    /// non-float coerces to int, matching the tree-walker).
+    /// non-float coerces to int).
     pub params: Vec<bool>,
     /// Total registers of an activation.
     pub n_slots: u16,
     /// Registers `0..n_perm` are named locals / parameters / loop
     /// counters; the rest are statement temporaries.
     pub n_perm: u16,
-    /// `None` when lowering overflowed the register file — the VM calls
-    /// this function through the tree-walker instead.
+    /// `None` when lowering overflowed the register file; such a program
+    /// is rejected at compile time.
     pub body: Option<IrBody>,
 }
 
@@ -182,10 +196,10 @@ pub struct IrProgram {
     /// Optimization level the program was lowered at.
     pub opt: IrOpt,
     /// Whether the whole program may run on the caller's thread: every
-    /// function lowered, no user calls inside tree escapes (those would
-    /// recurse natively through the tree-walker), and every escape's AST
-    /// shallow enough that tree recursion stays within a small bound.
-    /// When false, [`crate::exec::Program::run`] spawns the big-stack
-    /// interpreter thread exactly as the AST backend does.
+    /// function lowered, no user calls inside tree escapes (each would
+    /// re-enter the VM natively, once per UC activation), and every
+    /// escape's AST shallow enough that tree recursion stays within a
+    /// small bound. When false, [`crate::exec::Program::run`] spawns a
+    /// big-stack interpreter thread.
     pub inline_ok: bool,
 }

@@ -3,8 +3,8 @@
 //!
 //! The instruction passes ([`optimize`]) touch only *uncharged*
 //! front-end instructions, so under [`IrOpt::Balanced`] results,
-//! simulated cycles, fuel, and errors stay bit-identical to the AST
-//! backend. The AST rewrites ([`aggressive_rewrite`], run only under
+//! simulated cycles, fuel, and errors are exactly those of the
+//! unoptimized instruction stream. The AST rewrites ([`aggressive_rewrite`], run only under
 //! [`IrOpt::Aggressive`]) remove charged machine work — dead-context
 //! elimination and communication coalescing — so cycle counts may drop;
 //! results of error-free programs are unchanged, but a program whose
@@ -19,7 +19,7 @@ use uc_cm::{ElemType, Scalar};
 
 use super::{Instr, IrBody, Reg};
 use crate::ast::{BinaryOp, Block, Expr, FuncDef, Stmt, UcKind, UcStmt};
-use crate::exec::{coerce_scalar, scalar_binary, scalar_unary};
+use crate::exec::{coerce_scalar, scalar_abs, scalar_binary, scalar_minmax, scalar_unary};
 use crate::stdlib;
 
 /// Run the balanced pass pipeline over one lowered body.
@@ -96,11 +96,11 @@ fn const_fold(code: &mut [Instr], n_perm: u16) {
                     Some((*dst, known.get(a).map(|x| Scalar::Int(stdlib::power2(x.as_int())))));
             }
             Instr::Abs { dst, a } => {
-                fold = Some((*dst, known.get(a).map(|&x| fold_abs(x))));
+                fold = Some((*dst, known.get(a).map(|&x| scalar_abs(x))));
             }
             Instr::MinMax { dst, a, b, is_min } => {
                 let v = match (known.get(a), known.get(b)) {
-                    (Some(&x), Some(&y)) => Some(fold_minmax(x, y, *is_min)),
+                    (Some(&x), Some(&y)) => Some(scalar_minmax(x, y, *is_min)),
                     _ => None,
                 };
                 fold = Some((*dst, v));
@@ -154,8 +154,16 @@ fn const_fold(code: &mut [Instr], n_perm: u16) {
             Instr::EvalEffect { .. } | Instr::Tree { .. } => {
                 known.retain(|&r, _| r >= n_perm);
             }
-            Instr::EnterScope | Instr::ExitScopes { .. } | Instr::BindName { .. } | Instr::Nop => {
+            Instr::SeqNext { elem, more } => {
+                known.remove(elem);
+                known.remove(more);
             }
+            Instr::EnterScope
+            | Instr::ExitScopes { .. }
+            | Instr::BindName { .. }
+            | Instr::SeqEnter { .. }
+            | Instr::SeqExit
+            | Instr::Nop => {}
         }
         match fold {
             Some((dst, Some(v))) => {
@@ -167,26 +175,6 @@ fn const_fold(code: &mut [Instr], n_perm: u16) {
             }
             None => {}
         }
-    }
-}
-
-/// `abs` on a known scalar, matching the tree-walker exactly.
-fn fold_abs(s: Scalar) -> Scalar {
-    match s {
-        Scalar::Int(x) => Scalar::Int(x.wrapping_abs()),
-        Scalar::Float(x) => Scalar::Float(x.abs()),
-        Scalar::Bool(b) => Scalar::Int(b as i64),
-    }
-}
-
-/// `min`/`max` on known scalars, with the tree-walker's float promotion.
-fn fold_minmax(a: Scalar, b: Scalar, is_min: bool) -> Scalar {
-    if a.elem_type() == ElemType::Float || b.elem_type() == ElemType::Float {
-        let (x, y) = (a.as_float(), b.as_float());
-        Scalar::Float(if is_min { x.min(y) } else { x.max(y) })
-    } else {
-        let (x, y) = (a.as_int(), b.as_int());
-        Scalar::Int(if is_min { x.min(y) } else { x.max(y) })
     }
 }
 

@@ -46,7 +46,7 @@ pub fn render(p: &IrProgram) -> String {
         );
         match &f.body {
             None => {
-                out.push_str("  <unlowered: runs on the tree-walker>\n");
+                out.push_str("  <unlowered: register file overflow>\n");
             }
             Some(body) => {
                 for (i, ins) in body.code.iter().enumerate() {
@@ -127,6 +127,9 @@ fn instr(ins: &Instr, body: &super::IrBody) -> String {
             "tree       `{}`",
             frag(&pretty::stmt_to_string(&body.stmts[*s as usize], 0))
         ),
+        Instr::SeqEnter { set } => format!("seq_enter  {set}"),
+        Instr::SeqNext { elem, more } => format!("seq_next   r{elem}, r{more}"),
+        Instr::SeqExit => "seq_exit".into(),
         Instr::Nop => "nop".into(),
     }
 }

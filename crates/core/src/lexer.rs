@@ -215,6 +215,16 @@ impl<'a> Lexer<'a> {
             self.skip_to_eol();
             return None;
         }
+        if TokenKind::keyword(&name).is_some() {
+            // The lexer would keep producing the keyword token, so the
+            // constant could never be referenced.
+            self.diags.error(
+                Span::new(start, self.pos, line, col),
+                format!("#define {name}: `{name}` is a reserved word"),
+            );
+            self.skip_to_eol();
+            return None;
+        }
         while matches!(self.peek(), Some(b' ' | b'\t')) {
             self.bump();
         }
@@ -485,6 +495,16 @@ mod tests {
         assert!(!d.has_errors());
         assert_eq!(out.defines, vec![("N".to_string(), 32), ("LOGN".to_string(), 5)]);
         assert!(out.tokens.iter().any(|t| t.kind == KwInt));
+    }
+
+    #[test]
+    fn define_of_reserved_word_rejected() {
+        for word in ["INF", "par", "int"] {
+            let mut d = Diagnostics::default();
+            let out = lex(&format!("#define {word} 9999\nint a[4];"), &mut d);
+            assert!(d.to_string().contains("reserved word"), "{word}: {d}");
+            assert!(out.defines.is_empty());
+        }
     }
 
     #[test]

@@ -60,5 +60,5 @@ pub mod stdlib;
 pub mod token;
 
 pub use diag::{Diagnostic, Diagnostics, Severity};
-pub use exec::{ExecBackend, ExecConfig, ExecLimits, IrOpt, Program, RunError, RuntimeError};
+pub use exec::{ExecConfig, ExecLimits, IrOpt, Program, RunError, RuntimeError};
 pub use span::Span;

@@ -8,7 +8,9 @@
 //! * every identifier is resolved against the scope rules of the paper,
 //!   including index-element shadowing in nested constructs (§3.4);
 //! * UC restrictions are enforced (no `goto` — already a parse error; an
-//!   index element is read-only; `solve` arms must be proper assignments);
+//!   index element is read-only; `solve` arms must be proper assignments;
+//!   no sequential control flow inside a parallel construct, and none
+//!   that would leave a `seq`; `main` takes no parameters);
 //! * expressions get basic int/float/bool checking with C-style coercion.
 
 use std::collections::HashMap;
@@ -144,6 +146,7 @@ pub fn check(unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         funcs: HashMap::new(),
         maps: Vec::new(),
         scopes: Vec::new(),
+        nest: Nesting::default(),
     };
     cx.run(&unit);
     if cx.diags.has_errors() {
@@ -184,6 +187,23 @@ struct Checker<'a> {
     maps: Vec<MapDecl>,
     /// Scope stack for function bodies: name → binding.
     scopes: Vec<HashMap<String, Binding>>,
+    nest: Nesting,
+}
+
+/// Where the statement being checked sits relative to the enclosing UC
+/// constructs of its function — what decides whether sequential control
+/// flow is legal there.
+#[derive(Default, Clone, Copy)]
+struct Nesting {
+    /// Inside a `par`/`oneof`/`solve`, directly or through a nested
+    /// `seq`: every processor executes every statement, so there is no
+    /// front-end control flow (predicates go in `st` clauses).
+    parallel: bool,
+    /// Inside any construct, front-end `seq` included.
+    construct: bool,
+    /// Loops opened since the innermost construct: a `break`/`continue`
+    /// with none would have to leave the construct.
+    loops: usize,
 }
 
 /// Inferred expression type. `Bool` is C's 0/1 int but tracked so logical
@@ -251,8 +271,12 @@ impl<'a> Checker<'a> {
                 _ => {}
             }
         }
-        if !self.funcs.contains_key("main") {
-            self.diags.error(Span::default(), "program has no `main` function");
+        match self.funcs.get("main") {
+            None => self.diags.error(Span::default(), "program has no `main` function"),
+            Some(main) if !main.params.is_empty() => {
+                self.diags.error(main.span, "`main` takes no parameters");
+            }
+            Some(_) => {}
         }
     }
 
@@ -379,8 +403,21 @@ impl<'a> Checker<'a> {
             scope.insert(name.clone(), Binding::Scalar(*ty));
         }
         self.scopes.push(scope);
+        self.nest = Nesting::default();
         self.check_block(&f.body);
         self.scopes.pop();
+    }
+
+    /// Reject control-flow statement `what` where the front end cannot
+    /// run it: anywhere in a parallel construct, and — when it `jumps`
+    /// out of the innermost construct — in a front-end `seq`.
+    fn check_flow(&mut self, what: &str, jumps: bool, span: Span) {
+        if self.nest.parallel {
+            let hint = if what == "if" { " (use `st` predicates)" } else { "" };
+            self.diags.error(span, format!("`{what}` inside a parallel construct{hint}"));
+        } else if jumps {
+            self.diags.error(span, format!("`{what}` would leave the enclosing `seq`"));
+        }
     }
 
     fn check_block(&mut self, b: &Block) {
@@ -433,29 +470,41 @@ impl<'a> Checker<'a> {
                 }
             }
             Stmt::Block(b) => self.check_block(b),
-            Stmt::If { cond, then_branch, else_branch, .. } => {
+            Stmt::If { cond, then_branch, else_branch, span } => {
+                self.check_flow("if", false, *span);
                 self.check_expr(cond);
                 self.check_stmt(then_branch);
                 if let Some(e) = else_branch {
                     self.check_stmt(e);
                 }
             }
-            Stmt::While { cond, body, .. } => {
+            Stmt::While { cond, body, span } => {
+                self.check_flow("while", false, *span);
                 self.check_expr(cond);
+                self.nest.loops += 1;
                 self.check_stmt(body);
+                self.nest.loops -= 1;
             }
-            Stmt::For { init, cond, step, body, .. } => {
+            Stmt::For { init, cond, step, body, span } => {
+                self.check_flow("for", false, *span);
                 for e in [init, cond, step].into_iter().flatten() {
                     self.check_expr(e);
                 }
+                self.nest.loops += 1;
                 self.check_stmt(body);
+                self.nest.loops -= 1;
             }
-            Stmt::Return(e, _) => {
+            Stmt::Return(e, span) => {
+                self.check_flow("return", self.nest.construct, *span);
                 if let Some(e) = e {
                     self.check_expr(e);
                 }
             }
-            Stmt::Break(_) | Stmt::Continue(_) | Stmt::Empty => {}
+            Stmt::Break(span) | Stmt::Continue(span) => {
+                let what = if matches!(s, Stmt::Break(_)) { "break" } else { "continue" };
+                self.check_flow(what, self.nest.construct && self.nest.loops == 0, *span);
+            }
+            Stmt::Empty => {}
             Stmt::Uc(uc) => self.check_uc(uc),
         }
     }
@@ -475,6 +524,12 @@ impl<'a> Checker<'a> {
             }
         }
         self.scopes.push(scope);
+        let outer = self.nest;
+        self.nest = Nesting {
+            parallel: outer.parallel || uc.kind != UcKind::Seq,
+            construct: true,
+            loops: 0,
+        };
         for arm in &uc.arms {
             if let Some(p) = &arm.pred {
                 self.check_expr(p);
@@ -490,6 +545,7 @@ impl<'a> Checker<'a> {
             }
             self.check_stmt(o);
         }
+        self.nest = outer;
         if uc.kind == UcKind::Solve {
             self.check_solve_arms(uc);
         }
@@ -533,7 +589,7 @@ impl<'a> Checker<'a> {
             Stmt::Expr(Expr::Assign { target, op, .. }) => {
                 if op.is_some() && !star {
                     self.diags.error(
-                        s_span(s),
+                        s.span().unwrap_or_default(),
                         "solve assignments must be plain `=` (single assignment)",
                     );
                 }
@@ -550,7 +606,7 @@ impl<'a> Checker<'a> {
             Stmt::Empty => {}
             other => {
                 self.diags.error(
-                    s_span(other),
+                    other.span().unwrap_or_default(),
                     "solve bodies may contain only assignment statements",
                 );
             }
@@ -845,21 +901,6 @@ impl<'a> Checker<'a> {
     }
 }
 
-fn s_span(s: &Stmt) -> Span {
-    match s {
-        Stmt::Expr(e) => e.span(),
-        Stmt::Decl(v) => v.span,
-        Stmt::If { span, .. }
-        | Stmt::While { span, .. }
-        | Stmt::For { span, .. }
-        | Stmt::Return(_, span)
-        | Stmt::Break(span)
-        | Stmt::Continue(span) => *span,
-        Stmt::Uc(u) => u.span,
-        _ => Span::default(),
-    }
-}
-
 impl<'a> Checker<'a> {
     fn check_map(&mut self, m: &MapSection) {
         for decl in &m.decls {
@@ -1069,6 +1110,49 @@ mod tests {
     fn call_arity_of_user_functions() {
         let msg = check_err("int f(int a, int b) { return a + b; }\nmain() { int x; x = f(1); }");
         assert!(msg.contains("argument"));
+    }
+
+    #[test]
+    fn control_flow_rejected_where_the_front_end_cannot_run_it() {
+        let prelude = "#define N 4\nindex_set I:i = {0..N-1}, J:j = I;\nint a[N], x;\n";
+        let inside = |what: &str| format!("`{what}` inside a parallel construct");
+        let leaves = |what: &str| format!("`{what}` would leave the enclosing `seq`");
+        for (body, expected) in [
+            ("par (I) if (x) a[i] = 0;", inside("if") + " (use `st` predicates)"),
+            ("par (I) { while (x) x = 0; }", inside("while")),
+            ("solve (I) for (x = 0; x < 2; x = x + 1) a[i] = x;", inside("for")),
+            ("par (I) return;", inside("return")),
+            ("oneof (I) st (a[i] > 0) break;", inside("break")),
+            // A `seq` under a `par` runs under masks: still parallel.
+            ("par (I) seq (J) continue;", inside("continue")),
+            ("par (I) seq (J) st (j > 0) if (x) a[i] = j;", inside("if")),
+            ("seq (I) return;", leaves("return")),
+            ("seq (I) { while (x) { return; } }", leaves("return")),
+            ("while (x) seq (I) break;", leaves("break")),
+            ("while (x) { seq (I) st (a[i]) continue; others x = 0; }", leaves("continue")),
+        ] {
+            let msg = check_err(&format!("{prelude}main() {{ {body} }}"));
+            assert!(msg.contains(&expected), "{body}: {msg}");
+        }
+        // Front-end `seq` bodies are ordinary front-end code, a loop inside
+        // one owns its `break`/`continue`, and a function called from a
+        // parallel arm is checked on its own.
+        for body in [
+            "seq (I) if (a[i]) x = 1;",
+            "seq (I) { while (x) { if (a[i]) break; x = 0; } }",
+            "seq (I) for (x = 0; x < 2; x = x + 1) continue;",
+            "par (I) a[i] = f(2);",
+        ] {
+            check_ok(&format!(
+                "{prelude}int f(int n) {{ if (n) return 1; return 0; }}\nmain() {{ {body} }}"
+            ));
+        }
+    }
+
+    #[test]
+    fn main_takes_no_parameters() {
+        let msg = check_err("main(int n) { }");
+        assert!(msg.contains("`main` takes no parameters"), "{msg}");
     }
 
     #[test]

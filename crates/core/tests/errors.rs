@@ -209,7 +209,7 @@ fn iteration_limit_on_infinite_while() {
 
 #[test]
 fn front_end_control_inside_par_rejected() {
-    let err = runtime_err(
+    let msg = compile_err(
         r#"
         #define N 4
         index_set I:i = {0..N-1};
@@ -217,7 +217,29 @@ fn front_end_control_inside_par_rejected() {
         main() { par (I) while (a[i] < 3) a[i] += 1; }
         "#,
     );
-    assert!(matches!(err, RuntimeError::NotSupported(_)), "{err}");
+    assert!(msg.contains("`while` inside a parallel construct"), "{msg}");
+    assert!(msg.contains("5:26"), "diagnostic must carry the statement's position: {msg}");
+}
+
+#[test]
+fn main_with_parameters_rejected() {
+    let msg = compile_err("int out;\nmain(int n) { out = n; }");
+    assert!(msg.contains("`main` takes no parameters"), "{msg}");
+    assert!(msg.contains("2:1"), "diagnostic must carry main's position: {msg}");
+}
+
+/// A function too large for the 65 535-slot register file cannot run at
+/// all (the VM is the only executor): a compile diagnostic names it.
+#[test]
+fn register_file_overflow_is_a_compile_error() {
+    let mut src = String::from("int out;\nint huge() {\n");
+    for k in 0..=u16::MAX as usize {
+        src.push_str(&format!("int v{k};\n"));
+    }
+    src.push_str("return 1;\n}\nmain() { out = huge(); }\n");
+    let msg = compile_err(&src);
+    assert!(msg.contains("function `huge` needs more than 65535 registers"), "{msg}");
+    assert!(!msg.contains("`main`"), "{msg}");
 }
 
 #[test]

@@ -3,12 +3,12 @@
 // `w[i][k]` and `w[k][j]` broadcast one row/column through the router;
 // the updates themselves are local, so the lints stay silent.
 #define N 8
-#define INF 9999
+#define FAR 9999
 index_set I:i = {0..N-1}, J:j = I;
 int w[N][N];
 int k;
 main() {
-    par (I, J) w[i][j] = INF;
+    par (I, J) w[i][j] = FAR;
     par (I, J) st (i == j) w[i][j] = 0;
     par (I, J) st (j == (i + 1) % N) w[i][j] = i + 1;
     for (k = 0; k < N; k = k + 1) {

@@ -6,13 +6,12 @@
 //! uc emit-cstar <file.uc>                        print the C* translation (§5)
 //! ```
 //!
-//! `run` and `check` both accept `--emit ir`, which prints the compiled
-//! register IR (see `uc_core::ir`) instead of running the program. The
-//! executor backend is chosen by the `UC_EXEC` environment variable
-//! (`ast` forces the tree-walker; default is the register IR — results
-//! are bit-identical either way), and `UC_IR_OPT=aggressive` opts into
-//! IR rewrites that eliminate dead parallel contexts and coalesce
-//! adjacent `par` statements (same results, possibly fewer cycles).
+//! Every program is lowered to a register IR (see `uc_core::ir`) that
+//! the executor's VM runs. `run` and `check` both accept `--emit ir`,
+//! which prints that IR instead of running the program, and `--ir-opt
+//! aggressive`, which opts into rewrites that eliminate dead parallel
+//! contexts and coalesce adjacent `par` statements (same results,
+//! possibly fewer cycles; the default is `balanced`).
 //!
 //! `run` resource limits (see `ExecLimits` for the semantics):
 //!
@@ -50,7 +49,7 @@ use std::process::ExitCode;
 use std::sync::Mutex;
 
 use uc::lang::analysis::{self, LintConfig};
-use uc::lang::{Diagnostics, ExecConfig, Program, RunError, RuntimeError, Span};
+use uc::lang::{Diagnostics, ExecConfig, IrOpt, Program, RunError, RuntimeError, Span};
 
 /// Location line captured by the silent panic hook, appended to
 /// `RuntimeError::Internal` diagnostics. The hook must not print: the
@@ -65,9 +64,8 @@ fn main() -> ExitCode {
         None => {
             eprintln!("usage: uc <run|check|emit-cstar> <file.uc> [options]");
             eprintln!("  --emit ir          (run, check) print the compiled register IR instead of running");
+            eprintln!("  --ir-opt LEVEL     (run, check) balanced (default) | aggressive: cycle-reducing rewrites of parallel constructs");
             eprintln!("  env UC_THREADS=N   simulator thread count (default: all cores; results identical for any N)");
-            eprintln!("  env UC_EXEC=ast    run on the AST tree-walker instead of the register IR (same results)");
-            eprintln!("  env UC_IR_OPT=aggressive   enable cycle-reducing IR rewrites of parallel constructs");
             return ExitCode::FAILURE;
         }
     };
@@ -126,6 +124,17 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
                 emit_ir = true;
+            }
+            "--ir-opt" if cmd == "run" || cmd == "check" => {
+                exec_cfg.ir_opt = match it.next().map(String::as_str) {
+                    Some("balanced") => IrOpt::Balanced,
+                    Some("aggressive") => IrOpt::Aggressive,
+                    other => {
+                        let got = other.unwrap_or("nothing");
+                        eprintln!("error: --ir-opt needs `balanced` or `aggressive`, got {got}");
+                        return ExitCode::FAILURE;
+                    }
+                };
             }
             "--deny" if cmd == "check" => {
                 let Some(what) = it.next() else {
@@ -189,7 +198,7 @@ fn main() -> ExitCode {
         defines.iter().map(|(n, v)| (n.as_str(), *v)).collect();
 
     if cmd == "check" {
-        return check(path, &src, &define_refs, &cfg, format, emit_ir);
+        return check(path, &src, &define_refs, &cfg, format, emit_ir, exec_cfg);
     }
 
     let program = Program::compile_with_defines(&src, exec_cfg, &define_refs);
@@ -282,13 +291,14 @@ fn check(
     cfg: &LintConfig,
     format: Format,
     emit_ir: bool,
+    exec_cfg: ExecConfig,
 ) -> ExitCode {
     let diags = analysis::check_source(src, defines, cfg);
     if emit_ir && !diags.has_errors() {
         // Lints passed: print the compiled register IR instead of the
         // usual summary line.
         eprint!("{diags}");
-        return match Program::compile_with_defines(src, ExecConfig::default(), defines) {
+        return match Program::compile_with_defines(src, exec_cfg, defines) {
             Ok(p) => {
                 print!("{}", p.emit_ir());
                 ExitCode::SUCCESS

@@ -193,6 +193,24 @@ fn write_then_run_external_inputs() {
     assert_eq!(p.read_int("s"), Some(42));
 }
 
+/// `examples/uc/shortest_path.uc` builds a directed ring (edge i -> i+1
+/// mod N weighs i+1), so the distance from i to j is the sum of the edge
+/// weights walking forward. The example once `#define`d the `INF`
+/// keyword, which left the define dead and overflowed `INF + INF`.
+#[test]
+fn shortest_path_example_computes_ring_distances() {
+    let mut p = Program::compile(include_str!("../examples/uc/shortest_path.uc")).unwrap();
+    p.run().unwrap();
+    let n = p.define("N").unwrap() as usize;
+    let expected: Vec<i64> = (0..n * n)
+        .map(|c| {
+            let (i, j) = (c / n, c % n);
+            (0..(j + n - i) % n).map(|t| ((i + t) % n + 1) as i64).sum()
+        })
+        .collect();
+    assert_eq!(p.read_int_array("w").unwrap(), expected);
+}
+
 #[test]
 fn committed_bench_baseline_parses_as_a_figure() {
     // `BENCH_sim_hotpaths.json` is the committed hot-path baseline; it

@@ -1,25 +1,37 @@
-//! Differential testing of the two executor backends.
+//! Pinned-digest regression tier for the executor.
 //!
-//! The register-IR backend promises bit-identical observable behaviour
-//! to the AST tree-walker: same global scalars and arrays (floats by
-//! bit pattern), same simulated cycles and per-class op counters, and
-//! the same `RunError` — variant, span and UC call stack — when a
-//! program traps. This suite runs every committed example, the lint
-//! corpus and the hostile corpus under both backends with explicitly
-//! pinned configs (so `UC_EXEC` / `UC_IR_OPT` in the environment cannot
-//! flake it) and compares everything.
+//! Every observable of a run — global scalars and arrays (floats by bit
+//! pattern), simulated cycles, the six per-class op counters, and on a
+//! trap the full `RunError` with span and UC call stack — is folded into
+//! one FNV digest per program and compared with
+//! `tests/corpus/pinned_digests.txt`. The table was recorded from the AST
+//! tree-walker at commit 72174e8, the last one that carried it, where the
+//! differential suite proved the walker and the register VM agreed on
+//! every entry; it now pins the VM to that behaviour.
 //!
-//! A subprocess leg re-runs the example sweep under `UC_THREADS=1` and
-//! `8`, proving backend parity is also thread-count-invariant (the
-//! worker pool is env-sized once per process, so this needs a child
-//! process per thread count — same protocol as `determinism.rs`).
+//! The corpus is every committed example, the lint corpus (including the
+//! `seq_*.uc` programs that exercise front-end `seq`, `seq` under `par`,
+//! calls from parallel arms and recursion through escaped expressions),
+//! the hostile corpus under tight deterministic budgets, and the
+//! `uc_bench` figure kernels at small sizes.
+//!
+//! A subprocess leg recomputes the digests under `UC_THREADS=1`, `2` and
+//! `8` (the worker pool is env-sized once per process, so each thread
+//! count needs a child — same protocol as `determinism.rs`).
+//!
+//! To refresh the table after a deliberate behaviour change:
+//!
+//! ```text
+//! UC_IR_DIFF_CHILD=1 cargo test --test ir_differential \
+//!     emit_pinned_digests_when_asked -- --exact --nocapture \
+//!     | sed -n 's/^DIGEST //p' > tests/corpus/pinned_digests.txt
+//! ```
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 
-use uc::lang::exec::{ExecBackend, IrOpt};
-use uc::lang::{ExecConfig, ExecLimits, Program};
+use uc::lang::{ExecConfig, ExecLimits, IrOpt, Program};
 
 /// Every observable of one program run, ready for exact comparison.
 #[derive(Debug, PartialEq)]
@@ -30,8 +42,18 @@ struct Outcome {
     counters: Vec<u64>,
 }
 
-fn observe(src: &str, cfg: ExecConfig) -> Result<Outcome, String> {
-    let mut p = Program::compile_with(src, cfg).map_err(|d| d.to_string())?;
+/// One corpus entry: a program, its `#define` overrides and budgets.
+struct Case {
+    name: String,
+    src: String,
+    defines: Vec<(&'static str, i64)>,
+    limits: ExecLimits,
+}
+
+fn observe(case: &Case, ir_opt: IrOpt) -> Result<Outcome, String> {
+    let cfg = ExecConfig { ir_opt, limits: case.limits.clone(), ..Default::default() };
+    let mut p =
+        Program::compile_with_defines(&case.src, cfg, &case.defines).map_err(|d| d.to_string())?;
     let run = p.run();
     // Capture the cost model before reading arrays back.
     let cycles = p.cycles();
@@ -64,13 +86,9 @@ fn observe(src: &str, cfg: ExecConfig) -> Result<Outcome, String> {
     Ok(Outcome { result, cycles, counters })
 }
 
-fn config(backend: ExecBackend, ir_opt: IrOpt, limits: ExecLimits) -> ExecConfig {
-    ExecConfig { backend, ir_opt, limits, ..Default::default() }
-}
-
 /// Deterministic tight budgets for the hostile corpus: every attack
 /// program must trap on fuel, memory, depth or the iteration cap —
-/// never the wall clock, whose timing would make the comparison flaky.
+/// never the wall clock, whose timing would make the digest flaky.
 fn hostile_limits() -> ExecLimits {
     ExecLimits {
         fuel: Some(50_000),
@@ -81,49 +99,75 @@ fn hostile_limits() -> ExecLimits {
     }
 }
 
-fn uc_files(dir: &str) -> Vec<PathBuf> {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+/// The `.uc` files of one directory, named by repo-relative path.
+fn uc_files(dir: &str, limits: ExecLimits, out: &mut Vec<Case>) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(root.join(dir))
         .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "uc"))
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(".uc"))
         .collect();
-    files.sort();
-    files
+    names.sort();
+    for n in names {
+        let name = format!("{dir}/{n}");
+        let src = std::fs::read_to_string(root.join(&name)).unwrap();
+        out.push(Case { name, src, defines: Vec::new(), limits: limits.clone() });
+    }
 }
 
-/// All differential inputs with the limits they run under.
-fn corpus() -> Vec<(PathBuf, ExecLimits)> {
-    let mut inputs = Vec::new();
-    for f in uc_files("examples/uc") {
-        inputs.push((f, ExecLimits::default()));
+/// All pinned inputs with the defines and limits they run under.
+fn corpus() -> Vec<Case> {
+    let mut cases = Vec::new();
+    uc_files("examples/uc", ExecLimits::default(), &mut cases);
+    uc_files("tests/corpus", ExecLimits::default(), &mut cases);
+    uc_files("tests/corpus/hostile", hostile_limits(), &mut cases);
+    for (name, src, defines) in [
+        ("uc_bench/fig6", uc_bench::UC_APSP_N2, vec![("N", 6)]),
+        ("uc_bench/fig7", uc_bench::UC_APSP_N3, vec![("N", 8), ("LOGN", 3)]),
+        ("uc_bench/grid", uc_bench::UC_GRID_GOAL, vec![("N", 8)]),
+        ("uc_bench/shift", uc_bench::UC_SHIFT_KERNEL, vec![("N", 64), ("ITERS", 4)]),
+        ("uc_bench/shift_mapped", uc_bench::UC_SHIFT_KERNEL_MAPPED, vec![("N", 64), ("ITERS", 4)]),
+    ] {
+        cases.push(Case {
+            name: name.into(),
+            src: src.into(),
+            defines,
+            limits: ExecLimits::default(),
+        });
     }
-    for f in uc_files("tests/corpus") {
-        inputs.push((f, ExecLimits::default()));
-    }
-    for f in uc_files("tests/corpus/hostile") {
-        inputs.push((f, hostile_limits()));
-    }
-    assert!(inputs.len() >= 20, "differential corpus shrank to {}", inputs.len());
-    inputs
+    assert!(cases.len() >= 40, "pinned corpus shrank to {}", cases.len());
+    cases
 }
 
-/// The headline parity guarantee: on every input, the IR backend matches
-/// the tree-walker observable-for-observable, including error spans and
-/// call stacks on the hostile corpus.
+/// FNV-1a over the debug rendering of an outcome; a compile rejection
+/// pins as all zeroes.
+fn digest(case: &Case) -> String {
+    let Ok(o) = observe(case, IrOpt::Balanced) else { return "0".repeat(16) };
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in format!("{o:?}").bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// `name -> digest` from the committed table (`<digest> <name>` lines).
+fn pinned() -> BTreeMap<String, String> {
+    include_str!("corpus/pinned_digests.txt")
+        .lines()
+        .filter_map(|l| l.split_once(' '))
+        .map(|(d, name)| (name.to_string(), d.to_string()))
+        .collect()
+}
+
+/// The headline guarantee: on every input the VM reproduces the walker's
+/// recorded observables exactly, including error spans and call stacks
+/// on the hostile corpus.
 #[test]
-fn ir_matches_ast_on_every_corpus_program() {
-    for (path, limits) in corpus() {
-        let src = std::fs::read_to_string(&path).unwrap();
-        let ast = observe(&src, config(ExecBackend::Ast, IrOpt::Balanced, limits.clone()));
-        let ir = observe(&src, config(ExecBackend::Ir, IrOpt::Balanced, limits));
-        match (ast, ir) {
-            // Compile rejections carry no backend; both must agree.
-            (Err(a), Err(b)) => assert_eq!(a, b, "{}", path.display()),
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "{}", path.display()),
-            (a, b) => panic!("{}: one backend rejected, one ran:\n{a:?}\n{b:?}", path.display()),
-        }
-    }
+fn pinned_digests_match_on_every_corpus_program() {
+    let computed: BTreeMap<String, String> =
+        corpus().iter().map(|c| (c.name.clone(), digest(c))).collect();
+    assert_eq!(computed, pinned());
 }
 
 /// Aggressive IR rewrites may only *remove* charged machine work: the
@@ -132,25 +176,22 @@ fn ir_matches_ast_on_every_corpus_program() {
 /// that file exists to prove the pass fires.
 #[test]
 fn aggressive_opt_preserves_results_and_never_adds_cycles() {
-    for (path, limits) in corpus() {
-        let src = std::fs::read_to_string(&path).unwrap();
-        let bal = observe(&src, config(ExecBackend::Ir, IrOpt::Balanced, limits.clone()));
-        let agg = observe(&src, config(ExecBackend::Ir, IrOpt::Aggressive, limits));
+    for case in corpus() {
+        let bal = observe(&case, IrOpt::Balanced);
+        let agg = observe(&case, IrOpt::Aggressive);
         let (Ok(bal), Ok(agg)) = (bal, agg) else { continue };
         // Errors may legitimately differ (a trap inside an eliminated
         // dead arm vanishes), but successful runs must agree exactly.
         if let (Ok(b), Ok(a)) = (&bal.result, &agg.result) {
-            assert_eq!(b, a, "{}: aggressive IR changed results", path.display());
+            assert_eq!(b, a, "{}: aggressive IR changed results", case.name);
             assert!(
                 agg.cycles <= bal.cycles,
                 "{}: aggressive IR raised cycles {} -> {}",
-                path.display(),
+                case.name,
                 bal.cycles,
                 agg.cycles
             );
-            if path.ends_with("tests/corpus/dead_context.uc")
-                || path.file_name().is_some_and(|n| n == "dead_context.uc")
-            {
+            if case.name.ends_with("/dead_context.uc") {
                 assert!(
                     agg.cycles < bal.cycles,
                     "dead-context elimination did not fire ({} cycles)",
@@ -161,40 +202,22 @@ fn aggressive_opt_preserves_results_and_never_adds_cycles() {
     }
 }
 
-/// FNV-1a over the debug rendering of an outcome.
-fn digest(o: &Outcome) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in format!("{o:?}").bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Child half of the subprocess protocol: inert unless `UC_IR_DIFF_CHILD`
-/// is set. Prints one digest line per (program, backend) pair.
+/// is set. Prints one `DIGEST <digest> <name>` line per program.
 #[test]
-fn emit_backend_digests_when_asked() {
+fn emit_pinned_digests_when_asked() {
     if std::env::var("UC_IR_DIFF_CHILD").is_err() {
         return;
     }
-    for (path, limits) in corpus() {
-        let src = std::fs::read_to_string(&path).unwrap();
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        for (tag, backend) in [("ast", ExecBackend::Ast), ("ir", ExecBackend::Ir)] {
-            let d = match observe(&src, config(backend, IrOpt::Balanced, limits.clone())) {
-                Ok(o) => digest(&o),
-                Err(_) => 0, // compile rejection: backend-independent
-            };
-            println!("DIGEST {name}/{tag} {d:016x}");
-        }
+    for case in corpus() {
+        println!("DIGEST {} {}", digest(&case), case.name);
     }
 }
 
 fn digests_under(threads: &str) -> BTreeMap<String, String> {
     let exe = std::env::current_exe().expect("test binary path");
     let out = Command::new(exe)
-        .args(["emit_backend_digests_when_asked", "--exact", "--nocapture", "--test-threads=1"])
+        .args(["emit_pinned_digests_when_asked", "--exact", "--nocapture", "--test-threads=1"])
         .env("UC_IR_DIFF_CHILD", "1")
         .env("UC_THREADS", threads)
         .output()
@@ -209,26 +232,20 @@ fn digests_under(threads: &str) -> BTreeMap<String, String> {
         .lines()
         .filter_map(|l| l.split("DIGEST ").nth(1))
         .filter_map(|l| {
-            let (name, hex) = l.split_once(' ')?;
+            let (hex, name) = l.split_once(' ')?;
             Some((name.to_string(), hex.to_string()))
         })
         .collect()
 }
 
-/// Backend parity must hold at every thread count, and each backend's
-/// digests must themselves be thread-count-invariant.
+/// The pins must hold at every thread count.
 #[test]
-fn backends_agree_under_one_and_eight_threads() {
+fn pinned_digests_hold_under_one_two_and_eight_threads() {
     if std::env::var("UC_IR_DIFF_CHILD").is_ok() {
         return; // don't recurse when the whole binary runs in a child
     }
-    let one = digests_under("1");
-    let eight = digests_under("8");
-    assert!(!one.is_empty(), "child produced no digests");
-    assert_eq!(one, eight, "digests moved with the thread count");
-    for (name, d) in &one {
-        let Some(prog) = name.strip_suffix("/ast") else { continue };
-        let ir = &one[&format!("{prog}/ir")];
-        assert_eq!(d, ir, "{prog}: IR and AST backends diverge under UC_THREADS=1");
+    let pinned = pinned();
+    for threads in ["1", "2", "8"] {
+        assert_eq!(digests_under(threads), pinned, "UC_THREADS={threads}");
     }
 }

@@ -9,21 +9,17 @@
 //! uc run <input> --emit ir > tests/corpus/golden/<name>.ir
 //! ```
 //!
-//! (with `UC_IR_OPT=aggressive` for the `.aggressive.ir` files).
+//! (with `--ir-opt aggressive` for the `.aggressive.ir` files).
 
 use std::path::Path;
 use std::process::Command;
 
-/// Run the CLI with the backend environment pinned, so `UC_EXEC` /
-/// `UC_IR_OPT` in the ambient environment cannot flake the comparison.
 fn emit(cmd: &str, input: &str, aggressive: bool) -> String {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut uc = Command::new(env!("CARGO_BIN_EXE_uc"));
-    uc.args([cmd, root.join(input).to_str().unwrap(), "--emit", "ir"])
-        .env_remove("UC_EXEC")
-        .env_remove("UC_IR_OPT");
+    uc.args([cmd, root.join(input).to_str().unwrap(), "--emit", "ir"]);
     if aggressive {
-        uc.env("UC_IR_OPT", "aggressive");
+        uc.args(["--ir-opt", "aggressive"]);
     }
     let out = uc.output().unwrap();
     assert!(
@@ -49,6 +45,13 @@ fn dead_store_ir_is_stable() {
     assert_eq!(emit("run", "tests/corpus/dead_store.uc", false), golden("dead_store.ir"));
 }
 
+/// Front-end `seq` with `st` arms and `others` lowers to a VM loop:
+/// `seq_enter`/`seq_next`/`seq_exit` around ordinary register code.
+#[test]
+fn seq_ir_is_stable() {
+    assert_eq!(emit("run", "tests/corpus/seq_st_others.uc", false), golden("seq_st_others.ir"));
+}
+
 #[test]
 fn aggressive_dead_context_ir_is_stable() {
     assert_eq!(
@@ -67,9 +70,9 @@ fn check_emits_the_same_ir() {
     );
 }
 
-/// Every function in every committed example lowers completely — no
-/// `<unlowered>` fallback markers, and parallel statements appear as
-/// single `tree` escapes inside registerized control flow.
+/// Every function in every committed example lowers, and parallel
+/// statements appear as single `tree` escapes inside registerized
+/// control flow.
 #[test]
 fn examples_lower_without_fallback() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/uc");
