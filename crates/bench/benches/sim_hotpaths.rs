@@ -1,12 +1,23 @@
-//! Criterion bench for the simulator's hot paths: router sends/gets and
-//! scans are where the CM simulator spends its time for any non-trivial
-//! program (see `uc_cm::router` and `uc_cm::scan`). These benches track
+//! Criterion bench for the simulator's hot paths: router sends/gets,
+//! scans, elementwise ALU ops and NEWS shifts are where the CM simulator
+//! spends its time for any non-trivial program (see `uc_cm::router`,
+//! `uc_cm::scan`, `uc_cm::ops` and `uc_cm::news`). These benches track
 //! host wall-clock of those primitives in isolation so optimizations and
 //! regressions show up without the compiler pipeline in the way.
+//!
+//! The router and scan chains include building their machine; the ALU and
+//! NEWS groups build it once per sample and time [`REPS`] back-to-back
+//! instructions on warm fields, which is how a `par` body issues them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use uc_cm::{BinOp, Combine, Machine, ReduceOp};
+use uc_cm::news::Border;
+use uc_cm::{BinOp, Combine, FieldData, FieldId, Machine, ReduceOp, Scalar};
+
+const SIZES: [usize; 3] = [1 << 10, 1 << 14, 1 << 16];
+
+/// Instructions per timed iteration of the ALU and NEWS groups.
+const REPS: usize = 16;
 
 fn router_roundtrip(n: usize) -> i64 {
     let mut m = Machine::with_defaults();
@@ -37,7 +48,7 @@ fn scan_chain(n: usize) -> i64 {
 fn bench_router(c: &mut Criterion) {
     let mut group = c.benchmark_group("router_hotpath");
     group.sample_size(10);
-    for n in [1usize << 10, 1 << 14, 1 << 16] {
+    for n in SIZES {
         group.bench_with_input(BenchmarkId::new("send_get", n), &n, |b, &n| {
             b.iter(|| black_box(router_roundtrip(n)))
         });
@@ -48,7 +59,7 @@ fn bench_router(c: &mut Criterion) {
 fn bench_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("scan_hotpath");
     group.sample_size(10);
-    for n in [1usize << 10, 1 << 14, 1 << 16] {
+    for n in SIZES {
         group.bench_with_input(BenchmarkId::new("scan_reduce", n), &n, |b, &n| {
             b.iter(|| black_box(scan_chain(n)))
         });
@@ -56,5 +67,88 @@ fn bench_scan(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_router, bench_scan);
+/// A square 2-D machine of `n` VPs with three int fields and a bool one,
+/// under an every-other-lane context when `half` is set.
+fn grid(n: usize, half: bool) -> (Machine, [FieldId; 3], FieldId) {
+    let side = n.isqrt();
+    assert_eq!(side * side, n, "sizes are even powers of two");
+    let mut m = Machine::with_defaults();
+    let vp = m.new_vp_set("g", &[side, side]).unwrap();
+    let ints = [(); 3].map(|()| m.alloc_int(vp, "x").unwrap());
+    for (k, &f) in ints.iter().enumerate() {
+        m.iota(f).unwrap();
+        m.binop_imm(BinOp::BitAnd, f, f, Scalar::Int(0xFF >> k))
+            .unwrap();
+    }
+    let cond = m.alloc_bool(vp, "c").unwrap();
+    m.write_all(cond, FieldData::Bool((0..n).map(|i| i % 2 == 0).collect()))
+        .unwrap();
+    if half {
+        m.push_context(cond).unwrap();
+    }
+    (m, ints, cond)
+}
+
+fn bench_alu(c: &mut Criterion) {
+    type Op = fn(&mut Machine, [FieldId; 3], FieldId) -> uc_cm::Result<()>;
+    let ops: [(&str, Op); 4] = [
+        ("binop", |m, [d, a, b], _| m.binop(BinOp::Add, d, a, b)),
+        ("binop_imm", |m, [d, a, _], _| {
+            m.binop_imm(BinOp::Add, d, a, Scalar::Int(1))
+        }),
+        ("binop_in_place", |m, [d, a, _], _| {
+            m.binop(BinOp::Add, d, d, a)
+        }),
+        ("select", |m, [d, a, b], c| m.select(d, c, a, b)),
+    ];
+    let mut group = c.benchmark_group("alu_hotpath");
+    group.sample_size(20);
+    for (name, op) in ops {
+        for (mask, half) in [("all", false), ("half", true)] {
+            for n in SIZES {
+                group.bench_with_input(
+                    BenchmarkId::new(format!("{name}_{mask}"), n),
+                    &n,
+                    |b, &n| {
+                        let (mut m, ints, cond) = grid(n, half);
+                        b.iter(|| {
+                            for _ in 0..REPS {
+                                op(&mut m, ints, cond).unwrap();
+                            }
+                        });
+                        black_box(m.read_elem(ints[0], n - 1).unwrap());
+                    },
+                );
+            }
+        }
+    }
+    group.finish();
+}
+
+fn bench_news(c: &mut Criterion) {
+    let mut group = c.benchmark_group("news_hotpath");
+    group.sample_size(20);
+    for (axis_name, axis) in [("axis0", 0), ("last_axis", 1)] {
+        for (border_name, border) in [
+            ("wrap", Border::Wrap),
+            ("fill", Border::Fill(Scalar::Int(-1))),
+        ] {
+            for n in SIZES {
+                let id = BenchmarkId::new(format!("{axis_name}_{border_name}"), n);
+                group.bench_with_input(id, &n, |b, &n| {
+                    let (mut m, [d, a, _], _) = grid(n, false);
+                    b.iter(|| {
+                        for _ in 0..REPS {
+                            m.news_shift(d, a, axis, 1, border).unwrap();
+                        }
+                    });
+                    black_box(m.read_elem(d, n - 1).unwrap());
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_router, bench_scan, bench_alu, bench_news);
 criterion_main!(benches);

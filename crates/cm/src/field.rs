@@ -6,6 +6,7 @@
 //! `i64`, UC floats to `f64`, and test results to `bool`.
 
 use crate::machine::VpSetId;
+use crate::Scalar;
 
 /// Element type of a field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,6 +78,42 @@ impl FieldData {
         }
     }
 }
+
+/// A Rust type that is the element of one [`FieldData`] variant. Lets the
+/// elementwise kernels be written once per operation instead of once per
+/// operation and storage variant. The slice accessors panic on a variant
+/// mismatch; callers type-check first.
+pub(crate) trait Elem: Copy + Send + Sync {
+    fn slice(data: &FieldData) -> &[Self];
+    fn slice_mut(data: &mut FieldData) -> &mut [Self];
+    /// The scalar coerced to this type (a no-op after type-checking).
+    fn from_scalar(s: Scalar) -> Self;
+}
+
+macro_rules! impl_elem {
+    ($ty:ty, $variant:ident, $coerce:ident) => {
+        impl Elem for $ty {
+            fn slice(data: &FieldData) -> &[Self] {
+                match data {
+                    FieldData::$variant(v) => v,
+                    other => unreachable!("{:?} field read as {}", other.elem_type(), stringify!($ty)),
+                }
+            }
+            fn slice_mut(data: &mut FieldData) -> &mut [Self] {
+                match data {
+                    FieldData::$variant(v) => v,
+                    other => unreachable!("{:?} field written as {}", other.elem_type(), stringify!($ty)),
+                }
+            }
+            fn from_scalar(s: Scalar) -> Self {
+                s.$coerce()
+            }
+        }
+    };
+}
+impl_elem!(i64, I64, as_int);
+impl_elem!(f64, F64, as_float);
+impl_elem!(bool, Bool, as_bool);
 
 /// A field: named, typed, per-VP storage belonging to one VP set.
 #[derive(Debug, Clone)]

@@ -16,15 +16,18 @@
 //!
 //! * `&mut FieldData` for the destination, and
 //! * a [`Peers`] view that resolves `&FieldData` for any *other* field
-//!   (same or different VP set), the current context mask of any VP set,
-//!   and any VP set's geometry — all borrowed, never cloned.
+//!   (same or different VP set) and the current context mask of any VP
+//!   set — borrowed, never cloned.
 //!
 //! The aliasing invariant: `Peers` refuses to resolve the destination
-//! itself. An operation whose source *is* its destination (e.g.
-//! `unop(Neg, d, d)`) first copies that one operand into a scratch buffer
-//! ([`Machine::scratch_copy`]) and reads the copy. Because every alias is
-//! by definition equal to the destination, at most one scratch copy is
-//! ever needed per operation.
+//! itself. An elementwise operation whose source *is* its destination
+//! (e.g. `unop(Neg, d, d)`) reads that operand in place — each lane only
+//! ever reads its own position (see [`crate::ops`]). An operation that
+//! reads *other* lanes of its destination (an in-place NEWS shift, a
+//! router op whose source or address field is its destination) first
+//! copies that operand into a scratch buffer ([`Machine::scratch_copy`])
+//! and reads the copy. Because every alias is by definition equal to the
+//! destination, at most one scratch copy is ever needed per operation.
 //!
 //! # The scratch arena
 //!
@@ -70,7 +73,7 @@ pub(crate) const MAX_POOL: usize = 32;
 /// Buffers are checked out with `take_*` and returned with `put_*`; the
 /// pool keeps their capacity alive so steady-state operations allocate
 /// nothing. Freed field storage is retired here too, making
-/// alloc/free-heavy executor code (e.g. `binop_imm` temporaries)
+/// alloc/free-heavy executor code (expression temporaries)
 /// allocation-free after warm-up.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
@@ -232,9 +235,9 @@ impl Scratch {
 }
 
 /// The shared-borrow side of a [`Machine::split_dst`] split: resolves any
-/// field *other than the destination*, any VP set's current context mask,
-/// and any VP set's geometry, for as long as the paired `&mut FieldData`
-/// destination borrow lives.
+/// field *other than the destination* and any VP set's current context
+/// mask, for as long as the paired `&mut FieldData` destination borrow
+/// lives.
 pub(crate) struct Peers<'m> {
     below: &'m [VpSet],
     above: &'m [VpSet],
@@ -243,7 +246,6 @@ pub(crate) struct Peers<'m> {
     dset_fields_below: &'m [Option<Field>],
     dset_fields_above: &'m [Option<Field>],
     dset_context: &'m ContextStack,
-    dset_geom: &'m Geometry,
 }
 
 impl<'m> Peers<'m> {
@@ -286,15 +288,6 @@ impl<'m> Peers<'m> {
             Ok(self.dset_context.current())
         } else {
             Ok(self.set(vp)?.context.current())
-        }
-    }
-
-    /// Borrow the geometry of any VP set.
-    pub(crate) fn geom(&self, vp: VpSetId) -> Result<&'m Geometry> {
-        if vp.0 == self.dst_vp {
-            Ok(self.dset_geom)
-        } else {
-            Ok(&self.set(vp)?.geom)
         }
     }
 }
@@ -340,7 +333,7 @@ impl Default for MachineConfig {
 
 /// Bytes of storage one element of `ty` occupies in a field.
 #[inline]
-fn elem_bytes(ty: ElemType) -> u64 {
+pub(crate) fn elem_bytes(ty: ElemType) -> u64 {
     match ty {
         ElemType::Int | ElemType::Float => 8,
         ElemType::Bool => 1,
@@ -436,7 +429,7 @@ impl Machine {
     /// Reserve `bytes` against the memory budget, trapping *before* any
     /// allocation happens.
     #[inline]
-    fn charge_mem(&mut self, bytes: u64) -> Result<()> {
+    pub(crate) fn charge_mem(&mut self, bytes: u64) -> Result<()> {
         let new = self.mem_bytes.saturating_add(bytes);
         if new > self.mem_limit {
             return Err(CmError::MemoryLimitExceeded { requested: bytes, limit: self.mem_limit });
@@ -446,7 +439,7 @@ impl Machine {
     }
 
     #[inline]
-    fn release_mem(&mut self, bytes: u64) {
+    pub(crate) fn release_mem(&mut self, bytes: u64) {
         self.mem_bytes = self.mem_bytes.saturating_sub(bytes);
     }
 
@@ -549,7 +542,7 @@ impl Machine {
         if dst.index >= dset.fields.len() {
             return Err(CmError::UnknownField);
         }
-        let VpSet { ref mut fields, ref context, ref geom, .. } = *dset;
+        let VpSet { ref mut fields, ref context, .. } = *dset;
         let (fields_below, rest) = fields.split_at_mut(dst.index);
         let (dslot, fields_above) = rest.split_first_mut().expect("index checked");
         let dst_data = match dslot.as_mut() {
@@ -566,7 +559,6 @@ impl Machine {
                 dset_fields_below: fields_below,
                 dset_fields_above: fields_above,
                 dset_context: context,
-                dset_geom: geom,
             },
         ))
     }

@@ -6,9 +6,27 @@
 //! geometry and any constant offset (offset ±1 is one NEWS hop; larger
 //! offsets model repeated hops but are charged once — the UC compiler emits
 //! power-of-two shift chains itself where it matters).
+//!
+//! # A shift is a block rotation
+//!
+//! Along an axis of stride `s` and extent `e` the row-major address space
+//! falls into blocks of `e·s` consecutive addresses, and every VP's
+//! neighbour `offset` steps along the axis sits `offset·s` addresses away
+//! *inside the same block*. So a toroidal shift rotates each block by
+//! `offset·s`, which is two contiguous run copies per block; a bounded
+//! shift is one run copy plus a border run that is filled
+//! ([`Border::Fill`]) or skipped ([`Border::Keep`]). [`Machine::news_shift`]
+//! works the two runs out once and then makes one pass over the
+//! destination with [`par::for_each_part_mut`], clipping the runs to each
+//! part: `memcpy`/`fill` where the part's lanes are all active, branch-free
+//! masked stores otherwise. No address is computed per element;
+//! [`crate::Geometry::neighbor`] and [`crate::Geometry::neighbor_wrap`]
+//! remain the per-element definition the tests compare against.
+
+use std::ops::Range;
 
 use crate::cost::OpClass;
-use crate::field::{FieldData, FieldId};
+use crate::field::{Elem, ElemType, FieldData, FieldId};
 use crate::machine::Machine;
 use crate::par;
 use crate::{CmError, Result, Scalar};
@@ -22,6 +40,95 @@ pub enum Border {
     Fill(Scalar),
     /// Off-grid positions keep their previous destination value.
     Keep,
+}
+
+/// One of the two runs every block of a shift is assembled from:
+/// destination positions `dst` (relative to the block's first address)
+/// read the source run that starts at block position `from`, or lie off
+/// the grid when `from` is `None`.
+struct Run {
+    dst: Range<usize>,
+    from: Option<usize>,
+}
+
+/// The runs of one `blk = extent·stride` block for a shift by `offset`.
+fn block_runs(stride: usize, extent: usize, offset: i64, border: Border) -> [Run; 2] {
+    let blk = extent * stride;
+    if border == Border::Wrap {
+        let rot = offset.rem_euclid(extent as i64) as usize * stride;
+        return [
+            Run { dst: 0..blk - rot, from: Some(rot) },
+            Run { dst: blk - rot..blk, from: Some(0) },
+        ];
+    }
+    // `|offset| >= extent` pushes the whole block off the grid.
+    let rot = offset.unsigned_abs().min(extent as u64) as usize * stride;
+    if offset >= 0 {
+        [Run { dst: 0..blk - rot, from: Some(rot) }, Run { dst: blk - rot..blk, from: None }]
+    } else {
+        [Run { dst: 0..rot, from: None }, Run { dst: rot..blk, from: Some(0) }]
+    }
+}
+
+/// `d[i] = s[i]` wherever `mask[i]`; no mask means every lane is active.
+fn copy_run<T: Copy>(d: &mut [T], s: &[T], mask: Option<&[bool]>) {
+    match mask {
+        None => d.copy_from_slice(s),
+        Some(mask) => {
+            for ((d, &s), &m) in d.iter_mut().zip(s).zip(mask) {
+                *d = if m { s } else { *d };
+            }
+        }
+    }
+}
+
+/// `d[i] = value` wherever `mask[i]`; no mask means every lane is active.
+fn fill_run<T: Copy>(d: &mut [T], value: T, mask: Option<&[bool]>) {
+    match mask {
+        None => d.fill(value),
+        Some(mask) => {
+            for (d, &m) in d.iter_mut().zip(mask) {
+                *d = if m { value } else { *d };
+            }
+        }
+    }
+}
+
+/// One pass over `dst`: every block of `blk` addresses is written from
+/// its `runs`, each clipped to the part at hand. `fill` is the
+/// [`Border::Fill`] value; without one, off-grid positions are skipped.
+fn shift_blocks<T: Elem>(
+    dst: &mut FieldData,
+    src: &FieldData,
+    mask: &[bool],
+    blk: usize,
+    runs: &[Run; 2],
+    fill: Option<T>,
+) {
+    let src = T::slice(src);
+    par::for_each_part_mut(T::slice_mut(dst), |part, d| {
+        let mask = Some(&mask[part.clone()]).filter(|m| !par::all_active(m));
+        for base in (part.start / blk * blk..part.end).step_by(blk) {
+            for run in runs {
+                let lo = (base + run.dst.start).max(part.start);
+                let hi = (base + run.dst.end).min(part.end);
+                if lo >= hi {
+                    continue;
+                }
+                let local = lo - part.start..hi - part.start;
+                let mask = mask.map(|m| &m[local.clone()]);
+                let d = &mut d[local];
+                match (run.from, fill) {
+                    (Some(from), _) => {
+                        let at = lo - run.dst.start + from;
+                        copy_run(d, &src[at..at + d.len()], mask)
+                    }
+                    (None, Some(value)) => fill_run(d, value, mask),
+                    (None, None) => {} // Border::Keep
+                }
+            }
+        }
+    });
 }
 
 impl Machine {
@@ -41,73 +148,39 @@ impl Machine {
         if dst.vp != src.vp {
             return Err(CmError::VpSetMismatch);
         }
-        self.vp(dst.vp)?.geom.extent(axis)?; // validate axis
-        let size = self.vp(dst.vp)?.geom.size();
+        let geom = &self.vp(dst.vp)?.geom;
+        let (stride, extent) = (geom.stride(axis)?, geom.extent(axis)?);
+        let size = geom.size();
 
         let dst_ty = self.field(dst)?.elem_type();
         let src_ty = self.field(src)?.elem_type();
         if dst_ty != src_ty {
             return Err(CmError::TypeMismatch { expected: dst_ty, found: src_ty });
         }
-        if let Border::Fill(s) = border {
-            if s.elem_type() != dst_ty {
+        let fill = match border {
+            Border::Fill(s) if s.elem_type() != dst_ty => {
                 return Err(CmError::TypeMismatch { expected: dst_ty, found: s.elem_type() });
             }
-        }
+            Border::Fill(s) => Some(s),
+            Border::Wrap | Border::Keep => None,
+        };
+        let runs = block_runs(stride, extent, offset, border);
 
-        // An in-place shift reads a scratch copy of the pre-shift values.
+        // A shift reads other lanes, so an in-place one reads a scratch
+        // copy of the pre-shift values.
         let tmp = if src == dst { Some(self.scratch_copy(dst)?) } else { None };
         let res: Result<()> = (|| {
             let (d, peers) = self.split_dst(dst)?;
             let mask = peers.mask(dst.vp)?;
-            let geom = peers.geom(dst.vp)?;
-            let sdata =
-                if src == dst { tmp.as_ref().expect("alias copied") } else { peers.src(src)? };
-            // The source address of destination VP `p`; `None` is off-grid
-            // (resolved per the border policy). Resolved on the fly — no
-            // precomputed address vector.
-            let source = |p: usize| -> Option<usize> {
-                match border {
-                    Border::Wrap => {
-                        Some(geom.neighbor_wrap(p, axis, offset).expect("axis checked"))
-                    }
-                    _ => geom.neighbor(p, axis, offset).expect("axis checked"),
-                }
+            let s = match &tmp {
+                Some(copy) => copy,
+                None => peers.src(src)?,
             };
-            macro_rules! shift {
-                ($variant:ident, $fill:expr) => {{
-                    let FieldData::$variant(d) = d else { unreachable!() };
-                    let FieldData::$variant(s) = sdata else { unreachable!() };
-                    let fill = $fill;
-                    par::update_index_masked(d, mask, |p, old| match source(p) {
-                        Some(q) => s[q],
-                        // Border::Keep retains the old destination value.
-                        None => fill.unwrap_or(old),
-                    });
-                }};
-            }
+            let blk = extent * stride;
             match dst_ty {
-                crate::field::ElemType::Int => shift!(
-                    I64,
-                    match border {
-                        Border::Fill(s) => Some(s.as_int()),
-                        _ => None,
-                    }
-                ),
-                crate::field::ElemType::Float => shift!(
-                    F64,
-                    match border {
-                        Border::Fill(s) => Some(s.as_float()),
-                        _ => None,
-                    }
-                ),
-                crate::field::ElemType::Bool => shift!(
-                    Bool,
-                    match border {
-                        Border::Fill(s) => Some(s.as_bool()),
-                        _ => None,
-                    }
-                ),
+                ElemType::Int => shift_blocks(d, s, mask, blk, &runs, fill.map(i64::from_scalar)),
+                ElemType::Float => shift_blocks(d, s, mask, blk, &runs, fill.map(f64::from_scalar)),
+                ElemType::Bool => shift_blocks(d, s, mask, blk, &runs, fill.map(bool::from_scalar)),
             }
             Ok(())
         })();

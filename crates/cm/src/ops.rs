@@ -5,10 +5,30 @@
 //! model. Operands must live on the same VP set and have matching types;
 //! the UC executor inserts explicit [`Machine::convert`] ops where the
 //! language allows implicit coercion.
+//!
+//! # One pass per instruction
+//!
+//! Each op validates, charges, then runs exactly one [`crate::par`]
+//! `zip*` kernel over its operands. The operation is matched **once**,
+//! outside the loop, and each arm hands the kernel its own closure, so the
+//! inner loop is monomorphic and vectorises. An operand is one of three
+//! things by the time the kernel runs ([`Src`]):
+//!
+//! * another field — a source slice borrowed through `Peers`;
+//! * the destination itself — read in place from the old value the kernel
+//!   passes to the closure (an elementwise op only ever reads its own
+//!   position, so no copy is needed);
+//! * an immediate — a scalar captured by the closure.
+//!
+//! [`Machine::binop_imm`] still *charges* what the modelled front end
+//! does — broadcast the immediate into a temporary field, then run the
+//! op — so simulated cycles, op counters, fuel boundaries and the
+//! memory-budget trap are those of a broadcast followed by a `binop`; the
+//! host just never materialises the temporary.
 
 use crate::cost::OpClass;
-use crate::field::{ElemType, FieldData, FieldId};
-use crate::machine::Machine;
+use crate::field::{Elem, ElemType, FieldData, FieldId};
+use crate::machine::{elem_bytes, Machine, Peers};
 use crate::par;
 use crate::{CmError, Result, Scalar};
 
@@ -82,61 +102,147 @@ pub enum UnOp {
     Abs,
 }
 
-#[inline]
-fn int_binop(op: BinOp, a: i64, b: i64) -> i64 {
-    match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => a.wrapping_div(b),
-        BinOp::Mod => a.wrapping_rem(b),
-        BinOp::Min => a.min(b),
-        BinOp::Max => a.max(b),
-        BinOp::BitAnd => a & b,
-        BinOp::BitOr => a | b,
-        BinOp::BitXor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32),
-        BinOp::Shr => a.wrapping_shr(b as u32),
-        _ => unreachable!("non-arithmetic op dispatched to int_binop"),
+/// One operand of a two-operand op as written by the caller.
+#[derive(Clone, Copy)]
+enum Operand {
+    Field(FieldId),
+    Imm(Scalar),
+}
+
+/// One operand as the kernel sees it, after alias resolution.
+enum Src<'m, T> {
+    /// The destination field itself: read from the kernel's old value.
+    Dst,
+    Field(&'m [T]),
+    Imm(T),
+}
+
+impl<'m, T: Elem> Src<'m, T> {
+    fn resolve(peers: &Peers<'m>, dst: FieldId, operand: Operand) -> Result<Self> {
+        Ok(match operand {
+            Operand::Imm(s) => Src::Imm(T::from_scalar(s)),
+            Operand::Field(id) if id == dst => Src::Dst,
+            Operand::Field(id) => Src::Field(T::slice(peers.src(id)?)),
+        })
+    }
+
+    fn resolve2(peers: &Peers<'m>, dst: FieldId, a: Operand, b: Operand) -> Result<(Self, Self)> {
+        Ok((Self::resolve(peers, dst, a)?, Self::resolve(peers, dst, b)?))
     }
 }
 
-#[inline]
-fn float_binop(op: BinOp, a: f64, b: f64) -> f64 {
-    match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => a / b,
-        BinOp::Min => a.min(b),
-        BinOp::Max => a.max(b),
-        _ => unreachable!("non-float op dispatched to float_binop"),
+/// `d[i] = f(a[i], b[i])` at active lanes where the result has the
+/// operands' type, so either operand may be `d` itself.
+fn zip_same<T, F>(d: &mut [T], a: Src<T>, b: Src<T>, mask: &[bool], f: F)
+where
+    T: Elem,
+    F: Fn(T, T) -> T + Sync,
+{
+    match (a, b) {
+        (Src::Field(x), Src::Field(y)) => par::zip2(d, x, y, mask, |_, x, y| f(x, y)),
+        (Src::Dst, Src::Field(y)) => par::zip1(d, y, mask, f),
+        (Src::Field(x), Src::Dst) => par::zip1(d, x, mask, |d, x| f(x, d)),
+        (Src::Dst, Src::Dst) => par::zip0(d, mask, |d| f(d, d)),
+        (Src::Field(x), Src::Imm(k)) => par::zip1(d, x, mask, |_, x| f(x, k)),
+        (Src::Imm(k), Src::Field(y)) => par::zip1(d, y, mask, |_, y| f(k, y)),
+        (Src::Dst, Src::Imm(k)) => par::zip0(d, mask, |d| f(d, k)),
+        (Src::Imm(k), Src::Dst) => par::zip0(d, mask, |d| f(k, d)),
+        (Src::Imm(_), Src::Imm(_)) => unreachable!("no op takes two immediates"),
     }
 }
 
-#[inline]
-fn int_cmp(op: BinOp, a: i64, b: i64) -> bool {
-    match op {
-        BinOp::Eq => a == b,
-        BinOp::Ne => a != b,
-        BinOp::Lt => a < b,
-        BinOp::Le => a <= b,
-        BinOp::Gt => a > b,
-        BinOp::Ge => a >= b,
-        _ => unreachable!(),
+/// `d[i] = f(a[i], b[i])` at active lanes for a comparison of `Int` or
+/// `Float` operands: `d` is `Bool`, so it can alias neither.
+fn zip_cmp<T, F>(d: &mut [bool], a: Src<T>, b: Src<T>, mask: &[bool], f: F)
+where
+    T: Elem,
+    F: Fn(T, T) -> bool + Sync,
+{
+    match (a, b) {
+        (Src::Field(x), Src::Field(y)) => par::zip2(d, x, y, mask, |_, x, y| f(x, y)),
+        (Src::Field(x), Src::Imm(k)) => par::zip1(d, x, mask, |_, x| f(x, k)),
+        (Src::Imm(k), Src::Field(y)) => par::zip1(d, y, mask, |_, y| f(k, y)),
+        _ => unreachable!("a Bool destination cannot alias a numeric operand"),
     }
 }
 
-#[inline]
-fn float_cmp(op: BinOp, a: f64, b: f64) -> bool {
+fn compare<T: Elem + PartialOrd>(op: BinOp, d: &mut [bool], a: Src<T>, b: Src<T>, mask: &[bool]) {
     match op {
-        BinOp::Eq => a == b,
-        BinOp::Ne => a != b,
-        BinOp::Lt => a < b,
-        BinOp::Le => a <= b,
-        BinOp::Gt => a > b,
-        BinOp::Ge => a >= b,
-        _ => unreachable!(),
+        BinOp::Eq => zip_cmp(d, a, b, mask, |p, q| p == q),
+        BinOp::Ne => zip_cmp(d, a, b, mask, |p, q| p != q),
+        BinOp::Lt => zip_cmp(d, a, b, mask, |p, q| p < q),
+        BinOp::Le => zip_cmp(d, a, b, mask, |p, q| p <= q),
+        BinOp::Gt => zip_cmp(d, a, b, mask, |p, q| p > q),
+        BinOp::Ge => zip_cmp(d, a, b, mask, |p, q| p >= q),
+        _ => unreachable!("not a comparison"),
+    }
+}
+
+fn int_arith(op: BinOp, d: &mut [i64], a: Src<i64>, b: Src<i64>, mask: &[bool]) {
+    match op {
+        BinOp::Add => zip_same(d, a, b, mask, i64::wrapping_add),
+        BinOp::Sub => zip_same(d, a, b, mask, i64::wrapping_sub),
+        BinOp::Mul => zip_same(d, a, b, mask, i64::wrapping_mul),
+        // The caller rejected zero divisors at active lanes, and kernels
+        // evaluate active lanes only.
+        BinOp::Div => zip_same(d, a, b, mask, i64::wrapping_div),
+        BinOp::Mod => zip_same(d, a, b, mask, i64::wrapping_rem),
+        BinOp::Min => zip_same(d, a, b, mask, i64::min),
+        BinOp::Max => zip_same(d, a, b, mask, i64::max),
+        BinOp::BitAnd => zip_same(d, a, b, mask, |p, q| p & q),
+        BinOp::BitOr => zip_same(d, a, b, mask, |p, q| p | q),
+        BinOp::BitXor => zip_same(d, a, b, mask, |p, q| p ^ q),
+        BinOp::Shl => zip_same(d, a, b, mask, |p, q| p.wrapping_shl(q as u32)),
+        BinOp::Shr => zip_same(d, a, b, mask, |p, q| p.wrapping_shr(q as u32)),
+        _ => unreachable!("non-arithmetic op dispatched to int_arith"),
+    }
+}
+
+fn float_arith(op: BinOp, d: &mut [f64], a: Src<f64>, b: Src<f64>, mask: &[bool]) {
+    match op {
+        BinOp::Add => zip_same(d, a, b, mask, |p, q| p + q),
+        BinOp::Sub => zip_same(d, a, b, mask, |p, q| p - q),
+        BinOp::Mul => zip_same(d, a, b, mask, |p, q| p * q),
+        BinOp::Div => zip_same(d, a, b, mask, |p, q| p / q),
+        BinOp::Min => zip_same(d, a, b, mask, f64::min),
+        BinOp::Max => zip_same(d, a, b, mask, f64::max),
+        _ => unreachable!("non-float op dispatched to float_arith"),
+    }
+}
+
+fn bool_logic(op: BinOp, d: &mut [bool], a: Src<bool>, b: Src<bool>, mask: &[bool]) {
+    match op {
+        BinOp::LogAnd => zip_same(d, a, b, mask, |p, q| p & q),
+        BinOp::LogOr => zip_same(d, a, b, mask, |p, q| p | q),
+        BinOp::LogXor => zip_same(d, a, b, mask, |p, q| p ^ q),
+        BinOp::Eq => zip_same(d, a, b, mask, |p, q| p == q),
+        BinOp::Ne => zip_same(d, a, b, mask, |p, q| p != q),
+        _ => unreachable!("op validated by caller"),
+    }
+}
+
+/// `d[i] = c[i] ? a[i] : b[i]` at active lanes, `c` a field other than `d`.
+fn select_lanes<T: Elem>(d: &mut [T], c: &[bool], a: Src<T>, b: Src<T>, mask: &[bool]) {
+    match (a, b) {
+        (Src::Field(x), Src::Field(y)) => {
+            par::zip3(d, c, x, y, mask, |_, c, x, y| if c { x } else { y })
+        }
+        (Src::Dst, Src::Field(y)) => par::zip2(d, c, y, mask, |d, c, y| if c { d } else { y }),
+        (Src::Field(x), Src::Dst) => par::zip2(d, c, x, mask, |d, c, x| if c { x } else { d }),
+        (Src::Dst, Src::Dst) => {}
+        _ => unreachable!("select has no immediate form"),
+    }
+}
+
+/// `d[i] = d[i] ? a[i] : b[i]` at active lanes: an all-`Bool` select whose
+/// condition is the destination.
+fn select_on_dst(d: &mut [bool], a: Src<bool>, b: Src<bool>, mask: &[bool]) {
+    match (a, b) {
+        (Src::Field(x), Src::Field(y)) => par::zip2(d, x, y, mask, |d, x, y| if d { x } else { y }),
+        (Src::Dst, Src::Field(y)) => par::zip1(d, y, mask, |d, y| d | y),
+        (Src::Field(x), Src::Dst) => par::zip1(d, x, mask, |d, x| d & x),
+        (Src::Dst, Src::Dst) => {}
+        _ => unreachable!("select has no immediate form"),
     }
 }
 
@@ -161,15 +267,18 @@ impl Machine {
         self.vp_size(vp)
     }
 
-    /// Masked memcpy between two distinct same-typed fields of one VP set
-    /// (the shared tail of `copy` and identity `convert`).
-    fn copy_masked_split(&mut self, dst: FieldId, src: FieldId) -> Result<()> {
+    /// Masked copy between two same-typed fields of one VP set (the
+    /// shared tail of `copy` and identity `convert`).
+    fn copy_masked(&mut self, dst: FieldId, src: FieldId) -> Result<()> {
+        if dst == src {
+            return Ok(());
+        }
         let (d, peers) = self.split_dst(dst)?;
         let mask = peers.mask(dst.vp)?;
         match (d, peers.src(src)?) {
-            (FieldData::I64(dv), FieldData::I64(sv)) => par::commit_masked(dv, sv, mask),
-            (FieldData::F64(dv), FieldData::F64(sv)) => par::commit_masked(dv, sv, mask),
-            (FieldData::Bool(dv), FieldData::Bool(sv)) => par::commit_masked(dv, sv, mask),
+            (FieldData::I64(dv), FieldData::I64(sv)) => par::zip1(dv, sv, mask, |_, s| s),
+            (FieldData::F64(dv), FieldData::F64(sv)) => par::zip1(dv, sv, mask, |_, s| s),
+            (FieldData::Bool(dv), FieldData::Bool(sv)) => par::zip1(dv, sv, mask, |_, s| s),
             _ => unreachable!("types validated by caller"),
         }
         Ok(())
@@ -182,9 +291,9 @@ impl Machine {
         let (d, peers) = self.split_dst(dst)?;
         let mask = peers.mask(dst.vp)?;
         match (d, imm) {
-            (FieldData::I64(v), Scalar::Int(x)) => par::fill_masked(v, x, mask),
-            (FieldData::F64(v), Scalar::Float(x)) => par::fill_masked(v, x, mask),
-            (FieldData::Bool(v), Scalar::Bool(x)) => par::fill_masked(v, x, mask),
+            (FieldData::I64(v), Scalar::Int(x)) => par::zip0(v, mask, |_| x),
+            (FieldData::F64(v), Scalar::Float(x)) => par::zip0(v, mask, |_| x),
+            (FieldData::Bool(v), Scalar::Bool(x)) => par::zip0(v, mask, |_| x),
             (d, s) => {
                 return Err(CmError::TypeMismatch {
                     expected: d.elem_type(),
@@ -203,10 +312,7 @@ impl Machine {
             return Err(CmError::TypeMismatch { expected: dty, found: sty });
         }
         self.tick(OpClass::Alu, size)?;
-        if dst == src {
-            return Ok(());
-        }
-        self.copy_masked_split(dst, src)
+        self.copy_masked(dst, src)
     }
 
     /// `dst[i] = (dst_type) src[i]` for active `i`: numeric conversion.
@@ -216,34 +322,20 @@ impl Machine {
         let (dty, sty) = (self.field(dst)?.elem_type(), self.field(src)?.elem_type());
         self.tick(OpClass::Alu, size)?;
         if dty == sty {
-            // Identity cast: a masked memcpy, no intermediate buffer.
-            if dst == src {
-                return Ok(());
-            }
-            return self.copy_masked_split(dst, src);
+            return self.copy_masked(dst, src);
         }
         // Cross-type: distinct element types means distinct fields, so the
         // source can never alias the destination.
         let (d, peers) = self.split_dst(dst)?;
         let mask = peers.mask(dst.vp)?;
         match (d, peers.src(src)?) {
-            (FieldData::F64(dv), FieldData::I64(sv)) => {
-                par::apply1_masked(dv, sv, mask, |&x| x as f64)
-            }
-            (FieldData::Bool(dv), FieldData::I64(sv)) => {
-                par::apply1_masked(dv, sv, mask, |&x| x != 0)
-            }
-            (FieldData::I64(dv), FieldData::F64(sv)) => {
-                par::apply1_masked(dv, sv, mask, |&x| x as i64)
-            }
-            (FieldData::Bool(dv), FieldData::F64(sv)) => {
-                par::apply1_masked(dv, sv, mask, |&x| x != 0.0)
-            }
-            (FieldData::I64(dv), FieldData::Bool(sv)) => {
-                par::apply1_masked(dv, sv, mask, |&x| x as i64)
-            }
+            (FieldData::F64(dv), FieldData::I64(sv)) => par::zip1(dv, sv, mask, |_, x| x as f64),
+            (FieldData::Bool(dv), FieldData::I64(sv)) => par::zip1(dv, sv, mask, |_, x| x != 0),
+            (FieldData::I64(dv), FieldData::F64(sv)) => par::zip1(dv, sv, mask, |_, x| x as i64),
+            (FieldData::Bool(dv), FieldData::F64(sv)) => par::zip1(dv, sv, mask, |_, x| x != 0.0),
+            (FieldData::I64(dv), FieldData::Bool(sv)) => par::zip1(dv, sv, mask, |_, x| x as i64),
             (FieldData::F64(dv), FieldData::Bool(sv)) => {
-                par::apply1_masked(dv, sv, mask, |&x| (x as i64) as f64)
+                par::zip1(dv, sv, mask, |_, x| (x as i64) as f64)
             }
             _ => unreachable!("identity casts handled above"),
         }
@@ -268,48 +360,94 @@ impl Machine {
             return Err(CmError::TypeMismatch { expected: dty, found: sty });
         }
         self.tick(OpClass::Alu, size)?;
-        let tmp = if dst == src { Some(self.scratch_copy(dst)?) } else { None };
-        let res: Result<()> = (|| {
-            let (d, peers) = self.split_dst(dst)?;
-            let mask = peers.mask(dst.vp)?;
-            let s = match &tmp {
-                Some(t) => t,
-                None => peers.src(src)?,
-            };
-            match (op, d, s) {
-                (UnOp::Neg, FieldData::I64(dv), FieldData::I64(sv)) => {
-                    par::apply1_masked(dv, sv, mask, |&x| x.wrapping_neg())
-                }
-                (UnOp::Neg, FieldData::F64(dv), FieldData::F64(sv)) => {
-                    par::apply1_masked(dv, sv, mask, |&x| -x)
-                }
-                (UnOp::Abs, FieldData::I64(dv), FieldData::I64(sv)) => {
-                    // wrapping: abs(i64::MIN) must not trip overflow checks
-                    par::apply1_masked(dv, sv, mask, |&x| x.wrapping_abs())
-                }
-                (UnOp::Abs, FieldData::F64(dv), FieldData::F64(sv)) => {
-                    par::apply1_masked(dv, sv, mask, |&x| x.abs())
-                }
-                (UnOp::Not, FieldData::Bool(dv), FieldData::Bool(sv)) => {
-                    par::apply1_masked(dv, sv, mask, |&x| !x)
-                }
-                (UnOp::BitNot, FieldData::I64(dv), FieldData::I64(sv)) => {
-                    par::apply1_masked(dv, sv, mask, |&x| !x)
-                }
-                _ => unreachable!("op/type combination validated above"),
+        /// `d[i] = f(src[i])`, in place when `src` is `d`.
+        fn lanes<T: Elem>(d: &mut [T], src: Src<T>, mask: &[bool], f: impl Fn(T) -> T + Sync) {
+            match src {
+                Src::Dst => par::zip0(d, mask, f),
+                Src::Field(s) => par::zip1(d, s, mask, |_, x| f(x)),
+                Src::Imm(_) => unreachable!("unop has no immediate form"),
             }
-            Ok(())
-        })();
-        if let Some(t) = tmp {
-            self.scratch.put_data(t);
         }
-        res
+        let (d, peers) = self.split_dst(dst)?;
+        let mask = peers.mask(dst.vp)?;
+        let src = Operand::Field(src);
+        match d {
+            FieldData::I64(dv) => {
+                let src = Src::resolve(&peers, dst, src)?;
+                match op {
+                    // wrapping: neg/abs of i64::MIN must not trip overflow checks
+                    UnOp::Neg => lanes(dv, src, mask, i64::wrapping_neg),
+                    UnOp::Abs => lanes(dv, src, mask, i64::wrapping_abs),
+                    UnOp::BitNot => lanes(dv, src, mask, |x: i64| !x),
+                    UnOp::Not => unreachable!("op/type combination validated above"),
+                }
+            }
+            FieldData::F64(dv) => {
+                let src = Src::resolve(&peers, dst, src)?;
+                match op {
+                    UnOp::Neg => lanes(dv, src, mask, |x: f64| -x),
+                    UnOp::Abs => lanes(dv, src, mask, f64::abs),
+                    _ => unreachable!("op/type combination validated above"),
+                }
+            }
+            FieldData::Bool(dv) => lanes(dv, Src::resolve(&peers, dst, src)?, mask, |x: bool| !x),
+        }
+        Ok(())
     }
 
     /// Binary elementwise op: `dst[i] = a[i] op b[i]` for active `i`.
     pub fn binop(&mut self, op: BinOp, dst: FieldId, a: FieldId, b: FieldId) -> Result<()> {
-        let size = self.same_vp(&[dst, a, b])?;
-        let (ta, tb) = (self.field(a)?.elem_type(), self.field(b)?.elem_type());
+        self.binop_operands(op, dst, Operand::Field(a), Operand::Field(b))
+    }
+
+    /// `dst[i] = a[i] op imm` for active `i`.
+    pub fn binop_imm(&mut self, op: BinOp, dst: FieldId, a: FieldId, imm: Scalar) -> Result<()> {
+        self.with_broadcast(a, imm, |m| {
+            m.binop_operands(op, dst, Operand::Field(a), Operand::Imm(imm))
+        })
+    }
+
+    /// `dst[i] = imm op b[i]` for active `i` (immediate on the left, for
+    /// non-commutative ops).
+    pub fn binop_imm_l(&mut self, op: BinOp, dst: FieldId, imm: Scalar, b: FieldId) -> Result<()> {
+        self.with_broadcast(b, imm, |m| {
+            m.binop_operands(op, dst, Operand::Imm(imm), Operand::Field(b))
+        })
+    }
+
+    /// Account for the front end broadcasting `imm` over `peer`'s VP set
+    /// around `op`: the temporary field's bytes are held against the
+    /// memory budget for the op's duration and the broadcast costs one ALU
+    /// instruction, exactly as if the field were materialised — which the
+    /// host, capturing the scalar in the kernel closure, never does.
+    fn with_broadcast(
+        &mut self,
+        peer: FieldId,
+        imm: Scalar,
+        op: impl FnOnce(&mut Self) -> Result<()>,
+    ) -> Result<()> {
+        let size = self.vp_size(peer.vp)?;
+        let bytes = (size as u64).saturating_mul(elem_bytes(imm.elem_type()));
+        self.charge_mem(bytes)?;
+        let res = self.tick(OpClass::Alu, size).and_then(|()| op(self));
+        self.release_mem(bytes);
+        res
+    }
+
+    /// The one body of `binop`, `binop_imm` and `binop_imm_l`.
+    fn binop_operands(&mut self, op: BinOp, dst: FieldId, a: Operand, b: Operand) -> Result<()> {
+        let size = match (a, b) {
+            (Operand::Field(a), Operand::Field(b)) => self.same_vp(&[dst, a, b])?,
+            (Operand::Field(f), Operand::Imm(_)) | (Operand::Imm(_), Operand::Field(f)) => {
+                self.same_vp(&[dst, f])?
+            }
+            (Operand::Imm(_), Operand::Imm(_)) => unreachable!("no op takes two immediates"),
+        };
+        let ty = |m: &Self, o: Operand| match o {
+            Operand::Field(id) => m.field(id).map(|f| f.elem_type()),
+            Operand::Imm(s) => Ok(s.elem_type()),
+        };
+        let (ta, tb) = (ty(self, a)?, ty(self, b)?);
         if ta != tb {
             return Err(CmError::TypeMismatch { expected: ta, found: tb });
         }
@@ -342,81 +480,45 @@ impl Machine {
             return Err(CmError::TypeMismatch { expected: dty, found: rty });
         }
         // Active zero divisors are an error; inactive ones are fine because
-        // the masked apply below never evaluates inactive positions.
+        // the kernels never evaluate inactive positions.
         if ta == ElemType::Int && matches!(op, BinOp::Div | BinOp::Mod) {
-            let FieldData::I64(y) = &self.field(b)?.data else { unreachable!() };
-            let mask = self.vp(dst.vp)?.context.current();
-            if par::any2(y, mask, |&q, &m| m && q == 0) {
+            let context = &self.vp(dst.vp)?.context;
+            let zero_divisor = match b {
+                Operand::Field(b) => {
+                    par::any2(self.int_data(b)?, context.current(), |&q, &m| m && q == 0)
+                }
+                Operand::Imm(s) => s.as_int() == 0 && context.any_active(),
+            };
+            if zero_divisor {
                 return Err(CmError::DivideByZero);
             }
         }
         self.tick(OpClass::Alu, size)?;
-        // Any aliased source equals dst, so one scratch copy covers both.
-        let tmp = if a == dst || b == dst { Some(self.scratch_copy(dst)?) } else { None };
-        let res: Result<()> = (|| {
-            let (d, peers) = self.split_dst(dst)?;
-            let mask = peers.mask(dst.vp)?;
-            let fa = if a == dst { tmp.as_ref().expect("alias copied") } else { peers.src(a)? };
-            let fb = if b == dst { tmp.as_ref().expect("alias copied") } else { peers.src(b)? };
-            match (fa, fb) {
-                (FieldData::I64(x), FieldData::I64(y)) => {
-                    if op.is_comparison() {
-                        let FieldData::Bool(dv) = d else { unreachable!() };
-                        par::apply2_masked(dv, x, y, mask, |&p, &q| int_cmp(op, p, q));
-                    } else {
-                        let FieldData::I64(dv) = d else { unreachable!() };
-                        par::apply2_masked(dv, x, y, mask, |&p, &q| int_binop(op, p, q));
-                    }
-                }
-                (FieldData::F64(x), FieldData::F64(y)) => {
-                    if op.is_comparison() {
-                        let FieldData::Bool(dv) = d else { unreachable!() };
-                        par::apply2_masked(dv, x, y, mask, |&p, &q| float_cmp(op, p, q));
-                    } else {
-                        let FieldData::F64(dv) = d else { unreachable!() };
-                        par::apply2_masked(dv, x, y, mask, |&p, &q| float_binop(op, p, q));
-                    }
-                }
-                (FieldData::Bool(x), FieldData::Bool(y)) => {
-                    let FieldData::Bool(dv) = d else { unreachable!() };
-                    match op {
-                        BinOp::LogAnd => par::apply2_masked(dv, x, y, mask, |&p, &q| p && q),
-                        BinOp::LogOr => par::apply2_masked(dv, x, y, mask, |&p, &q| p || q),
-                        BinOp::LogXor => par::apply2_masked(dv, x, y, mask, |&p, &q| p ^ q),
-                        BinOp::Eq => par::apply2_masked(dv, x, y, mask, |&p, &q| p == q),
-                        BinOp::Ne => par::apply2_masked(dv, x, y, mask, |&p, &q| p != q),
-                        _ => unreachable!("op validated above"),
-                    }
-                }
-                _ => unreachable!("operand types validated above"),
+        let (d, peers) = self.split_dst(dst)?;
+        let mask = peers.mask(dst.vp)?;
+        match ta {
+            ElemType::Int if op.is_comparison() => {
+                let (x, y) = Src::<i64>::resolve2(&peers, dst, a, b)?;
+                compare(op, bool::slice_mut(d), x, y, mask)
             }
-            Ok(())
-        })();
-        if let Some(t) = tmp {
-            self.scratch.put_data(t);
+            ElemType::Float if op.is_comparison() => {
+                let (x, y) = Src::<f64>::resolve2(&peers, dst, a, b)?;
+                compare(op, bool::slice_mut(d), x, y, mask)
+            }
+            ElemType::Int => {
+                let (x, y) = Src::resolve2(&peers, dst, a, b)?;
+                int_arith(op, i64::slice_mut(d), x, y, mask)
+            }
+            ElemType::Float => {
+                let (x, y) = Src::resolve2(&peers, dst, a, b)?;
+                float_arith(op, f64::slice_mut(d), x, y, mask)
+            }
+            ElemType::Bool => {
+                let (x, y) = Src::resolve2(&peers, dst, a, b)?;
+                bool_logic(op, bool::slice_mut(d), x, y, mask)
+            }
         }
-        res
-    }
-
-    /// `dst[i] = a[i] op imm` for active `i`.
-    pub fn binop_imm(&mut self, op: BinOp, dst: FieldId, a: FieldId, imm: Scalar) -> Result<()> {
-        let tmp = self.alloc(a.vp, "~imm", imm.elem_type())?;
-        // Immediate broadcast must reach inactive positions too (they are
-        // masked on commit, but divisor checks etc. see the value).
-        self.fill_unconditional(tmp, imm)?;
-        let r = self.binop(op, dst, a, tmp);
-        self.free(tmp)?;
-        r
-    }
-
-    /// `dst[i] = imm op b[i]` for active `i` (immediate on the left, for
-    /// non-commutative ops).
-    pub fn binop_imm_l(&mut self, op: BinOp, dst: FieldId, imm: Scalar, b: FieldId) -> Result<()> {
-        let tmp = self.alloc(b.vp, "~imm", imm.elem_type())?;
-        self.fill_unconditional(tmp, imm)?;
-        let r = self.binop(op, dst, tmp, b);
-        self.free(tmp)?;
-        r
+        Ok(())
     }
 
     /// Copy a field everywhere, ignoring the context mask. Used by the
@@ -494,33 +596,30 @@ impl Machine {
             return Err(CmError::TypeMismatch { expected: dty, found: ta });
         }
         self.tick(OpClass::Alu, size)?;
-        let aliased = cond == dst || a == dst || b == dst;
-        let tmp = if aliased { Some(self.scratch_copy(dst)?) } else { None };
-        let res: Result<()> = (|| {
-            let (d, peers) = self.split_dst(dst)?;
-            let mask = peers.mask(dst.vp)?;
-            let fc = if cond == dst { tmp.as_ref().expect("alias copied") } else { peers.src(cond)? };
-            let fa = if a == dst { tmp.as_ref().expect("alias copied") } else { peers.src(a)? };
-            let fb = if b == dst { tmp.as_ref().expect("alias copied") } else { peers.src(b)? };
-            let FieldData::Bool(c) = fc else { unreachable!() };
-            match (d, fa, fb) {
-                (FieldData::I64(dv), FieldData::I64(x), FieldData::I64(y)) => {
-                    par::apply3_masked(dv, x, y, c, mask, |&p, &q, &m| if m { p } else { q })
-                }
-                (FieldData::F64(dv), FieldData::F64(x), FieldData::F64(y)) => {
-                    par::apply3_masked(dv, x, y, c, mask, |&p, &q, &m| if m { p } else { q })
-                }
-                (FieldData::Bool(dv), FieldData::Bool(x), FieldData::Bool(y)) => {
-                    par::apply3_masked(dv, x, y, c, mask, |&p, &q, &m| if m { p } else { q })
-                }
-                _ => unreachable!("types validated above"),
-            }
-            Ok(())
-        })();
-        if let Some(t) = tmp {
-            self.scratch.put_data(t);
+        let (d, peers) = self.split_dst(dst)?;
+        let mask = peers.mask(dst.vp)?;
+        let (a, b) = (Operand::Field(a), Operand::Field(b));
+        if cond == dst {
+            let (x, y) = Src::resolve2(&peers, dst, a, b)?;
+            select_on_dst(bool::slice_mut(d), x, y, mask);
+            return Ok(());
         }
-        res
+        let c = bool::slice(peers.src(cond)?);
+        match d {
+            FieldData::I64(dv) => {
+                let (x, y) = Src::resolve2(&peers, dst, a, b)?;
+                select_lanes(dv, c, x, y, mask)
+            }
+            FieldData::F64(dv) => {
+                let (x, y) = Src::resolve2(&peers, dst, a, b)?;
+                select_lanes(dv, c, x, y, mask)
+            }
+            FieldData::Bool(dv) => {
+                let (x, y) = Src::resolve2(&peers, dst, a, b)?;
+                select_lanes(dv, c, x, y, mask)
+            }
+        }
+        Ok(())
     }
 
     /// `dst[i] = i` (the VP's send address) for active `i`. `dst` must be Int.
@@ -530,8 +629,7 @@ impl Machine {
         self.tick(OpClass::Alu, size)?;
         let (d, peers) = self.split_dst(dst)?;
         let mask = peers.mask(dst.vp)?;
-        let FieldData::I64(dv) = d else { unreachable!() };
-        par::apply_index_masked(dv, mask, |i| i as i64);
+        par::zip_index(i64::slice_mut(d), mask, |i| i as i64);
         Ok(())
     }
 
@@ -543,15 +641,12 @@ impl Machine {
     pub fn axis_coord(&mut self, dst: FieldId, axis: usize) -> Result<()> {
         let size = self.same_vp(&[dst])?;
         self.int_data(dst)?;
-        self.vp(dst.vp)?.geom.extent(axis)?;
+        let geom = &self.vp(dst.vp)?.geom;
+        let (stride, extent) = (geom.stride(axis)?, geom.extent(axis)?);
         self.tick(OpClass::Alu, size)?;
         let (d, peers) = self.split_dst(dst)?;
         let mask = peers.mask(dst.vp)?;
-        let geom = peers.geom(dst.vp)?;
-        let FieldData::I64(dv) = d else { unreachable!() };
-        par::apply_index_masked(dv, mask, |i| {
-            geom.axis_coordinate(i, axis).expect("axis checked") as i64
-        });
+        par::zip_index(i64::slice_mut(d), mask, |i| ((i / stride) % extent) as i64);
         Ok(())
     }
 
@@ -567,8 +662,7 @@ impl Machine {
         self.tick(OpClass::Alu, size)?;
         let (d, peers) = self.split_dst(dst)?;
         let mask = peers.mask(dst.vp)?;
-        let FieldData::I64(dv) = d else { unreachable!() };
-        par::apply_index_masked(dv, mask, |i| {
+        par::zip_index(i64::slice_mut(d), mask, |i| {
             (splitmix64(seed ^ (i as u64).wrapping_mul(0xA24B_AED4_963E_E407)) % modulus as u64)
                 as i64
         });

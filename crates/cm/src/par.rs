@@ -1,19 +1,33 @@
 //! Host-side data-parallel kernels.
 //!
-//! The simulator executes elementwise SIMD instructions on rayon's
-//! work-stealing pool when the VP set is large enough to amortise
-//! fork/join overhead, and sequentially otherwise (the pool honours the
-//! `UC_THREADS` environment variable; see the `rayon` shim). Every kernel
-//! here is either a pure elementwise map — identical for any thread count
-//! by construction — or an order-sensitive fold (scan/reduce building
-//! blocks) that is chunked by [`chunk_at`], a pure function of the
-//! element count alone. Chunk layout never depends on the thread count,
-//! so even float folds, which are sensitive to association order, are
-//! bit-identical under any `UC_THREADS` — simulations stay deterministic.
-//! (The cycle clock is charged *before* execution, so cost accounting is
-//! thread-count-independent too.)
+//! Every PE-array macro-instruction is one pass over its operands. Two
+//! kinds of pass live here, and they split their work differently:
 //!
-//! The chunked fan-outs are allocation-free: per-chunk partials land in
+//! * **Elementwise passes** ([`zip0`]–[`zip3`], [`zip_index`], [`fill`],
+//!   [`gather_masked`], and the NEWS run copies built on
+//!   [`for_each_part_mut`]) write each destination position from that
+//!   position's own inputs. [`for_each_part_mut`] is their one driver: it
+//!   hands a kernel disjoint sub-slices of the destination — the whole
+//!   slice below [`PAR_THRESHOLD`], a few parts per pool thread above it —
+//!   and the kernel slices its sources and the mask by the same range, so
+//!   every inner loop is a plain slice zip the compiler can vectorise. The
+//!   split may follow the pool size because no position reads another.
+//!   The `zip*` kernels store branch-free (`*d = if m { v } else { *d }`)
+//!   and drop the mask altogether on a part whose lanes are all active,
+//!   which is every part of a `par` without `st`. The closure is still
+//!   called only where the mask is set, so an op that can trap on an
+//!   inactive lane (integer `Div`/`Mod` by a zero it never uses) stays
+//!   safe — it just does not vectorise.
+//! * **Order-sensitive folds** (scan/reduce building blocks) are chunked
+//!   by [`chunk_at`], a pure function of the element count alone. Chunk
+//!   layout never depends on the thread count, so even float folds, which
+//!   are sensitive to association order, are bit-identical under any
+//!   `UC_THREADS` — simulations stay deterministic. (The cycle clock is
+//!   charged from operand shapes, never from how the host split the
+//!   work, so cost accounting is thread-count-independent too.)
+//!
+//! The pool honours the `UC_THREADS` environment variable; see the `rayon`
+//! shim. All fan-outs are allocation-free: per-chunk partials land in
 //! caller-provided stack arrays (chunk counts are bounded by
 //! [`MAX_CHUNKS`]) and the pool's batch dispatch queues `Copy` chunk
 //! descriptors rather than boxed closures, so a warm simulator performs
@@ -85,6 +99,42 @@ where
     n
 }
 
+/// Run `f(k, range(k), &mut data[range(k)])` for `k` in `0..n` on the
+/// pool.
+///
+/// # Safety
+/// The `n` ranges must be pairwise disjoint; each must lie inside
+/// `0..data.len()` (checked).
+unsafe fn split_mut<T, R, F>(data: &mut [T], n: usize, range: R, f: F)
+where
+    T: Send,
+    R: Fn(usize) -> Range<usize> + Sync,
+    F: Fn(usize, Range<usize>, &mut [T]) + Sync,
+{
+    let len = data.len();
+    let base = SendPtr(data.as_mut_ptr());
+    (0..n).into_par_iter().with_min_len(1).for_each(|k| {
+        let r = range(k);
+        assert!(r.start <= r.end && r.end <= len, "part outside the slice");
+        // SAFETY: in bounds (asserted above) and, by the caller's
+        // contract, disjoint from every other part, so the derived
+        // `&mut` slices never alias.
+        let part = unsafe { std::slice::from_raw_parts_mut(base.get().add(r.start), r.len()) };
+        f(k, r, part);
+    });
+}
+
+/// Raw pointer that may cross threads; writes are to disjoint parts.
+struct SendPtr<T>(*mut T);
+// SAFETY: only `split_mut` dereferences it, into disjoint `&mut [T]`
+// parts that are each used by one thread; `T: Send` lets them move there.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
+impl<T> SendPtr<T> {
+    fn get(&self) -> *mut T {
+        self.0
+    }
+}
+
 /// Run `f(k, chunk, &mut data[chunk])` for every chunk of
 /// `0..data.len()` in parallel — the in-place sibling of
 /// [`map_chunks_into`] for per-chunk passes that write disjoint regions
@@ -106,302 +156,172 @@ where
         }
         return;
     }
-    let base = SendPtr(data.as_mut_ptr());
-    (0..n).into_par_iter().with_min_len(1).for_each(|k| {
-        let r = chunk_at(len, k);
-        // Chunks are disjoint, so the derived `&mut` slices never alias.
-        let chunk =
-            unsafe { std::slice::from_raw_parts_mut(base.get().add(r.start), r.len()) };
-        f(k, r, chunk);
+    // SAFETY: `chunk_at` partitions `0..len`.
+    unsafe { split_mut(data, n, |k| chunk_at(len, k), f) }
+}
+
+/// Parts per pool thread an elementwise pass splits into: two, so a
+/// thread that starts late or runs slow leaves half its share to be
+/// stolen, while queue traffic stays negligible beside a part of at
+/// least [`CHUNK_MIN`] elements.
+const PARTS_PER_THREAD: usize = 2;
+
+/// The driver of every elementwise pass: run `f(range, &mut dst[range])`
+/// over disjoint ranges covering `dst` — one range below
+/// [`PAR_THRESHOLD`] or on a single-threaded pool, [`PARTS_PER_THREAD`]
+/// equal parts per pool thread above it. The kernel slices its sources
+/// and the mask by `range`. Only position-independent maps may use this:
+/// the split follows the pool size (folds use [`chunk_at`] instead).
+pub fn for_each_part_mut<T, F>(dst: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(Range<usize>, &mut [T]) + Sync,
+{
+    let len = dst.len();
+    let threads = if len < PAR_THRESHOLD { 1 } else { rayon::current_num_threads() };
+    if threads == 1 {
+        return f(0..len, dst);
+    }
+    let parts = (threads * PARTS_PER_THREAD).min(len / CHUNK_MIN);
+    let size = len.div_ceil(parts);
+    let part = |k: usize| (k * size).min(len)..((k + 1) * size).min(len);
+    // SAFETY: consecutive `size`-element ranges clamped to `len`.
+    unsafe { split_mut(dst, parts, part, |_, r, d| f(r, d)) }
+}
+
+/// Whether every lane of `mask` is active. Blocks are AND-reduced without
+/// short-circuiting (which vectorises) and the scan stops at the first
+/// block holding an inactive lane, so sparse masks cost almost nothing.
+#[inline]
+pub fn all_active(mask: &[bool]) -> bool {
+    mask.chunks(256).all(|block| block.iter().fold(true, |acc, &m| acc & m))
+}
+
+/// `dst[i] = f(dst[i])` wherever `mask[i]`: immediates captured by the
+/// closure (`set_imm`, `x + 1`) and ops whose every source is `dst`.
+pub fn zip0<T, F>(dst: &mut [T], mask: &[bool], f: F)
+where
+    T: Copy + Send,
+    F: Fn(T) -> T + Sync,
+{
+    assert_eq!(dst.len(), mask.len(), "zip0 mask length mismatch");
+    for_each_part_mut(dst, |r, d| {
+        let m = &mask[r];
+        if all_active(m) {
+            for d in d.iter_mut() {
+                *d = f(*d);
+            }
+        } else {
+            for (d, &m) in d.iter_mut().zip(m) {
+                *d = if m { f(*d) } else { *d };
+            }
+        }
     });
 }
 
-/// Raw pointer that may cross threads; writes are to disjoint chunks.
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-impl<T> SendPtr<T> {
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-/// Elementwise map of one slice.
-pub fn map1<A, O, F>(a: &[A], f: F) -> Vec<O>
+/// `dst[i] = f(dst[i], a[i])` wherever `mask[i]`. A kernel that ignores
+/// its first argument is a plain map of `a`; one that uses it is the
+/// in-place form of a two-operand op whose other source is `dst` itself.
+pub fn zip1<T, A, F>(dst: &mut [T], a: &[A], mask: &[bool], f: F)
 where
-    A: Sync,
-    O: Send,
-    F: Fn(&A) -> O + Sync + Send,
+    T: Copy + Send,
+    A: Copy + Sync,
+    F: Fn(T, A) -> T + Sync,
 {
-    if a.len() >= PAR_THRESHOLD {
-        a.par_iter().with_min_len(CHUNK_MIN).map(&f).collect()
-    } else {
-        a.iter().map(&f).collect()
-    }
-}
-
-/// Elementwise map of two equal-length slices.
-///
-/// Panics if lengths differ; the machine validates shapes before calling.
-pub fn map2<A, B, O, F>(a: &[A], b: &[B], f: F) -> Vec<O>
-where
-    A: Sync,
-    B: Sync,
-    O: Send,
-    F: Fn(&A, &B) -> O + Sync + Send,
-{
-    assert_eq!(a.len(), b.len(), "map2 length mismatch");
-    if a.len() >= PAR_THRESHOLD {
-        a.par_iter()
-            .zip(b.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .map(|(x, y)| f(x, y))
-            .collect()
-    } else {
-        a.iter().zip(b.iter()).map(|(x, y)| f(x, y)).collect()
-    }
-}
-
-/// Elementwise map of three equal-length slices.
-pub fn map3<A, B, C, O, F>(a: &[A], b: &[B], c: &[C], f: F) -> Vec<O>
-where
-    A: Sync,
-    B: Sync,
-    C: Sync,
-    O: Send,
-    F: Fn(&A, &B, &C) -> O + Sync + Send,
-{
-    assert_eq!(a.len(), b.len(), "map3 length mismatch");
-    assert_eq!(a.len(), c.len(), "map3 length mismatch");
-    if a.len() >= PAR_THRESHOLD {
-        a.par_iter()
-            .zip(b.par_iter())
-            .zip(c.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .map(|((x, y), z)| f(x, y, z))
-            .collect()
-    } else {
-        a.iter()
-            .zip(b.iter())
-            .zip(c.iter())
-            .map(|((x, y), z)| f(x, y, z))
-            .collect()
-    }
-}
-
-/// Indexed elementwise map: `out[i] = f(i)`.
-pub fn map_index<O, F>(len: usize, f: F) -> Vec<O>
-where
-    O: Send,
-    F: Fn(usize) -> O + Sync + Send,
-{
-    if len >= PAR_THRESHOLD {
-        (0..len).into_par_iter().with_min_len(CHUNK_MIN).map(&f).collect()
-    } else {
-        (0..len).map(&f).collect()
-    }
-}
-
-/// Masked in-place commit: `dst[i] = src[i]` wherever `mask[i]`.
-pub fn commit_masked<T: Copy + Send + Sync>(dst: &mut [T], src: &[T], mask: &[bool]) {
-    assert_eq!(dst.len(), src.len(), "commit length mismatch");
-    assert_eq!(dst.len(), mask.len(), "commit mask length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut()
-            .zip(src.par_iter())
-            .zip(mask.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .for_each(|((d, s), &m)| {
-                if m {
-                    *d = *s;
-                }
-            });
-    } else {
-        for ((d, s), &m) in dst.iter_mut().zip(src).zip(mask) {
-            if m {
-                *d = *s;
+    assert_eq!(dst.len(), a.len(), "zip1 length mismatch");
+    assert_eq!(dst.len(), mask.len(), "zip1 mask length mismatch");
+    for_each_part_mut(dst, |r, d| {
+        let (a, m) = (&a[r.clone()], &mask[r]);
+        if all_active(m) {
+            for (d, &x) in d.iter_mut().zip(a) {
+                *d = f(*d, x);
+            }
+        } else {
+            for ((d, &x), &m) in d.iter_mut().zip(a).zip(m) {
+                *d = if m { f(*d, x) } else { *d };
             }
         }
-    }
+    });
 }
 
-/// Masked in-place elementwise map of one source: `dst[i] = f(a[i])`
-/// wherever `mask[i]`. Writes nothing at inactive positions, so `dst` is
-/// never read — callers pass the destination field's storage directly.
-pub fn apply1_masked<A, T, F>(dst: &mut [T], a: &[A], mask: &[bool], f: F)
+/// `dst[i] = f(dst[i], a[i], b[i])` wherever `mask[i]`.
+pub fn zip2<T, A, B, F>(dst: &mut [T], a: &[A], b: &[B], mask: &[bool], f: F)
 where
-    A: Sync,
-    T: Send,
-    F: Fn(&A) -> T + Sync + Send,
+    T: Copy + Send,
+    A: Copy + Sync,
+    B: Copy + Sync,
+    F: Fn(T, A, B) -> T + Sync,
 {
-    assert_eq!(dst.len(), a.len(), "apply1 length mismatch");
-    assert_eq!(dst.len(), mask.len(), "apply1 mask length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut()
-            .zip(a.par_iter())
-            .zip(mask.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .for_each(|((d, x), &m)| {
-                if m {
-                    *d = f(x);
-                }
-            });
-    } else {
-        for ((d, x), &m) in dst.iter_mut().zip(a).zip(mask) {
-            if m {
-                *d = f(x);
+    assert_eq!(dst.len(), a.len(), "zip2 length mismatch");
+    assert_eq!(dst.len(), b.len(), "zip2 length mismatch");
+    assert_eq!(dst.len(), mask.len(), "zip2 mask length mismatch");
+    for_each_part_mut(dst, |r, d| {
+        let (a, b, m) = (&a[r.clone()], &b[r.clone()], &mask[r]);
+        if all_active(m) {
+            for ((d, &x), &y) in d.iter_mut().zip(a).zip(b) {
+                *d = f(*d, x, y);
+            }
+        } else {
+            for (((d, &x), &y), &m) in d.iter_mut().zip(a).zip(b).zip(m) {
+                *d = if m { f(*d, x, y) } else { *d };
             }
         }
-    }
+    });
 }
 
-/// Masked in-place elementwise map of two sources:
-/// `dst[i] = f(a[i], b[i])` wherever `mask[i]`.
-pub fn apply2_masked<A, B, T, F>(dst: &mut [T], a: &[A], b: &[B], mask: &[bool], f: F)
+/// `dst[i] = f(dst[i], a[i], b[i], c[i])` wherever `mask[i]` (`select`
+/// with three distinct sources).
+pub fn zip3<T, A, B, C, F>(dst: &mut [T], a: &[A], b: &[B], c: &[C], mask: &[bool], f: F)
 where
-    A: Sync,
-    B: Sync,
-    T: Send,
-    F: Fn(&A, &B) -> T + Sync + Send,
+    T: Copy + Send,
+    A: Copy + Sync,
+    B: Copy + Sync,
+    C: Copy + Sync,
+    F: Fn(T, A, B, C) -> T + Sync,
 {
-    assert_eq!(dst.len(), a.len(), "apply2 length mismatch");
-    assert_eq!(dst.len(), b.len(), "apply2 length mismatch");
-    assert_eq!(dst.len(), mask.len(), "apply2 mask length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut()
-            .zip(a.par_iter())
-            .zip(b.par_iter())
-            .zip(mask.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .for_each(|(((d, x), y), &m)| {
-                if m {
-                    *d = f(x, y);
-                }
-            });
-    } else {
-        for (((d, x), y), &m) in dst.iter_mut().zip(a).zip(b).zip(mask) {
-            if m {
-                *d = f(x, y);
+    assert_eq!(dst.len(), a.len(), "zip3 length mismatch");
+    assert_eq!(dst.len(), b.len(), "zip3 length mismatch");
+    assert_eq!(dst.len(), c.len(), "zip3 length mismatch");
+    assert_eq!(dst.len(), mask.len(), "zip3 mask length mismatch");
+    for_each_part_mut(dst, |r, d| {
+        let (a, b, c, m) = (&a[r.clone()], &b[r.clone()], &c[r.clone()], &mask[r]);
+        if all_active(m) {
+            for (((d, &x), &y), &z) in d.iter_mut().zip(a).zip(b).zip(c) {
+                *d = f(*d, x, y, z);
+            }
+        } else {
+            for ((((d, &x), &y), &z), &m) in d.iter_mut().zip(a).zip(b).zip(c).zip(m) {
+                *d = if m { f(*d, x, y, z) } else { *d };
             }
         }
-    }
+    });
 }
 
-/// Masked in-place elementwise map of three sources:
-/// `dst[i] = f(a[i], b[i], c[i])` wherever `mask[i]` (the `select` op).
-pub fn apply3_masked<A, B, C, T, F>(dst: &mut [T], a: &[A], b: &[B], c: &[C], mask: &[bool], f: F)
+/// `dst[i] = f(i)` wherever `mask[i]` (iota, coordinates, per-VP PRNG).
+pub fn zip_index<T, F>(dst: &mut [T], mask: &[bool], f: F)
 where
-    A: Sync,
-    B: Sync,
-    C: Sync,
-    T: Send,
-    F: Fn(&A, &B, &C) -> T + Sync + Send,
+    T: Copy + Send,
+    F: Fn(usize) -> T + Sync,
 {
-    assert_eq!(dst.len(), a.len(), "apply3 length mismatch");
-    assert_eq!(dst.len(), b.len(), "apply3 length mismatch");
-    assert_eq!(dst.len(), c.len(), "apply3 length mismatch");
-    assert_eq!(dst.len(), mask.len(), "apply3 mask length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut()
-            .zip(a.par_iter())
-            .zip(b.par_iter())
-            .zip(c.par_iter())
-            .zip(mask.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .for_each(|((((d, x), y), z), &m)| {
-                if m {
-                    *d = f(x, y, z);
-                }
-            });
-    } else {
-        for ((((d, x), y), z), &m) in dst.iter_mut().zip(a).zip(b).zip(c).zip(mask) {
-            if m {
-                *d = f(x, y, z);
-            }
-        }
-    }
-}
-
-/// Masked in-place indexed map: `dst[i] = f(i)` wherever `mask[i]`
-/// (iota, coordinates, per-VP PRNG).
-pub fn apply_index_masked<T, F>(dst: &mut [T], mask: &[bool], f: F)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync + Send,
-{
-    assert_eq!(dst.len(), mask.len(), "apply_index mask length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        (0..dst.len())
-            .into_par_iter()
-            .zip(dst.par_iter_mut())
-            .zip(mask.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .for_each(|((i, d), &m)| {
-                if m {
-                    *d = f(i);
-                }
-            });
-    } else {
-        for ((i, d), &m) in dst.iter_mut().enumerate().zip(mask) {
-            if m {
+    assert_eq!(dst.len(), mask.len(), "zip_index mask length mismatch");
+    for_each_part_mut(dst, |r, d| {
+        let m = &mask[r.clone()];
+        if all_active(m) {
+            for (d, i) in d.iter_mut().zip(r) {
                 *d = f(i);
             }
-        }
-    }
-}
-
-/// Masked in-place update with index and the previous value:
-/// `dst[i] = f(i, dst[i])` wherever `mask[i]` (NEWS shifts with
-/// `Border::Keep`, which must preserve the old value at the border).
-pub fn update_index_masked<T, F>(dst: &mut [T], mask: &[bool], f: F)
-where
-    T: Copy + Send + Sync,
-    F: Fn(usize, T) -> T + Sync + Send,
-{
-    assert_eq!(dst.len(), mask.len(), "update_index mask length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        (0..dst.len())
-            .into_par_iter()
-            .zip(dst.par_iter_mut())
-            .zip(mask.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .for_each(|((i, d), &m)| {
-                if m {
-                    *d = f(i, *d);
-                }
-            });
-    } else {
-        for ((i, d), &m) in dst.iter_mut().enumerate().zip(mask) {
-            if m {
-                *d = f(i, *d);
+        } else {
+            for ((d, i), &m) in d.iter_mut().zip(r).zip(m) {
+                *d = if m { f(i) } else { *d };
             }
         }
-    }
-}
-
-/// Masked fill: `dst[i] = value` wherever `mask[i]` (`set_imm`).
-pub fn fill_masked<T: Copy + Send + Sync>(dst: &mut [T], value: T, mask: &[bool]) {
-    assert_eq!(dst.len(), mask.len(), "fill mask length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut()
-            .zip(mask.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .for_each(|(d, &m)| {
-                if m {
-                    *d = value;
-                }
-            });
-    } else {
-        for (d, &m) in dst.iter_mut().zip(mask) {
-            if m {
-                *d = value;
-            }
-        }
-    }
+    });
 }
 
 /// Masked gather: `dst[i] = src[addrs[i]]` wherever `mask[i]` — the
 /// router's **get** inner loop. Addresses at active positions must be in
-/// bounds (the router validates before calling).
+/// bounds (the router validates before calling); inactive ones may hold
+/// anything, so the store stays a branch.
 pub fn gather_masked<T: Copy + Send + Sync>(
     dst: &mut [T],
     src: &[T],
@@ -410,32 +330,18 @@ pub fn gather_masked<T: Copy + Send + Sync>(
 ) {
     assert_eq!(dst.len(), addrs.len(), "gather address length mismatch");
     assert_eq!(dst.len(), mask.len(), "gather mask length mismatch");
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut()
-            .zip(addrs.par_iter())
-            .zip(mask.par_iter())
-            .with_min_len(CHUNK_MIN)
-            .for_each(|((d, &a), &m)| {
-                if m {
-                    *d = src[a as usize];
-                }
-            });
-    } else {
-        for ((d, &a), &m) in dst.iter_mut().zip(addrs).zip(mask) {
+    for_each_part_mut(dst, |r, d| {
+        for ((d, &a), &m) in d.iter_mut().zip(&addrs[r.clone()]).zip(&mask[r]) {
             if m {
                 *d = src[a as usize];
             }
         }
-    }
+    });
 }
 
 /// Unmasked fill: `dst[i] = value` everywhere.
 pub fn fill<T: Copy + Send + Sync>(dst: &mut [T], value: T) {
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut().with_min_len(CHUNK_MIN).for_each(|d| *d = value);
-    } else {
-        dst.iter_mut().for_each(|d| *d = value);
-    }
+    for_each_part_mut(dst, |_, d| d.fill(value));
 }
 
 /// Parallel existence test over two slices: does `f(a[i], b[i])` hold
@@ -499,40 +405,75 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map1_small_and_large() {
-        let small: Vec<i64> = (0..100).collect();
-        assert_eq!(map1(&small, |&x| x + 1)[99], 100);
-        let large: Vec<i64> = (0..(PAR_THRESHOLD as i64 + 5)).collect();
-        let out = map1(&large, |&x| x * 2);
-        assert_eq!(out.len(), large.len());
-        assert_eq!(out[PAR_THRESHOLD], 2 * PAR_THRESHOLD as i64);
-    }
-
-    #[test]
-    fn map2_and_map3() {
-        let a = vec![1i64, 2, 3];
-        let b = vec![10i64, 20, 30];
-        let c = vec![true, false, true];
-        assert_eq!(map2(&a, &b, |x, y| x + y), vec![11, 22, 33]);
-        assert_eq!(map3(&a, &b, &c, |x, y, &m| if m { *x } else { *y }), vec![1, 20, 3]);
-    }
-
-    #[test]
-    fn map_index_identity() {
-        assert_eq!(map_index(4, |i| i as i64), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn commit_respects_mask() {
         let mut d = vec![0i64; 4];
-        commit_masked(&mut d, &[1, 2, 3, 4], &[true, false, true, false]);
+        zip1(&mut d, &[1i64, 2, 3, 4], &[true, false, true, false], |_, s| s);
         assert_eq!(d, vec![1, 0, 3, 0]);
     }
 
+    /// Every `zip*` kernel against a scalar loop, on both sides of the
+    /// threshold and under full, empty and mixed masks.
     #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn map2_length_mismatch_panics() {
-        map2(&[1], &[1, 2], |a: &i32, b: &i32| a + b);
+    fn zip_kernels_match_scalar_loops() {
+        for n in [5usize, PAR_THRESHOLD + 517] {
+            let a: Vec<i64> = (0..n as i64).map(|i| i * 7 % 31).collect();
+            let b: Vec<i64> = (0..n as i64).map(|i| 100 - i % 13).collect();
+            let c: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+            let masks =
+                [vec![true; n], vec![false; n], (0..n).map(|i| i % 5 != 1).collect::<Vec<_>>()];
+            for mask in &masks {
+                let expect = |f: &dyn Fn(usize) -> i64| -> Vec<i64> {
+                    (0..n).map(|i| if mask[i] { f(i) } else { -1 }).collect()
+                };
+                let mut d = vec![-1i64; n];
+                zip0(&mut d, mask, |d| d - 1);
+                assert_eq!(d, expect(&|_| -2));
+                let mut d = vec![-1i64; n];
+                zip1(&mut d, &a, mask, |d, x| d + x);
+                assert_eq!(d, expect(&|i| a[i] - 1));
+                let mut d = vec![-1i64; n];
+                zip2(&mut d, &a, &b, mask, |_, x, y| x * y);
+                assert_eq!(d, expect(&|i| a[i] * b[i]));
+                let mut d = vec![-1i64; n];
+                zip3(&mut d, &c, &a, &b, mask, |_, c, x, y| if c { x } else { y });
+                assert_eq!(d, expect(&|i| if c[i] { a[i] } else { b[i] }));
+                let mut d = vec![-1i64; n];
+                zip_index(&mut d, mask, |i| i as i64 * 2);
+                assert_eq!(d, expect(&|i| i as i64 * 2));
+            }
+        }
+    }
+
+    /// The kernel closure runs at active lanes only, so a trapping op is
+    /// safe wherever the mask hides its bad input.
+    #[test]
+    fn zip_kernels_skip_inactive_lanes() {
+        let mut d = vec![10i64, 10, 10];
+        zip1(&mut d, &[2i64, 0, 5], &[true, false, true], |d, x| d / x);
+        assert_eq!(d, vec![5, 10, 2]);
+    }
+
+    #[test]
+    fn parts_cover_exactly_once() {
+        for len in [0usize, 7, PAR_THRESHOLD - 1, PAR_THRESHOLD, PAR_THRESHOLD + 517, 1 << 16] {
+            let mut hits = vec![0u8; len];
+            for_each_part_mut(&mut hits, |r, part| {
+                assert_eq!(part.len(), r.len());
+                part.iter_mut().for_each(|h| *h += 1);
+            });
+            assert!(hits.iter().all(|&h| h == 1), "len={len}");
+        }
+    }
+
+    #[test]
+    fn all_active_finds_any_hole() {
+        assert!(all_active(&[]));
+        assert!(all_active(&[true; 700]));
+        for hole in [0usize, 255, 256, 699] {
+            let mut m = vec![true; 700];
+            m[hole] = false;
+            assert!(!all_active(&m), "hole at {hole}");
+        }
     }
 
     #[test]

@@ -176,3 +176,88 @@ fn fuel_checks_cover_every_op_class() {
         "front-end charges are flat"
     );
 }
+
+/// An immediate op is charged as what the front end does — broadcast the
+/// scalar, then run the op — whether or not the host materialises the
+/// broadcast: two `Alu` instructions, and fuel can run out between them.
+#[test]
+fn binop_imm_costs_two_alu_ticks_at_the_fuel_boundary() {
+    let setup = |fuel: Option<u64>| {
+        let mut m = limited(None, None);
+        let vp = m.new_vp_set("v", &[256]).unwrap();
+        let a = m.alloc_int(vp, "a").unwrap();
+        let d = m.alloc_int(vp, "d").unwrap();
+        m.iota(a).unwrap();
+        let start = m.cycles();
+        m.set_fuel(fuel.map(|f| start + f));
+        (m, a, d, start)
+    };
+    let (mut m, a, d, start) = setup(None);
+    m.binop(BinOp::Add, d, a, a).unwrap();
+    let one_alu = m.cycles() - start;
+
+    type ImmOp = fn(&mut Machine, uc_cm::FieldId, uc_cm::FieldId) -> uc_cm::Result<()>;
+    let forms: [ImmOp; 2] = [
+        |m, d, a| m.binop_imm(BinOp::Sub, d, a, 3.into()),
+        |m, d, a| m.binop_imm_l(BinOp::Sub, d, 3.into(), a),
+    ];
+    for imm_op in forms {
+        let (mut m, a, d, start) = setup(None);
+        let alu_before = m.counters().alu;
+        imm_op(&mut m, d, a).unwrap();
+        assert_eq!(m.cycles() - start, 2 * one_alu);
+        assert_eq!(m.counters().alu - alu_before, 2);
+
+        // Exactly two ticks of fuel: fine.
+        let (mut m, a, d, _) = setup(Some(2 * one_alu));
+        imm_op(&mut m, d, a).expect("spending exactly the budget is fine");
+
+        // One cycle short: the broadcast is paid for, the op itself traps
+        // and writes nothing.
+        let (mut m, a, d, start) = setup(Some(2 * one_alu - 1));
+        let err = imm_op(&mut m, d, a).expect_err("one cycle short must trap");
+        assert_eq!(err, CmError::FuelExhausted { limit: start + 2 * one_alu - 1 });
+        assert_eq!(m.cycles() - start, 2 * one_alu, "both instructions were charged");
+        assert_eq!(m.int_data(d).unwrap(), &[0; 256]);
+
+        // Less than one tick: the broadcast itself traps.
+        let (mut m, a, d, start) = setup(Some(one_alu - 1));
+        assert!(matches!(imm_op(&mut m, d, a), Err(CmError::FuelExhausted { .. })));
+        assert_eq!(m.cycles() - start, one_alu, "the op was never issued");
+    }
+}
+
+/// The broadcast temporary of an immediate op is held against the memory
+/// budget while the op runs: a budget that admits the operands but not one
+/// more field traps exactly as the allocation of that field would, and a
+/// successful op leaves the accounting where it found it.
+#[test]
+fn binop_imm_broadcast_is_charged_to_the_memory_budget() {
+    // 256 VPs: base mask 256 bytes, two int fields 2 × 2048.
+    let operands = 256 + 2 * 2048;
+    let mut m = limited(None, Some(operands + 2047));
+    let vp = m.new_vp_set("v", &[256]).unwrap();
+    let a = m.alloc_int(vp, "a").unwrap();
+    let d = m.alloc_int(vp, "d").unwrap();
+    m.iota(a).unwrap();
+    let cycles = m.cycles();
+    for res in [
+        m.binop_imm(BinOp::Add, d, a, 1.into()),
+        m.binop_imm_l(BinOp::Sub, d, 1.into(), a),
+    ] {
+        assert_eq!(
+            res,
+            Err(CmError::MemoryLimitExceeded { requested: 2048, limit: operands + 2047 })
+        );
+    }
+    assert_eq!(m.cycles(), cycles, "a refused broadcast charges no instruction");
+    assert_eq!(m.int_data(d).unwrap(), &[0; 256]);
+
+    m.set_mem_limit(Some(operands + 2048));
+    m.binop_imm(BinOp::Add, d, a, 1.into()).expect("the broadcast just fits");
+    assert_eq!(m.mem_bytes(), operands, "the transient charge is released");
+    assert_eq!(m.int_data(d).unwrap()[..3], [1, 2, 3]);
+    // Released on the error path too.
+    assert_eq!(m.binop_imm(BinOp::Div, d, a, 0.into()), Err(CmError::DivideByZero));
+    assert_eq!(m.mem_bytes(), operands);
+}

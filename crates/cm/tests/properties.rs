@@ -312,3 +312,619 @@ proptest! {
         prop_assert_eq!(m.read_all(c).unwrap(), FieldData::I64(expect));
     }
 }
+
+// ---------------------------------------------------------------------
+// The one-pass kernels against a per-lane scalar reference.
+//
+// Every elementwise op is run at sizes that straddle `PAR_THRESHOLD`
+// (one part, and several parts with a ragged tail), under masks that take
+// the unmasked and the branch-free masked loop, with every legal aliasing
+// of destination and sources, and with the immediate on either side. The
+// reference works on `Scalar`s one lane at a time and shares no code with
+// `ops.rs`; NEWS shifts are compared with a per-element
+// `Geometry::neighbor{,_wrap}` walk.
+// ---------------------------------------------------------------------
+
+use uc_cm::par::PAR_THRESHOLD;
+use uc_cm::{CmError, ElemType, FieldId, UnOp, VpSetId};
+
+const SIZES: [usize; 3] = [PAR_THRESHOLD - 1, PAR_THRESHOLD, PAR_THRESHOLD + 517];
+const TYPES: [ElemType; 3] = [ElemType::Int, ElemType::Float, ElemType::Bool];
+const BINOPS: [BinOp; 21] = [
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Mul,
+    BinOp::Div,
+    BinOp::Mod,
+    BinOp::Min,
+    BinOp::Max,
+    BinOp::BitAnd,
+    BinOp::BitOr,
+    BinOp::BitXor,
+    BinOp::Shl,
+    BinOp::Shr,
+    BinOp::LogAnd,
+    BinOp::LogOr,
+    BinOp::LogXor,
+    BinOp::Eq,
+    BinOp::Ne,
+    BinOp::Lt,
+    BinOp::Le,
+    BinOp::Gt,
+    BinOp::Ge,
+];
+
+/// `a op b` for one lane, or `None` where the machine defines no such op.
+fn ref_binop(op: BinOp, a: Scalar, b: Scalar) -> Option<Scalar> {
+    use BinOp::*;
+    Some(match (a, b) {
+        (Scalar::Int(p), Scalar::Int(q)) => match op {
+            Add => Scalar::Int(p.wrapping_add(q)),
+            Sub => Scalar::Int(p.wrapping_sub(q)),
+            Mul => Scalar::Int(p.wrapping_mul(q)),
+            Div => Scalar::Int(p.wrapping_div(q)),
+            Mod => Scalar::Int(p.wrapping_rem(q)),
+            Min => Scalar::Int(if q < p { q } else { p }),
+            Max => Scalar::Int(if q > p { q } else { p }),
+            BitAnd => Scalar::Int(p & q),
+            BitOr => Scalar::Int(p | q),
+            BitXor => Scalar::Int(p ^ q),
+            Shl => Scalar::Int(p << (q as u64 % 64)),
+            Shr => Scalar::Int(p >> (q as u64 % 64)),
+            Eq => Scalar::Bool(p == q),
+            Ne => Scalar::Bool(p != q),
+            Lt => Scalar::Bool(p < q),
+            Le => Scalar::Bool(p <= q),
+            Gt => Scalar::Bool(p > q),
+            Ge => Scalar::Bool(p >= q),
+            LogAnd | LogOr | LogXor => return None,
+        },
+        (Scalar::Float(p), Scalar::Float(q)) => match op {
+            Add => Scalar::Float(p + q),
+            Sub => Scalar::Float(p - q),
+            Mul => Scalar::Float(p * q),
+            Div => Scalar::Float(p / q),
+            Min => Scalar::Float(if q < p { q } else { p }),
+            Max => Scalar::Float(if q > p { q } else { p }),
+            Eq => Scalar::Bool(p == q),
+            Ne => Scalar::Bool(p != q),
+            Lt => Scalar::Bool(p < q),
+            Le => Scalar::Bool(p <= q),
+            Gt => Scalar::Bool(p > q),
+            Ge => Scalar::Bool(p >= q),
+            _ => return None,
+        },
+        (Scalar::Bool(p), Scalar::Bool(q)) => match op {
+            LogAnd => Scalar::Bool(p && q),
+            LogOr => Scalar::Bool(p || q),
+            LogXor | Ne => Scalar::Bool(p != q),
+            Eq => Scalar::Bool(p == q),
+            _ => return None,
+        },
+        _ => return None,
+    })
+}
+
+/// Lane `i` of the `stream`-th pseudo-random field of type `ty`. Ints lie
+/// in −250..250 (zeros included); floats are odd multiples of 1/8, so
+/// never zero, and no op on them yields a NaN that would defeat `==`.
+fn lane(ty: ElemType, stream: u64, i: usize) -> Scalar {
+    let v = (mix(stream, i as u64) % 500) as i64 - 250;
+    match ty {
+        ElemType::Int => Scalar::Int(v),
+        ElemType::Float => Scalar::Float(v as f64 / 4.0 + 0.125),
+        ElemType::Bool => Scalar::Bool(v % 2 == 0),
+    }
+}
+
+fn lanes(ty: ElemType, stream: u64, n: usize) -> Vec<Scalar> {
+    (0..n).map(|i| lane(ty, stream, i)).collect()
+}
+
+fn to_field(ty: ElemType, lanes: &[Scalar]) -> FieldData {
+    match ty {
+        ElemType::Int => FieldData::I64(lanes.iter().map(|s| s.as_int()).collect()),
+        ElemType::Float => FieldData::F64(lanes.iter().map(|s| s.as_float()).collect()),
+        ElemType::Bool => FieldData::Bool(lanes.iter().map(|s| s.as_bool()).collect()),
+    }
+}
+
+fn from_field(data: FieldData) -> Vec<Scalar> {
+    match data {
+        FieldData::I64(v) => v.into_iter().map(Scalar::Int).collect(),
+        FieldData::F64(v) => v.into_iter().map(Scalar::Float).collect(),
+        FieldData::Bool(v) => v.into_iter().map(Scalar::Bool).collect(),
+    }
+}
+
+/// The four mask shapes: every lane, no lane, a random half, one lane.
+fn masks(n: usize) -> [(&'static str, Vec<bool>); 4] {
+    let mut one = vec![false; n];
+    one[n / 2] = true;
+    [
+        ("all", vec![true; n]),
+        ("none", vec![false; n]),
+        (
+            "random",
+            (0..n)
+                .map(|i| mix(0xC0FFEE, i as u64).is_multiple_of(2))
+                .collect(),
+        ),
+        ("one lane", one),
+    ]
+}
+
+/// A machine with one VP set of `n` lanes and a mask field to push.
+struct Bench {
+    m: Machine,
+    vp: VpSetId,
+    mask: FieldId,
+}
+
+impl Bench {
+    fn new(dims: &[usize]) -> Self {
+        let mut m = Machine::with_defaults();
+        let vp = m.new_vp_set("v", dims).unwrap();
+        let mask = m.alloc_bool(vp, "mask").unwrap();
+        Bench { m, vp, mask }
+    }
+
+    fn field(&mut self, ty: ElemType, lanes: &[Scalar]) -> FieldId {
+        let f = self.m.alloc(self.vp, "f", ty).unwrap();
+        self.m.write_all(f, to_field(ty, lanes)).unwrap();
+        f
+    }
+
+    /// Run `op` under `mask`, then read `dst` back.
+    fn masked(
+        &mut self,
+        mask: &[bool],
+        dst: FieldId,
+        op: impl FnOnce(&mut Machine) -> uc_cm::Result<()>,
+    ) -> uc_cm::Result<Vec<Scalar>> {
+        self.m
+            .write_all(self.mask, FieldData::Bool(mask.to_vec()))
+            .unwrap();
+        self.m.push_context(self.mask).unwrap();
+        let res = op(&mut self.m);
+        self.m.pop_context(self.vp).unwrap();
+        let out = from_field(self.m.read_all(dst).unwrap());
+        res.map(|()| out)
+    }
+
+    fn free(&mut self, fields: &[FieldId]) {
+        for &f in fields {
+            self.m.free(f).unwrap();
+        }
+    }
+}
+
+/// `f(i)` where the mask is set, the destination's old lane elsewhere.
+fn expect_masked(mask: &[bool], old: &[Scalar], f: impl Fn(usize) -> Scalar) -> Vec<Scalar> {
+    (0..mask.len())
+        .map(|i| if mask[i] { f(i) } else { old[i] })
+        .collect()
+}
+
+/// One operand of a reference binop: lane values or an immediate.
+#[derive(Clone, Copy)]
+enum Arg<'a> {
+    Lanes(&'a [Scalar]),
+    Imm(Scalar),
+}
+
+impl Arg<'_> {
+    fn at(self, i: usize) -> Scalar {
+        match self {
+            Arg::Lanes(v) => v[i],
+            Arg::Imm(s) => s,
+        }
+    }
+}
+
+/// Every `BinOp` × element type × aliasing × immediate side, under every
+/// mask shape, on both sides of the threshold.
+#[test]
+fn binop_kernels_match_scalar_reference() {
+    #[derive(Clone, Copy, Debug)]
+    enum Case {
+        Fresh,     // d = a op b
+        FreshSame, // d = a op a
+        DstA,      // a = a op b
+        DstB,      // b = a op b
+        DstAll,    // a = a op a
+        ImmR,      // d = a op k
+        ImmL,      // d = k op b
+        ImmRDst,   // a = a op k
+        ImmLDst,   // b = k op b
+    }
+    use Case::*;
+    for n in SIZES {
+        let mut t = Bench::new(&[n]);
+        for (mask_name, mask) in masks(n) {
+            for ty in TYPES {
+                let av = lanes(ty, 1, n);
+                // Integer divisors: non-zero wherever a lane is active
+                // (zero at an active lane is the error tested below) and
+                // zero at every third inactive lane, where it must not
+                // matter.
+                let bv_plain = lanes(ty, 2, n);
+                let bv_div: Vec<Scalar> = (0..n)
+                    .map(|i| match bv_plain[i] {
+                        Scalar::Int(_) if !mask[i] && i % 3 == 0 => Scalar::Int(0),
+                        Scalar::Int(0) => Scalar::Int(7),
+                        other => other,
+                    })
+                    .collect();
+                let av_div: Vec<Scalar> = (0..n)
+                    .map(|i| {
+                        if av[i] == Scalar::Int(0) && mask[i] {
+                            Scalar::Int(-9)
+                        } else {
+                            av[i]
+                        }
+                    })
+                    .collect();
+                let k = lane(ty, 4, 11);
+                let k = if k == Scalar::Int(0) {
+                    Scalar::Int(5)
+                } else {
+                    k
+                };
+                for op in BINOPS {
+                    let Some(sample) = ref_binop(op, av[0], k) else {
+                        // Undefined for this type: the machine must agree.
+                        let a = t.field(ty, &av);
+                        assert!(t.m.binop(op, a, a, a).is_err(), "{op:?} on {ty:?}");
+                        assert!(t.m.binop_imm(op, a, a, k).is_err(), "{op:?} imm on {ty:?}");
+                        t.free(&[a]);
+                        continue;
+                    };
+                    let rty = sample.elem_type();
+                    let divides = ty == ElemType::Int && matches!(op, BinOp::Div | BinOp::Mod);
+                    let (av, bv) = if divides {
+                        (&av_div, &bv_div)
+                    } else {
+                        (&av, &bv_plain)
+                    };
+                    for case in [
+                        Fresh, FreshSame, DstA, DstB, DstAll, ImmR, ImmL, ImmRDst, ImmLDst,
+                    ] {
+                        let in_place = !matches!(case, Fresh | FreshSame | ImmR | ImmL);
+                        if in_place && rty != ty {
+                            continue; // a Bool result cannot overwrite a numeric operand
+                        }
+                        let a = t.field(ty, av);
+                        let b = t.field(ty, bv);
+                        let old_d: Vec<Scalar> = lanes(rty, 3, n);
+                        let d = t.field(rty, &old_d);
+                        let (dst, x, y, old_dst): (FieldId, Arg, Arg, &[Scalar]) = match case {
+                            Fresh => (d, Arg::Lanes(av), Arg::Lanes(bv), &old_d),
+                            FreshSame => (d, Arg::Lanes(av), Arg::Lanes(av), &old_d),
+                            DstA => (a, Arg::Lanes(av), Arg::Lanes(bv), av),
+                            DstB => (b, Arg::Lanes(av), Arg::Lanes(bv), bv),
+                            DstAll => (a, Arg::Lanes(av), Arg::Lanes(av), av),
+                            ImmR => (d, Arg::Lanes(av), Arg::Imm(k), &old_d),
+                            ImmL => (d, Arg::Imm(k), Arg::Lanes(bv), &old_d),
+                            ImmRDst => (a, Arg::Lanes(av), Arg::Imm(k), av),
+                            ImmLDst => (b, Arg::Imm(k), Arg::Lanes(bv), bv),
+                        };
+                        let got = t
+                            .masked(&mask, dst, |m| match case {
+                                Fresh | DstA | DstB => m.binop(op, dst, a, b),
+                                FreshSame | DstAll => m.binop(op, dst, a, a),
+                                ImmR | ImmRDst => m.binop_imm(op, dst, a, k),
+                                ImmL | ImmLDst => m.binop_imm_l(op, dst, k, b),
+                            })
+                            .unwrap_or_else(|e| {
+                                panic!("{op:?} {ty:?} {case:?} n={n} mask={mask_name}: {e}")
+                            });
+                        let want = expect_masked(&mask, old_dst, |i| {
+                            ref_binop(op, x.at(i), y.at(i)).unwrap()
+                        });
+                        assert!(
+                            got == want,
+                            "{op:?} {ty:?} {case:?} n={n} mask={mask_name}: first difference at \
+                             lane {:?}",
+                            got.iter().zip(&want).position(|(g, w)| g != w)
+                        );
+                        t.free(&[a, b, d]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A zero divisor is an error exactly when some active lane would divide
+/// by it, for a field divisor and for an immediate one, and an erroring
+/// op writes nothing.
+#[test]
+fn zero_divisor_matters_only_at_active_lanes() {
+    for n in SIZES {
+        let mut t = Bench::new(&[n]);
+        let zero_at = n - 3;
+        let av = lanes(ElemType::Int, 1, n);
+        let bv: Vec<Scalar> = (0..n)
+            .map(|i| Scalar::Int(if i == zero_at { 0 } else { 1 + (i % 5) as i64 }))
+            .collect();
+        let old = lanes(ElemType::Int, 3, n);
+        let mut hidden = vec![true; n];
+        hidden[zero_at] = false;
+        let mut exposed = vec![false; n];
+        exposed[zero_at] = true;
+        for op in [BinOp::Div, BinOp::Mod] {
+            let a = t.field(ElemType::Int, &av);
+            let b = t.field(ElemType::Int, &bv);
+            let d = t.field(ElemType::Int, &old);
+            // Field divisor, on either side of the op.
+            let got = t.masked(&hidden, d, |m| m.binop(op, d, a, b)).unwrap();
+            let want = expect_masked(&hidden, &old, |i| ref_binop(op, av[i], bv[i]).unwrap());
+            assert!(
+                got == want,
+                "{op:?} n={n}: zero divisor at an inactive lane"
+            );
+            t.m.write_all(d, to_field(ElemType::Int, &old)).unwrap();
+            let got = t
+                .masked(&hidden, d, |m| m.binop_imm_l(op, d, 1000.into(), b))
+                .unwrap();
+            let want = expect_masked(&hidden, &old, |i| {
+                ref_binop(op, Scalar::Int(1000), bv[i]).unwrap()
+            });
+            assert!(
+                got == want,
+                "{op:?} n={n}: imm / field with an inactive zero"
+            );
+            for mask in [&exposed, &vec![true; n]] {
+                t.m.write_all(d, to_field(ElemType::Int, &old)).unwrap();
+                let err = t.masked(mask, d, |m| m.binop(op, d, a, b)).unwrap_err();
+                assert_eq!(
+                    err,
+                    CmError::DivideByZero,
+                    "{op:?} n={n}: active zero divisor"
+                );
+                let err = t
+                    .masked(mask, d, |m| m.binop_imm_l(op, d, 1000.into(), b))
+                    .unwrap_err();
+                assert_eq!(err, CmError::DivideByZero);
+                assert!(
+                    from_field(t.m.read_all(d).unwrap()) == old,
+                    "a failed op wrote"
+                );
+            }
+            // Immediate divisor: an error as soon as any lane is active.
+            let none = vec![false; n];
+            let got = t
+                .masked(&none, d, |m| m.binop_imm(op, d, a, 0.into()))
+                .unwrap();
+            assert!(
+                got == old,
+                "{op:?} n={n}: x / 0 with no lane active is a no-op"
+            );
+            for mask in [&exposed, &hidden] {
+                let err = t
+                    .masked(mask, d, |m| m.binop_imm(op, d, a, 0.into()))
+                    .unwrap_err();
+                assert_eq!(
+                    err,
+                    CmError::DivideByZero,
+                    "{op:?} n={n}: immediate zero divisor"
+                );
+                assert!(
+                    from_field(t.m.read_all(d).unwrap()) == old,
+                    "a failed op wrote"
+                );
+            }
+            t.free(&[a, b, d]);
+        }
+    }
+}
+
+/// `unop`, `copy`, `convert` and `set_imm`, fresh and in place.
+#[test]
+fn unary_kernels_match_scalar_reference() {
+    let ref_unop = |op: UnOp, x: Scalar| -> Option<Scalar> {
+        Some(match (op, x) {
+            (UnOp::Neg, Scalar::Int(p)) => Scalar::Int(p.wrapping_neg()),
+            (UnOp::Abs, Scalar::Int(p)) => Scalar::Int(p.wrapping_abs()),
+            (UnOp::BitNot, Scalar::Int(p)) => Scalar::Int(!p),
+            (UnOp::Neg, Scalar::Float(p)) => Scalar::Float(-p),
+            (UnOp::Abs, Scalar::Float(p)) => Scalar::Float(if p < 0.0 { -p } else { p }),
+            (UnOp::Not, Scalar::Bool(p)) => Scalar::Bool(!p),
+            _ => return None,
+        })
+    };
+    let convert = |to: ElemType, x: Scalar| match to {
+        ElemType::Int => Scalar::Int(x.as_int()),
+        ElemType::Float => Scalar::Float(x.as_float()),
+        ElemType::Bool => Scalar::Bool(x.as_bool()),
+    };
+    for n in SIZES {
+        let mut t = Bench::new(&[n]);
+        for (mask_name, mask) in masks(n) {
+            for ty in TYPES {
+                let mut av = lanes(ty, 1, n);
+                if ty == ElemType::Int {
+                    av[n / 2] = Scalar::Int(i64::MIN); // neg/abs must wrap, not trap
+                }
+                let old = lanes(ty, 3, n);
+                for op in [UnOp::Neg, UnOp::Not, UnOp::BitNot, UnOp::Abs] {
+                    let a = t.field(ty, &av);
+                    let d = t.field(ty, &old);
+                    if ref_unop(op, av[0]).is_none() {
+                        assert!(t.m.unop(op, d, a).is_err(), "{op:?} on {ty:?}");
+                        t.free(&[a, d]);
+                        continue;
+                    }
+                    let got = t.masked(&mask, d, |m| m.unop(op, d, a)).unwrap();
+                    let want = expect_masked(&mask, &old, |i| ref_unop(op, av[i]).unwrap());
+                    assert!(got == want, "{op:?} {ty:?} n={n} mask={mask_name}");
+                    let got = t.masked(&mask, a, |m| m.unop(op, a, a)).unwrap();
+                    let want = expect_masked(&mask, &av, |i| ref_unop(op, av[i]).unwrap());
+                    assert!(got == want, "{op:?} {ty:?} in place n={n} mask={mask_name}");
+                    t.free(&[a, d]);
+                }
+                for to in TYPES {
+                    let a = t.field(ty, &av);
+                    let old_d = lanes(to, 3, n);
+                    let d = t.field(to, &old_d);
+                    let got = t.masked(&mask, d, |m| m.convert(d, a)).unwrap();
+                    let want = expect_masked(&mask, &old_d, |i| convert(to, av[i]));
+                    assert!(got == want, "convert {ty:?}->{to:?} n={n} mask={mask_name}");
+                    t.free(&[a, d]);
+                }
+                let a = t.field(ty, &av);
+                let d = t.field(ty, &old);
+                let got = t.masked(&mask, d, |m| m.copy(d, a)).unwrap();
+                assert!(got == expect_masked(&mask, &old, |i| av[i]), "copy {ty:?}");
+                let got = t.masked(&mask, a, |m| m.copy(a, a)).unwrap();
+                assert!(got == av, "copy onto itself {ty:?}");
+                let k = lane(ty, 4, 11);
+                let got = t.masked(&mask, d, |m| m.set_imm(d, k)).unwrap();
+                let seen = expect_masked(&mask, &old, |i| av[i]);
+                assert!(got == expect_masked(&mask, &seen, |_| k), "set_imm {ty:?}");
+                t.free(&[a, d]);
+            }
+        }
+    }
+}
+
+/// `select` with every operand aliased to the destination, alone and
+/// together.
+#[test]
+fn select_kernels_match_scalar_reference() {
+    for n in SIZES {
+        let mut t = Bench::new(&[n]);
+        for (mask_name, mask) in masks(n) {
+            for ty in TYPES {
+                let cv = lanes(ElemType::Bool, 5, n);
+                let av = lanes(ty, 1, n);
+                let bv = lanes(ty, 2, n);
+                let old = lanes(ty, 3, n);
+                // Which of (cond, a, b) are the destination itself; a
+                // Bool destination may also be its own condition.
+                for alias in 0u8..8 {
+                    let (dc, da, db) = (alias & 4 != 0, alias & 2 != 0, alias & 1 != 0);
+                    if dc && ty != ElemType::Bool {
+                        continue;
+                    }
+                    let c = t.field(ElemType::Bool, &cv);
+                    let a = t.field(ty, &av);
+                    let b = t.field(ty, &bv);
+                    let d = t.field(ty, &old);
+                    let pick = |alias: bool, f: FieldId, v: &[Scalar]| {
+                        if alias {
+                            (d, old.clone())
+                        } else {
+                            (f, v.to_vec())
+                        }
+                    };
+                    let ((c, cv), (a, av), (b, bv)) =
+                        (pick(dc, c, &cv), pick(da, a, &av), pick(db, b, &bv));
+                    let got = t.masked(&mask, d, |m| m.select(d, c, a, b)).unwrap();
+                    let want =
+                        expect_masked(&mask, &old, |i| if cv[i].as_bool() { av[i] } else { bv[i] });
+                    assert!(
+                        got == want,
+                        "select {ty:?} dst==(cond:{dc}, a:{da}, b:{db}) n={n} mask={mask_name}"
+                    );
+                    // Sources that are not the destination are untouched.
+                    for (f, v) in [(c, &cv), (a, &av), (b, &bv)] {
+                        if f != d {
+                            assert!(&from_field(t.m.read_all(f).unwrap()) == v);
+                        }
+                    }
+                    t.m.free(d).unwrap();
+                    for f in [c, a, b] {
+                        let _ = t.m.free(f); // an aliased one is already gone
+                    }
+                }
+                // Two sources that are one field, neither the destination.
+                let c = t.field(ElemType::Bool, &cv);
+                let a = t.field(ty, &av);
+                let d = t.field(ty, &old);
+                let got = t.masked(&mask, d, |m| m.select(d, c, a, a)).unwrap();
+                assert!(
+                    got == expect_masked(&mask, &old, |i| av[i]),
+                    "select a==b {ty:?}"
+                );
+                t.free(&[c, a, d]);
+            }
+        }
+    }
+}
+
+/// NEWS shifts as block rotations against the per-element neighbour
+/// walk: every border mode, rank, axis and offset class (none, one hop,
+/// the far edge, exactly the extent, beyond it), masked and not, in place
+/// and not, on geometries below and above the threshold.
+#[test]
+fn news_shift_matches_per_element_neighbors() {
+    let shapes: [&[usize]; 6] = [
+        &[7],
+        &[PAR_THRESHOLD + 517],
+        &[5, 6],
+        &[96, 131],
+        &[3, 4, 5],
+        &[17, 24, 29],
+    ];
+    for dims in shapes {
+        let g = Geometry::new(dims).unwrap();
+        let n = g.size();
+        let mut t = Bench::new(dims);
+        let all = vec![true; n];
+        let random: Vec<bool> = (0..n)
+            .map(|i| i != 0 && !mix(0xBEEF, i as u64).is_multiple_of(3))
+            .collect();
+        for ty in TYPES {
+            let sv = lanes(ty, 1, n);
+            let old = lanes(ty, 3, n);
+            let fill = lane(ty, 4, 11);
+            for axis in 0..g.rank() {
+                let e = g.extent(axis).unwrap() as i64;
+                let mut offsets = vec![0, 1, -1, e - 1, 1 - e, e, -e, e + 3, -e - 3];
+                offsets.dedup();
+                // Float and Bool take the same code path per type; the
+                // full offset sweep runs on Int.
+                if ty != ElemType::Int {
+                    offsets.truncate(5);
+                }
+                for &offset in &offsets {
+                    for border in [Border::Wrap, Border::Fill(fill), Border::Keep] {
+                        for mask in [&all, &random] {
+                            for in_place in [false, true] {
+                                let s = t.field(ty, &sv);
+                                let d = if in_place { s } else { t.field(ty, &old) };
+                                let old_d = if in_place { &sv } else { &old };
+                                let got = t
+                                    .masked(mask, d, |m| m.news_shift(d, s, axis, offset, border))
+                                    .unwrap();
+                                let want = expect_masked(mask, old_d, |i| match border {
+                                    Border::Wrap => sv[g.neighbor_wrap(i, axis, offset).unwrap()],
+                                    Border::Fill(v) => {
+                                        g.neighbor(i, axis, offset).unwrap().map_or(v, |q| sv[q])
+                                    }
+                                    Border::Keep => g
+                                        .neighbor(i, axis, offset)
+                                        .unwrap()
+                                        .map_or(old_d[i], |q| sv[q]),
+                                });
+                                assert!(
+                                    got == want,
+                                    "{ty:?} {dims:?} axis {axis} offset {offset} {border:?} \
+                                     masked={} in_place={in_place}: first difference at {:?}",
+                                    !mask[0],
+                                    got.iter().zip(&want).position(|(g, w)| g != w)
+                                );
+                                t.m.free(s).unwrap();
+                                if !in_place {
+                                    t.m.free(d).unwrap();
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -27,6 +27,7 @@ mod liveness;
 mod races;
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::ast::{Expr, IndexSetDef, IndexSetInit};
 use crate::diag::{Diagnostic, Diagnostics, Severity};
@@ -341,19 +342,21 @@ impl<'c> SetScopes<'c> {
 
     fn eval_def(&self, def: &IndexSetDef) -> Option<IndexSetInfo> {
         let consts = &self.checked.consts;
-        let elements = match &def.init {
+        let elements: Arc<Vec<i64>> = match &def.init {
             IndexSetInit::Range(lo, hi) => {
                 let lo = sema::const_eval(lo, consts).ok()?;
                 let hi = sema::const_eval(hi, consts).ok()?;
                 if hi < lo {
                     return None;
                 }
-                (lo..=hi).collect()
+                Arc::new((lo..=hi).collect())
             }
-            IndexSetInit::List(items) => items
-                .iter()
-                .map(|e| sema::const_eval(e, consts).ok())
-                .collect::<Option<Vec<i64>>>()?,
+            IndexSetInit::List(items) => Arc::new(
+                items
+                    .iter()
+                    .map(|e| sema::const_eval(e, consts).ok())
+                    .collect::<Option<Vec<i64>>>()?,
+            ),
             IndexSetInit::Alias(src) => self.lookup(src)?.elements.clone(),
         };
         if elements.is_empty() {

@@ -357,10 +357,11 @@ pub struct Program {
     pub(crate) cse_stack: Vec<HashMap<(Vec<usize>, String), FieldId>>,
     /// Whether gathers may currently be inserted into the cache.
     pub(crate) cse_fill: bool,
-    /// Index-element value fields per (space dims, axis, elements): these
-    /// depend only on geometry, so re-entering a construct (e.g. a `par`
-    /// nested in a front-end loop) reuses them instead of recomputing.
-    pub(crate) elem_cache: HashMap<(Vec<usize>, usize, Vec<i64>), FieldId>,
+    /// Index-element value fields per (space dims, axis, values along the
+    /// axis): these depend only on geometry, so re-entering a construct
+    /// (e.g. a `par` nested in a front-end loop) reuses them instead of
+    /// recomputing.
+    pub(crate) elem_cache: HashMap<(Vec<usize>, usize, space::ElemValues), FieldId>,
     /// Span of the statement currently executing, for [`RunError`].
     pub(crate) exec_span: Span,
     /// Live UC call stack, outermost first: `(callee, call-site span)`.

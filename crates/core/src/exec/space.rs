@@ -10,6 +10,7 @@
 //! with one router gather.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use uc_cm::{BinOp, ElemType, FieldId, Scalar, VpSetId};
 
@@ -24,6 +25,16 @@ pub(crate) enum ElemForm {
     AxisPlus { axis: usize, lo: i64 },
     /// Arbitrary element list: value materialised by table lookup only.
     Opaque,
+}
+
+/// The values an index element takes along its axis, as far as they
+/// identify its cached value field: the extent is in the space's dims, so
+/// a contiguous set is its first element, and only an arbitrary list is
+/// its (shared, never copied) contents.
+#[derive(Debug, PartialEq, Eq, Hash)]
+pub(crate) enum ElemValues {
+    From(i64),
+    List(Arc<Vec<i64>>),
 }
 
 /// One level of the parallel-context stack.
@@ -48,17 +59,17 @@ impl Program {
     ///
     /// Returns the level index (for symmetric [`Program::pop_space`]).
     pub(crate) fn push_space(&mut self, set_names: &[String]) -> RResult<usize> {
-        let mut sets: Vec<(String, IndexSetInfo)> = Vec::with_capacity(set_names.len());
+        let mut sets: Vec<IndexSetInfo> = Vec::with_capacity(set_names.len());
         for name in set_names {
-            let info = self
-                .lookup_index_set(name)
-                .ok_or_else(|| RuntimeError::Unbound(name.clone()))?;
-            sets.push((name.clone(), info));
+            sets.push(
+                self.lookup_index_set(name)
+                    .ok_or_else(|| RuntimeError::Unbound(name.clone()))?,
+            );
         }
         let outer_dims: Vec<usize> =
             self.ctx.last().map(|c| c.dims.clone()).unwrap_or_default();
         let mut dims = outer_dims.clone();
-        dims.extend(sets.iter().map(|(_, s)| s.elements.len()));
+        dims.extend(sets.iter().map(|s| s.elements.len()));
         let vp = self.space_vp(&dims)?;
 
         let mut level = ParCtx {
@@ -79,13 +90,13 @@ impl Program {
             1,
             "iteration space acquired with a non-base context"
         );
-        for (axis_off, (_, info)) in sets.iter().enumerate() {
+        for (axis_off, info) in sets.iter().enumerate() {
             let axis = outer_dims.len() + axis_off;
-            let form = match contiguous_lo(&info.elements) {
-                Some(lo) => ElemForm::AxisPlus { axis, lo },
-                None => ElemForm::Opaque,
+            let (form, values) = match contiguous_lo(&info.elements) {
+                Some(lo) => (ElemForm::AxisPlus { axis, lo }, ElemValues::From(lo)),
+                None => (ElemForm::Opaque, ElemValues::List(info.elements.clone())),
             };
-            let key = (dims.clone(), axis, info.elements.clone());
+            let key = (dims.clone(), axis, values);
             let field = match self.elem_cache.get(&key) {
                 Some(&f) => f,
                 None => {
@@ -231,7 +242,8 @@ impl Program {
         }
     }
 
-    /// Look up an index set through local scopes then globals.
+    /// Look up an index set through local scopes then globals. The
+    /// elements are shared, so the returned copy costs a refcount bump.
     pub(crate) fn lookup_index_set(&self, name: &str) -> Option<IndexSetInfo> {
         if let Some(frame) = self.frames.last() {
             for scope in frame.scopes.iter().rev() {

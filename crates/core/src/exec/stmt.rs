@@ -8,6 +8,8 @@
 //! arrives here: outside parallel constructs it is lowered to VM jumps,
 //! and inside them sema rejects it.
 
+use std::sync::Arc;
+
 use uc_cm::{BinOp, ElemType, FieldId, ReduceOp, Scalar};
 
 use super::space::coerce_scalar;
@@ -146,7 +148,7 @@ impl Program {
     }
 
     fn eval_index_set_def(&mut self, def: &IndexSetDef) -> RResult<IndexSetInfo> {
-        let elements = match &def.init {
+        let elements: Arc<Vec<i64>> = match &def.init {
             IndexSetInit::Range(lo, hi) => {
                 let lo = self.eval_scalar(lo)?.as_int();
                 let hi = self.eval_scalar(hi)?.as_int();
@@ -166,14 +168,14 @@ impl Program {
                         max: self.config.limits.max_index_set,
                     });
                 }
-                (lo..=hi).collect()
+                Arc::new((lo..=hi).collect())
             }
             IndexSetInit::List(items) => {
                 let mut out = Vec::with_capacity(items.len());
                 for e in items {
                     out.push(self.eval_scalar(e)?.as_int());
                 }
-                out
+                Arc::new(out)
             }
             IndexSetInit::Alias(src) => {
                 self.lookup_index_set(src)
@@ -338,7 +340,7 @@ impl Program {
                     return Err(RuntimeError::IterationLimit("*seq"));
                 }
                 let mut any_enabled = false;
-                for &v in &set.elements {
+                for &v in set.elements.iter() {
                     self.frames
                         .last_mut()
                         .expect("frame")

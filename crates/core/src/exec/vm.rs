@@ -8,6 +8,8 @@
 //! could not compile are tree escapes into the sibling modules; a user
 //! call met inside one comes back through [`call`].
 
+use std::sync::Arc;
+
 use uc_cm::{ElemType, Scalar};
 
 use super::{
@@ -25,7 +27,7 @@ struct Act {
     ret_dst: Reg,
     /// Open front-end `seq` sweeps, innermost last: the set's elements
     /// and the position of the next one.
-    seqs: Vec<(Vec<i64>, usize)>,
+    seqs: Vec<(Arc<Vec<i64>>, usize)>,
 }
 
 /// Run `main()`.

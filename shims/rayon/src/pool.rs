@@ -12,7 +12,8 @@
 //! owns a deque; submitted jobs are placed round-robin across the worker
 //! queues, a worker pops from the front of its own queue, and an idle
 //! worker (or a caller waiting on a [`scope`]) steals from the back of its
-//! peers' queues. Workers sleep on a condvar when every queue is empty.
+//! peers' queues. A worker that finds every queue empty keeps polling for
+//! [`SPIN_BEFORE_PARK`], then sleeps on a condvar.
 //!
 //! [`scope`] mirrors `rayon::scope`: jobs spawned inside it may borrow
 //! from the enclosing stack frame (`'scope` data), the call returns only
@@ -26,6 +27,7 @@ use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Upper bound on pool size; `UC_THREADS` beyond this is clamped.
 pub const MAX_THREADS: usize = 256;
@@ -156,12 +158,48 @@ pub struct Pool {
     workers: usize,
 }
 
+/// How long an idle worker keeps polling the queues before it parks. A
+/// simulator run submits thousands of short batches back to back, a few
+/// microseconds of caller-side work apart; a worker that parked the
+/// instant its queue ran dry would make every one of them pay a futex
+/// wake. Tens of microseconds bridges those gaps and is noise beside the
+/// wake-up it saves.
+const SPIN_BEFORE_PARK: Duration = Duration::from_micros(50);
+
+/// Polls that busy-wait (`spin_loop`) before the spin phase starts
+/// yielding the core instead, so an oversubscribed pool (`UC_THREADS=8` on
+/// two cores) hands its time slice to whoever has the work.
+const SPINS_BEFORE_YIELD: u32 = 64;
+
+/// Poll the queues for up to [`SPIN_BEFORE_PARK`] on behalf of idle
+/// worker `me`.
+fn spin_for_job(shared: &Shared, me: usize) -> Option<Task> {
+    let idle_since = Instant::now();
+    let mut polls = 0u32;
+    while idle_since.elapsed() < SPIN_BEFORE_PARK {
+        if polls < SPINS_BEFORE_YIELD {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+        polls += 1;
+        if let Some(job) = shared.find_job(Some(me)) {
+            return Some(job);
+        }
+    }
+    None
+}
+
 fn worker_loop(shared: Arc<Shared>, me: usize) {
     loop {
-        if let Some(job) = shared.find_job(Some(me)) {
+        if let Some(job) = shared.find_job(Some(me)).or_else(|| spin_for_job(&shared, me)) {
             job.execute();
             continue;
         }
+        // Park. The handshake is unchanged by the polling above: queues
+        // are re-checked under the sleep lock, which submitters take
+        // before notifying, so a job injected at any point is either seen
+        // here or its notification arrives after the wait began.
         let guard = shared.sleep.lock().unwrap();
         if shared.any_pending() {
             continue; // a job arrived between the scan and the lock

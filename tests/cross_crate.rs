@@ -219,7 +219,13 @@ fn committed_bench_baseline_parses_as_a_figure() {
     let text = std::fs::read_to_string(path).unwrap();
     let fig = uc_bench::json::from_str(&text).unwrap();
     assert_eq!(fig.id, "sim_hotpaths");
-    assert_eq!(fig.series.len(), 2);
+    // Every bench is recorded twice in one session: at the parent commit,
+    // then at the change.
+    assert!(fig.series.len() >= 4);
+    for pair in fig.series.chunks(2) {
+        let bench = pair[0].label.strip_suffix(" @ parent").expect("parent series first");
+        assert_eq!(pair[1].label.strip_suffix(" @ change"), Some(bench));
+    }
     for s in &fig.series {
         assert_eq!(s.points.len(), 3, "{} baseline points", s.label);
         assert!(s.points.iter().all(|&(_, ns)| ns > 0));
