@@ -23,7 +23,7 @@
 //! * [`router`] — the general router: arbitrary `send`/`get` with combining.
 //! * [`scan`] — global reductions, prefix scans and segmented scans.
 //!
-//! Large element-wise operations execute on the host with rayon; everything
+//! Large element-wise operations fan out on the host thread pool; everything
 //! observable (values *and* the cycle clock) is independent of thread count,
 //! so simulations are reproducible.
 //!

@@ -35,14 +35,12 @@
 //! count — `crates/cm/tests/alloc_count.rs` asserts this on both sides
 //! of `PAR_THRESHOLD`.
 
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// Below this many elements the sequential path is used.
 pub const PAR_THRESHOLD: usize = 1 << 13;
 
-/// Smallest number of elements one pool job processes (the
-/// `with_min_len` chunking hint on every parallel pipeline here).
+/// Smallest number of elements one pool job processes.
 pub const CHUNK_MIN: usize = 1 << 10;
 
 /// Upper bound on the number of chunks [`chunk_count`] produces. Bounds
@@ -90,11 +88,10 @@ where
             *slot = f(chunk_at(len, k));
         }
     } else {
-        (0..n)
-            .into_par_iter()
-            .zip(out[..n].par_iter_mut())
-            .with_min_len(1)
-            .for_each(|(k, slot)| *slot = f(chunk_at(len, k)));
+        // SAFETY: the one-slot ranges `k..k + 1` are pairwise disjoint.
+        unsafe {
+            split_mut(&mut out[..n], n, |k| k..k + 1, |k, _, slot| slot[0] = f(chunk_at(len, k)))
+        }
     }
     n
 }
@@ -113,7 +110,7 @@ where
 {
     let len = data.len();
     let base = SendPtr(data.as_mut_ptr());
-    (0..n).into_par_iter().with_min_len(1).for_each(|k| {
+    rayon::pool::run_chunks(n, &|k| {
         let r = range(k);
         assert!(r.start <= r.end && r.end <= len, "part outside the slice");
         // SAFETY: in bounds (asserted above) and, by the caller's

@@ -1,11 +1,13 @@
 //! UC110/UC111 — communication-pattern lints.
 //!
 //! The executor classifies every parallel array access as local, NEWS or
-//! general-router traffic (`exec/access.rs`). This pass runs the same
-//! symbolic classification *statically* and reports the two cases where a
-//! provably-regular pattern still pays router cost — the paper's §4
-//! communication-cost optimization, surfaced as a diagnostic instead of
-//! silently applied:
+//! general-router traffic (`exec/access.rs`) from the [`IdxForm`] of its
+//! subscripts. This pass asks the same classifier,
+//! [`opt::classify_index`], at check time — with the binders it tracks
+//! while walking and sema's constant evaluator in place of the executor's
+//! live scopes — and reports the two cases where a provably-regular
+//! pattern still pays router cost, the paper's §4 communication-cost
+//! optimization surfaced as a diagnostic instead of silently applied:
 //!
 //! * **UC110** — every subscript is `axis + constant` on the matching
 //!   axis, but two or more axes are displaced (`a[i-1][j-1]`). The
@@ -21,36 +23,21 @@
 //! extended the space) and re-mapped arrays legitimately use the router
 //! or follow a different transform.
 
-use super::{contiguous_lo, Finding, Pass, SetScopes};
+use super::{Finding, Pass, SetScopes};
 use crate::ast::*;
+use crate::opt::{self, ElemForm, IdxForm};
 use crate::sema::{self, Checked};
 
 pub(crate) struct CommPass;
 
-/// Static mirror of the executor's `IdxForm`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SIdx {
-    /// `coordinate(axis) + offset` on the current iteration space.
-    AxisPlus { axis: usize, offset: i64 },
-    Const,
-    General,
-}
-
-/// How a walked binder relates to the iteration space.
-#[derive(Debug, Clone, Copy)]
-enum Bind {
-    /// Element of a space axis; `lo` is `Some` for contiguous sets
-    /// (`coordinate + lo`), mirroring `ElemForm::AxisPlus`.
-    Axis { axis: usize, lo: Option<i64> },
-    /// Sequentially bound (`seq`/`oneof`/`solve` element): a front-end
-    /// value at each step, unknown statically.
-    Other,
-}
-
 struct Walker<'c> {
     checked: &'c Checked,
     scopes: SetScopes<'c>,
-    binders: Vec<(String, Bind)>,
+    /// Index elements in scope, innermost last. Elements of a space axis
+    /// bind as the executor binds them; sequentially bound ones
+    /// (`seq`/`oneof`/`solve`) are a front-end value at each step, unknown
+    /// statically: [`ElemForm::Opaque`].
+    binders: Vec<(String, ElemForm)>,
     /// Extents of the current space axes (outer constructs are a prefix,
     /// as in the executor).
     dims: Vec<usize>,
@@ -85,60 +72,29 @@ impl Pass for CommPass {
     }
 }
 
-impl<'c> Walker<'c> {
-    fn stmt(&mut self, s: &'c Stmt) {
+impl Walker<'_> {
+    fn stmt(&mut self, s: &Stmt) {
         match s {
-            Stmt::Expr(e) => self.expr(e),
-            Stmt::Decl(v) => {
-                if let Some(init) = &v.init {
-                    self.expr(init);
-                }
-            }
             Stmt::IndexSets(defs) => self.scopes.define_local(defs),
-            Stmt::Block(b) => {
+            Stmt::Block(_) => {
                 self.scopes.push();
-                for s in &b.stmts {
-                    self.stmt(s);
-                }
+                self.children(s);
                 self.scopes.pop();
-            }
-            Stmt::If { cond, then_branch, else_branch, .. } => {
-                self.expr(cond);
-                self.stmt(then_branch);
-                if let Some(e) = else_branch {
-                    self.stmt(e);
-                }
-            }
-            Stmt::While { cond, body, .. } => {
-                self.expr(cond);
-                self.stmt(body);
-            }
-            Stmt::For { init, cond, step, body, .. } => {
-                for e in [init, cond, step].into_iter().flatten() {
-                    self.expr(e);
-                }
-                self.stmt(body);
-            }
-            Stmt::Return(e, _) => {
-                if let Some(e) = e {
-                    self.expr(e);
-                }
             }
             Stmt::Uc(uc) => {
                 let pushed = self.push_sets(&uc.idxs, uc.kind == UcKind::Par);
-                for arm in &uc.arms {
-                    if let Some(p) = &arm.pred {
-                        self.expr(p);
-                    }
-                    self.stmt(&arm.body);
-                }
-                if let Some(o) = &uc.others {
-                    self.stmt(o);
-                }
+                self.children(s);
                 self.pop_sets(pushed);
             }
-            Stmt::Break(_) | Stmt::Continue(_) | Stmt::Empty => {}
+            _ => self.children(s),
         }
+    }
+
+    fn children(&mut self, s: &Stmt) {
+        s.for_each_child(|n| match n {
+            Node::Expr(e) => self.expr(e),
+            Node::Stmt(s) => self.stmt(s),
+        });
     }
 
     /// Bind the constructs' elements; `parallel` sets extend the space.
@@ -147,15 +103,15 @@ impl<'c> Walker<'c> {
         let mut pushed = (0, 0);
         for name in idxs {
             let Some(info) = self.scopes.lookup(name) else { continue };
-            let bind = if parallel {
-                let axis = self.dims.len();
+            let mut form = ElemForm::Opaque;
+            if parallel {
+                if let Some(lo) = info.contiguous_lo() {
+                    form = ElemForm::AxisPlus { axis: self.dims.len(), lo };
+                }
                 self.dims.push(info.elements.len());
                 pushed.1 += 1;
-                Bind::Axis { axis, lo: contiguous_lo(&info.elements) }
-            } else {
-                Bind::Other
-            };
-            self.binders.push((info.elem.clone(), bind));
+            }
+            self.binders.push((info.elem.clone(), form));
             pushed.0 += 1;
         }
         pushed
@@ -167,93 +123,18 @@ impl<'c> Walker<'c> {
     }
 
     fn expr(&mut self, e: &Expr) {
-        match e {
+        let pushed = match e {
             Expr::Index { base, subs, span } => {
                 self.classify(base, subs, *span);
-                for s in subs {
-                    self.expr(s);
-                }
+                (0, 0)
             }
-            Expr::Call { args, .. } => {
-                for a in args {
-                    self.expr(a);
-                }
-            }
-            Expr::Unary { expr, .. } => self.expr(expr),
-            Expr::Binary { lhs, rhs, .. } => {
-                self.expr(lhs);
-                self.expr(rhs);
-            }
-            Expr::Ternary { cond, then_e, else_e, .. } => {
-                self.expr(cond);
-                self.expr(then_e);
-                self.expr(else_e);
-            }
-            Expr::Assign { target, value, .. } => {
-                self.expr(target);
-                self.expr(value);
-            }
-            Expr::Reduce(r) => {
-                // A reduction evaluates its operands on the space extended
-                // by its own sets, exactly like a nested `par`.
-                let pushed = self.push_sets(&r.idxs, true);
-                for (p, o) in &r.arms {
-                    if let Some(p) = p {
-                        self.expr(p);
-                    }
-                    self.expr(o);
-                }
-                if let Some(o) = &r.others {
-                    self.expr(o);
-                }
-                self.pop_sets(pushed);
-            }
-            _ => {}
-        }
-    }
-
-    /// Static mirror of `Program::symbolic_index`.
-    fn idx_form(&self, e: &Expr) -> SIdx {
-        if let Expr::Ident(name, _) = e {
-            if let Some((_, bind)) = self.binders.iter().rev().find(|(n, _)| n == name) {
-                return match bind {
-                    Bind::Axis { axis, lo: Some(lo) } => {
-                        SIdx::AxisPlus { axis: *axis, offset: *lo }
-                    }
-                    _ => SIdx::General,
-                };
-            }
-        }
-        if sema::const_eval(e, &self.checked.consts).is_ok() {
-            return SIdx::Const;
-        }
-        if let Expr::Binary { op, lhs, rhs, .. } = e {
-            let l = self.idx_form(lhs);
-            let r = self.idx_form(rhs);
-            match (op, l, r) {
-                (BinaryOp::Add, SIdx::AxisPlus { axis, offset }, SIdx::Const) => {
-                    if let Ok(c) = self.const_of(rhs) {
-                        return SIdx::AxisPlus { axis, offset: offset + c };
-                    }
-                }
-                (BinaryOp::Add, SIdx::Const, SIdx::AxisPlus { axis, offset }) => {
-                    if let Ok(c) = self.const_of(lhs) {
-                        return SIdx::AxisPlus { axis, offset: offset + c };
-                    }
-                }
-                (BinaryOp::Sub, SIdx::AxisPlus { axis, offset }, SIdx::Const) => {
-                    if let Ok(c) = self.const_of(rhs) {
-                        return SIdx::AxisPlus { axis, offset: offset - c };
-                    }
-                }
-                _ => {}
-            }
-        }
-        SIdx::General
-    }
-
-    fn const_of(&self, e: &Expr) -> Result<i64, crate::span::Span> {
-        sema::const_eval(e, &self.checked.consts)
+            // A reduction evaluates its operands on the space extended
+            // by its own sets, exactly like a nested `par`.
+            Expr::Reduce(r) => self.push_sets(&r.idxs, true),
+            _ => (0, 0),
+        };
+        e.for_each_child(|c| self.expr(c));
+        self.pop_sets(pushed);
     }
 
     /// Classify one access and report UC110/UC111 when a regular pattern
@@ -272,25 +153,23 @@ impl<'c> Walker<'c> {
         if subs.len() != info.shape.len() || subs.len() != self.dims.len() {
             return;
         }
-        let forms: Vec<SIdx> = subs.iter().map(|s| self.idx_form(s)).collect();
-        if !forms.iter().all(|f| matches!(f, SIdx::AxisPlus { .. })) {
-            return;
+        // (axis, offset) per subscript; anything but `axis + constant`
+        // is a true gather.
+        let elem_form = |name: &str| {
+            self.binders.iter().rev().find(|(n, _)| n == name).map(|(_, form)| *form)
+        };
+        let konst = |e: &Expr| sema::const_eval(e, &self.checked.consts).ok();
+        let mut forms = Vec::with_capacity(subs.len());
+        for sub in subs {
+            let form = opt::classify_index(sub, &elem_form, &konst);
+            let IdxForm::AxisPlus { axis, offset } = form else { return };
+            forms.push((axis, offset));
         }
-        let axes: Vec<usize> = forms
-            .iter()
-            .map(|f| match f {
-                SIdx::AxisPlus { axis, .. } => *axis,
-                _ => unreachable!(),
-            })
-            .collect();
-        let identity_axes = axes.iter().enumerate().all(|(d, &a)| a == d);
+        let identity_axes = forms.iter().enumerate().all(|(d, &(a, _))| a == d);
         let conforms = info.shape == self.dims;
-        let access = access_text(base, subs);
+        let access = crate::pretty::access(base, subs);
         if identity_axes && conforms {
-            let displaced = forms
-                .iter()
-                .filter(|f| !matches!(f, SIdx::AxisPlus { offset: 0, .. }))
-                .count();
+            let displaced = forms.iter().filter(|&&(_, offset)| offset != 0).count();
             if displaced > 1 {
                 self.out.push(Finding {
                     code: "UC110",
@@ -306,7 +185,7 @@ impl<'c> Walker<'c> {
         }
         // Regular but misaligned. Only flag patterns a `map` declaration
         // could actually align: axes forming a permutation of the space.
-        let mut sorted = axes.clone();
+        let mut sorted: Vec<usize> = forms.iter().map(|&(a, _)| a).collect();
         sorted.sort_unstable();
         if sorted.iter().enumerate().any(|(d, &a)| a != d) {
             return; // duplicated/partial axes: a true gather
@@ -326,15 +205,6 @@ impl<'c> Walker<'c> {
             ),
         });
     }
-}
-
-fn access_text(base: &str, subs: &[Expr]) -> String {
-    use std::fmt::Write;
-    let mut s = String::from(base);
-    for sub in subs {
-        let _ = write!(s, "[{}]", crate::pretty::expr(sub));
-    }
-    s
 }
 
 #[cfg(test)]

@@ -75,23 +75,12 @@ struct Walker<'c> {
     out: Vec<Finding>,
 }
 
-impl<'c> Walker<'c> {
+impl Walker<'_> {
     fn sets(&mut self, defs: &[IndexSetDef]) {
         for def in defs {
             self.defs.push((def.name.clone(), def.span));
-            match &def.init {
-                IndexSetInit::Alias(src) => {
-                    self.used.insert(src.clone());
-                }
-                IndexSetInit::Range(lo, hi) => {
-                    self.expr(lo);
-                    self.expr(hi);
-                }
-                IndexSetInit::List(items) => {
-                    for e in items {
-                        self.expr(e);
-                    }
-                }
+            if let IndexSetInit::Alias(src) = &def.init {
+                self.used.insert(src.clone());
             }
         }
     }
@@ -104,121 +93,42 @@ impl<'c> Walker<'c> {
 
     fn stmt(&mut self, s: &Stmt) {
         match s {
-            Stmt::Expr(e) => self.expr(e),
-            Stmt::Decl(v) => {
-                if let Some(init) = &v.init {
-                    self.expr(init);
-                }
-            }
             Stmt::IndexSets(defs) => self.sets(defs),
-            Stmt::Block(b) => {
-                for s in &b.stmts {
-                    self.stmt(s);
-                }
-            }
-            Stmt::If { cond, then_branch, else_branch, .. } => {
-                self.expr(cond);
-                if const_false(cond, self.checked) {
-                    self.dead(cond.span(), "`if` condition is constant-false");
-                }
-                self.stmt(then_branch);
-                if let Some(e) = else_branch {
-                    self.stmt(e);
-                }
-            }
-            Stmt::While { cond, body, .. } => {
-                self.expr(cond);
-                if const_false(cond, self.checked) {
-                    self.dead(cond.span(), "`while` condition is constant-false");
-                }
-                self.stmt(body);
-            }
-            Stmt::For { init, cond, step, body, .. } => {
-                for e in [init, cond, step].into_iter().flatten() {
-                    self.expr(e);
-                }
-                if let Some(c) = cond {
-                    if const_false(c, self.checked) {
-                        self.dead(c.span(), "`for` condition is constant-false");
-                    }
-                }
-                self.stmt(body);
-            }
-            Stmt::Return(e, _) => {
-                if let Some(e) = e {
-                    self.expr(e);
-                }
-            }
+            Stmt::If { cond, .. } => self.guard(cond, "`if` condition is constant-false"),
+            Stmt::While { cond, .. } => self.guard(cond, "`while` condition is constant-false"),
+            Stmt::For { cond: Some(c), .. } => self.guard(c, "`for` condition is constant-false"),
             Stmt::Uc(uc) => {
                 self.use_sets(&uc.idxs);
-                for arm in &uc.arms {
-                    if let Some(p) = &arm.pred {
-                        self.expr(p);
-                        if const_false(p, self.checked) {
-                            self.dead(
-                                p.span(),
-                                "`st` predicate is constant-false: the context is empty",
-                            );
-                        }
-                    }
-                    self.stmt(&arm.body);
-                }
-                if let Some(o) = &uc.others {
-                    self.stmt(o);
-                }
-            }
-            Stmt::Break(_) | Stmt::Continue(_) | Stmt::Empty => {}
-        }
-    }
-
-    fn dead(&mut self, span: Span, what: &str) {
-        self.out.push(Finding {
-            code: "UC120",
-            span,
-            message: format!("{what}; the guarded statement can never execute (§3.4 context)"),
-        });
-    }
-
-    fn expr(&mut self, e: &Expr) {
-        match e {
-            Expr::Index { subs, .. } => {
-                for s in subs {
-                    self.expr(s);
-                }
-            }
-            Expr::Call { args, .. } => {
-                for a in args {
-                    self.expr(a);
-                }
-            }
-            Expr::Unary { expr, .. } => self.expr(expr),
-            Expr::Binary { lhs, rhs, .. } => {
-                self.expr(lhs);
-                self.expr(rhs);
-            }
-            Expr::Ternary { cond, then_e, else_e, .. } => {
-                self.expr(cond);
-                self.expr(then_e);
-                self.expr(else_e);
-            }
-            Expr::Assign { target, value, .. } => {
-                self.expr(target);
-                self.expr(value);
-            }
-            Expr::Reduce(r) => {
-                self.use_sets(&r.idxs);
-                for (p, o) in &r.arms {
-                    if let Some(p) = p {
-                        self.expr(p);
-                    }
-                    self.expr(o);
-                }
-                if let Some(o) = &r.others {
-                    self.expr(o);
+                for pred in uc.arms.iter().filter_map(|arm| arm.pred.as_ref()) {
+                    self.guard(pred, "`st` predicate is constant-false: the context is empty");
                 }
             }
             _ => {}
         }
+        s.for_each_child(|n| match n {
+            Node::Expr(e) => self.expr(e),
+            Node::Stmt(s) => self.stmt(s),
+        });
+    }
+
+    /// Report UC120 if the guard `e` is a constant zero.
+    fn guard(&mut self, e: &Expr, what: &str) {
+        if const_false(e, self.checked) {
+            self.out.push(Finding {
+                code: "UC120",
+                span: e.span(),
+                message: format!("{what}; the guarded statement can never execute (§3.4 context)"),
+            });
+        }
+    }
+
+    /// Reductions name index sets too.
+    fn expr(&mut self, e: &Expr) {
+        e.walk(&mut |x| {
+            if let Expr::Reduce(r) = x {
+                self.use_sets(&r.idxs);
+            }
+        });
     }
 }
 

@@ -61,11 +61,14 @@ fn unused_functions(checked: &Checked, out: &mut Vec<Finding>) {
             continue;
         }
         if let Some(f) = checked.funcs.get(&name) {
-            let mut callees = HashSet::new();
+            let mut note_call = |e: &Expr| {
+                if let Expr::Call { name, .. } = e {
+                    queue.push(name.clone());
+                }
+            };
             for s in &f.body.stmts {
-                calls_in_stmt(s, &mut callees);
+                s.for_each_expr(&mut |e| e.walk(&mut note_call));
             }
-            queue.extend(callees);
         }
     }
     for f in checked.funcs_in_order() {
@@ -79,94 +82,6 @@ fn unused_functions(checked: &Checked, out: &mut Vec<Finding>) {
                 ),
             });
         }
-    }
-}
-
-fn calls_in_stmt(s: &Stmt, out: &mut HashSet<String>) {
-    match s {
-        Stmt::Expr(e) => calls_in_expr(e, out),
-        Stmt::Decl(v) => {
-            if let Some(init) = &v.init {
-                calls_in_expr(init, out);
-            }
-        }
-        Stmt::Block(b) => {
-            for s in &b.stmts {
-                calls_in_stmt(s, out);
-            }
-        }
-        Stmt::If { cond, then_branch, else_branch, .. } => {
-            calls_in_expr(cond, out);
-            calls_in_stmt(then_branch, out);
-            if let Some(e) = else_branch {
-                calls_in_stmt(e, out);
-            }
-        }
-        Stmt::While { cond, body, .. } => {
-            calls_in_expr(cond, out);
-            calls_in_stmt(body, out);
-        }
-        Stmt::For { init, cond, step, body, .. } => {
-            for e in [init, cond, step].into_iter().flatten() {
-                calls_in_expr(e, out);
-            }
-            calls_in_stmt(body, out);
-        }
-        Stmt::Return(Some(e), _) => calls_in_expr(e, out),
-        Stmt::Uc(uc) => {
-            for arm in &uc.arms {
-                if let Some(p) = &arm.pred {
-                    calls_in_expr(p, out);
-                }
-                calls_in_stmt(&arm.body, out);
-            }
-            if let Some(o) = &uc.others {
-                calls_in_stmt(o, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn calls_in_expr(e: &Expr, out: &mut HashSet<String>) {
-    match e {
-        Expr::Call { name, args, .. } => {
-            out.insert(name.clone());
-            for a in args {
-                calls_in_expr(a, out);
-            }
-        }
-        Expr::Index { subs, .. } => {
-            for s in subs {
-                calls_in_expr(s, out);
-            }
-        }
-        Expr::Unary { expr, .. } => calls_in_expr(expr, out),
-        Expr::Binary { lhs, rhs, .. } => {
-            calls_in_expr(lhs, out);
-            calls_in_expr(rhs, out);
-        }
-        Expr::Ternary { cond, then_e, else_e, .. } => {
-            calls_in_expr(cond, out);
-            calls_in_expr(then_e, out);
-            calls_in_expr(else_e, out);
-        }
-        Expr::Assign { target, value, .. } => {
-            calls_in_expr(target, out);
-            calls_in_expr(value, out);
-        }
-        Expr::Reduce(r) => {
-            for (p, o) in &r.arms {
-                if let Some(p) = p {
-                    calls_in_expr(p, out);
-                }
-                calls_in_expr(o, out);
-            }
-            if let Some(o) = &r.others {
-                calls_in_expr(o, out);
-            }
-        }
-        _ => {}
     }
 }
 
@@ -187,7 +102,6 @@ struct FnWalker {
 impl FnWalker {
     fn stmt(&mut self, s: &Stmt) {
         match s {
-            Stmt::Expr(e) => self.expr(e),
             Stmt::Decl(v) => {
                 if !v.dims.is_empty() {
                     for d in &v.dims {
@@ -208,11 +122,6 @@ impl FnWalker {
                 }
             }
             Stmt::IndexSets(_) => {}
-            Stmt::Block(b) => {
-                for s in &b.stmts {
-                    self.stmt(s);
-                }
-            }
             Stmt::If { cond, then_branch, else_branch, .. } => {
                 self.expr(cond);
                 self.pending.clear();
@@ -261,10 +170,8 @@ impl FnWalker {
                 self.uninit.retain(|v| after_body.contains(v));
                 self.pending.clear();
             }
-            Stmt::Return(e, _) => {
-                if let Some(e) = e {
-                    self.expr(e);
-                }
+            Stmt::Return(..) => {
+                self.children(s);
                 self.pending.clear();
             }
             Stmt::Uc(uc) => {
@@ -296,8 +203,15 @@ impl FnWalker {
                 self.uninit = merged.unwrap_or(before);
                 self.pending.clear();
             }
-            Stmt::Break(_) | Stmt::Continue(_) | Stmt::Empty => {}
+            _ => self.children(s),
         }
+    }
+
+    fn children(&mut self, s: &Stmt) {
+        s.for_each_child(|n| match n {
+            Node::Expr(e) => self.expr(e),
+            Node::Stmt(s) => self.stmt(s),
+        });
     }
 
     /// Record a store to a local scalar, reporting the previous store in
@@ -337,26 +251,6 @@ impl FnWalker {
     fn expr(&mut self, e: &Expr) {
         match e {
             Expr::Ident(name, span) => self.read(name, *span),
-            Expr::Index { subs, .. } => {
-                for s in subs {
-                    self.expr(s);
-                }
-            }
-            Expr::Call { args, .. } => {
-                for a in args {
-                    self.expr(a);
-                }
-            }
-            Expr::Unary { expr, .. } => self.expr(expr),
-            Expr::Binary { lhs, rhs, .. } => {
-                self.expr(lhs);
-                self.expr(rhs);
-            }
-            Expr::Ternary { cond, then_e, else_e, .. } => {
-                self.expr(cond);
-                self.expr(then_e);
-                self.expr(else_e);
-            }
             Expr::Assign { target, op, value, span } => {
                 self.expr(value);
                 match target.as_ref() {
@@ -374,18 +268,7 @@ impl FnWalker {
                     other => self.expr(other),
                 }
             }
-            Expr::Reduce(r) => {
-                for (p, o) in &r.arms {
-                    if let Some(p) = p {
-                        self.expr(p);
-                    }
-                    self.expr(o);
-                }
-                if let Some(o) = &r.others {
-                    self.expr(o);
-                }
-            }
-            _ => {}
+            _ => e.for_each_child(|c| self.expr(c)),
         }
     }
 }

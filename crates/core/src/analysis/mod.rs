@@ -27,9 +27,8 @@ mod liveness;
 mod races;
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use crate::ast::{Expr, IndexSetDef, IndexSetInit};
+use crate::ast::{Expr, IndexSetDef};
 use crate::diag::{Diagnostic, Diagnostics, Severity};
 use crate::sema::{self, Checked, IndexSetInfo};
 use crate::span::Span;
@@ -328,54 +327,22 @@ impl<'c> SetScopes<'c> {
     }
 
     /// Evaluate a local `index_set` statement's definitions into the
-    /// innermost scope (errors were already reported by sema; evaluation
-    /// failures are silently skipped here).
-    pub fn define_local(&mut self, defs: &'c [IndexSetDef]) {
+    /// innermost scope. Sema has already accepted them, so a definition
+    /// that fails to build here is simply skipped.
+    pub fn define_local(&mut self, defs: &[IndexSetDef]) {
         for def in defs {
-            if let Some(info) = self.eval_def(def) {
-                if let Some(scope) = self.stack.last_mut() {
-                    scope.insert(def.name.clone(), info);
-                }
+            let built = IndexSetInfo::build(
+                def,
+                sema::MAX_CONST_INDEX_SET,
+                self,
+                |scopes, e| sema::const_eval(e, &scopes.checked.consts),
+                |scopes, src| scopes.lookup(src).map(|info| info.elements.clone()),
+            );
+            if let (Ok(info), Some(scope)) = (built, self.stack.last_mut()) {
+                scope.insert(def.name.clone(), info);
             }
         }
     }
-
-    fn eval_def(&self, def: &IndexSetDef) -> Option<IndexSetInfo> {
-        let consts = &self.checked.consts;
-        let elements: Arc<Vec<i64>> = match &def.init {
-            IndexSetInit::Range(lo, hi) => {
-                let lo = sema::const_eval(lo, consts).ok()?;
-                let hi = sema::const_eval(hi, consts).ok()?;
-                if hi < lo {
-                    return None;
-                }
-                Arc::new((lo..=hi).collect())
-            }
-            IndexSetInit::List(items) => Arc::new(
-                items
-                    .iter()
-                    .map(|e| sema::const_eval(e, consts).ok())
-                    .collect::<Option<Vec<i64>>>()?,
-            ),
-            IndexSetInit::Alias(src) => self.lookup(src)?.elements.clone(),
-        };
-        if elements.is_empty() {
-            return None;
-        }
-        Some(IndexSetInfo { elem: def.elem.clone(), elements })
-    }
-}
-
-/// `lo` of a contiguous ascending element list (`{lo..hi}`), mirroring the
-/// executor's `ElemForm::AxisPlus` condition.
-pub(crate) fn contiguous_lo(elements: &[i64]) -> Option<i64> {
-    let lo = *elements.first()?;
-    for (k, &v) in elements.iter().enumerate() {
-        if v != lo + k as i64 {
-            return None;
-        }
-    }
-    Some(lo)
 }
 
 /// Whether `e` is a compile-time constant equal to zero (a provably-false
@@ -472,11 +439,22 @@ mod tests {
         assert_eq!(diagnostics_to_json(&Diagnostics::default()), "[]");
     }
 
+    /// The lints bind a `par` element as `axis + lo` exactly when the
+    /// executor does (`IndexSetInfo::contiguous_lo`): an ascending list
+    /// counts as `{lo..hi}`, any other list is a gather.
     #[test]
     fn contiguity() {
-        assert_eq!(contiguous_lo(&[3, 4, 5]), Some(3));
-        assert_eq!(contiguous_lo(&[0]), Some(0));
-        assert_eq!(contiguous_lo(&[4, 2, 9]), None);
-        assert_eq!(contiguous_lo(&[]), None);
+        let codes = |sets: &str| {
+            let src = format!(
+                "index_set {sets};\nint a[4][4], b[4][4];\n\
+                 main() {{ par (I, J) b[i][j] = a[i-1][j-1]; }}"
+            );
+            let diags = check_source(&src, &[], &LintConfig::default());
+            diags.items.iter().filter_map(|d| d.code).collect::<Vec<_>>()
+        };
+        assert_eq!(codes("I:i = {0, 1, 2, 3}, J:j = I"), ["UC110"]);
+        assert!(codes("I:i = {0, 2, 1, 3}, J:j = I").is_empty());
+        // `INF + 1` does not exist: not contiguous, and not an overflow.
+        assert!(codes("I:i = {INF, 0, 1, 2}, J:j = {0..3}").is_empty());
     }
 }

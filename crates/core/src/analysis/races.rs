@@ -41,7 +41,7 @@ struct Walker<'c> {
     binders: Vec<(String, BinderKind)>,
     /// Local variables in scope → number of enclosing `par`s at declaration.
     locals: Vec<HashMap<String, usize>>,
-    /// Elements mentioned by enclosing predicates (`st`, `if`, loop conds).
+    /// Elements mentioned by enclosing `st` predicates.
     guards: Vec<HashSet<String>>,
     par_depth: usize,
     out: Vec<Finding>,
@@ -79,65 +79,38 @@ impl Pass for RacePass {
     }
 }
 
-impl<'c> Walker<'c> {
-    fn stmt(&mut self, s: &'c Stmt) {
+impl Walker<'_> {
+    fn stmt(&mut self, s: &Stmt) {
         match s {
-            Stmt::Expr(e) => self.expr(e),
             Stmt::Decl(v) => {
-                if let Some(init) = &v.init {
-                    self.expr(init);
-                }
+                self.children(s);
                 if let Some(scope) = self.locals.last_mut() {
                     scope.insert(v.name.clone(), self.par_depth);
                 }
             }
             Stmt::IndexSets(defs) => self.scopes.define_local(defs),
-            Stmt::Block(b) => {
+            Stmt::Block(_) => {
                 self.scopes.push();
                 self.locals.push(HashMap::new());
-                for s in &b.stmts {
-                    self.stmt(s);
-                }
+                self.children(s);
                 self.locals.pop();
                 self.scopes.pop();
             }
-            Stmt::If { cond, then_branch, else_branch, .. } => {
-                self.expr(cond);
-                self.push_guard(cond);
-                self.stmt(then_branch);
-                if let Some(e) = else_branch {
-                    self.stmt(e);
-                }
-                self.guards.pop();
-            }
-            Stmt::While { cond, body, .. } => {
-                self.expr(cond);
-                self.push_guard(cond);
-                self.stmt(body);
-                self.guards.pop();
-            }
-            Stmt::For { init, cond, step, body, .. } => {
-                for e in [init, cond, step].into_iter().flatten() {
-                    self.expr(e);
-                }
-                match cond {
-                    Some(c) => self.push_guard(c),
-                    None => self.guards.push(HashSet::new()),
-                }
-                self.stmt(body);
-                self.guards.pop();
-            }
-            Stmt::Return(e, _) => {
-                if let Some(e) = e {
-                    self.expr(e);
-                }
-            }
             Stmt::Uc(uc) => self.uc(uc),
-            Stmt::Break(_) | Stmt::Continue(_) | Stmt::Empty => {}
+            // `if`/`while`/`for` guard nothing here: sema rejects them
+            // inside a parallel construct, the only place stores race.
+            _ => self.children(s),
         }
     }
 
-    fn uc(&mut self, uc: &'c UcStmt) {
+    fn children(&mut self, s: &Stmt) {
+        s.for_each_child(|n| match n {
+            Node::Expr(e) => self.expr(e),
+            Node::Stmt(s) => self.stmt(s),
+        });
+    }
+
+    fn uc(&mut self, uc: &UcStmt) {
         let kind = match uc.kind {
             UcKind::Par => BinderKind::Par,
             UcKind::Seq | UcKind::Solve | UcKind::Oneof => BinderKind::Sequential,
@@ -195,51 +168,16 @@ impl<'c> Walker<'c> {
     }
 
     fn expr(&mut self, e: &Expr) {
+        let mut pushed = 0;
         match e {
             Expr::Assign { target, op, value, span } => {
-                self.check_assign(target, *op, value, *span);
-                if let Expr::Index { subs, .. } = target.as_ref() {
-                    for s in subs {
-                        self.expr(s);
-                    }
-                }
-                self.expr(value);
+                self.check_assign(target, *op, value, *span)
             }
-            Expr::Index { subs, .. } => {
-                for s in subs {
-                    self.expr(s);
-                }
-            }
-            Expr::Call { args, .. } => {
-                for a in args {
-                    self.expr(a);
-                }
-            }
-            Expr::Unary { expr, .. } => self.expr(expr),
-            Expr::Binary { lhs, rhs, .. } => {
-                self.expr(lhs);
-                self.expr(rhs);
-            }
-            Expr::Ternary { cond, then_e, else_e, .. } => {
-                self.expr(cond);
-                self.expr(then_e);
-                self.expr(else_e);
-            }
-            Expr::Reduce(r) => {
-                let pushed = self.push_elems(&r.idxs, BinderKind::Combined);
-                for (p, o) in &r.arms {
-                    if let Some(p) = p {
-                        self.expr(p);
-                    }
-                    self.expr(o);
-                }
-                if let Some(o) = &r.others {
-                    self.expr(o);
-                }
-                self.binders.truncate(self.binders.len() - pushed);
-            }
+            Expr::Reduce(r) => pushed = self.push_elems(&r.idxs, BinderKind::Combined),
             _ => {}
         }
+        e.for_each_child(|c| self.expr(c));
+        self.binders.truncate(self.binders.len() - pushed);
     }
 
     fn check_assign(&mut self, target: &Expr, op: Option<BinaryOp>, value: &Expr, span: Span) {
@@ -260,11 +198,7 @@ impl<'c> Walker<'c> {
                 for s in subs {
                     self.free_par_elems(s, &mut loc_elems);
                 }
-                let mut t = base.clone();
-                for s in subs {
-                    t.push_str(&format!("[{}]", crate::pretty::expr(s)));
-                }
-                t
+                crate::pretty::access(base, subs)
             }
             _ => return,
         };
@@ -320,30 +254,6 @@ impl<'c> Walker<'c> {
                     }
                 }
             }
-            Expr::Index { subs, .. } => {
-                for s in subs {
-                    self.free_par_elems(s, out);
-                }
-            }
-            Expr::Call { args, .. } => {
-                for a in args {
-                    self.free_par_elems(a, out);
-                }
-            }
-            Expr::Unary { expr, .. } => self.free_par_elems(expr, out),
-            Expr::Binary { lhs, rhs, .. } => {
-                self.free_par_elems(lhs, out);
-                self.free_par_elems(rhs, out);
-            }
-            Expr::Ternary { cond, then_e, else_e, .. } => {
-                self.free_par_elems(cond, out);
-                self.free_par_elems(then_e, out);
-                self.free_par_elems(else_e, out);
-            }
-            Expr::Assign { target, value, .. } => {
-                self.free_par_elems(target, out);
-                self.free_par_elems(value, out);
-            }
             Expr::Reduce(r) => {
                 // Elements the reduction itself binds are combined, not
                 // free; shadow them during the sub-walk.
@@ -353,22 +263,10 @@ impl<'c> Walker<'c> {
                     .filter_map(|s| self.scopes.lookup(s).map(|i| i.elem.clone()))
                     .collect();
                 let mut inner = HashSet::new();
-                for (p, o) in &r.arms {
-                    if let Some(p) = p {
-                        self.free_par_elems(p, &mut inner);
-                    }
-                    self.free_par_elems(o, &mut inner);
-                }
-                if let Some(o) = &r.others {
-                    self.free_par_elems(o, &mut inner);
-                }
-                for name in inner {
-                    if !shadowed.contains(&name) {
-                        out.insert(name);
-                    }
-                }
+                e.for_each_child(|c| self.free_par_elems(c, &mut inner));
+                out.extend(inner.into_iter().filter(|name| !shadowed.contains(name)));
             }
-            _ => {}
+            _ => e.for_each_child(|c| self.free_par_elems(c, out)),
         }
     }
 }

@@ -1,8 +1,18 @@
-//! Abstract syntax of UC.
+//! Abstract syntax of UC, and the one traversal of it.
 //!
 //! UC is C restricted (no `goto`, no general pointers) and extended with
 //! index sets, reductions, the four dependency constructs (`par`, `seq`,
 //! `solve`, `oneof`, each optionally `*`-iterated) and the map section.
+//!
+//! Which children a node has, and in what order, is written down once:
+//! [`Expr::for_each_child`] and [`Stmt::for_each_child`] (plus their
+//! `_mut` twins, generated from the same match) hand a closure each
+//! direct child in source order without allocating. [`Expr::walk`],
+//! [`Expr::any`] and [`Stmt::for_each_expr`] are the deep forms built on
+//! them. Every pass that does not care about a node kind — the folder,
+//! the escape statistics, the lint walkers outside the binders, guards
+//! and stores they treat specially — delegates to these instead of
+//! spelling out its own pass-through arms.
 
 use crate::span::Span;
 use crate::token::RedOpToken;
@@ -325,6 +335,175 @@ pub struct ArrayPattern {
     pub span: Span,
 }
 
+/// One direct child of a statement, as [`Stmt::for_each_child`] yields it.
+pub enum Node<'a> {
+    Expr(&'a Expr),
+    Stmt(&'a Stmt),
+}
+
+/// One direct child of a statement, as [`Stmt::for_each_child_mut`]
+/// yields it.
+pub enum NodeMut<'a> {
+    Expr(&'a mut Expr),
+    Stmt(&'a mut Stmt),
+}
+
+/// The child lists of `Expr` and `Stmt`, instantiated once for `&` and
+/// once for `&mut` so the two can never disagree.
+macro_rules! child_walkers {
+    ($expr_children:ident, $stmt_children:ident, $node:ident $(, $mt:tt)?) => {
+        impl Expr {
+            /// Call `f` on every direct sub-expression, in source order.
+            pub fn $expr_children<'a>(&'a $($mt)? self, mut f: impl FnMut(&'a $($mt)? Expr)) {
+                match self {
+                    Expr::IntLit(..) | Expr::FloatLit(..) | Expr::Inf(_) | Expr::Ident(..) => {}
+                    Expr::Index { subs: es, .. } | Expr::Call { args: es, .. } => {
+                        for e in es {
+                            f(e);
+                        }
+                    }
+                    Expr::Unary { expr, .. } => f(expr),
+                    Expr::Binary { lhs, rhs, .. } => {
+                        f(lhs);
+                        f(rhs);
+                    }
+                    Expr::Ternary { cond, then_e, else_e, .. } => {
+                        f(cond);
+                        f(then_e);
+                        f(else_e);
+                    }
+                    Expr::Assign { target, value, .. } => {
+                        f(target);
+                        f(value);
+                    }
+                    Expr::Reduce(r) => {
+                        for (pred, operand) in &$($mt)? r.arms {
+                            if let Some(p) = pred {
+                                f(p);
+                            }
+                            f(operand);
+                        }
+                        if let Some(o) = &$($mt)? r.others {
+                            f(o);
+                        }
+                    }
+                }
+            }
+        }
+
+        impl Stmt {
+            /// Call `f` on every direct child — expressions and nested
+            /// statements — in source order.
+            pub fn $stmt_children<'a>(&'a $($mt)? self, mut f: impl FnMut($node<'a>)) {
+                match self {
+                    Stmt::Expr(e) => f($node::Expr(e)),
+                    Stmt::Decl(v) => {
+                        for d in &$($mt)? v.dims {
+                            f($node::Expr(d));
+                        }
+                        if let Some(e) = &$($mt)? v.init {
+                            f($node::Expr(e));
+                        }
+                    }
+                    Stmt::IndexSets(defs) => {
+                        for def in defs {
+                            match &$($mt)? def.init {
+                                IndexSetInit::Range(lo, hi) => {
+                                    f($node::Expr(lo));
+                                    f($node::Expr(hi));
+                                }
+                                IndexSetInit::List(es) => {
+                                    for e in es {
+                                        f($node::Expr(e));
+                                    }
+                                }
+                                IndexSetInit::Alias(_) => {}
+                            }
+                        }
+                    }
+                    Stmt::Block(b) => {
+                        for s in &$($mt)? b.stmts {
+                            f($node::Stmt(s));
+                        }
+                    }
+                    Stmt::If { cond, then_branch, else_branch, .. } => {
+                        f($node::Expr(cond));
+                        f($node::Stmt(then_branch));
+                        if let Some(e) = else_branch {
+                            f($node::Stmt(e));
+                        }
+                    }
+                    Stmt::While { cond, body, .. } => {
+                        f($node::Expr(cond));
+                        f($node::Stmt(body));
+                    }
+                    Stmt::For { init, cond, step, body, .. } => {
+                        for e in [init, cond, step].into_iter().flatten() {
+                            f($node::Expr(e));
+                        }
+                        f($node::Stmt(body));
+                    }
+                    Stmt::Return(e, _) => {
+                        if let Some(e) = e {
+                            f($node::Expr(e));
+                        }
+                    }
+                    Stmt::Uc(uc) => {
+                        for arm in &$($mt)? uc.arms {
+                            if let Some(p) = &$($mt)? arm.pred {
+                                f($node::Expr(p));
+                            }
+                            f($node::Stmt(&$($mt)? arm.body));
+                        }
+                        if let Some(o) = &$($mt)? uc.others {
+                            f($node::Stmt(o));
+                        }
+                    }
+                    Stmt::Break(_) | Stmt::Continue(_) | Stmt::Empty => {}
+                }
+            }
+        }
+    };
+}
+
+child_walkers!(for_each_child, for_each_child, Node);
+child_walkers!(for_each_child_mut, for_each_child_mut, NodeMut, mut);
+
+impl Expr {
+    /// Visit `self` and every sub-expression, parents first.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        self.for_each_child(|c| c.walk(f));
+    }
+
+    /// Whether `pred` holds for `self` or any sub-expression; stops at the
+    /// first hit.
+    pub fn any(&self, pred: &mut impl FnMut(&Expr) -> bool) -> bool {
+        let mut hit = pred(self);
+        self.for_each_child(|c| hit = hit || c.any(pred));
+        hit
+    }
+}
+
+impl Stmt {
+    /// Visit every expression held by `self` or by a statement nested in
+    /// it (the expressions themselves, not their sub-expressions).
+    pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        self.for_each_child(|n| match n {
+            Node::Expr(e) => f(e),
+            Node::Stmt(s) => s.for_each_expr(f),
+        });
+    }
+
+    /// Mutable form of [`Stmt::for_each_expr`].
+    pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        self.for_each_child_mut(|n| match n {
+            NodeMut::Expr(e) => f(e),
+            NodeMut::Stmt(s) => s.for_each_expr_mut(f),
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,5 +529,75 @@ mod tests {
         assert_eq!(Expr::IntLit(4, s).span(), s);
         let e = Expr::Unary { op: UnaryOp::Neg, expr: Box::new(Expr::IntLit(4, s)), span: s };
         assert_eq!(e.span(), s);
+    }
+
+    /// The statements of `main() { <body> }`.
+    fn body(src: &str) -> Vec<Stmt> {
+        let mut diags = crate::diag::Diagnostics::default();
+        let unit = crate::parser::parse(&format!("main() {{ {src} }}"), &mut diags)
+            .unwrap_or_else(|| panic!("{diags}"));
+        let Some(Item::Func(main)) = unit.items.into_iter().next() else { panic!("no main") };
+        main.body.stmts
+    }
+
+    #[test]
+    fn children_come_in_source_order_at_every_level() {
+        let stmts = body(
+            "int t[n] = a; for (b; c; d) e; \
+             par (I) st (f) { g = h ? k[l] : m(o); } others p = $+(J st (q) r others s);",
+        );
+        let mut names = Vec::new();
+        for s in &stmts {
+            s.for_each_expr(&mut |e| {
+                e.walk(&mut |x| {
+                    if let Expr::Ident(n, _) | Expr::Index { base: n, .. } | Expr::Call { name: n, .. } = x
+                    {
+                        names.push(n.as_str());
+                    }
+                })
+            });
+        }
+        assert_eq!(names.concat(), "nabcdefghklmopqrs");
+    }
+
+    #[test]
+    fn any_stops_at_the_first_hit() {
+        let stmts = body("x = a + b * c;");
+        let Stmt::Expr(e) = &stmts[0] else { panic!() };
+        let mut seen = Vec::new();
+        let hit = e.any(&mut |x| {
+            if let Expr::Ident(n, _) = x {
+                seen.push(n.clone());
+            }
+            matches!(x, Expr::Ident(n, _) if n == "a")
+        });
+        assert!(hit);
+        assert_eq!(seen, ["x", "a"]);
+        assert!(!e.any(&mut |x| matches!(x, Expr::Call { .. })));
+    }
+
+    #[test]
+    fn the_mutable_walk_reaches_what_the_shared_one_does() {
+        let mut stmts = body("if (a) { while (b) c = d[e]; } else return f;");
+        let count = |stmts: &[Stmt], name: &str| {
+            let mut n = 0;
+            for s in stmts {
+                s.for_each_expr(&mut |e| {
+                    e.walk(&mut |x| n += matches!(x, Expr::Ident(i, _) if i == name) as usize)
+                });
+            }
+            n
+        };
+        assert_eq!(count(&stmts, "z"), 0);
+        fn rename(e: &mut Expr) {
+            if let Expr::Ident(n, _) = e {
+                *n = "z".into();
+            }
+            e.for_each_child_mut(rename);
+        }
+        for s in &mut stmts {
+            s.for_each_expr_mut(&mut rename);
+        }
+        assert_eq!(count(&stmts, "z"), 5, "a, b, c, e, f (d is an array base)");
     }
 }

@@ -1,10 +1,14 @@
 //! Array access: the three communication classes.
 //!
-//! Every subscript is first analysed *symbolically*. If each dimension is
-//! `axis-coordinate + constant` and the array conforms to the iteration
-//! space, the access is **local** (offset 0 after the mapping transform)
-//! or a **NEWS** shift (constant offset). Anything else goes through the
-//! general **router**. The map section changes the transform, which is how
+//! Every subscript is first classified *symbolically* by
+//! [`opt::classify_index`] — the same function `uc check`'s UC110/UC111
+//! lints call, here fed the open constructs' element bindings and
+//! [`Program::try_pure_scalar`] ([`opt::eval_pure`] over the live
+//! front-end scopes). If each dimension is `axis-coordinate + constant`
+//! and the array conforms to the iteration space, the access is **local**
+//! (offset 0 after the mapping transform) or a **NEWS** shift (constant
+//! offset). Anything else goes through the general **router**. The map
+//! section changes the transform, which is how
 //! `permute (I) b[i+1] :- a[i]` turns a router/NEWS access into a local
 //! one (§4 of the paper).
 //!
@@ -12,24 +16,27 @@
 //! CM convention that off-edge fetches return the border register (the
 //! paper's programs rely on this, e.g. `x[i+1]` in the odd–even sort
 //! predicate). Out-of-range *writes* by enabled elements are errors.
+//!
+//! Gathers computed while a step's predicates evaluate are cached for the
+//! arm bodies (§4's common sub-expression detection). Each
+//! [`CachedGather`] records every array its access text reads, so a write
+//! to `a` drops `b[a[i]]` as well as `a[i]`.
 
 use uc_cm::{BinOp, Combine, ElemType, FieldId, ReduceOp, Scalar};
 
-use super::space::ElemForm;
 use super::{ArrayStorage, LocalVar, Program, RResult, RuntimeError, PV};
 use crate::ast::{BinaryOp, Expr};
 use crate::mapping::ArrayMapping;
-use crate::stdlib;
+use crate::opt::{self, ElemForm, IdxForm};
 
-/// Symbolic form of one subscript expression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum IdxForm {
-    /// `coordinate(axis) + offset` on the current space.
-    AxisPlus { axis: usize, offset: i64 },
-    /// A front-end constant (known now).
-    Const(i64),
-    /// Anything else.
-    General,
+/// One entry of the per-step gather cache ([`Program::cse_stack`]).
+#[derive(Debug)]
+pub(crate) struct CachedGather {
+    field: FieldId,
+    /// Every array the access reads — its base and any array inside its
+    /// subscripts (`b[a[i]]` reads `b` and `a`): a write to any of them
+    /// makes the cached field stale.
+    arrays: Vec<String>,
 }
 
 impl Program {
@@ -50,130 +57,52 @@ impl Program {
 
     // ---- symbolic analysis ------------------------------------------------
 
-    /// Pure front-end evaluation: returns the scalar value of `e` iff it
-    /// involves no parallel bindings and no side effects.
+    /// Pure front-end evaluation: the scalar value of `e` iff it involves
+    /// no parallel bindings and no side effects — [`opt::eval_pure`] over
+    /// the names the front end can resolve right now.
     pub(crate) fn try_pure_scalar(&self, e: &Expr) -> Option<Scalar> {
-        // A name bound as an index element must not be resolved as a
-        // front-end value.
-        match e {
-            Expr::IntLit(v, _) => Some(Scalar::Int(*v)),
-            Expr::FloatLit(v, _) => Some(Scalar::Float(*v)),
-            Expr::Inf(_) => Some(Scalar::Int(i64::MAX)),
-            Expr::Ident(name, _) => {
-                if self.is_ctx_elem(name) {
-                    return None;
-                }
-                if let Some(frame) = self.frames.last() {
-                    for scope in frame.scopes.iter().rev() {
-                        match scope.vars.get(name) {
-                            Some(LocalVar::Scalar(s)) => return Some(*s),
-                            Some(LocalVar::Slot(i)) => return Some(frame.regs[*i]),
-                            Some(_) => return None,
-                            None => {}
-                        }
-                    }
-                }
-                if let Some(&i) = self.global_index.get(name) {
-                    return Some(self.globals[i as usize]);
-                }
-                self.checked.consts.get(name).map(|v| Scalar::Int(*v))
-            }
-            Expr::Unary { op, expr, .. } => {
-                let v = self.try_pure_scalar(expr)?;
-                Some(match op {
-                    crate::ast::UnaryOp::Neg => match v {
-                        Scalar::Float(f) => Scalar::Float(-f),
-                        other => Scalar::Int(other.as_int().wrapping_neg()),
-                    },
-                    crate::ast::UnaryOp::Not => Scalar::Int(!v.as_bool() as i64),
-                    crate::ast::UnaryOp::BitNot => Scalar::Int(!v.as_int()),
-                })
-            }
-            Expr::Binary { op, lhs, rhs, .. } => {
-                let l = self.try_pure_scalar(lhs)?;
-                let r = self.try_pure_scalar(rhs)?;
-                super::expr::scalar_binary(*op, l, r).ok()
-            }
-            Expr::Ternary { cond, then_e, else_e, .. } => {
-                let c = self.try_pure_scalar(cond)?;
-                if c.as_bool() {
-                    self.try_pure_scalar(then_e)
-                } else {
-                    self.try_pure_scalar(else_e)
-                }
-            }
-            Expr::Call { name, args, .. } => match name.as_str() {
-                "power2" => {
-                    Some(Scalar::Int(stdlib::power2(self.try_pure_scalar(&args[0])?.as_int())))
-                }
-                "abs" | "ABS" => {
-                    Some(Scalar::Int(self.try_pure_scalar(&args[0])?.as_int().wrapping_abs()))
-                }
-                "min" => Some(Scalar::Int(
-                    self.try_pure_scalar(&args[0])?
-                        .as_int()
-                        .min(self.try_pure_scalar(&args[1])?.as_int()),
-                )),
-                "max" => Some(Scalar::Int(
-                    self.try_pure_scalar(&args[0])?
-                        .as_int()
-                        .max(self.try_pure_scalar(&args[1])?.as_int()),
-                )),
-                _ => None,
-            },
-            _ => None,
-        }
+        opt::eval_pure(e, |name| self.front_end_value(name)).ok()
     }
 
-    fn is_ctx_elem(&self, name: &str) -> bool {
-        self.ctx.iter().any(|c| c.elems.iter().any(|(n, _, _)| n == name))
+    /// The current value of a front-end name: frame scopes, then globals,
+    /// then `#define`s. A name bound as an index element of an enclosing
+    /// construct is per-VP, never a front-end value.
+    fn front_end_value(&self, name: &str) -> Option<Scalar> {
+        if self.elem_form(name).is_some() {
+            return None;
+        }
+        if let Some(frame) = self.frames.last() {
+            for scope in frame.scopes.iter().rev() {
+                match scope.vars.get(name) {
+                    Some(LocalVar::Scalar(s)) => return Some(*s),
+                    Some(LocalVar::Slot(i)) => return Some(frame.regs[*i]),
+                    Some(_) => return None,
+                    None => {}
+                }
+            }
+        }
+        if let Some(&i) = self.global_index.get(name) {
+            return Some(self.globals[i as usize]);
+        }
+        self.checked.consts.get(name).map(|v| Scalar::Int(*v))
     }
 
     /// Elem-binding form for a name, searching innermost levels first.
     fn elem_form(&self, name: &str) -> Option<ElemForm> {
-        for level in (0..self.ctx.len()).rev() {
-            if let Some((_, _, form)) = self.ctx[level].elems.iter().find(|(n, _, _)| n == name)
-            {
-                return Some(*form);
-            }
-        }
-        None
+        self.ctx
+            .iter()
+            .rev()
+            .find_map(|level| level.elems.iter().find(|(n, _, _)| n == name))
+            .map(|(_, _, form)| *form)
     }
 
-    /// Classify a subscript expression.
+    /// Classify a subscript expression against the open constructs.
     pub(crate) fn symbolic_index(&self, e: &Expr) -> IdxForm {
-        if let Expr::Ident(name, _) = e {
-            if let Some(form) = self.elem_form(name) {
-                return match form {
-                    ElemForm::AxisPlus { axis, lo } => IdxForm::AxisPlus { axis, offset: lo },
-                    ElemForm::Opaque => IdxForm::General,
-                };
-            }
-        }
-        if let Some(s) = self.try_pure_scalar(e) {
-            return IdxForm::Const(s.as_int());
-        }
-        if let Expr::Binary { op, lhs, rhs, .. } = e {
-            let l = self.symbolic_index(lhs);
-            let r = self.symbolic_index(rhs);
-            match (op, l, r) {
-                // checked: an overflowing constant offset falls back to
-                // the general router path instead of aborting.
-                (BinaryOp::Add, IdxForm::AxisPlus { axis, offset }, IdxForm::Const(c))
-                | (BinaryOp::Add, IdxForm::Const(c), IdxForm::AxisPlus { axis, offset }) => {
-                    if let Some(offset) = offset.checked_add(c) {
-                        return IdxForm::AxisPlus { axis, offset };
-                    }
-                }
-                (BinaryOp::Sub, IdxForm::AxisPlus { axis, offset }, IdxForm::Const(c)) => {
-                    if let Some(offset) = offset.checked_sub(c) {
-                        return IdxForm::AxisPlus { axis, offset };
-                    }
-                }
-                _ => {}
-            }
-        }
-        IdxForm::General
+        opt::classify_index(
+            e,
+            &|name| self.elem_form(name),
+            &|e| self.try_pure_scalar(e).map(|s| s.as_int()),
+        )
     }
 
     // ---- reads --------------------------------------------------------------
@@ -203,40 +132,43 @@ impl Program {
             return self.read_storage(&st, subs);
         }
         let dims = self.cur_ctx().dims.clone();
-        let key = (dims, access_text(base, subs));
+        let key = (dims, crate::pretty::access(base, subs));
         for level in self.cse_stack.iter().rev() {
-            if let Some(&f) = level.get(&key) {
-                return Ok(PV::Field { id: f, owned: false });
+            if let Some(hit) = level.get(&key) {
+                return Ok(PV::Field { id: hit.field, owned: false });
             }
         }
         let pv = self.read_storage(&st, subs)?;
-        if self.cse_fill && !self.cse_stack.is_empty() {
-            if let PV::Field { id, owned: true } = pv {
-                self.cse_stack.last_mut().unwrap().insert(key, id);
-                return Ok(PV::Field { id, owned: false });
+        if let (true, Some(level), PV::Field { id, owned: true }) =
+            (self.cse_fill, self.cse_stack.last_mut(), pv)
+        {
+            let mut arrays = vec![base.to_string()];
+            for sub in subs {
+                sub.walk(&mut |e| {
+                    if let Expr::Index { base, .. } = e {
+                        arrays.push(base.clone());
+                    }
+                });
             }
+            level.insert(key, CachedGather { field: id, arrays });
+            return Ok(PV::Field { id, owned: false });
         }
         Ok(pv)
     }
 
-    /// Drop every cached gather of `base` (called when `base` is written)
-    /// or the whole cache (when `base` is None, e.g. a scalar that might
+    /// Drop every cached gather that reads `base` — as the gathered array
+    /// or anywhere inside a subscript (called when `base` is written) — or
+    /// the whole cache (when `base` is None, e.g. a scalar that might
     /// appear in subscripts changed).
     pub(crate) fn cse_invalidate(&mut self, base: Option<&str>) {
         for level in &mut self.cse_stack {
-            let doomed: Vec<_> = level
-                .keys()
-                .filter(|(_, text)| match base {
-                    Some(b) => text.starts_with(&format!("{b}[")),
-                    None => true,
-                })
-                .cloned()
-                .collect();
-            for k in doomed {
-                if let Some(f) = level.remove(&k) {
-                    let _ = self.machine.free(f);
+            level.retain(|_, gather| {
+                let stale = base.is_none_or(|b| gather.arrays.iter().any(|a| a == b));
+                if stale {
+                    let _ = self.machine.free(gather.field);
                 }
-            }
+                !stale
+            });
         }
     }
 
@@ -247,8 +179,8 @@ impl Program {
 
     pub(crate) fn cse_pop(&mut self) {
         if let Some(level) = self.cse_stack.pop() {
-            for (_, f) in level {
-                let _ = self.machine.free(f);
+            for gather in level.into_values() {
+                let _ = self.machine.free(gather.field);
             }
         }
     }
@@ -768,37 +700,17 @@ impl Program {
     }
 }
 
-/// Canonical text of an access, the CSE cache key.
-fn access_text(base: &str, subs: &[Expr]) -> String {
-    use std::fmt::Write;
-    let mut s = String::from(base);
-    for sub in subs {
-        let _ = write!(s, "[{}]", crate::pretty::expr(sub));
-    }
-    s
-}
-
 /// Whether subscripts are side-effect-free and deterministic within a
 /// step (no `rand()`, no user calls, no embedded assignments).
 fn subs_cacheable(subs: &[Expr]) -> bool {
-    fn pure(e: &Expr) -> bool {
-        match e {
-            Expr::IntLit(..) | Expr::FloatLit(..) | Expr::Inf(_) | Expr::Ident(..) => true,
-            Expr::Index { subs, .. } => subs.iter().all(pure),
-            Expr::Call { name, args, .. } => {
-                matches!(name.as_str(), "power2" | "abs" | "ABS" | "min" | "max")
-                    && args.iter().all(pure)
-            }
-            Expr::Unary { expr, .. } => pure(expr),
-            Expr::Binary { lhs, rhs, .. } => pure(lhs) && pure(rhs),
-            Expr::Ternary { cond, then_e, else_e, .. } => {
-                pure(cond) && pure(then_e) && pure(else_e)
-            }
-            Expr::Assign { .. } => false,
-            Expr::Reduce(_) => false,
+    let mut impure = |e: &Expr| match e {
+        Expr::Assign { .. } | Expr::Reduce(_) => true,
+        Expr::Call { name, .. } => {
+            !matches!(name.as_str(), "power2" | "abs" | "ABS" | "min" | "max")
         }
-    }
-    subs.iter().all(pure)
+        _ => false,
+    };
+    !subs.iter().any(|sub| sub.any(&mut impure))
 }
 
 /// The INF a read outside the array yields, per element type.

@@ -354,7 +354,7 @@ pub struct Program {
     /// of per-step maps from (space dims, access text) to the gathered
     /// field. Filled while predicates evaluate, consumed by arm bodies,
     /// invalidated on writes.
-    pub(crate) cse_stack: Vec<HashMap<(Vec<usize>, String), FieldId>>,
+    pub(crate) cse_stack: Vec<HashMap<(Vec<usize>, String), access::CachedGather>>,
     /// Whether gathers may currently be inserted into the cache.
     pub(crate) cse_fill: bool,
     /// Index-element value fields per (space dims, axis, values along the

@@ -222,7 +222,7 @@ impl Program {
         };
         // One side must be the (sole) outer element with identity form.
         let outer_elem = match &self.ctx[0].elems[..] {
-            [(name, _, super::space::ElemForm::AxisPlus { axis: 0, lo: 0 })] => name.clone(),
+            [(name, _, crate::opt::ElemForm::AxisPlus { axis: 0, lo: 0 })] => name.clone(),
             _ => return Ok(None),
         };
         let (key_expr, elem_side) = if matches!(rhs.as_ref(), Expr::Ident(n, _) if *n == outer_elem)
@@ -289,23 +289,7 @@ impl Program {
 
 /// Does the expression mention any of the given names (as identifiers)?
 fn mentions(e: &Expr, names: &[String]) -> bool {
-    match e {
-        Expr::Ident(n, _) => names.iter().any(|x| x == n),
-        Expr::IntLit(..) | Expr::FloatLit(..) | Expr::Inf(_) => false,
-        Expr::Index { subs, .. } => subs.iter().any(|s| mentions(s, names)),
-        Expr::Call { args, .. } => args.iter().any(|a| mentions(a, names)),
-        Expr::Unary { expr, .. } => mentions(expr, names),
-        Expr::Binary { lhs, rhs, .. } => mentions(lhs, names) || mentions(rhs, names),
-        Expr::Ternary { cond, then_e, else_e, .. } => {
-            mentions(cond, names) || mentions(then_e, names) || mentions(else_e, names)
-        }
-        Expr::Assign { target, value, .. } => mentions(target, names) || mentions(value, names),
-        Expr::Reduce(r) => {
-            r.arms.iter().any(|(p, o)| {
-                p.as_ref().map(|p| mentions(p, names)).unwrap_or(false) || mentions(o, names)
-            }) || r.others.as_ref().map(|o| mentions(o, names)).unwrap_or(false)
-        }
-    }
+    e.any(&mut |x| matches!(x, Expr::Ident(n, _) if names.contains(n)))
 }
 
 /// The machine reduce op for a reduction token.

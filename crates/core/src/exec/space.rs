@@ -15,17 +15,8 @@ use std::sync::Arc;
 use uc_cm::{BinOp, ElemType, FieldId, Scalar, VpSetId};
 
 use super::{Program, RResult, RuntimeError, PV};
+use crate::opt::ElemForm;
 use crate::sema::IndexSetInfo;
-
-/// How an index element relates to its space axis, used by the access
-/// optimizer: contiguous sets bind as `coord + lo`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ElemForm {
-    /// `value = coordinate(axis) + lo` (sets declared `{lo..hi}`).
-    AxisPlus { axis: usize, lo: i64 },
-    /// Arbitrary element list: value materialised by table lookup only.
-    Opaque,
-}
 
 /// The values an index element takes along its axis, as far as they
 /// identify its cached value field: the extent is in the space's dims, so
@@ -92,7 +83,7 @@ impl Program {
         );
         for (axis_off, info) in sets.iter().enumerate() {
             let axis = outer_dims.len() + axis_off;
-            let (form, values) = match contiguous_lo(&info.elements) {
+            let (form, values) = match info.contiguous_lo() {
                 Some(lo) => (ElemForm::AxisPlus { axis, lo }, ElemValues::From(lo)),
                 None => (ElemForm::Opaque, ElemValues::List(info.elements.clone())),
             };
@@ -265,28 +256,23 @@ pub(crate) fn coerce_scalar(s: Scalar, ty: ElemType) -> Scalar {
     }
 }
 
-/// If `elements` is `lo, lo+1, ..., hi`, return `lo`.
-fn contiguous_lo(elements: &[i64]) -> Option<i64> {
-    let lo = *elements.first()?;
-    for (k, &v) in elements.iter().enumerate() {
-        if v != lo + k as i64 {
-            return None;
-        }
-    }
-    Some(lo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn contiguous_detection() {
-        assert_eq!(contiguous_lo(&[0, 1, 2, 3]), Some(0));
-        assert_eq!(contiguous_lo(&[5, 6, 7]), Some(5));
-        assert_eq!(contiguous_lo(&[-2, -1, 0]), Some(-2));
-        assert_eq!(contiguous_lo(&[4, 2, 9]), None);
-        assert_eq!(contiguous_lo(&[]), None);
+        let lo = |elements: &[i64]| {
+            IndexSetInfo { elem: "i".into(), elements: Arc::new(elements.to_vec()) }.contiguous_lo()
+        };
+        assert_eq!(lo(&[0, 1, 2, 3]), Some(0));
+        assert_eq!(lo(&[5, 6, 7]), Some(5));
+        assert_eq!(lo(&[-2, -1, 0]), Some(-2));
+        assert_eq!(lo(&[0]), Some(0));
+        assert_eq!(lo(&[4, 2, 9]), None);
+        assert_eq!(lo(&[]), None);
+        // `INF + 1` does not exist: not contiguous, and not an overflow.
+        assert_eq!(lo(&[i64::MAX, 0]), None);
     }
 
     #[test]

@@ -8,15 +8,13 @@
 //! arrives here: outside parallel constructs it is lowered to VM jumps,
 //! and inside them sema rejects it.
 
-use std::sync::Arc;
-
 use uc_cm::{BinOp, ElemType, FieldId, ReduceOp, Scalar};
 
 use super::space::coerce_scalar;
 use super::{ArrayStorage, LocalVar, Program, RResult, RuntimeError, Scope, PV};
-use crate::ast::{Block, Expr, IndexSetDef, IndexSetInit, ScBlock, Stmt, Type, UcKind, UcStmt};
+use crate::ast::{Block, Expr, IndexSetDef, ScBlock, Stmt, Type, UcKind, UcStmt};
 use crate::mapping::ArrayMapping;
-use crate::sema::IndexSetInfo;
+use crate::sema::{IndexSetError, IndexSetInfo};
 
 impl Program {
     pub(crate) fn free_scope_vars(&mut self, scope: Scope) {
@@ -148,42 +146,25 @@ impl Program {
     }
 
     fn eval_index_set_def(&mut self, def: &IndexSetDef) -> RResult<IndexSetInfo> {
-        let elements: Arc<Vec<i64>> = match &def.init {
-            IndexSetInit::Range(lo, hi) => {
-                let lo = self.eval_scalar(lo)?.as_int();
-                let hi = self.eval_scalar(hi)?.as_int();
-                if hi < lo {
-                    return Err(RuntimeError::NotSupported(format!(
-                        "index set `{}` has an empty range",
-                        def.name
-                    )));
-                }
-                // Cap the materialised size before collecting: a hostile
-                // `[0 .. 1<<40]` must trap, not OOM the process.
-                let len = (hi as i128 - lo as i128 + 1) as u64;
-                if len > self.config.limits.max_index_set {
-                    return Err(RuntimeError::IndexSetTooLarge {
-                        name: def.name.clone(),
-                        len,
-                        max: self.config.limits.max_index_set,
-                    });
-                }
-                Arc::new((lo..=hi).collect())
+        let max = self.config.limits.max_index_set;
+        IndexSetInfo::build(
+            def,
+            max,
+            self,
+            |p, e| Ok(p.eval_scalar(e)?.as_int()),
+            |p, src| p.lookup_index_set(src).map(|info| info.elements),
+        )
+        .map_err(|err| match err {
+            IndexSetError::Eval(e) => e,
+            IndexSetError::Reversed { .. } => RuntimeError::NotSupported(format!(
+                "index set `{}` has an empty range",
+                def.name
+            )),
+            IndexSetError::TooLarge { len } => {
+                RuntimeError::IndexSetTooLarge { name: def.name.clone(), len, max }
             }
-            IndexSetInit::List(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for e in items {
-                    out.push(self.eval_scalar(e)?.as_int());
-                }
-                Arc::new(out)
-            }
-            IndexSetInit::Alias(src) => {
-                self.lookup_index_set(src)
-                    .ok_or_else(|| RuntimeError::Unbound(src.clone()))?
-                    .elements
-            }
-        };
-        Ok(IndexSetInfo { elem: def.elem.clone(), elements })
+            IndexSetError::UnknownAlias(src) => RuntimeError::Unbound(src),
+        })
     }
 
     // ---- the four constructs ----------------------------------------------

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use uc_cm::Scalar;
 
 use super::{Instr, IrBody, IrFunc, IrProgram, Reg, Target};
-use crate::ast::{BinaryOp, Block, Expr, FuncDef, Stmt, Type, UcKind, UcStmt};
+use crate::ast::{BinaryOp, Block, Expr, FuncDef, Node, Stmt, Type, UcKind, UcStmt};
 use crate::exec::IrOpt;
 use crate::sema::Checked;
 
@@ -824,80 +824,22 @@ fn count_perms(s: &Stmt, n: &mut usize) {
 
 // ---- escape statistics ----------------------------------------------
 
+/// Nesting depth of the tree evaluator's recursion on `s`, and whether a
+/// user call (which re-enters the VM natively) sits anywhere inside.
 fn stmt_depth(s: &Stmt, user_call: &mut bool) -> usize {
-    let d = match s {
-        Stmt::Expr(e) => expr_depth(e, user_call),
-        Stmt::Decl(v) => v
-            .dims
-            .iter()
-            .chain(v.init.as_ref())
-            .map(|e| expr_depth(e, user_call))
-            .max()
-            .unwrap_or(0),
-        Stmt::IndexSets(defs) => defs
-            .iter()
-            .map(|d| match &d.init {
-                crate::ast::IndexSetInit::Range(a, b) => {
-                    expr_depth(a, user_call).max(expr_depth(b, user_call))
-                }
-                crate::ast::IndexSetInit::List(es) => {
-                    es.iter().map(|e| expr_depth(e, user_call)).max().unwrap_or(0)
-                }
-                crate::ast::IndexSetInit::Alias(_) => 0,
-            })
-            .max()
-            .unwrap_or(0),
-        Stmt::Block(b) => b.stmts.iter().map(|s| stmt_depth(s, user_call)).max().unwrap_or(0),
-        Stmt::Uc(uc) => uc
-            .arms
-            .iter()
-            .map(|a| {
-                a.pred
-                    .as_ref()
-                    .map_or(0, |p| expr_depth(p, user_call))
-                    .max(stmt_depth(&a.body, user_call))
-            })
-            .max()
-            .unwrap_or(0)
-            .max(uc.others.as_ref().map_or(0, |o| stmt_depth(o, user_call))),
-        // Control flow never sits inside an escape (sema rejects it in
-        // parallel constructs).
-        _ => 0,
-    };
+    let mut d = 0;
+    s.for_each_child(|n| {
+        d = d.max(match n {
+            Node::Expr(e) => expr_depth(e, user_call),
+            Node::Stmt(s) => stmt_depth(s, user_call),
+        })
+    });
     d + 1
 }
 
 fn expr_depth(e: &Expr, user_call: &mut bool) -> usize {
-    let d = match e {
-        Expr::IntLit(..) | Expr::FloatLit(..) | Expr::Inf(_) | Expr::Ident(..) => 0,
-        Expr::Index { subs, .. } => {
-            subs.iter().map(|e| expr_depth(e, user_call)).max().unwrap_or(0)
-        }
-        Expr::Call { name, args, .. } => {
-            if !BUILTINS.contains(&name.as_str()) {
-                *user_call = true;
-            }
-            args.iter().map(|e| expr_depth(e, user_call)).max().unwrap_or(0)
-        }
-        Expr::Unary { expr, .. } => expr_depth(expr, user_call),
-        Expr::Binary { lhs, rhs, .. } => {
-            expr_depth(lhs, user_call).max(expr_depth(rhs, user_call))
-        }
-        Expr::Ternary { cond, then_e, else_e, .. } => expr_depth(cond, user_call)
-            .max(expr_depth(then_e, user_call))
-            .max(expr_depth(else_e, user_call)),
-        Expr::Assign { target, value, .. } => {
-            expr_depth(target, user_call).max(expr_depth(value, user_call))
-        }
-        Expr::Reduce(r) => r
-            .arms
-            .iter()
-            .map(|(p, o)| {
-                p.as_ref().map_or(0, |p| expr_depth(p, user_call)).max(expr_depth(o, user_call))
-            })
-            .max()
-            .unwrap_or(0)
-            .max(r.others.as_ref().map_or(0, |o| expr_depth(o, user_call))),
-    };
+    *user_call |= matches!(e, Expr::Call { name, .. } if !BUILTINS.contains(&name.as_str()));
+    let mut d = 0;
+    e.for_each_child(|c| d = d.max(expr_depth(c, user_call)));
     d + 1
 }

@@ -423,30 +423,9 @@ fn coalesce(stmts: &mut Vec<Stmt>) {
 }
 
 /// Truthiness of a predicate built purely from literals — no names, so
-/// no shadowing or runtime-value concerns. Uses the runtime scalar
-/// semantics verbatim.
+/// no shadowing or runtime-value concerns.
 fn lit_truth(e: &Expr) -> Option<bool> {
-    lit_scalar(e).map(|s| s.as_bool())
-}
-
-fn lit_scalar(e: &Expr) -> Option<Scalar> {
-    match e {
-        Expr::IntLit(v, _) => Some(Scalar::Int(*v)),
-        Expr::FloatLit(v, _) => Some(Scalar::Float(*v)),
-        Expr::Inf(_) => Some(Scalar::Int(i64::MAX)),
-        Expr::Unary { op, expr, .. } => Some(scalar_unary(*op, lit_scalar(expr)?)),
-        Expr::Binary { op, lhs, rhs, .. } => {
-            scalar_binary(*op, lit_scalar(lhs)?, lit_scalar(rhs)?).ok()
-        }
-        Expr::Ternary { cond, then_e, else_e, .. } => {
-            if lit_scalar(cond)?.as_bool() {
-                lit_scalar(then_e)
-            } else {
-                lit_scalar(else_e)
-            }
-        }
-        _ => None,
-    }
+    crate::opt::eval_pure(e, |_| None).ok().map(|s| s.as_bool())
 }
 
 /// Whether a masked-false arm body is free of front-end effects: only
@@ -463,24 +442,9 @@ fn droppable_stmt(s: &Stmt) -> bool {
 }
 
 fn droppable_expr(e: &Expr) -> bool {
-    match e {
-        Expr::IntLit(..) | Expr::FloatLit(..) | Expr::Inf(_) | Expr::Ident(..) => true,
-        Expr::Index { subs, .. } => subs.iter().all(droppable_expr),
-        Expr::Call { .. } => false,
-        Expr::Unary { expr, .. } => droppable_expr(expr),
-        Expr::Binary { lhs, rhs, .. } => droppable_expr(lhs) && droppable_expr(rhs),
-        Expr::Ternary { cond, then_e, else_e, .. } => {
-            droppable_expr(cond) && droppable_expr(then_e) && droppable_expr(else_e)
-        }
-        Expr::Assign { target, value, .. } => {
-            matches!(target.as_ref(), Expr::Index { .. })
-                && droppable_expr(target)
-                && droppable_expr(value)
-        }
-        Expr::Reduce(r) => {
-            r.arms.iter().all(|(p, o)| {
-                p.as_ref().is_none_or(droppable_expr) && droppable_expr(o)
-            }) && r.others.as_ref().is_none_or(droppable_expr)
-        }
-    }
+    !e.any(&mut |x| match x {
+        Expr::Call { .. } => true,
+        Expr::Assign { target, .. } => !matches!(**target, Expr::Index { .. }),
+        _ => false,
+    })
 }

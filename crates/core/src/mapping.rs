@@ -241,34 +241,13 @@ fn const_minus_elem(
     if let Expr::Binary { op: BinaryOp::Sub, lhs, rhs, .. } = e {
         if let Expr::Ident(n, _) = rhs.as_ref() {
             if !consts.contains_key(n) {
-                if let Some(c) = fold_const(lhs, consts) {
+                if let Ok(c) = crate::sema::const_eval(lhs, consts) {
                     return Some((n.clone(), c));
                 }
             }
         }
     }
     None
-}
-
-/// Fold a constant subexpression of literals, `#define` names and +/-/*.
-fn fold_const(e: &Expr, consts: &std::collections::HashMap<String, i64>) -> Option<i64> {
-    match e {
-        Expr::IntLit(v, _) => Some(*v),
-        Expr::Ident(n, _) => consts.get(n).copied(),
-        Expr::Binary { op, lhs, rhs, .. } => {
-            let l = fold_const(lhs, consts)?;
-            let r = fold_const(rhs, consts)?;
-            // checked: hostile `#define` constants must fail the pattern
-            // match, not overflow (the build runs with overflow-checks).
-            match op {
-                BinaryOp::Add => l.checked_add(r),
-                BinaryOp::Sub => l.checked_sub(r),
-                BinaryOp::Mul => l.checked_mul(r),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
 }
 
 #[cfg(test)]

@@ -180,6 +180,17 @@ fn uc_to_string(uc: &UcStmt, indent: usize) -> String {
     out
 }
 
+/// Render the array access `base[sub]...` — also the canonical text the
+/// executor keys its gather cache by and the lints quote.
+pub fn access(base: &str, subs: &[Expr]) -> String {
+    use std::fmt::Write;
+    let mut s = String::from(base);
+    for sub in subs {
+        let _ = write!(s, "[{}]", expr(sub));
+    }
+    s
+}
+
 /// Render an expression (fully parenthesised where precedence matters).
 pub fn expr(e: &Expr) -> String {
     match e {
@@ -193,10 +204,7 @@ pub fn expr(e: &Expr) -> String {
         }
         Expr::Inf(_) => "INF".into(),
         Expr::Ident(n, _) => n.clone(),
-        Expr::Index { base, subs, .. } => {
-            let s: String = subs.iter().map(|x| format!("[{}]", expr(x))).collect();
-            format!("{base}{s}")
-        }
+        Expr::Index { base, subs, .. } => access(base, subs),
         Expr::Call { name, args, .. } => {
             format!("{name}({})", args.iter().map(expr).collect::<Vec<_>>().join(", "))
         }

@@ -16,8 +16,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use uc_cm::Scalar;
+
 use crate::ast::*;
 use crate::diag::Diagnostics;
+use crate::opt;
 use crate::span::Span;
 use crate::stdlib;
 
@@ -35,6 +38,73 @@ pub const MAX_CONST_INDEX_SET: u64 = 1 << 22;
 pub struct IndexSetInfo {
     pub elem: String,
     pub elements: Arc<Vec<i64>>,
+}
+
+/// Why [`IndexSetInfo::build`] produced no set. Each caller words these
+/// its own way (sema as diagnostics, the executor as `RuntimeError`s).
+#[derive(Debug, Clone, PartialEq)]
+pub enum IndexSetError<E> {
+    /// A bound or list element did not evaluate.
+    Eval(E),
+    /// `{lo..hi}` with `hi < lo`.
+    Reversed { lo: i64, hi: i64 },
+    /// The range holds more than the caller's cap.
+    TooLarge { len: u64 },
+    /// `= J` names no set in scope.
+    UnknownAlias(String),
+}
+
+impl IndexSetInfo {
+    /// Build the set a definition denotes: a range or list whose
+    /// expressions `value` evaluates, or the (shared, never copied)
+    /// elements of the set `alias` finds. A range is checked against
+    /// `max` before anything is materialised, so a hostile `{0..1<<40}` is
+    /// an error, not an OOM. `env` is threaded to both callbacks because
+    /// the executor's need `&mut Program` and `&Program`.
+    pub fn build<C, E>(
+        def: &IndexSetDef,
+        max: u64,
+        env: &mut C,
+        value: impl Fn(&mut C, &Expr) -> Result<i64, E>,
+        alias: impl Fn(&C, &str) -> Option<Arc<Vec<i64>>>,
+    ) -> Result<IndexSetInfo, IndexSetError<E>> {
+        let elements = match &def.init {
+            IndexSetInit::Range(lo, hi) => {
+                let lo = value(env, lo).map_err(IndexSetError::Eval)?;
+                let hi = value(env, hi).map_err(IndexSetError::Eval)?;
+                if hi < lo {
+                    return Err(IndexSetError::Reversed { lo, hi });
+                }
+                let len = hi.abs_diff(lo).saturating_add(1);
+                if len > max {
+                    return Err(IndexSetError::TooLarge { len });
+                }
+                Arc::new((lo..=hi).collect())
+            }
+            IndexSetInit::List(items) => Arc::new(
+                items
+                    .iter()
+                    .map(|e| value(env, e))
+                    .collect::<Result<Vec<i64>, E>>()
+                    .map_err(IndexSetError::Eval)?,
+            ),
+            IndexSetInit::Alias(src) => {
+                alias(env, src).ok_or_else(|| IndexSetError::UnknownAlias(src.clone()))?
+            }
+        };
+        Ok(IndexSetInfo { elem: def.elem.clone(), elements })
+    }
+
+    /// `lo` if the elements are `lo, lo+1, …` — the sets (`{lo..hi}`)
+    /// whose element is `axis coordinate + lo`
+    /// (`opt::ElemForm::AxisPlus`).
+    pub fn contiguous_lo(&self) -> Option<i64> {
+        let lo = *self.elements.first()?;
+        // `lo + (len - 1)` exists, so no `lo + k` below can overflow.
+        lo.checked_add(self.elements.len() as i64 - 1)?;
+        let in_place = |(k, &v): (usize, &i64)| v == lo.wrapping_add(k as i64);
+        self.elements.iter().enumerate().all(in_place).then_some(lo)
+    }
 }
 
 /// A checked global array.
@@ -75,67 +145,23 @@ impl Checked {
 }
 
 /// Evaluate a compile-time constant integer expression against a constant
-/// table (`#define`s). Returns the span of the first non-constant
-/// subexpression on failure. Exported for the static-analysis passes,
-/// which use the same notion of "front-end constant" as sema.
+/// table (`#define`s): [`opt::eval_pure`] restricted to integers — a
+/// float literal anywhere, or a non-integer result, is not a constant
+/// here. Returns the span of the first non-constant subexpression on
+/// failure. The static-analysis passes use it too, so they share sema's
+/// notion of "front-end constant".
 pub fn const_eval(e: &Expr, consts: &HashMap<String, i64>) -> Result<i64, Span> {
-    match e {
-        Expr::IntLit(v, _) => Ok(*v),
-        Expr::Inf(_) => Ok(i64::MAX),
-        Expr::Ident(name, span) => consts.get(name).copied().ok_or(*span),
-        Expr::Unary { op, expr, .. } => {
-            let v = const_eval(expr, consts)?;
-            Ok(match op {
-                UnaryOp::Neg => -v,
-                UnaryOp::Not => (v == 0) as i64,
-                UnaryOp::BitNot => !v,
-            })
+    let value = opt::eval_pure(e, |name| consts.get(name).map(|v| Scalar::Int(*v)))?;
+    let mut float = None;
+    e.any(&mut |x| {
+        if let Expr::FloatLit(_, span) = x {
+            float = Some(*span);
         }
-        Expr::Binary { op, lhs, rhs, span } => {
-            let l = const_eval(lhs, consts)?;
-            let r = const_eval(rhs, consts)?;
-            use BinaryOp::*;
-            let v = match op {
-                Add => l.wrapping_add(r),
-                Sub => l.wrapping_sub(r),
-                Mul => l.wrapping_mul(r),
-                Div => {
-                    if r == 0 {
-                        return Err(*span);
-                    }
-                    l / r
-                }
-                Mod => {
-                    if r == 0 {
-                        return Err(*span);
-                    }
-                    l % r
-                }
-                Shl => l.wrapping_shl(r as u32),
-                Shr => l.wrapping_shr(r as u32),
-                Lt => (l < r) as i64,
-                Le => (l <= r) as i64,
-                Gt => (l > r) as i64,
-                Ge => (l >= r) as i64,
-                Eq => (l == r) as i64,
-                Ne => (l != r) as i64,
-                BitAnd => l & r,
-                BitXor => l ^ r,
-                BitOr => l | r,
-                LogAnd => ((l != 0) && (r != 0)) as i64,
-                LogOr => ((l != 0) || (r != 0)) as i64,
-            };
-            Ok(v)
-        }
-        Expr::Ternary { cond, then_e, else_e, .. } => {
-            let c = const_eval(cond, consts)?;
-            if c != 0 {
-                const_eval(then_e, consts)
-            } else {
-                const_eval(else_e, consts)
-            }
-        }
-        other => Err(other.span()),
+        float.is_some()
+    });
+    match (value, float) {
+        (Scalar::Int(v), None) => Ok(v),
+        (_, span) => Err(span.unwrap_or(e.span())),
     }
 }
 
@@ -286,55 +312,29 @@ impl<'a> Checker<'a> {
     }
 
     fn eval_index_set(&mut self, def: &IndexSetDef) -> Option<IndexSetInfo> {
-        let elements: Arc<Vec<i64>> = match &def.init {
-            IndexSetInit::Range(lo, hi) => {
-                let lo = self.const_expr(lo)?;
-                let hi = self.const_expr(hi)?;
-                if hi < lo {
-                    self.diags.error(
-                        def.span,
-                        format!("index-set range {{{lo}..{hi}}} is empty or reversed"),
-                    );
-                    return None;
-                }
-                // Constant ranges are materialised at compile time; cap
-                // them so a hostile `[0 .. 1<<40]` is a diagnostic, not an
-                // OOM. Matches the executor's runtime `max_index_set`.
-                let len = hi as i128 - lo as i128 + 1;
-                if len > MAX_CONST_INDEX_SET as i128 {
-                    self.diags.error(
-                        def.span,
-                        format!(
-                            "index set `{}` materialises {len} elements \
-                             (limit {MAX_CONST_INDEX_SET})",
-                            def.name
-                        ),
-                    );
-                    return None;
-                }
-                Arc::new((lo..=hi).collect())
+        let built = IndexSetInfo::build(
+            def,
+            MAX_CONST_INDEX_SET,
+            self,
+            |cx, e| cx.const_expr(e).ok_or(()),
+            |cx, src| cx.lookup_index_set(src).map(|info| info.elements.clone()),
+        );
+        let message = match built {
+            Ok(info) if info.elements.is_empty() => format!("index set `{}` is empty", def.name),
+            Ok(info) => return Some(info),
+            // `const_expr` has already reported the offending expression.
+            Err(IndexSetError::Eval(())) => return None,
+            Err(IndexSetError::Reversed { lo, hi }) => {
+                format!("index-set range {{{lo}..{hi}}} is empty or reversed")
             }
-            IndexSetInit::List(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for e in items {
-                    out.push(self.const_expr(e)?);
-                }
-                Arc::new(out)
-            }
-            IndexSetInit::Alias(src) => match self.lookup_index_set(src) {
-                Some(info) => info.elements.clone(),
-                None => {
-                    self.diags
-                        .error(def.span, format!("unknown index set `{src}` in alias"));
-                    return None;
-                }
-            },
+            Err(IndexSetError::TooLarge { len }) => format!(
+                "index set `{}` materialises {len} elements (limit {MAX_CONST_INDEX_SET})",
+                def.name
+            ),
+            Err(IndexSetError::UnknownAlias(src)) => format!("unknown index set `{src}` in alias"),
         };
-        if elements.is_empty() {
-            self.diags.error(def.span, format!("index set `{}` is empty", def.name));
-            return None;
-        }
-        Some(IndexSetInfo { elem: def.elem.clone(), elements })
+        self.diags.error(def.span, message);
+        None
     }
 
     fn lookup_index_set(&self, name: &str) -> Option<&IndexSetInfo> {
@@ -384,17 +384,13 @@ impl<'a> Checker<'a> {
     /// Evaluate a compile-time constant integer expression (`#define`s,
     /// literals, arithmetic). Used for array extents and index-set bounds.
     fn const_expr(&mut self, e: &Expr) -> Option<i64> {
-        match self.try_const_expr(e) {
+        match const_eval(e, &self.consts) {
             Ok(v) => Some(v),
             Err(span) => {
                 self.diags.error(span, "expected a compile-time constant expression");
                 None
             }
         }
-    }
-
-    fn try_const_expr(&self, e: &Expr) -> Result<i64, Span> {
-        const_eval(e, &self.consts)
     }
 
     // ---- function bodies ------------------------------------------------

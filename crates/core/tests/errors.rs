@@ -1,6 +1,7 @@
 //! Error behaviour: compile-time diagnostics and runtime failures, each
 //! exercising a rule of the paper.
 
+use uc_core::analysis::{check_source, LintConfig};
 use uc_core::{Program, RuntimeError};
 
 fn compile_err(src: &str) -> String {
@@ -105,6 +106,34 @@ fn diagnostics_carry_positions() {
     assert!(msg.contains("3:"), "line number expected: {msg}");
 }
 
+/// Constant expressions wrap like the run-time arithmetic, so the three
+/// overflowing forms (`i64::MIN / -1`, `-i64::MIN`, `i64::MIN % -1`) end in
+/// a spanned diagnostic from `compile` and from `uc check` alike — a
+/// host-side `/`, `-` or `%` would abort with an overflow panic.
+#[test]
+fn overflowing_constants_are_diagnostics() {
+    for (src, expected, at) in [
+        (
+            "int a[(0-INF-1) / (0-1)];\nmain() {}",
+            "array extent must be positive, got -9223372036854775808",
+            "1:17",
+        ),
+        (
+            "index_set I:i = {0 .. -(0-INF-1)};\nmain() {}",
+            "index-set range {0..-9223372036854775808} is empty or reversed",
+            "1:11",
+        ),
+        ("int a[(0-INF-1) % (0-1)];\nmain() {}", "array extent must be positive, got 0", "1:17"),
+    ] {
+        let msg = compile_err(src);
+        assert!(msg.contains(expected) && msg.contains(at), "{src}: {msg}");
+        let checked = check_source(src, &[], &LintConfig::default());
+        assert!(checked.has_errors(), "{src}");
+        let msg = checked.to_string();
+        assert!(msg.contains(expected) && msg.contains(at), "{src}: {msg}");
+    }
+}
+
 // ---- runtime ----------------------------------------------------------------
 
 #[test]
@@ -134,6 +163,20 @@ fn out_of_bounds_parallel_write() {
         "#,
     );
     assert!(matches!(err, RuntimeError::OutOfBounds { ref name } if name == "a"), "{err}");
+}
+
+/// `i + INF` over `{1..N}`: the offset `1 + INF` overflows. The lint and
+/// the executor share one classifier, which calls the subscript general
+/// instead of aborting, so `uc check` stays clean and the run traps.
+#[test]
+fn overflowing_subscript_offset_is_out_of_bounds() {
+    let src = "#define N 4\nindex_set I:i = {1..N};\nint a[8];\nmain() { par (I) a[i + INF] = 0; }";
+    let checked = check_source(src, &[], &LintConfig::default());
+    assert!(checked.items.is_empty(), "{checked}");
+    let mut p = Program::compile(src).unwrap_or_else(|d| panic!("{d}"));
+    let err = p.run().expect_err("the write is out of bounds");
+    assert!(matches!(err.error, RuntimeError::OutOfBounds { ref name } if name == "a"), "{err}");
+    assert_eq!(err.span.line, 4, "{err}");
 }
 
 #[test]

@@ -348,3 +348,37 @@ fn cstar_translation_of_paper_programs() {
         assert!(text.contains("domain"), "{text}");
     }
 }
+
+/// The per-step gather cache must forget `b[a[i]]` when `a` is written,
+/// not only when `b` is: the predicate gathers `b[a[i]]` through the old
+/// `a`, the body then rotates `a` and reads `b[a[i]]` again. A predicate
+/// that caches nothing (`b[i] >= 0`) is the reference.
+#[test]
+fn a_write_invalidates_gathers_that_subscript_through_it() {
+    let program = |pred: &str| {
+        format!(
+            "#define N 4
+             index_set I:i = {{0..N-1}};
+             int a[N], b[N], x[N];
+             main() {{
+                 par (I) {{ a[i] = i; b[i] = i * 10; }}
+                 par (I) st ({pred}) {{ a[i] = (i + 1) % N; x[i] = b[a[i]]; }}
+             }}"
+        )
+    };
+    let mut nested = run(&program("b[a[i]] >= 0"));
+    assert_eq!(nested.read_int_array("x").unwrap(), vec![10, 20, 30, 0]);
+    let mut plain = run(&program("b[i] >= 0"));
+    assert_eq!(plain.read_int_array("x").unwrap(), nested.read_int_array("x").unwrap());
+}
+
+/// A list set that starts at `INF` is an ordinary list: asking whether it
+/// is `{lo..hi}` must not compute `INF + 1` (the lints and the executor
+/// ask the same `IndexSetInfo::contiguous_lo`).
+#[test]
+fn a_list_set_starting_at_inf_is_not_contiguous() {
+    let src = "index_set I:i = {INF, 0};\nint a[4];\nmain() { par (I) st (i == 0) a[i] = 1; }";
+    let checked = uc_core::analysis::check_source(src, &[], &Default::default());
+    assert!(!checked.has_errors(), "{checked}");
+    assert_eq!(run(src).read_int_array("a").unwrap(), vec![1, 0, 0, 0]);
+}

@@ -1,79 +1,24 @@
-//! Offline shim for [rayon](https://crates.io/crates/rayon) with a real
-//! scoped work-stealing thread pool.
+//! Offline stand-in for the slice of [rayon](https://crates.io/crates/rayon)
+//! this workspace uses: a real scoped work-stealing thread pool.
 //!
 //! The build environment has no registry access, so this crate implements
-//! the subset of rayon's API the workspace uses (`par_iter`,
-//! `par_iter_mut`, `into_par_iter`, `map`, `zip`, `for_each`, `collect`,
-//! `with_min_len`, plus [`scope`]/[`Scope::spawn`]) on top of its own
-//! pool ([`pool`]): a lazily-initialised global set of `std::thread`
-//! workers with chunked work queues and stealing. The pool is sized from
-//! the `UC_THREADS` environment variable when set, else from
-//! [`std::thread::available_parallelism`]; `UC_THREADS=1` runs everything
-//! inline on the caller without spawning a single thread.
+//! [`scope`]/[`Scope::spawn`] and [`current_num_threads`] with rayon's
+//! signatures on top of its own pool ([`pool`]): a lazily-initialised
+//! global set of `std::thread` workers with chunked work queues and
+//! stealing. The pool is sized from the `UC_THREADS` environment variable
+//! when set, else from [`std::thread::available_parallelism`];
+//! `UC_THREADS=1` runs everything inline on the caller without spawning a
+//! single thread.
 //!
-//! Parallel pipelines are *indexed* (see [`iter`]): the index space is
-//! split into contiguous chunks whose results land in disjoint output
-//! slots, so every consumer produces bit-identical results for any thread
-//! count — which is what lets `uc_cm`'s determinism suite assert that
-//! `UC_THREADS=1/2/8` runs agree exactly. Panics inside pool jobs are
-//! captured and re-thrown from [`scope`] on the calling thread.
-//!
-//! Swap in the real rayon by removing the path override in the workspace
-//! `Cargo.toml`; no source changes are needed (`UC_THREADS` then has no
-//! effect — configure real rayon via `RAYON_NUM_THREADS`).
+//! The simulator's fan-outs go through [`pool::run_chunks`]: run `f(k)`
+//! for `k` in `0..n` on the pool, borrowing `f` from the caller's stack
+//! and queueing `Copy` descriptors, so a warm pool dispatches a batch
+//! without allocating. Neither `run_chunks` nor `UC_THREADS` is rayon
+//! API — this crate is the workspace's pool that happens to keep rayon's
+//! names for the scope half, not a drop-in replacement in either
+//! direction. Panics inside pool jobs are captured and re-thrown from
+//! [`scope`] / [`pool::run_chunks`] on the calling thread.
 
-pub mod iter;
 pub mod pool;
 
 pub use pool::{current_num_threads, scope, Scope};
-
-pub mod prelude {
-    pub use crate::iter::{
-        FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator,
-        IntoParallelRefMutIterator, ParallelIterator,
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::prelude::*;
-
-    #[test]
-    fn par_iter_matches_iter() {
-        let v = [1i64, 2, 3];
-        let out: Vec<i64> = v.par_iter().map(|x| x * 2).collect();
-        assert_eq!(out, vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn par_iter_mut_and_into_par_iter() {
-        let mut v = vec![1i64, 2, 3];
-        v.par_iter_mut().for_each(|x| *x += 10);
-        assert_eq!(v, vec![11, 12, 13]);
-        let idx: Vec<usize> = (0..4usize).into_par_iter().collect();
-        assert_eq!(idx, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn zip_truncates_to_shorter() {
-        let a = [1i64, 2, 3, 4];
-        let b = [10i64, 20];
-        let out: Vec<i64> = a.par_iter().zip(b.par_iter()).map(|(x, y)| x + y).collect();
-        assert_eq!(out, vec![11, 22]);
-    }
-
-    #[test]
-    fn large_collect_is_order_preserving() {
-        let n = 100_000usize;
-        let out: Vec<usize> = (0..n).into_par_iter().map(|i| i * 2).with_min_len(64).collect();
-        assert!(out.iter().enumerate().all(|(i, &x)| x == i * 2));
-    }
-
-    #[test]
-    fn large_mutation_covers_every_slot() {
-        let n = 100_000usize;
-        let mut v = vec![0u32; n];
-        v.par_iter_mut().with_min_len(64).for_each(|x| *x += 1);
-        assert!(v.iter().all(|&x| x == 1));
-    }
-}

@@ -1,4 +1,4 @@
-//! The scoped work-stealing thread pool behind the parallel iterators.
+//! The scoped work-stealing thread pool.
 //!
 //! A single global pool is initialised lazily on first use. Its size comes
 //! from the `UC_THREADS` environment variable when set (clamped to

@@ -2,10 +2,10 @@
 //! propagation, degenerate inputs and concurrent submitters.
 
 use std::panic;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::thread;
 
-use rayon::prelude::*;
+use rayon::pool::run_chunks;
 use rayon::{current_num_threads, scope};
 
 /// Scopes nest: a job may open its own scope, and the outer scope still
@@ -67,8 +67,8 @@ fn worker_panic_propagates_to_caller() {
     assert_eq!(msg, "boom");
 }
 
-/// The pool keeps working after a panic: every later scope and parallel
-/// iterator still runs to completion.
+/// The pool keeps working after a panic: every later scope and chunk
+/// batch still runs to completion.
 #[test]
 fn pool_survives_a_job_panic() {
     let _ = panic::catch_unwind(|| {
@@ -78,10 +78,11 @@ fn pool_survives_a_job_panic() {
             }
         });
     });
-    let n = 100_000usize;
-    let v: Vec<usize> = (0..n).into_par_iter().map(|i| i * 2).collect();
-    assert_eq!(v.len(), n);
-    assert!(v.iter().enumerate().all(|(i, &x)| x == i * 2));
+    let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
+    run_chunks(hits.len(), &|k| {
+        hits[k].fetch_add(k * 2 + 1, Ordering::Relaxed);
+    });
+    assert!(hits.iter().enumerate().all(|(k, h)| h.load(Ordering::Relaxed) == k * 2 + 1));
 }
 
 /// Only the first panic wins; the others are swallowed after running.
@@ -104,33 +105,19 @@ fn one_panic_payload_is_reported() {
     assert_eq!(ran.load(Ordering::Relaxed), 16);
 }
 
-/// Empty and sub-threshold inputs never leave the calling thread: no
+/// Empty and single-chunk batches never leave the calling thread: no
 /// jobs are queued, the work runs inline.
 #[test]
 fn tiny_inputs_run_on_the_caller() {
     let me = thread::current().id();
 
-    let empty: Vec<i32> = Vec::<i32>::new().par_iter().map(|&x| x).collect();
-    assert!(empty.is_empty());
+    run_chunks(0, &|_| panic!("an empty batch has no chunk to run"));
 
-    let one = [7i32];
     let seen = std::sync::Mutex::new(Vec::new());
-    one.par_iter().for_each(|&x| {
-        seen.lock().unwrap().push((thread::current().id(), x));
+    run_chunks(1, &|k| {
+        seen.lock().unwrap().push((thread::current().id(), k));
     });
-    let seen = seen.into_inner().unwrap();
-    assert_eq!(seen.len(), 1);
-    assert_eq!(seen[0], (me, 7));
-
-    // Below the default min chunk length the whole slice stays inline.
-    let small: Vec<i64> = (0..100i64).collect();
-    let ids = std::sync::Mutex::new(std::collections::HashSet::new());
-    small.par_iter().for_each(|_| {
-        ids.lock().unwrap().insert(thread::current().id());
-    });
-    let ids = ids.into_inner().unwrap();
-    assert_eq!(ids.len(), 1);
-    assert!(ids.contains(&me));
+    assert_eq!(seen.into_inner().unwrap(), vec![(me, 0)]);
 }
 
 /// Many scopes submitted concurrently from plain `std::thread`s all
@@ -168,22 +155,28 @@ fn concurrent_scopes_from_many_threads() {
     }
 }
 
-/// Mutating iteration over a large buffer touches every slot exactly
-/// once even while other pool traffic is in flight.
+/// A chunked pass over a large buffer touches every slot exactly once
+/// even while other pool traffic is in flight.
 #[test]
 fn mutation_under_contention_is_exact() {
+    const CHUNK: usize = 1000;
     let n = 200_000usize;
-    let mut buf = vec![0u32; n];
+    let buf: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
     scope(|s| {
         s.spawn(|_| {
             // Background traffic on the same pool.
-            let _: Vec<usize> = (0..50_000usize).into_par_iter().map(|i| i ^ 1).collect();
+            let sink = AtomicUsize::new(0);
+            run_chunks(50, &|k| {
+                sink.fetch_add((0..1000).map(|i| (k * 1000 + i) ^ 1).sum(), Ordering::Relaxed);
+            });
         });
-        buf.par_iter_mut().zip((0..n).into_par_iter()).for_each(|(slot, i)| {
-            *slot += i as u32;
+        run_chunks(n / CHUNK, &|k| {
+            for (i, slot) in buf[k * CHUNK..(k + 1) * CHUNK].iter().enumerate() {
+                slot.fetch_add((k * CHUNK + i) as u32, Ordering::Relaxed);
+            }
         });
     });
-    assert!(buf.iter().enumerate().all(|(i, &x)| x == i as u32));
+    assert!(buf.iter().enumerate().all(|(i, x)| x.load(Ordering::Relaxed) == i as u32));
 }
 
 #[test]

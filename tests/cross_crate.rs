@@ -2,6 +2,7 @@
 //! sequential baselines must agree on every shared workload — the
 //! precondition for the paper's figures to be meaningful comparisons.
 
+use proptest::prelude::*;
 use uc::cstar::programs;
 use uc::lang::Program;
 use uc::seqc::{grid, oracle, SeqMachine};
@@ -148,6 +149,98 @@ fn access_optimization_is_semantics_preserving() {
     }
     for r in &results[1..] {
         assert_eq!(*r, results[0]);
+    }
+}
+
+/// Source text of a well-typed front-end expression drawn from `tape`
+/// (exhausted tape reads as zeros), and whether its value is a float.
+/// Operands: the literals `0` and `1` (the folder's identity triggers) in
+/// every position, int locals `n` and `z`, float locals `f` and `h`,
+/// `rand()` and the counting function `bump()`.
+fn effectful_expr(tape: &mut dyn Iterator<Item = u32>, depth: u32) -> (String, bool) {
+    const INTS: &[&str] = &["0", "1", "0", "1", "2", "7", "(0 - 1)", "n", "z", "rand()", "bump()"];
+    const FLOATS: &[&str] = &["f", "h", "2.5", "0.0"];
+    const INT_OPS: &[&str] = &["%", "&", "|", "^", "<<"];
+    const ANY_OPS: &[&str] = &["+", "-", "*", "/", "*", "<", "==", "&&", "||"];
+    let mut next = |n: usize| tape.next().unwrap_or(0) as usize % n;
+    match if depth == 0 { 0 } else { next(8) } {
+        0 | 1 => {
+            let k = next(INTS.len() + FLOATS.len());
+            match INTS.get(k) {
+                Some(leaf) => (leaf.to_string(), false),
+                None => (FLOATS[k - INTS.len()].to_string(), true),
+            }
+        }
+        2 => {
+            let not = next(2) == 1;
+            let (x, float) = effectful_expr(tape, depth - 1);
+            if not { (format!("(!{x})"), false) } else { (format!("(-{x})"), float) }
+        }
+        3..=5 => {
+            let k = next(INT_OPS.len() + ANY_OPS.len());
+            let (l, lf) = effectful_expr(tape, depth - 1);
+            let (r, rf) = effectful_expr(tape, depth - 1);
+            match INT_OPS.get(k) {
+                Some(op) if !lf && !rf => (format!("({l} {op} {r})"), false),
+                Some(_) => (format!("({l} * {r})"), true),
+                None => {
+                    let op = ANY_OPS[k - INT_OPS.len()];
+                    (format!("({l} {op} {r})"), (lf || rf) && "+-*/".contains(op))
+                }
+            }
+        }
+        6 => {
+            let (c, _) = effectful_expr(tape, depth - 1);
+            let (t, tf) = effectful_expr(tape, depth - 1);
+            let (e, ef) = effectful_expr(tape, depth - 1);
+            (format!("({c} ? {t} : {e})"), tf || ef)
+        }
+        _ => {
+            let f = ["abs", "min", "max"][next(3)];
+            let (a, af) = effectful_expr(tape, depth - 1);
+            if f == "abs" {
+                return (format!("abs({a})"), af);
+            }
+            let (b, bf) = effectful_expr(tape, depth - 1);
+            (format!("{f}({a}, {b})"), af || bf)
+        }
+    }
+}
+
+/// Everything a run of the generated program lets one observe: how it
+/// ended, the stored values (the float by bit pattern), how often `bump`
+/// ran and where the `rand()` stream stands afterwards.
+fn observe_folding(src: &str, constfold: bool) -> (Option<String>, Vec<u64>) {
+    let cfg = uc::lang::ExecConfig { constfold, ..Default::default() };
+    let mut p = Program::compile_with(src, cfg).unwrap_or_else(|d| panic!("{src}\n{d}"));
+    let error = p.run().err().map(|e| format!("{:?}", e.error));
+    let int = |name: &str| p.read_int(name).unwrap() as u64;
+    let rf = p.read_scalar("rf").unwrap().as_float().to_bits();
+    (error, vec![int("ri"), rf, int("calls"), int("next")])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// AST constant folding is invisible: with it on and off a program
+    /// stores the same values (same types — floats compare by bits),
+    /// calls `bump` as often, leaves the `rand()` stream at the same
+    /// draw, and traps the same way if it traps.
+    #[test]
+    fn constfold_preserves_values_types_and_effects(
+        mut tape in prop::collection::vec(0u32..1 << 16, 8..64),
+    ) {
+        tape[0] = tape[0] % 6 + 2; // never a bare operand at the root
+        let mut tape = tape.into_iter();
+        let (e1, _) = effectful_expr(&mut tape, 4);
+        let (e2, _) = effectful_expr(&mut tape, 3);
+        let src = format!(
+            "int calls, ri, next;\nfloat rf;\n\
+             int bump() {{ calls = calls + 1; return calls + 6; }}\n\
+             main() {{\n    int n = 3; int z = 0; float f = -2.5; float h = 0.5;\n    \
+             ri = {e1};\n    rf = {e2};\n    next = rand();\n}}\n"
+        );
+        prop_assert_eq!(observe_folding(&src, true), observe_folding(&src, false), "{}", src);
     }
 }
 
