@@ -23,7 +23,7 @@
 //! extended the space) and re-mapped arrays legitimately use the router
 //! or follow a different transform.
 
-use super::{Finding, Pass, SetScopes};
+use super::{Finding, Pass};
 use crate::ast::*;
 use crate::opt::{self, ElemForm, IdxForm};
 use crate::sema::{self, Checked};
@@ -32,12 +32,11 @@ pub(crate) struct CommPass;
 
 struct Walker<'c> {
     checked: &'c Checked,
-    scopes: SetScopes<'c>,
     /// Index elements in scope, innermost last. Elements of a space axis
     /// bind as the executor binds them; sequentially bound ones
     /// (`seq`/`oneof`/`solve`) are a front-end value at each step, unknown
     /// statically: [`ElemForm::Opaque`].
-    binders: Vec<(String, ElemForm)>,
+    binders: Vec<(&'c str, ElemForm)>,
     /// Extents of the current space axes (outer constructs are a prefix,
     /// as in the executor).
     dims: Vec<usize>,
@@ -56,17 +55,14 @@ impl Pass for CommPass {
     fn run(&self, checked: &Checked, out: &mut Vec<Finding>) {
         let mut w = Walker {
             checked,
-            scopes: SetScopes::new(checked),
             binders: Vec::new(),
             dims: Vec::new(),
             out: Vec::new(),
         };
         for f in checked.funcs_in_order() {
-            w.scopes.push();
             for s in &f.body.stmts {
                 w.stmt(s);
             }
-            w.scopes.pop();
         }
         out.append(&mut w.out);
     }
@@ -75,14 +71,8 @@ impl Pass for CommPass {
 impl Walker<'_> {
     fn stmt(&mut self, s: &Stmt) {
         match s {
-            Stmt::IndexSets(defs) => self.scopes.define_local(defs),
-            Stmt::Block(_) => {
-                self.scopes.push();
-                self.children(s);
-                self.scopes.pop();
-            }
             Stmt::Uc(uc) => {
-                let pushed = self.push_sets(&uc.idxs, uc.kind == UcKind::Par);
+                let pushed = self.push_sets(&uc.sets, uc.kind == UcKind::Par);
                 self.children(s);
                 self.pop_sets(pushed);
             }
@@ -99,22 +89,19 @@ impl Walker<'_> {
 
     /// Bind the constructs' elements; `parallel` sets extend the space.
     /// Returns (binders pushed, axes pushed).
-    fn push_sets(&mut self, idxs: &[String], parallel: bool) -> (usize, usize) {
-        let mut pushed = (0, 0);
-        for name in idxs {
-            let Some(info) = self.scopes.lookup(name) else { continue };
+    fn push_sets(&mut self, sets: &[SetId], parallel: bool) -> (usize, usize) {
+        for &set in sets {
+            let info = &self.checked.sets[set];
             let mut form = ElemForm::Opaque;
             if parallel {
                 if let Some(lo) = info.contiguous_lo() {
                     form = ElemForm::AxisPlus { axis: self.dims.len(), lo };
                 }
                 self.dims.push(info.elements.len());
-                pushed.1 += 1;
             }
-            self.binders.push((info.elem.clone(), form));
-            pushed.0 += 1;
+            self.binders.push((&info.elem, form));
         }
-        pushed
+        (sets.len(), if parallel { sets.len() } else { 0 })
     }
 
     fn pop_sets(&mut self, (binders, axes): (usize, usize)) {
@@ -130,7 +117,7 @@ impl Walker<'_> {
             }
             // A reduction evaluates its operands on the space extended
             // by its own sets, exactly like a nested `par`.
-            Expr::Reduce(r) => self.push_sets(&r.idxs, true),
+            Expr::Reduce(r) => self.push_sets(&r.sets, true),
             _ => (0, 0),
         };
         e.for_each_child(|c| self.expr(c));
@@ -156,7 +143,7 @@ impl Walker<'_> {
         // (axis, offset) per subscript; anything but `axis + constant`
         // is a true gather.
         let elem_form = |name: &str| {
-            self.binders.iter().rev().find(|(n, _)| n == name).map(|(_, form)| *form)
+            self.binders.iter().rev().find(|(n, _)| *n == name).map(|(_, form)| *form)
         };
         let konst = |e: &Expr| sema::const_eval(e, &self.checked.consts).ok();
         let mut forms = Vec::with_capacity(subs.len());

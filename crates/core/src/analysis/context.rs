@@ -4,17 +4,16 @@
 //! (§3.4): a constant-false predicate empties the context, so the guarded
 //! statement can never execute — the same fact the §4 dead-context
 //! elimination uses, reported here instead of silently exploited (UC120,
-//! also covering `if (0)` / `while (0)`). UC121 flags index sets —
-//! virtual-processor sets — that no construct, reduction, alias or map
-//! declaration ever names: they only cost processors (§4 processor
-//! optimization).
-
-use std::collections::HashSet;
+//! also covering `if (0)` / `while (0)`). UC121 flags index-set
+//! definitions — virtual-processor sets — that no construct, reduction,
+//! alias or map declaration ever resolves to: they only cost processors
+//! (§4 processor optimization). A definition is an entry of sema's set
+//! table, so a set shadowed by another of the same name is judged on
+//! its own uses.
 
 use super::{const_false, Finding, Pass};
 use crate::ast::*;
 use crate::sema::Checked;
-use crate::span::Span;
 
 pub(crate) struct ContextPass;
 
@@ -28,20 +27,21 @@ impl Pass for ContextPass {
     }
 
     fn run(&self, checked: &Checked, out: &mut Vec<Finding>) {
-        let mut w = Walker { checked, defs: Vec::new(), used: HashSet::new(), out: Vec::new() };
+        let used = vec![false; checked.sets.len()];
+        let mut w = Walker { checked, used, out: Vec::new() };
+        w.use_sets(checked.sets.iter().filter_map(|s| s.alias_of));
         for item in &checked.unit.items {
             match item {
-                Item::IndexSets(defs) => w.sets(defs),
+                Item::IndexSets(_) => {}
                 Item::Func(f) => {
                     for s in &f.body.stmts {
                         w.stmt(s);
                     }
                 }
+                // A map section names global sets, outside any scope.
                 Item::Map(ms) => {
-                    w.use_sets(&ms.idxs);
-                    for d in &ms.decls {
-                        w.use_sets(&d.idxs);
-                    }
+                    let named = ms.idxs.iter().chain(ms.decls.iter().flat_map(|d| &d.idxs));
+                    w.use_sets(named.filter_map(|name| checked.global_sets.get(name).copied()));
                 }
                 Item::Var(v) => {
                     if let Some(init) = &v.init {
@@ -50,14 +50,15 @@ impl Pass for ContextPass {
                 }
             }
         }
-        for (name, span) in &w.defs {
-            if !w.used.contains(name) {
+        for (set, used) in checked.sets.iter().zip(&w.used) {
+            if !used {
                 w.out.push(Finding {
                     code: "UC121",
-                    span: *span,
+                    span: set.span,
                     message: format!(
-                        "index set `{name}` is never used by any construct, reduction, \
-                         alias or map declaration (§4 processor optimization)"
+                        "index set `{}` is never used by any construct, reduction, \
+                         alias or map declaration (§4 processor optimization)",
+                        set.name
                     ),
                 });
             }
@@ -68,37 +69,25 @@ impl Pass for ContextPass {
 
 struct Walker<'c> {
     checked: &'c Checked,
-    /// Every index-set definition seen, with its span.
-    defs: Vec<(String, Span)>,
-    /// Every index-set name mentioned as a use.
-    used: HashSet<String>,
+    /// Per entry of `checked.sets`: whether anything resolves to it.
+    used: Vec<bool>,
     out: Vec<Finding>,
 }
 
 impl Walker<'_> {
-    fn sets(&mut self, defs: &[IndexSetDef]) {
-        for def in defs {
-            self.defs.push((def.name.clone(), def.span));
-            if let IndexSetInit::Alias(src) = &def.init {
-                self.used.insert(src.clone());
-            }
-        }
-    }
-
-    fn use_sets(&mut self, idxs: &[String]) {
-        for name in idxs {
-            self.used.insert(name.clone());
+    fn use_sets(&mut self, sets: impl IntoIterator<Item = SetId>) {
+        for set in sets {
+            self.used[set] = true;
         }
     }
 
     fn stmt(&mut self, s: &Stmt) {
         match s {
-            Stmt::IndexSets(defs) => self.sets(defs),
             Stmt::If { cond, .. } => self.guard(cond, "`if` condition is constant-false"),
             Stmt::While { cond, .. } => self.guard(cond, "`while` condition is constant-false"),
             Stmt::For { cond: Some(c), .. } => self.guard(c, "`for` condition is constant-false"),
             Stmt::Uc(uc) => {
-                self.use_sets(&uc.idxs);
+                self.use_sets(uc.sets.iter().copied());
                 for pred in uc.arms.iter().filter_map(|arm| arm.pred.as_ref()) {
                     self.guard(pred, "`st` predicate is constant-false: the context is empty");
                 }
@@ -126,7 +115,7 @@ impl Walker<'_> {
     fn expr(&mut self, e: &Expr) {
         e.walk(&mut |x| {
             if let Expr::Reduce(r) = x {
-                self.use_sets(&r.idxs);
+                self.use_sets(r.sets.iter().copied());
             }
         });
     }

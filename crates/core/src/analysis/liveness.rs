@@ -51,7 +51,7 @@ impl Pass for LivenessPass {
 
 /// Call-graph reachability from `main` (UC132).
 fn unused_functions(checked: &Checked, out: &mut Vec<Finding>) {
-    if !checked.funcs.contains_key("main") {
+    if checked.func("main").is_none() {
         return;
     }
     let mut reachable = HashSet::new();
@@ -60,7 +60,7 @@ fn unused_functions(checked: &Checked, out: &mut Vec<Finding>) {
         if !reachable.insert(name.clone()) {
             continue;
         }
-        if let Some(f) = checked.funcs.get(&name) {
+        if let Some(f) = checked.func(&name) {
             let mut note_call = |e: &Expr| {
                 if let Expr::Call { name, .. } = e {
                     queue.push(name.clone());

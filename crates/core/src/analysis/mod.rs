@@ -18,19 +18,19 @@
 //! | UC132 | liveness  | function never called from `main` |
 //!
 //! Every pass is a pure function over [`Checked`] — the symbol/type
-//! tables sema exports — so the same passes can later run over the
-//! compiled IR (ROADMAP item 3) without changing their reporting.
+//! tables sema exports, including the index-set table every construct
+//! and reduction indexes by [`crate::ast::SetId`]; no pass resolves a set
+//! name itself — so the same passes can later run over the compiled IR
+//! (ROADMAP item 3) without changing their reporting.
 
 mod comm;
 mod context;
 mod liveness;
 mod races;
 
-use std::collections::HashMap;
-
-use crate::ast::{Expr, IndexSetDef};
+use crate::ast::Expr;
 use crate::diag::{Diagnostic, Diagnostics, Severity};
-use crate::sema::{self, Checked, IndexSetInfo};
+use crate::sema::{self, Checked};
 use crate::span::Span;
 
 /// One lint finding. Findings become [`Diagnostic`]s once a
@@ -295,55 +295,6 @@ pub fn diagnostics_to_json(diags: &Diagnostics) -> String {
 }
 
 // ---- shared pass helpers -------------------------------------------------
-
-/// Scope-aware index-set lookup shared by the passes: global sets from
-/// [`Checked`] plus `index_set` statements encountered while walking, the
-/// same shadowing rules sema applies.
-pub(crate) struct SetScopes<'c> {
-    checked: &'c Checked,
-    stack: Vec<HashMap<String, IndexSetInfo>>,
-}
-
-impl<'c> SetScopes<'c> {
-    pub fn new(checked: &'c Checked) -> Self {
-        SetScopes { checked, stack: Vec::new() }
-    }
-
-    pub fn push(&mut self) {
-        self.stack.push(HashMap::new());
-    }
-
-    pub fn pop(&mut self) {
-        self.stack.pop();
-    }
-
-    pub fn lookup(&self, name: &str) -> Option<&IndexSetInfo> {
-        for scope in self.stack.iter().rev() {
-            if let Some(info) = scope.get(name) {
-                return Some(info);
-            }
-        }
-        self.checked.index_set(name)
-    }
-
-    /// Evaluate a local `index_set` statement's definitions into the
-    /// innermost scope. Sema has already accepted them, so a definition
-    /// that fails to build here is simply skipped.
-    pub fn define_local(&mut self, defs: &[IndexSetDef]) {
-        for def in defs {
-            let built = IndexSetInfo::build(
-                def,
-                sema::MAX_CONST_INDEX_SET,
-                self,
-                |scopes, e| sema::const_eval(e, &scopes.checked.consts),
-                |scopes, src| scopes.lookup(src).map(|info| info.elements.clone()),
-            );
-            if let (Ok(info), Some(scope)) = (built, self.stack.last_mut()) {
-                scope.insert(def.name.clone(), info);
-            }
-        }
-    }
-}
 
 /// Whether `e` is a compile-time constant equal to zero (a provably-false
 /// predicate / provably-empty context).

@@ -15,7 +15,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use super::{Finding, Pass, SetScopes};
+use super::{Finding, Pass};
 use crate::ast::*;
 use crate::sema::Checked;
 use crate::span::Span;
@@ -36,9 +36,8 @@ enum BinderKind {
 
 struct Walker<'c> {
     checked: &'c Checked,
-    scopes: SetScopes<'c>,
     /// Innermost-last element binders.
-    binders: Vec<(String, BinderKind)>,
+    binders: Vec<(&'c str, BinderKind)>,
     /// Local variables in scope → number of enclosing `par`s at declaration.
     locals: Vec<HashMap<String, usize>>,
     /// Elements mentioned by enclosing `st` predicates.
@@ -59,7 +58,6 @@ impl Pass for RacePass {
     fn run(&self, checked: &Checked, out: &mut Vec<Finding>) {
         let mut w = Walker {
             checked,
-            scopes: SetScopes::new(checked),
             binders: Vec::new(),
             locals: Vec::new(),
             guards: Vec::new(),
@@ -68,11 +66,9 @@ impl Pass for RacePass {
         };
         for f in checked.funcs_in_order() {
             w.locals.push(f.params.iter().map(|(_, n)| (n.clone(), 0)).collect());
-            w.scopes.push();
             for s in &f.body.stmts {
                 w.stmt(s);
             }
-            w.scopes.pop();
             w.locals.pop();
         }
         out.append(&mut w.out);
@@ -88,13 +84,10 @@ impl Walker<'_> {
                     scope.insert(v.name.clone(), self.par_depth);
                 }
             }
-            Stmt::IndexSets(defs) => self.scopes.define_local(defs),
             Stmt::Block(_) => {
-                self.scopes.push();
                 self.locals.push(HashMap::new());
                 self.children(s);
                 self.locals.pop();
-                self.scopes.pop();
             }
             Stmt::Uc(uc) => self.uc(uc),
             // `if`/`while`/`for` guard nothing here: sema rejects them
@@ -115,7 +108,7 @@ impl Walker<'_> {
             UcKind::Par => BinderKind::Par,
             UcKind::Seq | UcKind::Solve | UcKind::Oneof => BinderKind::Sequential,
         };
-        let pushed = self.push_elems(&uc.idxs, kind);
+        self.push_elems(&uc.sets, kind);
         if kind == BinderKind::Par {
             self.par_depth += 1;
         }
@@ -146,19 +139,13 @@ impl Walker<'_> {
         if kind == BinderKind::Par {
             self.par_depth -= 1;
         }
-        self.binders.truncate(self.binders.len() - pushed);
+        self.binders.truncate(self.binders.len() - uc.sets.len());
     }
 
-    /// Bind the elements of the named sets; returns how many were pushed.
-    fn push_elems(&mut self, idxs: &[String], kind: BinderKind) -> usize {
-        let mut pushed = 0;
-        for name in idxs {
-            if let Some(info) = self.scopes.lookup(name) {
-                self.binders.push((info.elem.clone(), kind));
-                pushed += 1;
-            }
-        }
-        pushed
+    /// Bind the elements of the sets.
+    fn push_elems(&mut self, sets: &[SetId], kind: BinderKind) {
+        let checked = self.checked;
+        self.binders.extend(sets.iter().map(|&s| (checked.sets[s].elem.as_str(), kind)));
     }
 
     fn push_guard(&mut self, pred: &Expr) {
@@ -173,7 +160,10 @@ impl Walker<'_> {
             Expr::Assign { target, op, value, span } => {
                 self.check_assign(target, *op, value, *span)
             }
-            Expr::Reduce(r) => pushed = self.push_elems(&r.idxs, BinderKind::Combined),
+            Expr::Reduce(r) => {
+                self.push_elems(&r.sets, BinderKind::Combined);
+                pushed = r.sets.len();
+            }
             _ => {}
         }
         e.for_each_child(|c| self.expr(c));
@@ -248,7 +238,7 @@ impl Walker<'_> {
                 if self.checked.consts.contains_key(name) {
                     return;
                 }
-                if let Some((_, kind)) = self.binders.iter().rev().find(|(n, _)| n == name) {
+                if let Some((_, kind)) = self.binders.iter().rev().find(|(n, _)| *n == name) {
                     if *kind == BinderKind::Par {
                         out.insert(name.clone());
                     }
@@ -257,14 +247,12 @@ impl Walker<'_> {
             Expr::Reduce(r) => {
                 // Elements the reduction itself binds are combined, not
                 // free; shadow them during the sub-walk.
-                let shadowed: Vec<String> = r
-                    .idxs
-                    .iter()
-                    .filter_map(|s| self.scopes.lookup(s).map(|i| i.elem.clone()))
-                    .collect();
+                let shadowed = |name: &String| {
+                    r.sets.iter().any(|&s| self.checked.sets[s].elem == *name)
+                };
                 let mut inner = HashSet::new();
                 e.for_each_child(|c| self.free_par_elems(c, &mut inner));
-                out.extend(inner.into_iter().filter(|name| !shadowed.contains(name)));
+                out.extend(inner.into_iter().filter(|name| !shadowed(name)));
             }
             _ => e.for_each_child(|c| self.free_par_elems(c, out)),
         }

@@ -43,6 +43,11 @@ pub enum Item {
     Map(MapSection),
 }
 
+/// Which index-set definition a use site denotes: its position in
+/// [`crate::sema::Checked::sets`]. Sema resolves every set name to one,
+/// under the scope rules of §3.4, and no later layer looks a name up again.
+pub type SetId = usize;
+
 /// One `NAME : elem = init` definition inside an `index_set` declaration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexSetDef {
@@ -170,6 +175,9 @@ pub struct UcStmt {
     pub kind: UcKind,
     pub star: bool,
     pub idxs: Vec<String>,
+    /// The definition each name in `idxs` denotes — empty from the
+    /// parser, filled by sema.
+    pub sets: Vec<SetId>,
     pub arms: Vec<ScBlock>,
     pub others: Option<Box<Stmt>>,
     pub span: Span,
@@ -282,6 +290,9 @@ impl Expr {
 pub struct ReduceExpr {
     pub op: RedOpToken,
     pub idxs: Vec<String>,
+    /// The definition each name in `idxs` denotes — empty from the
+    /// parser, filled by sema.
+    pub sets: Vec<SetId>,
     /// `(predicate, operand)` arms; a simple reduction has one arm with no
     /// predicate.
     pub arms: Vec<(Option<Expr>, Expr)>,

@@ -151,13 +151,10 @@ fn emit_stmt(checked: &Checked, s: &Stmt, shapes: &[Vec<usize>], indent: usize, 
                     }
                 }
                 UcKind::Seq => {
-                    let set = &uc.idxs[0];
-                    let elem = checked
-                        .index_set(set)
-                        .map(|i| i.elem.clone())
-                        .unwrap_or_else(|| "k".into());
+                    let set = &checked.sets[uc.sets[0]];
+                    let (elem, name) = (&set.elem, &set.name);
                     out.push_str(&format!(
-                        "{pad}for ({elem} = 0; {elem} < /* |{set}| */ N; {elem}++) {{\n"
+                        "{pad}for ({elem} = 0; {elem} < /* |{name}| */ N; {elem}++) {{\n"
                     ));
                     for arm in &uc.arms {
                         emit_stmt(checked, &arm.body, shapes, indent + 1, out);
@@ -198,6 +195,9 @@ fn emit_stmt(checked: &Checked, s: &Stmt, shapes: &[Vec<usize>], indent: usize, 
                 emit_stmt(checked, s, shapes, indent, out);
             }
         }
+        // C* has no index sets: every construct above selects the domain
+        // its sets shape.
+        Stmt::IndexSets(_) => {}
         other => {
             out.push_str(&format!("{pad}{}\n", pretty::stmt_to_string(other, indent)));
         }
@@ -206,10 +206,7 @@ fn emit_stmt(checked: &Checked, s: &Stmt, shapes: &[Vec<usize>], indent: usize, 
 
 /// The Cartesian shape a construct iterates over.
 fn construct_shape(checked: &Checked, uc: &UcStmt) -> Vec<usize> {
-    uc.idxs
-        .iter()
-        .filter_map(|n| checked.index_set(n).map(|i| i.elements.len()))
-        .collect()
+    uc.sets.iter().map(|&s| checked.sets[s].elements.len()).collect()
 }
 
 #[cfg(test)]
@@ -235,6 +232,23 @@ mod tests {
         assert!(text.contains("int d;"), "{text}");
         assert!(text.contains("[domain SHAPE0]."), "{text}");
         assert!(text.contains("#define N 8"), "{text}");
+    }
+
+    #[test]
+    fn a_local_set_shapes_its_construct() {
+        let text = emit(
+            "index_set I:i = {0..3};\nint a[4], b[8];\n\
+             main() { par (I) a[i] = i; { index_set I:i = {0..7}; par (I) b[i] = i * 10; } }",
+        );
+        let main = &text[text.find("main()").expect("main")..];
+        let domain_of = |stmt: &str| {
+            let at = main.find(stmt).unwrap_or_else(|| panic!("`{stmt}` in {main}"));
+            main[..at].rfind("[domain SHAPE").map(|d| &main[d..d + 15])
+        };
+        assert_eq!(domain_of("a[i] = i;"), Some("[domain SHAPE0]"), "{text}");
+        assert_eq!(domain_of("b[i] = i * 10;"), Some("[domain SHAPE1]"), "{text}");
+        assert!(text.contains("} shape1[8];"), "{text}");
+        assert!(!main.contains("index_set"), "{text}");
     }
 
     #[test]

@@ -89,11 +89,7 @@ impl Program {
 
     /// Elem-binding form for a name, searching innermost levels first.
     fn elem_form(&self, name: &str) -> Option<ElemForm> {
-        self.ctx
-            .iter()
-            .rev()
-            .find_map(|level| level.elems.iter().find(|(n, _, _)| n == name))
-            .map(|(_, _, form)| *form)
+        self.elem_binding(name).map(|(_, _, form)| form)
     }
 
     /// Classify a subscript expression against the open constructs.
@@ -131,8 +127,7 @@ impl Program {
         if !subs_cacheable(subs) {
             return self.read_storage(&st, subs);
         }
-        let dims = self.cur_ctx().dims.clone();
-        let key = (dims, crate::pretty::access(base, subs));
+        let key = (self.cur_ctx().vp, crate::pretty::access(base, subs));
         for level in self.cse_stack.iter().rev() {
             if let Some(hit) = level.get(&key) {
                 return Ok(PV::Field { id: hit.field, owned: false });
@@ -198,7 +193,6 @@ impl Program {
 
     /// Local/NEWS read when the array conforms to the iteration space.
     fn try_fast_read(&mut self, st: &ArrayStorage, subs: &[Expr]) -> RResult<Option<PV>> {
-        let dims = self.cur_ctx().dims.clone();
         let offsets: Vec<i64> = match &st.mapping {
             ArrayMapping::Default => vec![0; st.shape.len()],
             ArrayMapping::Permute { offsets } => offsets.clone(),
@@ -209,7 +203,7 @@ impl Program {
                 // its own replica locally instead of broadcasting from a
                 // single copy through the router.
                 let storage_shape = st.mapping.storage_shape(&st.shape);
-                let identity = storage_shape == dims
+                let identity = storage_shape == self.cur_ctx().dims
                     && subs.iter().enumerate().all(|(d, s)| {
                         matches!(self.symbolic_index(s),
                             IdxForm::AxisPlus { axis, offset: 0 } if axis == d + 1)
@@ -224,7 +218,7 @@ impl Program {
             }
             ArrayMapping::Fold { .. } => return Ok(None),
         };
-        if st.shape != dims {
+        if st.shape != self.cur_ctx().dims {
             return Ok(None);
         }
         let mut shifts = Vec::with_capacity(subs.len());
@@ -263,8 +257,8 @@ impl Program {
             if c == 0 {
                 continue;
             }
-            let ok = self.fixup_mask(&dims, d, c, st.shape[d] as i64)?;
-            let inf = self.inf_field(&dims, st.ty)?;
+            let ok = self.fixup_mask(d, c, st.shape[d] as i64)?;
+            let inf = self.inf_field(st.ty)?;
             self.machine.select(dst, ok, dst, inf)?;
         }
         Ok(Some(PV::owned(dst)))
@@ -272,14 +266,15 @@ impl Program {
 
     /// Cached "coordinate(axis)+offset is inside [0, n)" mask on the
     /// current space.
-    fn fixup_mask(&mut self, dims: &[usize], axis: usize, c: i64, n: i64) -> RResult<FieldId> {
-        let key = (dims.to_vec(), axis, c);
+    fn fixup_mask(&mut self, axis: usize, c: i64, n: i64) -> RResult<FieldId> {
+        let vp = self.cur_ctx().vp;
+        let key = (vp, axis, c);
         if let Some(&f) = self.fixup_cache.get(&key) {
             return Ok(f);
         }
         // Built unconditionally (front-end DMA): the cache is shared
         // across constructs with different activity masks.
-        let vp = self.cur_ctx().vp;
+        let dims = &self.cur_ctx().dims;
         let size: usize = dims.iter().product();
         let stride: usize = dims[axis + 1..].iter().product();
         let extent = dims[axis];
@@ -296,12 +291,12 @@ impl Program {
     }
 
     /// Cached INF broadcast field on the current space.
-    fn inf_field(&mut self, dims: &[usize], ty: ElemType) -> RResult<FieldId> {
-        let key = (dims.to_vec(), ty);
+    fn inf_field(&mut self, ty: ElemType) -> RResult<FieldId> {
+        let vp = self.cur_ctx().vp;
+        let key = (vp, ty);
         if let Some(&f) = self.inf_cache.get(&key) {
             return Ok(f);
         }
-        let vp = self.cur_ctx().vp;
         let inf = self.machine.alloc(vp, "~INF", ty)?;
         self.machine.fill_unconditional(inf, inf_of(ty))?;
         self.inf_cache.insert(key, inf);
@@ -311,14 +306,13 @@ impl Program {
     /// General gather through the router, with bounds handling.
     fn router_read(&mut self, st: &ArrayStorage, subs: &[Expr]) -> RResult<PV> {
         let vp = self.cur_ctx().vp;
-        let dims = self.cur_ctx().dims.clone();
         let (addr, valid) = self.storage_address(st, subs)?;
         let dst = self.machine.alloc(vp, "~gather", st.ty)?;
         self.machine.get(dst, addr, st.field)?;
         self.machine.free(addr)?;
         if let Some(valid) = valid {
             // Out-of-range reads yield INF.
-            let inf = self.inf_field(&dims, st.ty)?;
+            let inf = self.inf_field(st.ty)?;
             self.machine.select(dst, valid, dst, inf)?;
             self.machine.free(valid)?;
         }
@@ -344,7 +338,6 @@ impl Program {
             strides[i] = strides[i + 1] * storage_shape[i + 1];
         }
         let dim_off = storage_shape.len() - st.shape.len();
-        let space_dims = self.cur_ctx().dims.clone();
 
         let addr = self.machine.alloc_int(vp, "~addr")?;
         // Constant subscript contributions fold into the initial fill.
@@ -380,7 +373,7 @@ impl Program {
             let statically_safe = matches!(
                 self.symbolic_index(sub),
                 IdxForm::AxisPlus { axis, offset: 0 }
-                    if space_dims.get(axis) == Some(&(n as usize)))
+                    if self.cur_ctx().dims.get(axis) == Some(&(n as usize)))
                 && !matches!(st.mapping, ArrayMapping::Fold { axis } if axis == d);
             let pv = self.eval(sub)?;
             let pv = self.coerce_field(pv, ElemType::Int)?;
@@ -624,17 +617,16 @@ impl Program {
         // conservatively drop the whole gather cache.
         self.cse_invalidate(None);
         // Par-locals and scalars; index elements are rejected by sema.
-        let cur_level = self.ctx.len().wrapping_sub(1);
         if let Some(frame) = self.frames.last() {
             for (si, scope) in frame.scopes.iter().enumerate().rev() {
                 match scope.vars.get(name) {
                     Some(LocalVar::ParField { field, level }) => {
-                        let (field, level) = (*field, *level);
-                        if level != cur_level {
-                            return Err(RuntimeError::NotSupported(format!(
-                                "assigning `{name}` from a more deeply nested construct"
-                            )));
-                        }
+                        let field = *field;
+                        debug_assert_eq!(
+                            *level,
+                            self.ctx.len() - 1,
+                            "sema admits stores to a per-VP local only at its own depth"
+                        );
                         let ty = self.machine.elem_type(field)?;
                         let v = self.coerce_field(value, ty)?;
                         let PV::Field { id, .. } = v else { unreachable!() };

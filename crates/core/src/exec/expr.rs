@@ -93,12 +93,8 @@ impl Program {
     /// variables, globals, `#define` constants.
     pub(crate) fn resolve_ident(&mut self, name: &str) -> RResult<PV> {
         // Index elements of enclosing constructs.
-        for level in (0..self.ctx.len()).rev() {
-            if let Some((_, field, _)) =
-                self.ctx[level].elems.iter().find(|(n, _, _)| n == name).cloned()
-            {
-                return self.lift_to_current(field, level);
-            }
+        if let Some((level, field, _)) = self.elem_binding(name) {
+            return self.lift_to_current(field, level);
         }
         // Function locals (including `seq` element scalars and par-locals).
         if let Some(frame) = self.frames.last() {

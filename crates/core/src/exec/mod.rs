@@ -10,7 +10,9 @@
 //! * every *parallel construct* materialises an **iteration space** — a VP
 //!   set whose geometry is the Cartesian product of the construct's index
 //!   sets (nested constructs extend the enclosing space, so parallelism
-//!   multiplies, §3.4's matrix-multiply example);
+//!   multiplies, §3.4's matrix-multiply example) — which definitions
+//!   those are, and their elements, is sema's answer (`Checked::sets`
+//!   by `SetId`); nothing here evaluates or looks up an index set;
 //! * `st` predicates compile to context-flag pushes;
 //! * array accesses are classified as **local**, **NEWS** or **router**
 //!   (the communication classes whose costs the map section optimises);
@@ -88,9 +90,6 @@ pub struct ExecLimits {
     /// (`None` = none). Armed when `run` starts, checked on every charged
     /// machine instruction and every front-end loop iteration.
     pub timeout_ms: Option<u64>,
-    /// Cap on the materialised elements of one runtime index set.
-    /// `set I = [0 .. 1<<40]` must trap, not OOM. Default `1 << 22`.
-    pub max_index_set: u64,
 }
 
 impl Default for ExecLimits {
@@ -101,7 +100,6 @@ impl Default for ExecLimits {
             max_call_depth: 256,
             max_iterations: 1 << 22,
             timeout_ms: None,
-            max_index_set: 1 << 22,
         }
     }
 }
@@ -172,9 +170,6 @@ pub enum RuntimeError {
     IterationLimit(&'static str),
     /// A call would exceed [`ExecLimits::max_call_depth`] live frames.
     CallDepthExceeded { max: usize },
-    /// A runtime index set materialised more elements than
-    /// [`ExecLimits::max_index_set`] allows.
-    IndexSetTooLarge { name: String, len: u64, max: u64 },
     /// A front-end-only feature was used in a parallel context (or vice
     /// versa).
     NotSupported(String),
@@ -210,13 +205,6 @@ impl std::fmt::Display for RuntimeError {
             }
             RuntimeError::CallDepthExceeded { max } => {
                 write!(f, "call-depth budget exceeded: recursion deeper than {max} frames")
-            }
-            RuntimeError::IndexSetTooLarge { name, len, max } => {
-                write!(
-                    f,
-                    "index-set budget exceeded: `{name}` materialises {len} elements \
-                     (limit {max})"
-                )
             }
             RuntimeError::NotSupported(what) => write!(f, "not supported: {what}"),
             RuntimeError::DivideByZero => write!(f, "division by zero"),
@@ -301,11 +289,11 @@ pub(crate) enum LocalVar {
     Slot(usize),
 }
 
-/// One lexical scope of a function body.
+/// One lexical scope of a function body. Index sets are not here: sema
+/// resolved every use of one to its definition.
 #[derive(Debug, Default)]
 pub(crate) struct Scope {
     pub vars: HashMap<String, LocalVar>,
-    pub index_sets: HashMap<String, sema::IndexSetInfo>,
 }
 
 /// One function activation.
@@ -343,25 +331,26 @@ pub struct Program {
     pub(crate) frames: Vec<Frame>,
     pub(crate) rand_counter: u64,
     pub(crate) oneof_cursor: usize,
-    /// Static border-fixup masks: (space dims, axis, logical offset) →
-    /// bool field ("coordinate+offset is inside the extent"). These
-    /// depend only on geometry, so the compiler hoists them out of loops.
-    pub(crate) fixup_cache: HashMap<(Vec<usize>, usize, i64), FieldId>,
-    /// Broadcast INF fields per (space dims, element type).
-    pub(crate) inf_cache: HashMap<(Vec<usize>, ElemType), FieldId>,
+    /// Static border-fixup masks: (space, axis, logical offset) → bool
+    /// field ("coordinate+offset is inside the extent"). These depend
+    /// only on geometry — which `spaces` maps one-to-one to a VP set — so
+    /// the compiler hoists them out of loops.
+    pub(crate) fixup_cache: HashMap<(VpSetId, usize, i64), FieldId>,
+    /// Broadcast INF fields per (space, element type).
+    pub(crate) inf_cache: HashMap<(VpSetId, ElemType), FieldId>,
     /// Common-subexpression cache for array gathers within one
     /// synchronous step (§4 "common sub-expression detection"): a stack
-    /// of per-step maps from (space dims, access text) to the gathered
-    /// field. Filled while predicates evaluate, consumed by arm bodies,
+    /// of per-step maps from (space, access text) to the gathered field.
+    /// Filled while predicates evaluate, consumed by arm bodies,
     /// invalidated on writes.
-    pub(crate) cse_stack: Vec<HashMap<(Vec<usize>, String), access::CachedGather>>,
+    pub(crate) cse_stack: Vec<HashMap<(VpSetId, String), access::CachedGather>>,
     /// Whether gathers may currently be inserted into the cache.
     pub(crate) cse_fill: bool,
-    /// Index-element value fields per (space dims, axis, values along the
+    /// Index-element value fields per (space, axis, values along the
     /// axis): these depend only on geometry, so re-entering a construct
     /// (e.g. a `par` nested in a front-end loop) reuses them instead of
     /// recomputing.
-    pub(crate) elem_cache: HashMap<(Vec<usize>, usize, space::ElemValues), FieldId>,
+    pub(crate) elem_cache: HashMap<(VpSetId, usize, space::ElemValues), FieldId>,
     /// Span of the statement currently executing, for [`RunError`].
     pub(crate) exec_span: Span,
     /// Live UC call stack, outermost first: `(callee, call-site span)`.
@@ -413,9 +402,10 @@ impl Program {
         let ir = crate::ir::lower_program(&checked, &global_index, config.ir_opt);
         // The VM is the only executor, so a function the lowering gave up
         // on (`body: None`) cannot run at all.
-        if let Some(f) = ir.funcs.iter().find(|f| f.body.is_none()) {
+        let unlowered = checked.funcs_in_order().zip(&ir.funcs).find(|(_, f)| f.body.is_none());
+        if let Some((def, f)) = unlowered {
             diags.error(
-                checked.funcs[&f.name].span,
+                def.span,
                 format!(
                     "function `{}` needs more than {} registers; split it up",
                     f.name,

@@ -30,7 +30,7 @@ impl Program {
             }
         }
 
-        let level = self.push_space(&r.idxs)?;
+        let level = self.push_space(&r.sets)?;
         let result = self.eval_reduce_arms(r);
         self.pop_space(level)?;
         result
@@ -222,22 +222,21 @@ impl Program {
         };
         // One side must be the (sole) outer element with identity form.
         let outer_elem = match &self.ctx[0].elems[..] {
-            [(name, _, crate::opt::ElemForm::AxisPlus { axis: 0, lo: 0 })] => name.clone(),
+            [(set, _, crate::opt::ElemForm::AxisPlus { axis: 0, lo: 0 })] => {
+                self.checked.sets[*set].elem.as_str()
+            }
             _ => return Ok(None),
         };
-        let (key_expr, elem_side) = if matches!(rhs.as_ref(), Expr::Ident(n, _) if *n == outer_elem)
-        {
-            (lhs.as_ref(), rhs.as_ref())
-        } else if matches!(lhs.as_ref(), Expr::Ident(n, _) if *n == outer_elem) {
-            (rhs.as_ref(), lhs.as_ref())
+        let is_outer_elem = |e: &Expr| matches!(e, Expr::Ident(n, _) if n == outer_elem);
+        let key_expr = if is_outer_elem(rhs) {
+            lhs.as_ref()
+        } else if is_outer_elem(lhs) {
+            rhs.as_ref()
         } else {
             return Ok(None);
         };
-        let _ = elem_side;
-        // Key and operand must not mention any outer binding.
-        let outer_names: Vec<String> =
-            self.ctx[0].elems.iter().map(|(n, _, _)| n.clone()).collect();
-        if mentions(key_expr, &outer_names) || mentions(operand, &outer_names) {
+        // Key and operand must not mention the outer binding.
+        if mentions(key_expr, outer_elem) || mentions(operand, outer_elem) {
             return Ok(None);
         }
         let (identity, combine) = match r.op {
@@ -253,7 +252,7 @@ impl Program {
         // Evaluate key and operand on the reduction-only space.
         let saved = std::mem::take(&mut self.ctx);
         let result = (|| -> RResult<PV> {
-            let level = self.push_space(&r.idxs)?;
+            let level = self.push_space(&r.sets)?;
             let inner = (|| -> RResult<PV> {
                 let key = self.eval(key_expr)?;
                 let key = self.coerce_field(key, ElemType::Int)?;
@@ -287,9 +286,9 @@ impl Program {
     }
 }
 
-/// Does the expression mention any of the given names (as identifiers)?
-fn mentions(e: &Expr, names: &[String]) -> bool {
-    e.any(&mut |x| matches!(x, Expr::Ident(n, _) if names.contains(n)))
+/// Does the expression mention `name` (as an identifier)?
+fn mentions(e: &Expr, name: &str) -> bool {
+    e.any(&mut |x| matches!(x, Expr::Ident(n, _) if n == name))
 }
 
 /// The machine reduce op for a reduction token.
@@ -403,7 +402,7 @@ mod tests {
             rhs: Box::new(Expr::IntLit(1, s)),
             span: s,
         };
-        assert!(mentions(&e, &["i".to_string()]));
-        assert!(!mentions(&e, &["j".to_string()]));
+        assert!(mentions(&e, "i"));
+        assert!(!mentions(&e, "j"));
     }
 }

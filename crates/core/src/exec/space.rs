@@ -15,8 +15,8 @@ use std::sync::Arc;
 use uc_cm::{BinOp, ElemType, FieldId, Scalar, VpSetId};
 
 use super::{Program, RResult, RuntimeError, PV};
+use crate::ast::SetId;
 use crate::opt::ElemForm;
-use crate::sema::IndexSetInfo;
 
 /// The values an index element takes along its axis, as far as they
 /// identify its cached value field: the extent is in the space's dims, so
@@ -33,9 +33,10 @@ pub(crate) enum ElemValues {
 pub struct ParCtx {
     pub(crate) vp: VpSetId,
     pub(crate) dims: Vec<usize>,
-    /// Element bindings this level introduced (name → value field on this
-    /// space), plus the symbolic form for the optimizer.
-    pub(crate) elems: Vec<(String, FieldId, ElemForm)>,
+    /// Element bindings this level introduced — the set whose element it
+    /// is (the name lives in `checked.sets`), its value field on this
+    /// space, and the symbolic form for the optimizer.
+    pub(crate) elems: Vec<(SetId, FieldId, ElemForm)>,
     /// Fields to free when the level pops.
     pub(crate) owned: Vec<FieldId>,
     /// Number of context pushes to undo when the level pops.
@@ -49,28 +50,23 @@ impl Program {
     /// transferring the enclosing enabled set onto the extended space.
     ///
     /// Returns the level index (for symmetric [`Program::pop_space`]).
-    pub(crate) fn push_space(&mut self, set_names: &[String]) -> RResult<usize> {
-        let mut sets: Vec<IndexSetInfo> = Vec::with_capacity(set_names.len());
-        for name in set_names {
-            sets.push(
-                self.lookup_index_set(name)
-                    .ok_or_else(|| RuntimeError::Unbound(name.clone()))?,
-            );
-        }
-        let outer_dims: Vec<usize> =
-            self.ctx.last().map(|c| c.dims.clone()).unwrap_or_default();
-        let mut dims = outer_dims.clone();
-        dims.extend(sets.iter().map(|s| s.elements.len()));
+    pub(crate) fn push_space(&mut self, sets: &[SetId]) -> RResult<usize> {
+        let outer_dims = self.ctx.last().map_or(&[][..], |c| &c.dims);
+        let outer_rank = outer_dims.len();
+        let mut dims = Vec::with_capacity(outer_rank + sets.len());
+        dims.extend_from_slice(outer_dims);
+        dims.extend(sets.iter().map(|&s| self.checked.sets[s].elements.len()));
         let vp = self.space_vp(&dims)?;
 
         let mut level = ParCtx {
             vp,
-            dims: dims.clone(),
-            elems: Vec::new(),
+            dims,
+            elems: Vec::with_capacity(sets.len()),
             owned: Vec::new(),
             pushes: 0,
             lift_cache: HashMap::new(),
         };
+        let dims = &level.dims;
 
         // Bind each set's element as a field on the new space. Done
         // *before* the mask transfer so the value fields are valid on
@@ -81,13 +77,14 @@ impl Program {
             1,
             "iteration space acquired with a non-base context"
         );
-        for (axis_off, info) in sets.iter().enumerate() {
-            let axis = outer_dims.len() + axis_off;
+        for (axis_off, &set) in sets.iter().enumerate() {
+            let info = &self.checked.sets[set];
+            let axis = outer_rank + axis_off;
             let (form, values) = match info.contiguous_lo() {
                 Some(lo) => (ElemForm::AxisPlus { axis, lo }, ElemValues::From(lo)),
                 None => (ElemForm::Opaque, ElemValues::List(info.elements.clone())),
             };
-            let key = (dims.clone(), axis, values);
+            let key = (vp, axis, values);
             let field = match self.elem_cache.get(&key) {
                 Some(&f) => f,
                 None => {
@@ -120,13 +117,13 @@ impl Program {
                 }
             };
             // Cached fields are owned by the cache, not the level.
-            level.elems.push((info.elem.clone(), field, form));
+            level.elems.push((set, field, form));
         }
 
         // Transfer the outer activity mask, if any, onto this space.
         if let Some(outer) = self.ctx.last() {
             let outer_vp = outer.vp;
-            let rest: usize = dims[outer_dims.len()..].iter().product();
+            let rest: usize = level.dims[outer_rank..].iter().product();
             let outer_mask = self.machine.alloc_bool(outer_vp, "~outmask")?;
             self.machine.read_context(outer_mask)?;
             let addr = self.machine.alloc_int(vp, "~liftaddr")?;
@@ -158,6 +155,16 @@ impl Program {
             let _ = self.machine.free(f);
         }
         Ok(())
+    }
+
+    /// The innermost binding of `name` as an index element of an open
+    /// construct: its level, value field and symbolic form.
+    pub(crate) fn elem_binding(&self, name: &str) -> Option<(usize, FieldId, ElemForm)> {
+        let sets = &self.checked.sets;
+        self.ctx.iter().enumerate().rev().find_map(|(level, ctx)| {
+            let bound = ctx.elems.iter().find(|(set, ..)| sets[*set].elem == name)?;
+            Some((level, bound.1, bound.2))
+        })
     }
 
     /// The current iteration space, if any.
@@ -232,19 +239,6 @@ impl Program {
             }
         }
     }
-
-    /// Look up an index set through local scopes then globals. The
-    /// elements are shared, so the returned copy costs a refcount bump.
-    pub(crate) fn lookup_index_set(&self, name: &str) -> Option<IndexSetInfo> {
-        if let Some(frame) = self.frames.last() {
-            for scope in frame.scopes.iter().rev() {
-                if let Some(info) = scope.index_sets.get(name) {
-                    return Some(info.clone());
-                }
-            }
-        }
-        self.checked.index_set(name).cloned()
-    }
 }
 
 /// Coerce a front-end scalar to an element type (C-style).
@@ -263,7 +257,14 @@ mod tests {
     #[test]
     fn contiguous_detection() {
         let lo = |elements: &[i64]| {
-            IndexSetInfo { elem: "i".into(), elements: Arc::new(elements.to_vec()) }.contiguous_lo()
+            crate::sema::IndexSetInfo {
+                name: "I".into(),
+                elem: "i".into(),
+                elements: Arc::new(elements.to_vec()),
+                span: Default::default(),
+                alias_of: None,
+            }
+            .contiguous_lo()
         };
         assert_eq!(lo(&[0, 1, 2, 3]), Some(0));
         assert_eq!(lo(&[5, 6, 7]), Some(5));

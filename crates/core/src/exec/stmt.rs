@@ -3,18 +3,17 @@
 //!
 //! The register VM drives execution; it reaches this module only through
 //! a tree escape ([`crate::ir::Instr::Tree`]) holding one parallel
-//! construct, one declaration it could not register-allocate, an
-//! index-set definition or a `swap`. Sequential control flow never
-//! arrives here: outside parallel constructs it is lowered to VM jumps,
-//! and inside them sema rejects it.
+//! construct, one declaration it could not register-allocate or a `swap`.
+//! Sequential control flow never arrives here: outside parallel
+//! constructs it is lowered to VM jumps, and inside them sema rejects it.
 
 use uc_cm::{BinOp, ElemType, FieldId, ReduceOp, Scalar};
 
 use super::space::coerce_scalar;
 use super::{ArrayStorage, LocalVar, Program, RResult, RuntimeError, Scope, PV};
-use crate::ast::{Block, Expr, IndexSetDef, ScBlock, Stmt, Type, UcKind, UcStmt};
+use crate::ast::{Block, Expr, ScBlock, Stmt, Type, UcKind, UcStmt};
 use crate::mapping::ArrayMapping;
-use crate::sema::{IndexSetError, IndexSetInfo};
+use crate::sema;
 
 impl Program {
     pub(crate) fn free_scope_vars(&mut self, scope: Scope) {
@@ -64,20 +63,8 @@ impl Program {
                 Ok(())
             }
             Stmt::Decl(v) => self.exec_decl(v),
-            Stmt::IndexSets(defs) => {
-                for def in defs {
-                    let info = self.eval_index_set_def(def)?;
-                    self.frames
-                        .last_mut()
-                        .expect("frame")
-                        .scopes
-                        .last_mut()
-                        .expect("scope")
-                        .index_sets
-                        .insert(def.name.clone(), info);
-                }
-                Ok(())
-            }
+            // Sema evaluated the definitions and resolved every use.
+            Stmt::IndexSets(_) => Ok(()),
             Stmt::Block(b) => self.exec_block(b),
             Stmt::Uc(uc) => self.exec_uc(uc),
             // `if`/loops/`return`/`break`/`continue`.
@@ -112,24 +99,10 @@ impl Program {
                 LocalVar::ParField { field, level: self.ctx.len() - 1 }
             }
         } else {
-            if !self.ctx.is_empty() {
-                return Err(RuntimeError::NotSupported(
-                    "array declarations inside a parallel construct".into(),
-                ));
-            }
-            let mut shape = Vec::with_capacity(v.dims.len());
-            for d in &v.dims {
-                let n = self
-                    .try_pure_scalar(d)
-                    .ok_or_else(|| {
-                        RuntimeError::NotSupported("non-constant array extent".into())
-                    })?
-                    .as_int();
-                if n <= 0 {
-                    return Err(RuntimeError::NotSupported("non-positive array extent".into()));
-                }
-                shape.push(n as usize);
-            }
+            // Sema accepted the declaration: outside every parallel
+            // construct, each extent a positive constant.
+            let extent = |d| sema::const_eval(d, &self.checked.consts).expect("constant extent");
+            let shape: Vec<usize> = v.dims.iter().map(|d| extent(d) as usize).collect();
             let vp = self.space_vp(&shape)?;
             let field = self.machine.alloc(vp, &v.name, ty)?;
             LocalVar::Array(ArrayStorage { field, ty, shape, mapping: ArrayMapping::Default })
@@ -143,28 +116,6 @@ impl Program {
             .vars
             .insert(v.name.clone(), var);
         Ok(())
-    }
-
-    fn eval_index_set_def(&mut self, def: &IndexSetDef) -> RResult<IndexSetInfo> {
-        let max = self.config.limits.max_index_set;
-        IndexSetInfo::build(
-            def,
-            max,
-            self,
-            |p, e| Ok(p.eval_scalar(e)?.as_int()),
-            |p, src| p.lookup_index_set(src).map(|info| info.elements),
-        )
-        .map_err(|err| match err {
-            IndexSetError::Eval(e) => e,
-            IndexSetError::Reversed { .. } => RuntimeError::NotSupported(format!(
-                "index set `{}` has an empty range",
-                def.name
-            )),
-            IndexSetError::TooLarge { len } => {
-                RuntimeError::IndexSetTooLarge { name: def.name.clone(), len, max }
-            }
-            IndexSetError::UnknownAlias(src) => RuntimeError::Unbound(src),
-        })
     }
 
     // ---- the four constructs ----------------------------------------------
@@ -185,7 +136,7 @@ impl Program {
     }
 
     fn exec_par(&mut self, uc: &UcStmt) -> RResult<()> {
-        let level = self.push_space(&uc.idxs)?;
+        let level = self.push_space(&uc.sets)?;
         let result = (|| -> RResult<()> {
             if !uc.star {
                 self.run_arms(uc, false)?;
@@ -309,9 +260,8 @@ impl Program {
     /// partial sums).
     fn exec_seq(&mut self, uc: &UcStmt) -> RResult<()> {
         debug_assert!(!self.ctx.is_empty(), "front-end seq reached the tree evaluator");
-        let set = self
-            .lookup_index_set(&uc.idxs[0])
-            .ok_or_else(|| RuntimeError::Unbound(uc.idxs[0].clone()))?;
+        let set = &self.checked.sets[uc.sets[0]];
+        let (elem, elements) = (set.elem.clone(), set.elements.clone());
         self.frames.last_mut().expect("frame").scopes.push(Scope::default());
         let result = (|| -> RResult<()> {
             let mut iters = 0u64;
@@ -321,7 +271,7 @@ impl Program {
                     return Err(RuntimeError::IterationLimit("*seq"));
                 }
                 let mut any_enabled = false;
-                for &v in set.elements.iter() {
+                for &v in elements.iter() {
                     self.frames
                         .last_mut()
                         .expect("frame")
@@ -329,7 +279,7 @@ impl Program {
                         .last_mut()
                         .expect("scope")
                         .vars
-                        .insert(set.elem.clone(), LocalVar::Scalar(Scalar::Int(v)));
+                        .insert(elem.clone(), LocalVar::Scalar(Scalar::Int(v)));
                     any_enabled |= self.run_arms(uc, uc.star)?;
                 }
                 if !uc.star || !any_enabled {
@@ -344,10 +294,7 @@ impl Program {
     }
 
     fn exec_oneof(&mut self, uc: &UcStmt) -> RResult<()> {
-        if uc.others.is_some() {
-            return Err(RuntimeError::NotSupported("`others` on a oneof statement".into()));
-        }
-        let level = self.push_space(&uc.idxs)?;
+        let level = self.push_space(&uc.sets)?;
         let result = (|| -> RResult<()> {
             let vp = self.ctx.last().unwrap().vp;
             let mut iters = 0u64;
@@ -450,7 +397,7 @@ impl Program {
     /// assignment for exactly those elements whose right-hand side is
     /// fully defined and which have not executed yet, until no progress.
     fn exec_solve(&mut self, uc: &UcStmt) -> RResult<()> {
-        let level = self.push_space(&uc.idxs)?;
+        let level = self.push_space(&uc.sets)?;
         let result = self.exec_solve_inner(uc);
         self.pop_space(level)?;
         result
@@ -460,20 +407,13 @@ impl Program {
         let vp = self.ctx.last().unwrap().vp;
         let mut assigns = Vec::new();
         for arm in &uc.arms {
-            if arm.pred.is_some() {
-                return Err(RuntimeError::NotSupported(
-                    "st predicates on solve statements".into(),
-                ));
-            }
             Self::solve_assignments(&arm.body, &mut assigns);
         }
         // Defined-bitmaps for every target array.
         let mut def_maps: Vec<(String, ArrayStorage)> = Vec::new();
         for (target, _) in &assigns {
             let Expr::Index { base, .. } = target else {
-                return Err(RuntimeError::NotSupported(
-                    "solve targets must be array elements".into(),
-                ));
+                unreachable!("sema admits only array-element solve targets")
             };
             if def_maps.iter().any(|(n, _)| n == base) {
                 continue;
@@ -655,24 +595,17 @@ impl Program {
     /// quiescence by comparing snapshots — the compiler-managed state
     /// saving the paper contrasts with a hand-written `*par` (§3.6).
     fn exec_star_solve(&mut self, uc: &UcStmt) -> RResult<()> {
-        let level = self.push_space(&uc.idxs)?;
+        let level = self.push_space(&uc.sets)?;
         let result = (|| -> RResult<()> {
             let mut assigns = Vec::new();
             for arm in &uc.arms {
-                if arm.pred.is_some() {
-                    return Err(RuntimeError::NotSupported(
-                        "st predicates on *solve statements".into(),
-                    ));
-                }
                 Self::solve_assignments(&arm.body, &mut assigns);
             }
             // Snapshot fields for each distinct target array.
             let mut targets: Vec<(String, FieldId, FieldId)> = Vec::new();
             for (target, _) in &assigns {
                 let Expr::Index { base, .. } = target else {
-                    return Err(RuntimeError::NotSupported(
-                        "*solve targets must be array elements".into(),
-                    ));
+                    unreachable!("sema admits only array-element solve targets")
                 };
                 if targets.iter().any(|(n, _, _)| n == base) {
                     continue;

@@ -226,10 +226,8 @@ fn exec(p: &mut Program, ir: &IrProgram, entry: usize, args: Vec<Scalar>) -> RRe
             }
             Instr::Tree { s } => p.exec_stmt(&body.stmts[*s as usize])?,
             Instr::SeqEnter { set } => {
-                let info = p
-                    .lookup_index_set(set)
-                    .ok_or_else(|| RuntimeError::Unbound(set.clone()))?;
-                acts.last_mut().expect("active").seqs.push((info.elements, 0));
+                let elements = p.checked.sets[*set].elements.clone();
+                acts.last_mut().expect("active").seqs.push((elements, 0));
             }
             Instr::SeqNext { elem, more } => {
                 let (elements, pos) =

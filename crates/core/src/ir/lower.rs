@@ -15,11 +15,15 @@
 //! back and the *whole* expression escapes, so an expression's side
 //! effects and errors keep their source order whichever side runs it.
 //!
-//! The lowerer mirrors the lexical scope structure at runtime: every
-//! lowered block emits `EnterScope`/`ExitScopes`, every
+//! The lowerer mirrors the lexical scope structure of *variables* at
+//! runtime: every lowered block emits `EnterScope`/`ExitScopes`, every
 //! register-allocated local also gets a `BindName` so tree escapes
 //! resolve it by name, and any name bound by an escaped declaration is
 //! *poisoned* — later references to it fall back to by-name resolution.
+//! Index sets need none of this: sema resolved every use to a [`SetId`]
+//! into `checked.sets`, so a definition lowers to nothing but its span.
+//!
+//! [`SetId`]: crate::ast::SetId
 
 use std::collections::HashMap;
 
@@ -45,12 +49,22 @@ pub fn lower_program(
     global_index: &HashMap<String, u32>,
     opt: IrOpt,
 ) -> IrProgram {
-    let mut funcs_src: Vec<FuncDef> = checked.funcs_in_order().cloned().collect();
-    if opt == IrOpt::Aggressive {
-        for f in &mut funcs_src {
-            super::passes::aggressive_rewrite(f);
-        }
-    }
+    // Only the aggressive rewrites mutate the AST; otherwise lower the
+    // checked bodies where they are.
+    let rewritten: Vec<FuncDef>;
+    let funcs_src: Vec<&FuncDef> = if opt == IrOpt::Aggressive {
+        rewritten = checked
+            .funcs_in_order()
+            .map(|f| {
+                let mut f = f.clone();
+                super::passes::aggressive_rewrite(&mut f);
+                f
+            })
+            .collect();
+        rewritten.iter().collect()
+    } else {
+        checked.funcs_in_order().collect()
+    };
     // Later definitions win, matching `checked.funcs` (a by-name map).
     let mut by_name = HashMap::new();
     for (i, f) in funcs_src.iter().enumerate() {
@@ -74,7 +88,8 @@ pub fn lower_program(
     for (n, &i) in global_index {
         global_names[i as usize] = n.clone();
     }
-    IrProgram { funcs, by_name, global_names, opt, inline_ok }
+    let set_names = checked.sets.iter().map(|s| s.name.clone()).collect();
+    IrProgram { funcs, by_name, global_names, set_names, opt, inline_ok }
 }
 
 /// Inline-eligibility facts gathered while lowering one function.
@@ -122,9 +137,6 @@ struct Lowerer<'a> {
     /// Compile-time mirror of the runtime scope stack (prologue scope +
     /// one per lowered block or `seq`).
     scopes: Vec<HashMap<String, Binding>>,
-    /// Function-local index sets in scope, innermost last: `(scope
-    /// depth, set, element name)`. Global sets resolve through `checked`.
-    local_sets: Vec<(usize, String, String)>,
     open_scopes: u16,
     loops: Vec<LoopCtx>,
 
@@ -156,7 +168,6 @@ impl<'a> Lowerer<'a> {
             stmts: Vec::new(),
             exprs: Vec::new(),
             scopes: Vec::new(),
-            local_sets: Vec::new(),
             open_scopes: 0,
             loops: Vec::new(),
             labels: Vec::new(),
@@ -282,8 +293,6 @@ impl<'a> Lowerer<'a> {
     fn exit_scope(&mut self) {
         self.scopes.pop();
         self.open_scopes -= 1;
-        let depth = self.scopes.len();
-        self.local_sets.retain(|(d, ..)| *d <= depth);
         self.code.push(Instr::ExitScopes { n: 1 });
     }
 
@@ -590,13 +599,9 @@ impl<'a> Lowerer<'a> {
                 self.code.push(Instr::BindName { name: v.name.clone(), slot });
                 self.scope_mut().insert(v.name.clone(), Binding::Slot { idx: slot, float });
             }
-            Stmt::IndexSets(defs) => {
-                let depth = self.scopes.len();
-                for d in defs {
-                    self.local_sets.push((depth, d.name.clone(), d.elem.clone()));
-                }
-                self.tree_stmt(s);
-            }
+            // Nothing to execute; the span keeps a later `RunError` where
+            // it was when the definition ran as a tree escape.
+            Stmt::IndexSets(_) => self.emit_span(s),
             Stmt::Uc(uc) if uc.kind == UcKind::Seq => self.lower_seq(s, uc),
             Stmt::Uc(_) => self.tree_stmt(s),
             Stmt::If { cond, then_branch, else_branch, .. } => {
@@ -698,17 +703,10 @@ impl<'a> Lowerer<'a> {
     /// sweeps on the front end; a `seq` nested in a `par` body is part of
     /// that construct's tree escape and runs under context masks instead.
     fn lower_seq(&mut self, s: &Stmt, uc: &UcStmt) {
-        let set = &uc.idxs[0];
-        let elem_name = self
-            .local_sets
-            .iter()
-            .rev()
-            .find(|(_, n, _)| n == set)
-            .map(|(_, _, e)| e.clone())
-            .or_else(|| self.checked.index_set(set).map(|i| i.elem.clone()))
-            .expect("sema resolved the index set");
+        let set = uc.sets[0];
+        let elem_name = self.checked.sets[set].elem.clone();
         self.emit_span(s);
-        self.code.push(Instr::SeqEnter { set: set.clone() });
+        self.code.push(Instr::SeqEnter { set });
         self.enter_scope();
         let elem = self.alloc_perm();
         self.code.push(Instr::BindName { name: elem_name.clone(), slot: elem });

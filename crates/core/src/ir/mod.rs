@@ -19,8 +19,9 @@
 //!   Named locals live in the low registers ("slots"); expression
 //!   temporaries above them, reset per statement.
 //! * **Sweeps** (`SeqEnter`/`SeqNext`/`SeqExit`) — front-end `seq` and
-//!   `*seq`: the element binding, the `st` arms, `others` and the
-//!   repeat-while-enabled test are ordinary register code around them.
+//!   `*seq` over the set sema resolved the construct to: the element
+//!   binding, the `st` arms, `others` and the repeat-while-enabled test
+//!   are ordinary register code around them.
 //! * **Tree escapes** (`Tree`, `EvalExpr`, `EvalEffect`) — one parallel
 //!   construct, one expression (array accesses, reductions, anything the
 //!   lowering cannot prove scalar) or one declaration, evaluated by
@@ -65,7 +66,7 @@ pub use lower::lower_program;
 
 use uc_cm::Scalar;
 
-use crate::ast::{BinaryOp, Expr, Stmt, UnaryOp};
+use crate::ast::{BinaryOp, Expr, SetId, Stmt, UnaryOp};
 use crate::exec::IrOpt;
 use crate::span::Span;
 
@@ -141,13 +142,12 @@ pub enum Instr {
     /// Evaluate `exprs[e]` for effect by the tree evaluator.
     EvalEffect { e: u32 },
     /// Execute `stmts[s]` by the tree evaluator: a parallel construct, a
-    /// declaration that cannot be register-allocated, `swap`, or an
-    /// index-set definition. None of these transfers control.
+    /// declaration that cannot be register-allocated, or `swap`. None of
+    /// these transfers control.
     Tree { s: u32 },
-    /// Open a front-end `seq` sweep over the index set `set`, resolved by
-    /// name like any tree-evaluated construct does (innermost local
-    /// definition first, then globals).
-    SeqEnter { set: String },
+    /// Open a front-end `seq` sweep over the elements of `sets[set]`, the
+    /// definition sema resolved the construct's set name to.
+    SeqEnter { set: SetId },
     /// Advance the innermost sweep: `r[elem]` = the next element and
     /// `r[more] = 1`, or `r[more] = 0` once the sweep is exhausted — which
     /// also rewinds it, so `*seq` can sweep again.
@@ -193,6 +193,8 @@ pub struct IrProgram {
     pub by_name: std::collections::HashMap<String, usize>,
     /// Global scalar names in index order (for rendering).
     pub global_names: Vec<String>,
+    /// Index-set names by [`SetId`] (for rendering).
+    pub set_names: Vec<String>,
     /// Optimization level the program was lowered at.
     pub opt: IrOpt,
     /// Whether the whole program may run on the caller's thread: every

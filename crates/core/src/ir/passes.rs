@@ -405,7 +405,7 @@ fn coalesce(stmts: &mut Vec<Stmt>) {
                     && b.kind == UcKind::Par
                     && !a.star
                     && !b.star
-                    && a.idxs == b.idxs
+                    && a.sets == b.sets
                     && a.others.is_none()
                     && b.others.is_none()
                     && b.arms.iter().all(|arm| arm.pred.is_none())

@@ -50,7 +50,7 @@ pub fn render(p: &IrProgram) -> String {
             }
             Some(body) => {
                 for (i, ins) in body.code.iter().enumerate() {
-                    let _ = writeln!(out, "  {i:>4}  {}", instr(ins, body));
+                    let _ = writeln!(out, "  {i:>4}  {}", instr(ins, body, p));
                 }
             }
         }
@@ -71,7 +71,7 @@ fn frag(s: &str) -> String {
     s.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
-fn instr(ins: &Instr, body: &super::IrBody) -> String {
+fn instr(ins: &Instr, body: &super::IrBody, p: &IrProgram) -> String {
     match ins {
         Instr::Const { dst, v } => format!("const      r{dst} = {}", scalar(v)),
         Instr::Copy { dst, src } => format!("copy       r{dst} = r{src}"),
@@ -127,7 +127,7 @@ fn instr(ins: &Instr, body: &super::IrBody) -> String {
             "tree       `{}`",
             frag(&pretty::stmt_to_string(&body.stmts[*s as usize], 0))
         ),
-        Instr::SeqEnter { set } => format!("seq_enter  {set}"),
+        Instr::SeqEnter { set } => format!("seq_enter  {}", p.set_names[*set]),
         Instr::SeqNext { elem, more } => format!("seq_next   r{elem}, r{more}"),
         Instr::SeqExit => "seq_exit".into(),
         Instr::Nop => "nop".into(),

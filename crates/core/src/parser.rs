@@ -470,7 +470,15 @@ impl<'a> Parser<'a> {
             let body = self.stmt()?;
             arms.push(ScBlock { pred: None, body });
         }
-        Ok(Stmt::Uc(UcStmt { kind, star, idxs, arms, others, span: span.to(self.prev_span()) }))
+        Ok(Stmt::Uc(UcStmt {
+            kind,
+            star,
+            idxs,
+            sets: Vec::new(),
+            arms,
+            others,
+            span: span.to(self.prev_span()),
+        }))
     }
 
     // ---- expressions -------------------------------------------------------
@@ -722,6 +730,7 @@ impl<'a> Parser<'a> {
         Ok(Expr::Reduce(Box::new(ReduceExpr {
             op,
             idxs,
+            sets: Vec::new(),
             arms,
             others,
             span: span.to(self.prev_span()),

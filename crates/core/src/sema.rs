@@ -3,14 +3,21 @@
 //! Validates a parsed [`Unit`] and produces a [`Checked`] program:
 //!
 //! * `#define` constants and index-set definitions are evaluated (index
-//!   sets are *constant data items* in UC — §3.1);
+//!   sets are *constant data items* in UC — §3.1), every definition —
+//!   global or function-local — into one table, [`Checked::sets`];
 //! * array shapes are computed from constant expressions;
 //! * every identifier is resolved against the scope rules of the paper,
-//!   including index-element shadowing in nested constructs (§3.4);
+//!   including index-element shadowing in nested constructs (§3.4), and
+//!   every index-set name a construct or reduction uses is resolved to
+//!   its definition's [`SetId`], written beside the name on the AST —
+//!   the only place set names are resolved;
 //! * UC restrictions are enforced (no `goto` — already a parse error; an
-//!   index element is read-only; `solve` arms must be proper assignments;
-//!   no sequential control flow inside a parallel construct, and none
-//!   that would leave a `seq`; `main` takes no parameters);
+//!   index element is read-only; `solve` arms must be proper assignments
+//!   to array elements, without `st`; `oneof` takes no `others`; no
+//!   sequential control flow and no array declaration inside a parallel
+//!   construct, and no control flow that would leave a `seq`; a
+//!   per-processor local is assigned only at the depth it was declared
+//!   at; `main` takes no parameters);
 //! * expressions get basic int/float/bool checking with C-style coercion.
 
 use std::collections::HashMap;
@@ -24,77 +31,29 @@ use crate::opt;
 use crate::span::Span;
 use crate::stdlib;
 
-/// Compile-time cap on the elements a constant index-set range may
-/// materialise. Mirrors `ExecLimits::max_index_set` in the executor.
+/// Cap on the elements one index-set range may materialise: a hostile
+/// `{0..1<<40}` is a diagnostic, not an OOM. Sets are compile-time
+/// constants, so this is the only place their size is ever decided.
 pub const MAX_CONST_INDEX_SET: u64 = 1 << 22;
 
-/// An evaluated index set: ordered constant integers plus the element
-/// identifier used to range over it. The elements are shared, so looking
-/// a set up (every `par` entry does) or aliasing it never copies them
-/// (`Arc<Vec<_>>`, not `Arc<[_]>`: wrapping the collected `Vec` is free,
-/// while collecting 65 536 elements straight into an `Arc<[i64]>` costs
-/// 85 µs against the `Vec`'s 10).
+/// One evaluated index-set definition, global or function-local: ordered
+/// constant integers plus the element identifier used to range over it.
+/// The elements are shared, so opening a construct over a set or aliasing
+/// it never copies them (`Arc<Vec<_>>`, not `Arc<[_]>`: wrapping the
+/// collected `Vec` is free, while collecting 65 536 elements straight
+/// into an `Arc<[i64]>` costs 85 µs against the `Vec`'s 10).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexSetInfo {
+    pub name: String,
     pub elem: String,
     pub elements: Arc<Vec<i64>>,
-}
-
-/// Why [`IndexSetInfo::build`] produced no set. Each caller words these
-/// its own way (sema as diagnostics, the executor as `RuntimeError`s).
-#[derive(Debug, Clone, PartialEq)]
-pub enum IndexSetError<E> {
-    /// A bound or list element did not evaluate.
-    Eval(E),
-    /// `{lo..hi}` with `hi < lo`.
-    Reversed { lo: i64, hi: i64 },
-    /// The range holds more than the caller's cap.
-    TooLarge { len: u64 },
-    /// `= J` names no set in scope.
-    UnknownAlias(String),
+    /// The definition's span.
+    pub span: Span,
+    /// For `= J` definitions, the set `J` resolved to.
+    pub alias_of: Option<SetId>,
 }
 
 impl IndexSetInfo {
-    /// Build the set a definition denotes: a range or list whose
-    /// expressions `value` evaluates, or the (shared, never copied)
-    /// elements of the set `alias` finds. A range is checked against
-    /// `max` before anything is materialised, so a hostile `{0..1<<40}` is
-    /// an error, not an OOM. `env` is threaded to both callbacks because
-    /// the executor's need `&mut Program` and `&Program`.
-    pub fn build<C, E>(
-        def: &IndexSetDef,
-        max: u64,
-        env: &mut C,
-        value: impl Fn(&mut C, &Expr) -> Result<i64, E>,
-        alias: impl Fn(&C, &str) -> Option<Arc<Vec<i64>>>,
-    ) -> Result<IndexSetInfo, IndexSetError<E>> {
-        let elements = match &def.init {
-            IndexSetInit::Range(lo, hi) => {
-                let lo = value(env, lo).map_err(IndexSetError::Eval)?;
-                let hi = value(env, hi).map_err(IndexSetError::Eval)?;
-                if hi < lo {
-                    return Err(IndexSetError::Reversed { lo, hi });
-                }
-                let len = hi.abs_diff(lo).saturating_add(1);
-                if len > max {
-                    return Err(IndexSetError::TooLarge { len });
-                }
-                Arc::new((lo..=hi).collect())
-            }
-            IndexSetInit::List(items) => Arc::new(
-                items
-                    .iter()
-                    .map(|e| value(env, e))
-                    .collect::<Result<Vec<i64>, E>>()
-                    .map_err(IndexSetError::Eval)?,
-            ),
-            IndexSetInit::Alias(src) => {
-                alias(env, src).ok_or_else(|| IndexSetError::UnknownAlias(src.clone()))?
-            }
-        };
-        Ok(IndexSetInfo { elem: def.elem.clone(), elements })
-    }
-
     /// `lo` if the elements are `lo, lo+1, …` — the sets (`{lo..hi}`)
     /// whose element is `axis coordinate + lo`
     /// (`opt::ElemForm::AxisPlus`).
@@ -115,27 +74,41 @@ pub struct ArrayInfo {
 }
 
 /// The output of semantic analysis, consumed by the executor, the
-/// optimizer and the C* emitter.
+/// optimizer, the lints and the C* emitter.
 #[derive(Debug, Clone)]
 pub struct Checked {
+    /// The unit, with every construct's and reduction's `sets` filled in.
     pub unit: Unit,
     pub consts: HashMap<String, i64>,
-    /// Global index sets in declaration order.
-    pub index_sets: Vec<(String, IndexSetInfo)>,
+    /// Every index-set definition, global or local, in the order sema met
+    /// it; a [`SetId`] indexes this table.
+    pub sets: Vec<IndexSetInfo>,
+    /// The global definition each name denotes (the last one wins).
+    pub global_sets: HashMap<String, SetId>,
     pub arrays: HashMap<String, ArrayInfo>,
     /// Global scalar variables (type, constant initializer if any).
     pub scalars: HashMap<String, (Type, Option<i64>)>,
-    pub funcs: HashMap<String, FuncDef>,
+    /// Function name → position of its definition in `unit.items`.
+    pub funcs: HashMap<String, usize>,
     pub maps: Vec<MapDecl>,
 }
 
 impl Checked {
+    /// A global index set by name — for map sections, which name sets
+    /// outside any function. Constructs and reductions carry [`SetId`]s.
     pub fn index_set(&self, name: &str) -> Option<&IndexSetInfo> {
-        self.index_sets.iter().rev().find(|(n, _)| n == name).map(|(_, i)| i)
+        self.global_sets.get(name).map(|&id| &self.sets[id])
     }
 
-    /// Function definitions in source order (the `funcs` map is keyed for
-    /// lookup; analysis passes walk this for deterministic output).
+    pub fn func(&self, name: &str) -> Option<&FuncDef> {
+        match &self.unit.items[*self.funcs.get(name)?] {
+            Item::Func(f) => Some(f),
+            _ => None,
+        }
+    }
+
+    /// Function definitions in source order (analysis passes walk this
+    /// for deterministic output).
     pub fn funcs_in_order(&self) -> impl Iterator<Item = &FuncDef> {
         self.unit.items.iter().filter_map(|it| match it {
             Item::Func(f) => Some(f),
@@ -167,11 +140,12 @@ pub fn const_eval(e: &Expr, consts: &HashMap<String, i64>) -> Result<i64, Span> 
 
 /// Run semantic analysis. Errors are recorded in `diags`; returns `None`
 /// if any were produced.
-pub fn check(unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
+pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
     let mut cx = Checker {
         diags,
         consts: HashMap::new(),
-        index_sets: Vec::new(),
+        sets: Vec::new(),
+        global_sets: HashMap::new(),
         arrays: HashMap::new(),
         scalars: HashMap::new(),
         funcs: HashMap::new(),
@@ -179,42 +153,55 @@ pub fn check(unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         scopes: Vec::new(),
         nest: Nesting::default(),
     };
-    cx.run(&unit);
+    cx.run(&mut unit);
     if cx.diags.has_errors() {
         None
     } else {
         Some(Checked {
             unit,
             consts: cx.consts,
-            index_sets: cx.index_sets,
+            sets: cx.sets,
+            global_sets: cx.global_sets,
             arrays: cx.arrays,
             scalars: cx.scalars,
-            funcs: cx.funcs,
+            funcs: cx.funcs.into_iter().map(|(name, sig)| (name, sig.item)).collect(),
             maps: cx.maps,
         })
     }
 }
 
 /// What a name means in the current scope.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Binding {
     /// A construct's index element (read-only integer).
     IndexElem,
-    /// A scalar variable of the given type.
-    Scalar(Type),
+    /// A scalar variable of the given type, declared under `depth`
+    /// iteration spaces of its function ([`Nesting::depth`]): 0 is a
+    /// front-end scalar, anything else one value per virtual processor.
+    Scalar(Type, usize),
     /// A local array (inside a par body) or function-local array.
     Array(Type, usize),
     /// A locally declared index set.
-    LocalIndexSet(IndexSetInfo),
+    LocalIndexSet(SetId),
+}
+
+/// What a call site needs to know about a user function.
+struct FuncSig {
+    ret: Type,
+    params: usize,
+    span: Span,
+    /// Position of the definition in `unit.items`.
+    item: usize,
 }
 
 struct Checker<'a> {
     diags: &'a mut Diagnostics,
     consts: HashMap<String, i64>,
-    index_sets: Vec<(String, IndexSetInfo)>,
+    sets: Vec<IndexSetInfo>,
+    global_sets: HashMap<String, SetId>,
     arrays: HashMap<String, ArrayInfo>,
     scalars: HashMap<String, (Type, Option<i64>)>,
-    funcs: HashMap<String, FuncDef>,
+    funcs: HashMap<String, FuncSig>,
     maps: Vec<MapDecl>,
     /// Scope stack for function bodies: name → binding.
     scopes: Vec<HashMap<String, Binding>>,
@@ -223,7 +210,8 @@ struct Checker<'a> {
 
 /// Where the statement being checked sits relative to the enclosing UC
 /// constructs of its function — what decides whether sequential control
-/// flow is legal there.
+/// flow, array declarations and stores to per-processor locals are legal
+/// there.
 #[derive(Default, Clone, Copy)]
 struct Nesting {
     /// Inside a `par`/`oneof`/`solve`, directly or through a nested
@@ -235,6 +223,9 @@ struct Nesting {
     /// Loops opened since the innermost construct: a `break`/`continue`
     /// with none would have to leave the construct.
     loops: usize,
+    /// Iteration spaces open here: one per enclosing `par`/`oneof`/`solve`
+    /// and per enclosing reduction (a `seq` extends no space).
+    depth: usize,
 }
 
 /// Inferred expression type. `Bool` is C's 0/1 int but tracked so logical
@@ -266,7 +257,7 @@ impl ExprTy {
 }
 
 impl<'a> Checker<'a> {
-    fn run(&mut self, unit: &Unit) {
+    fn run(&mut self, unit: &mut Unit) {
         for (name, value) in &unit.defines {
             if self.consts.insert(name.clone(), *value).is_some() {
                 self.diags
@@ -275,18 +266,19 @@ impl<'a> Checker<'a> {
         }
         // First pass: collect all top-level declarations so functions can
         // reference globals declared after them.
-        for item in &unit.items {
-            match item {
+        for (item, it) in unit.items.iter().enumerate() {
+            match it {
                 Item::IndexSets(defs) => {
                     for def in defs {
-                        if let Some(info) = self.eval_index_set(def) {
-                            self.index_sets.push((def.name.clone(), info));
+                        if let Some(id) = self.define_index_set(def) {
+                            self.global_sets.insert(def.name.clone(), id);
                         }
                     }
                 }
                 Item::Var(v) => self.declare_global(v),
                 Item::Func(f) => {
-                    if self.funcs.insert(f.name.clone(), f.clone()).is_some() {
+                    let sig = FuncSig { ret: f.ret, params: f.params.len(), span: f.span, item };
+                    if self.funcs.insert(f.name.clone(), sig).is_some() {
                         self.diags
                             .error(f.span, format!("function `{}` redefined", f.name));
                     }
@@ -294,8 +286,9 @@ impl<'a> Checker<'a> {
                 Item::Map(_) => {}
             }
         }
-        // Second pass: check function bodies and map sections.
-        for item in &unit.items {
+        // Second pass: check function bodies — resolving their index-set
+        // names in place — and map sections.
+        for item in &mut unit.items {
             match item {
                 Item::Func(f) => self.check_func(f),
                 Item::Map(m) => self.check_map(m),
@@ -304,46 +297,98 @@ impl<'a> Checker<'a> {
         }
         match self.funcs.get("main") {
             None => self.diags.error(Span::default(), "program has no `main` function"),
-            Some(main) if !main.params.is_empty() => {
+            Some(main) if main.params != 0 => {
                 self.diags.error(main.span, "`main` takes no parameters");
             }
             Some(_) => {}
         }
     }
 
-    fn eval_index_set(&mut self, def: &IndexSetDef) -> Option<IndexSetInfo> {
-        let built = IndexSetInfo::build(
-            def,
-            MAX_CONST_INDEX_SET,
-            self,
-            |cx, e| cx.const_expr(e).ok_or(()),
-            |cx, src| cx.lookup_index_set(src).map(|info| info.elements.clone()),
-        );
-        let message = match built {
-            Ok(info) if info.elements.is_empty() => format!("index set `{}` is empty", def.name),
-            Ok(info) => return Some(info),
-            // `const_expr` has already reported the offending expression.
-            Err(IndexSetError::Eval(())) => return None,
-            Err(IndexSetError::Reversed { lo, hi }) => {
-                format!("index-set range {{{lo}..{hi}}} is empty or reversed")
+    /// Evaluate one definition — the only place a set's elements are
+    /// computed — and enter it in the table. A range is checked against
+    /// [`MAX_CONST_INDEX_SET`] before anything is materialised.
+    fn define_index_set(&mut self, def: &IndexSetDef) -> Option<SetId> {
+        let mut alias_of = None;
+        let elements = match &def.init {
+            IndexSetInit::Range(lo, hi) => {
+                let (lo, hi) = (self.const_expr(lo)?, self.const_expr(hi)?);
+                if hi < lo {
+                    self.diags.error(
+                        def.span,
+                        format!("index-set range {{{lo}..{hi}}} is empty or reversed"),
+                    );
+                    return None;
+                }
+                let len = hi.abs_diff(lo).saturating_add(1);
+                if len > MAX_CONST_INDEX_SET {
+                    self.diags.error(
+                        def.span,
+                        format!(
+                            "index set `{}` materialises {len} elements (limit {MAX_CONST_INDEX_SET})",
+                            def.name
+                        ),
+                    );
+                    return None;
+                }
+                Arc::new((lo..=hi).collect())
             }
-            Err(IndexSetError::TooLarge { len }) => format!(
-                "index set `{}` materialises {len} elements (limit {MAX_CONST_INDEX_SET})",
-                def.name
-            ),
-            Err(IndexSetError::UnknownAlias(src)) => format!("unknown index set `{src}` in alias"),
+            IndexSetInit::List(items) => {
+                Arc::new(items.iter().map(|e| self.const_expr(e)).collect::<Option<Vec<i64>>>()?)
+            }
+            IndexSetInit::Alias(src) => match self.lookup_index_set(src) {
+                Some(id) => {
+                    alias_of = Some(id);
+                    self.sets[id].elements.clone()
+                }
+                None => {
+                    self.diags
+                        .error(def.span, format!("unknown index set `{src}` in alias"));
+                    return None;
+                }
+            },
         };
-        self.diags.error(def.span, message);
-        None
+        if elements.is_empty() {
+            self.diags.error(def.span, format!("index set `{}` is empty", def.name));
+            return None;
+        }
+        self.sets.push(IndexSetInfo {
+            name: def.name.clone(),
+            elem: def.elem.clone(),
+            elements,
+            span: def.span,
+            alias_of,
+        });
+        Some(self.sets.len() - 1)
     }
 
-    fn lookup_index_set(&self, name: &str) -> Option<&IndexSetInfo> {
+    /// The definition a set name denotes here: innermost local first,
+    /// then the globals.
+    fn lookup_index_set(&self, name: &str) -> Option<SetId> {
         for scope in self.scopes.iter().rev() {
-            if let Some(Binding::LocalIndexSet(info)) = scope.get(name) {
-                return Some(info);
+            if let Some(Binding::LocalIndexSet(id)) = scope.get(name) {
+                return Some(*id);
             }
         }
-        self.index_sets.iter().rev().find(|(n, _)| n == name).map(|(_, i)| i)
+        self.global_sets.get(name).copied()
+    }
+
+    /// Resolve a construct's or reduction's set names, binding each set's
+    /// element in a fresh scope. Reuse of a set hides the outer binding,
+    /// as in the paper (§3.4).
+    fn bind_sets(&mut self, idxs: &[String], span: Span, whose: &str) -> Vec<SetId> {
+        let mut scope = HashMap::new();
+        let mut sets = Vec::with_capacity(idxs.len());
+        for name in idxs {
+            match self.lookup_index_set(name) {
+                Some(id) => {
+                    scope.insert(self.sets[id].elem.clone(), Binding::IndexElem);
+                    sets.push(id);
+                }
+                None => self.diags.error(span, format!("unknown index set `{name}`{whose}")),
+            }
+        }
+        self.scopes.push(scope);
+        sets
     }
 
     fn declare_global(&mut self, v: &VarDecl) {
@@ -362,13 +407,8 @@ impl<'a> Checker<'a> {
         } else {
             let mut shape = Vec::with_capacity(v.dims.len());
             for d in &v.dims {
-                match self.const_expr(d) {
-                    Some(n) if n > 0 => shape.push(n as usize),
-                    Some(n) => {
-                        self.diags
-                            .error(d.span(), format!("array extent must be positive, got {n}"));
-                        return;
-                    }
+                match self.extent(d) {
+                    Some(n) => shape.push(n),
                     None => return,
                 }
             }
@@ -393,19 +433,30 @@ impl<'a> Checker<'a> {
         }
     }
 
+    /// An array extent: a positive compile-time constant.
+    fn extent(&mut self, d: &Expr) -> Option<usize> {
+        let n = self.const_expr(d)?;
+        if n <= 0 {
+            self.diags
+                .error(d.span(), format!("array extent must be positive, got {n}"));
+            return None;
+        }
+        Some(n as usize)
+    }
+
     // ---- function bodies ------------------------------------------------
 
-    fn check_func(&mut self, f: &FuncDef) {
+    fn check_func(&mut self, f: &mut FuncDef) {
         let mut scope = HashMap::new();
         for (ty, name) in &f.params {
             if *ty == Type::Void {
                 self.diags.error(f.span, format!("parameter `{name}` cannot be void"));
             }
-            scope.insert(name.clone(), Binding::Scalar(*ty));
+            scope.insert(name.clone(), Binding::Scalar(*ty, 0));
         }
         self.scopes.push(scope);
         self.nest = Nesting::default();
-        self.check_block(&f.body);
+        self.check_block(&mut f.body);
         self.scopes.pop();
     }
 
@@ -421,27 +472,31 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_block(&mut self, b: &Block) {
+    fn check_block(&mut self, b: &mut Block) {
         self.scopes.push(HashMap::new());
-        for s in &b.stmts {
+        for s in &mut b.stmts {
             self.check_stmt(s);
         }
         self.scopes.pop();
     }
 
-    fn declare_local(&mut self, v: &VarDecl) {
+    fn declare_local(&mut self, v: &mut VarDecl) {
         if v.ty == Type::Void {
             self.diags.error(v.span, "variables cannot have type void");
             return;
         }
         let binding = if v.dims.is_empty() {
-            if let Some(init) = &v.init {
+            if let Some(init) = &mut v.init {
                 self.check_expr(init);
             }
-            Binding::Scalar(v.ty)
+            Binding::Scalar(v.ty, self.nest.depth)
         } else {
+            if self.nest.parallel {
+                self.diags
+                    .error(v.span, "array declarations inside a parallel construct");
+            }
             for d in &v.dims {
-                self.const_expr(d);
+                self.extent(d);
             }
             if v.init.is_some() {
                 self.diags.error(v.span, "array initializers are not supported");
@@ -454,7 +509,7 @@ impl<'a> Checker<'a> {
             .insert(v.name.clone(), binding);
     }
 
-    fn check_stmt(&mut self, s: &Stmt) {
+    fn check_stmt(&mut self, s: &mut Stmt) {
         match s {
             Stmt::Expr(e) => {
                 self.check_expr(e);
@@ -462,11 +517,11 @@ impl<'a> Checker<'a> {
             Stmt::Decl(v) => self.declare_local(v),
             Stmt::IndexSets(defs) => {
                 for def in defs {
-                    if let Some(info) = self.eval_index_set(def) {
+                    if let Some(id) = self.define_index_set(def) {
                         self.scopes
                             .last_mut()
                             .expect("inside a scope")
-                            .insert(def.name.clone(), Binding::LocalIndexSet(info));
+                            .insert(def.name.clone(), Binding::LocalIndexSet(id));
                     }
                 }
             }
@@ -502,43 +557,40 @@ impl<'a> Checker<'a> {
                 }
             }
             Stmt::Break(span) | Stmt::Continue(span) => {
+                let span = *span;
                 let what = if matches!(s, Stmt::Break(_)) { "break" } else { "continue" };
-                self.check_flow(what, self.nest.construct && self.nest.loops == 0, *span);
+                self.check_flow(what, self.nest.construct && self.nest.loops == 0, span);
             }
             Stmt::Empty => {}
             Stmt::Uc(uc) => self.check_uc(uc),
         }
     }
 
-    fn check_uc(&mut self, uc: &UcStmt) {
-        // Bind the constructs' index elements in a fresh scope. Reuse of a
-        // set hides the outer binding, as in the paper (§3.4).
-        let mut scope = HashMap::new();
-        for name in &uc.idxs {
-            match self.lookup_index_set(name) {
-                Some(info) => {
-                    scope.insert(info.elem.clone(), Binding::IndexElem);
-                }
-                None => {
-                    self.diags.error(uc.span, format!("unknown index set `{name}`"));
-                }
-            }
-        }
-        self.scopes.push(scope);
+    fn check_uc(&mut self, uc: &mut UcStmt) {
+        uc.sets = self.bind_sets(&uc.idxs, uc.span, "");
         let outer = self.nest;
+        let parallel = uc.kind != UcKind::Seq;
         self.nest = Nesting {
-            parallel: outer.parallel || uc.kind != UcKind::Seq,
+            parallel: outer.parallel || parallel,
             construct: true,
             loops: 0,
+            depth: outer.depth + parallel as usize,
         };
-        for arm in &uc.arms {
-            if let Some(p) = &arm.pred {
+        for arm in &mut uc.arms {
+            if let Some(p) = &mut arm.pred {
+                if uc.kind == UcKind::Solve {
+                    self.diags
+                        .error(p.span(), "`st` predicates are not supported on `solve` statements");
+                }
                 self.check_expr(p);
             }
-            self.check_stmt(&arm.body);
+            self.check_stmt(&mut arm.body);
         }
-        if let Some(o) = &uc.others {
-            if uc.arms.iter().all(|a| a.pred.is_none()) {
+        if let Some(o) = &mut uc.others {
+            if uc.kind == UcKind::Oneof {
+                self.diags
+                    .error(uc.span, "`others` is not supported on `oneof` statements");
+            } else if uc.arms.iter().all(|a| a.pred.is_none()) {
                 self.diags.error(
                     uc.span,
                     "`others` requires at least one `st`-guarded arm before it",
@@ -595,8 +647,11 @@ impl<'a> Checker<'a> {
                     );
                 }
                 match target.as_ref() {
-                    Expr::Ident(n, _) | Expr::Index { base: n, .. } => out.push(n.clone()),
-                    _ => {}
+                    Expr::Index { base, .. } => out.push(base.clone()),
+                    // `solve` orders element definitions; a scalar has none.
+                    other => self
+                        .diags
+                        .error(other.span(), "solve targets must be array elements"),
                 }
             }
             Stmt::Block(b) => {
@@ -619,11 +674,11 @@ impl<'a> Checker<'a> {
     fn lookup(&self, name: &str) -> Option<Binding> {
         for scope in self.scopes.iter().rev() {
             if let Some(b) = scope.get(name) {
-                return Some(b.clone());
+                return Some(*b);
             }
         }
         if let Some((ty, _)) = self.scalars.get(name) {
-            return Some(Binding::Scalar(*ty));
+            return Some(Binding::Scalar(*ty, 0));
         }
         if let Some(info) = self.arrays.get(name) {
             return Some(Binding::Array(info.ty, info.shape.len()));
@@ -631,7 +686,7 @@ impl<'a> Checker<'a> {
         None
     }
 
-    fn check_expr(&mut self, e: &Expr) -> ExprTy {
+    fn check_expr(&mut self, e: &mut Expr) -> ExprTy {
         match e {
             Expr::IntLit(..) => ExprTy::Int,
             Expr::FloatLit(..) => ExprTy::Float,
@@ -642,7 +697,7 @@ impl<'a> Checker<'a> {
                 }
                 match self.lookup(name) {
                     Some(Binding::IndexElem) => ExprTy::Int,
-                    Some(Binding::Scalar(t)) => ExprTy::of(t),
+                    Some(Binding::Scalar(t, _)) => ExprTy::of(t),
                     Some(Binding::Array(..)) => {
                         self.diags.error(
                             *span,
@@ -697,7 +752,7 @@ impl<'a> Checker<'a> {
                 ty
             }
             Expr::Call { name, args, span } => {
-                for a in args {
+                for a in args.iter_mut() {
                     self.check_expr(a);
                 }
                 if let Some(sig) = stdlib::builtin(name) {
@@ -712,12 +767,14 @@ impl<'a> Checker<'a> {
                         );
                     }
                     if name == "swap" {
-                        for a in args {
-                            if !matches!(a, Expr::Ident(..) | Expr::Index { .. }) {
-                                self.diags.error(
+                        for a in args.iter() {
+                            match a {
+                                Expr::Ident(name, span) => self.check_store_depth(name, *span),
+                                Expr::Index { .. } => {}
+                                _ => self.diags.error(
                                     a.span(),
                                     "swap arguments must be variables or array elements",
-                                );
+                                ),
                             }
                         }
                     }
@@ -725,12 +782,12 @@ impl<'a> Checker<'a> {
                 }
                 match self.funcs.get(name) {
                     Some(f) => {
-                        if f.params.len() != args.len() {
+                        if f.params != args.len() {
                             self.diags.error(
                                 *span,
                                 format!(
                                     "function `{name}` takes {} argument(s), got {}",
-                                    f.params.len(),
+                                    f.params,
                                     args.len()
                                 ),
                             );
@@ -798,7 +855,7 @@ impl<'a> Checker<'a> {
             }
             Expr::Assign { target, value, span, .. } => {
                 let vt = self.check_expr(value);
-                match target.as_ref() {
+                match target.as_mut() {
                     Expr::Ident(name, tspan) => {
                         if self.consts.contains_key(name) {
                             self.diags.error(
@@ -817,7 +874,8 @@ impl<'a> Checker<'a> {
                                 );
                                 ExprTy::Int
                             }
-                            Some(Binding::Scalar(t)) => {
+                            Some(Binding::Scalar(t, _)) => {
+                                self.check_store_depth(name, *tspan);
                                 if ExprTy::of(t) == ExprTy::Int && vt == ExprTy::Float {
                                     self.diags.warning(
                                         *span,
@@ -857,22 +915,26 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_reduce(&mut self, r: &ReduceExpr) -> ExprTy {
-        let mut scope = HashMap::new();
-        for name in &r.idxs {
-            match self.lookup_index_set(name) {
-                Some(info) => {
-                    scope.insert(info.elem.clone(), Binding::IndexElem);
-                }
-                None => {
-                    self.diags
-                        .error(r.span, format!("unknown index set `{name}` in reduction"));
-                }
+    /// A per-processor local (declared inside a parallel construct) has
+    /// one value per point of the space it was declared on: a store from
+    /// a construct or reduction nested deeper has no single value to give
+    /// it. Reading it from there is fine — the value is lifted.
+    fn check_store_depth(&mut self, name: &str, span: Span) {
+        if let Some(Binding::Scalar(_, depth)) = self.lookup(name) {
+            if depth > 0 && depth != self.nest.depth {
+                self.diags.error(
+                    span,
+                    format!("cannot assign to `{name}` from a more deeply nested construct"),
+                );
             }
         }
-        self.scopes.push(scope);
+    }
+
+    fn check_reduce(&mut self, r: &mut ReduceExpr) -> ExprTy {
+        r.sets = self.bind_sets(&r.idxs, r.span, " in reduction");
+        self.nest.depth += 1;
         let mut ty = ExprTy::Int;
-        for (pred, operand) in &r.arms {
+        for (pred, operand) in &mut r.arms {
             if let Some(p) = pred {
                 self.check_expr(p);
             }
@@ -881,7 +943,7 @@ impl<'a> Checker<'a> {
                 ty = ExprTy::Float;
             }
         }
-        if let Some(o) = &r.others {
+        if let Some(o) = &mut r.others {
             if r.arms.iter().all(|(p, _)| p.is_none()) {
                 self.diags.error(
                     r.span,
@@ -897,6 +959,7 @@ impl<'a> Checker<'a> {
         if matches!(r.op, R::And | R::Or | R::Xor) {
             ty = ExprTy::Int;
         }
+        self.nest.depth -= 1;
         self.scopes.pop();
         ty
     }

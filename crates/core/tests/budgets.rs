@@ -88,18 +88,11 @@ fn fuel_boundary_is_exact() {
 fn oversized_index_sets_are_rejected_at_compile_time() {
     // Index-set bounds are compile-time constants, so the front end can
     // (and must) refuse a 2^24-element materialisation before any
-    // allocation happens. The executor keeps an equivalent runtime cap
-    // as defence in depth behind this check.
+    // allocation happens; nothing evaluates a set after the front end.
     let src = "index_set J:j = {0..16777216};\nint s;\nmain() { s = $+(J; 1); }";
     let diags = Program::compile(src).expect_err("2^24 + 1 elements must be refused");
     let msg = diags.to_string();
     assert!(msg.contains("materialises") && msg.contains("limit"), "{msg}");
-}
-
-#[test]
-fn index_set_budget_errors_read_as_budget_errors() {
-    let e = RuntimeError::IndexSetTooLarge { name: "J".into(), len: 1 << 24, max: 1 << 22 };
-    assert!(e.to_string().contains("budget exceeded"), "{e}");
 }
 
 #[test]

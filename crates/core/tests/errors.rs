@@ -134,6 +134,75 @@ fn overflowing_constants_are_diagnostics() {
     }
 }
 
+/// Six facts that are lexical or constant, so `uc check` reports them
+/// instead of `uc run` discovering them: both entry points give the same
+/// spanned diagnostic, and legal neighbours of each still compile.
+#[test]
+fn what_cannot_run_is_a_compile_error() {
+    let prelude = "index_set I:i = {0..3}, J:j = I;\nint a[4], s;\n";
+    for (body, expected, at) in [
+        ("int t[0];", "array extent must be positive, got 0", "3:16"),
+        (
+            "par (I) { int t[2]; a[i] = 1; }",
+            "array declarations inside a parallel construct",
+            "3:24",
+        ),
+        (
+            "oneof (I) st (a[i] > 0) a[i] = 0; others a[i] = 1;",
+            "`others` is not supported on `oneof` statements",
+            "3:10",
+        ),
+        (
+            "solve (I) st (i > 0) a[i] = 1;",
+            "`st` predicates are not supported on `solve` statements",
+            "3:26",
+        ),
+        (
+            "*solve (I) st (i > 0) a[i] = 1;",
+            "`st` predicates are not supported on `solve` statements",
+            "3:27",
+        ),
+        ("solve (I) s = 1;", "solve targets must be array elements", "3:20"),
+        ("*solve (I) s = s + 1;", "solve targets must be array elements", "3:21"),
+        (
+            "par (I) { int r; par (J) r = j; a[i] = r; }",
+            "cannot assign to `r` from a more deeply nested construct",
+            "3:35",
+        ),
+        (
+            "par (I) { int r; a[i] = $+(J; r = j); }",
+            "cannot assign to `r` from a more deeply nested construct",
+            "3:40",
+        ),
+        (
+            "par (I) { int r; r = 0; par (J) swap(r, a[j]); }",
+            "cannot assign to `r` from a more deeply nested construct",
+            "3:47",
+        ),
+    ] {
+        let src = format!("{prelude}main() {{ {body} }}");
+        let msg = compile_err(&src);
+        assert!(msg.contains(expected) && msg.contains(at), "{body}: {msg}");
+        let checked = check_source(&src, &[], &LintConfig::default());
+        assert!(checked.has_errors(), "{body}");
+        let msg = checked.to_string();
+        assert!(msg.contains(expected) && msg.contains(at), "{body}: {msg}");
+    }
+    for body in [
+        "int t[2]; par (I) a[i] = 1;",
+        // Reading a per-processor local from a nested construct lifts it.
+        "par (I) { int r; r = i; par (J) a[j] = r; }",
+        // The reduction is nested; the assignment is not.
+        "par (I) { int r; r = $+(J; j); a[i] = r; }",
+        // A front-end local is one scalar wherever it is assigned from.
+        "int n; n = 0; par (I) n = 1;",
+        "*solve (I) a[i] = a[i] / 2;",
+    ] {
+        let src = format!("{prelude}main() {{ {body} }}");
+        Program::compile(&src).unwrap_or_else(|d| panic!("{body}: {d}"));
+    }
+}
+
 // ---- runtime ----------------------------------------------------------------
 
 #[test]

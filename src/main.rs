@@ -36,8 +36,9 @@
 //!
 //! `run` executes `main()` and then prints every global scalar and array
 //! together with the simulated cycle count and instruction mix — the
-//! numbers the paper's figures plot. Runtime failures are rendered as
-//! `file:line:col: error: ...` followed by the UC call stack.
+//! numbers the paper's figures plot. Every command renders diagnostics
+//! as `file:line:col: error: ...` (`warning[UC1xx]` for lints); a runtime
+//! failure is followed by the UC call stack.
 //!
 //! The simulator's hot loops run on a work-stealing thread pool sized
 //! from the `UC_THREADS` environment variable when set (clamped to
@@ -297,7 +298,7 @@ fn check(
     if emit_ir && !diags.has_errors() {
         // Lints passed: print the compiled register IR instead of the
         // usual summary line.
-        eprint!("{diags}");
+        eprint!("{}", diags.render_with_path(path));
         return match Program::compile_with_defines(src, exec_cfg, defines) {
             Ok(p) => {
                 print!("{}", p.emit_ir());
@@ -312,7 +313,7 @@ fn check(
     match format {
         Format::Json => println!("{}", analysis::diagnostics_to_json(&diags)),
         Format::Text => {
-            eprint!("{diags}");
+            eprint!("{}", diags.render_with_path(path));
             if !diags.has_errors() {
                 println!("{path}: ok ({} warnings)", diags.warning_count());
             }

@@ -2,8 +2,12 @@
 //! sequential baselines must agree on every shared workload — the
 //! precondition for the paper's figures to be meaningful comparisons.
 
+use std::collections::HashMap;
+use std::fmt::Write;
+
 use proptest::prelude::*;
 use uc::cstar::programs;
+use uc::lang::analysis::{check_source, LintConfig};
 use uc::lang::Program;
 use uc::seqc::{grid, oracle, SeqMachine};
 
@@ -219,6 +223,101 @@ fn observe_folding(src: &str, constfold: bool) -> (Option<String>, Vec<u64>) {
     (error, vec![int("ri"), rf, int("calls"), int("next")])
 }
 
+/// One statement of a generated scope nest: an index-set definition
+/// under a name from [`POOL`] (so shadowing is frequent), a probe that
+/// sums the elements of whatever set a name denotes there, or a block.
+enum Nest {
+    /// `init`: 0/1 a range of 2/3 elements, 2 a descending list, 3.. an
+    /// alias of `POOL[init - 3]`.
+    Def { name: usize, init: usize },
+    /// `form`: 0 a front-end reduction, 1 a `par`, 2 a front-end `seq`.
+    Probe { name: usize, form: usize },
+    Block(Vec<Nest>),
+}
+
+const POOL: [&str; 3] = ["A", "B", "C"];
+
+fn nest(tape: &mut dyn Iterator<Item = u32>, depth: u32) -> Vec<Nest> {
+    let mut items = Vec::new();
+    for _ in 0..2 + tape.next().unwrap_or(0) % 4 {
+        let mut next = |n: u32| (tape.next().unwrap_or(0) % n) as usize;
+        items.push(match next(if depth < 3 { 7 } else { 5 }) {
+            0 | 1 => Nest::Def { name: next(3), init: next(6) },
+            2..=4 => Nest::Probe { name: next(3), form: next(3) },
+            _ => Nest::Block(nest(tape, depth + 1)),
+        });
+    }
+    items
+}
+
+/// Lexical scoping of index sets in plain Rust — a name denotes the
+/// innermost definition in scope — writing the UC source as it goes.
+/// Definition `d` draws its elements from `10d..`, so the sum a probe
+/// stores identifies the definition it ranged over (aliases share their
+/// source's elements but not its element name `e<d>`).
+#[derive(Default)]
+struct ScopeModel {
+    src: String,
+    /// Innermost last: set name → definition.
+    scopes: Vec<HashMap<usize, usize>>,
+    /// Per definition: elements, source line, whether anything reaches it.
+    defs: Vec<(Vec<i64>, u32, bool)>,
+    /// Per probe: the sum it must store in `hits`.
+    hits: Vec<i64>,
+}
+
+impl ScopeModel {
+    fn resolve(&mut self, name: usize) -> Option<usize> {
+        let d = self.scopes.iter().rev().find_map(|s| s.get(&name).copied())?;
+        self.defs[d].2 = true;
+        Some(d)
+    }
+
+    fn walk(&mut self, items: &[Nest]) {
+        for item in items {
+            match *item {
+                Nest::Def { name, init } => {
+                    let d = self.defs.len();
+                    let lo = 10 * d as i64;
+                    let (text, elements) = match init {
+                        0 | 1 => {
+                            let hi = lo + init as i64 + 1;
+                            (format!("{{{lo}..{hi}}}"), (lo..=hi).collect())
+                        }
+                        2 => (format!("{{{}, {lo}}}", lo + 2), vec![lo + 2, lo]),
+                        alias => match self.resolve(alias - 3) {
+                            Some(src) => (POOL[alias - 3].to_string(), self.defs[src].0.clone()),
+                            None => continue,
+                        },
+                    };
+                    let line = self.src.matches('\n').count() as u32 + 1;
+                    writeln!(self.src, "index_set {}:e{d} = {text};", POOL[name]).unwrap();
+                    self.defs.push((elements, line, false));
+                    self.scopes.last_mut().unwrap().insert(name, d);
+                }
+                Nest::Probe { name, form } => {
+                    let Some(d) = self.resolve(name) else { continue };
+                    let (set, k) = (POOL[name], self.hits.len());
+                    self.hits.push(self.defs[d].0.iter().sum());
+                    let probe = match form {
+                        0 => format!("hits[{k}] = $+({set}; e{d});"),
+                        1 => format!("par ({set}) hits[{k}] = $+({set}; e{d});"),
+                        _ => format!("seq ({set}) hits[{k}] = hits[{k}] + e{d};"),
+                    };
+                    writeln!(self.src, "{probe}").unwrap();
+                }
+                Nest::Block(ref inner) => {
+                    self.src.push_str("{\n");
+                    self.scopes.push(HashMap::new());
+                    self.walk(inner);
+                    self.scopes.pop();
+                    self.src.push_str("}\n");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -241,6 +340,47 @@ proptest! {
              ri = {e1};\n    rf = {e2};\n    next = rand();\n}}\n"
         );
         prop_assert_eq!(observe_folding(&src, true), observe_folding(&src, false), "{}", src);
+    }
+
+    /// Index-set scoping against a model that shares no code with sema:
+    /// every probe stores the sum of the set the model says its name
+    /// denotes there, and UC121 flags exactly the definitions the model
+    /// says no construct, reduction or alias reaches.
+    #[test]
+    fn index_set_scoping_matches_a_lexical_model(
+        tape in prop::collection::vec(0u32..1 << 16, 48..160),
+    ) {
+        let mut tape = tape.into_iter();
+        let mut m = ScopeModel { scopes: vec![HashMap::new()], ..Default::default() };
+        let mut next = |n: u32| (tape.next().unwrap_or(0) % n) as usize;
+        let mut globals = Vec::new();
+        for name in 0..POOL.len() {
+            if next(4) != 0 {
+                globals.push(Nest::Def { name, init: next(6) });
+            }
+        }
+        m.walk(&globals);
+        m.src.push_str("int hits[HITS];\nmain()\n");
+        m.walk(&[Nest::Block(nest(&mut tape, 0))]);
+        let hits = [("HITS", m.hits.len().max(1) as i64)];
+
+        let mut p = Program::compile_with_defines(&m.src, Default::default(), &hits)
+            .unwrap_or_else(|d| panic!("{}\n{d}", m.src));
+        p.run().unwrap_or_else(|e| panic!("{}\n{e}", m.src));
+        let stored = p.read_int_array("hits").unwrap();
+        prop_assert_eq!(&stored[..m.hits.len()], &m.hits[..], "{}", m.src);
+
+        let diags = check_source(&m.src, &hits, &LintConfig::default());
+        prop_assert!(!diags.has_errors(), "{}\n{}", m.src, diags);
+        let flagged: Vec<u32> = diags
+            .items
+            .iter()
+            .filter(|d| d.code == Some("UC121"))
+            .map(|d| d.span.line)
+            .collect();
+        let unused: Vec<u32> =
+            m.defs.iter().filter(|(_, _, used)| !used).map(|(_, line, _)| *line).collect();
+        prop_assert_eq!(flagged, unused, "{}", m.src);
     }
 }
 

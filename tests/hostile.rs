@@ -47,7 +47,6 @@ fn tight_budgets() -> ExecConfig {
         max_call_depth: 16,
         max_iterations: 1_000,
         timeout_ms: Some(2_000),
-        ..Default::default()
     };
     ExecConfig { limits, ..Default::default() }
 }
