@@ -4,8 +4,9 @@
 //! general-router traffic (`exec/access.rs`) from the [`IdxForm`] of its
 //! subscripts. This pass asks the same classifier,
 //! [`opt::classify_index`], at check time — with the binders it tracks
-//! while walking and sema's constant evaluator in place of the executor's
-//! live scopes — and reports the two cases where a provably-regular
+//! while walking, keyed like the executor's by the set a `Ref::Elem`
+//! names, and the `#define`s in place of the executor's live values —
+//! and reports the two cases where a provably-regular
 //! pattern still pays router cost, the paper's §4 communication-cost
 //! optimization surfaced as a diagnostic instead of silently applied:
 //!
@@ -26,17 +27,18 @@
 use super::{Finding, Pass};
 use crate::ast::*;
 use crate::opt::{self, ElemForm, IdxForm};
-use crate::sema::{self, Checked};
+use crate::sema::Checked;
 
 pub(crate) struct CommPass;
 
 struct Walker<'c> {
     checked: &'c Checked,
-    /// Index elements in scope, innermost last. Elements of a space axis
-    /// bind as the executor binds them; sequentially bound ones
-    /// (`seq`/`oneof`/`solve`) are a front-end value at each step, unknown
-    /// statically: [`ElemForm::Opaque`].
-    binders: Vec<(&'c str, ElemForm)>,
+    /// Index elements in scope, innermost last, by the set each is the
+    /// element of. Elements of a space axis bind as the executor binds
+    /// them; those of `oneof`/`solve` are unknown statically:
+    /// [`ElemForm::Opaque`]. (A `seq` element is a front-end local, not a
+    /// constant either.)
+    binders: Vec<(SetId, ElemForm)>,
     /// Extents of the current space axes (outer constructs are a prefix,
     /// as in the executor).
     dims: Vec<usize>,
@@ -99,7 +101,7 @@ impl Walker<'_> {
                 }
                 self.dims.push(info.elements.len());
             }
-            self.binders.push((&info.elem, form));
+            self.binders.push((set, form));
         }
         (sets.len(), if parallel { sets.len() } else { 0 })
     }
@@ -111,7 +113,7 @@ impl Walker<'_> {
 
     fn expr(&mut self, e: &Expr) {
         let pushed = match e {
-            Expr::Index { base, subs, span } => {
+            Expr::Index { base, subs, span, .. } => {
                 self.classify(base, subs, *span);
                 (0, 0)
             }
@@ -126,14 +128,15 @@ impl Walker<'_> {
 
     /// Classify one access and report UC110/UC111 when a regular pattern
     /// pays router cost.
-    fn classify(&mut self, base: &str, subs: &[Expr], span: crate::span::Span) {
+    fn classify(&mut self, base: &Name, subs: &[Expr], span: crate::span::Span) {
         if self.dims.is_empty() {
             return; // front-end access, no communication
         }
-        let Some(info) = self.checked.arrays.get(base) else {
-            return; // local array (per-VP or front-end scoped)
+        let Ref::Array(id) = base.to else {
+            return; // a function-local array
         };
-        if self.checked.maps.iter().any(|m| m.target.array == base) {
+        let info = self.checked.array(id);
+        if self.checked.maps.iter().any(|m| *m.target.array == *base.text) {
             return; // re-mapped arrays follow their own transform
         }
         // Full-rank only: partial-rank gathers are genuine router traffic.
@@ -142,10 +145,13 @@ impl Walker<'_> {
         }
         // (axis, offset) per subscript; anything but `axis + constant`
         // is a true gather.
-        let elem_form = |name: &str| {
-            self.binders.iter().rev().find(|(n, _)| *n == name).map(|(_, form)| *form)
+        let elem_form = |name: &Name| match name.to {
+            Ref::Elem(set) => {
+                self.binders.iter().rev().find(|(s, _)| *s == set as SetId).map(|(_, form)| *form)
+            }
+            _ => None,
         };
-        let konst = |e: &Expr| sema::const_eval(e, &self.checked.consts).ok();
+        let konst = |e: &Expr| self.checked.const_int(e);
         let mut forms = Vec::with_capacity(subs.len());
         for sub in subs {
             let form = opt::classify_index(sub, &elem_form, &konst);
@@ -154,7 +160,7 @@ impl Walker<'_> {
         }
         let identity_axes = forms.iter().enumerate().all(|(d, &(a, _))| a == d);
         let conforms = info.shape == self.dims;
-        let access = crate::pretty::access(base, subs);
+        let access = crate::pretty::access(&base.text, subs);
         if identity_axes && conforms {
             let displaced = forms.iter().filter(|&&(_, offset)| offset != 0).count();
             if displaced > 1 {
@@ -237,6 +243,18 @@ mod tests {
         );
         assert_eq!(codes_of(&f), vec!["UC111"]);
         assert!(f[0].message.contains("conform"), "{}", f[0].message);
+    }
+
+    /// Only a base sema resolved to a global array is classified: a
+    /// function-local array that shares the spelling of a non-conforming
+    /// global one is not that array.
+    #[test]
+    fn a_local_array_is_not_the_global_it_shadows() {
+        let global = "index_set I:i = {0..7};\nint a[16], b[8];\n";
+        let f = findings(&format!("{global}main() {{ par (I) b[i] = a[i]; }}"));
+        assert_eq!(codes_of(&f), vec!["UC111"]);
+        let f = findings(&format!("{global}main() {{ int a[8]; par (I) b[i] = a[i]; }}"));
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

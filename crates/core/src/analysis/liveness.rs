@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet};
 
 use super::{Finding, Pass};
 use crate::ast::*;
-use crate::sema::Checked;
+use crate::sema::{Checked, FuncInfo, LocalKind};
 use crate::span::Span;
 
 pub(crate) struct LivenessPass;
@@ -32,10 +32,11 @@ impl Pass for LivenessPass {
     }
 
     fn run(&self, checked: &Checked, out: &mut Vec<Finding>) {
-        for f in checked.funcs_in_order() {
+        for (f, info) in checked.funcs_in_order().zip(&checked.func_infos) {
             let mut w = FnWalker {
+                info,
+                params: f.params.len() as LocalId,
                 uninit: HashSet::new(),
-                locals: HashSet::new(),
                 reported: HashSet::new(),
                 pending: HashMap::new(),
                 out: Vec::new(),
@@ -85,21 +86,25 @@ fn unused_functions(checked: &Checked, out: &mut Vec<Finding>) {
     }
 }
 
-struct FnWalker {
+/// Everything is keyed by the `LocalId` sema resolved an identifier to,
+/// so two locals that share a spelling are two variables.
+struct FnWalker<'c> {
+    /// Sema's table of the function (names, for the messages).
+    info: &'c FuncInfo,
+    /// Locals `0..params` are parameters: initialised by the caller, and
+    /// not tracked (reads of globals and elements are not locals at all).
+    params: LocalId,
     /// Local scalars definitely uninitialised at this program point.
-    uninit: HashSet<String>,
-    /// Every local scalar declared so far (reads of anything else are
-    /// globals/params/elements and never flagged).
-    locals: HashSet<String>,
+    uninit: HashSet<LocalId>,
     /// Variables already reported for UC130 (one report per variable).
-    reported: HashSet<String>,
+    reported: HashSet<LocalId>,
     /// Straight-line pending stores: variable → span of the last store
     /// with no read since (UC131).
-    pending: HashMap<String, Span>,
+    pending: HashMap<LocalId, Span>,
     out: Vec<Finding>,
 }
 
-impl FnWalker {
+impl FnWalker<'_> {
     fn stmt(&mut self, s: &Stmt) {
         match s {
             Stmt::Decl(v) => {
@@ -112,12 +117,10 @@ impl FnWalker {
                 match &v.init {
                     Some(init) => {
                         self.expr(init);
-                        self.locals.insert(v.name.clone());
-                        self.store(&v.name, v.span);
+                        self.store(v.local, v.span);
                     }
                     None => {
-                        self.locals.insert(v.name.clone());
-                        self.uninit.insert(v.name.clone());
+                        self.uninit.insert(v.local);
                     }
                 }
             }
@@ -177,7 +180,7 @@ impl FnWalker {
             Stmt::Uc(uc) => {
                 self.pending.clear();
                 let before = self.uninit.clone();
-                let mut merged: Option<HashSet<String>> = None;
+                let mut merged: Option<HashSet<LocalId>> = None;
                 for arm in &uc.arms {
                     self.uninit = before.clone();
                     self.pending.clear();
@@ -214,35 +217,46 @@ impl FnWalker {
         });
     }
 
+    /// The declared scalar local `name` denotes, if it does.
+    fn tracked(&self, name: &Name) -> Option<LocalId> {
+        match name.to {
+            Ref::Local(id) if id >= self.params => {
+                let scalar = !matches!(self.info.locals[id as usize].kind, LocalKind::Array(_));
+                scalar.then_some(id)
+            }
+            _ => None,
+        }
+    }
+
     /// Record a store to a local scalar, reporting the previous store in
     /// this straight-line run if it was never read (UC131).
-    fn store(&mut self, name: &str, span: Span) {
-        if !self.locals.contains(name) {
-            return;
-        }
-        self.uninit.remove(name);
-        if let Some(prev) = self.pending.insert(name.to_string(), span) {
+    fn store(&mut self, id: LocalId, span: Span) {
+        self.uninit.remove(&id);
+        if let Some(prev) = self.pending.insert(id, span) {
             self.out.push(Finding {
                 code: "UC131",
                 span: prev,
                 message: format!(
-                    "value stored to `{name}` is overwritten before it is ever read \
-                     (§4 dead code)"
+                    "value stored to `{}` is overwritten before it is ever read \
+                     (§4 dead code)",
+                    self.info.locals[id as usize].name
                 ),
             });
         }
     }
 
-    /// Record a read of `name` (UC130 when definitely uninitialised).
-    fn read(&mut self, name: &str, span: Span) {
-        self.pending.remove(name);
-        if self.uninit.contains(name) && self.reported.insert(name.to_string()) {
+    /// Record a read of a local scalar (UC130 when definitely
+    /// uninitialised).
+    fn read(&mut self, id: LocalId, span: Span) {
+        self.pending.remove(&id);
+        if self.uninit.contains(&id) && self.reported.insert(id) {
             self.out.push(Finding {
                 code: "UC130",
                 span,
                 message: format!(
-                    "local `{name}` is read before any assignment initialises it \
-                     (§4 dataflow)"
+                    "local `{}` is read before any assignment initialises it \
+                     (§4 dataflow)",
+                    self.info.locals[id as usize].name
                 ),
             });
         }
@@ -250,15 +264,21 @@ impl FnWalker {
 
     fn expr(&mut self, e: &Expr) {
         match e {
-            Expr::Ident(name, span) => self.read(name, *span),
+            Expr::Ident(name, span) => {
+                if let Some(id) = self.tracked(name) {
+                    self.read(id, *span);
+                }
+            }
             Expr::Assign { target, op, value, span } => {
                 self.expr(value);
                 match target.as_ref() {
                     Expr::Ident(name, tspan) => {
-                        if op.is_some() {
-                            self.read(name, *tspan);
+                        if let Some(id) = self.tracked(name) {
+                            if op.is_some() {
+                                self.read(id, *tspan);
+                            }
+                            self.store(id, *span);
                         }
-                        self.store(name, *span);
                     }
                     Expr::Index { subs, .. } => {
                         for s in subs {
@@ -321,6 +341,17 @@ mod tests {
         let f = findings("main() { int x, y; x = 1; x = 2; y = x; }");
         assert_eq!(codes_of(&f), vec!["UC131"]);
         assert_eq!(f[0].span.line, 1);
+    }
+
+    /// Two locals that share a spelling are two variables: a store to
+    /// the inner one neither overwrites nor initialises the outer one.
+    #[test]
+    fn a_shadowing_local_is_its_own_variable() {
+        let f = findings("int s, t;\nmain() { int x; x = 1; { int x; x = 2; s = x; } t = x; }");
+        assert!(f.is_empty(), "{f:?}");
+        let f = findings("int t;\nmain() { int x; { int x; x = 2; t = x; } t = x; }");
+        assert_eq!(codes_of(&f), vec!["UC130"]);
+        assert_eq!(f[0].span.col, 46, "the read of the outer `x`");
     }
 
     #[test]

@@ -17,11 +17,15 @@
 //! | UC131 | liveness  | dead store (value overwritten before any read) |
 //! | UC132 | liveness  | function never called from `main` |
 //!
-//! Every pass is a pure function over [`Checked`] — the symbol/type
-//! tables sema exports, including the index-set table every construct
-//! and reduction indexes by [`crate::ast::SetId`]; no pass resolves a set
-//! name itself — so the same passes can later run over the compiled IR
-//! (ROADMAP item 3) without changing their reporting.
+//! Every pass is a pure function over [`Checked`] — the AST sema
+//! resolved and the tables its references index: the index sets every
+//! construct and reduction names by [`crate::ast::SetId`], the locals of
+//! each function by [`crate::ast::LocalId`], the global arrays by id. No
+//! pass keeps a scope of its own or looks a spelling up: a binder is the
+//! set a `Ref::Elem` names, a variable the local a `Ref::Local` names,
+//! and spellings appear only in the messages — so the same passes can
+//! later run over the compiled IR (ROADMAP item 3) without changing
+//! their reporting.
 
 mod comm;
 mod context;
@@ -299,7 +303,7 @@ pub fn diagnostics_to_json(diags: &Diagnostics) -> String {
 /// Whether `e` is a compile-time constant equal to zero (a provably-false
 /// predicate / provably-empty context).
 pub(crate) fn const_false(e: &Expr, checked: &Checked) -> bool {
-    sema::const_eval(e, &checked.consts) == Ok(0)
+    checked.const_int(e) == Some(0)
 }
 
 #[cfg(test)]

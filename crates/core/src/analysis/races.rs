@@ -13,11 +13,11 @@
 //! a store guarded by a predicate that mentions the offending element is
 //! assumed to narrow the context (e.g. `st (i == 0)`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use super::{Finding, Pass};
 use crate::ast::*;
-use crate::sema::Checked;
+use crate::sema::{Checked, FuncInfo, LocalKind};
 use crate::span::Span;
 
 pub(crate) struct RacePass;
@@ -36,12 +36,14 @@ enum BinderKind {
 
 struct Walker<'c> {
     checked: &'c Checked,
-    /// Innermost-last element binders.
-    binders: Vec<(&'c str, BinderKind)>,
-    /// Local variables in scope → number of enclosing `par`s at declaration.
-    locals: Vec<HashMap<String, usize>>,
+    /// Sema's table of the function being walked.
+    info: &'c FuncInfo,
+    /// Innermost-last element binders: the set whose element each open
+    /// construct or reduction binds (what a `Ref::Elem` names). A `seq`
+    /// binds none — its element is a front-end local.
+    binders: Vec<(SetId, BinderKind)>,
     /// Elements mentioned by enclosing `st` predicates.
-    guards: Vec<HashSet<String>>,
+    guards: Vec<HashSet<SetId>>,
     par_depth: usize,
     out: Vec<Finding>,
 }
@@ -56,39 +58,26 @@ impl Pass for RacePass {
     }
 
     fn run(&self, checked: &Checked, out: &mut Vec<Finding>) {
-        let mut w = Walker {
-            checked,
-            binders: Vec::new(),
-            locals: Vec::new(),
-            guards: Vec::new(),
-            par_depth: 0,
-            out: Vec::new(),
-        };
-        for f in checked.funcs_in_order() {
-            w.locals.push(f.params.iter().map(|(_, n)| (n.clone(), 0)).collect());
+        for (f, info) in checked.funcs_in_order().zip(&checked.func_infos) {
+            let mut w = Walker {
+                checked,
+                info,
+                binders: Vec::new(),
+                guards: Vec::new(),
+                par_depth: 0,
+                out: Vec::new(),
+            };
             for s in &f.body.stmts {
                 w.stmt(s);
             }
-            w.locals.pop();
+            out.append(&mut w.out);
         }
-        out.append(&mut w.out);
     }
 }
 
 impl Walker<'_> {
     fn stmt(&mut self, s: &Stmt) {
         match s {
-            Stmt::Decl(v) => {
-                self.children(s);
-                if let Some(scope) = self.locals.last_mut() {
-                    scope.insert(v.name.clone(), self.par_depth);
-                }
-            }
-            Stmt::Block(_) => {
-                self.locals.push(HashMap::new());
-                self.children(s);
-                self.locals.pop();
-            }
             Stmt::Uc(uc) => self.uc(uc),
             // `if`/`while`/`for` guard nothing here: sema rejects them
             // inside a parallel construct, the only place stores race.
@@ -108,7 +97,8 @@ impl Walker<'_> {
             UcKind::Par => BinderKind::Par,
             UcKind::Seq | UcKind::Solve | UcKind::Oneof => BinderKind::Sequential,
         };
-        self.push_elems(&uc.sets, kind);
+        let bound = if uc.kind == UcKind::Seq { &[][..] } else { &uc.sets[..] };
+        self.push_elems(bound, kind);
         if kind == BinderKind::Par {
             self.par_depth += 1;
         }
@@ -139,13 +129,12 @@ impl Walker<'_> {
         if kind == BinderKind::Par {
             self.par_depth -= 1;
         }
-        self.binders.truncate(self.binders.len() - uc.sets.len());
+        self.binders.truncate(self.binders.len() - bound.len());
     }
 
     /// Bind the elements of the sets.
     fn push_elems(&mut self, sets: &[SetId], kind: BinderKind) {
-        let checked = self.checked;
-        self.binders.extend(sets.iter().map(|&s| (checked.sets[s].elem.as_str(), kind)));
+        self.binders.extend(sets.iter().map(|&s| (s, kind)));
     }
 
     fn push_guard(&mut self, pred: &Expr) {
@@ -182,13 +171,13 @@ impl Walker<'_> {
                 if self.is_per_vp_local(name) {
                     return; // one location per virtual processor
                 }
-                name.clone()
+                name.to_string()
             }
             Expr::Index { base, subs, .. } => {
                 for s in subs {
                     self.free_par_elems(s, &mut loc_elems);
                 }
-                crate::pretty::access(base, subs)
+                crate::pretty::access(&base.text, subs)
             }
             _ => return,
         };
@@ -200,13 +189,12 @@ impl Walker<'_> {
                 val_elems.remove(e);
             }
         }
-        let mut missing: Vec<&String> = val_elems
+        let missing = val_elems
             .iter()
             .filter(|e| !loc_elems.contains(*e))
             .filter(|e| !self.guards.iter().any(|g| g.contains(*e)))
-            .collect();
-        missing.sort();
-        if let Some(elem) = missing.first() {
+            .map(|&e| self.checked.sets[e].elem.as_str());
+        if let Some(elem) = missing.min() {
             self.out.push(Finding {
                 code: "UC101",
                 span,
@@ -219,40 +207,30 @@ impl Walker<'_> {
         }
     }
 
-    /// Is `name` a local declared inside the current par nest (one copy
-    /// per virtual processor)?
-    fn is_per_vp_local(&self, name: &str) -> bool {
-        for scope in self.locals.iter().rev() {
-            if let Some(&depth) = scope.get(name) {
-                return depth > 0;
-            }
-        }
-        false
+    /// Is `name` a local declared inside a par nest (one copy per virtual
+    /// processor)?
+    fn is_per_vp_local(&self, name: &Name) -> bool {
+        matches!(name.to, Ref::Local(id) if self.info.locals[id as usize].kind == LocalKind::PerVp)
     }
 
-    /// Collect `par`-bound element names free in `e` (reduction-bound and
+    /// Collect the `par`-bound elements free in `e` (reduction-bound and
     /// sequentially-bound elements shadow and are excluded).
-    fn free_par_elems(&self, e: &Expr, out: &mut HashSet<String>) {
+    fn free_par_elems(&self, e: &Expr, out: &mut HashSet<SetId>) {
         match e {
-            Expr::Ident(name, _) => {
-                if self.checked.consts.contains_key(name) {
-                    return;
-                }
-                if let Some((_, kind)) = self.binders.iter().rev().find(|(n, _)| *n == name) {
+            Expr::Ident(Name { to: Ref::Elem(set), .. }, _) => {
+                let set = *set as SetId;
+                if let Some((_, kind)) = self.binders.iter().rev().find(|(s, _)| *s == set) {
                     if *kind == BinderKind::Par {
-                        out.insert(name.clone());
+                        out.insert(set);
                     }
                 }
             }
             Expr::Reduce(r) => {
                 // Elements the reduction itself binds are combined, not
                 // free; shadow them during the sub-walk.
-                let shadowed = |name: &String| {
-                    r.sets.iter().any(|&s| self.checked.sets[s].elem == *name)
-                };
                 let mut inner = HashSet::new();
                 e.for_each_child(|c| self.free_par_elems(c, &mut inner));
-                out.extend(inner.into_iter().filter(|name| !shadowed(name)));
+                out.extend(inner.into_iter().filter(|set| !r.sets.contains(set)));
             }
             _ => e.for_each_child(|c| self.free_par_elems(c, out)),
         }

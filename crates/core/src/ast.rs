@@ -48,6 +48,61 @@ pub enum Item {
 /// under the scope rules of §3.4, and no later layer looks a name up again.
 pub type SetId = usize;
 
+/// Which parameter or declaration of the enclosing function a use site
+/// denotes: its position in that function's
+/// [`crate::sema::FuncInfo::locals`].
+pub type LocalId = u32;
+
+/// What an identifier denotes. Empty from the parser; sema — the one
+/// resolver, walking every body under the scope rules of §3.4 (innermost
+/// scope outwards, then globals, then `#define`s) — fills it in place,
+/// and every later layer indexes the table the variant names instead of
+/// looking the spelling up again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Ref {
+    /// Not resolved: straight from the parser, or a name only ever read
+    /// by spelling (map-section patterns, constant extents and bounds).
+    #[default]
+    Unresolved,
+    /// A `#define`: its position in [`Unit::defines`].
+    Const(u32),
+    /// A global scalar: its position in [`crate::sema::Checked::global_names`].
+    Global(u32),
+    /// A parameter, local scalar, `seq` element or local array of the
+    /// enclosing function.
+    Local(LocalId),
+    /// The index element of an open `par`/`oneof`/`solve` or reduction
+    /// over this set (a [`SetId`]; the innermost such construct).
+    Elem(u32),
+    /// A global array: its position in [`crate::sema::Checked::array_names`].
+    Array(u32),
+}
+
+/// One occurrence of an identifier: its spelling, for diagnostics and
+/// rendering, and what sema resolved it to.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Name {
+    pub text: Box<str>,
+    pub to: Ref,
+}
+
+impl Name {
+    pub fn new(text: impl Into<Box<str>>) -> Name {
+        Name { text: text.into(), to: Ref::Unresolved }
+    }
+}
+
+impl std::fmt::Display for Name {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.text)
+    }
+}
+
+/// Which array access an [`Expr::Index`] is: its position in
+/// [`crate::sema::Checked::accesses`]. Two nodes share an id iff their
+/// resolved bases and subscripts are structurally equal.
+pub type AccessId = u32;
+
 /// One `NAME : elem = init` definition inside an `index_set` declaration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexSetDef {
@@ -77,6 +132,9 @@ pub struct VarDecl {
     pub dims: Vec<Expr>,
     pub init: Option<Expr>,
     pub span: Span,
+    /// For a declaration inside a function: which local it declares —
+    /// 0 from the parser, filled by sema.
+    pub local: LocalId,
 }
 
 /// A function definition. The paper's programs use `main()` plus small
@@ -178,6 +236,9 @@ pub struct UcStmt {
     /// The definition each name in `idxs` denotes — empty from the
     /// parser, filled by sema.
     pub sets: Vec<SetId>,
+    /// For a `seq`: the local its element is — a front-end scalar,
+    /// rebound once per step, wherever the `seq` sits. Filled by sema.
+    pub elem: LocalId,
     pub arms: Vec<ScBlock>,
     pub others: Option<Box<Stmt>>,
     pub span: Span,
@@ -254,9 +315,9 @@ pub enum Expr {
     FloatLit(f64, Span),
     /// The predefined `INF` constant of §3.2.
     Inf(Span),
-    Ident(String, Span),
-    /// `a[e][e]...`
-    Index { base: String, subs: Vec<Expr>, span: Span },
+    Ident(Name, Span),
+    /// `a[e][e]...`; `access` is 0 from the parser, filled by sema.
+    Index { base: Name, subs: Vec<Expr>, span: Span, access: AccessId },
     Call { name: String, args: Vec<Expr>, span: Span },
     Unary { op: UnaryOp, expr: Box<Expr>, span: Span },
     Binary { op: BinaryOp, lhs: Box<Expr>, rhs: Box<Expr>, span: Span },
@@ -551,6 +612,15 @@ mod tests {
         main.body.stmts
     }
 
+    /// `Index` and `Call` set the size; a resolved reference and an access
+    /// id ride in what the base's `String` and the padding used to take.
+    #[test]
+    fn a_resolved_expr_is_no_bigger_than_a_parsed_one_was() {
+        assert!(std::mem::size_of::<Ref>() <= 8);
+        assert_eq!(std::mem::size_of::<Name>(), std::mem::size_of::<String>());
+        assert_eq!(std::mem::size_of::<Expr>(), 80);
+    }
+
     #[test]
     fn children_come_in_source_order_at_every_level() {
         let stmts = body(
@@ -561,9 +631,10 @@ mod tests {
         for s in &stmts {
             s.for_each_expr(&mut |e| {
                 e.walk(&mut |x| {
-                    if let Expr::Ident(n, _) | Expr::Index { base: n, .. } | Expr::Call { name: n, .. } = x
-                    {
-                        names.push(n.as_str());
+                    match x {
+                        Expr::Ident(n, _) | Expr::Index { base: n, .. } => names.push(&*n.text),
+                        Expr::Call { name, .. } => names.push(name.as_str()),
+                        _ => {}
                     }
                 })
             });
@@ -578,9 +649,9 @@ mod tests {
         let mut seen = Vec::new();
         let hit = e.any(&mut |x| {
             if let Expr::Ident(n, _) = x {
-                seen.push(n.clone());
+                seen.push(n.to_string());
             }
-            matches!(x, Expr::Ident(n, _) if n == "a")
+            matches!(x, Expr::Ident(n, _) if &*n.text == "a")
         });
         assert!(hit);
         assert_eq!(seen, ["x", "a"]);
@@ -594,7 +665,7 @@ mod tests {
             let mut n = 0;
             for s in stmts {
                 s.for_each_expr(&mut |e| {
-                    e.walk(&mut |x| n += matches!(x, Expr::Ident(i, _) if i == name) as usize)
+                    e.walk(&mut |x| n += matches!(x, Expr::Ident(i, _) if &*i.text == name) as usize)
                 });
             }
             n
@@ -602,7 +673,7 @@ mod tests {
         assert_eq!(count(&stmts, "z"), 0);
         fn rename(e: &mut Expr) {
             if let Expr::Ident(n, _) = e {
-                *n = "z".into();
+                *n = Name::new("z");
             }
             e.for_each_child_mut(rename);
         }

@@ -3,9 +3,10 @@
 //! Every subscript is first classified *symbolically* by
 //! [`opt::classify_index`] — the same function `uc check`'s UC110/UC111
 //! lints call, here fed the open constructs' element bindings and
-//! [`Program::try_pure_scalar`] ([`opt::eval_pure`] over the live
-//! front-end scopes). If each dimension is `axis-coordinate + constant`
-//! and the array conforms to the iteration space, the access is **local**
+//! [`Program::try_pure_scalar`] ([`opt::eval_pure`] over the `#define`s,
+//! the live globals and the activation's registers). If each dimension
+//! is `axis-coordinate + constant` and the array conforms to the
+//! iteration space, the access is **local**
 //! (offset 0 after the mapping transform) or a **NEWS** shift (constant
 //! offset). Anything else goes through the general **router**. The map
 //! section changes the transform, which is how
@@ -18,105 +19,67 @@
 //! predicate). Out-of-range *writes* by enabled elements are errors.
 //!
 //! Gathers computed while a step's predicates evaluate are cached for the
-//! arm bodies (§4's common sub-expression detection). Each
-//! [`CachedGather`] records every array its access text reads, so a write
-//! to `a` drops `b[a[i]]` as well as `a[i]`.
+//! arm bodies (§4's common sub-expression detection), keyed by the space
+//! and the access's id: sema gives two accesses one id iff their resolved
+//! bases and subscripts are structurally equal, so `a[j]` under two
+//! reductions whose `j` are different elements are two entries. Sema's
+//! `AccessInfo` lists every array an access reads, so a write to `a`
+//! drops `b[a[i]]` as well as `a[i]`.
+
+use std::sync::Arc;
 
 use uc_cm::{BinOp, Combine, ElemType, FieldId, ReduceOp, Scalar};
 
 use super::{ArrayStorage, LocalVar, Program, RResult, RuntimeError, PV};
-use crate::ast::{BinaryOp, Expr};
+use crate::ast::{AccessId, BinaryOp, Expr, Name, Ref};
 use crate::mapping::ArrayMapping;
-use crate::opt::{self, ElemForm, IdxForm};
-
-/// One entry of the per-step gather cache ([`Program::cse_stack`]).
-#[derive(Debug)]
-pub(crate) struct CachedGather {
-    field: FieldId,
-    /// Every array the access reads — its base and any array inside its
-    /// subscripts (`b[a[i]]` reads `b` and `a`): a write to any of them
-    /// makes the cached field stale.
-    arrays: Vec<String>,
-}
+use crate::opt::{self, IdxForm};
+use crate::sema::LocalKind;
 
 impl Program {
-    /// Find an array's storage: function-local arrays first, then globals.
-    pub(crate) fn array_storage(&self, name: &str) -> RResult<ArrayStorage> {
-        if let Some(frame) = self.frames.last() {
-            for scope in frame.scopes.iter().rev() {
-                if let Some(LocalVar::Array(st)) = scope.vars.get(name) {
-                    return Ok(st.clone());
-                }
-            }
+    /// The storage of the array an access's base was resolved to.
+    pub(crate) fn array_storage(&self, base: &Name) -> Arc<ArrayStorage> {
+        match base.to {
+            Ref::Array(id) => self.arrays[id as usize].clone(),
+            Ref::Local(id) => match &self.frames.last().expect("frame").locals[id as usize] {
+                Some(LocalVar::Array(st)) => st.clone(),
+                _ => unreachable!("sema admits `{base}` only as a declared local array"),
+            },
+            to => unreachable!("sema resolves every array base; `{base}` is {to:?}"),
         }
-        self.arrays
-            .get(name)
-            .cloned()
-            .ok_or_else(|| RuntimeError::Unbound(name.to_string()))
     }
 
     // ---- symbolic analysis ------------------------------------------------
 
     /// Pure front-end evaluation: the scalar value of `e` iff it involves
     /// no parallel bindings and no side effects — [`opt::eval_pure`] over
-    /// the names the front end can resolve right now.
+    /// the identifiers that denote a front-end value right now.
     pub(crate) fn try_pure_scalar(&self, e: &Expr) -> Option<Scalar> {
-        opt::eval_pure(e, |name| self.front_end_value(name)).ok()
-    }
-
-    /// The current value of a front-end name: frame scopes, then globals,
-    /// then `#define`s. A name bound as an index element of an enclosing
-    /// construct is per-VP, never a front-end value.
-    fn front_end_value(&self, name: &str) -> Option<Scalar> {
-        if self.elem_form(name).is_some() {
-            return None;
-        }
-        if let Some(frame) = self.frames.last() {
-            for scope in frame.scopes.iter().rev() {
-                match scope.vars.get(name) {
-                    Some(LocalVar::Scalar(s)) => return Some(*s),
-                    Some(LocalVar::Slot(i)) => return Some(frame.regs[*i]),
-                    Some(_) => return None,
-                    None => {}
-                }
-            }
-        }
-        if let Some(&i) = self.global_index.get(name) {
-            return Some(self.globals[i as usize]);
-        }
-        self.checked.consts.get(name).map(|v| Scalar::Int(*v))
-    }
-
-    /// Elem-binding form for a name, searching innermost levels first.
-    fn elem_form(&self, name: &str) -> Option<ElemForm> {
-        self.elem_binding(name).map(|(_, _, form)| form)
+        opt::eval_pure(e, |name| self.scalar_value(name.to)).ok()
     }
 
     /// Classify a subscript expression against the open constructs.
     pub(crate) fn symbolic_index(&self, e: &Expr) -> IdxForm {
-        opt::classify_index(
-            e,
-            &|name| self.elem_form(name),
-            &|e| self.try_pure_scalar(e).map(|s| s.as_int()),
-        )
+        let elem_form = |name: &Name| match name.to {
+            Ref::Elem(set) => Some(self.elem_binding(set).2),
+            _ => None,
+        };
+        opt::classify_index(e, &elem_form, &|e| self.try_pure_scalar(e).map(|s| s.as_int()))
     }
 
     // ---- reads --------------------------------------------------------------
 
     /// Read `base[subs...]` in the current context.
-    pub(crate) fn read_array(&mut self, base: &str, subs: &[Expr]) -> RResult<PV> {
-        let st = self.array_storage(base)?;
+    pub(crate) fn read_array(
+        &mut self,
+        base: &Name,
+        subs: &[Expr],
+        access: AccessId,
+    ) -> RResult<PV> {
+        let st = self.array_storage(base);
         if self.ctx.is_empty() {
             // Front-end element read.
-            let mut coord = Vec::with_capacity(subs.len());
-            for (d, sub) in subs.iter().enumerate() {
-                let v = self.eval_scalar(sub)?.as_int();
-                if v < 0 || v as usize >= st.shape[d] {
-                    return Err(RuntimeError::OutOfBounds { name: base.to_string() });
-                }
-                coord.push(v as usize);
-            }
-            let logical = crate::mapping::flatten(&coord, &st.shape);
+            let logical = self.front_end_index(&st, base, subs)?;
             let idx = st.mapping.storage_index(logical, &st.shape, 0);
             return Ok(PV::Scalar(self.machine.read_elem(st.field, idx)?));
         }
@@ -124,43 +87,55 @@ impl Program {
         // Common-subexpression cache: a gather computed while this step's
         // predicates evaluated (full construct mask) may be reused by arm
         // bodies (strictly narrower masks).
-        if !subs_cacheable(subs) {
+        if !self.checked.accesses[access as usize].cacheable {
             return self.read_storage(&st, subs);
         }
-        let key = (self.cur_ctx().vp, crate::pretty::access(base, subs));
+        let key = (self.cur_ctx().vp, access);
         for level in self.cse_stack.iter().rev() {
-            if let Some(hit) = level.get(&key) {
-                return Ok(PV::Field { id: hit.field, owned: false });
+            if let Some(&id) = level.get(&key) {
+                return Ok(PV::Field { id, owned: false });
             }
         }
         let pv = self.read_storage(&st, subs)?;
         if let (true, Some(level), PV::Field { id, owned: true }) =
             (self.cse_fill, self.cse_stack.last_mut(), pv)
         {
-            let mut arrays = vec![base.to_string()];
-            for sub in subs {
-                sub.walk(&mut |e| {
-                    if let Expr::Index { base, .. } = e {
-                        arrays.push(base.clone());
-                    }
-                });
-            }
-            level.insert(key, CachedGather { field: id, arrays });
+            level.insert(key, id);
             return Ok(PV::Field { id, owned: false });
         }
         Ok(pv)
     }
 
-    /// Drop every cached gather that reads `base` — as the gathered array
-    /// or anywhere inside a subscript (called when `base` is written) — or
-    /// the whole cache (when `base` is None, e.g. a scalar that might
+    /// The logical (row-major) index of a front-end element access,
+    /// bounds-checked.
+    fn front_end_index(
+        &mut self,
+        st: &ArrayStorage,
+        base: &Name,
+        subs: &[Expr],
+    ) -> RResult<usize> {
+        let mut coord = Vec::with_capacity(subs.len());
+        for (d, sub) in subs.iter().enumerate() {
+            let v = self.eval_scalar(sub)?.as_int();
+            if v < 0 || v as usize >= st.shape[d] {
+                return Err(RuntimeError::OutOfBounds { name: base.to_string() });
+            }
+            coord.push(v as usize);
+        }
+        Ok(crate::mapping::flatten(&coord, &st.shape))
+    }
+
+    /// Drop every cached gather that reads `array` — as the gathered array
+    /// or anywhere inside a subscript (called when `array` is written) — or
+    /// the whole cache (when `array` is None, e.g. a scalar that might
     /// appear in subscripts changed).
-    pub(crate) fn cse_invalidate(&mut self, base: Option<&str>) {
+    pub(crate) fn cse_invalidate(&mut self, array: Option<Ref>) {
+        let accesses = &self.checked.accesses;
         for level in &mut self.cse_stack {
-            level.retain(|_, gather| {
-                let stale = base.is_none_or(|b| gather.arrays.iter().any(|a| a == b));
+            level.retain(|&(_, access), field| {
+                let stale = array.is_none_or(|a| accesses[access as usize].arrays.contains(&a));
                 if stale {
-                    let _ = self.machine.free(gather.field);
+                    let _ = self.machine.free(*field);
                 }
                 !stale
             });
@@ -174,8 +149,8 @@ impl Program {
 
     pub(crate) fn cse_pop(&mut self) {
         if let Some(level) = self.cse_stack.pop() {
-            for gather in level.into_values() {
-                let _ = self.machine.free(gather.field);
+            for field in level.into_values() {
+                let _ = self.machine.free(field);
             }
         }
     }
@@ -462,28 +437,20 @@ impl Program {
     /// (relaxed inside `*solve`).
     pub(crate) fn write_array(
         &mut self,
-        base: &str,
+        base: &Name,
         subs: &[Expr],
         value: PV,
         check_conflicts: bool,
     ) -> RResult<()> {
-        self.cse_invalidate(Some(base));
-        let st = self.array_storage(base)?;
+        self.cse_invalidate(Some(base.to));
+        let st = self.array_storage(base);
         if self.ctx.is_empty() {
-            let mut coord = Vec::with_capacity(subs.len());
-            for (d, sub) in subs.iter().enumerate() {
-                let v = self.eval_scalar(sub)?.as_int();
-                if v < 0 || v as usize >= st.shape[d] {
-                    return Err(RuntimeError::OutOfBounds { name: base.to_string() });
-                }
-                coord.push(v as usize);
-            }
+            let logical = self.front_end_index(&st, base, subs)?;
             let PV::Scalar(s) = value else {
                 return Err(RuntimeError::NotSupported(
                     "parallel value stored from front-end context".into(),
                 ));
             };
-            let logical = crate::mapping::flatten(&coord, &st.shape);
             let s = super::space::coerce_scalar(s, st.ty);
             for r in 0..st.mapping.replicas() {
                 let idx = st.mapping.storage_index(logical, &st.shape, r);
@@ -491,7 +458,7 @@ impl Program {
             }
             return Ok(());
         }
-        self.write_storage(&st, subs, value, check_conflicts, base)
+        self.write_storage(&st, subs, value, check_conflicts, &base.text)
     }
 
     /// Parallel store into a storage descriptor (also used for solve's
@@ -612,97 +579,47 @@ impl Program {
         }
     }
 
-    fn store_ident(&mut self, name: &str, value: PV) -> RResult<()> {
+    /// Store to a scalar: a register local or global (sema admits only
+    /// those and per-VP locals as targets) takes a front-end value, a
+    /// per-VP local a field on its own space.
+    fn store_ident(&mut self, name: &Name, value: PV) -> RResult<()> {
         // A scalar or par-local may appear inside cached subscripts:
         // conservatively drop the whole gather cache.
         self.cse_invalidate(None);
-        // Par-locals and scalars; index elements are rejected by sema.
-        if let Some(frame) = self.frames.last() {
-            for (si, scope) in frame.scopes.iter().enumerate().rev() {
-                match scope.vars.get(name) {
-                    Some(LocalVar::ParField { field, level }) => {
-                        let field = *field;
-                        debug_assert_eq!(
-                            *level,
-                            self.ctx.len() - 1,
-                            "sema admits stores to a per-VP local only at its own depth"
-                        );
-                        let ty = self.machine.elem_type(field)?;
-                        let v = self.coerce_field(value, ty)?;
-                        let PV::Field { id, .. } = v else { unreachable!() };
-                        self.machine.copy(field, id)?;
-                        self.release(v);
-                        return Ok(());
-                    }
-                    Some(LocalVar::Scalar(_)) => {
-                        let PV::Scalar(s) = value else {
-                            return Err(RuntimeError::NotSupported(format!(
-                                "assigning a parallel value to front-end scalar `{name}` \
-                                 (use a reduction to combine values first)"
-                            )));
-                        };
-                        // Invariant: `frame`/`si`/`name` were just found
-                        // in the immutable borrow above; re-borrowing
-                        // mutably cannot miss.
-                        let frame = self.frames.last_mut().unwrap();
-                        let slot = frame.scopes[si].vars.get_mut(name).unwrap();
-                        let coerced = match slot {
-                            LocalVar::Scalar(old) => {
-                                super::space::coerce_scalar(s, old.elem_type())
-                            }
-                            _ => unreachable!(),
-                        };
-                        *slot = LocalVar::Scalar(coerced);
-                        return Ok(());
-                    }
-                    Some(LocalVar::Slot(i)) => {
-                        let i = *i;
-                        let PV::Scalar(s) = value else {
-                            return Err(RuntimeError::NotSupported(format!(
-                                "assigning a parallel value to front-end scalar `{name}` \
-                                 (use a reduction to combine values first)"
-                            )));
-                        };
-                        let frame = self.frames.last_mut().unwrap();
-                        let ty = frame.regs[i].elem_type();
-                        frame.regs[i] = super::space::coerce_scalar(s, ty);
-                        return Ok(());
-                    }
-                    Some(LocalVar::Array(_)) => {
-                        return Err(RuntimeError::NotSupported(format!(
-                            "array `{name}` assigned without subscripts"
-                        )))
-                    }
-                    None => {}
-                }
+        if let Ref::Local(id) = name.to {
+            let locals = &self.frames.last().expect("frame").locals;
+            if let Some(Some(LocalVar::ParField { field, level })) = locals.get(id as usize) {
+                let field = *field;
+                debug_assert_eq!(
+                    *level,
+                    self.ctx.len() - 1,
+                    "sema admits stores to a per-VP local only at its own depth"
+                );
+                let ty = self.machine.elem_type(field)?;
+                let v = self.coerce_field(value, ty)?;
+                let PV::Field { id, .. } = v else { unreachable!() };
+                self.machine.copy(field, id)?;
+                self.release(v);
+                return Ok(());
             }
         }
-        if let Some(&i) = self.global_index.get(name) {
-            let old = self.globals[i as usize];
-            let PV::Scalar(s) = value else {
-                return Err(RuntimeError::NotSupported(format!(
-                    "assigning a parallel value to front-end scalar `{name}` \
-                     (use a reduction to combine values first)"
-                )));
-            };
-            self.globals[i as usize] = super::space::coerce_scalar(s, old.elem_type());
-            return Ok(());
-        }
-        Err(RuntimeError::Unbound(name.to_string()))
+        let PV::Scalar(s) = value else {
+            return Err(RuntimeError::NotSupported(format!(
+                "assigning a parallel value to front-end scalar `{name}` \
+                 (use a reduction to combine values first)"
+            )));
+        };
+        let place = match name.to {
+            Ref::Global(g) => &mut self.globals[g as usize],
+            Ref::Local(id) => match *self.local_kind(id) {
+                LocalKind::Reg(r) => &mut self.frames.last_mut().expect("frame").regs[r as usize],
+                _ => unreachable!("sema admits `{name}` only as a live scalar"),
+            },
+            to => unreachable!("sema admits only scalar variables as targets; `{name}` is {to:?}"),
+        };
+        *place = super::space::coerce_scalar(s, place.elem_type());
+        Ok(())
     }
-}
-
-/// Whether subscripts are side-effect-free and deterministic within a
-/// step (no `rand()`, no user calls, no embedded assignments).
-fn subs_cacheable(subs: &[Expr]) -> bool {
-    let mut impure = |e: &Expr| match e {
-        Expr::Assign { .. } | Expr::Reduce(_) => true,
-        Expr::Call { name, .. } => {
-            !matches!(name.as_str(), "power2" | "abs" | "ABS" | "min" | "max")
-        }
-        _ => false,
-    };
-    !subs.iter().any(|sub| sub.any(&mut impure))
 }
 
 /// The INF a read outside the array yields, per element type.

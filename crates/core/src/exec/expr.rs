@@ -10,8 +10,9 @@
 
 use uc_cm::{BinOp, ElemType, Scalar, UnOp};
 
-use super::{Program, RResult, RuntimeError, LocalVar, PV};
-use crate::ast::{BinaryOp, Expr, UnaryOp};
+use super::{LocalVar, Program, RResult, RuntimeError, PV};
+use crate::ast::{BinaryOp, Expr, LocalId, Name, Ref, UnaryOp};
+use crate::sema::LocalKind;
 use crate::stdlib;
 
 impl Program {
@@ -21,8 +22,8 @@ impl Program {
             Expr::IntLit(v, _) => Ok(PV::Scalar(Scalar::Int(*v))),
             Expr::FloatLit(v, _) => Ok(PV::Scalar(Scalar::Float(*v))),
             Expr::Inf(_) => Ok(PV::Scalar(Scalar::Int(i64::MAX))),
-            Expr::Ident(name, _) => self.resolve_ident(name),
-            Expr::Index { base, subs, .. } => self.read_array(base, subs),
+            Expr::Ident(name, _) => self.read_ident(name),
+            Expr::Index { base, subs, access, .. } => self.read_array(base, subs, *access),
             Expr::Call { name, args, .. } => self.eval_call(name, args),
             Expr::Unary { op, expr, .. } => {
                 let v = self.eval(expr)?;
@@ -89,44 +90,43 @@ impl Program {
         }
     }
 
-    /// Resolve a name: index elements (innermost construct first), local
-    /// variables, globals, `#define` constants.
-    pub(crate) fn resolve_ident(&mut self, name: &str) -> RResult<PV> {
-        // Index elements of enclosing constructs.
-        if let Some((level, field, _)) = self.elem_binding(name) {
-            return self.lift_to_current(field, level);
+    /// How the local `id` of the current activation lives (sema's table).
+    pub(crate) fn local_kind(&self, id: LocalId) -> &LocalKind {
+        let func = self.frames.last().expect("frame").func;
+        &self.checked.func_infos[func].locals[id as usize].kind
+    }
+
+    /// The value of an identifier, by what sema resolved it to.
+    fn read_ident(&mut self, name: &Name) -> RResult<PV> {
+        if let Some(s) = self.scalar_value(name.to) {
+            return Ok(PV::Scalar(s));
         }
-        // Function locals (including `seq` element scalars and par-locals).
-        if let Some(frame) = self.frames.last() {
-            for scope in frame.scopes.iter().rev() {
-                match scope.vars.get(name) {
-                    Some(LocalVar::Scalar(s)) => return Ok(PV::Scalar(*s)),
-                    Some(LocalVar::Slot(i)) => return Ok(PV::Scalar(frame.regs[*i])),
-                    Some(LocalVar::ParField { field, level }) => {
-                        let (field, level) = (*field, *level);
-                        if self.ctx.is_empty() {
-                            return Err(RuntimeError::NotSupported(format!(
-                                "parallel variable `{name}` used outside a parallel construct"
-                            )));
-                        }
-                        return self.lift_to_current(field, level);
-                    }
-                    Some(LocalVar::Array(_)) => {
-                        return Err(RuntimeError::NotSupported(format!(
-                            "array `{name}` used without subscripts"
-                        )))
-                    }
-                    None => {}
-                }
+        match name.to {
+            Ref::Elem(set) => {
+                let (level, field, _) = self.elem_binding(set);
+                self.lift_to_current(field, level)
             }
+            Ref::Local(id) => match self.frames.last().expect("frame").locals[id as usize] {
+                Some(LocalVar::ParField { field, level }) => self.lift_to_current(field, level),
+                _ => unreachable!("sema admits `{name}` only as a live per-VP scalar"),
+            },
+            _ => unreachable!("sema resolves every identifier; `{name}` is {:?}", name.to),
         }
-        if let Some(&i) = self.global_index.get(name) {
-            return Ok(PV::Scalar(self.globals[i as usize]));
+    }
+
+    /// The current value of a front-end scalar: a `#define`, a global, or
+    /// a register local of this activation. `None` for what is per-VP —
+    /// an index element, a per-VP local — or not a scalar.
+    pub(crate) fn scalar_value(&self, to: Ref) -> Option<Scalar> {
+        match to {
+            Ref::Const(id) => Some(Scalar::Int(self.checked.unit.defines[id as usize].1)),
+            Ref::Global(g) => Some(self.globals[g as usize]),
+            Ref::Local(id) => match *self.local_kind(id) {
+                LocalKind::Reg(r) => Some(self.frames.last()?.regs[r as usize]),
+                _ => None,
+            },
+            _ => None,
         }
-        if let Some(v) = self.checked.consts.get(name) {
-            return Ok(PV::Scalar(Scalar::Int(*v)));
-        }
-        Err(RuntimeError::Unbound(name.to_string()))
     }
 
     /// The element type a PV would have as a field.

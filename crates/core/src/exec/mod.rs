@@ -12,7 +12,10 @@
 //!   sets (nested constructs extend the enclosing space, so parallelism
 //!   multiplies, §3.4's matrix-multiply example) — which definitions
 //!   those are, and their elements, is sema's answer (`Checked::sets`
-//!   by `SetId`); nothing here evaluates or looks up an index set;
+//!   by `SetId`), as is what every identifier and array base denotes
+//!   (the `Ref` on it); nothing here evaluates an index set or looks a
+//!   name up — only the host accessors (`read_int_array(name)`, …) take
+//!   names, and find them by position in sema's name-ordered tables;
 //! * `st` predicates compile to context-flag pushes;
 //! * array accesses are classified as **local**, **NEWS** or **router**
 //!   (the communication classes whose costs the map section optimises);
@@ -42,6 +45,7 @@ use std::sync::Arc;
 
 use uc_cm::{CmError, ElemType, FieldId, Machine, MachineConfig, MachineLimits, Scalar, VpSetId};
 
+use crate::ast::AccessId;
 use crate::diag::Diagnostics;
 use crate::ir::IrProgram;
 use crate::mapping::{self, ArrayMapping};
@@ -175,7 +179,7 @@ pub enum RuntimeError {
     NotSupported(String),
     /// Division by zero on the front end.
     DivideByZero,
-    /// Name resolution failed at runtime (sema should prevent this).
+    /// The host asked for a global by a name the program does not have.
     Unbound(String),
     /// A panic escaped the executor internals and was caught at the
     /// [`Program::run`] boundary. Always a bug, but contained: the
@@ -271,38 +275,30 @@ pub(crate) struct ArrayStorage {
     pub mapping: ArrayMapping,
 }
 
-/// A local variable binding.
-#[derive(Debug, Clone)]
+/// A machine-backed local of a live activation (`sema::LocalKind::PerVp`
+/// or `Array`); a front-end scalar is a register instead.
+#[derive(Debug)]
 pub(crate) enum LocalVar {
-    /// Front-end scalar bound by tree-evaluated code: a declaration the
-    /// lowering escaped, or the element of a `seq` nested in a `par`.
-    Scalar(Scalar),
     /// Per-VP variable declared inside a parallel body; `level` is the
     /// context-stack depth it lives at.
     ParField { field: FieldId, level: usize },
     /// Function-local array.
-    Array(ArrayStorage),
-    /// A scalar that lives in the current frame's register file
-    /// ([`Frame::regs`]). The VM binds lowered locals by name so
-    /// tree-evaluated fragments (parallel constructs, array accesses)
-    /// resolve and assign them through the ordinary scope walk.
-    Slot(usize),
+    Array(Arc<ArrayStorage>),
 }
 
-/// One lexical scope of a function body. Index sets are not here: sema
-/// resolved every use of one to its definition.
-#[derive(Debug, Default)]
-pub(crate) struct Scope {
-    pub vars: HashMap<String, LocalVar>,
-}
-
-/// One function activation.
-#[derive(Debug, Default)]
+/// One function activation: which function, its register file, and its
+/// machine-backed locals.
+#[derive(Debug)]
 pub(crate) struct Frame {
-    pub scopes: Vec<Scope>,
-    /// The VM's register file. Named locals occupy the low registers and
-    /// are also reachable by name through `scopes` via [`LocalVar::Slot`].
+    /// Position in `ir.funcs` and `checked.func_infos`.
+    pub func: usize,
+    /// The VM's register file. A `LocalKind::Reg` local is the register
+    /// sema numbered it; tree-evaluated fragments read and write it there.
     pub regs: Vec<Scalar>,
+    /// Indexed by `LocalId`; `Some` between a machine-backed local's
+    /// declaration and the exit of its block. Empty (and unallocated) for
+    /// a function that declares none.
+    pub locals: Vec<Option<LocalVar>>,
 }
 
 /// A compiled, runnable UC program.
@@ -317,12 +313,11 @@ pub struct Program {
     pub(crate) machine: Machine,
     /// Iteration-space / array-shape VP sets, keyed by geometry.
     pub(crate) spaces: HashMap<Vec<usize>, VpSetId>,
-    pub(crate) arrays: HashMap<String, ArrayStorage>,
-    /// Global scalar values, indexed storage: the IR loads and stores
-    /// globals by position, the name map serves resolution and the
-    /// public accessors.
+    /// Global arrays, by `Ref::Array` id (`checked.array_names` order).
+    pub(crate) arrays: Vec<Arc<ArrayStorage>>,
+    /// Global scalar values, by `Ref::Global` id
+    /// (`checked.global_names` order).
     pub(crate) globals: Vec<Scalar>,
-    pub(crate) global_index: HashMap<String, u32>,
     /// The lowered register IR the VM executes.
     pub(crate) ir: Arc<IrProgram>,
     /// Parallel-context stack (innermost last).
@@ -340,10 +335,10 @@ pub struct Program {
     pub(crate) inf_cache: HashMap<(VpSetId, ElemType), FieldId>,
     /// Common-subexpression cache for array gathers within one
     /// synchronous step (§4 "common sub-expression detection"): a stack
-    /// of per-step maps from (space, access text) to the gathered field.
+    /// of per-step maps from (space, access) to the gathered field.
     /// Filled while predicates evaluate, consumed by arm bodies,
     /// invalidated on writes.
-    pub(crate) cse_stack: Vec<HashMap<(VpSetId, String), access::CachedGather>>,
+    pub(crate) cse_stack: Vec<HashMap<(VpSetId, AccessId), FieldId>>,
     /// Whether gathers may currently be inserted into the cache.
     pub(crate) cse_fill: bool,
     /// Index-element value fields per (space, axis, values along the
@@ -353,10 +348,11 @@ pub struct Program {
     pub(crate) elem_cache: HashMap<(VpSetId, usize, space::ElemValues), FieldId>,
     /// Span of the statement currently executing, for [`RunError`].
     pub(crate) exec_span: Span,
-    /// Live UC call stack, outermost first: `(callee, call-site span)`.
-    /// Entries are popped on successful return only, so on error the
-    /// stack still describes where execution was.
-    pub(crate) call_stack: Vec<(String, Span)>,
+    /// Live UC call stack, outermost first: `(callee, call-site span)`,
+    /// the callee by position in `ir.funcs`. Entries are popped on
+    /// successful return only, so on error the stack still describes
+    /// where execution was.
+    pub(crate) call_stack: Vec<(usize, Span)>,
 }
 
 impl Program {
@@ -398,7 +394,8 @@ impl Program {
         if diags.has_errors() {
             return Err(diags);
         }
-        let (globals, global_index) = global_scalars(&checked);
+        let globals = global_scalars(&checked);
+        let global_index = (checked.global_names.iter().cloned()).zip(0u32..).collect();
         let ir = crate::ir::lower_program(&checked, &global_index, config.ir_opt);
         // The VM is the only executor, so a function the lowering gave up
         // on (`body: None`) cannot run at all.
@@ -427,9 +424,8 @@ impl Program {
             config,
             machine,
             spaces: HashMap::new(),
-            arrays: HashMap::new(),
+            arrays: Vec::new(),
             globals,
-            global_index,
             ir: Arc::new(ir),
             ctx: Vec::new(),
             frames: Vec::new(),
@@ -458,13 +454,9 @@ impl Program {
     }
 
     fn allocate_arrays(&mut self, maps: &[(String, ArrayMapping)]) -> RResult<()> {
-        let arrays: Vec<(String, sema::ArrayInfo)> = self
-            .checked
-            .arrays
-            .iter()
-            .map(|(n, i)| (n.clone(), i.clone()))
-            .collect();
-        for (name, info) in arrays {
+        for id in 0..self.checked.array_names.len() {
+            let name = self.checked.array_names[id].clone();
+            let info = self.checked.array(id as u32).clone();
             let mapping = maps
                 .iter()
                 .rev()
@@ -473,13 +465,9 @@ impl Program {
                 .unwrap_or(ArrayMapping::Default);
             let storage_shape = mapping.storage_shape(&info.shape);
             let vp = self.space_vp(&storage_shape)?;
-            let ty = match info.ty {
-                crate::ast::Type::Float => ElemType::Float,
-                _ => ElemType::Int,
-            };
+            let ty = elem_type(info.ty);
             let field = self.machine.alloc(vp, &name, ty)?;
-            self.arrays
-                .insert(name, ArrayStorage { field, ty, shape: info.shape, mapping });
+            self.arrays.push(Arc::new(ArrayStorage { field, ty, shape: info.shape, mapping }));
         }
         Ok(())
     }
@@ -544,11 +532,7 @@ impl Program {
                 self.call_stack.clear();
                 Ok(())
             }
-            Ok(Err(error)) => Err(RunError {
-                error,
-                span: self.exec_span,
-                stack: std::mem::take(&mut self.call_stack),
-            }),
+            Ok(Err(error)) => Err(self.run_error(error)),
             Err(payload) => {
                 let msg = if let Some(s) = payload.downcast_ref::<&str>() {
                     (*s).to_string()
@@ -557,13 +541,17 @@ impl Program {
                 } else {
                     "unknown panic payload".to_string()
                 };
-                Err(RunError {
-                    error: RuntimeError::Internal(msg),
-                    span: self.exec_span,
-                    stack: std::mem::take(&mut self.call_stack),
-                })
+                Err(self.run_error(RuntimeError::Internal(msg)))
             }
         }
+    }
+
+    /// Annotate `error` with where the run was, naming the call stack's
+    /// functions (which it then clears).
+    fn run_error(&mut self, error: RuntimeError) -> RunError {
+        let stack = self.call_stack.drain(..);
+        let stack = stack.map(|(f, site)| (self.ir.funcs[f].name.clone(), site)).collect();
+        RunError { error, span: self.exec_span, stack }
     }
 
     /// Elapsed simulated cycles.
@@ -582,19 +570,25 @@ impl Program {
         &self.machine
     }
 
+    /// A global array by name (the host API's lookup: position in the
+    /// name-ordered table).
+    fn global_array(&self, name: &str) -> RResult<Arc<ArrayStorage>> {
+        let names = &self.checked.array_names;
+        match names.binary_search_by(|n| n.as_str().cmp(name)) {
+            Ok(id) => Ok(self.arrays[id].clone()),
+            Err(_) => Err(RuntimeError::Unbound(name.into())),
+        }
+    }
+
     /// Logical shape of a global array.
     pub fn shape(&self, name: &str) -> Option<&[usize]> {
-        self.arrays.get(name).map(|a| a.shape.as_slice())
+        self.checked.arrays.get(name).map(|a| a.shape.as_slice())
     }
 
     /// Read a global integer array in logical (row-major) order,
     /// inverting any mapping.
     pub fn read_int_array(&mut self, name: &str) -> RResult<Vec<i64>> {
-        let st = self
-            .arrays
-            .get(name)
-            .cloned()
-            .ok_or_else(|| RuntimeError::Unbound(name.into()))?;
+        let st = self.global_array(name)?;
         let data = self.machine.read_all(st.field)?;
         let uc_cm::FieldData::I64(raw) = data else {
             return Err(RuntimeError::NotSupported(format!("`{name}` is not an int array")));
@@ -605,11 +599,7 @@ impl Program {
 
     /// Read a global float array in logical order.
     pub fn read_float_array(&mut self, name: &str) -> RResult<Vec<f64>> {
-        let st = self
-            .arrays
-            .get(name)
-            .cloned()
-            .ok_or_else(|| RuntimeError::Unbound(name.into()))?;
+        let st = self.global_array(name)?;
         let data = self.machine.read_all(st.field)?;
         let uc_cm::FieldData::F64(raw) = data else {
             return Err(RuntimeError::NotSupported(format!("`{name}` is not a float array")));
@@ -621,11 +611,7 @@ impl Program {
     /// Overwrite a global integer array from logical-order data (applies
     /// the array's mapping, writing every replica).
     pub fn write_int_array(&mut self, name: &str, data: &[i64]) -> RResult<()> {
-        let st = self
-            .arrays
-            .get(name)
-            .cloned()
-            .ok_or_else(|| RuntimeError::Unbound(name.into()))?;
+        let st = self.global_array(name)?;
         let size: usize = st.shape.iter().product();
         if data.len() != size {
             return Err(RuntimeError::NotSupported(format!(
@@ -648,34 +634,28 @@ impl Program {
 
     /// Read a global scalar variable.
     pub fn read_scalar(&self, name: &str) -> Option<Scalar> {
-        self.global_index.get(name).map(|&i| self.globals[i as usize])
+        let names = &self.checked.global_names;
+        names.binary_search_by(|n| n.as_str().cmp(name)).ok().map(|g| self.globals[g])
     }
 
     /// Names of all global scalar variables.
     pub fn scalar_names(&self) -> Vec<String> {
-        self.global_index.keys().cloned().collect()
+        self.checked.global_names.clone()
     }
 
     /// Names of all global arrays.
     pub fn array_names(&self) -> Vec<String> {
-        self.arrays.keys().cloned().collect()
+        self.checked.array_names.clone()
     }
 
     /// Read a global int scalar.
     pub fn read_int(&self, name: &str) -> Option<i64> {
-        self.global_index.get(name).map(|&i| self.globals[i as usize].as_int())
+        self.read_scalar(name).map(|v| v.as_int())
     }
 
     /// The value of a `#define` constant after overrides.
     pub fn define(&self, name: &str) -> Option<i64> {
         self.checked.consts.get(name).copied()
-    }
-
-    /// Emit the C* translation of this program (§5 of the paper: the
-    /// prototype UC compiler generated C* source for the CM's C*
-    /// compiler). Textual output, in the style of the paper's Appendix.
-    pub fn emit_cstar(&self) -> String {
-        crate::cstar_emit::emit_cstar(&self.checked)
     }
 
     // ---- internals shared by the exec submodules -------------------------
@@ -704,21 +684,19 @@ impl Program {
     }
 }
 
-/// Initial values and indices of the global scalars. Sorted by name so
-/// global indices (and the IR text that prints them) are deterministic
-/// across runs.
-fn global_scalars(checked: &Checked) -> (Vec<Scalar>, HashMap<String, u32>) {
-    let mut scalars: Vec<_> = checked.scalars.iter().collect();
-    scalars.sort_by(|a, b| a.0.cmp(b.0));
-    let mut values = Vec::with_capacity(scalars.len());
-    let mut index = HashMap::with_capacity(scalars.len());
-    for (name, (ty, init)) in scalars {
-        let v = init.unwrap_or(0);
-        index.insert(name.clone(), values.len() as u32);
-        values.push(match ty {
-            crate::ast::Type::Float => Scalar::Float(v as f64),
-            _ => Scalar::Int(v),
-        });
+/// Initial values of the global scalars, in `Ref::Global` order.
+fn global_scalars(checked: &Checked) -> Vec<Scalar> {
+    let value = |name: &String| {
+        let (ty, init) = checked.scalars[name];
+        coerce_scalar(Scalar::Int(init.unwrap_or(0)), elem_type(ty))
+    };
+    checked.global_names.iter().map(value).collect()
+}
+
+/// The machine element type of a declared UC type.
+pub(crate) fn elem_type(ty: crate::ast::Type) -> ElemType {
+    match ty {
+        crate::ast::Type::Float => ElemType::Float,
+        _ => ElemType::Int,
     }
-    (values, index)
 }

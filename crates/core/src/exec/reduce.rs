@@ -19,7 +19,8 @@
 use uc_cm::{BinOp, Combine, ElemType, FieldId, ReduceOp, Scalar};
 
 use super::{Program, RResult, PV};
-use crate::ast::{BinaryOp, Expr, ReduceExpr};
+use crate::ast::{BinaryOp, Expr, Name, ReduceExpr, Ref};
+use crate::sema::LocalKind;
 use crate::token::RedOpToken;
 
 impl Program {
@@ -220,14 +221,17 @@ impl Program {
         let Expr::Binary { op: BinaryOp::Eq, lhs, rhs, .. } = pred else {
             return Ok(None);
         };
-        // One side must be the (sole) outer element with identity form.
-        let outer_elem = match &self.ctx[0].elems[..] {
-            [(set, _, crate::opt::ElemForm::AxisPlus { axis: 0, lo: 0 })] => {
-                self.checked.sets[*set].elem.as_str()
+        // One side must be the (sole) outer element with identity form —
+        // the outer one: a reduction over the same set rebinds it.
+        let outer = match &self.ctx[0].elems[..] {
+            [(set, _, crate::opt::ElemForm::AxisPlus { axis: 0, lo: 0 })]
+                if !r.sets.contains(set) =>
+            {
+                Ref::Elem(*set as u32)
             }
             _ => return Ok(None),
         };
-        let is_outer_elem = |e: &Expr| matches!(e, Expr::Ident(n, _) if n == outer_elem);
+        let is_outer_elem = |e: &Expr| matches!(e, Expr::Ident(n, _) if n.to == outer);
         let key_expr = if is_outer_elem(rhs) {
             lhs.as_ref()
         } else if is_outer_elem(lhs) {
@@ -235,8 +239,14 @@ impl Program {
         } else {
             return Ok(None);
         };
-        // Key and operand must not mention the outer binding.
-        if mentions(key_expr, outer_elem) || mentions(operand, outer_elem) {
+        // Key and operand must live on the reduction's own space: no use
+        // of the outer element, nor of a per-VP local of the outer body.
+        let on_outer_space = |n: &Name| match n.to {
+            Ref::Local(id) => matches!(self.local_kind(id), LocalKind::PerVp),
+            to => to == outer,
+        };
+        let mut uses_outer = |x: &Expr| matches!(x, Expr::Ident(n, _) if on_outer_space(n));
+        if key_expr.any(&mut uses_outer) || operand.any(&mut uses_outer) {
             return Ok(None);
         }
         let (identity, combine) = match r.op {
@@ -284,11 +294,6 @@ impl Program {
         self.ctx = saved;
         result.map(Some)
     }
-}
-
-/// Does the expression mention `name` (as an identifier)?
-fn mentions(e: &Expr, name: &str) -> bool {
-    e.any(&mut |x| matches!(x, Expr::Ident(n, _) if n == name))
 }
 
 /// The machine reduce op for a reduction token.
@@ -390,19 +395,5 @@ mod tests {
         assert_eq!(scalar_reduce(RedOpToken::Xor, i(1), i(1)), i(0));
         assert_eq!(scalar_reduce(RedOpToken::Arb, i(i64::MAX), i(7)), i(7));
         assert_eq!(scalar_reduce(RedOpToken::Arb, i(4), i(7)), i(4));
-    }
-
-    #[test]
-    fn mentions_finds_names() {
-        use crate::span::Span;
-        let s = Span::default();
-        let e = Expr::Binary {
-            op: BinaryOp::Add,
-            lhs: Box::new(Expr::Ident("i".into(), s)),
-            rhs: Box::new(Expr::IntLit(1, s)),
-            span: s,
-        };
-        assert!(mentions(&e, "i"));
-        assert!(!mentions(&e, "j"));
     }
 }

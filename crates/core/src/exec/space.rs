@@ -34,8 +34,8 @@ pub struct ParCtx {
     pub(crate) vp: VpSetId,
     pub(crate) dims: Vec<usize>,
     /// Element bindings this level introduced — the set whose element it
-    /// is (the name lives in `checked.sets`), its value field on this
-    /// space, and the symbolic form for the optimizer.
+    /// is (what a `Ref::Elem` names), its value field on this space, and
+    /// the symbolic form for the optimizer.
     pub(crate) elems: Vec<(SetId, FieldId, ElemForm)>,
     /// Fields to free when the level pops.
     pub(crate) owned: Vec<FieldId>,
@@ -157,14 +157,16 @@ impl Program {
         Ok(())
     }
 
-    /// The innermost binding of `name` as an index element of an open
-    /// construct: its level, value field and symbolic form.
-    pub(crate) fn elem_binding(&self, name: &str) -> Option<(usize, FieldId, ElemForm)> {
-        let sets = &self.checked.sets;
-        self.ctx.iter().enumerate().rev().find_map(|(level, ctx)| {
-            let bound = ctx.elems.iter().find(|(set, ..)| sets[*set].elem == name)?;
-            Some((level, bound.1, bound.2))
-        })
+    /// The binding of the element of `set` (a `Ref::Elem`): the innermost
+    /// open level that bound it — its level, value field and symbolic
+    /// form. Found by the set, not by a static level index: `try_procopt`
+    /// evaluates under a context stack other than the lexical one.
+    pub(crate) fn elem_binding(&self, set: u32) -> (usize, FieldId, ElemForm) {
+        let bound = self.ctx.iter().enumerate().rev().find_map(|(level, ctx)| {
+            let elem = ctx.elems.iter().find(|(s, ..)| *s == set as usize)?;
+            Some((level, elem.1, elem.2))
+        });
+        bound.expect("sema resolves an element only under a construct over its set")
     }
 
     /// The current iteration space, if any.

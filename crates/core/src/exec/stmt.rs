@@ -3,38 +3,51 @@
 //!
 //! The register VM drives execution; it reaches this module only through
 //! a tree escape ([`crate::ir::Instr::Tree`]) holding one parallel
-//! construct, one declaration it could not register-allocate or a `swap`.
+//! construct, one array declaration or a `swap`.
 //! Sequential control flow never arrives here: outside parallel
 //! constructs it is lowered to VM jumps, and inside them sema rejects it.
 
 use uc_cm::{BinOp, ElemType, FieldId, ReduceOp, Scalar};
 
-use super::space::coerce_scalar;
-use super::{ArrayStorage, LocalVar, Program, RResult, RuntimeError, Scope, PV};
-use crate::ast::{Block, Expr, ScBlock, Stmt, Type, UcKind, UcStmt};
+use std::sync::Arc;
+
+use super::{elem_type, ArrayStorage, LocalVar, Program, RResult, RuntimeError, PV};
+use crate::ast::{Block, Expr, LocalId, Ref, ScBlock, Stmt, UcKind, UcStmt};
 use crate::mapping::ArrayMapping;
-use crate::sema;
+use crate::sema::LocalKind;
 
 impl Program {
-    pub(crate) fn free_scope_vars(&mut self, scope: Scope) {
-        for (_, var) in scope.vars {
-            match var {
-                LocalVar::ParField { field, .. } => {
-                    let _ = self.machine.free(field);
-                }
-                LocalVar::Array(st) => {
-                    let _ = self.machine.free(st.field);
-                }
-                LocalVar::Scalar(_) | LocalVar::Slot(_) => {}
+    /// Release the machine storage of a local that goes out of scope.
+    pub(crate) fn free_local(&mut self, var: LocalVar) {
+        let field = match var {
+            LocalVar::ParField { field, .. } => field,
+            LocalVar::Array(st) => st.field,
+        };
+        let _ = self.machine.free(field);
+    }
+
+    /// Free whichever of the current activation's locals `ids` are live.
+    pub(crate) fn free_locals(&mut self, ids: impl Iterator<Item = LocalId>) {
+        for id in ids {
+            let slot = self.frames.last_mut().expect("frame").locals.get_mut(id as usize);
+            if let Some(var) = slot.and_then(Option::take) {
+                self.free_local(var);
             }
         }
     }
 
+    /// A scope closes: free the locals the statements directly in it
+    /// declared (a nested block has freed its own).
+    fn free_decls<'s>(&mut self, stmts: impl Iterator<Item = &'s Stmt>) {
+        self.free_locals(stmts.filter_map(|s| match s {
+            Stmt::Decl(v) => Some(v.local),
+            _ => None,
+        }));
+    }
+
     fn exec_block(&mut self, b: &Block) -> RResult<()> {
-        self.frames.last_mut().expect("inside a frame").scopes.push(Scope::default());
         let result = b.stmts.iter().try_for_each(|s| self.exec_stmt(s));
-        let scope = self.frames.last_mut().expect("frame").scopes.pop().expect("pushed above");
-        self.free_scope_vars(scope);
+        self.free_decls(b.stmts.iter());
         result
     }
 
@@ -72,22 +85,15 @@ impl Program {
         }
     }
 
+    /// Allocate a machine-backed local: a per-VP temporary on the current
+    /// space (§3.4 ranksort's `int rank;`) or a function-local array. A
+    /// front-end scalar declaration never arrives here — it is a register
+    /// and its declaration is lowered.
     fn exec_decl(&mut self, v: &crate::ast::VarDecl) -> RResult<()> {
-        let ty = match v.ty {
-            Type::Float => ElemType::Float,
-            _ => ElemType::Int,
-        };
-        let var = if v.dims.is_empty() {
-            if self.ctx.is_empty() {
-                let init = match &v.init {
-                    Some(e) => coerce_scalar(self.eval_scalar(e)?, ty),
-                    None => coerce_scalar(Scalar::Int(0), ty),
-                };
-                LocalVar::Scalar(init)
-            } else {
-                // A per-VP temporary on the current space (§3.4 ranksort's
-                // `int rank;`).
-                let vp = self.ctx.last().unwrap().vp;
+        let ty = elem_type(v.ty);
+        let var = match self.local_kind(v.local).clone() {
+            LocalKind::PerVp => {
+                let vp = self.cur_ctx().vp;
                 let field = self.machine.alloc(vp, &v.name, ty)?;
                 if let Some(e) = &v.init {
                     let pv = self.eval(e)?;
@@ -98,41 +104,34 @@ impl Program {
                 }
                 LocalVar::ParField { field, level: self.ctx.len() - 1 }
             }
-        } else {
-            // Sema accepted the declaration: outside every parallel
-            // construct, each extent a positive constant.
-            let extent = |d| sema::const_eval(d, &self.checked.consts).expect("constant extent");
-            let shape: Vec<usize> = v.dims.iter().map(|d| extent(d) as usize).collect();
-            let vp = self.space_vp(&shape)?;
-            let field = self.machine.alloc(vp, &v.name, ty)?;
-            LocalVar::Array(ArrayStorage { field, ty, shape, mapping: ArrayMapping::Default })
+            LocalKind::Array(shape) => {
+                let vp = self.space_vp(&shape)?;
+                let field = self.machine.alloc(vp, &v.name, ty)?;
+                let mapping = ArrayMapping::Default;
+                LocalVar::Array(Arc::new(ArrayStorage { field, ty, shape, mapping }))
+            }
+            LocalKind::Reg(_) => unreachable!("scalar declarations are lowered to registers"),
         };
-        self.frames
-            .last_mut()
-            .expect("frame")
-            .scopes
-            .last_mut()
-            .expect("scope")
-            .vars
-            .insert(v.name.clone(), var);
+        // Re-executed (the body of a `*par` or of a `seq` step): the
+        // previous instance goes first.
+        self.free_locals(std::iter::once(v.local));
+        self.frames.last_mut().expect("frame").locals[v.local as usize] = Some(var);
         Ok(())
     }
 
     // ---- the four constructs ----------------------------------------------
 
     fn exec_uc(&mut self, uc: &UcStmt) -> RResult<()> {
-        match uc.kind {
+        let result = match uc.kind {
             UcKind::Par => self.exec_par(uc),
             UcKind::Seq => self.exec_seq(uc),
             UcKind::Oneof => self.exec_oneof(uc),
-            UcKind::Solve => {
-                if uc.star {
-                    self.exec_star_solve(uc)
-                } else {
-                    self.exec_solve(uc)
-                }
-            }
-        }
+            UcKind::Solve if uc.star => self.exec_star_solve(uc),
+            UcKind::Solve => self.exec_solve(uc),
+        };
+        // An arm that is a bare declaration is scoped to the construct.
+        self.free_decls(uc.arms.iter().map(|arm| &arm.body).chain(uc.others.as_deref()));
+        result
     }
 
     fn exec_par(&mut self, uc: &UcStmt) -> RResult<()> {
@@ -260,37 +259,25 @@ impl Program {
     /// partial sums).
     fn exec_seq(&mut self, uc: &UcStmt) -> RResult<()> {
         debug_assert!(!self.ctx.is_empty(), "front-end seq reached the tree evaluator");
-        let set = &self.checked.sets[uc.sets[0]];
-        let (elem, elements) = (set.elem.clone(), set.elements.clone());
-        self.frames.last_mut().expect("frame").scopes.push(Scope::default());
-        let result = (|| -> RResult<()> {
-            let mut iters = 0u64;
-            loop {
-                iters += 1;
-                if iters > self.config.limits.max_iterations {
-                    return Err(RuntimeError::IterationLimit("*seq"));
-                }
-                let mut any_enabled = false;
-                for &v in elements.iter() {
-                    self.frames
-                        .last_mut()
-                        .expect("frame")
-                        .scopes
-                        .last_mut()
-                        .expect("scope")
-                        .vars
-                        .insert(elem.clone(), LocalVar::Scalar(Scalar::Int(v)));
-                    any_enabled |= self.run_arms(uc, uc.star)?;
-                }
-                if !uc.star || !any_enabled {
-                    break;
-                }
+        let elements = self.checked.sets[uc.sets[0]].elements.clone();
+        let LocalKind::Reg(elem) = *self.local_kind(uc.elem) else {
+            unreachable!("a seq element is a front-end scalar")
+        };
+        let mut iters = 0u64;
+        loop {
+            iters += 1;
+            if iters > self.config.limits.max_iterations {
+                return Err(RuntimeError::IterationLimit("*seq"));
             }
-            Ok(())
-        })();
-        let scope = self.frames.last_mut().expect("frame").scopes.pop().unwrap();
-        self.free_scope_vars(scope);
-        result
+            let mut any_enabled = false;
+            for &v in elements.iter() {
+                self.frames.last_mut().expect("frame").regs[elem as usize] = Scalar::Int(v);
+                any_enabled |= self.run_arms(uc, uc.star)?;
+            }
+            if !uc.star || !any_enabled {
+                return Ok(());
+            }
+        }
     }
 
     fn exec_oneof(&mut self, uc: &UcStmt) -> RResult<()> {
@@ -410,21 +397,21 @@ impl Program {
             Self::solve_assignments(&arm.body, &mut assigns);
         }
         // Defined-bitmaps for every target array.
-        let mut def_maps: Vec<(String, ArrayStorage)> = Vec::new();
+        let mut def_maps: Vec<(Ref, ArrayStorage)> = Vec::new();
         for (target, _) in &assigns {
             let Expr::Index { base, .. } = target else {
                 unreachable!("sema admits only array-element solve targets")
             };
-            if def_maps.iter().any(|(n, _)| n == base) {
+            if def_maps.iter().any(|(n, _)| *n == base.to) {
                 continue;
             }
-            let st = self.array_storage(base)?;
+            let st = self.array_storage(base);
             let storage_shape = st.mapping.storage_shape(&st.shape);
             let dvp = self.space_vp(&storage_shape)?;
             let dfield = self.machine.alloc_bool(dvp, "~defined")?;
             self.machine.fill_unconditional(dfield, Scalar::Bool(false))?;
             def_maps.push((
-                base.clone(),
+                base.to,
                 ArrayStorage {
                     field: dfield,
                     ty: ElemType::Bool,
@@ -444,8 +431,7 @@ impl Program {
                 let mut progress = false;
                 for (target, value) in &assigns {
                     let Expr::Index { base, subs, .. } = target else { unreachable!() };
-                    let def_st =
-                        def_maps.iter().find(|(n, _)| n == base).map(|(_, s)| s.clone()).unwrap();
+                    let def_st = def_maps.iter().find(|(n, _)| *n == base.to).unwrap().1.clone();
                     // ready = !defined(target) && rhs_defined
                     let tdef = self.read_defined(&def_st, subs)?;
                     let PV::Field { id: tdef_id, .. } = tdef else { unreachable!() };
@@ -498,14 +484,14 @@ impl Program {
     fn rhs_defined(
         &mut self,
         e: &Expr,
-        def_maps: &[(String, ArrayStorage)],
+        def_maps: &[(Ref, ArrayStorage)],
     ) -> RResult<PV> {
         match e {
             Expr::IntLit(..) | Expr::FloatLit(..) | Expr::Inf(_) | Expr::Ident(..) => {
                 Ok(PV::Scalar(Scalar::Bool(true)))
             }
             Expr::Index { base, subs, .. } => {
-                match def_maps.iter().find(|(n, _)| n == base) {
+                match def_maps.iter().find(|(n, _)| *n == base.to) {
                     Some((_, def_st)) => {
                         let def_st = def_st.clone();
                         let elem_def = self.read_storage(&def_st, subs)?;
@@ -602,17 +588,17 @@ impl Program {
                 Self::solve_assignments(&arm.body, &mut assigns);
             }
             // Snapshot fields for each distinct target array.
-            let mut targets: Vec<(String, FieldId, FieldId)> = Vec::new();
+            let mut targets: Vec<(Ref, FieldId, FieldId)> = Vec::new();
             for (target, _) in &assigns {
                 let Expr::Index { base, .. } = target else {
                     unreachable!("sema admits only array-element solve targets")
                 };
-                if targets.iter().any(|(n, _, _)| n == base) {
+                if targets.iter().any(|(n, _, _)| *n == base.to) {
                     continue;
                 }
-                let st = self.array_storage(base)?;
+                let st = self.array_storage(base);
                 let snap = self.machine.alloc(st.field.vp_set(), "~snap", st.ty)?;
-                targets.push((base.clone(), st.field, snap));
+                targets.push((base.to, st.field, snap));
             }
             let run = (|| -> RResult<()> {
                 let mut iters = 0u64;

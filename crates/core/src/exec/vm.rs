@@ -14,7 +14,7 @@ use uc_cm::{ElemType, Scalar};
 
 use super::{
     coerce_scalar, front_end_rand, scalar_abs, scalar_binary, scalar_minmax, scalar_unary, Frame,
-    LocalVar, Program, RResult, RuntimeError, Scope,
+    Program, RResult, RuntimeError,
 };
 use crate::ir::{Instr, IrProgram, Reg};
 use crate::stdlib;
@@ -53,9 +53,9 @@ pub(crate) fn call(p: &mut Program, fi: usize, args: Vec<Scalar>) -> RResult<Sca
     let result = exec(p, &ir, fi, args);
     p.ctx = saved_ctx;
     if result.is_err() {
-        // Free every frame this call opened, scopes innermost-first, so
-        // the caller unwinds over its own frame. The call stack is left
-        // intact for the error report.
+        // Free every frame this call opened, so the caller unwinds over
+        // its own frame. The call stack is left intact for the error
+        // report.
         while p.frames.len() > base_frames {
             pop_frame(p);
         }
@@ -63,11 +63,12 @@ pub(crate) fn call(p: &mut Program, fi: usize, args: Vec<Scalar>) -> RResult<Sca
     result
 }
 
-/// Drop the innermost frame, freeing its scopes innermost-first.
+/// Drop the innermost frame, freeing its machine-backed locals
+/// innermost-first.
 fn pop_frame(p: &mut Program) {
-    let mut frame = p.frames.pop().expect("frame per activation");
-    while let Some(scope) = frame.scopes.pop() {
-        p.free_scope_vars(scope);
+    let frame = p.frames.pop().expect("frame per activation");
+    for var in frame.locals.into_iter().rev().flatten() {
+        p.free_local(var);
     }
 }
 
@@ -91,11 +92,14 @@ fn enter(
     for (i, (&float, v)) in f.params.iter().zip(args).enumerate() {
         regs[i] = coerce_scalar(v, if float { ElemType::Float } else { ElemType::Int });
     }
-    p.frames.push(Frame { scopes: vec![Scope::default()], regs });
+    let info = &p.checked.func_infos[fi];
+    let n_locals = if info.machine_locals { info.locals.len() } else { 0 };
+    let locals = std::iter::repeat_with(|| None).take(n_locals).collect();
+    p.frames.push(Frame { func: fi, regs, locals });
     // exec_span still points at the calling statement — that is the call
     // site recorded for the error stack. Popped on return only, so a
     // failing run still shows where it was.
-    p.call_stack.push((f.name.clone(), p.exec_span));
+    p.call_stack.push((fi, p.exec_span));
     acts.push(Act { func: fi, pc: 0, ret_dst, seqs: Vec::new() });
     Ok(())
 }
@@ -196,26 +200,7 @@ fn exec(p: &mut Program, ir: &IrProgram, entry: usize, args: Vec<Scalar>) -> RRe
                 }
                 set(p, done.ret_dst, v);
             }
-            Instr::EnterScope => {
-                p.frames.last_mut().expect("frame").scopes.push(Scope::default());
-            }
-            Instr::ExitScopes { n } => {
-                for _ in 0..*n {
-                    let scope =
-                        p.frames.last_mut().expect("frame").scopes.pop().expect("open scope");
-                    p.free_scope_vars(scope);
-                }
-            }
-            Instr::BindName { name, slot } => {
-                p.frames
-                    .last_mut()
-                    .expect("frame")
-                    .scopes
-                    .last_mut()
-                    .expect("scope")
-                    .vars
-                    .insert(name.clone(), LocalVar::Slot(*slot as usize));
-            }
+            Instr::FreeLocals { lo, hi } => p.free_locals(*lo..*hi),
             Instr::EvalExpr { dst, e } => {
                 let v = p.eval_scalar(&body.exprs[*e as usize])?;
                 set(p, *dst, v);

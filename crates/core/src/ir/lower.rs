@@ -11,28 +11,29 @@
 //!
 //! Expression lowering is all-or-nothing per statement-level expression:
 //! if any subexpression cannot be lowered (array access, reduction,
-//! parallel value, unknown name), the partial instructions are rolled
+//! parallel value), the partial instructions are rolled
 //! back and the *whole* expression escapes, so an expression's side
 //! effects and errors keep their source order whichever side runs it.
 //!
-//! The lowerer mirrors the lexical scope structure of *variables* at
-//! runtime: every lowered block emits `EnterScope`/`ExitScopes`, every
-//! register-allocated local also gets a `BindName` so tree escapes
-//! resolve it by name, and any name bound by an escaped declaration is
-//! *poisoned* — later references to it fall back to by-name resolution.
-//! Index sets need none of this: sema resolved every use to a [`SetId`]
-//! into `checked.sets`, so a definition lowers to nothing but its span.
-//!
-//! [`SetId`]: crate::ast::SetId
+//! Names are not the lowerer's business. Sema wrote on every identifier
+//! what it denotes ([`Ref`]) and numbered every front-end scalar local's
+//! register (`sema::FuncInfo`), so an identifier lowers by a `match` on
+//! its reference — register local, global, `#define`, or "escape" — and
+//! the registers the function needs are sema's count plus nothing.
+//! Scoping leaves one trace: a block that declares a local array ends
+//! in a `FreeLocals` over the ids it declared. Index sets leave none: a
+//! definition lowers to nothing but its span.
 
 use std::collections::HashMap;
 
 use uc_cm::Scalar;
 
 use super::{Instr, IrBody, IrFunc, IrProgram, Reg, Target};
-use crate::ast::{BinaryOp, Block, Expr, FuncDef, Node, Stmt, Type, UcKind, UcStmt};
+use crate::ast::{
+    BinaryOp, Block, Expr, FuncDef, LocalId, Name, Node, Ref, Stmt, Type, UcKind, UcStmt,
+};
 use crate::exec::IrOpt;
-use crate::sema::Checked;
+use crate::sema::{Checked, FuncInfo, LocalKind};
 
 /// Builtins, which shadow user functions of the same name; a call to one
 /// inside a tree escape never re-enters the VM.
@@ -72,8 +73,8 @@ pub fn lower_program(
     }
     let mut funcs = Vec::with_capacity(funcs_src.len());
     let mut inline_ok = true;
-    for f in &funcs_src {
-        let (func, stats) = Lowerer::new(checked, global_index, &by_name).run(f);
+    for (f, info) in funcs_src.iter().zip(&checked.func_infos) {
+        let (func, stats) = Lowerer::new(checked, info, &by_name).run(f);
         inline_ok &= func.body.is_some()
             && !stats.tree_user_call
             && stats.max_tree_depth <= MAX_INLINE_TREE_DEPTH;
@@ -101,15 +102,7 @@ struct FuncStats {
     max_tree_depth: usize,
 }
 
-/// How a name resolves at a use site during lowering.
-#[derive(Clone, Copy)]
-enum Binding {
-    /// Register-allocated local.
-    Slot { idx: Reg, float: bool },
-    /// Bound by an escaped declaration — resolve by name at runtime.
-    Poisoned,
-}
-
+/// Where an assignment to a scalar lands.
 #[derive(Clone, Copy)]
 enum Place {
     Slot { idx: Reg, float: bool },
@@ -120,24 +113,24 @@ enum Place {
 struct LoopCtx {
     break_to: usize,
     continue_to: usize,
-    /// `open_scopes` at the loop statement; `break`/`continue` emit
-    /// `ExitScopes` down to this depth before jumping.
-    open_scopes: u16,
+    /// `open_arrays.len()` at the loop statement; `break`/`continue` free
+    /// the blocks opened since before jumping.
+    open_arrays: usize,
 }
 
 struct Lowerer<'a> {
     checked: &'a Checked,
-    global_index: &'a HashMap<String, u32>,
+    /// Sema's table of the function being lowered.
+    info: &'a FuncInfo,
     func_by_name: &'a HashMap<String, usize>,
 
     code: Vec<Instr>,
     stmts: Vec<Stmt>,
     exprs: Vec<Expr>,
 
-    /// Compile-time mirror of the runtime scope stack (prologue scope +
-    /// one per lowered block or `seq`).
-    scopes: Vec<HashMap<String, Binding>>,
-    open_scopes: u16,
+    /// The open blocks that declare local arrays, innermost last: the
+    /// `LocalId` range spanning each one's declarations.
+    open_arrays: Vec<(LocalId, LocalId)>,
     loops: Vec<LoopCtx>,
 
     /// Label id -> instruction index (patched into jumps at the end).
@@ -157,18 +150,17 @@ struct Lowerer<'a> {
 impl<'a> Lowerer<'a> {
     fn new(
         checked: &'a Checked,
-        global_index: &'a HashMap<String, u32>,
+        info: &'a FuncInfo,
         func_by_name: &'a HashMap<String, usize>,
     ) -> Self {
         Lowerer {
             checked,
-            global_index,
+            info,
             func_by_name,
             code: Vec::new(),
             stmts: Vec::new(),
             exprs: Vec::new(),
-            scopes: Vec::new(),
-            open_scopes: 0,
+            open_arrays: Vec::new(),
             loops: Vec::new(),
             labels: Vec::new(),
             patches: Vec::new(),
@@ -183,29 +175,18 @@ impl<'a> Lowerer<'a> {
 
     fn run(mut self, f: &FuncDef) -> (IrFunc, FuncStats) {
         let params: Vec<bool> = f.params.iter().map(|(ty, _)| *ty == Type::Float).collect();
-        let mut n_perm = f.params.len();
-        for s in &f.body.stmts {
-            count_perms(s, &mut n_perm);
-        }
-        if n_perm > u16::MAX as usize {
+        // Sema numbered the named locals' registers `0..regs` (parameters
+        // first) and counted what the loops keep beside them.
+        let mut n_perm = self.info.regs + self.info.loop_regs;
+        if n_perm > u16::MAX as u32 {
             self.failed = true;
             n_perm = 0;
         }
-        self.perm_limit = n_perm as u32;
+        self.perm_limit = n_perm;
         self.next_temp = self.perm_limit;
         self.watermark = self.perm_limit;
-        self.next_perm = f.params.len() as u32;
+        self.next_perm = self.info.regs;
 
-        // Prologue: parameters live in the frame's base scope.
-        self.scopes.push(HashMap::new());
-        for (i, (ty, name)) in f.params.iter().enumerate() {
-            let idx = i as Reg;
-            self.code.push(Instr::BindName { name: name.clone(), slot: idx });
-            self.scopes
-                .last_mut()
-                .unwrap()
-                .insert(name.clone(), Binding::Slot { idx, float: *ty == Type::Float });
-        }
         self.lower_block(&f.body);
         // Falling off the end returns nothing.
         self.code.push(Instr::Ret { src: None });
@@ -255,6 +236,7 @@ impl<'a> Lowerer<'a> {
         self.next_temp = self.perm_limit;
     }
 
+    /// A register a loop keeps across statements (counter or flag).
     fn alloc_perm(&mut self) -> Reg {
         let r = self.next_perm;
         self.next_perm += 1;
@@ -279,21 +261,21 @@ impl<'a> Lowerer<'a> {
         self.code.push(make(Target::MAX));
     }
 
-    fn scope_mut(&mut self) -> &mut HashMap<String, Binding> {
-        self.scopes.last_mut().expect("inside a scope")
+    /// The register of a front-end scalar local, if `id` is one.
+    fn local_reg(&self, id: LocalId) -> Option<(Reg, bool)> {
+        let local = &self.info.locals[id as usize];
+        match local.kind {
+            LocalKind::Reg(idx) => Some((idx, local.ty == Type::Float)),
+            LocalKind::PerVp | LocalKind::Array(_) => None,
+        }
     }
 
-    /// Open a lexical scope and its runtime mirror.
-    fn enter_scope(&mut self) {
-        self.code.push(Instr::EnterScope);
-        self.open_scopes += 1;
-        self.scopes.push(HashMap::new());
-    }
-
-    fn exit_scope(&mut self) {
-        self.scopes.pop();
-        self.open_scopes -= 1;
-        self.code.push(Instr::ExitScopes { n: 1 });
+    /// Free the local arrays of the blocks opened since `base`.
+    fn free_arrays_above(&mut self, base: usize) {
+        let opened = (self.open_arrays.get(base), self.open_arrays.last());
+        if let (Some(&(lo, _)), Some(&(_, hi))) = opened {
+            self.code.push(Instr::FreeLocals { lo, hi });
+        }
     }
 
     // ---- escapes ------------------------------------------------------
@@ -307,7 +289,6 @@ impl<'a> Lowerer<'a> {
     /// Escape a whole statement to the tree evaluator. `exec_stmt` sets
     /// the span itself, so no `SetSpan` is emitted here.
     fn tree_stmt(&mut self, s: &Stmt) {
-        self.poison_decls(s);
         let mut call = false;
         let d = stmt_depth(s, &mut call);
         self.stats.tree_user_call |= call;
@@ -375,13 +356,13 @@ impl<'a> Lowerer<'a> {
         Some(t)
     }
 
-    fn resolve(&self, name: &str) -> Option<Binding> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(b) = scope.get(name) {
-                return Some(*b);
-            }
+    /// Where a store to `name` lands, if it is a front-end scalar variable.
+    fn place(&self, name: &Name) -> Option<Place> {
+        match name.to {
+            Ref::Local(id) => self.local_reg(id).map(|(idx, float)| Place::Slot { idx, float }),
+            Ref::Global(g) => Some(Place::Global(g)),
+            _ => None,
         }
-        None
     }
 
     fn go_expr(&mut self, e: &Expr) -> Option<Reg> {
@@ -389,26 +370,25 @@ impl<'a> Lowerer<'a> {
             Expr::IntLit(v, _) => self.emit_const(Scalar::Int(*v)),
             Expr::FloatLit(v, _) => self.emit_const(Scalar::Float(*v)),
             Expr::Inf(_) => self.emit_const(Scalar::Int(i64::MAX)),
-            Expr::Ident(name, _) => match self.resolve(name) {
-                Some(Binding::Slot { idx, .. }) => {
+            Expr::Ident(name, _) => match name.to {
+                Ref::Local(id) => {
                     // Copy to a temp: the value is captured at read time
                     // (`x + (x = 3)` reads the old `x`).
+                    let (src, _) = self.local_reg(id)?;
                     let t = self.temp();
-                    self.code.push(Instr::Copy { dst: t, src: idx });
+                    self.code.push(Instr::Copy { dst: t, src });
                     Some(t)
                 }
-                Some(Binding::Poisoned) => None,
-                None => {
-                    if let Some(&g) = self.global_index.get(name) {
-                        let t = self.temp();
-                        self.code.push(Instr::LoadGlobal { dst: t, g });
-                        Some(t)
-                    } else if let Some(v) = self.checked.consts.get(name) {
-                        self.emit_const(Scalar::Int(*v))
-                    } else {
-                        None // unbound / array / index element: escape
-                    }
+                Ref::Global(g) => {
+                    let t = self.temp();
+                    self.code.push(Instr::LoadGlobal { dst: t, g });
+                    Some(t)
                 }
+                Ref::Const(id) => {
+                    self.emit_const(Scalar::Int(self.checked.unit.defines[id as usize].1))
+                }
+                // An index element is a parallel value: escape.
+                Ref::Elem(_) | Ref::Array(_) | Ref::Unresolved => None,
             },
             Expr::Index { .. } | Expr::Reduce(_) => None,
             Expr::Unary { op, expr, .. } => {
@@ -457,16 +437,7 @@ impl<'a> Lowerer<'a> {
             Expr::Call { name, args, .. } => self.go_call(name, args),
             Expr::Assign { target, op, value, .. } => {
                 let Expr::Ident(name, _) = target.as_ref() else { return None };
-                let place = match self.resolve(name) {
-                    Some(Binding::Slot { idx, float }) => Place::Slot { idx, float },
-                    Some(Binding::Poisoned) => return None,
-                    None => match self.global_index.get(name) {
-                        Some(&g) => Place::Global(g),
-                        // `#define` constants and unknown names are not
-                        // assignable: escape for the identical error.
-                        None => return None,
-                    },
-                };
+                let place = self.place(name)?;
                 // Tree order: value first, then the old value for
                 // compound assignments.
                 let r = self.go_expr(value)?;
@@ -544,23 +515,28 @@ impl<'a> Lowerer<'a> {
     // ---- statements ---------------------------------------------------
 
     fn lower_block(&mut self, b: &Block) {
-        self.enter_scope();
+        // The local arrays declared directly in the block, as the id
+        // range spanning them (ids ascend in source order).
+        let mut arrays = b.stmts.iter().filter_map(|s| match s {
+            Stmt::Decl(v) if !v.dims.is_empty() => Some(v.local),
+            _ => None,
+        });
+        let range = arrays.next().map(|lo| (lo, arrays.next_back().unwrap_or(lo) + 1));
+        self.open_arrays.extend(range);
         for s in &b.stmts {
             self.reset_temps();
             self.lower_stmt(s);
         }
-        self.exit_scope();
+        if range.is_some() {
+            self.free_arrays_above(self.open_arrays.len() - 1);
+            self.open_arrays.pop();
+        }
     }
 
-    /// A branch body (`if`/loop/`seq` arm). A bare declaration here binds
-    /// conditionally, which registers cannot express: escape it.
+    /// A branch body (`if`/loop/`seq` arm).
     fn lower_branch(&mut self, s: &Stmt) {
         self.reset_temps();
-        if matches!(s, Stmt::Decl(_)) {
-            self.tree_stmt(s);
-        } else {
-            self.lower_stmt(s);
-        }
+        self.lower_stmt(s);
     }
 
     fn lower_stmt(&mut self, s: &Stmt) {
@@ -592,12 +568,9 @@ impl<'a> Lowerer<'a> {
                         t
                     }
                 };
-                let slot = self.alloc_perm();
-                let float = v.ty == Type::Float;
+                let (slot, float) =
+                    self.local_reg(v.local).expect("a scalar declared on the front end");
                 self.code.push(Instr::StoreSlot { slot, src: init, float });
-                // The binding appears only after the initializer ran.
-                self.code.push(Instr::BindName { name: v.name.clone(), slot });
-                self.scope_mut().insert(v.name.clone(), Binding::Slot { idx: slot, float });
             }
             // Nothing to execute; the span keeps a later `RunError` where
             // it was when the definition ran as a tree escape.
@@ -634,7 +607,7 @@ impl<'a> Lowerer<'a> {
                 self.loops.push(LoopCtx {
                     break_to: exit,
                     continue_to: head,
-                    open_scopes: self.open_scopes,
+                    open_arrays: self.open_arrays.len(),
                 });
                 self.lower_branch(body);
                 self.loops.pop();
@@ -662,7 +635,7 @@ impl<'a> Lowerer<'a> {
                 self.loops.push(LoopCtx {
                     break_to: exit,
                     continue_to: stepl,
-                    open_scopes: self.open_scopes,
+                    open_arrays: self.open_arrays.len(),
                 });
                 self.lower_branch(body);
                 self.loops.pop();
@@ -683,10 +656,7 @@ impl<'a> Lowerer<'a> {
                 self.emit_span(s);
                 match self.loops.last().copied() {
                     Some(lc) => {
-                        let n = self.open_scopes - lc.open_scopes;
-                        if n > 0 {
-                            self.code.push(Instr::ExitScopes { n });
-                        }
+                        self.free_arrays_above(lc.open_arrays);
                         let to =
                             if matches!(s, Stmt::Break(_)) { lc.break_to } else { lc.continue_to };
                         self.emit_jump(to, |t| Instr::Jump { t });
@@ -704,13 +674,9 @@ impl<'a> Lowerer<'a> {
     /// that construct's tree escape and runs under context masks instead.
     fn lower_seq(&mut self, s: &Stmt, uc: &UcStmt) {
         let set = uc.sets[0];
-        let elem_name = self.checked.sets[set].elem.clone();
         self.emit_span(s);
         self.code.push(Instr::SeqEnter { set });
-        self.enter_scope();
-        let elem = self.alloc_perm();
-        self.code.push(Instr::BindName { name: elem_name.clone(), slot: elem });
-        self.scope_mut().insert(elem_name, Binding::Slot { idx: elem, float: false });
+        let (elem, _) = self.local_reg(uc.elem).expect("a seq element is a front-end scalar");
         let cnt = self.alloc_perm();
         self.code.push(Instr::IterInit { slot: cnt });
         // `*seq` sweeps again while some arm ran during the last sweep;
@@ -750,7 +716,6 @@ impl<'a> Lowerer<'a> {
         if let Some(c) = swept {
             self.emit_jump(sweep, |t| Instr::JumpIfTrue { c, t });
         }
-        self.exit_scope();
         self.code.push(Instr::SeqExit);
     }
 
@@ -761,63 +726,6 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// Names bound by an escaped statement must resolve by name from
-    /// then on. Blocks are not descended — their bindings die with the
-    /// block — but a parallel body that is a bare declaration leaks its
-    /// binding into the enclosing runtime scope.
-    fn poison_decls(&mut self, s: &Stmt) {
-        match s {
-            Stmt::Decl(v) => {
-                self.scope_mut().insert(v.name.clone(), Binding::Poisoned);
-            }
-            Stmt::Uc(uc) => {
-                for arm in &uc.arms {
-                    self.poison_decls(&arm.body);
-                }
-                if let Some(o) = &uc.others {
-                    self.poison_decls(o);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Upper bound on named registers a function needs: parameters, scalar
-/// declarations, one iteration counter per loop, and a front-end `seq`'s
-/// element, counter and flags. Overcounts (e.g. declarations that end up
-/// escaped) are harmless.
-fn count_perms(s: &Stmt, n: &mut usize) {
-    match s {
-        Stmt::Decl(v) if v.dims.is_empty() => *n += 1,
-        Stmt::Block(b) => {
-            for s in &b.stmts {
-                count_perms(s, n);
-            }
-        }
-        Stmt::If { then_branch, else_branch, .. } => {
-            count_perms(then_branch, n);
-            if let Some(e) = else_branch {
-                count_perms(e, n);
-            }
-        }
-        Stmt::While { body, .. } | Stmt::For { body, .. } => {
-            *n += 1;
-            count_perms(body, n);
-        }
-        Stmt::Uc(uc) if uc.kind == UcKind::Seq => {
-            *n += 2 + uc.star as usize + uc.others.is_some() as usize;
-            for arm in &uc.arms {
-                count_perms(&arm.body, n);
-            }
-            if let Some(o) = &uc.others {
-                count_perms(o, n);
-            }
-        }
-        // Parallel constructs escape whole; nothing inside them is
-        // register-allocated.
-        _ => {}
-    }
 }
 
 // ---- escape statistics ----------------------------------------------

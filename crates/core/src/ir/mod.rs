@@ -16,19 +16,24 @@
 //! * **Registers** (`Const`, `Copy`, `Bin`, `Un`, `Truthy`, `StoreSlot`,
 //!   `LoadGlobal`, `StoreGlobal`, `Jump*`, `Call`, `Ret`, builtins) —
 //!   front-end control flow and scalar arithmetic, fully compiled.
-//!   Named locals live in the low registers ("slots"); expression
-//!   temporaries above them, reset per statement.
+//!   Every front-end scalar local — parameter, declaration, `seq`
+//!   element — is the low register sema numbered it
+//!   (`sema::LocalKind::Reg`), loop counters sit above those, and
+//!   expression temporaries above them, reset per statement.
 //! * **Sweeps** (`SeqEnter`/`SeqNext`/`SeqExit`) — front-end `seq` and
 //!   `*seq` over the set sema resolved the construct to: the element
 //!   binding, the `st` arms, `others` and the repeat-while-enabled test
 //!   are ordinary register code around them.
 //! * **Tree escapes** (`Tree`, `EvalExpr`, `EvalEffect`) — one parallel
 //!   construct, one expression (array accesses, reductions, anything the
-//!   lowering cannot prove scalar) or one declaration, evaluated by
-//!   `crate::exec` on an AST fragment stored in the side table.
-//!   `BindName`/`EnterScope`/`ExitScopes` mirror the lexical scope
-//!   structure at runtime so those fragments resolve lowered locals by
-//!   name (via [`crate::exec` `LocalVar::Slot`]).
+//!   lowering cannot prove scalar) or one array declaration, evaluated by
+//!   `crate::exec` on an AST fragment stored in the side table. A
+//!   fragment and the code around it agree on every name without any
+//!   run-time bookkeeping: sema wrote what each identifier denotes on
+//!   the AST, so the fragment reads a lowered local from its register
+//!   and keeps a machine-backed one (per-VP scalar, local array) in the
+//!   activation's table by `LocalId`. `FreeLocals` is the one trace of
+//!   scoping left: it frees the local arrays of a block at its exit.
 //! * **Budget ops** (`IterInit`/`IterCheck`, `SetSpan`) — iteration caps,
 //!   deadline polls, and the statement span a `RunError` reports.
 //!
@@ -46,8 +51,7 @@
 //! [`passes::optimize`] runs per-instruction passes after lowering:
 //! constant folding within basic blocks, jump simplification against
 //! known conditions, dead-store elimination on expression temporaries,
-//! unreachable-code removal, and scope-instruction stripping for
-//! functions with no tree escapes. All of these touch only uncharged
+//! and unreachable-code removal. All of these touch only uncharged
 //! front-end instructions, so results, simulated cycles, and errors do
 //! not depend on them ([`IrOpt::Balanced`], the default).
 //! [`IrOpt::Aggressive`] additionally rewrites parallel constructs at
@@ -66,11 +70,11 @@ pub use lower::lower_program;
 
 use uc_cm::Scalar;
 
-use crate::ast::{BinaryOp, Expr, SetId, Stmt, UnaryOp};
+use crate::ast::{BinaryOp, Expr, LocalId, SetId, Stmt, UnaryOp};
 use crate::exec::IrOpt;
 use crate::span::Span;
 
-/// Register index. Slots `0..n_perm` are named locals, parameters, and
+/// Register index. Slots `0..n_perm` are parameters, named locals and
 /// loop counters; `n_perm..n_slots` are per-statement temporaries.
 pub type Reg = u16;
 
@@ -127,23 +131,19 @@ pub enum Instr {
     /// `r[dst] = min/max(r[a], r[b])` with float promotion.
     MinMax { dst: Reg, a: Reg, b: Reg, is_min: bool },
     /// Return from the current activation (`None` returns 0 to the
-    /// caller), freeing the frame's scopes innermost-first.
+    /// caller), freeing the frame's machine-backed locals.
     Ret { src: Option<Reg> },
-    /// Push a runtime scope (block entry).
-    EnterScope,
-    /// Pop and free `n` runtime scopes (block exit, `break`/`continue`).
-    ExitScopes { n: u16 },
-    /// Bind `name` to register `slot` in the innermost runtime scope so
-    /// tree escapes resolve it by name.
-    BindName { name: String, slot: Reg },
+    /// Free whichever of the locals `lo..hi` are live — emitted where
+    /// control leaves a block that declares a local array (its exit, a
+    /// `break`/`continue` out of it).
+    FreeLocals { lo: LocalId, hi: LocalId },
     /// `r[dst] = exprs[e]`, evaluated by the tree evaluator to a
     /// front-end scalar.
     EvalExpr { dst: Reg, e: u32 },
     /// Evaluate `exprs[e]` for effect by the tree evaluator.
     EvalEffect { e: u32 },
-    /// Execute `stmts[s]` by the tree evaluator: a parallel construct, a
-    /// declaration that cannot be register-allocated, or `swap`. None of
-    /// these transfers control.
+    /// Execute `stmts[s]` by the tree evaluator: a parallel construct, an
+    /// array declaration, or `swap`. None of these transfers control.
     Tree { s: u32 },
     /// Open a front-end `seq` sweep over the elements of `sets[set]`, the
     /// definition sema resolved the construct's set name to.

@@ -27,7 +27,6 @@ pub fn optimize(body: &mut IrBody, n_perm: u16) {
     const_fold(&mut body.code, n_perm);
     reachability(&mut body.code);
     dead_stores(&mut body.code, n_perm);
-    strip_scope_ops(&mut body.code);
     compact(&mut body.code);
     fallthrough_jumps(&mut body.code);
 }
@@ -54,8 +53,8 @@ fn fallthrough_jumps(code: &mut Vec<Instr>) {
 
 /// Fold constants within basic blocks and simplify conditional jumps on
 /// known conditions. Register knowledge is dropped at every jump target
-/// (block join) and across instructions that can write registers by
-/// name (tree escapes clobber named slots; calls clobber only their
+/// (block join) and across instructions that can write a local's
+/// register (tree escapes clobber named slots; calls clobber only their
 /// destination — callees cannot reach the caller's frame).
 fn const_fold(code: &mut [Instr], n_perm: u16) {
     let mut targets = HashSet::new();
@@ -158,9 +157,7 @@ fn const_fold(code: &mut [Instr], n_perm: u16) {
                 known.remove(elem);
                 known.remove(more);
             }
-            Instr::EnterScope
-            | Instr::ExitScopes { .. }
-            | Instr::BindName { .. }
+            Instr::FreeLocals { .. }
             | Instr::SeqEnter { .. }
             | Instr::SeqExit
             | Instr::Nop => {}
@@ -210,7 +207,7 @@ fn reachability(code: &mut [Instr]) {
 }
 
 /// Remove pure writes to temporaries that are never read. Named slots
-/// (`< n_perm`) are exempt — tree escapes read them by name. Iterated to
+/// (`< n_perm`) are exempt — tree escapes read them too. Iterated to
 /// a fixpoint so chains of dead temporaries collapse.
 fn dead_stores(code: &mut [Instr], n_perm: u16) {
     loop {
@@ -269,22 +266,6 @@ fn dead_stores(code: &mut [Instr], n_perm: u16) {
         }
         if !changed {
             return;
-        }
-    }
-}
-
-/// A function with no tree escapes never consults its runtime scopes:
-/// drop the scope bookkeeping entirely.
-fn strip_scope_ops(code: &mut [Instr]) {
-    let has_escapes = code
-        .iter()
-        .any(|i| matches!(i, Instr::Tree { .. } | Instr::EvalExpr { .. } | Instr::EvalEffect { .. }));
-    if has_escapes {
-        return;
-    }
-    for ins in code.iter_mut() {
-        if matches!(ins, Instr::EnterScope | Instr::ExitScopes { .. } | Instr::BindName { .. }) {
-            *ins = Instr::Nop;
         }
     }
 }

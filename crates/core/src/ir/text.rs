@@ -113,9 +113,7 @@ fn instr(ins: &Instr, body: &super::IrBody, p: &IrProgram) -> String {
         ),
         Instr::Ret { src: Some(r) } => format!("ret        r{r}"),
         Instr::Ret { src: None } => "ret".into(),
-        Instr::EnterScope => "scope_push".into(),
-        Instr::ExitScopes { n } => format!("scope_pop  {n}"),
-        Instr::BindName { name, slot } => format!("bind       {name} -> r{slot}"),
+        Instr::FreeLocals { lo, hi } => format!("free       l{lo}..l{hi}"),
         Instr::EvalExpr { dst, e } => format!(
             "eval       r{dst} = `{}`",
             frag(&pretty::expr(&body.exprs[*e as usize]))

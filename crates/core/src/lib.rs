@@ -45,7 +45,6 @@
 
 pub mod analysis;
 pub mod ast;
-pub mod cstar_emit;
 pub mod diag;
 pub mod exec;
 pub mod ir;

@@ -210,12 +210,12 @@ fn interpret_one(checked: &Checked, decl: &MapDecl) -> Result<ArrayMapping, Stri
 /// Match `elem`, `elem + c`, `elem - c` returning `(elem, c)`.
 fn elem_plus_const(e: &Expr) -> Option<(String, i64)> {
     match e {
-        Expr::Ident(n, _) => Some((n.clone(), 0)),
+        Expr::Ident(n, _) => Some((n.to_string(), 0)),
         Expr::Binary { op: BinaryOp::Add, lhs, rhs, .. } => {
             if let (Expr::Ident(n, _), Expr::IntLit(c, _)) = (lhs.as_ref(), rhs.as_ref()) {
-                Some((n.clone(), *c))
+                Some((n.to_string(), *c))
             } else if let (Expr::IntLit(c, _), Expr::Ident(n, _)) = (lhs.as_ref(), rhs.as_ref()) {
-                Some((n.clone(), *c))
+                Some((n.to_string(), *c))
             } else {
                 None
             }
@@ -223,7 +223,7 @@ fn elem_plus_const(e: &Expr) -> Option<(String, i64)> {
         Expr::Binary { op: BinaryOp::Sub, lhs, rhs, .. } => {
             if let (Expr::Ident(n, _), Expr::IntLit(c, _)) = (lhs.as_ref(), rhs.as_ref()) {
                 // checked: `elem - (i64::MIN)` must not abort the compiler.
-                Some((n.clone(), c.checked_neg()?))
+                Some((n.to_string(), c.checked_neg()?))
             } else {
                 None
             }
@@ -240,9 +240,9 @@ fn const_minus_elem(
 ) -> Option<(String, i64)> {
     if let Expr::Binary { op: BinaryOp::Sub, lhs, rhs, .. } = e {
         if let Expr::Ident(n, _) = rhs.as_ref() {
-            if !consts.contains_key(n) {
+            if !consts.contains_key(&*n.text) {
                 if let Ok(c) = crate::sema::const_eval(lhs, consts) {
-                    return Some((n.clone(), c));
+                    return Some((n.to_string(), c));
                 }
             }
         }

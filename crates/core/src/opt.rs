@@ -11,16 +11,20 @@
 //!   [`stdlib::power2`], the primitives the register VM and the IR-level
 //!   `passes::const_fold` compute with, so a value known here is the
 //!   value the run produces, bit for bit (ints wrap, `/0` and `%0` are
-//!   "not a constant", never a panic). Callers differ only in which names
-//!   they can resolve: sema's `const_eval` passes the `#define`s, the
-//!   aggressive IR rewrites pass none, the executor's `try_pure_scalar`
-//!   passes the live front-end scopes.
+//!   "not a constant", never a panic). Callers differ only in which
+//!   identifiers they can give a value, and are handed the identifier
+//!   node to decide: before sema has run (`const_eval` on extents and set
+//!   bounds, [`fold_unit`]) that is its spelling against the `#define`s;
+//!   afterwards it is the reference sema wrote on it — the lints read
+//!   `#define`s, the executor's `try_pure_scalar` also the live globals
+//!   and registers — and the aggressive IR rewrites resolve none.
 //! * `classify_index` — **the** subscript classifier (`IdxForm`): is a
 //!   subscript `axis coordinate + constant`, a front-end constant, or
 //!   neither. The executor picks local / NEWS / router from it at run
-//!   time and lints UC110/UC111 report from it at check time; each
-//!   supplies its own binder lookup and constant evaluator, so the two
-//!   agree on the classification by construction.
+//!   time and lints UC110/UC111 report from it at check time; each says
+//!   how the element an identifier refers to is bound and which
+//!   sub-expressions it can prove constant, so the two agree on the
+//!   classification by construction.
 //! * [`fold_unit`] / [`fold_expr`] — the AST fold driver, which goes
 //!   away once `par` is lowered and the IR folder sees everything. Its
 //!   **policy** is deliberately narrow, because it runs before sema and
@@ -46,8 +50,8 @@ use crate::exec::{scalar_abs, scalar_binary, scalar_minmax, scalar_unary};
 use crate::span::Span;
 use crate::stdlib;
 
-/// Evaluate `e` if it is a pure constant: literals, `INF`, names that
-/// `names` resolves, unary/binary/ternary operators and the pure builtins
+/// Evaluate `e` if it is a pure constant: literals, `INF`, identifiers
+/// that `names` gives a value, unary/binary/ternary operators and the pure builtins
 /// (`power2`, `abs`/`ABS`, `min`, `max`) over those. `Err` carries the
 /// span of the first sub-expression that is not — an unresolved name, an
 /// array access, an assignment, a reduction, a user call, `rand()`, or a
@@ -55,12 +59,12 @@ use crate::stdlib;
 /// the taken branch of `?:`.
 pub fn eval_pure(
     e: &Expr,
-    mut names: impl FnMut(&str) -> Option<Scalar>,
+    mut names: impl FnMut(&Name) -> Option<Scalar>,
 ) -> Result<Scalar, Span> {
     eval(e, &mut names)
 }
 
-fn eval(e: &Expr, names: &mut dyn FnMut(&str) -> Option<Scalar>) -> Result<Scalar, Span> {
+fn eval(e: &Expr, names: &mut dyn FnMut(&Name) -> Option<Scalar>) -> Result<Scalar, Span> {
     Ok(match e {
         Expr::IntLit(v, _) => Scalar::Int(*v),
         Expr::FloatLit(v, _) => Scalar::Float(*v),
@@ -109,13 +113,13 @@ pub(crate) enum IdxForm {
     General,
 }
 
-/// Classify a subscript. `elem_form` says how a name is bound if it is an
-/// index element in scope; `konst` evaluates a sub-expression the caller
+/// Classify a subscript. `elem_form` says how an identifier is bound if it
+/// denotes an open index element; `konst` evaluates a sub-expression the caller
 /// can prove constant. An offset that overflows `i64` is `General`, not
 /// an abort.
 pub(crate) fn classify_index<E, K>(e: &Expr, elem_form: &E, konst: &K) -> IdxForm
 where
-    E: Fn(&str) -> Option<ElemForm>,
+    E: Fn(&Name) -> Option<ElemForm>,
     K: Fn(&Expr) -> Option<i64>,
 {
     if let Expr::Ident(name, _) = e {
@@ -257,7 +261,7 @@ mod tests {
 
     #[test]
     fn identities() {
-        let x = Expr::Ident("x".into(), Span::default());
+        let x = Expr::Ident(Name::new("x"), Span::default());
         for (op, l, r) in [
             (BinaryOp::Sub, x.clone(), int(0)),
             (BinaryOp::Mul, x.clone(), int(1)),
@@ -304,12 +308,12 @@ mod tests {
         assert_eq!(col("1 + a[0]") - base, 4, "array access");
         // Names resolve through the caller's table only.
         let e = parse_expr("n * 2");
-        assert_eq!(eval_pure(&e, |n| (n == "n").then_some(Scalar::Int(21))), Ok(Scalar::Int(42)));
+        assert_eq!(eval_pure(&e, |n| (&*n.text == "n").then_some(Scalar::Int(21))), Ok(Scalar::Int(42)));
     }
 
     #[test]
     fn classify_index_shares_one_overflow_rule() {
-        let elem = |name: &str| (name == "i").then_some(ElemForm::AxisPlus { axis: 0, lo: 1 });
+        let elem = |n: &Name| (&*n.text == "i").then_some(ElemForm::AxisPlus { axis: 0, lo: 1 });
         let konst = |e: &Expr| eval_pure(e, |_| None).ok().map(|s| s.as_int());
         let form = |src: &str| classify_index(&parse_expr(src), &elem, &konst);
         assert_eq!(form("i"), IdxForm::AxisPlus { axis: 0, offset: 1 });

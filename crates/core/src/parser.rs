@@ -236,7 +236,7 @@ impl<'a> Parser<'a> {
             self.expect(&T::RBracket, "`]` after array extent")?;
         }
         let init = if self.eat(&T::Assign) { Some(self.expr()?) } else { None };
-        Ok(VarDecl { ty, name, dims, init, span: start.to(self.prev_span()) })
+        Ok(VarDecl { ty, name, dims, init, span: start.to(self.prev_span()), local: 0 })
     }
 
     fn func_rest(&mut self, ret: Type, name: String) -> PResult<Item> {
@@ -475,6 +475,7 @@ impl<'a> Parser<'a> {
             star,
             idxs,
             sets: Vec::new(),
+            elem: 0,
             arms,
             others,
             span: span.to(self.prev_span()),
@@ -626,7 +627,7 @@ impl<'a> Parser<'a> {
                         subs.push(self.expr()?);
                         self.expect(&T::RBracket, "`]`")?;
                     }
-                    e = Expr::Index { base: name, subs, span: span.to(self.prev_span()) };
+                    e = Expr::Index { base: name, subs, span: span.to(self.prev_span()), access: 0 };
                 }
                 T::PlusPlus => {
                     let span = self.span();
@@ -684,7 +685,7 @@ impl<'a> Parser<'a> {
                     self.expect(&T::RParen, "`)` after arguments")?;
                     Ok(Expr::Call { name, args, span: span.to(self.prev_span()) })
                 } else {
-                    Ok(Expr::Ident(name, span))
+                    Ok(Expr::Ident(Name::new(name), span))
                 }
             }
             other => {

@@ -1,8 +1,8 @@
 //! AST pretty-printer.
 //!
 //! Renders an AST back to UC source. Used by tests (parse ∘ print is the
-//! identity on the AST, modulo spans) and by the C* emitter for expression
-//! fragments.
+//! identity on the AST, modulo spans), by `--emit ir` for the fragments
+//! of tree escapes, and by the lints to quote an access.
 
 use crate::ast::*;
 
@@ -180,8 +180,7 @@ fn uc_to_string(uc: &UcStmt, indent: usize) -> String {
     out
 }
 
-/// Render the array access `base[sub]...` — also the canonical text the
-/// executor keys its gather cache by and the lints quote.
+/// Render the array access `base[sub]...`, as the lints quote it.
 pub fn access(base: &str, subs: &[Expr]) -> String {
     use std::fmt::Write;
     let mut s = String::from(base);
@@ -203,8 +202,8 @@ pub fn expr(e: &Expr) -> String {
             }
         }
         Expr::Inf(_) => "INF".into(),
-        Expr::Ident(n, _) => n.clone(),
-        Expr::Index { base, subs, .. } => access(base, subs),
+        Expr::Ident(n, _) => n.to_string(),
+        Expr::Index { base, subs, .. } => access(&base.text, subs),
         Expr::Call { name, args, .. } => {
             format!("{name}({})", args.iter().map(expr).collect::<Vec<_>>().join(", "))
         }

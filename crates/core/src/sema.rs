@@ -7,10 +7,15 @@
 //!   global or function-local — into one table, [`Checked::sets`];
 //! * array shapes are computed from constant expressions;
 //! * every identifier is resolved against the scope rules of the paper,
-//!   including index-element shadowing in nested constructs (§3.4), and
-//!   every index-set name a construct or reduction uses is resolved to
-//!   its definition's [`SetId`], written beside the name on the AST —
-//!   the only place set names are resolved;
+//!   including index-element shadowing in nested constructs (§3.4):
+//!   innermost scope outwards, then the globals, then the `#define`s.
+//!   What it denotes is written beside its spelling on the AST — a
+//!   [`Ref`] on every identifier and array base, a [`SetId`] for every
+//!   index-set name a construct or reduction uses, the [`LocalId`] a
+//!   declaration or `seq` introduces — and [`Checked`] carries the tables
+//!   those index. This is the only place names are resolved: the
+//!   lowerer, the executor and the lints index, and none looks a
+//!   spelling up;
 //! * UC restrictions are enforced (no `goto` — already a parse error; an
 //!   index element is read-only; `solve` arms must be proper assignments
 //!   to array elements, without `st`; `oneof` takes no `others`; no
@@ -27,6 +32,7 @@ use uc_cm::Scalar;
 
 use crate::ast::*;
 use crate::diag::Diagnostics;
+use crate::ir::Reg;
 use crate::opt;
 use crate::span::Span;
 use crate::stdlib;
@@ -73,8 +79,63 @@ pub struct ArrayInfo {
     pub shape: Vec<usize>,
 }
 
+/// How a function's local lives at run time.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LocalKind {
+    /// A front-end scalar — a parameter, a declaration outside every
+    /// iteration space, a `seq` element wherever the `seq` sits: this
+    /// register of the activation.
+    Reg(Reg),
+    /// A scalar declared under an open iteration space: one value per
+    /// virtual processor, a machine field.
+    PerVp,
+    /// A function-local array of this shape, in machine storage.
+    Array(Vec<usize>),
+}
+
+/// One parameter, declaration or `seq` element of a function.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LocalInfo {
+    pub name: String,
+    pub ty: Type,
+    pub kind: LocalKind,
+}
+
+/// What sema knows about one function's locals; [`Ref::Local`],
+/// [`VarDecl::local`] and [`UcStmt::elem`] index `locals`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FuncInfo {
+    /// Parameters first, then every declaration and `seq` element in
+    /// source order.
+    pub locals: Vec<LocalInfo>,
+    /// Registers its [`LocalKind::Reg`] locals occupy: `0..regs`, in
+    /// `locals` order.
+    pub regs: u32,
+    /// Registers the lowered body keeps beside them: an iteration counter
+    /// per loop or front-end `seq`, and such a `seq`'s flags (`*`: an arm
+    /// ran this sweep; `others`: an arm ran for this element).
+    pub loop_regs: u32,
+    /// Whether any local is machine-backed ([`LocalKind::PerVp`] or
+    /// [`LocalKind::Array`]): an activation of a function with none
+    /// allocates no table for them.
+    pub machine_locals: bool,
+}
+
+/// One distinct array access (see [`AccessId`]): what the executor's
+/// per-step gather cache needs to know about it, decided once.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AccessInfo {
+    /// Every array the access reads — its base and any array inside its
+    /// subscripts (`b[a[i]]` reads `b` and `a`), as [`Ref::Array`] or
+    /// [`Ref::Local`]: a write to any of them makes a cached gather stale.
+    pub arrays: Vec<Ref>,
+    /// Whether the subscripts are side-effect-free and deterministic
+    /// within a step (no `rand()`, user call, assignment or reduction).
+    pub cacheable: bool,
+}
+
 /// The output of semantic analysis, consumed by the executor, the
-/// optimizer, the lints and the C* emitter.
+/// optimizer and the lints.
 #[derive(Debug, Clone)]
 pub struct Checked {
     /// The unit, with every construct's and reduction's `sets` filled in.
@@ -86,10 +147,19 @@ pub struct Checked {
     /// The global definition each name denotes (the last one wins).
     pub global_sets: HashMap<String, SetId>,
     pub arrays: HashMap<String, ArrayInfo>,
+    /// Global array names in name order; a [`Ref::Array`] indexes this.
+    pub array_names: Vec<String>,
     /// Global scalar variables (type, constant initializer if any).
     pub scalars: HashMap<String, (Type, Option<i64>)>,
+    /// Global scalar names in name order; a [`Ref::Global`] indexes this
+    /// (and `Program`'s values, and the IR's `g0=`).
+    pub global_names: Vec<String>,
     /// Function name → position of its definition in `unit.items`.
     pub funcs: HashMap<String, usize>,
+    /// Per function, in [`Checked::funcs_in_order`] order.
+    pub func_infos: Vec<FuncInfo>,
+    /// Every distinct array access; an [`AccessId`] indexes this.
+    pub accesses: Vec<AccessInfo>,
     pub maps: Vec<MapDecl>,
 }
 
@@ -115,16 +185,37 @@ impl Checked {
             _ => None,
         })
     }
+
+    /// The global array a [`Ref::Array`] denotes.
+    pub fn array(&self, id: u32) -> &ArrayInfo {
+        &self.arrays[&self.array_names[id as usize]]
+    }
+
+    /// The value of `e` if it is an integer constant over literals and
+    /// the `#define`s its identifiers were resolved to — [`const_eval`]
+    /// for code sema has been through, where a spelling may be shadowed.
+    pub fn const_int(&self, e: &Expr) -> Option<i64> {
+        let define = |n: &Name| match n.to {
+            Ref::Const(id) => Some(Scalar::Int(self.unit.defines[id as usize].1)),
+            _ => None,
+        };
+        int_const(e, define).ok()
+    }
 }
 
 /// Evaluate a compile-time constant integer expression against a constant
-/// table (`#define`s): [`opt::eval_pure`] restricted to integers — a
-/// float literal anywhere, or a non-integer result, is not a constant
-/// here. Returns the span of the first non-constant subexpression on
-/// failure. The static-analysis passes use it too, so they share sema's
-/// notion of "front-end constant".
+/// table (`#define`s), every identifier read by its spelling: for what is
+/// evaluated outside any scope — array extents, index-set bounds, global
+/// initialisers, map patterns. Returns the span of the first non-constant
+/// subexpression on failure.
 pub fn const_eval(e: &Expr, consts: &HashMap<String, i64>) -> Result<i64, Span> {
-    let value = opt::eval_pure(e, |name| consts.get(name).map(|v| Scalar::Int(*v)))?;
+    int_const(e, |n| consts.get(&*n.text).map(|v| Scalar::Int(*v)))
+}
+
+/// [`opt::eval_pure`] restricted to integers — a float literal anywhere,
+/// or a non-integer result, is not a constant here.
+fn int_const(e: &Expr, names: impl FnMut(&Name) -> Option<Scalar>) -> Result<i64, Span> {
+    let value = opt::eval_pure(e, names)?;
     let mut float = None;
     e.any(&mut |x| {
         if let Expr::FloatLit(_, span) = x {
@@ -144,11 +235,17 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
     let mut cx = Checker {
         diags,
         consts: HashMap::new(),
+        define_ids: HashMap::new(),
         sets: Vec::new(),
         global_sets: HashMap::new(),
         arrays: HashMap::new(),
+        array_names: Vec::new(),
         scalars: HashMap::new(),
+        global_names: Vec::new(),
         funcs: HashMap::new(),
+        func_infos: Vec::new(),
+        accesses: Vec::new(),
+        access_ids: HashMap::new(),
         maps: Vec::new(),
         scopes: Vec::new(),
         nest: Nesting::default(),
@@ -163,26 +260,35 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
             sets: cx.sets,
             global_sets: cx.global_sets,
             arrays: cx.arrays,
+            array_names: cx.array_names,
             scalars: cx.scalars,
+            global_names: cx.global_names,
             funcs: cx.funcs.into_iter().map(|(name, sig)| (name, sig.item)).collect(),
+            func_infos: cx.func_infos,
+            accesses: cx.accesses,
             maps: cx.maps,
         })
     }
 }
 
-/// What a name means in the current scope.
+/// What a name denotes: beside the [`Ref`] to write on an identifier,
+/// what sema itself needs to check its use. A scope of a function body
+/// maps a spelling to one; [`Checker::lookup`] also finds the globals.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum Binding {
-    /// A construct's index element (read-only integer).
-    IndexElem,
-    /// A scalar variable of the given type, declared under `depth`
-    /// iteration spaces of its function ([`Nesting::depth`]): 0 is a
-    /// front-end scalar, anything else one value per virtual processor.
-    Scalar(Type, usize),
-    /// A local array (inside a par body) or function-local array.
-    Array(Type, usize),
-    /// A locally declared index set.
-    LocalIndexSet(SetId),
+enum Denotes {
+    /// The element of an open `par`/`oneof`/`solve` or reduction
+    /// (read-only integer).
+    Elem,
+    /// A `#define` (read-only integer).
+    Const,
+    /// A scalar of this type, declared under `depth` iteration spaces of
+    /// its function ([`Nesting::depth`]): 0 is a front-end scalar,
+    /// anything else one value per virtual processor. A `seq` element is
+    /// one that cannot be assigned.
+    Scalar { ty: Type, depth: usize, read_only: bool },
+    Array { ty: Type, rank: usize },
+    /// A locally declared index set (not a value).
+    IndexSet(SetId),
 }
 
 /// What a call site needs to know about a user function.
@@ -197,14 +303,23 @@ struct FuncSig {
 struct Checker<'a> {
     diags: &'a mut Diagnostics,
     consts: HashMap<String, i64>,
+    /// `#define` name → position of its (last) definition in `unit.defines`.
+    define_ids: HashMap<String, u32>,
     sets: Vec<IndexSetInfo>,
     global_sets: HashMap<String, SetId>,
     arrays: HashMap<String, ArrayInfo>,
+    array_names: Vec<String>,
     scalars: HashMap<String, (Type, Option<i64>)>,
+    global_names: Vec<String>,
     funcs: HashMap<String, FuncSig>,
+    /// One per function checked so far; the last is the one being checked.
+    func_infos: Vec<FuncInfo>,
+    accesses: Vec<AccessInfo>,
+    /// Canonical form of a resolved access → its id.
+    access_ids: HashMap<Vec<u8>, AccessId>,
     maps: Vec<MapDecl>,
     /// Scope stack for function bodies: name → binding.
-    scopes: Vec<HashMap<String, Binding>>,
+    scopes: Vec<HashMap<String, (Ref, Denotes)>>,
     nest: Nesting,
 }
 
@@ -258,7 +373,8 @@ impl ExprTy {
 
 impl<'a> Checker<'a> {
     fn run(&mut self, unit: &mut Unit) {
-        for (name, value) in &unit.defines {
+        for (id, (name, value)) in unit.defines.iter().enumerate() {
+            self.define_ids.insert(name.clone(), id as u32);
             if self.consts.insert(name.clone(), *value).is_some() {
                 self.diags
                     .warning(Span::default(), format!("#define {name} redefined"));
@@ -286,6 +402,11 @@ impl<'a> Checker<'a> {
                 Item::Map(_) => {}
             }
         }
+        // A global's id is its position in name order.
+        self.global_names = self.scalars.keys().cloned().collect();
+        self.global_names.sort_unstable();
+        self.array_names = self.arrays.keys().cloned().collect();
+        self.array_names.sort_unstable();
         // Second pass: check function bodies — resolving their index-set
         // names in place — and map sections.
         for item in &mut unit.items {
@@ -365,7 +486,7 @@ impl<'a> Checker<'a> {
     /// then the globals.
     fn lookup_index_set(&self, name: &str) -> Option<SetId> {
         for scope in self.scopes.iter().rev() {
-            if let Some(Binding::LocalIndexSet(id)) = scope.get(name) {
+            if let Some((_, Denotes::IndexSet(id))) = scope.get(name) {
                 return Some(*id);
             }
         }
@@ -381,7 +502,7 @@ impl<'a> Checker<'a> {
         for name in idxs {
             match self.lookup_index_set(name) {
                 Some(id) => {
-                    scope.insert(self.sets[id].elem.clone(), Binding::IndexElem);
+                    scope.insert(self.sets[id].elem.clone(), (Ref::Elem(id as u32), Denotes::Elem));
                     sets.push(id);
                 }
                 None => self.diags.error(span, format!("unknown index set `{name}`{whose}")),
@@ -447,17 +568,40 @@ impl<'a> Checker<'a> {
     // ---- function bodies ------------------------------------------------
 
     fn check_func(&mut self, f: &mut FuncDef) {
+        self.func_infos.push(FuncInfo::default());
         let mut scope = HashMap::new();
         for (ty, name) in &f.params {
             if *ty == Type::Void {
                 self.diags.error(f.span, format!("parameter `{name}` cannot be void"));
             }
-            scope.insert(name.clone(), Binding::Scalar(*ty, 0));
+            let id = self.new_local(name, *ty, None);
+            let what = Denotes::Scalar { ty: *ty, depth: 0, read_only: false };
+            scope.insert(name.clone(), (Ref::Local(id), what));
         }
         self.scopes.push(scope);
         self.nest = Nesting::default();
         self.check_block(&mut f.body);
         self.scopes.pop();
+    }
+
+    /// The table of the function being checked.
+    fn func_info(&mut self) -> &mut FuncInfo {
+        self.func_infos.last_mut().expect("inside a function")
+    }
+
+    /// Enter a local in the function's table; `None` gives it the next
+    /// register.
+    fn new_local(&mut self, name: &str, ty: Type, kind: Option<LocalKind>) -> LocalId {
+        let f = self.func_info();
+        let kind = kind.unwrap_or_else(|| {
+            f.regs += 1;
+            // A function with more locals than registers is rejected
+            // before it runs, so the truncation is never observed.
+            LocalKind::Reg((f.regs - 1) as Reg)
+        });
+        f.machine_locals |= !matches!(kind, LocalKind::Reg(_));
+        f.locals.push(LocalInfo { name: name.to_string(), ty, kind });
+        (f.locals.len() - 1) as LocalId
     }
 
     /// Reject control-flow statement `what` where the front end cannot
@@ -485,28 +629,29 @@ impl<'a> Checker<'a> {
             self.diags.error(v.span, "variables cannot have type void");
             return;
         }
-        let binding = if v.dims.is_empty() {
+        let what = if v.dims.is_empty() {
             if let Some(init) = &mut v.init {
                 self.check_expr(init);
             }
-            Binding::Scalar(v.ty, self.nest.depth)
+            let depth = self.nest.depth;
+            v.local = self.new_local(&v.name, v.ty, (depth > 0).then_some(LocalKind::PerVp));
+            Denotes::Scalar { ty: v.ty, depth, read_only: false }
         } else {
             if self.nest.parallel {
                 self.diags
                     .error(v.span, "array declarations inside a parallel construct");
             }
-            for d in &v.dims {
-                self.extent(d);
-            }
+            let shape = v.dims.iter().filter_map(|d| self.extent(d)).collect();
             if v.init.is_some() {
                 self.diags.error(v.span, "array initializers are not supported");
             }
-            Binding::Array(v.ty, v.dims.len())
+            v.local = self.new_local(&v.name, v.ty, Some(LocalKind::Array(shape)));
+            Denotes::Array { ty: v.ty, rank: v.dims.len() }
         };
         self.scopes
             .last_mut()
             .expect("inside a scope")
-            .insert(v.name.clone(), binding);
+            .insert(v.name.clone(), (Ref::Local(v.local), what));
     }
 
     fn check_stmt(&mut self, s: &mut Stmt) {
@@ -521,7 +666,7 @@ impl<'a> Checker<'a> {
                         self.scopes
                             .last_mut()
                             .expect("inside a scope")
-                            .insert(def.name.clone(), Binding::LocalIndexSet(id));
+                            .insert(def.name.clone(), (Ref::Unresolved, Denotes::IndexSet(id)));
                     }
                 }
             }
@@ -536,6 +681,7 @@ impl<'a> Checker<'a> {
             }
             Stmt::While { cond, body, span } => {
                 self.check_flow("while", false, *span);
+                self.func_info().loop_regs += 1;
                 self.check_expr(cond);
                 self.nest.loops += 1;
                 self.check_stmt(body);
@@ -543,6 +689,7 @@ impl<'a> Checker<'a> {
             }
             Stmt::For { init, cond, step, body, span } => {
                 self.check_flow("for", false, *span);
+                self.func_info().loop_regs += 1;
                 for e in [init, cond, step].into_iter().flatten() {
                     self.check_expr(e);
                 }
@@ -570,6 +717,22 @@ impl<'a> Checker<'a> {
         uc.sets = self.bind_sets(&uc.idxs, uc.span, "");
         let outer = self.nest;
         let parallel = uc.kind != UcKind::Seq;
+        if !parallel {
+            // A `seq` binds one value at a time: its element is a
+            // front-end scalar of the function, not a coordinate of a
+            // space — also when the `seq` runs under the masks of a `par`.
+            for &set in &uc.sets {
+                let elem = self.sets[set].elem.clone();
+                uc.elem = self.new_local(&elem, Type::Int, None);
+                let what = Denotes::Scalar { ty: Type::Int, depth: 0, read_only: true };
+                let scope = self.scopes.last_mut().expect("bind_sets pushed one");
+                scope.insert(elem, (Ref::Local(uc.elem), what));
+            }
+            if !outer.parallel {
+                // Swept by the front end: the lowered loop's registers.
+                self.func_info().loop_regs += 1 + uc.star as u32 + uc.others.is_some() as u32;
+            }
+        }
         self.nest = Nesting {
             parallel: outer.parallel || parallel,
             construct: true,
@@ -647,7 +810,7 @@ impl<'a> Checker<'a> {
                     );
                 }
                 match target.as_ref() {
-                    Expr::Index { base, .. } => out.push(base.clone()),
+                    Expr::Index { base, .. } => out.push(base.to_string()),
                     // `solve` orders element definitions; a scalar has none.
                     other => self
                         .diags
@@ -671,19 +834,86 @@ impl<'a> Checker<'a> {
 
     // ---- expressions ------------------------------------------------------
 
-    fn lookup(&self, name: &str) -> Option<Binding> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(b) = scope.get(name) {
-                return Some(*b);
+    /// The one lookup order: innermost scope outwards, then the globals
+    /// (scalars before arrays), then the `#define`s.
+    fn lookup(&self, name: &str) -> Option<(Ref, Denotes)> {
+        if let Some(found) = self.scopes.iter().rev().find_map(|scope| scope.get(name)) {
+            return Some(*found);
+        }
+        let position = |names: &[String]| names.binary_search_by(|n| n.as_str().cmp(name)).ok();
+        if let Some(g) = position(&self.global_names) {
+            let what = Denotes::Scalar { ty: self.scalars[name].0, depth: 0, read_only: false };
+            return Some((Ref::Global(g as u32), what));
+        }
+        if let Some(a) = position(&self.array_names) {
+            let info = &self.arrays[name];
+            let what = Denotes::Array { ty: info.ty, rank: info.shape.len() };
+            return Some((Ref::Array(a as u32), what));
+        }
+        self.define_ids.get(name).map(|&id| (Ref::Const(id), Denotes::Const))
+    }
+
+    /// Resolve the target of a store — an assignment's left-hand side or
+    /// a `swap` operand — reporting whatever cannot be stored to.
+    fn check_store_target(&mut self, name: &mut Name, span: Span) -> Option<Type> {
+        let what = self.lookup(&name.text);
+        let problem = match what {
+            Some((to, Denotes::Scalar { ty, depth, read_only: false })) => {
+                name.to = to;
+                // A per-processor local (declared inside a parallel
+                // construct) has one value per point of the space it was
+                // declared on: a store from a construct or reduction
+                // nested deeper has no single value to give it. Reading it
+                // from there is fine — the value is lifted.
+                if depth > 0 && depth != self.nest.depth {
+                    self.diags.error(
+                        span,
+                        format!("cannot assign to `{name}` from a more deeply nested construct"),
+                    );
+                }
+                return Some(ty);
             }
-        }
-        if let Some((ty, _)) = self.scalars.get(name) {
-            return Some(Binding::Scalar(*ty, 0));
-        }
-        if let Some(info) = self.arrays.get(name) {
-            return Some(Binding::Array(info.ty, info.shape.len()));
-        }
+            Some((_, Denotes::Const)) => format!("cannot assign to constant `{name}`"),
+            Some((_, Denotes::Elem | Denotes::Scalar { .. })) => {
+                format!("cannot assign to index element `{name}` (read-only)")
+            }
+            Some(_) => format!("`{name}` cannot be assigned directly"),
+            None => format!("unknown identifier `{name}`"),
+        };
+        self.diags.error(span, problem);
         None
+    }
+
+    /// The id of the access `base[subs...]`, both already resolved:
+    /// interned by canonical form, so two accesses get one id iff they
+    /// denote the same thing.
+    fn intern_access(&mut self, base: Ref, subs: &[Expr]) -> AccessId {
+        let func = self.func_infos.len() as u32;
+        let mut key = Vec::with_capacity(24);
+        canon_ref(base, func, &mut key);
+        key.extend((subs.len() as u32).to_le_bytes());
+        for sub in subs {
+            canon(sub, func, &mut key);
+        }
+        if let Some(&id) = self.access_ids.get(&key) {
+            return id;
+        }
+        let mut arrays = vec![base];
+        let mut cacheable = true;
+        for sub in subs {
+            sub.walk(&mut |e| match e {
+                Expr::Index { base, .. } => arrays.push(base.to),
+                Expr::Assign { .. } | Expr::Reduce(_) => cacheable = false,
+                Expr::Call { name, .. } => {
+                    cacheable &= matches!(name.as_str(), "power2" | "abs" | "ABS" | "min" | "max")
+                }
+                _ => {}
+            });
+        }
+        self.accesses.push(AccessInfo { arrays, cacheable });
+        let id = (self.accesses.len() - 1) as AccessId;
+        self.access_ids.insert(key, id);
+        id
     }
 
     fn check_expr(&mut self, e: &mut Expr) -> ExprTy {
@@ -692,35 +922,34 @@ impl<'a> Checker<'a> {
             Expr::FloatLit(..) => ExprTy::Float,
             Expr::Inf(_) => ExprTy::Int,
             Expr::Ident(name, span) => {
-                if self.consts.contains_key(name) {
+                let Some((to, what)) = self.lookup(&name.text) else {
+                    self.diags.error(*span, format!("unknown identifier `{name}`"));
                     return ExprTy::Int;
-                }
-                match self.lookup(name) {
-                    Some(Binding::IndexElem) => ExprTy::Int,
-                    Some(Binding::Scalar(t, _)) => ExprTy::of(t),
-                    Some(Binding::Array(..)) => {
+                };
+                name.to = to;
+                match what {
+                    Denotes::Elem | Denotes::Const => ExprTy::Int,
+                    Denotes::Scalar { ty, .. } => ExprTy::of(ty),
+                    Denotes::Array { .. } => {
                         self.diags.error(
                             *span,
                             format!("array `{name}` used without subscripts"),
                         );
                         ExprTy::Int
                     }
-                    Some(Binding::LocalIndexSet(_)) => {
+                    Denotes::IndexSet(_) => {
                         self.diags.error(
                             *span,
                             format!("index set `{name}` used as a value"),
                         );
                         ExprTy::Int
                     }
-                    None => {
-                        self.diags.error(*span, format!("unknown identifier `{name}`"));
-                        ExprTy::Int
-                    }
                 }
             }
-            Expr::Index { base, subs, span } => {
-                let ty = match self.lookup(base) {
-                    Some(Binding::Array(t, rank)) => {
+            Expr::Index { base, subs, span, access } => {
+                let ty = match self.lookup(&base.text) {
+                    Some((to, Denotes::Array { ty, rank })) => {
+                        base.to = to;
                         if subs.len() != rank {
                             self.diags.error(
                                 *span,
@@ -730,7 +959,7 @@ impl<'a> Checker<'a> {
                                 ),
                             );
                         }
-                        ExprTy::of(t)
+                        ExprTy::of(ty)
                     }
                     Some(_) => {
                         self.diags
@@ -742,13 +971,14 @@ impl<'a> Checker<'a> {
                         ExprTy::Int
                     }
                 };
-                for sub in subs {
+                for sub in subs.iter_mut() {
                     let t = self.check_expr(sub);
                     if !t.int_like() {
                         self.diags
                             .error(sub.span(), "array subscripts must be integers");
                     }
                 }
+                *access = self.intern_access(base.to, subs);
                 ty
             }
             Expr::Call { name, args, span } => {
@@ -767,9 +997,11 @@ impl<'a> Checker<'a> {
                         );
                     }
                     if name == "swap" {
-                        for a in args.iter() {
+                        for a in args.iter_mut() {
                             match a {
-                                Expr::Ident(name, span) => self.check_store_depth(name, *span),
+                                Expr::Ident(name, span) => {
+                                    self.check_store_target(name, *span);
+                                }
                                 Expr::Index { .. } => {}
                                 _ => self.diags.error(
                                     a.span(),
@@ -856,48 +1088,18 @@ impl<'a> Checker<'a> {
             Expr::Assign { target, value, span, .. } => {
                 let vt = self.check_expr(value);
                 match target.as_mut() {
-                    Expr::Ident(name, tspan) => {
-                        if self.consts.contains_key(name) {
-                            self.diags.error(
-                                *tspan,
-                                format!("cannot assign to constant `{name}`"),
-                            );
-                            return ExprTy::Int;
-                        }
-                        match self.lookup(name) {
-                            Some(Binding::IndexElem) => {
-                                self.diags.error(
-                                    *tspan,
-                                    format!(
-                                        "cannot assign to index element `{name}` (read-only)"
-                                    ),
+                    Expr::Ident(name, tspan) => match self.check_store_target(name, *tspan) {
+                        Some(t) => {
+                            if ExprTy::of(t) == ExprTy::Int && vt == ExprTy::Float {
+                                self.diags.warning(
+                                    *span,
+                                    "float value truncated in assignment to int",
                                 );
-                                ExprTy::Int
                             }
-                            Some(Binding::Scalar(t, _)) => {
-                                self.check_store_depth(name, *tspan);
-                                if ExprTy::of(t) == ExprTy::Int && vt == ExprTy::Float {
-                                    self.diags.warning(
-                                        *span,
-                                        "float value truncated in assignment to int",
-                                    );
-                                }
-                                ExprTy::of(t)
-                            }
-                            Some(_) => {
-                                self.diags.error(
-                                    *tspan,
-                                    format!("`{name}` cannot be assigned directly"),
-                                );
-                                ExprTy::Int
-                            }
-                            None => {
-                                self.diags
-                                    .error(*tspan, format!("unknown identifier `{name}`"));
-                                ExprTy::Int
-                            }
+                            ExprTy::of(t)
                         }
-                    }
+                        None => ExprTy::Int,
+                    },
                     Expr::Index { .. } => {
                         let tt = self.check_expr(target);
                         if tt == ExprTy::Int && vt == ExprTy::Float {
@@ -912,21 +1114,6 @@ impl<'a> Checker<'a> {
                 }
             }
             Expr::Reduce(r) => self.check_reduce(r),
-        }
-    }
-
-    /// A per-processor local (declared inside a parallel construct) has
-    /// one value per point of the space it was declared on: a store from
-    /// a construct or reduction nested deeper has no single value to give
-    /// it. Reading it from there is fine — the value is lifted.
-    fn check_store_depth(&mut self, name: &str, span: Span) {
-        if let Some(Binding::Scalar(_, depth)) = self.lookup(name) {
-            if depth > 0 && depth != self.nest.depth {
-                self.diags.error(
-                    span,
-                    format!("cannot assign to `{name}` from a more deeply nested construct"),
-                );
-            }
         }
     }
 
@@ -963,6 +1150,70 @@ impl<'a> Checker<'a> {
         self.scopes.pop();
         ty
     }
+}
+
+/// Append the canonical form of a resolved expression of function `func`:
+/// equal for two expressions iff they are structurally equal once every
+/// identifier is replaced by what it denotes (spans and spellings do not
+/// count; a nested access contributes its id). Every node writes a tag
+/// that fixes how many children follow, so the encoding is prefix-free.
+fn canon(e: &Expr, func: u32, out: &mut Vec<u8>) {
+    match e {
+        Expr::IntLit(v, _) => {
+            out.push(b'i');
+            out.extend(v.to_le_bytes());
+        }
+        Expr::FloatLit(v, _) => {
+            out.push(b'f');
+            out.extend(v.to_bits().to_le_bytes());
+        }
+        Expr::Inf(_) => out.push(b'I'),
+        Expr::Ident(n, _) => canon_ref(n.to, func, out),
+        Expr::Index { access, .. } => {
+            out.push(b'a');
+            out.extend(access.to_le_bytes());
+            return;
+        }
+        Expr::Call { name, args, .. } => {
+            out.push(b'c');
+            out.extend((name.len() as u32).to_le_bytes());
+            out.extend(name.as_bytes());
+            out.extend((args.len() as u32).to_le_bytes());
+        }
+        Expr::Unary { op, .. } => out.extend([b'u', *op as u8]),
+        Expr::Binary { op, .. } => out.extend([b'b', *op as u8]),
+        Expr::Ternary { .. } => out.push(b't'),
+        Expr::Assign { op, .. } => out.extend([b'=', op.map_or(u8::MAX, |o| o as u8)]),
+        Expr::Reduce(r) => {
+            out.extend([b'r', r.op as u8, r.others.is_some() as u8]);
+            out.extend((r.sets.len() as u32).to_le_bytes());
+            for &set in &r.sets {
+                out.extend((set as u32).to_le_bytes());
+            }
+            out.extend((r.arms.len() as u32).to_le_bytes());
+            out.extend(r.arms.iter().map(|(pred, _)| pred.is_some() as u8));
+        }
+    }
+    e.for_each_child(|c| canon(c, func, out));
+}
+
+/// A local is its function's; every other reference is the program's.
+fn canon_ref(r: Ref, func: u32, out: &mut Vec<u8>) {
+    let (tag, id) = match r {
+        Ref::Unresolved => (b'?', 0),
+        Ref::Const(id) => (b'C', id),
+        Ref::Global(id) => (b'G', id),
+        Ref::Elem(id) => (b'E', id),
+        Ref::Array(id) => (b'A', id),
+        Ref::Local(id) => {
+            out.push(b'L');
+            out.extend(func.to_le_bytes());
+            out.extend(id.to_le_bytes());
+            return;
+        }
+    };
+    out.push(tag);
+    out.extend(id.to_le_bytes());
 }
 
 impl<'a> Checker<'a> {
@@ -1075,6 +1326,88 @@ mod tests {
         check_ok(
             "index_set I:i = {0..9};\nint a[10];\nmain() { par (I) st (i%2==0) a[i] = $+(I; i); }",
         );
+    }
+
+    /// Every identifier and array base of `main`, with what it denotes.
+    fn refs_of_main(c: &Checked) -> Vec<(String, Ref)> {
+        let mut out = Vec::new();
+        for s in &c.func("main").unwrap().body.stmts {
+            s.for_each_expr(&mut |e| {
+                e.walk(&mut |x| {
+                    if let Expr::Ident(n, _) | Expr::Index { base: n, .. } = x {
+                        out.push((n.to_string(), n.to));
+                    }
+                })
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn every_identifier_carries_what_it_denotes() {
+        let c = check_ok(
+            "#define N 4\n#define M 2\nindex_set I:i = {0..N-1}, S:i = {0..1};\n\
+             int zs[N], a[N], g, b;\n\
+             main() { int g; par (I) { int t; t = i + N; seq (S) a[t] = i + g + M; } b = M; }",
+        );
+        // Globals by name order, the local `g` before the global, the
+        // `seq` element before the `par` element, `#define`s last.
+        let (i_set, info) = (c.global_sets["I"] as u32, &c.func_infos[0]);
+        assert_eq!(c.global_names, ["b", "g"]);
+        assert_eq!(c.array_names, ["a", "zs"]);
+        assert_eq!(
+            refs_of_main(&c),
+            [
+                ("t", Ref::Local(1)),
+                ("i", Ref::Elem(i_set)),
+                ("N", Ref::Const(0)),
+                ("a", Ref::Array(0)),
+                ("t", Ref::Local(1)),
+                ("i", Ref::Local(2)),
+                ("g", Ref::Local(0)),
+                ("M", Ref::Const(1)),
+                ("b", Ref::Global(0)),
+                ("M", Ref::Const(1)),
+            ]
+            .map(|(n, r)| (n.to_string(), r))
+        );
+        let kinds: Vec<_> = info.locals.iter().map(|l| (l.name.as_str(), &l.kind)).collect();
+        assert_eq!(
+            kinds,
+            [("g", &LocalKind::Reg(0)), ("t", &LocalKind::PerVp), ("i", &LocalKind::Reg(1))]
+        );
+        assert_eq!((info.regs, info.loop_regs, info.machine_locals), (2, 0, true));
+    }
+
+    #[test]
+    fn accesses_are_interned_by_what_they_denote() {
+        let c = check_ok(
+            "index_set I:i = {0..3}, J:j = {0..3}, K:j = {4..7};\nint a[8], s[4];\n\
+             int f(int n) { return a[n]; }\n\
+             main() { int n; n = 1; par (I) st ($+(J; a[j]) > a[n]) s[i] = $+(K; a[j]) + a[ n ]; }",
+        );
+        let mut ids = Vec::new();
+        for f in c.funcs_in_order() {
+            for s in &f.body.stmts {
+                s.for_each_expr(&mut |e| {
+                    e.walk(&mut |x| {
+                        if let Expr::Index { base, access, .. } = x {
+                            ids.push((crate::pretty::expr(x), *access, base.to));
+                        }
+                    })
+                });
+            }
+        }
+        let id = |text: &str, nth: usize| {
+            ids.iter().filter(|(t, ..)| t == text).nth(nth).unwrap_or_else(|| panic!("{text}")).1
+        };
+        // `f`'s `a[n]` reads another `n` than `main`'s two, which are one
+        // access; the two `a[j]` of `main` range over different sets.
+        assert_ne!(id("a[n]", 0), id("a[n]", 1));
+        assert_eq!(id("a[n]", 1), id("a[n]", 2));
+        assert_ne!(id("a[j]", 0), id("a[j]", 1));
+        let info = &c.accesses[id("a[j]", 0) as usize];
+        assert_eq!((info.arrays.as_slice(), info.cacheable), (&[Ref::Array(0)][..], true));
     }
 
     #[test]

@@ -134,7 +134,7 @@ fn overflowing_constants_are_diagnostics() {
     }
 }
 
-/// Six facts that are lexical or constant, so `uc check` reports them
+/// Facts that are lexical or constant, so `uc check` reports them
 /// instead of `uc run` discovering them: both entry points give the same
 /// spanned diagnostic, and legal neighbours of each still compile.
 #[test]
@@ -179,6 +179,9 @@ fn what_cannot_run_is_a_compile_error() {
             "cannot assign to `r` from a more deeply nested construct",
             "3:47",
         ),
+        // `swap` stores to both operands.
+        ("par (I) swap(i, a[i]);", "cannot assign to index element `i` (read-only)", "3:23"),
+        ("seq (I) swap(a[i], i);", "cannot assign to index element `i` (read-only)", "3:29"),
     ] {
         let src = format!("{prelude}main() {{ {body} }}");
         let msg = compile_err(&src);

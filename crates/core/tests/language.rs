@@ -512,17 +512,83 @@ fn rand_is_deterministic_per_seed() {
     assert!(p1.read_int_array("a").unwrap().iter().all(|&v| (0..100).contains(&v)));
 }
 
+// ---- what a name denotes ----------------------------------------------------
+//
+// Sema resolves every identifier once — innermost scope outwards, then
+// globals, then `#define`s — and every later layer follows the reference.
+// Each of these programs got a different answer from some layer's own
+// lookup before (tests/corpus/shadow_*.uc pin the same programs' digests).
+
+/// Two sibling reductions over distinct sets whose elements share a
+/// spelling extend `I` to the same 4x4 space, and both read `a[j]`: they
+/// are different accesses, so the body must not reuse the predicate's
+/// gather — and must cost what it costs when the elements are spelled
+/// apart.
 #[test]
-fn emit_cstar_convenience() {
+fn sibling_reductions_sharing_an_element_spelling_each_read_their_own_set() {
+    let program = |k: &str| {
+        format!(
+            "index_set I:i = {{0..3}}, J:j = {{0..3}}, K:{k} = {{4..7}};
+             int a[8], s[4];
+             main() {{
+                 par (J) a[j] = 1;
+                 par (K) a[{k}] = 100;
+                 par (I) st ($+(J; a[j]) > 0) s[i] = $+(K; a[{k}]);
+             }}"
+        )
+    };
+    let mut shadowed = run(&program("j"));
+    let mut apart = run(&program("k"));
+    assert_eq!(shadowed.read_int_array("s").unwrap(), [400; 4]);
+    assert_eq!(apart.read_int_array("s").unwrap(), [400; 4]);
+    assert_eq!(shadowed.cycles(), apart.cycles());
+}
+
+/// A local declared in an inner block shadows the enclosing `par`'s
+/// element for reads as it does for stores.
+#[test]
+fn a_local_shadows_an_index_element() {
+    let mut p = run(r#"
+        index_set I:i = {0..3};
+        int b[4];
+        main() { par (I) { int k; k = i; { int i; i = 7; b[k] = i; } } }
+    "#);
+    assert_eq!(p.read_int_array("b").unwrap(), [7; 4]);
+}
+
+/// The element of a `seq` nested in a `par` is the front-end value of the
+/// current step, also when the `par`'s element has the same spelling.
+#[test]
+fn a_seq_element_shadows_a_par_element() {
+    let mut p = run(r#"
+        index_set I:i = {0..3}, S:i = {10..11};
+        int b[4];
+        main() { par (I) { int k; k = i; seq (S) b[k] = i; } }
+    "#);
+    assert_eq!(p.read_int_array("b").unwrap(), [11; 4]);
+}
+
+/// A declared local or a parameter is found before a `#define` of the
+/// same spelling: it can be assigned, and it has its declared type.
+#[test]
+fn a_local_or_parameter_shadows_a_define() {
     let p = run(r#"
         #define N 4
-        index_set I:i = {0..N-1};
-        int a[N];
-        main() { par (I) st (a[i] != 0) a[i] = 1; }
+        int t, u;
+        float h;
+        int twice(int N) { N = N * 2; return N; }
+        main() {
+            int N = 7;
+            t = N;
+            N = 3;
+            u = twice(N) + N;
+            { float N; N = 1; h = N / 2; }
+        }
     "#);
-    let text = p.emit_cstar();
-    assert!(text.contains("domain SHAPE0"));
-    assert!(text.contains("where (a[i] != 0)"));
+    assert_eq!(p.read_int("t"), Some(7));
+    assert_eq!(p.read_int("u"), Some(9));
+    assert_eq!(p.read_scalar("h").unwrap().as_float(), 0.5);
+    assert_eq!(p.define("N"), Some(4));
 }
 
 #[test]

@@ -334,21 +334,6 @@ fn pointer_jumping_list_ranking() {
     assert!(p.machine().counters().router > 10);
 }
 
-#[test]
-fn cstar_translation_of_paper_programs() {
-    // The emitter handles each §3 example without panicking and produces
-    // domain declarations for every shape.
-    for src in [
-        "index_set I:i = {0..9};\nint a[10];\nmain() { par (I) st (a[i]!=0) a[i] = 1; }",
-        "#define N 8\nindex_set I:i = {0..N-1}, J:j = I;\nint d[N][N];\nmain() { par (I,J) d[i][j] = $+(J; d[i][j]); }",
-        "#define N 8\nindex_set I:i = {0..N-1};\nint a[N], cnt[N];\nmain() { *par (I) st (i >= power2(cnt[i])) { a[i] = a[i] + a[i-power2(cnt[i])]; cnt[i] = cnt[i] + 1; } }",
-    ] {
-        let p = Program::compile(src).unwrap();
-        let text = p.emit_cstar();
-        assert!(text.contains("domain"), "{text}");
-    }
-}
-
 /// The per-step gather cache must forget `b[a[i]]` when `a` is written,
 /// not only when `b` is: the predicate gathers `b[a[i]]` through the old
 /// `a`, the body then rotates `a` and reads `b[a[i]]` again. A predicate

@@ -3,7 +3,6 @@
 //! ```text
 //! uc run <file.uc> [-D NAME=VALUE]... [limits]   compile and run on the simulated CM
 //! uc check <file.uc> [options]                   parse, sema + static-analysis lints
-//! uc emit-cstar <file.uc>                        print the C* translation (§5)
 //! ```
 //!
 //! Every program is lowered to a register IR (see `uc_core::ir`) that
@@ -63,7 +62,7 @@ fn main() -> ExitCode {
     let (cmd, rest) = match args.split_first() {
         Some((c, r)) => (c.as_str(), r),
         None => {
-            eprintln!("usage: uc <run|check|emit-cstar> <file.uc> [options]");
+            eprintln!("usage: uc <run|check> <file.uc> [options]");
             eprintln!("  --emit ir          (run, check) print the compiled register IR instead of running");
             eprintln!("  --ir-opt LEVEL     (run, check) balanced (default) | aggressive: cycle-reducing rewrites of parallel constructs");
             eprintln!("  env UC_THREADS=N   simulator thread count (default: all cores; results identical for any N)");
@@ -212,10 +211,6 @@ fn main() -> ExitCode {
     };
 
     match cmd {
-        "emit-cstar" => {
-            print!("{}", program.emit_cstar());
-            ExitCode::SUCCESS
-        }
         "run" => {
             if emit_ir {
                 print!("{}", program.emit_ir());
@@ -237,7 +232,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         other => {
-            eprintln!("error: unknown command `{other}` (run | check | emit-cstar)");
+            eprintln!("error: unknown command `{other}` (run | check)");
             ExitCode::FAILURE
         }
     }

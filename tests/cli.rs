@@ -61,15 +61,6 @@ fn check_reports_ok_and_errors() {
 }
 
 #[test]
-fn emit_cstar_prints_translation() {
-    let path = write_temp("uc_cli_emit.uc", PROGRAM);
-    let out = uc().args(["emit-cstar", path.to_str().unwrap()]).output().unwrap();
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("domain SHAPE0"), "{stdout}");
-}
-
-#[test]
 fn runtime_errors_are_reported() {
     let src = r#"
         #define N 4

@@ -2,10 +2,14 @@
 //! sequential baselines must agree on every shared workload — the
 //! precondition for the paper's figures to be meaningful comparisons.
 
+mod support;
+
 use std::collections::HashMap;
-use std::fmt::Write;
 
 use proptest::prelude::*;
+use support::{
+    effectful_expr, name_nest, nest, NameModel, NameStmt, Nest, ScopeModel, POOL, SETS, VARS,
+};
 use uc::cstar::programs;
 use uc::lang::analysis::{check_source, LintConfig};
 use uc::lang::Program;
@@ -156,61 +160,6 @@ fn access_optimization_is_semantics_preserving() {
     }
 }
 
-/// Source text of a well-typed front-end expression drawn from `tape`
-/// (exhausted tape reads as zeros), and whether its value is a float.
-/// Operands: the literals `0` and `1` (the folder's identity triggers) in
-/// every position, int locals `n` and `z`, float locals `f` and `h`,
-/// `rand()` and the counting function `bump()`.
-fn effectful_expr(tape: &mut dyn Iterator<Item = u32>, depth: u32) -> (String, bool) {
-    const INTS: &[&str] = &["0", "1", "0", "1", "2", "7", "(0 - 1)", "n", "z", "rand()", "bump()"];
-    const FLOATS: &[&str] = &["f", "h", "2.5", "0.0"];
-    const INT_OPS: &[&str] = &["%", "&", "|", "^", "<<"];
-    const ANY_OPS: &[&str] = &["+", "-", "*", "/", "*", "<", "==", "&&", "||"];
-    let mut next = |n: usize| tape.next().unwrap_or(0) as usize % n;
-    match if depth == 0 { 0 } else { next(8) } {
-        0 | 1 => {
-            let k = next(INTS.len() + FLOATS.len());
-            match INTS.get(k) {
-                Some(leaf) => (leaf.to_string(), false),
-                None => (FLOATS[k - INTS.len()].to_string(), true),
-            }
-        }
-        2 => {
-            let not = next(2) == 1;
-            let (x, float) = effectful_expr(tape, depth - 1);
-            if not { (format!("(!{x})"), false) } else { (format!("(-{x})"), float) }
-        }
-        3..=5 => {
-            let k = next(INT_OPS.len() + ANY_OPS.len());
-            let (l, lf) = effectful_expr(tape, depth - 1);
-            let (r, rf) = effectful_expr(tape, depth - 1);
-            match INT_OPS.get(k) {
-                Some(op) if !lf && !rf => (format!("({l} {op} {r})"), false),
-                Some(_) => (format!("({l} * {r})"), true),
-                None => {
-                    let op = ANY_OPS[k - INT_OPS.len()];
-                    (format!("({l} {op} {r})"), (lf || rf) && "+-*/".contains(op))
-                }
-            }
-        }
-        6 => {
-            let (c, _) = effectful_expr(tape, depth - 1);
-            let (t, tf) = effectful_expr(tape, depth - 1);
-            let (e, ef) = effectful_expr(tape, depth - 1);
-            (format!("({c} ? {t} : {e})"), tf || ef)
-        }
-        _ => {
-            let f = ["abs", "min", "max"][next(3)];
-            let (a, af) = effectful_expr(tape, depth - 1);
-            if f == "abs" {
-                return (format!("abs({a})"), af);
-            }
-            let (b, bf) = effectful_expr(tape, depth - 1);
-            (format!("{f}({a}, {b})"), af || bf)
-        }
-    }
-}
-
 /// Everything a run of the generated program lets one observe: how it
 /// ended, the stored values (the float by bit pattern), how often `bump`
 /// ran and where the `rand()` stream stands afterwards.
@@ -221,101 +170,6 @@ fn observe_folding(src: &str, constfold: bool) -> (Option<String>, Vec<u64>) {
     let int = |name: &str| p.read_int(name).unwrap() as u64;
     let rf = p.read_scalar("rf").unwrap().as_float().to_bits();
     (error, vec![int("ri"), rf, int("calls"), int("next")])
-}
-
-/// One statement of a generated scope nest: an index-set definition
-/// under a name from [`POOL`] (so shadowing is frequent), a probe that
-/// sums the elements of whatever set a name denotes there, or a block.
-enum Nest {
-    /// `init`: 0/1 a range of 2/3 elements, 2 a descending list, 3.. an
-    /// alias of `POOL[init - 3]`.
-    Def { name: usize, init: usize },
-    /// `form`: 0 a front-end reduction, 1 a `par`, 2 a front-end `seq`.
-    Probe { name: usize, form: usize },
-    Block(Vec<Nest>),
-}
-
-const POOL: [&str; 3] = ["A", "B", "C"];
-
-fn nest(tape: &mut dyn Iterator<Item = u32>, depth: u32) -> Vec<Nest> {
-    let mut items = Vec::new();
-    for _ in 0..2 + tape.next().unwrap_or(0) % 4 {
-        let mut next = |n: u32| (tape.next().unwrap_or(0) % n) as usize;
-        items.push(match next(if depth < 3 { 7 } else { 5 }) {
-            0 | 1 => Nest::Def { name: next(3), init: next(6) },
-            2..=4 => Nest::Probe { name: next(3), form: next(3) },
-            _ => Nest::Block(nest(tape, depth + 1)),
-        });
-    }
-    items
-}
-
-/// Lexical scoping of index sets in plain Rust — a name denotes the
-/// innermost definition in scope — writing the UC source as it goes.
-/// Definition `d` draws its elements from `10d..`, so the sum a probe
-/// stores identifies the definition it ranged over (aliases share their
-/// source's elements but not its element name `e<d>`).
-#[derive(Default)]
-struct ScopeModel {
-    src: String,
-    /// Innermost last: set name → definition.
-    scopes: Vec<HashMap<usize, usize>>,
-    /// Per definition: elements, source line, whether anything reaches it.
-    defs: Vec<(Vec<i64>, u32, bool)>,
-    /// Per probe: the sum it must store in `hits`.
-    hits: Vec<i64>,
-}
-
-impl ScopeModel {
-    fn resolve(&mut self, name: usize) -> Option<usize> {
-        let d = self.scopes.iter().rev().find_map(|s| s.get(&name).copied())?;
-        self.defs[d].2 = true;
-        Some(d)
-    }
-
-    fn walk(&mut self, items: &[Nest]) {
-        for item in items {
-            match *item {
-                Nest::Def { name, init } => {
-                    let d = self.defs.len();
-                    let lo = 10 * d as i64;
-                    let (text, elements) = match init {
-                        0 | 1 => {
-                            let hi = lo + init as i64 + 1;
-                            (format!("{{{lo}..{hi}}}"), (lo..=hi).collect())
-                        }
-                        2 => (format!("{{{}, {lo}}}", lo + 2), vec![lo + 2, lo]),
-                        alias => match self.resolve(alias - 3) {
-                            Some(src) => (POOL[alias - 3].to_string(), self.defs[src].0.clone()),
-                            None => continue,
-                        },
-                    };
-                    let line = self.src.matches('\n').count() as u32 + 1;
-                    writeln!(self.src, "index_set {}:e{d} = {text};", POOL[name]).unwrap();
-                    self.defs.push((elements, line, false));
-                    self.scopes.last_mut().unwrap().insert(name, d);
-                }
-                Nest::Probe { name, form } => {
-                    let Some(d) = self.resolve(name) else { continue };
-                    let (set, k) = (POOL[name], self.hits.len());
-                    self.hits.push(self.defs[d].0.iter().sum());
-                    let probe = match form {
-                        0 => format!("hits[{k}] = $+({set}; e{d});"),
-                        1 => format!("par ({set}) hits[{k}] = $+({set}; e{d});"),
-                        _ => format!("seq ({set}) hits[{k}] = hits[{k}] + e{d};"),
-                    };
-                    writeln!(self.src, "{probe}").unwrap();
-                }
-                Nest::Block(ref inner) => {
-                    self.src.push_str("{\n");
-                    self.scopes.push(HashMap::new());
-                    self.walk(inner);
-                    self.scopes.pop();
-                    self.src.push_str("}\n");
-                }
-            }
-        }
-    }
 }
 
 proptest! {
@@ -381,6 +235,62 @@ proptest! {
         let unused: Vec<u32> =
             m.defs.iter().filter(|(_, _, used)| !used).map(|(_, line, _)| *line).collect();
         prop_assert_eq!(flagged, unused, "{}", m.src);
+    }
+
+    /// Variable scoping against a model that shares no code with sema,
+    /// the lowerer or the executor: variables and index elements draw
+    /// their spellings from one pool of three, so elements shadow
+    /// elements, locals shadow elements, `seq` elements shadow `par`
+    /// elements and sibling reductions over distinct sets bind one
+    /// spelling on one geometry. Every probe stores what the model says
+    /// its name denotes there; and since the programs are race-free and
+    /// initialise what they read, the lints that track names (UC101,
+    /// UC130, UC131) stay silent.
+    #[test]
+    fn variable_scoping_matches_a_lexical_model(
+        tape in prop::collection::vec(0u32..1 << 16, 48..160),
+    ) {
+        let mut tape = tape.into_iter();
+        let mut next = |n: u32| (tape.next().unwrap_or(0) % n) as usize;
+        // Outermost a `#define`, then a global scalar, of some spellings.
+        let mut m = NameModel { scopes: vec![HashMap::new(), HashMap::new()], ..Default::default() };
+        let mut prelude = String::new();
+        for (name, v) in VARS.iter().enumerate() {
+            if next(3) == 0 {
+                m.src.push_str(&format!("#define {v} {}\n", 70 + name));
+                m.scopes[0].insert(name, 70 + name as i64);
+            }
+            if next(3) == 0 {
+                m.src.push_str(&format!("int {v};\n"));
+                prelude.push_str(&format!("{v} = {};\n", 50 + name));
+                m.scopes[1].insert(name, 50 + name as i64);
+            }
+        }
+        for d in 0..SETS {
+            m.elems[d] = next(VARS.len() as u32);
+            let (v, lo) = (VARS[m.elems[d]], 10 * d + 1);
+            m.src.push_str(&format!("index_set S{d}:{v} = {{{lo}..{}}};\n", lo + 1));
+        }
+        m.src.push_str(&format!("int hits[HITS];\nmain()\n{{\n{prelude}"));
+        m.scopes.push(HashMap::new());
+        m.walk(&[NameStmt::Block(name_nest(&mut tape, 0, 0))]);
+        m.src.push_str("}\n");
+        let hits = [("HITS", m.hits.len().max(1) as i64)];
+
+        let mut p = Program::compile_with_defines(&m.src, Default::default(), &hits)
+            .unwrap_or_else(|d| panic!("{}\n{d}", m.src));
+        p.run().unwrap_or_else(|e| panic!("{}\n{e}", m.src));
+        let stored = p.read_int_array("hits").unwrap();
+        prop_assert_eq!(&stored[..m.hits.len()], &m.hits[..], "{}", m.src);
+
+        let diags = check_source(&m.src, &hits, &LintConfig::default());
+        prop_assert!(!diags.has_errors(), "{}\n{}", m.src, diags);
+        let named: Vec<_> = diags
+            .items
+            .iter()
+            .filter(|d| matches!(d.code, Some("UC101" | "UC130" | "UC131")))
+            .collect();
+        prop_assert!(named.is_empty(), "{}\n{:?}", m.src, named);
     }
 }
 

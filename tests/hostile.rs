@@ -11,7 +11,10 @@
 //! shrink to a minimal statement list) extends the curated corpus with
 //! arbitrary small programs assembled from the same attack fragments.
 
+mod support;
+
 use proptest::prelude::*;
+use support::{render_program, FRAGMENTS};
 use uc::lang::{ExecConfig, ExecLimits, Program, RuntimeError};
 
 fn corpus() -> Vec<(String, String)> {
@@ -103,43 +106,8 @@ fn budget_traps_mention_the_budget() {
     assert!(err.to_string().contains("budget exceeded"), "{err}");
 }
 
-// ---------------------------------------------------------------------
-// Generated programs: arbitrary compositions of attack fragments.
-// ---------------------------------------------------------------------
-
-/// Statement fragments the generator draws from. Each is hostile on its
-/// own or in combination; none may escape the budget envelope.
-const FRAGMENTS: &[&str] = &[
-    "par (I) a[i] = a[i] + b[i];",
-    "par (I) a[i + 1] = i;",
-    "par (I) a[0] = i;",
-    "par (I) a[i] = a[i] / b[i];",
-    "s = $+(I; a[i]);",
-    "while (s < 100) s = s + 1;",
-    "while (1) par (I) a[i] = a[i] + 1;",
-    "*par (I) st (1) a[i] = 1 - a[i];",
-    "s = rec(s);",
-    "par (I) { int t = i * i; a[i] = t; }",
-    "seq (I) b[i] = a[i] + s;",
-    "for (s = 0; s < 1000000; s = s + 1) ;",
-];
-
-fn render_program(ops: &[usize], n: i64) -> String {
-    let mut src = format!(
-        "#define N {n}\n\
-         index_set I:i = {{0..N-1}};\n\
-         int a[N], b[N], s;\n\
-         int rec(int x) {{ return rec(x + 1); }}\n\
-         main() {{\n"
-    );
-    for &op in ops {
-        src.push_str("    ");
-        src.push_str(FRAGMENTS[op % FRAGMENTS.len()]);
-        src.push('\n');
-    }
-    src.push_str("}\n");
-    src
-}
+// Generated programs: arbitrary compositions of attack fragments
+// (`support::render_program`).
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

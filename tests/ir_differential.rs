@@ -7,7 +7,10 @@
 //! `tests/corpus/pinned_digests.txt`. The table was recorded from the AST
 //! tree-walker at commit 72174e8, the last one that carried it, where the
 //! differential suite proved the walker and the register VM agreed on
-//! every entry; it now pins the VM to that behaviour.
+//! every entry; it now pins the VM to that behaviour. Entries added since
+//! were recorded from the VM: the four `shadow_*.uc` programs, whose
+//! values `crates/core/tests/language.rs` and the generated model check
+//! in `tests/cross_crate.rs` witness independently.
 //!
 //! The corpus is every committed example, the lint corpus (including the
 //! `seq_*.uc` programs that exercise front-end `seq`, `seq` under `par`,

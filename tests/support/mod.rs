@@ -1,0 +1,349 @@
+//! Program generators shared by the integration tests, and the plain-Rust
+//! models their output is checked against. Each test file that declares
+//! `mod support;` uses some of them.
+#![allow(dead_code)]
+
+use std::collections::HashMap;
+use std::fmt::Write;
+
+// ---------------------------------------------------------------------
+// Hostile programs: arbitrary compositions of attack fragments.
+// ---------------------------------------------------------------------
+
+/// Statement fragments the generator draws from. Each is hostile on its
+/// own or in combination; none may escape the budget envelope.
+pub const FRAGMENTS: &[&str] = &[
+    "par (I) a[i] = a[i] + b[i];",
+    "par (I) a[i + 1] = i;",
+    "par (I) a[0] = i;",
+    "par (I) a[i] = a[i] / b[i];",
+    "s = $+(I; a[i]);",
+    "while (s < 100) s = s + 1;",
+    "while (1) par (I) a[i] = a[i] + 1;",
+    "*par (I) st (1) a[i] = 1 - a[i];",
+    "s = rec(s);",
+    "par (I) { int t = i * i; a[i] = t; }",
+    "seq (I) b[i] = a[i] + s;",
+    "for (s = 0; s < 1000000; s = s + 1) ;",
+];
+
+pub fn render_program(ops: &[usize], n: i64) -> String {
+    let mut src = format!(
+        "#define N {n}\n\
+         index_set I:i = {{0..N-1}};\n\
+         int a[N], b[N], s;\n\
+         int rec(int x) {{ return rec(x + 1); }}\n\
+         main() {{\n"
+    );
+    for &op in ops {
+        src.push_str("    ");
+        src.push_str(FRAGMENTS[op % FRAGMENTS.len()]);
+        src.push('\n');
+    }
+    src.push_str("}\n");
+    src
+}
+
+// ---------------------------------------------------------------------
+// Front-end expressions with effects (constant folding on/off).
+// ---------------------------------------------------------------------
+
+/// Source text of a well-typed front-end expression drawn from `tape`
+/// (exhausted tape reads as zeros), and whether its value is a float.
+/// Operands: the literals `0` and `1` (the folder's identity triggers) in
+/// every position, int locals `n` and `z`, float locals `f` and `h`,
+/// `rand()` and the counting function `bump()`.
+pub fn effectful_expr(tape: &mut dyn Iterator<Item = u32>, depth: u32) -> (String, bool) {
+    const INTS: &[&str] = &["0", "1", "0", "1", "2", "7", "(0 - 1)", "n", "z", "rand()", "bump()"];
+    const FLOATS: &[&str] = &["f", "h", "2.5", "0.0"];
+    const INT_OPS: &[&str] = &["%", "&", "|", "^", "<<"];
+    const ANY_OPS: &[&str] = &["+", "-", "*", "/", "*", "<", "==", "&&", "||"];
+    let mut next = |n: usize| tape.next().unwrap_or(0) as usize % n;
+    match if depth == 0 { 0 } else { next(8) } {
+        0 | 1 => {
+            let k = next(INTS.len() + FLOATS.len());
+            match INTS.get(k) {
+                Some(leaf) => (leaf.to_string(), false),
+                None => (FLOATS[k - INTS.len()].to_string(), true),
+            }
+        }
+        2 => {
+            let not = next(2) == 1;
+            let (x, float) = effectful_expr(tape, depth - 1);
+            if not { (format!("(!{x})"), false) } else { (format!("(-{x})"), float) }
+        }
+        3..=5 => {
+            let k = next(INT_OPS.len() + ANY_OPS.len());
+            let (l, lf) = effectful_expr(tape, depth - 1);
+            let (r, rf) = effectful_expr(tape, depth - 1);
+            match INT_OPS.get(k) {
+                Some(op) if !lf && !rf => (format!("({l} {op} {r})"), false),
+                Some(_) => (format!("({l} * {r})"), true),
+                None => {
+                    let op = ANY_OPS[k - INT_OPS.len()];
+                    (format!("({l} {op} {r})"), (lf || rf) && "+-*/".contains(op))
+                }
+            }
+        }
+        6 => {
+            let (c, _) = effectful_expr(tape, depth - 1);
+            let (t, tf) = effectful_expr(tape, depth - 1);
+            let (e, ef) = effectful_expr(tape, depth - 1);
+            (format!("({c} ? {t} : {e})"), tf || ef)
+        }
+        _ => {
+            let f = ["abs", "min", "max"][next(3)];
+            let (a, af) = effectful_expr(tape, depth - 1);
+            if f == "abs" {
+                return (format!("abs({a})"), af);
+            }
+            let (b, bf) = effectful_expr(tape, depth - 1);
+            (format!("{f}({a}, {b})"), af || bf)
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Index-set scoping: which definition does a set name denote here?
+// ---------------------------------------------------------------------
+
+/// One statement of a generated scope nest: an index-set definition
+/// under a name from [`POOL`] (so shadowing is frequent), a probe that
+/// sums the elements of whatever set a name denotes there, or a block.
+pub enum Nest {
+    /// `init`: 0/1 a range of 2/3 elements, 2 a descending list, 3.. an
+    /// alias of `POOL[init - 3]`.
+    Def { name: usize, init: usize },
+    /// `form`: 0 a front-end reduction, 1 a `par`, 2 a front-end `seq`.
+    Probe { name: usize, form: usize },
+    Block(Vec<Nest>),
+}
+
+pub const POOL: [&str; 3] = ["A", "B", "C"];
+
+pub fn nest(tape: &mut dyn Iterator<Item = u32>, depth: u32) -> Vec<Nest> {
+    let mut items = Vec::new();
+    for _ in 0..2 + tape.next().unwrap_or(0) % 4 {
+        let mut next = |n: u32| (tape.next().unwrap_or(0) % n) as usize;
+        items.push(match next(if depth < 3 { 7 } else { 5 }) {
+            0 | 1 => Nest::Def { name: next(3), init: next(6) },
+            2..=4 => Nest::Probe { name: next(3), form: next(3) },
+            _ => Nest::Block(nest(tape, depth + 1)),
+        });
+    }
+    items
+}
+
+/// Lexical scoping of index sets in plain Rust — a name denotes the
+/// innermost definition in scope — writing the UC source as it goes.
+/// Definition `d` draws its elements from `10d..`, so the sum a probe
+/// stores identifies the definition it ranged over (aliases share their
+/// source's elements but not its element name `e<d>`).
+#[derive(Default)]
+pub struct ScopeModel {
+    pub src: String,
+    /// Innermost last: set name → definition.
+    pub scopes: Vec<HashMap<usize, usize>>,
+    /// Per definition: elements, source line, whether anything reaches it.
+    pub defs: Vec<(Vec<i64>, u32, bool)>,
+    /// Per probe: the sum it must store in `hits`.
+    pub hits: Vec<i64>,
+}
+
+impl ScopeModel {
+    fn resolve(&mut self, name: usize) -> Option<usize> {
+        let d = self.scopes.iter().rev().find_map(|s| s.get(&name).copied())?;
+        self.defs[d].2 = true;
+        Some(d)
+    }
+
+    pub fn walk(&mut self, items: &[Nest]) {
+        for item in items {
+            match *item {
+                Nest::Def { name, init } => {
+                    let d = self.defs.len();
+                    let lo = 10 * d as i64;
+                    let (text, elements) = match init {
+                        0 | 1 => {
+                            let hi = lo + init as i64 + 1;
+                            (format!("{{{lo}..{hi}}}"), (lo..=hi).collect())
+                        }
+                        2 => (format!("{{{}, {lo}}}", lo + 2), vec![lo + 2, lo]),
+                        alias => match self.resolve(alias - 3) {
+                            Some(src) => (POOL[alias - 3].to_string(), self.defs[src].0.clone()),
+                            None => continue,
+                        },
+                    };
+                    let line = self.src.matches('\n').count() as u32 + 1;
+                    writeln!(self.src, "index_set {}:e{d} = {text};", POOL[name]).unwrap();
+                    self.defs.push((elements, line, false));
+                    self.scopes.last_mut().unwrap().insert(name, d);
+                }
+                Nest::Probe { name, form } => {
+                    let Some(d) = self.resolve(name) else { continue };
+                    let (set, k) = (POOL[name], self.hits.len());
+                    self.hits.push(self.defs[d].0.iter().sum());
+                    let probe = match form {
+                        0 => format!("hits[{k}] = $+({set}; e{d});"),
+                        1 => format!("par ({set}) hits[{k}] = $+({set}; e{d});"),
+                        _ => format!("seq ({set}) hits[{k}] = hits[{k}] + e{d};"),
+                    };
+                    writeln!(self.src, "{probe}").unwrap();
+                }
+                Nest::Block(ref inner) => {
+                    self.src.push_str("{\n");
+                    self.scopes.push(HashMap::new());
+                    self.walk(inner);
+                    self.scopes.pop();
+                    self.src.push_str("}\n");
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Variable scoping: what does `x` denote here?
+// ---------------------------------------------------------------------
+
+/// The spellings every variable *and* every index element is drawn from,
+/// so that an element shadows an element, a local shadows an element, a
+/// `seq` element shadows a `par` element, and sibling reductions over
+/// distinct sets bind the same spelling.
+pub const VARS: [&str; 3] = ["x", "y", "z"];
+
+/// Global sets `S0..`, two elements each: set `d` is `{10d+1, 10d+2}`,
+/// so a value names the set it came from.
+pub const SETS: usize = 6;
+
+/// One statement of a generated variable-scope nest.
+pub enum NameStmt {
+    /// `int <name> = <fresh constant>;`, or declare and assign apart.
+    Decl { name: usize, split: bool },
+    /// `hits[k] = <name>;`, or `hits[k] = $+(S<via>; <name>);`.
+    Probe { name: usize, via: Option<usize> },
+    Block(Vec<NameStmt>),
+    /// `par (S<set>) st (<its element> == <element number pick> [&&
+    /// $+(S<r>; <n>) == <what that sums to>]) { body }` — one virtual
+    /// processor runs the body, so a probe inside stores one value, and
+    /// the optional reduction sits where the step's gather cache fills.
+    Par { set: usize, pick: usize, guard: Option<(usize, usize)>, body: Vec<NameStmt> },
+    /// `seq (S<set>) { body }`.
+    Seq { set: usize, body: Vec<NameStmt> },
+}
+
+pub fn name_nest(tape: &mut dyn Iterator<Item = u32>, depth: u32, pars: u32) -> Vec<NameStmt> {
+    let mut items = Vec::new();
+    for _ in 0..2 + tape.next().unwrap_or(0) % 4 {
+        let mut next = |n: u32| (tape.next().unwrap_or(0) % n) as usize;
+        let kind = next(if depth < 4 { 10 } else { 5 });
+        items.push(match kind {
+            0 | 1 => NameStmt::Decl { name: next(3), split: next(2) == 0 },
+            2..=4 => {
+                let (name, via) = (next(3), next(2 * SETS as u32));
+                NameStmt::Probe { name, via: (via < SETS).then_some(via) }
+            }
+            5 | 6 if pars < 2 => {
+                let (set, pick, guard) = (next(SETS as u32), next(2), next(3 * SETS as u32));
+                let guard = (guard < SETS).then(|| (guard, next(3)));
+                NameStmt::Par { set, pick, guard, body: name_nest(tape, depth + 1, pars + 1) }
+            }
+            7 => NameStmt::Seq { set: next(SETS as u32), body: name_nest(tape, depth + 1, pars) },
+            _ => NameStmt::Block(name_nest(tape, depth + 1, pars)),
+        });
+    }
+    items
+}
+
+/// Lexical scoping of variables in plain Rust — a spelling denotes its
+/// innermost binding; outside every function that is a global scalar,
+/// then a `#define` — writing the UC source as it goes. Exactly one
+/// point of every iteration space executes (each `par` is guarded down
+/// to one element) and of a `seq` only the last step's stores survive,
+/// so a binding *is* the one value it holds there: a local its
+/// constant, an element the coordinate of that point.
+#[derive(Default)]
+pub struct NameModel {
+    pub src: String,
+    /// Innermost last: spelling → the value it holds.
+    pub scopes: Vec<HashMap<usize, i64>>,
+    /// The spelling of each set's element.
+    pub elems: [usize; SETS],
+    /// Per probe: the value it must store in `hits`.
+    pub hits: Vec<i64>,
+    pub decls: i64,
+}
+
+impl NameModel {
+    fn lookup(&self, name: usize) -> Option<i64> {
+        self.scopes.iter().rev().find_map(|s| s.get(&name).copied())
+    }
+
+    /// `$+(S<set>; <name>)`: the sum over the set's elements of what
+    /// `name` denotes with the set's element bound to each.
+    fn sum(&mut self, set: usize, name: usize) -> Option<i64> {
+        let mut total = 0;
+        for e in [10 * set as i64 + 1, 10 * set as i64 + 2] {
+            self.scopes.push(HashMap::from([(self.elems[set], e)]));
+            let v = self.lookup(name);
+            self.scopes.pop();
+            total += v?;
+        }
+        Some(total)
+    }
+
+    /// `{ body }` with `bound` (a construct's element) in scope around it.
+    fn body(&mut self, bound: Option<(usize, i64)>, items: &[NameStmt]) {
+        self.src.push_str("{\n");
+        self.scopes.push(bound.into_iter().collect());
+        self.scopes.push(HashMap::new());
+        self.walk(items);
+        self.scopes.truncate(self.scopes.len() - 2);
+        self.src.push_str("}\n");
+    }
+
+    pub fn walk(&mut self, items: &[NameStmt]) {
+        for item in items {
+            match *item {
+                NameStmt::Decl { name, split } => {
+                    self.decls += 1;
+                    let (v, value) = (VARS[name], 1000 + self.decls);
+                    if split {
+                        writeln!(self.src, "int {v};\n{v} = {value};").unwrap();
+                    } else {
+                        writeln!(self.src, "int {v} = {value};").unwrap();
+                    }
+                    self.scopes.last_mut().unwrap().insert(name, value);
+                }
+                NameStmt::Probe { name, via } => {
+                    let (v, k) = (VARS[name], self.hits.len());
+                    let (text, value) = match via {
+                        Some(set) => (format!("$+(S{set}; {v})"), self.sum(set, name)),
+                        None => (v.to_string(), self.lookup(name)),
+                    };
+                    let Some(value) = value else { continue };
+                    self.hits.push(value);
+                    writeln!(self.src, "hits[{k}] = {text};").unwrap();
+                }
+                NameStmt::Block(ref inner) => self.body(None, inner),
+                NameStmt::Par { set, pick, guard, ref body } => {
+                    let bound = (self.elems[set], 10 * set as i64 + 1 + pick as i64);
+                    write!(self.src, "par (S{set}) st ({} == {}", VARS[bound.0], bound.1).unwrap();
+                    self.scopes.push(HashMap::from([bound]));
+                    if let Some((r, n)) = guard {
+                        if let Some(total) = self.sum(r, n) {
+                            write!(self.src, " && $+(S{r}; {}) == {total}", VARS[n]).unwrap();
+                        }
+                    }
+                    self.scopes.pop();
+                    self.src.push_str(") ");
+                    self.body(Some(bound), body);
+                }
+                NameStmt::Seq { set, ref body } => {
+                    write!(self.src, "seq (S{set}) ").unwrap();
+                    self.body(Some((self.elems[set], 10 * set as i64 + 2)), body);
+                }
+            }
+        }
+    }
+}
