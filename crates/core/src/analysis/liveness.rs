@@ -50,39 +50,31 @@ impl Pass for LivenessPass {
     }
 }
 
-/// Call-graph reachability from `main` (UC132).
+/// Call-graph reachability from `main` (UC132), over the callee sema
+/// resolved every call to.
 fn unused_functions(checked: &Checked, out: &mut Vec<Finding>) {
-    if checked.func("main").is_none() {
-        return;
-    }
-    let mut reachable = HashSet::new();
-    let mut queue = vec!["main".to_string()];
-    while let Some(name) = queue.pop() {
-        if !reachable.insert(name.clone()) {
+    let funcs: Vec<&FuncDef> = checked.funcs_in_order().collect();
+    let mut reachable = vec![false; funcs.len()];
+    let mut queue = vec![checked.main];
+    while let Some(f) = queue.pop() {
+        if std::mem::replace(&mut reachable[f], true) {
             continue;
         }
-        if let Some(f) = checked.func(&name) {
-            let mut note_call = |e: &Expr| {
-                if let Expr::Call { name, .. } = e {
-                    queue.push(name.clone());
-                }
-            };
-            for s in &f.body.stmts {
-                s.for_each_expr(&mut |e| e.walk(&mut note_call));
+        let mut note_call = |e: &Expr| {
+            if let Expr::Call { callee: Callee::Func(g), .. } = e {
+                queue.push(*g as usize);
             }
+        };
+        for s in &funcs[f].body.stmts {
+            s.for_each_expr(&mut |e| e.walk(&mut note_call));
         }
     }
-    for f in checked.funcs_in_order() {
-        if !reachable.contains(&f.name) {
-            out.push(Finding {
-                code: "UC132",
-                span: f.span,
-                message: format!(
-                    "function `{}` is never called from `main` (§4 dead code)",
-                    f.name
-                ),
-            });
-        }
+    for (f, _) in funcs.iter().zip(reachable).filter(|(_, reached)| !reached) {
+        out.push(Finding {
+            code: "UC132",
+            span: f.span,
+            message: format!("function `{}` is never called from `main` (§4 dead code)", f.name),
+        });
     }
 }
 

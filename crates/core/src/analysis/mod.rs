@@ -8,7 +8,7 @@
 //!
 //! | code  | pass      | finding |
 //! |-------|-----------|---------|
-//! | UC101 | races     | par write-write conflict on a mono/global location |
+//! | UC101 | races     | par write-write conflict on a mono array location |
 //! | UC110 | comm      | regular multi-axis grid shift through the general router |
 //! | UC111 | comm      | regular access misaligned with the iteration space |
 //! | UC120 | context   | statement under a constant-false (empty) context |
@@ -62,7 +62,7 @@ pub const LINTS: &[LintInfo] = &[
         code: "UC101",
         name: "par-race",
         summary: "multiple virtual processors store distinct values to one \
-                  mono/global location inside a `par` without a combining reduction",
+                  mono array location inside a `par` without a combining reduction",
         paper: "§3.4 single-assignment rule / §4 processor optimization",
     },
     LintInfo {
@@ -360,7 +360,7 @@ mod tests {
 
     #[test]
     fn check_source_reports_and_denies() {
-        let src = "index_set I:i = {0..7};\nint s;\nmain() { par (I) s = i; }";
+        let src = "index_set I:i = {0..7};\nint a[8];\nmain() { par (I) a[0] = i; }";
         let diags = check_source(src, &[], &LintConfig::default());
         assert!(!diags.has_errors());
         assert!(diags.items.iter().any(|d| d.code == Some("UC101")), "{diags}");
@@ -384,7 +384,7 @@ mod tests {
 
     #[test]
     fn json_output_shape() {
-        let src = "index_set I:i = {0..7};\nint s;\nmain() { par (I) s = i; }";
+        let src = "index_set I:i = {0..7};\nint a[8];\nmain() { par (I) a[0] = i; }";
         let diags = check_source(src, &[], &LintConfig::default());
         let json = diagnostics_to_json(&diags);
         assert!(json.starts_with('['));

@@ -1,12 +1,15 @@
 //! UC101 — par-assignment race detection.
 //!
 //! Inside a `par`, every enabled index element executes each assignment
-//! synchronously. A store whose *target location* does not vary with some
-//! index element the *stored value* varies with makes several virtual
-//! processors write distinct values to one mono/global location — the
-//! write-write conflict the paper's §3.4 single-assignment rule forbids
-//! (the runtime detects it with the router's collision detection; this
-//! pass reports it statically).
+//! synchronously. A store to an array element whose *location* does not
+//! vary with some index element the *stored value* varies with makes
+//! several virtual processors write distinct values to one mono array
+//! location — the write-write conflict the paper's §3.4 single-assignment
+//! rule forbids (the runtime detects it with the router's collision
+//! detection; this pass reports it statically). A scalar target cannot
+//! race: a per-processor local is one location per virtual processor, and
+//! a front-end scalar takes only a front-end value — storing a parallel
+//! one to it is a sema error.
 //!
 //! Conservative suppressions keep the lint quiet on correct programs:
 //! values combined by a reduction bind their own elements (not free), and
@@ -17,7 +20,7 @@ use std::collections::HashSet;
 
 use super::{Finding, Pass};
 use crate::ast::*;
-use crate::sema::{Checked, FuncInfo, LocalKind};
+use crate::sema::Checked;
 use crate::span::Span;
 
 pub(crate) struct RacePass;
@@ -36,8 +39,6 @@ enum BinderKind {
 
 struct Walker<'c> {
     checked: &'c Checked,
-    /// Sema's table of the function being walked.
-    info: &'c FuncInfo,
     /// Innermost-last element binders: the set whose element each open
     /// construct or reduction binds (what a `Ref::Elem` names). A `seq`
     /// binds none — its element is a front-end local.
@@ -58,10 +59,9 @@ impl Pass for RacePass {
     }
 
     fn run(&self, checked: &Checked, out: &mut Vec<Finding>) {
-        for (f, info) in checked.funcs_in_order().zip(&checked.func_infos) {
+        for f in checked.funcs_in_order() {
             let mut w = Walker {
                 checked,
-                info,
                 binders: Vec::new(),
                 guards: Vec::new(),
                 par_depth: 0,
@@ -163,24 +163,13 @@ impl Walker<'_> {
         if self.par_depth == 0 {
             return;
         }
-        // Where does the store land, and which par elements select the
-        // location?
+        // Which par elements select the location the store lands on?
+        let Expr::Index { base, subs, .. } = target else { return };
         let mut loc_elems = HashSet::new();
-        let target_text = match target {
-            Expr::Ident(name, _) => {
-                if self.is_per_vp_local(name) {
-                    return; // one location per virtual processor
-                }
-                name.to_string()
-            }
-            Expr::Index { base, subs, .. } => {
-                for s in subs {
-                    self.free_par_elems(s, &mut loc_elems);
-                }
-                crate::pretty::access(&base.text, subs)
-            }
-            _ => return,
-        };
+        for s in subs {
+            self.free_par_elems(s, &mut loc_elems);
+        }
+        let target_text = crate::pretty::access(&base.text, subs);
         let mut val_elems = HashSet::new();
         self.free_par_elems(value, &mut val_elems);
         if op.is_some() {
@@ -205,12 +194,6 @@ impl Walker<'_> {
                 ),
             });
         }
-    }
-
-    /// Is `name` a local declared inside a par nest (one copy per virtual
-    /// processor)?
-    fn is_per_vp_local(&self, name: &Name) -> bool {
-        matches!(name.to, Ref::Local(id) if self.info.locals[id as usize].kind == LocalKind::PerVp)
     }
 
     /// Collect the `par`-bound elements free in `e` (reduction-bound and
@@ -250,18 +233,11 @@ mod tests {
     }
 
     #[test]
-    fn scalar_race_detected() {
-        let f = findings("index_set I:i = {0..7};\nint s;\nmain() { par (I) s = i; }");
-        assert_eq!(codes_of(&f), vec!["UC101"]);
-        assert!(f[0].message.contains("`s`"));
-        assert_eq!(f[0].span.line, 3);
-    }
-
-    #[test]
     fn constant_element_race_detected() {
         let f = findings("index_set I:i = {0..7};\nint a[8];\nmain() { par (I) a[0] = i; }");
         assert_eq!(codes_of(&f), vec!["UC101"]);
         assert!(f[0].message.contains("a[0]"));
+        assert_eq!(f[0].span.line, 3);
     }
 
     #[test]
@@ -282,7 +258,7 @@ mod tests {
 
     #[test]
     fn guard_mentioning_element_suppresses() {
-        let f = findings("index_set I:i = {0..7};\nint s;\nmain() { par (I) st (i == 0) s = i; }");
+        let f = findings("index_set I:i = {0..7};\nint a[8];\nmain() { par (I) st (i == 0) a[0] = i; }");
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -314,8 +290,8 @@ mod tests {
         // a[i] += i varies with i in both value and location: clean.
         let f = findings("index_set I:i = {0..7};\nint a[8];\nmain() { par (I) a[i] += i; }");
         assert!(f.is_empty(), "{f:?}");
-        // s += i still races on the shared location.
-        let f = findings("index_set I:i = {0..7};\nint s;\nmain() { par (I) s += i; }");
+        // a[0] += i still races on the shared location.
+        let f = findings("index_set I:i = {0..7};\nint a[8];\nmain() { par (I) a[0] += i; }");
         assert_eq!(codes_of(&f), vec!["UC101"]);
     }
 }

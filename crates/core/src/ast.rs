@@ -98,6 +98,19 @@ impl std::fmt::Display for Name {
     }
 }
 
+/// What an [`Expr::Call`] calls. The parser recognises a builtin by its
+/// spelling (so [`crate::opt::eval_pure`] folds one before sema has run),
+/// sema resolves every other call, and no later layer compares a name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Callee {
+    /// Not a builtin, and sema has not looked the function up yet.
+    Unresolved,
+    Builtin(crate::stdlib::Builtin),
+    /// A user function: its position in
+    /// [`crate::sema::Checked::funcs_in_order`] and `ir.funcs`.
+    Func(u32),
+}
+
 /// Which array access an [`Expr::Index`] is: its position in
 /// [`crate::sema::Checked::accesses`]. Two nodes share an id iff their
 /// resolved bases and subscripts are structurally equal.
@@ -318,7 +331,9 @@ pub enum Expr {
     Ident(Name, Span),
     /// `a[e][e]...`; `access` is 0 from the parser, filled by sema.
     Index { base: Name, subs: Vec<Expr>, span: Span, access: AccessId },
-    Call { name: String, args: Vec<Expr>, span: Span },
+    /// `name(args...)`; `name` is the spelling, for diagnostics and
+    /// rendering.
+    Call { name: Box<str>, callee: Callee, args: Vec<Expr>, span: Span },
     Unary { op: UnaryOp, expr: Box<Expr>, span: Span },
     Binary { op: BinaryOp, lhs: Box<Expr>, rhs: Box<Expr>, span: Span },
     Ternary { cond: Box<Expr>, then_e: Box<Expr>, else_e: Box<Expr>, span: Span },
@@ -612,11 +627,12 @@ mod tests {
         main.body.stmts
     }
 
-    /// `Index` and `Call` set the size; a resolved reference and an access
-    /// id ride in what the base's `String` and the padding used to take.
+    /// `Index` and `Call` set the size; a resolved reference, an access id
+    /// and a callee ride in what the base's `String` and the padding used
+    /// to take.
     #[test]
     fn a_resolved_expr_is_no_bigger_than_a_parsed_one_was() {
-        assert!(std::mem::size_of::<Ref>() <= 8);
+        assert!(std::mem::size_of::<Ref>() <= 8 && std::mem::size_of::<Callee>() <= 8);
         assert_eq!(std::mem::size_of::<Name>(), std::mem::size_of::<String>());
         assert_eq!(std::mem::size_of::<Expr>(), 80);
     }
@@ -633,7 +649,7 @@ mod tests {
                 e.walk(&mut |x| {
                     match x {
                         Expr::Ident(n, _) | Expr::Index { base: n, .. } => names.push(&*n.text),
-                        Expr::Call { name, .. } => names.push(name.as_str()),
+                        Expr::Call { name, .. } => names.push(name),
                         _ => {}
                     }
                 })

@@ -447,9 +447,7 @@ impl Program {
         if self.ctx.is_empty() {
             let logical = self.front_end_index(&st, base, subs)?;
             let PV::Scalar(s) = value else {
-                return Err(RuntimeError::NotSupported(
-                    "parallel value stored from front-end context".into(),
-                ));
+                unreachable!("a parallel value outside every construct")
             };
             let s = super::space::coerce_scalar(s, st.ty);
             for r in 0..st.mapping.replicas() {
@@ -559,10 +557,7 @@ impl Program {
         check_conflicts: bool,
     ) -> RResult<PV> {
         match target {
-            Expr::Ident(name, _) => {
-                self.store_ident(name, value)?;
-                Ok(value)
-            }
+            Expr::Ident(name, _) => self.store_ident(name, value)?,
             Expr::Index { base, subs, .. } => {
                 // write_array consumes/releases a copy; keep the caller's
                 // PV alive by duplicating the handle (fields are Copy ids).
@@ -571,12 +566,10 @@ impl Program {
                     PV::Field { id, .. } => PV::Field { id, owned: false },
                 };
                 self.write_array(base, subs, dup, check_conflicts)?;
-                Ok(value)
             }
-            other => Err(RuntimeError::NotSupported(format!(
-                "assignment target {other:?} is not an lvalue"
-            ))),
+            other => unreachable!("sema admits only lvalues as targets, not {other:?}"),
         }
+        Ok(value)
     }
 
     /// Store to a scalar: a register local or global (sema admits only
@@ -604,10 +597,7 @@ impl Program {
             }
         }
         let PV::Scalar(s) = value else {
-            return Err(RuntimeError::NotSupported(format!(
-                "assigning a parallel value to front-end scalar `{name}` \
-                 (use a reduction to combine values first)"
-            )));
+            unreachable!("sema admits only a front-end value as a store to scalar `{name}`")
         };
         let place = match name.to {
             Ref::Global(g) => &mut self.globals[g as usize],

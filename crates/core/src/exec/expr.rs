@@ -1,9 +1,13 @@
 //! Expression evaluation.
 //!
 //! Expressions evaluate to [`PV`]s: front-end scalars or fields on the
-//! current iteration space. Mixed scalar/field operations broadcast the
-//! scalar as an immediate (one SIMD instruction), mirroring the CM's
-//! front-end-broadcast execution model. In a parallel context `&&`/`||`
+//! current iteration space. Which of the two an expression yields is
+//! sema's `Rank` rule, and sema has rejected every program that would
+//! hand a field to what takes a scalar (a front-end variable, a user
+//! function's parameter): the `match`es here implement the rule, and the
+//! arms it excludes are `unreachable!`. Mixed scalar/field operations
+//! broadcast the scalar as an immediate (one SIMD instruction), mirroring
+//! the CM's front-end-broadcast execution model. In a parallel context `&&`/`||`
 //! evaluate both sides synchronously (no short-circuit — all enabled
 //! processors execute every instruction); on the front end they
 //! short-circuit like C.
@@ -11,9 +15,9 @@
 use uc_cm::{BinOp, ElemType, Scalar, UnOp};
 
 use super::{LocalVar, Program, RResult, RuntimeError, PV};
-use crate::ast::{BinaryOp, Expr, LocalId, Name, Ref, UnaryOp};
+use crate::ast::{BinaryOp, Callee, Expr, LocalId, Name, Ref, UnaryOp};
 use crate::sema::LocalKind;
-use crate::stdlib;
+use crate::stdlib::{self, Builtin};
 
 impl Program {
     /// Evaluate an expression in the current context.
@@ -24,7 +28,7 @@ impl Program {
             Expr::Inf(_) => Ok(PV::Scalar(Scalar::Int(i64::MAX))),
             Expr::Ident(name, _) => self.read_ident(name),
             Expr::Index { base, subs, access, .. } => self.read_array(base, subs, *access),
-            Expr::Call { name, args, .. } => self.eval_call(name, args),
+            Expr::Call { callee, args, .. } => self.eval_call(*callee, args),
             Expr::Unary { op, expr, .. } => {
                 let v = self.eval(expr)?;
                 self.apply_unary(*op, v)
@@ -77,16 +81,12 @@ impl Program {
         }
     }
 
-    /// Evaluate an expression that must be a front-end scalar.
+    /// Evaluate an expression with no iteration space open: a front-end
+    /// scalar.
     pub(crate) fn eval_scalar(&mut self, e: &Expr) -> RResult<Scalar> {
         match self.eval(e)? {
             PV::Scalar(s) => Ok(s),
-            pv @ PV::Field { .. } => {
-                self.release(pv);
-                Err(RuntimeError::NotSupported(
-                    "a parallel value was used where a front-end scalar is required".into(),
-                ))
-            }
+            PV::Field { .. } => unreachable!("a parallel value outside every construct"),
         }
     }
 
@@ -166,11 +166,7 @@ impl Program {
             (op, PV::Scalar(s)) => Ok(PV::Scalar(scalar_unary(op, s))),
             (op, v @ PV::Field { .. }) => {
                 let ty = self.pv_type(&v)?;
-                let vp = self
-                    .ctx
-                    .last()
-                    .ok_or_else(|| RuntimeError::NotSupported("field outside context".into()))?
-                    .vp;
+                let vp = self.cur_ctx().vp;
                 match op {
                     UnaryOp::Neg => {
                         let v = if ty == ElemType::Bool {
@@ -233,11 +229,7 @@ impl Program {
                 (self.coerce_operand(l, ty)?, self.coerce_operand(r, ty)?)
             }
         };
-        let vp = self
-            .ctx
-            .last()
-            .ok_or_else(|| RuntimeError::NotSupported("field op outside context".into()))?
-            .vp;
+        let vp = self.cur_ctx().vp;
         let out_ty = if op.is_comparison() || op == BinaryOp::LogAnd || op == BinaryOp::LogOr {
             ElemType::Bool
         } else {
@@ -279,24 +271,23 @@ impl Program {
 
     // ---- calls ------------------------------------------------------------
 
-    fn eval_call(&mut self, name: &str, args: &[Expr]) -> RResult<PV> {
-        match name {
-            "power2" => {
+    fn eval_call(&mut self, callee: Callee, args: &[Expr]) -> RResult<PV> {
+        match callee {
+            Callee::Builtin(Builtin::Power2) => {
                 let v = self.eval(&args[0])?;
                 match v {
                     PV::Scalar(s) => Ok(PV::Scalar(Scalar::Int(stdlib::power2(s.as_int())))),
                     PV::Field { .. } => {
                         let v = self.coerce_field(v, ElemType::Int)?;
                         let PV::Field { id, .. } = v else { unreachable!() };
-                        let vp = self.ctx.last().unwrap().vp;
-                        let dst = self.machine.alloc_int(vp, "~pow2")?;
+                        let dst = self.machine.alloc_int(self.cur_ctx().vp, "~pow2")?;
                         self.machine.binop_imm_l(BinOp::Shl, dst, Scalar::Int(1), id)?;
                         self.release(v);
                         Ok(PV::owned(dst))
                     }
                 }
             }
-            "rand" => {
+            Callee::Builtin(Builtin::Rand) => {
                 let seed = self.next_rand_seed();
                 if let Some(ctx) = self.ctx.last() {
                     let vp = ctx.vp;
@@ -309,7 +300,7 @@ impl Program {
                     Ok(PV::Scalar(Scalar::Int(v)))
                 }
             }
-            "abs" | "ABS" => {
+            Callee::Builtin(Builtin::Abs) => {
                 let v = self.eval(&args[0])?;
                 match v {
                     PV::Scalar(s) => Ok(PV::Scalar(scalar_abs(s))),
@@ -318,21 +309,20 @@ impl Program {
                         let ty = if ty == ElemType::Bool { ElemType::Int } else { ty };
                         let v = self.coerce_field(v, ty)?;
                         let PV::Field { id, .. } = v else { unreachable!() };
-                        let vp = self.ctx.last().unwrap().vp;
-                        let dst = self.machine.alloc(vp, "~abs", ty)?;
+                        let dst = self.machine.alloc(self.cur_ctx().vp, "~abs", ty)?;
                         self.machine.unop(UnOp::Abs, dst, id)?;
                         self.release(v);
                         Ok(PV::owned(dst))
                     }
                 }
             }
-            "min" | "max" => {
+            Callee::Builtin(f @ (Builtin::Min | Builtin::Max)) => {
                 let l = self.eval(&args[0])?;
                 let r = self.eval(&args[1])?;
-                let mop = if name == "min" { BinOp::Min } else { BinOp::Max };
+                let is_min = f == Builtin::Min;
                 match (&l, &r) {
                     (PV::Scalar(a), PV::Scalar(b)) => {
-                        Ok(PV::Scalar(scalar_minmax(*a, *b, name == "min")))
+                        Ok(PV::Scalar(scalar_minmax(*a, *b, is_min)))
                     }
                     _ => {
                         let ty = self.common_type(&l, &r)?;
@@ -342,8 +332,8 @@ impl Program {
                         else {
                             unreachable!()
                         };
-                        let vp = self.ctx.last().unwrap().vp;
-                        let dst = self.machine.alloc(vp, "~mm", ty)?;
+                        let dst = self.machine.alloc(self.cur_ctx().vp, "~mm", ty)?;
+                        let mop = if is_min { BinOp::Min } else { BinOp::Max };
                         self.machine.binop(mop, dst, *a, *b)?;
                         self.release(l);
                         self.release(r);
@@ -351,32 +341,21 @@ impl Program {
                     }
                 }
             }
-            "swap" => Err(RuntimeError::NotSupported(
-                "swap(...) is a statement, not an expression".into(),
-            )),
-            _ => {
-                // User-defined function: a front-end call, re-entering the
-                // VM. In a parallel context it is allowed when all
-                // arguments are scalars (e.g. helpers over seq elements).
-                let fi = *self
-                    .ir
-                    .by_name
-                    .get(name)
-                    .ok_or_else(|| RuntimeError::Unbound(name.to_string()))?;
+            Callee::Func(f) => {
+                // A front-end call, re-entering the VM — also from a
+                // parallel context, where sema admits only scalar arguments
+                // (e.g. helpers over seq elements).
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
                     match self.eval(a)? {
                         PV::Scalar(s) => vals.push(s),
-                        pv @ PV::Field { .. } => {
-                            self.release(pv);
-                            return Err(RuntimeError::NotSupported(format!(
-                                "call to `{name}` with a parallel argument \
-                                 (user functions run on the front end)"
-                            )));
-                        }
+                        PV::Field { .. } => unreachable!("a parallel argument to a user function"),
                     }
                 }
-                Ok(PV::Scalar(super::vm::call(self, fi, vals)?))
+                Ok(PV::Scalar(super::vm::call(self, f as usize, vals)?))
+            }
+            Callee::Builtin(Builtin::Swap) | Callee::Unresolved => {
+                unreachable!("sema resolves every call, and admits `swap` only as a statement")
             }
         }
     }

@@ -13,9 +13,11 @@
 //!   multiplies, §3.4's matrix-multiply example) — which definitions
 //!   those are, and their elements, is sema's answer (`Checked::sets`
 //!   by `SetId`), as is what every identifier and array base denotes
-//!   (the `Ref` on it); nothing here evaluates an index set or looks a
-//!   name up — only the host accessors (`read_int_array(name)`, …) take
-//!   names, and find them by position in sema's name-ordered tables;
+//!   (the `Ref` on it), what every call calls (its `Callee`) and which
+//!   values are front-end scalars; nothing here evaluates an index set,
+//!   looks a name up or reports a misuse of a parallel value — only the
+//!   host accessors (`read_int_array(name)`, …) take names, and find them
+//!   by position in sema's name-ordered tables;
 //! * `st` predicates compile to context-flag pushes;
 //! * array accesses are classified as **local**, **NEWS** or **router**
 //!   (the communication classes whose costs the map section optimises);
@@ -174,8 +176,10 @@ pub enum RuntimeError {
     IterationLimit(&'static str),
     /// A call would exceed [`ExecLimits::max_call_depth`] live frames.
     CallDepthExceeded { max: usize },
-    /// A front-end-only feature was used in a parallel context (or vice
-    /// versa).
+    /// The host asked an accessor for what the named global is not (an int
+    /// array read as floats, data of another length). A *program* cannot
+    /// raise it: where a value must be a front-end scalar, and what a call
+    /// or a `solve` may contain, are sema diagnostics.
     NotSupported(String),
     /// Division by zero on the front end.
     DivideByZero,
@@ -509,8 +513,9 @@ impl Program {
         // would dominate short repeated runs; otherwise it gets a
         // dedicated thread with enough stack that the call-depth budget —
         // not the host stack — is the limit.
+        let main = self.checked.main;
         let outcome = if self.ir.inline_ok {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| vm::run_main(self)))
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| vm::call(self, main, vec![])))
         } else {
             std::thread::scope(|scope| {
                 std::thread::Builder::new()
@@ -518,7 +523,7 @@ impl Program {
                     .stack_size(EXEC_STACK_BYTES)
                     .spawn_scoped(scope, || {
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            vm::run_main(self)
+                            vm::call(self, main, vec![])
                         }))
                     })
                     .expect("spawn uc-exec thread")
@@ -528,7 +533,7 @@ impl Program {
         };
         self.machine.clear_deadline();
         match outcome {
-            Ok(Ok(())) => {
+            Ok(Ok(_)) => {
                 self.call_stack.clear();
                 Ok(())
             }
@@ -662,10 +667,10 @@ impl Program {
 
     /// The innermost parallel context.
     ///
-    /// Invariant: only called from paths reached with a construct open
-    /// (`ctx` non-empty) — every access path splits on `ctx.is_empty()`
-    /// first. A violation is an executor bug, contained by the
-    /// `catch_unwind` in [`Program::run`].
+    /// Invariant: only called with a construct open (`ctx` non-empty) —
+    /// every access path splits on `ctx.is_empty()` first, and a parallel
+    /// value exists only under one (sema's rank rule). A violation is an
+    /// executor bug, contained by the `catch_unwind` in [`Program::run`].
     pub(crate) fn cur_ctx(&self) -> &ParCtx {
         self.ctx.last().expect("inside a parallel construct")
     }

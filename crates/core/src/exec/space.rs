@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use uc_cm::{BinOp, ElemType, FieldId, Scalar, VpSetId};
 
-use super::{Program, RResult, RuntimeError, PV};
+use super::{Program, RResult, PV};
 use crate::ast::SetId;
 use crate::opt::ElemForm;
 
@@ -169,11 +169,6 @@ impl Program {
         bound.expect("sema resolves an element only under a construct over its set")
     }
 
-    /// The current iteration space, if any.
-    pub(crate) fn cur_space(&self) -> Option<&ParCtx> {
-        self.ctx.last()
-    }
-
     /// Lift a field living on ctx level `from_level` onto the current
     /// (innermost) space. Returns an owned temporary (or the field itself,
     /// un-owned, when already on the current space).
@@ -215,10 +210,7 @@ impl Program {
     /// space (broadcasting scalars, converting when needed). Returns an
     /// owned field unless the PV already is a field of the right type.
     pub(crate) fn coerce_field(&mut self, pv: PV, ty: ElemType) -> RResult<PV> {
-        let cur_vp = self
-            .cur_space()
-            .map(|c| c.vp)
-            .ok_or_else(|| RuntimeError::NotSupported("field outside parallel context".into()))?;
+        let cur_vp = self.cur_ctx().vp;
         match pv {
             PV::Scalar(s) => {
                 let dst = self.machine.alloc(cur_vp, "~bcast", ty)?;

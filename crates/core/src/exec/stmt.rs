@@ -12,9 +12,10 @@ use uc_cm::{BinOp, ElemType, FieldId, ReduceOp, Scalar};
 use std::sync::Arc;
 
 use super::{elem_type, ArrayStorage, LocalVar, Program, RResult, RuntimeError, PV};
-use crate::ast::{Block, Expr, LocalId, Ref, ScBlock, Stmt, UcKind, UcStmt};
+use crate::ast::{Block, Callee, Expr, LocalId, Ref, ScBlock, Stmt, UcKind, UcStmt};
 use crate::mapping::ArrayMapping;
 use crate::sema::LocalKind;
+use crate::stdlib::Builtin;
 
 impl Program {
     /// Release the machine storage of a local that goes out of scope.
@@ -60,16 +61,14 @@ impl Program {
             Stmt::Expr(e) => {
                 // `swap` is a statement-level builtin: read both operands
                 // synchronously, then store crosswise.
-                if let Expr::Call { name, args, .. } = e {
-                    if name == "swap" {
-                        let a = self.eval(&args[0])?;
-                        let b = self.eval(&args[1])?;
-                        let a = self.store(&args[1], a, true)?;
-                        let b = self.store(&args[0], b, true)?;
-                        self.release(a);
-                        self.release(b);
-                        return Ok(());
-                    }
+                if let Expr::Call { callee: Callee::Builtin(Builtin::Swap), args, .. } = e {
+                    let a = self.eval(&args[0])?;
+                    let b = self.eval(&args[1])?;
+                    let a = self.store(&args[1], a, true)?;
+                    let b = self.store(&args[0], b, true)?;
+                    self.release(a);
+                    self.release(b);
+                    return Ok(());
                 }
                 let v = self.eval(e)?;
                 self.release(v);
@@ -433,7 +432,7 @@ impl Program {
                     let Expr::Index { base, subs, .. } = target else { unreachable!() };
                     let def_st = def_maps.iter().find(|(n, _)| *n == base.to).unwrap().1.clone();
                     // ready = !defined(target) && rhs_defined
-                    let tdef = self.read_defined(&def_st, subs)?;
+                    let tdef = self.read_storage(&def_st, subs)?;
                     let PV::Field { id: tdef_id, .. } = tdef else { unreachable!() };
                     let ready = self.machine.alloc_bool(vp, "~ready")?;
                     self.machine.unop(uc_cm::UnOp::Not, ready, tdef_id)?;
@@ -470,13 +469,6 @@ impl Program {
             let _ = self.machine.free(st.field);
         }
         run
-    }
-
-    /// Gather a defined-bitmap at the target subscripts.
-    fn read_defined(&mut self, def_st: &ArrayStorage, subs: &[Expr]) -> RResult<PV> {
-        // Reuse the general read path by temporarily registering the
-        // bitmap under a reserved name.
-        self.read_storage(def_st, subs)
     }
 
     /// Definedness of an expression's value per element of the current
@@ -563,9 +555,9 @@ impl Program {
                 }
                 Ok(acc)
             }
-            Expr::Assign { .. } | Expr::Reduce(_) => Err(RuntimeError::NotSupported(
-                "assignments/reductions in solve right-hand sides (use *solve)".into(),
-            )),
+            Expr::Assign { .. } | Expr::Reduce(_) => {
+                unreachable!("sema admits neither in a `solve` right-hand side")
+            }
         }
     }
 

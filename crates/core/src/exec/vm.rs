@@ -30,14 +30,6 @@ struct Act {
     seqs: Vec<(Arc<Vec<i64>>, usize)>,
 }
 
-/// Run `main()`.
-pub(crate) fn run_main(p: &mut Program) -> RResult<()> {
-    let Some(&main) = p.ir.by_name.get("main") else {
-        return Err(RuntimeError::Unbound("main".into()));
-    };
-    call(p, main, Vec::new()).map(|_| ())
-}
-
 /// Run function `fi` to completion and return its value (0 when it
 /// returns none). This is the entry for `main` and the re-entry for user
 /// calls met by tree-evaluated code, which nests one native `exec` per

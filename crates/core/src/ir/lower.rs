@@ -16,10 +16,13 @@
 //! effects and errors keep their source order whichever side runs it.
 //!
 //! Names are not the lowerer's business. Sema wrote on every identifier
-//! what it denotes ([`Ref`]) and numbered every front-end scalar local's
-//! register (`sema::FuncInfo`), so an identifier lowers by a `match` on
-//! its reference — register local, global, `#define`, or "escape" — and
-//! the registers the function needs are sema's count plus nothing.
+//! what it denotes ([`Ref`]), on every call what it calls ([`Callee`]),
+//! and numbered every front-end scalar local's register
+//! (`sema::FuncInfo`), so an identifier lowers by a `match` on its
+//! reference — register local, global, `#define`, or "escape" — a call by
+//! one on its callee, to the builtin's instruction or a `Call` of the
+//! function's index, and the registers the function needs are sema's
+//! count plus nothing.
 //! Scoping leaves one trace: a block that declares a local array ends
 //! in a `FreeLocals` over the ids it declared. Index sets leave none: a
 //! definition lowers to nothing but its span.
@@ -30,14 +33,11 @@ use uc_cm::Scalar;
 
 use super::{Instr, IrBody, IrFunc, IrProgram, Reg, Target};
 use crate::ast::{
-    BinaryOp, Block, Expr, FuncDef, LocalId, Name, Node, Ref, Stmt, Type, UcKind, UcStmt,
+    BinaryOp, Block, Callee, Expr, FuncDef, LocalId, Name, Node, Ref, Stmt, Type, UcKind, UcStmt,
 };
 use crate::exec::IrOpt;
 use crate::sema::{Checked, FuncInfo, LocalKind};
-
-/// Builtins, which shadow user functions of the same name; a call to one
-/// inside a tree escape never re-enters the VM.
-const BUILTINS: &[&str] = &["power2", "rand", "abs", "ABS", "min", "max", "swap"];
+use crate::stdlib::Builtin;
 
 /// Maximum AST depth of a tree-escaped fragment for the program to stay
 /// eligible for on-thread (inline) execution. Tree evaluation recurses
@@ -66,15 +66,10 @@ pub fn lower_program(
     } else {
         checked.funcs_in_order().collect()
     };
-    // Later definitions win, matching `checked.funcs` (a by-name map).
-    let mut by_name = HashMap::new();
-    for (i, f) in funcs_src.iter().enumerate() {
-        by_name.insert(f.name.clone(), i);
-    }
     let mut funcs = Vec::with_capacity(funcs_src.len());
     let mut inline_ok = true;
     for (f, info) in funcs_src.iter().zip(&checked.func_infos) {
-        let (func, stats) = Lowerer::new(checked, info, &by_name).run(f);
+        let (func, stats) = Lowerer::new(checked, info).run(f);
         inline_ok &= func.body.is_some()
             && !stats.tree_user_call
             && stats.max_tree_depth <= MAX_INLINE_TREE_DEPTH;
@@ -90,7 +85,7 @@ pub fn lower_program(
         global_names[i as usize] = n.clone();
     }
     let set_names = checked.sets.iter().map(|s| s.name.clone()).collect();
-    IrProgram { funcs, by_name, global_names, set_names, opt, inline_ok }
+    IrProgram { funcs, global_names, set_names, opt, inline_ok }
 }
 
 /// Inline-eligibility facts gathered while lowering one function.
@@ -122,7 +117,6 @@ struct Lowerer<'a> {
     checked: &'a Checked,
     /// Sema's table of the function being lowered.
     info: &'a FuncInfo,
-    func_by_name: &'a HashMap<String, usize>,
 
     code: Vec<Instr>,
     stmts: Vec<Stmt>,
@@ -148,15 +142,10 @@ struct Lowerer<'a> {
 }
 
 impl<'a> Lowerer<'a> {
-    fn new(
-        checked: &'a Checked,
-        info: &'a FuncInfo,
-        func_by_name: &'a HashMap<String, usize>,
-    ) -> Self {
+    fn new(checked: &'a Checked, info: &'a FuncInfo) -> Self {
         Lowerer {
             checked,
             info,
-            func_by_name,
             code: Vec::new(),
             stmts: Vec::new(),
             exprs: Vec::new(),
@@ -434,7 +423,7 @@ impl<'a> Lowerer<'a> {
                 self.bind(lend);
                 Some(t)
             }
-            Expr::Call { name, args, .. } => self.go_call(name, args),
+            Expr::Call { callee, args, .. } => self.go_call(*callee, args),
             Expr::Assign { target, op, value, .. } => {
                 let Expr::Ident(name, _) = target.as_ref() else { return None };
                 let place = self.place(name)?;
@@ -469,47 +458,24 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// Builtins match before user functions, as in `eval_call`. Sema has
-    /// checked every arity.
-    fn go_call(&mut self, name: &str, args: &[Expr]) -> Option<Reg> {
-        match name {
-            "power2" => {
-                let a = self.go_expr(&args[0])?;
-                let t = self.temp();
-                self.code.push(Instr::Power2 { dst: t, a });
-                Some(t)
-            }
-            "rand" => {
-                // `rand()` never evaluates its arguments.
-                let t = self.temp();
-                self.code.push(Instr::Rand { dst: t });
-                Some(t)
-            }
-            "abs" | "ABS" => {
-                let a = self.go_expr(&args[0])?;
-                let t = self.temp();
-                self.code.push(Instr::Abs { dst: t, a });
-                Some(t)
-            }
-            "min" | "max" => {
-                let a = self.go_expr(&args[0])?;
-                let b = self.go_expr(&args[1])?;
-                let t = self.temp();
-                self.code.push(Instr::MinMax { dst: t, a, b, is_min: name == "min" });
-                Some(t)
-            }
-            "swap" => None, // expression-position swap is an error: escape
-            _ => {
-                let &fi = self.func_by_name.get(name)?;
-                let mut regs = Vec::with_capacity(args.len());
-                for a in args {
-                    regs.push(self.go_expr(a)?);
-                }
-                let t = self.temp();
-                self.code.push(Instr::Call { dst: t, f: fi as u32, args: regs });
-                Some(t)
-            }
+    /// A call, by what sema resolved it to; sema has checked every arity.
+    fn go_call(&mut self, callee: Callee, args: &[Expr]) -> Option<Reg> {
+        let mut regs = Vec::with_capacity(args.len());
+        for a in args {
+            regs.push(self.go_expr(a)?);
         }
+        let dst = self.temp();
+        self.code.push(match (callee, regs.as_slice()) {
+            (Callee::Builtin(Builtin::Power2), &[a]) => Instr::Power2 { dst, a },
+            (Callee::Builtin(Builtin::Rand), _) => Instr::Rand { dst },
+            (Callee::Builtin(Builtin::Abs), &[a]) => Instr::Abs { dst, a },
+            (Callee::Builtin(f @ (Builtin::Min | Builtin::Max)), &[a, b]) => {
+                Instr::MinMax { dst, a, b, is_min: f == Builtin::Min }
+            }
+            (Callee::Func(f), _) => Instr::Call { dst, f, args: regs },
+            _ => unreachable!("sema resolves every call and its arity, and `swap` is a statement"),
+        });
+        Some(dst)
     }
 
     // ---- statements ---------------------------------------------------
@@ -544,12 +510,10 @@ impl<'a> Lowerer<'a> {
             Stmt::Empty => {}
             Stmt::Block(b) => self.lower_block(b),
             Stmt::Expr(e) => {
-                // Statement-level `swap` is a tree-evaluated special form.
-                if let Expr::Call { name, .. } = e {
-                    if name == "swap" {
-                        self.tree_stmt(s);
-                        return;
-                    }
+                // `swap` is a tree-evaluated special form.
+                if let Expr::Call { callee: Callee::Builtin(Builtin::Swap), .. } = e {
+                    self.tree_stmt(s);
+                    return;
                 }
                 self.emit_span(s);
                 self.lower_effect(e);
@@ -744,7 +708,7 @@ fn stmt_depth(s: &Stmt, user_call: &mut bool) -> usize {
 }
 
 fn expr_depth(e: &Expr, user_call: &mut bool) -> usize {
-    *user_call |= matches!(e, Expr::Call { name, .. } if !BUILTINS.contains(&name.as_str()));
+    *user_call |= matches!(e, Expr::Call { callee: Callee::Func(_), .. });
     let mut d = 0;
     e.for_each_child(|c| d = d.max(expr_depth(c, user_call)));
     d + 1

@@ -42,7 +42,7 @@
 //! `body: None`, which `Program::compile_with_defines` reports as a
 //! compile error.
 //!
-//! Still tree escapes, and the remaining work of ROADMAP item 2: `par`,
+//! Still tree escapes, and the work of ROADMAP item 3: `par`,
 //! `oneof` and `solve` (including a `seq` nested inside one, which runs
 //! under context masks), reductions, array access paths and `swap`.
 //!
@@ -189,8 +189,8 @@ pub struct IrFunc {
 /// The lowered program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IrProgram {
+    /// In `Checked::funcs_in_order` order: a `Callee::Func` indexes both.
     pub funcs: Vec<IrFunc>,
-    pub by_name: std::collections::HashMap<String, usize>,
     /// Global scalar names in index order (for rendering).
     pub global_names: Vec<String>,
     /// Index-set names by [`SetId`] (for rendering).

@@ -48,7 +48,7 @@ use uc_cm::Scalar;
 use crate::ast::*;
 use crate::exec::{scalar_abs, scalar_binary, scalar_minmax, scalar_unary};
 use crate::span::Span;
-use crate::stdlib;
+use crate::stdlib::{self, Builtin};
 
 /// Evaluate `e` if it is a pure constant: literals, `INF`, identifiers
 /// that `names` gives a value, unary/binary/ternary operators and the pure builtins
@@ -79,14 +79,16 @@ fn eval(e: &Expr, names: &mut dyn FnMut(&Name) -> Option<Scalar>) -> Result<Scal
             let taken = if eval(cond, names)?.as_bool() { then_e } else { else_e };
             eval(taken, names)?
         }
-        Expr::Call { name, args, span } => match (name.as_str(), args.as_slice()) {
-            ("power2", [a]) => Scalar::Int(stdlib::power2(eval(a, names)?.as_int())),
-            ("abs" | "ABS", [a]) => scalar_abs(eval(a, names)?),
-            ("min" | "max", [a, b]) => {
-                scalar_minmax(eval(a, names)?, eval(b, names)?, name == "min")
+        // Arities are matched here: the folder runs before sema checks them.
+        Expr::Call { callee: Callee::Builtin(f), args, span, .. } => match (f, args.as_slice()) {
+            (Builtin::Power2, [a]) => Scalar::Int(stdlib::power2(eval(a, names)?.as_int())),
+            (Builtin::Abs, [a]) => scalar_abs(eval(a, names)?),
+            (Builtin::Min | Builtin::Max, [a, b]) => {
+                scalar_minmax(eval(a, names)?, eval(b, names)?, *f == Builtin::Min)
             }
             _ => return Err(*span),
         },
+        Expr::Call { span, .. } => return Err(*span),
         Expr::Index { .. } | Expr::Assign { .. } | Expr::Reduce(_) => return Err(e.span()),
     })
 }

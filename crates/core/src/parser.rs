@@ -13,6 +13,7 @@ use crate::ast::*;
 use crate::diag::Diagnostics;
 use crate::lexer::{lex, LexOutput};
 use crate::span::Span;
+use crate::stdlib::Builtin;
 use crate::token::{Token, TokenKind, TokenKind as T};
 
 /// Parse a UC translation unit. Returns `None` if errors were found (all
@@ -683,7 +684,9 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.expect(&T::RParen, "`)` after arguments")?;
-                    Ok(Expr::Call { name, args, span: span.to(self.prev_span()) })
+                    let callee = Builtin::named(&name).map_or(Callee::Unresolved, Callee::Builtin);
+                    let (name, span) = (name.into(), span.to(self.prev_span()));
+                    Ok(Expr::Call { name, callee, args, span })
                 } else {
                     Ok(Expr::Ident(Name::new(name), span))
                 }

@@ -12,17 +12,23 @@
 //!   What it denotes is written beside its spelling on the AST — a
 //!   [`Ref`] on every identifier and array base, a [`SetId`] for every
 //!   index-set name a construct or reduction uses, the [`LocalId`] a
-//!   declaration or `seq` introduces — and [`Checked`] carries the tables
-//!   those index. This is the only place names are resolved: the
-//!   lowerer, the executor and the lints index, and none looks a
-//!   spelling up;
+//!   declaration or `seq` introduces, the [`Callee`] of every call — and
+//!   [`Checked`] carries the tables those index. This is the only place
+//!   names are resolved: the lowerer, the executor and the lints index,
+//!   and none looks a spelling up;
+//! * every expression gets its rank (`Rank`: a front-end scalar, or one
+//!   value per virtual processor), and what only a front-end scalar can do
+//!   is checked: be stored to a global or register local (by `=`, `op=` or
+//!   `swap`), be passed to a user function;
 //! * UC restrictions are enforced (no `goto` — already a parse error; an
 //!   index element is read-only; `solve` arms must be proper assignments
-//!   to array elements, without `st`; `oneof` takes no `others`; no
+//!   to array elements, without `st`, and a plain `solve`'s right-hand
+//!   sides hold no assignment or reduction; `oneof` takes no `others`; no
 //!   sequential control flow and no array declaration inside a parallel
 //!   construct, and no control flow that would leave a `seq`; a
 //!   per-processor local is assigned only at the depth it was declared
-//!   at; `main` takes no parameters);
+//!   at; `swap` is a statement; no function takes a builtin's name;
+//!   `main` takes no parameters);
 //! * expressions get basic int/float/bool checking with C-style coercion.
 
 use std::collections::HashMap;
@@ -35,7 +41,7 @@ use crate::diag::Diagnostics;
 use crate::ir::Reg;
 use crate::opt;
 use crate::span::Span;
-use crate::stdlib;
+use crate::stdlib::Builtin;
 
 /// Cap on the elements one index-set range may materialise: a hostile
 /// `{0..1<<40}` is a diagnostic, not an OOM. Sets are compile-time
@@ -154,8 +160,8 @@ pub struct Checked {
     /// Global scalar names in name order; a [`Ref::Global`] indexes this
     /// (and `Program`'s values, and the IR's `g0=`).
     pub global_names: Vec<String>,
-    /// Function name → position of its definition in `unit.items`.
-    pub funcs: HashMap<String, usize>,
+    /// Which function is `main`, as a [`Callee::Func`] index.
+    pub main: usize,
     /// Per function, in [`Checked::funcs_in_order`] order.
     pub func_infos: Vec<FuncInfo>,
     /// Every distinct array access; an [`AccessId`] indexes this.
@@ -170,15 +176,8 @@ impl Checked {
         self.global_sets.get(name).map(|&id| &self.sets[id])
     }
 
-    pub fn func(&self, name: &str) -> Option<&FuncDef> {
-        match &self.unit.items[*self.funcs.get(name)?] {
-            Item::Func(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// Function definitions in source order (analysis passes walk this
-    /// for deterministic output).
+    /// Function definitions in source order; a [`Callee::Func`] is a
+    /// position in it.
     pub fn funcs_in_order(&self) -> impl Iterator<Item = &FuncDef> {
         self.unit.items.iter().filter_map(|it| match it {
             Item::Func(f) => Some(f),
@@ -263,7 +262,7 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
             array_names: cx.array_names,
             scalars: cx.scalars,
             global_names: cx.global_names,
-            funcs: cx.funcs.into_iter().map(|(name, sig)| (name, sig.item)).collect(),
+            main: cx.funcs["main"].index as usize,
             func_infos: cx.func_infos,
             accesses: cx.accesses,
             maps: cx.maps,
@@ -277,8 +276,9 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Denotes {
     /// The element of an open `par`/`oneof`/`solve` or reduction
-    /// (read-only integer).
-    Elem,
+    /// (read-only integer): the coordinate along this axis of the
+    /// iteration space, counted from the function's outermost construct.
+    Elem { axis: usize },
     /// A `#define` (read-only integer).
     Const,
     /// A scalar of this type, declared under `depth` iteration spaces of
@@ -296,8 +296,8 @@ struct FuncSig {
     ret: Type,
     params: usize,
     span: Span,
-    /// Position of the definition in `unit.items`.
-    item: usize,
+    /// Position of the definition in [`Checked::funcs_in_order`].
+    index: u32,
 }
 
 struct Checker<'a> {
@@ -341,6 +341,22 @@ struct Nesting {
     /// Iteration spaces open here: one per enclosing `par`/`oneof`/`solve`
     /// and per enclosing reduction (a `seq` extends no space).
     depth: usize,
+    /// Axes of the innermost of them: one per set bound so far.
+    axes: usize,
+}
+
+/// Whether a value is one front-end scalar or a parallel value, one per
+/// virtual processor of the iteration space open where it is computed.
+/// With no space open everything is a scalar (an array read fetches one
+/// element, a reduction folds to one value). Under one, an index element,
+/// a per-processor local, any array read, `rand()`, `?:` and a nested
+/// reduction are parallel; a literal, `#define`, global, register local
+/// and user call are scalar; operators, `power2`, `abs`, `min` and `max`
+/// are parallel iff an operand is; an assignment has its stored value's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Rank {
+    Scalar,
+    Parallel,
 }
 
 /// Inferred expression type. `Bool` is C's 0/1 int but tracked so logical
@@ -360,6 +376,12 @@ impl ExprTy {
             Type::Float => ExprTy::Float,
             Type::Void => ExprTy::Void,
         }
+    }
+
+    /// The numeric type of two operands combined: float wins, a bool acts
+    /// as an int.
+    pub fn join(self, other: ExprTy) -> ExprTy {
+        if self == ExprTy::Float || other == ExprTy::Float { ExprTy::Float } else { ExprTy::Int }
     }
 
     fn is_numeric(self) -> bool {
@@ -382,7 +404,7 @@ impl<'a> Checker<'a> {
         }
         // First pass: collect all top-level declarations so functions can
         // reference globals declared after them.
-        for (item, it) in unit.items.iter().enumerate() {
+        for it in &unit.items {
             match it {
                 Item::IndexSets(defs) => {
                     for def in defs {
@@ -393,8 +415,15 @@ impl<'a> Checker<'a> {
                 }
                 Item::Var(v) => self.declare_global(v),
                 Item::Func(f) => {
-                    let sig = FuncSig { ret: f.ret, params: f.params.len(), span: f.span, item };
-                    if self.funcs.insert(f.name.clone(), sig).is_some() {
+                    // Its position among the functions, if every name is
+                    // new — and a program where one is not never runs.
+                    let index = self.funcs.len() as u32;
+                    let sig = FuncSig { ret: f.ret, params: f.params.len(), span: f.span, index };
+                    // A call by that name would never reach the definition.
+                    if Builtin::named(&f.name).is_some() {
+                        self.diags
+                            .error(f.span, format!("function `{}` redefines a builtin", f.name));
+                    } else if self.funcs.insert(f.name.clone(), sig).is_some() {
                         self.diags
                             .error(f.span, format!("function `{}` redefined", f.name));
                     }
@@ -502,7 +531,8 @@ impl<'a> Checker<'a> {
         for name in idxs {
             match self.lookup_index_set(name) {
                 Some(id) => {
-                    scope.insert(self.sets[id].elem.clone(), (Ref::Elem(id as u32), Denotes::Elem));
+                    let what = Denotes::Elem { axis: self.nest.axes + sets.len() };
+                    scope.insert(self.sets[id].elem.clone(), (Ref::Elem(id as u32), what));
                     sets.push(id);
                 }
                 None => self.diags.error(span, format!("unknown index set `{name}`{whose}")),
@@ -656,9 +686,9 @@ impl<'a> Checker<'a> {
 
     fn check_stmt(&mut self, s: &mut Stmt) {
         match s {
-            Stmt::Expr(e) => {
-                self.check_expr(e);
-            }
+            // `swap` is a statement: only here is a call to it not a value.
+            Stmt::Expr(e @ Expr::Call { .. }) => _ = self.check_call(e, true),
+            Stmt::Expr(e) => _ = self.check_expr(e),
             Stmt::Decl(v) => self.declare_local(v),
             Stmt::IndexSets(defs) => {
                 for def in defs {
@@ -738,6 +768,7 @@ impl<'a> Checker<'a> {
             construct: true,
             loops: 0,
             depth: outer.depth + parallel as usize,
+            axes: outer.axes + if parallel { uc.sets.len() } else { 0 },
         };
         for arm in &mut uc.arms {
             if let Some(p) = &mut arm.pred {
@@ -802,11 +833,22 @@ impl<'a> Checker<'a> {
 
     fn collect_solve_targets(&mut self, s: &Stmt, star: bool, out: &mut Vec<String>) {
         match s {
-            Stmt::Expr(Expr::Assign { target, op, .. }) => {
+            Stmt::Expr(Expr::Assign { target, op, value, .. }) => {
                 if op.is_some() && !star {
                     self.diags.error(
                         s.span().unwrap_or_default(),
                         "solve assignments must be plain `=` (single assignment)",
+                    );
+                }
+                // An assignment runs once every array element its right-hand
+                // side reads is defined; a nested store or fold has no such
+                // reading. `*solve` iterates to a fixed point instead.
+                let nests = value.any(&mut |x| matches!(x, Expr::Assign { .. } | Expr::Reduce(_)));
+                if nests && !star {
+                    self.diags.error(
+                        value.span(),
+                        "a `solve` right-hand side cannot contain an assignment or a \
+                         reduction (use `*solve`)",
                     );
                 }
                 match target.as_ref() {
@@ -853,13 +895,25 @@ impl<'a> Checker<'a> {
         self.define_ids.get(name).map(|&id| (Ref::Const(id), Denotes::Const))
     }
 
-    /// Resolve the target of a store — an assignment's left-hand side or
-    /// a `swap` operand — reporting whatever cannot be stored to.
-    fn check_store_target(&mut self, name: &mut Name, span: Span) -> Option<Type> {
+    /// Resolve the target of a store of a `value` of that rank — an
+    /// assignment's left-hand side or a `swap` operand — reporting whatever
+    /// cannot be stored to or hold it. Returns the variable's type and rank.
+    fn check_store_target(
+        &mut self,
+        name: &mut Name,
+        span: Span,
+        value: Rank,
+    ) -> Option<(Type, Rank)> {
         let what = self.lookup(&name.text);
         let problem = match what {
             Some((to, Denotes::Scalar { ty, depth, read_only: false })) => {
                 name.to = to;
+                if depth == 0 && value == Rank::Parallel {
+                    // A global or register local is one front-end value.
+                    let what = "cannot store a parallel value to front-end scalar";
+                    let hint = "combine the values with a reduction first";
+                    self.diags.error(span, format!("{what} `{name}` ({hint})"));
+                }
                 // A per-processor local (declared inside a parallel
                 // construct) has one value per point of the space it was
                 // declared on: a store from a construct or reduction
@@ -871,10 +925,10 @@ impl<'a> Checker<'a> {
                         format!("cannot assign to `{name}` from a more deeply nested construct"),
                     );
                 }
-                return Some(ty);
+                return Some((ty, if depth > 0 { Rank::Parallel } else { Rank::Scalar }));
             }
             Some((_, Denotes::Const)) => format!("cannot assign to constant `{name}`"),
-            Some((_, Denotes::Elem | Denotes::Scalar { .. })) => {
+            Some((_, Denotes::Elem { .. } | Denotes::Scalar { .. })) => {
                 format!("cannot assign to index element `{name}` (read-only)")
             }
             Some(_) => format!("`{name}` cannot be assigned directly"),
@@ -888,12 +942,11 @@ impl<'a> Checker<'a> {
     /// interned by canonical form, so two accesses get one id iff they
     /// denote the same thing.
     fn intern_access(&mut self, base: Ref, subs: &[Expr]) -> AccessId {
-        let func = self.func_infos.len() as u32;
-        let mut key = Vec::with_capacity(24);
-        canon_ref(base, func, &mut key);
+        let mut key = Vec::with_capacity(32);
+        self.canon_ref(base, &mut key);
         key.extend((subs.len() as u32).to_le_bytes());
         for sub in subs {
-            canon(sub, func, &mut key);
+            self.canon(sub, &mut key);
         }
         if let Some(&id) = self.access_ids.get(&key) {
             return id;
@@ -904,8 +957,9 @@ impl<'a> Checker<'a> {
             sub.walk(&mut |e| match e {
                 Expr::Index { base, .. } => arrays.push(base.to),
                 Expr::Assign { .. } | Expr::Reduce(_) => cacheable = false,
-                Expr::Call { name, .. } => {
-                    cacheable &= matches!(name.as_str(), "power2" | "abs" | "ABS" | "min" | "max")
+                // `rand()` draws anew each time; a user call may do anything.
+                Expr::Call { callee, .. } => {
+                    cacheable &= matches!(callee, Callee::Builtin(b) if *b != Builtin::Rand)
                 }
                 _ => {}
             });
@@ -916,19 +970,24 @@ impl<'a> Checker<'a> {
         id
     }
 
-    fn check_expr(&mut self, e: &mut Expr) -> ExprTy {
+    fn check_expr(&mut self, e: &mut Expr) -> (ExprTy, Rank) {
+        // The rank of what is parallel wherever an iteration space is open.
+        let here = if self.nest.depth > 0 { Rank::Parallel } else { Rank::Scalar };
         match e {
-            Expr::IntLit(..) => ExprTy::Int,
-            Expr::FloatLit(..) => ExprTy::Float,
-            Expr::Inf(_) => ExprTy::Int,
+            Expr::IntLit(..) | Expr::Inf(_) => (ExprTy::Int, Rank::Scalar),
+            Expr::FloatLit(..) => (ExprTy::Float, Rank::Scalar),
             Expr::Ident(name, span) => {
                 let Some((to, what)) = self.lookup(&name.text) else {
                     self.diags.error(*span, format!("unknown identifier `{name}`"));
-                    return ExprTy::Int;
+                    return (ExprTy::Int, Rank::Scalar);
                 };
                 name.to = to;
-                match what {
-                    Denotes::Elem | Denotes::Const => ExprTy::Int,
+                let rank = match what {
+                    Denotes::Elem { .. } | Denotes::Scalar { depth: 1.., .. } => Rank::Parallel,
+                    _ => Rank::Scalar,
+                };
+                let ty = match what {
+                    Denotes::Elem { .. } | Denotes::Const => ExprTy::Int,
                     Denotes::Scalar { ty, .. } => ExprTy::of(ty),
                     Denotes::Array { .. } => {
                         self.diags.error(
@@ -944,7 +1003,8 @@ impl<'a> Checker<'a> {
                         );
                         ExprTy::Int
                     }
-                }
+                };
+                (ty, rank)
             }
             Expr::Index { base, subs, span, access } => {
                 let ty = match self.lookup(&base.text) {
@@ -972,69 +1032,18 @@ impl<'a> Checker<'a> {
                     }
                 };
                 for sub in subs.iter_mut() {
-                    let t = self.check_expr(sub);
-                    if !t.int_like() {
+                    if !self.check_expr(sub).0.int_like() {
                         self.diags
                             .error(sub.span(), "array subscripts must be integers");
                     }
                 }
                 *access = self.intern_access(base.to, subs);
-                ty
+                (ty, here)
             }
-            Expr::Call { name, args, span } => {
-                for a in args.iter_mut() {
-                    self.check_expr(a);
-                }
-                if let Some(sig) = stdlib::builtin(name) {
-                    if args.len() != sig.arity {
-                        self.diags.error(
-                            *span,
-                            format!(
-                                "builtin `{name}` takes {} argument(s), got {}",
-                                sig.arity,
-                                args.len()
-                            ),
-                        );
-                    }
-                    if name == "swap" {
-                        for a in args.iter_mut() {
-                            match a {
-                                Expr::Ident(name, span) => {
-                                    self.check_store_target(name, *span);
-                                }
-                                Expr::Index { .. } => {}
-                                _ => self.diags.error(
-                                    a.span(),
-                                    "swap arguments must be variables or array elements",
-                                ),
-                            }
-                        }
-                    }
-                    return sig.ret;
-                }
-                match self.funcs.get(name) {
-                    Some(f) => {
-                        if f.params != args.len() {
-                            self.diags.error(
-                                *span,
-                                format!(
-                                    "function `{name}` takes {} argument(s), got {}",
-                                    f.params,
-                                    args.len()
-                                ),
-                            );
-                        }
-                        ExprTy::of(f.ret)
-                    }
-                    None => {
-                        self.diags.error(*span, format!("unknown function `{name}`"));
-                        ExprTy::Int
-                    }
-                }
-            }
+            Expr::Call { .. } => self.check_call(e, false),
             Expr::Unary { op, expr, span } => {
-                let t = self.check_expr(expr);
-                match op {
+                let (t, rank) = self.check_expr(expr);
+                let ty = match op {
                     UnaryOp::Neg => {
                         if !t.is_numeric() {
                             self.diags.error(*span, "negation needs a numeric operand");
@@ -1048,13 +1057,14 @@ impl<'a> Checker<'a> {
                         }
                         ExprTy::Int
                     }
-                }
+                };
+                (ty, rank)
             }
             Expr::Binary { op, lhs, rhs, span } => {
-                let lt = self.check_expr(lhs);
-                let rt = self.check_expr(rhs);
+                let (lt, lrank) = self.check_expr(lhs);
+                let (rt, rrank) = self.check_expr(rhs);
                 use BinaryOp::*;
-                match op {
+                let ty = match op {
                     Mod | Shl | Shr | BitAnd | BitOr | BitXor => {
                         if !lt.int_like() || !rt.int_like() {
                             self.diags.error(
@@ -1066,69 +1076,110 @@ impl<'a> Checker<'a> {
                     }
                     Lt | Le | Gt | Ge | Eq | Ne => ExprTy::Bool,
                     LogAnd | LogOr => ExprTy::Bool,
-                    Add | Sub | Mul | Div => {
-                        if lt == ExprTy::Float || rt == ExprTy::Float {
-                            ExprTy::Float
-                        } else {
-                            ExprTy::Int
-                        }
-                    }
-                }
+                    Add | Sub | Mul | Div => lt.join(rt),
+                };
+                (ty, lrank.max(rrank))
             }
             Expr::Ternary { cond, then_e, else_e, .. } => {
                 self.check_expr(cond);
-                let t = self.check_expr(then_e);
-                let f = self.check_expr(else_e);
-                if t == ExprTy::Float || f == ExprTy::Float {
-                    ExprTy::Float
-                } else {
-                    ExprTy::Int
-                }
+                let (t, _) = self.check_expr(then_e);
+                let (f, _) = self.check_expr(else_e);
+                (t.join(f), here)
             }
-            Expr::Assign { target, value, span, .. } => {
-                let vt = self.check_expr(value);
-                match target.as_mut() {
-                    Expr::Ident(name, tspan) => match self.check_store_target(name, *tspan) {
-                        Some(t) => {
-                            if ExprTy::of(t) == ExprTy::Int && vt == ExprTy::Float {
-                                self.diags.warning(
-                                    *span,
-                                    "float value truncated in assignment to int",
-                                );
-                            }
-                            ExprTy::of(t)
+            Expr::Assign { target, op, value, span } => {
+                let (vt, vrank) = self.check_expr(value);
+                let (tt, trank) = match target.as_mut() {
+                    Expr::Ident(name, tspan) => {
+                        match self.check_store_target(name, *tspan, vrank) {
+                            Some((t, rank)) => (ExprTy::of(t), rank),
+                            None => return (ExprTy::Int, vrank),
                         }
-                        None => ExprTy::Int,
-                    },
-                    Expr::Index { .. } => {
-                        let tt = self.check_expr(target);
-                        if tt == ExprTy::Int && vt == ExprTy::Float {
-                            self.diags.warning(
-                                *span,
-                                "float value truncated in assignment to int",
-                            );
-                        }
-                        tt
                     }
+                    Expr::Index { .. } => self.check_expr(target),
                     _ => unreachable!("parser enforces lvalue targets"),
+                };
+                if tt == ExprTy::Int && vt == ExprTy::Float {
+                    self.diags
+                        .warning(*span, "float value truncated in assignment to int");
                 }
+                // The value of an assignment is what it stored: `op=`
+                // combines the target's old value with the right-hand side.
+                (tt, if op.is_some() { trank.max(vrank) } else { vrank })
             }
-            Expr::Reduce(r) => self.check_reduce(r),
+            Expr::Reduce(r) => (self.check_reduce(r), here),
         }
+    }
+
+    /// A call, resolved to what it calls. Only `as_stmt` — as the whole of
+    /// an expression statement — may it be to `swap`.
+    fn check_call(&mut self, call: &mut Expr, as_stmt: bool) -> (ExprTy, Rank) {
+        let Expr::Call { name, callee, args, span } = call else { unreachable!("not a call") };
+        let (tys, ranks): (Vec<_>, Vec<_>) = args.iter_mut().map(|a| self.check_expr(a)).unzip();
+        let (what, takes, ty) = match *callee {
+            Callee::Builtin(b) => ("builtin", b.arity(), b.result(&tys)),
+            _ => match self.funcs.get(&**name) {
+                Some(f) => {
+                    *callee = Callee::Func(f.index);
+                    ("function", f.params, ExprTy::of(f.ret))
+                }
+                None => {
+                    self.diags.error(*span, format!("unknown function `{name}`"));
+                    return (ExprTy::Int, Rank::Scalar);
+                }
+            },
+        };
+        if takes != args.len() {
+            let got = args.len();
+            self.diags.error(*span, format!("{what} `{name}` takes {takes} argument(s), got {got}"));
+        }
+        let rank = match *callee {
+            Callee::Builtin(Builtin::Swap) => {
+                if !as_stmt {
+                    self.diags.error(*span, "`swap` is a statement: it has no value");
+                }
+                // Each operand is stored the other's value.
+                for (k, a) in args.iter_mut().enumerate() {
+                    let other = ranks.get(k ^ 1).copied().unwrap_or(Rank::Scalar);
+                    match a {
+                        Expr::Ident(name, span) => {
+                            self.check_store_target(name, *span, other);
+                        }
+                        Expr::Index { .. } => {}
+                        _ => self.diags.error(
+                            a.span(),
+                            "swap arguments must be variables or array elements",
+                        ),
+                    }
+                }
+                Rank::Scalar
+            }
+            Callee::Builtin(Builtin::Rand) if self.nest.depth > 0 => Rank::Parallel,
+            Callee::Builtin(_) => ranks.iter().copied().max().unwrap_or(Rank::Scalar),
+            // A user function runs on the front end, once, also when called
+            // from a parallel construct.
+            _ => {
+                for (a, _) in args.iter().zip(&ranks).filter(|(_, &rank)| rank == Rank::Parallel) {
+                    let why = "(user functions run on the front end)";
+                    self.diags
+                        .error(a.span(), format!("a parallel value is passed to `{name}` {why}"));
+                }
+                Rank::Scalar
+            }
+        };
+        (ty, rank)
     }
 
     fn check_reduce(&mut self, r: &mut ReduceExpr) -> ExprTy {
         r.sets = self.bind_sets(&r.idxs, r.span, " in reduction");
+        let outer = self.nest;
         self.nest.depth += 1;
+        self.nest.axes += r.sets.len();
         let mut ty = ExprTy::Int;
         for (pred, operand) in &mut r.arms {
             if let Some(p) = pred {
                 self.check_expr(p);
             }
-            let t = self.check_expr(operand);
-            if t == ExprTy::Float {
-                ty = ExprTy::Float;
-            }
+            ty = ty.join(self.check_expr(operand).0);
         }
         if let Some(o) = &mut r.others {
             if r.arms.iter().all(|(p, _)| p.is_none()) {
@@ -1137,83 +1188,92 @@ impl<'a> Checker<'a> {
                     "`others` in a reduction requires an `st`-guarded operand before it",
                 );
             }
-            let t = self.check_expr(o);
-            if t == ExprTy::Float {
-                ty = ExprTy::Float;
-            }
+            ty = ty.join(self.check_expr(o).0);
         }
         use crate::token::RedOpToken as R;
         if matches!(r.op, R::And | R::Or | R::Xor) {
             ty = ExprTy::Int;
         }
-        self.nest.depth -= 1;
+        self.nest = outer;
         self.scopes.pop();
         ty
     }
-}
 
-/// Append the canonical form of a resolved expression of function `func`:
-/// equal for two expressions iff they are structurally equal once every
-/// identifier is replaced by what it denotes (spans and spellings do not
-/// count; a nested access contributes its id). Every node writes a tag
-/// that fixes how many children follow, so the encoding is prefix-free.
-fn canon(e: &Expr, func: u32, out: &mut Vec<u8>) {
-    match e {
-        Expr::IntLit(v, _) => {
-            out.push(b'i');
-            out.extend(v.to_le_bytes());
-        }
-        Expr::FloatLit(v, _) => {
-            out.push(b'f');
-            out.extend(v.to_bits().to_le_bytes());
-        }
-        Expr::Inf(_) => out.push(b'I'),
-        Expr::Ident(n, _) => canon_ref(n.to, func, out),
-        Expr::Index { access, .. } => {
-            out.push(b'a');
-            out.extend(access.to_le_bytes());
-            return;
-        }
-        Expr::Call { name, args, .. } => {
-            out.push(b'c');
-            out.extend((name.len() as u32).to_le_bytes());
-            out.extend(name.as_bytes());
-            out.extend((args.len() as u32).to_le_bytes());
-        }
-        Expr::Unary { op, .. } => out.extend([b'u', *op as u8]),
-        Expr::Binary { op, .. } => out.extend([b'b', *op as u8]),
-        Expr::Ternary { .. } => out.push(b't'),
-        Expr::Assign { op, .. } => out.extend([b'=', op.map_or(u8::MAX, |o| o as u8)]),
-        Expr::Reduce(r) => {
-            out.extend([b'r', r.op as u8, r.others.is_some() as u8]);
-            out.extend((r.sets.len() as u32).to_le_bytes());
-            for &set in &r.sets {
-                out.extend((set as u32).to_le_bytes());
+    /// Append the canonical form of a resolved expression of the function
+    /// being checked: equal for two expressions iff they are structurally
+    /// equal once every identifier is replaced by what it denotes (spans
+    /// and spellings do not count; a nested access contributes its id).
+    /// Every node writes a tag that fixes how many children follow, so the
+    /// encoding is prefix-free.
+    fn canon(&self, e: &Expr, out: &mut Vec<u8>) {
+        match e {
+            Expr::IntLit(v, _) => {
+                out.push(b'i');
+                out.extend(v.to_le_bytes());
             }
-            out.extend((r.arms.len() as u32).to_le_bytes());
-            out.extend(r.arms.iter().map(|(pred, _)| pred.is_some() as u8));
+            Expr::FloatLit(v, _) => {
+                out.push(b'f');
+                out.extend(v.to_bits().to_le_bytes());
+            }
+            Expr::Inf(_) => out.push(b'I'),
+            Expr::Ident(n, _) => self.canon_ref(n.to, out),
+            Expr::Index { access, .. } => {
+                out.push(b'a');
+                out.extend(access.to_le_bytes());
+                return;
+            }
+            Expr::Call { callee, args, .. } => {
+                let (tag, id) = match *callee {
+                    Callee::Unresolved => (b'?', 0),
+                    Callee::Builtin(b) => (b'c', b as u32),
+                    Callee::Func(f) => (b'F', f),
+                };
+                out.push(tag);
+                out.extend([id, args.len() as u32].iter().flat_map(|v| v.to_le_bytes()));
+            }
+            Expr::Unary { op, .. } => out.extend([b'u', *op as u8]),
+            Expr::Binary { op, .. } => out.extend([b'b', *op as u8]),
+            Expr::Ternary { .. } => out.push(b't'),
+            Expr::Assign { op, .. } => out.extend([b'=', op.map_or(u8::MAX, |o| o as u8)]),
+            Expr::Reduce(r) => {
+                out.extend([b'r', r.op as u8, r.others.is_some() as u8]);
+                out.extend((r.sets.len() as u32).to_le_bytes());
+                for &set in &r.sets {
+                    out.extend((set as u32).to_le_bytes());
+                }
+                out.extend((r.arms.len() as u32).to_le_bytes());
+                out.extend(r.arms.iter().map(|(pred, _)| pred.is_some() as u8));
+            }
         }
+        e.for_each_child(|c| self.canon(c, out));
     }
-    e.for_each_child(|c| canon(c, func, out));
-}
 
-/// A local is its function's; every other reference is the program's.
-fn canon_ref(r: Ref, func: u32, out: &mut Vec<u8>) {
-    let (tag, id) = match r {
-        Ref::Unresolved => (b'?', 0),
-        Ref::Const(id) => (b'C', id),
-        Ref::Global(id) => (b'G', id),
-        Ref::Elem(id) => (b'E', id),
-        Ref::Array(id) => (b'A', id),
-        Ref::Local(id) => {
-            out.push(b'L');
-            out.extend(func.to_le_bytes());
-            out.extend(id.to_le_bytes());
-            return;
-        }
-    };
-    out.push(tag);
-    out.extend(id.to_le_bytes());
+    /// A local is its function's. An element is its set's along one axis
+    /// of the open space: a set bound by a construct and again by a
+    /// reduction under it names two elements — whose gathers the executor
+    /// caches on one VP set when the extents agree — while reductions that
+    /// bind it on the same axis share theirs. Every other reference is the
+    /// program's.
+    fn canon_ref(&self, r: Ref, out: &mut Vec<u8>) {
+        let (tag, id, of) = match r {
+            Ref::Unresolved => (b'?', 0, 0),
+            Ref::Const(id) => (b'C', id, 0),
+            Ref::Global(id) => (b'G', id, 0),
+            Ref::Array(id) => (b'A', id, 0),
+            Ref::Local(id) => (b'L', id, self.func_infos.len() as u32),
+            Ref::Elem(id) => match self.lookup(&self.sets[id as usize].elem) {
+                Some((Ref::Elem(set), Denotes::Elem { axis })) if set == id => {
+                    (b'E', id, axis as u32)
+                }
+                // Bound by a reduction inside the subscript being interned
+                // (its scope is closed): such an access is never cached.
+                _ => (b'E', id, u32::MAX),
+            },
+        };
+        out.push(tag);
+        out.extend(id.to_le_bytes());
+        out.extend(of.to_le_bytes());
+    }
 }
 
 impl<'a> Checker<'a> {
@@ -1331,7 +1391,7 @@ mod tests {
     /// Every identifier and array base of `main`, with what it denotes.
     fn refs_of_main(c: &Checked) -> Vec<(String, Ref)> {
         let mut out = Vec::new();
-        for s in &c.func("main").unwrap().body.stmts {
+        for s in &c.funcs_in_order().nth(c.main).unwrap().body.stmts {
             s.for_each_expr(&mut |e| {
                 e.walk(&mut |x| {
                     if let Expr::Ident(n, _) | Expr::Index { base: n, .. } = x {
@@ -1410,6 +1470,35 @@ mod tests {
         assert_eq!((info.arrays.as_slice(), info.cacheable), (&[Ref::Array(0)][..], true));
     }
 
+    /// An element is its set's *along one axis*: the outer `i` and a
+    /// reduction's `i` are two elements, as are `j` bound second and
+    /// bound third, while two reductions binding `j` on one axis agree.
+    #[test]
+    fn accesses_tell_one_set_bound_on_two_axes_apart() {
+        let c = check_ok(
+            "index_set I:i = {0..3}, J:j = I, K:k = I;\nint a[4], s[4];\n\
+             main() {\n\
+               par (I) st ($+(J; a[i]) > 0) s[i] = $+(I; a[i]);\n\
+               par (I) st ($+(J; a[j]) > 0) s[i] = $+(J; a[j]);\n\
+               par (I) st ($+(J, K; a[j]) > 0) { par (K, J) s[j] = a[j]; }\n\
+             }",
+        );
+        let mut ids = Vec::new();
+        for s in &c.funcs_in_order().next().unwrap().body.stmts {
+            s.for_each_expr(&mut |e| {
+                e.walk(&mut |x| match x {
+                    Expr::Index { base, access, .. } if &*base.text == "a" => ids.push(*access),
+                    _ => {}
+                })
+            });
+        }
+        let [outer_i, inner_i, j1, j2, j_second, j_third] = ids[..] else { panic!("{ids:?}") };
+        assert_ne!(outer_i, inner_i);
+        assert_eq!(j1, j2);
+        assert_eq!(j1, j_second);
+        assert_ne!(j_second, j_third);
+    }
+
     #[test]
     fn elements_not_visible_outside() {
         let msg = check_err(
@@ -1484,11 +1573,23 @@ mod tests {
 
     #[test]
     fn float_truncation_warns_but_compiles() {
-        let mut d = Diagnostics::default();
-        let unit = parse("int x;\nmain() { x = 1.5; }", &mut d).unwrap();
-        assert!(check(unit, &mut d).is_some());
-        assert!(!d.has_errors());
-        assert!(d.to_string().contains("truncated"));
+        // A builtin's type follows its operands, as its value does.
+        for (stmt, warns) in [
+            ("x = 1.5;", true),
+            ("x = f;", true),
+            ("x = abs(f);", true),
+            ("x = min(f, 1);", true),
+            ("x = max(2, f);", true),
+            ("x = abs(x) + min(x, 1 < 2);", false),
+            ("x = power2(f);", false),
+        ] {
+            let mut d = Diagnostics::default();
+            let unit = parse(&format!("int x;\nfloat f;\nmain() {{ {stmt} }}"), &mut d).unwrap();
+            assert!(check(unit, &mut d).is_some(), "{stmt}: {d}");
+            assert_eq!(d.to_string().contains("truncated"), warns, "{stmt}: {d}");
+        }
+        let msg = check_err("int a[4];\nfloat f;\nmain() { a[max(f, 0.5)] = 1; }");
+        assert!(msg.contains("subscripts must be integers"), "{msg}");
     }
 
     #[test]
@@ -1501,6 +1602,40 @@ mod tests {
     fn function_redefinition() {
         let msg = check_err("main() {}\nmain() {}");
         assert!(msg.contains("redefined"));
+        let msg = check_err("int s;\nint abs(int x) { return 7; }\nmain() { s = abs(0-3); }");
+        assert!(msg.contains("function `abs` redefines a builtin at 2:5"), "{msg}");
+    }
+
+    #[test]
+    fn every_call_carries_what_it_calls() {
+        let c = check_ok(
+            "int s;\nint g(int n) { return ABS(n); }\nint f(int n) { return g(n) + f(min(n, 0)); }\n\
+             main() { s = f(rand()); }",
+        );
+        let mut callees = Vec::new();
+        for f in c.funcs_in_order() {
+            for s in &f.body.stmts {
+                s.for_each_expr(&mut |e| {
+                    e.walk(&mut |x| {
+                        if let Expr::Call { name, callee, .. } = x {
+                            callees.push((&**name, *callee));
+                        }
+                    })
+                });
+            }
+        }
+        assert_eq!(c.main, 2);
+        assert_eq!(
+            callees,
+            [
+                ("ABS", Callee::Builtin(Builtin::Abs)),
+                ("g", Callee::Func(0)),
+                ("f", Callee::Func(1)),
+                ("min", Callee::Builtin(Builtin::Min)),
+                ("f", Callee::Func(1)),
+                ("rand", Callee::Builtin(Builtin::Rand)),
+            ]
+        );
     }
 
     #[test]

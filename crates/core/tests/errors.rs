@@ -134,13 +134,36 @@ fn overflowing_constants_are_diagnostics() {
     }
 }
 
-/// Facts that are lexical or constant, so `uc check` reports them
+/// Facts that are lexical, constant or a matter of rank (front-end scalar
+/// or one value per virtual processor), so `uc check` reports them
 /// instead of `uc run` discovering them: both entry points give the same
 /// spanned diagnostic, and legal neighbours of each still compile.
 #[test]
 fn what_cannot_run_is_a_compile_error() {
-    let prelude = "index_set I:i = {0..3}, J:j = I;\nint a[4], s;\n";
+    let prelude = "index_set I:i = {0..3}, J:j = I;\n\
+                   int a[4], b[4], s, x; int f(int n) { return n + 1; }\n";
+    let to_scalar = |name: &str| {
+        format!("cannot store a parallel value to front-end scalar `{name}` (combine the values")
+    };
+    let to_f = "a parallel value is passed to `f` (user functions run on the front end)";
+    let in_solve = "a `solve` right-hand side cannot contain an assignment or a reduction";
     for (body, expected, at) in [
+        // A front-end scalar holds one value: an element, a per-processor
+        // local, an array read and a nested reduction each have one per
+        // virtual processor, whatever the guard.
+        ("par (I) s = i;", &*to_scalar("s"), "3:18"),
+        ("par (I) { int k; k = i; s = k; }", &*to_scalar("s"), "3:34"),
+        ("par (I) s = a[0];", &*to_scalar("s"), "3:18"),
+        ("par (I) st (i == 0) s = $+(I; a[i]);", &*to_scalar("s"), "3:30"),
+        ("par (I) s += i;", &*to_scalar("s"), "3:18"),
+        ("par (I) swap(s, a[i]);", &*to_scalar("s"), "3:23"),
+        ("par (I) swap(a[i], x);", &*to_scalar("x"), "3:29"),
+        // A user function runs once, on the front end.
+        ("par (I) a[i] = f(i);", to_f, "3:27"),
+        ("par (I) a[i] = f(s) + f(rand());", to_f, "3:34"),
+        ("x = swap(a[0], a[1]);", "`swap` is a statement: it has no value", "3:14"),
+        ("solve (I) a[i] = $+(J; b[j]);", in_solve, "3:27"),
+        ("solve (I) a[i] = (b[i] = 1);", in_solve, "3:33"),
         ("int t[0];", "array extent must be positive, got 0", "3:16"),
         (
             "par (I) { int t[2]; a[i] = 1; }",
@@ -200,10 +223,70 @@ fn what_cannot_run_is_a_compile_error() {
         // A front-end local is one scalar wherever it is assigned from.
         "int n; n = 0; par (I) n = 1;",
         "*solve (I) a[i] = a[i] / 2;",
+        // Front-end values stay front-end values inside a construct...
+        "par (I) a[i] = f(s);",
+        "par (I) st (a[i] > 1) a[i] = f(2);",
+        "par (I) s = 3;",
+        "par (I) { int k; k = i; s = (a[i] = 3); x = (k = 4); }",
+        // ...and outside every construct a reduction folds to one.
+        "s = $+(I; a[i]);",
+        "s = f($+(I; a[i]) + a[0]);",
+        "*solve (I) a[i] = min(a[i], $<(J; a[j]));",
     ] {
         let src = format!("{prelude}main() {{ {body} }}");
         Program::compile(&src).unwrap_or_else(|d| panic!("{body}: {d}"));
     }
+}
+
+/// Sema keeps going: five unrelated rank and call-shape errors in one
+/// `main` are five spanned diagnostics, from both entry points.
+#[test]
+fn independent_errors_yield_one_diagnostic_each() {
+    let src = "index_set I:i = {0..3}, J:j = I;\n\
+               int a[4], s, x; int f(int n) { return n + 1; }\n\
+               main() { par (I) s = f(i); x = swap(s, x) + 1; solve (I) a[i] = $+(J; a[j]); \
+               par (J) { int k; k = j; x = k; } par (I) swap(a[i], s); }";
+    let at = ["3:24", "3:32", "3:65", "3:102", "3:130"];
+    let compiled = compile_err(src);
+    let checked = check_source(src, &[], &LintConfig::default());
+    assert_eq!(checked.items.len(), at.len(), "{checked}");
+    for (d, at) in checked.items.iter().zip(at) {
+        assert_eq!(d.severity, uc_core::Severity::Error, "{d}");
+        assert_eq!(d.span.to_string(), at, "{d}");
+        assert!(compiled.contains(&d.to_string()), "{d} is not among\n{compiled}");
+    }
+}
+
+/// A builtin's name is taken: a definition could never be called.
+#[test]
+fn a_function_named_like_a_builtin_is_rejected() {
+    let src = "int s;\nint abs(int x) { return 7; }\nmain() { s = abs(0-3); }";
+    let expected = "function `abs` redefines a builtin";
+    let msg = compile_err(src);
+    assert!(msg.contains(expected) && msg.contains("2:5"), "{msg}");
+    let msg = check_source(src, &[], &LintConfig::default()).to_string();
+    assert!(msg.contains(expected) && msg.contains("2:5"), "{msg}");
+}
+
+/// `abs`, `min` and `max` have their operands' type, as at run time: a
+/// float one truncates into an int (a warning, like `n = f;`) and is no
+/// subscript.
+#[test]
+fn builtin_results_are_typed_by_their_operands() {
+    let prelude = "int n, a[4];\nfloat f;\n";
+    for stmt in ["n = abs(f);", "n = min(f, 1);"] {
+        let src = format!("{prelude}main() {{ {stmt} }}");
+        let checked = check_source(&src, &[], &LintConfig::default());
+        assert!(!checked.has_errors(), "{stmt}: {checked}");
+        assert!(checked.to_string().contains("float value truncated"), "{stmt}: {checked}");
+    }
+    let msg = compile_err(&format!("{prelude}main() {{ a[max(f, 0.5)] = 1; }}"));
+    assert!(msg.contains("array subscripts must be integers") && msg.contains("3:12"), "{msg}");
+    // The values were always the operands': 2.5 truncates on the store only.
+    let mut p = Program::compile("float f;\nint n;\nmain() { f = 0 - 2.5; f = abs(f) * 2; n = f; }")
+        .unwrap_or_else(|d| panic!("{d}"));
+    p.run().unwrap();
+    assert_eq!(p.read_int("n"), Some(5));
 }
 
 // ---- runtime ----------------------------------------------------------------
@@ -355,19 +438,6 @@ fn register_file_overflow_is_a_compile_error() {
     let msg = compile_err(&src);
     assert!(msg.contains("function `huge` needs more than 65535 registers"), "{msg}");
     assert!(!msg.contains("`main`"), "{msg}");
-}
-
-#[test]
-fn scalar_assigned_parallel_value_rejected() {
-    let err = runtime_err(
-        r#"
-        #define N 4
-        index_set I:i = {0..N-1};
-        int s;
-        main() { par (I) s = i; }
-        "#,
-    );
-    assert!(matches!(err, RuntimeError::NotSupported(_)), "{err}");
 }
 
 #[test]

@@ -544,6 +544,30 @@ fn sibling_reductions_sharing_an_element_spelling_each_read_their_own_set() {
     assert_eq!(shadowed.cycles(), apart.cycles());
 }
 
+/// The per-step gather cache tells one set bound on two axes apart: the
+/// predicate's `a[i]` reads the `par`'s `i`, the body's the reduction's,
+/// though both run on a 4×4 space; likewise `j` bound second of three
+/// axes and third. Two reductions that bind `j` on the same axis still
+/// share one gather (the cycles are the parent commit's).
+#[test]
+fn one_set_bound_on_two_axes_is_two_elements_to_the_gather_cache() {
+    let prelude = "index_set I:i = {0..3}, J:j = {0..3}, K:k = {0..3};\nint a[4], s[4], t[4][4][4];";
+    let mut p = run(&format!(
+        "{prelude}\nmain() {{ par (I) a[i] = i + 1;\n\
+         par (I) st ($+(J; a[i]) > 0) s[i] = $+(I; a[i]);\n\
+         par (I) st ($+(J, K; a[j]) > 0) {{ par (K, J) t[i][k][j] = a[j]; }} }}"
+    ));
+    assert_eq!(p.read_int_array("s").unwrap(), [10; 4]);
+    let t: Vec<i64> = (0..64).map(|at| at % 4 + 1).collect();
+    assert_eq!(p.read_int_array("t").unwrap(), t);
+    let mut shared = run(&format!(
+        "{prelude}\nmain() {{ par (I) a[i] = i + 1;\n\
+         par (I) st ($+(J; a[j]) > 0) s[i] = $+(J; a[j]); }}"
+    ));
+    assert_eq!(shared.read_int_array("s").unwrap(), [10; 4]);
+    assert_eq!(shared.cycles(), 3720);
+}
+
 /// A local declared in an inner block shadows the enclosing `par`'s
 /// element for reads as it does for stores.
 #[test]

@@ -133,8 +133,8 @@ fn max_depth_flag_reports_a_call_stack() {
 /// A program with one deliberate UC101 race for the lint-flag tests.
 const RACY: &str = r#"
     index_set I:i = {0..7};
-    int s;
-    main() { par (I) s = i; }
+    int a[8];
+    main() { par (I) a[0] = i; }
 "#;
 
 #[test]

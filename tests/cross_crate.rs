@@ -8,7 +8,8 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use support::{
-    effectful_expr, name_nest, nest, NameModel, NameStmt, Nest, ScopeModel, POOL, SETS, VARS,
+    effectful_expr, name_nest, nest, rank_case, NameModel, NameStmt, Nest, Operand, RankStmt,
+    ScopeModel, Target, POOL, SETS, VARS,
 };
 use uc::cstar::programs;
 use uc::lang::analysis::{check_source, LintConfig};
@@ -291,6 +292,80 @@ proptest! {
             .filter(|d| matches!(d.code, Some("UC101" | "UC130" | "UC131")))
             .collect();
         prop_assert!(named.is_empty(), "{}\n{:?}", m.src, named);
+    }
+}
+
+/// The rank rule in plain Rust, sharing no code with sema: is `v` one
+/// value per virtual processor where `depth` iteration spaces are open?
+fn parallel(v: &Operand, depth: usize) -> bool {
+    use Operand::*;
+    depth > 0
+        && match v {
+            Lit | Global | Reg | Call(_) => false,
+            PerVp | Outer | Elem(_) | ReadConst | ReadElem(_) | Rand | Reduce(_) | Cond(_) => true,
+            Abs(x) | Plus(x) => parallel(x, depth),
+        }
+}
+
+/// No user function is handed a parallel value (a reduction's operand
+/// sits one space deeper).
+fn calls_legal(v: &Operand, depth: usize) -> bool {
+    use Operand::*;
+    match v {
+        Call(x) => !parallel(x, depth) && calls_legal(x, depth),
+        Reduce(x) => calls_legal(x, depth + 1),
+        Abs(x) | Plus(x) | Cond(x) => calls_legal(x, depth),
+        _ => true,
+    }
+}
+
+/// A global or register local takes only a front-end value; a
+/// per-processor local and an array element take either.
+fn stores_legal(target: Target, value_is_parallel: bool, depth: usize) -> bool {
+    let front_end = depth == 0 || matches!(target, Target::Global | Target::Reg);
+    !(front_end && value_is_parallel)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `uc check` and `uc run` agree (ROADMAP item 1(d)): over stores,
+    /// `swap`s and calls whose targets and arguments are a global, a
+    /// register local, a per-processor local, an element, an array read,
+    /// a reduction or a builtin of those, under 0–2 `par`s, sema accepts
+    /// exactly what the model above calls legal — rejecting with a rank
+    /// diagnostic, so nothing is refused that could have run — and what
+    /// it accepts never ends in `NotSupported`, nor in the `Internal`
+    /// an executor invariant sema failed to establish would raise.
+    #[test]
+    fn sema_accepts_exactly_the_rank_legal_programs_and_they_run(
+        tape in prop::collection::vec(0u32..1 << 16, 24..48),
+    ) {
+        let case = rank_case(&mut tape.into_iter());
+        let depth = case.depth;
+        let legal = match &case.stmt {
+            RankStmt::Store { target, value, .. } => {
+                calls_legal(value, depth) && stores_legal(*target, parallel(value, depth), depth)
+            }
+            RankStmt::Swap(x, y) => {
+                let is_parallel = |t: Target| depth > 0 && matches!(t, Target::PerVp | Target::Element);
+                stores_legal(*x, is_parallel(*y), depth) && stores_legal(*y, is_parallel(*x), depth)
+            }
+        };
+        let src = case.source();
+        let diags = check_source(&src, &[], &LintConfig::default());
+        prop_assert_eq!(!diags.has_errors(), legal, "{}\n{}", src, diags);
+        for d in diags.items.iter().filter(|d| d.severity == uc::lang::Severity::Error) {
+            let rank = d.message.contains("a parallel value");
+            prop_assert!(rank, "{}\n{}", src, d);
+        }
+        if legal {
+            let mut p = Program::compile(&src).unwrap_or_else(|d| panic!("{src}\n{d}"));
+            if let Err(e) = p.run() {
+                use uc::lang::RuntimeError::{Internal, NotSupported};
+                prop_assert!(!matches!(e.error, NotSupported(_) | Internal(_)), "{}\n{}", src, e);
+            }
+        }
     }
 }
 

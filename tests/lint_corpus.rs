@@ -103,8 +103,8 @@ fn deny_warnings_fails_positive_and_passes_clean_programs() {
 fn allowing_a_code_silences_it() {
     let (path, src) = corpus()
         .into_iter()
-        .find(|(p, _)| p.ends_with("race_scalar.uc"))
-        .expect("race_scalar.uc in corpus");
+        .find(|(p, _)| p.ends_with("race_mono_element.uc"))
+        .expect("race_mono_element.uc in corpus");
     let mut cfg = LintConfig::default();
     cfg.allow("UC101").unwrap();
     let diags = analysis::check_source(&src, &[], &cfg);

@@ -347,3 +347,168 @@ impl NameModel {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Rank: which values are one per virtual processor?
+// ---------------------------------------------------------------------
+
+/// A value a generated statement reads. `PerVp` and `Outer` need an
+/// enclosing `par`, `Elem` and `ReadElem` an element in scope; the
+/// generator draws them only there.
+pub enum Operand {
+    Lit,
+    Global,
+    /// A local of `main` declared outside every construct.
+    Reg,
+    /// A local declared in the innermost `par` body.
+    PerVp,
+    /// A local of the outer `par` body, read from the inner one.
+    Outer,
+    /// The `nth` (mod how many there are) index element in scope.
+    Elem(usize),
+    /// `a[1]`.
+    ReadConst,
+    /// `a[<Elem>]`.
+    ReadElem(usize),
+    Rand,
+    /// `$+(K; <inner>)`: `inner` sits one space deeper, with `k` in scope.
+    Reduce(Box<Operand>),
+    Abs(Box<Operand>),
+    Plus(Box<Operand>),
+    /// `(g > 0 ? <inner> : 1)`.
+    Cond(Box<Operand>),
+    /// `f(<inner>)`, a user function.
+    Call(Box<Operand>),
+}
+
+/// Where a generated statement stores.
+#[derive(Clone, Copy, PartialEq)]
+pub enum Target {
+    Global,
+    Reg,
+    /// The innermost `par` body's local (depth 0: the array element).
+    PerVp,
+    /// `a[<innermost element>]` (depth 0: `a[1]`).
+    Element,
+}
+
+pub enum RankStmt {
+    /// `target = value;` or `target += value;`.
+    Store { target: Target, compound: bool, value: Operand },
+    Swap(Target, Target),
+}
+
+/// One statement under `depth` nested `par`s (0–2).
+pub struct RankCase {
+    pub depth: usize,
+    pub stmt: RankStmt,
+}
+
+/// `pars` enclosing `par`s, `open` iteration spaces (reductions included).
+fn operand(tape: &mut dyn Iterator<Item = u32>, pars: usize, open: usize, fuel: u32) -> Operand {
+    let mut next = |n: u32| tape.next().unwrap_or(0) % n;
+    let pick = next(if fuel == 0 { 9 } else { 14 });
+    let nth = next(3) as usize;
+    let mut inner = |open| Box::new(operand(tape, pars, open, fuel - 1));
+    match pick {
+        0 => Operand::Lit,
+        1 => Operand::Global,
+        2 => Operand::Reg,
+        3 => Operand::ReadConst,
+        4 => Operand::Rand,
+        5 if pars > 0 => Operand::PerVp,
+        6 if open > 0 => Operand::Elem(nth),
+        7 if open > 0 => Operand::ReadElem(nth),
+        8 if pars > 1 => Operand::Outer,
+        5..=8 => Operand::Global,
+        9 => Operand::Reduce(inner(open + 1)),
+        10 => Operand::Abs(inner(open)),
+        11 => Operand::Plus(inner(open)),
+        12 => Operand::Cond(inner(open)),
+        _ => Operand::Call(inner(open)),
+    }
+}
+
+pub fn rank_case(tape: &mut dyn Iterator<Item = u32>) -> RankCase {
+    let mut next = |n: u32| tape.next().unwrap_or(0) % n;
+    let depth = next(3) as usize;
+    let mut target = || [Target::Global, Target::Reg, Target::PerVp, Target::Element][next(4) as usize];
+    let (a, b) = (target(), target());
+    let stmt = match next(4) {
+        0 => RankStmt::Swap(a, b),
+        form => RankStmt::Store { target: a, compound: form == 1, value: operand(tape, depth, depth, 3) },
+    };
+    RankCase { depth, stmt }
+}
+
+impl Target {
+    pub fn text(self, depth: usize) -> &'static str {
+        match (self, depth) {
+            (Target::Global, _) => "g",
+            (Target::Reg, _) => "r",
+            (Target::PerVp | Target::Element, 0) => "a[1]",
+            (Target::PerVp, _) => "p",
+            (Target::Element, 1) => "a[i]",
+            (Target::Element, _) => "a[j]",
+        }
+    }
+}
+
+impl Operand {
+    /// Source text with `elems` the index elements in scope, outermost
+    /// first.
+    fn text(&self, elems: &mut Vec<&'static str>) -> String {
+        let elem = |elems: &[&'static str], nth: usize| elems[nth % elems.len()];
+        match self {
+            Operand::Lit => "2".into(),
+            Operand::Global => "h".into(),
+            Operand::Reg => "q".into(),
+            Operand::PerVp => "o".into(),
+            Operand::Outer => "w".into(),
+            Operand::Elem(nth) => elem(elems, *nth).into(),
+            Operand::ReadConst => "a[1]".into(),
+            Operand::ReadElem(nth) => format!("a[{}]", elem(elems, *nth)),
+            Operand::Rand => "rand() % 3".into(),
+            Operand::Reduce(x) => {
+                elems.push("k");
+                let inner = x.text(elems);
+                elems.pop();
+                format!("$+(K; {inner})")
+            }
+            Operand::Abs(x) => format!("abs({})", x.text(elems)),
+            Operand::Plus(x) => format!("({} + 1)", x.text(elems)),
+            Operand::Cond(x) => format!("(g > 0 ? {} : 1)", x.text(elems)),
+            Operand::Call(x) => format!("f({})", x.text(elems)),
+        }
+    }
+}
+
+impl RankCase {
+    /// The whole program: the statement under `depth` nested `par`s, each
+    /// body declaring its per-processor locals first.
+    pub fn source(&self) -> String {
+        let mut elems = ["i", "j"][..self.depth].to_vec();
+        let stmt = match &self.stmt {
+            RankStmt::Store { target, compound, value } => {
+                let op = if *compound { "+=" } else { "=" };
+                format!("{} {op} {};", target.text(self.depth), value.text(&mut elems))
+            }
+            RankStmt::Swap(x, y) => {
+                format!("swap({}, {});", x.text(self.depth), y.text(self.depth))
+            }
+        };
+        let body = match self.depth {
+            0 => stmt,
+            1 => format!("par (I) {{ int p, o; p = i; o = i; {stmt} }}"),
+            _ => format!(
+                "par (I) {{ int w; w = i; par (J) {{ int p, o; p = j; o = j; {stmt} }} }}"
+            ),
+        };
+        format!(
+            "index_set I:i = {{0..3}}, J:j = {{0..2}}, K:k = {{0..1}};\n\
+             int a[4], g, h;\n\
+             int f(int n) {{ return n + 1; }}\n\
+             main() {{ int r, q; r = 1; q = 2; g = 3; h = 4; {body} }}\n"
+        )
+    }
+}
