@@ -602,7 +602,7 @@ impl Program {
         let place = match name.to {
             Ref::Global(g) => &mut self.globals[g as usize],
             Ref::Local(id) => match *self.local_kind(id) {
-                LocalKind::Reg(r) => &mut self.frames.last_mut().expect("frame").regs[r as usize],
+                LocalKind::Reg(r) => self.reg(r),
                 _ => unreachable!("sema admits `{name}` only as a live scalar"),
             },
             to => unreachable!("sema admits only scalar variables as targets; `{name}` is {to:?}"),

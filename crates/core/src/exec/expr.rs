@@ -122,7 +122,7 @@ impl Program {
             Ref::Const(id) => Some(Scalar::Int(self.checked.unit.defines[id as usize].1)),
             Ref::Global(g) => Some(self.globals[g as usize]),
             Ref::Local(id) => match *self.local_kind(id) {
-                LocalKind::Reg(r) => Some(self.frames.last()?.regs[r as usize]),
+                LocalKind::Reg(r) => Some(self.regs[self.frames.last()?.base + r as usize]),
                 _ => None,
             },
             _ => None,
@@ -352,7 +352,7 @@ impl Program {
                         PV::Field { .. } => unreachable!("a parallel argument to a user function"),
                     }
                 }
-                Ok(PV::Scalar(super::vm::call(self, f as usize, vals)?))
+                Ok(PV::Scalar(super::vm::call(self, f as usize, &vals)?))
             }
             Callee::Builtin(Builtin::Swap) | Callee::Unresolved => {
                 unreachable!("sema resolves every call, and admits `swap` only as a statement")
@@ -392,83 +392,68 @@ pub(crate) fn scalar_minmax(a: Scalar, b: Scalar, is_min: bool) -> Scalar {
     }
 }
 
-/// Front-end arithmetic on scalars (C semantics, wrapping ints).
+/// Front-end arithmetic on two ints: C semantics, wrapping; `None` is a
+/// division by zero. The one home of every operator's integer meaning —
+/// [`scalar_binary`] coerces and calls it, the VM calls it directly when
+/// both registers hold ints.
+#[inline]
+pub(crate) fn int_binary(op: BinaryOp, x: i64, y: i64) -> Option<i64> {
+    use BinaryOp::*;
+    Some(match op {
+        Add => x.wrapping_add(y),
+        Sub => x.wrapping_sub(y),
+        Mul => x.wrapping_mul(y),
+        Div if y == 0 => return None,
+        Div => x.wrapping_div(y),
+        Mod if y == 0 => return None,
+        Mod => x.wrapping_rem(y),
+        Shl => x.wrapping_shl(y as u32),
+        Shr => x.wrapping_shr(y as u32),
+        BitAnd => x & y,
+        BitOr => x | y,
+        BitXor => x ^ y,
+        Lt => (x < y) as i64,
+        Le => (x <= y) as i64,
+        Gt => (x > y) as i64,
+        Ge => (x >= y) as i64,
+        Eq => (x == y) as i64,
+        Ne => (x != y) as i64,
+        LogAnd => (x != 0 && y != 0) as i64,
+        LogOr => (x != 0 || y != 0) as i64,
+    })
+}
+
+/// Front-end arithmetic on scalars (C semantics, wrapping ints):
+/// arithmetic and comparisons on floats when either side is one,
+/// [`int_binary`] after coercion otherwise.
 pub(crate) fn scalar_binary(op: BinaryOp, a: Scalar, b: Scalar) -> RResult<Scalar> {
     use BinaryOp::*;
     let float = a.elem_type() == ElemType::Float || b.elem_type() == ElemType::Float;
-    Ok(match op {
-        LogAnd => Scalar::Int((a.as_bool() && b.as_bool()) as i64),
-        LogOr => Scalar::Int((a.as_bool() || b.as_bool()) as i64),
-        Mod | Shl | Shr | BitAnd | BitOr | BitXor => {
-            let (x, y) = (a.as_int(), b.as_int());
-            Scalar::Int(match op {
-                Mod => {
-                    if y == 0 {
-                        return Err(RuntimeError::DivideByZero);
-                    }
-                    x.wrapping_rem(y)
-                }
-                Shl => x.wrapping_shl(y as u32),
-                Shr => x.wrapping_shr(y as u32),
-                BitAnd => x & y,
-                BitOr => x | y,
-                BitXor => x ^ y,
-                _ => unreachable!(),
-            })
+    let (x, y) = (a.as_float(), b.as_float());
+    let ints = match op {
+        Add | Sub | Mul | Div if float => {
+            return Ok(Scalar::Float(match op {
+                Add => x + y,
+                Sub => x - y,
+                Mul => x * y,
+                _ => x / y,
+            }))
         }
-        Lt | Le | Gt | Ge | Eq | Ne => {
-            let t = if float {
-                let (x, y) = (a.as_float(), b.as_float());
-                match op {
-                    Lt => x < y,
-                    Le => x <= y,
-                    Gt => x > y,
-                    Ge => x >= y,
-                    Eq => x == y,
-                    Ne => x != y,
-                    _ => unreachable!(),
-                }
-            } else {
-                let (x, y) = (a.as_int(), b.as_int());
-                match op {
-                    Lt => x < y,
-                    Le => x <= y,
-                    Gt => x > y,
-                    Ge => x >= y,
-                    Eq => x == y,
-                    Ne => x != y,
-                    _ => unreachable!(),
-                }
-            };
-            Scalar::Int(t as i64)
+        Lt | Le | Gt | Ge | Eq | Ne if float => {
+            return Ok(Scalar::Int(match op {
+                Lt => x < y,
+                Le => x <= y,
+                Gt => x > y,
+                Ge => x >= y,
+                Eq => x == y,
+                _ => x != y,
+            } as i64))
         }
-        Add | Sub | Mul | Div => {
-            if float {
-                let (x, y) = (a.as_float(), b.as_float());
-                Scalar::Float(match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div => x / y,
-                    _ => unreachable!(),
-                })
-            } else {
-                let (x, y) = (a.as_int(), b.as_int());
-                Scalar::Int(match op {
-                    Add => x.wrapping_add(y),
-                    Sub => x.wrapping_sub(y),
-                    Mul => x.wrapping_mul(y),
-                    Div => {
-                        if y == 0 {
-                            return Err(RuntimeError::DivideByZero);
-                        }
-                        x.wrapping_div(y)
-                    }
-                    _ => unreachable!(),
-                })
-            }
-        }
-    })
+        // Truth is taken before truncation: 0.5 is true.
+        LogAnd | LogOr => (a.as_bool() as i64, b.as_bool() as i64),
+        _ => (a.as_int(), b.as_int()),
+    };
+    int_binary(op, ints.0, ints.1).map(Scalar::Int).ok_or(RuntimeError::DivideByZero)
 }
 
 /// Map an AST binary op onto the machine's elementwise op.

@@ -61,7 +61,7 @@ pub use space::ParCtx;
 // Scalar semantics shared by the tree evaluators, the IR passes' constant
 // folder and the register VM, so all three compute bit-identical values.
 pub(crate) use expr::{
-    front_end_rand, scalar_abs, scalar_binary, scalar_minmax, scalar_unary,
+    front_end_rand, int_binary, scalar_abs, scalar_binary, scalar_minmax, scalar_unary,
 };
 pub(crate) use space::coerce_scalar;
 
@@ -290,15 +290,24 @@ pub(crate) enum LocalVar {
     Array(Arc<ArrayStorage>),
 }
 
-/// One function activation: which function, its register file, and its
-/// machine-backed locals.
+/// One function activation — the only record of it: which function,
+/// where its registers sit in [`Program::regs`], what the VM needs to
+/// resume its caller, and its machine-backed locals.
 #[derive(Debug)]
 pub(crate) struct Frame {
     /// Position in `ir.funcs` and `checked.func_infos`.
     pub func: usize,
-    /// The VM's register file. A `LocalKind::Reg` local is the register
-    /// sema numbered it; tree-evaluated fragments read and write it there.
-    pub regs: Vec<Scalar>,
+    /// Its register file starts at `regs[base]`. A `LocalKind::Reg` local
+    /// is the register sema numbered it; tree-evaluated fragments read
+    /// and write it there ([`Program::reg`]).
+    pub base: usize,
+    /// Where the VM resumes this activation when its callee returns, and
+    /// the caller's register that receives this activation's value.
+    pub pc: usize,
+    pub ret_dst: crate::ir::Reg,
+    /// Open front-end `seq` sweeps, innermost last: the set's elements
+    /// and the position of the next one.
+    pub seqs: Vec<(Arc<Vec<i64>>, usize)>,
     /// Indexed by `LocalId`; `Some` between a machine-backed local's
     /// declaration and the exit of its block. Empty (and unallocated) for
     /// a function that declares none.
@@ -328,6 +337,9 @@ pub struct Program {
     pub(crate) ctx: Vec<ParCtx>,
     /// Function activation stack.
     pub(crate) frames: Vec<Frame>,
+    /// The registers of every live activation, innermost last: entering
+    /// a function appends its image, returning truncates.
+    pub(crate) regs: Vec<Scalar>,
     pub(crate) rand_counter: u64,
     pub(crate) oneof_cursor: usize,
     /// Static border-fixup masks: (space, axis, logical offset) → bool
@@ -433,6 +445,7 @@ impl Program {
             ir: Arc::new(ir),
             ctx: Vec::new(),
             frames: Vec::new(),
+            regs: Vec::new(),
             rand_counter: 0,
             oneof_cursor: 0,
             fixup_cache: HashMap::new(),
@@ -515,7 +528,7 @@ impl Program {
         // not the host stack — is the limit.
         let main = self.checked.main;
         let outcome = if self.ir.inline_ok {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| vm::call(self, main, vec![])))
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| vm::call(self, main, &[])))
         } else {
             std::thread::scope(|scope| {
                 std::thread::Builder::new()
@@ -523,7 +536,7 @@ impl Program {
                     .stack_size(EXEC_STACK_BYTES)
                     .spawn_scoped(scope, || {
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            vm::call(self, main, vec![])
+                            vm::call(self, main, &[])
                         }))
                     })
                     .expect("spawn uc-exec thread")
@@ -673,6 +686,12 @@ impl Program {
     /// executor bug, contained by the `catch_unwind` in [`Program::run`].
     pub(crate) fn cur_ctx(&self) -> &ParCtx {
         self.ctx.last().expect("inside a parallel construct")
+    }
+
+    /// Register `r` of the innermost activation.
+    pub(crate) fn reg(&mut self, r: crate::ir::Reg) -> &mut Scalar {
+        let base = self.frames.last().expect("frame").base;
+        &mut self.regs[base + r as usize]
     }
 
     /// A fresh deterministic seed for one `rand()` instruction.

@@ -270,7 +270,7 @@ impl Program {
             }
             let mut any_enabled = false;
             for &v in elements.iter() {
-                self.frames.last_mut().expect("frame").regs[elem as usize] = Scalar::Int(v);
+                *self.reg(elem) = Scalar::Int(v);
                 any_enabled |= self.run_arms(uc, uc.star)?;
             }
             if !uc.star || !any_enabled {

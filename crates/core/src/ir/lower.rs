@@ -25,7 +25,19 @@
 //! count plus nothing.
 //! Scoping leaves one trace: a block that declares a local array ends
 //! in a `FreeLocals` over the ids it declared. Index sets leave none: a
-//! definition lowers to nothing but its span.
+//! definition lowers to nothing.
+//!
+//! Operands are registers, not copies: a register local is read where
+//! the instruction that uses it runs, and a literal, `#define` or `INF`
+//! is a constant register of the function. Only an assignment between a
+//! read's place in evaluation order and its use can tell — so when the
+//! statement-level expression, its root chain of assignments
+//! (`a = b = …`) stripped, still assigns (`x + (x = 3)`, `f(x, x = 2)`),
+//! every read of a local copies to a temporary and every store goes
+//! through `StoreSlot`. Otherwise a value whose run-time representation
+//! the lowerer can name ([`Repr`]) and finds to be the slot's declared
+//! type is computed straight into the slot; `StoreSlot` coerces the
+//! rest, and a `return` coerces to the declared type by the same rule.
 
 use std::collections::HashMap;
 
@@ -34,9 +46,11 @@ use uc_cm::Scalar;
 use super::{Instr, IrBody, IrFunc, IrProgram, Reg, Target};
 use crate::ast::{
     BinaryOp, Block, Callee, Expr, FuncDef, LocalId, Name, Node, Ref, Stmt, Type, UcKind, UcStmt,
+    UnaryOp,
 };
 use crate::exec::IrOpt;
 use crate::sema::{Checked, FuncInfo, LocalKind};
+use crate::span::Span;
 use crate::stdlib::Builtin;
 
 /// Maximum AST depth of a tree-escaped fragment for the program to stay
@@ -66,20 +80,17 @@ pub fn lower_program(
     } else {
         checked.funcs_in_order().collect()
     };
+    let rets: Vec<Type> = funcs_src.iter().map(|f| f.ret).collect();
     let mut funcs = Vec::with_capacity(funcs_src.len());
     let mut inline_ok = true;
     for (f, info) in funcs_src.iter().zip(&checked.func_infos) {
-        let (func, stats) = Lowerer::new(checked, info).run(f);
+        let (func, stats) = Lowerer::new(checked, info, &rets, f.ret).run(f);
         inline_ok &= func.body.is_some()
             && !stats.tree_user_call
             && stats.max_tree_depth <= MAX_INLINE_TREE_DEPTH;
         funcs.push(func);
     }
-    for func in &mut funcs {
-        if let Some(body) = &mut func.body {
-            super::passes::optimize(body, func.n_perm);
-        }
-    }
+    funcs.iter_mut().for_each(super::passes::optimize);
     let mut global_names = vec![String::new(); global_index.len()];
     for (n, &i) in global_index {
         global_names[i as usize] = n.clone();
@@ -95,6 +106,45 @@ struct FuncStats {
     tree_user_call: bool,
     /// Deepest AST subtree handed to a tree escape.
     max_tree_depth: usize,
+}
+
+/// The key a constant is interned under: its variant and bit pattern
+/// (`-0.0` and `0.0` are two constants).
+fn const_key(v: Scalar) -> (u8, u64) {
+    match v {
+        Scalar::Int(i) => (0, i as u64),
+        Scalar::Float(f) => (1, f.to_bits()),
+        Scalar::Bool(b) => (2, b as u64),
+    }
+}
+
+/// Whether reads of locals must be captured where they stand: `e`, below
+/// its root chain of assignments, assigns again.
+fn reads_need_copies(e: &Expr) -> bool {
+    let mut v = e;
+    while let Expr::Assign { value, .. } = v {
+        v = value;
+    }
+    v.any(&mut |x| matches!(x, Expr::Assign { .. }))
+}
+
+/// The run-time representation of a lowered value, where the types say:
+/// `Some(true)` a float, `Some(false)` an int. Every register local,
+/// global and int function holds its declared type (each store and
+/// `return` coerces); `scalar_binary` & co. decide the rest.
+type Repr = Option<bool>;
+
+/// A lowered value: the register holding it and what that holds; `None`
+/// when the expression has to escape.
+type Lowered = Option<(Reg, Repr)>;
+
+/// Representation of `a op b` given its operands'.
+fn bin_repr(op: BinaryOp, a: Repr, b: Repr) -> Repr {
+    use BinaryOp::*;
+    match op {
+        Add | Sub | Mul | Div => Some(a? | b?),
+        _ => Some(false),
+    }
 }
 
 /// Where an assignment to a scalar lands.
@@ -117,8 +167,16 @@ struct Lowerer<'a> {
     checked: &'a Checked,
     /// Sema's table of the function being lowered.
     info: &'a FuncInfo,
+    /// Declared return type of every function ([`Callee::Func`]), and of
+    /// the one being lowered.
+    rets: &'a [Type],
+    ret: Type,
 
     code: Vec<Instr>,
+    /// Per instruction, the span current when it was emitted.
+    spans: Vec<Span>,
+    /// Span of the innermost statement being lowered that has one.
+    cur_span: Span,
     stmts: Vec<Stmt>,
     exprs: Vec<Expr>,
 
@@ -137,48 +195,53 @@ struct Lowerer<'a> {
     next_temp: u32,
     watermark: u32,
     failed: bool,
+    /// The function's constants in first-use order, and each one's
+    /// register: `Reg::MAX - position` until `run` knows where they go.
+    const_vals: Vec<Scalar>,
+    consts: HashMap<(u8, u64), Reg>,
+    /// Set per statement-level expression: see [`reads_need_copies`].
+    copy_reads: bool,
 
     stats: FuncStats,
 }
 
 impl<'a> Lowerer<'a> {
-    fn new(checked: &'a Checked, info: &'a FuncInfo) -> Self {
+    fn new(checked: &'a Checked, info: &'a FuncInfo, rets: &'a [Type], ret: Type) -> Self {
+        // Sema numbered the named locals' registers `0..regs` (parameters
+        // first) and counted what the loops keep beside them.
+        let n_perm = info.regs + info.loop_regs;
+        let failed = n_perm > u16::MAX as u32;
+        let n_perm = if failed { 0 } else { n_perm };
         Lowerer {
             checked,
             info,
+            rets,
+            ret,
             code: Vec::new(),
+            spans: Vec::new(),
+            cur_span: Span::default(),
             stmts: Vec::new(),
             exprs: Vec::new(),
             open_arrays: Vec::new(),
             loops: Vec::new(),
             labels: Vec::new(),
             patches: Vec::new(),
-            next_perm: 0,
-            perm_limit: 0,
-            next_temp: 0,
-            watermark: 0,
-            failed: false,
+            next_perm: info.regs,
+            perm_limit: n_perm,
+            next_temp: n_perm,
+            watermark: n_perm,
+            failed,
+            const_vals: Vec::new(),
+            consts: HashMap::new(),
+            copy_reads: false,
             stats: FuncStats { tree_user_call: false, max_tree_depth: 0 },
         }
     }
 
     fn run(mut self, f: &FuncDef) -> (IrFunc, FuncStats) {
-        let params: Vec<bool> = f.params.iter().map(|(ty, _)| *ty == Type::Float).collect();
-        // Sema numbered the named locals' registers `0..regs` (parameters
-        // first) and counted what the loops keep beside them.
-        let mut n_perm = self.info.regs + self.info.loop_regs;
-        if n_perm > u16::MAX as u32 {
-            self.failed = true;
-            n_perm = 0;
-        }
-        self.perm_limit = n_perm;
-        self.next_temp = self.perm_limit;
-        self.watermark = self.perm_limit;
-        self.next_perm = self.info.regs;
-
         self.lower_block(&f.body);
         // Falling off the end returns nothing.
-        self.code.push(Instr::Ret { src: None });
+        self.emit(Instr::Ret { src: None });
 
         for (i, l) in &self.patches {
             let t = self.labels[*l];
@@ -190,21 +253,29 @@ impl<'a> Lowerer<'a> {
             }
         }
 
+        // The constants go above the temporaries, now both counts are known.
+        let n_consts = self.const_vals.len() as u32;
+        self.failed |= self.watermark + n_consts > u16::MAX as u32;
+        let const_base = if self.failed { 0 } else { self.watermark as Reg };
+        let params = f.params.iter().map(|(ty, _)| *ty == Type::Float).collect();
+        let mut image = vec![Scalar::Int(0); const_base as usize];
         let body = if self.failed {
             None
         } else {
-            Some(IrBody { code: self.code, stmts: self.stmts, exprs: self.exprs })
+            for ins in &mut self.code {
+                ins.for_each_reg(|r, _| {
+                    let k = Reg::MAX - *r;
+                    if (k as u32) < n_consts {
+                        *r = const_base + k;
+                    }
+                });
+            }
+            image.extend(self.const_vals);
+            let (code, spans) = (self.code, self.spans);
+            Some(IrBody { code, spans, stmts: self.stmts, exprs: self.exprs })
         };
-        (
-            IrFunc {
-                name: f.name.clone(),
-                params,
-                n_slots: self.watermark.min(u16::MAX as u32) as u16,
-                n_perm: self.perm_limit as u16,
-                body,
-            },
-            self.stats,
-        )
+        let (name, n_perm) = (f.name.clone(), self.perm_limit as u16);
+        (IrFunc { name, params, n_perm, const_base, image, body }, self.stats)
     }
 
     // ---- registers, labels, scopes ------------------------------------
@@ -245,9 +316,37 @@ impl<'a> Lowerer<'a> {
         self.labels[l] = self.code.len() as Target;
     }
 
+    /// Every instruction goes through here: `spans` stays in step.
+    fn emit(&mut self, ins: Instr) {
+        self.code.push(ins);
+        self.spans.push(self.cur_span);
+    }
+
     fn emit_jump(&mut self, l: usize, make: impl FnOnce(Target) -> Instr) {
         self.patches.push((self.code.len(), l));
-        self.code.push(make(Target::MAX));
+        self.emit(make(Target::MAX));
+    }
+
+    /// The register `v` is read from.
+    fn const_reg(&mut self, v: Scalar) -> Reg {
+        let next = self.const_vals.len();
+        if next >= Reg::MAX as usize {
+            self.failed = true;
+            return 0;
+        }
+        *self.consts.entry(const_key(v)).or_insert_with(|| {
+            self.const_vals.push(v);
+            Reg::MAX - next as Reg
+        })
+    }
+
+    /// The destination of an instruction whose value is a `repr`: the
+    /// slot it is wanted in if that is the slot's type, else a temporary.
+    fn dst(&mut self, want: Option<Place>, repr: Repr) -> Reg {
+        match want {
+            Some(Place::Slot { idx, float }) if repr == Some(float) => idx,
+            _ => self.temp(),
+        }
     }
 
     /// The register of a front-end scalar local, if `id` is one.
@@ -263,20 +362,13 @@ impl<'a> Lowerer<'a> {
     fn free_arrays_above(&mut self, base: usize) {
         let opened = (self.open_arrays.get(base), self.open_arrays.last());
         if let (Some(&(lo, _)), Some(&(_, hi))) = opened {
-            self.code.push(Instr::FreeLocals { lo, hi });
+            self.emit(Instr::FreeLocals { lo, hi });
         }
     }
 
     // ---- escapes ------------------------------------------------------
 
-    fn emit_span(&mut self, s: &Stmt) {
-        if let Some(sp) = s.span() {
-            self.code.push(Instr::SetSpan { span: sp });
-        }
-    }
-
-    /// Escape a whole statement to the tree evaluator. `exec_stmt` sets
-    /// the span itself, so no `SetSpan` is emitted here.
+    /// Escape a whole statement to the tree evaluator.
     fn tree_stmt(&mut self, s: &Stmt) {
         let mut call = false;
         let d = stmt_depth(s, &mut call);
@@ -284,66 +376,67 @@ impl<'a> Lowerer<'a> {
         self.stats.max_tree_depth = self.stats.max_tree_depth.max(d);
         let idx = self.stmts.len() as u32;
         self.stmts.push(s.clone());
-        self.code.push(Instr::Tree { s: idx });
+        self.emit(Instr::Tree { s: idx });
     }
 
-    fn account_expr(&mut self, e: &Expr) {
+    /// Hand `e` to the tree evaluator: its index in the side table.
+    fn escape(&mut self, e: &Expr) -> u32 {
         let mut call = false;
         let d = expr_depth(e, &mut call);
         self.stats.tree_user_call |= call;
         self.stats.max_tree_depth = self.stats.max_tree_depth.max(d);
+        self.exprs.push(e.clone());
+        self.exprs.len() as u32 - 1
     }
 
     /// Lower an expression whose value is needed (condition, return
     /// value, initializer), escaping the whole expression if it cannot
     /// be compiled.
     fn lower_value(&mut self, e: &Expr) -> Reg {
-        if let Some(r) = self.try_expr(e) {
-            return r;
-        }
-        self.account_expr(e);
-        let idx = self.exprs.len() as u32;
-        self.exprs.push(e.clone());
-        let t = self.temp();
-        self.code.push(Instr::EvalExpr { dst: t, e: idx });
+        self.try_expr(e).map_or_else(|| self.escape_value(e), |(r, _)| r)
+    }
+
+    fn escape_value(&mut self, e: &Expr) -> Reg {
+        let (e, t) = (self.escape(e), self.temp());
+        self.emit(Instr::EvalExpr { dst: t, e });
         t
     }
 
     /// Lower an expression evaluated for effect (expression statement,
-    /// `for` init/step).
+    /// `for` init/step); DSE cleans up the pure leftovers of its value.
     fn lower_effect(&mut self, e: &Expr) {
-        if self.try_expr(e).is_some() {
-            return; // value discarded; DSE cleans up pure leftovers
+        if self.try_expr(e).is_none() {
+            let e = self.escape(e);
+            self.emit(Instr::EvalEffect { e });
         }
-        self.account_expr(e);
-        let idx = self.exprs.len() as u32;
-        self.exprs.push(e.clone());
-        self.code.push(Instr::EvalEffect { e: idx });
     }
 
-    /// All-or-nothing expression lowering: on failure every emitted
-    /// instruction, label, and temp is rolled back.
-    fn try_expr(&mut self, e: &Expr) -> Option<Reg> {
+    /// All-or-nothing lowering of one statement-level expression.
+    fn try_expr(&mut self, e: &Expr) -> Lowered {
+        self.copy_reads = reads_need_copies(e);
+        self.attempt(|l| l.go_expr(e, None))
+    }
+
+    /// Run `f`; on failure every instruction, label, temp and constant it
+    /// made is rolled back.
+    fn attempt<T>(&mut self, f: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
         let cp = (self.code.len(), self.patches.len(), self.labels.len(), self.next_temp);
-        match self.go_expr(e) {
-            Some(r) => Some(r),
-            None => {
-                self.code.truncate(cp.0);
-                self.patches.truncate(cp.1);
-                self.labels.truncate(cp.2);
-                self.next_temp = cp.3;
-                None
+        let n_consts = self.const_vals.len();
+        let done = f(self);
+        if done.is_none() {
+            self.code.truncate(cp.0);
+            self.spans.truncate(cp.0);
+            self.patches.truncate(cp.1);
+            self.labels.truncate(cp.2);
+            self.next_temp = cp.3;
+            for v in self.const_vals.drain(n_consts..) {
+                self.consts.remove(&const_key(v));
             }
         }
+        done
     }
 
     // ---- expressions --------------------------------------------------
-
-    fn emit_const(&mut self, v: Scalar) -> Option<Reg> {
-        let t = self.temp();
-        self.code.push(Instr::Const { dst: t, v });
-        Some(t)
-    }
 
     /// Where a store to `name` lands, if it is a front-end scalar variable.
     fn place(&self, name: &Name) -> Option<Place> {
@@ -354,118 +447,148 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn go_expr(&mut self, e: &Expr) -> Option<Reg> {
-        match e {
-            Expr::IntLit(v, _) => self.emit_const(Scalar::Int(*v)),
-            Expr::FloatLit(v, _) => self.emit_const(Scalar::Float(*v)),
-            Expr::Inf(_) => self.emit_const(Scalar::Int(i64::MAX)),
+    /// Lower `e`. The instruction computing its root writes to the slot
+    /// `want` names if the value has its type; an operand (a local, a
+    /// constant, what another node left in a register) stays where it is.
+    fn go_expr(&mut self, e: &Expr, want: Option<Place>) -> Lowered {
+        Some(match e {
+            Expr::IntLit(v, _) => (self.const_reg(Scalar::Int(*v)), Some(false)),
+            Expr::FloatLit(v, _) => (self.const_reg(Scalar::Float(*v)), Some(true)),
+            Expr::Inf(_) => (self.const_reg(Scalar::Int(i64::MAX)), Some(false)),
             Expr::Ident(name, _) => match name.to {
                 Ref::Local(id) => {
-                    // Copy to a temp: the value is captured at read time
-                    // (`x + (x = 3)` reads the old `x`).
-                    let (src, _) = self.local_reg(id)?;
-                    let t = self.temp();
-                    self.code.push(Instr::Copy { dst: t, src });
-                    Some(t)
+                    let (src, float) = self.local_reg(id)?;
+                    (self.read_local(src), Some(float))
                 }
-                Ref::Global(g) => {
-                    let t = self.temp();
-                    self.code.push(Instr::LoadGlobal { dst: t, g });
-                    Some(t)
-                }
+                Ref::Global(g) => self.load_global(g, want),
                 Ref::Const(id) => {
-                    self.emit_const(Scalar::Int(self.checked.unit.defines[id as usize].1))
+                    let v = self.checked.unit.defines[id as usize].1;
+                    (self.const_reg(Scalar::Int(v)), Some(false))
                 }
                 // An index element is a parallel value: escape.
-                Ref::Elem(_) | Ref::Array(_) | Ref::Unresolved => None,
+                Ref::Elem(_) | Ref::Array(_) | Ref::Unresolved => return None,
             },
-            Expr::Index { .. } | Expr::Reduce(_) => None,
+            Expr::Index { .. } | Expr::Reduce(_) => return None,
             Expr::Unary { op, expr, .. } => {
-                let a = self.go_expr(expr)?;
-                let t = self.temp();
-                self.code.push(Instr::Un { op: *op, dst: t, a });
-                Some(t)
+                let (a, of) = self.go_expr(expr, None)?;
+                let repr = if *op == UnaryOp::Neg { of } else { Some(false) };
+                let t = self.dst(want, repr);
+                self.emit(Instr::Un { op: *op, dst: t, a });
+                (t, repr)
             }
             Expr::Binary { op: op @ (BinaryOp::LogAnd | BinaryOp::LogOr), lhs, rhs, .. } => {
-                let a = self.go_expr(lhs)?;
+                let (a, _) = self.go_expr(lhs, None)?;
                 let t = self.temp();
-                self.code.push(Instr::Truthy { dst: t, src: a });
+                self.emit(Instr::Truthy { dst: t, src: a });
                 let end = self.new_label();
                 if *op == BinaryOp::LogAnd {
                     self.emit_jump(end, |tg| Instr::JumpIfFalse { c: t, t: tg });
                 } else {
                     self.emit_jump(end, |tg| Instr::JumpIfTrue { c: t, t: tg });
                 }
-                let b = self.go_expr(rhs)?;
-                self.code.push(Instr::Truthy { dst: t, src: b });
+                let (b, _) = self.go_expr(rhs, None)?;
+                self.emit(Instr::Truthy { dst: t, src: b });
                 self.bind(end);
-                Some(t)
+                (t, Some(false))
             }
             Expr::Binary { op, lhs, rhs, .. } => {
-                let a = self.go_expr(lhs)?;
-                let b = self.go_expr(rhs)?;
-                let t = self.temp();
-                self.code.push(Instr::Bin { op: *op, dst: t, a, b });
-                Some(t)
+                let (a, ra) = self.go_expr(lhs, None)?;
+                let (b, rb) = self.go_expr(rhs, None)?;
+                let repr = bin_repr(*op, ra, rb);
+                let t = self.dst(want, repr);
+                self.emit(Instr::Bin { op: *op, dst: t, a, b });
+                (t, repr)
             }
             Expr::Ternary { cond, then_e, else_e, .. } => {
-                let c = self.go_expr(cond)?;
+                let (c, _) = self.go_expr(cond, None)?;
                 let t = self.temp();
                 let lelse = self.new_label();
                 let lend = self.new_label();
                 self.emit_jump(lelse, |tg| Instr::JumpIfFalse { c, t: tg });
-                let a = self.go_expr(then_e)?;
-                self.code.push(Instr::Copy { dst: t, src: a });
+                let (a, ra) = self.go_expr(then_e, None)?;
+                self.emit(Instr::Copy { dst: t, src: a });
                 self.emit_jump(lend, |tg| Instr::Jump { t: tg });
                 self.bind(lelse);
-                let b = self.go_expr(else_e)?;
-                self.code.push(Instr::Copy { dst: t, src: b });
+                let (b, rb) = self.go_expr(else_e, None)?;
+                self.emit(Instr::Copy { dst: t, src: b });
                 self.bind(lend);
-                Some(t)
+                (t, ra.filter(|_| ra == rb))
             }
-            Expr::Call { callee, args, .. } => self.go_call(*callee, args),
+            Expr::Call { callee, args, .. } => self.go_call(*callee, args, want)?,
             Expr::Assign { target, op, value, .. } => {
                 let Expr::Ident(name, _) = target.as_ref() else { return None };
                 let place = self.place(name)?;
-                // Tree order: value first, then the old value for
-                // compound assignments.
-                let r = self.go_expr(value)?;
-                let src = match op {
-                    None => r,
-                    Some(bop) => {
-                        let old = self.temp();
-                        match place {
-                            Place::Slot { idx, .. } => {
-                                self.code.push(Instr::Copy { dst: old, src: idx })
-                            }
-                            Place::Global(g) => {
-                                self.code.push(Instr::LoadGlobal { dst: old, g })
-                            }
-                        }
-                        let t = self.temp();
-                        self.code.push(Instr::Bin { op: *bop, dst: t, a: old, b: r });
-                        t
-                    }
-                };
-                match place {
-                    Place::Slot { idx, float } => {
-                        self.code.push(Instr::StoreSlot { slot: idx, src, float })
-                    }
-                    Place::Global(g) => self.code.push(Instr::StoreGlobal { g, src }),
-                }
-                Some(src) // assignments yield the pre-coercion value
+                self.go_assign(place, *op, value)?
             }
+        })
+    }
+
+    /// The register a read of the local in `src` uses: `src`, or a copy
+    /// taken here when an assignment may come between the read and its use.
+    fn read_local(&mut self, src: Reg) -> Reg {
+        if !self.copy_reads {
+            return src;
         }
+        let t = self.temp();
+        self.emit(Instr::Copy { dst: t, src });
+        t
+    }
+
+    fn load_global(&mut self, g: u32, want: Option<Place>) -> (Reg, Repr) {
+        let name = &self.checked.global_names[g as usize];
+        let repr = Some(self.checked.scalars[name].0 == Type::Float);
+        let t = self.dst(want, repr);
+        self.emit(Instr::LoadGlobal { dst: t, g });
+        (t, repr)
+    }
+
+    /// `place op= value`, yielding the assignment's value (the one before
+    /// coercion to the place's type). Tree order: the value first, then
+    /// the old value of a compound assignment.
+    fn go_assign(&mut self, place: Place, op: Option<BinaryOp>, value: &Expr) -> Lowered {
+        let want = Some(place).filter(|_| !self.copy_reads);
+        let (mut r, mut repr) = self.go_expr(value, want.filter(|_| op.is_none()))?;
+        if let Some(bop) = op {
+            let (old, was) = match place {
+                Place::Slot { idx, float } => (self.read_local(idx), Some(float)),
+                Place::Global(g) => self.load_global(g, None),
+            };
+            repr = bin_repr(bop, was, repr);
+            let t = self.dst(want, repr);
+            self.emit(Instr::Bin { op: bop, dst: t, a: old, b: r });
+            r = t;
+        }
+        match place {
+            Place::Global(g) => self.emit(Instr::StoreGlobal { g, src: r }),
+            Place::Slot { idx, .. } if r == idx => {}
+            Place::Slot { idx, float } if want.is_some() && repr == Some(float) => {
+                self.emit(Instr::Copy { dst: idx, src: r });
+                r = idx;
+            }
+            Place::Slot { idx, float } => self.emit(Instr::StoreSlot { slot: idx, src: r, float }),
+        }
+        Some((r, repr))
     }
 
     /// A call, by what sema resolved it to; sema has checked every arity.
-    fn go_call(&mut self, callee: Callee, args: &[Expr]) -> Option<Reg> {
+    fn go_call(&mut self, callee: Callee, args: &[Expr], want: Option<Place>) -> Lowered {
         let mut regs = Vec::with_capacity(args.len());
+        // Float if any argument is, unknown if any is.
+        let mut joined = Some(false);
         for a in args {
-            regs.push(self.go_expr(a)?);
+            let (r, of) = self.go_expr(a, None)?;
+            regs.push(r);
+            joined = bin_repr(BinaryOp::Add, joined, of);
         }
-        let dst = self.temp();
-        self.code.push(match (callee, regs.as_slice()) {
+        let repr = match callee {
+            Callee::Builtin(Builtin::Abs | Builtin::Min | Builtin::Max) => joined,
+            Callee::Builtin(_) => Some(false),
+            // A valueless `return` yields int 0 whatever the type.
+            Callee::Func(f) => (self.rets[f as usize] == Type::Int).then_some(false),
+            Callee::Unresolved => None,
+        };
+        let dst = self.dst(want, repr);
+        self.emit(match (callee, regs.as_slice()) {
             (Callee::Builtin(Builtin::Power2), &[a]) => Instr::Power2 { dst, a },
             (Callee::Builtin(Builtin::Rand), _) => Instr::Rand { dst },
             (Callee::Builtin(Builtin::Abs), &[a]) => Instr::Abs { dst, a },
@@ -475,7 +598,7 @@ impl<'a> Lowerer<'a> {
             (Callee::Func(f), _) => Instr::Call { dst, f, args: regs },
             _ => unreachable!("sema resolves every call and its arity, and `swap` is a statement"),
         });
-        Some(dst)
+        Some((dst, repr))
     }
 
     // ---- statements ---------------------------------------------------
@@ -490,8 +613,7 @@ impl<'a> Lowerer<'a> {
         let range = arrays.next().map(|lo| (lo, arrays.next_back().unwrap_or(lo) + 1));
         self.open_arrays.extend(range);
         for s in &b.stmts {
-            self.reset_temps();
-            self.lower_stmt(s);
+            self.lower_branch(s);
         }
         if range.is_some() {
             self.free_arrays_above(self.open_arrays.len() - 1);
@@ -499,10 +621,15 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// A branch body (`if`/loop/`seq` arm).
+    /// One statement of a block, or a branch body (`if`/loop/`seq` arm).
+    /// What it emits outside a nested statement carries its span (a block
+    /// or `;` has none and stays with the statement around it).
     fn lower_branch(&mut self, s: &Stmt) {
         self.reset_temps();
+        let outer = self.cur_span;
+        self.cur_span = s.span().unwrap_or(outer);
         self.lower_stmt(s);
+        self.cur_span = outer;
     }
 
     fn lower_stmt(&mut self, s: &Stmt) {
@@ -515,7 +642,6 @@ impl<'a> Lowerer<'a> {
                     self.tree_stmt(s);
                     return;
                 }
-                self.emit_span(s);
                 self.lower_effect(e);
             }
             Stmt::Decl(v) => {
@@ -523,26 +649,25 @@ impl<'a> Lowerer<'a> {
                     self.tree_stmt(s); // array declaration
                     return;
                 }
-                self.emit_span(s);
-                let init = match &v.init {
-                    Some(e) => self.lower_value(e),
-                    None => {
-                        let t = self.temp();
-                        self.code.push(Instr::Const { dst: t, v: Scalar::Int(0) });
-                        t
-                    }
-                };
                 let (slot, float) =
                     self.local_reg(v.local).expect("a scalar declared on the front end");
-                self.code.push(Instr::StoreSlot { slot, src: init, float });
+                let Some(e) = &v.init else {
+                    let v = if float { Scalar::Float(0.0) } else { Scalar::Int(0) };
+                    self.emit(Instr::Const { dst: slot, v });
+                    return;
+                };
+                self.copy_reads = reads_need_copies(e);
+                let place = Place::Slot { idx: slot, float };
+                if self.attempt(|l| l.go_assign(place, None, e)).is_none() {
+                    let src = self.escape_value(e);
+                    self.emit(Instr::StoreSlot { slot, src, float });
+                }
             }
-            // Nothing to execute; the span keeps a later `RunError` where
-            // it was when the definition ran as a tree escape.
-            Stmt::IndexSets(_) => self.emit_span(s),
-            Stmt::Uc(uc) if uc.kind == UcKind::Seq => self.lower_seq(s, uc),
+            // Sema resolved every use to the definition; nothing runs.
+            Stmt::IndexSets(_) => {}
+            Stmt::Uc(uc) if uc.kind == UcKind::Seq => self.lower_seq(uc),
             Stmt::Uc(_) => self.tree_stmt(s),
             Stmt::If { cond, then_branch, else_branch, .. } => {
-                self.emit_span(s);
                 let c = self.lower_value(cond);
                 let lelse = self.new_label();
                 self.emit_jump(lelse, |t| Instr::JumpIfFalse { c, t });
@@ -558,16 +683,15 @@ impl<'a> Lowerer<'a> {
                 }
             }
             Stmt::While { cond, body, .. } => {
-                self.emit_span(s);
                 let cnt = self.alloc_perm();
-                self.code.push(Instr::IterInit { slot: cnt });
+                self.emit(Instr::IterInit { slot: cnt });
                 let head = self.new_label();
                 let exit = self.new_label();
                 self.bind(head);
                 self.reset_temps();
                 let c = self.lower_value(cond);
                 self.emit_jump(exit, |t| Instr::JumpIfFalse { c, t });
-                self.code.push(Instr::IterCheck { slot: cnt, label: "while loop" });
+                self.emit(Instr::IterCheck { slot: cnt, label: "while loop" });
                 self.loops.push(LoopCtx {
                     break_to: exit,
                     continue_to: head,
@@ -579,13 +703,12 @@ impl<'a> Lowerer<'a> {
                 self.bind(exit);
             }
             Stmt::For { init, cond, step, body, .. } => {
-                self.emit_span(s);
                 if let Some(e) = init {
                     self.reset_temps();
                     self.lower_effect(e);
                 }
                 let cnt = self.alloc_perm();
-                self.code.push(Instr::IterInit { slot: cnt });
+                self.emit(Instr::IterInit { slot: cnt });
                 let head = self.new_label();
                 let stepl = self.new_label();
                 let exit = self.new_label();
@@ -595,7 +718,7 @@ impl<'a> Lowerer<'a> {
                     let cv = self.lower_value(c);
                     self.emit_jump(exit, |t| Instr::JumpIfFalse { c: cv, t });
                 }
-                self.code.push(Instr::IterCheck { slot: cnt, label: "for loop" });
+                self.emit(Instr::IterCheck { slot: cnt, label: "for loop" });
                 self.loops.push(LoopCtx {
                     break_to: exit,
                     continue_to: stepl,
@@ -612,12 +735,10 @@ impl<'a> Lowerer<'a> {
                 self.bind(exit);
             }
             Stmt::Return(e, _) => {
-                self.emit_span(s);
-                let src = e.as_ref().map(|e| self.lower_value(e));
-                self.code.push(Instr::Ret { src });
+                let src = e.as_ref().map(|e| self.lower_return(e));
+                self.emit(Instr::Ret { src });
             }
             Stmt::Break(_) | Stmt::Continue(_) => {
-                self.emit_span(s);
                 match self.loops.last().copied() {
                     Some(lc) => {
                         self.free_arrays_above(lc.open_arrays);
@@ -626,7 +747,7 @@ impl<'a> Lowerer<'a> {
                         self.emit_jump(to, |t| Instr::Jump { t });
                     }
                     // Outside any loop both leave the function.
-                    None => self.code.push(Instr::Ret { src: None }),
+                    None => self.emit(Instr::Ret { src: None }),
                 }
             }
         }
@@ -636,25 +757,24 @@ impl<'a> Lowerer<'a> {
     /// no parallel construct open, so every `seq` the lowerer reaches
     /// sweeps on the front end; a `seq` nested in a `par` body is part of
     /// that construct's tree escape and runs under context masks instead.
-    fn lower_seq(&mut self, s: &Stmt, uc: &UcStmt) {
+    fn lower_seq(&mut self, uc: &UcStmt) {
         let set = uc.sets[0];
-        self.emit_span(s);
-        self.code.push(Instr::SeqEnter { set });
+        self.emit(Instr::SeqEnter { set });
         let (elem, _) = self.local_reg(uc.elem).expect("a seq element is a front-end scalar");
         let cnt = self.alloc_perm();
-        self.code.push(Instr::IterInit { slot: cnt });
+        self.emit(Instr::IterInit { slot: cnt });
         // `*seq` sweeps again while some arm ran during the last sweep;
         // `others` runs for an element when none of its arms did.
         let swept = uc.star.then(|| self.alloc_perm());
         let matched = uc.others.as_ref().map(|_| self.alloc_perm());
         let (sweep, next, done) = (self.new_label(), self.new_label(), self.new_label());
         self.bind(sweep);
-        self.code.push(Instr::IterCheck { slot: cnt, label: "*seq" });
+        self.emit(Instr::IterCheck { slot: cnt, label: "*seq" });
         self.set_flag(swept, 0);
         self.bind(next);
         self.reset_temps();
         let more = self.temp();
-        self.code.push(Instr::SeqNext { elem, more });
+        self.emit(Instr::SeqNext { elem, more });
         self.emit_jump(done, |t| Instr::JumpIfFalse { c: more, t });
         self.set_flag(matched, 0);
         for arm in &uc.arms {
@@ -680,16 +800,29 @@ impl<'a> Lowerer<'a> {
         if let Some(c) = swept {
             self.emit_jump(sweep, |t| Instr::JumpIfTrue { c, t });
         }
-        self.code.push(Instr::SeqExit);
+        self.emit(Instr::SeqExit);
     }
 
     /// `r[flag] = v`, for a `seq` flag the construct needs.
     fn set_flag(&mut self, flag: Option<Reg>, v: i64) {
         if let Some(dst) = flag {
-            self.code.push(Instr::Const { dst, v: Scalar::Int(v) });
+            self.emit(Instr::Const { dst, v: Scalar::Int(v) });
         }
     }
 
+    /// The value of `return e`, as the function's declared return type:
+    /// coerced into a temporary unless `e` lowered to registers and
+    /// already has that representation. A `void` function's passes as is.
+    fn lower_return(&mut self, e: &Expr) -> Reg {
+        let float = self.ret == Type::Float;
+        let (src, repr) = self.try_expr(e).unwrap_or_else(|| (self.escape_value(e), None));
+        if self.ret == Type::Void || repr == Some(float) {
+            return src;
+        }
+        let t = self.temp();
+        self.emit(Instr::StoreSlot { slot: t, src, float });
+        t
+    }
 }
 
 // ---- escape statistics ----------------------------------------------

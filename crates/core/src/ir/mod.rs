@@ -10,16 +10,21 @@
 //!
 //! ## Shape of the IR
 //!
-//! A function body is a `Vec<Instr>` plus two side tables of AST
-//! fragments. Four instruction families split the work:
+//! A function body is a `Vec<Instr>`, a span per instruction, and two
+//! side tables of AST fragments. Four instruction families split the work:
 //!
 //! * **Registers** (`Const`, `Copy`, `Bin`, `Un`, `Truthy`, `StoreSlot`,
 //!   `LoadGlobal`, `StoreGlobal`, `Jump*`, `Call`, `Ret`, builtins) —
-//!   front-end control flow and scalar arithmetic, fully compiled.
-//!   Every front-end scalar local — parameter, declaration, `seq`
-//!   element — is the low register sema numbered it
-//!   (`sema::LocalKind::Reg`), loop counters sit above those, and
-//!   expression temporaries above them, reset per statement.
+//!   front-end control flow and scalar arithmetic, fully compiled, over
+//!   four register families, lowest first: **named** — every front-end
+//!   scalar local (parameter, declaration, `seq` element) is the
+//!   register sema numbered it (`sema::LocalKind::Reg`); **loop** —
+//!   iteration counters and `seq` flags; **temporaries**, reset per
+//!   statement; **constants** — one per distinct literal, `#define` or
+//!   `INF` of the function, preloaded by [`IrFunc::image`], never
+//!   written. A local or a constant is an operand as it stands, and a
+//!   value that already has a slot's declared representation is
+//!   computed straight into it; `StoreSlot` coerces the rest.
 //! * **Sweeps** (`SeqEnter`/`SeqNext`/`SeqExit`) — front-end `seq` and
 //!   `*seq` over the set sema resolved the construct to: the element
 //!   binding, the `st` arms, `others` and the repeat-while-enabled test
@@ -34,8 +39,15 @@
 //!   and keeps a machine-backed one (per-VP scalar, local array) in the
 //!   activation's table by `LocalId`. `FreeLocals` is the one trace of
 //!   scoping left: it frees the local arrays of a block at its exit.
-//! * **Budget ops** (`IterInit`/`IterCheck`, `SetSpan`) — iteration caps,
-//!   deadline polls, and the statement span a `RunError` reports.
+//! * **Budget ops** (`IterInit`/`IterCheck`) — iteration caps and
+//!   deadline polls.
+//!
+//! The statement an instruction belongs to is not an instruction:
+//! [`IrBody::spans`] holds, per pc, the span of the innermost statement
+//! that owns it — what a `RunError` raised there reports, and the key a
+//! per-statement profile would use — at no cost to a run. A read of a
+//! local copies to a temporary only when the statement-level expression
+//! assigns below its root chain of assignments (`x + (x = 3)`).
 //!
 //! A construct the compiler cannot lower becomes a tree escape; a
 //! function whose lowering would overflow the register file keeps
@@ -75,7 +87,8 @@ use crate::exec::IrOpt;
 use crate::span::Span;
 
 /// Register index. Slots `0..n_perm` are parameters, named locals and
-/// loop counters; `n_perm..n_slots` are per-statement temporaries.
+/// loop counters, `n_perm..const_base` per-statement temporaries, and
+/// `const_base..` the function's constants.
 pub type Reg = u16;
 
 /// Instruction index (jump target).
@@ -84,7 +97,8 @@ pub type Target = u32;
 /// One IR instruction. See the module docs for the four families.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
-    /// `r[dst] = v`
+    /// `r[dst] = v` — where a value is assigned (a `seq` flag, a folded
+    /// result); a constant *operand* is a register of its own.
     Const { dst: Reg, v: Scalar },
     /// `r[dst] = r[src]`
     Copy { dst: Reg, src: Reg },
@@ -108,9 +122,6 @@ pub enum Instr {
     JumpIfFalse { c: Reg, t: Target },
     /// Jump when `r[c]` is truthy.
     JumpIfTrue { c: Reg, t: Target },
-    /// `exec_span = span` — emitted at the start of each lowered
-    /// statement, so a `RunError` reports the statement that trapped.
-    SetSpan { span: Span },
     /// `r[slot] = 0` — reset a loop's iteration counter.
     IterInit { slot: Reg },
     /// Bump the counter, trap on [`crate::exec::ExecLimits::max_iterations`],
@@ -130,8 +141,9 @@ pub enum Instr {
     Abs { dst: Reg, a: Reg },
     /// `r[dst] = min/max(r[a], r[b])` with float promotion.
     MinMax { dst: Reg, a: Reg, b: Reg, is_min: bool },
-    /// Return from the current activation (`None` returns 0 to the
-    /// caller), freeing the frame's machine-backed locals.
+    /// Return from the current activation (`None` returns int 0; the
+    /// lowering has coerced a value to the declared return type),
+    /// freeing the frame's machine-backed locals.
     Ret { src: Option<Reg> },
     /// Free whichever of the locals `lo..hi` are live — emitted where
     /// control leaves a block that declares a local array (its exit, a
@@ -158,11 +170,66 @@ pub enum Instr {
     Nop,
 }
 
-/// A lowered function body: code plus the AST fragments its tree escapes
-/// reference.
+impl Instr {
+    /// Visit every register operand: `f(reg, true)` for each one written,
+    /// `f(reg, false)` for each one read (`IterCheck`'s counter is both).
+    pub(crate) fn for_each_reg(&mut self, mut f: impl FnMut(&mut Reg, bool)) {
+        match self {
+            Instr::Const { dst, .. }
+            | Instr::LoadGlobal { dst, .. }
+            | Instr::Rand { dst }
+            | Instr::EvalExpr { dst, .. }
+            | Instr::IterInit { slot: dst } => f(dst, true),
+            Instr::Copy { dst, src }
+            | Instr::Truthy { dst, src }
+            | Instr::StoreSlot { slot: dst, src, .. }
+            | Instr::Un { dst, a: src, .. }
+            | Instr::Power2 { dst, a: src }
+            | Instr::Abs { dst, a: src } => {
+                f(dst, true);
+                f(src, false);
+            }
+            Instr::Bin { dst, a, b, .. } | Instr::MinMax { dst, a, b, .. } => {
+                f(dst, true);
+                f(a, false);
+                f(b, false);
+            }
+            Instr::Call { dst, args, .. } => {
+                f(dst, true);
+                args.iter_mut().for_each(|a| f(a, false));
+            }
+            Instr::SeqNext { elem, more } => {
+                f(elem, true);
+                f(more, true);
+            }
+            Instr::IterCheck { slot, .. } => {
+                f(slot, true);
+                f(slot, false);
+            }
+            Instr::StoreGlobal { src: r, .. }
+            | Instr::JumpIfFalse { c: r, .. }
+            | Instr::JumpIfTrue { c: r, .. }
+            | Instr::Ret { src: Some(r) } => f(r, false),
+            Instr::Jump { .. }
+            | Instr::Ret { src: None }
+            | Instr::FreeLocals { .. }
+            | Instr::EvalEffect { .. }
+            | Instr::Tree { .. }
+            | Instr::SeqEnter { .. }
+            | Instr::SeqExit
+            | Instr::Nop => {}
+        }
+    }
+}
+
+/// A lowered function body: code, the statement each instruction belongs
+/// to, and the AST fragments its tree escapes reference.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IrBody {
     pub code: Vec<Instr>,
+    /// Per instruction of `code`, the span of the statement that owns it
+    /// — what a `RunError` raised at that pc reports.
+    pub spans: Vec<Span>,
     /// Statements referenced by [`Instr::Tree`].
     pub stmts: Vec<Stmt>,
     /// Expressions referenced by [`Instr::EvalExpr`] / [`Instr::EvalEffect`].
@@ -176,11 +243,14 @@ pub struct IrFunc {
     /// Parameter coercion: `true` = float, `false` = int (everything
     /// non-float coerces to int).
     pub params: Vec<bool>,
-    /// Total registers of an activation.
-    pub n_slots: u16,
     /// Registers `0..n_perm` are named locals / parameters / loop
-    /// counters; the rest are statement temporaries.
+    /// counters; `n_perm..const_base` are statement temporaries.
     pub n_perm: u16,
+    /// Registers from `const_base` up hold the function's constants.
+    pub const_base: u16,
+    /// The register file of a fresh activation: zeros below `const_base`,
+    /// the constants above.
+    pub image: Vec<Scalar>,
     /// `None` when lowering overflowed the register file; such a program
     /// is rejected at compile time.
     pub body: Option<IrBody>,

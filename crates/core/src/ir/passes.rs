@@ -17,26 +17,27 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use uc_cm::{ElemType, Scalar};
 
-use super::{Instr, IrBody, Reg};
+use super::{Instr, IrBody, IrFunc, Reg};
 use crate::ast::{BinaryOp, Block, Expr, FuncDef, Stmt, UcKind, UcStmt};
 use crate::exec::{coerce_scalar, scalar_abs, scalar_binary, scalar_minmax, scalar_unary};
 use crate::stdlib;
 
-/// Run the balanced pass pipeline over one lowered body.
-pub fn optimize(body: &mut IrBody, n_perm: u16) {
-    const_fold(&mut body.code, n_perm);
+/// Run the balanced pass pipeline over one lowered function.
+pub fn optimize(f: &mut IrFunc) {
+    let Some(body) = &mut f.body else { return };
+    const_fold(&mut body.code, f.n_perm, f.const_base, &f.image);
     reachability(&mut body.code);
-    dead_stores(&mut body.code, n_perm);
-    compact(&mut body.code);
-    fallthrough_jumps(&mut body.code);
+    dead_stores(&mut body.code, f.n_perm..f.const_base);
+    compact(body);
+    fallthrough_jumps(body);
 }
 
 /// After compaction, a jump whose target is the very next instruction —
 /// typically left behind by a branch folded on a known condition — is a
 /// no-op; drop it and re-compact.
-fn fallthrough_jumps(code: &mut Vec<Instr>) {
+fn fallthrough_jumps(body: &mut IrBody) {
     let mut changed = false;
-    for (i, ins) in code.iter_mut().enumerate() {
+    for (i, ins) in body.code.iter_mut().enumerate() {
         if let Instr::Jump { t } = ins {
             if *t as usize == i + 1 {
                 *ins = Instr::Nop;
@@ -45,7 +46,7 @@ fn fallthrough_jumps(code: &mut Vec<Instr>) {
         }
     }
     if changed {
-        compact(code);
+        compact(body);
     }
 }
 
@@ -55,122 +56,72 @@ fn fallthrough_jumps(code: &mut Vec<Instr>) {
 /// known conditions. Register knowledge is dropped at every jump target
 /// (block join) and across instructions that can write a local's
 /// register (tree escapes clobber named slots; calls clobber only their
-/// destination — callees cannot reach the caller's frame).
-fn const_fold(code: &mut [Instr], n_perm: u16) {
-    let mut targets = HashSet::new();
-    for ins in code.iter() {
-        if let Instr::Jump { t } | Instr::JumpIfFalse { t, .. } | Instr::JumpIfTrue { t, .. } = ins
-        {
-            targets.insert(*t);
-        }
-    }
+/// destination — callees cannot reach the caller's frame). A constant
+/// register (`const_base..`, its value in `image`) is known everywhere.
+fn const_fold(code: &mut [Instr], n_perm: u16, const_base: Reg, image: &[Scalar]) {
+    let targets: HashSet<u32> = (code.iter())
+        .filter_map(|ins| match ins {
+            Instr::Jump { t } | Instr::JumpIfFalse { t, .. } | Instr::JumpIfTrue { t, .. } => {
+                Some(*t)
+            }
+            _ => None,
+        })
+        .collect();
     let mut known: HashMap<Reg, Scalar> = HashMap::new();
     for (i, ins) in code.iter_mut().enumerate() {
         if targets.contains(&(i as u32)) {
             known.clear();
         }
-        // (dst, folded value): Some(v) rewrites the instruction to a
-        // `Const` and records it; None-valued entries just invalidate.
-        let mut fold: Option<(Reg, Option<Scalar>)> = None;
-        match &*ins {
-            Instr::Const { dst, v } => {
-                known.insert(*dst, *v);
+        let val = |r: &Reg| {
+            if *r >= const_base { Some(image[*r as usize]) } else { known.get(r).copied() }
+        };
+        // What the instruction computes, when its operands are known.
+        let value = match &*ins {
+            Instr::Const { v, .. } => Some(*v),
+            Instr::Copy { src, .. } => val(src),
+            Instr::Bin { op, a, b, .. } => {
+                val(a).zip(val(b)).and_then(|(x, y)| scalar_binary(*op, x, y).ok())
             }
-            Instr::Copy { dst, src } => fold = Some((*dst, known.get(src).copied())),
-            Instr::Bin { op, dst, a, b } => {
-                let v = match (known.get(a), known.get(b)) {
-                    (Some(&x), Some(&y)) => scalar_binary(*op, x, y).ok(),
-                    _ => None,
-                };
-                fold = Some((*dst, v));
+            Instr::Un { op, a, .. } => val(a).map(|x| scalar_unary(*op, x)),
+            Instr::Truthy { src, .. } => val(src).map(|x| Scalar::Int(x.as_bool() as i64)),
+            Instr::Power2 { a, .. } => val(a).map(|x| Scalar::Int(stdlib::power2(x.as_int()))),
+            Instr::Abs { a, .. } => val(a).map(scalar_abs),
+            Instr::MinMax { a, b, is_min, .. } => {
+                val(a).zip(val(b)).map(|(x, y)| scalar_minmax(x, y, *is_min))
             }
-            Instr::Un { op, dst, a } => {
-                fold = Some((*dst, known.get(a).map(|&x| scalar_unary(*op, x))));
-            }
-            Instr::Truthy { dst, src } => {
-                fold = Some((*dst, known.get(src).map(|x| Scalar::Int(x.as_bool() as i64))));
-            }
-            Instr::Power2 { dst, a } => {
-                fold =
-                    Some((*dst, known.get(a).map(|x| Scalar::Int(stdlib::power2(x.as_int())))));
-            }
-            Instr::Abs { dst, a } => {
-                fold = Some((*dst, known.get(a).map(|&x| scalar_abs(x))));
-            }
-            Instr::MinMax { dst, a, b, is_min } => {
-                let v = match (known.get(a), known.get(b)) {
-                    (Some(&x), Some(&y)) => Some(scalar_minmax(x, y, *is_min)),
-                    _ => None,
-                };
-                fold = Some((*dst, v));
-            }
-            Instr::StoreSlot { slot, src, float } => {
+            Instr::StoreSlot { src, float, .. } => {
                 let ty = if *float { ElemType::Float } else { ElemType::Int };
-                match known.get(src).copied() {
-                    Some(v) => {
-                        known.insert(*slot, coerce_scalar(v, ty));
-                    }
-                    None => {
-                        known.remove(slot);
-                    }
-                }
+                val(src).map(|v| coerce_scalar(v, ty))
             }
-            Instr::LoadGlobal { dst, .. } | Instr::Rand { dst } | Instr::Call { dst, .. } => {
-                known.remove(dst);
-            }
-            Instr::StoreGlobal { .. } | Instr::SetSpan { .. } => {}
-            Instr::IterInit { slot } | Instr::IterCheck { slot, .. } => {
-                known.remove(slot);
-            }
-            Instr::JumpIfFalse { c, t } => {
-                let t = *t;
-                if let Some(v) = known.get(c) {
-                    if v.as_bool() {
-                        *ins = Instr::Nop;
-                    } else {
-                        *ins = Instr::Jump { t };
-                        known.clear();
-                    }
-                }
-            }
-            Instr::JumpIfTrue { c, t } => {
-                let t = *t;
-                if let Some(v) = known.get(c) {
-                    if v.as_bool() {
-                        *ins = Instr::Jump { t };
-                        known.clear();
-                    } else {
-                        *ins = Instr::Nop;
-                    }
-                }
-            }
-            Instr::Jump { .. } | Instr::Ret { .. } => known.clear(),
-            Instr::EvalExpr { dst, .. } => {
-                let dst = *dst;
-                known.retain(|&r, _| r >= n_perm);
-                known.remove(&dst);
-            }
-            Instr::EvalEffect { .. } | Instr::Tree { .. } => {
-                known.retain(|&r, _| r >= n_perm);
-            }
-            Instr::SeqNext { elem, more } => {
-                known.remove(elem);
-                known.remove(more);
-            }
-            Instr::FreeLocals { .. }
-            | Instr::SeqEnter { .. }
-            | Instr::SeqExit
-            | Instr::Nop => {}
+            _ => None,
+        };
+        // A known condition decides its jump.
+        let decided = match &*ins {
+            Instr::JumpIfFalse { c, t } => val(c).map(|v| (!v.as_bool(), *t)),
+            Instr::JumpIfTrue { c, t } => val(c).map(|v| (v.as_bool(), *t)),
+            _ => None,
+        };
+        if let Some((taken, t)) = decided {
+            *ins = if taken { Instr::Jump { t } } else { Instr::Nop };
         }
-        match fold {
-            Some((dst, Some(v))) => {
-                *ins = Instr::Const { dst, v };
-                known.insert(dst, v);
+        match ins {
+            Instr::Jump { .. } | Instr::Ret { .. } => known.clear(),
+            Instr::EvalExpr { .. } | Instr::EvalEffect { .. } | Instr::Tree { .. } => {
+                known.retain(|&r, _| r >= n_perm)
             }
-            Some((dst, None)) => {
-                known.remove(&dst);
+            _ => {}
+        }
+        // What it writes now holds what it computed, or is unknown.
+        let mut dst = None;
+        ins.for_each_reg(|r, written| {
+            if written {
+                known.remove(r);
+                dst = Some(*r);
             }
-            None => {}
+        });
+        if let (Some(dst), Some(v)) = (dst, value) {
+            known.insert(dst, v);
+            *ins = Instr::Const { dst, v };
         }
     }
 }
@@ -206,39 +157,18 @@ fn reachability(code: &mut [Instr]) {
     }
 }
 
-/// Remove pure writes to temporaries that are never read. Named slots
-/// (`< n_perm`) are exempt — tree escapes read them too. Iterated to
-/// a fixpoint so chains of dead temporaries collapse.
-fn dead_stores(code: &mut [Instr], n_perm: u16) {
+/// Remove pure writes to temporaries (`temps`) that are never read.
+/// Named slots are exempt — tree escapes read them too. Iterated to a
+/// fixpoint so chains of dead temporaries collapse.
+fn dead_stores(code: &mut [Instr], temps: std::ops::Range<Reg>) {
     loop {
         let mut read = HashSet::new();
-        for ins in code.iter() {
-            match ins {
-                Instr::Copy { src, .. } | Instr::Truthy { src, .. } => {
-                    read.insert(*src);
-                }
-                Instr::Bin { a, b, .. } | Instr::MinMax { a, b, .. } => {
-                    read.insert(*a);
-                    read.insert(*b);
-                }
-                Instr::Un { a, .. } | Instr::Power2 { a, .. } | Instr::Abs { a, .. } => {
-                    read.insert(*a);
-                }
-                Instr::StoreSlot { src, .. } | Instr::StoreGlobal { src, .. } => {
-                    read.insert(*src);
-                }
-                Instr::JumpIfFalse { c, .. } | Instr::JumpIfTrue { c, .. } => {
-                    read.insert(*c);
-                }
-                Instr::IterCheck { slot, .. } => {
-                    read.insert(*slot);
-                }
-                Instr::Call { args, .. } => read.extend(args.iter().copied()),
-                Instr::Ret { src: Some(r) } => {
+        for ins in code.iter_mut() {
+            ins.for_each_reg(|r, written| {
+                if !written {
                     read.insert(*r);
                 }
-                _ => {}
-            }
+            });
         }
         let mut changed = false;
         for ins in code.iter_mut() {
@@ -259,7 +189,7 @@ fn dead_stores(code: &mut [Instr], n_perm: u16) {
                 }
                 _ => continue,
             };
-            if dst >= n_perm && !read.contains(&dst) {
+            if temps.contains(&dst) && !read.contains(&dst) {
                 *ins = Instr::Nop;
                 changed = true;
             }
@@ -270,9 +200,11 @@ fn dead_stores(code: &mut [Instr], n_perm: u16) {
     }
 }
 
-/// Drop `Nop`s and remap jump targets. A target that pointed at a `Nop`
-/// lands on the next kept instruction.
-fn compact(code: &mut Vec<Instr>) {
+/// Drop `Nop`s — and their entries of the span table, which stays in
+/// step with the code — and remap jump targets. A target that pointed at
+/// a `Nop` lands on the next kept instruction.
+fn compact(body: &mut IrBody) {
+    let IrBody { code, spans, .. } = body;
     let mut map = vec![0u32; code.len() + 1];
     let mut kept = 0u32;
     for (i, ins) in code.iter().enumerate() {
@@ -283,11 +215,14 @@ fn compact(code: &mut Vec<Instr>) {
     }
     map[code.len()] = kept;
     let old = std::mem::take(code);
+    let old_spans = std::mem::take(spans);
     code.reserve(kept as usize);
-    for mut ins in old {
+    spans.reserve(kept as usize);
+    for (mut ins, span) in old.into_iter().zip(old_spans) {
         if matches!(ins, Instr::Nop) {
             continue;
         }
+        spans.push(span);
         if let Instr::Jump { t } | Instr::JumpIfFalse { t, .. } | Instr::JumpIfTrue { t, .. } =
             &mut ins
         {

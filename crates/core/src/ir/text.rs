@@ -1,16 +1,19 @@
 //! Stable text rendering of a lowered program (`uc run --emit ir`).
 //!
 //! The format is line-oriented and deterministic: golden-file tests pin
-//! it, so gratuitous changes are breaking. Tree-escape fragments are
+//! it, so gratuitous changes are breaking. A constant register prints as
+//! its value, the first instruction of each run owned by one statement
+//! ends in `; line:col` (the span table), and tree-escape fragments are
 //! pretty-printed UC source collapsed onto one line.
 
 use std::fmt::Write;
 
 use uc_cm::Scalar;
 
-use super::{Instr, IrProgram};
+use super::{Instr, IrBody, IrFunc, IrProgram, Reg};
 use crate::exec::IrOpt;
 use crate::pretty;
+use crate::span::Span;
 
 /// Render a whole program.
 pub fn render(p: &IrProgram) -> String {
@@ -39,18 +42,22 @@ pub fn render(p: &IrProgram) -> String {
             .map(|&fl| if fl { "float" } else { "int" })
             .collect::<Vec<_>>()
             .join(", ");
-        let _ = writeln!(
-            out,
-            "func {}({params}) slots={} perm={}",
-            f.name, f.n_slots, f.n_perm
-        );
+        let (name, slots, perm) = (&f.name, f.image.len(), f.n_perm);
+        let consts = slots - f.const_base as usize;
+        let _ = writeln!(out, "func {name}({params}) slots={slots} perm={perm} consts={consts}");
         match &f.body {
             None => {
                 out.push_str("  <unlowered: register file overflow>\n");
             }
             Some(body) => {
-                for (i, ins) in body.code.iter().enumerate() {
-                    let _ = writeln!(out, "  {i:>4}  {}", instr(ins, body, p));
+                let mut owner = Span::default();
+                for (i, (ins, &span)) in body.code.iter().zip(&body.spans).enumerate() {
+                    let _ = write!(out, "  {i:>4}  {}", instr(ins, f, body, p));
+                    if span != owner && span != Span::default() {
+                        let _ = write!(out, "  ; {span}");
+                    }
+                    owner = span;
+                    out.push('\n');
                 }
             }
         }
@@ -71,12 +78,17 @@ fn frag(s: &str) -> String {
     s.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
-fn instr(ins: &Instr, body: &super::IrBody, p: &IrProgram) -> String {
+fn instr(ins: &Instr, f: &IrFunc, body: &IrBody, p: &IrProgram) -> String {
+    // An operand: a register, or the value of a constant one.
+    let r = |r: &Reg| match f.image.get(*r as usize) {
+        Some(v) if *r >= f.const_base => scalar(v),
+        _ => format!("r{r}"),
+    };
     match ins {
         Instr::Const { dst, v } => format!("const      r{dst} = {}", scalar(v)),
-        Instr::Copy { dst, src } => format!("copy       r{dst} = r{src}"),
+        Instr::Copy { dst, src } => format!("copy       r{dst} = {}", r(src)),
         Instr::Bin { op, dst, a, b } => {
-            format!("bin        r{dst} = r{a} {} r{b}", op.symbol())
+            format!("bin        r{dst} = {} {} {}", r(a), op.symbol(), r(b))
         }
         Instr::Un { op, dst, a } => {
             let sym = match op {
@@ -84,34 +96,35 @@ fn instr(ins: &Instr, body: &super::IrBody, p: &IrProgram) -> String {
                 crate::ast::UnaryOp::Not => "!",
                 crate::ast::UnaryOp::BitNot => "~",
             };
-            format!("un         r{dst} = {sym}r{a}")
+            format!("un         r{dst} = {sym}{}", r(a))
         }
-        Instr::Truthy { dst, src } => format!("truthy     r{dst} = (r{src} != 0)"),
+        Instr::Truthy { dst, src } => format!("truthy     r{dst} = ({} != 0)", r(src)),
         Instr::StoreSlot { slot, src, float } => format!(
-            "store      r{slot} = r{src} as {}",
+            "store      r{slot} = {} as {}",
+            r(src),
             if *float { "float" } else { "int" }
         ),
         Instr::LoadGlobal { dst, g } => format!("load_g     r{dst} = g{g}"),
-        Instr::StoreGlobal { g, src } => format!("store_g    g{g} = r{src}"),
+        Instr::StoreGlobal { g, src } => format!("store_g    g{g} = {}", r(src)),
         Instr::Jump { t } => format!("jump       @{t}"),
-        Instr::JumpIfFalse { c, t } => format!("jump_if_f  r{c} -> @{t}"),
-        Instr::JumpIfTrue { c, t } => format!("jump_if_t  r{c} -> @{t}"),
-        Instr::SetSpan { span } => format!("span       {span}"),
+        Instr::JumpIfFalse { c, t } => format!("jump_if_f  {} -> @{t}", r(c)),
+        Instr::JumpIfTrue { c, t } => format!("jump_if_t  {} -> @{t}", r(c)),
         Instr::IterInit { slot } => format!("iter_init  r{slot}"),
         Instr::IterCheck { slot, label } => format!("iter_check r{slot} ({label})"),
         Instr::Call { dst, f, args } => {
-            let args =
-                args.iter().map(|r| format!("r{r}")).collect::<Vec<_>>().join(", ");
+            let args = args.iter().map(r).collect::<Vec<_>>().join(", ");
             format!("call       r{dst} = fn#{f}({args})")
         }
         Instr::Rand { dst } => format!("rand       r{dst}"),
-        Instr::Power2 { dst, a } => format!("power2     r{dst} = power2(r{a})"),
-        Instr::Abs { dst, a } => format!("abs        r{dst} = abs(r{a})"),
+        Instr::Power2 { dst, a } => format!("power2     r{dst} = power2({})", r(a)),
+        Instr::Abs { dst, a } => format!("abs        r{dst} = abs({})", r(a)),
         Instr::MinMax { dst, a, b, is_min } => format!(
-            "minmax     r{dst} = {}(r{a}, r{b})",
-            if *is_min { "min" } else { "max" }
+            "minmax     r{dst} = {}({}, {})",
+            if *is_min { "min" } else { "max" },
+            r(a),
+            r(b)
         ),
-        Instr::Ret { src: Some(r) } => format!("ret        r{r}"),
+        Instr::Ret { src: Some(src) } => format!("ret        {}", r(src)),
         Instr::Ret { src: None } => "ret".into(),
         Instr::FreeLocals { lo, hi } => format!("free       l{lo}..l{hi}"),
         Instr::EvalExpr { dst, e } => format!(

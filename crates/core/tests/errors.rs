@@ -405,6 +405,44 @@ fn iteration_limit_on_infinite_while() {
     assert!(matches!(err.error, RuntimeError::IterationLimit(_)));
 }
 
+/// A trap is reported at the statement that owns the trapping
+/// instruction, not at the last statement that happened to run: a loop
+/// condition re-evaluated after the body, an `if` reached by a back
+/// edge, the iteration cap of a loop with a body, and the call site of a
+/// condition whose callee traps.
+#[test]
+fn a_trap_after_a_back_edge_names_its_own_statement() {
+    let limits = uc_core::ExecLimits { max_iterations: 100, ..Default::default() };
+    let run = |src: &str| {
+        let cfg = uc_core::ExecConfig { limits: limits.clone(), ..Default::default() };
+        let mut p = Program::compile_with(src, cfg).unwrap_or_else(|d| panic!("{src}\n{d}"));
+        p.run().expect_err("expected runtime failure")
+    };
+    let at = |e: &uc_core::RunError| (e.span.line, e.span.col);
+
+    let e = run("int x;\nmain() {\n    int k;\n    x = 2;\n    k = 0;\n    while (10 / x > 0) {\n        k = k + 1;\n        x = x - 1;\n    }\n}\n");
+    assert!(matches!(e.error, RuntimeError::DivideByZero), "{e}");
+    assert_eq!(at(&e), (6, 5), "the `while`, not the body's last statement: {e}");
+
+    let e = run("int x;\nmain() {\n    int k;\n    for (x = 2; 10 / x > 0; x = x - 1) {\n        k = k + 1;\n    }\n}\n");
+    assert!(matches!(e.error, RuntimeError::DivideByZero), "{e}");
+    assert_eq!(at(&e), (4, 5), "the `for`: {e}");
+
+    let e = run("int x;\nmain() {\n    int k;\n    for (x = 2; x > 0 - 5; x = x - 1) {\n        if (10 / x > 3)\n            k = 1;\n        k = k + 1;\n    }\n}\n");
+    assert!(matches!(e.error, RuntimeError::DivideByZero), "{e}");
+    assert_eq!(at(&e), (5, 9), "the `if`, reached by the back edge: {e}");
+
+    let e = run("int x;\nmain() {\n    while (1) {\n        x = x + 1;\n    }\n}\n");
+    assert!(matches!(e.error, RuntimeError::IterationLimit("while loop")), "{e}");
+    assert_eq!(at(&e), (3, 5), "the loop that ran out of iterations: {e}");
+
+    let e = run("int x;\nint inv(int d) {\n    return 10 / d;\n}\nmain() {\n    x = 2;\n    while (inv(x) > 0) {\n        x = x - 1;\n    }\n}\n");
+    assert!(matches!(e.error, RuntimeError::DivideByZero), "{e}");
+    assert_eq!(at(&e), (3, 5), "the `return` inside the callee: {e}");
+    let sites: Vec<_> = e.stack.iter().map(|(f, s)| (f.as_str(), s.line, s.col)).collect();
+    assert_eq!(sites[1], ("inv", 7, 5), "called from the `while`: {sites:?}");
+}
+
 #[test]
 fn front_end_control_inside_par_rejected() {
     let msg = compile_err(
@@ -438,6 +476,15 @@ fn register_file_overflow_is_a_compile_error() {
     let msg = compile_err(&src);
     assert!(msg.contains("function `huge` needs more than 65535 registers"), "{msg}");
     assert!(!msg.contains("`main`"), "{msg}");
+
+    // Constants are registers too: one per distinct literal.
+    let mut src = String::from("int out;\nmain() {\n");
+    for k in 0..=u16::MAX as usize {
+        src.push_str(&format!("out = out + {};\n", k + 2));
+    }
+    src.push_str("}\n");
+    let msg = compile_err(&src);
+    assert!(msg.contains("function `main` needs more than 65535 registers"), "{msg}");
 }
 
 #[test]

@@ -287,6 +287,40 @@ fn user_function_called_in_parallel_with_scalar_args() {
     assert_eq!(p.read_int_array("a").unwrap(), vec![9; 6]);
 }
 
+/// A function returns a value of its declared type, whichever way it
+/// was entered: a VM `Call` from front-end code, or a call inside a `par`
+/// arm, which re-enters the VM from the tree evaluator. A valueless
+/// `return` still yields int 0.
+#[test]
+fn a_function_returns_its_declared_type() {
+    let mut p = run(r#"
+        #define N 3
+        index_set I:i = {0..N-1}, T:t = {5..5};
+        int t1;
+        float q, none;
+        int a[N];
+        float b[N];
+        int half(int n) { return n / 2.0; }
+        float h(int n) { return n / 2; }
+        float nothing(int n) { if (n) return; }
+        main() {
+            t1 = half(5) * 2;
+            q = h(5) / 4;
+            none = 7 / (nothing(1) + 2);
+            seq (T) {
+                par (I) a[i] = half(t) * 2 + i;
+                par (I) b[i] = h(t) / 4;
+            }
+        }
+    "#);
+    assert_eq!(p.read_int("t1"), Some(4), "half(5) is 2, not 2.5");
+    assert_eq!(p.read_scalar("q").unwrap().as_float(), 0.5, "h(5) is 2.0, not 2");
+    let none = p.read_scalar("none").unwrap().as_float();
+    assert_eq!(none, 3.0, "a valueless return is int 0, so 7 / 2 divides ints");
+    assert_eq!(p.read_int_array("a").unwrap(), vec![4, 5, 6]);
+    assert_eq!(p.read_float_array("b").unwrap(), vec![0.5; 3]);
+}
+
 #[test]
 fn par_local_initializer() {
     let mut p = run(r#"

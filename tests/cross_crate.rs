@@ -8,8 +8,9 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use support::{
-    effectful_expr, name_nest, nest, rank_case, NameModel, NameStmt, Nest, Operand, RankStmt,
-    ScopeModel, Target, POOL, SETS, VARS,
+    effectful_expr, name_nest, nest, rank_case, scalar_program, scalar_stmts, NameModel, NameStmt,
+    Nest, Operand, RankStmt, SExpr, SVal, ScalarModel, ScopeModel, Target, POOL, SCALARS, SETS,
+    VARS,
 };
 use uc::cstar::programs;
 use uc::lang::analysis::{check_source, LintConfig};
@@ -366,6 +367,86 @@ proptest! {
                 prop_assert!(!matches!(e.error, NotSupported(_) | Internal(_)), "{}\n{}", src, e);
             }
         }
+    }
+}
+
+/// Run `stmts` as the body of `main` and through the model; both must
+/// leave every variable with the same value of the same type (floats by
+/// bit pattern). Returns the model, for a caller that expects a value.
+fn scalar_model_agrees(stmts: &[SExpr]) -> ScalarModel {
+    let mut model = ScalarModel::default();
+    for s in stmts {
+        model.eval(s);
+    }
+    let src = scalar_program(stmts);
+    let p = run_uc(&src, &[]);
+    for (&(name, _), want) in SCALARS.iter().zip(model.vars) {
+        // A local is read from the global the program copied it to.
+        let name = if "xyzfh".contains(name) { format!("r{name}") } else { name.into() };
+        let got = match p.read_scalar(&name).unwrap() {
+            uc::cm::Scalar::Float(v) => SVal::F(v),
+            v => SVal::I(v.as_int()),
+        };
+        let same = match (got, want) {
+            (SVal::F(a), SVal::F(b)) => a.to_bits() == b.to_bits(),
+            _ => got == want,
+        };
+        assert!(same, "{name}: ran to {got:?}, the model says {want:?}\n{src}");
+    }
+    model
+}
+
+/// The hazards of reading a local where it is used instead of where it
+/// stands, and of computing straight into a typed slot — each with the
+/// value C-with-UC's-rules gives it.
+#[test]
+fn scalar_lowering_hazards_match_the_model() {
+    use SExpr::{Assign, Bin, Cond, Float, Int, Two, Var};
+    let b = Box::new;
+    let (x, y, z, g, k) = (0, 1, 2, 5, 6);
+    let set = |v, e| Assign(v, None, Box::new(e));
+    let cases: Vec<(Vec<SExpr>, usize, SVal)> = vec![
+        // k = x + (x = 3): the old x is read first.
+        (vec![set(k, Bin("+", b(Var(x)), b(set(x, Int(3)))))], k, SVal::I(4)),
+        (vec![set(k, Bin("+", b(set(x, Int(1))), b(set(x, Int(2)))))], k, SVal::I(3)),
+        (vec![set(x, Int(5)), set(k, Two(b(Var(x)), b(set(x, Int(2)))))], k, SVal::I(52)),
+        // x += (x = 3): the value first, then the old x.
+        (vec![set(x, Int(4)), Assign(x, Some('+'), b(set(x, Int(3))))], x, SVal::I(6)),
+        (vec![set(y, set(z, Bin("+", b(Var(x)), b(Int(1)))))], y, SVal::I(2)),
+        (
+            vec![set(
+                x,
+                Cond(b(Bin("<", b(Int(3)), b(Var(x)))), b(Bin("-", b(Var(x)), b(Int(1)))), b(set(x, Int(0)))),
+            )],
+            x,
+            SVal::I(0),
+        ),
+        (vec![set(x, Int(3)), Assign(x, Some('*'), b(Float(1.5)))], x, SVal::I(4)),
+        (vec![set(g, Int(2)), set(g, Bin("/", b(Var(g)), b(Int(4))))], g, SVal::F(0.5)),
+        (vec![set(x, Int(9)), set(x, Bin("/", b(Var(x)), b(Float(2.0))))], x, SVal::I(4)),
+        (vec![Assign(y, Some('-'), b(Var(y)))], y, SVal::I(0)),
+        (vec![set(g, Int(1)), Assign(g, Some('+'), b(Var(x)))], g, SVal::F(2.0)),
+    ];
+    for (stmts, var, want) in &cases {
+        let model = scalar_model_agrees(stmts);
+        assert_eq!(model.vars[*var], *want, "{}", scalar_program(stmts));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The lowering of front-end scalar code against a model that shares
+    /// no code with it (ROADMAP item 1(a), front-end scalar slice):
+    /// straight-line assignments — plain, compound, chained, nested
+    /// under operators and call arguments — over int and float locals
+    /// and globals leave every variable as a left-to-right evaluator of
+    /// the generator's own expression type leaves it.
+    #[test]
+    fn scalar_lowering_matches_a_left_to_right_model(
+        tape in prop::collection::vec(0u32..1 << 16, 96..256),
+    ) {
+        scalar_model_agrees(&scalar_stmts(&mut tape.into_iter()));
     }
 }
 

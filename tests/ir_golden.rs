@@ -3,7 +3,10 @@
 //! The rendered IR is a public, line-oriented artifact (`uc run --emit
 //! ir` / `uc check --emit ir`): these tests pin it byte-for-byte for a
 //! few corpus programs so lowering, pass-pipeline, and renderer changes
-//! are always deliberate. To refresh after an intentional change:
+//! are always deliberate — the operands (a register, or the value of a
+//! constant one) and, as a trailing `; line:col` where it changes, the
+//! statement each instruction reports a trap at. To refresh after an
+//! intentional change:
 //!
 //! ```text
 //! uc run <input> --emit ir > tests/corpus/golden/<name>.ir
@@ -38,6 +41,24 @@ fn golden(name: &str) -> String {
 #[test]
 fn shortest_path_ir_is_stable() {
     assert_eq!(emit("run", "examples/uc/shortest_path.uc", false), golden("shortest_path.ir"));
+}
+
+/// The scalar benchmark's program, and the shape of its hot loop: one
+/// Collatz step runs straight off the locals and constant registers —
+/// from the `while` test to the back jump at most 12 instructions, none
+/// of them a `const` or a `copy`.
+#[test]
+fn collatz_ir_is_stable_and_its_loop_has_no_copies() {
+    let ir = emit("run", "examples/uc/collatz.uc", false);
+    assert_eq!(ir, golden("collatz.ir"));
+    let body: Vec<&str> = ir
+        .lines()
+        .skip_while(|l| !l.contains("bin") || !l.contains("!="))
+        .take_while(|l| !l.contains("ret"))
+        .collect();
+    assert!(body.last().is_some_and(|l| l.contains("jump ")), "{body:#?}");
+    assert!(body.len() <= 12, "{} instructions per Collatz step:\n{body:#?}", body.len());
+    assert!(!body.iter().any(|l| l.contains("const ") || l.contains("copy ")), "{body:#?}");
 }
 
 #[test]

@@ -512,3 +512,239 @@ impl RankCase {
         )
     }
 }
+
+// ---------------------------------------------------------------------
+// Front-end scalar statements against a left-to-right model.
+// ---------------------------------------------------------------------
+
+/// The variables of a generated `main`, as `(name, is_float)`: three int
+/// and two float locals, then a float and an int global. A [`SExpr::Var`]
+/// is a position here.
+pub const SCALARS: [(&str, bool); 7] =
+    [("x", false), ("y", false), ("z", false), ("f", true), ("h", true), ("g", true), ("k", false)];
+
+/// A front-end expression, as the generator builds it and the model
+/// evaluates it — the implementation only ever sees [`SExpr::text`].
+pub enum SExpr {
+    Int(i64),
+    Float(f64),
+    Var(usize),
+    /// `v = e`, or `v op= e` with `op` one of `+ - *`.
+    Assign(usize, Option<char>, Box<SExpr>),
+    /// `+ - * / % < == &&`; the generator guards every divisor.
+    Bin(&'static str, Box<SExpr>, Box<SExpr>),
+    Cond(Box<SExpr>, Box<SExpr>, Box<SExpr>),
+    /// `-e`, `!e`, `abs(e)`.
+    Un(&'static str, Box<SExpr>),
+    /// `min(a, b)` / `max(a, b)`.
+    MinMax(bool, Box<SExpr>, Box<SExpr>),
+    /// `two(a, b)`: the user function `int two(int a, int b) { return a * 10 + b; }`.
+    Two(Box<SExpr>, Box<SExpr>),
+}
+
+/// `v` if it is non-zero, else 1: a divisor that never traps.
+fn divisor(v: usize) -> SExpr {
+    let v = || Box::new(SExpr::Var(v));
+    SExpr::Cond(Box::new(SExpr::Bin("!=", v(), Box::new(SExpr::Int(0)))), v(), Box::new(SExpr::Int(1)))
+}
+
+/// An expression of nesting at most `depth` drawn from `tape` (exhausted
+/// tape reads as zeros).
+pub fn scalar_expr(tape: &mut dyn Iterator<Item = u32>, depth: u32) -> SExpr {
+    let mut next = |n: u32| tape.next().unwrap_or(0) % n;
+    let pick = if depth == 0 { next(4) } else { next(23) };
+    let var = next(SCALARS.len() as u32) as usize;
+    let lit = next(5) as i64;
+    let mut sub = || Box::new(scalar_expr(tape, depth.saturating_sub(1)));
+    match pick {
+        0 => SExpr::Int(lit),
+        1 => SExpr::Float([0.5, 1.5, 2.0, 4.0, 0.0][lit as usize]),
+        2 | 3 => SExpr::Var(var),
+        4 | 5 => SExpr::Assign(var, None, sub()),
+        6 => SExpr::Assign(var, Some(['+', '-', '*'][lit as usize % 3]), sub()),
+        7 | 8 => SExpr::Bin("+", sub(), sub()),
+        9 => SExpr::Bin("-", sub(), sub()),
+        10 => SExpr::Bin("*", sub(), sub()),
+        11 => SExpr::Bin(["<", "=="][lit as usize % 2], sub(), sub()),
+        12 => SExpr::Bin("&&", sub(), sub()),
+        13 => SExpr::Cond(sub(), sub(), sub()),
+        14 => SExpr::Un(["-", "!", "abs"][lit as usize % 3], sub()),
+        15 => SExpr::MinMax(lit % 2 == 0, sub(), sub()),
+        16 => SExpr::Two(sub(), sub()),
+        17 => SExpr::Bin("/", sub(), Box::new(divisor(var))),
+        // `%` takes ints: an int variable on each side.
+        18 => SExpr::Bin("%", Box::new(SExpr::Var(var % 3)), Box::new(divisor(lit as usize % 3))),
+        19 => SExpr::Bin("/", sub(), Box::new(SExpr::Float(2.0))),
+        // A variable read beside an assignment to it, on either side and
+        // as a call argument.
+        20 => SExpr::Bin("+", Box::new(SExpr::Var(var)), Box::new(SExpr::Assign(var, None, sub()))),
+        21 => SExpr::Bin("*", Box::new(SExpr::Assign(var, None, sub())), Box::new(SExpr::Var(var))),
+        _ => SExpr::Two(Box::new(SExpr::Var(var)), Box::new(SExpr::Assign(var, Some('+'), sub()))),
+    }
+}
+
+/// A straight-line body: mostly assignments, some bare expressions.
+pub fn scalar_stmts(tape: &mut dyn Iterator<Item = u32>) -> Vec<SExpr> {
+    let n = 2 + tape.next().unwrap_or(0) % 7;
+    (0..n)
+        .map(|_| match tape.next().unwrap_or(0) % 4 {
+            0 => scalar_expr(tape, 3),
+            _ => {
+                let var = tape.next().unwrap_or(0) as usize % SCALARS.len();
+                let op = [None, None, Some('+'), Some('-'), Some('*')];
+                let op = op[tape.next().unwrap_or(0) as usize % op.len()];
+                SExpr::Assign(var, op, Box::new(scalar_expr(tape, 3)))
+            }
+        })
+        .collect()
+}
+
+impl SExpr {
+    pub fn text(&self) -> String {
+        match self {
+            SExpr::Int(v) => v.to_string(),
+            SExpr::Float(v) => format!("{v:?}"),
+            SExpr::Var(v) => SCALARS[*v].0.into(),
+            SExpr::Assign(v, None, e) => format!("({} = {})", SCALARS[*v].0, e.text()),
+            SExpr::Assign(v, Some(op), e) => format!("({} {op}= {})", SCALARS[*v].0, e.text()),
+            SExpr::Bin(op, a, b) => format!("({} {op} {})", a.text(), b.text()),
+            SExpr::Cond(c, a, b) => format!("({} ? {} : {})", c.text(), a.text(), b.text()),
+            SExpr::Un("abs", e) => format!("abs({})", e.text()),
+            SExpr::Un(op, e) => format!("({op}{})", e.text()),
+            SExpr::MinMax(is_min, a, b) => {
+                format!("{}({}, {})", if *is_min { "min" } else { "max" }, a.text(), b.text())
+            }
+            SExpr::Two(a, b) => format!("two({}, {})", a.text(), b.text()),
+        }
+    }
+}
+
+/// The whole program around `stmts`: the locals start at `x = 1, y = 2,
+/// z = 3, f = 0.5, h = -2.5` (the globals at zero), and every local ends
+/// in a global of its type (`rx … rh`) where the host can read it.
+pub fn scalar_program(stmts: &[SExpr]) -> String {
+    let mut src = String::from(
+        "float g; int k; int rx, ry, rz; float rf, rh;\n\
+         int two(int a, int b) { return a * 10 + b; }\n\
+         main() {\n    int x = 1; int y = x + 1; int z = y + x; float f = 0.5; float h = f - 3;\n",
+    );
+    for s in stmts {
+        writeln!(src, "    {};", s.text()).unwrap();
+    }
+    src.push_str("    rx = x; ry = y; rz = z; rf = f; rh = h;\n}\n");
+    src
+}
+
+/// A value of the model: UC's front end is dynamically typed over these.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum SVal {
+    I(i64),
+    F(f64),
+}
+
+impl SVal {
+    fn int(self) -> i64 {
+        match self {
+            SVal::I(v) => v,
+            SVal::F(v) => v as i64, // C truncation
+        }
+    }
+    fn float(self) -> f64 {
+        match self {
+            SVal::I(v) => v as f64,
+            SVal::F(v) => v,
+        }
+    }
+    fn truth(self) -> bool {
+        self.float() != 0.0
+    }
+}
+
+/// The model: every variable's value, evaluated strictly left to right
+/// with wrapping ints, the operands of an int-only operator truncated,
+/// and an assignment yielding the value it was given (not the one the
+/// variable keeps).
+pub struct ScalarModel {
+    pub vars: [SVal; 7],
+}
+
+impl Default for ScalarModel {
+    fn default() -> Self {
+        use SVal::{F, I};
+        ScalarModel { vars: [I(1), I(2), I(3), F(0.5), F(-2.5), F(0.0), I(0)] }
+    }
+}
+
+impl ScalarModel {
+    fn arith(op: &str, a: SVal, b: SVal) -> SVal {
+        if let (SVal::I(x), SVal::I(y)) = (a, b) {
+            return SVal::I(match op {
+                "+" => x.wrapping_add(y),
+                "-" => x.wrapping_sub(y),
+                "*" => x.wrapping_mul(y),
+                "/" => x.wrapping_div(y),
+                "<" => (x < y) as i64,
+                "==" => (x == y) as i64,
+                _ => (x != y) as i64,
+            });
+        }
+        let (x, y) = (a.float(), b.float());
+        match op {
+            "+" => SVal::F(x + y),
+            "-" => SVal::F(x - y),
+            "*" => SVal::F(x * y),
+            "/" => SVal::F(x / y),
+            "<" => SVal::I((x < y) as i64),
+            "==" => SVal::I((x == y) as i64),
+            _ => SVal::I((x != y) as i64),
+        }
+    }
+
+    pub fn eval(&mut self, e: &SExpr) -> SVal {
+        match e {
+            SExpr::Int(v) => SVal::I(*v),
+            SExpr::Float(v) => SVal::F(*v),
+            SExpr::Var(v) => self.vars[*v],
+            SExpr::Assign(v, op, e) => {
+                let mut value = self.eval(e);
+                if let Some(op) = op {
+                    value = Self::arith(&op.to_string(), self.vars[*v], value);
+                }
+                let kept = if SCALARS[*v].1 { SVal::F(value.float()) } else { SVal::I(value.int()) };
+                self.vars[*v] = kept;
+                value
+            }
+            SExpr::Bin("&&", a, b) => SVal::I((self.eval(a).truth() && self.eval(b).truth()) as i64),
+            SExpr::Bin("%", a, b) => SVal::I(self.eval(a).int().wrapping_rem(self.eval(b).int())),
+            SExpr::Bin(op, a, b) => {
+                let a = self.eval(a);
+                Self::arith(op, a, self.eval(b))
+            }
+            SExpr::Cond(c, a, b) => {
+                if self.eval(c).truth() {
+                    self.eval(a)
+                } else {
+                    self.eval(b)
+                }
+            }
+            SExpr::Un(op, e) => match (*op, self.eval(e)) {
+                ("!", v) => SVal::I(!v.truth() as i64),
+                ("-", SVal::I(v)) => SVal::I(v.wrapping_neg()),
+                ("-", SVal::F(v)) => SVal::F(-v),
+                (_, SVal::I(v)) => SVal::I(v.wrapping_abs()),
+                (_, SVal::F(v)) => SVal::F(v.abs()),
+            },
+            SExpr::MinMax(is_min, a, b) => match (self.eval(a), self.eval(b)) {
+                (SVal::I(x), SVal::I(y)) => SVal::I(if *is_min { x.min(y) } else { x.max(y) }),
+                (a, b) => {
+                    let (x, y) = (a.float(), b.float());
+                    SVal::F(if *is_min { x.min(y) } else { x.max(y) })
+                }
+            },
+            SExpr::Two(a, b) => {
+                let a = self.eval(a).int();
+                SVal::I(a.wrapping_mul(10).wrapping_add(self.eval(b).int()))
+            }
+        }
+    }
+}
