@@ -8,6 +8,9 @@
 //! The router and scan chains include building their machine; the ALU and
 //! NEWS groups build it once per sample and time [`REPS`] back-to-back
 //! instructions on warm fields, which is how a `par` body issues them.
+//! The router and ALU groups also run at [`SMALL`] VPs, the 16 × 16 sets
+//! of the benchmark's `apsp_n2`, where per-op bookkeeping outweighs the
+//! elements.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -15,6 +18,9 @@ use uc_cm::news::Border;
 use uc_cm::{BinOp, Combine, FieldData, FieldId, Machine, ReduceOp, Scalar};
 
 const SIZES: [usize; 3] = [1 << 10, 1 << 14, 1 << 16];
+
+/// The extra point of the router and ALU groups.
+const SMALL: usize = 1 << 8;
 
 /// Instructions per timed iteration of the ALU and NEWS groups.
 const REPS: usize = 16;
@@ -48,7 +54,7 @@ fn scan_chain(n: usize) -> i64 {
 fn bench_router(c: &mut Criterion) {
     let mut group = c.benchmark_group("router_hotpath");
     group.sample_size(10);
-    for n in SIZES {
+    for n in [SMALL].into_iter().chain(SIZES) {
         group.bench_with_input(BenchmarkId::new("send_get", n), &n, |b, &n| {
             b.iter(|| black_box(router_roundtrip(n)))
         });
@@ -105,7 +111,7 @@ fn bench_alu(c: &mut Criterion) {
     group.sample_size(20);
     for (name, op) in ops {
         for (mask, half) in [("all", false), ("half", true)] {
-            for n in SIZES {
+            for n in [SMALL].into_iter().chain(SIZES) {
                 group.bench_with_input(
                     BenchmarkId::new(format!("{name}_{mask}"), n),
                     &n,

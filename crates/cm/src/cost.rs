@@ -86,11 +86,12 @@ impl CostModel {
     }
 }
 
-/// `ceil(vp_size / phys_procs)`, minimum 1 — the CM VP ratio.
+/// `ceil(vp_size / phys_procs)`, minimum 1 — the CM VP ratio. A set that
+/// fits the machine, the common case, is 1 without a division.
 #[inline]
 pub fn vp_ratio(vp_size: usize, phys_procs: usize) -> u64 {
     let p = phys_procs.max(1);
-    (vp_size.div_ceil(p)).max(1) as u64
+    if vp_size <= p { 1 } else { vp_size.div_ceil(p) as u64 }
 }
 
 /// `ceil(log2(n))`, with `log2_ceil(0|1) = 0`.

@@ -1,6 +1,6 @@
 //! Per-VP memory fields.
 //!
-//! A *field* is one named slot of local memory replicated across every
+//! A *field* is one slot of local memory replicated across every
 //! virtual processor of a VP set — the CM analogue of "an array mapped one
 //! element per processor". Fields are strongly typed; UC integers map to
 //! `i64`, UC floats to `f64`, and test results to `bool`.
@@ -115,26 +115,13 @@ impl_elem!(i64, I64, as_int);
 impl_elem!(f64, F64, as_float);
 impl_elem!(bool, Bool, as_bool);
 
-/// A field: named, typed, per-VP storage belonging to one VP set.
+/// A field: typed, per-VP storage belonging to one VP set.
 #[derive(Debug, Clone)]
 pub struct Field {
-    pub(crate) name: String,
     pub(crate) data: FieldData,
 }
 
 impl Field {
-    /// Test-only constructor; `Machine::alloc` builds fields from pooled
-    /// storage instead.
-    #[cfg(test)]
-    pub(crate) fn new(name: &str, ty: ElemType, len: usize) -> Self {
-        Field { name: name.to_string(), data: FieldData::zeroed(ty, len) }
-    }
-
-    /// The debug name given at allocation time.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The element type.
     pub fn elem_type(&self) -> ElemType {
         self.data.elem_type()
@@ -176,8 +163,8 @@ mod tests {
 
     #[test]
     fn field_metadata() {
-        let f = Field::new("rank", ElemType::Int, 8);
-        assert_eq!(f.name(), "rank");
-        assert_eq!(f.elem_type(), ElemType::Int);
+        let f = Field { data: FieldData::zeroed(ElemType::Bool, 8) };
+        assert_eq!(f.elem_type(), ElemType::Bool);
+        assert_eq!(f.data.len(), 8);
     }
 }

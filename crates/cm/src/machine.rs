@@ -32,7 +32,7 @@
 //! # The scratch arena
 //!
 //! [`Scratch`] is a per-machine pool of typed buffers (`Vec<i64>`,
-//! `Vec<f64>`, `Vec<bool>`, plus field-name `String`s). Hot paths check
+//! `Vec<f64>`, `Vec<bool>`). Hot paths check
 //! buffers out (`take_*`) and return them (`put_*`) around each
 //! operation; [`Machine::free`] retires a field's storage into the pool
 //! and [`Machine::alloc`] draws from it. After a warm-up pass, the
@@ -63,9 +63,8 @@ pub(crate) struct VpSet {
     free_slots: Vec<usize>,
 }
 
-/// Retain at most this many parked buffers per element type (and at most
-/// this many parked name strings), so a transient burst of allocations
-/// cannot pin memory forever.
+/// Retain at most this many parked buffers per element type, so a
+/// transient burst of allocations cannot pin memory forever.
 pub(crate) const MAX_POOL: usize = 32;
 
 /// Reusable scratch storage shared by every hot path of one [`Machine`].
@@ -80,7 +79,6 @@ pub(crate) struct Scratch {
     ints: Vec<Vec<i64>>,
     floats: Vec<Vec<f64>>,
     bools: Vec<Vec<bool>>,
-    names: Vec<String>,
     /// Data buffers currently checked out.
     outstanding: usize,
     /// Peak of `outstanding` over the machine's lifetime.
@@ -97,33 +95,11 @@ impl Scratch {
     /// one that already fits, else the largest (it grows once and then
     /// fits forever). Returns a cleared vector.
     fn take_vec<T>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
-        let mut best: Option<usize> = None;
-        for i in 0..pool.len() {
-            best = Some(match best {
-                None => i,
-                Some(j) => {
-                    let (ci, cj) = (pool[i].capacity(), pool[j].capacity());
-                    match (ci >= len, cj >= len) {
-                        (true, true) => {
-                            if ci < cj {
-                                i
-                            } else {
-                                j
-                            }
-                        }
-                        (true, false) => i,
-                        (false, true) => j,
-                        (false, false) => {
-                            if ci > cj {
-                                i
-                            } else {
-                                j
-                            }
-                        }
-                    }
-                }
-            });
-        }
+        let rank = |v: &Vec<T>| match v.capacity() {
+            c if c >= len => (false, c),
+            c => (true, usize::MAX - c),
+        };
+        let best = (0..pool.len()).min_by_key(|&i| rank(&pool[i]));
         let mut v = best.map(|i| pool.swap_remove(i)).unwrap_or_default();
         v.clear();
         v.reserve(len);
@@ -205,23 +181,8 @@ impl Scratch {
         }
     }
 
-    /// A field-name string with `name`'s contents, reusing pooled capacity.
-    fn take_name(&mut self, name: &str) -> String {
-        let mut s = self.names.pop().unwrap_or_default();
-        s.clear();
-        s.push_str(name);
-        s
-    }
-
-    fn put_name(&mut self, s: String) {
-        if self.names.len() < MAX_POOL {
-            self.names.push(s);
-        }
-    }
-
-    /// Retire a freed field: its name and storage both return to the pool.
+    /// Retire a freed field: its storage returns to the pool.
     fn retire_field(&mut self, field: Field) {
-        self.put_name(field.name);
         match field.data {
             FieldData::I64(v) => Self::put_vec(&mut self.ints, v),
             FieldData::F64(v) => Self::put_vec(&mut self.floats, v),
@@ -595,14 +556,12 @@ impl Machine {
 
     /// Allocate a zero-initialised field of `ty` on `vp`. Storage is drawn
     /// from the scratch pool when available, so alloc/free cycles settle
-    /// into zero heap traffic.
-    pub fn alloc(&mut self, vp: VpSetId, name: &str, ty: ElemType) -> Result<FieldId> {
+    /// into zero heap traffic. `name` labels the call site for its reader
+    /// (`alloc_int(vp, "addr")`); the machine does not store it.
+    pub fn alloc(&mut self, vp: VpSetId, _name: &str, ty: ElemType) -> Result<FieldId> {
         let len = self.vp(vp)?.geom.size();
         self.charge_mem((len as u64).saturating_mul(elem_bytes(ty)))?;
-        let field = Field {
-            name: self.scratch.take_name(name),
-            data: self.scratch.draw_field_data(ty, len),
-        };
+        let field = Field { data: self.scratch.draw_field_data(ty, len) };
         let set = self.vp_mut(vp)?;
         let index = if let Some(slot) = set.free_slots.pop() {
             set.fields[slot] = Some(field);

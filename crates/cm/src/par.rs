@@ -13,11 +13,11 @@
 //!   every inner loop is a plain slice zip the compiler can vectorise. The
 //!   split may follow the pool size because no position reads another.
 //!   The `zip*` kernels store branch-free (`*d = if m { v } else { *d }`)
-//!   and drop the mask altogether on a part whose lanes are all active,
-//!   which is every part of a `par` without `st`. The closure is still
-//!   called only where the mask is set, so an op that can trap on an
-//!   inactive lane (integer `Div`/`Mod` by a zero it never uses) stays
-//!   safe — it just does not vectorise.
+//!   and, like [`gather_masked`], drop the mask altogether on a part whose
+//!   lanes are all active, which is every part of a `par` without `st`.
+//!   The closure is still called only where the mask is set, so an op
+//!   that can trap on an inactive lane (integer `Div`/`Mod` by a zero it
+//!   never uses) stays safe — it just does not vectorise.
 //! * **Order-sensitive folds** (scan/reduce building blocks) are chunked
 //!   by [`chunk_at`], a pure function of the element count alone. Chunk
 //!   layout never depends on the thread count, so even float folds, which
@@ -318,7 +318,8 @@ where
 /// Masked gather: `dst[i] = src[addrs[i]]` wherever `mask[i]` — the
 /// router's **get** inner loop. Addresses at active positions must be in
 /// bounds (the router validates before calling); inactive ones may hold
-/// anything, so the store stays a branch.
+/// anything, so a masked part's store stays a branch. A part whose lanes
+/// are all active, as the `zip*` kernels do, drops the mask test.
 pub fn gather_masked<T: Copy + Send + Sync>(
     dst: &mut [T],
     src: &[T],
@@ -328,9 +329,16 @@ pub fn gather_masked<T: Copy + Send + Sync>(
     assert_eq!(dst.len(), addrs.len(), "gather address length mismatch");
     assert_eq!(dst.len(), mask.len(), "gather mask length mismatch");
     for_each_part_mut(dst, |r, d| {
-        for ((d, &a), &m) in d.iter_mut().zip(&addrs[r.clone()]).zip(&mask[r]) {
-            if m {
+        let (a, m) = (&addrs[r.clone()], &mask[r]);
+        if all_active(m) {
+            for (d, &a) in d.iter_mut().zip(a) {
                 *d = src[a as usize];
+            }
+        } else {
+            for ((d, &a), &m) in d.iter_mut().zip(a).zip(m) {
+                if m {
+                    *d = src[a as usize];
+                }
             }
         }
     });

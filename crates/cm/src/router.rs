@@ -18,18 +18,23 @@ use crate::par;
 use crate::{CmError, Result};
 
 /// Validate that every *active* address targets `size`. The existence
-/// test fans out on the thread pool; on failure the first offender is
-/// re-found sequentially so the reported address never depends on the
-/// thread count.
+/// test is a branch-free fold over 256-lane blocks (a negative address
+/// is a huge `u64`, so one unsigned compare checks both bounds), which
+/// vectorises; [`par::map_chunks_into`] runs it on the whole slice below
+/// [`par::PAR_THRESHOLD`] and on the pool's chunks above. On failure the
+/// first offender is re-found sequentially, so the reported address never
+/// depends on the thread count.
 fn check_addrs(addrs: &[i64], mask: &[bool], size: usize) -> Result<()> {
-    let out_of_range = |a: i64| a < 0 || a as usize >= size;
-    if par::any2(addrs, mask, |&a, &m| m && out_of_range(a)) {
-        for (&a, &m) in addrs.iter().zip(mask) {
-            if m && out_of_range(a) {
-                return Err(CmError::AddressOutOfRange { addr: a, size });
-            }
-        }
-        unreachable!("parallel and sequential bounds scans disagree");
+    let bad = |a: i64, m: bool| m & (a as u64 >= size as u64);
+    let any_bad = |r: std::ops::Range<usize>| {
+        let mut blocks = addrs[r.clone()].chunks(256).zip(mask[r].chunks(256));
+        blocks.any(|(a, m)| a.iter().zip(m).fold(false, |acc, (&a, &m)| acc | bad(a, m)))
+    };
+    let mut hits = [false; par::MAX_CHUNKS];
+    let n = par::map_chunks_into(addrs.len(), &mut hits, any_bad);
+    if hits[..n].contains(&true) {
+        let (&addr, _) = addrs.iter().zip(mask).find(|(&a, &m)| bad(a, m)).expect("rescan");
+        return Err(CmError::AddressOutOfRange { addr, size });
     }
     Ok(())
 }

@@ -928,3 +928,102 @@ fn news_shift_matches_per_element_neighbors() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The router's address check and gather against per-lane references, at
+// one lane and on both sides of the threshold: an active out-of-range
+// address is reported exactly as a sequential scan finds it first, an
+// inactive one is never looked at, and a failed op writes nothing.
+// ---------------------------------------------------------------------
+
+const ROUTER_SIZES: [usize; 4] = [1, PAR_THRESHOLD - 1, PAR_THRESHOLD, PAR_THRESHOLD + 517];
+
+fn ints(v: &[i64]) -> Vec<Scalar> {
+    v.iter().map(|&a| Scalar::Int(a)).collect()
+}
+
+/// The first active address outside `0..size`, in lane order.
+fn first_bad(addrs: &[i64], mask: &[bool], size: usize) -> Option<i64> {
+    let bad = |&(&a, &m): &(&i64, &bool)| m && (a < 0 || a >= size as i64);
+    addrs.iter().zip(mask).find(bad).map(|(&a, _)| a)
+}
+
+#[test]
+fn router_get_matches_per_lane_gather() {
+    for n in ROUTER_SIZES {
+        let mut t = Bench::new(&[n]);
+        for (mask_name, mask) in masks(n) {
+            // Inactive lanes hold addresses no table has.
+            let wild = [n as i64, -1, i64::MIN, i64::MAX];
+            let addrs: Vec<i64> = (0..n)
+                .map(|i| if mask[i] { (mix(7, i as u64) % n as u64) as i64 } else { wild[i % 4] })
+                .collect();
+            assert_eq!(first_bad(&addrs, &mask, n), None);
+            let addr = t.field(ElemType::Int, &ints(&addrs));
+            for ty in TYPES {
+                let (table, old) = (lanes(ty, 1, n), lanes(ty, 3, n));
+                let src = t.field(ty, &table);
+                let dst = t.field(ty, &old);
+                let got = t
+                    .masked(&mask, dst, |m| m.get(dst, addr, src))
+                    .unwrap_or_else(|e| panic!("get {ty:?} n={n} mask={mask_name}: {e}"));
+                let want = expect_masked(&mask, &old, |i| table[addrs[i] as usize]);
+                assert!(got == want, "get {ty:?} n={n} mask={mask_name}");
+                t.free(&[src, dst]);
+            }
+            t.free(&[addr]);
+        }
+    }
+}
+
+#[test]
+fn router_reports_the_first_bad_active_address() {
+    for n in ROUTER_SIZES {
+        let mut t = Bench::new(&[n]);
+        for (mask_name, mask) in masks(n) {
+            let active: Vec<usize> = (0..n).filter(|&i| mask[i]).collect();
+            let Some(&last) = active.last() else { continue };
+            let middle = active.iter().copied().find(|&i| i >= n / 2).unwrap_or(last);
+            for (early, late) in [(n as i64, -1), (-1, n as i64), (i64::MIN, i64::MAX)] {
+                let mut addrs: Vec<i64> = (0..n as i64).rev().collect();
+                for (i, a) in addrs.iter_mut().enumerate() {
+                    if !mask[i] {
+                        *a = i64::MAX - i as i64; // never reported
+                    }
+                }
+                addrs[last] = late;
+                addrs[middle] = early;
+                let want = CmError::AddressOutOfRange {
+                    addr: first_bad(&addrs, &mask, n).expect("an active bad lane"),
+                    size: n,
+                };
+                let addr = t.field(ElemType::Int, &ints(&addrs));
+                let old = lanes(ElemType::Int, 3, n);
+                let src = t.field(ElemType::Int, &lanes(ElemType::Int, 1, n));
+                let dst = t.field(ElemType::Int, &old);
+                let err = t.masked(&mask, dst, |m| m.get(dst, addr, src)).unwrap_err();
+                assert_eq!(err, want, "get n={n} mask={mask_name}");
+                assert!(from_field(t.m.read_all(dst).unwrap()) == old, "a failed get wrote");
+                let err = t
+                    .masked(&mask, dst, |m| m.send(dst, addr, src, Combine::Overwrite))
+                    .unwrap_err();
+                assert_eq!(err, want, "send n={n} mask={mask_name}");
+                assert!(from_field(t.m.read_all(dst).unwrap()) == old, "a failed send wrote");
+                t.free(&[addr, src, dst]);
+            }
+        }
+    }
+}
+
+/// `vp_ratio` is the least `r >= 1` with `r * p >= vp_size` (a machine of
+/// no processors counts as one), on both sides of `p` and at zero.
+#[test]
+fn vp_ratio_is_the_ceiling_ratio() {
+    for p in [0usize, 1, 2, 7, 16 * 1024] {
+        let q = p.max(1);
+        for v in [0, 1, q - 1, q, q + 1, 2 * q, 2 * q + 1, 5 * q - 1] {
+            let want = (1u64..).find(|&r| r * q as u64 >= v as u64).unwrap();
+            assert_eq!(uc_cm::cost::vp_ratio(v, p), want, "vp_ratio({v}, {p})");
+        }
+    }
+}

@@ -4,11 +4,13 @@
 //! [`opt::classify_index`] — the same function `uc check`'s UC110/UC111
 //! lints call, here fed the open constructs' element bindings and
 //! [`Program::try_pure_scalar`] ([`opt::eval_pure`] over the `#define`s,
-//! the live globals and the activation's registers). If each dimension
+//! the live globals and the activation's registers) — once per access,
+//! onto `Program::forms`. If each dimension
 //! is `axis-coordinate + constant` and the array conforms to the
 //! iteration space, the access is **local**
 //! (offset 0 after the mapping transform) or a **NEWS** shift (constant
-//! offset). Anything else goes through the general **router**. The map
+//! offset). Anything else goes through the general **router**, whose
+//! address is computed axis by axis in place. The map
 //! section changes the transform, which is how
 //! `permute (I) b[i+1] :- a[i]` turns a router/NEWS access into a local
 //! one (§4 of the paper).
@@ -22,30 +24,37 @@
 //! arm bodies (§4's common sub-expression detection), keyed by the space
 //! and the access's id: sema gives two accesses one id iff their resolved
 //! bases and subscripts are structurally equal, so `a[j]` under two
-//! reductions whose `j` are different elements are two entries. Sema's
+//! reductions whose `j` are different elements are two entries. The cache
+//! is a short list per step, scanned rather than hashed. Sema's
 //! `AccessInfo` lists every array an access reads, so a write to `a`
 //! drops `b[a[i]]` as well as `a[i]`.
-
-use std::sync::Arc;
+//!
+//! A warm access allocates nothing: its storage is found by a `Copy` key
+//! ([`Storage`]) wherever it is used, and its subscript forms share one
+//! stack.
 
 use uc_cm::{BinOp, Combine, ElemType, FieldId, ReduceOp, Scalar};
 
-use super::{ArrayStorage, LocalVar, Program, RResult, RuntimeError, PV};
+use super::{ArrayStorage, LocalVar, Program, RResult, RuntimeError, Storage, PV};
 use crate::ast::{AccessId, BinaryOp, Expr, Name, Ref};
 use crate::mapping::ArrayMapping;
 use crate::opt::{self, IdxForm};
 use crate::sema::LocalKind;
 
 impl Program {
-    /// The storage of the array an access's base was resolved to.
-    pub(crate) fn array_storage(&self, base: &Name) -> Arc<ArrayStorage> {
-        match base.to {
-            Ref::Array(id) => self.arrays[id as usize].clone(),
-            Ref::Local(id) => match &self.frames.last().expect("frame").locals[id as usize] {
-                Some(LocalVar::Array(st)) => st.clone(),
-                _ => unreachable!("sema admits `{base}` only as a declared local array"),
-            },
-            to => unreachable!("sema resolves every array base; `{base}` is {to:?}"),
+    /// The storage behind a key: for an array base, what sema resolved it
+    /// to.
+    pub(crate) fn storage(&self, key: Storage) -> &ArrayStorage {
+        match key {
+            Storage::Array(Ref::Array(id)) => &self.arrays[id as usize],
+            Storage::Array(Ref::Local(id)) => {
+                match &self.frames.last().expect("frame").locals[id as usize] {
+                    Some(LocalVar::Array(st)) => st,
+                    _ => unreachable!("sema admits local {id} as a base only as a local array"),
+                }
+            }
+            Storage::Array(to) => unreachable!("sema resolves every array base; this is {to:?}"),
+            Storage::Defined(k) => &self.defined[k],
         }
     }
 
@@ -67,6 +76,17 @@ impl Program {
         opt::classify_index(e, &elem_form, &|e| self.try_pure_scalar(e).map(|s| s.as_int()))
     }
 
+    /// Classify an access's subscripts onto `forms`; returns where they
+    /// start. The caller truncates back to it when the access is done.
+    fn classify_subs(&mut self, subs: &[Expr]) -> usize {
+        let start = self.forms.len();
+        for sub in subs {
+            let form = self.symbolic_index(sub);
+            self.forms.push(form);
+        }
+        start
+    }
+
     // ---- reads --------------------------------------------------------------
 
     /// Read `base[subs...]` in the current context.
@@ -76,31 +96,31 @@ impl Program {
         subs: &[Expr],
         access: AccessId,
     ) -> RResult<PV> {
-        let st = self.array_storage(base);
+        let arr = Storage::Array(base.to);
         if self.ctx.is_empty() {
             // Front-end element read.
-            let logical = self.front_end_index(&st, base, subs)?;
-            let idx = st.mapping.storage_index(logical, &st.shape, 0);
-            return Ok(PV::Scalar(self.machine.read_elem(st.field, idx)?));
+            let logical = self.front_end_index(arr, base, subs)?;
+            let st = self.storage(arr);
+            let (field, idx) = (st.field, st.mapping.storage_index(logical, &st.shape, 0));
+            return Ok(PV::Scalar(self.machine.read_elem(field, idx)?));
         }
 
         // Common-subexpression cache: a gather computed while this step's
         // predicates evaluated (full construct mask) may be reused by arm
         // bodies (strictly narrower masks).
         if !self.checked.accesses[access as usize].cacheable {
-            return self.read_storage(&st, subs);
+            return self.read_storage(arr, subs);
         }
-        let key = (self.cur_ctx().vp, access);
-        for level in self.cse_stack.iter().rev() {
-            if let Some(&id) = level.get(&key) {
-                return Ok(PV::Field { id, owned: false });
-            }
+        let vp = self.cur_ctx().vp;
+        let mut cached = self.cse_stack.iter().rev().flatten();
+        if let Some(&(.., id)) = cached.find(|&&(v, a, _)| (v, a) == (vp, access)) {
+            return Ok(PV::Field { id, owned: false });
         }
-        let pv = self.read_storage(&st, subs)?;
+        let pv = self.read_storage(arr, subs)?;
         if let (true, Some(level), PV::Field { id, owned: true }) =
-            (self.cse_fill, self.cse_stack.last_mut(), pv)
+            (self.cse_fill, self.cse_depth.checked_sub(1), pv)
         {
-            level.insert(key, id);
+            self.cse_stack[level].push((vp, access, id));
             return Ok(PV::Field { id, owned: false });
         }
         Ok(pv)
@@ -108,21 +128,17 @@ impl Program {
 
     /// The logical (row-major) index of a front-end element access,
     /// bounds-checked.
-    fn front_end_index(
-        &mut self,
-        st: &ArrayStorage,
-        base: &Name,
-        subs: &[Expr],
-    ) -> RResult<usize> {
-        let mut coord = Vec::with_capacity(subs.len());
+    fn front_end_index(&mut self, arr: Storage, base: &Name, subs: &[Expr]) -> RResult<usize> {
+        let mut logical = 0;
         for (d, sub) in subs.iter().enumerate() {
             let v = self.eval_scalar(sub)?.as_int();
-            if v < 0 || v as usize >= st.shape[d] {
+            let n = self.storage(arr).shape[d];
+            if v < 0 || v as usize >= n {
                 return Err(RuntimeError::OutOfBounds { name: base.to_string() });
             }
-            coord.push(v as usize);
+            logical = logical * n + v as usize;
         }
-        Ok(crate::mapping::flatten(&coord, &st.shape))
+        Ok(logical)
     }
 
     /// Drop every cached gather that reads `array` — as the gathered array
@@ -132,10 +148,10 @@ impl Program {
     pub(crate) fn cse_invalidate(&mut self, array: Option<Ref>) {
         let accesses = &self.checked.accesses;
         for level in &mut self.cse_stack {
-            level.retain(|&(_, access), field| {
+            level.retain(|&(_, access, field)| {
                 let stale = array.is_none_or(|a| accesses[access as usize].arrays.contains(&a));
                 if stale {
-                    let _ = self.machine.free(*field);
+                    let _ = self.machine.free(field);
                 }
                 !stale
             });
@@ -144,96 +160,107 @@ impl Program {
 
     /// Enter/leave a synchronous step for the CSE cache.
     pub(crate) fn cse_push(&mut self) {
-        self.cse_stack.push(std::collections::HashMap::new());
+        if self.cse_depth == self.cse_stack.len() {
+            self.cse_stack.push(Vec::new());
+        }
+        self.cse_depth += 1;
     }
 
     pub(crate) fn cse_pop(&mut self) {
-        if let Some(level) = self.cse_stack.pop() {
-            for field in level.into_values() {
+        if let Some(level) = self.cse_depth.checked_sub(1) {
+            self.cse_depth = level;
+            for (.., field) in self.cse_stack[level].drain(..) {
                 let _ = self.machine.free(field);
             }
         }
     }
 
-    /// Parallel read of a storage descriptor (also used for solve's
-    /// defined-bitmaps, which mirror their array's mapping).
-    pub(crate) fn read_storage(&mut self, st: &ArrayStorage, subs: &[Expr]) -> RResult<PV> {
-        if self.config.optimize_access {
-            if let Some(pv) = self.try_fast_read(st, subs)? {
-                return Ok(pv);
+    /// Parallel read of a storage: an array, or a solve's defined-bitmap,
+    /// which mirrors its array's mapping.
+    pub(crate) fn read_storage(&mut self, arr: Storage, subs: &[Expr]) -> RResult<PV> {
+        let start = self.classify_subs(subs);
+        let read = (|| {
+            if self.config.optimize_access {
+                if let Some(pv) = self.try_fast_read(arr, start)? {
+                    return Ok(pv);
+                }
             }
-        }
-        self.router_read(st, subs)
+            self.router_read(arr, subs, start)
+        })();
+        self.forms.truncate(start);
+        read
     }
 
     /// Local/NEWS read when the array conforms to the iteration space.
-    fn try_fast_read(&mut self, st: &ArrayStorage, subs: &[Expr]) -> RResult<Option<PV>> {
-        let offsets: Vec<i64> = match &st.mapping {
-            ArrayMapping::Default => vec![0; st.shape.len()],
-            ArrayMapping::Permute { offsets } => offsets.clone(),
-            ArrayMapping::Copy { .. } => {
+    fn try_fast_read(&mut self, arr: Storage, start: usize) -> RResult<Option<PV>> {
+        let (st, ctx, forms) = (self.storage(arr), self.cur_ctx(), &self.forms[start..]);
+        let (field, ty, vp, rank) = (st.field, st.ty, ctx.vp, forms.len());
+        let stored_at = match &st.mapping {
+            ArrayMapping::Default => None,
+            ArrayMapping::Permute { offsets } => Some(offsets),
+            ArrayMapping::Copy { replicas } => {
                 // §4's broadcast elimination: when the iteration space is
                 // [replicas, ...shape] and the logical subscripts are the
                 // trailing axis identities, every iteration point reads
                 // its own replica locally instead of broadcasting from a
                 // single copy through the router.
-                let storage_shape = st.mapping.storage_shape(&st.shape);
-                let identity = storage_shape == self.cur_ctx().dims
-                    && subs.iter().enumerate().all(|(d, s)| {
-                        matches!(self.symbolic_index(s),
-                            IdxForm::AxisPlus { axis, offset: 0 } if axis == d + 1)
+                let identity = ctx.dims.split_first() == Some((replicas, &st.shape[..]))
+                    && forms.iter().enumerate().all(|(d, &form)| {
+                        matches!(form, IdxForm::AxisPlus { axis, offset: 0 } if axis == d + 1)
                     });
-                if identity {
-                    let vp = self.cur_ctx().vp;
-                    let dst = self.machine.alloc(vp, "~rd", st.ty)?;
-                    self.machine.copy(dst, st.field)?;
-                    return Ok(Some(PV::owned(dst)));
+                if !identity {
+                    return Ok(None);
                 }
-                return Ok(None);
+                let dst = self.machine.alloc(vp, "~rd", ty)?;
+                self.machine.copy(dst, field)?;
+                return Ok(Some(PV::owned(dst)));
             }
             ArrayMapping::Fold { .. } => return Ok(None),
         };
-        if st.shape != self.cur_ctx().dims {
+        if st.shape != ctx.dims {
             return Ok(None);
-        }
-        let mut shifts = Vec::with_capacity(subs.len());
-        let mut logical_offsets = Vec::with_capacity(subs.len());
-        for (d, sub) in subs.iter().enumerate() {
-            match self.symbolic_index(sub) {
-                IdxForm::AxisPlus { axis, offset } if axis == d => {
-                    shifts.push(offset - offsets[d]);
-                    logical_offsets.push(offset);
-                }
-                _ => return Ok(None),
-            }
         }
         // At most one displaced axis: a NEWS shift writes only *active*
         // positions, so chaining shifts would read garbage at inactive
         // intermediate positions. Multi-axis displacement (`a[i-1][j-1]`)
         // takes the router.
-        if shifts.iter().filter(|&&s| s != 0).count() > 1 {
+        let (mut shift, mut displaced) = (None, 0);
+        for (d, &form) in forms.iter().enumerate() {
+            match form {
+                IdxForm::AxisPlus { axis, offset } if axis == d => {
+                    let s = offset - stored_at.map_or(0, |o| o[d]);
+                    if s != 0 {
+                        displaced += 1;
+                        shift = shift.or(Some((d, s)));
+                    }
+                }
+                _ => return Ok(None),
+            }
+        }
+        if displaced > 1 {
             return Ok(None);
         }
-        let vp = self.cur_ctx().vp;
-        let dst = self.machine.alloc(vp, "~rd", st.ty)?;
-        match shifts.iter().position(|&s| s != 0) {
-            None => self.machine.copy(dst, st.field)?,
-            Some(d) => {
+        let dst = self.machine.alloc(vp, "~rd", ty)?;
+        match shift {
+            None => self.machine.copy(dst, field)?,
+            Some((d, s)) => {
                 // Toroidal shift; the logical-bounds fixup below replaces
                 // wrapped positions with INF.
-                self.machine
-                    .news_shift(dst, st.field, d, shifts[d], uc_cm::news::Border::Wrap)?;
+                self.machine.news_shift(dst, field, d, s, uc_cm::news::Border::Wrap)?;
             }
         }
         // Fix up positions whose *logical* index fell outside the array:
         // they read INF, not a wrapped value. The validity masks depend
         // only on the geometry, so they are computed once and cached.
-        for (d, &c) in logical_offsets.iter().enumerate() {
+        for d in 0..rank {
+            let IdxForm::AxisPlus { offset: c, .. } = self.forms[start + d] else {
+                unreachable!("every subscript of a local/NEWS read is an axis")
+            };
             if c == 0 {
                 continue;
             }
-            let ok = self.fixup_mask(d, c, st.shape[d] as i64)?;
-            let inf = self.inf_field(st.ty)?;
+            let ok = self.fixup_mask(d, c, self.storage(arr).shape[d] as i64)?;
+            let inf = self.inf_field(ty)?;
             self.machine.select(dst, ok, dst, inf)?;
         }
         Ok(Some(PV::owned(dst)))
@@ -279,15 +306,17 @@ impl Program {
     }
 
     /// General gather through the router, with bounds handling.
-    fn router_read(&mut self, st: &ArrayStorage, subs: &[Expr]) -> RResult<PV> {
+    fn router_read(&mut self, arr: Storage, subs: &[Expr], start: usize) -> RResult<PV> {
         let vp = self.cur_ctx().vp;
-        let (addr, valid) = self.storage_address(st, subs)?;
-        let dst = self.machine.alloc(vp, "~gather", st.ty)?;
-        self.machine.get(dst, addr, st.field)?;
+        let (addr, valid) = self.storage_address(arr, subs, start)?;
+        let st = self.storage(arr);
+        let (field, ty) = (st.field, st.ty);
+        let dst = self.machine.alloc(vp, "~gather", ty)?;
+        self.machine.get(dst, addr, field)?;
         self.machine.free(addr)?;
         if let Some(valid) = valid {
             // Out-of-range reads yield INF.
-            let inf = self.inf_field(st.ty)?;
+            let inf = self.inf_field(ty)?;
             self.machine.select(dst, valid, dst, inf)?;
             self.machine.free(valid)?;
         }
@@ -295,42 +324,35 @@ impl Program {
     }
 
     /// Compute the (clamped) storage address field and an optional
-    /// validity mask for a subscripted access on the current space.
+    /// validity mask for a subscripted access on the current space, whose
+    /// subscript forms start at `forms[start]`.
     /// `None` validity means every enabled element is statically in
     /// bounds (axis-identity and in-range constant subscripts), in which
     /// case the address arithmetic is as lean as hand-written C\*'s.
+    /// Addresses are row-major over the storage shape, one axis at a time:
+    /// logical axis `d` keeps its extent and strides over the axes after
+    /// it, and a `copy` mapping's replica axis leads (replica 0 occupies
+    /// the first block).
     fn storage_address(
         &mut self,
-        st: &ArrayStorage,
+        arr: Storage,
         subs: &[Expr],
+        start: usize,
     ) -> RResult<(FieldId, Option<FieldId>)> {
         let vp = self.cur_ctx().vp;
-        let storage_shape = st.mapping.storage_shape(&st.shape);
-        // Row-major strides over the storage shape; for Copy the logical
-        // dims start at storage axis 1 (replica 0 occupies the first block).
-        let mut strides = vec![1usize; storage_shape.len()];
-        for i in (0..storage_shape.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * storage_shape[i + 1];
-        }
-        let dim_off = storage_shape.len() - st.shape.len();
-
         let addr = self.machine.alloc_int(vp, "~addr")?;
         // Constant subscript contributions fold into the initial fill.
-        let mut base = 0i64;
-        let mut static_oob = false;
-        let mut dynamic: Vec<(usize, &Expr)> = Vec::new();
-        for (d, sub) in subs.iter().enumerate() {
-            let n = st.shape[d] as i64;
-            match self.symbolic_index(sub) {
-                IdxForm::Const(c) if (0..n).contains(&c) => {
-                    // Host-side mapping transform of a known coordinate.
-                    let mut coord = vec![0usize; st.shape.len()];
-                    coord[d] = c as usize;
-                    let sc = st.mapping.storage_coord(&coord, &st.shape)[d];
-                    base += sc as i64 * strides[dim_off + d] as i64;
-                }
-                IdxForm::Const(_) => static_oob = true,
-                _ => dynamic.push((d, sub)),
+        let (mut base, mut static_oob) = (0i64, false);
+        let st = self.storage(arr);
+        for (d, &form) in self.forms[start..].iter().enumerate() {
+            let IdxForm::Const(c) = form else { continue };
+            let n = st.shape[d];
+            if (0..n as i64).contains(&c) {
+                // Host-side mapping transform of a known coordinate.
+                let stride: usize = st.shape[d + 1..].iter().product();
+                base += st.mapping.storage_axis(d, c as usize, n) as i64 * stride as i64;
+            } else {
+                static_oob = true;
             }
         }
         self.machine.fill_unconditional(addr, Scalar::Int(base))?;
@@ -341,15 +363,23 @@ impl Program {
             valid = Some(v);
         }
 
-        for (d, sub) in dynamic {
-            let n = st.shape[d] as i64;
+        for (d, sub) in subs.iter().enumerate() {
+            let form = self.forms[start + d];
+            if let IdxForm::Const(_) = form {
+                continue;
+            }
+            let st = self.storage(arr);
+            let (n, stride) = (st.shape[d] as i64, st.shape[d + 1..].iter().product::<usize>());
+            let (folded, permuted) = match st.mapping {
+                ArrayMapping::Fold { axis } => (axis == d, 0),
+                ArrayMapping::Permute { ref offsets } => (false, offsets[d]),
+                ArrayMapping::Default | ArrayMapping::Copy { .. } => (false, 0),
+            };
             // Axis-identity over a matching extent is statically in
             // bounds: no validity tracking, one coordinate instruction.
-            let statically_safe = matches!(
-                self.symbolic_index(sub),
-                IdxForm::AxisPlus { axis, offset: 0 }
-                    if self.cur_ctx().dims.get(axis) == Some(&(n as usize)))
-                && !matches!(st.mapping, ArrayMapping::Fold { axis } if axis == d);
+            let statically_safe = !folded
+                && matches!(form, IdxForm::AxisPlus { axis, offset: 0 }
+                    if self.cur_ctx().dims.get(axis) == Some(&(n as usize)));
             let pv = self.eval(sub)?;
             let pv = self.coerce_field(pv, ElemType::Int)?;
             let PV::Field { id: vfield, owned } = pv else { unreachable!() };
@@ -378,35 +408,29 @@ impl Program {
                 self.machine.free(tmpb)?;
             }
             // Mapping transform.
-            match &st.mapping {
-                ArrayMapping::Default | ArrayMapping::Copy { .. } => {}
-                ArrayMapping::Permute { offsets } => {
-                    if offsets[d] != 0 {
-                        // (v - off).rem_euclid(n)
-                        self.machine.binop_imm(BinOp::Sub, v, v, Scalar::Int(offsets[d]))?;
-                        self.machine.binop_imm(BinOp::Mod, v, v, Scalar::Int(n))?;
-                        self.machine.binop_imm(BinOp::Add, v, v, Scalar::Int(n))?;
-                        self.machine.binop_imm(BinOp::Mod, v, v, Scalar::Int(n))?;
-                    }
+            if permuted != 0 {
+                // (v - off).rem_euclid(n)
+                self.machine.binop_imm(BinOp::Sub, v, v, Scalar::Int(permuted))?;
+                self.machine.binop_imm(BinOp::Mod, v, v, Scalar::Int(n))?;
+                self.machine.binop_imm(BinOp::Add, v, v, Scalar::Int(n))?;
+                self.machine.binop_imm(BinOp::Mod, v, v, Scalar::Int(n))?;
+            }
+            if folded {
+                // v' = 2*min(v, n-1-v) + (v >= ceil(n/2))
+                let mirror = self.machine.alloc_int(vp, "~mir")?;
+                self.machine.binop_imm_l(BinOp::Sub, mirror, Scalar::Int(n - 1), v)?;
+                let low = self.machine.alloc_int(vp, "~low")?;
+                self.machine.binop(BinOp::Min, low, v, mirror)?;
+                self.machine.binop_imm(BinOp::Mul, low, low, Scalar::Int(2))?;
+                let hi = self.machine.alloc_bool(vp, "~hi")?;
+                self.machine
+                    .binop_imm(BinOp::Ge, hi, v, Scalar::Int((n as u64).div_ceil(2) as i64))?;
+                let hii = self.machine.alloc_int(vp, "~hii")?;
+                self.machine.convert(hii, hi)?;
+                self.machine.binop(BinOp::Add, v, low, hii)?;
+                for f in [mirror, low, hi, hii] {
+                    self.machine.free(f)?;
                 }
-                ArrayMapping::Fold { axis } if *axis == d => {
-                    // v' = 2*min(v, n-1-v) + (v >= ceil(n/2))
-                    let mirror = self.machine.alloc_int(vp, "~mir")?;
-                    self.machine.binop_imm_l(BinOp::Sub, mirror, Scalar::Int(n - 1), v)?;
-                    let low = self.machine.alloc_int(vp, "~low")?;
-                    self.machine.binop(BinOp::Min, low, v, mirror)?;
-                    self.machine.binop_imm(BinOp::Mul, low, low, Scalar::Int(2))?;
-                    let hi = self.machine.alloc_bool(vp, "~hi")?;
-                    self.machine
-                        .binop_imm(BinOp::Ge, hi, v, Scalar::Int((n as u64).div_ceil(2) as i64))?;
-                    let hii = self.machine.alloc_int(vp, "~hii")?;
-                    self.machine.convert(hii, hi)?;
-                    self.machine.binop(BinOp::Add, v, low, hii)?;
-                    for f in [mirror, low, hi, hii] {
-                        self.machine.free(f)?;
-                    }
-                }
-                ArrayMapping::Fold { .. } => {}
             }
             if let Some(va) = valid {
                 // Clamp out-of-range values to 0 so the router accepts
@@ -416,14 +440,12 @@ impl Program {
                 self.machine.convert(vi, va)?;
                 self.machine.binop(BinOp::Mul, v, v, vi)?;
                 self.machine.free(vi)?;
-                // Clamp to the storage extent too: a permute-wrapped value
-                // is always in range, but fold on odd extents can exceed it.
-                let sn = storage_shape[dim_off + d] as i64;
-                self.machine.binop_imm(BinOp::Mod, v, v, Scalar::Int(sn))?;
+                // Clamp to the extent too: a permute-wrapped value is
+                // always in range, but fold on odd extents can exceed it.
+                self.machine.binop_imm(BinOp::Mod, v, v, Scalar::Int(n))?;
             }
             // addr += v * stride
-            self.machine
-                .binop_imm(BinOp::Mul, v, v, Scalar::Int(strides[dim_off + d] as i64))?;
+            self.machine.binop_imm(BinOp::Mul, v, v, Scalar::Int(stride as i64))?;
             self.machine.binop(BinOp::Add, addr, addr, v)?;
             self.machine.free(v)?;
         }
@@ -443,91 +465,85 @@ impl Program {
         check_conflicts: bool,
     ) -> RResult<()> {
         self.cse_invalidate(Some(base.to));
-        let st = self.array_storage(base);
+        let arr = Storage::Array(base.to);
         if self.ctx.is_empty() {
-            let logical = self.front_end_index(&st, base, subs)?;
+            let logical = self.front_end_index(arr, base, subs)?;
             let PV::Scalar(s) = value else {
                 unreachable!("a parallel value outside every construct")
             };
-            let s = super::space::coerce_scalar(s, st.ty);
+            let st = self.storage(arr);
+            let (field, s) = (st.field, super::space::coerce_scalar(s, st.ty));
             for r in 0..st.mapping.replicas() {
+                let st = self.storage(arr);
                 let idx = st.mapping.storage_index(logical, &st.shape, r);
-                self.machine.write_elem(st.field, idx, s)?;
+                self.machine.write_elem(field, idx, s)?;
             }
             return Ok(());
         }
-        self.write_storage(&st, subs, value, check_conflicts, &base.text)
+        self.write_storage(arr, subs, value, check_conflicts, &base.text)
     }
 
-    /// Parallel store into a storage descriptor (also used for solve's
-    /// defined-bitmaps).
-    pub(crate) fn write_array_storage(
+    /// Parallel store into a storage (an array or a solve's
+    /// defined-bitmap); `name` is the array an error names.
+    pub(crate) fn write_storage(
         &mut self,
-        st: &ArrayStorage,
-        subs: &[Expr],
-        value: PV,
-    ) -> RResult<()> {
-        self.write_storage(st, subs, value, false, "~storage")
-    }
-
-    fn write_storage(
-        &mut self,
-        st: &ArrayStorage,
+        arr: Storage,
         subs: &[Expr],
         value: PV,
         check_conflicts: bool,
-        base: &str,
+        name: &str,
     ) -> RResult<()> {
-        let value = self.coerce_field(value, st.ty)?;
+        let ty = self.storage(arr).ty;
+        let value = self.coerce_field(value, ty)?;
         let PV::Field { id: vfield, .. } = value else { unreachable!() };
-
-        // Fast path: identity store onto a conforming default-mapped array.
-        if self.config.optimize_access
-            && st.mapping == ArrayMapping::Default
-            && st.shape == self.cur_ctx().dims
-            && subs.iter().enumerate().all(|(d, s)| {
-                matches!(self.symbolic_index(s),
-                    IdxForm::AxisPlus { axis, offset: 0 } if axis == d)
-            })
-        {
-            self.machine.copy(st.field, vfield)?;
-            self.release(value);
-            return Ok(());
-        }
-
-        // General scatter.
-        let (addr, valid) = self.storage_address(st, subs)?;
-        if let Some(valid) = valid {
-            // An enabled element writing out of range is an error.
-            let vp = self.cur_ctx().vp;
-            let bad = self.machine.alloc_bool(vp, "~bad")?;
-            self.machine.unop(uc_cm::UnOp::Not, bad, valid)?;
-            let any_bad = self.machine.reduce(bad, ReduceOp::Or)?.as_bool();
-            self.machine.free(bad)?;
-            self.machine.free(valid)?;
-            if any_bad {
-                self.machine.free(addr)?;
-                self.release(value);
-                return Err(RuntimeError::OutOfBounds { name: base.to_string() });
+        let start = self.classify_subs(subs);
+        let stored = (|| {
+            // Fast path: identity store onto a conforming default-mapped array.
+            let (st, dims) = (self.storage(arr), &self.cur_ctx().dims);
+            let field = st.field;
+            if self.config.optimize_access
+                && st.mapping == ArrayMapping::Default
+                && st.shape == *dims
+                && self.forms[start..].iter().enumerate().all(|(d, &form)| {
+                    matches!(form, IdxForm::AxisPlus { axis, offset: 0 } if axis == d)
+                })
+            {
+                return Ok(self.machine.copy(field, vfield)?);
             }
-        }
-        let size: usize = st.shape.iter().product();
-        let mut conflict = false;
-        for r in 0..st.mapping.replicas() {
-            let conflict_r = if r == 0 {
-                self.machine.send_detect(st.field, addr, vfield, Combine::Overwrite)?
-            } else {
-                self.machine.binop_imm(BinOp::Add, addr, addr, Scalar::Int(size as i64))?;
-                self.machine.send_detect(st.field, addr, vfield, Combine::Overwrite)?
-            };
-            conflict |= conflict_r;
-        }
-        self.machine.free(addr)?;
+
+            // General scatter.
+            let (addr, valid) = self.storage_address(arr, subs, start)?;
+            if let Some(valid) = valid {
+                // An enabled element writing out of range is an error.
+                let vp = self.cur_ctx().vp;
+                let bad = self.machine.alloc_bool(vp, "~bad")?;
+                self.machine.unop(uc_cm::UnOp::Not, bad, valid)?;
+                let any_bad = self.machine.reduce(bad, ReduceOp::Or)?.as_bool();
+                self.machine.free(bad)?;
+                self.machine.free(valid)?;
+                if any_bad {
+                    self.machine.free(addr)?;
+                    return Err(RuntimeError::OutOfBounds { name: name.to_string() });
+                }
+            }
+            let st = self.storage(arr);
+            let (size, replicas) = (st.shape.iter().product::<usize>(), st.mapping.replicas());
+            let mut conflict = false;
+            for r in 0..replicas {
+                if r > 0 {
+                    self.machine.binop_imm(BinOp::Add, addr, addr, Scalar::Int(size as i64))?;
+                }
+                conflict |= self.machine.send_detect(field, addr, vfield, Combine::Overwrite)?;
+            }
+            self.machine.free(addr)?;
+            if conflict && check_conflicts {
+                return Err(RuntimeError::MultipleAssignment { name: name.to_string() });
+            }
+            Ok(())
+        })();
+        self.forms.truncate(start);
         self.release(value);
-        if conflict && check_conflicts {
-            return Err(RuntimeError::MultipleAssignment { name: base.to_string() });
-        }
-        Ok(())
+        stored
     }
 
     /// Evaluate an assignment expression (including compound ops),

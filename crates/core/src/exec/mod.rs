@@ -43,11 +43,12 @@ mod stmt;
 mod vm;
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use uc_cm::{CmError, ElemType, FieldId, Machine, MachineConfig, MachineLimits, Scalar, VpSetId};
 
-use crate::ast::AccessId;
+use crate::ast::{AccessId, Ref};
 use crate::diag::Diagnostics;
 use crate::ir::IrProgram;
 use crate::mapping::{self, ArrayMapping};
@@ -270,7 +271,7 @@ impl PV {
 }
 
 /// Storage of one UC array on the machine.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ArrayStorage {
     pub field: FieldId,
     pub ty: ElemType,
@@ -287,8 +288,39 @@ pub(crate) enum LocalVar {
     /// context-stack depth it lives at.
     ParField { field: FieldId, level: usize },
     /// Function-local array.
-    Array(Arc<ArrayStorage>),
+    Array(ArrayStorage),
 }
+
+/// What an array access reads or writes: the array its base was resolved
+/// to, or a `solve` defined-bitmap in [`Program::defined`]. The access
+/// paths look it up where they use it, holding no handle across an `eval`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Storage {
+    Array(Ref),
+    Defined(usize),
+}
+
+/// The executor caches' hasher, FxHash's multiply-rotate: their keys come
+/// from the program text and each entry holds machine storage charged to
+/// the memory budget, so SipHash's flooding resistance buys nothing.
+#[derive(Default)]
+pub(crate) struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let word = u64::from_ne_bytes(word);
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        }
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// One function activation — the only record of it: which function,
 /// where its registers sit in [`Program::regs`], what the VM needs to
@@ -325,9 +357,11 @@ pub struct Program {
     pub(crate) config: ExecConfig,
     pub(crate) machine: Machine,
     /// Iteration-space / array-shape VP sets, keyed by geometry.
-    pub(crate) spaces: HashMap<Vec<usize>, VpSetId>,
+    pub(crate) spaces: FxMap<Vec<usize>, VpSetId>,
     /// Global arrays, by `Ref::Array` id (`checked.array_names` order).
-    pub(crate) arrays: Vec<Arc<ArrayStorage>>,
+    pub(crate) arrays: Vec<ArrayStorage>,
+    /// The defined-bitmaps of the open `solve`s, innermost last.
+    pub(crate) defined: Vec<ArrayStorage>,
     /// Global scalar values, by `Ref::Global` id
     /// (`checked.global_names` order).
     pub(crate) globals: Vec<Scalar>,
@@ -335,6 +369,14 @@ pub struct Program {
     pub(crate) ir: Arc<IrProgram>,
     /// Parallel-context stack (innermost last).
     pub(crate) ctx: Vec<ParCtx>,
+    /// The buffers of popped levels, cleared, for the next `push_space`.
+    pub(crate) ctx_spare: Vec<space::CtxBuffers>,
+    /// Cleared arm-mask lists, for the next step's predicates.
+    pub(crate) mask_spare: Vec<Vec<Option<FieldId>>>,
+    /// The subscript forms of the accesses in progress, innermost last:
+    /// each access classifies its subscripts once, here, and truncates
+    /// back when it is done.
+    pub(crate) forms: Vec<opt::IdxForm>,
     /// Function activation stack.
     pub(crate) frames: Vec<Frame>,
     /// The registers of every live activation, innermost last: entering
@@ -346,22 +388,24 @@ pub struct Program {
     /// field ("coordinate+offset is inside the extent"). These depend
     /// only on geometry — which `spaces` maps one-to-one to a VP set — so
     /// the compiler hoists them out of loops.
-    pub(crate) fixup_cache: HashMap<(VpSetId, usize, i64), FieldId>,
+    pub(crate) fixup_cache: FxMap<(VpSetId, usize, i64), FieldId>,
     /// Broadcast INF fields per (space, element type).
-    pub(crate) inf_cache: HashMap<(VpSetId, ElemType), FieldId>,
+    pub(crate) inf_cache: FxMap<(VpSetId, ElemType), FieldId>,
     /// Common-subexpression cache for array gathers within one
     /// synchronous step (§4 "common sub-expression detection"): a stack
-    /// of per-step maps from (space, access) to the gathered field.
-    /// Filled while predicates evaluate, consumed by arm bodies,
-    /// invalidated on writes.
-    pub(crate) cse_stack: Vec<HashMap<(VpSetId, AccessId), FieldId>>,
+    /// of per-step lists of (space, access, gathered field) — a step
+    /// caches a handful, so a scan beats hashing. Filled while predicates
+    /// evaluate, consumed by arm bodies, invalidated on writes. Levels
+    /// from `cse_depth` up are spare: empty, kept for their capacity.
+    pub(crate) cse_stack: Vec<Vec<(VpSetId, AccessId, FieldId)>>,
+    pub(crate) cse_depth: usize,
     /// Whether gathers may currently be inserted into the cache.
     pub(crate) cse_fill: bool,
     /// Index-element value fields per (space, axis, values along the
     /// axis): these depend only on geometry, so re-entering a construct
     /// (e.g. a `par` nested in a front-end loop) reuses them instead of
     /// recomputing.
-    pub(crate) elem_cache: HashMap<(VpSetId, usize, space::ElemValues), FieldId>,
+    pub(crate) elem_cache: FxMap<(VpSetId, usize, space::ElemValues), FieldId>,
     /// Span of the statement currently executing, for [`RunError`].
     pub(crate) exec_span: Span,
     /// Live UC call stack, outermost first: `(callee, call-site span)`,
@@ -439,20 +483,25 @@ impl Program {
             checked,
             config,
             machine,
-            spaces: HashMap::new(),
+            spaces: FxMap::default(),
             arrays: Vec::new(),
+            defined: Vec::new(),
             globals,
             ir: Arc::new(ir),
             ctx: Vec::new(),
+            ctx_spare: Vec::new(),
+            mask_spare: Vec::new(),
+            forms: Vec::new(),
             frames: Vec::new(),
             regs: Vec::new(),
             rand_counter: 0,
             oneof_cursor: 0,
-            fixup_cache: HashMap::new(),
-            inf_cache: HashMap::new(),
+            fixup_cache: FxMap::default(),
+            inf_cache: FxMap::default(),
             cse_stack: Vec::new(),
+            cse_depth: 0,
             cse_fill: false,
-            elem_cache: HashMap::new(),
+            elem_cache: FxMap::default(),
             exec_span: Span::default(),
             call_stack: Vec::new(),
         };
@@ -484,7 +533,7 @@ impl Program {
             let vp = self.space_vp(&storage_shape)?;
             let ty = elem_type(info.ty);
             let field = self.machine.alloc(vp, &name, ty)?;
-            self.arrays.push(Arc::new(ArrayStorage { field, ty, shape: info.shape, mapping }));
+            self.arrays.push(ArrayStorage { field, ty, shape: info.shape, mapping });
         }
         Ok(())
     }
@@ -588,14 +637,12 @@ impl Program {
         &self.machine
     }
 
-    /// A global array by name (the host API's lookup: position in the
-    /// name-ordered table).
-    fn global_array(&self, name: &str) -> RResult<Arc<ArrayStorage>> {
+    /// A global array's position in `arrays`, by name (the host API's
+    /// lookup: position in the name-ordered table).
+    fn global_array(&self, name: &str) -> RResult<usize> {
         let names = &self.checked.array_names;
-        match names.binary_search_by(|n| n.as_str().cmp(name)) {
-            Ok(id) => Ok(self.arrays[id].clone()),
-            Err(_) => Err(RuntimeError::Unbound(name.into())),
-        }
+        let found = names.binary_search_by(|n| n.as_str().cmp(name));
+        found.map_err(|_| RuntimeError::Unbound(name.into()))
     }
 
     /// Logical shape of a global array.
@@ -606,7 +653,7 @@ impl Program {
     /// Read a global integer array in logical (row-major) order,
     /// inverting any mapping.
     pub fn read_int_array(&mut self, name: &str) -> RResult<Vec<i64>> {
-        let st = self.global_array(name)?;
+        let st = &self.arrays[self.global_array(name)?];
         let data = self.machine.read_all(st.field)?;
         let uc_cm::FieldData::I64(raw) = data else {
             return Err(RuntimeError::NotSupported(format!("`{name}` is not an int array")));
@@ -617,7 +664,7 @@ impl Program {
 
     /// Read a global float array in logical order.
     pub fn read_float_array(&mut self, name: &str) -> RResult<Vec<f64>> {
-        let st = self.global_array(name)?;
+        let st = &self.arrays[self.global_array(name)?];
         let data = self.machine.read_all(st.field)?;
         let uc_cm::FieldData::F64(raw) = data else {
             return Err(RuntimeError::NotSupported(format!("`{name}` is not a float array")));
@@ -629,7 +676,7 @@ impl Program {
     /// Overwrite a global integer array from logical-order data (applies
     /// the array's mapping, writing every replica).
     pub fn write_int_array(&mut self, name: &str, data: &[i64]) -> RResult<()> {
-        let st = self.global_array(name)?;
+        let st = &self.arrays[self.global_array(name)?];
         let size: usize = st.shape.iter().product();
         if data.len() != size {
             return Err(RuntimeError::NotSupported(format!(

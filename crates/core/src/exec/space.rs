@@ -9,7 +9,6 @@
 //! par-local variables, activity masks) are *lifted* onto the inner space
 //! with one router gather.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use uc_cm::{BinOp, ElemType, FieldId, Scalar, VpSetId};
@@ -41,9 +40,14 @@ pub struct ParCtx {
     pub(crate) owned: Vec<FieldId>,
     /// Number of context pushes to undo when the level pops.
     pub(crate) pushes: usize,
-    /// Cache of lift-address fields keyed by ancestor level index.
-    pub(crate) lift_cache: HashMap<usize, FieldId>,
+    /// Lift-address fields by ancestor level index.
+    pub(crate) lift_cache: Vec<(usize, FieldId)>,
 }
+
+/// A popped [`ParCtx`]'s buffers — `dims`, `elems`, `owned` and
+/// `lift_cache`, cleared — so entering a construct allocates nothing.
+pub(crate) type CtxBuffers =
+    (Vec<usize>, Vec<(SetId, FieldId, ElemForm)>, Vec<FieldId>, Vec<(usize, FieldId)>);
 
 impl Program {
     /// Push a new parallel-context level for the given index sets,
@@ -51,21 +55,14 @@ impl Program {
     ///
     /// Returns the level index (for symmetric [`Program::pop_space`]).
     pub(crate) fn push_space(&mut self, sets: &[SetId]) -> RResult<usize> {
+        let (mut dims, elems, owned, lift_cache) = self.ctx_spare.pop().unwrap_or_default();
         let outer_dims = self.ctx.last().map_or(&[][..], |c| &c.dims);
         let outer_rank = outer_dims.len();
-        let mut dims = Vec::with_capacity(outer_rank + sets.len());
         dims.extend_from_slice(outer_dims);
         dims.extend(sets.iter().map(|&s| self.checked.sets[s].elements.len()));
         let vp = self.space_vp(&dims)?;
 
-        let mut level = ParCtx {
-            vp,
-            dims,
-            elems: Vec::with_capacity(sets.len()),
-            owned: Vec::new(),
-            pushes: 0,
-            lift_cache: HashMap::new(),
-        };
+        let mut level = ParCtx { vp, dims, elems, owned, pushes: 0, lift_cache };
         let dims = &level.dims;
 
         // Bind each set's element as a field on the new space. Done
@@ -136,7 +133,7 @@ impl Program {
             self.machine.free(outer_mask)?;
             self.machine.free(lifted)?;
             level.owned.push(addr); // keep: doubles as lift cache below
-            level.lift_cache.insert(self.ctx.len() - 1, addr);
+            level.lift_cache.push((self.ctx.len() - 1, addr));
         }
 
         self.ctx.push(level);
@@ -147,13 +144,18 @@ impl Program {
     /// freeing its fields.
     pub(crate) fn pop_space(&mut self, level: usize) -> RResult<()> {
         debug_assert_eq!(level + 1, self.ctx.len(), "unbalanced space push/pop");
-        let ctx = self.ctx.pop().expect("pop_space on empty stack");
-        for _ in 0..ctx.pushes {
-            self.machine.pop_context(ctx.vp)?;
+        let ParCtx { vp, mut dims, mut elems, mut owned, pushes, mut lift_cache } =
+            self.ctx.pop().expect("pop_space on empty stack");
+        for _ in 0..pushes {
+            self.machine.pop_context(vp)?;
         }
-        for f in ctx.owned {
+        for f in owned.drain(..) {
             let _ = self.machine.free(f);
         }
+        dims.clear();
+        elems.clear();
+        lift_cache.clear();
+        self.ctx_spare.push((dims, elems, owned, lift_cache));
         Ok(())
     }
 
@@ -190,7 +192,8 @@ impl Program {
     /// ancestor level `from_level`.
     pub(crate) fn lift_addr(&mut self, from_level: usize) -> RResult<FieldId> {
         let cur_level = self.ctx.len() - 1;
-        if let Some(&f) = self.ctx[cur_level].lift_cache.get(&from_level) {
+        let cached = self.ctx[cur_level].lift_cache.iter().find(|&&(l, _)| l == from_level);
+        if let Some(&(_, f)) = cached {
             return Ok(f);
         }
         let cur = &self.ctx[cur_level];
@@ -202,7 +205,7 @@ impl Program {
         self.machine.binop_imm(BinOp::Div, addr, addr, Scalar::Int(rest as i64))?;
         let cur = &mut self.ctx[cur_level];
         cur.owned.push(addr);
-        cur.lift_cache.insert(from_level, addr);
+        cur.lift_cache.push((from_level, addr));
         Ok(addr)
     }
 
@@ -250,16 +253,7 @@ mod tests {
 
     #[test]
     fn contiguous_detection() {
-        let lo = |elements: &[i64]| {
-            crate::sema::IndexSetInfo {
-                name: "I".into(),
-                elem: "i".into(),
-                elements: Arc::new(elements.to_vec()),
-                span: Default::default(),
-                alias_of: None,
-            }
-            .contiguous_lo()
-        };
+        let lo = crate::sema::scan_contiguous_lo;
         assert_eq!(lo(&[0, 1, 2, 3]), Some(0));
         assert_eq!(lo(&[5, 6, 7]), Some(5));
         assert_eq!(lo(&[-2, -1, 0]), Some(-2));

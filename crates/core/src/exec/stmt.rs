@@ -9,9 +9,7 @@
 
 use uc_cm::{BinOp, ElemType, FieldId, ReduceOp, Scalar};
 
-use std::sync::Arc;
-
-use super::{elem_type, ArrayStorage, LocalVar, Program, RResult, RuntimeError, PV};
+use super::{elem_type, ArrayStorage, LocalVar, Program, RResult, RuntimeError, Storage, PV};
 use crate::ast::{Block, Callee, Expr, LocalId, Ref, ScBlock, Stmt, UcKind, UcStmt};
 use crate::mapping::ArrayMapping;
 use crate::sema::LocalKind;
@@ -107,7 +105,7 @@ impl Program {
                 let vp = self.space_vp(&shape)?;
                 let field = self.machine.alloc(vp, &v.name, ty)?;
                 let mapping = ArrayMapping::Default;
-                LocalVar::Array(Arc::new(ArrayStorage { field, ty, shape, mapping }))
+                LocalVar::Array(ArrayStorage { field, ty, shape, mapping })
             }
             LocalKind::Reg(_) => unreachable!("scalar declarations are lowered to registers"),
         };
@@ -170,8 +168,7 @@ impl Program {
         self.cse_push();
         let prev_fill = self.cse_fill;
         self.cse_fill = true;
-        let mut masks: Vec<Option<FieldId>> = Vec::with_capacity(uc.arms.len());
-        let mut enabled = false;
+        let mut masks = self.mask_spare.pop().unwrap_or_default();
         let mut pred_err = None;
         for ScBlock { pred, .. } in &uc.arms {
             match pred {
@@ -195,30 +192,27 @@ impl Program {
             }
         }
         self.cse_fill = prev_fill;
-        if let Some(e) = pred_err {
-            for m in masks.into_iter().flatten() {
-                let _ = self.machine.free(m);
+        let run = (|| -> RResult<bool> {
+            if let Some(e) = pred_err {
+                return Err(e);
             }
-            self.cse_pop();
-            return Err(e);
-        }
-        if need_enabled {
-            for m in &masks {
-                match m {
-                    Some(id) => {
-                        if !enabled && self.machine.reduce(*id, ReduceOp::Or)?.as_bool() {
-                            enabled = true;
+            let mut enabled = false;
+            if need_enabled {
+                for m in &masks {
+                    match m {
+                        Some(id) => {
+                            if !enabled && self.machine.reduce(*id, ReduceOp::Or)?.as_bool() {
+                                enabled = true;
+                            }
                         }
-                    }
-                    None => {
-                        if !enabled && self.machine.any_active(vp)? {
-                            enabled = true;
+                        None => {
+                            if !enabled && self.machine.any_active(vp)? {
+                                enabled = true;
+                            }
                         }
                     }
                 }
             }
-        }
-        let run = (|| -> RResult<()> {
             for (ScBlock { body, .. }, mask) in uc.arms.iter().zip(&masks) {
                 match mask {
                     Some(m) => {
@@ -242,14 +236,14 @@ impl Program {
                 self.machine.free(or)?;
                 r?;
             }
-            Ok(())
+            Ok(enabled)
         })();
-        for m in masks.into_iter().flatten() {
+        for m in masks.drain(..).flatten() {
             let _ = self.machine.free(m);
         }
+        self.mask_spare.push(masks);
         self.cse_pop();
-        run?;
-        Ok(enabled)
+        run
     }
 
     /// `seq` nested in a parallel construct (a front-end `seq` is lowered
@@ -395,32 +389,25 @@ impl Program {
         for arm in &uc.arms {
             Self::solve_assignments(&arm.body, &mut assigns);
         }
-        // Defined-bitmaps for every target array.
-        let mut def_maps: Vec<(Ref, ArrayStorage)> = Vec::new();
-        for (target, _) in &assigns {
-            let Expr::Index { base, .. } = target else {
-                unreachable!("sema admits only array-element solve targets")
-            };
-            if def_maps.iter().any(|(n, _)| *n == base.to) {
-                continue;
-            }
-            let st = self.array_storage(base);
-            let storage_shape = st.mapping.storage_shape(&st.shape);
-            let dvp = self.space_vp(&storage_shape)?;
-            let dfield = self.machine.alloc_bool(dvp, "~defined")?;
-            self.machine.fill_unconditional(dfield, Scalar::Bool(false))?;
-            def_maps.push((
-                base.to,
-                ArrayStorage {
-                    field: dfield,
-                    ty: ElemType::Bool,
-                    shape: st.shape.clone(),
-                    mapping: st.mapping.clone(),
-                },
-            ));
-        }
-
+        // Defined-bitmaps for every target array, on `defined` from `first`.
+        let first = self.defined.len();
         let run = (|| -> RResult<()> {
+            let mut def_maps: Vec<(Ref, Storage)> = Vec::new();
+            for (target, _) in &assigns {
+                let Expr::Index { base, .. } = target else {
+                    unreachable!("sema admits only array-element solve targets")
+                };
+                if def_maps.iter().any(|(n, _)| *n == base.to) {
+                    continue;
+                }
+                let st = self.storage(Storage::Array(base.to));
+                let (shape, mapping) = (st.shape.clone(), st.mapping.clone());
+                let dvp = self.space_vp(&mapping.storage_shape(&shape))?;
+                let field = self.machine.alloc_bool(dvp, "~defined")?;
+                self.machine.fill_unconditional(field, Scalar::Bool(false))?;
+                self.defined.push(ArrayStorage { field, ty: ElemType::Bool, shape, mapping });
+                def_maps.push((base.to, Storage::Defined(self.defined.len() - 1)));
+            }
             let mut iters = 0u64;
             loop {
                 iters += 1;
@@ -430,9 +417,9 @@ impl Program {
                 let mut progress = false;
                 for (target, value) in &assigns {
                     let Expr::Index { base, subs, .. } = target else { unreachable!() };
-                    let def_st = def_maps.iter().find(|(n, _)| *n == base.to).unwrap().1.clone();
+                    let def_st = def_maps.iter().find(|(n, _)| *n == base.to).unwrap().1;
                     // ready = !defined(target) && rhs_defined
-                    let tdef = self.read_storage(&def_st, subs)?;
+                    let tdef = self.read_storage(def_st, subs)?;
                     let PV::Field { id: tdef_id, .. } = tdef else { unreachable!() };
                     let ready = self.machine.alloc_bool(vp, "~ready")?;
                     self.machine.unop(uc_cm::UnOp::Not, ready, tdef_id)?;
@@ -450,8 +437,8 @@ impl Program {
                             let v = self.store(target, v, true)?;
                             self.release(v);
                             // Mark the just-written elements defined.
-                            self.write_array_storage(&def_st, subs, PV::Scalar(Scalar::Bool(true)))?;
-                            Ok(())
+                            let defined = PV::Scalar(Scalar::Bool(true));
+                            self.write_storage(def_st, subs, defined, false, "~storage")
                         })();
                         self.machine.pop_context(vp)?;
                         r?;
@@ -465,7 +452,7 @@ impl Program {
             }
             Ok(())
         })();
-        for (_, st) in def_maps {
+        for st in self.defined.drain(first..) {
             let _ = self.machine.free(st.field);
         }
         run
@@ -476,7 +463,7 @@ impl Program {
     fn rhs_defined(
         &mut self,
         e: &Expr,
-        def_maps: &[(Ref, ArrayStorage)],
+        def_maps: &[(Ref, Storage)],
     ) -> RResult<PV> {
         match e {
             Expr::IntLit(..) | Expr::FloatLit(..) | Expr::Inf(_) | Expr::Ident(..) => {
@@ -484,9 +471,8 @@ impl Program {
             }
             Expr::Index { base, subs, .. } => {
                 match def_maps.iter().find(|(n, _)| *n == base.to) {
-                    Some((_, def_st)) => {
-                        let def_st = def_st.clone();
-                        let elem_def = self.read_storage(&def_st, subs)?;
+                    Some(&(_, def_st)) => {
+                        let elem_def = self.read_storage(def_st, subs)?;
                         // Subscripts themselves may read target arrays.
                         let mut acc = elem_def;
                         for s in subs {
@@ -588,9 +574,10 @@ impl Program {
                 if targets.iter().any(|(n, _, _)| *n == base.to) {
                     continue;
                 }
-                let st = self.array_storage(base);
-                let snap = self.machine.alloc(st.field.vp_set(), "~snap", st.ty)?;
-                targets.push((base.to, st.field, snap));
+                let st = self.storage(Storage::Array(base.to));
+                let (field, ty) = (st.field, st.ty);
+                let snap = self.machine.alloc(field.vp_set(), "~snap", ty)?;
+                targets.push((base.to, field, snap));
             }
             let run = (|| -> RResult<()> {
                 let mut iters = 0u64;

@@ -56,23 +56,22 @@ impl ArrayMapping {
     /// Per-dimension logical→storage coordinate transform (for the
     /// non-copy mappings; copy keeps coordinates and adds a replica axis).
     pub fn storage_coord(&self, logical: &[usize], shape: &[usize]) -> Vec<usize> {
-        match self {
-            ArrayMapping::Default | ArrayMapping::Copy { .. } => logical.to_vec(),
-            ArrayMapping::Permute { offsets } => logical
-                .iter()
-                .zip(offsets)
-                .zip(shape)
-                .map(|((&v, &o), &n)| (v as i64 - o).rem_euclid(n as i64) as usize)
-                .collect(),
-            ArrayMapping::Fold { axis } => {
-                let mut out = logical.to_vec();
-                let n = shape[*axis];
-                let v = logical[*axis];
-                let mirrored = (n - 1).saturating_sub(v);
-                let low = v.min(mirrored);
-                out[*axis] = 2 * low + usize::from(v >= n.div_ceil(2));
-                out
+        let coord = logical.iter().zip(shape).enumerate();
+        coord.map(|(d, (&v, &n))| self.storage_axis(d, v, n)).collect()
+    }
+
+    /// The storage coordinate of logical coordinate `v` on axis `d` of
+    /// extent `n`: the transform is per axis.
+    pub fn storage_axis(&self, d: usize, v: usize, n: usize) -> usize {
+        match *self {
+            ArrayMapping::Permute { ref offsets } => {
+                (v as i64 - offsets[d]).rem_euclid(n as i64) as usize
             }
+            ArrayMapping::Fold { axis } if axis == d => {
+                let low = v.min((n - 1).saturating_sub(v));
+                2 * low + usize::from(v >= n.div_ceil(2))
+            }
+            _ => v,
         }
     }
 

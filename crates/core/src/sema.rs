@@ -63,6 +63,10 @@ pub struct IndexSetInfo {
     pub span: Span,
     /// For `= J` definitions, the set `J` resolved to.
     pub alias_of: Option<SetId>,
+    /// `lo` if the elements are `lo, lo+1, …`, decided once by
+    /// `define_index_set`: a range is contiguous by construction, an alias
+    /// is whatever its source is, and only a list is scanned.
+    pub(crate) lo: Option<i64>,
 }
 
 impl IndexSetInfo {
@@ -70,12 +74,18 @@ impl IndexSetInfo {
     /// whose element is `axis coordinate + lo`
     /// (`opt::ElemForm::AxisPlus`).
     pub fn contiguous_lo(&self) -> Option<i64> {
-        let lo = *self.elements.first()?;
-        // `lo + (len - 1)` exists, so no `lo + k` below can overflow.
-        lo.checked_add(self.elements.len() as i64 - 1)?;
-        let in_place = |(k, &v): (usize, &i64)| v == lo.wrapping_add(k as i64);
-        self.elements.iter().enumerate().all(in_place).then_some(lo)
+        self.lo
     }
+}
+
+/// `lo` if `elements` are `lo, lo+1, …`: the scan that decides
+/// [`IndexSetInfo::contiguous_lo`] for an element list.
+pub(crate) fn scan_contiguous_lo(elements: &[i64]) -> Option<i64> {
+    let lo = *elements.first()?;
+    // `lo + (len - 1)` exists, so no `lo + k` below can overflow.
+    lo.checked_add(elements.len() as i64 - 1)?;
+    let in_place = |(k, &v): (usize, &i64)| v == lo.wrapping_add(k as i64);
+    elements.iter().enumerate().all(in_place).then_some(lo)
 }
 
 /// A checked global array.
@@ -459,6 +469,7 @@ impl<'a> Checker<'a> {
     /// [`MAX_CONST_INDEX_SET`] before anything is materialised.
     fn define_index_set(&mut self, def: &IndexSetDef) -> Option<SetId> {
         let mut alias_of = None;
+        let contiguous;
         let elements = match &def.init {
             IndexSetInit::Range(lo, hi) => {
                 let (lo, hi) = (self.const_expr(lo)?, self.const_expr(hi)?);
@@ -480,14 +491,19 @@ impl<'a> Checker<'a> {
                     );
                     return None;
                 }
+                contiguous = Some(lo);
                 Arc::new((lo..=hi).collect())
             }
             IndexSetInit::List(items) => {
-                Arc::new(items.iter().map(|e| self.const_expr(e)).collect::<Option<Vec<i64>>>()?)
+                let elements: Option<Vec<i64>> = items.iter().map(|e| self.const_expr(e)).collect();
+                let elements = elements?;
+                contiguous = scan_contiguous_lo(&elements);
+                Arc::new(elements)
             }
             IndexSetInit::Alias(src) => match self.lookup_index_set(src) {
                 Some(id) => {
                     alias_of = Some(id);
+                    contiguous = self.sets[id].lo;
                     self.sets[id].elements.clone()
                 }
                 None => {
@@ -507,6 +523,7 @@ impl<'a> Checker<'a> {
             elements,
             span: def.span,
             alias_of,
+            lo: contiguous,
         });
         Some(self.sets.len() - 1)
     }
@@ -1337,6 +1354,26 @@ mod tests {
         assert_eq!(*c.index_set("J").unwrap().elements, vec![0, 1, 2, 3, 4]);
         assert_eq!(c.index_set("J").unwrap().elem, "j");
         assert_eq!(*c.index_set("K").unwrap().elements, vec![4, 2, 9]);
+    }
+
+    /// Contiguity is decided at definition: a range by its bounds, an
+    /// alias by its source, a list by one scan.
+    #[test]
+    fn contiguity_decided_at_definition() {
+        let c = check_ok(
+            "index_set R:r = {-3..60000}, A:a = R, L:l = {5, 6, 7}, O:o = {9}, \
+             S:s = {1, 0, 2}, B:b = S;\nmain() {}",
+        );
+        let lo = |name| c.index_set(name).unwrap().contiguous_lo();
+        assert_eq!(lo("R"), Some(-3));
+        assert_eq!(lo("A"), Some(-3));
+        assert_eq!(lo("L"), Some(5));
+        assert_eq!(lo("O"), Some(9));
+        assert_eq!(lo("S"), None);
+        assert_eq!(lo("B"), None);
+        for set in &c.sets {
+            assert_eq!(set.contiguous_lo(), scan_contiguous_lo(&set.elements), "{}", set.name);
+        }
     }
 
     #[test]

@@ -1,0 +1,175 @@
+//! A warm `par` entry allocates nothing on the executor's side.
+//!
+//! Entering a construct, classifying its subscripts, computing router
+//! addresses, caching a step's gathers and masking its arms all reuse
+//! buffers the program keeps (`Program::ctx_spare`, `forms`,
+//! `mask_spare`, `cse_stack`), and the machine's arena serves every field
+//! (`crates/cm/tests/alloc_count.rs`). This test installs a counting
+//! global allocator, warms each program with two runs, and asserts that a
+//! third run — hundreds of `par` entries — allocates fewer than
+//! [`BUDGET`] times in total. Three shapes cover the executor's access
+//! paths:
+//!
+//! * an all-pairs-shortest-paths step, whose predicate gathers two
+//!   row/column broadcasts through the router and reads one local operand
+//!   that the arm body then takes from the CSE cache;
+//! * a NEWS read with its border fix-up, as in an obstacle-grid sweep;
+//! * router stores into `permute`-, `fold`- and `copy`-mapped arrays and
+//!   through a data-dependent subscript, which take every mapping arm of
+//!   the address computation.
+//!
+//! The counter is process-wide, so the tests live alone in this file and
+//! serialize on a mutex.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use uc_core::Program;
+
+/// Counts every allocation (fresh, zeroed, and growth reallocs); frees
+/// are irrelevant to the claim.
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Serializes the measuring tests: the allocation counter is process-wide.
+static MEASURE: Mutex<()> = Mutex::new(());
+
+/// Allocations a whole warm run may make. Each shape enters a `par` at
+/// least 64 times, so a single allocation per entry breaks it.
+const BUDGET: u64 = 64;
+
+/// Compile `src`, let `init` set it up, warm it with two runs, and return
+/// the program with the allocations of a third.
+fn warm_run_allocs(src: &str, init: impl Fn(&mut Program)) -> (Program, u64) {
+    let mut p = Program::compile(src).unwrap_or_else(|d| panic!("compile failed:\n{d}"));
+    init(&mut p);
+    for _ in 0..2 {
+        p.run().unwrap_or_else(|e| panic!("runtime error: {e}"));
+    }
+    init(&mut p);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    p.run().unwrap();
+    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    (p, allocs)
+}
+
+/// 16 sweeps of `seq (K)` over a 16 × 16 distance matrix: 256 entries of
+/// the kernel the benchmark's `apsp_n2` runs.
+#[test]
+fn apsp_step_allocates_nothing_per_entry() {
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let src = r#"
+        #define N 16
+        index_set I:i = {0..N-1}, J:j = I, K:k = I, T:t = {0..15};
+        int d[N][N];
+        main() {
+            seq (T)
+                seq (K)
+                    par (I, J)
+                        st (d[i][k] + d[k][j] < d[i][j])
+                            d[i][j] = d[i][k] + d[k][j];
+        }
+    "#;
+    // A directed ring whose edge i -> i+1 weighs 1: dist(i, j) = (j - i) mod N.
+    let n = 16i64;
+    let ring: Vec<i64> = (0..n * n)
+        .map(|c| match (c % n - c / n).rem_euclid(n) {
+            0 => 0,
+            1 => 1,
+            _ => 1 << 20,
+        })
+        .collect();
+    let (mut p, allocs) = warm_run_allocs(src, |p| p.write_int_array("d", &ring).unwrap());
+    let expect: Vec<i64> = (0..n * n).map(|c| (c % n - c / n).rem_euclid(n)).collect();
+    assert_eq!(p.read_int_array("d").unwrap(), expect);
+    assert!(allocs < BUDGET, "{allocs} allocations in 256 warm `par` entries");
+}
+
+/// 64 steps of a NEWS relaxation: two displaced reads per step, each
+/// shifted toroidally and fixed up at the border.
+#[test]
+fn news_read_with_border_fixup_allocates_nothing_per_entry() {
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let src = r#"
+        #define N 32
+        index_set I:i = {0..N-1}, J:j = I, T:t = {0..63};
+        int a[N][N];
+        main() {
+            par (I, J) a[i][j] = 1000;
+            par (I, J) st (i == 0 && j == N - 1) a[i][j] = 0;
+            seq (T)
+                par (I, J)
+                    st ((i != 0 || j != N - 1) && min(a[i-1][j], a[i][j+1]) + 1 < a[i][j])
+                        a[i][j] = min(a[i-1][j], a[i][j+1]) + 1;
+        }
+    "#;
+    let (mut p, allocs) = warm_run_allocs(src, |_| {});
+    let a = p.read_int_array("a").unwrap();
+    // Distance from the top-right corner moving down or left.
+    assert_eq!(a[31 * 32], 62);
+    assert_eq!(a[5 * 32 + 30], 6);
+    assert!(allocs < BUDGET, "{allocs} allocations in 64 warm NEWS steps");
+}
+
+/// 64 steps of router stores through every mapping: `permute`, `fold` on
+/// the stored axis and on another, `copy` (one send per replica), and a
+/// data-dependent subscript whose validity is checked at run time.
+#[test]
+fn mapped_router_stores_allocate_nothing_per_entry() {
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let src = r#"
+        #define N 64
+        index_set I:i = {0..N-1}, J:j = {0..3}, T:t = {0..63};
+        int a[N], b[N], c[N], r[N], f[N][4];
+        map (I) {
+            permute (I) b[i+1] :- a[i];
+            fold (I) c[i] :- c[N-1-i];
+            copy (J) r[i] :- r[i];
+            fold (I) f[i][j] :- f[N-1-i][j];
+        }
+        main() {
+            seq (T) {
+                par (I) {
+                    b[i] = i + t;
+                    c[i] = 2 * i + t;
+                    r[i] = i - t;
+                    a[(5 * i + t) % N] = i;
+                }
+                par (I, J) f[i][j] = 4 * i + j + t;
+            }
+        }
+    "#;
+    let (mut p, allocs) = warm_run_allocs(src, |_| {});
+    let t = 63;
+    let read = |p: &mut Program, name| p.read_int_array(name).unwrap();
+    assert_eq!(read(&mut p, "b"), (0..64).map(|i| i + t).collect::<Vec<_>>());
+    assert_eq!(read(&mut p, "c"), (0..64).map(|i| 2 * i + t).collect::<Vec<_>>());
+    assert_eq!(read(&mut p, "r"), (0..64).map(|i| i - t).collect::<Vec<_>>());
+    let a = read(&mut p, "a");
+    assert!((0..64).all(|i| a[((5 * i + t) % 64) as usize] == i));
+    assert_eq!(read(&mut p, "f"), (0..256).map(|k| k + t).collect::<Vec<_>>());
+    assert!(allocs < BUDGET, "{allocs} allocations in 128 warm mapped-store entries");
+}
