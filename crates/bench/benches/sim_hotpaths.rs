@@ -1,4 +1,4 @@
-//! Criterion bench for the simulator's hot paths: router sends/gets,
+//! Bench for the simulator's hot paths: router sends/gets,
 //! scans, elementwise ALU ops and NEWS shifts are where the CM simulator
 //! spends its time for any non-trivial program (see `uc_cm::router`,
 //! `uc_cm::scan`, `uc_cm::ops` and `uc_cm::news`). These benches track
@@ -11,9 +11,12 @@
 //! The router and ALU groups also run at [`SMALL`] VPs, the 16 × 16 sets
 //! of the benchmark's `apsp_n2`, where per-op bookkeeping outweighs the
 //! elements.
+//!
+//! Each bench prints `  group/id: mean …, min … (n samples)`, the line
+//! `BENCH_sim_hotpaths.json` is recorded from.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 use uc_cm::news::Border;
 use uc_cm::{BinOp, Combine, FieldData, FieldId, Machine, ReduceOp, Scalar};
 
@@ -24,6 +27,24 @@ const SMALL: usize = 1 << 8;
 
 /// Instructions per timed iteration of the ALU and NEWS groups.
 const REPS: usize = 16;
+
+/// Runs `sample` once to warm up, then `samples` times, and prints the
+/// mean and the fastest of the timed runs. Each run returns the host time
+/// it measured, so it can leave its own setup out.
+fn bench(label: &str, samples: u32, mut sample: impl FnMut() -> Duration) {
+    sample();
+    let times: Vec<Duration> = (0..samples).map(|_| sample()).collect();
+    let mean = times.iter().sum::<Duration>() / samples;
+    let min = times.iter().min().expect("at least one sample");
+    println!("  {label}: mean {mean:?}, min {min:?} ({samples} samples)");
+}
+
+/// Host time of one call of `f`.
+fn time<O>(f: impl FnOnce() -> O) -> Duration {
+    let start = Instant::now();
+    black_box(f());
+    start.elapsed()
+}
 
 fn router_roundtrip(n: usize) -> i64 {
     let mut m = Machine::with_defaults();
@@ -51,26 +72,22 @@ fn scan_chain(n: usize) -> i64 {
     m.reduce(a, ReduceOp::Add).unwrap().as_int()
 }
 
-fn bench_router(c: &mut Criterion) {
-    let mut group = c.benchmark_group("router_hotpath");
-    group.sample_size(10);
+fn bench_router() {
+    println!("group router_hotpath");
     for n in [SMALL].into_iter().chain(SIZES) {
-        group.bench_with_input(BenchmarkId::new("send_get", n), &n, |b, &n| {
-            b.iter(|| black_box(router_roundtrip(n)))
+        bench(&format!("router_hotpath/send_get/{n}"), 10, || {
+            time(|| router_roundtrip(n))
         });
     }
-    group.finish();
 }
 
-fn bench_scan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scan_hotpath");
-    group.sample_size(10);
+fn bench_scan() {
+    println!("group scan_hotpath");
     for n in SIZES {
-        group.bench_with_input(BenchmarkId::new("scan_reduce", n), &n, |b, &n| {
-            b.iter(|| black_box(scan_chain(n)))
+        bench(&format!("scan_hotpath/scan_reduce/{n}"), 10, || {
+            time(|| scan_chain(n))
         });
     }
-    group.finish();
 }
 
 /// A square 2-D machine of `n` VPs with three int fields and a bool one,
@@ -95,7 +112,7 @@ fn grid(n: usize, half: bool) -> (Machine, [FieldId; 3], FieldId) {
     (m, ints, cond)
 }
 
-fn bench_alu(c: &mut Criterion) {
+fn bench_alu() {
     type Op = fn(&mut Machine, [FieldId; 3], FieldId) -> uc_cm::Result<()>;
     let ops: [(&str, Op); 4] = [
         ("binop", |m, [d, a, b], _| m.binop(BinOp::Add, d, a, b)),
@@ -107,54 +124,55 @@ fn bench_alu(c: &mut Criterion) {
         }),
         ("select", |m, [d, a, b], c| m.select(d, c, a, b)),
     ];
-    let mut group = c.benchmark_group("alu_hotpath");
-    group.sample_size(20);
+    println!("group alu_hotpath");
     for (name, op) in ops {
         for (mask, half) in [("all", false), ("half", true)] {
             for n in [SMALL].into_iter().chain(SIZES) {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{name}_{mask}"), n),
-                    &n,
-                    |b, &n| {
-                        let (mut m, ints, cond) = grid(n, half);
-                        b.iter(|| {
-                            for _ in 0..REPS {
-                                op(&mut m, ints, cond).unwrap();
-                            }
-                        });
-                        black_box(m.read_elem(ints[0], n - 1).unwrap());
-                    },
-                );
+                bench(&format!("alu_hotpath/{name}_{mask}/{n}"), 20, || {
+                    let (mut m, ints, cond) = grid(n, half);
+                    let t = time(|| {
+                        for _ in 0..REPS {
+                            op(&mut m, ints, cond).unwrap();
+                        }
+                    });
+                    black_box(m.read_elem(ints[0], n - 1).unwrap());
+                    t
+                });
             }
         }
     }
-    group.finish();
 }
 
-fn bench_news(c: &mut Criterion) {
-    let mut group = c.benchmark_group("news_hotpath");
-    group.sample_size(20);
+fn bench_news() {
+    println!("group news_hotpath");
     for (axis_name, axis) in [("axis0", 0), ("last_axis", 1)] {
         for (border_name, border) in [
             ("wrap", Border::Wrap),
             ("fill", Border::Fill(Scalar::Int(-1))),
         ] {
             for n in SIZES {
-                let id = BenchmarkId::new(format!("{axis_name}_{border_name}"), n);
-                group.bench_with_input(id, &n, |b, &n| {
-                    let (mut m, [d, a, _], _) = grid(n, false);
-                    b.iter(|| {
-                        for _ in 0..REPS {
-                            m.news_shift(d, a, axis, 1, border).unwrap();
-                        }
-                    });
-                    black_box(m.read_elem(d, n - 1).unwrap());
-                });
+                bench(
+                    &format!("news_hotpath/{axis_name}_{border_name}/{n}"),
+                    20,
+                    || {
+                        let (mut m, [d, a, _], _) = grid(n, false);
+                        let t = time(|| {
+                            for _ in 0..REPS {
+                                m.news_shift(d, a, axis, 1, border).unwrap();
+                            }
+                        });
+                        black_box(m.read_elem(d, n - 1).unwrap());
+                        t
+                    },
+                );
             }
         }
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_router, bench_scan, bench_alu, bench_news);
-criterion_main!(benches);
+fn main() {
+    bench_router();
+    bench_scan();
+    bench_alu();
+    bench_news();
+}

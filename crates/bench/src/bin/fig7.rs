@@ -3,11 +3,8 @@
 //! Same sweep as Figure 6 but with the log-round min-reduction algorithm
 //! (Figure 5 / Figure 10 of the paper). Usage: `fig7 [--json]`.
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let ns = [4, 8, 12, 16, 20, 24, 28, 32];
     let fig = uc_bench::fig7(&ns);
-    print!("{}", uc_bench::render(&fig));
-    if std::env::args().any(|a| a == "--json") {
-        println!("{}", uc_bench::to_json(&fig));
-    }
+    uc_bench::print_figure(&fig, &[])
 }

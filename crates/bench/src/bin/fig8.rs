@@ -5,11 +5,8 @@
 //! the CM curve stays nearly flat until the VP ratio exceeds 1.
 //! Usage: `fig8 [--json]`.
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let sizes = [8, 16, 24, 32, 48, 64, 96, 128];
     let fig = uc_bench::fig8(&sizes);
-    print!("{}", uc_bench::render(&fig));
-    if std::env::args().any(|a| a == "--json") {
-        println!("{}", uc_bench::to_json(&fig));
-    }
+    uc_bench::print_figure(&fig, &[])
 }

@@ -3,14 +3,10 @@
 //!
 //! Usage: `procopt_ablation [--json]`.
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let ns = [256, 1024, 4096, 16384];
     let fig = uc_bench::procopt_ablation(&ns);
-    print!("{}", uc_bench::render(&fig));
     let on = fig.series[0].points.last().unwrap().1 as f64;
     let off = fig.series[1].points.last().unwrap().1 as f64;
-    println!("\nspeed-up at N=16384: {:.1}x", off / on);
-    if std::env::args().any(|a| a == "--json") {
-        println!("{}", uc_bench::to_json(&fig));
-    }
+    uc_bench::print_figure(&fig, &[format!("speed-up at N=16384: {:.1}x", off / on)])
 }

@@ -6,6 +6,9 @@
 //! table (`render`) or dumped as JSON (`to_json`).
 //!
 //! Binaries: `fig6`, `fig7`, `fig8`, `map_ablation`, `procopt_ablation`.
+//! Their `--json` output is committed under `tests/golden/` and checked
+//! byte for byte by `tests/figures.rs`; the UC programs they run live in
+//! `programs/`.
 //!
 //! Methodology (matches the paper):
 //! * UC and C\* run on the **same** simulated 16K-processor CM and the
@@ -15,6 +18,9 @@
 //!   after initialisation);
 //! * the sequential baselines of Figure 8 charge abstract ops in the same
 //!   cycle unit (see `uc-seqc`).
+
+use std::io::{self, Write};
+use std::process::ExitCode;
 
 use uc_core::{ExecConfig, Program};
 use uc_seqc::{grid, oracle, SeqMachine};
@@ -45,87 +51,23 @@ pub const PHYS_PROCS: usize = 16 * 1024;
 // ---- initialisation so UC and C* see identical graphs) -----------------
 
 /// Figure 4's program: APSP, O(N²) parallelism (seq over k).
-pub const UC_APSP_N2: &str = r#"
-    #define N 8
-    index_set I:i = {0..N-1}, J:j = I, K:k = I;
-    int d[N][N];
-    main() {
-        par (I, J)
-            st (i == j) d[i][j] = 0;
-            others d[i][j] = (i * 7 + j * 13) % N + 1;
-        seq (K)
-            par (I, J)
-                st (d[i][k] + d[k][j] < d[i][j])
-                    d[i][j] = d[i][k] + d[k][j];
-    }
-"#;
+pub const UC_APSP_N2: &str = include_str!("../programs/apsp_n2.uc");
 
 /// The initialisation-only prefix of [`UC_APSP_N2`], used to subtract
 /// setup cycles from the measurement.
-pub const UC_APSP_INIT: &str = r#"
-    #define N 8
-    index_set I:i = {0..N-1}, J:j = I;
-    int d[N][N];
-    main() {
-        par (I, J)
-            st (i == j) d[i][j] = 0;
-            others d[i][j] = (i * 7 + j * 13) % N + 1;
-    }
-"#;
+pub const UC_APSP_INIT: &str = include_str!("../programs/apsp_init.uc");
 
 /// Figure 5's program: APSP, O(N³) parallelism (log N min-reduction
 /// rounds).
-pub const UC_APSP_N3: &str = r#"
-    #define N 8
-    #define LOGN 3
-    index_set I:i = {0..N-1}, J:j = I, K:k = I;
-    index_set L:l = {0..LOGN-1};
-    int d[N][N];
-    main() {
-        par (I, J)
-            st (i == j) d[i][j] = 0;
-            others d[i][j] = (i * 7 + j * 13) % N + 1;
-        seq (L)
-            par (I, J)
-                d[i][j] = $<(K; d[i][k] + d[k][j]);
-    }
-"#;
+pub const UC_APSP_N3: &str = include_str!("../programs/apsp_n3.uc");
 
 /// The grid-goal program with the Figure 11 obstacle (§5's third
 /// benchmark): iterate neighbour relaxation to the fixed point with *par.
 /// `WALLV` marks obstacle cells; `DMAX` is the unreached sentinel.
-pub const UC_GRID_GOAL: &str = r#"
-    #define N 16
-    #define DMAX 1073741824
-    #define WALLV 2147483648
-    index_set I:i = {0..N-1}, J:j = I;
-    int a[N][N];
-    main() {
-        par (I, J)
-            st (i + j == N - 1 && ABS(i - N/2) <= N/4) a[i][j] = WALLV;
-            others a[i][j] = DMAX;
-        par (I, J) st (i == 0 && j == 0) a[i][j] = 0;
-        *par (I, J)
-            st (a[i][j] != WALLV && (i != 0 || j != 0)
-                && min(min(a[i-1][j], a[i+1][j]), min(a[i][j-1], a[i][j+1])) + 1 < a[i][j])
-            a[i][j] = min(min(a[i-1][j], a[i+1][j]), min(a[i][j-1], a[i][j+1])) + 1;
-    }
-"#;
+pub const UC_GRID_GOAL: &str = include_str!("../programs/grid_goal.uc");
 
 /// Initialisation-only prefix of [`UC_GRID_GOAL`].
-pub const UC_GRID_INIT: &str = r#"
-    #define N 16
-    #define DMAX 1073741824
-    #define WALLV 2147483648
-    index_set I:i = {0..N-1}, J:j = I;
-    int a[N][N];
-    main() {
-        par (I, J)
-            st (i + j == N - 1 && ABS(i - N/2) <= N/4) a[i][j] = WALLV;
-            others a[i][j] = DMAX;
-        par (I, J) st (i == 0 && j == 0) a[i][j] = 0;
-    }
-"#;
+pub const UC_GRID_INIT: &str = include_str!("../programs/grid_init.uc");
 
 fn config() -> ExecConfig {
     ExecConfig { phys_procs: PHYS_PROCS, ..ExecConfig::default() }
@@ -224,33 +166,10 @@ pub fn fig8(sizes: &[usize]) -> Figure {
 
 /// The shifted-access kernel for the mapping ablation: `ITERS` sweeps of
 /// `a[i] = a[i] + b[i+1]`.
-pub const UC_SHIFT_KERNEL: &str = r#"
-    #define N 4096
-    #define ITERS 32
-    index_set I:i = {0..N-1}, T:t = {0..ITERS-1};
-    int a[N], b[N];
-    main() {
-        par (I) { a[i] = i; b[i] = i * 2; }
-        seq (T)
-            par (I) st (i < N - 1)
-                a[i] = a[i] + b[i+1];
-    }
-"#;
+pub const UC_SHIFT_KERNEL: &str = include_str!("../programs/shift_kernel.uc");
 
 /// The same kernel with the paper's permute mapping applied.
-pub const UC_SHIFT_KERNEL_MAPPED: &str = r#"
-    #define N 4096
-    #define ITERS 32
-    index_set I:i = {0..N-1}, T:t = {0..ITERS-1};
-    int a[N], b[N];
-    map (I) { permute (I) b[i+1] :- a[i]; }
-    main() {
-        par (I) { a[i] = i; b[i] = i * 2; }
-        seq (T)
-            par (I) st (i < N - 1)
-                a[i] = a[i] + b[i+1];
-    }
-"#;
+pub const UC_SHIFT_KERNEL_MAPPED: &str = include_str!("../programs/shift_kernel_mapped.uc");
 
 /// Mapping ablation (§4's communication-cost optimization, the "factor
 /// of 10" claim): the shifted kernel under three regimes — no access
@@ -280,17 +199,7 @@ pub fn map_ablation(ns: &[usize], iters: i64) -> Figure {
 }
 
 /// §4's histogram program for the processor-optimization ablation.
-pub const UC_HISTOGRAM: &str = r#"
-    #define N 1024
-    index_set I:i = {0..N-1}, J:j = {0..9};
-    int samples[N];
-    int count[10];
-    main() {
-        par (I) samples[i] = (i * i) % 10;
-        par (J)
-            count[j] = $+(I st (samples[i] == j) 1);
-    }
-"#;
+pub const UC_HISTOGRAM: &str = include_str!("../programs/histogram.uc");
 
 /// Processor-optimization ablation (§4's 10·N → N example).
 pub fn procopt_ablation(ns: &[usize]) -> Figure {
@@ -335,6 +244,33 @@ pub fn render(fig: &Figure) -> String {
     out
 }
 
+/// A figure binary's whole output: the table, then `notes` after a blank
+/// line, then — when the command line has `--json` — the figure as JSON.
+/// A reader that closes the pipe early (`map_ablation | head -1`) ends
+/// the binary with success, not a panic.
+pub fn print_figure(fig: &Figure, notes: &[String]) -> ExitCode {
+    let mut out = render(fig);
+    if !notes.is_empty() {
+        out.push('\n');
+    }
+    for note in notes {
+        out.push_str(note);
+        out.push('\n');
+    }
+    if std::env::args().any(|a| a == "--json") {
+        out.push_str(&to_json(fig));
+        out.push('\n');
+    }
+    let mut stdout = io::stdout().lock();
+    match stdout.write_all(out.as_bytes()).and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("error: cannot write the figure: {e}");
+            ExitCode::FAILURE
+        }
+        _ => ExitCode::SUCCESS,
+    }
+}
+
 /// Serialise a figure to pretty JSON.
 pub fn to_json(fig: &Figure) -> String {
     json::to_string_pretty(fig)
@@ -349,58 +285,61 @@ pub fn from_json(s: &str) -> Result<Figure, String> {
 mod tests {
     use super::*;
 
+    // Each claim of PAPER.md's table, asserted on the numbers it quotes:
+    // the committed output of the binary, which `tests/figures.rs` keeps
+    // equal to what the binary prints today.
+
+    /// The figure a binary's committed `--json` output ends with.
+    fn golden(output: &str) -> Figure {
+        let json = &output[output.find("\n{").expect("a --json block") + 1..];
+        from_json(json).unwrap()
+    }
+
+    /// `(x, series[num] / series[den])` at every point.
+    fn ratios(fig: &Figure, num: usize, den: usize) -> Vec<(usize, f64)> {
+        let (num, den) = (&fig.series[num].points, &fig.series[den].points);
+        num.iter().zip(den).map(|(&(x, a), &(_, b))| (x, a as f64 / b as f64)).collect()
+    }
+
     #[test]
     fn fig6_uc_matches_cstar_shape() {
-        let fig = fig6(&[4, 8]);
-        assert_eq!(fig.series.len(), 2);
-        let uc = &fig.series[0].points;
-        let cs = &fig.series[1].points;
-        // Both grow with N.
-        assert!(uc[1].1 > uc[0].1);
-        assert!(cs[1].1 > cs[0].1);
-        // UC within a small constant of C* (the paper: "performance of UC
-        // programs matches that of C*").
-        for (u, c) in uc.iter().zip(cs) {
-            let ratio = u.1 as f64 / c.1 as f64;
-            assert!((0.3..6.0).contains(&ratio), "UC/C* ratio {ratio} out of band");
+        let fig = golden(include_str!("../tests/golden/fig6.txt"));
+        for (n, ratio) in ratios(&fig, 0, 1) {
+            assert!(ratio < 1.2, "UC/C* = {ratio} at N = {n}");
         }
     }
 
+    /// The CM overtakes sequential C between 8 and 16 rows, and `C -O`
+    /// between 16 and 24, and stays ahead of both.
     #[test]
     fn fig8_crossover() {
-        let fig = fig8(&[8, 64]);
-        let seq = &fig.series[0].points;
-        let uc = &fig.series[2].points;
-        // Sequential beats the CM at tiny sizes; the CM wins at 64.
-        assert!(uc[1].1 < seq[1].1, "CM must win at 64 rows: {uc:?} vs {seq:?}");
-        // Sequential grows much faster than the CM curve.
-        let seq_growth = seq[1].1 as f64 / seq[0].1 as f64;
-        let uc_growth = uc[1].1 as f64 / uc[0].1 as f64;
-        assert!(seq_growth > 3.0 * uc_growth, "growth {seq_growth} vs {uc_growth}");
+        let fig = golden(include_str!("../tests/golden/fig8.txt"));
+        for ((rows, over_c), (_, over_opt)) in ratios(&fig, 2, 0).into_iter().zip(ratios(&fig, 2, 1))
+        {
+            assert_eq!(over_c < 1.0, rows >= 16, "UC/C = {over_c} at {rows} rows");
+            assert_eq!(over_opt < 1.0, rows >= 24, "UC/C -O = {over_opt} at {rows} rows");
+        }
     }
 
+    /// At N = 16 384 access classification alone is worth 10x (router over
+    /// NEWS under the default mapping), and the permute map section adds a
+    /// little more (NEWS over local).
     #[test]
     fn mapping_hierarchy() {
-        // Long enough that the per-sweep kernel dominates the one-time
-        // (router) initialisation of the re-mapped array.
-        let fig = map_ablation(&[1024], 64);
-        let router = fig.series[0].points[0].1;
-        let news = fig.series[1].points[0].1;
-        let local = fig.series[2].points[0].1;
-        assert!(local < news, "permute-local must beat NEWS: {local} vs {news}");
-        assert!(news < router, "NEWS must beat the router: {news} vs {router}");
-        assert!(
-            router as f64 / local as f64 >= 6.0,
-            "mapping should win ~10x over unoptimized access: {router} vs {local}"
-        );
+        let fig = golden(include_str!("../tests/golden/map_ablation.txt"));
+        let at_16k = |&(n, ratio): &(usize, f64)| (n == 16384).then_some(ratio);
+        let router_news = ratios(&fig, 0, 1).iter().find_map(at_16k).unwrap();
+        let news_local = ratios(&fig, 1, 2).iter().find_map(at_16k).unwrap();
+        assert!(router_news >= 10.0, "router/NEWS = {router_news}");
+        assert!(news_local > 1.0, "NEWS/local = {news_local}");
     }
 
     #[test]
     fn procopt_wins() {
-        let fig = procopt_ablation(&[512]);
-        let on = fig.series[0].points[0].1;
-        let off = fig.series[1].points[0].1;
-        assert!(on < off, "procopt must reduce cycles: {on} vs {off}");
+        let fig = golden(include_str!("../tests/golden/procopt_ablation.txt"));
+        for (n, speedup) in ratios(&fig, 1, 0) {
+            assert!(speedup >= 2.5, "procopt speed-up {speedup} at N = {n}");
+        }
     }
 
     #[test]

@@ -45,6 +45,7 @@
 //! host's available parallelism. Results are bit-identical regardless of
 //! the thread count — the variable only affects wall-clock time.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Mutex;
 
@@ -213,8 +214,7 @@ fn main() -> ExitCode {
     match cmd {
         "run" => {
             if emit_ir {
-                print!("{}", program.emit_ir());
-                return ExitCode::SUCCESS;
+                return emit(ExitCode::SUCCESS, |out| out.write_all(program.emit_ir().as_bytes()));
             }
             // Contain internal panics: Program::run catches them and
             // reports RuntimeError::Internal; the hook keeps the default
@@ -228,13 +228,27 @@ fn main() -> ExitCode {
                 render_run_error(path, &e);
                 return ExitCode::FAILURE;
             }
-            report(&mut program);
-            ExitCode::SUCCESS
+            emit(ExitCode::SUCCESS, |out| report(&mut program, out))
         }
         other => {
             eprintln!("error: unknown command `{other}` (run | check)");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Writes a command's output through one locked stdout and ends with
+/// `status`. A reader that closed the pipe early (`uc run … | head`) took
+/// what it wanted, so a broken pipe ends the command quietly with `status`
+/// too; any other write error is reported and fails it.
+fn emit(status: ExitCode, write: impl FnOnce(&mut io::StdoutLock) -> io::Result<()>) -> ExitCode {
+    let mut out = io::stdout().lock();
+    match write(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("error: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+        _ => status,
     }
 }
 
@@ -295,40 +309,37 @@ fn check(
         // usual summary line.
         eprint!("{}", diags.render_with_path(path));
         return match Program::compile_with_defines(src, exec_cfg, defines) {
-            Ok(p) => {
-                print!("{}", p.emit_ir());
-                ExitCode::SUCCESS
-            }
+            Ok(p) => emit(ExitCode::SUCCESS, |out| out.write_all(p.emit_ir().as_bytes())),
             Err(diags) => {
                 eprint!("{}", diags.render_with_path(path));
                 ExitCode::FAILURE
             }
         };
     }
+    let status = if diags.has_errors() { ExitCode::FAILURE } else { ExitCode::SUCCESS };
     match format {
-        Format::Json => println!("{}", analysis::diagnostics_to_json(&diags)),
+        Format::Json => {
+            emit(status, |out| writeln!(out, "{}", analysis::diagnostics_to_json(&diags)))
+        }
         Format::Text => {
             eprint!("{}", diags.render_with_path(path));
-            if !diags.has_errors() {
-                println!("{path}: ok ({} warnings)", diags.warning_count());
+            if diags.has_errors() {
+                return status;
             }
+            emit(status, |out| writeln!(out, "{path}: ok ({} warnings)", diags.warning_count()))
         }
-    }
-    if diags.has_errors() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }
 
-fn report(p: &mut Program) {
+/// Writes every global, one write each, then the cycle line on stderr.
+fn report(p: &mut Program, out: &mut impl Write) -> io::Result<()> {
     let mut scalars: Vec<String> = p.scalar_names();
     scalars.sort();
     for name in scalars {
         if let Some(v) = p.read_scalar(&name) {
             match v {
-                uc::cm::Scalar::Float(f) => println!("{name} = {f}"),
-                other => println!("{name} = {}", other.as_int()),
+                uc::cm::Scalar::Float(f) => writeln!(out, "{name} = {f}")?,
+                other => writeln!(out, "{name} = {}", other.as_int())?,
             }
         }
     }
@@ -337,9 +348,9 @@ fn report(p: &mut Program) {
     for name in arrays {
         let shape = p.shape(&name).unwrap_or(&[]).to_vec();
         if let Ok(data) = p.read_int_array(&name) {
-            println!("{name}{shape:?} = {data:?}");
+            writeln!(out, "{name}{shape:?} = {data:?}")?;
         } else if let Ok(data) = p.read_float_array(&name) {
-            println!("{name}{shape:?} = {data:?}");
+            writeln!(out, "{name}{shape:?} = {data:?}")?;
         }
     }
     let k = p.machine().counters();
@@ -354,4 +365,5 @@ fn report(p: &mut Program) {
         k.context,
         k.front_end,
     );
+    Ok(())
 }

@@ -241,6 +241,26 @@ fn examples_stay_lint_clean_and_run() {
     assert!(seen >= 3, "expected at least 3 UC examples, found {seen}");
 }
 
+/// A reader that stops early (`uc run … | head -c 100`) ends the run
+/// quietly: the output is larger than a pipe buffer, so the write fails
+/// whenever the reader goes, and that is an exit of 0 or 1, not a panic.
+#[test]
+fn closed_stdout_is_not_a_panic() {
+    let src = "index_set I:i = {0..65535};\nint a[65536];\nmain() { par (I) a[i] = i; }\n";
+    let path = write_temp("uc_cli_pipe.uc", src);
+    let mut child = uc()
+        .args(["run", path.to_str().unwrap()])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(matches!(out.status.code(), Some(0 | 1)), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 #[test]
 fn usage_errors() {
     let out = uc().output().unwrap();
