@@ -8,9 +8,11 @@
 //! The router and scan chains include building their machine; the ALU and
 //! NEWS groups build it once per sample and time [`REPS`] back-to-back
 //! instructions on warm fields, which is how a `par` body issues them.
-//! The router and ALU groups also run at [`SMALL`] VPs, the 16 × 16 sets
-//! of the benchmark's `apsp_n2`, where per-op bookkeeping outweighs the
-//! elements.
+//! The temporary group times what an expression temporary costs around
+//! its one instruction: allocate a result, `binop` into it, free it.
+//! The router, ALU and temporary groups also run at [`SMALL`] VPs, the
+//! 16 × 16 sets of the benchmark's `apsp_n2`, where per-op bookkeeping
+//! outweighs the elements.
 //!
 //! Each bench prints `  group/id: mean …, min … (n samples)`, the line
 //! `BENCH_sim_hotpaths.json` is recorded from.
@@ -18,11 +20,11 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use uc_cm::news::Border;
-use uc_cm::{BinOp, Combine, FieldData, FieldId, Machine, ReduceOp, Scalar};
+use uc_cm::{BinOp, Combine, ElemType, FieldData, FieldId, Machine, ReduceOp, Scalar};
 
 const SIZES: [usize; 3] = [1 << 10, 1 << 14, 1 << 16];
 
-/// The extra point of the router and ALU groups.
+/// The extra point of the router, ALU and temporary groups.
 const SMALL: usize = 1 << 8;
 
 /// Instructions per timed iteration of the ALU and NEWS groups.
@@ -170,9 +172,34 @@ fn bench_news() {
     }
 }
 
+/// [`REPS`] rounds of an expression temporary's life on a warm pool:
+/// allocate a result, `binop` into it, free it.
+fn bench_temp() {
+    fn round(m: &mut Machine, a: FieldId, b: FieldId) {
+        let d = m.alloc_result(a.vp_set(), "~bin", ElemType::Int).unwrap();
+        m.binop(BinOp::Add, d, a, b).unwrap();
+        m.free(d).unwrap();
+    }
+    println!("group temp_hotpath");
+    for (mask, half) in [("all", false), ("half", true)] {
+        for n in [SMALL].into_iter().chain(SIZES) {
+            bench(&format!("temp_hotpath/alloc_binop_free_{mask}/{n}"), 20, || {
+                let (mut m, [_, a, b], _) = grid(n, half);
+                round(&mut m, a, b); // the pool's first buffer
+                time(|| {
+                    for _ in 0..REPS {
+                        round(&mut m, a, b);
+                    }
+                })
+            });
+        }
+    }
+}
+
 fn main() {
     bench_router();
     bench_scan();
     bench_alu();
     bench_news();
+    bench_temp();
 }

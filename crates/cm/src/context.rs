@@ -18,10 +18,15 @@ use crate::{CmError, Result};
 /// Popped masks are parked on a spare list and reused by the next push, so
 /// steady-state push/pop cycles (every `st`-guarded loop iteration) perform
 /// no heap allocation once the stack has been warmed to its peak depth.
+///
+/// Each level also records whether its mask is all-active, worked out in
+/// the pass that builds the mask, so [`ContextStack::all_active`] is O(1).
 #[derive(Debug, Clone)]
 pub struct ContextStack {
     size: usize,
     stack: Vec<Vec<bool>>,
+    /// Per level: every lane of that level's mask is active.
+    full: Vec<bool>,
     spare: Vec<Vec<bool>>,
 }
 
@@ -31,13 +36,19 @@ const MAX_SPARE: usize = 8;
 impl ContextStack {
     /// A context stack for a VP set of `size` processors, all active.
     pub fn new(size: usize) -> Self {
-        ContextStack { size, stack: vec![vec![true; size]], spare: Vec::new() }
+        ContextStack { size, stack: vec![vec![true; size]], full: vec![true], spare: Vec::new() }
     }
 
     /// The current activity mask.
     #[inline]
     pub fn current(&self) -> &[bool] {
         self.stack.last().expect("context stack has a base").as_slice()
+    }
+
+    /// Whether every lane of the current mask is active (cached per level).
+    #[inline]
+    pub fn all_active(&self) -> bool {
+        *self.full.last().expect("context stack has a base")
     }
 
     /// Number of VPs in the set.
@@ -57,11 +68,7 @@ impl ContextStack {
         if mask.len() != self.size {
             return Err(CmError::VpSetMismatch);
         }
-        let mut next = self.spare.pop().unwrap_or_default();
-        next.clear();
-        let cur = self.stack.last().expect("context stack has a base");
-        next.extend(cur.iter().zip(mask).map(|(&c, &m)| c && m));
-        self.stack.push(next);
+        self.push_with(mask, |c, m| c & m);
         Ok(())
     }
 
@@ -73,12 +80,24 @@ impl ContextStack {
         if mask.len() != self.size {
             return Err(CmError::VpSetMismatch);
         }
+        self.push_with(mask, |c, m| c & !m);
+        Ok(())
+    }
+
+    /// Push `f(current, mask)` lane by lane, noting in the same pass
+    /// whether every lane of the result is active.
+    fn push_with(&mut self, mask: &[bool], f: impl Fn(bool, bool) -> bool) {
         let mut next = self.spare.pop().unwrap_or_default();
         next.clear();
         let cur = self.stack.last().expect("context stack has a base");
-        next.extend(cur.iter().zip(mask).map(|(&c, &m)| c && !m));
+        let mut full = true;
+        next.extend(cur.iter().zip(mask).map(|(&c, &m)| {
+            let bit = f(c, m);
+            full &= bit;
+            bit
+        }));
         self.stack.push(next);
-        Ok(())
+        self.full.push(full);
     }
 
     /// Pop the innermost selection. The base mask cannot be popped.
@@ -87,6 +106,7 @@ impl ContextStack {
             return Err(CmError::ContextUnderflow);
         }
         let popped = self.stack.pop().expect("depth checked");
+        self.full.pop();
         if self.spare.len() < MAX_SPARE {
             self.spare.push(popped);
         }
@@ -114,7 +134,27 @@ mod tests {
         assert_eq!(c.current(), &[true; 4]);
         assert_eq!(c.active_count(), 4);
         assert!(c.any_active());
+        assert!(c.all_active());
         assert_eq!(c.depth(), 1);
+    }
+
+    #[test]
+    fn all_active_follows_each_level() {
+        let mut c = ContextStack::new(3);
+        c.push_and(&[true; 3]).unwrap();
+        assert!(c.all_active());
+        c.push_others(&[false, true, false]).unwrap();
+        assert!(!c.all_active());
+        c.push_and(&[true; 3]).unwrap();
+        assert!(!c.all_active(), "a child of a partial mask is partial");
+        c.pop().unwrap();
+        c.pop().unwrap();
+        assert!(c.all_active());
+        c.push_others(&[false; 3]).unwrap();
+        assert!(c.all_active());
+        c.pop().unwrap();
+        c.pop().unwrap();
+        assert!(c.all_active());
     }
 
     #[test]

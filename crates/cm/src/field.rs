@@ -25,15 +25,6 @@ pub enum FieldData {
 }
 
 impl FieldData {
-    /// Allocate zero-initialised storage of the given type and length.
-    pub fn zeroed(ty: ElemType, len: usize) -> Self {
-        match ty {
-            ElemType::Int => FieldData::I64(vec![0; len]),
-            ElemType::Float => FieldData::F64(vec![0.0; len]),
-            ElemType::Bool => FieldData::Bool(vec![false; len]),
-        }
-    }
-
     /// The element type of this storage.
     pub fn elem_type(&self) -> ElemType {
         match self {
@@ -147,24 +138,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeroed_storage() {
-        let d = FieldData::zeroed(ElemType::Int, 4);
-        assert_eq!(d, FieldData::I64(vec![0; 4]));
-        assert_eq!(d.elem_type(), ElemType::Int);
-        assert_eq!(d.len(), 4);
-        assert!(!d.is_empty());
-
-        let d = FieldData::zeroed(ElemType::Float, 2);
-        assert_eq!(d.elem_type(), ElemType::Float);
-        let d = FieldData::zeroed(ElemType::Bool, 3);
-        assert_eq!(d.elem_type(), ElemType::Bool);
-        assert_eq!(d.len(), 3);
-    }
-
-    #[test]
     fn field_metadata() {
-        let f = Field { data: FieldData::zeroed(ElemType::Bool, 8) };
+        let f = Field { data: FieldData::Bool(vec![false; 8]) };
         assert_eq!(f.elem_type(), ElemType::Bool);
         assert_eq!(f.data.len(), 8);
+        assert!(!f.data.is_empty());
+        assert_eq!(FieldData::I64(vec![0; 4]).elem_type(), ElemType::Int);
+        assert_eq!(FieldData::F64(vec![0.0; 2]).elem_type(), ElemType::Float);
+        assert!(FieldData::F64(Vec::new()).is_empty());
     }
 }

@@ -35,12 +35,30 @@
 //! `Vec<f64>`, `Vec<bool>`). Hot paths check
 //! buffers out (`take_*`) and return them (`put_*`) around each
 //! operation; [`Machine::free`] retires a field's storage into the pool
-//! and [`Machine::alloc`] draws from it. After a warm-up pass, the
-//! steady-state `send`/`get`/scan/reduce/elementwise chain performs zero
-//! heap allocations (enforced by the `alloc_count` integration test and a
-//! CI leg). The arena is bounded: at most [`MAX_POOL`] parked buffers per
-//! type, and [`Machine::scratch_high_water`] reports the peak number
-//! checked out at once.
+//! and [`Machine::alloc`] / [`Machine::alloc_result`] draw from it. After
+//! a warm-up pass, the steady-state `send`/`get`/scan/reduce/elementwise
+//! chain performs zero heap allocations (enforced by the `alloc_count`
+//! integration test and a CI leg). The arena is bounded: at most
+//! [`MAX_POOL`] parked buffers per type, and
+//! [`Machine::scratch_high_water`] reports the peak number checked out at
+//! once.
+//!
+//! A pooled buffer still holds the values of the field it last backed, so
+//! the two allocations make two different promises:
+//!
+//! * **Storage** ([`Machine::alloc`]) reads 0 at every lane no op has
+//!   written. Globals, arrays, per-VP locals and solve bitmaps need this:
+//!   a program may read a lane that no statement wrote.
+//! * **Results** ([`Machine::alloc_result`]) are *undefined until
+//!   written*: the buffer keeps its old contents and the op that defines
+//!   the field decides whether to zero it. A write that covers every lane
+//!   (see [`crate::ops`]) skips the zero-fill; any other first write
+//!   zero-fills first, so a lane no op wrote still reads 0. Reading an
+//!   undefined field — as a source, through `int_data`/`read_elem`/
+//!   `read_all`, or by [`Machine::scratch_copy`] — is an error, never
+//!   stale data. At most one field is undefined at a time: allocating the
+//!   next result first zero-fills the previous one. A failed op leaves its
+//!   destination undefined.
 
 use crate::context::ContextStack;
 use crate::cost::{CostModel, OpClass, OpCounters};
@@ -93,16 +111,25 @@ impl Scratch {
 
     /// Pick the pooled buffer whose capacity best fits `len`: the smallest
     /// one that already fits, else the largest (it grows once and then
-    /// fits forever). Returns a cleared vector.
+    /// fits forever). The buffer keeps the contents it was parked with.
     fn take_vec<T>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
         let rank = |v: &Vec<T>| match v.capacity() {
             c if c >= len => (false, c),
             c => (true, usize::MAX - c),
         };
         let best = (0..pool.len()).min_by_key(|&i| rank(&pool[i]));
-        let mut v = best.map(|i| pool.swap_remove(i)).unwrap_or_default();
-        v.clear();
-        v.reserve(len);
+        best.map(|i| pool.swap_remove(i)).unwrap_or_default()
+    }
+
+    /// A pooled buffer of exactly `len` elements. With `zeroed` every
+    /// element is `zero`; without, the elements it already held keep their
+    /// old values and only a grown tail is `zero`.
+    fn take_sized<T: Clone>(pool: &mut Vec<Vec<T>>, len: usize, zero: T, zeroed: bool) -> Vec<T> {
+        let mut v = Self::take_vec(pool, len);
+        if zeroed {
+            v.clear();
+        }
+        v.resize(len, zero);
         v
     }
 
@@ -112,12 +139,18 @@ impl Scratch {
         }
     }
 
+    /// A pooled buffer holding a copy of `src`.
+    fn take_copy<T: Clone>(pool: &mut Vec<Vec<T>>, src: &[T]) -> Vec<T> {
+        let mut v = Self::take_vec(pool, src.len());
+        v.clear();
+        v.extend_from_slice(src);
+        v
+    }
+
     /// Check out a `false`-initialised bool buffer of `len` elements.
     pub(crate) fn take_bools_zeroed(&mut self, len: usize) -> Vec<bool> {
         self.bump();
-        let mut v = Self::take_vec(&mut self.bools, len);
-        v.resize(len, false);
-        v
+        Self::take_sized(&mut self.bools, len, false, true)
     }
 
     pub(crate) fn put_bools(&mut self, v: Vec<bool>) {
@@ -125,26 +158,16 @@ impl Scratch {
         Self::put_vec(&mut self.bools, v);
     }
 
-    /// Zero-initialised storage of `ty` and `len`, drawn from the pool but
-    /// *not* tracked as checked out: the new field owns it until
-    /// [`Scratch::retire_field`] returns it.
-    fn draw_field_data(&mut self, ty: ElemType, len: usize) -> FieldData {
+    /// Storage of `ty` and `len`, drawn from the pool but *not* tracked as
+    /// checked out: the new field owns it until [`Scratch::retire_field`]
+    /// returns it. Zero-initialised when `zeroed`; otherwise it holds
+    /// whatever the reused buffer held (see [`Scratch::take_sized`]).
+    fn draw_field_data(&mut self, ty: ElemType, len: usize, zeroed: bool) -> FieldData {
+        let Scratch { ints, floats, bools, .. } = self;
         match ty {
-            ElemType::Int => {
-                let mut v = Self::take_vec(&mut self.ints, len);
-                v.resize(len, 0);
-                FieldData::I64(v)
-            }
-            ElemType::Float => {
-                let mut v = Self::take_vec(&mut self.floats, len);
-                v.resize(len, 0.0);
-                FieldData::F64(v)
-            }
-            ElemType::Bool => {
-                let mut v = Self::take_vec(&mut self.bools, len);
-                v.resize(len, false);
-                FieldData::Bool(v)
-            }
+            ElemType::Int => FieldData::I64(Self::take_sized(ints, len, 0, zeroed)),
+            ElemType::Float => FieldData::F64(Self::take_sized(floats, len, 0.0, zeroed)),
+            ElemType::Bool => FieldData::Bool(Self::take_sized(bools, len, false, zeroed)),
         }
     }
 
@@ -153,21 +176,9 @@ impl Scratch {
     pub(crate) fn take_data_copy(&mut self, src: &FieldData) -> FieldData {
         self.bump();
         match src {
-            FieldData::I64(s) => {
-                let mut v = Self::take_vec(&mut self.ints, s.len());
-                v.extend_from_slice(s);
-                FieldData::I64(v)
-            }
-            FieldData::F64(s) => {
-                let mut v = Self::take_vec(&mut self.floats, s.len());
-                v.extend_from_slice(s);
-                FieldData::F64(v)
-            }
-            FieldData::Bool(s) => {
-                let mut v = Self::take_vec(&mut self.bools, s.len());
-                v.extend_from_slice(s);
-                FieldData::Bool(v)
-            }
+            FieldData::I64(s) => FieldData::I64(Self::take_copy(&mut self.ints, s)),
+            FieldData::F64(s) => FieldData::F64(Self::take_copy(&mut self.floats, s)),
+            FieldData::Bool(s) => FieldData::Bool(Self::take_copy(&mut self.bools, s)),
         }
     }
 
@@ -195,6 +206,34 @@ impl Scratch {
     }
 }
 
+/// What reading an undefined field returns.
+pub(crate) const UNDEFINED_READ: CmError =
+    CmError::Unsupported("internal: read of an undefined field");
+
+/// Which lanes of its destination an op writes, for
+/// [`Machine::write_with`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Write {
+    /// Every lane, whatever the context mask.
+    All,
+    /// Every active lane, from sources other than the destination: every
+    /// lane when the mask is all-active.
+    Active,
+    /// Some lanes, or lanes computed from the destination's old values.
+    Partial,
+}
+
+impl Write {
+    /// [`Write::Active`], unless the op also reads its destination.
+    pub(crate) fn active_unless(reads_dst: bool) -> Write {
+        if reads_dst {
+            Write::Partial
+        } else {
+            Write::Active
+        }
+    }
+}
+
 /// The shared-borrow side of a [`Machine::split_dst`] split: resolves any
 /// field *other than the destination* and any VP set's current context
 /// mask, for as long as the paired `&mut FieldData` destination borrow
@@ -207,6 +246,8 @@ pub(crate) struct Peers<'m> {
     dset_fields_below: &'m [Option<Field>],
     dset_fields_above: &'m [Option<Field>],
     dset_context: &'m ContextStack,
+    /// The machine's undefined field, which no source may read.
+    undefined: Option<FieldId>,
 }
 
 impl<'m> Peers<'m> {
@@ -223,8 +264,12 @@ impl<'m> Peers<'m> {
     /// Borrow a source field's storage. The destination itself is
     /// unreachable by construction; callers de-alias via
     /// [`Machine::scratch_copy`] first, so hitting that arm is an internal
-    /// bug surfaced as an error rather than unsoundness.
+    /// bug surfaced as an error rather than unsoundness. So is reading
+    /// the undefined field.
     pub(crate) fn src(&self, id: FieldId) -> Result<&'m FieldData> {
+        if self.undefined == Some(id) {
+            return Err(UNDEFINED_READ);
+        }
         let slot = if id.vp.0 == self.dst_vp {
             match id.index.cmp(&self.dst_index) {
                 std::cmp::Ordering::Equal => {
@@ -318,6 +363,9 @@ pub struct Machine {
     mem_bytes: u64,
     /// Armed wall-clock deadline (instant, original timeout in ms).
     deadline: Option<(std::time::Instant, u64)>,
+    /// The one field allocated by [`Machine::alloc_result`] and not yet
+    /// written (see the module docs).
+    undefined: Option<FieldId>,
 }
 
 impl Machine {
@@ -340,6 +388,7 @@ impl Machine {
             mem_limit,
             mem_bytes: 0,
             deadline: None,
+            undefined: None,
         }
     }
 
@@ -520,6 +569,7 @@ impl Machine {
                 dset_fields_below: fields_below,
                 dset_fields_above: fields_above,
                 dset_context: context,
+                undefined: self.undefined,
             },
         ))
     }
@@ -528,6 +578,9 @@ impl Machine {
     /// for operations whose source is also their destination). Return the
     /// buffer with [`Scratch::put_data`] when done.
     pub(crate) fn scratch_copy(&mut self, id: FieldId) -> Result<FieldData> {
+        if self.undefined == Some(id) {
+            return Err(UNDEFINED_READ);
+        }
         let Machine { vpsets, scratch, .. } = self;
         let src = vpsets
             .get(id.vp.0)
@@ -537,6 +590,47 @@ impl Machine {
             .and_then(|f| f.as_ref())
             .ok_or(CmError::UnknownField)?;
         Ok(scratch.take_data_copy(&src.data))
+    }
+
+    /// Run `op`, which writes `dst` as `write` says, under the
+    /// undefined-field contract. A defined `dst` runs `op` unchanged. An
+    /// undefined one is zero-filled first unless the write covers every
+    /// lane — [`Write::All`], or [`Write::Active`] under an all-active
+    /// mask — and is defined once `op` succeeds; if `op` fails it stays
+    /// undefined.
+    pub(crate) fn write_with<T>(
+        &mut self,
+        dst: FieldId,
+        write: Write,
+        op: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<T> {
+        if self.undefined != Some(dst) {
+            return op(self);
+        }
+        let covers = match write {
+            Write::All => true,
+            Write::Active => self.vp(dst.vp)?.context.all_active(),
+            Write::Partial => false,
+        };
+        if !covers {
+            self.zero_fill(dst)?;
+        }
+        self.undefined = None;
+        let res = op(self);
+        if res.is_err() {
+            self.undefined = Some(dst);
+        }
+        res
+    }
+
+    /// Zero every lane of `id`.
+    fn zero_fill(&mut self, id: FieldId) -> Result<()> {
+        match &mut self.field_mut(id)?.data {
+            FieldData::I64(v) => v.fill(0),
+            FieldData::F64(v) => v.fill(0.0),
+            FieldData::Bool(v) => v.fill(false),
+        }
+        Ok(())
     }
 
     /// Peak number of scratch buffers checked out at once. Hot paths need
@@ -554,14 +648,35 @@ impl Machine {
 
     // ---- Fields ---------------------------------------------------------
 
-    /// Allocate a zero-initialised field of `ty` on `vp`. Storage is drawn
-    /// from the scratch pool when available, so alloc/free cycles settle
-    /// into zero heap traffic. `name` labels the call site for its reader
-    /// (`alloc_int(vp, "addr")`); the machine does not store it.
+    /// Allocate a storage field of `ty` on `vp`: it reads 0 at every lane
+    /// no op has written, however long it lives (the zero contract of the
+    /// module docs). Storage is drawn from the scratch pool when available,
+    /// so alloc/free cycles settle into zero heap traffic. `name` labels
+    /// the call site for its reader (`alloc_int(vp, "addr")`); the machine
+    /// does not store it.
     pub fn alloc(&mut self, vp: VpSetId, _name: &str, ty: ElemType) -> Result<FieldId> {
+        self.alloc_field(vp, ty, true)
+    }
+
+    /// Allocate a result field of `ty` on `vp`, *undefined until written*
+    /// (the module docs' second contract). Its first write zero-fills it
+    /// unless that write covers every lane, and reading it before then is
+    /// an error. This is the allocation for a temporary that the very next
+    /// op defines: an expression's value, an address, a mask. Any field
+    /// still undefined is zero-filled first, so at most one is undefined.
+    pub fn alloc_result(&mut self, vp: VpSetId, _name: &str, ty: ElemType) -> Result<FieldId> {
+        if let Some(prev) = self.undefined.take() {
+            self.zero_fill(prev)?;
+        }
+        let id = self.alloc_field(vp, ty, false)?;
+        self.undefined = Some(id);
+        Ok(id)
+    }
+
+    fn alloc_field(&mut self, vp: VpSetId, ty: ElemType, zeroed: bool) -> Result<FieldId> {
         let len = self.vp(vp)?.geom.size();
         self.charge_mem((len as u64).saturating_mul(elem_bytes(ty)))?;
-        let field = Field { data: self.scratch.draw_field_data(ty, len) };
+        let field = Field { data: self.scratch.draw_field_data(ty, len, zeroed) };
         let set = self.vp_mut(vp)?;
         let index = if let Some(slot) = set.free_slots.pop() {
             set.fields[slot] = Some(field);
@@ -592,12 +707,15 @@ impl Machine {
     /// the scratch pool. Using the id afterwards yields
     /// [`CmError::UnknownField`].
     pub fn free(&mut self, id: FieldId) -> Result<()> {
-        let Machine { vpsets, scratch, .. } = self;
+        let Machine { vpsets, scratch, undefined, .. } = self;
         let set = vpsets.get_mut(id.vp.0).ok_or(CmError::UnknownVpSet)?;
         match set.fields.get_mut(id.index) {
             Some(slot @ Some(_)) => {
                 let field = slot.take().expect("slot checked");
                 set.free_slots.push(id.index);
+                if *undefined == Some(id) {
+                    *undefined = None;
+                }
                 let bytes = (field.data.len() as u64).saturating_mul(elem_bytes(field.elem_type()));
                 scratch.retire_field(field);
                 self.release_mem(bytes);
@@ -607,6 +725,8 @@ impl Machine {
         }
     }
 
+    /// A field's metadata (type, length), readable defined or not. Reads
+    /// of its values go through [`Machine::data`].
     pub(crate) fn field(&self, id: FieldId) -> Result<&Field> {
         self.vp(id.vp)?
             .fields
@@ -621,6 +741,14 @@ impl Machine {
             .get_mut(id.index)
             .and_then(|f| f.as_mut())
             .ok_or(CmError::UnknownField)
+    }
+
+    /// A field's values, for a read: the undefined field is an error.
+    pub(crate) fn data(&self, id: FieldId) -> Result<&FieldData> {
+        if self.undefined == Some(id) {
+            return Err(UNDEFINED_READ);
+        }
+        Ok(&self.field(id)?.data)
     }
 
     /// Element type of a field.
@@ -640,7 +768,7 @@ impl Machine {
 
     /// Borrow an int field's storage (front-end inspection; not charged).
     pub fn int_data(&self, id: FieldId) -> Result<&[i64]> {
-        match &self.field(id)?.data {
+        match self.data(id)? {
             FieldData::I64(v) => Ok(v),
             other => {
                 Err(CmError::TypeMismatch { expected: ElemType::Int, found: other.elem_type() })
@@ -650,7 +778,7 @@ impl Machine {
 
     /// Borrow a float field's storage (front-end inspection; not charged).
     pub fn float_data(&self, id: FieldId) -> Result<&[f64]> {
-        match &self.field(id)?.data {
+        match self.data(id)? {
             FieldData::F64(v) => Ok(v),
             other => {
                 Err(CmError::TypeMismatch { expected: ElemType::Float, found: other.elem_type() })
@@ -660,7 +788,7 @@ impl Machine {
 
     /// Borrow a bool field's storage (front-end inspection; not charged).
     pub fn bool_data(&self, id: FieldId) -> Result<&[bool]> {
-        match &self.field(id)?.data {
+        match self.data(id)? {
             FieldData::Bool(v) => Ok(v),
             other => {
                 Err(CmError::TypeMismatch { expected: ElemType::Bool, found: other.elem_type() })
@@ -671,7 +799,7 @@ impl Machine {
     /// Snapshot a field's storage (a front-end bulk read; charged as one
     /// front-end op per element).
     pub fn read_all(&mut self, id: FieldId) -> Result<FieldData> {
-        let data = self.field(id)?.data.clone();
+        let data = self.data(id)?.clone();
         self.tick(OpClass::FrontEnd, data.len())?;
         Ok(data)
     }
@@ -691,8 +819,10 @@ impl Machine {
         if data.len() != len {
             return Err(CmError::VpSetMismatch);
         }
-        self.field_mut(id)?.data = data;
-        self.tick(OpClass::FrontEnd, len)
+        self.write_with(id, Write::All, |m| {
+            m.field_mut(id)?.data = data;
+            m.tick(OpClass::FrontEnd, len)
+        })
     }
 
     // ---- Context --------------------------------------------------------
@@ -729,6 +859,9 @@ impl Machine {
     /// directly while mutating the same VP set's context stack (disjoint
     /// struct fields), avoiding the former `to_vec()` of the mask.
     fn push_ctx_inner(&mut self, mask: FieldId, others: bool) -> Result<usize> {
+        if self.undefined == Some(mask) {
+            return Err(UNDEFINED_READ);
+        }
         let set = self
             .vpsets
             .get_mut(mask.vp.0)

@@ -27,7 +27,7 @@ use std::ops::Range;
 
 use crate::cost::OpClass;
 use crate::field::{Elem, ElemType, FieldData, FieldId};
-use crate::machine::Machine;
+use crate::machine::{Machine, Write};
 use crate::par;
 use crate::{CmError, Result, Scalar};
 
@@ -138,6 +138,21 @@ impl Machine {
     ///
     /// `dst` and `src` must live on the same VP set and share a type.
     pub fn news_shift(
+        &mut self,
+        dst: FieldId,
+        src: FieldId,
+        axis: usize,
+        offset: i64,
+        border: Border,
+    ) -> Result<()> {
+        let write = match border {
+            Border::Keep => Write::Partial,
+            Border::Wrap | Border::Fill(_) => Write::active_unless(src == dst),
+        };
+        self.write_with(dst, write, |m| m.shift_lanes(dst, src, axis, offset, border))
+    }
+
+    fn shift_lanes(
         &mut self,
         dst: FieldId,
         src: FieldId,

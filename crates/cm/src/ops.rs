@@ -25,10 +25,29 @@
 //! op — so simulated cycles, op counters, fuel boundaries and the
 //! memory-budget trap are those of a broadcast followed by a `binop`; the
 //! host just never materialises the temporary.
+//!
+//! # Which writes define a result
+//!
+//! A field from [`Machine::alloc_result`] is undefined until an op writes
+//! it (see [`crate::machine`]). The op skips the zero-fill when its write
+//! covers every lane:
+//!
+//! * always, for the unconditional writes: [`Machine::fill_unconditional`],
+//!   [`Machine::copy_unconditional`], [`Machine::read_context`] and
+//!   [`Machine::write_all`];
+//! * when the VP set's current mask is all-active and the op does not read
+//!   its own destination, for the masked writes: `set_imm`, `copy`,
+//!   `convert`, `unop`, `binop*`, `select`, `iota`, `axis_coord` and
+//!   `rand_int` here, plus [`Machine::news_shift`] with `Wrap` or `Fill`
+//!   and router [`Machine::get`].
+//!
+//! Every other first write — under a partial mask, in place, `send`,
+//! `scan`, a `Border::Keep` shift, `write_elem` — zero-fills first, so a
+//! lane no op wrote still reads 0.
 
 use crate::cost::OpClass;
 use crate::field::{Elem, ElemType, FieldData, FieldId};
-use crate::machine::{elem_bytes, Machine, Peers};
+use crate::machine::{elem_bytes, Machine, Peers, Write};
 use crate::par;
 use crate::{CmError, Result, Scalar};
 
@@ -286,38 +305,46 @@ impl Machine {
 
     /// `dst[i] = imm` for active `i`.
     pub fn set_imm(&mut self, dst: FieldId, imm: Scalar) -> Result<()> {
-        let size = self.same_vp(&[dst])?;
-        self.tick(OpClass::Alu, size)?;
-        let (d, peers) = self.split_dst(dst)?;
-        let mask = peers.mask(dst.vp)?;
-        match (d, imm) {
-            (FieldData::I64(v), Scalar::Int(x)) => par::zip0(v, mask, |_| x),
-            (FieldData::F64(v), Scalar::Float(x)) => par::zip0(v, mask, |_| x),
-            (FieldData::Bool(v), Scalar::Bool(x)) => par::zip0(v, mask, |_| x),
-            (d, s) => {
-                return Err(CmError::TypeMismatch {
-                    expected: d.elem_type(),
-                    found: s.elem_type(),
-                })
+        self.write_with(dst, Write::Active, |m| {
+            let size = m.same_vp(&[dst])?;
+            m.tick(OpClass::Alu, size)?;
+            let (d, peers) = m.split_dst(dst)?;
+            let mask = peers.mask(dst.vp)?;
+            match (d, imm) {
+                (FieldData::I64(v), Scalar::Int(x)) => par::zip0(v, mask, |_| x),
+                (FieldData::F64(v), Scalar::Float(x)) => par::zip0(v, mask, |_| x),
+                (FieldData::Bool(v), Scalar::Bool(x)) => par::zip0(v, mask, |_| x),
+                (d, s) => {
+                    return Err(CmError::TypeMismatch {
+                        expected: d.elem_type(),
+                        found: s.elem_type(),
+                    })
+                }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// `dst[i] = src[i]` for active `i`. Types must match.
     pub fn copy(&mut self, dst: FieldId, src: FieldId) -> Result<()> {
-        let size = self.same_vp(&[dst, src])?;
-        let (dty, sty) = (self.field(dst)?.elem_type(), self.field(src)?.elem_type());
-        if dty != sty {
-            return Err(CmError::TypeMismatch { expected: dty, found: sty });
-        }
-        self.tick(OpClass::Alu, size)?;
-        self.copy_masked(dst, src)
+        self.write_with(dst, Write::active_unless(dst == src), |m| {
+            let size = m.same_vp(&[dst, src])?;
+            let (dty, sty) = (m.field(dst)?.elem_type(), m.field(src)?.elem_type());
+            if dty != sty {
+                return Err(CmError::TypeMismatch { expected: dty, found: sty });
+            }
+            m.tick(OpClass::Alu, size)?;
+            m.copy_masked(dst, src)
+        })
     }
 
     /// `dst[i] = (dst_type) src[i]` for active `i`: numeric conversion.
     /// Int↔Float truncates toward zero; Bool↔numeric uses C truthiness.
     pub fn convert(&mut self, dst: FieldId, src: FieldId) -> Result<()> {
+        self.write_with(dst, Write::active_unless(dst == src), |m| m.convert_lanes(dst, src))
+    }
+
+    fn convert_lanes(&mut self, dst: FieldId, src: FieldId) -> Result<()> {
         let size = self.same_vp(&[dst, src])?;
         let (dty, sty) = (self.field(dst)?.elem_type(), self.field(src)?.elem_type());
         self.tick(OpClass::Alu, size)?;
@@ -344,6 +371,10 @@ impl Machine {
 
     /// Unary elementwise op.
     pub fn unop(&mut self, op: UnOp, dst: FieldId, src: FieldId) -> Result<()> {
+        self.write_with(dst, Write::active_unless(dst == src), |m| m.unop_lanes(op, dst, src))
+    }
+
+    fn unop_lanes(&mut self, op: UnOp, dst: FieldId, src: FieldId) -> Result<()> {
         let size = self.same_vp(&[dst, src])?;
         let sty = self.field(src)?.elem_type();
         let valid = matches!(
@@ -436,6 +467,12 @@ impl Machine {
 
     /// The one body of `binop`, `binop_imm` and `binop_imm_l`.
     fn binop_operands(&mut self, op: BinOp, dst: FieldId, a: Operand, b: Operand) -> Result<()> {
+        let is_dst = |o: Operand| matches!(o, Operand::Field(id) if id == dst);
+        let write = Write::active_unless(is_dst(a) || is_dst(b));
+        self.write_with(dst, write, |m| m.binop_lanes(op, dst, a, b))
+    }
+
+    fn binop_lanes(&mut self, op: BinOp, dst: FieldId, a: Operand, b: Operand) -> Result<()> {
         let size = match (a, b) {
             (Operand::Field(a), Operand::Field(b)) => self.same_vp(&[dst, a, b])?,
             (Operand::Field(f), Operand::Imm(_)) | (Operand::Imm(_), Operand::Field(f)) => {
@@ -525,26 +562,29 @@ impl Machine {
     /// executor to snapshot state for fixed-point detection (`*solve`),
     /// where router scatters may have written outside the current mask.
     pub fn copy_unconditional(&mut self, dst: FieldId, src: FieldId) -> Result<()> {
-        let size = self.same_vp(&[dst, src])?;
-        let (dty, sty) = (self.field(dst)?.elem_type(), self.field(src)?.elem_type());
-        if dty != sty {
-            return Err(CmError::TypeMismatch { expected: dty, found: sty });
-        }
-        self.tick(OpClass::Alu, size)?;
-        if dst == src {
-            return Ok(());
-        }
-        let (d, peers) = self.split_dst(dst)?;
-        d.clone_from_reusing(peers.src(src)?);
-        Ok(())
+        let write = if dst == src { Write::Partial } else { Write::All };
+        self.write_with(dst, write, |m| {
+            let size = m.same_vp(&[dst, src])?;
+            let (dty, sty) = (m.field(dst)?.elem_type(), m.field(src)?.elem_type());
+            if dty != sty {
+                return Err(CmError::TypeMismatch { expected: dty, found: sty });
+            }
+            m.tick(OpClass::Alu, size)?;
+            if dst == src {
+                return Ok(());
+            }
+            let (d, peers) = m.split_dst(dst)?;
+            d.clone_from_reusing(peers.src(src)?);
+            Ok(())
+        })
     }
 
     /// Global test: do `a` and `b` differ anywhere (regardless of the
     /// context mask)? A combine-tree operation, charged as a scan.
     pub fn any_ne(&mut self, a: FieldId, b: FieldId) -> Result<bool> {
         let size = self.same_vp(&[a, b])?;
-        let fa = &self.field(a)?.data;
-        let fb = &self.field(b)?.data;
+        let fa = self.data(a)?;
+        let fb = self.data(b)?;
         let ne = match (fa, fb) {
             (FieldData::I64(x), FieldData::I64(y)) => par::any2(x, y, |p, q| p != q),
             (FieldData::F64(x), FieldData::F64(y)) => par::any2(x, y, |p, q| p != q),
@@ -563,25 +603,31 @@ impl Machine {
     /// Fill a field everywhere, ignoring the context mask (front-end
     /// broadcast used for immediates and initialisation).
     pub fn fill_unconditional(&mut self, dst: FieldId, imm: Scalar) -> Result<()> {
-        let size = self.same_vp(&[dst])?;
-        let field = self.field_mut(dst)?;
-        match (&mut field.data, imm) {
-            (FieldData::I64(v), Scalar::Int(x)) => par::fill(v, x),
-            (FieldData::F64(v), Scalar::Float(x)) => par::fill(v, x),
-            (FieldData::Bool(v), Scalar::Bool(x)) => par::fill(v, x),
-            (d, s) => {
-                return Err(CmError::TypeMismatch {
-                    expected: d.elem_type(),
-                    found: s.elem_type(),
-                })
+        self.write_with(dst, Write::All, |m| {
+            let size = m.same_vp(&[dst])?;
+            let field = m.field_mut(dst)?;
+            match (&mut field.data, imm) {
+                (FieldData::I64(v), Scalar::Int(x)) => par::fill(v, x),
+                (FieldData::F64(v), Scalar::Float(x)) => par::fill(v, x),
+                (FieldData::Bool(v), Scalar::Bool(x)) => par::fill(v, x),
+                (d, s) => {
+                    return Err(CmError::TypeMismatch {
+                        expected: d.elem_type(),
+                        found: s.elem_type(),
+                    })
+                }
             }
-        }
-        self.tick(OpClass::Alu, size)?;
-        Ok(())
+            m.tick(OpClass::Alu, size)
+        })
     }
 
     /// `dst[i] = cond[i] ? a[i] : b[i]` for active `i`.
     pub fn select(&mut self, dst: FieldId, cond: FieldId, a: FieldId, b: FieldId) -> Result<()> {
+        let write = Write::active_unless(dst == cond || dst == a || dst == b);
+        self.write_with(dst, write, |m| m.select_lanes(dst, cond, a, b))
+    }
+
+    fn select_lanes(&mut self, dst: FieldId, cond: FieldId, a: FieldId, b: FieldId) -> Result<()> {
         let size = self.same_vp(&[dst, cond, a, b])?;
         let cty = self.field(cond)?.elem_type();
         if cty != ElemType::Bool {
@@ -624,13 +670,7 @@ impl Machine {
 
     /// `dst[i] = i` (the VP's send address) for active `i`. `dst` must be Int.
     pub fn iota(&mut self, dst: FieldId) -> Result<()> {
-        let size = self.same_vp(&[dst])?;
-        self.int_data(dst)?; // type check
-        self.tick(OpClass::Alu, size)?;
-        let (d, peers) = self.split_dst(dst)?;
-        let mask = peers.mask(dst.vp)?;
-        par::zip_index(i64::slice_mut(d), mask, |i| i as i64);
-        Ok(())
+        self.index_map(dst, |_| Ok(|i| i as i64))
     }
 
     /// `dst[i] = coordinate of VP i along axis` for active `i`.
@@ -639,15 +679,11 @@ impl Machine {
     /// machine: a par over `(I, J)` creates a 2-D VP set and each element
     /// identifier is the self-coordinate along one axis.
     pub fn axis_coord(&mut self, dst: FieldId, axis: usize) -> Result<()> {
-        let size = self.same_vp(&[dst])?;
-        self.int_data(dst)?;
-        let geom = &self.vp(dst.vp)?.geom;
-        let (stride, extent) = (geom.stride(axis)?, geom.extent(axis)?);
-        self.tick(OpClass::Alu, size)?;
-        let (d, peers) = self.split_dst(dst)?;
-        let mask = peers.mask(dst.vp)?;
-        par::zip_index(i64::slice_mut(d), mask, |i| ((i / stride) % extent) as i64);
-        Ok(())
+        self.index_map(dst, |m| {
+            let geom = &m.vp(dst.vp)?.geom;
+            let (stride, extent) = (geom.stride(axis)?, geom.extent(axis)?);
+            Ok(move |i| ((i / stride) % extent) as i64)
+        })
     }
 
     /// `dst[i] = uniform random in [0, modulus)` for active `i`,
@@ -657,30 +693,46 @@ impl Machine {
         if modulus <= 0 {
             return Err(CmError::DivideByZero);
         }
-        let size = self.same_vp(&[dst])?;
-        self.int_data(dst)?;
-        self.tick(OpClass::Alu, size)?;
-        let (d, peers) = self.split_dst(dst)?;
-        let mask = peers.mask(dst.vp)?;
-        par::zip_index(i64::slice_mut(d), mask, |i| {
-            (splitmix64(seed ^ (i as u64).wrapping_mul(0xA24B_AED4_963E_E407)) % modulus as u64)
-                as i64
-        });
-        Ok(())
+        self.index_map(dst, |_| {
+            Ok(move |i: usize| {
+                (splitmix64(seed ^ (i as u64).wrapping_mul(0xA24B_AED4_963E_E407))
+                    % modulus as u64) as i64
+            })
+        })
+    }
+
+    /// `dst[i] = f(i)` for active `i`, `dst` an Int field: the shared body
+    /// of `iota`, `axis_coord` and `rand_int`. `make` validates the op's
+    /// own operands and builds `f`.
+    fn index_map<F>(&mut self, dst: FieldId, make: impl FnOnce(&Self) -> Result<F>) -> Result<()>
+    where
+        F: Fn(usize) -> i64 + Sync,
+    {
+        self.write_with(dst, Write::Active, |m| {
+            let size = m.same_vp(&[dst])?;
+            m.int_data(dst)?; // type check
+            let f = make(m)?;
+            m.tick(OpClass::Alu, size)?;
+            let (d, peers) = m.split_dst(dst)?;
+            let mask = peers.mask(dst.vp)?;
+            par::zip_index(i64::slice_mut(d), mask, f);
+            Ok(())
+        })
     }
 
     /// Materialise the current activity mask of `dst`'s VP set into `dst`
     /// (a bool field), writing **unconditionally**. This is how nested
     /// constructs transfer their enabled set onto an extended VP set.
     pub fn read_context(&mut self, dst: FieldId) -> Result<()> {
-        let size = self.same_vp(&[dst])?;
-        self.bool_data(dst)?; // type check
-        let (d, peers) = self.split_dst(dst)?;
-        let mask = peers.mask(dst.vp)?;
-        let FieldData::Bool(dv) = d else { unreachable!() };
-        dv.copy_from_slice(mask);
-        self.tick(OpClass::Context, size)?;
-        Ok(())
+        self.write_with(dst, Write::All, |m| {
+            let size = m.same_vp(&[dst])?;
+            m.bool_data(dst)?; // type check
+            let (d, peers) = m.split_dst(dst)?;
+            let mask = peers.mask(dst.vp)?;
+            let FieldData::Bool(dv) = d else { unreachable!() };
+            dv.copy_from_slice(mask);
+            m.tick(OpClass::Context, size)
+        })
     }
 
     /// Front-end read of one element (ignores the context mask).
@@ -690,7 +742,7 @@ impl Machine {
             return Err(CmError::IndexOutOfRange { index, size });
         }
         self.tick(OpClass::FrontEnd, 1)?;
-        Ok(match &self.field(id)?.data {
+        Ok(match self.data(id)? {
             FieldData::I64(v) => Scalar::Int(v[index]),
             FieldData::F64(v) => Scalar::Float(v[index]),
             FieldData::Bool(v) => Scalar::Bool(v[index]),
@@ -699,24 +751,26 @@ impl Machine {
 
     /// Front-end write of one element (ignores the context mask).
     pub fn write_elem(&mut self, id: FieldId, index: usize, value: Scalar) -> Result<()> {
-        let size = self.vp_size(id.vp)?;
-        if index >= size {
-            return Err(CmError::IndexOutOfRange { index, size });
-        }
-        self.tick(OpClass::FrontEnd, 1)?;
-        let field = self.field_mut(id)?;
-        match (&mut field.data, value) {
-            (FieldData::I64(v), Scalar::Int(x)) => v[index] = x,
-            (FieldData::F64(v), Scalar::Float(x)) => v[index] = x,
-            (FieldData::Bool(v), Scalar::Bool(x)) => v[index] = x,
-            (d, s) => {
-                return Err(CmError::TypeMismatch {
-                    expected: d.elem_type(),
-                    found: s.elem_type(),
-                })
+        self.write_with(id, Write::Partial, |m| {
+            let size = m.vp_size(id.vp)?;
+            if index >= size {
+                return Err(CmError::IndexOutOfRange { index, size });
             }
-        }
-        Ok(())
+            m.tick(OpClass::FrontEnd, 1)?;
+            let field = m.field_mut(id)?;
+            match (&mut field.data, value) {
+                (FieldData::I64(v), Scalar::Int(x)) => v[index] = x,
+                (FieldData::F64(v), Scalar::Float(x)) => v[index] = x,
+                (FieldData::Bool(v), Scalar::Bool(x)) => v[index] = x,
+                (d, s) => {
+                    return Err(CmError::TypeMismatch {
+                        expected: d.elem_type(),
+                        found: s.elem_type(),
+                    })
+                }
+            }
+            Ok(())
+        })
     }
 }
 

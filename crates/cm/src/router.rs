@@ -13,7 +13,7 @@
 
 use crate::cost::OpClass;
 use crate::field::{ElemType, FieldData, FieldId};
-use crate::machine::Machine;
+use crate::machine::{Machine, Write};
 use crate::par;
 use crate::{CmError, Result};
 
@@ -71,6 +71,16 @@ impl Machine {
     /// to enforce the `par` rule that multiple assignments to one variable
     /// must assign identical values.
     pub fn send_detect(
+        &mut self,
+        dst: FieldId,
+        addr: FieldId,
+        src: FieldId,
+        combine: Combine,
+    ) -> Result<bool> {
+        self.write_with(dst, Write::Partial, |m| m.deliver(dst, addr, src, combine))
+    }
+
+    fn deliver(
         &mut self,
         dst: FieldId,
         addr: FieldId,
@@ -179,6 +189,11 @@ impl Machine {
     /// expression like `a[f(i)]` compiles to when `f(i)` is not a local or
     /// NEWS-regular access.
     pub fn get(&mut self, dst: FieldId, addr: FieldId, src: FieldId) -> Result<()> {
+        let write = Write::active_unless(src == dst || addr == dst);
+        self.write_with(dst, write, |m| m.gather(dst, addr, src))
+    }
+
+    fn gather(&mut self, dst: FieldId, addr: FieldId, src: FieldId) -> Result<()> {
         if dst.vp != addr.vp {
             return Err(CmError::VpSetMismatch);
         }

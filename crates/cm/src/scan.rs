@@ -20,7 +20,7 @@
 
 use crate::cost::OpClass;
 use crate::field::{ElemType, FieldData, FieldId};
-use crate::machine::Machine;
+use crate::machine::{Machine, Write};
 use crate::par;
 use crate::{CmError, Result, Scalar};
 
@@ -81,7 +81,7 @@ impl Machine {
         let result = {
             // Mask and data are two shared borrows; nothing is copied.
             let mask = self.vp(src.vp)?.context.current();
-            match &self.field(src)?.data {
+            match self.data(src)? {
                 FieldData::I64(v) => reduce_int(v, mask, op),
                 FieldData::F64(v) => reduce_float(v, mask, op)?,
                 FieldData::Bool(v) => reduce_bool(v, mask, op)?,
@@ -112,6 +112,17 @@ impl Machine {
     /// `segments`, if given, is a bool field whose `true` bits restart the
     /// scan (segmented scan, a CM-2 hardware primitive).
     pub fn scan(
+        &mut self,
+        dst: FieldId,
+        src: FieldId,
+        op: ReduceOp,
+        inclusive: bool,
+        segments: Option<FieldId>,
+    ) -> Result<()> {
+        self.write_with(dst, Write::Partial, |m| m.scan_lanes(dst, src, op, inclusive, segments))
+    }
+
+    fn scan_lanes(
         &mut self,
         dst: FieldId,
         src: FieldId,

@@ -1027,3 +1027,190 @@ fn vp_ratio_is_the_ceiling_ratio() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The undefined-field contract of `Machine::alloc_result`: a result field
+// keeps whatever its pooled buffer held until an op defines it. An op
+// whose write covers every lane skips the zero-fill; every other first
+// write zero-fills first. Either way the result must read exactly what
+// the same op leaves in a zeroed `Machine::alloc` field, and reading it
+// before any op wrote it is an error.
+// ---------------------------------------------------------------------
+
+const UNDEFINED: CmError = CmError::Unsupported("internal: read of an undefined field");
+
+/// Park dirty buffers of `ty` in the scratch pool: allocate more fields
+/// than the pool keeps, write non-zero values into them, free them.
+fn dirty_pool(m: &mut Machine, vp: VpSetId, ty: ElemType) {
+    let junk = match ty {
+        ElemType::Int => Scalar::Int(-77),
+        ElemType::Float => Scalar::Float(-7.5),
+        ElemType::Bool => Scalar::Bool(true),
+    };
+    let fields: Vec<FieldId> = (0..40).map(|_| m.alloc(vp, "junk", ty).unwrap()).collect();
+    for &f in &fields {
+        m.fill_unconditional(f, junk).unwrap();
+    }
+    for f in fields {
+        m.free(f).unwrap();
+    }
+}
+
+/// The sources every case below reads.
+struct Srcs {
+    a: FieldId,
+    b: FieldId,
+    c: FieldId,
+    /// In-range router addresses that reach only the even lanes.
+    addr: FieldId,
+}
+
+type DefineOp = fn(&mut Machine, FieldId, &Srcs) -> uc_cm::Result<()>;
+
+/// Every op that can be a result's first write, with its result type:
+/// first the ones that cover every lane (under an all-active mask, for the
+/// masked ones), then the ones that never do.
+fn defining_ops() -> Vec<(&'static str, ElemType, DefineOp)> {
+    vec![
+        ("fill_unconditional", ElemType::Int, |m, d, _| {
+            m.fill_unconditional(d, Scalar::Int(5))
+        }),
+        ("copy_unconditional", ElemType::Int, |m, d, s| m.copy_unconditional(d, s.a)),
+        ("read_context", ElemType::Bool, |m, d, _| m.read_context(d)),
+        ("write_all", ElemType::Int, |m, d, _| {
+            let n = m.vp_size(d.vp_set())?;
+            m.write_all(d, FieldData::I64((0..n as i64).map(|i| 3 - i).collect()))
+        }),
+        ("set_imm", ElemType::Int, |m, d, _| m.set_imm(d, Scalar::Int(9))),
+        ("copy", ElemType::Int, |m, d, s| m.copy(d, s.a)),
+        ("convert", ElemType::Float, |m, d, s| m.convert(d, s.a)),
+        ("unop", ElemType::Int, |m, d, s| m.unop(UnOp::Neg, d, s.a)),
+        ("binop", ElemType::Int, |m, d, s| m.binop(BinOp::Add, d, s.a, s.b)),
+        ("binop_imm", ElemType::Bool, |m, d, s| {
+            m.binop_imm(BinOp::Lt, d, s.a, Scalar::Int(0))
+        }),
+        ("binop_imm_l", ElemType::Int, |m, d, s| {
+            m.binop_imm_l(BinOp::Sub, d, Scalar::Int(10), s.b)
+        }),
+        ("select", ElemType::Int, |m, d, s| m.select(d, s.c, s.a, s.b)),
+        ("iota", ElemType::Int, |m, d, _| m.iota(d)),
+        ("axis_coord", ElemType::Int, |m, d, _| m.axis_coord(d, 1)),
+        ("rand_int", ElemType::Int, |m, d, _| m.rand_int(d, 100, 7)),
+        ("news_shift wrap", ElemType::Int, |m, d, s| {
+            m.news_shift(d, s.a, 1, 1, Border::Wrap)
+        }),
+        ("news_shift fill", ElemType::Int, |m, d, s| {
+            m.news_shift(d, s.a, 0, -1, Border::Fill(Scalar::Int(-4)))
+        }),
+        ("get", ElemType::Int, |m, d, s| m.get(d, s.addr, s.b)),
+        // Writes that never cover: a lane they leave alone must read 0.
+        ("news_shift keep", ElemType::Int, |m, d, s| {
+            m.news_shift(d, s.a, 1, 1, Border::Keep)
+        }),
+        ("send", ElemType::Int, |m, d, s| m.send(d, s.addr, s.a, Combine::Add)),
+        ("write_elem", ElemType::Int, |m, d, _| m.write_elem(d, 3, Scalar::Int(7))),
+        ("scan", ElemType::Int, |m, d, s| m.scan(d, s.a, ReduceOp::Add, true, None)),
+        ("binop in place", ElemType::Int, |m, d, s| m.binop(BinOp::Sub, d, d, s.a)),
+    ]
+}
+
+#[test]
+fn a_result_reads_what_a_storage_field_would() {
+    for dims in [[6usize, 8], [96, 131]] {
+        let n = dims[0] * dims[1];
+        let mut m = Machine::with_defaults();
+        let vp = m.new_vp_set("v", &dims).unwrap();
+        let field = |m: &mut Machine, data: FieldData| {
+            let f = m.alloc(vp, "src", data.elem_type()).unwrap();
+            m.write_all(f, data).unwrap();
+            f
+        };
+        let s = Srcs {
+            a: field(&mut m, to_field(ElemType::Int, &lanes(ElemType::Int, 1, n))),
+            b: field(&mut m, to_field(ElemType::Int, &lanes(ElemType::Int, 2, n))),
+            c: field(&mut m, to_field(ElemType::Bool, &lanes(ElemType::Bool, 5, n))),
+            addr: field(&mut m, FieldData::I64((0..n as i64).map(|i| i / 2 * 2).collect())),
+        };
+        let mask_field = m.alloc_bool(vp, "mask").unwrap();
+        let [all, none, random, _] = masks(n);
+        for (mask_name, mask) in [all, none, random] {
+            m.write_all(mask_field, FieldData::Bool(mask.clone())).unwrap();
+            for (name, ty, op) in defining_ops() {
+                let run = |m: &mut Machine, d: FieldId| {
+                    m.push_context(mask_field).unwrap();
+                    op(m, d, &s).unwrap_or_else(|e| panic!("{name} n={n} {mask_name}: {e}"));
+                    m.pop_context(vp).unwrap();
+                    let out = m.read_all(d).unwrap();
+                    m.free(d).unwrap();
+                    out
+                };
+                let stored = m.alloc(vp, "stored", ty).unwrap();
+                let want = run(&mut m, stored);
+                dirty_pool(&mut m, vp, ty);
+                let result = m.alloc_result(vp, "result", ty).unwrap();
+                let got = run(&mut m, result);
+                assert!(
+                    got == want,
+                    "{name} n={n} mask={mask_name}: first difference at lane {:?}",
+                    from_field(got.clone())
+                        .iter()
+                        .zip(from_field(want.clone()))
+                        .position(|(g, w)| *g != w)
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn reading_an_undefined_field_is_an_error() {
+    let mut m = Machine::with_defaults();
+    let vp = m.new_vp_set("v", &[64]).unwrap();
+    let a = m.alloc_int(vp, "a").unwrap();
+    let d = m.alloc_int(vp, "d").unwrap();
+    m.iota(a).unwrap();
+    dirty_pool(&mut m, vp, ElemType::Int);
+    let u = m.alloc_result(vp, "u", ElemType::Int).unwrap();
+
+    assert_eq!(m.binop(BinOp::Add, d, u, a), Err(UNDEFINED), "left operand");
+    assert_eq!(m.binop(BinOp::Add, d, a, u), Err(UNDEFINED), "right operand");
+    assert_eq!(m.binop(BinOp::Div, d, a, u), Err(UNDEFINED), "divisor check");
+    assert_eq!(m.int_data(u), Err(UNDEFINED));
+    assert_eq!(m.read_elem(u, 0), Err(UNDEFINED));
+    assert_eq!(m.read_all(u), Err(UNDEFINED));
+    assert_eq!(m.reduce(u, ReduceOp::Add), Err(UNDEFINED));
+    assert_eq!(m.any_ne(u, a), Err(UNDEFINED));
+    assert_eq!(m.any_ne(a, u), Err(UNDEFINED));
+    assert_eq!(m.get(d, a, u), Err(UNDEFINED), "router source");
+    // Its type and length stay readable.
+    assert_eq!(m.elem_type(u), Ok(ElemType::Int));
+    assert_eq!(m.vp_size(u.vp_set()), Ok(64));
+
+    // A failed op leaves it undefined; a successful one defines it.
+    assert!(m.set_imm(u, Scalar::Float(1.0)).is_err());
+    assert_eq!(m.int_data(u), Err(UNDEFINED));
+    m.iota(u).unwrap();
+    assert_eq!(m.int_data(u).unwrap(), m.int_data(a).unwrap());
+
+    // An undefined mask cannot be pushed, and freeing a result before
+    // any op wrote it is fine.
+    let mask = m.alloc_result(vp, "mask", ElemType::Bool).unwrap();
+    assert_eq!(m.push_context(mask), Err(UNDEFINED));
+    m.free(mask).unwrap();
+    let z = m.alloc_int(vp, "z").unwrap();
+    assert!(m.int_data(z).unwrap().iter().all(|&x| x == 0), "storage reads 0");
+}
+
+#[test]
+fn allocating_a_second_result_zero_fills_the_first() {
+    for ty in TYPES {
+        let mut m = Machine::with_defaults();
+        let vp = m.new_vp_set("v", &[PAR_THRESHOLD + 517]).unwrap();
+        dirty_pool(&mut m, vp, ty);
+        let first = m.alloc_result(vp, "first", ty).unwrap();
+        let second = m.alloc_result(vp, "second", ty).unwrap();
+        let zeros = to_field(ty, &vec![Scalar::Int(0); PAR_THRESHOLD + 517]);
+        assert_eq!(m.read_all(first), Ok(zeros), "{ty:?}");
+        assert_eq!(m.read_all(second), Err(UNDEFINED), "{ty:?}");
+    }
+}

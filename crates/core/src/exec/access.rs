@@ -211,7 +211,7 @@ impl Program {
                 if !identity {
                     return Ok(None);
                 }
-                let dst = self.machine.alloc(vp, "~rd", ty)?;
+                let dst = self.machine.alloc_result(vp, "~rd", ty)?;
                 self.machine.copy(dst, field)?;
                 return Ok(Some(PV::owned(dst)));
             }
@@ -240,7 +240,7 @@ impl Program {
         if displaced > 1 {
             return Ok(None);
         }
-        let dst = self.machine.alloc(vp, "~rd", ty)?;
+        let dst = self.machine.alloc_result(vp, "~rd", ty)?;
         match shift {
             None => self.machine.copy(dst, field)?,
             Some((d, s)) => {
@@ -311,7 +311,7 @@ impl Program {
         let (addr, valid) = self.storage_address(arr, subs, start)?;
         let st = self.storage(arr);
         let (field, ty) = (st.field, st.ty);
-        let dst = self.machine.alloc(vp, "~gather", ty)?;
+        let dst = self.machine.alloc_result(vp, "~gather", ty)?;
         self.machine.get(dst, addr, field)?;
         self.machine.free(addr)?;
         if let Some(valid) = valid {
@@ -340,7 +340,7 @@ impl Program {
         start: usize,
     ) -> RResult<(FieldId, Option<FieldId>)> {
         let vp = self.cur_ctx().vp;
-        let addr = self.machine.alloc_int(vp, "~addr")?;
+        let addr = self.machine.alloc_result(vp, "~addr", ElemType::Int)?;
         // Constant subscript contributions fold into the initial fill.
         let (mut base, mut static_oob) = (0i64, false);
         let st = self.storage(arr);
@@ -358,7 +358,7 @@ impl Program {
         self.machine.fill_unconditional(addr, Scalar::Int(base))?;
         let mut valid: Option<FieldId> = None;
         if static_oob {
-            let v = self.machine.alloc_bool(vp, "~valid")?;
+            let v = self.machine.alloc_result(vp, "~valid", ElemType::Bool)?;
             self.machine.fill_unconditional(v, Scalar::Bool(false))?;
             valid = Some(v);
         }
@@ -384,7 +384,7 @@ impl Program {
             let pv = self.coerce_field(pv, ElemType::Int)?;
             let PV::Field { id: vfield, owned } = pv else { unreachable!() };
             // Work on a copy so we never mutate a non-owned binding field.
-            let v = self.machine.alloc_int(vp, "~sub")?;
+            let v = self.machine.alloc_result(vp, "~sub", ElemType::Int)?;
             self.machine.copy(v, vfield)?;
             if owned {
                 self.machine.free(vfield)?;
@@ -394,13 +394,13 @@ impl Program {
                 let va = match valid {
                     Some(va) => va,
                     None => {
-                        let va = self.machine.alloc_bool(vp, "~valid")?;
+                        let va = self.machine.alloc_result(vp, "~valid", ElemType::Bool)?;
                         self.machine.fill_unconditional(va, Scalar::Bool(true))?;
                         valid = Some(va);
                         va
                     }
                 };
-                let tmpb = self.machine.alloc_bool(vp, "~vb")?;
+                let tmpb = self.machine.alloc_result(vp, "~vb", ElemType::Bool)?;
                 self.machine.binop_imm(BinOp::Ge, tmpb, v, Scalar::Int(0))?;
                 self.machine.binop(BinOp::LogAnd, va, va, tmpb)?;
                 self.machine.binop_imm(BinOp::Lt, tmpb, v, Scalar::Int(n))?;
@@ -436,7 +436,7 @@ impl Program {
                 // Clamp out-of-range values to 0 so the router accepts
                 // them (they are replaced by INF / excluded from writes
                 // afterwards).
-                let vi = self.machine.alloc_int(vp, "~vi")?;
+                let vi = self.machine.alloc_result(vp, "~vi", ElemType::Int)?;
                 self.machine.convert(vi, va)?;
                 self.machine.binop(BinOp::Mul, v, v, vi)?;
                 self.machine.free(vi)?;
@@ -516,7 +516,7 @@ impl Program {
             if let Some(valid) = valid {
                 // An enabled element writing out of range is an error.
                 let vp = self.cur_ctx().vp;
-                let bad = self.machine.alloc_bool(vp, "~bad")?;
+                let bad = self.machine.alloc_result(vp, "~bad", ElemType::Bool)?;
                 self.machine.unop(uc_cm::UnOp::Not, bad, valid)?;
                 let any_bad = self.machine.reduce(bad, ReduceOp::Or)?.as_bool();
                 self.machine.free(bad)?;

@@ -69,7 +69,7 @@ impl Program {
                     unreachable!()
                 };
                 let vp = self.ctx.last().unwrap().vp;
-                let dst = self.machine.alloc(vp, "~sel", ty)?;
+                let dst = self.machine.alloc_result(vp, "~sel", ty)?;
                 self.machine.select(dst, cid, tid, fid)?;
                 self.release(c);
                 self.release(t);
@@ -176,7 +176,7 @@ impl Program {
                         };
                         let ty = self.pv_type(&v)?;
                         let PV::Field { id, .. } = v else { unreachable!() };
-                        let dst = self.machine.alloc(vp, "~neg", ty)?;
+                        let dst = self.machine.alloc_result(vp, "~neg", ty)?;
                         self.machine.unop(UnOp::Neg, dst, id)?;
                         self.release(v);
                         Ok(PV::owned(dst))
@@ -184,7 +184,7 @@ impl Program {
                     UnaryOp::Not => {
                         let b = self.truthify(v)?;
                         let PV::Field { id, .. } = b else { unreachable!() };
-                        let dst = self.machine.alloc_bool(vp, "~not")?;
+                        let dst = self.machine.alloc_result(vp, "~not", ElemType::Bool)?;
                         self.machine.unop(UnOp::Not, dst, id)?;
                         self.release(b);
                         Ok(PV::owned(dst))
@@ -192,7 +192,7 @@ impl Program {
                     UnaryOp::BitNot => {
                         let v = self.coerce_field(v, ElemType::Int)?;
                         let PV::Field { id, .. } = v else { unreachable!() };
-                        let dst = self.machine.alloc_int(vp, "~bnot")?;
+                        let dst = self.machine.alloc_result(vp, "~bnot", ElemType::Int)?;
                         self.machine.unop(UnOp::BitNot, dst, id)?;
                         self.release(v);
                         Ok(PV::owned(dst))
@@ -235,7 +235,7 @@ impl Program {
         } else {
             self.pv_type(&l)?
         };
-        let dst = self.machine.alloc(vp, "~bin", out_ty)?;
+        let dst = self.machine.alloc_result(vp, "~bin", out_ty)?;
         let result = match (&l, &r) {
             (PV::Field { id: a, .. }, PV::Field { id: b, .. }) => {
                 self.machine.binop(mop, dst, *a, *b)
@@ -280,7 +280,8 @@ impl Program {
                     PV::Field { .. } => {
                         let v = self.coerce_field(v, ElemType::Int)?;
                         let PV::Field { id, .. } = v else { unreachable!() };
-                        let dst = self.machine.alloc_int(self.cur_ctx().vp, "~pow2")?;
+                        let vp = self.cur_ctx().vp;
+                        let dst = self.machine.alloc_result(vp, "~pow2", ElemType::Int)?;
                         self.machine.binop_imm_l(BinOp::Shl, dst, Scalar::Int(1), id)?;
                         self.release(v);
                         Ok(PV::owned(dst))
@@ -291,7 +292,7 @@ impl Program {
                 let seed = self.next_rand_seed();
                 if let Some(ctx) = self.ctx.last() {
                     let vp = ctx.vp;
-                    let dst = self.machine.alloc_int(vp, "~rand")?;
+                    let dst = self.machine.alloc_result(vp, "~rand", ElemType::Int)?;
                     self.machine.rand_int(dst, 1 << 31, seed)?;
                     Ok(PV::owned(dst))
                 } else {
@@ -309,7 +310,7 @@ impl Program {
                         let ty = if ty == ElemType::Bool { ElemType::Int } else { ty };
                         let v = self.coerce_field(v, ty)?;
                         let PV::Field { id, .. } = v else { unreachable!() };
-                        let dst = self.machine.alloc(self.cur_ctx().vp, "~abs", ty)?;
+                        let dst = self.machine.alloc_result(self.cur_ctx().vp, "~abs", ty)?;
                         self.machine.unop(UnOp::Abs, dst, id)?;
                         self.release(v);
                         Ok(PV::owned(dst))
@@ -332,7 +333,7 @@ impl Program {
                         else {
                             unreachable!()
                         };
-                        let dst = self.machine.alloc(self.cur_ctx().vp, "~mm", ty)?;
+                        let dst = self.machine.alloc_result(self.cur_ctx().vp, "~mm", ty)?;
                         let mop = if is_min { BinOp::Min } else { BinOp::Max };
                         self.machine.binop(mop, dst, *a, *b)?;
                         self.release(l);

@@ -75,7 +75,7 @@ impl Program {
 
         if let Some(others) = &r.others {
             // Enabled-for-no-arm elements.
-            let or = self.machine.alloc_bool(vp, "~ored")?;
+            let or = self.machine.alloc_result(vp, "~ored", ElemType::Bool)?;
             self.machine.fill_unconditional(or, Scalar::Bool(false))?;
             for m in masks.iter().flatten() {
                 self.machine.binop(BinOp::LogOr, or, or, *m)?;
@@ -166,7 +166,7 @@ impl Program {
                         unreachable!()
                     };
                     let vp = self.ctx.last().unwrap().vp;
-                    let dst = self.machine.alloc(vp, "~cmb", ty)?;
+                    let dst = self.machine.alloc_result(vp, "~cmb", ty)?;
                     match op {
                         RedOpToken::Add => self.machine.binop(BinOp::Add, dst, *ai, *bi)?,
                         RedOpToken::Mul => self.machine.binop(BinOp::Mul, dst, *ai, *bi)?,
@@ -180,7 +180,7 @@ impl Program {
                         }
                         RedOpToken::Arb => {
                             // Prefer `a` where it is not the identity INF.
-                            let isinf = self.machine.alloc_bool(vp, "~isinf")?;
+                            let isinf = self.machine.alloc_result(vp, "~isinf", ElemType::Bool)?;
                             self.machine.binop_imm(
                                 BinOp::Ne,
                                 isinf,

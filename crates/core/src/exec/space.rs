@@ -183,7 +183,7 @@ impl Program {
         let addr = self.lift_addr(from_level)?;
         let cur_vp = self.ctx[cur_level].vp;
         let ty = self.machine.elem_type(field)?;
-        let dst = self.machine.alloc(cur_vp, "~lift", ty)?;
+        let dst = self.machine.alloc_result(cur_vp, "~lift", ty)?;
         self.machine.get(dst, addr, field)?;
         Ok(PV::owned(dst))
     }
@@ -216,7 +216,7 @@ impl Program {
         let cur_vp = self.cur_ctx().vp;
         match pv {
             PV::Scalar(s) => {
-                let dst = self.machine.alloc(cur_vp, "~bcast", ty)?;
+                let dst = self.machine.alloc_result(cur_vp, "~bcast", ty)?;
                 let coerced = coerce_scalar(s, ty);
                 self.machine.fill_unconditional(dst, coerced)?;
                 Ok(PV::owned(dst))
@@ -226,7 +226,7 @@ impl Program {
                 if actual == ty {
                     Ok(PV::Field { id, owned })
                 } else {
-                    let dst = self.machine.alloc(cur_vp, "~conv", ty)?;
+                    let dst = self.machine.alloc_result(cur_vp, "~conv", ty)?;
                     self.machine.convert(dst, id)?;
                     if owned {
                         self.machine.free(id)?;

@@ -225,7 +225,7 @@ impl Program {
                 }
             }
             if let Some(others) = &uc.others {
-                let or = self.machine.alloc_bool(vp, "~ormask")?;
+                let or = self.machine.alloc_result(vp, "~ormask", ElemType::Bool)?;
                 self.machine.fill_unconditional(or, Scalar::Bool(false))?;
                 for m in masks.iter().flatten() {
                     self.machine.binop(BinOp::LogOr, or, or, *m)?;
@@ -421,7 +421,7 @@ impl Program {
                     // ready = !defined(target) && rhs_defined
                     let tdef = self.read_storage(def_st, subs)?;
                     let PV::Field { id: tdef_id, .. } = tdef else { unreachable!() };
-                    let ready = self.machine.alloc_bool(vp, "~ready")?;
+                    let ready = self.machine.alloc_result(vp, "~ready", ElemType::Bool)?;
                     self.machine.unop(uc_cm::UnOp::Not, ready, tdef_id)?;
                     self.release(tdef);
                     let rdef = self.rhs_defined(value, &def_maps)?;
@@ -521,7 +521,7 @@ impl Program {
                             unreachable!()
                         };
                         let vp = self.ctx.last().unwrap().vp;
-                        let dst = self.machine.alloc_bool(vp, "~bdef")?;
+                        let dst = self.machine.alloc_result(vp, "~bdef", ElemType::Bool)?;
                         self.machine.select(dst, *ci, *ti, *fi)?;
                         self.release(c);
                         let t2 = t;

@@ -526,9 +526,12 @@ fn committed_bench_baseline_parses_as_a_figure() {
         assert_eq!(pair[1].label.strip_suffix(" @ change"), Some(bench));
     }
     for s in &fig.series {
-        // The router and ALU groups add a 256-VP point to 1K/16K/64K.
-        let small = s.label.starts_with("router") || s.label.starts_with("alu_hotpath");
+        // The router, ALU and temporary groups add a 256-VP point to
+        // 1K/16K/64K.
+        let groups = ["router", "alu_hotpath", "temp_hotpath"];
+        let small = groups.iter().any(|g| s.label.starts_with(g));
         assert_eq!(s.points.len(), if small { 4 } else { 3 }, "{} baseline points", s.label);
         assert!(s.points.iter().all(|&(_, ns)| ns > 0));
     }
+    assert!(fig.series.iter().any(|s| s.label.starts_with("temp_hotpath")), "temporaries recorded");
 }
