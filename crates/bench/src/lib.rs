@@ -73,20 +73,33 @@ fn config() -> ExecConfig {
     ExecConfig { phys_procs: PHYS_PROCS, ..ExecConfig::default() }
 }
 
-/// Run a UC program with `N` (and optional extra defines), returning
-/// total cycles.
-pub fn run_uc_cycles(src: &str, defines: &[(&str, i64)]) -> u64 {
+/// Run a UC program with `N` (and optional extra defines).
+fn run_uc(src: &str, defines: &[(&str, i64)]) -> Program {
     let mut p = Program::compile_with_defines(src, config(), defines)
         .unwrap_or_else(|d| panic!("benchmark program failed to compile:\n{d}"));
     p.run().unwrap_or_else(|e| panic!("benchmark program failed: {e}"));
-    p.cycles()
+    p
 }
 
-/// UC cycles net of initialisation.
+/// Run a UC program with `N` (and optional extra defines), returning
+/// total cycles.
+pub fn run_uc_cycles(src: &str, defines: &[(&str, i64)]) -> u64 {
+    run_uc(src, defines).cycles()
+}
+
+/// UC cycles net of initialisation. The init-only program must do no
+/// more of any op class than the full one — fewer ops and no larger VP
+/// ratios — so the difference is the computation's own cost and can never
+/// be a negative number clamped to zero.
 pub fn uc_net_cycles(full: &str, init_only: &str, defines: &[(&str, i64)]) -> u64 {
-    let total = run_uc_cycles(full, defines);
-    let setup = run_uc_cycles(init_only, defines);
-    total.saturating_sub(setup)
+    let (full, setup) = (run_uc(full, defines), run_uc(init_only, defines));
+    let (t, s) = (full.machine().tally(), setup.machine().tally());
+    let mut pairs = s.ops.iter().zip(&t.ops).chain(s.ratio.iter().zip(&t.ratio));
+    assert!(
+        pairs.all(|(s, t)| s <= t),
+        "initialisation tally {s:?} exceeds the full program's {t:?}"
+    );
+    full.cycles() - setup.cycles()
 }
 
 fn log2_ceil(n: usize) -> i64 {

@@ -12,8 +12,13 @@
 //! The constants below are not microsecond-accurate CM-2 figures; they
 //! preserve the *ordering and rough ratios* of instruction classes, which
 //! is what the paper's curve shapes depend on.
+//!
+//! The charge is linear, so a machine records only a [`Tally`] (per class,
+//! ops and Σ VP ratio) and its cycles are `cost · tally`. [`OpCounters`] is
+//! the tally's op-count projection; the tally re-costs under any model.
 
-/// Instruction classes the machine charges for.
+/// Instruction classes the machine charges for, in the order of the
+/// per-class arrays of a [`Tally`] (`class as usize`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Elementwise arithmetic/logic on local memory.
@@ -30,6 +35,9 @@ pub enum OpClass {
     /// reading one element back to the front end.
     FrontEnd,
 }
+
+/// Number of [`OpClass`]es.
+pub const CLASSES: usize = 6;
 
 /// Per-class base cycle charges.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,23 +74,21 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Cycles charged for one instruction of class `class` issued to a VP
-    /// set of `vp_size` virtual processors on `phys_procs` physical ones.
-    pub fn charge(&self, class: OpClass, vp_size: usize, phys_procs: usize) -> u64 {
-        let ratio = vp_ratio(vp_size, phys_procs);
-        let base = match class {
-            OpClass::Alu => self.alu,
-            OpClass::Context => self.context,
-            OpClass::News => self.news,
-            OpClass::Router => self.router,
-            OpClass::Scan => {
-                self.scan.saturating_add(self.tree_step.saturating_mul(log2_ceil(phys_procs)))
-            }
-            OpClass::FrontEnd => return self.front_end, // front end is scalar: no VP ratio
-        };
-        // Saturating: a hostile VP ratio must exhaust fuel, not wrap the
-        // clock back under it (release builds run with overflow-checks).
-        base.saturating_mul(ratio)
+    /// The cycles one op of each class costs at VP ratio 1 on `phys_procs`
+    /// physical processors, indexed by `OpClass as usize`: the one place a
+    /// class meets its charge.
+    pub fn bases(&self, phys_procs: usize) -> [u64; CLASSES] {
+        let scan = self.scan.saturating_add(self.tree_step.saturating_mul(log2_ceil(phys_procs)));
+        [self.alu, self.context, self.news, self.router, scan, self.front_end]
+    }
+
+    /// `cost · tally`: Σ over classes of base × Σ VP ratio. Saturating, so
+    /// a hostile VP ratio exhausts fuel instead of wrapping the count back
+    /// under it; every term is non-negative, so it is exact until `u64::MAX`.
+    pub fn cycles(&self, tally: &Tally) -> u64 {
+        let bases = self.bases(tally.phys_procs);
+        let terms = bases.iter().zip(&tally.ratio).map(|(b, r)| b.saturating_mul(*r));
+        terms.fold(0, u64::saturating_add)
     }
 }
 
@@ -104,8 +110,45 @@ pub fn log2_ceil(n: usize) -> u64 {
     }
 }
 
-/// Running tally of instructions issued, by class. Useful for experiments
-/// that compare communication structure rather than raw cycles.
+/// What a machine did, whatever it costs: per [`OpClass`] (indexed `class
+/// as usize`), the ops issued and the saturating sum of their VP ratios
+/// (1 for the scalar front end). The ratios depend on `phys_procs`, so a
+/// tally re-costs under any [`CostModel`] but only at its own machine size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tally {
+    pub phys_procs: usize,
+    pub ops: [u64; CLASSES],
+    pub ratio: [u64; CLASSES],
+}
+
+impl Tally {
+    /// An empty tally for a machine of `phys_procs` processors.
+    pub fn new(phys_procs: usize) -> Self {
+        Tally { phys_procs, ops: [0; CLASSES], ratio: [0; CLASSES] }
+    }
+
+    /// Record one op of `class` issued to a VP set of `vp_size`.
+    #[inline]
+    pub(crate) fn record(&mut self, class: OpClass, vp_size: usize) {
+        let ratio = match class {
+            OpClass::FrontEnd => 1,
+            _ => vp_ratio(vp_size, self.phys_procs),
+        };
+        let c = class as usize;
+        self.ops[c] += 1;
+        self.ratio[c] = self.ratio[c].saturating_add(ratio);
+    }
+
+    /// The op counts by class.
+    pub fn counters(&self) -> OpCounters {
+        let [alu, context, news, router, scan, front_end] = self.ops;
+        OpCounters { alu, context, news, router, scan, front_end }
+    }
+}
+
+/// Instructions issued, by class: the op-count projection of a [`Tally`].
+/// Useful for experiments that compare communication structure rather
+/// than raw cycles.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpCounters {
     pub alu: u64,
@@ -117,17 +160,6 @@ pub struct OpCounters {
 }
 
 impl OpCounters {
-    pub(crate) fn bump(&mut self, class: OpClass) {
-        match class {
-            OpClass::Alu => self.alu += 1,
-            OpClass::Context => self.context += 1,
-            OpClass::News => self.news += 1,
-            OpClass::Router => self.router += 1,
-            OpClass::Scan => self.scan += 1,
-            OpClass::FrontEnd => self.front_end += 1,
-        }
-    }
-
     /// Total instructions of every class.
     pub fn total(&self) -> u64 {
         self.alu + self.context + self.news + self.router + self.scan + self.front_end
@@ -157,42 +189,60 @@ mod tests {
         assert_eq!(log2_ceil(16385), 15);
     }
 
+    /// The cycles of one op of `class` on `vp_size` VPs.
+    fn one_op(c: &CostModel, class: OpClass, vp_size: usize, phys_procs: usize) -> u64 {
+        let mut t = Tally::new(phys_procs);
+        t.record(class, vp_size);
+        c.cycles(&t)
+    }
+
     #[test]
     fn class_ordering_preserved() {
-        let c = CostModel::default();
-        let p = 16384;
-        let alu = c.charge(OpClass::Alu, p, p);
-        let news = c.charge(OpClass::News, p, p);
-        let router = c.charge(OpClass::Router, p, p);
+        let [alu, _, news, router, scan, _] = CostModel::default().bases(16384);
         assert!(alu < news && news < router, "alu < news < router must hold");
+        assert_eq!(scan, 120 + 20 * 14, "scans pay the combine tree");
     }
 
     #[test]
     fn vp_ratio_scales_charges() {
         let c = CostModel::default();
-        let one = c.charge(OpClass::Alu, 16384, 16384);
-        let four = c.charge(OpClass::Alu, 4 * 16384, 16384);
+        let one = one_op(&c, OpClass::Alu, 16384, 16384);
+        let four = one_op(&c, OpClass::Alu, 4 * 16384, 16384);
         assert_eq!(four, 4 * one);
     }
 
     #[test]
     fn front_end_flat() {
         let c = CostModel::default();
-        assert_eq!(c.charge(OpClass::FrontEnd, 1 << 20, 16), c.front_end);
+        assert_eq!(one_op(&c, OpClass::FrontEnd, 1 << 20, 16), c.front_end);
     }
 
     #[test]
-    fn counters_bump_and_total() {
-        let mut k = OpCounters::default();
-        k.bump(OpClass::Alu);
-        k.bump(OpClass::Alu);
-        k.bump(OpClass::Router);
-        k.bump(OpClass::Scan);
-        k.bump(OpClass::News);
-        k.bump(OpClass::Context);
-        k.bump(OpClass::FrontEnd);
-        assert_eq!(k.alu, 2);
-        assert_eq!(k.router, 1);
-        assert_eq!(k.total(), 7);
+    fn tally_counts_and_costs_each_class() {
+        let mut t = Tally::new(16);
+        for (class, vp_size) in [
+            (OpClass::Alu, 16),
+            (OpClass::Alu, 40),
+            (OpClass::Router, 16),
+            (OpClass::Scan, 32),
+            (OpClass::News, 1),
+            (OpClass::Context, 16),
+            (OpClass::FrontEnd, 1 << 20),
+        ] {
+            t.record(class, vp_size);
+        }
+        let k = t.counters();
+        assert_eq!((k.alu, k.router, k.total()), (2, 1, 7));
+        assert_eq!(t.ratio, [1 + 3, 1, 1, 1, 2, 1]);
+        let c = CostModel::default();
+        assert_eq!(c.cycles(&t), 30 * 4 + 10 + 60 + 600 + (120 + 20 * 4) * 2 + 10);
+    }
+
+    #[test]
+    fn cycles_saturate() {
+        let mut t = Tally::new(1);
+        t.record(OpClass::Router, usize::MAX);
+        t.record(OpClass::Router, usize::MAX);
+        assert_eq!(CostModel::default().cycles(&t), u64::MAX);
     }
 }

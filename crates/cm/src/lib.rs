@@ -12,8 +12,9 @@
 //! This crate is a faithful, deterministic software model of that execution
 //! substrate:
 //!
-//! * [`Machine`] — the front end plus PE array; owns every VP set, charges
-//!   every operation to a cycle [`cost::CostModel`], and exposes the clock.
+//! * [`Machine`] — the front end plus PE array; owns every VP set and
+//!   records every operation in one [`cost::Tally`], whose cost under the
+//!   [`cost::CostModel`] is the clock and whose op counts are the counters.
 //! * [`geometry::Geometry`] — n-dimensional VP-set shapes with row-major
 //!   send addresses, mirroring CM geometries.
 //! * [`field::Field`] — per-VP typed memory (`i64`, `f64`, `bool`).

@@ -1,10 +1,12 @@
 //! The machine: front end + processing-element array.
 //!
-//! [`Machine`] owns every VP set (geometry, context stack, fields), the
-//! cycle clock and the instruction counters. All simulator operations are
-//! methods on `Machine` (spread across `ops`, `news`, `router` and `scan`);
-//! each one validates its operands, charges the cost model, and then
-//! executes deterministically.
+//! [`Machine`] owns every VP set (geometry, context stack, fields) and one
+//! [`Tally`] of the ops issued. All simulator operations are methods on
+//! `Machine` (spread across `ops`, `news`, `router` and `scan`); each one
+//! validates its operands, records itself in the tally, and then executes
+//! deterministically. The cycles are `cost · tally`, the [`OpCounters`] its
+//! op counts, and fuel is checked against those cycles.
+//! [`Machine::reset_clock`] clears the tally and nothing else.
 //!
 //! # Split borrows: how hot paths avoid cloning
 //!
@@ -61,7 +63,7 @@
 //!   destination undefined.
 
 use crate::context::ContextStack;
-use crate::cost::{CostModel, OpClass, OpCounters};
+use crate::cost::{CostModel, OpClass, OpCounters, Tally};
 use crate::field::{ElemType, Field, FieldData, FieldId};
 use crate::geometry::Geometry;
 use crate::{CmError, Result};
@@ -74,7 +76,6 @@ pub struct VpSetId(pub(crate) usize);
 /// fields allocated on it. Freed field slots are reused.
 #[derive(Debug)]
 pub(crate) struct VpSet {
-    pub(crate) name: String,
     pub(crate) geom: Geometry,
     pub(crate) context: ContextStack,
     pub(crate) fields: Vec<Option<Field>>,
@@ -307,8 +308,8 @@ impl<'m> Peers<'m> {
 /// are terminal: the machine stays over budget afterwards.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineLimits {
-    /// Maximum simulated cycles the clock may accumulate (`None` =
-    /// unlimited). Checked on every charged instruction.
+    /// Maximum simulated cycles, `cost · tally`, the machine may record
+    /// (`None` = unlimited). Checked on every charged instruction.
     pub fuel: Option<u64>,
     /// Maximum bytes of live field + context-mask storage (`None` =
     /// unlimited). Charged before any storage is allocated, so a hostile
@@ -352,13 +353,7 @@ pub struct Machine {
     pub(crate) config: MachineConfig,
     pub(crate) vpsets: Vec<VpSet>,
     pub(crate) scratch: Scratch,
-    clock: u64,
-    counters: OpCounters,
-    /// `config.limits.fuel` with `u64::MAX` as the unlimited sentinel, so
-    /// the per-tick check is a single always-valid comparison.
-    fuel_limit: u64,
-    /// `config.limits.max_mem_bytes`, same sentinel convention.
-    mem_limit: u64,
+    tally: Tally,
     /// Live field + context-mask bytes currently accounted.
     mem_bytes: u64,
     /// Armed wall-clock deadline (instant, original timeout in ms).
@@ -376,34 +371,27 @@ impl Machine {
 
     /// A machine with an explicit configuration.
     pub fn new(config: MachineConfig) -> Self {
-        let fuel_limit = config.limits.fuel.unwrap_or(u64::MAX);
-        let mem_limit = config.limits.max_mem_bytes.unwrap_or(u64::MAX);
         Machine {
+            tally: Tally::new(config.phys_procs),
             config,
             vpsets: Vec::new(),
             scratch: Scratch::default(),
-            clock: 0,
-            counters: OpCounters::default(),
-            fuel_limit,
-            mem_limit,
             mem_bytes: 0,
             deadline: None,
             undefined: None,
         }
     }
 
-    /// Replace the fuel budget (`None` = unlimited). The clock is *not*
-    /// reset: fuel bounds total accumulated cycles.
+    /// Replace the fuel budget (`None` = unlimited). The tally is *not*
+    /// reset: fuel bounds total recorded cycles.
     pub fn set_fuel(&mut self, fuel: Option<u64>) {
         self.config.limits.fuel = fuel;
-        self.fuel_limit = fuel.unwrap_or(u64::MAX);
     }
 
     /// Replace the memory budget (`None` = unlimited). Already-live
     /// storage keeps its accounting; only future allocations are checked.
     pub fn set_mem_limit(&mut self, max_mem_bytes: Option<u64>) {
         self.config.limits.max_mem_bytes = max_mem_bytes;
-        self.mem_limit = max_mem_bytes.unwrap_or(u64::MAX);
     }
 
     /// Arm a wall-clock deadline `timeout_ms` from now. Every charged
@@ -441,8 +429,8 @@ impl Machine {
     #[inline]
     pub(crate) fn charge_mem(&mut self, bytes: u64) -> Result<()> {
         let new = self.mem_bytes.saturating_add(bytes);
-        if new > self.mem_limit {
-            return Err(CmError::MemoryLimitExceeded { requested: bytes, limit: self.mem_limit });
+        if let Some(limit) = self.config.limits.max_mem_bytes.filter(|&l| new > l) {
+            return Err(CmError::MemoryLimitExceeded { requested: bytes, limit });
         }
         self.mem_bytes = new;
         Ok(())
@@ -458,35 +446,37 @@ impl Machine {
         self.config.phys_procs
     }
 
-    /// Elapsed cycles since construction (or the last [`Machine::reset_clock`]).
+    /// What the machine has done since construction (or the last
+    /// [`Machine::reset_clock`]).
+    pub fn tally(&self) -> &Tally {
+        &self.tally
+    }
+
+    /// Elapsed cycles: `cost · tally`.
     pub fn cycles(&self) -> u64 {
-        self.clock
+        self.config.cost.cycles(&self.tally)
     }
 
-    /// Instruction counters by class.
-    pub fn counters(&self) -> &OpCounters {
-        &self.counters
+    /// Instruction counts by class, projected from the tally.
+    pub fn counters(&self) -> OpCounters {
+        self.tally.counters()
     }
 
-    /// Reset the clock and counters (e.g. to exclude setup from a timing).
+    /// Clear the tally (e.g. to exclude setup from a timing).
     pub fn reset_clock(&mut self) {
-        self.clock = 0;
-        self.counters = OpCounters::default();
+        self.tally = Tally::new(self.config.phys_procs);
     }
 
-    /// Charge one instruction of `class` issued to a VP set of `vp_size`,
-    /// trapping when the charge exhausts the fuel budget or the armed
-    /// wall-clock deadline has passed. With no budgets set this is one
-    /// saturating add plus two never-taken branches — cheap enough for
-    /// the zero-alloc hot paths (metering never allocates).
+    /// Record one instruction of `class` issued to a VP set of `vp_size`,
+    /// then trap if the recorded cycles exceed the fuel budget or the
+    /// armed wall-clock deadline has passed. With no budgets set this is
+    /// two saturating adds plus two never-taken branches — cheap enough
+    /// for the zero-alloc hot paths (metering never allocates).
     #[inline]
     pub(crate) fn tick(&mut self, class: OpClass, vp_size: usize) -> Result<()> {
-        self.clock = self
-            .clock
-            .saturating_add(self.config.cost.charge(class, vp_size, self.config.phys_procs));
-        self.counters.bump(class);
-        if self.clock > self.fuel_limit {
-            return Err(CmError::FuelExhausted { limit: self.fuel_limit });
+        self.tally.record(class, vp_size);
+        if let Some(limit) = self.config.limits.fuel.filter(|&l| self.cycles() > l) {
+            return Err(CmError::FuelExhausted { limit });
         }
         if let Some((deadline, timeout_ms)) = self.deadline {
             if std::time::Instant::now() >= deadline {
@@ -501,12 +491,13 @@ impl Machine {
     /// Create a VP set with the given geometry. The base context mask
     /// (one byte per VP) is charged against the memory budget *before*
     /// it is allocated, so a hostile geometry traps instead of OOMing.
-    pub fn new_vp_set(&mut self, name: &str, dims: &[usize]) -> Result<VpSetId> {
+    /// `name` labels the call site for its reader; the machine does not
+    /// store it.
+    pub fn new_vp_set(&mut self, _name: &str, dims: &[usize]) -> Result<VpSetId> {
         let geom = Geometry::new(dims)?;
         let size = geom.size();
         self.charge_mem(size as u64)?;
         self.vpsets.push(VpSet {
-            name: name.to_string(),
             geom,
             context: ContextStack::new(size),
             fields: Vec::new(),
@@ -531,11 +522,6 @@ impl Machine {
     /// The geometry of a VP set.
     pub fn geometry(&self, id: VpSetId) -> Result<&Geometry> {
         Ok(&self.vp(id)?.geom)
-    }
-
-    /// Debug name of a VP set.
-    pub fn vp_name(&self, id: VpSetId) -> Result<&str> {
-        Ok(self.vp(id)?.name.as_str())
     }
 
     // ---- Split borrows and scratch --------------------------------------
@@ -797,7 +783,8 @@ impl Machine {
     }
 
     /// Snapshot a field's storage (a front-end bulk read; charged as one
-    /// front-end op per element).
+    /// front-end op). A host that only inspects a field borrows it through
+    /// [`Machine::int_data`] and its siblings instead, uncharged.
     pub fn read_all(&mut self, id: FieldId) -> Result<FieldData> {
         let data = self.data(id)?.clone();
         self.tick(OpClass::FrontEnd, data.len())?;
@@ -911,11 +898,6 @@ impl Machine {
         Ok(self.vp(vp)?.context.any_active())
     }
 
-    /// The current activity mask, cloned (no charge: test-only accessor).
-    pub fn context_mask(&self, vp: VpSetId) -> Result<Vec<bool>> {
-        Ok(self.vp(vp)?.context.current().to_vec())
-    }
-
     /// Current context nesting depth (including the base mask).
     pub fn context_depth(&self, vp: VpSetId) -> Result<usize> {
         Ok(self.vp(vp)?.context.depth())
@@ -931,7 +913,6 @@ mod tests {
         let mut m = Machine::with_defaults();
         let vp = m.new_vp_set("grid", &[4, 4]).unwrap();
         assert_eq!(m.vp_size(vp).unwrap(), 16);
-        assert_eq!(m.vp_name(vp).unwrap(), "grid");
         assert_eq!(m.geometry(vp).unwrap().rank(), 2);
         assert!(m.new_vp_set("bad", &[0]).is_err());
     }
@@ -991,6 +972,7 @@ mod tests {
         m.read_all(a).unwrap();
         assert!(m.cycles() > 0);
         assert_eq!(m.counters().front_end, 1);
+        assert_eq!(m.cycles(), m.config.cost.cycles(m.tally()));
         m.reset_clock();
         assert_eq!(m.cycles(), 0);
         assert_eq!(m.counters().total(), 0);

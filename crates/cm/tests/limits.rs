@@ -7,10 +7,16 @@
 //! * memory — live field + context bytes are charged before allocation
 //!   and released on free, so budgets bound the high-water mark;
 //! * deadline — armed per run, checked on every charged instruction and
-//!   pollable without charging.
+//!   pollable without charging;
+//! * the tally — the machine's cycles are `cost · tally`, equal to the sum
+//!   of every op's own `vp_ratio × c_class`, and one tally re-costs under
+//!   any cost model to what re-running on a machine with that model gives.
 
 use uc_cm::{
-    cost::OpClass, ops::BinOp, CmError, Machine, MachineConfig, MachineLimits, Scalar,
+    cost::{CostModel, OpClass},
+    news::Border,
+    ops::BinOp,
+    CmError, FieldId, Machine, MachineConfig, MachineLimits, ReduceOp, Scalar, VpSetId,
 };
 
 fn limited(fuel: Option<u64>, mem: Option<u64>) -> Machine {
@@ -169,12 +175,6 @@ fn fuel_checks_cover_every_op_class() {
             "{what} must respect fuel, got {err:?}"
         );
     }
-    let cost = uc_cm::cost::CostModel::default();
-    assert_eq!(
-        cost.charge(OpClass::FrontEnd, 1, 16),
-        cost.charge(OpClass::FrontEnd, 1 << 20, 16),
-        "front-end charges are flat"
-    );
 }
 
 /// An immediate op is charged as what the front end does — broadcast the
@@ -260,4 +260,141 @@ fn binop_imm_broadcast_is_charged_to_the_memory_budget() {
     // Released on the error path too.
     assert_eq!(m.binop_imm(BinOp::Div, d, a, 0.into()), Err(CmError::DivideByZero));
     assert_eq!(m.mem_bytes(), operands);
+}
+
+/// One op's charge as the cost model states it, computed here without the
+/// machine's code: `vp_ratio × c_class`, the scan class paying
+/// `tree_step · ⌈log₂ P⌉` more per VP ratio, the front end flat.
+fn own_charge(c: &CostModel, class: OpClass, vp_size: usize, phys_procs: usize) -> u64 {
+    let ratio = vp_size.div_ceil(phys_procs).max(1) as u64;
+    let log2p = (phys_procs as f64).log2().ceil() as u64;
+    match class {
+        OpClass::Alu => c.alu * ratio,
+        OpClass::Context => c.context * ratio,
+        OpClass::News => c.news * ratio,
+        OpClass::Router => c.router * ratio,
+        OpClass::Scan => (c.scan + c.tree_step * log2p) * ratio,
+        OpClass::FrontEnd => c.front_end,
+    }
+}
+
+/// A cost model with every constant, `tree_step` included, moved off the
+/// default.
+fn perturbed() -> CostModel {
+    CostModel { alu: 7, context: 3, news: 11, router: 101, scan: 37, front_end: 5, tree_step: 13 }
+}
+
+fn machine(phys_procs: usize, cost: CostModel) -> Machine {
+    Machine::new(MachineConfig { phys_procs, cost, ..MachineConfig::default() })
+}
+
+/// Operands of one VP set: an index field, an output, in-range router
+/// addresses and a mask.
+struct Set {
+    vp: VpSetId,
+    size: usize,
+    a: FieldId,
+    b: FieldId,
+    addr: FieldId,
+    mask: FieldId,
+}
+
+/// A seeded sequence of 60 ops, ten of each class, over three VP sets:
+/// below, at and above `phys_procs` VPs. Setup is excluded by clearing the
+/// tally. Returns the sum of [`own_charge`] over the ops issued.
+fn drive(m: &mut Machine, cost: &CostModel, seed: u64) -> uc_cm::Result<u64> {
+    let p = m.phys_procs();
+    let mut sets = Vec::new();
+    for size in [p.div_ceil(2), p, 3 * p + 1] {
+        let vp = m.new_vp_set("v", &[size])?;
+        let [a, b, addr] = [(); 3].map(|_| m.alloc_int(vp, "x").unwrap());
+        let mask = m.alloc_bool(vp, "m")?;
+        m.iota(a)?;
+        m.rand_int(addr, size as i64, seed)?;
+        m.binop(BinOp::Le, mask, a, addr)?;
+        sets.push(Set { vp, size, a, b, addr, mask });
+    }
+    m.reset_clock();
+    let mut rng = seed;
+    let mut want = 0;
+    for step in 0..60 {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        let s = &sets[(rng % 3) as usize];
+        let class = [
+            OpClass::Alu,
+            OpClass::Context,
+            OpClass::News,
+            OpClass::Router,
+            OpClass::Scan,
+            OpClass::FrontEnd,
+        ][step % 6];
+        let mut issued = 1;
+        match class {
+            OpClass::Alu => m.binop(BinOp::Add, s.b, s.a, s.addr)?,
+            OpClass::Context => {
+                m.push_context(s.mask)?;
+                m.pop_context(s.vp)?;
+                issued = 2;
+            }
+            OpClass::News => m.news_shift(s.b, s.a, 0, (rng % 5) as i64 - 2, Border::Wrap)?,
+            OpClass::Router => m.get(s.b, s.addr, s.a)?,
+            OpClass::Scan => m.reduce(s.a, ReduceOp::Max).map(|_| ())?,
+            OpClass::FrontEnd => m.read_elem(s.a, rng as usize % s.size).map(|_| ())?,
+        }
+        want += issued * own_charge(cost, class, s.size, p);
+    }
+    Ok(want)
+}
+
+/// The machine's clock is `cost · tally` and equals the sum of every op's
+/// own charge, on machines whose combine trees have 0 to 10 levels. The
+/// tally does not depend on the cost model, and re-costing the default
+/// model's tally under a perturbed one gives exactly what re-running the
+/// sequence on a machine with that model costs: the linearity a
+/// sensitivity study relies on.
+#[test]
+fn the_tally_is_the_clock_and_re_costs() {
+    let (default, other) = (CostModel::default(), perturbed());
+    for phys_procs in [1, 2, 16, 64, 1000] {
+        for seed in [1, 0x5eed, 0xdead_beef] {
+            let mut m = machine(phys_procs, default.clone());
+            let want = drive(&mut m, &default, seed).unwrap();
+            let tally = *m.tally();
+            assert_eq!(m.cycles(), want, "P = {phys_procs}, seed {seed}");
+            assert_eq!(m.cycles(), default.cycles(&tally));
+            assert!(tally.ops.iter().all(|&n| n >= 10), "every class driven: {tally:?}");
+            assert_eq!(tally.counters().total(), 70);
+
+            let mut q = machine(phys_procs, other.clone());
+            let want = drive(&mut q, &other, seed).unwrap();
+            assert_eq!(q.tally(), &tally, "the tally is the same work under any model");
+            assert_eq!(other.cycles(&tally), q.cycles());
+            assert_eq!(q.cycles(), want);
+        }
+    }
+}
+
+/// A router op whose charge saturates the clock still traps on fuel at
+/// that op, as when every op was added to a running total: the ALU ops
+/// before it fit the budget, the router op is recorded and traps, and the
+/// machine stays over budget.
+#[test]
+fn a_saturating_charge_traps_on_fuel_at_its_own_op() {
+    let cost = CostModel { router: u64::MAX / 2, ..CostModel::default() };
+    let mut m = Machine::new(MachineConfig {
+        phys_procs: 4,
+        cost,
+        limits: MachineLimits { fuel: Some(u64::MAX - 1), max_mem_bytes: None },
+    });
+    let vp = m.new_vp_set("v", &[1 << 12]).unwrap(); // VP ratio 1024
+    let (a, b) = (m.alloc_int(vp, "a").unwrap(), m.alloc_int(vp, "b").unwrap());
+    m.iota(a).unwrap();
+    m.binop(BinOp::Add, b, a, a).unwrap();
+    assert_eq!(m.cycles(), 2 * 30 * 1024);
+    let err = m.get(b, a, a).expect_err("the router op saturates the clock");
+    assert_eq!(err, CmError::FuelExhausted { limit: u64::MAX - 1 });
+    assert_eq!((m.cycles(), m.counters().router, m.counters().total()), (u64::MAX, 1, 3));
+    assert!(m.iota(a).is_err(), "fuel traps are terminal");
 }

@@ -280,6 +280,14 @@ pub(crate) struct ArrayStorage {
     pub mapping: ArrayMapping,
 }
 
+impl ArrayStorage {
+    /// The array in logical (row-major) order, from its storage `raw`.
+    fn logical<T: Copy>(&self, raw: &[T]) -> Vec<T> {
+        let size: usize = self.shape.iter().product();
+        (0..size).map(|i| raw[self.mapping.storage_index(i, &self.shape, 0)]).collect()
+    }
+}
+
 /// A machine-backed local of a live activation (`sema::LocalKind::PerVp`
 /// or `Array`); a front-end scalar is a register instead.
 #[derive(Debug)]
@@ -546,11 +554,7 @@ impl Program {
         if let Some(vp) = self.spaces.get(dims) {
             return Ok(*vp);
         }
-        let name = format!(
-            "space[{}]",
-            dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x")
-        );
-        let vp = self.machine.new_vp_set(&name, dims)?;
+        let vp = self.machine.new_vp_set("space", dims)?;
         self.spaces.insert(dims.to_vec(), vp);
         Ok(vp)
     }
@@ -562,6 +566,13 @@ impl Program {
     /// panic escaping the executor internals is caught here and reported
     /// as [`RuntimeError::Internal`] instead of aborting the process.
     pub fn run(&mut self) -> Result<(), RunError> {
+        // The geometry caches are per run: every run pays for their fills,
+        // so a program's tally does not depend on the runs before it.
+        let cached = self.elem_cache.drain().map(|(_, f)| f);
+        let cached = cached.chain(self.fixup_cache.drain().map(|(_, f)| f));
+        for f in cached.chain(self.inf_cache.drain().map(|(_, f)| f)) {
+            let _ = self.machine.free(f);
+        }
         if let Some(ms) = self.config.limits.timeout_ms {
             self.machine.arm_deadline(ms);
         }
@@ -626,8 +637,8 @@ impl Program {
         self.machine.cycles()
     }
 
-    /// Reset the simulated clock (e.g. after initialisation, before the
-    /// timed phase of a benchmark).
+    /// Clear the machine's tally, and with it the simulated clock (e.g.
+    /// after initialisation, before the timed phase of a benchmark).
     pub fn reset_clock(&mut self) {
         self.machine.reset_clock();
     }
@@ -651,30 +662,24 @@ impl Program {
     }
 
     /// Read a global integer array in logical (row-major) order,
-    /// inverting any mapping.
-    pub fn read_int_array(&mut self, name: &str) -> RResult<Vec<i64>> {
+    /// inverting any mapping. Host reads are not charged: they leave the
+    /// tally as the run left it.
+    pub fn read_int_array(&self, name: &str) -> RResult<Vec<i64>> {
         let st = &self.arrays[self.global_array(name)?];
-        let data = self.machine.read_all(st.field)?;
-        let uc_cm::FieldData::I64(raw) = data else {
-            return Err(RuntimeError::NotSupported(format!("`{name}` is not an int array")));
-        };
-        let size: usize = st.shape.iter().product();
-        Ok((0..size).map(|i| raw[st.mapping.storage_index(i, &st.shape, 0)]).collect())
+        let not_int = |_| RuntimeError::NotSupported(format!("`{name}` is not an int array"));
+        Ok(st.logical(self.machine.int_data(st.field).map_err(not_int)?))
     }
 
-    /// Read a global float array in logical order.
-    pub fn read_float_array(&mut self, name: &str) -> RResult<Vec<f64>> {
+    /// Read a global float array in logical order, uncharged.
+    pub fn read_float_array(&self, name: &str) -> RResult<Vec<f64>> {
         let st = &self.arrays[self.global_array(name)?];
-        let data = self.machine.read_all(st.field)?;
-        let uc_cm::FieldData::F64(raw) = data else {
-            return Err(RuntimeError::NotSupported(format!("`{name}` is not a float array")));
-        };
-        let size: usize = st.shape.iter().product();
-        Ok((0..size).map(|i| raw[st.mapping.storage_index(i, &st.shape, 0)]).collect())
+        let not_float = |_| RuntimeError::NotSupported(format!("`{name}` is not a float array"));
+        Ok(st.logical(self.machine.float_data(st.field).map_err(not_float)?))
     }
 
     /// Overwrite a global integer array from logical-order data (applies
-    /// the array's mapping, writing every replica).
+    /// the array's mapping, writing every replica). Charged as the one
+    /// front-end write; reading the old storage is not.
     pub fn write_int_array(&mut self, name: &str, data: &[i64]) -> RResult<()> {
         let st = &self.arrays[self.global_array(name)?];
         let size: usize = st.shape.iter().product();
@@ -684,10 +689,8 @@ impl Program {
                 data.len()
             )));
         }
-        let storage = self.machine.read_all(st.field)?;
-        let uc_cm::FieldData::I64(mut raw) = storage else {
-            return Err(RuntimeError::NotSupported(format!("`{name}` is not an int array")));
-        };
+        let not_int = |_| RuntimeError::NotSupported(format!("`{name}` is not an int array"));
+        let mut raw = self.machine.int_data(st.field).map_err(not_int)?.to_vec();
         for r in 0..st.mapping.replicas() {
             for (i, &v) in data.iter().enumerate() {
                 raw[st.mapping.storage_index(i, &st.shape, r)] = v;

@@ -53,13 +53,6 @@ impl ArrayMapping {
         }
     }
 
-    /// Per-dimension logical→storage coordinate transform (for the
-    /// non-copy mappings; copy keeps coordinates and adds a replica axis).
-    pub fn storage_coord(&self, logical: &[usize], shape: &[usize]) -> Vec<usize> {
-        let coord = logical.iter().zip(shape).enumerate();
-        coord.map(|(d, (&v, &n))| self.storage_axis(d, v, n)).collect()
-    }
-
     /// The storage coordinate of logical coordinate `v` on axis `d` of
     /// extent `n`: the transform is per axis.
     pub fn storage_axis(&self, d: usize, v: usize, n: usize) -> usize {
@@ -76,18 +69,15 @@ impl ArrayMapping {
     }
 
     /// Linear storage address of a logical linear index (row-major on the
-    /// storage shape). For `Copy`, the address of replica `r`.
+    /// storage shape), transformed axis by axis. For `Copy`, the address
+    /// of replica `replica`; every other mapping has only replica 0.
     pub fn storage_index(&self, logical_linear: usize, shape: &[usize], replica: usize) -> usize {
-        let coord = unflatten(logical_linear, shape);
-        let sc = self.storage_coord(&coord, shape);
-        let base = flatten(&sc, shape);
-        match self {
-            ArrayMapping::Copy { .. } => {
-                let size: usize = shape.iter().product();
-                replica * size + base
-            }
-            _ => base,
+        let (mut rest, mut base, mut stride) = (logical_linear, 0, 1);
+        for (d, &n) in shape.iter().enumerate().rev() {
+            base += self.storage_axis(d, rest % n, n) * stride;
+            (rest, stride) = (rest / n, stride * n);
         }
+        replica * stride + base
     }
 
     /// Number of replicas (1 for non-copy mappings).
@@ -97,25 +87,6 @@ impl ArrayMapping {
             _ => 1,
         }
     }
-}
-
-/// Row-major flatten.
-pub fn flatten(coord: &[usize], shape: &[usize]) -> usize {
-    let mut idx = 0;
-    for (c, n) in coord.iter().zip(shape) {
-        idx = idx * n + c;
-    }
-    idx
-}
-
-/// Row-major unflatten.
-pub fn unflatten(mut idx: usize, shape: &[usize]) -> Vec<usize> {
-    let mut coord = vec![0; shape.len()];
-    for d in (0..shape.len()).rev() {
-        coord[d] = idx % shape[d];
-        idx /= shape[d];
-    }
-    coord
 }
 
 /// Interpret the map section of a checked program: produce the mapping for
@@ -264,11 +235,16 @@ mod tests {
         maps
     }
 
+    /// Unflattening an index into axes and flattening it back, as
+    /// `storage_index` does, is the identity under the default mapping; a
+    /// copy's replicas follow one another.
     #[test]
     fn flatten_roundtrip() {
         let shape = [3usize, 4, 5];
         for idx in 0..60 {
-            assert_eq!(flatten(&unflatten(idx, &shape), &shape), idx);
+            assert_eq!(ArrayMapping::Default.storage_index(idx, &shape, 0), idx);
+            let copy = ArrayMapping::Copy { replicas: 2 };
+            assert_eq!(copy.storage_index(idx, &shape, 1), 60 + idx);
         }
     }
 

@@ -102,7 +102,7 @@ fn apsp_step_allocates_nothing_per_entry() {
             _ => 1 << 20,
         })
         .collect();
-    let (mut p, allocs) = warm_run_allocs(src, |p| p.write_int_array("d", &ring).unwrap());
+    let (p, allocs) = warm_run_allocs(src, |p| p.write_int_array("d", &ring).unwrap());
     let expect: Vec<i64> = (0..n * n).map(|c| (c % n - c / n).rem_euclid(n)).collect();
     assert_eq!(p.read_int_array("d").unwrap(), expect);
     assert!(allocs < BUDGET, "{allocs} allocations in 256 warm `par` entries");
@@ -126,7 +126,7 @@ fn news_read_with_border_fixup_allocates_nothing_per_entry() {
                         a[i][j] = min(a[i-1][j], a[i][j+1]) + 1;
         }
     "#;
-    let (mut p, allocs) = warm_run_allocs(src, |_| {});
+    let (p, allocs) = warm_run_allocs(src, |_| {});
     let a = p.read_int_array("a").unwrap();
     // Distance from the top-right corner moving down or left.
     assert_eq!(a[31 * 32], 62);

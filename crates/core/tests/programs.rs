@@ -13,7 +13,7 @@ fn run(src: &str) -> Program {
 
 #[test]
 fn simple_par_assignment() {
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 10
         index_set I:i = {0..N-1};
         int a[N];
@@ -26,7 +26,7 @@ fn simple_par_assignment() {
 #[test]
 fn par_with_predicate_and_others() {
     // §3.4: odd elements 0, others 1.
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 10
         index_set I:i = {0..N-1};
         int a[N];
@@ -43,7 +43,7 @@ fn par_with_predicate_and_others() {
 #[test]
 fn reciprocal_of_nonzero() {
     // §3.4: par (I) st (a[i]!=0) a[i] = 1.0/a[i] — on ints, 4/x style.
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 6
         index_set I:i = {0..N-1};
         int a[N];
@@ -120,7 +120,7 @@ fn empty_reduction_yields_identity() {
 #[test]
 fn matrix_multiply_n3_parallelism() {
     // §3.4's first example: c = a×b with an O(N³) space.
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 6
         index_set I:i = {0..N-1}, J:j = I, K:k = I;
         int a[N][N], b[N][N], c[N][N];
@@ -150,7 +150,7 @@ fn matrix_multiply_n3_parallelism() {
 #[test]
 fn ranksort() {
     // §3.4's ranksort with distinct keys.
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 16
         index_set I:i = {0..N-1}, J:j = I;
         int a[N], sorted[N];
@@ -170,7 +170,7 @@ fn ranksort() {
 #[test]
 fn iterative_par_prefix_sums_figure2() {
     // Figure 2: log-step prefix sums with *par.
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 16
         index_set I:i = {0..N-1};
         int a[N], cnt[N];
@@ -190,7 +190,7 @@ fn iterative_par_prefix_sums_figure2() {
 #[test]
 fn seq_in_par_partial_sums_figure3() {
     // Figure 3: the same prefix sums with seq nested in par.
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 16
         #define LOGN 4
         index_set I:i = {0..N-1}, J:j = {0..LOGN-1};
@@ -211,7 +211,7 @@ fn seq_in_par_partial_sums_figure3() {
 #[test]
 fn shortest_path_n2_figure4() {
     // Figure 4: APSP with O(N²) parallelism (seq over k).
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 8
         index_set I:i = {0..N-1}, J:j = I, K:k = I;
         int d[N][N];
@@ -260,7 +260,7 @@ fn shortest_path_n3_figure5() {
                     d[i][j] = $<(K; d[i][k] + d[k][j]);
         }
     "#;
-    let mut p = run(src);
+    let p = run(src);
     let n = 8usize;
     let d = p.read_int_array("d").unwrap();
     for i in 0..n {
@@ -305,15 +305,15 @@ fn n2_and_n3_agree() {
         }}
     "#
     );
-    let mut p2 = run(&src_n2);
-    let mut p3 = run(&src_n3);
+    let p2 = run(&src_n2);
+    let p3 = run(&src_n3);
     assert_eq!(p2.read_int_array("d").unwrap(), p3.read_int_array("d").unwrap());
 }
 
 #[test]
 fn wavefront_solve() {
     // §3.6: the wavefront (binomial) matrix via solve.
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 8
         index_set I:i = {0..N-1}, J:j = I;
         int a[N][N];
@@ -341,7 +341,7 @@ fn wavefront_solve() {
 #[test]
 fn star_solve_shortest_path() {
     // §3.6: APSP as a fixed-point computation with *solve.
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 8
         index_set I:i = {0..N-1}, J:j = I, K:k = I;
         int dist[N][N];
@@ -367,7 +367,7 @@ fn star_solve_shortest_path() {
 #[test]
 fn odd_even_transposition_sort() {
     // §3.7: *oneof with two guarded swap arms.
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 12
         index_set I:i = {0..N-1};
         int x[N];
@@ -417,7 +417,7 @@ fn histogram_processor_optimization() {
 #[test]
 fn index_set_shadowing() {
     // §3.4: reuse of I inside the reduction hides the outer predicate.
-    let mut p = run(r#"
+    let p = run(r#"
         index_set I:i = {0..9};
         int a[10];
         main() {
@@ -433,7 +433,7 @@ fn index_set_shadowing() {
 
 #[test]
 fn explicit_element_lists() {
-    let mut p = run(r#"
+    let p = run(r#"
         index_set K:k = {4, 2, 9};
         int a[10];
         main() { par (K) a[k] = k * 10; }
@@ -465,7 +465,7 @@ fn multiple_assignment_conflict_detected() {
 #[test]
 fn identical_multiple_assignment_allowed() {
     // The same shape with identical values is legal.
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 4
         index_set I:i = {0..N-1}, J:j = I;
         int a[N];
@@ -477,7 +477,7 @@ fn identical_multiple_assignment_allowed() {
 #[test]
 fn nondeterministic_choice_with_arb() {
     // §3.4: the corrected non-deterministic program using $,.
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 4
         index_set I:i = {0..N-1}, J:j = I;
         int a[N], b[N];
@@ -514,7 +514,7 @@ fn front_end_control_flow() {
 #[test]
 fn seq_front_end_ordering() {
     // seq iterates elements in declaration order.
-    let mut p = run(r#"
+    let p = run(r#"
         index_set K:k = {4, 2, 9};
         int trace[3], n;
         main() {
@@ -547,8 +547,8 @@ fn map_permute_preserves_results() {
             par (I) st (i < N-1) a[i] = a[i] + b[i+1];
         }
     "#;
-    let mut p1 = run(plain);
-    let mut p2 = run(mapped);
+    let p1 = run(plain);
+    let p2 = run(mapped);
     assert_eq!(
         p1.read_int_array("a").unwrap(),
         p2.read_int_array("a").unwrap(),

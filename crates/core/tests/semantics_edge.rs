@@ -26,7 +26,7 @@ fn negative_range_index_sets() {
 #[test]
 fn offset_range_binds_axis_plus_lo() {
     // A {2..5} set still addresses arrays correctly (value = coord + 2).
-    let mut p = run(r#"
+    let p = run(r#"
         index_set I:i = {2..5};
         int a[8];
         main() { par (I) a[i] = i * 10; }
@@ -46,7 +46,7 @@ fn singleton_index_set() {
 
 #[test]
 fn three_dimensional_arrays() {
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 3
         index_set I:i = {0..N-1}, J:j = I, K:k = I;
         int t[N][N][N], s;
@@ -82,7 +82,7 @@ fn arb_reduction_is_deterministic() {
 fn deeply_nested_masks_compose() {
     // Nested par constructs AND their predicates: innermost statements
     // see the conjunction of every enclosing mask.
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 4
         index_set I:i = {0..N-1}, J:j = I;
         int m[N][N];
@@ -106,7 +106,7 @@ fn deeply_nested_masks_compose() {
 fn reduction_sees_enclosing_mask() {
     // A reduction inside an st-guarded par only runs for enabled i, but
     // ranges over ALL j (fresh index set ⇒ fresh full extent).
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 4
         index_set I:i = {0..N-1}, J:j = I;
         int out[N];
@@ -133,7 +133,7 @@ fn seq_respects_element_order_of_lists() {
 fn duplicate_elements_in_list_sets() {
     // {3,3} enables element 3 twice; a par assignment writes the same
     // value twice — legal under the identical-values rule.
-    let mut p = run(r#"
+    let p = run(r#"
         index_set K:k = {3, 3};
         int a[8];
         main() { par (K) a[k] = k * 2; }
@@ -155,7 +155,7 @@ fn swap_on_plain_scalars() {
 fn swap_is_synchronous_in_parallel() {
     // swap(x[i], x[i+1]) under a full mask would be racy if reads did not
     // precede writes; restrict to even i so pairs are disjoint.
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 8
         index_set I:i = {0..N-1};
         int x[N];
@@ -170,7 +170,7 @@ fn swap_is_synchronous_in_parallel() {
 #[test]
 fn solve_with_block_of_assignments() {
     // Two coupled single-assignment arrays: b depends on a.
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 6
         index_set I:i = {0..N-1};
         int a[N], b[N];
@@ -197,7 +197,7 @@ fn solve_with_block_of_assignments() {
 fn solve_backward_dependency_order() {
     // Dependencies run right-to-left; the *par translation must still
     // find the order (source order is the wrong order here).
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 6
         index_set I:i = {0..N-1};
         int a[N];
@@ -236,8 +236,8 @@ fn star_solve_equals_hand_written_star_par() {
                 d[i] = d[i-1] + 1;
         }
     "#;
-    let mut p1 = run(star_solve);
-    let mut p2 = run(star_par);
+    let p1 = run(star_solve);
+    let p2 = run(star_par);
     assert_eq!(
         p1.read_int_array("d").unwrap(),
         p2.read_int_array("d").unwrap()
@@ -299,7 +299,7 @@ fn pointer_jumping_list_ranking() {
     // router traffic (every hop follows an arbitrary successor pointer).
     // next[i] = i+1 on a linked list laid out by a permutation; rank =
     // distance to the tail, doubling hops each round.
-    let mut p = run(r#"
+    let p = run(r#"
         #define N 16
         index_set I:i = {0..N-1}, T:t = {0..3};
         int next[N], rank[N];
@@ -351,9 +351,9 @@ fn a_write_invalidates_gathers_that_subscript_through_it() {
              }}"
         )
     };
-    let mut nested = run(&program("b[a[i]] >= 0"));
+    let nested = run(&program("b[a[i]] >= 0"));
     assert_eq!(nested.read_int_array("x").unwrap(), vec![10, 20, 30, 0]);
-    let mut plain = run(&program("b[i] >= 0"));
+    let plain = run(&program("b[i] >= 0"));
     assert_eq!(plain.read_int_array("x").unwrap(), nested.read_int_array("x").unwrap());
 }
 

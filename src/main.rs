@@ -228,7 +228,7 @@ fn main() -> ExitCode {
                 render_run_error(path, &e);
                 return ExitCode::FAILURE;
             }
-            emit(ExitCode::SUCCESS, |out| report(&mut program, out))
+            emit(ExitCode::SUCCESS, |out| report(&program, out))
         }
         other => {
             eprintln!("error: unknown command `{other}` (run | check)");
@@ -332,7 +332,7 @@ fn check(
 }
 
 /// Writes every global, one write each, then the cycle line on stderr.
-fn report(p: &mut Program, out: &mut impl Write) -> io::Result<()> {
+fn report(p: &Program, out: &mut impl Write) -> io::Result<()> {
     let mut scalars: Vec<String> = p.scalar_names();
     scalars.sort();
     for name in scalars {

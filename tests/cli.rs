@@ -36,6 +36,21 @@ fn run_prints_globals_and_cycles() {
     assert!(stderr.contains("cycles on a 16384-processor CM"), "{stderr}");
 }
 
+/// `uc run` reports the cycles of the program's own run: printing the
+/// globals reads them back uncharged, so the count is the in-process cold
+/// run's, not one front-end tick per array more.
+#[test]
+fn run_prints_the_cold_cycle_count() {
+    let path = write_temp("uc_cli_cycles.uc", PROGRAM);
+    let out = uc().args(["run", path.to_str().unwrap()]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut p = uc::lang::Program::compile(PROGRAM).unwrap();
+    p.run().unwrap();
+    let line = format!("-- {} cycles on a 16384-processor CM (", p.cycles());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&line), "want `{line}` in {stderr}");
+}
+
 #[test]
 fn define_overrides_from_the_command_line() {
     let path = write_temp("uc_cli_define.uc", PROGRAM);

@@ -53,7 +53,7 @@ fn apsp_uc_equals_cstar_equals_oracle() {
             }}
             "#
         );
-        let mut p = run_uc(&src, &[]);
+        let p = run_uc(&src, &[]);
         assert_eq!(p.read_int_array("d").unwrap(), oracle_d, "UC, n={n}");
     }
 }
@@ -85,7 +85,7 @@ fn grid_uc_equals_cstar_equals_seq_equals_bfs() {
                     a[i][j] = min(min(a[i-1][j], a[i+1][j]), min(a[i][j-1], a[i][j+1])) + 1;
             }
         "#;
-        let mut p = run_uc(src, &[("N", n as i64)]);
+        let p = run_uc(src, &[("N", n as i64)]);
         let uc_d = p.read_int_array("a").unwrap();
 
         for cell in 0..n * n {
@@ -475,6 +475,36 @@ fn cm_counters_reflect_communication_classes() {
         p.read_int_array("b").unwrap(),
         p2.read_int_array("b").unwrap()
     );
+}
+
+/// A program has one tally: its cold run, a second run, and that run
+/// followed by reading every global back all record the same ops and VP
+/// ratios per class. Each figure program initialises its own state in
+/// `main`, so only state the executor keeps between runs could differ.
+#[test]
+fn a_program_has_one_tally_cold_warm_and_after_host_reads() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/programs");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|e| e != "uc") {
+            continue;
+        }
+        let mut p = run_uc(&std::fs::read_to_string(&path).unwrap(), &[]);
+        let cold = *p.machine().tally();
+        p.reset_clock();
+        p.run().unwrap();
+        assert_eq!(*p.machine().tally(), cold, "{}: warm run", path.display());
+        for name in p.scalar_names() {
+            p.read_scalar(&name).unwrap();
+        }
+        for name in p.array_names() {
+            assert!(p.read_int_array(&name).is_ok() || p.read_float_array(&name).is_ok());
+        }
+        assert_eq!(*p.machine().tally(), cold, "{}: after host reads", path.display());
+        seen += 1;
+    }
+    assert!(seen >= 8, "only {seen} programs under crates/bench/programs");
 }
 
 #[test]

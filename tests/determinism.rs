@@ -7,7 +7,9 @@
 //! only way an env-var-sized global pool can be tested — by re-running
 //! this very test binary as a subprocess under `UC_THREADS=1`, `2` and
 //! `8` and comparing digests of everything observable: field contents
-//! (floats via `to_bits`), `cycles()` and every `OpCounters` class.
+//! (floats via `to_bits`), `cycles()`, and per op class the op count and
+//! the summed VP ratio of the machine's tally. Each digest also checks
+//! that the machine's cycles are `cost · tally`.
 //!
 //! The child side is the `emit_digests_when_asked` test, which only does
 //! work when `UC_DET_CHILD` is set; it prints one `DIGEST <name> <hex>`
@@ -16,6 +18,7 @@
 use std::collections::BTreeMap;
 use std::process::Command;
 
+use uc::cm::cost::CostModel;
 use uc::cm::{Combine, FieldData, Machine, ReduceOp, Scalar};
 
 /// Large enough that every wired hot path (`PAR_THRESHOLD = 1 << 13`)
@@ -47,7 +50,8 @@ impl Fnv {
 }
 
 /// Fold a machine's full observable state into a digest: every field the
-/// kernel left behind plus the cost model (cycles and per-class counts).
+/// kernel left behind plus its cost (cycles, and the tally's per-class
+/// counts and VP-ratio sums).
 fn digest_machine(m: &Machine, fields: &[uc::cm::FieldId], h: &mut Fnv) {
     for &f in fields {
         match m.elem_type(f).unwrap() {
@@ -68,10 +72,11 @@ fn digest_machine(m: &Machine, fields: &[uc::cm::FieldId], h: &mut Fnv) {
             }
         }
     }
+    let t = m.tally();
+    assert_eq!(m.cycles(), CostModel::default().cycles(t), "cycles are cost · tally");
     h.write_u64(m.cycles());
-    let c = m.counters();
-    for v in [c.alu, c.context, c.news, c.router, c.scan, c.front_end] {
-        h.write_u64(v);
+    for v in t.ops.iter().chain(&t.ratio) {
+        h.write_u64(*v);
     }
 }
 
