@@ -1,24 +1,26 @@
-//! Pinned-digest regression tier for the executor.
+//! Pinned-observable regression tier for the executor.
 //!
-//! Every observable of a run — global scalars and arrays (floats by bit
-//! pattern), simulated cycles, the six per-class op counters, and on a
-//! trap the full `RunError` with span and UC call stack — is folded into
-//! one FNV digest per program and compared with
-//! `tests/corpus/pinned_digests.txt`. The table was recorded from the AST
+//! Every observable of a run is pinned in `tests/corpus/pinned_digests.txt`,
+//! one line per program, in columns: an FNV digest of the results — the
+//! global scalars and arrays (floats by bit pattern), or on a trap the
+//! full `RunError` with span and UC call stack — then the simulated
+//! cycles, the six per-class op counts (ALU, NEWS, router, scan, context,
+//! front end) and the name. A change that moves cost on purpose shows in
+//! the cost columns only. The results were recorded from the AST
 //! tree-walker at commit 72174e8, the last one that carried it, where the
 //! differential suite proved the walker and the register VM agreed on
-//! every entry; it now pins the VM to that behaviour. Entries added since
-//! were recorded from the VM: the four `shadow_*.uc` programs, whose
+//! every entry; they now pin the VM to that behaviour. Entries added
+//! since were recorded from the VM: the four `shadow_*.uc` programs, whose
 //! values `crates/core/tests/language.rs` and the generated model check
 //! in `tests/cross_crate.rs` witness independently.
 //!
 //! The corpus is every committed example, the lint corpus (including the
 //! `seq_*.uc` programs that exercise front-end `seq`, `seq` under `par`,
-//! calls from parallel arms and recursion through escaped expressions),
+//! calls from parallel arms and recursion through front-end expressions),
 //! the hostile corpus under tight deterministic budgets, and the
 //! `uc_bench` figure kernels at small sizes.
 //!
-//! A subprocess leg recomputes the digests under `UC_THREADS=1`, `2` and
+//! A subprocess leg recomputes every column under `UC_THREADS=1`, `2` and
 //! `8` (the worker pool is env-sized once per process, so each thread
 //! count needs a child — same protocol as `determinism.rs`).
 //!
@@ -27,7 +29,7 @@
 //! ```text
 //! UC_IR_DIFF_CHILD=1 cargo test --test ir_differential \
 //!     emit_pinned_digests_when_asked -- --exact --nocapture \
-//!     | sed -n 's/^DIGEST //p' > tests/corpus/pinned_digests.txt
+//!     | sed -n 's/^ROW //p' > tests/corpus/pinned_digests.txt
 //! ```
 
 use std::collections::BTreeMap;
@@ -142,25 +144,23 @@ fn corpus() -> Vec<Case> {
     cases
 }
 
-/// FNV-1a over the debug rendering of an outcome; a compile rejection
-/// pins as all zeroes.
-fn digest(case: &Case) -> String {
-    let Ok(o) = observe(case, IrOpt::Balanced) else { return "0".repeat(16) };
+/// A program's row without its name: the FNV-1a digest of its results,
+/// its cycles and its six op counts. A compile rejection is all zeroes.
+fn row(case: &Case) -> String {
+    let Ok(o) = observe(case, IrOpt::Balanced) else { return format!("{:016} 0 0 0 0 0 0 0", 0) };
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in format!("{o:?}").bytes() {
+    for b in format!("{:?}", o.result).bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    format!("{h:016x}")
+    let counts: Vec<String> = o.counters.iter().map(u64::to_string).collect();
+    format!("{h:016x} {} {}", o.cycles, counts.join(" "))
 }
 
-/// `name -> digest` from the committed table (`<digest> <name>` lines).
-fn pinned() -> BTreeMap<String, String> {
-    include_str!("corpus/pinned_digests.txt")
-        .lines()
-        .filter_map(|l| l.split_once(' '))
-        .map(|(d, name)| (name.to_string(), d.to_string()))
-        .collect()
+/// `name -> row` from `<row> <name>` lines.
+fn rows<'a>(lines: impl Iterator<Item = &'a str>) -> BTreeMap<String, String> {
+    let split = |l: &'a str| l.rsplit_once(' ').map(|(r, name)| (name.to_string(), r.to_string()));
+    lines.filter_map(split).collect()
 }
 
 /// The headline guarantee: on every input the VM reproduces the walker's
@@ -169,8 +169,8 @@ fn pinned() -> BTreeMap<String, String> {
 #[test]
 fn pinned_digests_match_on_every_corpus_program() {
     let computed: BTreeMap<String, String> =
-        corpus().iter().map(|c| (c.name.clone(), digest(c))).collect();
-    assert_eq!(computed, pinned());
+        corpus().iter().map(|c| (c.name.clone(), row(c))).collect();
+    assert_eq!(computed, rows(include_str!("corpus/pinned_digests.txt").lines()));
 }
 
 /// Aggressive IR rewrites may only *remove* charged machine work: the
@@ -206,18 +206,18 @@ fn aggressive_opt_preserves_results_and_never_adds_cycles() {
 }
 
 /// Child half of the subprocess protocol: inert unless `UC_IR_DIFF_CHILD`
-/// is set. Prints one `DIGEST <digest> <name>` line per program.
+/// is set. Prints one `ROW <row> <name>` line per program.
 #[test]
 fn emit_pinned_digests_when_asked() {
     if std::env::var("UC_IR_DIFF_CHILD").is_err() {
         return;
     }
     for case in corpus() {
-        println!("DIGEST {} {}", digest(&case), case.name);
+        println!("ROW {} {}", row(&case), case.name);
     }
 }
 
-fn digests_under(threads: &str) -> BTreeMap<String, String> {
+fn rows_under(threads: &str) -> BTreeMap<String, String> {
     let exe = std::env::current_exe().expect("test binary path");
     let out = Command::new(exe)
         .args(["emit_pinned_digests_when_asked", "--exact", "--nocapture", "--test-threads=1"])
@@ -231,24 +231,17 @@ fn digests_under(threads: &str) -> BTreeMap<String, String> {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr),
     );
-    String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .filter_map(|l| l.split("DIGEST ").nth(1))
-        .filter_map(|l| {
-            let (hex, name) = l.split_once(' ')?;
-            Some((name.to_string(), hex.to_string()))
-        })
-        .collect()
+    rows(String::from_utf8_lossy(&out.stdout).lines().filter_map(|l| l.split("ROW ").nth(1)))
 }
 
-/// The pins must hold at every thread count.
+/// Every column of the pins must hold at every thread count.
 #[test]
 fn pinned_digests_hold_under_one_two_and_eight_threads() {
     if std::env::var("UC_IR_DIFF_CHILD").is_ok() {
         return; // don't recurse when the whole binary runs in a child
     }
-    let pinned = pinned();
+    let pinned = rows(include_str!("corpus/pinned_digests.txt").lines());
     for threads in ["1", "2", "8"] {
-        assert_eq!(digests_under(threads), pinned, "UC_THREADS={threads}");
+        assert_eq!(rows_under(threads), pinned, "UC_THREADS={threads}");
     }
 }
