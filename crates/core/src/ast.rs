@@ -637,8 +637,9 @@ mod tests {
         assert_eq!(std::mem::size_of::<Expr>(), 80);
     }
 
-    /// The VM walks a `Vec<Instr>`: `Call`'s argument list sets the size,
-    /// and a constant or a span riding in an instruction must not raise it.
+    /// The VM walks a `Vec<Instr>`: `LoadElem`'s array and subscript list
+    /// set the size, and a constant or a span riding in an instruction
+    /// must not raise it.
     #[test]
     fn an_instruction_is_no_bigger_than_a_call() {
         assert!(std::mem::size_of::<crate::ir::Instr>() <= 32);

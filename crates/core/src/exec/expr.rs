@@ -1,4 +1,4 @@
-//! Expression evaluation.
+//! Expression evaluation inside an iteration space.
 //!
 //! Expressions evaluate to [`PV`]s: front-end scalars or fields on the
 //! current iteration space. Which of the two an expression yields is
@@ -7,16 +7,16 @@
 //! function's parameter): the `match`es here implement the rule, and the
 //! arms it excludes are `unreachable!`. Mixed scalar/field operations
 //! broadcast the scalar as an immediate (one SIMD instruction), mirroring
-//! the CM's front-end-broadcast execution model. In a parallel context `&&`/`||`
-//! evaluate both sides synchronously (no short-circuit — all enabled
-//! processors execute every instruction); on the front end they
-//! short-circuit like C.
+//! the CM's front-end-broadcast execution model. A space is always open
+//! here — front-end expressions are VM instructions — so `&&`/`||` and
+//! `?:` evaluate both sides synchronously (no short-circuit: all enabled
+//! processors execute every instruction).
 
 use uc_cm::{BinOp, ElemType, Scalar, UnOp};
 
 use super::{LocalVar, Program, RResult, RuntimeError, PV};
 use crate::ast::{BinaryOp, Callee, Expr, LocalId, Name, Ref, UnaryOp};
-use crate::sema::LocalKind;
+use crate::sema::{LocalInfo, LocalKind};
 use crate::stdlib::{self, Builtin};
 
 impl Program {
@@ -34,27 +34,11 @@ impl Program {
                 self.apply_unary(*op, v)
             }
             Expr::Binary { op, lhs, rhs, .. } => {
-                if self.ctx.is_empty() {
-                    // Front-end short-circuit for && and ||.
-                    if *op == BinaryOp::LogAnd || *op == BinaryOp::LogOr {
-                        let l = self.eval_scalar(lhs)?;
-                        let lt = l.as_bool();
-                        if (*op == BinaryOp::LogAnd && !lt) || (*op == BinaryOp::LogOr && lt) {
-                            return Ok(PV::Scalar(Scalar::Int(lt as i64)));
-                        }
-                        let r = self.eval_scalar(rhs)?;
-                        return Ok(PV::Scalar(Scalar::Int(r.as_bool() as i64)));
-                    }
-                }
                 let l = self.eval(lhs)?;
                 let r = self.eval(rhs)?;
                 self.apply_binary(*op, l, r)
             }
             Expr::Ternary { cond, then_e, else_e, .. } => {
-                if self.ctx.is_empty() {
-                    let c = self.eval_scalar(cond)?;
-                    return if c.as_bool() { self.eval(then_e) } else { self.eval(else_e) };
-                }
                 let c = self.eval(cond)?;
                 let c = self.truthify(c)?;
                 let t = self.eval(then_e)?;
@@ -68,7 +52,7 @@ impl Program {
                 else {
                     unreachable!()
                 };
-                let vp = self.ctx.last().unwrap().vp;
+                let vp = self.cur_ctx().vp;
                 let dst = self.machine.alloc_result(vp, "~sel", ty)?;
                 self.machine.select(dst, cid, tid, fid)?;
                 self.release(c);
@@ -81,19 +65,10 @@ impl Program {
         }
     }
 
-    /// Evaluate an expression with no iteration space open: a front-end
-    /// scalar.
-    pub(crate) fn eval_scalar(&mut self, e: &Expr) -> RResult<Scalar> {
-        match self.eval(e)? {
-            PV::Scalar(s) => Ok(s),
-            PV::Field { .. } => unreachable!("a parallel value outside every construct"),
-        }
-    }
-
-    /// How the local `id` of the current activation lives (sema's table).
-    pub(crate) fn local_kind(&self, id: LocalId) -> &LocalKind {
+    /// Sema's entry for the local `id` of the current activation.
+    pub(crate) fn local(&self, id: LocalId) -> &LocalInfo {
         let func = self.frames.last().expect("frame").func;
-        &self.checked.func_infos[func].locals[id as usize].kind
+        &self.checked.func_infos[func].locals[id as usize]
     }
 
     /// The value of an identifier, by what sema resolved it to.
@@ -121,7 +96,7 @@ impl Program {
         match to {
             Ref::Const(id) => Some(Scalar::Int(self.checked.unit.defines[id as usize].1)),
             Ref::Global(g) => Some(self.globals[g as usize]),
-            Ref::Local(id) => match *self.local_kind(id) {
+            Ref::Local(id) => match self.local(id).kind {
                 LocalKind::Reg(r) => Some(self.regs[self.frames.last()?.base + r as usize]),
                 _ => None,
             },
@@ -290,16 +265,9 @@ impl Program {
             }
             Callee::Builtin(Builtin::Rand) => {
                 let seed = self.next_rand_seed();
-                if let Some(ctx) = self.ctx.last() {
-                    let vp = ctx.vp;
-                    let dst = self.machine.alloc_result(vp, "~rand", ElemType::Int)?;
-                    self.machine.rand_int(dst, 1 << 31, seed)?;
-                    Ok(PV::owned(dst))
-                } else {
-                    // Front-end rand: same generator, position 0.
-                    let v = front_end_rand(seed);
-                    Ok(PV::Scalar(Scalar::Int(v)))
-                }
+                let dst = self.machine.alloc_result(self.cur_ctx().vp, "~rand", ElemType::Int)?;
+                self.machine.rand_int(dst, 1 << 31, seed)?;
+                Ok(PV::owned(dst))
             }
             Callee::Builtin(Builtin::Abs) => {
                 let v = self.eval(&args[0])?;
@@ -482,8 +450,8 @@ fn machine_op(op: BinaryOp) -> BinOp {
     }
 }
 
-/// Deterministic front-end `rand()` built from the same SplitMix stream
-/// as the machine's per-VP generator.
+/// Deterministic front-end `rand()` (the VM's `Rand`) built from the same
+/// SplitMix stream as the machine's per-VP generator, at position 0.
 pub(crate) fn front_end_rand(seed: u64) -> i64 {
     let mut x = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

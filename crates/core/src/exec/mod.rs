@@ -27,13 +27,13 @@
 //!   variable must be identical") is enforced by the router's collision
 //!   detection.
 //!
-//! The VM hands each parallel construct, and each expression or
-//! declaration the lowering left as a tree escape, to the evaluators in
-//! the other submodules: `space` (iteration spaces and lifting), `expr`
-//! (expression evaluation), `access` (array access paths), `reduce`
-//! (reduction evaluation), `stmt` (the parallel constructs and the
-//! statements that may appear inside them). A user call met there
-//! re-enters the VM.
+//! The VM hands each parallel construct, reduction and local array
+//! declaration — the tree escapes — to the evaluators in the other
+//! submodules, which run only inside the iteration space it opens:
+//! `space` (iteration spaces and lifting), `expr` (expression
+//! evaluation), `access` (array access paths), `reduce` (reduction
+//! evaluation), `stmt` (the parallel constructs and the statements that
+//! may appear inside them). A user call met there re-enters the VM.
 
 mod access;
 mod expr;
@@ -728,12 +728,10 @@ impl Program {
 
     // ---- internals shared by the exec submodules -------------------------
 
-    /// The innermost parallel context.
-    ///
-    /// Invariant: only called with a construct open (`ctx` non-empty) —
-    /// every access path splits on `ctx.is_empty()` first, and a parallel
-    /// value exists only under one (sema's rank rule). A violation is an
-    /// executor bug, contained by the `catch_unwind` in [`Program::run`].
+    /// The innermost parallel context. Tree code runs only inside one, and
+    /// a parallel value exists only under one (sema's rank rule); a
+    /// violation is an executor bug, contained by the `catch_unwind` in
+    /// [`Program::run`].
     pub(crate) fn cur_ctx(&self) -> &ParCtx {
         self.ctx.last().expect("inside a parallel construct")
     }

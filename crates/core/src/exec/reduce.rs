@@ -38,22 +38,12 @@ impl Program {
     }
 
     fn eval_reduce_arms(&mut self, r: &ReduceExpr) -> RResult<PV> {
-        let vp = self.ctx.last().unwrap().vp;
+        let vp = self.cur_ctx().vp;
         // Evaluate every arm mask synchronously first (they share the
-        // unpredicated enabled set).
+        // unpredicated enabled set); freed below.
         let mut masks: Vec<Option<FieldId>> = Vec::with_capacity(r.arms.len());
         for (pred, _) in &r.arms {
-            match pred {
-                Some(p) => {
-                    let m = self.eval(p)?;
-                    let m = self.truthify(m)?;
-                    let m = self.coerce_field(m, ElemType::Bool)?;
-                    let PV::Field { id, .. } = m else { unreachable!() };
-                    // Intentionally leak ownership into `masks`; freed below.
-                    masks.push(Some(id));
-                }
-                None => masks.push(None),
-            }
+            masks.push(pred.as_ref().map(|p| self.mask(p)).transpose()?);
         }
 
         let mut partials: Vec<PV> = Vec::new();
@@ -75,11 +65,7 @@ impl Program {
 
         if let Some(others) = &r.others {
             // Enabled-for-no-arm elements.
-            let or = self.machine.alloc_result(vp, "~ored", ElemType::Bool)?;
-            self.machine.fill_unconditional(or, Scalar::Bool(false))?;
-            for m in masks.iter().flatten() {
-                self.machine.binop(BinOp::LogOr, or, or, *m)?;
-            }
+            let or = self.others_mask(&masks)?;
             self.machine.push_context_others(or)?;
             let fill = self.cse_fill;
             self.cse_fill = false;
@@ -165,7 +151,7 @@ impl Program {
                     let (PV::Field { id: ai, .. }, PV::Field { id: bi, .. }) = (&a, &b) else {
                         unreachable!()
                     };
-                    let vp = self.ctx.last().unwrap().vp;
+                    let vp = self.cur_ctx().vp;
                     let dst = self.machine.alloc_result(vp, "~cmb", ty)?;
                     match op {
                         RedOpToken::Add => self.machine.binop(BinOp::Add, dst, *ai, *bi)?,
@@ -242,7 +228,7 @@ impl Program {
         // Key and operand must live on the reduction's own space: no use
         // of the outer element, nor of a per-VP local of the outer body.
         let on_outer_space = |n: &Name| match n.to {
-            Ref::Local(id) => matches!(self.local_kind(id), LocalKind::PerVp),
+            Ref::Local(id) => matches!(self.local(id).kind, LocalKind::PerVp),
             to => to == outer,
         };
         let mut uses_outer = |x: &Expr| matches!(x, Expr::Ident(n, _) if on_outer_space(n));
@@ -270,7 +256,7 @@ impl Program {
                 let val = self.eval(operand)?;
                 let val = self.coerce_field(val, ElemType::Int)?;
                 let PV::Field { id: valf, .. } = val else { unreachable!() };
-                let vp = self.ctx.last().unwrap().vp;
+                let vp = self.cur_ctx().vp;
                 // Only keys inside the enclosing extent participate.
                 let ok = self.machine.alloc_bool(vp, "~kok")?;
                 self.machine.binop_imm(BinOp::Ge, ok, keyf, Scalar::Int(0))?;

@@ -3,7 +3,7 @@
 //!
 //! The register VM drives execution; it reaches this module only through
 //! a tree escape ([`crate::ir::Instr::Tree`]) holding one parallel
-//! construct, one array declaration or a `swap`.
+//! construct or one local array declaration.
 //! Sequential control flow never arrives here: outside parallel
 //! constructs it is lowered to VM jumps, and inside them sema rejects it.
 
@@ -88,7 +88,7 @@ impl Program {
     /// and its declaration is lowered.
     fn exec_decl(&mut self, v: &crate::ast::VarDecl) -> RResult<()> {
         let ty = elem_type(v.ty);
-        let var = match self.local_kind(v.local).clone() {
+        let var = match self.local(v.local).kind.clone() {
             LocalKind::PerVp => {
                 let vp = self.cur_ctx().vp;
                 let field = self.machine.alloc(vp, &v.name, ty)?;
@@ -154,11 +154,29 @@ impl Program {
         result
     }
 
+    /// A predicate's truth on the current space, as an owned bool field.
+    pub(crate) fn mask(&mut self, pred: &Expr) -> RResult<FieldId> {
+        let m = self.eval(pred)?;
+        let m = self.truthify(m)?;
+        let PV::Field { id, .. } = self.coerce_field(m, ElemType::Bool)? else { unreachable!() };
+        Ok(id)
+    }
+
+    /// Where some arm's mask holds; `others` runs where it does not.
+    pub(crate) fn others_mask(&mut self, masks: &[Option<FieldId>]) -> RResult<FieldId> {
+        let or = self.machine.alloc_result(self.cur_ctx().vp, "~ormask", ElemType::Bool)?;
+        self.machine.fill_unconditional(or, Scalar::Bool(false))?;
+        for m in masks.iter().flatten() {
+            self.machine.binop(BinOp::LogOr, or, or, *m)?;
+        }
+        Ok(or)
+    }
+
     /// Execute all arms (and `others`) of a par-style construct once.
     /// When `need_enabled` (the `*` forms), returns whether any arm was
     /// enabled — a global-OR test the compiler omits for plain constructs.
     fn run_arms(&mut self, uc: &UcStmt, need_enabled: bool) -> RResult<bool> {
-        let vp = self.ctx.last().unwrap().vp;
+        let vp = self.cur_ctx().vp;
         // Evaluate every predicate first, synchronously, against the state
         // at the start of the step (the paper's semantics for a step).
         // Array gathers computed here are cached for reuse by the arm
@@ -171,24 +189,12 @@ impl Program {
         let mut masks = self.mask_spare.pop().unwrap_or_default();
         let mut pred_err = None;
         for ScBlock { pred, .. } in &uc.arms {
-            match pred {
-                Some(p) => {
-                    let r = (|| -> RResult<FieldId> {
-                        let m = self.eval(p)?;
-                        let m = self.truthify(m)?;
-                        let m = self.coerce_field(m, ElemType::Bool)?;
-                        let PV::Field { id, .. } = m else { unreachable!() };
-                        Ok(id)
-                    })();
-                    match r {
-                        Ok(id) => masks.push(Some(id)),
-                        Err(e) => {
-                            pred_err = Some(e);
-                            break;
-                        }
-                    }
+            match pred.as_ref().map(|p| self.mask(p)).transpose() {
+                Ok(m) => masks.push(m),
+                Err(e) => {
+                    pred_err = Some(e);
+                    break;
                 }
-                None => masks.push(None),
             }
         }
         self.cse_fill = prev_fill;
@@ -225,11 +231,7 @@ impl Program {
                 }
             }
             if let Some(others) = &uc.others {
-                let or = self.machine.alloc_result(vp, "~ormask", ElemType::Bool)?;
-                self.machine.fill_unconditional(or, Scalar::Bool(false))?;
-                for m in masks.iter().flatten() {
-                    self.machine.binop(BinOp::LogOr, or, or, *m)?;
-                }
+                let or = self.others_mask(&masks)?;
                 self.machine.push_context_others(or)?;
                 let r = self.exec_stmt(others);
                 self.machine.pop_context(vp)?;
@@ -251,9 +253,8 @@ impl Program {
     /// predicates become masks over the enclosing space (Figure 3's
     /// partial sums).
     fn exec_seq(&mut self, uc: &UcStmt) -> RResult<()> {
-        debug_assert!(!self.ctx.is_empty(), "front-end seq reached the tree evaluator");
         let elements = self.checked.sets[uc.sets[0]].elements.clone();
-        let LocalKind::Reg(elem) = *self.local_kind(uc.elem) else {
+        let LocalKind::Reg(elem) = self.local(uc.elem).kind else {
             unreachable!("a seq element is a front-end scalar")
         };
         let mut iters = 0u64;
@@ -276,7 +277,7 @@ impl Program {
     fn exec_oneof(&mut self, uc: &UcStmt) -> RResult<()> {
         let level = self.push_space(&uc.sets)?;
         let result = (|| -> RResult<()> {
-            let vp = self.ctx.last().unwrap().vp;
+            let vp = self.cur_ctx().vp;
             let mut iters = 0u64;
             loop {
                 iters += 1;
@@ -289,10 +290,7 @@ impl Program {
                 for (k, ScBlock { pred, .. }) in uc.arms.iter().enumerate() {
                     match pred {
                         Some(p) => {
-                            let m = self.eval(p)?;
-                            let m = self.truthify(m)?;
-                            let m = self.coerce_field(m, ElemType::Bool)?;
-                            let PV::Field { id, .. } = m else { unreachable!() };
+                            let id = self.mask(p)?;
                             if self.machine.reduce(id, ReduceOp::Or)?.as_bool() {
                                 enabled.push(k);
                             }
@@ -384,7 +382,7 @@ impl Program {
     }
 
     fn exec_solve_inner(&mut self, uc: &UcStmt) -> RResult<()> {
-        let vp = self.ctx.last().unwrap().vp;
+        let vp = self.cur_ctx().vp;
         let mut assigns = Vec::new();
         for arm in &uc.arms {
             Self::solve_assignments(&arm.body, &mut assigns);
@@ -507,27 +505,18 @@ impl Program {
                         PV::Scalar(Scalar::Bool(true))
                     }
                     _ => {
-                        let c = self.eval(cond)?;
-                        let c = self.truthify(c)?;
-                        let c = self.coerce_field(c, ElemType::Bool)?;
+                        let c = self.mask(cond)?;
                         let t = self.coerce_field(tdef, ElemType::Bool)?;
                         let f = self.coerce_field(edef, ElemType::Bool)?;
-                        let (
-                            PV::Field { id: ci, .. },
-                            PV::Field { id: ti, .. },
-                            PV::Field { id: fi, .. },
-                        ) = (&c, &t, &f)
-                        else {
+                        let (PV::Field { id: ti, .. }, PV::Field { id: fi, .. }) = (t, f) else {
                             unreachable!()
                         };
-                        let vp = self.ctx.last().unwrap().vp;
+                        let vp = self.cur_ctx().vp;
                         let dst = self.machine.alloc_result(vp, "~bdef", ElemType::Bool)?;
-                        self.machine.select(dst, *ci, *ti, *fi)?;
-                        self.release(c);
-                        let t2 = t;
-                        let f2 = f;
-                        self.release(t2);
-                        self.release(f2);
+                        self.machine.select(dst, c, ti, fi)?;
+                        self.release(PV::owned(c));
+                        self.release(t);
+                        self.release(f);
                         PV::owned(dst)
                     }
                 };

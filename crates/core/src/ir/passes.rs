@@ -1,7 +1,7 @@
 //! Per-instruction optimization passes over lowered bodies, plus the
 //! aggressive AST-level rewrites.
 //!
-//! The instruction passes ([`optimize`]) touch only *uncharged*
+//! The instruction passes ([`optimize`]) rewrite only *uncharged*
 //! front-end instructions, so under [`IrOpt::Balanced`] results,
 //! simulated cycles, fuel, and errors are exactly those of the
 //! unoptimized instruction stream. The AST rewrites ([`aggressive_rewrite`], run only under

@@ -11,6 +11,7 @@ use std::fmt::Write;
 use uc_cm::Scalar;
 
 use super::{Instr, IrBody, IrFunc, IrProgram, Reg};
+use crate::ast::Ref;
 use crate::exec::IrOpt;
 use crate::pretty;
 use crate::span::Span;
@@ -84,6 +85,15 @@ fn instr(ins: &Instr, f: &IrFunc, body: &IrBody, p: &IrProgram) -> String {
         Some(v) if *r >= f.const_base => scalar(v),
         _ => format!("r{r}"),
     };
+    // An element: a global array by name, a local one by id.
+    let elem = |array: &Ref, subs: &[Reg]| {
+        let subs: String = subs.iter().map(|s| format!("[{}]", r(s))).collect();
+        match array {
+            Ref::Array(id) => format!("{}{subs}", p.array_names[*id as usize]),
+            Ref::Local(id) => format!("l{id}{subs}"),
+            to => unreachable!("sema resolves every array base; this is {to:?}"),
+        }
+    };
     match ins {
         Instr::Const { dst, v } => format!("const      r{dst} = {}", scalar(v)),
         Instr::Copy { dst, src } => format!("copy       r{dst} = {}", r(src)),
@@ -106,6 +116,12 @@ fn instr(ins: &Instr, f: &IrFunc, body: &IrBody, p: &IrProgram) -> String {
         ),
         Instr::LoadGlobal { dst, g } => format!("load_g     r{dst} = g{g}"),
         Instr::StoreGlobal { g, src } => format!("store_g    g{g} = {}", r(src)),
+        Instr::LoadElem { dst, array, subs } => {
+            format!("load_e     r{dst} = {}", elem(array, subs))
+        }
+        Instr::StoreElem { array, subs, src } => {
+            format!("store_e    {} = {}", elem(array, subs), r(src))
+        }
         Instr::Jump { t } => format!("jump       @{t}"),
         Instr::JumpIfFalse { c, t } => format!("jump_if_f  {} -> @{t}", r(c)),
         Instr::JumpIfTrue { c, t } => format!("jump_if_t  {} -> @{t}", r(c)),

@@ -367,3 +367,53 @@ fn a_list_set_starting_at_inf_is_not_contiguous() {
     assert!(!checked.has_errors(), "{checked}");
     assert_eq!(run(src).read_int_array("a").unwrap(), vec![1, 0, 0, 0]);
 }
+
+/// A front-end element's subscripts run once: `+=` reads and writes the
+/// element it subscripted, and `swap` reads both operands, then stores
+/// both. Six front-end ticks: a read and a write for `+=`, two of each
+/// for `swap`.
+#[test]
+fn front_end_subscripts_are_evaluated_once() {
+    let p = run(r#"
+        int a[4], calls, x;
+        int f() { calls = calls + 1; return 1; }
+        main() { a[f()] += 5; x = calls; swap(a[f()], a[f() + 1]); }
+    "#);
+    assert_eq!((p.read_int("calls"), p.read_int("x")), (Some(3), Some(1)));
+    assert_eq!(p.read_int_array("a").unwrap(), vec![0, 0, 5, 0]);
+    assert_eq!((p.cycles(), p.machine().counters().front_end), (60, 6));
+}
+
+/// A function called from a `par` arm that stores a global drops the
+/// step's cached gathers, however its store is compiled: the arm then
+/// re-reads `a[(i + g) % N]` through the new `g`. A store to an element
+/// drops the gathers that read its array.
+#[test]
+fn a_store_in_a_callee_of_an_arm_drops_the_steps_gathers() {
+    let program = |h: &str| {
+        format!(
+            "#define N 4
+             index_set I:i = {{0..N-1}};
+             int a[N], x[N], g;
+             int h() {{ {h}; return 0; }}
+             main() {{
+                 par (I) a[i] = i * 10;
+                 par (I) st (a[(i + g) % N] >= 0) {{ x[i] = h(); x[i] = a[(i + g) % N]; }}
+             }}"
+        )
+    };
+    for h in ["g = 1", "g = a[0] * 0 + 1"] {
+        assert_eq!(run(&program(h)).read_int_array("x").unwrap(), vec![10, 20, 30, 0], "{h}");
+    }
+    let poke = run(r#"
+        #define N 4
+        index_set I:i = {0..N-1};
+        int a[N], x[N];
+        int poke() { a[0] = 100; return 0; }
+        main() {
+            par (I) a[i] = i;
+            par (I) st (a[i] >= 0) { x[i] = poke(); x[i] = a[i]; }
+        }
+    "#);
+    assert_eq!(poke.read_int_array("x").unwrap(), vec![100, 1, 2, 3]);
+}

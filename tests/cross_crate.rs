@@ -393,6 +393,7 @@ fn scalar_model_agrees(stmts: &[SExpr]) -> ScalarModel {
         };
         assert!(same, "{name}: ran to {got:?}, the model says {want:?}\n{src}");
     }
+    assert_eq!(p.read_int_array("m").unwrap(), model.m, "m\n{src}");
     model
 }
 
