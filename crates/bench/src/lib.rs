@@ -138,7 +138,7 @@ pub fn fig7(ns: &[usize]) -> Figure {
         let defines = [("N", n as i64), ("LOGN", log2_ceil(n).max(1))];
         uc.points.push((n, uc_net_cycles(UC_APSP_N3, UC_APSP_INIT, &defines)));
         let graph = oracle::bench_graph(n);
-        let (result, cycles) = uc_cstar::programs::apsp_n3(&graph, n, PHYS_PROCS);
+        let (result, cycles, _) = uc_cstar::programs::apsp_n3(&graph, n, PHYS_PROCS);
         debug_assert_eq!(result, oracle::floyd_warshall(graph, n));
         cstar.points.push((n, cycles));
     }
@@ -347,11 +347,28 @@ mod tests {
         assert!(news_local > 1.0, "NEWS/local = {news_local}");
     }
 
+    /// UC tracks C\* on Figure 7 as it does on Figure 6: the reduction
+    /// binds `i` and `j` from its coordinates and needs no mask transfer,
+    /// so each round's router traffic is C\*'s two gets and one send.
+    #[test]
+    fn fig7_uc_tracks_cstar() {
+        let fig = golden(include_str!("../tests/golden/fig7.txt"));
+        for (n, ratio) in ratios(&fig, 0, 1) {
+            assert!(ratio < 1.3, "UC/C* = {ratio} at N = {n}");
+        }
+    }
+
+    /// The optimization wins at every N, by an order of magnitude at
+    /// N = 16 384. While 10·N VPs fit on the machine the margin is only
+    /// 1.7x: the un-optimised reduction reads `j` from its coordinate and,
+    /// under a `par` with no mask, transfers none, so it spends no router
+    /// op on either.
     #[test]
     fn procopt_wins() {
         let fig = golden(include_str!("../tests/golden/procopt_ablation.txt"));
         for (n, speedup) in ratios(&fig, 1, 0) {
-            assert!(speedup >= 2.5, "procopt speed-up {speedup} at N = {n}");
+            assert!(speedup >= 1.5, "procopt speed-up {speedup} at N = {n}");
+            assert!(n != 16384 || speedup >= 10.0, "procopt speed-up {speedup} at N = {n}");
         }
     }
 

@@ -670,19 +670,23 @@ impl Machine {
 
     /// `dst[i] = i` (the VP's send address) for active `i`. `dst` must be Int.
     pub fn iota(&mut self, dst: FieldId) -> Result<()> {
-        self.index_map(dst, |_| Ok(|i| i as i64))
+        self.index_map(dst, |_| {
+            Ok(|d: &mut [i64], mask: &[bool]| par::zip_index(d, mask, |i| i as i64))
+        })
     }
 
     /// `dst[i] = coordinate of VP i along axis` for active `i`.
     ///
     /// This is how index-set elements (`i`, `j`, ...) materialise on the
     /// machine: a par over `(I, J)` creates a 2-D VP set and each element
-    /// identifier is the self-coordinate along one axis.
+    /// identifier is the self-coordinate along one axis. The kernel
+    /// ([`par::axis_runs`]) fills runs of equal coordinates and divides
+    /// nowhere per lane.
     pub fn axis_coord(&mut self, dst: FieldId, axis: usize) -> Result<()> {
         self.index_map(dst, |m| {
             let geom = &m.vp(dst.vp)?.geom;
             let (stride, extent) = (geom.stride(axis)?, geom.extent(axis)?);
-            Ok(move |i| ((i / stride) % extent) as i64)
+            Ok(move |d: &mut [i64], mask: &[bool]| par::axis_runs(d, mask, stride, extent))
         })
     }
 
@@ -694,28 +698,30 @@ impl Machine {
             return Err(CmError::DivideByZero);
         }
         self.index_map(dst, |_| {
-            Ok(move |i: usize| {
-                (splitmix64(seed ^ (i as u64).wrapping_mul(0xA24B_AED4_963E_E407))
-                    % modulus as u64) as i64
+            Ok(move |d: &mut [i64], mask: &[bool]| {
+                par::zip_index(d, mask, |i| {
+                    (splitmix64(seed ^ (i as u64).wrapping_mul(0xA24B_AED4_963E_E407))
+                        % modulus as u64) as i64
+                })
             })
         })
     }
 
     /// `dst[i] = f(i)` for active `i`, `dst` an Int field: the shared body
     /// of `iota`, `axis_coord` and `rand_int`. `make` validates the op's
-    /// own operands and builds `f`.
-    fn index_map<F>(&mut self, dst: FieldId, make: impl FnOnce(&Self) -> Result<F>) -> Result<()>
+    /// own operands and builds the kernel, which gets the destination and
+    /// the mask.
+    fn index_map<K>(&mut self, dst: FieldId, make: impl FnOnce(&Self) -> Result<K>) -> Result<()>
     where
-        F: Fn(usize) -> i64 + Sync,
+        K: FnOnce(&mut [i64], &[bool]),
     {
         self.write_with(dst, Write::Active, |m| {
             let size = m.same_vp(&[dst])?;
             m.int_data(dst)?; // type check
-            let f = make(m)?;
+            let kernel = make(m)?;
             m.tick(OpClass::Alu, size)?;
             let (d, peers) = m.split_dst(dst)?;
-            let mask = peers.mask(dst.vp)?;
-            par::zip_index(i64::slice_mut(d), mask, f);
+            kernel(i64::slice_mut(d), peers.mask(dst.vp)?);
             Ok(())
         })
     }

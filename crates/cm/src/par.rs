@@ -3,8 +3,9 @@
 //! Every PE-array macro-instruction is one pass over its operands. Two
 //! kinds of pass live here, and they split their work differently:
 //!
-//! * **Elementwise passes** ([`zip0`]–[`zip3`], [`zip_index`], [`fill`],
-//!   [`gather_masked`], and the NEWS run copies built on
+//! * **Elementwise passes** ([`zip0`]–[`zip3`], [`zip_index`],
+//!   [`axis_runs`], [`fill`], [`gather_masked`], and the NEWS run copies
+//!   built on
 //!   [`for_each_part_mut`]) write each destination position from that
 //!   position's own inputs. [`for_each_part_mut`] is their one driver: it
 //!   hands a kernel disjoint sub-slices of the destination — the whole
@@ -294,7 +295,7 @@ where
     });
 }
 
-/// `dst[i] = f(i)` wherever `mask[i]` (iota, coordinates, per-VP PRNG).
+/// `dst[i] = f(i)` wherever `mask[i]` (iota, per-VP PRNG).
 pub fn zip_index<T, F>(dst: &mut [T], mask: &[bool], f: F)
 where
     T: Copy + Send,
@@ -311,6 +312,51 @@ where
             for ((d, i), &m) in d.iter_mut().zip(r).zip(m) {
                 *d = if m { f(i) } else { *d };
             }
+        }
+    });
+}
+
+/// `dst[i] = (i / stride) % extent` wherever `mask[i]`: the coordinate
+/// along an axis whose later axes span `stride` lanes. Each run of
+/// `stride` lanes shares one coordinate, so a run is a fill — a plain
+/// `fill` where its lanes are all active — and only a part's first lane
+/// divides. On the last axis (`stride == 1`) the coordinate is a counter
+/// that wraps at `extent`.
+pub fn axis_runs(dst: &mut [i64], mask: &[bool], stride: usize, extent: usize) {
+    assert_eq!(dst.len(), mask.len(), "axis_runs mask length mismatch");
+    for_each_part_mut(dst, |r, d| {
+        let len = d.len();
+        if len == 0 {
+            return; // an empty set: `stride` or `extent` may be 0
+        }
+        let m = &mask[r.clone()];
+        let mut coord = ((r.start / stride) % extent) as i64;
+        let extent = extent as i64;
+        if stride == 1 {
+            for (d, &m) in d.iter_mut().zip(m) {
+                *d = if m { coord } else { *d };
+                coord += 1;
+                if coord == extent {
+                    coord = 0;
+                }
+            }
+            return;
+        }
+        let (mut lo, mut hi) = (0, (stride - r.start % stride).min(len));
+        while lo < len {
+            let (run, m) = (&mut d[lo..hi], &m[lo..hi]);
+            if all_active(m) {
+                run.fill(coord);
+            } else {
+                for (d, &m) in run.iter_mut().zip(m) {
+                    *d = if m { coord } else { *d };
+                }
+            }
+            coord += 1;
+            if coord == extent {
+                coord = 0;
+            }
+            (lo, hi) = (hi, (hi + stride).min(len));
         }
     });
 }

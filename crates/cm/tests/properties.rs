@@ -854,6 +854,43 @@ fn select_kernels_match_scalar_reference() {
     }
 }
 
+/// `axis_coord`'s run-filling kernel against `Geometry::axis_coordinate`:
+/// 1-, 2- and 3-D geometries of each threshold size, every axis, every
+/// mask shape. `PAR_THRESHOLD - 1` is prime, so its 2- and 3-D shapes have
+/// unit axes; `3 × 2903` makes parts start inside a run. Inactive lanes
+/// keep their old values.
+#[test]
+fn axis_coord_matches_the_geometry() {
+    let shapes: [&[usize]; 9] = [
+        &[PAR_THRESHOLD - 1],
+        &[1, PAR_THRESHOLD - 1],
+        &[PAR_THRESHOLD - 1, 1, 1],
+        &[PAR_THRESHOLD],
+        &[64, 128],
+        &[16, 32, 16],
+        &[PAR_THRESHOLD + 517],
+        &[3, 2903],
+        &[2903, 1, 3],
+    ];
+    for dims in shapes {
+        let n: usize = dims.iter().product();
+        let geom = Geometry::new(dims).unwrap();
+        let mut t = Bench::new(dims);
+        let old = lanes(ElemType::Int, 5, n);
+        for (mask_name, mask) in masks(n) {
+            for axis in 0..dims.len() {
+                let d = t.field(ElemType::Int, &old);
+                let got = t.masked(&mask, d, |m| m.axis_coord(d, axis)).unwrap();
+                let want = expect_masked(&mask, &old, |i| {
+                    Scalar::Int(geom.axis_coordinate(i, axis).unwrap() as i64)
+                });
+                assert_eq!(got, want, "{dims:?}, axis {axis}, {mask_name} mask");
+                t.free(&[d]);
+            }
+        }
+    }
+}
+
 /// NEWS shifts as block rotations against the per-element neighbour
 /// walk: every border mode, rank, axis and offset class (none, one hop,
 /// the far edge, exactly the extent, beyond it), masked and not, in place

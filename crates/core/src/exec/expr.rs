@@ -77,10 +77,7 @@ impl Program {
             return Ok(PV::Scalar(s));
         }
         match name.to {
-            Ref::Elem(set) => {
-                let (level, field, _) = self.elem_binding(set);
-                self.lift_to_current(field, level)
-            }
+            Ref::Elem(set) => self.elem_value(set),
             Ref::Local(id) => match self.frames.last().expect("frame").locals[id as usize] {
                 Some(LocalVar::ParField { field, level }) => self.lift_to_current(field, level),
                 _ => unreachable!("sema admits `{name}` only as a live per-VP scalar"),

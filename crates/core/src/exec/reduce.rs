@@ -8,7 +8,15 @@
 //!   combine tree);
 //! * inside a parallel construct each enclosing iteration point needs its
 //!   own fold, which compiles to a **combining router send** addressed by
-//!   the enclosing point's linear index (`p / rest`).
+//!   the enclosing point's linear index (`p / rest`). That address is
+//!   built when the reduction's space is entered, before any arm mask, so
+//!   every arm's send can use it.
+//!
+//! The operand reads the enclosing construct's elements from the
+//! reduction space's own coordinates, and inside a construct with no mask
+//! of its own the reduction transfers no mask either (see `space`). So
+//! Figure 5's `$<(K; d[i][k] + d[k][j])` under `par (I, J)` costs what
+//! Figure 10's C\* does in router ops: two gets and one send per round.
 //!
 //! The *processor optimization* of §4 is implemented here too: a
 //! histogram-shaped reduction `$op(I st (key[i] == j) e)` evaluated under
@@ -121,9 +129,8 @@ impl Program {
 
     /// Per-enclosing-point reduction via a combining send.
     fn reduce_into_outer(&mut self, src: FieldId, op: RedOpToken, ty: ElemType) -> RResult<PV> {
-        let outer_level = self.ctx.len() - 2;
-        let outer_vp = self.ctx[outer_level].vp;
-        let addr = self.lift_addr(outer_level)?;
+        let outer_vp = self.ctx[self.ctx.len() - 2].vp;
+        let addr = self.cur_ctx().lift.expect("a nested level has its enclosing point's address");
         let dst = self.machine.alloc(outer_vp, "~red", ty)?;
         let (identity, combine) = identity_combine(op, ty);
         // Pre-fill enabled enclosing points with the identity (so empty

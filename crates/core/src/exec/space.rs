@@ -5,9 +5,20 @@
 //! outer geometry *extended* with the new sets' extents — so outer axes
 //! are a prefix of inner axes, and the linear address of the enclosing
 //! iteration point is simply `p / rest` (`rest` = product of the new
-//! extents). That quotient is how outer-space values (index elements,
-//! par-local variables, activity masks) are *lifted* onto the inner space
-//! with one router gather.
+//! extents). Outer-space values reach the inner space in one of two ways:
+//!
+//! * an element of a contiguous set is an axis coordinate (plus its first
+//!   value) on *every* space that extends the one binding it, so it is
+//!   computed where it is read — ALU ops, no communication;
+//! * an element of an arbitrary list, a per-VP local and the activity
+//!   mask are *lifted*: one router gather through the `p / rest` address.
+//!
+//! The mask is lifted only when the program may have masked the enclosing
+//! level. A level is *full* when no mask is open on any level around it —
+//! no `st`/`others` arm, reduction arm or `solve` step — which is a fact
+//! of the program's syntax, never of a mask's contents: a compiler could
+//! decide it, while reading whether a mask happens to be all-active would
+//! credit the model with a test no compiler gets for free.
 
 use std::sync::Arc;
 
@@ -38,31 +49,41 @@ pub struct ParCtx {
     pub(crate) elems: Vec<(SetId, FieldId, ElemForm)>,
     /// Fields to free when the level pops.
     pub(crate) owned: Vec<FieldId>,
-    /// Number of context pushes to undo when the level pops.
-    pub(crate) pushes: usize,
-    /// Lift-address fields by ancestor level index.
-    pub(crate) lift_cache: Vec<(usize, FieldId)>,
+    /// Every VP of the space is active, statically: there is no enclosing
+    /// level, or the enclosing level is full and had no mask of its own
+    /// pushed. A full level pushed no context; any other pushed the
+    /// enclosing mask, and pops it.
+    pub(crate) full: bool,
+    /// Each VP's address in the enclosing level's space (`p / rest`),
+    /// valid on every VP; `None` at the outermost level.
+    pub(crate) lift: Option<FieldId>,
 }
 
-/// A popped [`ParCtx`]'s buffers — `dims`, `elems`, `owned` and
-/// `lift_cache`, cleared — so entering a construct allocates nothing.
-pub(crate) type CtxBuffers =
-    (Vec<usize>, Vec<(SetId, FieldId, ElemForm)>, Vec<FieldId>, Vec<(usize, FieldId)>);
+/// A popped [`ParCtx`]'s buffers — `dims`, `elems` and `owned`, cleared —
+/// so entering a construct allocates nothing.
+pub(crate) type CtxBuffers = (Vec<usize>, Vec<(SetId, FieldId, ElemForm)>, Vec<FieldId>);
 
 impl Program {
     /// Push a new parallel-context level for the given index sets,
-    /// transferring the enclosing enabled set onto the extended space.
+    /// transferring the enclosing enabled set onto the extended space
+    /// unless the enclosing level is statically full.
     ///
     /// Returns the level index (for symmetric [`Program::pop_space`]).
     pub(crate) fn push_space(&mut self, sets: &[SetId]) -> RResult<usize> {
-        let (mut dims, elems, owned, lift_cache) = self.ctx_spare.pop().unwrap_or_default();
+        let (mut dims, elems, owned) = self.ctx_spare.pop().unwrap_or_default();
         let outer_dims = self.ctx.last().map_or(&[][..], |c| &c.dims);
         let outer_rank = outer_dims.len();
         dims.extend_from_slice(outer_dims);
         dims.extend(sets.iter().map(|&s| self.checked.sets[s].elements.len()));
         let vp = self.space_vp(&dims)?;
+        // The depth counts the masks the program pushed on the enclosing
+        // space — arms, reduction arms, `solve` steps — whatever they hold.
+        let full = match self.ctx.last() {
+            Some(outer) => outer.full && self.machine.context_depth(outer.vp)? == 1,
+            None => true,
+        };
 
-        let mut level = ParCtx { vp, dims, elems, owned, pushes: 0, lift_cache };
+        let mut level = ParCtx { vp, dims, elems, owned, full, lift: None };
         let dims = &level.dims;
 
         // Bind each set's element as a field on the new space. Done
@@ -87,17 +108,7 @@ impl Program {
                 None => {
                     let field = self.machine.alloc_int(vp, &info.elem)?;
                     match form {
-                        ElemForm::AxisPlus { lo, .. } => {
-                            self.machine.axis_coord(field, axis)?;
-                            if lo != 0 {
-                                self.machine.binop_imm(
-                                    BinOp::Add,
-                                    field,
-                                    field,
-                                    Scalar::Int(lo),
-                                )?;
-                            }
-                        }
+                        ElemForm::AxisPlus { lo, .. } => self.coordinate(field, axis, lo)?,
                         ElemForm::Opaque => {
                             // Arbitrary list: front-end table write.
                             let size: usize = dims.iter().product();
@@ -117,36 +128,38 @@ impl Program {
             level.elems.push((set, field, form));
         }
 
-        // Transfer the outer activity mask, if any, onto this space.
+        // The address of the enclosing point, also built on the base
+        // context, so it is valid on every VP: a reduction's combining
+        // send and each lift of a per-VP local use it under any mask.
         if let Some(outer) = self.ctx.last() {
             let outer_vp = outer.vp;
             let rest: usize = level.dims[outer_rank..].iter().product();
-            let outer_mask = self.machine.alloc_bool(outer_vp, "~outmask")?;
-            self.machine.read_context(outer_mask)?;
-            let addr = self.machine.alloc_int(vp, "~liftaddr")?;
-            self.machine.iota(addr)?;
-            self.machine.binop_imm(BinOp::Div, addr, addr, Scalar::Int(rest as i64))?;
-            let lifted = self.machine.alloc_bool(vp, "~inmask")?;
-            self.machine.get(lifted, addr, outer_mask)?;
-            self.machine.push_context(lifted)?;
-            level.pushes += 1;
-            self.machine.free(outer_mask)?;
-            self.machine.free(lifted)?;
-            level.owned.push(addr); // keep: doubles as lift cache below
-            level.lift_cache.push((self.ctx.len() - 1, addr));
+            let addr = self.level_addr(vp, rest)?;
+            level.owned.push(addr);
+            level.lift = Some(addr);
+            // Transfer the enclosing activity mask onto this space.
+            if !full {
+                let outer_mask = self.machine.alloc_bool(outer_vp, "~outmask")?;
+                self.machine.read_context(outer_mask)?;
+                let lifted = self.machine.alloc_bool(vp, "~inmask")?;
+                self.machine.get(lifted, addr, outer_mask)?;
+                self.machine.push_context(lifted)?;
+                self.machine.free(outer_mask)?;
+                self.machine.free(lifted)?;
+            }
         }
 
         self.ctx.push(level);
         Ok(self.ctx.len() - 1)
     }
 
-    /// Pop a parallel-context level, undoing its context pushes and
-    /// freeing its fields.
+    /// Pop a parallel-context level, undoing its context push and freeing
+    /// its fields.
     pub(crate) fn pop_space(&mut self, level: usize) -> RResult<()> {
         debug_assert_eq!(level + 1, self.ctx.len(), "unbalanced space push/pop");
-        let ParCtx { vp, mut dims, mut elems, mut owned, pushes, mut lift_cache } =
+        let ParCtx { vp, mut dims, mut elems, mut owned, full, .. } =
             self.ctx.pop().expect("pop_space on empty stack");
-        for _ in 0..pushes {
+        if !full {
             self.machine.pop_context(vp)?;
         }
         for f in owned.drain(..) {
@@ -154,9 +167,36 @@ impl Program {
         }
         dims.clear();
         elems.clear();
-        lift_cache.clear();
-        self.ctx_spare.push((dims, elems, owned, lift_cache));
+        self.ctx_spare.push((dims, elems, owned));
         Ok(())
+    }
+
+    /// `field = coordinate along axis + lo` under the current mask: the
+    /// value of a contiguous set's element.
+    fn coordinate(&mut self, field: FieldId, axis: usize, lo: i64) -> RResult<()> {
+        self.machine.axis_coord(field, axis)?;
+        if lo != 0 {
+            self.machine.binop_imm(BinOp::Add, field, field, Scalar::Int(lo))?;
+        }
+        Ok(())
+    }
+
+    /// The value of the element of `set` (a `Ref::Elem`) on the current
+    /// space. An enclosing level's contiguous element is computed here,
+    /// under the current mask, as an owned temporary: the enclosing axes
+    /// are a prefix of this space's, so its coordinate is this space's
+    /// coordinate along the same axis. A list element is lifted.
+    pub(crate) fn elem_value(&mut self, set: u32) -> RResult<PV> {
+        let (level, field, form) = self.elem_binding(set);
+        match form {
+            ElemForm::AxisPlus { axis, lo } if level + 1 < self.ctx.len() => {
+                let vp = self.cur_ctx().vp;
+                let dst = self.machine.alloc_result(vp, "~elem", ElemType::Int)?;
+                self.coordinate(dst, axis, lo)?;
+                Ok(PV::owned(dst))
+            }
+            _ => self.lift_to_current(field, level),
+        }
     }
 
     /// The binding of the element of `set` (a `Ref::Elem`): the innermost
@@ -180,32 +220,34 @@ impl Program {
             return Ok(PV::Field { id: field, owned: false });
         }
         debug_assert!(from_level < cur_level);
-        let addr = self.lift_addr(from_level)?;
-        let cur_vp = self.ctx[cur_level].vp;
+        let cur = &self.ctx[cur_level];
+        let vp = cur.vp;
+        // The enclosing level's address is the level's own. One to an
+        // ancestor further out is built under the current mask, so it
+        // holds only on this mask's lanes: it serves this get and goes.
+        let kept = cur.lift.filter(|_| from_level + 1 == cur_level);
+        let addr = match kept {
+            Some(addr) => addr,
+            None => {
+                let rest = cur.dims[self.ctx[from_level].dims.len()..].iter().product();
+                self.level_addr(vp, rest)?
+            }
+        };
         let ty = self.machine.elem_type(field)?;
-        let dst = self.machine.alloc_result(cur_vp, "~lift", ty)?;
+        let dst = self.machine.alloc_result(vp, "~lift", ty)?;
         self.machine.get(dst, addr, field)?;
+        if kept.is_none() {
+            self.machine.free(addr)?;
+        }
         Ok(PV::owned(dst))
     }
 
-    /// The (cached) lift-address field on the current space addressing
-    /// ancestor level `from_level`.
-    pub(crate) fn lift_addr(&mut self, from_level: usize) -> RResult<FieldId> {
-        let cur_level = self.ctx.len() - 1;
-        let cached = self.ctx[cur_level].lift_cache.iter().find(|&&(l, _)| l == from_level);
-        if let Some(&(_, f)) = cached {
-            return Ok(f);
-        }
-        let cur = &self.ctx[cur_level];
-        let anc = &self.ctx[from_level];
-        let rest: usize = cur.dims[anc.dims.len()..].iter().product();
-        let vp = cur.vp;
-        let addr = self.machine.alloc_int(vp, "~liftaddr")?;
+    /// `p / rest` on `vp` under its current mask: each VP's address in the
+    /// space that `vp`'s extends by `rest` points.
+    fn level_addr(&mut self, vp: VpSetId, rest: usize) -> RResult<FieldId> {
+        let addr = self.machine.alloc_result(vp, "~liftaddr", ElemType::Int)?;
         self.machine.iota(addr)?;
         self.machine.binop_imm(BinOp::Div, addr, addr, Scalar::Int(rest as i64))?;
-        let cur = &mut self.ctx[cur_level];
-        cur.owned.push(addr);
-        cur.lift_cache.push((from_level, addr));
         Ok(addr)
     }
 

@@ -417,3 +417,18 @@ fn a_store_in_a_callee_of_an_arm_drops_the_steps_gathers() {
     "#);
     assert_eq!(poke.read_int_array("x").unwrap(), vec![100, 1, 2, 3]);
 }
+
+/// A value two levels out, read under `st` and then under `others`: a
+/// per-VP local (`a`, lifted) and an element (`b`, computed from the
+/// coordinate) hold under both arms, and a reduction's arms each reach
+/// their enclosing point (`s`). An address to the grandparent built under
+/// the `st` mask holds only on that mask's lanes, so it must not serve
+/// `others`: `a` and `b` would read `[.., 100, 1, 100, 1]`.
+#[test]
+fn values_of_enclosing_levels_hold_under_every_arm() {
+    let p = run(include_str!("../../../tests/corpus/lift_under_arms.uc"));
+    let expect = [0, 1, 0, 1, 100, 101, 100, 101];
+    assert_eq!(p.read_int_array("a").unwrap(), expect);
+    assert_eq!(p.read_int_array("b").unwrap(), expect);
+    assert_eq!(p.read_int_array("s").unwrap(), [1000, 1001, 1010, 1011]);
+}

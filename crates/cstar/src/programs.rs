@@ -6,6 +6,7 @@
 //! simulated cycles of the computation proper (initialisation excluded,
 //! as in the paper's timing methodology).
 
+use uc_cm::cost::OpCounters;
 use uc_cm::{BinOp, Combine};
 
 use crate::dsl::CStar;
@@ -56,7 +57,11 @@ pub fn apsp_n2(dist: &[i64], n: usize, phys_procs: usize) -> (Vec<i64>, u64) {
 /// broadcast back. With full N³ relaxation the matrix converges in
 /// ⌈log₂N⌉ rounds (the iteration count the UC program of Figure 5 uses;
 /// the appendix text loops N times, which only repeats converged work).
-pub fn apsp_n3(dist: &[i64], n: usize, phys_procs: usize) -> (Vec<i64>, u64) {
+/// Beside the cycles it returns the op counts they are made of. Each
+/// round is five ALU calls, two gets and one send; a call with an
+/// immediate counts as two ALU ops (the broadcast and the op), so a round
+/// is seven ALU ops and three router ops.
+pub fn apsp_n3(dist: &[i64], n: usize, phys_procs: usize) -> (Vec<i64>, u64, OpCounters) {
     assert_eq!(dist.len(), n * n);
     let mut cs = CStar::new(phys_procs);
     // The 2-D result domain.
@@ -94,8 +99,8 @@ pub fn apsp_n3(dist: &[i64], n: usize, phys_procs: usize) -> (Vec<i64>, u64) {
         cs.binop(BinOp::Add, ik, ik, kj).unwrap();
         cs.send(len, out_addr, ik, Combine::Min).unwrap();
     }
-    let cycles = cs.cycles();
-    (cs.read(len).unwrap(), cycles)
+    let (cycles, counters) = (cs.cycles(), cs.machine().counters());
+    (cs.read(len).unwrap(), cycles, counters)
 }
 
 /// The grid-goal relaxation of §5 (Figure 8's parallel series), written
@@ -243,7 +248,7 @@ mod tests {
     fn apsp_n3_matches_floyd_warshall() {
         for n in [4usize, 8, 11] {
             let d = graph(n);
-            let (got, cycles) = apsp_n3(&d, n, 16 * 1024);
+            let (got, cycles, _) = apsp_n3(&d, n, 16 * 1024);
             assert_eq!(got, floyd(d, n), "n={n}");
             assert!(cycles > 0);
         }
@@ -254,7 +259,7 @@ mod tests {
         let n = 16usize;
         let d = graph(n);
         let (r2, _c2) = apsp_n2(&d, n, 16 * 1024);
-        let (r3, _c3) = apsp_n3(&d, n, 16 * 1024);
+        let (r3, ..) = apsp_n3(&d, n, 16 * 1024);
         assert_eq!(r2, r3);
     }
 

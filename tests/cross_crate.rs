@@ -12,6 +12,7 @@ use support::{
     Nest, Operand, RankStmt, SExpr, SVal, ScalarModel, ScopeModel, Target, POOL, SCALARS, SETS,
     VARS,
 };
+use uc::cm::cost::OpCounters;
 use uc::cstar::programs;
 use uc::lang::analysis::{check_source, LintConfig};
 use uc::lang::Program;
@@ -34,7 +35,7 @@ fn apsp_uc_equals_cstar_equals_oracle() {
 
         let (cstar2, _) = programs::apsp_n2(&graph, n, PHYS);
         assert_eq!(cstar2, oracle_d, "C* N2, n={n}");
-        let (cstar3, _) = programs::apsp_n3(&graph, n, PHYS);
+        let (cstar3, ..) = programs::apsp_n3(&graph, n, PHYS);
         assert_eq!(cstar3, oracle_d, "C* N3, n={n}");
 
         let src = format!(
@@ -476,6 +477,46 @@ fn cm_counters_reflect_communication_classes() {
         p.read_int_array("b").unwrap(),
         p2.read_int_array("b").unwrap()
     );
+}
+
+/// `(to - from) / k`, class by class; each difference must divide.
+fn per(from: &OpCounters, to: &OpCounters, k: u64) -> OpCounters {
+    let each = |f: fn(&OpCounters) -> u64| {
+        let d = f(to) - f(from);
+        assert_eq!(d % k, 0, "{from:?} → {to:?} is not {k} equal steps");
+        d / k
+    };
+    OpCounters {
+        alu: each(|c| c.alu),
+        context: each(|c| c.context),
+        news: each(|c| c.news),
+        router: each(|c| c.router),
+        scan: each(|c| c.scan),
+        front_end: each(|c| c.front_end),
+    }
+}
+
+/// The figure programs op for op. One more round of fig7's `apsp_n3.uc`
+/// issues C\*'s router traffic — Figure 10's two gets and one send — and
+/// no context op: the reduction binds `i` and `j` from its coordinates and
+/// transfers no mask out of the unmasked `par`. What is left is ALU work:
+/// 26 ops against C\*'s 7 (five calls, two of them with an immediate,
+/// which the machine charges as a broadcast and the op). A k-step of
+/// fig6's `apsp_n2.uc` is 15 ALU, 2 router and 2 context ops.
+#[test]
+fn figure_programs_issue_cstars_router_ops_per_round() {
+    let n3 = include_str!("../crates/bench/programs/apsp_n3.uc");
+    let counts = |src, defines: &[(&str, i64)]| run_uc(src, defines).machine().counters();
+    let round = per(&counts(n3, &[("LOGN", 3)]), &counts(n3, &[("LOGN", 4)]), 1);
+    let only = |alu, router, context| OpCounters { alu, router, context, ..Default::default() };
+    assert_eq!(round, only(26, 3, 0));
+    // C* runs ⌈log₂ N⌉ = 3 rounds at N = 8 after three ALU ops of setup.
+    let (.., cstar) = programs::apsp_n3(&oracle::bench_graph(8), 8, PHYS);
+    assert_eq!(per(&only(3, 0, 0), &cstar, 3), only(7, round.router, 0));
+
+    let n2 = include_str!("../crates/bench/programs/apsp_n2.uc");
+    let init = include_str!("../crates/bench/programs/apsp_init.uc");
+    assert_eq!(per(&counts(init, &[]), &counts(n2, &[]), 8), only(15, 2, 2));
 }
 
 /// A program has one tally: its cold run, a second run, and that run
