@@ -12,15 +12,17 @@
 //! one to it is a sema error.
 //!
 //! Conservative suppressions keep the lint quiet on correct programs:
-//! values combined by a reduction bind their own elements (not free), and
-//! a store guarded by a predicate that mentions the offending element is
-//! assumed to narrow the context (e.g. `st (i == 0)`).
+//! values combined by a reduction bind their own elements (not free), a
+//! location subscripted by a per-VP local (`sorted[rank]`) varies with
+//! every `par` element in scope, and a store guarded by a predicate that
+//! mentions the offending element is assumed to narrow the context
+//! (e.g. `st (i == 0)`).
 
 use std::collections::HashSet;
 
 use super::{Finding, Pass};
 use crate::ast::*;
-use crate::sema::Checked;
+use crate::sema::{Checked, FuncInfo, LocalKind};
 use crate::span::Span;
 
 pub(crate) struct RacePass;
@@ -39,6 +41,8 @@ enum BinderKind {
 
 struct Walker<'c> {
     checked: &'c Checked,
+    /// The walked function's locals: which are per-VP.
+    info: &'c FuncInfo,
     /// Innermost-last element binders: the set whose element each open
     /// construct or reduction binds (what a `Ref::Elem` names). A `seq`
     /// binds none — its element is a front-end local.
@@ -59,9 +63,10 @@ impl Pass for RacePass {
     }
 
     fn run(&self, checked: &Checked, out: &mut Vec<Finding>) {
-        for f in checked.funcs_in_order() {
+        for (f, info) in checked.funcs_in_order().zip(&checked.func_infos) {
             let mut w = Walker {
                 checked,
+                info,
                 binders: Vec::new(),
                 guards: Vec::new(),
                 par_depth: 0,
@@ -168,6 +173,16 @@ impl Walker<'_> {
         let mut loc_elems = HashSet::new();
         for s in subs {
             self.free_par_elems(s, &mut loc_elems);
+            // A per-VP local holds a value per virtual processor, so a
+            // location it selects varies with every `par` element in scope.
+            let locals = &self.info.locals;
+            if s.any(&mut |x| {
+                matches!(x, Expr::Ident(Name { to: Ref::Local(id), .. }, _)
+                    if locals[*id as usize].kind == LocalKind::PerVp)
+            }) {
+                let par = self.binders.iter().filter(|(_, k)| *k == BinderKind::Par);
+                loc_elems.extend(par.map(|&(set, _)| set));
+            }
         }
         let target_text = crate::pretty::access(&base.text, subs);
         let mut val_elems = HashSet::new();
@@ -277,6 +292,22 @@ mod tests {
             "index_set I:i = {0..7};\nint a[8];\nmain() { par (I) { int t; t = i; a[i] = t; } }",
         );
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn a_per_vp_subscript_varies_with_every_element() {
+        // `rank` differs per element (a ranksort): no two store together.
+        let f = findings(
+            "index_set I:i = {0..7}, J:j = I;\nint a[8], sorted[8];\n\
+             main() { par (I) { int rank; rank = $+(J st (a[j] < a[i]) 1); \
+             sorted[rank] = a[i]; } }",
+        );
+        assert!(f.is_empty(), "{f:?}");
+        // A front-end local is one value for every element: still a race.
+        let f = findings(
+            "index_set I:i = {0..7};\nint a[8];\nmain() { int k; k = 0; par (I) a[k] = i; }",
+        );
+        assert_eq!(codes_of(&f), vec!["UC101"]);
     }
 
     #[test]

@@ -111,20 +111,14 @@ impl Default for ExecLimits {
     }
 }
 
-/// How aggressively the IR optimizer may rewrite the program.
+/// A vestige of the removed second pipeline: one variant, read by no
+/// one. `benchmark/src/bin/ucprobe.rs` still names `IrOpt::Balanced`
+/// and passes it to [`crate::ir::lower_program`]; ROADMAP item 11(c)
+/// deletes this type together with the probe's import.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IrOpt {
-    /// Cycle-preserving passes only (constant folding, dead-store
-    /// elimination, jump threading on front-end instructions, which
-    /// charge no simulated cycles). The default.
+    /// The one pipeline every program is compiled by.
     Balanced,
-    /// Additionally rewrite parallel constructs: dead-context
-    /// elimination (drop constant-false `st` arms, strip constant-true
-    /// predicates) and communication coalescing (merge adjacent `par`
-    /// constructs over the same index sets into one space setup). These
-    /// remove charged machine operations, so cycle counts may drop;
-    /// results are unchanged. `uc run|check --ir-opt aggressive`.
-    Aggressive,
 }
 
 /// Executor configuration.
@@ -145,8 +139,6 @@ pub struct ExecConfig {
     pub constfold: bool,
     /// Resource budgets (fuel, memory, recursion, loop caps, deadline).
     pub limits: ExecLimits,
-    /// IR optimization level.
-    pub ir_opt: IrOpt,
 }
 
 impl Default for ExecConfig {
@@ -158,7 +150,6 @@ impl Default for ExecConfig {
             procopt: true,
             constfold: true,
             limits: ExecLimits::default(),
-            ir_opt: IrOpt::Balanced,
         }
     }
 }
@@ -463,8 +454,7 @@ impl Program {
             return Err(diags);
         }
         let globals = global_scalars(&checked);
-        let global_index = (checked.global_names.iter().cloned()).zip(0u32..).collect();
-        let ir = crate::ir::lower_program(&checked, &global_index, config.ir_opt);
+        let ir = crate::ir::lower_program(&checked, &HashMap::new(), IrOpt::Balanced);
         // The VM is the only executor, so a function the lowering gave up
         // on (`body: None`) cannot run at all.
         let unlowered = checked.funcs_in_order().zip(&ir.funcs).find(|(_, f)| f.body.is_none());
@@ -524,7 +514,7 @@ impl Program {
     /// The optimized register IR in its stable text form (`uc run
     /// --emit ir`). See [`crate::ir`] for the format.
     pub fn emit_ir(&self) -> String {
-        crate::ir::text::render(&self.ir)
+        crate::ir::text::render(&self.ir, &self.checked)
     }
 
     fn allocate_arrays(&mut self, maps: &[(String, ArrayMapping)]) -> RResult<()> {

@@ -53,31 +53,20 @@ use crate::stdlib::Builtin;
 const MAX_INLINE_TREE_DEPTH: usize = 96;
 
 /// Lower every function of a checked program.
+///
+/// `global_index` and `opt` are read by no one: global slots are sema's
+/// (`Checked::global_names` order) and there is one pipeline.
+/// `benchmark/src/bin/ucprobe.rs` still passes both; ROADMAP item 11(c)
+/// drops them together with the probe's call.
 pub fn lower_program(
     checked: &Checked,
-    global_index: &HashMap<String, u32>,
-    opt: IrOpt,
+    _global_index: &HashMap<String, u32>,
+    _opt: IrOpt,
 ) -> IrProgram {
-    // Only the aggressive rewrites mutate the AST; otherwise lower the
-    // checked bodies where they are.
-    let rewritten: Vec<FuncDef>;
-    let funcs_src: Vec<&FuncDef> = if opt == IrOpt::Aggressive {
-        rewritten = checked
-            .funcs_in_order()
-            .map(|f| {
-                let mut f = f.clone();
-                super::passes::aggressive_rewrite(&mut f);
-                f
-            })
-            .collect();
-        rewritten.iter().collect()
-    } else {
-        checked.funcs_in_order().collect()
-    };
-    let rets: Vec<Type> = funcs_src.iter().map(|f| f.ret).collect();
-    let mut funcs = Vec::with_capacity(funcs_src.len());
+    let rets: Vec<Type> = checked.funcs_in_order().map(|f| f.ret).collect();
+    let mut funcs = Vec::with_capacity(rets.len());
     let mut inline_ok = true;
-    for (f, info) in funcs_src.iter().zip(&checked.func_infos) {
+    for (f, info) in checked.funcs_in_order().zip(&checked.func_infos) {
         let (func, stats) = Lowerer::new(checked, info, &rets, f.ret).run(f);
         inline_ok &= func.body.is_some()
             && !stats.tree_user_call
@@ -85,13 +74,7 @@ pub fn lower_program(
         funcs.push(func);
     }
     funcs.iter_mut().for_each(super::passes::optimize);
-    let mut global_names = vec![String::new(); global_index.len()];
-    for (n, &i) in global_index {
-        global_names[i as usize] = n.clone();
-    }
-    let set_names = checked.sets.iter().map(|s| s.name.clone()).collect();
-    let array_names = checked.array_names.clone();
-    IrProgram { funcs, global_names, array_names, set_names, opt, inline_ok }
+    IrProgram { funcs, inline_ok }
 }
 
 /// Inline-eligibility facts gathered while lowering one function.

@@ -62,15 +62,14 @@
 //! known conditions, dead-store elimination on expression temporaries,
 //! and unreachable-code removal. None of these removes or reorders a
 //! charged instruction (an element access, a tree escape), so results,
-//! simulated cycles, and errors do not depend on them
-//! ([`IrOpt::Balanced`], the default).
-//! [`IrOpt::Aggressive`] additionally rewrites parallel constructs at
-//! the AST level before lowering — dead-context elimination and
-//! communication coalescing — which removes *charged* machine
-//! operations: results are unchanged but cycle counts may drop.
+//! simulated cycles, and errors do not depend on them. There is one
+//! pipeline: nothing rewrites a parallel construct before lowering, and
+//! what the machine is charged for is the program as written (and as
+//! mapped, §4).
 //!
 //! `uc run --emit ir` (and `uc check --emit ir`) print the program in
-//! the stable text form produced by [`text::render`].
+//! the stable text form produced by [`text::render`], which takes its
+//! names from sema's tables.
 
 pub mod lower;
 pub mod passes;
@@ -81,7 +80,6 @@ pub use lower::lower_program;
 use uc_cm::Scalar;
 
 use crate::ast::{BinaryOp, Expr, LocalId, Ref, SetId, Stmt, UnaryOp};
-use crate::exec::IrOpt;
 use crate::span::Span;
 
 /// Register index. Slots `0..n_perm` are parameters, named locals and
@@ -270,14 +268,6 @@ pub struct IrFunc {
 pub struct IrProgram {
     /// In `Checked::funcs_in_order` order: a `Callee::Func` indexes both.
     pub funcs: Vec<IrFunc>,
-    /// Global scalar names in index order (for rendering).
-    pub global_names: Vec<String>,
-    /// Global array names by `Ref::Array` id (for rendering).
-    pub array_names: Vec<String>,
-    /// Index-set names by [`SetId`] (for rendering).
-    pub set_names: Vec<String>,
-    /// Optimization level the program was lowered at.
-    pub opt: IrOpt,
     /// Whether the whole program may run on the caller's thread: every
     /// function lowered, no user calls inside tree escapes (a call from a
     /// parallel construct or a reduction re-enters the VM natively, once

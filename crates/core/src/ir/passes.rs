@@ -1,24 +1,17 @@
-//! Per-instruction optimization passes over lowered bodies, plus the
-//! aggressive AST-level rewrites.
+//! Per-instruction optimization passes over lowered bodies.
 //!
-//! The instruction passes ([`optimize`]) rewrite only *uncharged*
-//! front-end instructions, so under [`IrOpt::Balanced`] results,
-//! simulated cycles, fuel, and errors are exactly those of the
-//! unoptimized instruction stream. The AST rewrites ([`aggressive_rewrite`], run only under
-//! [`IrOpt::Aggressive`]) remove charged machine work — dead-context
-//! elimination and communication coalescing — so cycle counts may drop;
-//! results of error-free programs are unchanged, but a program whose
-//! only error was raised inside an eliminated dead arm may now succeed.
-//!
-//! [`IrOpt::Balanced`]: crate::exec::IrOpt::Balanced
-//! [`IrOpt::Aggressive`]: crate::exec::IrOpt::Aggressive
+//! The passes ([`optimize`]) rewrite only *uncharged* front-end
+//! instructions, so results, simulated cycles, fuel and errors are
+//! exactly those of the unoptimized instruction stream. Nothing here
+//! removes machine work: what a parallel construct costs is decided by
+//! the program and its map section (§4), not by a compiler setting.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use uc_cm::{ElemType, Scalar};
 
 use super::{Instr, IrBody, IrFunc, Reg};
-use crate::ast::{BinaryOp, Block, Expr, FuncDef, Stmt, UcKind, UcStmt};
+use crate::ast::BinaryOp;
 use crate::exec::{coerce_scalar, scalar_abs, scalar_binary, scalar_minmax, scalar_unary};
 use crate::stdlib;
 
@@ -230,137 +223,4 @@ fn compact(body: &mut IrBody) {
         }
         code.push(ins);
     }
-}
-
-// ---- aggressive AST rewrites ------------------------------------------
-
-/// Rewrite parallel constructs before lowering ([`crate::exec::IrOpt::Aggressive`]
-/// only): drop `par` arms with literally-false predicates whose bodies
-/// have no front-end effects (dead-context elimination), strip
-/// literally-true predicates, and merge adjacent compatible `par`
-/// statements over the same index sets (communication coalescing).
-pub(crate) fn aggressive_rewrite(f: &mut FuncDef) {
-    rewrite_block(&mut f.body);
-}
-
-fn rewrite_block(b: &mut Block) {
-    for s in &mut b.stmts {
-        rewrite_stmt(s);
-    }
-    coalesce(&mut b.stmts);
-}
-
-fn rewrite_stmt(s: &mut Stmt) {
-    match s {
-        Stmt::Block(b) => rewrite_block(b),
-        Stmt::If { then_branch, else_branch, .. } => {
-            rewrite_stmt(then_branch);
-            if let Some(e) = else_branch {
-                rewrite_stmt(e);
-            }
-        }
-        Stmt::While { body, .. } | Stmt::For { body, .. } => rewrite_stmt(body),
-        Stmt::Uc(uc) => {
-            for arm in &mut uc.arms {
-                rewrite_stmt(&mut arm.body);
-            }
-            if let Some(o) = &mut uc.others {
-                rewrite_stmt(o);
-            }
-            rewrite_uc(uc);
-            // Every arm eliminated and nothing left to mask: the whole
-            // construct — space setup included — does no work.
-            if uc.kind == UcKind::Par && uc.arms.is_empty() && uc.others.is_none() {
-                *s = Stmt::Empty;
-            }
-        }
-        _ => {}
-    }
-}
-
-fn rewrite_uc(uc: &mut UcStmt) {
-    if uc.kind != UcKind::Par {
-        // `oneof` arm selection and `seq`/`solve` arm handling depend on
-        // the arm list itself; leave them alone.
-        return;
-    }
-    // Dead-context elimination: a literally-false predicate masks every
-    // write in the arm body, so if the body also has no front-end
-    // effects (calls, scalar assignments, declarations, control flow)
-    // the whole arm — predicate broadcast included — is dead.
-    uc.arms.retain(|arm| {
-        match arm.pred.as_ref().and_then(lit_truth) {
-            Some(false) => !droppable_stmt(&arm.body),
-            _ => true,
-        }
-    });
-    // A literally-true predicate is the full mask; with no `others`
-    // clause (whose mask is the OR-complement of *predicated* arms) and
-    // no `*` iteration (whose termination test ORs predicated arms'
-    // masks) the predicate broadcast is pure overhead.
-    if uc.others.is_none() && !uc.star {
-        for arm in &mut uc.arms {
-            if arm.pred.as_ref().and_then(lit_truth) == Some(true) {
-                arm.pred = None;
-            }
-        }
-    }
-}
-
-/// Merge `par (I) A; par (I) B;` into `par (I) { A-arms, B-arms }` when
-/// the second statement's arms are unpredicated and neither has an
-/// `others` clause or `*` iteration. `run_arms` evaluates all predicates
-/// before any body, so appending predicate-free arms preserves the
-/// exact evaluation order while saving a space push/pop.
-fn coalesce(stmts: &mut Vec<Stmt>) {
-    let mut i = 0;
-    while i + 1 < stmts.len() {
-        let can = match (&stmts[i], &stmts[i + 1]) {
-            (Stmt::Uc(a), Stmt::Uc(b)) => {
-                a.kind == UcKind::Par
-                    && b.kind == UcKind::Par
-                    && !a.star
-                    && !b.star
-                    && a.sets == b.sets
-                    && a.others.is_none()
-                    && b.others.is_none()
-                    && b.arms.iter().all(|arm| arm.pred.is_none())
-            }
-            _ => false,
-        };
-        if can {
-            let Stmt::Uc(b) = stmts.remove(i + 1) else { unreachable!() };
-            let Stmt::Uc(a) = &mut stmts[i] else { unreachable!() };
-            a.arms.extend(b.arms);
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// Truthiness of a predicate built purely from literals — no names, so
-/// no shadowing or runtime-value concerns.
-fn lit_truth(e: &Expr) -> Option<bool> {
-    crate::opt::eval_pure(e, |_| None).ok().map(|s| s.as_bool())
-}
-
-/// Whether a masked-false arm body is free of front-end effects: only
-/// blocks and expression statements, no calls (user calls and `rand()`
-/// run unmasked on the front end), and assignments only through array
-/// subscripts (scalar assignments are unmasked).
-fn droppable_stmt(s: &Stmt) -> bool {
-    match s {
-        Stmt::Empty => true,
-        Stmt::Block(b) => b.stmts.iter().all(droppable_stmt),
-        Stmt::Expr(e) => droppable_expr(e),
-        _ => false,
-    }
-}
-
-fn droppable_expr(e: &Expr) -> bool {
-    !e.any(&mut |x| match x {
-        Expr::Call { .. } => true,
-        Expr::Assign { target, .. } => !matches!(**target, Expr::Index { .. }),
-        _ => false,
-    })
 }

@@ -12,25 +12,18 @@ use uc_cm::Scalar;
 
 use super::{Instr, IrBody, IrFunc, IrProgram, Reg};
 use crate::ast::Ref;
-use crate::exec::IrOpt;
 use crate::pretty;
+use crate::sema::Checked;
 use crate::span::Span;
 
-/// Render a whole program.
-pub fn render(p: &IrProgram) -> String {
+/// Render a whole program; names come from the tables of the `checked`
+/// program it was lowered from.
+pub fn render(p: &IrProgram, checked: &Checked) -> String {
     let mut out = String::new();
-    let opt = match p.opt {
-        IrOpt::Balanced => "balanced",
-        IrOpt::Aggressive => "aggressive",
-    };
-    let _ = writeln!(
-        out,
-        ";; uc register ir, opt={opt}, inline={}",
-        if p.inline_ok { "yes" } else { "no" }
-    );
-    if !p.global_names.is_empty() {
+    let _ = writeln!(out, ";; uc register ir, inline={}", if p.inline_ok { "yes" } else { "no" });
+    if !checked.global_names.is_empty() {
         let _ = write!(out, ";; globals:");
-        for (i, n) in p.global_names.iter().enumerate() {
+        for (i, n) in checked.global_names.iter().enumerate() {
             let _ = write!(out, " g{i}={n}");
         }
         out.push('\n');
@@ -53,7 +46,7 @@ pub fn render(p: &IrProgram) -> String {
             Some(body) => {
                 let mut owner = Span::default();
                 for (i, (ins, &span)) in body.code.iter().zip(&body.spans).enumerate() {
-                    let _ = write!(out, "  {i:>4}  {}", instr(ins, f, body, p));
+                    let _ = write!(out, "  {i:>4}  {}", instr(ins, f, body, checked));
                     if span != owner && span != Span::default() {
                         let _ = write!(out, "  ; {span}");
                     }
@@ -79,7 +72,7 @@ fn frag(s: &str) -> String {
     s.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
-fn instr(ins: &Instr, f: &IrFunc, body: &IrBody, p: &IrProgram) -> String {
+fn instr(ins: &Instr, f: &IrFunc, body: &IrBody, checked: &Checked) -> String {
     // An operand: a register, or the value of a constant one.
     let r = |r: &Reg| match f.image.get(*r as usize) {
         Some(v) if *r >= f.const_base => scalar(v),
@@ -89,7 +82,7 @@ fn instr(ins: &Instr, f: &IrFunc, body: &IrBody, p: &IrProgram) -> String {
     let elem = |array: &Ref, subs: &[Reg]| {
         let subs: String = subs.iter().map(|s| format!("[{}]", r(s))).collect();
         match array {
-            Ref::Array(id) => format!("{}{subs}", p.array_names[*id as usize]),
+            Ref::Array(id) => format!("{}{subs}", checked.array_names[*id as usize]),
             Ref::Local(id) => format!("l{id}{subs}"),
             to => unreachable!("sema resolves every array base; this is {to:?}"),
         }
@@ -154,7 +147,7 @@ fn instr(ins: &Instr, f: &IrFunc, body: &IrBody, p: &IrProgram) -> String {
             "tree       `{}`",
             frag(&pretty::stmt_to_string(&body.stmts[*s as usize], 0))
         ),
-        Instr::SeqEnter { set } => format!("seq_enter  {}", p.set_names[*set]),
+        Instr::SeqEnter { set } => format!("seq_enter  {}", checked.sets[*set].name),
         Instr::SeqNext { elem, more } => format!("seq_next   r{elem}, r{more}"),
         Instr::SeqExit => "seq_exit".into(),
         Instr::Nop => "nop".into(),

@@ -17,7 +17,7 @@
 //!   bounds, [`fold_unit`]) that is its spelling against the `#define`s;
 //!   afterwards it is the reference sema wrote on it — the lints read
 //!   `#define`s, the executor's `try_pure_scalar` also the live globals
-//!   and registers — and the aggressive IR rewrites resolve none.
+//!   and registers.
 //! * `classify_index` — **the** subscript classifier (`IdxForm`): is a
 //!   subscript `axis coordinate + constant`, a front-end constant, or
 //!   neither. The executor picks local / NEWS / router from it at run

@@ -16,26 +16,7 @@ use uc::lang::Program;
 const N: usize = 12;
 const SWEEPS: usize = 60;
 
-const JACOBI: &str = r#"
-    #define N 12
-    #define SWEEPS 60
-    index_set I:i = {0..N-1}, J:j = I, T:t = {0..SWEEPS-1};
-    float u[N][N], next[N][N];
-    main() {
-        /* Boundary: top edge hot (100), others cold (0). */
-        par (I, J)
-            st (i == 0) u[i][j] = 100.0;
-            others u[i][j] = 0.0;
-        seq (T) {
-            par (I, J)
-                st (i > 0 && i < N-1 && j > 0 && j < N-1)
-                    next[i][j] = (u[i-1][j] + u[i+1][j] + u[i][j-1] + u[i][j+1]) / 4.0;
-            par (I, J)
-                st (i > 0 && i < N-1 && j > 0 && j < N-1)
-                    u[i][j] = next[i][j];
-        }
-    }
-"#;
+const JACOBI: &str = include_str!("uc/jacobi_plate.uc");
 
 fn sequential_reference() -> Vec<f64> {
     let mut u = vec![0.0f64; N * N];

@@ -18,23 +18,7 @@ const N: usize = 16;
 /// The UC program (Figure 11's initialisation plus the `*par`
 /// relaxation described in §5). `WALLV` marks obstacle cells, `DMAX`
 /// is the "unreached" sentinel.
-const GRID_GOAL: &str = r#"
-    #define N 16
-    #define DMAX 1073741824
-    #define WALLV 2147483648
-    index_set I:i = {0..N-1}, J:j = I;
-    int a[N][N];
-    main() {
-        par (I, J)
-            st (i + j == N - 1 && ABS(i - N/2) <= N/4) a[i][j] = WALLV;
-            others a[i][j] = DMAX;
-        par (I, J) st (i == 0 && j == 0) a[i][j] = 0;
-        *par (I, J)
-            st (a[i][j] != WALLV && (i != 0 || j != 0)
-                && min(min(a[i-1][j], a[i+1][j]), min(a[i][j-1], a[i][j+1])) + 1 < a[i][j])
-            a[i][j] = min(min(a[i-1][j], a[i+1][j]), min(a[i][j-1], a[i][j+1])) + 1;
-    }
-"#;
+const GRID_GOAL: &str = include_str!("../crates/bench/programs/grid_goal.uc");
 
 fn main() {
     let mut p = Program::compile_with_defines(GRID_GOAL, ExecConfig::default(), &[("N", N as i64)])

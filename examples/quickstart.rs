@@ -12,18 +12,7 @@
 
 use uc::lang::Program;
 
-const PREFIX_SUMS: &str = r#"
-    #define N 32
-    index_set I:i = {0..N-1};
-    int a[N], cnt[N];
-    main() {
-        par (I) { a[i] = i; cnt[i] = 0; }
-        *par (I) st (i >= power2(cnt[i])) {
-            a[i] = a[i] + a[i - power2(cnt[i])];
-            cnt[i] = cnt[i] + 1;
-        }
-    }
-"#;
+const PREFIX_SUMS: &str = include_str!("uc/prefix_sums.uc");
 
 fn main() {
     let mut program = Program::compile(PREFIX_SUMS).expect("valid UC");

@@ -15,42 +15,22 @@ use uc::seqc::oracle;
 
 const N: usize = 16;
 
-const APSP_N2: &str = r#"
-    #define N 16
-    index_set I:i = {0..N-1}, J:j = I, K:k = I;
-    int d[N][N];
-    main() {
-        par (I, J)
-            st (i == j) d[i][j] = 0;
-            others d[i][j] = (i * 7 + j * 13) % N + 1;
-        seq (K)
-            par (I, J)
-                st (d[i][k] + d[k][j] < d[i][j])
-                    d[i][j] = d[i][k] + d[k][j];
-    }
-"#;
-
-const APSP_N3: &str = r#"
-    #define N 16
-    #define LOGN 4
-    index_set I:i = {0..N-1}, J:j = I, K:k = I, L:l = {0..LOGN-1};
-    int d[N][N];
-    main() {
-        par (I, J)
-            st (i == j) d[i][j] = 0;
-            others d[i][j] = (i * 7 + j * 13) % N + 1;
-        seq (L)
-            par (I, J)
-                d[i][j] = $<(K; d[i][k] + d[k][j]);
-    }
-"#;
+/// Figures 4 and 5, the programs the figure benches run; the example
+/// runs them at `N` instead of their default size.
+const APSP_N2: &str = include_str!("../crates/bench/programs/apsp_n2.uc");
+const APSP_N3: &str = include_str!("../crates/bench/programs/apsp_n3.uc");
 
 fn main() {
-    let mut p2 = Program::compile_with(APSP_N2, ExecConfig::default()).expect("N2 compiles");
+    let n = N as i64;
+    let mut p2 = Program::compile_with_defines(APSP_N2, ExecConfig::default(), &[("N", n)])
+        .expect("N2 compiles");
     p2.run().expect("N2 runs");
     let d2 = p2.read_int_array("d").unwrap();
 
-    let mut p3 = Program::compile(APSP_N3).expect("N3 compiles");
+    let logn = (usize::BITS - (N - 1).leading_zeros()) as i64;
+    let mut p3 =
+        Program::compile_with_defines(APSP_N3, ExecConfig::default(), &[("N", n), ("LOGN", logn)])
+            .expect("N3 compiles");
     p3.run().expect("N3 runs");
     let d3 = p3.read_int_array("d").unwrap();
 
@@ -65,10 +45,5 @@ fn main() {
     println!("O(N^2) parallelism (N pivot rounds)  : {:>9} cycles", p2.cycles());
     println!("O(N^3) parallelism (log N reductions): {:>9} cycles", p3.cycles());
     println!();
-    println!(
-        "the O(N^3) form trades {}x more virtual processors for {} rounds instead of {}",
-        N,
-        (usize::BITS - (N - 1).leading_zeros()),
-        N
-    );
+    println!("the O(N^3) form trades {N}x more virtual processors for {logn} rounds instead of {N}");
 }

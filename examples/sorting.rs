@@ -8,31 +8,9 @@
 
 use uc::lang::Program;
 
-const RANKSORT: &str = r#"
-    #define N 24
-    index_set I:i = {0..N-1}, J:j = I;
-    int a[N], sorted[N];
-    main() {
-        par (I) a[i] = (11 * i + 5) % N;     /* distinct keys */
-        par (I) {
-            int rank;
-            rank = $+(J st (a[j] < a[i]) 1);
-            sorted[rank] = a[i];
-        }
-    }
-"#;
+const RANKSORT: &str = include_str!("uc/ranksort_local_rank.uc");
 
-const ODD_EVEN: &str = r#"
-    #define N 24
-    index_set I:i = {0..N-1};
-    int x[N];
-    main() {
-        par (I) x[i] = (11 * i + 5) % N;
-        *oneof (I)
-            st (i % 2 == 0 && x[i] > x[i+1]) swap(x[i], x[i+1]);
-            st (i % 2 != 0 && x[i] > x[i+1]) swap(x[i], x[i+1]);
-    }
-"#;
+const ODD_EVEN: &str = include_str!("uc/odd_even_sort.uc");
 
 fn main() {
     let mut rank = Program::compile(RANKSORT).expect("ranksort compiles");

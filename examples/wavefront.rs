@@ -14,29 +14,9 @@
 use uc::lang::Program;
 use uc::seqc::oracle;
 
-const WAVEFRONT: &str = r#"
-    #define N 10
-    index_set I:i = {0..N-1}, J:j = I;
-    int a[N][N];
-    main() {
-        solve (I, J)
-            a[i][j] = (i == 0 || j == 0) ? 1
-                    : a[i-1][j] + a[i-1][j-1] + a[i][j-1];
-    }
-"#;
+const WAVEFRONT: &str = include_str!("uc/wavefront.uc");
 
-const STAR_SOLVE_APSP: &str = r#"
-    #define N 12
-    index_set I:i = {0..N-1}, J:j = I, K:k = I;
-    int dist[N][N];
-    main() {
-        par (I, J)
-            st (i == j) dist[i][j] = 0;
-            others dist[i][j] = (i * 7 + j * 13) % N + 1;
-        *solve (I, J)
-            dist[i][j] = $<(K; dist[i][k] + dist[k][j]);
-    }
-"#;
+const STAR_SOLVE_APSP: &str = include_str!("uc/star_solve_apsp.uc");
 
 fn main() {
     let mut wf = Program::compile(WAVEFRONT).expect("wavefront compiles");

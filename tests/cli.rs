@@ -283,3 +283,18 @@ fn usage_errors() {
     let out = uc().args(["frobnicate", "x.uc"]).output().unwrap();
     assert!(!out.status.success());
 }
+
+/// There is one compilation pipeline, so there is no level to pick: an
+/// optimisation flag is an unknown option, reported before anything runs.
+#[test]
+fn an_unknown_option_is_an_error() {
+    let path = write_temp("uc_cli_unknown_option.uc", PROGRAM);
+    let out = uc()
+        .args(["run", "--ir-opt", "aggressive", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error: unknown option --ir-opt"), "{stderr}");
+}

@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::Command;
 
-use uc::lang::{ExecConfig, ExecLimits, IrOpt, Program};
+use uc::lang::{ExecConfig, ExecLimits, Program};
 
 /// Every observable of one program run, ready for exact comparison.
 #[derive(Debug, PartialEq)]
@@ -55,8 +55,8 @@ struct Case {
     limits: ExecLimits,
 }
 
-fn observe(case: &Case, ir_opt: IrOpt) -> Result<Outcome, String> {
-    let cfg = ExecConfig { ir_opt, limits: case.limits.clone(), ..Default::default() };
+fn observe(case: &Case) -> Result<Outcome, String> {
+    let cfg = ExecConfig { limits: case.limits.clone(), ..Default::default() };
     let mut p =
         Program::compile_with_defines(&case.src, cfg, &case.defines).map_err(|d| d.to_string())?;
     let run = p.run();
@@ -147,7 +147,7 @@ fn corpus() -> Vec<Case> {
 /// A program's row without its name: the FNV-1a digest of its results,
 /// its cycles and its six op counts. A compile rejection is all zeroes.
 fn row(case: &Case) -> String {
-    let Ok(o) = observe(case, IrOpt::Balanced) else { return format!("{:016} 0 0 0 0 0 0 0", 0) };
+    let Ok(o) = observe(case) else { return format!("{:016} 0 0 0 0 0 0 0", 0) };
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in format!("{:?}", o.result).bytes() {
         h ^= b as u64;
@@ -171,38 +171,6 @@ fn pinned_digests_match_on_every_corpus_program() {
     let computed: BTreeMap<String, String> =
         corpus().iter().map(|c| (c.name.clone(), row(c))).collect();
     assert_eq!(computed, rows(include_str!("corpus/pinned_digests.txt").lines()));
-}
-
-/// Aggressive IR rewrites may only *remove* charged machine work: the
-/// program state must stay identical and the cycle count must never
-/// rise. On the dead-context corpus program the drop must be strict —
-/// that file exists to prove the pass fires.
-#[test]
-fn aggressive_opt_preserves_results_and_never_adds_cycles() {
-    for case in corpus() {
-        let bal = observe(&case, IrOpt::Balanced);
-        let agg = observe(&case, IrOpt::Aggressive);
-        let (Ok(bal), Ok(agg)) = (bal, agg) else { continue };
-        // Errors may legitimately differ (a trap inside an eliminated
-        // dead arm vanishes), but successful runs must agree exactly.
-        if let (Ok(b), Ok(a)) = (&bal.result, &agg.result) {
-            assert_eq!(b, a, "{}: aggressive IR changed results", case.name);
-            assert!(
-                agg.cycles <= bal.cycles,
-                "{}: aggressive IR raised cycles {} -> {}",
-                case.name,
-                bal.cycles,
-                agg.cycles
-            );
-            if case.name.ends_with("/dead_context.uc") {
-                assert!(
-                    agg.cycles < bal.cycles,
-                    "dead-context elimination did not fire ({} cycles)",
-                    agg.cycles
-                );
-            }
-        }
-    }
 }
 
 /// Child half of the subprocess protocol: inert unless `UC_IR_DIFF_CHILD`

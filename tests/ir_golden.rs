@@ -11,20 +11,16 @@
 //! ```text
 //! uc run <input> --emit ir > tests/corpus/golden/<name>.ir
 //! ```
-//!
-//! (with `--ir-opt aggressive` for the `.aggressive.ir` files).
 
 use std::path::Path;
 use std::process::Command;
 
-fn emit(cmd: &str, input: &str, aggressive: bool) -> String {
+fn emit(cmd: &str, input: &str) -> String {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut uc = Command::new(env!("CARGO_BIN_EXE_uc"));
-    uc.args([cmd, root.join(input).to_str().unwrap(), "--emit", "ir"]);
-    if aggressive {
-        uc.args(["--ir-opt", "aggressive"]);
-    }
-    let out = uc.output().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_uc"))
+        .args([cmd, root.join(input).to_str().unwrap(), "--emit", "ir"])
+        .output()
+        .unwrap();
     assert!(
         out.status.success(),
         "{cmd} {input} --emit ir failed:\n{}",
@@ -40,7 +36,7 @@ fn golden(name: &str) -> String {
 
 #[test]
 fn shortest_path_ir_is_stable() {
-    assert_eq!(emit("run", "examples/uc/shortest_path.uc", false), golden("shortest_path.ir"));
+    assert_eq!(emit("run", "examples/uc/shortest_path.uc"), golden("shortest_path.ir"));
 }
 
 /// The scalar benchmark's program, and the shape of its hot loop: one
@@ -49,7 +45,7 @@ fn shortest_path_ir_is_stable() {
 /// of them a `const` or a `copy`.
 #[test]
 fn collatz_ir_is_stable_and_its_loop_has_no_copies() {
-    let ir = emit("run", "examples/uc/collatz.uc", false);
+    let ir = emit("run", "examples/uc/collatz.uc");
     assert_eq!(ir, golden("collatz.ir"));
     let body: Vec<&str> = ir
         .lines()
@@ -63,31 +59,23 @@ fn collatz_ir_is_stable_and_its_loop_has_no_copies() {
 
 #[test]
 fn dead_store_ir_is_stable() {
-    assert_eq!(emit("run", "tests/corpus/dead_store.uc", false), golden("dead_store.ir"));
+    assert_eq!(emit("run", "tests/corpus/dead_store.uc"), golden("dead_store.ir"));
 }
 
 /// Front-end `seq` with `st` arms and `others` lowers to a VM loop:
 /// `seq_enter`/`seq_next`/`seq_exit` around ordinary register code.
 #[test]
 fn seq_ir_is_stable() {
-    assert_eq!(emit("run", "tests/corpus/seq_st_others.uc", false), golden("seq_st_others.ir"));
-}
-
-#[test]
-fn aggressive_dead_context_ir_is_stable() {
-    assert_eq!(
-        emit("run", "tests/corpus/dead_context.uc", true),
-        golden("dead_context.aggressive.ir")
-    );
+    assert_eq!(emit("run", "tests/corpus/seq_st_others.uc"), golden("seq_st_others.ir"));
 }
 
 /// `uc check --emit ir` prints the same artifact after the lint passes.
 #[test]
 fn check_emits_the_same_ir() {
-    assert_eq!(emit("check", "examples/uc/jacobi.uc", false), golden("jacobi.ir"));
+    assert_eq!(emit("check", "examples/uc/jacobi.uc"), golden("jacobi.ir"));
     assert_eq!(
-        emit("run", "examples/uc/jacobi.uc", false),
-        emit("check", "examples/uc/jacobi.uc", false)
+        emit("run", "examples/uc/jacobi.uc"),
+        emit("check", "examples/uc/jacobi.uc")
     );
 }
 
@@ -101,7 +89,7 @@ fn examples_lower_without_fallback() {
         let path = entry.unwrap().path();
         if path.extension().is_some_and(|e| e == "uc") {
             let rel = path.strip_prefix(env!("CARGO_MANIFEST_DIR")).unwrap();
-            let ir = emit("run", rel.to_str().unwrap(), false);
+            let ir = emit("run", rel.to_str().unwrap());
             assert!(!ir.contains("<unlowered"), "{}:\n{ir}", path.display());
             assert!(ir.contains("inline="), "{}:\n{ir}", path.display());
         }
