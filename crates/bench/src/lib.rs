@@ -318,7 +318,7 @@ mod tests {
     fn fig6_uc_matches_cstar_shape() {
         let fig = golden(include_str!("../tests/golden/fig6.txt"));
         for (n, ratio) in ratios(&fig, 0, 1) {
-            assert!(ratio < 1.2, "UC/C* = {ratio} at N = {n}");
+            assert!(ratio < 1.1, "UC/C* = {ratio} at N = {n}");
         }
     }
 
@@ -334,33 +334,38 @@ mod tests {
         }
     }
 
-    /// At N = 16 384 access classification alone is worth 10x (router over
-    /// NEWS under the default mapping), and the permute map section adds a
-    /// little more (NEWS over local).
+    /// At N = 16 384 access classification alone is worth nearly 10x
+    /// (router over NEWS under the default mapping), and the permute map
+    /// section adds a little more (NEWS over local). The router row routes
+    /// every access with addresses built as C\* builds them; while they
+    /// also paid for a zero fill, a copy of each subscript and a multiply
+    /// by a stride of 1, the ratio was 10.7x, and the 8.9x left is what
+    /// classification itself is worth.
     #[test]
     fn mapping_hierarchy() {
         let fig = golden(include_str!("../tests/golden/map_ablation.txt"));
         let at_16k = |&(n, ratio): &(usize, f64)| (n == 16384).then_some(ratio);
         let router_news = ratios(&fig, 0, 1).iter().find_map(at_16k).unwrap();
         let news_local = ratios(&fig, 1, 2).iter().find_map(at_16k).unwrap();
-        assert!(router_news >= 10.0, "router/NEWS = {router_news}");
+        assert!(router_news >= 8.5, "router/NEWS = {router_news}");
         assert!(news_local > 1.0, "NEWS/local = {news_local}");
     }
 
     /// UC tracks C\* on Figure 7 as it does on Figure 6: the reduction
     /// binds `i` and `j` from its coordinates and needs no mask transfer,
-    /// so each round's router traffic is C\*'s two gets and one send.
+    /// so each round's router traffic is C\*'s two gets and one send, and
+    /// each gather builds its address with C\*'s ALU ops.
     #[test]
     fn fig7_uc_tracks_cstar() {
         let fig = golden(include_str!("../tests/golden/fig7.txt"));
         for (n, ratio) in ratios(&fig, 0, 1) {
-            assert!(ratio < 1.3, "UC/C* = {ratio} at N = {n}");
+            assert!(ratio < 1.1, "UC/C* = {ratio} at N = {n}");
         }
     }
 
     /// The optimization wins at every N, by an order of magnitude at
     /// N = 16 384. While 10·N VPs fit on the machine the margin is only
-    /// 1.7x: the un-optimised reduction reads `j` from its coordinate and,
+    /// 1.6x: the un-optimised reduction reads `j` from its coordinate and,
     /// under a `par` with no mask, transfers none, so it spends no router
     /// op on either.
     #[test]

@@ -11,7 +11,9 @@
 //! iteration space, the access is **local**
 //! (offset 0 after the mapping transform) or a **NEWS** shift (constant
 //! offset). Anything else goes through the general **router**, whose
-//! address is computed axis by axis in place. The map
+//! address is built axis by axis with the ops Figure 10's C\* uses —
+//! `i*N + k` is a multiply by an immediate and an add — plus the bounds
+//! check where a subscript is not statically in range. The map
 //! section changes the transform, which is how
 //! `permute (I) b[i+1] :- a[i]` turns a router/NEWS access into a local
 //! one (§4 of the paper).
@@ -301,16 +303,22 @@ impl Program {
         Ok(PV::owned(dst))
     }
 
-    /// Compute the (clamped) storage address field and an optional
-    /// validity mask for a subscripted access on the current space, whose
-    /// subscript forms start at `forms[start]`.
-    /// `None` validity means every enabled element is statically in
-    /// bounds (axis-identity and in-range constant subscripts), in which
-    /// case the address arithmetic is as lean as hand-written C\*'s.
+    /// The storage address field and an optional validity mask for a
+    /// subscripted access on the current space, whose subscript forms
+    /// start at `forms[start]`. `None` validity means every enabled
+    /// element is statically in bounds (axis-identity and in-range
+    /// constant subscripts).
+    ///
     /// Addresses are row-major over the storage shape, one axis at a time:
     /// logical axis `d` keeps its extent and strides over the axes after
     /// it, and a `copy` mapping's replica axis leads (replica 0 occupies
-    /// the first block).
+    /// the first block). The arithmetic is what a C\* programmer writes:
+    /// constant subscripts fold into a host-side `base`, added once; a
+    /// subscript that is already an owned temporary (`p[i]`, `i+1`, an
+    /// enclosing level's coordinate) becomes its term in place, and a
+    /// binding field is read where it lives by the op that first writes
+    /// its term; a stride of 1 multiplies nothing. The address is filled
+    /// only when every subscript is constant.
     fn storage_address(
         &mut self,
         arr: Storage,
@@ -318,8 +326,6 @@ impl Program {
         start: usize,
     ) -> RResult<(FieldId, Option<FieldId>)> {
         let vp = self.cur_ctx().vp;
-        let addr = self.machine.alloc_result(vp, "~addr", ElemType::Int)?;
-        // Constant subscript contributions fold into the initial fill.
         let (mut base, mut static_oob) = (0i64, false);
         let st = self.storage(arr);
         for (d, &form) in self.forms[start..].iter().enumerate() {
@@ -333,7 +339,6 @@ impl Program {
                 static_oob = true;
             }
         }
-        self.machine.fill_unconditional(addr, Scalar::Int(base))?;
         let mut valid: Option<FieldId> = None;
         if static_oob {
             let v = self.machine.alloc_result(vp, "~valid", ElemType::Bool)?;
@@ -341,6 +346,8 @@ impl Program {
             valid = Some(v);
         }
 
+        // The sum of the non-constant terms so far, as (field, owned).
+        let mut sum: Option<(FieldId, bool)> = None;
         for (d, sub) in subs.iter().enumerate() {
             let form = self.forms[start + d];
             if let IdxForm::Const(_) = form {
@@ -354,19 +361,14 @@ impl Program {
                 ArrayMapping::Default | ArrayMapping::Copy { .. } => (false, 0),
             };
             // Axis-identity over a matching extent is statically in
-            // bounds: no validity tracking, one coordinate instruction.
+            // bounds: no validity tracking.
             let statically_safe = !folded
                 && matches!(form, IdxForm::AxisPlus { axis, offset: 0 }
                     if self.cur_ctx().dims.get(axis) == Some(&(n as usize)));
             let pv = self.eval(sub)?;
             let pv = self.coerce_field(pv, ElemType::Int)?;
-            let PV::Field { id: vfield, owned } = pv else { unreachable!() };
-            // Work on a copy so we never mutate a non-owned binding field.
-            let v = self.machine.alloc_result(vp, "~sub", ElemType::Int)?;
-            self.machine.copy(v, vfield)?;
-            if owned {
-                self.machine.free(vfield)?;
-            }
+            let PV::Field { id, owned } = pv else { unreachable!() };
+            let mut term = (id, owned);
             if !statically_safe {
                 // Validity: 0 <= v < n (logical bounds, before mapping).
                 let va = match valid {
@@ -379,22 +381,26 @@ impl Program {
                     }
                 };
                 let tmpb = self.machine.alloc_result(vp, "~vb", ElemType::Bool)?;
-                self.machine.binop_imm(BinOp::Ge, tmpb, v, Scalar::Int(0))?;
+                self.machine.binop_imm(BinOp::Ge, tmpb, id, Scalar::Int(0))?;
                 self.machine.binop(BinOp::LogAnd, va, va, tmpb)?;
-                self.machine.binop_imm(BinOp::Lt, tmpb, v, Scalar::Int(n))?;
+                self.machine.binop_imm(BinOp::Lt, tmpb, id, Scalar::Int(n))?;
                 self.machine.binop(BinOp::LogAnd, va, va, tmpb)?;
                 self.machine.free(tmpb)?;
             }
             // Mapping transform.
             if permuted != 0 {
                 // (v - off).rem_euclid(n)
-                self.machine.binop_imm(BinOp::Sub, v, v, Scalar::Int(permuted))?;
-                self.machine.binop_imm(BinOp::Mod, v, v, Scalar::Int(n))?;
-                self.machine.binop_imm(BinOp::Add, v, v, Scalar::Int(n))?;
-                self.machine.binop_imm(BinOp::Mod, v, v, Scalar::Int(n))?;
+                self.rewrite(&mut term, |m, t, v| {
+                    m.binop_imm(BinOp::Sub, t, v, Scalar::Int(permuted))
+                })?;
+                let t = term.0;
+                self.machine.binop_imm(BinOp::Mod, t, t, Scalar::Int(n))?;
+                self.machine.binop_imm(BinOp::Add, t, t, Scalar::Int(n))?;
+                self.machine.binop_imm(BinOp::Mod, t, t, Scalar::Int(n))?;
             }
             if folded {
                 // v' = 2*min(v, n-1-v) + (v >= ceil(n/2))
+                let v = term.0;
                 let mirror = self.machine.alloc_int(vp, "~mir")?;
                 self.machine.binop_imm_l(BinOp::Sub, mirror, Scalar::Int(n - 1), v)?;
                 let low = self.machine.alloc_int(vp, "~low")?;
@@ -405,29 +411,80 @@ impl Program {
                     .binop_imm(BinOp::Ge, hi, v, Scalar::Int((n as u64).div_ceil(2) as i64))?;
                 let hii = self.machine.alloc_int(vp, "~hii")?;
                 self.machine.convert(hii, hi)?;
-                self.machine.binop(BinOp::Add, v, low, hii)?;
+                self.rewrite(&mut term, |m, t, _| m.binop(BinOp::Add, t, low, hii))?;
                 for f in [mirror, low, hi, hii] {
                     self.machine.free(f)?;
                 }
             }
             if let Some(va) = valid {
-                // Clamp out-of-range values to 0 so the router accepts
-                // them (they are replaced by INF / excluded from writes
+                // Zero out-of-range values so the router accepts them
+                // (they are replaced by INF / excluded from writes
                 // afterwards).
                 let vi = self.machine.alloc_result(vp, "~vi", ElemType::Int)?;
                 self.machine.convert(vi, va)?;
-                self.machine.binop(BinOp::Mul, v, v, vi)?;
+                self.rewrite(&mut term, |m, t, v| m.binop(BinOp::Mul, t, v, vi))?;
                 self.machine.free(vi)?;
-                // Clamp to the extent too: a permute-wrapped value is
-                // always in range, but fold on odd extents can exceed it.
-                self.machine.binop_imm(BinOp::Mod, v, v, Scalar::Int(n))?;
+                if folded {
+                    // Clamp to the extent: only a fold transform can
+                    // exceed it.
+                    let t = term.0;
+                    self.machine.binop_imm(BinOp::Mod, t, t, Scalar::Int(n))?;
+                }
             }
-            // addr += v * stride
-            self.machine.binop_imm(BinOp::Mul, v, v, Scalar::Int(stride as i64))?;
-            self.machine.binop(BinOp::Add, addr, addr, v)?;
-            self.machine.free(v)?;
+            if stride != 1 {
+                let stride = Scalar::Int(stride as i64);
+                self.rewrite(&mut term, |m, t, v| m.binop_imm(BinOp::Mul, t, v, stride))?;
+            }
+            sum = Some(match sum {
+                None => term,
+                Some(acc) => {
+                    // Add into whichever of the two terms is owned.
+                    let (mut acc, other) = if acc.1 || !term.1 { (acc, term) } else { (term, acc) };
+                    self.rewrite(&mut acc, |m, t, v| m.binop(BinOp::Add, t, v, other.0))?;
+                    if other.1 {
+                        self.machine.free(other.0)?;
+                    }
+                    acc
+                }
+            });
         }
+        let addr = match sum {
+            None => {
+                let addr = self.machine.alloc_result(vp, "~addr", ElemType::Int)?;
+                self.machine.fill_unconditional(addr, Scalar::Int(base))?;
+                addr
+            }
+            Some(mut acc) => {
+                if base != 0 {
+                    self.rewrite(&mut acc, |m, t, v| {
+                        m.binop_imm(BinOp::Add, t, v, Scalar::Int(base))
+                    })?;
+                } else if !acc.1 {
+                    // The caller frees (and a copy scatter bumps) the address.
+                    self.rewrite(&mut acc, |m, t, v| m.copy(t, v))?;
+                }
+                acc.0
+            }
+        };
         Ok((addr, valid))
+    }
+
+    /// Apply `op(dst, src)` to an address term `(field, owned)`: in place
+    /// when the term is an owned temporary, else into a fresh temporary
+    /// that becomes the term, so a field the term only borrows is read
+    /// and never written.
+    fn rewrite(
+        &mut self,
+        term: &mut (FieldId, bool),
+        op: impl FnOnce(&mut uc_cm::Machine, FieldId, FieldId) -> uc_cm::Result<()>,
+    ) -> RResult<()> {
+        let dst = match *term {
+            (id, true) => id,
+            _ => self.machine.alloc_result(self.cur_ctx().vp, "~addr", ElemType::Int)?,
+        };
+        op(&mut self.machine, dst, term.0)?;
+        *term = (dst, true);
+        Ok(())
     }
 
     // ---- writes -------------------------------------------------------------

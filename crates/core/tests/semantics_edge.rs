@@ -1,7 +1,7 @@
 //! Edge-case semantics: unusual index sets, deep nesting, determinism
 //! guarantees, and interactions between constructs and masks.
 
-use uc_core::{ExecConfig, Program};
+use uc_core::{ExecConfig, Program, RuntimeError};
 
 fn run(src: &str) -> Program {
     let mut p = Program::compile(src).unwrap_or_else(|d| panic!("compile failed:\n{d}"));
@@ -431,4 +431,162 @@ fn values_of_enclosing_levels_hold_under_every_arm() {
     assert_eq!(p.read_int_array("a").unwrap(), expect);
     assert_eq!(p.read_int_array("b").unwrap(), expect);
     assert_eq!(p.read_int_array("s").unwrap(), [1000, 1001, 1010, 1011]);
+}
+
+// ---- router addresses -------------------------------------------------------
+//
+// With `optimize_access` off every access is a router gather or scatter,
+// so each of these programs runs its subscripts through the address
+// arithmetic; with it on, only the accesses that are neither local nor
+// NEWS do. Both must give the values a plain `Vec` computes.
+
+const INF: i64 = i64::MAX;
+
+/// Run `src` with access optimisation on and off; the two runs must end
+/// alike, and the routed one is returned.
+fn run_both(src: &str) -> Result<Program, RuntimeError> {
+    let mut ends = [true, false].map(|optimize_access| {
+        let cfg = ExecConfig { optimize_access, ..Default::default() };
+        let mut p = Program::compile_with(src, cfg).unwrap_or_else(|d| panic!("{d}"));
+        p.run().map(|()| p).map_err(|e| e.error)
+    });
+    let [on, off] = &mut ends;
+    match (on, off) {
+        (Ok(on), Ok(off)) => {
+            for name in on.array_names() {
+                assert_eq!(on.read_int_array(&name).ok(), off.read_int_array(&name).ok(), "{name}");
+            }
+        }
+        (Err(on), Err(off)) => assert_eq!(on.to_string(), off.to_string()),
+        _ => panic!("one run trapped, the other did not"),
+    }
+    let [_, off] = ends;
+    off
+}
+
+/// `c[i][2][k]` puts a constant between two strided axes; `c[k][j][1]`
+/// multiplies both of its element axes (strides 20 and 5), and `k` runs
+/// past `c`'s first extent, so those lanes read INF; `c[i][i][i]` adds
+/// three terms of one field; `w[2][k]` adds its constant to a borrowed
+/// element; `c[2][3][4]` is all constant and `c[3][0][0]` all constant
+/// and out of range.
+#[test]
+fn strided_and_constant_subscripts_address_every_axis() {
+    let p = run_both(
+        "index_set I:i = {0..2}, J:j = {0..3}, K:k = {0..4};
+         int c[3][4][5], w[4][5], x[3][5], y[5][4], d[3], e[5], z[5];
+         main() {
+             par (I, J, K) c[i][j][k] = 100 * i + 10 * j + k;
+             par (J, K) w[j][k] = 10 * j + k;
+             par (I, K) x[i][k] = c[i][2][k];
+             par (K, J) y[k][j] = c[k][j][1];
+             par (I) d[i] = c[i][i][i];
+             par (K) { e[k] = w[2][k]; z[k] = c[2][3][4] + c[3][0][0] % 2; }
+         }",
+    )
+    .unwrap();
+    let c = |i: i64, j: i64, k: i64| 100 * i + 10 * j + k;
+    let x: Vec<i64> = (0..3).flat_map(|i| (0..5).map(move |k| c(i, 2, k))).collect();
+    let y: Vec<i64> =
+        (0..5).flat_map(|k| (0..4).map(move |j| if k < 3 { c(k, j, 1) } else { INF })).collect();
+    assert_eq!(p.read_int_array("x").unwrap(), x);
+    assert_eq!(p.read_int_array("y").unwrap(), y);
+    assert_eq!(p.read_int_array("d").unwrap(), [0, 111, 222]);
+    assert_eq!(p.read_int_array("e").unwrap(), [20, 21, 22, 23, 24]);
+    assert_eq!(p.read_int_array("z").unwrap(), [c(2, 3, 4) + INF % 2; 5]);
+}
+
+/// Subscripts that arrive as owned temporaries — `i+1`, `p[i]`, an
+/// enclosing level's coordinate — become their address terms in place;
+/// `m[p[i]][j]` also scales one. `i+1` and `i-1` read INF off the ends,
+/// and `m[i-1][j+1]`, displaced on two axes, takes the router either way.
+#[test]
+fn owned_subscripts_and_out_of_range_reads() {
+    let p = run_both(
+        "#define N 8
+         index_set I:i = {0..N-1}, J:j = {0..3};
+         int b[N], p[N], u[N], v[N], m[N][4], q[N][4], r[N][4], s[N][4];
+         main() {
+             par (I) { b[i] = 10 * i; p[i] = (3 * i + 1) % N; }
+             par (I, J) m[i][j] = 4 * i + j;
+             par (I) { u[i] = b[i+1]; v[i] = b[p[i]]; }
+             par (I, J) { q[i][j] = m[p[i]][j]; r[i][j] = m[i-1][j+1]; }
+             par (I) par (J) s[i][j] = m[i][j] + b[i];
+         }",
+    )
+    .unwrap();
+    let (n, perm) = (8, |i: i64| (3 * i + 1) % 8);
+    let b = |i: i64| if (0..n).contains(&i) { 10 * i } else { INF };
+    let m =
+        |i: i64, j: i64| if (0..n).contains(&i) && (0..4).contains(&j) { 4 * i + j } else { INF };
+    let grid = |f: &dyn Fn(i64, i64) -> i64| -> Vec<i64> {
+        (0..n).flat_map(|i| (0..4).map(move |j| (i, j))).map(|(i, j)| f(i, j)).collect()
+    };
+    assert_eq!(p.read_int_array("u").unwrap(), (0..n).map(|i| b(i + 1)).collect::<Vec<_>>());
+    assert_eq!(p.read_int_array("v").unwrap(), (0..n).map(|i| b(perm(i))).collect::<Vec<_>>());
+    assert_eq!(p.read_int_array("q").unwrap(), grid(&|i, j| m(perm(i), j)));
+    assert_eq!(p.read_int_array("r").unwrap(), grid(&|i, j| m(i - 1, j + 1)));
+    assert_eq!(p.read_int_array("s").unwrap(), grid(&|i, j| m(i, j) + b(i)));
+}
+
+/// A masked scatter writes only its enabled lanes; one enabled lane out
+/// of range is an error, whichever lanes are in range.
+#[test]
+fn scatters_write_enabled_lanes_and_trap_out_of_range() {
+    let src = |cond: &str| {
+        format!(
+            "#define N 8
+             index_set I:i = {{0..N-1}};
+             int b[N];
+             main() {{ par (I) b[i] = -1; par (I) st ({cond}) b[2 * i] = i; }}"
+        )
+    };
+    let p = run_both(&src("i < 4")).unwrap();
+    assert_eq!(p.read_int_array("b").unwrap(), [0, -1, 1, -1, 2, -1, 3, -1]);
+    let Err(err) = run_both(&src("i > 2")) else { panic!("b[2 * i] leaves b for i >= 4") };
+    assert!(matches!(err, RuntimeError::OutOfBounds { ref name } if name == "b"), "{err}");
+}
+
+/// A `permute`d array read and written through data-dependent and
+/// constant subscripts holds what the unmapped array would.
+#[test]
+fn permute_maps_computed_subscripts() {
+    let p = run_both(
+        "#define N 8
+         index_set I:i = {0..N-1};
+         int a[N], b[N], p[N], f[N], g[N], h[N];
+         map (I) { permute (I) b[i+1] :- a[i]; }
+         main() {
+             par (I) { p[i] = (5 * i + 3) % N; b[p[i]] = 10 * i; }
+             par (I) { f[i] = b[i]; g[i] = b[p[i]] + b[3]; h[i] = b[i+2]; }
+         }",
+    )
+    .unwrap();
+    let perm = |i: usize| (5 * i + 3) % 8;
+    let mut b = [0i64; 8];
+    for i in 0..8 {
+        b[perm(i)] = 10 * i as i64;
+    }
+    let g: Vec<i64> = (0..8).map(|i| b[perm(i)] + b[3]).collect();
+    let h: Vec<i64> = (0..8).map(|i| b.get(i + 2).copied().unwrap_or(INF)).collect();
+    assert_eq!(p.read_int_array("b").unwrap(), b);
+    assert_eq!(p.read_int_array("f").unwrap(), b);
+    assert_eq!(p.read_int_array("g").unwrap(), g);
+    assert_eq!(p.read_int_array("h").unwrap(), h);
+}
+
+/// `fold` on an odd extent, read by one lane past its end: the folded
+/// lanes read what they would unmapped, the last reads INF.
+#[test]
+fn fold_on_an_odd_extent_reads_inf_past_the_end() {
+    let p = run_both(
+        "#define N 7
+         index_set I:i = {0..N-1}, K:k = {0..N};
+         int c[N], r[N+1];
+         map (I) { fold (I) c[i] :- c[N-1-i]; }
+         main() { par (I) c[i] = i * i; par (K) r[k] = c[k]; }",
+    )
+    .unwrap();
+    assert_eq!(p.read_int_array("c").unwrap(), [0, 1, 4, 9, 16, 25, 36]);
+    assert_eq!(p.read_int_array("r").unwrap(), [0, 1, 4, 9, 16, 25, 36, INF]);
 }

@@ -500,23 +500,30 @@ fn per(from: &OpCounters, to: &OpCounters, k: u64) -> OpCounters {
 /// issues C\*'s router traffic — Figure 10's two gets and one send — and
 /// no context op: the reduction binds `i` and `j` from its coordinates and
 /// transfers no mask out of the unmasked `par`. What is left is ALU work:
-/// 26 ops against C\*'s 7 (five calls, two of them with an immediate,
-/// which the machine charges as a broadcast and the op). A k-step of
-/// fig6's `apsp_n2.uc` is 15 ALU, 2 router and 2 context ops.
+/// 14 ops against C\*'s 7 (five calls, two of them with an immediate,
+/// which the machine charges as a broadcast and the op). Each gather
+/// builds its address as C\* does (`i*N + k`, `k*N + j`: a multiply with
+/// an immediate and an add) plus the outer element's coordinate.
+///
+/// A k-step of fig6's `apsp_n2.uc` is 2 router and 2 context ops and 11
+/// ALU ops, of which 6 build the two addresses `i*N + k` and `j + k*N`;
+/// at k = 0 the constant part is 0, so the first address adds nothing
+/// and the second is a copy of `j`: 8 ALU ops.
 #[test]
 fn figure_programs_issue_cstars_router_ops_per_round() {
     let n3 = include_str!("../crates/bench/programs/apsp_n3.uc");
     let counts = |src, defines: &[(&str, i64)]| run_uc(src, defines).machine().counters();
     let round = per(&counts(n3, &[("LOGN", 3)]), &counts(n3, &[("LOGN", 4)]), 1);
     let only = |alu, router, context| OpCounters { alu, router, context, ..Default::default() };
-    assert_eq!(round, only(26, 3, 0));
+    assert_eq!(round, only(14, 3, 0));
     // C* runs ⌈log₂ N⌉ = 3 rounds at N = 8 after three ALU ops of setup.
     let (.., cstar) = programs::apsp_n3(&oracle::bench_graph(8), 8, PHYS);
     assert_eq!(per(&only(3, 0, 0), &cstar, 3), only(7, round.router, 0));
 
     let n2 = include_str!("../crates/bench/programs/apsp_n2.uc");
     let init = include_str!("../crates/bench/programs/apsp_init.uc");
-    assert_eq!(per(&counts(init, &[]), &counts(n2, &[]), 8), only(15, 2, 2));
+    let steps = only(8 + 7 * 11, 8 * 2, 8 * 2);
+    assert_eq!(per(&counts(init, &[]), &counts(n2, &[]), 1), steps);
 }
 
 /// A program has one tally: its cold run, a second run, and that run
