@@ -3,7 +3,9 @@
 //! One entry point per figure of §5 of the paper, plus ablations for the
 //! §4 optimizations. Each returns a [`Figure`]: labelled series of
 //! `(problem size, simulated cycles)` points that can be printed as a
-//! table (`render`) or dumped as JSON (`to_json`).
+//! table (`render`) or dumped as JSON (`to_json`, read back by
+//! `from_json`). Both go through the workspace's one JSON module,
+//! `uc_core::json`, which `uc check --format json` also writes with.
 //!
 //! Binaries: `fig6`, `fig7`, `fig8`, `map_ablation`, `procopt_ablation`.
 //! Their `--json` output is committed under `tests/golden/` and checked
@@ -22,10 +24,9 @@
 use std::io::{self, Write};
 use std::process::ExitCode;
 
+use uc_core::json::{self, Value};
 use uc_core::{ExecConfig, Program};
 use uc_seqc::{grid, oracle, SeqMachine};
-
-pub mod json;
 
 /// One labelled series of (size, cycles) points.
 #[derive(Debug, Clone, PartialEq)]
@@ -286,12 +287,55 @@ pub fn print_figure(fig: &Figure, notes: &[String]) -> ExitCode {
 
 /// Serialise a figure to pretty JSON.
 pub fn to_json(fig: &Figure) -> String {
-    json::to_string_pretty(fig)
+    let text = |s: &str| Value::Str(s.to_string());
+    let point = |&(x, y): &(usize, u64)| Value::Arr(vec![Value::Num(x as u64), Value::Num(y)]);
+    let series = fig.series.iter().map(|s| {
+        Value::Obj(vec![
+            ("label".into(), text(&s.label)),
+            ("points".into(), Value::Arr(s.points.iter().map(point).collect())),
+        ])
+    });
+    json::to_string_pretty(&Value::Obj(vec![
+        ("id".into(), text(&fig.id)),
+        ("title".into(), text(&fig.title)),
+        ("x_label".into(), text(&fig.x_label)),
+        ("series".into(), Value::Arr(series.collect())),
+    ]))
 }
 
-/// Parse a figure back from the JSON that [`to_json`] emits.
+/// Parse a figure back from the JSON that [`to_json`] emits (in any
+/// whitespace layout).
 pub fn from_json(s: &str) -> Result<Figure, String> {
-    json::from_str(s)
+    let root = json::parse(s)?;
+    let series = field(&root, "series", Value::as_array)?.iter().map(|s| {
+        let points = field(s, "points", Value::as_array)?.iter().map(|p| {
+            let xy = match p.as_array() {
+                Some([x, y]) => x.as_u64().zip(y.as_u64()),
+                _ => None,
+            };
+            xy.map(|(x, y)| (x as usize, y))
+                .ok_or_else(|| format!("expected an [x, y] point, got {p:?}"))
+        });
+        Ok(Series {
+            label: field(s, "label", Value::as_str)?.to_string(),
+            points: points.collect::<Result<_, String>>()?,
+        })
+    });
+    Ok(Figure {
+        id: field(&root, "id", Value::as_str)?.to_string(),
+        title: field(&root, "title", Value::as_str)?.to_string(),
+        x_label: field(&root, "x_label", Value::as_str)?.to_string(),
+        series: series.collect::<Result<_, String>>()?,
+    })
+}
+
+/// `v[key]`, read by `read`, or an error naming the key.
+fn field<'v, T>(
+    v: &'v Value,
+    key: &str,
+    read: impl FnOnce(&'v Value) -> Option<T>,
+) -> Result<T, String> {
+    v.get(key).and_then(read).ok_or_else(|| format!("missing or mistyped field `{key}`"))
 }
 
 #[cfg(test)]
@@ -391,5 +435,16 @@ mod tests {
         let json = to_json(&fig);
         let back: Figure = from_json(&json).unwrap();
         assert_eq!(back, fig);
+        // Valid JSON that is not a figure is an error, not a panic.
+        assert!(from_json(r#"{"id": "t"}"#).is_err());
+        assert!(from_json(r#"{"id":"t","title":"T","x_label":"n","series":[{}]}"#).is_err());
+        let point = |p: &str| {
+            from_json(&format!(
+                r#"{{"id":"t","title":"T","x_label":"n","series":[{{"label":"a","points":[{p}]}}]}}"#
+            ))
+        };
+        assert_eq!(point("[1, 10]").unwrap().series[0].points, [(1, 10)]);
+        assert!(point("[1]").is_err());
+        assert!(point(r#"[1, "10"]"#).is_err());
     }
 }

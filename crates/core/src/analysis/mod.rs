@@ -34,6 +34,7 @@ mod races;
 
 use crate::ast::Expr;
 use crate::diag::{Diagnostic, Diagnostics, Severity};
+use crate::json::{self, Value};
 use crate::sema::{self, Checked};
 use crate::span::Span;
 
@@ -218,21 +219,15 @@ impl LintConfig {
     }
 }
 
-/// Front-end + analysis entry point used by `uc check`: parse, constant
-/// fold, sema-check, interpret the map section, then run every lint pass
-/// under `cfg`. The returned diagnostics are normalized (sorted, deduped);
-/// with `--deny warnings` all warnings come back as errors.
+/// Front-end + analysis entry point used by `uc check`: parse, apply the
+/// `-D` overrides, sema-check, interpret the map section, then run every
+/// lint pass under `cfg`. The returned diagnostics are normalized
+/// (sorted, deduped); with `--deny warnings` all warnings come back as
+/// errors.
 pub fn check_source(src: &str, defines: &[(&str, i64)], cfg: &LintConfig) -> Diagnostics {
     let mut diags = Diagnostics::default();
     if let Some(mut unit) = crate::parser::parse(src, &mut diags) {
-        for (name, value) in defines {
-            if let Some(slot) = unit.defines.iter_mut().find(|(n, _)| n == name) {
-                slot.1 = *value;
-            } else {
-                unit.defines.push((name.to_string(), *value));
-            }
-        }
-        crate::opt::fold_unit(&mut unit);
+        unit.override_defines(defines);
         if let Some(checked) = sema::check(unit, &mut diags) {
             let _ = crate::mapping::interpret_maps(&checked, &mut diags);
             if !diags.has_errors() {
@@ -249,53 +244,28 @@ pub fn check_source(src: &str, defines: &[(&str, i64)], cfg: &LintConfig) -> Dia
 
 // ---- JSON output ---------------------------------------------------------
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serialise diagnostics as a JSON array (`uc check --format json`). The
-/// layout uses only objects, strings and non-negative integers so it
-/// round-trips through the workspace's shared hand-rolled JSON module
-/// (`uc_bench::json`); `code` is omitted for uncoded (parse/sema)
-/// diagnostics.
+/// Serialise diagnostics as a JSON array (`uc check --format json`)
+/// through [`crate::json`]. Each is an object of `code` (omitted for
+/// uncoded parse/sema diagnostics), `severity`, `message`, `line`, `col`,
+/// `start` and `end`.
 pub fn diagnostics_to_json(diags: &Diagnostics) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {\n");
-        if let Some(code) = d.code {
-            out.push_str(&format!("    \"code\": \"{}\",\n", json_escape(code)));
-        }
-        let sev = match d.severity {
+    let items = diags.items.iter().map(|d| {
+        let severity = match d.severity {
             Severity::Error => "error",
             Severity::Warning => "warning",
         };
-        out.push_str(&format!("    \"severity\": \"{sev}\",\n"));
-        out.push_str(&format!("    \"message\": \"{}\",\n", json_escape(&d.message)));
-        out.push_str(&format!("    \"line\": {},\n", d.span.line));
-        out.push_str(&format!("    \"col\": {},\n", d.span.col));
-        out.push_str(&format!("    \"start\": {},\n", d.span.start));
-        out.push_str(&format!("    \"end\": {}\n  }}", d.span.end));
-    }
-    if !diags.items.is_empty() {
-        out.push('\n');
-    }
-    out.push(']');
-    out
+        let code = d.code.map(|code| ("code".to_string(), Value::Str(code.to_string())));
+        let fields = code.into_iter().chain([
+            ("severity".to_string(), Value::Str(severity.to_string())),
+            ("message".to_string(), Value::Str(d.message.clone())),
+            ("line".to_string(), Value::Num(d.span.line.into())),
+            ("col".to_string(), Value::Num(d.span.col.into())),
+            ("start".to_string(), Value::Num(d.span.start as u64)),
+            ("end".to_string(), Value::Num(d.span.end as u64)),
+        ]);
+        Value::Obj(fields.collect())
+    });
+    json::to_string_pretty(&Value::Arr(items.collect()))
 }
 
 // ---- shared pass helpers -------------------------------------------------
@@ -309,8 +279,7 @@ pub(crate) fn const_false(e: &Expr, checked: &Checked) -> bool {
 #[cfg(test)]
 pub(crate) fn check_str(src: &str) -> Checked {
     let mut d = Diagnostics::default();
-    let mut unit = crate::parser::parse(src, &mut d).expect("parse");
-    crate::opt::fold_unit(&mut unit);
+    let unit = crate::parser::parse(src, &mut d).expect("parse");
     sema::check(unit, &mut d).unwrap_or_else(|| panic!("sema failed:\n{d}"))
 }
 
@@ -386,10 +355,19 @@ mod tests {
     fn json_output_shape() {
         let src = "index_set I:i = {0..7};\nint a[8];\nmain() { par (I) a[0] = i; }";
         let diags = check_source(src, &[], &LintConfig::default());
-        let json = diagnostics_to_json(&diags);
-        assert!(json.starts_with('['));
-        assert!(json.contains("\"code\": \"UC101\""));
-        assert!(json.contains("\"severity\": \"warning\""));
+        // One diagnostic's `--format json` text, byte for byte.
+        assert_eq!(
+            diagnostics_to_json(&diags),
+            "[\n  {\n    \"code\": \"UC101\",\n    \"severity\": \"warning\",\n    \"message\": \
+             \"write-write race in `par`: the stored value varies with `i` but every enabled element \
+             stores to the same location `a[0]` — distinct values collide without a combining \
+             reduction (§3.4)\",\n    \"line\": 3,\n    \"col\": 23,\n    \"start\": 56,\n    \
+             \"end\": 57\n  }\n]"
+        );
+        // An uncoded (parse/sema) diagnostic has no `code` field.
+        let parse_error =
+            diagnostics_to_json(&check_source("main() {", &[], &LintConfig::default()));
+        assert!(parse_error.starts_with("[\n  {\n    \"severity\": \"error\",\n"), "{parse_error}");
         // Empty list prints a bare array.
         assert_eq!(diagnostics_to_json(&Diagnostics::default()), "[]");
     }

@@ -33,6 +33,19 @@ pub struct Unit {
     pub defines: Vec<(String, i64)>,
 }
 
+impl Unit {
+    /// Apply `-D NAME=VALUE` overrides: each replaces the `#define` of
+    /// that name, or adds one.
+    pub fn override_defines(&mut self, defines: &[(&str, i64)]) {
+        for &(name, value) in defines {
+            match self.defines.iter_mut().find(|(n, _)| n == name) {
+                Some(slot) => slot.1 = value,
+                None => self.defines.push((name.to_string(), value)),
+            }
+        }
+    }
+}
+
 /// Top-level item.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Item {

@@ -419,17 +419,12 @@ impl Program {
             if let Some(va) = valid {
                 // Zero out-of-range values so the router accepts them
                 // (they are replaced by INF / excluded from writes
-                // afterwards).
+                // afterwards). Every lane is then in `[0, n)`: a valid
+                // lane's folded value is, for odd and even `n` alike.
                 let vi = self.machine.alloc_result(vp, "~vi", ElemType::Int)?;
                 self.machine.convert(vi, va)?;
                 self.rewrite(&mut term, |m, t, v| m.binop(BinOp::Mul, t, v, vi))?;
                 self.machine.free(vi)?;
-                if folded {
-                    // Clamp to the extent: only a fold transform can
-                    // exceed it.
-                    let t = term.0;
-                    self.machine.binop_imm(BinOp::Mod, t, t, Scalar::Int(n))?;
-                }
             }
             if stride != 1 {
                 let stride = Scalar::Int(stride as i64);

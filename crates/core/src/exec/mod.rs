@@ -135,8 +135,6 @@ pub struct ExecConfig {
     /// Enable the processor optimization of §4 (reduction VP-set
     /// minimisation for histogram-style reductions).
     pub procopt: bool,
-    /// Constant folding on the AST before execution.
-    pub constfold: bool,
     /// Resource budgets (fuel, memory, recursion, loop caps, deadline).
     pub limits: ExecLimits,
 }
@@ -148,7 +146,6 @@ impl Default for ExecConfig {
             seed: 0x5EED,
             optimize_access: true,
             procopt: true,
-            constfold: true,
             limits: ExecLimits::default(),
         }
     }
@@ -436,16 +433,7 @@ impl Program {
         let Some(mut unit) = parser::parse(src, &mut diags) else {
             return Err(diags);
         };
-        for (name, value) in defines {
-            if let Some(slot) = unit.defines.iter_mut().find(|(n, _)| n == name) {
-                slot.1 = *value;
-            } else {
-                unit.defines.push((name.to_string(), *value));
-            }
-        }
-        if config.constfold {
-            opt::fold_unit(&mut unit);
-        }
+        unit.override_defines(defines);
         let Some(checked) = sema::check(unit, &mut diags) else {
             return Err(diags);
         };

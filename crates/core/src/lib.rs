@@ -48,6 +48,7 @@ pub mod ast;
 pub mod diag;
 pub mod exec;
 pub mod ir;
+pub mod json;
 pub mod lexer;
 pub mod mapping;
 pub mod opt;

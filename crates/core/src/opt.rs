@@ -25,13 +25,16 @@
 //!   how the element an identifier refers to is bound and which
 //!   sub-expressions it can prove constant, so the two agree on the
 //!   classification by construction.
-//! * [`fold_unit`] / [`fold_expr`] — the AST fold driver, which goes
-//!   away once `par` is lowered and the IR folder sees everything. Its
-//!   **policy** is deliberately narrow, because it runs before sema and
-//!   knows neither types nor effects: replace a node whose operands are
-//!   all int literals (and `-` of a float literal) by its value, pick
-//!   the taken branch of a ternary with a literal condition, and apply
-//!   the identities that keep their operand: `x-0`, `x*1`, `1*x`, `x/1`.
+//! * [`fold_unit`] / [`fold_expr`] — an AST fold driver that no pipeline
+//!   runs: `Program::compile*` and `analysis::check_source` hand the
+//!   parsed unit to sema as written, and the IR's `passes::const_fold`
+//!   folds what the program computes. It stays public only because the
+//!   benchmark's `ucprobe` times it. Its **policy** is deliberately
+//!   narrow, because it would run before sema and know neither types nor
+//!   effects: replace a node whose operands are all int literals (and
+//!   `-` of a float literal) by its value, pick the taken branch of a
+//!   ternary with a literal condition, and apply the identities that
+//!   keep their operand: `x-0`, `x*1`, `1*x`, `x/1`.
 //!   `e*0 → 0` is *not* among them: it would discard `e`'s effects
 //!   (`bump()*0` must still call `bump`, `rand()*0` must still draw) and
 //!   its type (`f*0` is a float zero, so `(f*0+1)/2` is `0.5`, not `0`).
@@ -79,7 +82,7 @@ fn eval(e: &Expr, names: &mut dyn FnMut(&Name) -> Option<Scalar>) -> Result<Scal
             let taken = if eval(cond, names)?.as_bool() { then_e } else { else_e };
             eval(taken, names)?
         }
-        // Arities are matched here: the folder runs before sema checks them.
+        // Arities are matched here: this may run before sema checks them.
         Expr::Call { callee: Callee::Builtin(f), args, span, .. } => match (f, args.as_slice()) {
             (Builtin::Power2, [a]) => Scalar::Int(stdlib::power2(eval(a, names)?.as_int())),
             (Builtin::Abs, [a]) => scalar_abs(eval(a, names)?),
@@ -215,7 +218,7 @@ fn literal(e: &Expr) -> Option<Expr> {
 mod tests {
     use super::*;
     use crate::diag::Diagnostics;
-    use crate::{ExecConfig, Program};
+    use crate::Program;
     use proptest::prelude::*;
 
     fn int(v: i64) -> Expr {
@@ -389,30 +392,25 @@ mod tests {
         }
     }
 
-    /// `ri = e; rf = e;` run by the VM: the value as an int and as float
-    /// bits, or the runtime error.
-    fn run_vm(e: &str, constfold: bool) -> Result<(i64, u64), String> {
+    /// `ri = e; rf = e;` compiled (so folded by the IR's `const_fold`)
+    /// and run by the VM: the value as an int and as float bits, or the
+    /// runtime error.
+    fn run_vm(e: &str) -> Result<(i64, u64), String> {
         let src = format!("int ri;\nfloat rf;\nmain() {{ ri = {e}; rf = {e}; }}");
-        let cfg = ExecConfig { constfold, ..Default::default() };
-        let mut p = Program::compile_with(&src, cfg).unwrap_or_else(|d| panic!("{src}\n{d}"));
+        let mut p = Program::compile(&src).unwrap_or_else(|d| panic!("{src}\n{d}"));
         p.run().map_err(|e| format!("{:?}", e.error))?;
         Ok((p.read_int("ri").unwrap(), p.read_scalar("rf").unwrap().as_float().to_bits()))
     }
 
-    /// One arithmetic: the evaluator, the folded AST on the VM and the
-    /// unfolded AST on the VM agree bit for bit on `src`. Where the
-    /// evaluator declines (a `/0` somewhere), folding still must not
-    /// change what the VM does.
+    /// One arithmetic: the evaluator and the compiled program on the VM
+    /// agree bit for bit on `src`, wherever the evaluator gives a value
+    /// (it declines on a `/0` somewhere).
     fn check_agreement(src: &str) -> Result<(), String> {
-        let with_fold = run_vm(src, true);
-        let without = run_vm(src, false);
-        if with_fold != without {
-            return Err(format!("`{src}`: folded {with_fold:?}, unfolded {without:?}"));
-        }
+        let vm = run_vm(src);
         if let Ok(v) = eval_pure(&parse_expr(src), |_| None) {
             let expected = Ok((v.as_int(), v.as_float().to_bits()));
-            if with_fold != expected {
-                return Err(format!("`{src}`: eval_pure {expected:?}, VM {with_fold:?}"));
+            if vm != expected {
+                return Err(format!("`{src}`: eval_pure {expected:?}, VM {vm:?}"));
             }
         }
         Ok(())
@@ -441,6 +439,35 @@ mod tests {
             "0 && 1 / 0",
         ] {
             check_agreement(src).unwrap();
+        }
+        // Operands the IR's `const_fold` must keep: `bump()*0` still
+        // calls `bump` (once for `ri`, once for `rf`), `rand()*0` still
+        // draws, and `f*0` is a float zero — `-0.0`, and `0.5` after
+        // `+ 1` and `/ 2`.
+        let nth_draw = |k: usize| {
+            let src = format!("int next;\nmain() {{ {} next = rand(); }}", "rand(); ".repeat(k));
+            let mut p = Program::compile(&src).unwrap();
+            p.run().unwrap();
+            p.read_int("next").unwrap()
+        };
+        for (e, ri, rf, calls, draws) in [
+            ("bump() * 0", 0, 0.0, 2, 0),
+            ("0 * bump() + 1", 1, 1.0, 2, 0),
+            ("rand() * 0", 0, 0.0, 0, 2),
+            ("f * 0", 0, -0.0, 0, 0),
+            ("(f * 0 + 1) / 2", 0, 0.5, 0, 0),
+        ] {
+            let src = format!(
+                "int ri, calls, next;\nfloat rf;\n\
+                 int bump() {{ calls = calls + 1; return calls + 6; }}\n\
+                 main() {{ float f = -2.5; ri = {e}; rf = {e}; next = rand(); }}"
+            );
+            let mut p = Program::compile(&src).unwrap_or_else(|d| panic!("{src}\n{d}"));
+            p.run().unwrap();
+            let rf_bits = p.read_scalar("rf").unwrap().as_float().to_bits();
+            assert_eq!((p.read_int("ri").unwrap(), rf_bits), (ri, f64::to_bits(rf)), "{e}");
+            assert_eq!(p.read_int("calls").unwrap(), calls, "{e}");
+            assert_eq!(p.read_int("next").unwrap(), nth_draw(draws), "{e}");
         }
     }
 

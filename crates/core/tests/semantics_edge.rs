@@ -575,18 +575,34 @@ fn permute_maps_computed_subscripts() {
     assert_eq!(p.read_int_array("h").unwrap(), h);
 }
 
-/// `fold` on an odd extent, read by one lane past its end: the folded
-/// lanes read what they would unmapped, the last reads INF.
+/// `fold` on an odd and an even extent, read one lane past its end and
+/// two before its start (`c[k-2]`): the folded lanes read what they
+/// would unmapped, the others INF. A masked scatter through the fold
+/// writes its enabled lanes; an enabled lane past the end is an error.
 #[test]
 fn fold_on_an_odd_extent_reads_inf_past_the_end() {
-    let p = run_both(
-        "#define N 7
-         index_set I:i = {0..N-1}, K:k = {0..N};
-         int c[N], r[N+1];
-         map (I) { fold (I) c[i] :- c[N-1-i]; }
-         main() { par (I) c[i] = i * i; par (K) r[k] = c[k]; }",
-    )
-    .unwrap();
-    assert_eq!(p.read_int_array("c").unwrap(), [0, 1, 4, 9, 16, 25, 36]);
-    assert_eq!(p.read_int_array("r").unwrap(), [0, 1, 4, 9, 16, 25, 36, INF]);
+    for n in [7i64, 8] {
+        let src = |body: &str| {
+            format!(
+                "#define N {n}
+                 index_set I:i = {{0..N-1}}, K:k = {{0..N}};
+                 int c[N], r[N+1], l[N+1];
+                 map (I) {{ fold (I) c[i] :- c[N-1-i]; }}
+                 main() {{ par (I) c[i] = i * i; {body} }}"
+            )
+        };
+        let body = "par (K) { r[k] = c[k]; l[k] = c[k-2]; }
+                    par (K) st (k % 3 == 1 && k < N) c[k] = -k;";
+        let p = run_both(&src(body)).unwrap();
+        let c = |i: i64| if (0..n).contains(&i) { i * i } else { INF };
+        let read = |f: &dyn Fn(i64) -> i64| (0..=n).map(f).collect::<Vec<_>>();
+        let stored: Vec<i64> = (0..n).map(|i| if i % 3 == 1 { -i } else { c(i) }).collect();
+        assert_eq!(p.read_int_array("r").unwrap(), read(&c), "N = {n}");
+        assert_eq!(p.read_int_array("l").unwrap(), read(&|k| c(k - 2)), "N = {n}");
+        assert_eq!(p.read_int_array("c").unwrap(), stored, "N = {n}");
+        let Err(err) = run_both(&src("par (K) st (k > 1) c[k] = k;")) else {
+            panic!("c[N] leaves c at N = {n}")
+        };
+        assert!(matches!(err, RuntimeError::OutOfBounds { ref name } if name == "c"), "{err}");
+    }
 }

@@ -132,11 +132,6 @@ impl CStar {
         self.m.send(dst.field, addr.field, src.field, combine)
     }
 
-    /// `dst = (int) b` — widen a bool member to 0/1 ints.
-    pub fn convert_bool(&mut self, dst: Pvar, b: Pvar) -> Result<()> {
-        self.m.convert(dst.field, b.field)
-    }
-
     /// `dst = (a == imm)` into a bool member.
     pub fn cmp_imm_into(&mut self, dst: Pvar, a: Pvar, imm: i64) -> Result<()> {
         self.m.binop_imm(BinOp::Eq, dst.field, a.field, Scalar::Int(imm))

@@ -170,42 +170,6 @@ pub fn grid_goal(
     (cs.read(a).unwrap(), cycles, sweeps)
 }
 
-/// Ranksort in C\* (§3.4's UC example, hand-translated): each instance
-/// counts the keys smaller than its own through an all-to-all of gathers,
-/// then scatters its key to its rank. Keys must be distinct. Returns
-/// `(sorted, cycles)`.
-pub fn ranksort(keys: &[i64], phys_procs: usize) -> (Vec<i64>, u64) {
-    let n = keys.len();
-    let mut cs = CStar::new(phys_procs);
-    let d = cs.domain("SORT", &[n]).unwrap();
-    let key = cs.int_member(d, "key").unwrap();
-    cs.write(key, keys.to_vec()).unwrap();
-
-    cs.reset_clock();
-    let rank = cs.int_member(d, "rank").unwrap();
-    let other = cs.int_member(d, "other").unwrap();
-    let addr = cs.int_member(d, "addr").unwrap();
-    let less = cs.bool_member(d, "less").unwrap();
-    let one = cs.int_member(d, "one").unwrap();
-    cs.assign_imm(rank, 0).unwrap();
-    // rank = #{ j : key[j] < key[i] } via n gather-and-compare rounds
-    // (C* has no per-instance reduction; the UC compiler's combining send
-    // is exactly what this loop spells out).
-    for j in 0..n as i64 {
-        cs.assign_imm(addr, j).unwrap();
-        cs.get(other, addr, key).unwrap();
-        cs.lt_into(less, other, key).unwrap();
-        let less_int = one;
-        // one = (other < key) as int; rank += one
-        cs.convert_bool(less_int, less).unwrap();
-        cs.binop(BinOp::Add, rank, rank, less_int).unwrap();
-    }
-    let sorted = cs.int_member(d, "sorted").unwrap();
-    cs.send(sorted, rank, key, Combine::Overwrite).unwrap();
-    let cycles = cs.cycles();
-    (cs.read(sorted).unwrap(), cycles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,14 +225,6 @@ mod tests {
         let (r2, _c2) = apsp_n2(&d, n, 16 * 1024);
         let (r3, ..) = apsp_n3(&d, n, 16 * 1024);
         assert_eq!(r2, r3);
-    }
-
-    #[test]
-    fn ranksort_sorts_distinct_keys() {
-        let keys: Vec<i64> = (0..20).map(|i| (i * 13 + 5) % 20).collect();
-        let (sorted, cycles) = ranksort(&keys, 16 * 1024);
-        assert_eq!(sorted, (0..20).collect::<Vec<i64>>());
-        assert!(cycles > 0);
     }
 
     #[test]

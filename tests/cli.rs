@@ -196,11 +196,12 @@ fn unknown_lint_code_is_rejected() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown lint code"));
 }
 
-/// `--format json` output must round-trip through the shared JSON module
-/// the benches use, with the documented fields intact.
+/// `--format json` output must round-trip through the workspace's one
+/// JSON module (`uc_core::json`, which the figures also use), with the
+/// documented fields intact.
 #[test]
 fn json_format_round_trips() {
-    use uc_bench::json::parse_value;
+    use uc::lang::json::parse;
 
     let path = write_temp("uc_cli_racy_json.uc", RACY);
     let out = uc()
@@ -209,7 +210,7 @@ fn json_format_round_trips() {
         .unwrap();
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let value = parse_value(stdout.trim()).expect("valid JSON");
+    let value = parse(stdout.trim()).expect("valid JSON");
     let diags = value.as_array().expect("top-level array");
     assert_eq!(diags.len(), 1);
     let d = &diags[0];

@@ -45,65 +45,6 @@ pub fn render_program(ops: &[usize], n: i64) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Front-end expressions with effects (constant folding on/off).
-// ---------------------------------------------------------------------
-
-/// Source text of a well-typed front-end expression drawn from `tape`
-/// (exhausted tape reads as zeros), and whether its value is a float.
-/// Operands: the literals `0` and `1` (the folder's identity triggers) in
-/// every position, int locals `n` and `z`, float locals `f` and `h`,
-/// `rand()` and the counting function `bump()`.
-pub fn effectful_expr(tape: &mut dyn Iterator<Item = u32>, depth: u32) -> (String, bool) {
-    const INTS: &[&str] = &["0", "1", "0", "1", "2", "7", "(0 - 1)", "n", "z", "rand()", "bump()"];
-    const FLOATS: &[&str] = &["f", "h", "2.5", "0.0"];
-    const INT_OPS: &[&str] = &["%", "&", "|", "^", "<<"];
-    const ANY_OPS: &[&str] = &["+", "-", "*", "/", "*", "<", "==", "&&", "||"];
-    let mut next = |n: usize| tape.next().unwrap_or(0) as usize % n;
-    match if depth == 0 { 0 } else { next(8) } {
-        0 | 1 => {
-            let k = next(INTS.len() + FLOATS.len());
-            match INTS.get(k) {
-                Some(leaf) => (leaf.to_string(), false),
-                None => (FLOATS[k - INTS.len()].to_string(), true),
-            }
-        }
-        2 => {
-            let not = next(2) == 1;
-            let (x, float) = effectful_expr(tape, depth - 1);
-            if not { (format!("(!{x})"), false) } else { (format!("(-{x})"), float) }
-        }
-        3..=5 => {
-            let k = next(INT_OPS.len() + ANY_OPS.len());
-            let (l, lf) = effectful_expr(tape, depth - 1);
-            let (r, rf) = effectful_expr(tape, depth - 1);
-            match INT_OPS.get(k) {
-                Some(op) if !lf && !rf => (format!("({l} {op} {r})"), false),
-                Some(_) => (format!("({l} * {r})"), true),
-                None => {
-                    let op = ANY_OPS[k - INT_OPS.len()];
-                    (format!("({l} {op} {r})"), (lf || rf) && "+-*/".contains(op))
-                }
-            }
-        }
-        6 => {
-            let (c, _) = effectful_expr(tape, depth - 1);
-            let (t, tf) = effectful_expr(tape, depth - 1);
-            let (e, ef) = effectful_expr(tape, depth - 1);
-            (format!("({c} ? {t} : {e})"), tf || ef)
-        }
-        _ => {
-            let f = ["abs", "min", "max"][next(3)];
-            let (a, af) = effectful_expr(tape, depth - 1);
-            if f == "abs" {
-                return (format!("abs({a})"), af);
-            }
-            let (b, bf) = effectful_expr(tape, depth - 1);
-            (format!("{f}({a}, {b})"), af || bf)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Index-set scoping: which definition does a set name denote here?
 // ---------------------------------------------------------------------
 
