@@ -1,5 +1,6 @@
 //! Regenerate Figure 8: grid shortest path with the Figure 11 obstacle —
-//! sequential C, `-O` sequential C, and UC on the 16K CM.
+//! sequential C, `-O` sequential C, and UC on the 16K CM, beside C\* on
+//! the same machine.
 //!
 //! The paper sweeps rows up to ~120; the sequential curves blow up while
 //! the CM curve stays nearly flat until the VP ratio exceeds 1.

@@ -124,10 +124,16 @@ pub enum Callee {
     Func(u32),
 }
 
-/// Which array access an [`Expr::Index`] is: its position in
-/// [`crate::sema::Checked::accesses`]. Two nodes share an id iff their
-/// resolved bases and subscripts are structurally equal.
-pub type AccessId = u32;
+/// Which value the executor may keep a node's result as: its position in
+/// [`crate::sema::Checked::values`]. Every [`Expr::Index`] has one (two
+/// accesses share it iff their resolved bases and subscripts are
+/// structurally equal); an operator or builtin call has one only where
+/// sema decided its result is worth keeping, and [`NO_VALUE`] elsewhere.
+pub type ValueId = u32;
+
+/// The id of a node whose result is recomputed wherever it is evaluated:
+/// what the parser writes, and what sema leaves on most nodes.
+pub const NO_VALUE: ValueId = ValueId::MAX;
 
 /// One `NAME : elem = init` definition inside an `index_set` declaration.
 #[derive(Debug, Clone, PartialEq)]
@@ -343,13 +349,20 @@ pub enum Expr {
     Inf(Span),
     Ident(Name, Span),
     /// `a[e][e]...`; `access` is 0 from the parser, filled by sema.
-    Index { base: Name, subs: Vec<Expr>, span: Span, access: AccessId },
+    Index { base: Name, subs: Vec<Expr>, span: Span, access: ValueId },
     /// `name(args...)`; `name` is the spelling, for diagnostics and
-    /// rendering.
-    Call { name: Box<str>, callee: Callee, args: Vec<Expr>, span: Span },
-    Unary { op: UnaryOp, expr: Box<Expr>, span: Span },
-    Binary { op: BinaryOp, lhs: Box<Expr>, rhs: Box<Expr>, span: Span },
-    Ternary { cond: Box<Expr>, then_e: Box<Expr>, else_e: Box<Expr>, span: Span },
+    /// rendering. `value` (like that of the three operator nodes) is
+    /// [`NO_VALUE`] from the parser; sema may fill it.
+    Call { name: Box<str>, callee: Callee, args: Vec<Expr>, span: Span, value: ValueId },
+    Unary { op: UnaryOp, expr: Box<Expr>, span: Span, value: ValueId },
+    Binary { op: BinaryOp, lhs: Box<Expr>, rhs: Box<Expr>, span: Span, value: ValueId },
+    Ternary {
+        cond: Box<Expr>,
+        then_e: Box<Expr>,
+        else_e: Box<Expr>,
+        span: Span,
+        value: ValueId,
+    },
     /// `lhs = value` or a compound assignment `lhs op= value`.
     Assign { target: Box<Expr>, op: Option<BinaryOp>, value: Box<Expr>, span: Span },
     Reduce(Box<ReduceExpr>),
@@ -369,6 +382,30 @@ impl Expr {
             | Expr::Ternary { span: s, .. }
             | Expr::Assign { span: s, .. } => *s,
             Expr::Reduce(r) => r.span,
+        }
+    }
+
+    /// The value id sema gave this node, if any: an access's always.
+    pub fn value(&self) -> Option<ValueId> {
+        match *self {
+            Expr::Index { access: v, .. }
+            | Expr::Call { value: v, .. }
+            | Expr::Unary { value: v, .. }
+            | Expr::Binary { value: v, .. }
+            | Expr::Ternary { value: v, .. } => (v != NO_VALUE).then_some(v),
+            _ => None,
+        }
+    }
+
+    /// Where an operator or builtin call keeps its value id; `None` for
+    /// every other node.
+    pub fn value_slot(&mut self) -> Option<&mut ValueId> {
+        match self {
+            Expr::Call { value, .. }
+            | Expr::Unary { value, .. }
+            | Expr::Binary { value, .. }
+            | Expr::Ternary { value, .. } => Some(value),
+            _ => None,
         }
     }
 }
@@ -627,7 +664,12 @@ mod tests {
     fn expr_spans() {
         let s = Span::new(1, 2, 1, 2);
         assert_eq!(Expr::IntLit(4, s).span(), s);
-        let e = Expr::Unary { op: UnaryOp::Neg, expr: Box::new(Expr::IntLit(4, s)), span: s };
+        let e = Expr::Unary {
+            op: UnaryOp::Neg,
+            expr: Box::new(Expr::IntLit(4, s)),
+            span: s,
+            value: NO_VALUE,
+        };
         assert_eq!(e.span(), s);
     }
 
@@ -640,7 +682,7 @@ mod tests {
         main.body.stmts
     }
 
-    /// `Index` and `Call` set the size; a resolved reference, an access id
+    /// `Index` and `Call` set the size; a resolved reference, a value id
     /// and a callee ride in what the base's `String` and the padding used
     /// to take.
     #[test]

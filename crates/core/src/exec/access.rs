@@ -23,14 +23,28 @@
 //! on this, e.g. `x[i+1]` in the odd–even sort predicate). Out-of-range
 //! *writes* by enabled elements are errors.
 //!
-//! Gathers computed while a step's predicates evaluate are cached for the
-//! arm bodies (§4's common sub-expression detection), keyed by the space
-//! and the access's id: sema gives two accesses one id iff their resolved
-//! bases and subscripts are structurally equal, so `a[j]` under two
-//! reductions whose `j` are different elements are two entries. The cache
-//! is a short list per step, scanned rather than hashed. Sema's
-//! `AccessInfo` lists every array an access reads, so a write to `a`
-//! drops `b[a[i]]` as well as `a[i]`.
+//! A step computes each value once (§4's common sub-expression
+//! detection). Sema gives a value id to every access, and to an operator
+//! or builtin call only where it is worth keeping; [`Program::eval_kept`]
+//! serves both kinds alike:
+//!
+//! * a value a step's predicates compute — a gather, or an expression the
+//!   arm bodies or `others` compute again, like the grid's
+//!   `min(...) + 1` — is cached for the bodies, keyed by the space and
+//!   the id. Two accesses share an id iff their resolved bases and
+//!   subscripts are structurally equal, so `a[j]` under two reductions
+//!   whose `j` are different elements are two entries. The cache is a
+//!   short list per step, scanned rather than hashed. Sema's `ValueInfo`
+//!   lists every array a value reads, so a write to `a` makes `b[a[i]]`
+//!   stale as well as `a[i]`; a stale entry's field lives until the step
+//!   ends, so the value an arm is storing stays readable while it stores;
+//! * an index-only value in a `*par` predicate, like the grid's
+//!   `(i != 0 || j != 0)`, is the same in every sweep: the first sweep
+//!   computes it under the level's base context, and the level keeps it
+//!   (`ParCtx::kept`) until the construct ends.
+//!
+//! Both are decisions over the program text; none reads a mask. Not yet
+//! kept: a reduction's send address, rebuilt every round (Figure 7).
 //!
 //! A warm access allocates nothing: its storage is found by a `Copy` key
 //! ([`Storage`]) wherever it is used, and its subscript forms share one
@@ -39,7 +53,7 @@
 use uc_cm::{BinOp, Combine, ElemType, FieldId, ReduceOp, Scalar};
 
 use super::{ArrayStorage, LocalVar, Program, RResult, RuntimeError, Storage, PV};
-use crate::ast::{AccessId, BinaryOp, Expr, Name, Ref};
+use crate::ast::{BinaryOp, Expr, Name, Ref, ValueId};
 use crate::mapping::ArrayMapping;
 use crate::opt::{self, IdxForm};
 use crate::sema::LocalKind;
@@ -92,49 +106,54 @@ impl Program {
 
     // ---- reads --------------------------------------------------------------
 
-    /// Read `base[subs...]` in the current context.
-    pub(crate) fn read_array(
-        &mut self,
-        base: &Name,
-        subs: &[Expr],
-        access: AccessId,
-    ) -> RResult<PV> {
-        let arr = Storage::Array(base.to);
-        // Common-subexpression cache: a gather computed while this step's
-        // predicates evaluated (full construct mask) may be reused by arm
-        // bodies (strictly narrower masks).
-        if !self.checked.accesses[access as usize].cacheable {
-            return self.read_storage(arr, subs);
+    /// Evaluate `e`, whose id is `id`, keeping its value where sema says
+    /// it is worth keeping. An invariant value is computed once per entry
+    /// of its `*par`, by the first sweep's predicates, and kept on the
+    /// level. Any other is kept for the step: computed while the step's
+    /// predicates evaluate (under the construct's context), reused by the
+    /// arm bodies and `others` (under narrower masks) until a write makes
+    /// it stale.
+    pub(crate) fn eval_kept(&mut self, e: &Expr, id: ValueId) -> RResult<PV> {
+        let info = &self.checked.values[id as usize];
+        let (cacheable, invariant) = (info.cacheable, info.invariant);
+        if !cacheable {
+            return self.compute(e);
         }
-        let vp = self.cur_ctx().vp;
-        let mut cached = self.cse_stack.iter().rev().flatten();
-        if let Some(&(.., id)) = cached.find(|&&(v, a, _)| (v, a) == (vp, access)) {
-            return Ok(PV::Field { id, owned: false });
+        let found = if invariant {
+            self.cur_ctx().kept.iter().find(|&&(v, _)| v == id).map(|&(_, field)| field)
+        } else {
+            let vp = self.cur_ctx().vp;
+            let mut cached = self.cse_stack.iter().rev().flatten();
+            cached.find(|&&(v, a, _)| (v, a) == (vp, Some(id))).map(|&(.., field)| field)
+        };
+        if let Some(field) = found {
+            return Ok(PV::Field { id: field, owned: false });
         }
-        let pv = self.read_storage(arr, subs)?;
-        if let (true, Some(level), PV::Field { id, owned: true }) =
-            (self.cse_fill, self.cse_depth.checked_sub(1), pv)
-        {
-            self.cse_stack[level].push((vp, access, id));
-            return Ok(PV::Field { id, owned: false });
+        let pv = self.compute(e)?;
+        let PV::Field { id: field, owned: true } = pv else { return Ok(pv) };
+        if !self.cse_fill {
+            return Ok(pv);
         }
-        Ok(pv)
+        if invariant {
+            self.ctx.last_mut().expect("a space is open").kept.push((id, field));
+        } else {
+            let (vp, level) = (self.cur_ctx().vp, self.cse_depth - 1);
+            self.cse_stack[level].push((vp, Some(id), field));
+        }
+        Ok(PV::Field { id: field, owned: false })
     }
 
-    /// Drop every cached gather that reads `array` — as the gathered array
-    /// or anywhere inside a subscript (called when `array` is written) — or
-    /// the whole cache (when `array` is None, e.g. a scalar that might
-    /// appear in subscripts changed).
+    /// Mark stale every value the step cache holds that reads `array` —
+    /// as a gathered array, inside a subscript or as an operand (called
+    /// when `array` is written) — or every one (when `array` is None: a
+    /// scalar or per-VP local that a value may read changed). A stale
+    /// entry's field is freed when its step ends.
     pub(crate) fn cse_invalidate(&mut self, array: Option<Ref>) {
-        let accesses = &self.checked.accesses;
-        for level in &mut self.cse_stack {
-            level.retain(|&(_, access, field)| {
-                let stale = array.is_none_or(|a| accesses[access as usize].arrays.contains(&a));
-                if stale {
-                    let _ = self.machine.free(field);
-                }
-                !stale
-            });
+        let values = &self.checked.values;
+        for (_, kept, _) in self.cse_stack.iter_mut().flatten() {
+            if kept.is_some_and(|v| array.is_none_or(|a| values[v as usize].arrays.contains(&a))) {
+                *kept = None;
+            }
         }
     }
 
@@ -584,9 +603,11 @@ impl Program {
                     PV::Scalar(s) => PV::Scalar(s),
                     PV::Field { id, .. } => PV::Field { id, owned: false },
                 };
-                self.cse_invalidate(Some(base.to));
                 let arr = Storage::Array(base.to);
                 self.write_storage(arr, subs, dup, check_conflicts, &base.text)?;
+                // What the step keeps of `base` is stale from here on (the
+                // value just stored may be one of them).
+                self.cse_invalidate(Some(base.to));
             }
             other => unreachable!("sema admits only lvalues as targets, not {other:?}"),
         }

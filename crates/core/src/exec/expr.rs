@@ -14,20 +14,29 @@
 
 use uc_cm::{BinOp, ElemType, Scalar, UnOp};
 
-use super::{LocalVar, Program, RResult, RuntimeError, PV};
+use super::{LocalVar, Program, RResult, RuntimeError, Storage, PV};
 use crate::ast::{BinaryOp, Callee, Expr, LocalId, Name, Ref, UnaryOp};
 use crate::sema::{LocalInfo, LocalKind};
 use crate::stdlib::{self, Builtin};
 
 impl Program {
-    /// Evaluate an expression in the current context.
+    /// Evaluate an expression in the current context: a value sema gave
+    /// an id may be kept (see `access`).
     pub(crate) fn eval(&mut self, e: &Expr) -> RResult<PV> {
+        match e.value() {
+            Some(id) => self.eval_kept(e, id),
+            None => self.compute(e),
+        }
+    }
+
+    /// Evaluate `e` itself, whatever id it has.
+    pub(crate) fn compute(&mut self, e: &Expr) -> RResult<PV> {
         match e {
             Expr::IntLit(v, _) => Ok(PV::Scalar(Scalar::Int(*v))),
             Expr::FloatLit(v, _) => Ok(PV::Scalar(Scalar::Float(*v))),
             Expr::Inf(_) => Ok(PV::Scalar(Scalar::Int(i64::MAX))),
             Expr::Ident(name, _) => self.read_ident(name),
-            Expr::Index { base, subs, access, .. } => self.read_array(base, subs, *access),
+            Expr::Index { base, subs, .. } => self.read_storage(Storage::Array(base.to), subs),
             Expr::Call { callee, args, .. } => self.eval_call(*callee, args),
             Expr::Unary { op, expr, .. } => {
                 let v = self.eval(expr)?;

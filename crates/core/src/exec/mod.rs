@@ -48,7 +48,7 @@ use std::sync::Arc;
 
 use uc_cm::{CmError, ElemType, FieldId, Machine, MachineConfig, MachineLimits, Scalar, VpSetId};
 
-use crate::ast::{AccessId, Ref};
+use crate::ast::{Ref, ValueId};
 use crate::diag::Diagnostics;
 use crate::ir::IrProgram;
 use crate::mapping::{self, ArrayMapping};
@@ -387,15 +387,18 @@ pub struct Program {
     pub(crate) fixup_cache: FxMap<(VpSetId, usize, i64), FieldId>,
     /// Broadcast INF fields per (space, element type).
     pub(crate) inf_cache: FxMap<(VpSetId, ElemType), FieldId>,
-    /// Common-subexpression cache for array gathers within one
-    /// synchronous step (§4 "common sub-expression detection"): a stack
-    /// of per-step lists of (space, access, gathered field) — a step
-    /// caches a handful, so a scan beats hashing. Filled while predicates
-    /// evaluate, consumed by arm bodies, invalidated on writes. Levels
-    /// from `cse_depth` up are spare: empty, kept for their capacity.
-    pub(crate) cse_stack: Vec<Vec<(VpSetId, AccessId, FieldId)>>,
+    /// Common-subexpression cache for the values sema marks within one
+    /// synchronous step (§4 "common sub-expression detection"), gathers
+    /// and computed values alike: a stack of per-step lists of (space,
+    /// value, field) — a step caches a handful, so a scan beats hashing.
+    /// Filled while predicates evaluate, consumed by arm bodies. A write
+    /// makes an entry stale (`None`); its field lives on until the step
+    /// ends, so a value already handed out stays readable. Levels from
+    /// `cse_depth` up are spare: empty, kept for their capacity.
+    pub(crate) cse_stack: Vec<Vec<(VpSetId, Option<ValueId>, FieldId)>>,
     pub(crate) cse_depth: usize,
-    /// Whether gathers may currently be inserted into the cache.
+    /// Whether values may currently be inserted into the cache: while a
+    /// step's predicates evaluate, under the step's own context.
     pub(crate) cse_fill: bool,
     /// Index-element value fields per (space, axis, values along the
     /// axis): these depend only on geometry, so re-entering a construct

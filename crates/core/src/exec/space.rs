@@ -25,7 +25,7 @@ use std::sync::Arc;
 use uc_cm::{BinOp, ElemType, FieldId, Scalar, VpSetId};
 
 use super::{Program, RResult, PV};
-use crate::ast::SetId;
+use crate::ast::{SetId, ValueId};
 use crate::opt::ElemForm;
 
 /// The values an index element takes along its axis, as far as they
@@ -49,6 +49,11 @@ pub struct ParCtx {
     pub(crate) elems: Vec<(SetId, FieldId, ElemForm)>,
     /// Fields to free when the level pops.
     pub(crate) owned: Vec<FieldId>,
+    /// The invariant values ([`crate::sema::ValueInfo::invariant`]) of a
+    /// `*par`'s predicate, computed in its first sweep under this level's
+    /// base context, which every later sweep's predicates run under too;
+    /// freed when the level pops.
+    pub(crate) kept: Vec<(ValueId, FieldId)>,
     /// Every VP of the space is active, statically: there is no enclosing
     /// level, or the enclosing level is full and had no mask of its own
     /// pushed. A full level pushed no context; any other pushed the
@@ -59,9 +64,10 @@ pub struct ParCtx {
     pub(crate) lift: Option<FieldId>,
 }
 
-/// A popped [`ParCtx`]'s buffers — `dims`, `elems` and `owned`, cleared —
-/// so entering a construct allocates nothing.
-pub(crate) type CtxBuffers = (Vec<usize>, Vec<(SetId, FieldId, ElemForm)>, Vec<FieldId>);
+/// A popped [`ParCtx`]'s buffers — `dims`, `elems`, `owned` and `kept`,
+/// cleared — so entering a construct allocates nothing.
+pub(crate) type CtxBuffers =
+    (Vec<usize>, Vec<(SetId, FieldId, ElemForm)>, Vec<FieldId>, Vec<(ValueId, FieldId)>);
 
 impl Program {
     /// Push a new parallel-context level for the given index sets,
@@ -70,7 +76,7 @@ impl Program {
     ///
     /// Returns the level index (for symmetric [`Program::pop_space`]).
     pub(crate) fn push_space(&mut self, sets: &[SetId]) -> RResult<usize> {
-        let (mut dims, elems, owned) = self.ctx_spare.pop().unwrap_or_default();
+        let (mut dims, elems, owned, kept) = self.ctx_spare.pop().unwrap_or_default();
         let outer_dims = self.ctx.last().map_or(&[][..], |c| &c.dims);
         let outer_rank = outer_dims.len();
         dims.extend_from_slice(outer_dims);
@@ -83,7 +89,7 @@ impl Program {
             None => true,
         };
 
-        let mut level = ParCtx { vp, dims, elems, owned, full, lift: None };
+        let mut level = ParCtx { vp, dims, elems, owned, kept, full, lift: None };
         let dims = &level.dims;
 
         // Bind each set's element as a field on the new space. Done
@@ -157,17 +163,17 @@ impl Program {
     /// its fields.
     pub(crate) fn pop_space(&mut self, level: usize) -> RResult<()> {
         debug_assert_eq!(level + 1, self.ctx.len(), "unbalanced space push/pop");
-        let ParCtx { vp, mut dims, mut elems, mut owned, full, .. } =
+        let ParCtx { vp, mut dims, mut elems, mut owned, mut kept, full, .. } =
             self.ctx.pop().expect("pop_space on empty stack");
         if !full {
             self.machine.pop_context(vp)?;
         }
-        for f in owned.drain(..) {
+        for f in owned.drain(..).chain(kept.drain(..).map(|(_, f)| f)) {
             let _ = self.machine.free(f);
         }
         dims.clear();
         elems.clear();
-        self.ctx_spare.push((dims, elems, owned));
+        self.ctx_spare.push((dims, elems, owned, kept));
         Ok(())
     }
 

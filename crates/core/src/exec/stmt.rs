@@ -358,6 +358,7 @@ impl Program {
                     lhs: Box::new(target.as_ref().clone()),
                     rhs: Box::new(value.as_ref().clone()),
                     span: *span,
+                    value: crate::ast::NO_VALUE,
                 };
                 out.push((target.as_ref().clone(), rhs));
             }

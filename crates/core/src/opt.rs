@@ -74,7 +74,7 @@ fn eval(e: &Expr, names: &mut dyn FnMut(&Name) -> Option<Scalar>) -> Result<Scal
         Expr::Inf(_) => Scalar::Int(i64::MAX),
         Expr::Ident(name, span) => names(name).ok_or(*span)?,
         Expr::Unary { op, expr, .. } => scalar_unary(*op, eval(expr, names)?),
-        Expr::Binary { op, lhs, rhs, span } => {
+        Expr::Binary { op, lhs, rhs, span, .. } => {
             let (l, r) = (eval(lhs, names)?, eval(rhs, names)?);
             scalar_binary(*op, l, r).map_err(|_| *span)?
         }
@@ -226,7 +226,8 @@ mod tests {
     }
 
     fn bin(op: BinaryOp, l: Expr, r: Expr) -> Expr {
-        Expr::Binary { op, lhs: Box::new(l), rhs: Box::new(r), span: Span::default() }
+        let (lhs, rhs) = (Box::new(l), Box::new(r));
+        Expr::Binary { op, lhs, rhs, span: Span::default(), value: crate::ast::NO_VALUE }
     }
 
     fn folded(mut e: Expr) -> Expr {

@@ -527,6 +527,7 @@ impl<'a> Parser<'a> {
                 then_e: Box::new(then_e),
                 else_e: Box::new(else_e),
                 span,
+                value: NO_VALUE,
             })
         } else {
             Ok(cond)
@@ -564,7 +565,8 @@ impl<'a> Parser<'a> {
             let span = self.span();
             self.bump();
             let rhs = self.binary(prec + 1)?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), span };
+            let (l, r) = (Box::new(lhs), Box::new(rhs));
+            lhs = Expr::Binary { op, lhs: l, rhs: r, span, value: NO_VALUE };
         }
         Ok(lhs)
     }
@@ -575,17 +577,17 @@ impl<'a> Parser<'a> {
             T::Minus => {
                 self.bump();
                 let e = self.unary()?;
-                Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(e), span })
+                Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(e), span, value: NO_VALUE })
             }
             T::Bang => {
                 self.bump();
                 let e = self.unary()?;
-                Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(e), span })
+                Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(e), span, value: NO_VALUE })
             }
             T::Tilde => {
                 self.bump();
                 let e = self.unary()?;
-                Ok(Expr::Unary { op: UnaryOp::BitNot, expr: Box::new(e), span })
+                Ok(Expr::Unary { op: UnaryOp::BitNot, expr: Box::new(e), span, value: NO_VALUE })
             }
             T::Plus => {
                 self.bump();
@@ -686,7 +688,7 @@ impl<'a> Parser<'a> {
                     self.expect(&T::RParen, "`)` after arguments")?;
                     let callee = Builtin::named(&name).map_or(Callee::Unresolved, Callee::Builtin);
                     let (name, span) = (name.into(), span.to(self.prev_span()));
-                    Ok(Expr::Call { name, callee, args, span })
+                    Ok(Expr::Call { name, callee, args, span, value: NO_VALUE })
                 } else {
                     Ok(Expr::Ident(Name::new(name), span))
                 }

@@ -31,7 +31,7 @@
 //!   `main` takes no parameters);
 //! * expressions get basic int/float/bool checking with C-style coercion.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use uc_cm::Scalar;
@@ -137,17 +137,39 @@ pub struct FuncInfo {
     pub machine_locals: bool,
 }
 
-/// One distinct array access (see [`AccessId`]): what the executor's
-/// per-step gather cache needs to know about it, decided once.
+/// One value the executor may keep (see [`ValueId`]): a distinct array
+/// access, or an operator or builtin call whose result a construct
+/// computes more than once. What the executor's caches need to know about
+/// it, decided once.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AccessInfo {
-    /// Every array the access reads — its base and any array inside its
-    /// subscripts (`b[a[i]]` reads `b` and `a`), as [`Ref::Array`] or
-    /// [`Ref::Local`]: a write to any of them makes a cached gather stale.
+pub struct ValueInfo {
+    /// Every array the value reads — an access's base, and any array
+    /// inside a subscript or operand (`b[a[i]] + 1` reads `b` and `a`), as
+    /// [`Ref::Array`] or [`Ref::Local`]: a write to any of them makes a
+    /// kept value stale.
     pub arrays: Vec<Ref>,
-    /// Whether the subscripts are side-effect-free and deterministic
-    /// within a step (no `rand()`, user call, assignment or reduction).
+    /// Whether it is side-effect-free and deterministic within a step (no
+    /// `rand()`, user call, assignment or reduction). An access's
+    /// subscripts may fail this; every other value passes it.
     pub cacheable: bool,
+    /// Whether it reads only index elements and constants, so it is the
+    /// same in every sweep of the `*par` whose predicate computes it: the
+    /// first sweep computes it and the construct keeps it.
+    pub invariant: bool,
+}
+
+/// What a side-effect-free expression reads, as [`Checker::reads`]
+/// finds it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Reads {
+    /// An index element.
+    elems: bool,
+    /// Anything else that is not a constant: an array, a global, a
+    /// register or per-VP local.
+    state: bool,
+    /// A value that is one per VP: an element, an array element, a per-VP
+    /// local, a `?:`.
+    parallel: bool,
 }
 
 /// The output of semantic analysis, consumed by the executor, the
@@ -174,8 +196,8 @@ pub struct Checked {
     pub main: usize,
     /// Per function, in [`Checked::funcs_in_order`] order.
     pub func_infos: Vec<FuncInfo>,
-    /// Every distinct array access; an [`AccessId`] indexes this.
-    pub accesses: Vec<AccessInfo>,
+    /// Every value the executor may keep; a [`ValueId`] indexes this.
+    pub values: Vec<ValueInfo>,
     pub maps: Vec<MapDecl>,
 }
 
@@ -253,8 +275,8 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         global_names: Vec::new(),
         funcs: HashMap::new(),
         func_infos: Vec::new(),
-        accesses: Vec::new(),
-        access_ids: HashMap::new(),
+        values: Vec::new(),
+        value_ids: HashMap::new(),
         maps: Vec::new(),
         scopes: Vec::new(),
         nest: Nesting::default(),
@@ -274,7 +296,7 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
             global_names: cx.global_names,
             main: cx.funcs["main"].index as usize,
             func_infos: cx.func_infos,
-            accesses: cx.accesses,
+            values: cx.values,
             maps: cx.maps,
         })
     }
@@ -324,9 +346,9 @@ struct Checker<'a> {
     funcs: HashMap<String, FuncSig>,
     /// One per function checked so far; the last is the one being checked.
     func_infos: Vec<FuncInfo>,
-    accesses: Vec<AccessInfo>,
-    /// Canonical form of a resolved access → its id.
-    access_ids: HashMap<Vec<u8>, AccessId>,
+    values: Vec<ValueInfo>,
+    /// Canonical form of a resolved access or kept value → its id.
+    value_ids: HashMap<Vec<u8>, ValueId>,
     maps: Vec<MapDecl>,
     /// Scope stack for function bodies: name → binding.
     scopes: Vec<HashMap<String, (Ref, Denotes)>>,
@@ -810,6 +832,9 @@ impl<'a> Checker<'a> {
             self.check_stmt(o);
         }
         self.nest = outer;
+        if uc.kind == UcKind::Par || (uc.kind == UcKind::Seq && outer.parallel) {
+            self.keep_values(uc);
+        }
         if uc.kind == UcKind::Solve {
             self.check_solve_arms(uc);
         }
@@ -958,33 +983,177 @@ impl<'a> Checker<'a> {
     /// The id of the access `base[subs...]`, both already resolved:
     /// interned by canonical form, so two accesses get one id iff they
     /// denote the same thing.
-    fn intern_access(&mut self, base: Ref, subs: &[Expr]) -> AccessId {
+    fn intern_access(&mut self, base: Ref, subs: &[Expr]) -> ValueId {
         let mut key = Vec::with_capacity(32);
         self.canon_ref(base, &mut key);
         key.extend((subs.len() as u32).to_le_bytes());
         for sub in subs {
             self.canon(sub, &mut key);
         }
-        if let Some(&id) = self.access_ids.get(&key) {
+        if let Some(&id) = self.value_ids.get(&key) {
             return id;
         }
         let mut arrays = vec![base];
-        let mut cacheable = true;
-        for sub in subs {
-            sub.walk(&mut |e| match e {
-                Expr::Index { base, .. } => arrays.push(base.to),
-                Expr::Assign { .. } | Expr::Reduce(_) => cacheable = false,
-                // `rand()` draws anew each time; a user call may do anything.
-                Expr::Call { callee, .. } => {
-                    cacheable &= matches!(callee, Callee::Builtin(b) if *b != Builtin::Rand)
-                }
-                _ => {}
-            });
-        }
-        self.accesses.push(AccessInfo { arrays, cacheable });
-        let id = (self.accesses.len() - 1) as AccessId;
-        self.access_ids.insert(key, id);
+        subs.iter().for_each(|sub| arrays_read(sub, &mut arrays));
+        let cacheable = subs.iter().all(|sub| self.reads(sub).is_some());
+        self.push_value(key, ValueInfo { arrays, cacheable, invariant: false })
+    }
+
+    fn push_value(&mut self, key: Vec<u8>, info: ValueInfo) -> ValueId {
+        self.values.push(info);
+        let id = (self.values.len() - 1) as ValueId;
+        self.value_ids.insert(key, id);
         id
+    }
+
+    /// What `e` reads, or `None` when evaluating it has an effect or a
+    /// result of its own each time: it draws `rand()` (anew each time),
+    /// calls a user function (which may do anything), assigns or reduces.
+    fn reads(&self, e: &Expr) -> Option<Reads> {
+        let (mut reads, mut pure) = (Reads::default(), true);
+        e.walk(&mut |x| match x {
+            Expr::Ident(name, _) => match name.to {
+                Ref::Elem(_) => reads.elems = true,
+                Ref::Const(_) => {}
+                Ref::Local(id) => {
+                    reads.state = true;
+                    let local = &self.func_infos.last().expect("in a function").locals[id as usize];
+                    reads.parallel |= local.kind == LocalKind::PerVp;
+                }
+                _ => reads.state = true,
+            },
+            Expr::Index { .. } => (reads.state, reads.parallel) = (true, true),
+            Expr::Ternary { .. } => reads.parallel = true,
+            Expr::Assign { .. } | Expr::Reduce(_) => pure = false,
+            Expr::Call { callee, .. } => {
+                pure &= matches!(callee, Callee::Builtin(b) if *b != Builtin::Rand)
+            }
+            _ => {}
+        });
+        reads.parallel |= reads.elems;
+        pure.then_some(reads)
+    }
+
+    /// What `e` reads if it is a value a step may keep — an operator or a
+    /// builtin call, side-effect-free, one per VP — with its canonical
+    /// form in `key`.
+    fn keepable(&self, e: &mut Expr, key: &mut Vec<u8>) -> Option<Reads> {
+        e.value_slot()?;
+        let reads = self.reads(e).filter(|r| r.parallel)?;
+        key.clear();
+        self.canon(e, key);
+        Some(reads)
+    }
+
+    /// Decide which values a step of `uc` keeps, once its arms are
+    /// checked and while its elements are in scope. Only the constructs
+    /// whose steps the executor runs with a value cache qualify: a `par`,
+    /// and a `seq` inside a parallel construct. Two kinds get an id:
+    ///
+    /// * a value that a predicate computes and that an arm body or
+    ///   `others` computes again — its maximal occurrences in both;
+    /// * in a `*par` predicate, a maximal subtree that reads only index
+    ///   elements and constants ([`ValueInfo::invariant`]), and its
+    ///   occurrences in the bodies.
+    ///
+    /// Only what a step evaluates on the construct's own space counts: not
+    /// what a nested construct or a reduction evaluates, and in a
+    /// predicate nothing under an assignment. Nor a predicate itself: it
+    /// becomes the arm's mask, which the step owns and frees.
+    fn keep_values(&mut self, uc: &mut UcStmt) {
+        if uc.arms.iter().all(|a| a.pred.is_none()) {
+            return;
+        }
+        let hoist = uc.kind == UcKind::Par && uc.star;
+        let (mut computed, mut key) = (HashSet::new(), Vec::new());
+        for body in uc.arms.iter_mut().map(|a| &mut a.body).chain(uc.others.as_deref_mut()) {
+            step_exprs(body, &mut |e| self.computed_values(e, &mut key, &mut computed));
+        }
+        if computed.is_empty() && !hoist {
+            return;
+        }
+        let mut kept = HashMap::new();
+        for pred in uc.arms.iter_mut().filter_map(|a| a.pred.as_mut()) {
+            self.keep_below(pred, hoist, &computed, &mut key, &mut kept);
+        }
+        if kept.is_empty() {
+            return;
+        }
+        for body in uc.arms.iter_mut().map(|a| &mut a.body).chain(uc.others.as_deref_mut()) {
+            step_exprs(body, &mut |e| self.reuse_values(e, &mut key, &kept));
+        }
+    }
+
+    /// The canonical form of every value in `e` a step may keep.
+    fn computed_values(&self, e: &mut Expr, key: &mut Vec<u8>, out: &mut HashSet<Vec<u8>>) {
+        if self.keepable(e, key).is_some() {
+            out.insert(key.clone());
+        }
+        if !matches!(e, Expr::Reduce(_)) {
+            e.for_each_child_mut(|c| self.computed_values(c, key, out));
+        }
+    }
+
+    /// Give an id to each maximal value in predicate `e` that the bodies
+    /// compute again (`computed`) or, when `hoist`, that is invariant;
+    /// record it in `kept` by canonical form.
+    fn keep_in_predicate(
+        &mut self,
+        e: &mut Expr,
+        hoist: bool,
+        computed: &HashSet<Vec<u8>>,
+        key: &mut Vec<u8>,
+        kept: &mut HashMap<Vec<u8>, ValueId>,
+    ) {
+        if let Some(reads) = self.keepable(e, key) {
+            let invariant = hoist && reads.elems && !reads.state;
+            if invariant || computed.contains(key) {
+                let mut interned = vec![if invariant { b'h' } else { b'v' }];
+                interned.extend(&*key);
+                let id = match self.value_ids.get(&interned) {
+                    Some(&id) => id,
+                    None => {
+                        let mut arrays = Vec::new();
+                        arrays_read(e, &mut arrays);
+                        self.push_value(interned, ValueInfo { arrays, cacheable: true, invariant })
+                    }
+                };
+                *e.value_slot().expect("keepable") = id;
+                kept.insert(key.clone(), id);
+                return;
+            }
+        }
+        self.keep_below(e, hoist, computed, key, kept);
+    }
+
+    /// [`Checker::keep_in_predicate`] on each operand of predicate node
+    /// `e`, unless `e` assigns, reduces or calls a user function.
+    fn keep_below(
+        &mut self,
+        e: &mut Expr,
+        hoist: bool,
+        computed: &HashSet<Vec<u8>>,
+        key: &mut Vec<u8>,
+        kept: &mut HashMap<Vec<u8>, ValueId>,
+    ) {
+        let opaque = match e {
+            Expr::Assign { .. } | Expr::Reduce(_) => true,
+            Expr::Call { callee, .. } => !matches!(callee, Callee::Builtin(_)),
+            _ => false,
+        };
+        if !opaque {
+            e.for_each_child_mut(|c| self.keep_in_predicate(c, hoist, computed, key, kept));
+        }
+    }
+
+    /// Give the maximal occurrences in body expression `e` of a value a
+    /// predicate keeps that value's id.
+    fn reuse_values(&self, e: &mut Expr, key: &mut Vec<u8>, kept: &HashMap<Vec<u8>, ValueId>) {
+        if let Some(&id) = self.keepable(e, key).and_then(|_| kept.get(key)) {
+            *e.value_slot().expect("keepable") = id;
+        } else if !matches!(e, Expr::Reduce(_)) {
+            e.for_each_child_mut(|c| self.reuse_values(c, key, kept));
+        }
     }
 
     fn check_expr(&mut self, e: &mut Expr) -> (ExprTy, Rank) {
@@ -1058,7 +1227,7 @@ impl<'a> Checker<'a> {
                 (ty, here)
             }
             Expr::Call { .. } => self.check_call(e, false),
-            Expr::Unary { op, expr, span } => {
+            Expr::Unary { op, expr, span, .. } => {
                 let (t, rank) = self.check_expr(expr);
                 let ty = match op {
                     UnaryOp::Neg => {
@@ -1077,7 +1246,7 @@ impl<'a> Checker<'a> {
                 };
                 (ty, rank)
             }
-            Expr::Binary { op, lhs, rhs, span } => {
+            Expr::Binary { op, lhs, rhs, span, .. } => {
                 let (lt, lrank) = self.check_expr(lhs);
                 let (rt, rrank) = self.check_expr(rhs);
                 use BinaryOp::*;
@@ -1130,7 +1299,7 @@ impl<'a> Checker<'a> {
     /// A call, resolved to what it calls. Only `as_stmt` — as the whole of
     /// an expression statement — may it be to `swap`.
     fn check_call(&mut self, call: &mut Expr, as_stmt: bool) -> (ExprTy, Rank) {
-        let Expr::Call { name, callee, args, span } = call else { unreachable!("not a call") };
+        let Expr::Call { name, callee, args, span, .. } = call else { unreachable!("not a call") };
         let (tys, ranks): (Vec<_>, Vec<_>) = args.iter_mut().map(|a| self.check_expr(a)).unzip();
         let (what, takes, ty) = match *callee {
             Callee::Builtin(b) => ("builtin", b.arity(), b.result(&tys)),
@@ -1290,6 +1459,27 @@ impl<'a> Checker<'a> {
         out.push(tag);
         out.extend(id.to_le_bytes());
         out.extend(of.to_le_bytes());
+    }
+}
+
+/// Every array `e` reads, as an access's base, into `out`.
+fn arrays_read(e: &Expr, out: &mut Vec<Ref>) {
+    e.walk(&mut |x| {
+        if let Expr::Index { base, .. } = x {
+            out.push(base.to);
+        }
+    });
+}
+
+/// Call `f` on every expression a step of a construct evaluates in `s`,
+/// one of its arm bodies: not those of a nested construct, which runs on
+/// a space of its own.
+fn step_exprs(s: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
+    if !matches!(s, Stmt::Uc(_)) {
+        s.for_each_child_mut(|n| match n {
+            NodeMut::Expr(e) => f(e),
+            NodeMut::Stmt(s) => step_exprs(s, f),
+        });
     }
 }
 
@@ -1503,7 +1693,7 @@ mod tests {
         assert_ne!(id("a[n]", 0), id("a[n]", 1));
         assert_eq!(id("a[n]", 1), id("a[n]", 2));
         assert_ne!(id("a[j]", 0), id("a[j]", 1));
-        let info = &c.accesses[id("a[j]", 0) as usize];
+        let info = &c.values[id("a[j]", 0) as usize];
         assert_eq!((info.arrays.as_slice(), info.cacheable), (&[Ref::Array(0)][..], true));
     }
 
@@ -1534,6 +1724,68 @@ mod tests {
         assert_eq!(j1, j2);
         assert_eq!(j1, j_second);
         assert_ne!(j_second, j_third);
+    }
+
+    /// Every operator or call node that sema gave a value id, in source
+    /// order: its text, its id and whether the value is invariant.
+    fn kept_values(c: &Checked) -> Vec<(String, ValueId, bool)> {
+        let mut kept = Vec::new();
+        for f in c.funcs_in_order() {
+            for s in &f.body.stmts {
+                s.for_each_expr(&mut |e| {
+                    e.walk(&mut |x| {
+                        if let Some(id) = x.value().filter(|_| !matches!(x, Expr::Index { .. })) {
+                            kept.push((crate::pretty::expr(x), id, c.values[id as usize].invariant));
+                        }
+                    })
+                });
+            }
+        }
+        kept
+    }
+
+    /// Figure 8's sweep keeps two values: the `min(...) + 1` that its
+    /// predicate computes and its body stores, one id on both, and the
+    /// index-only `(i != 0 || j != 0)`, the same in every sweep. Nothing
+    /// inside either gets an id, and nothing in the initialising `par`s.
+    #[test]
+    fn a_star_par_keeps_its_reused_and_its_invariant_values() {
+        let c = check_ok(include_str!("../../bench/programs/grid_goal.uc"));
+        let kept = kept_values(&c);
+        let relax = "min(min(a[i - 1][j], a[i + 1][j]), min(a[i][j - 1], a[i][j + 1])) + 1";
+        let [(hoisted, h, true), (pred, p, false), (body, b, false)] = &kept[..] else {
+            panic!("{kept:?}")
+        };
+        assert_eq!(hoisted, "(i != 0) || (j != 0)");
+        assert_eq!((pred.as_str(), body.as_str(), p), (relax, relax, b));
+        assert_ne!(h, p);
+        assert_eq!(c.values[*p as usize].arrays, [Ref::Array(0); 4]);
+        assert!(c.values[*h as usize].arrays.is_empty());
+    }
+
+    /// No value is kept that draws `rand()`, calls a user function,
+    /// assigns or reduces, or that a predicate computes only under an
+    /// assignment, nor a whole predicate (`a[i] > 2`). A plain `par` and a
+    /// body keep no invariant: `i * 2` is a value the plain `par` reuses,
+    /// and the `*par` body's `i + 1` is not one its predicate computes.
+    #[test]
+    fn kept_values_are_pure_and_invariants_come_from_star_par_predicates() {
+        let c = check_ok(
+            "index_set I:i = {0..3}, J:j = I;\nint a[4], x[4], y[4];\n\
+             int f() { return 1; }\n\
+             main() {\n\
+               par (I) st (rand() % 2 + i > 0) x[i] = rand() % 2 + i;\n\
+               par (I) st (a[i] + f() > 0) x[i] = a[i] + f();\n\
+               par (I) st ((y[i] = a[i] + 1) > 0) x[i] = a[i] + 1;\n\
+               par (I) st ($+(J; a[j] + 1) > i) x[i] = $+(J; a[j] + 1);\n\
+               par (I) st (a[i] > 2) x[i] = a[i] > 2;\n\
+               par (I) st (i * 2 < a[i]) x[i] = i * 2;\n\
+               *par (I) st (a[i] > 0) a[i] = a[i] - (i + 1);\n\
+             }",
+        );
+        let kept = kept_values(&c);
+        let [(pred, p, false), (body, b, false)] = &kept[..] else { panic!("{kept:?}") };
+        assert_eq!((pred.as_str(), body.as_str(), p), ("i * 2", "i * 2", b));
     }
 
     #[test]

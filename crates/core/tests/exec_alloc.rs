@@ -16,7 +16,9 @@
 //! * a NEWS read with its border fix-up, as in an obstacle-grid sweep;
 //! * router stores into `permute`-, `fold`- and `copy`-mapped arrays and
 //!   through a data-dependent subscript, which take every mapping arm of
-//!   the address computation.
+//!   the address computation;
+//! * a `*par` fixpoint that keeps a value its predicate computes for its
+//!   body, and an index-only term for every sweep after the first.
 //!
 //! The counter is process-wide, so the tests live alone in this file and
 //! serialize on a mutex.
@@ -172,4 +174,30 @@ fn mapped_router_stores_allocate_nothing_per_entry() {
     assert!((0..64).all(|i| a[((5 * i + t) % 64) as usize] == i));
     assert_eq!(read(&mut p, "f"), (0..256).map(|k| k + t).collect::<Vec<_>>());
     assert!(allocs < BUDGET, "{allocs} allocations in 128 warm mapped-store entries");
+}
+
+/// Four entries of an obstacle-grid style `*par`, 31 sweeps each: every
+/// sweep's body stores the `min(...) + 1` its predicate kept, and the
+/// first sweep of each entry computes `(i != 0 || j != 0)` for the rest.
+#[test]
+fn star_par_keeping_values_allocates_nothing_per_sweep() {
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let src = r#"
+        #define N 16
+        #define DMAX 1073741824
+        index_set I:i = {0..N-1}, J:j = I, T:t = {0..3};
+        int a[N][N];
+        main() {
+            seq (T) {
+                par (I, J) st (i == 0 && j == 0) a[i][j] = 0; others a[i][j] = DMAX;
+                *par (I, J)
+                    st ((i != 0 || j != 0)
+                        && min(min(a[i-1][j], a[i+1][j]), min(a[i][j-1], a[i][j+1])) + 1 < a[i][j])
+                        a[i][j] = min(min(a[i-1][j], a[i+1][j]), min(a[i][j-1], a[i][j+1])) + 1;
+            }
+        }
+    "#;
+    let (p, allocs) = warm_run_allocs(src, |_| {});
+    assert_eq!(p.read_int_array("a").unwrap(), (0..256).map(|c| c / 16 + c % 16).collect::<Vec<_>>());
+    assert!(allocs < BUDGET, "{allocs} allocations in 124 warm `*par` sweeps");
 }

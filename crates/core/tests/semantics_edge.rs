@@ -606,3 +606,153 @@ fn fold_on_an_odd_extent_reads_inf_past_the_end() {
         assert!(matches!(err, RuntimeError::OutOfBounds { ref name } if name == "c"), "{err}");
     }
 }
+
+// ---- values a step keeps ------------------------------------------------------
+//
+// Sema marks the values a construct computes more than once: one that a
+// predicate computes and a body or `others` computes again is kept for
+// the step, and an index-only one in a `*par` predicate for the whole
+// fixpoint. Each program below is checked against the values a plain
+// `Vec` computes, with access optimisation on and off.
+
+/// An arm stores the very value its predicate gathered, back into the
+/// array it came from: through a NEWS shift (`a[i-1][j]`) and through
+/// the router (`b[p[k]]`). The write makes the kept gather stale; it must
+/// not be freed before it is copied.
+#[test]
+fn an_arm_stores_the_value_its_predicate_gathered() {
+    let p = run_both(include_str!("../../../tests/corpus/store_kept_value.uc")).unwrap();
+    let (n, m) = (4, 8);
+    let a0 = |i: i64, j: i64| if (0..n).contains(&i) { i + j } else { INF };
+    let a: Vec<i64> = (0..n)
+        .flat_map(|i| (0..n).map(move |j| if a0(i - 1, j) > 0 { a0(i - 1, j) } else { a0(i, j) }))
+        .collect();
+    let perm = |k: i64| (k + 3) % m;
+    let b: Vec<i64> = (0..m).map(|k| if perm(k) > 0 { perm(k) } else { k }).collect();
+    assert_eq!(p.read_int_array("a").unwrap(), a);
+    assert_eq!(p.read_int_array("b").unwrap(), b);
+}
+
+/// Arm 2's predicate computes `a[i] + b[i]` before arm 1's body writes
+/// `a`; arm 2's body must then add the new `a`.
+#[test]
+fn a_value_kept_for_a_later_arm_goes_stale_when_an_earlier_arm_writes() {
+    let p = run_both(
+        "#define N 8
+         index_set I:i = {0..N-1};
+         int a[N], b[N], x[N];
+         main() {
+             par (I) { a[i] = i; b[i] = 10 * i; }
+             par (I)
+                 st (i % 2 == 0) a[i] = a[i] + 100;
+                 st (a[i] + b[i] > 0) x[i] = a[i] + b[i];
+         }",
+    )
+    .unwrap();
+    let a: Vec<i64> = (0..8).map(|i| if i % 2 == 0 { i + 100 } else { i }).collect();
+    let x: Vec<i64> = (0..8).map(|i| if i > 0 { a[i as usize] + 10 * i } else { 0 }).collect();
+    assert_eq!(p.read_int_array("a").unwrap(), a);
+    assert_eq!(p.read_int_array("x").unwrap(), x);
+}
+
+/// A per-VP local written between the predicate and the body: the body
+/// adds the new `t`, in every step of the `seq`.
+#[test]
+fn a_value_kept_for_the_body_goes_stale_when_a_local_it_reads_is_written() {
+    let p = run_both(
+        "#define N 4
+         index_set I:i = {0..N-1}, K:k = {0..2};
+         int a[N], x[N];
+         main() {
+             par (I) a[i] = 10 * i;
+             par (I) {
+                 int t;
+                 t = i;
+                 seq (K) st (a[i] + t > k) { t = t + 1; x[i] = a[i] + t; }
+             }
+         }",
+    )
+    .unwrap();
+    let x: Vec<i64> = (0..4)
+        .map(|i| {
+            let (mut t, mut x) = (i, 0);
+            for k in 0..3 {
+                if 10 * i + t > k {
+                    t += 1;
+                    x = 10 * i + t;
+                }
+            }
+            x
+        })
+        .collect();
+    assert_eq!(p.read_int_array("x").unwrap(), x);
+}
+
+/// `others` runs where no arm's predicate held, and the value the
+/// predicate computed holds there too; after the arm writes `a`, the
+/// second `others` computes it again.
+#[test]
+fn others_reuses_what_the_predicates_computed() {
+    let p = run_both(
+        "#define N 8
+         index_set I:i = {0..N-1};
+         int a[N], x[N], y[N];
+         main() {
+             par (I) a[i] = i;
+             par (I) st (a[i] * 2 > 6) x[i] = 1; others x[i] = a[i] * 2;
+             par (I) st (a[i] * 3 > 6) a[i] = 0; others y[i] = a[i] * 3;
+         }",
+    )
+    .unwrap();
+    let x: Vec<i64> = (0..8).map(|i| if i * 2 > 6 { 1 } else { i * 2 }).collect();
+    let y: Vec<i64> = (0..8).map(|i| if i * 3 > 6 { 0 } else { i * 3 }).collect();
+    let a: Vec<i64> = (0..8).map(|i| if i * 3 > 6 { 0 } else { i }).collect();
+    assert_eq!(p.read_int_array("x").unwrap(), x);
+    assert_eq!(p.read_int_array("y").unwrap(), y);
+    assert_eq!(p.read_int_array("a").unwrap(), a);
+}
+
+/// A `*par` entered under a masked `par` computes its invariant terms
+/// (`j != i`, `i + j`) on the transferred lanes only: the even rows on
+/// the first entry, the odd rows on the second. What the first entry
+/// kept must not serve the second.
+#[test]
+fn a_star_par_under_a_mask_keeps_its_invariants_for_one_entry() {
+    let p = run_both(
+        "#define N 4
+         index_set I:i = {0..N-1}, J:j = I, K:k = {0..1};
+         int a[N][N];
+         main() {
+             par (I, J) a[i][j] = 10;
+             seq (K)
+                 par (I) st (i % 2 == k)
+                     *par (J) st (j != i && a[i][j] > i + j) a[i][j] = a[i][j] - 1;
+         }",
+    )
+    .unwrap();
+    let a: Vec<i64> = (0..16).map(|c| if c / 4 == c % 4 { 10 } else { c / 4 + c % 4 }).collect();
+    assert_eq!(p.read_int_array("a").unwrap(), a);
+}
+
+/// `rand()` draws anew at every call, in a predicate and in a body that
+/// spell the same expression: kept, the two stores would write the
+/// predicate's draw twice.
+#[test]
+fn a_repeated_rand_draws_each_time() {
+    let p = run_both(
+        "#define N 16
+         index_set I:i = {0..N-1};
+         int x[N], y[N];
+         main() {
+             par (I) st (rand() % 1000 + i < N + 1000) {
+                 x[i] = rand() % 1000 + i;
+                 y[i] = rand() % 1000 + i;
+             }
+         }",
+    )
+    .unwrap();
+    let (x, y) = (p.read_int_array("x").unwrap(), p.read_int_array("y").unwrap());
+    let drawn = |v: &[i64]| v.iter().enumerate().all(|(i, v)| (0..1000).contains(&(v - i as i64)));
+    assert!(drawn(&x) && drawn(&y));
+    assert_ne!(x, y);
+}

@@ -458,10 +458,11 @@ fn per(from: &OpCounters, to: &OpCounters, k: u64) -> OpCounters {
 /// builds its address as C\* does (`i*N + k`, `k*N + j`: a multiply with
 /// an immediate and an add) plus the outer element's coordinate.
 ///
-/// A k-step of fig6's `apsp_n2.uc` is 2 router and 2 context ops and 11
+/// A k-step of fig6's `apsp_n2.uc` is 2 router and 2 context ops and 10
 /// ALU ops, of which 6 build the two addresses `i*N + k` and `j + k*N`;
 /// at k = 0 the constant part is 0, so the first address adds nothing
-/// and the second is a copy of `j`: 8 ALU ops.
+/// and the second is a copy of `j`: 7 ALU ops. The body stores the
+/// `d[i][k] + d[k][j]` its predicate computed.
 #[test]
 fn figure_programs_issue_cstars_router_ops_per_round() {
     let n3 = include_str!("../crates/bench/programs/apsp_n3.uc");
@@ -475,8 +476,23 @@ fn figure_programs_issue_cstars_router_ops_per_round() {
 
     let n2 = include_str!("../crates/bench/programs/apsp_n2.uc");
     let init = include_str!("../crates/bench/programs/apsp_init.uc");
-    let steps = only(8 + 7 * 11, 8 * 2, 8 * 2);
+    let steps = only(7 + 7 * 10, 8 * 2, 8 * 2);
     assert_eq!(per(&counts(init, &[]), &counts(n2, &[]), 1), steps);
+}
+
+/// A sweep of fig8's `*par` after the first, op for op: C\*'s 4 NEWS
+/// shifts, any-active scan and context push and pop, and 16 ALU ops
+/// against C\*'s 11 (PAPER.md itemises them). The first sweep alone
+/// computes the index-only `(i != 0 || j != 0)`, and the body stores the
+/// predicate's `min(...) + 1`. Each sweep scans once, so the scans count
+/// the sweeps.
+#[test]
+fn a_grid_sweep_computes_each_value_once() {
+    let grid = include_str!("../crates/bench/programs/grid_goal.uc");
+    let counts = |n: i64| run_uc(grid, &[("N", n)]).machine().counters();
+    let (small, large) = (counts(8), counts(16));
+    let sweep = OpCounters { alu: 16, news: 4, scan: 1, context: 2, ..Default::default() };
+    assert_eq!(per(&small, &large, large.scan - small.scan), sweep);
 }
 
 /// A program has one tally: its cold run, a second run, and that run
