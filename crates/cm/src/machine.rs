@@ -361,6 +361,8 @@ pub struct Machine {
     /// The one field allocated by [`Machine::alloc_result`] and not yet
     /// written (see the module docs).
     undefined: Option<FieldId>,
+    /// Fields allocated since construction.
+    fields_allocated: u64,
 }
 
 impl Machine {
@@ -379,6 +381,7 @@ impl Machine {
             mem_bytes: 0,
             deadline: None,
             undefined: None,
+            fields_allocated: 0,
         }
     }
 
@@ -663,6 +666,7 @@ impl Machine {
         let len = self.vp(vp)?.geom.size();
         self.charge_mem((len as u64).saturating_mul(elem_bytes(ty)))?;
         let field = Field { data: self.scratch.draw_field_data(ty, len, zeroed) };
+        self.fields_allocated += 1;
         let set = self.vp_mut(vp)?;
         let index = if let Some(slot) = set.free_slots.pop() {
             set.fields[slot] = Some(field);
@@ -750,6 +754,13 @@ impl Machine {
             .iter()
             .map(|s| s.fields.iter().filter(|f| f.is_some()).count())
             .sum()
+    }
+
+    /// Fields allocated since construction, storage and results alike:
+    /// beside [`Machine::live_fields`], what a client's temporaries cost
+    /// (a field read in place is one it did not allocate).
+    pub fn fields_allocated(&self) -> u64 {
+        self.fields_allocated
     }
 
     /// Borrow an int field's storage (front-end inspection; not charged).

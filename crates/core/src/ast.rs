@@ -349,7 +349,10 @@ pub enum Expr {
     Inf(Span),
     Ident(Name, Span),
     /// `a[e][e]...`; `access` is 0 from the parser, filled by sema.
-    Index { base: Name, subs: Vec<Expr>, span: Span, access: ValueId },
+    /// `borrow` is false from the parser; sema sets it where the read's
+    /// consumer is done with the value before anything can write the
+    /// array, so a local read may hand it the array's own storage.
+    Index { base: Name, subs: Vec<Expr>, span: Span, access: ValueId, borrow: bool },
     /// `name(args...)`; `name` is the spelling, for diagnostics and
     /// rendering. `value` (like that of the three operator nodes) is
     /// [`NO_VALUE`] from the parser; sema may fill it.

@@ -20,8 +20,21 @@
 //!
 //! Out-of-range *reads* yield `INF`, modelling the CM convention that
 //! off-edge fetches return the border register (the paper's programs rely
-//! on this, e.g. `x[i+1]` in the odd–even sort predicate). Out-of-range
-//! *writes* by enabled elements are errors.
+//! on this, e.g. `x[i+1]` in the odd–even sort predicate). A NEWS shift
+//! of an unmapped array fills its border with INF itself, as C\*'s does;
+//! a `permute`d array, stored displaced from its logical bounds, shifts
+//! toroidally and then selects INF through a cached mask of the lanes
+//! whose logical index is in range. Out-of-range *writes* by enabled
+//! elements are errors.
+//!
+//! A local read copies the array's field unless sema lent it the field
+//! itself (`Expr::Index`'s `borrow`): where its consumer is an operator,
+//! a builtin, a `?:` condition or a read's subscript, and no operand of
+//! that consumer assigns, swaps or calls a user function, nothing writes
+//! the array while the value is live. A store's source, a `swap`
+//! operand, a declaration's initialiser and a reduction's operand get a
+//! copy. A borrowed field is never kept for the step: only an owned value
+//! enters the cache below, whose end frees it.
 //!
 //! A step computes each value once (§4's common sub-expression
 //! detection). Sema gives a value id to every access, and to an operator
@@ -130,6 +143,8 @@ impl Program {
             return Ok(PV::Field { id: field, owned: false });
         }
         let pv = self.compute(e)?;
+        // Only an owned field is kept: not a scalar, nor the array field
+        // a local read borrowed.
         let PV::Field { id: field, owned: true } = pv else { return Ok(pv) };
         if !self.cse_fill {
             return Ok(pv);
@@ -175,12 +190,18 @@ impl Program {
     }
 
     /// Parallel read of a storage: an array, or a solve's defined-bitmap,
-    /// which mirrors its array's mapping.
-    pub(crate) fn read_storage(&mut self, arr: Storage, subs: &[Expr]) -> RResult<PV> {
+    /// which mirrors its array's mapping. `borrow` is sema's leave to
+    /// hand a local read the storage itself ([`Expr::Index`]).
+    pub(crate) fn read_storage(
+        &mut self,
+        arr: Storage,
+        subs: &[Expr],
+        borrow: bool,
+    ) -> RResult<PV> {
         let start = self.classify_subs(subs);
         let read = (|| {
             if self.config.optimize_access {
-                if let Some(pv) = self.try_fast_read(arr, start)? {
+                if let Some(pv) = self.try_fast_read(arr, start, borrow)? {
                     return Ok(pv);
                 }
             }
@@ -190,8 +211,11 @@ impl Program {
         read
     }
 
-    /// Local/NEWS read when the array conforms to the iteration space.
-    fn try_fast_read(&mut self, arr: Storage, start: usize) -> RResult<Option<PV>> {
+    /// Local/NEWS read when the array conforms to the iteration space:
+    /// the array's field itself where sema lent it (`borrow`), a copy, a
+    /// NEWS shift with an INF border, or for a `permute`d array a
+    /// toroidal shift (or none) and INF selected at the logical edges.
+    fn try_fast_read(&mut self, arr: Storage, start: usize, borrow: bool) -> RResult<Option<PV>> {
         let (st, ctx, forms) = (self.storage(arr), self.cur_ctx(), &self.forms[start..]);
         let (field, ty, vp, rank) = (st.field, st.ty, ctx.vp, forms.len());
         let stored_at = match &st.mapping {
@@ -210,9 +234,7 @@ impl Program {
                 if !identity {
                     return Ok(None);
                 }
-                let dst = self.machine.alloc_result(vp, "~rd", ty)?;
-                self.machine.copy(dst, field)?;
-                return Ok(Some(PV::owned(dst)));
+                return self.local_read(field, ty, borrow).map(Some);
             }
             ArrayMapping::Fold { .. } => return Ok(None),
         };
@@ -223,7 +245,7 @@ impl Program {
         // positions, so chaining shifts would read garbage at inactive
         // intermediate positions. Multi-axis displacement (`a[i-1][j-1]`)
         // takes the router.
-        let (mut shift, mut displaced) = (None, 0);
+        let (mut shift, mut displaced, mut edges) = (None, 0, false);
         for (d, &form) in forms.iter().enumerate() {
             match form {
                 IdxForm::AxisPlus { axis, offset } if axis == d => {
@@ -232,6 +254,7 @@ impl Program {
                         displaced += 1;
                         shift = shift.or(Some((d, s)));
                     }
+                    edges |= offset != 0;
                 }
                 _ => return Ok(None),
             }
@@ -239,18 +262,29 @@ impl Program {
         if displaced > 1 {
             return Ok(None);
         }
-        let dst = self.machine.alloc_result(vp, "~rd", ty)?;
+        // `edges`: some lane's logical index may leave the array.
         match shift {
-            None => self.machine.copy(dst, field)?,
-            Some((d, s)) => {
-                // Toroidal shift; the logical-bounds fixup below replaces
-                // wrapped positions with INF.
-                self.machine.news_shift(dst, field, d, s, uc_cm::news::Border::Wrap)?;
+            None if !edges => return self.local_read(field, ty, borrow).map(Some),
+            // Unmapped, the off-grid lanes are the ones that left it.
+            Some((d, s)) if stored_at.is_none() => {
+                let dst = self.machine.alloc_result(vp, "~rd", ty)?;
+                let border = uc_cm::news::Border::Fill(inf_of(ty));
+                self.machine.news_shift(dst, field, d, s, border)?;
+                return Ok(Some(PV::owned(dst)));
             }
+            _ => {}
         }
-        // Fix up positions whose *logical* index fell outside the array:
-        // they read INF, not a wrapped value. The validity masks depend
-        // only on the geometry, so they are computed once and cached.
+        // A permuted array: a toroidal shift, or none, then INF wherever
+        // the *logical* index fell outside the array. The validity masks
+        // depend only on the geometry, so they are computed once and
+        // cached. The first select reads the array's field when nothing
+        // shifted it.
+        let dst = self.machine.alloc_result(vp, "~rd", ty)?;
+        let mut src = field;
+        if let Some((d, s)) = shift {
+            self.machine.news_shift(dst, field, d, s, uc_cm::news::Border::Wrap)?;
+            src = dst;
+        }
         for d in 0..rank {
             let IdxForm::AxisPlus { offset: c, .. } = self.forms[start + d] else {
                 unreachable!("every subscript of a local/NEWS read is an axis")
@@ -260,9 +294,21 @@ impl Program {
             }
             let ok = self.fixup_mask(d, c, self.storage(arr).shape[d] as i64)?;
             let inf = self.inf_field(ty)?;
-            self.machine.select(dst, ok, dst, inf)?;
+            self.machine.select(dst, ok, src, inf)?;
+            src = dst;
         }
         Ok(Some(PV::owned(dst)))
+    }
+
+    /// A local read of `field`: the field itself where sema lent it, else
+    /// a copy the consumer owns.
+    fn local_read(&mut self, field: FieldId, ty: ElemType, borrow: bool) -> RResult<PV> {
+        if borrow {
+            return Ok(PV::Field { id: field, owned: false });
+        }
+        let dst = self.machine.alloc_result(self.cur_ctx().vp, "~rd", ty)?;
+        self.machine.copy(dst, field)?;
+        Ok(PV::owned(dst))
     }
 
     /// Cached "coordinate(axis)+offset is inside [0, n)" mask on the

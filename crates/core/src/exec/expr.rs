@@ -36,7 +36,9 @@ impl Program {
             Expr::FloatLit(v, _) => Ok(PV::Scalar(Scalar::Float(*v))),
             Expr::Inf(_) => Ok(PV::Scalar(Scalar::Int(i64::MAX))),
             Expr::Ident(name, _) => self.read_ident(name),
-            Expr::Index { base, subs, .. } => self.read_storage(Storage::Array(base.to), subs),
+            Expr::Index { base, subs, borrow, .. } => {
+                self.read_storage(Storage::Array(base.to), subs, *borrow)
+            }
             Expr::Call { callee, args, .. } => self.eval_call(*callee, args),
             Expr::Unary { op, expr, .. } => {
                 let v = self.eval(expr)?;

@@ -380,10 +380,13 @@ pub struct Program {
     pub(crate) regs: Vec<Scalar>,
     pub(crate) rand_counter: u64,
     pub(crate) oneof_cursor: usize,
-    /// Static border-fixup masks: (space, axis, logical offset) → bool
-    /// field ("coordinate+offset is inside the extent"). These depend
-    /// only on geometry — which `spaces` maps one-to-one to a VP set — so
-    /// the compiler hoists them out of loops.
+    /// Static border-fixup masks of `permute`d reads: (space, axis,
+    /// logical offset) → bool field ("coordinate+offset is inside the
+    /// extent"). A `permute`d array's storage is displaced from its
+    /// logical bounds, so its reads shift toroidally and select INF
+    /// through these; an unmapped array's NEWS shift fills its border
+    /// instead. They depend only on geometry — which `spaces` maps
+    /// one-to-one to a VP set — so the compiler hoists them out of loops.
     pub(crate) fixup_cache: FxMap<(VpSetId, usize, i64), FieldId>,
     /// Broadcast INF fields per (space, element type).
     pub(crate) inf_cache: FxMap<(VpSetId, ElemType), FieldId>,

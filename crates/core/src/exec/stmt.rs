@@ -418,7 +418,7 @@ impl Program {
                     let Expr::Index { base, subs, .. } = target else { unreachable!() };
                     let def_st = def_maps.iter().find(|(n, _)| *n == base.to).unwrap().1;
                     // ready = !defined(target) && rhs_defined
-                    let tdef = self.read_storage(def_st, subs)?;
+                    let tdef = self.read_storage(def_st, subs, false)?;
                     let PV::Field { id: tdef_id, .. } = tdef else { unreachable!() };
                     let ready = self.machine.alloc_result(vp, "~ready", ElemType::Bool)?;
                     self.machine.unop(uc_cm::UnOp::Not, ready, tdef_id)?;
@@ -471,7 +471,7 @@ impl Program {
             Expr::Index { base, subs, .. } => {
                 match def_maps.iter().find(|(n, _)| *n == base.to) {
                     Some(&(_, def_st)) => {
-                        let elem_def = self.read_storage(def_st, subs)?;
+                        let elem_def = self.read_storage(def_st, subs, false)?;
                         // Subscripts themselves may read target arrays.
                         let mut acc = elem_def;
                         for s in subs {

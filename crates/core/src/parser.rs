@@ -630,7 +630,8 @@ impl<'a> Parser<'a> {
                         subs.push(self.expr()?);
                         self.expect(&T::RBracket, "`]`")?;
                     }
-                    e = Expr::Index { base: name, subs, span: span.to(self.prev_span()), access: 0 };
+                    let span = span.to(self.prev_span());
+                    e = Expr::Index { base: name, subs, span, access: 0, borrow: false };
                 }
                 T::PlusPlus => {
                     let span = self.span();

@@ -280,6 +280,7 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         maps: Vec::new(),
         scopes: Vec::new(),
         nest: Nesting::default(),
+        effects: 0,
     };
     cx.run(&mut unit);
     if cx.diags.has_errors() {
@@ -353,6 +354,9 @@ struct Checker<'a> {
     /// Scope stack for function bodies: name → binding.
     scopes: Vec<HashMap<String, (Ref, Denotes)>>,
     nest: Nesting,
+    /// Assignments, `swap`s and user calls checked so far: an expression
+    /// writes nothing iff checking it leaves this unchanged (see [`lend`]).
+    effects: u32,
 }
 
 /// Where the statement being checked sits relative to the enclosing UC
@@ -1192,7 +1196,7 @@ impl<'a> Checker<'a> {
                 };
                 (ty, rank)
             }
-            Expr::Index { base, subs, span, access } => {
+            Expr::Index { base, subs, span, access, .. } => {
                 let ty = match self.lookup(&base.text) {
                     Some((to, Denotes::Array { ty, rank })) => {
                         base.to = to;
@@ -1217,18 +1221,23 @@ impl<'a> Checker<'a> {
                         ExprTy::Int
                     }
                 };
+                let before = self.effects;
                 for sub in subs.iter_mut() {
                     if !self.check_expr(sub).0.int_like() {
                         self.diags
                             .error(sub.span(), "array subscripts must be integers");
                     }
                 }
+                // A read's subscripts; a store target takes its back.
+                lend(subs.iter_mut(), self.effects == before);
                 *access = self.intern_access(base.to, subs);
                 (ty, here)
             }
             Expr::Call { .. } => self.check_call(e, false),
             Expr::Unary { op, expr, span, .. } => {
+                let before = self.effects;
                 let (t, rank) = self.check_expr(expr);
+                lend([&mut **expr], self.effects == before);
                 let ty = match op {
                     UnaryOp::Neg => {
                         if !t.is_numeric() {
@@ -1247,8 +1256,10 @@ impl<'a> Checker<'a> {
                 (ty, rank)
             }
             Expr::Binary { op, lhs, rhs, span, .. } => {
+                let before = self.effects;
                 let (lt, lrank) = self.check_expr(lhs);
                 let (rt, rrank) = self.check_expr(rhs);
+                lend([&mut **lhs, &mut **rhs], self.effects == before);
                 use BinaryOp::*;
                 let ty = match op {
                     Mod | Shl | Shr | BitAnd | BitOr | BitXor => {
@@ -1267,12 +1278,16 @@ impl<'a> Checker<'a> {
                 (ty, lrank.max(rrank))
             }
             Expr::Ternary { cond, then_e, else_e, .. } => {
+                let before = self.effects;
                 self.check_expr(cond);
                 let (t, _) = self.check_expr(then_e);
                 let (f, _) = self.check_expr(else_e);
+                // The arms are selected between, not consumed: kept copies.
+                lend([&mut **cond], self.effects == before);
                 (t.join(f), here)
             }
             Expr::Assign { target, op, value, span } => {
+                self.effects += 1;
                 let (vt, vrank) = self.check_expr(value);
                 let (tt, trank) = match target.as_mut() {
                     Expr::Ident(name, tspan) => {
@@ -1281,7 +1296,11 @@ impl<'a> Checker<'a> {
                             None => return (ExprTy::Int, vrank),
                         }
                     }
-                    Expr::Index { .. } => self.check_expr(target),
+                    Expr::Index { .. } => {
+                        let checked = self.check_expr(target);
+                        take_back(target);
+                        checked
+                    }
                     _ => unreachable!("parser enforces lvalue targets"),
                 };
                 if tt == ExprTy::Int && vt == ExprTy::Float {
@@ -1300,7 +1319,9 @@ impl<'a> Checker<'a> {
     /// an expression statement — may it be to `swap`.
     fn check_call(&mut self, call: &mut Expr, as_stmt: bool) -> (ExprTy, Rank) {
         let Expr::Call { name, callee, args, span, .. } = call else { unreachable!("not a call") };
+        let before = self.effects;
         let (tys, ranks): (Vec<_>, Vec<_>) = args.iter_mut().map(|a| self.check_expr(a)).unzip();
+        let pure = self.effects == before;
         let (what, takes, ty) = match *callee {
             Callee::Builtin(b) => ("builtin", b.arity(), b.result(&tys)),
             _ => match self.funcs.get(&**name) {
@@ -1324,13 +1345,14 @@ impl<'a> Checker<'a> {
                     self.diags.error(*span, "`swap` is a statement: it has no value");
                 }
                 // Each operand is stored the other's value.
+                self.effects += 1;
                 for (k, a) in args.iter_mut().enumerate() {
                     let other = ranks.get(k ^ 1).copied().unwrap_or(Rank::Scalar);
                     match a {
                         Expr::Ident(name, span) => {
                             self.check_store_target(name, *span, other);
                         }
-                        Expr::Index { .. } => {}
+                        Expr::Index { .. } => take_back(a),
                         _ => self.diags.error(
                             a.span(),
                             "swap arguments must be variables or array elements",
@@ -1340,10 +1362,14 @@ impl<'a> Checker<'a> {
                 Rank::Scalar
             }
             Callee::Builtin(Builtin::Rand) if self.nest.depth > 0 => Rank::Parallel,
-            Callee::Builtin(_) => ranks.iter().copied().max().unwrap_or(Rank::Scalar),
+            Callee::Builtin(_) => {
+                lend(args, pure);
+                ranks.iter().copied().max().unwrap_or(Rank::Scalar)
+            }
             // A user function runs on the front end, once, also when called
             // from a parallel construct.
             _ => {
+                self.effects += 1;
                 for (a, _) in args.iter().zip(&ranks).filter(|(_, &rank)| rank == Rank::Parallel) {
                     let why = "(user functions run on the front end)";
                     self.diags
@@ -1365,7 +1391,15 @@ impl<'a> Checker<'a> {
             if let Some(p) = pred {
                 self.check_expr(p);
             }
+            let before = self.effects;
             ty = ty.join(self.check_expr(operand).0);
+            // The processor optimisation keeps the key of `key[i] == j`
+            // live while the operand evaluates: one that writes takes it
+            // back.
+            let writes = self.effects != before;
+            if let (Some(Expr::Binary { lhs, rhs, .. }), true) = (pred, writes) {
+                lend([&mut **lhs, &mut **rhs], false);
+            }
         }
         if let Some(o) = &mut r.others {
             if r.arms.iter().all(|(p, _)| p.is_none()) {
@@ -1459,6 +1493,29 @@ impl<'a> Checker<'a> {
         out.push(tag);
         out.extend(id.to_le_bytes());
         out.extend(of.to_le_bytes());
+    }
+}
+
+/// Let the executor hand each array read among a consumer's `operands`
+/// the array's own storage instead of a copy (`Expr::Index`'s `borrow`)
+/// iff `pure`: no operand assigns, swaps or calls a user function, so no
+/// array changes between the reads and the consumer's use of them. The
+/// consumers that lend are the operators, the builtins but `swap`, a
+/// `?:`'s condition and a read's subscripts; every other consumer — a
+/// store, a `swap`, a declaration, a bare predicate, a reduction — gets
+/// a copy. A borrowed read is never kept for the step (`exec::access`).
+fn lend<'e>(operands: impl IntoIterator<Item = &'e mut Expr>, pure: bool) {
+    for e in operands {
+        if let Expr::Index { borrow, .. } = e {
+            *borrow = pure;
+        }
+    }
+}
+
+/// A store target's subscripts are not a read's: they keep copies.
+fn take_back(target: &mut Expr) {
+    if let Expr::Index { subs, .. } = target {
+        lend(subs.iter_mut(), false);
     }
 }
 
@@ -1786,6 +1843,76 @@ mod tests {
         let kept = kept_values(&c);
         let [(pred, p, false), (body, b, false)] = &kept[..] else { panic!("{kept:?}") };
         assert_eq!((pred.as_str(), body.as_str(), p), ("i * 2", "i * 2", b));
+    }
+
+    /// Every array access of `main` in source order, `*` before the ones
+    /// the executor may read in place.
+    fn lent_reads(c: &Checked) -> Vec<String> {
+        let mut reads = Vec::new();
+        for s in &c.funcs_in_order().last().unwrap().body.stmts {
+            s.for_each_expr(&mut |e| {
+                e.walk(&mut |x| {
+                    if let Expr::Index { borrow, .. } = x {
+                        let mark = if *borrow { "*" } else { "" };
+                        reads.push(format!("{mark}{}", crate::pretty::expr(x)));
+                    }
+                })
+            });
+        }
+        reads
+    }
+
+    /// Figure 8's sweep and Figure 6's step lend every read: each is an
+    /// operand of `!=`, `min`, `+` or `<`. No store target is lent.
+    #[test]
+    fn the_figure_sweeps_lend_every_read() {
+        let c = check_ok(include_str!("../../bench/programs/grid_goal.uc"));
+        let target = "a[i][j]";
+        let relax = ["*a[i - 1][j]", "*a[i + 1][j]", "*a[i][j - 1]", "*a[i][j + 1]"];
+        let mut sweep = vec![target, target, target, "*a[i][j]"];
+        sweep.extend(relax);
+        sweep.push("*a[i][j]");
+        sweep.push(target);
+        sweep.extend(relax);
+        assert_eq!(lent_reads(&c), sweep);
+
+        let c = check_ok(include_str!("../../bench/programs/apsp_n2.uc"));
+        let (ik, kj, ij) = ("*d[i][k]", "*d[k][j]", "*d[i][j]");
+        assert_eq!(lent_reads(&c), ["d[i][j]", "d[i][j]", ik, kj, ij, "d[i][j]", ik, kj]);
+    }
+
+    /// A read is lent only to an operator, a builtin, a `?:` condition or
+    /// a read's subscripts, and only where no operand of its consumer
+    /// assigns, swaps or calls a user function: not a `swap` operand, not
+    /// `b[k]` beside `(b[k] = 5)`, not a store's source, a declaration's
+    /// initialiser, a `?:` arm, a reduction operand or a bare predicate,
+    /// and not a store target's subscript.
+    #[test]
+    fn a_read_is_lent_only_where_nothing_writes_before_its_consumer_is_done() {
+        let c = check_ok(include_str!("../../../tests/corpus/clean_borrowed_reads.uc"));
+        assert_eq!(
+            lent_reads(&c),
+            ["a[k]", "b[k]", "a[k]", "b[k]", "c[k]", "b[k]", "b[k]"]
+        );
+        let c = check_ok(
+            "index_set I:i = {0..3};\nint a[4], b[4], p[4], s;\n\
+             int f() { return 1; }\n\
+             main() {\n\
+               par (I) { int t = a[i]; b[p[i]] = a[p[i]]; }\n\
+               par (I) st (a[i]) b[i] = a[i] > 0 ? a[i] : b[i];\n\
+               par (I) b[i] = a[i] + f() + min(a[i], b[i]);\n\
+               s = $+(I; a[i]);\n\
+             }",
+        );
+        assert_eq!(
+            lent_reads(&c),
+            [
+                "a[i]", "b[p[i]]", "p[i]", "a[p[i]]", "*p[i]",
+                "a[i]", "b[i]", "*a[i]", "a[i]", "b[i]",
+                "b[i]", "a[i]", "*a[i]", "*b[i]",
+                "a[i]",
+            ]
+        );
     }
 
     #[test]

@@ -7,18 +7,21 @@
 //! (`crates/cm/tests/alloc_count.rs`). This test installs a counting
 //! global allocator, warms each program with two runs, and asserts that a
 //! third run — hundreds of `par` entries — allocates fewer than
-//! [`BUDGET`] times in total. Three shapes cover the executor's access
+//! [`BUDGET`] times in total. These shapes cover the executor's access
 //! paths:
 //!
 //! * an all-pairs-shortest-paths step, whose predicate gathers two
 //!   row/column broadcasts through the router and reads one local operand
 //!   that the arm body then takes from the CSE cache;
-//! * a NEWS read with its border fix-up, as in an obstacle-grid sweep;
+//! * a NEWS read whose shift fills the border with INF, as in an
+//!   obstacle-grid sweep;
 //! * router stores into `permute`-, `fold`- and `copy`-mapped arrays and
 //!   through a data-dependent subscript, which take every mapping arm of
 //!   the address computation;
 //! * a `*par` fixpoint that keeps a value its predicate computes for its
-//!   body, and an index-only term for every sweep after the first.
+//!   body, and an index-only term for every sweep after the first;
+//! * a `*par` whose local reads are the array's own field, which also
+//!   counts the machine fields a sweep allocates.
 //!
 //! The counter is process-wide, so the tests live alone in this file and
 //! serialize on a mutex.
@@ -111,7 +114,7 @@ fn apsp_step_allocates_nothing_per_entry() {
 }
 
 /// 64 steps of a NEWS relaxation: two displaced reads per step, each
-/// shifted toroidally and fixed up at the border.
+/// shifted with INF filling the border.
 #[test]
 fn news_read_with_border_fixup_allocates_nothing_per_entry() {
     let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
@@ -200,4 +203,32 @@ fn star_par_keeping_values_allocates_nothing_per_sweep() {
     let (p, allocs) = warm_run_allocs(src, |_| {});
     assert_eq!(p.read_int_array("a").unwrap(), (0..256).map(|c| c / 16 + c % 16).collect::<Vec<_>>());
     assert!(allocs < BUDGET, "{allocs} allocations in 124 warm `*par` sweeps");
+}
+
+/// A `*par` whose predicate and body read `a[i]` through operators: both
+/// reads are `a`'s own field, so a sweep allocates two fields, the
+/// comparison and the difference, one fewer than when the predicate
+/// copied `a[i]` for the body to reuse. A warm run allocates nothing.
+#[test]
+fn a_borrowed_local_read_allocates_no_field() {
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let src = |sweeps: i64| {
+        format!(
+            "#define N 64
+             index_set I:i = {{0..N-1}};
+             int a[N];
+             main() {{
+                 par (I) a[i] = i + {sweeps};
+                 *par (I) st (a[i] > i) a[i] = a[i] - 1;
+             }}"
+        )
+    };
+    let fields = |sweeps| {
+        let (p, allocs) = warm_run_allocs(&src(sweeps), |_| {});
+        assert_eq!(p.read_int_array("a").unwrap(), (0..64).collect::<Vec<_>>());
+        assert!(allocs < BUDGET, "{allocs} allocations in {sweeps} warm `*par` sweeps");
+        p.machine().fields_allocated()
+    };
+    // The machine counts all three runs of each: 32 more sweeps, thrice.
+    assert_eq!(fields(48) - fields(16), 3 * 32 * 2);
 }
