@@ -91,19 +91,6 @@ impl Machine {
         Ok(result)
     }
 
-    /// Reduce then broadcast into `dst` (under `dst`'s context). `dst` may
-    /// live on a different VP set than `src`.
-    pub fn reduce_spread(&mut self, dst: FieldId, src: FieldId, op: ReduceOp) -> Result<()> {
-        let s = self.reduce(src, op)?;
-        let dst_ty = self.field(dst)?.elem_type();
-        let coerced = match dst_ty {
-            ElemType::Int => Scalar::Int(s.as_int()),
-            ElemType::Float => Scalar::Float(s.as_float()),
-            ElemType::Bool => Scalar::Bool(s.as_bool()),
-        };
-        self.set_imm(dst, coerced)
-    }
-
     /// Prefix scan in send-address order over the **active** elements of
     /// `src`: inactive positions neither contribute nor receive. With
     /// `inclusive = false` each active element receives the fold of the
@@ -429,19 +416,6 @@ mod tests {
         assert_eq!(m.reduce(b, ReduceOp::Xor).unwrap(), Scalar::Bool(false)); // parity of 2
         assert_eq!(m.reduce(b, ReduceOp::Arb).unwrap(), Scalar::Bool(true));
         assert!(m.reduce(b, ReduceOp::Add).is_err());
-    }
-
-    #[test]
-    fn reduce_spread_broadcasts() {
-        let (mut m, a) = setup(4);
-        let vp = a.vp_set();
-        let d = m.alloc_int(vp, "d").unwrap();
-        m.reduce_spread(d, a, ReduceOp::Add).unwrap();
-        assert_eq!(m.int_data(d).unwrap(), &[6, 6, 6, 6]);
-        // Spread into a float field coerces.
-        let f = m.alloc_float(vp, "f").unwrap();
-        m.reduce_spread(f, a, ReduceOp::Max).unwrap();
-        assert_eq!(m.float_data(f).unwrap(), &[3.0, 3.0, 3.0, 3.0]);
     }
 
     #[test]

@@ -154,7 +154,6 @@ fn chain(m: &mut Machine, x: &Fields, n: i64) -> uc_cm::Result<()> {
     let _ = m.reduce(x.c, ReduceOp::Add)?;
     let _ = m.reduce(x.f, ReduceOp::Max)?;
     let _ = m.reduce(x.mask, ReduceOp::Or)?;
-    m.reduce_spread(x.g, x.f, ReduceOp::Add)?;
 
     // Field alloc/free cycles drawing on the arena's retired storage.
     let t = m.alloc_int(x.vp, "t")?;

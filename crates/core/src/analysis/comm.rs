@@ -23,6 +23,10 @@
 //! classified; partial-rank gathers (e.g. `a[j]` under a reduction that
 //! extended the space) and re-mapped arrays legitimately use the router
 //! or follow a different transform.
+//!
+//! The walk opens the space axes the executor opens for a `par`, a
+//! `oneof` and a reduction. A `solve`'s sets open none here (see
+//! `Walker::binders`), so its accesses are not classified.
 
 use super::{Finding, Pass};
 use crate::ast::*;
@@ -34,10 +38,12 @@ pub(crate) struct CommPass;
 struct Walker<'c> {
     checked: &'c Checked,
     /// Index elements in scope, innermost last, by the set each is the
-    /// element of. Elements of a space axis bind as the executor binds
-    /// them; those of `oneof`/`solve` are unknown statically:
-    /// [`ElemForm::Opaque`]. (A `seq` element is a front-end local, not a
-    /// constant either.)
+    /// element of. Elements of a space axis — a `par`'s, a `oneof`'s, a
+    /// reduction's — bind as the executor binds them. Those of a `solve`
+    /// stay [`ElemForm::Opaque`] although the executor opens axes for them
+    /// too: binding them would flag `examples/uc/wavefront.uc`'s
+    /// `a[i-1][j-1]`, which does take the router. (A `seq` element is a
+    /// front-end local, not a constant either.)
     binders: Vec<(SetId, ElemForm)>,
     /// Extents of the current space axes (outer constructs are a prefix,
     /// as in the executor).
@@ -74,7 +80,8 @@ impl Walker<'_> {
     fn stmt(&mut self, s: &Stmt) {
         match s {
             Stmt::Uc(uc) => {
-                let pushed = self.push_sets(&uc.sets, uc.kind == UcKind::Par);
+                let space = matches!(uc.kind, UcKind::Par | UcKind::Oneof);
+                let pushed = self.push_sets(&uc.sets, space);
                 self.children(s);
                 self.pop_sets(pushed);
             }

@@ -1,15 +1,16 @@
 //! UC101 — par-assignment race detection.
 //!
 //! Inside a `par`, every enabled index element executes each assignment
-//! synchronously. A store to an array element whose *location* does not
-//! vary with some index element the *stored value* varies with makes
-//! several virtual processors write distinct values to one mono array
-//! location — the write-write conflict the paper's §3.4 single-assignment
-//! rule forbids (the runtime detects it with the router's collision
-//! detection; this pass reports it statically). A scalar target cannot
-//! race: a per-processor local is one location per virtual processor, and
-//! a front-end scalar takes only a front-end value — storing a parallel
-//! one to it is a sema error.
+//! synchronously, and so it does in the arm a `oneof` step chooses and in
+//! an assignment a plain `solve` round runs. A store to an array element
+//! whose *location* does not vary with some index element the *stored
+//! value* varies with makes several virtual processors write distinct
+//! values to one mono array location — the write-write conflict the
+//! paper's §3.4 single-assignment rule forbids (the runtime detects it
+//! with the router's collision detection; this pass reports it
+//! statically). A scalar target cannot race: a per-processor local is one
+//! location per virtual processor, and a front-end scalar takes only a
+//! front-end value — storing a parallel one to it is a sema error.
 //!
 //! Conservative suppressions keep the lint quiet on correct programs:
 //! values combined by a reduction bind their own elements (not free), a
@@ -30,10 +31,12 @@ pub(crate) struct RacePass;
 /// How a construct binds its index elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BinderKind {
-    /// `par` / `*par`: every enabled element runs synchronously.
+    /// `par`/`*par`, `oneof`/`*oneof` and a plain `solve`: every enabled
+    /// element stores synchronously, and the executor traps distinct
+    /// values stored to one location.
     Par,
-    /// `seq`, `oneof`, `solve`: one element (at a time) executes, or the
-    /// construct has its own single-assignment discipline.
+    /// `*solve`: it stores without that check, iterating to a fixed point.
+    /// (A `seq` binds no element: its element is a front-end local.)
     Sequential,
     /// Reduction-bound: values are combined, not raced.
     Combined,
@@ -49,7 +52,8 @@ struct Walker<'c> {
     binders: Vec<(SetId, BinderKind)>,
     /// Elements mentioned by enclosing `st` predicates.
     guards: Vec<HashSet<SetId>>,
-    par_depth: usize,
+    /// The open constructs that bind `Par` elements, innermost last.
+    steps: Vec<UcKind>,
     out: Vec<Finding>,
 }
 
@@ -69,7 +73,7 @@ impl Pass for RacePass {
                 info,
                 binders: Vec::new(),
                 guards: Vec::new(),
-                par_depth: 0,
+                steps: Vec::new(),
                 out: Vec::new(),
             };
             for s in &f.body.stmts {
@@ -99,13 +103,14 @@ impl Walker<'_> {
 
     fn uc(&mut self, uc: &UcStmt) {
         let kind = match uc.kind {
-            UcKind::Par => BinderKind::Par,
-            UcKind::Seq | UcKind::Solve | UcKind::Oneof => BinderKind::Sequential,
+            UcKind::Solve if uc.star => BinderKind::Sequential,
+            UcKind::Par | UcKind::Oneof | UcKind::Solve => BinderKind::Par,
+            UcKind::Seq => BinderKind::Sequential,
         };
         let bound = if uc.kind == UcKind::Seq { &[][..] } else { &uc.sets[..] };
         self.push_elems(bound, kind);
         if kind == BinderKind::Par {
-            self.par_depth += 1;
+            self.steps.push(uc.kind);
         }
         for arm in &uc.arms {
             match &arm.pred {
@@ -132,7 +137,7 @@ impl Walker<'_> {
             self.guards.pop();
         }
         if kind == BinderKind::Par {
-            self.par_depth -= 1;
+            self.steps.pop();
         }
         self.binders.truncate(self.binders.len() - bound.len());
     }
@@ -165,9 +170,8 @@ impl Walker<'_> {
     }
 
     fn check_assign(&mut self, target: &Expr, op: Option<BinaryOp>, value: &Expr, span: Span) {
-        if self.par_depth == 0 {
-            return;
-        }
+        let Some(step) = self.steps.last() else { return };
+        let construct = step.keyword();
         // Which par elements select the location the store lands on?
         let Expr::Index { base, subs, .. } = target else { return };
         let mut loc_elems = HashSet::new();
@@ -203,7 +207,7 @@ impl Walker<'_> {
                 code: "UC101",
                 span,
                 message: format!(
-                    "write-write race in `par`: the stored value varies with `{elem}` but \
+                    "write-write race in `{construct}`: the stored value varies with `{elem}` but \
                      every enabled element stores to the same location `{target_text}` — \
                      distinct values collide without a combining reduction (§3.4)"
                 ),

@@ -55,25 +55,31 @@ impl Program {
                 let t = self.eval(then_e)?;
                 let f = self.eval(else_e)?;
                 let ty = self.common_type(&t, &f)?;
-                let t = self.coerce_field(t, ty)?;
-                let f = self.coerce_field(f, ty)?;
-                let c = self.coerce_field(c, ElemType::Bool)?;
-                let (PV::Field { id: cid, .. }, PV::Field { id: tid, .. }, PV::Field { id: fid, .. }) =
-                    (c, t, f)
-                else {
-                    unreachable!()
-                };
-                let vp = self.cur_ctx().vp;
-                let dst = self.machine.alloc_result(vp, "~sel", ty)?;
-                self.machine.select(dst, cid, tid, fid)?;
-                self.release(c);
-                self.release(t);
-                self.release(f);
-                Ok(PV::owned(dst))
+                self.select(c, t, f, ty)
             }
             Expr::Assign { target, op, value, .. } => self.eval_assign(target, *op, value),
             Expr::Reduce(r) => self.eval_reduce(r),
         }
+    }
+
+    /// `c ? t : f` per element of the current space, as an owned field of
+    /// type `ty`.
+    pub(crate) fn select(&mut self, c: PV, t: PV, f: PV, ty: ElemType) -> RResult<PV> {
+        let t = self.coerce_field(t, ty)?;
+        let f = self.coerce_field(f, ty)?;
+        let c = self.coerce_field(c, ElemType::Bool)?;
+        let (PV::Field { id: cid, .. }, PV::Field { id: tid, .. }, PV::Field { id: fid, .. }) =
+            (c, t, f)
+        else {
+            unreachable!()
+        };
+        let vp = self.cur_ctx().vp;
+        let dst = self.machine.alloc_result(vp, "~sel", ty)?;
+        self.machine.select(dst, cid, tid, fid)?;
+        self.release(c);
+        self.release(t);
+        self.release(f);
+        Ok(PV::owned(dst))
     }
 
     /// Sema's entry for the local `id` of the current activation.

@@ -34,6 +34,14 @@
 //! evaluation), `access` (array access paths), `reduce` (reduction
 //! evaluation), `stmt` (the parallel constructs and the statements that
 //! may appear inside them). A user call met there re-enters the VM.
+//!
+//! Every construct and reduction takes the same step, whose helpers live
+//! in `stmt`: open the iteration space, evaluate all predicates into masks
+//! before any arm runs, run each arm under its mask (`others` under none
+//! of them), free the masks, and — for the `*` forms, a nested `seq` and
+//! `solve` — repeat while the step did work, within
+//! [`ExecLimits::max_iterations`]. The constructs differ only in which
+//! arms a step runs and in what ends the repetition.
 
 mod access;
 mod expr;
@@ -67,9 +75,10 @@ pub(crate) use expr::{
 pub(crate) use space::coerce_scalar;
 
 /// Native stack for the interpreter thread. Sized so the default
-/// [`ExecLimits::max_call_depth`] of 256 UC activations fits with wide
-/// margin even in debug builds when every call re-enters the VM from a
-/// tree escape (~8 KiB of host stack per activation).
+/// [`ExecLimits::max_call_depth`] of 256 UC activations fits even in
+/// debug builds when every call re-enters the VM from a tree escape
+/// (20–31 KiB of host stack per re-entry); `vm` caps the re-entries at
+/// what this holds with a 2× margin.
 const EXEC_STACK_BYTES: usize = 16 * 1024 * 1024;
 
 /// Resource budgets governing one program, replacing the hard-coded caps
@@ -415,6 +424,9 @@ pub struct Program {
     /// successful return only, so on error the stack still describes
     /// where execution was.
     pub(crate) call_stack: Vec<(usize, Span)>,
+    /// Live native entries of the VM (`vm::call`): `main`'s, and one per
+    /// user call met by tree-evaluated code.
+    pub(crate) reentries: usize,
 }
 
 impl Program {
@@ -496,6 +508,7 @@ impl Program {
             elem_cache: FxMap::default(),
             exec_span: Span::default(),
             call_stack: Vec::new(),
+            reentries: 0,
         };
         p.allocate_arrays(&maps).map_err(|e| {
             let mut d = Diagnostics::default();
@@ -560,6 +573,8 @@ impl Program {
         if let Some(ms) = self.config.limits.timeout_ms {
             self.machine.arm_deadline(ms);
         }
+        // A caught panic skips the count's decrements.
+        self.reentries = 0;
         // The VM keeps its activations on the heap, so its native
         // recursion is bounded by the nesting of one tree escape — unless
         // an escape contains a user call, which re-enters the VM natively

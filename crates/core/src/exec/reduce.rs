@@ -39,53 +39,30 @@ impl Program {
             }
         }
 
-        let level = self.push_space(&r.sets)?;
-        let result = self.eval_reduce_arms(r);
-        self.pop_space(level)?;
-        result
+        self.in_space(&r.sets, |p| p.eval_reduce_arms(r))
     }
 
     fn eval_reduce_arms(&mut self, r: &ReduceExpr) -> RResult<PV> {
-        let vp = self.cur_ctx().vp;
         // Evaluate every arm mask synchronously first (they share the
-        // unpredicated enabled set); freed below.
-        let mut masks: Vec<Option<FieldId>> = Vec::with_capacity(r.arms.len());
-        for (pred, _) in &r.arms {
-            masks.push(pred.as_ref().map(|p| self.mask(p)).transpose()?);
-        }
-
+        // unpredicated enabled set), then each operand under its mask.
+        let masks = self.arm_masks(r.arms.iter().map(|(pred, _)| pred.as_ref()))?;
         let mut partials: Vec<PV> = Vec::new();
-        for ((_, operand), mask) in r.arms.iter().zip(&masks) {
-            // Gathers under a predicate mask are only valid where that
-            // mask holds — they must not enter the step's CSE cache.
-            let fill = self.cse_fill;
-            if let Some(m) = mask {
-                self.machine.push_context(*m)?;
-                self.cse_fill = false;
+        let run = (|| {
+            for ((_, operand), &mask) in r.arms.iter().zip(&masks) {
+                partials.push(self.under(mask, |p| p.reduce_operand(operand, r.op))?);
             }
-            let part = self.reduce_operand(operand, r.op);
-            if mask.is_some() {
-                self.machine.pop_context(vp)?;
-                self.cse_fill = fill;
+            if let Some(others) = &r.others {
+                // Enabled-for-no-arm elements.
+                partials.push(self.under_others(&masks, |p| p.reduce_operand(others, r.op))?);
             }
-            partials.push(part?);
-        }
-
-        if let Some(others) = &r.others {
-            // Enabled-for-no-arm elements.
-            let or = self.others_mask(&masks)?;
-            self.machine.push_context_others(or)?;
-            let fill = self.cse_fill;
-            self.cse_fill = false;
-            let part = self.reduce_operand(others, r.op);
-            self.cse_fill = fill;
-            self.machine.pop_context(vp)?;
-            self.machine.free(or)?;
-            partials.push(part?);
-        }
-
-        for m in masks.into_iter().flatten() {
-            self.machine.free(m)?;
+            Ok(())
+        })();
+        self.free_masks(masks);
+        if let Err(e) = run {
+            for part in partials {
+                self.release(part);
+            }
+            return Err(e);
         }
 
         // Fold the per-arm results with the reduction operator.
@@ -254,36 +231,29 @@ impl Program {
         let outer_extent = self.ctx[0].dims[0] as i64;
         // Evaluate key and operand on the reduction-only space.
         let saved = std::mem::take(&mut self.ctx);
-        let result = (|| -> RResult<PV> {
-            let level = self.push_space(&r.sets)?;
-            let inner = (|| -> RResult<PV> {
-                let key = self.eval(key_expr)?;
-                let key = self.coerce_field(key, ElemType::Int)?;
-                let PV::Field { id: keyf, .. } = key else { unreachable!() };
-                let val = self.eval(operand)?;
-                let val = self.coerce_field(val, ElemType::Int)?;
-                let PV::Field { id: valf, .. } = val else { unreachable!() };
-                let vp = self.cur_ctx().vp;
-                // Only keys inside the enclosing extent participate.
-                let ok = self.machine.alloc_bool(vp, "~kok")?;
-                self.machine.binop_imm(BinOp::Ge, ok, keyf, Scalar::Int(0))?;
-                let hi = self.machine.alloc_bool(vp, "~khi")?;
-                self.machine.binop_imm(BinOp::Lt, hi, keyf, Scalar::Int(outer_extent))?;
-                self.machine.binop(BinOp::LogAnd, ok, ok, hi)?;
-                self.machine.free(hi)?;
-                let dst = self.machine.alloc_int(outer_vp, "~hist")?;
-                self.machine.set_imm(dst, identity)?;
-                self.machine.push_context(ok)?;
-                self.machine.send(dst, keyf, valf, combine)?;
-                self.machine.pop_context(vp)?;
-                self.machine.free(ok)?;
-                self.release(key);
-                self.release(val);
-                Ok(PV::owned(dst))
-            })();
-            self.pop_space(level)?;
-            inner
-        })();
+        let result = self.in_space(&r.sets, |p| {
+            let key = p.eval(key_expr)?;
+            let key = p.coerce_field(key, ElemType::Int)?;
+            let PV::Field { id: keyf, .. } = key else { unreachable!() };
+            let val = p.eval(operand)?;
+            let val = p.coerce_field(val, ElemType::Int)?;
+            let PV::Field { id: valf, .. } = val else { unreachable!() };
+            let vp = p.cur_ctx().vp;
+            // Only keys inside the enclosing extent participate.
+            let ok = p.machine.alloc_bool(vp, "~kok")?;
+            p.machine.binop_imm(BinOp::Ge, ok, keyf, Scalar::Int(0))?;
+            let hi = p.machine.alloc_bool(vp, "~khi")?;
+            p.machine.binop_imm(BinOp::Lt, hi, keyf, Scalar::Int(outer_extent))?;
+            p.machine.binop(BinOp::LogAnd, ok, ok, hi)?;
+            p.machine.free(hi)?;
+            let dst = p.machine.alloc_int(outer_vp, "~hist")?;
+            p.machine.set_imm(dst, identity)?;
+            p.under(Some(ok), |p| Ok(p.machine.send(dst, keyf, valf, combine)?))?;
+            p.machine.free(ok)?;
+            p.release(key);
+            p.release(val);
+            Ok(PV::owned(dst))
+        });
         self.ctx = saved;
         result.map(Some)
     }

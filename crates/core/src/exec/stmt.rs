@@ -6,11 +6,21 @@
 //! construct or one local array declaration.
 //! Sequential control flow never arrives here: outside parallel
 //! constructs it is lowered to VM jumps, and inside them sema rejects it.
+//!
+//! Every construct, and a reduction (`reduce`), takes one step: open the
+//! iteration space (`in_space`), evaluate all predicates into masks
+//! before any arm runs (`arm_masks`, freed by `free_masks` on every exit
+//! path), run each arm under its mask (`under`, `under_others`), and for
+//! the `*` forms, a nested `seq` and `solve`, repeat while the step did
+//! work (`fixpoint`; `enabled` is an arm's global-OR test). The constructs
+//! differ only in which arms a step runs and in what ends the repetition.
 
 use uc_cm::{BinOp, ElemType, FieldId, ReduceOp, Scalar};
 
 use super::{elem_type, ArrayStorage, LocalVar, Program, RResult, RuntimeError, Storage, PV};
-use crate::ast::{Block, Callee, Expr, LocalId, Ref, ScBlock, Stmt, UcKind, UcStmt};
+use crate::ast::{
+    BinaryOp, Block, Callee, Expr, LocalId, Ref, ScBlock, SetId, Stmt, UcKind, UcStmt,
+};
 use crate::mapping::ArrayMapping;
 use crate::sema::LocalKind;
 use crate::stdlib::Builtin;
@@ -116,134 +126,172 @@ impl Program {
         Ok(())
     }
 
-    // ---- the four constructs ----------------------------------------------
+    // ---- the step: masks, arms and fixpoints --------------------------------
 
-    fn exec_uc(&mut self, uc: &UcStmt) -> RResult<()> {
-        let result = match uc.kind {
-            UcKind::Par => self.exec_par(uc),
-            UcKind::Seq => self.exec_seq(uc),
-            UcKind::Oneof => self.exec_oneof(uc),
-            UcKind::Solve if uc.star => self.exec_star_solve(uc),
-            UcKind::Solve => self.exec_solve(uc),
-        };
-        // An arm that is a bare declaration is scoped to the construct.
-        self.free_decls(uc.arms.iter().map(|arm| &arm.body).chain(uc.others.as_deref()));
-        result
-    }
-
-    fn exec_par(&mut self, uc: &UcStmt) -> RResult<()> {
-        let level = self.push_space(&uc.sets)?;
-        let result = (|| -> RResult<()> {
-            if !uc.star {
-                self.run_arms(uc, false)?;
-                return Ok(());
-            }
-            let mut iters = 0u64;
-            loop {
-                iters += 1;
-                if iters > self.config.limits.max_iterations {
-                    return Err(RuntimeError::IterationLimit("*par"));
-                }
-                if !self.run_arms(uc, true)? {
-                    break;
-                }
-            }
-            Ok(())
-        })();
+    /// Open the iteration space over `sets`, run `f` in it, and close the
+    /// space however `f` ends.
+    pub(crate) fn in_space<T>(
+        &mut self,
+        sets: &[SetId],
+        f: impl FnOnce(&mut Self) -> RResult<T>,
+    ) -> RResult<T> {
+        let level = self.push_space(sets)?;
+        let result = f(self);
         self.pop_space(level)?;
         result
     }
 
+    /// Run `step` until it reports nothing left to do: the `*` forms'
+    /// repetition, a nested `seq`'s sweeps, `solve`'s rounds. Traps as
+    /// `what` when it still has work after `max_iterations` runs.
+    fn fixpoint(
+        &mut self,
+        what: &'static str,
+        mut step: impl FnMut(&mut Self) -> RResult<bool>,
+    ) -> RResult<()> {
+        for _ in 0..self.config.limits.max_iterations {
+            if !step(self)? {
+                return Ok(());
+            }
+        }
+        Err(RuntimeError::IterationLimit(what))
+    }
+
     /// A predicate's truth on the current space, as an owned bool field.
-    pub(crate) fn mask(&mut self, pred: &Expr) -> RResult<FieldId> {
+    fn mask(&mut self, pred: &Expr) -> RResult<FieldId> {
         let m = self.eval(pred)?;
         let m = self.truthify(m)?;
         let PV::Field { id, .. } = self.coerce_field(m, ElemType::Bool)? else { unreachable!() };
         Ok(id)
     }
 
-    /// Where some arm's mask holds; `others` runs where it does not.
-    pub(crate) fn others_mask(&mut self, masks: &[Option<FieldId>]) -> RResult<FieldId> {
+    /// Evaluate the arms' predicates into masks, synchronously: each
+    /// against the state at the start of the step (`None` for an arm
+    /// without one). On an error the masks made so far are freed.
+    pub(crate) fn arm_masks<'e>(
+        &mut self,
+        preds: impl Iterator<Item = Option<&'e Expr>>,
+    ) -> RResult<Vec<Option<FieldId>>> {
+        let mut masks = self.mask_spare.pop().unwrap_or_default();
+        for pred in preds {
+            match pred.map(|p| self.mask(p)).transpose() {
+                Ok(m) => masks.push(m),
+                Err(e) => {
+                    self.free_masks(masks);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(masks)
+    }
+
+    /// Free a step's masks, keeping the cleared list for the next step.
+    pub(crate) fn free_masks(&mut self, mut masks: Vec<Option<FieldId>>) {
+        for m in masks.drain(..).flatten() {
+            let _ = self.machine.free(m);
+        }
+        self.mask_spare.push(masks);
+    }
+
+    /// Whether an arm is enabled: its mask holds on some VP, or, without
+    /// one, some VP of the space is active. One global-OR (a scan op).
+    fn enabled(&mut self, mask: Option<FieldId>) -> RResult<bool> {
+        let vp = self.cur_ctx().vp;
+        Ok(match mask {
+            Some(m) => self.machine.reduce(m, ReduceOp::Or)?.as_bool(),
+            None => self.machine.any_active(vp)?,
+        })
+    }
+
+    /// Run `f` where `mask` holds (under the current context, without
+    /// one), popping the mask however `f` ends.
+    pub(crate) fn under<T>(
+        &mut self,
+        mask: Option<FieldId>,
+        f: impl FnOnce(&mut Self) -> RResult<T>,
+    ) -> RResult<T> {
+        let Some(m) = mask else { return f(self) };
+        self.machine.push_context(m)?;
+        self.masked(f)
+    }
+
+    /// Run `f` where no arm's mask holds: an `others` arm.
+    pub(crate) fn under_others<T>(
+        &mut self,
+        masks: &[Option<FieldId>],
+        f: impl FnOnce(&mut Self) -> RResult<T>,
+    ) -> RResult<T> {
         let or = self.machine.alloc_result(self.cur_ctx().vp, "~ormask", ElemType::Bool)?;
         self.machine.fill_unconditional(or, Scalar::Bool(false))?;
         for m in masks.iter().flatten() {
             self.machine.binop(BinOp::LogOr, or, or, *m)?;
         }
-        Ok(or)
+        self.machine.push_context_others(or)?;
+        let result = self.masked(f);
+        self.machine.free(or)?;
+        result
+    }
+
+    /// Run `f` under the mask just pushed, then pop it. A value computed
+    /// under a mask holds only there, so none enters the step's cache
+    /// meanwhile.
+    fn masked<T>(&mut self, f: impl FnOnce(&mut Self) -> RResult<T>) -> RResult<T> {
+        let vp = self.cur_ctx().vp;
+        let fill = std::mem::replace(&mut self.cse_fill, false);
+        let result = f(self);
+        self.cse_fill = fill;
+        self.machine.pop_context(vp)?;
+        result
+    }
+
+    // ---- the four constructs ----------------------------------------------
+
+    fn exec_uc(&mut self, uc: &UcStmt) -> RResult<()> {
+        let result = match uc.kind {
+            UcKind::Seq => self.exec_seq(uc),
+            kind => self.in_space(&uc.sets, |p| match kind {
+                UcKind::Par if uc.star => p.fixpoint("*par", |p| p.run_arms(uc, true)),
+                UcKind::Par => p.run_arms(uc, false).map(drop),
+                UcKind::Oneof => p.exec_oneof(uc),
+                UcKind::Solve if uc.star => p.exec_star_solve(uc),
+                _ => p.exec_solve(uc),
+            }),
+        };
+        // An arm that is a bare declaration is scoped to the construct.
+        self.free_decls(uc.arms.iter().map(|arm| &arm.body).chain(uc.others.as_deref()));
+        result
     }
 
     /// Execute all arms (and `others`) of a par-style construct once.
     /// When `need_enabled` (the `*` forms), returns whether any arm was
     /// enabled — a global-OR test the compiler omits for plain constructs.
     fn run_arms(&mut self, uc: &UcStmt, need_enabled: bool) -> RResult<bool> {
-        let vp = self.cur_ctx().vp;
-        // Evaluate every predicate first, synchronously, against the state
-        // at the start of the step (the paper's semantics for a step).
-        // Array gathers computed here are cached for reuse by the arm
-        // bodies (§4's common-subexpression detection): bodies run under
-        // masks that are strict subsets of the predicate's, so the cached
-        // values are correct everywhere the bodies look.
+        // Every predicate is evaluated first (`arm_masks`). Values computed
+        // there are cached for reuse by the arm bodies (§4's
+        // common-subexpression detection): bodies run under masks that are
+        // strict subsets of the predicate's, so the cached values are
+        // correct everywhere the bodies look.
         self.cse_push();
-        let prev_fill = self.cse_fill;
-        self.cse_fill = true;
-        let mut masks = self.mask_spare.pop().unwrap_or_default();
-        let mut pred_err = None;
-        for ScBlock { pred, .. } in &uc.arms {
-            match pred.as_ref().map(|p| self.mask(p)).transpose() {
-                Ok(m) => masks.push(m),
-                Err(e) => {
-                    pred_err = Some(e);
-                    break;
+        let fill = std::mem::replace(&mut self.cse_fill, true);
+        let masks = self.arm_masks(uc.arms.iter().map(|arm| arm.pred.as_ref()));
+        self.cse_fill = fill;
+        let run = masks.and_then(|masks| {
+            let run = (|| {
+                let mut enabled = false;
+                for &m in masks.iter().filter(|_| need_enabled) {
+                    enabled = enabled || self.enabled(m)?;
                 }
-            }
-        }
-        self.cse_fill = prev_fill;
-        let run = (|| -> RResult<bool> {
-            if let Some(e) = pred_err {
-                return Err(e);
-            }
-            let mut enabled = false;
-            if need_enabled {
-                for m in &masks {
-                    match m {
-                        Some(id) => {
-                            if !enabled && self.machine.reduce(*id, ReduceOp::Or)?.as_bool() {
-                                enabled = true;
-                            }
-                        }
-                        None => {
-                            if !enabled && self.machine.any_active(vp)? {
-                                enabled = true;
-                            }
-                        }
-                    }
+                for (ScBlock { body, .. }, &mask) in uc.arms.iter().zip(&masks) {
+                    self.under(mask, |p| p.exec_stmt(body))?;
                 }
-            }
-            for (ScBlock { body, .. }, mask) in uc.arms.iter().zip(&masks) {
-                match mask {
-                    Some(m) => {
-                        self.machine.push_context(*m)?;
-                        let r = self.exec_stmt(body);
-                        self.machine.pop_context(vp)?;
-                        r?;
-                    }
-                    None => self.exec_stmt(body)?,
+                if let Some(others) = &uc.others {
+                    self.under_others(&masks, |p| p.exec_stmt(others))?;
                 }
-            }
-            if let Some(others) = &uc.others {
-                let or = self.others_mask(&masks)?;
-                self.machine.push_context_others(or)?;
-                let r = self.exec_stmt(others);
-                self.machine.pop_context(vp)?;
-                self.machine.free(or)?;
-                r?;
-            }
-            Ok(enabled)
-        })();
-        for m in masks.drain(..).flatten() {
-            let _ = self.machine.free(m);
-        }
-        self.mask_spare.push(masks);
+                Ok(enabled)
+            })();
+            self.free_masks(masks);
+            run
+        });
         self.cse_pop();
         run
     }
@@ -257,204 +305,107 @@ impl Program {
         let LocalKind::Reg(elem) = self.local(uc.elem).kind else {
             unreachable!("a seq element is a front-end scalar")
         };
-        let mut iters = 0u64;
-        loop {
-            iters += 1;
-            if iters > self.config.limits.max_iterations {
-                return Err(RuntimeError::IterationLimit("*seq"));
-            }
+        self.fixpoint("*seq", |p| {
             let mut any_enabled = false;
             for &v in elements.iter() {
-                *self.reg(elem) = Scalar::Int(v);
-                any_enabled |= self.run_arms(uc, uc.star)?;
+                *p.reg(elem) = Scalar::Int(v);
+                any_enabled |= p.run_arms(uc, uc.star)?;
             }
-            if !uc.star || !any_enabled {
-                return Ok(());
-            }
-        }
+            Ok(uc.star && any_enabled)
+        })
     }
 
+    /// `oneof`: each step runs one enabled arm under its mask. The choice
+    /// rotates deterministically through the enabled arms; the paper
+    /// guarantees no fairness, so any choice is valid.
     fn exec_oneof(&mut self, uc: &UcStmt) -> RResult<()> {
-        let level = self.push_space(&uc.sets)?;
-        let result = (|| -> RResult<()> {
-            let vp = self.cur_ctx().vp;
-            let mut iters = 0u64;
-            loop {
-                iters += 1;
-                if iters > self.config.limits.max_iterations {
-                    return Err(RuntimeError::IterationLimit("*oneof"));
-                }
-                // Find the enabled arms.
-                let mut masks: Vec<Option<FieldId>> = Vec::new();
-                let mut enabled: Vec<usize> = Vec::new();
-                for (k, ScBlock { pred, .. }) in uc.arms.iter().enumerate() {
-                    match pred {
-                        Some(p) => {
-                            let id = self.mask(p)?;
-                            if self.machine.reduce(id, ReduceOp::Or)?.as_bool() {
-                                enabled.push(k);
-                            }
-                            masks.push(Some(id));
-                        }
-                        None => {
-                            if self.machine.any_active(vp)? {
-                                enabled.push(k);
-                            }
-                            masks.push(None);
-                        }
+        self.fixpoint("*oneof", |p| {
+            let masks = p.arm_masks(uc.arms.iter().map(|arm| arm.pred.as_ref()))?;
+            let run = (|| {
+                let mut enabled = Vec::new();
+                for (k, &m) in masks.iter().enumerate() {
+                    if p.enabled(m)? {
+                        enabled.push(k);
                     }
                 }
-                let chosen = if enabled.is_empty() {
-                    None
-                } else {
-                    // Deterministic rotation through the enabled arms; the
-                    // paper guarantees no fairness, so any choice is valid.
-                    let pick = enabled[self.oneof_cursor % enabled.len()];
-                    self.oneof_cursor = self.oneof_cursor.wrapping_add(1);
-                    Some(pick)
-                };
-                let run = match chosen {
-                    Some(k) => {
-                        let body = &uc.arms[k].body;
-                        match masks[k] {
-                            Some(m) => {
-                                self.machine.push_context(m)?;
-                                let r = self.exec_stmt(body);
-                                self.machine.pop_context(vp)?;
-                                r
-                            }
-                            None => self.exec_stmt(body),
-                        }
-                    }
-                    None => Ok(()),
-                };
-                for m in masks.into_iter().flatten() {
-                    let _ = self.machine.free(m);
+                if enabled.is_empty() {
+                    return Ok(false);
                 }
-                run?;
-                if chosen.is_none() || !uc.star {
-                    break;
-                }
-            }
-            Ok(())
-        })();
-        self.pop_space(level)?;
-        result
+                let k = enabled[p.oneof_cursor % enabled.len()];
+                p.oneof_cursor = p.oneof_cursor.wrapping_add(1);
+                p.under(masks[k], |p| p.exec_stmt(&uc.arms[k].body))?;
+                Ok(uc.star)
+            })();
+            p.free_masks(masks);
+            run
+        })
     }
 
     // ---- solve --------------------------------------------------------------
-
-    /// Collect `(target, value)` assignment pairs from solve arms.
-    fn solve_assignments(s: &Stmt, out: &mut Vec<(Expr, Expr)>) {
-        match s {
-            Stmt::Expr(Expr::Assign { target, value, op: None, .. }) => {
-                out.push((target.as_ref().clone(), value.as_ref().clone()));
-            }
-            Stmt::Expr(Expr::Assign { target, value, op: Some(op), span }) => {
-                // Compound assignment: rewrite `t op= v` as `t = t op v`
-                // (only reachable under *solve, where sema allows it).
-                let rhs = Expr::Binary {
-                    op: *op,
-                    lhs: Box::new(target.as_ref().clone()),
-                    rhs: Box::new(value.as_ref().clone()),
-                    span: *span,
-                    value: crate::ast::NO_VALUE,
-                };
-                out.push((target.as_ref().clone(), rhs));
-            }
-            Stmt::Block(b) => {
-                for s in &b.stmts {
-                    Self::solve_assignments(s, out);
-                }
-            }
-            _ => {}
-        }
-    }
 
     /// `solve`: execute a proper set of single assignments in dependency
     /// order, via the paper's general translation — iterate, executing an
     /// assignment for exactly those elements whose right-hand side is
     /// fully defined and which have not executed yet, until no progress.
     fn exec_solve(&mut self, uc: &UcStmt) -> RResult<()> {
-        let level = self.push_space(&uc.sets)?;
-        let result = self.exec_solve_inner(uc);
-        self.pop_space(level)?;
-        result
-    }
-
-    fn exec_solve_inner(&mut self, uc: &UcStmt) -> RResult<()> {
-        let vp = self.cur_ctx().vp;
-        let mut assigns = Vec::new();
-        for arm in &uc.arms {
-            Self::solve_assignments(&arm.body, &mut assigns);
-        }
         // Defined-bitmaps for every target array, on `defined` from `first`.
         let first = self.defined.len();
-        let run = (|| -> RResult<()> {
-            let mut def_maps: Vec<(Ref, Storage)> = Vec::new();
-            for (target, _) in &assigns {
-                let Expr::Index { base, .. } = target else {
-                    unreachable!("sema admits only array-element solve targets")
-                };
-                if def_maps.iter().any(|(n, _)| *n == base.to) {
-                    continue;
-                }
-                let st = self.storage(Storage::Array(base.to));
+        let mut def_maps: Vec<(Ref, Storage)> = Vec::new();
+        let run = (|| {
+            for array in solve_targets(uc) {
+                let st = self.storage(Storage::Array(array));
                 let (shape, mapping) = (st.shape.clone(), st.mapping.clone());
                 let dvp = self.space_vp(&mapping.storage_shape(&shape))?;
                 let field = self.machine.alloc_bool(dvp, "~defined")?;
-                self.machine.fill_unconditional(field, Scalar::Bool(false))?;
                 self.defined.push(ArrayStorage { field, ty: ElemType::Bool, shape, mapping });
-                def_maps.push((base.to, Storage::Defined(self.defined.len() - 1)));
+                self.machine.fill_unconditional(field, Scalar::Bool(false))?;
+                def_maps.push((array, Storage::Defined(self.defined.len() - 1)));
             }
-            let mut iters = 0u64;
-            loop {
-                iters += 1;
-                if iters > self.config.limits.max_iterations {
-                    return Err(RuntimeError::IterationLimit("solve"));
-                }
-                let mut progress = false;
-                for (target, value) in &assigns {
-                    let Expr::Index { base, subs, .. } = target else { unreachable!() };
-                    let def_st = def_maps.iter().find(|(n, _)| *n == base.to).unwrap().1;
-                    // ready = !defined(target) && rhs_defined
-                    let tdef = self.read_storage(def_st, subs, false)?;
-                    let PV::Field { id: tdef_id, .. } = tdef else { unreachable!() };
-                    let ready = self.machine.alloc_result(vp, "~ready", ElemType::Bool)?;
-                    self.machine.unop(uc_cm::UnOp::Not, ready, tdef_id)?;
-                    self.release(tdef);
-                    let rdef = self.rhs_defined(value, &def_maps)?;
-                    if let PV::Field { id, .. } = rdef {
-                        self.machine.binop(BinOp::LogAnd, ready, ready, id)?;
-                    }
-                    self.release(rdef);
-                    let any = self.machine.reduce(ready, ReduceOp::Or)?.as_bool();
-                    if any {
-                        self.machine.push_context(ready)?;
-                        let r = (|| -> RResult<()> {
-                            let v = self.eval(value)?;
-                            let v = self.store(target, v, true)?;
-                            self.release(v);
-                            // Mark the just-written elements defined.
-                            let defined = PV::Scalar(Scalar::Bool(true));
-                            self.write_storage(def_st, subs, defined, false, "~storage")
-                        })();
-                        self.machine.pop_context(vp)?;
-                        r?;
-                        progress = true;
-                    }
-                    self.machine.free(ready)?;
-                }
-                if !progress {
-                    break;
-                }
-            }
-            Ok(())
+            self.fixpoint("solve", |p| p.solve_round(uc, &def_maps))
         })();
         for st in self.defined.drain(first..) {
             let _ = self.machine.free(st.field);
         }
         run
+    }
+
+    /// One round of `solve`: each assignment runs where its target is not
+    /// yet defined and its right-hand side is. Returns whether any ran.
+    fn solve_round(&mut self, uc: &UcStmt, def_maps: &[(Ref, Storage)]) -> RResult<bool> {
+        let vp = self.cur_ctx().vp;
+        let mut progress = false;
+        for (target, _, value) in uc.arms.iter().flat_map(|arm| solve_assignments(&arm.body)) {
+            let Expr::Index { base, subs, .. } = target else { unreachable!() };
+            let def_st = def_maps.iter().find(|(n, _)| *n == base.to).unwrap().1;
+            // ready = !defined(target) && rhs_defined
+            let tdef = self.read_storage(def_st, subs, false)?;
+            let PV::Field { id: tdef_id, .. } = tdef else { unreachable!() };
+            let ready = self.machine.alloc_result(vp, "~ready", ElemType::Bool)?;
+            let ran = (|| -> RResult<bool> {
+                self.machine.unop(uc_cm::UnOp::Not, ready, tdef_id)?;
+                self.release(tdef);
+                let rdef = self.rhs_defined(value, def_maps)?;
+                if let PV::Field { id, .. } = rdef {
+                    self.machine.binop(BinOp::LogAnd, ready, ready, id)?;
+                }
+                self.release(rdef);
+                if !self.enabled(Some(ready))? {
+                    return Ok(false);
+                }
+                self.under(Some(ready), |p| {
+                    let v = p.eval(value)?;
+                    let v = p.store(target, v, true)?;
+                    p.release(v);
+                    // Mark the just-written elements defined.
+                    let defined = PV::Scalar(Scalar::Bool(true));
+                    p.write_storage(def_st, subs, defined, false, "~storage")
+                })?;
+                Ok(true)
+            })();
+            self.machine.free(ready)?;
+            progress |= ran?;
+        }
+        Ok(progress)
     }
 
     /// Definedness of an expression's value per element of the current
@@ -469,32 +420,16 @@ impl Program {
                 Ok(PV::Scalar(Scalar::Bool(true)))
             }
             Expr::Index { base, subs, .. } => {
-                match def_maps.iter().find(|(n, _)| *n == base.to) {
-                    Some(&(_, def_st)) => {
-                        let elem_def = self.read_storage(def_st, subs, false)?;
-                        // Subscripts themselves may read target arrays.
-                        let mut acc = elem_def;
-                        for s in subs {
-                            let sub_def = self.rhs_defined(s, def_maps)?;
-                            acc = self.and_defined(acc, sub_def)?;
-                        }
-                        Ok(acc)
-                    }
-                    None => {
-                        let mut acc = PV::Scalar(Scalar::Bool(true));
-                        for s in subs {
-                            let sub_def = self.rhs_defined(s, def_maps)?;
-                            acc = self.and_defined(acc, sub_def)?;
-                        }
-                        Ok(acc)
-                    }
-                }
+                let elem_def = match def_maps.iter().find(|(n, _)| *n == base.to) {
+                    Some(&(_, def_st)) => self.read_storage(def_st, subs, false)?,
+                    None => PV::Scalar(Scalar::Bool(true)),
+                };
+                // Subscripts themselves may read target arrays.
+                self.all_defined(elem_def, subs.iter(), def_maps)
             }
             Expr::Unary { expr, .. } => self.rhs_defined(expr, def_maps),
             Expr::Binary { lhs, rhs, .. } => {
-                let l = self.rhs_defined(lhs, def_maps)?;
-                let r = self.rhs_defined(rhs, def_maps)?;
-                self.and_defined(l, r)
+                self.all_defined(PV::Scalar(Scalar::Bool(true)), [&**lhs, &**rhs], def_maps)
             }
             Expr::Ternary { cond, then_e, else_e, .. } => {
                 // defined(cond) && (cond ? defined(then) : defined(else))
@@ -506,35 +441,34 @@ impl Program {
                         PV::Scalar(Scalar::Bool(true))
                     }
                     _ => {
-                        let c = self.mask(cond)?;
-                        let t = self.coerce_field(tdef, ElemType::Bool)?;
-                        let f = self.coerce_field(edef, ElemType::Bool)?;
-                        let (PV::Field { id: ti, .. }, PV::Field { id: fi, .. }) = (t, f) else {
-                            unreachable!()
-                        };
-                        let vp = self.cur_ctx().vp;
-                        let dst = self.machine.alloc_result(vp, "~bdef", ElemType::Bool)?;
-                        self.machine.select(dst, c, ti, fi)?;
-                        self.release(PV::owned(c));
-                        self.release(t);
-                        self.release(f);
-                        PV::owned(dst)
+                        let c = self.eval(cond)?;
+                        let c = self.truthify(c)?;
+                        self.select(c, tdef, edef, ElemType::Bool)?
                     }
                 };
                 self.and_defined(cdef, branch)
             }
             Expr::Call { args, .. } => {
-                let mut acc = PV::Scalar(Scalar::Bool(true));
-                for a in args {
-                    let d = self.rhs_defined(a, def_maps)?;
-                    acc = self.and_defined(acc, d)?;
-                }
-                Ok(acc)
+                self.all_defined(PV::Scalar(Scalar::Bool(true)), args.iter(), def_maps)
             }
             Expr::Assign { .. } | Expr::Reduce(_) => {
                 unreachable!("sema admits neither in a `solve` right-hand side")
             }
         }
+    }
+
+    /// `acc` and the definedness of each of `es`.
+    fn all_defined<'e>(
+        &mut self,
+        mut acc: PV,
+        es: impl IntoIterator<Item = &'e Expr>,
+        def_maps: &[(Ref, Storage)],
+    ) -> RResult<PV> {
+        for e in es {
+            let d = self.rhs_defined(e, def_maps)?;
+            acc = self.and_defined(acc, d)?;
+        }
+        Ok(acc)
     }
 
     fn and_defined(&mut self, a: PV, b: PV) -> RResult<PV> {
@@ -549,59 +483,71 @@ impl Program {
     /// quiescence by comparing snapshots — the compiler-managed state
     /// saving the paper contrasts with a hand-written `*par` (§3.6).
     fn exec_star_solve(&mut self, uc: &UcStmt) -> RResult<()> {
-        let level = self.push_space(&uc.sets)?;
-        let result = (|| -> RResult<()> {
-            let mut assigns = Vec::new();
-            for arm in &uc.arms {
-                Self::solve_assignments(&arm.body, &mut assigns);
-            }
-            // Snapshot fields for each distinct target array.
-            let mut targets: Vec<(Ref, FieldId, FieldId)> = Vec::new();
-            for (target, _) in &assigns {
-                let Expr::Index { base, .. } = target else {
-                    unreachable!("sema admits only array-element solve targets")
-                };
-                if targets.iter().any(|(n, _, _)| *n == base.to) {
-                    continue;
-                }
-                let st = self.storage(Storage::Array(base.to));
+        // A snapshot field for each distinct target array.
+        let mut snaps: Vec<(FieldId, FieldId)> = Vec::new();
+        let run = (|| {
+            for array in solve_targets(uc) {
+                let st = self.storage(Storage::Array(array));
                 let (field, ty) = (st.field, st.ty);
-                let snap = self.machine.alloc(field.vp_set(), "~snap", ty)?;
-                targets.push((base.to, field, snap));
+                snaps.push((field, self.machine.alloc(field.vp_set(), "~snap", ty)?));
             }
-            let run = (|| -> RResult<()> {
-                let mut iters = 0u64;
-                loop {
-                    iters += 1;
-                    if iters > self.config.limits.max_iterations {
-                        return Err(RuntimeError::IterationLimit("*solve"));
-                    }
-                    for (_, field, snap) in &targets {
-                        self.machine.copy_unconditional(*snap, *field)?;
-                    }
-                    for (target, value) in &assigns {
-                        let v = self.eval(value)?;
-                        let v = self.store(target, v, false)?;
-                        self.release(v);
-                    }
-                    let mut changed = false;
-                    for (_, field, snap) in &targets {
-                        if self.machine.any_ne(*field, *snap)? {
-                            changed = true;
-                        }
-                    }
-                    if !changed {
-                        break;
-                    }
+            self.fixpoint("*solve", |p| {
+                for &(field, snap) in &snaps {
+                    p.machine.copy_unconditional(snap, field)?;
                 }
-                Ok(())
-            })();
-            for (_, _, snap) in targets {
-                let _ = self.machine.free(snap);
-            }
-            run
+                for (target, op, value) in
+                    uc.arms.iter().flat_map(|arm| solve_assignments(&arm.body))
+                {
+                    let v = match op {
+                        // `t op= v` stores `t op v`, reading `t` first.
+                        Some(op) => {
+                            let t = p.eval(target)?;
+                            let v = p.eval(value)?;
+                            p.apply_binary(op, t, v)?
+                        }
+                        None => p.eval(value)?,
+                    };
+                    let v = p.store(target, v, false)?;
+                    p.release(v);
+                }
+                let mut changed = false;
+                for &(field, snap) in &snaps {
+                    changed |= p.machine.any_ne(field, snap)?;
+                }
+                Ok(changed)
+            })
         })();
-        self.pop_space(level)?;
-        result
+        for (_, snap) in snaps {
+            let _ = self.machine.free(snap);
+        }
+        run
     }
+}
+
+/// The assignments of a `solve` arm in program order, by reference:
+/// `(target, op, value)` for `target op= value`. Sema admits nothing else
+/// in an arm but blocks of them.
+fn solve_assignments(s: &Stmt) -> Box<dyn Iterator<Item = (&Expr, Option<BinaryOp>, &Expr)> + '_> {
+    match s {
+        Stmt::Expr(Expr::Assign { target, op, value, .. }) => {
+            Box::new(std::iter::once((&**target, *op, &**value)))
+        }
+        Stmt::Block(b) => Box::new(b.stmts.iter().flat_map(solve_assignments)),
+        _ => Box::new(std::iter::empty()),
+    }
+}
+
+/// The distinct arrays a `solve`'s assignments store to, in the order of
+/// their first assignment.
+fn solve_targets(uc: &UcStmt) -> Vec<Ref> {
+    let mut arrays = Vec::new();
+    for (target, ..) in uc.arms.iter().flat_map(|arm| solve_assignments(&arm.body)) {
+        let Expr::Index { base, .. } = target else {
+            unreachable!("sema admits only array-element solve targets")
+        };
+        if !arrays.contains(&base.to) {
+            arrays.push(base.to);
+        }
+    }
+    arrays
 }

@@ -21,17 +21,31 @@ use uc_cm::{ElemType, Scalar};
 
 use super::{
     coerce_scalar, front_end_rand, int_binary, scalar_abs, scalar_binary, scalar_minmax,
-    scalar_unary, Frame, Program, RResult, RuntimeError, Storage, PV,
+    scalar_unary, Frame, Program, RResult, RuntimeError, Storage, EXEC_STACK_BYTES, PV,
 };
 use crate::ast::Ref;
 use crate::ir::{Instr, IrBody, IrProgram, Reg};
 use crate::stdlib;
+
+/// How many native `exec`s one run may nest: each user call met by
+/// tree-evaluated code re-enters the VM on the host stack, under the tree
+/// evaluators that met it. A debug build measured 20 KiB per re-entry
+/// for a call in a `par` arm and 31 KiB for one in a reduction under two
+/// nested `par`s; 64 KiB each keeps at least twice that within
+/// [`EXEC_STACK_BYTES`], so recursion through a tree escape traps before
+/// the stack overflows, whatever `max_call_depth` allows.
+const MAX_REENTRIES: usize = EXEC_STACK_BYTES / (64 * 1024);
 
 /// Run function `fi` to completion and return its value (0 when it
 /// returns none). This is the entry for `main` and the re-entry for user
 /// calls met by tree-evaluated code, which nests one native `exec` per
 /// such call.
 pub(crate) fn call(p: &mut Program, fi: usize, args: &[Scalar]) -> RResult<Scalar> {
+    if p.reentries == MAX_REENTRIES {
+        // The host stack, not the frame budget, is the limit here.
+        return Err(RuntimeError::CallDepthExceeded { max: p.frames.len() });
+    }
+    p.reentries += 1;
     let ir = p.ir.clone();
     let base_frames = p.frames.len();
     // A user function runs on the front end even when called from a
@@ -41,6 +55,7 @@ pub(crate) fn call(p: &mut Program, fi: usize, args: &[Scalar]) -> RResult<Scala
     let saved_ctx = std::mem::take(&mut p.ctx);
     let result = exec(p, &ir, fi, args);
     p.ctx = saved_ctx;
+    p.reentries -= 1;
     if result.is_err() {
         // Free every frame this call opened, so the caller unwinds over
         // its own frame. The call stack is left intact for the error

@@ -1,41 +1,9 @@
 //! AST pretty-printer.
 //!
-//! Renders an AST back to UC source. Used by tests (parse ∘ print is the
-//! identity on the AST, modulo spans), by `--emit ir` for the fragments
-//! of tree escapes, and by the lints to quote an access.
+//! Renders statements and expressions back to UC source: `--emit ir`'s
+//! fragments of tree escapes, and the accesses the lints quote.
 
 use crate::ast::*;
-
-/// Render a whole unit.
-pub fn unit_to_string(u: &Unit) -> String {
-    let mut out = String::new();
-    for (name, value) in &u.defines {
-        out.push_str(&format!("#define {name} {value}\n"));
-    }
-    for item in &u.items {
-        match item {
-            Item::IndexSets(defs) => {
-                out.push_str("index_set ");
-                let parts: Vec<String> = defs.iter().map(index_set_to_string).collect();
-                out.push_str(&parts.join(", "));
-                out.push_str(";\n");
-            }
-            Item::Var(v) => {
-                out.push_str(&var_to_string(v));
-                out.push('\n');
-            }
-            Item::Func(f) => {
-                out.push_str(&func_to_string(f));
-                out.push('\n');
-            }
-            Item::Map(m) => {
-                out.push_str(&map_to_string(m));
-                out.push('\n');
-            }
-        }
-    }
-    out
-}
 
 fn index_set_to_string(d: &IndexSetDef) -> String {
     let init = match &d.init {
@@ -62,38 +30,6 @@ fn var_to_string(v: &VarDecl) -> String {
         Some(e) => format!("{} {}{} = {};", type_name(v.ty), v.name, dims, expr(e)),
         None => format!("{} {}{};", type_name(v.ty), v.name, dims),
     }
-}
-
-fn func_to_string(f: &FuncDef) -> String {
-    let params: Vec<String> =
-        f.params.iter().map(|(t, n)| format!("{} {}", type_name(*t), n)).collect();
-    format!(
-        "{} {}({}) {}",
-        type_name(f.ret),
-        f.name,
-        params.join(", "),
-        block_to_string(&f.body, 0)
-    )
-}
-
-fn map_to_string(m: &MapSection) -> String {
-    let mut out = format!("map ({}) {{\n", m.idxs.join(", "));
-    for d in &m.decls {
-        out.push_str(&format!(
-            "    {} ({}) {} :- {};\n",
-            d.kind.keyword(),
-            d.idxs.join(", "),
-            pattern(&d.target),
-            pattern(&d.source)
-        ));
-    }
-    out.push('}');
-    out
-}
-
-fn pattern(p: &ArrayPattern) -> String {
-    let subs: String = p.subs.iter().map(|s| format!("[{}]", expr(s))).collect();
-    format!("{}{}", p.array, subs)
 }
 
 fn block_to_string(b: &Block, indent: usize) -> String {
@@ -266,31 +202,11 @@ mod tests {
     use crate::diag::Diagnostics;
     use crate::parser::parse;
 
-    /// parse ∘ print ∘ parse must be a fixed point of the AST (modulo
-    /// spans, which differ; we compare the *printed* forms).
-    fn roundtrip(src: &str) {
-        let mut d = Diagnostics::default();
-        let u1 = parse(src, &mut d).expect("first parse");
-        let printed = unit_to_string(&u1);
-        let mut d2 = Diagnostics::default();
-        let u2 = parse(&printed, &mut d2).unwrap_or_else(|| panic!("reparse failed: {d2}\n{printed}"));
-        assert_eq!(unit_to_string(&u2), printed, "pretty-print not idempotent");
-    }
-
-    #[test]
-    fn roundtrips() {
-        roundtrip("#define N 8\nindex_set I:i = {0..N-1}, K:k = {4,2,9};\nint a[N];\nmain() { par (I) st (a[i] != 0) a[i] = 1 / a[i]; }");
-        roundtrip("index_set I:i = {0..9}, J:j = I;\nint a[10], s;\nmain() { s = $+(I st (a[i] > 0) a[i] others -a[i]); }");
-        roundtrip("#define N 4\nindex_set I:i = {0..N-1}, J:j = I;\nint a[N][N];\nmain() { solve (I, J) a[i][j] = (i == 0 || j == 0) ? 1 : a[i-1][j] + a[i-1][j-1] + a[i][j-1]; }");
-        roundtrip("index_set I:i = {0..9};\nint x[10];\nmain() { *oneof (I)\n st (i % 2 == 0 && x[i] > x[i+1]) swap(x[i], x[i+1]);\n st (i % 2 != 0 && x[i] > x[i+1]) swap(x[i], x[i+1]);\n}");
-        roundtrip("#define N 8\nindex_set I:i = {0..N-1};\nint a[N], b[N];\nmap (I) { permute (I) b[i+1] :- a[i]; }\nmain() { while (1) break; }");
-    }
-
     #[test]
     fn expr_precedence_parens() {
         let mut d = Diagnostics::default();
         let u = parse("main() { int x; x = (1 + 2) * 3; }", &mut d).unwrap();
-        let printed = unit_to_string(&u);
-        assert!(printed.contains("(1 + 2) * 3"), "got: {printed}");
+        let Some(Item::Func(main)) = u.items.first() else { panic!("main") };
+        assert_eq!(stmt_to_string(&main.body.stmts[1], 0), "x = (1 + 2) * 3;");
     }
 }

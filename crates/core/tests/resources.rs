@@ -138,3 +138,33 @@ fn function_calls_do_not_leak() {
     );
     assert_eq!(first, later);
 }
+
+/// Live fields after each of three runs of a program that traps.
+fn live_after_failed_runs(src: &str) -> Vec<usize> {
+    let mut p = Program::compile(src).unwrap_or_else(|d| panic!("compile failed:\n{d}"));
+    let mut live = Vec::new();
+    for _ in 0..3 {
+        p.run().expect_err("the program traps");
+        live.push(p.machine().live_fields());
+    }
+    live
+}
+
+/// A step that traps frees what it made — its arm masks, the partial
+/// results of a reduction, a `solve`'s ready mask — so repeated failed
+/// runs hold no more fields than the first.
+#[test]
+fn trapping_steps_do_not_leak() {
+    for (what, body) in [
+        ("par", "par (I) st (a[i] == 0) a[i] = 1; st (a[i] / b[i] > 0) a[i] = 2;"),
+        ("oneof", "oneof (I) st (a[i] == 0) a[i] = 1; st (a[i] / b[i] > 0) a[i] = 2;"),
+        ("reduction", "par (I) a[i] = $+(I st (b[i] != 0) 1 others a[i] / b[i]);"),
+        ("solve", "solve (I) a[i] = 1 / b[i];"),
+    ] {
+        let src = format!(
+            "#define N 8\nindex_set I:i = {{0..N-1}};\nint a[N], b[N];\nmain() {{ {body} }}"
+        );
+        let live = live_after_failed_runs(&src);
+        assert!(live.windows(2).all(|w| w[0] == w[1]), "{what}: live fields {live:?}");
+    }
+}

@@ -145,6 +145,19 @@ fn max_depth_flag_reports_a_call_stack() {
     assert!(stderr.contains("in `down`"), "{stderr}");
 }
 
+/// Recursion through a tree escape re-enters the VM on the host stack:
+/// however far `--max-depth` lets it go, the run traps with a diagnostic
+/// before that stack overflows (which would abort the process).
+#[test]
+fn escaped_recursion_traps_before_the_host_stack_overflows() {
+    let path =
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/hostile/escaped_recursion_deep.uc");
+    let out = uc().args(["run", path, "--max-depth", "1000000"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("budget exceeded"), "{stderr}");
+}
+
 /// A program with one deliberate UC101 race for the lint-flag tests.
 const RACY: &str = r#"
     index_set I:i = {0..7};
