@@ -347,6 +347,11 @@ pub(crate) fn elem_bytes(ty: ElemType) -> u64 {
     }
 }
 
+/// Bytes of storage a field occupies.
+fn field_bytes(field: &Field) -> u64 {
+    (field.data.len() as u64).saturating_mul(elem_bytes(field.elem_type()))
+}
+
 /// The simulated Connection Machine.
 #[derive(Debug)]
 pub struct Machine {
@@ -706,13 +711,31 @@ impl Machine {
                 if *undefined == Some(id) {
                     *undefined = None;
                 }
-                let bytes = (field.data.len() as u64).saturating_mul(elem_bytes(field.elem_type()));
+                let bytes = field_bytes(&field);
                 scratch.retire_field(field);
                 self.release_mem(bytes);
                 Ok(())
             }
             _ => Err(CmError::UnknownField),
         }
+    }
+
+    /// Free every field `keep` rejects and pop every VP set's masks to its
+    /// base: the machine as its client built it, whatever a failed
+    /// computation left behind. Host-side and uncharged.
+    pub fn retain(&mut self, keep: impl Fn(FieldId) -> bool) {
+        for v in 0..self.vpsets.len() {
+            for index in 0..self.vpsets[v].fields.len() {
+                let id = FieldId { vp: VpSetId(v), index };
+                if self.field(id).is_ok() && !keep(id) {
+                    let _ = self.free(id);
+                }
+            }
+            while self.vpsets[v].context.pop().is_ok() {}
+        }
+        // What stays charged: each set's base mask and the kept fields.
+        let live = |s: &VpSet| s.fields.iter().flatten().map(field_bytes).sum::<u64>();
+        self.mem_bytes = self.vpsets.iter().map(|s| s.geom.size() as u64 + live(s)).sum();
     }
 
     /// A field's metadata (type, length), readable defined or not. Reads
@@ -886,6 +909,20 @@ impl Machine {
         Ok(bits.len())
     }
 
+    /// Set `vp`'s activity masks aside for a fresh all-active stack until
+    /// [`Machine::restore_context`] puts them back. Host-side and
+    /// uncharged: what runs meanwhile starts from the base context.
+    pub fn hide_context(&mut self, vp: VpSetId) -> Result<ContextStack> {
+        let base = ContextStack::new(self.vp(vp)?.geom.size());
+        Ok(std::mem::replace(&mut self.vp_mut(vp)?.context, base))
+    }
+
+    /// Put back the masks [`Machine::hide_context`] set aside.
+    pub fn restore_context(&mut self, vp: VpSetId, masks: ContextStack) -> Result<()> {
+        self.vp_mut(vp)?.context = masks;
+        Ok(())
+    }
+
     /// Pop the innermost activity mask of `vp`.
     pub fn pop_context(&mut self, vp: VpSetId) -> Result<()> {
         let size = self.vp(vp)?.geom.size();
@@ -972,6 +1009,28 @@ mod tests {
         m.pop_context(vp).unwrap();
         m.pop_context(vp).unwrap();
         assert_eq!(m.pop_context(vp), Err(CmError::ContextUnderflow));
+    }
+
+    #[test]
+    fn retain_restores_the_built_state_uncharged() {
+        let mut m = Machine::with_defaults();
+        let vp = m.new_vp_set("v", &[4]).unwrap();
+        let keep = m.alloc_int(vp, "keep").unwrap();
+        let built = m.mem_bytes();
+        let mask = m.alloc_bool(vp, "m").unwrap();
+        m.write_all(mask, FieldData::Bool(vec![true, false, true, false])).unwrap();
+        m.push_context(mask).unwrap();
+        let _ = m.alloc_result(vp, "undefined", ElemType::Int).unwrap();
+        let hidden = m.hide_context(vp).unwrap();
+        m.push_context(mask).unwrap();
+        let tally = *m.tally();
+        m.retain(|f| f == keep);
+        assert_eq!((m.live_fields(), m.mem_bytes(), m.context_depth(vp)), (1, built, Ok(1)));
+        assert_eq!(*m.tally(), tally, "retain is uncharged");
+        assert_eq!(m.active_count(vp).unwrap(), 4);
+        // Hidden masks come back as they were.
+        m.restore_context(vp, hidden).unwrap();
+        assert_eq!((m.context_depth(vp), m.active_count(vp)), (Ok(2), Ok(2)));
     }
 
     #[test]

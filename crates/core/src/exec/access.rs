@@ -181,11 +181,9 @@ impl Program {
     }
 
     pub(crate) fn cse_pop(&mut self) {
-        if let Some(level) = self.cse_depth.checked_sub(1) {
-            self.cse_depth = level;
-            for (.., field) in self.cse_stack[level].drain(..) {
-                let _ = self.machine.free(field);
-            }
+        self.cse_depth -= 1;
+        for (.., field) in self.cse_stack[self.cse_depth].drain(..) {
+            let _ = self.machine.free(field);
         }
     }
 
@@ -199,23 +197,23 @@ impl Program {
         borrow: bool,
     ) -> RResult<PV> {
         let start = self.classify_subs(subs);
-        let read = (|| {
-            if self.config.optimize_access {
-                if let Some(pv) = self.try_fast_read(arr, start, borrow)? {
-                    return Ok(pv);
-                }
-            }
-            self.router_read(arr, subs, start)
-        })();
+        let read = match self.try_fast_read(arr, start, borrow)? {
+            Some(pv) => pv,
+            None => self.router_read(arr, subs, start)?,
+        };
         self.forms.truncate(start);
-        read
+        Ok(read)
     }
 
     /// Local/NEWS read when the array conforms to the iteration space:
     /// the array's field itself where sema lent it (`borrow`), a copy, a
     /// NEWS shift with an INF border, or for a `permute`d array a
     /// toroidal shift (or none) and INF selected at the logical edges.
+    /// `None` without `optimize_access`.
     fn try_fast_read(&mut self, arr: Storage, start: usize, borrow: bool) -> RResult<Option<PV>> {
+        if !self.config.optimize_access {
+            return Ok(None);
+        }
         let (st, ctx, forms) = (self.storage(arr), self.cur_ctx(), &self.forms[start..]);
         let (field, ty, vp, rank) = (st.field, st.ty, ctx.vp, forms.len());
         let stored_at = match &st.mapping {
@@ -565,20 +563,18 @@ impl Program {
         let value = self.coerce_field(value, ty)?;
         let PV::Field { id: vfield, .. } = value else { unreachable!() };
         let start = self.classify_subs(subs);
-        let stored = (|| {
-            // Fast path: identity store onto a conforming default-mapped array.
-            let (st, dims) = (self.storage(arr), &self.cur_ctx().dims);
-            let field = st.field;
-            if self.config.optimize_access
-                && st.mapping == ArrayMapping::Default
-                && st.shape == *dims
-                && self.forms[start..].iter().enumerate().all(|(d, &form)| {
-                    matches!(form, IdxForm::AxisPlus { axis, offset: 0 } if axis == d)
-                })
-            {
-                return Ok(self.machine.copy(field, vfield)?);
-            }
-
+        // Fast path: identity store onto a conforming default-mapped array.
+        let (st, dims) = (self.storage(arr), &self.cur_ctx().dims);
+        let field = st.field;
+        if self.config.optimize_access
+            && st.mapping == ArrayMapping::Default
+            && st.shape == *dims
+            && self.forms[start..].iter().enumerate().all(|(d, &form)| {
+                matches!(form, IdxForm::AxisPlus { axis, offset: 0 } if axis == d)
+            })
+        {
+            self.machine.copy(field, vfield)?;
+        } else {
             // General scatter.
             let (addr, valid) = self.storage_address(arr, subs, start)?;
             if let Some(valid) = valid {
@@ -590,7 +586,6 @@ impl Program {
                 self.machine.free(bad)?;
                 self.machine.free(valid)?;
                 if any_bad {
-                    self.machine.free(addr)?;
                     return Err(RuntimeError::OutOfBounds { name: name.to_string() });
                 }
             }
@@ -607,11 +602,10 @@ impl Program {
             if conflict && check_conflicts {
                 return Err(RuntimeError::MultipleAssignment { name: name.to_string() });
             }
-            Ok(())
-        })();
+        }
         self.forms.truncate(start);
         self.release(value);
-        stored
+        Ok(())
     }
 
     /// Evaluate an assignment expression (including compound ops),

@@ -225,29 +225,23 @@ impl Program {
             self.pv_type(&l)?
         };
         let dst = self.machine.alloc_result(vp, "~bin", out_ty)?;
-        let result = match (&l, &r) {
+        match (&l, &r) {
             (PV::Field { id: a, .. }, PV::Field { id: b, .. }) => {
-                self.machine.binop(mop, dst, *a, *b)
+                self.machine.binop(mop, dst, *a, *b)?
             }
             (PV::Field { id: a, .. }, PV::Scalar(s)) => {
                 let s = super::space::coerce_scalar(*s, self.machine.elem_type(*a)?);
-                self.machine.binop_imm(mop, dst, *a, s)
+                self.machine.binop_imm(mop, dst, *a, s)?
             }
             (PV::Scalar(s), PV::Field { id: b, .. }) => {
                 let s = super::space::coerce_scalar(*s, self.machine.elem_type(*b)?);
-                self.machine.binop_imm_l(mop, dst, s, *b)
+                self.machine.binop_imm_l(mop, dst, s, *b)?
             }
             (PV::Scalar(_), PV::Scalar(_)) => unreachable!("handled above"),
-        };
+        }
         self.release(l);
         self.release(r);
-        match result {
-            Ok(()) => Ok(PV::owned(dst)),
-            Err(e) => {
-                let _ = self.machine.free(dst);
-                Err(e.into())
-            }
-        }
+        Ok(PV::owned(dst))
     }
 
     /// Coerce a PV operand to a type, preserving scalars as scalars.

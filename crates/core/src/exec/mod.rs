@@ -42,6 +42,11 @@
 //! `solve` — repeat while the step did work, within
 //! [`ExecLimits::max_iterations`]. The constructs differ only in which
 //! arms a step runs and in what ends the repetition.
+//!
+//! A trap unwinds nothing: the failing op's error returns through `?`,
+//! leaving masks pushed and fields live. Every run starts from the
+//! compiled state instead ([`Program::run`]), so a failed `Program` holds
+//! its leftovers until its next run or until it is dropped.
 
 mod access;
 mod expr;
@@ -561,20 +566,35 @@ impl Program {
     /// Errors come back as a [`RunError`] carrying the span of the failing
     /// statement and the UC call stack. The run is a fault boundary: a
     /// panic escaping the executor internals is caught here and reported
-    /// as [`RuntimeError::Internal`] instead of aborting the process.
+    /// as [`RuntimeError::Internal`] instead of aborting the process. It is
+    /// the only recovery: each run first puts the machine and the executor
+    /// back in the state `compile` left them in, the global arrays' and
+    /// scalars' values aside, so no run depends on how the last one ended.
     pub fn run(&mut self) -> Result<(), RunError> {
-        // The geometry caches are per run: every run pays for their fills,
-        // so a program's tally does not depend on the runs before it.
-        let cached = self.elem_cache.drain().map(|(_, f)| f);
-        let cached = cached.chain(self.fixup_cache.drain().map(|(_, f)| f));
-        for f in cached.chain(self.inf_cache.drain().map(|(_, f)| f)) {
-            let _ = self.machine.free(f);
-        }
+        // Back to the compiled state, whatever the last run left: only the
+        // global arrays' storage survives. The geometry caches go too, so
+        // every run pays for their fills and a program's tally does not
+        // depend on the runs before it.
+        let arrays = &self.arrays;
+        self.machine.retain(|f| arrays.iter().any(|a| a.field == f));
+        self.ctx.clear();
+        self.defined.clear();
+        self.frames.clear();
+        self.regs.clear();
+        self.forms.clear();
+        self.cse_stack.iter_mut().for_each(Vec::clear);
+        self.cse_depth = 0;
+        self.cse_fill = false;
+        self.elem_cache.clear();
+        self.fixup_cache.clear();
+        self.inf_cache.clear();
+        self.reentries = 0;
+        self.oneof_cursor = 0;
+        self.rand_counter = 0;
+        self.exec_span = Span::default();
         if let Some(ms) = self.config.limits.timeout_ms {
             self.machine.arm_deadline(ms);
         }
-        // A caught panic skips the count's decrements.
-        self.reentries = 0;
         // The VM keeps its activations on the heap, so its native
         // recursion is bounded by the nesting of one tree escape — unless
         // an escape contains a user call, which re-enters the VM natively
@@ -605,10 +625,7 @@ impl Program {
         };
         self.machine.clear_deadline();
         match outcome {
-            Ok(Ok(_)) => {
-                self.call_stack.clear();
-                Ok(())
-            }
+            Ok(Ok(_)) => Ok(()),
             Ok(Err(error)) => Err(self.run_error(error)),
             Err(payload) => {
                 let msg = if let Some(s) = payload.downcast_ref::<&str>() {

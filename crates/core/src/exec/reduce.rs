@@ -47,23 +47,14 @@ impl Program {
         // unpredicated enabled set), then each operand under its mask.
         let masks = self.arm_masks(r.arms.iter().map(|(pred, _)| pred.as_ref()))?;
         let mut partials: Vec<PV> = Vec::new();
-        let run = (|| {
-            for ((_, operand), &mask) in r.arms.iter().zip(&masks) {
-                partials.push(self.under(mask, |p| p.reduce_operand(operand, r.op))?);
-            }
-            if let Some(others) = &r.others {
-                // Enabled-for-no-arm elements.
-                partials.push(self.under_others(&masks, |p| p.reduce_operand(others, r.op))?);
-            }
-            Ok(())
-        })();
-        self.free_masks(masks);
-        if let Err(e) = run {
-            for part in partials {
-                self.release(part);
-            }
-            return Err(e);
+        for ((_, operand), &mask) in r.arms.iter().zip(&masks) {
+            partials.push(self.under(mask, |p| p.reduce_operand(operand, r.op))?);
         }
+        if let Some(others) = &r.others {
+            // Enabled-for-no-arm elements.
+            partials.push(self.under_others(&masks, |p| p.reduce_operand(others, r.op))?);
+        }
+        self.free_masks(masks);
 
         // Fold the per-arm results with the reduction operator.
         let mut acc = partials.remove(0);
@@ -95,13 +86,12 @@ impl Program {
 
         let result = if self.ctx.len() == 1 {
             // Front-end reduction: one combine-tree instruction.
-            let s = self.machine.reduce(id, machine_reduce_op(op))?;
-            Ok(PV::Scalar(s))
+            PV::Scalar(self.machine.reduce(id, machine_reduce_op(op))?)
         } else {
-            self.reduce_into_outer(id, op, ty)
+            self.reduce_into_outer(id, op, ty)?
         };
         self.release(v);
-        result
+        Ok(result)
     }
 
     /// Per-enclosing-point reduction via a combining send.
@@ -129,44 +119,36 @@ impl Program {
                 let ty = self.common_type(&a, &b)?;
                 // Partials live on the *enclosing* space; combine there.
                 let cur = self.ctx.pop().expect("inside reduction space");
-                let result = (|| -> RResult<PV> {
-                    let a = self.coerce_field(a, ty)?;
-                    let b = self.coerce_field(b, ty)?;
-                    let (PV::Field { id: ai, .. }, PV::Field { id: bi, .. }) = (&a, &b) else {
-                        unreachable!()
-                    };
-                    let vp = self.cur_ctx().vp;
-                    let dst = self.machine.alloc_result(vp, "~cmb", ty)?;
-                    match op {
-                        RedOpToken::Add => self.machine.binop(BinOp::Add, dst, *ai, *bi)?,
-                        RedOpToken::Mul => self.machine.binop(BinOp::Mul, dst, *ai, *bi)?,
-                        RedOpToken::Min => self.machine.binop(BinOp::Min, dst, *ai, *bi)?,
-                        RedOpToken::Max => self.machine.binop(BinOp::Max, dst, *ai, *bi)?,
-                        RedOpToken::And => self.machine.binop(BinOp::Min, dst, *ai, *bi)?,
-                        RedOpToken::Or => self.machine.binop(BinOp::Max, dst, *ai, *bi)?,
-                        RedOpToken::Xor => {
-                            self.machine.binop(BinOp::Add, dst, *ai, *bi)?;
-                            self.machine.binop_imm(BinOp::Mod, dst, dst, Scalar::Int(2))?;
-                        }
-                        RedOpToken::Arb => {
-                            // Prefer `a` where it is not the identity INF.
-                            let isinf = self.machine.alloc_result(vp, "~isinf", ElemType::Bool)?;
-                            self.machine.binop_imm(
-                                BinOp::Ne,
-                                isinf,
-                                *ai,
-                                super::access::inf_of(ty),
-                            )?;
-                            self.machine.select(dst, isinf, *ai, *bi)?;
-                            self.machine.free(isinf)?;
-                        }
+                let a = self.coerce_field(a, ty)?;
+                let b = self.coerce_field(b, ty)?;
+                let (PV::Field { id: ai, .. }, PV::Field { id: bi, .. }) = (&a, &b) else {
+                    unreachable!()
+                };
+                let vp = self.cur_ctx().vp;
+                let dst = self.machine.alloc_result(vp, "~cmb", ty)?;
+                match op {
+                    RedOpToken::Add => self.machine.binop(BinOp::Add, dst, *ai, *bi)?,
+                    RedOpToken::Mul => self.machine.binop(BinOp::Mul, dst, *ai, *bi)?,
+                    RedOpToken::Min => self.machine.binop(BinOp::Min, dst, *ai, *bi)?,
+                    RedOpToken::Max => self.machine.binop(BinOp::Max, dst, *ai, *bi)?,
+                    RedOpToken::And => self.machine.binop(BinOp::Min, dst, *ai, *bi)?,
+                    RedOpToken::Or => self.machine.binop(BinOp::Max, dst, *ai, *bi)?,
+                    RedOpToken::Xor => {
+                        self.machine.binop(BinOp::Add, dst, *ai, *bi)?;
+                        self.machine.binop_imm(BinOp::Mod, dst, dst, Scalar::Int(2))?;
                     }
-                    self.release(a);
-                    self.release(b);
-                    Ok(PV::owned(dst))
-                })();
+                    RedOpToken::Arb => {
+                        // Prefer `a` where it is not the identity INF.
+                        let isinf = self.machine.alloc_result(vp, "~isinf", ElemType::Bool)?;
+                        self.machine.binop_imm(BinOp::Ne, isinf, *ai, super::access::inf_of(ty))?;
+                        self.machine.select(dst, isinf, *ai, *bi)?;
+                        self.machine.free(isinf)?;
+                    }
+                }
+                self.release(a);
+                self.release(b);
                 self.ctx.push(cur);
-                result
+                Ok(PV::owned(dst))
             }
         }
     }
@@ -231,7 +213,7 @@ impl Program {
         let outer_extent = self.ctx[0].dims[0] as i64;
         // Evaluate key and operand on the reduction-only space.
         let saved = std::mem::take(&mut self.ctx);
-        let result = self.in_space(&r.sets, |p| {
+        let hist = self.in_space(&r.sets, |p| {
             let key = p.eval(key_expr)?;
             let key = p.coerce_field(key, ElemType::Int)?;
             let PV::Field { id: keyf, .. } = key else { unreachable!() };
@@ -253,9 +235,9 @@ impl Program {
             p.release(key);
             p.release(val);
             Ok(PV::owned(dst))
-        });
+        })?;
         self.ctx = saved;
-        result.map(Some)
+        Ok(Some(hist))
     }
 }
 

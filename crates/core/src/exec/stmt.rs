@@ -9,8 +9,8 @@
 //!
 //! Every construct, and a reduction (`reduce`), takes one step: open the
 //! iteration space (`in_space`), evaluate all predicates into masks
-//! before any arm runs (`arm_masks`, freed by `free_masks` on every exit
-//! path), run each arm under its mask (`under`, `under_others`), and for
+//! before any arm runs (`arm_masks`, freed by `free_masks`), run each arm
+//! under its mask (`under`, `under_others`), and for
 //! the `*` forms, a nested `seq` and `solve`, repeat while the step did
 //! work (`fixpoint`; `enabled` is an arm's global-OR test). The constructs
 //! differ only in which arms a step runs and in what ends the repetition.
@@ -55,9 +55,9 @@ impl Program {
     }
 
     fn exec_block(&mut self, b: &Block) -> RResult<()> {
-        let result = b.stmts.iter().try_for_each(|s| self.exec_stmt(s));
+        b.stmts.iter().try_for_each(|s| self.exec_stmt(s))?;
         self.free_decls(b.stmts.iter());
-        result
+        Ok(())
     }
 
     pub(crate) fn exec_stmt(&mut self, s: &Stmt) -> RResult<()> {
@@ -129,16 +129,16 @@ impl Program {
     // ---- the step: masks, arms and fixpoints --------------------------------
 
     /// Open the iteration space over `sets`, run `f` in it, and close the
-    /// space however `f` ends.
+    /// space.
     pub(crate) fn in_space<T>(
         &mut self,
         sets: &[SetId],
         f: impl FnOnce(&mut Self) -> RResult<T>,
     ) -> RResult<T> {
         let level = self.push_space(sets)?;
-        let result = f(self);
+        let result = f(self)?;
         self.pop_space(level)?;
-        result
+        Ok(result)
     }
 
     /// Run `step` until it reports nothing left to do: the `*` forms'
@@ -167,20 +167,14 @@ impl Program {
 
     /// Evaluate the arms' predicates into masks, synchronously: each
     /// against the state at the start of the step (`None` for an arm
-    /// without one). On an error the masks made so far are freed.
+    /// without one).
     pub(crate) fn arm_masks<'e>(
         &mut self,
         preds: impl Iterator<Item = Option<&'e Expr>>,
     ) -> RResult<Vec<Option<FieldId>>> {
         let mut masks = self.mask_spare.pop().unwrap_or_default();
         for pred in preds {
-            match pred.map(|p| self.mask(p)).transpose() {
-                Ok(m) => masks.push(m),
-                Err(e) => {
-                    self.free_masks(masks);
-                    return Err(e);
-                }
-            }
+            masks.push(pred.map(|p| self.mask(p)).transpose()?);
         }
         Ok(masks)
     }
@@ -204,7 +198,7 @@ impl Program {
     }
 
     /// Run `f` where `mask` holds (under the current context, without
-    /// one), popping the mask however `f` ends.
+    /// one), then pop the mask.
     pub(crate) fn under<T>(
         &mut self,
         mask: Option<FieldId>,
@@ -227,9 +221,9 @@ impl Program {
             self.machine.binop(BinOp::LogOr, or, or, *m)?;
         }
         self.machine.push_context_others(or)?;
-        let result = self.masked(f);
+        let result = self.masked(f)?;
         self.machine.free(or)?;
-        result
+        Ok(result)
     }
 
     /// Run `f` under the mask just pushed, then pop it. A value computed
@@ -238,28 +232,28 @@ impl Program {
     fn masked<T>(&mut self, f: impl FnOnce(&mut Self) -> RResult<T>) -> RResult<T> {
         let vp = self.cur_ctx().vp;
         let fill = std::mem::replace(&mut self.cse_fill, false);
-        let result = f(self);
+        let result = f(self)?;
         self.cse_fill = fill;
         self.machine.pop_context(vp)?;
-        result
+        Ok(result)
     }
 
     // ---- the four constructs ----------------------------------------------
 
     fn exec_uc(&mut self, uc: &UcStmt) -> RResult<()> {
-        let result = match uc.kind {
-            UcKind::Seq => self.exec_seq(uc),
+        match uc.kind {
+            UcKind::Seq => self.exec_seq(uc)?,
             kind => self.in_space(&uc.sets, |p| match kind {
                 UcKind::Par if uc.star => p.fixpoint("*par", |p| p.run_arms(uc, true)),
                 UcKind::Par => p.run_arms(uc, false).map(drop),
                 UcKind::Oneof => p.exec_oneof(uc),
                 UcKind::Solve if uc.star => p.exec_star_solve(uc),
                 _ => p.exec_solve(uc),
-            }),
-        };
+            })?,
+        }
         // An arm that is a bare declaration is scoped to the construct.
         self.free_decls(uc.arms.iter().map(|arm| &arm.body).chain(uc.others.as_deref()));
-        result
+        Ok(())
     }
 
     /// Execute all arms (and `others`) of a par-style construct once.
@@ -273,27 +267,21 @@ impl Program {
         // correct everywhere the bodies look.
         self.cse_push();
         let fill = std::mem::replace(&mut self.cse_fill, true);
-        let masks = self.arm_masks(uc.arms.iter().map(|arm| arm.pred.as_ref()));
+        let masks = self.arm_masks(uc.arms.iter().map(|arm| arm.pred.as_ref()))?;
         self.cse_fill = fill;
-        let run = masks.and_then(|masks| {
-            let run = (|| {
-                let mut enabled = false;
-                for &m in masks.iter().filter(|_| need_enabled) {
-                    enabled = enabled || self.enabled(m)?;
-                }
-                for (ScBlock { body, .. }, &mask) in uc.arms.iter().zip(&masks) {
-                    self.under(mask, |p| p.exec_stmt(body))?;
-                }
-                if let Some(others) = &uc.others {
-                    self.under_others(&masks, |p| p.exec_stmt(others))?;
-                }
-                Ok(enabled)
-            })();
-            self.free_masks(masks);
-            run
-        });
+        let mut enabled = false;
+        for &m in masks.iter().filter(|_| need_enabled) {
+            enabled = enabled || self.enabled(m)?;
+        }
+        for (ScBlock { body, .. }, &mask) in uc.arms.iter().zip(&masks) {
+            self.under(mask, |p| p.exec_stmt(body))?;
+        }
+        if let Some(others) = &uc.others {
+            self.under_others(&masks, |p| p.exec_stmt(others))?;
+        }
+        self.free_masks(masks);
         self.cse_pop();
-        run
+        Ok(enabled)
     }
 
     /// `seq` nested in a parallel construct (a front-end `seq` is lowered
@@ -321,23 +309,20 @@ impl Program {
     fn exec_oneof(&mut self, uc: &UcStmt) -> RResult<()> {
         self.fixpoint("*oneof", |p| {
             let masks = p.arm_masks(uc.arms.iter().map(|arm| arm.pred.as_ref()))?;
-            let run = (|| {
-                let mut enabled = Vec::new();
-                for (k, &m) in masks.iter().enumerate() {
-                    if p.enabled(m)? {
-                        enabled.push(k);
-                    }
+            let mut enabled = Vec::new();
+            for (k, &m) in masks.iter().enumerate() {
+                if p.enabled(m)? {
+                    enabled.push(k);
                 }
-                if enabled.is_empty() {
-                    return Ok(false);
-                }
+            }
+            let any = !enabled.is_empty();
+            if any {
                 let k = enabled[p.oneof_cursor % enabled.len()];
                 p.oneof_cursor = p.oneof_cursor.wrapping_add(1);
                 p.under(masks[k], |p| p.exec_stmt(&uc.arms[k].body))?;
-                Ok(uc.star)
-            })();
+            }
             p.free_masks(masks);
-            run
+            Ok(uc.star && any)
         })
     }
 
@@ -351,22 +336,20 @@ impl Program {
         // Defined-bitmaps for every target array, on `defined` from `first`.
         let first = self.defined.len();
         let mut def_maps: Vec<(Ref, Storage)> = Vec::new();
-        let run = (|| {
-            for array in solve_targets(uc) {
-                let st = self.storage(Storage::Array(array));
-                let (shape, mapping) = (st.shape.clone(), st.mapping.clone());
-                let dvp = self.space_vp(&mapping.storage_shape(&shape))?;
-                let field = self.machine.alloc_bool(dvp, "~defined")?;
-                self.defined.push(ArrayStorage { field, ty: ElemType::Bool, shape, mapping });
-                self.machine.fill_unconditional(field, Scalar::Bool(false))?;
-                def_maps.push((array, Storage::Defined(self.defined.len() - 1)));
-            }
-            self.fixpoint("solve", |p| p.solve_round(uc, &def_maps))
-        })();
-        for st in self.defined.drain(first..) {
-            let _ = self.machine.free(st.field);
+        for array in solve_targets(uc) {
+            let st = self.storage(Storage::Array(array));
+            let (shape, mapping) = (st.shape.clone(), st.mapping.clone());
+            let dvp = self.space_vp(&mapping.storage_shape(&shape))?;
+            let field = self.machine.alloc_bool(dvp, "~defined")?;
+            self.defined.push(ArrayStorage { field, ty: ElemType::Bool, shape, mapping });
+            self.machine.fill_unconditional(field, Scalar::Bool(false))?;
+            def_maps.push((array, Storage::Defined(self.defined.len() - 1)));
         }
-        run
+        self.fixpoint("solve", |p| p.solve_round(uc, &def_maps))?;
+        for st in self.defined.drain(first..) {
+            self.machine.free(st.field)?;
+        }
+        Ok(())
     }
 
     /// One round of `solve`: each assignment runs where its target is not
@@ -381,17 +364,14 @@ impl Program {
             let tdef = self.read_storage(def_st, subs, false)?;
             let PV::Field { id: tdef_id, .. } = tdef else { unreachable!() };
             let ready = self.machine.alloc_result(vp, "~ready", ElemType::Bool)?;
-            let ran = (|| -> RResult<bool> {
-                self.machine.unop(uc_cm::UnOp::Not, ready, tdef_id)?;
-                self.release(tdef);
-                let rdef = self.rhs_defined(value, def_maps)?;
-                if let PV::Field { id, .. } = rdef {
-                    self.machine.binop(BinOp::LogAnd, ready, ready, id)?;
-                }
-                self.release(rdef);
-                if !self.enabled(Some(ready))? {
-                    return Ok(false);
-                }
+            self.machine.unop(uc_cm::UnOp::Not, ready, tdef_id)?;
+            self.release(tdef);
+            let rdef = self.rhs_defined(value, def_maps)?;
+            if let PV::Field { id, .. } = rdef {
+                self.machine.binop(BinOp::LogAnd, ready, ready, id)?;
+            }
+            self.release(rdef);
+            if self.enabled(Some(ready))? {
                 self.under(Some(ready), |p| {
                     let v = p.eval(value)?;
                     let v = p.store(target, v, true)?;
@@ -400,10 +380,9 @@ impl Program {
                     let defined = PV::Scalar(Scalar::Bool(true));
                     p.write_storage(def_st, subs, defined, false, "~storage")
                 })?;
-                Ok(true)
-            })();
+                progress = true;
+            }
             self.machine.free(ready)?;
-            progress |= ran?;
         }
         Ok(progress)
     }
@@ -485,42 +464,38 @@ impl Program {
     fn exec_star_solve(&mut self, uc: &UcStmt) -> RResult<()> {
         // A snapshot field for each distinct target array.
         let mut snaps: Vec<(FieldId, FieldId)> = Vec::new();
-        let run = (|| {
-            for array in solve_targets(uc) {
-                let st = self.storage(Storage::Array(array));
-                let (field, ty) = (st.field, st.ty);
-                snaps.push((field, self.machine.alloc(field.vp_set(), "~snap", ty)?));
-            }
-            self.fixpoint("*solve", |p| {
-                for &(field, snap) in &snaps {
-                    p.machine.copy_unconditional(snap, field)?;
-                }
-                for (target, op, value) in
-                    uc.arms.iter().flat_map(|arm| solve_assignments(&arm.body))
-                {
-                    let v = match op {
-                        // `t op= v` stores `t op v`, reading `t` first.
-                        Some(op) => {
-                            let t = p.eval(target)?;
-                            let v = p.eval(value)?;
-                            p.apply_binary(op, t, v)?
-                        }
-                        None => p.eval(value)?,
-                    };
-                    let v = p.store(target, v, false)?;
-                    p.release(v);
-                }
-                let mut changed = false;
-                for &(field, snap) in &snaps {
-                    changed |= p.machine.any_ne(field, snap)?;
-                }
-                Ok(changed)
-            })
-        })();
-        for (_, snap) in snaps {
-            let _ = self.machine.free(snap);
+        for array in solve_targets(uc) {
+            let st = self.storage(Storage::Array(array));
+            let (field, ty) = (st.field, st.ty);
+            snaps.push((field, self.machine.alloc(field.vp_set(), "~snap", ty)?));
         }
-        run
+        self.fixpoint("*solve", |p| {
+            for &(field, snap) in &snaps {
+                p.machine.copy_unconditional(snap, field)?;
+            }
+            for (target, op, value) in uc.arms.iter().flat_map(|arm| solve_assignments(&arm.body)) {
+                let v = match op {
+                    // `t op= v` stores `t op v`, reading `t` first.
+                    Some(op) => {
+                        let t = p.eval(target)?;
+                        let v = p.eval(value)?;
+                        p.apply_binary(op, t, v)?
+                    }
+                    None => p.eval(value)?,
+                };
+                let v = p.store(target, v, false)?;
+                p.release(v);
+            }
+            let mut changed = false;
+            for &(field, snap) in &snaps {
+                changed |= p.machine.any_ne(field, snap)?;
+            }
+            Ok(changed)
+        })?;
+        for (_, snap) in snaps {
+            self.machine.free(snap)?;
+        }
+        Ok(())
     }
 }
 

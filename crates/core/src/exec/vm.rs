@@ -47,24 +47,21 @@ pub(crate) fn call(p: &mut Program, fi: usize, args: &[Scalar]) -> RResult<Scala
     }
     p.reentries += 1;
     let ir = p.ir.clone();
-    let base_frames = p.frames.len();
     // A user function runs on the front end even when called from a
-    // parallel construct (its arguments are scalars); hide the caller's
-    // iteration spaces for the duration of the call. The machine-side
-    // context masks stay pushed — the VM's element access ignores them.
-    let saved_ctx = std::mem::take(&mut p.ctx);
-    let result = exec(p, &ir, fi, args);
-    p.ctx = saved_ctx;
-    p.reentries -= 1;
-    if result.is_err() {
-        // Free every frame this call opened, so the caller unwinds over
-        // its own frame. The call stack is left intact for the error
-        // report.
-        while p.frames.len() > base_frames {
-            pop_frame(p);
-        }
+    // parallel construct (its arguments are scalars): hide the caller's
+    // iteration spaces, and the masks of their VP sets, for the duration
+    // of the call, so a construct in the callee starts from the base
+    // context whatever arm it was called from.
+    let ctx = std::mem::take(&mut p.ctx);
+    let masks = ctx.iter().map(|c| p.machine.hide_context(c.vp));
+    let masks = masks.collect::<Result<Vec<_>, _>>()?;
+    let v = exec(p, &ir, fi, args)?;
+    for (c, m) in ctx.iter().zip(masks).rev() {
+        p.machine.restore_context(c.vp, m)?;
     }
-    result
+    p.ctx = ctx;
+    p.reentries -= 1;
+    Ok(v)
 }
 
 /// Drop the innermost frame — its registers, and its machine-backed

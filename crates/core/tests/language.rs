@@ -534,9 +534,13 @@ fn rand_is_deterministic_per_seed() {
         int a[N];
         main() { par (I) a[i] = rand() % 100; }
     "#;
-    let p1 = run(src);
+    let mut p1 = run(src);
     let p2 = run(src);
     assert_eq!(p1.read_int_array("a").unwrap(), p2.read_int_array("a").unwrap());
+    // Each run of one program draws the same numbers.
+    let first = p1.read_int_array("a").unwrap();
+    p1.run().unwrap();
+    assert_eq!(p1.read_int_array("a").unwrap(), first, "a re-run draws anew");
     let cfg = ExecConfig { seed: 999, ..Default::default() };
     let mut p3 = Program::compile_with(src, cfg).unwrap();
     p3.run().unwrap();

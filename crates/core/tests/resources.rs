@@ -4,7 +4,7 @@
 //! bounded space (the CM had 64Kbits of memory per processor; leaking
 //! fields would exhaust it).
 
-use uc_core::Program;
+use uc_core::{ExecConfig, ExecLimits, Program, RuntimeError};
 
 fn live_after(src: &str) -> (usize, usize) {
     let mut p = Program::compile(src).unwrap_or_else(|d| panic!("compile failed:\n{d}"));
@@ -150,9 +150,10 @@ fn live_after_failed_runs(src: &str) -> Vec<usize> {
     live
 }
 
-/// A step that traps frees what it made — its arm masks, the partial
-/// results of a reduction, a `solve`'s ready mask — so repeated failed
-/// runs hold no more fields than the first.
+/// A step that traps leaves what it made — its arm masks, the partial
+/// results of a reduction, a `solve`'s ready mask — for the next run to
+/// free when it starts, so repeated failed runs hold no more fields than
+/// the first.
 #[test]
 fn trapping_steps_do_not_leak() {
     for (what, body) in [
@@ -166,5 +167,87 @@ fn trapping_steps_do_not_leak() {
         );
         let live = live_after_failed_runs(&src);
         assert!(live.windows(2).all(|w| w[0] == w[1]), "{what}: live fields {live:?}");
+    }
+}
+
+/// `src` compiled under a fuel budget.
+fn with_fuel(src: &str, fuel: Option<u64>) -> Program {
+    let cfg =
+        ExecConfig { limits: ExecLimits { fuel, ..Default::default() }, ..Default::default() };
+    Program::compile_with(src, cfg).unwrap_or_else(|d| panic!("compile failed:\n{d}"))
+}
+
+/// A fuel trap can strike at any machine op, with fields live, masks
+/// pushed and a call's masks hidden. Whatever it leaves, the next run
+/// starts from the compiled state: at every budget, three runs of one
+/// program trap alike, hold as many fields after each, and never trip
+/// over a stale mask (a caught panic in debug builds).
+#[test]
+fn a_budget_trap_leaves_nothing_behind() {
+    let header = "#define N 8
+        index_set I:i = {0..N-1}, J:j = I;
+        int a[N], b[N], c[N], p[N];
+        int g() { par (J) c[j] = j * 3; return 2; }
+        main() { par (I) { a[i] = 0; b[i] = i; c[i] = 0; p[i] = (5 * i + 3) % N; } ";
+    for body in [
+        "par (I) st (i % 3 != 0) a[i] = abs(i - 3) * min(b[i], 5) + power2(i % 4) - rand() % 2 + g();",
+        "par (I) a[i] = b[p[i]] + c[(i * 3 + 1) % N];",
+        "par (I) st (i % 2 == 0) a[i] = $+(J st (j < i) b[j] others 1); others a[i] = $<(J; b[j]);",
+        "a[0] = 50; *par (I) st (i > 0 && a[i] < a[i-1]) a[i] = a[i-1];",
+        "solve (I) c[i] = (i == 0) ? 1 : c[i-1] + b[i];",
+    ] {
+        let src = format!("{header}{body} }}");
+        let mut p = with_fuel(&src, None);
+        p.run().unwrap_or_else(|e| panic!("{body}: {e}"));
+        let cost = p.cycles();
+        for fuel in (0..cost).step_by(cost as usize / 40 + 1) {
+            let mut p = with_fuel(&src, Some(fuel));
+            let mut runs = Vec::new();
+            for _ in 0..3 {
+                p.reset_clock();
+                let err = p.run().expect_err("the budget traps").error;
+                assert!(!matches!(err, RuntimeError::Internal(_)), "{body} at {fuel}: {err}");
+                runs.push((err.to_string(), p.machine().live_fields()));
+            }
+            assert!(runs.windows(2).all(|w| w[0] == w[1]), "{body} at {fuel}: {runs:?}");
+        }
+    }
+}
+
+/// A run after a trapped one computes what a fresh program would: the
+/// first run, from `a = [100, 0, ...]`, traps midway through the `*par`'s
+/// fifteen sweeps; the second, from `a = [5; 16]`, needs one sweep, fits
+/// the budget and must find every prefix sum.
+#[test]
+fn a_run_after_a_trap_computes_what_a_fresh_one_would() {
+    let src = "#define N 16
+        index_set I:i = {0..N-1}, J:j = I;
+        int a[N], s[N];
+        main() {
+            *par (I) st (i > 0 && a[i] < a[i-1]) a[i] = a[i-1];
+            par (I) s[i] = $+(J st (j <= i) a[j]);
+        }";
+    let mut steep = [0; 16];
+    steep[0] = 100;
+    let cost = |a: &[i64]| {
+        let mut p = with_fuel(src, None);
+        p.write_int_array("a", a).unwrap();
+        p.reset_clock();
+        p.run().unwrap();
+        p.cycles()
+    };
+    let (flat_cost, steep_cost) = (cost(&[5; 16]), cost(&steep));
+    let prefix: Vec<i64> = (1..=16).map(|k| 5 * k).collect();
+    for fuel in (flat_cost..steep_cost).step_by(10) {
+        let mut p = with_fuel(src, Some(fuel));
+        p.write_int_array("a", &steep).unwrap();
+        p.reset_clock();
+        p.run().expect_err("the steep input exceeds the budget");
+        // The write is charged, so it needs the fuel back too.
+        p.reset_clock();
+        p.write_int_array("a", &[5; 16]).unwrap();
+        p.reset_clock();
+        p.run().unwrap_or_else(|e| panic!("fuel {fuel}: {e}"));
+        assert_eq!(p.read_int_array("s").unwrap(), prefix, "fuel {fuel}");
     }
 }

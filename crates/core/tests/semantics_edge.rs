@@ -418,6 +418,18 @@ fn a_store_in_a_callee_of_an_arm_drops_the_steps_gathers() {
     assert_eq!(poke.read_int_array("x").unwrap(), vec![100, 1, 2, 3]);
 }
 
+/// A function called from a masked arm runs its own constructs from the
+/// base context, not under its caller's mask: `par (K)` fills all of `b`
+/// although only `i == 0` called `g`, whether or not `K` has `I`'s extent
+/// and so shares its VP set (`M` has not).
+#[test]
+fn a_callee_runs_its_constructs_outside_its_callers_mask() {
+    let p = run(include_str!("../../../tests/corpus/call_under_mask.uc"));
+    assert_eq!(p.read_int_array("a").unwrap(), vec![1, 0, 0, 0]);
+    assert_eq!(p.read_int_array("b").unwrap(), vec![7; 4]);
+    assert_eq!(p.read_int_array("c").unwrap(), vec![7; 5]);
+}
+
 /// A value two levels out, read under `st` and then under `others`: a
 /// per-VP local (`a`, lifted) and an element (`b`, computed from the
 /// coordinate) hold under both arms, and a reduction's arms each reach

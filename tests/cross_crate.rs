@@ -512,13 +512,16 @@ fn a_grid_sweep_computes_each_value_once() {
 /// A program has one tally: its cold run, a second run, and that run
 /// followed by reading every global back all record the same ops and VP
 /// ratios per class. Each figure program initialises its own state in
-/// `main`, so only state the executor keeps between runs could differ.
+/// `main`, so only state the executor keeps between runs could differ;
+/// `odd_even_sort.uc` joins them for its `*oneof`, whose choice of arm
+/// must restart with each run.
 #[test]
 fn a_program_has_one_tally_cold_warm_and_after_host_reads() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/programs");
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let figures = std::fs::read_dir(root.join("crates/bench/programs")).unwrap();
+    let figures = figures.map(|entry| entry.unwrap().path());
     let mut seen = 0;
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let path = entry.unwrap().path();
+    for path in figures.chain([root.join("examples/uc/odd_even_sort.uc")]) {
         if path.extension().is_none_or(|e| e != "uc") {
             continue;
         }

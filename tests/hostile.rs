@@ -15,7 +15,8 @@ mod support;
 
 use proptest::prelude::*;
 use support::{render_program, FRAGMENTS};
-use uc::lang::{ExecConfig, ExecLimits, Program, RuntimeError};
+use uc::cm::cost::Tally;
+use uc::lang::{ExecConfig, ExecLimits, Program, RunError, RuntimeError};
 
 fn corpus() -> Vec<(String, String)> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/hostile");
@@ -57,24 +58,41 @@ fn tight_budgets() -> ExecConfig {
 /// Compile and run one hostile program, asserting containment: a
 /// structured rejection or a structured runtime error — in particular
 /// never `RuntimeError::Internal`, which would mean a caught panic.
-fn assert_contained(name: &str, src: &str, cfg: ExecConfig, label: &str) {
+/// Returns the program and what its run left, for a re-run.
+fn assert_contained(
+    name: &str,
+    src: &str,
+    cfg: ExecConfig,
+    label: &str,
+) -> Option<(Program, Observed)> {
     let mut p = match Program::compile_with(src, cfg) {
         // A compile diagnostic is a structured rejection; it just has
         // to say something.
         Err(diags) => {
             assert!(!diags.to_string().is_empty(), "{name} [{label}]: empty diagnostics");
-            return;
+            return None;
         }
         Ok(p) => p,
     };
-    let err = p
-        .run()
-        .expect_err(&format!("{name} [{label}]: hostile program ran to completion"));
+    let run = observe(&mut p);
+    let err =
+        run.0.as_ref().expect_err(&format!("{name} [{label}]: hostile program ran to completion"));
     assert!(
         !matches!(err.error, RuntimeError::Internal(_)),
         "{name} [{label}]: contained a panic instead of trapping cleanly: {err}"
     );
     assert!(!err.to_string().is_empty(), "{name} [{label}]: silent failure");
+    Some((p, run))
+}
+
+/// A run's outcome, its tally and the fields live after it.
+type Observed = (Result<(), RunError>, Tally, usize);
+
+/// Run `p` on a fresh clock.
+fn observe(p: &mut Program) -> Observed {
+    p.reset_clock();
+    let result = p.run();
+    (result, *p.machine().tally(), p.machine().live_fields())
 }
 
 #[test]
@@ -84,10 +102,15 @@ fn corpus_is_contained_under_default_budgets() {
     }
 }
 
+/// Under budgets that trap before the deadline, a re-run of one program
+/// repeats the trap exactly: the same error, span and call stack, the same
+/// tally and the same fields left live.
 #[test]
 fn corpus_is_contained_under_tight_budgets() {
     for (name, src) in corpus() {
-        assert_contained(&name, &src, tight_budgets(), "tight");
+        if let Some((mut p, first)) = assert_contained(&name, &src, tight_budgets(), "tight") {
+            assert_eq!(first, observe(&mut p), "{name}: a re-run differs");
+        }
     }
 }
 
@@ -125,12 +148,14 @@ proptest! {
         match Program::compile_with(&src, tight_budgets()) {
             Err(diags) => prop_assert!(!diags.to_string().is_empty(), "empty diagnostics"),
             Ok(mut p) => {
-                if let Err(e) = p.run() {
+                let first = observe(&mut p);
+                if let Err(e) = &first.0 {
                     prop_assert!(
                         !matches!(e.error, RuntimeError::Internal(_)),
                         "caught a panic from:\n{src}\n{e}"
                     );
                 }
+                prop_assert_eq!(&first, &observe(&mut p), "a re-run differs:\n{}", src);
             }
         }
     }
