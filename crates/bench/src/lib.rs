@@ -425,13 +425,15 @@ mod tests {
 
     /// UC tracks C\* on Figure 7 as it does on Figure 6: the reduction
     /// binds `i` and `j` from its coordinates and needs no mask transfer,
-    /// so each round's router traffic is C\*'s two gets and one send, and
-    /// each gather builds its address with C\*'s ALU ops.
+    /// so each round's router traffic is C\*'s two gets and one send, each
+    /// gather builds its address with C\*'s ALU ops, and the send's
+    /// address is built once per run, as C\* builds it once. What is left
+    /// is 4 ALU ops a round, so UC/C\* stays under 1.07.
     #[test]
     fn fig7_uc_tracks_cstar() {
         let fig = golden(include_str!("../tests/golden/fig7.txt"));
         for (n, ratio) in ratios(&fig, 0, 1) {
-            assert!(ratio < 1.1, "UC/C* = {ratio} at N = {n}");
+            assert!(ratio < 1.07, "UC/C* = {ratio} at N = {n}");
         }
     }
 

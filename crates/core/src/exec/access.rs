@@ -65,6 +65,7 @@
 
 use uc_cm::{BinOp, Combine, ElemType, FieldId, ReduceOp, Scalar};
 
+use super::space::Geo;
 use super::{ArrayStorage, LocalVar, Program, RResult, RuntimeError, Storage, PV};
 use crate::ast::{BinaryOp, Expr, Name, Ref, ValueId};
 use crate::mapping::ArrayMapping;
@@ -313,39 +314,33 @@ impl Program {
     /// current space.
     fn fixup_mask(&mut self, axis: usize, c: i64, n: i64) -> RResult<FieldId> {
         let vp = self.cur_ctx().vp;
-        let key = (vp, axis, c);
-        if let Some(&f) = self.fixup_cache.get(&key) {
-            return Ok(f);
-        }
-        // Built unconditionally (front-end DMA): the cache is shared
-        // across constructs with different activity masks.
-        let dims = &self.cur_ctx().dims;
-        let size: usize = dims.iter().product();
-        let stride: usize = dims[axis + 1..].iter().product();
-        let extent = dims[axis];
-        let bits: Vec<bool> = (0..size)
-            .map(|p| {
-                let coord = ((p / stride) % extent) as i64 + c;
-                coord >= 0 && coord < n
-            })
-            .collect();
-        let ok = self.machine.alloc_bool(vp, "~ok")?;
-        self.machine.write_all(ok, uc_cm::FieldData::Bool(bits))?;
-        self.fixup_cache.insert(key, ok);
-        Ok(ok)
+        self.geo_field(vp, Geo::Fixup(axis, c), |p| {
+            // Built unconditionally (front-end DMA): the cache is shared
+            // across constructs with different activity masks.
+            let dims = &p.cur_ctx().dims;
+            let size: usize = dims.iter().product();
+            let stride: usize = dims[axis + 1..].iter().product();
+            let extent = dims[axis];
+            let bits: Vec<bool> = (0..size)
+                .map(|q| {
+                    let coord = ((q / stride) % extent) as i64 + c;
+                    coord >= 0 && coord < n
+                })
+                .collect();
+            let ok = p.machine.alloc_bool(vp, "~ok")?;
+            p.machine.write_all(ok, uc_cm::FieldData::Bool(bits))?;
+            Ok(ok)
+        })
     }
 
     /// Cached INF broadcast field on the current space.
     fn inf_field(&mut self, ty: ElemType) -> RResult<FieldId> {
         let vp = self.cur_ctx().vp;
-        let key = (vp, ty);
-        if let Some(&f) = self.inf_cache.get(&key) {
-            return Ok(f);
-        }
-        let inf = self.machine.alloc(vp, "~INF", ty)?;
-        self.machine.fill_unconditional(inf, inf_of(ty))?;
-        self.inf_cache.insert(key, inf);
-        Ok(inf)
+        self.geo_field(vp, Geo::Inf(ty), |p| {
+            let inf = p.machine.alloc(vp, "~INF", ty)?;
+            p.machine.fill_unconditional(inf, inf_of(ty))?;
+            Ok(inf)
+        })
     }
 
     /// General gather through the router, with bounds handling.

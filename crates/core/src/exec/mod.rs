@@ -394,16 +394,6 @@ pub struct Program {
     pub(crate) regs: Vec<Scalar>,
     pub(crate) rand_counter: u64,
     pub(crate) oneof_cursor: usize,
-    /// Static border-fixup masks of `permute`d reads: (space, axis,
-    /// logical offset) → bool field ("coordinate+offset is inside the
-    /// extent"). A `permute`d array's storage is displaced from its
-    /// logical bounds, so its reads shift toroidally and select INF
-    /// through these; an unmapped array's NEWS shift fills its border
-    /// instead. They depend only on geometry — which `spaces` maps
-    /// one-to-one to a VP set — so the compiler hoists them out of loops.
-    pub(crate) fixup_cache: FxMap<(VpSetId, usize, i64), FieldId>,
-    /// Broadcast INF fields per (space, element type).
-    pub(crate) inf_cache: FxMap<(VpSetId, ElemType), FieldId>,
     /// Common-subexpression cache for the values sema marks within one
     /// synchronous step (§4 "common sub-expression detection"), gathers
     /// and computed values alike: a stack of per-step lists of (space,
@@ -417,11 +407,13 @@ pub struct Program {
     /// Whether values may currently be inserted into the cache: while a
     /// step's predicates evaluate, under the step's own context.
     pub(crate) cse_fill: bool,
-    /// Index-element value fields per (space, axis, values along the
-    /// axis): these depend only on geometry, so re-entering a construct
-    /// (e.g. a `par` nested in a front-end loop) reuses them instead of
-    /// recomputing.
-    pub(crate) elem_cache: FxMap<(VpSetId, usize, space::ElemValues), FieldId>,
+    /// The geometry cache: fields that depend only on a VP set's geometry
+    /// ([`space::Geo`]), which `spaces` maps one-to-one to a VP set. Each
+    /// is built on every VP when a run first needs it, charged then, and
+    /// kept for the rest of the run, so re-entering a construct (e.g. a
+    /// `par` nested in a front-end loop) reuses it instead of recomputing,
+    /// as a compiler hoists it out of loops.
+    pub(crate) geo_cache: FxMap<(VpSetId, space::Geo), FieldId>,
     /// Span of the statement currently executing, for [`RunError`].
     pub(crate) exec_span: Span,
     /// Live UC call stack, outermost first: `(callee, call-site span)`,
@@ -505,12 +497,10 @@ impl Program {
             regs: Vec::new(),
             rand_counter: 0,
             oneof_cursor: 0,
-            fixup_cache: FxMap::default(),
-            inf_cache: FxMap::default(),
             cse_stack: Vec::new(),
             cse_depth: 0,
             cse_fill: false,
-            elem_cache: FxMap::default(),
+            geo_cache: FxMap::default(),
             exec_span: Span::default(),
             call_stack: Vec::new(),
             reentries: 0,
@@ -561,6 +551,23 @@ impl Program {
         Ok(vp)
     }
 
+    /// The geometry-cache field `geo` on `vp`, which `build` makes valid
+    /// on every VP on its first use in a run.
+    pub(crate) fn geo_field(
+        &mut self,
+        vp: VpSetId,
+        geo: space::Geo,
+        build: impl FnOnce(&mut Self) -> RResult<FieldId>,
+    ) -> RResult<FieldId> {
+        let key = (vp, geo);
+        if let Some(&f) = self.geo_cache.get(&key) {
+            return Ok(f);
+        }
+        let f = build(self)?;
+        self.geo_cache.insert(key, f);
+        Ok(f)
+    }
+
     /// Run `main()` to completion.
     ///
     /// Errors come back as a [`RunError`] carrying the span of the failing
@@ -572,8 +579,8 @@ impl Program {
     /// scalars' values aside, so no run depends on how the last one ended.
     pub fn run(&mut self) -> Result<(), RunError> {
         // Back to the compiled state, whatever the last run left: only the
-        // global arrays' storage survives. The geometry caches go too, so
-        // every run pays for their fills and a program's tally does not
+        // global arrays' storage survives. The geometry cache goes too, so
+        // every run pays for its fills and a program's tally does not
         // depend on the runs before it.
         let arrays = &self.arrays;
         self.machine.retain(|f| arrays.iter().any(|a| a.field == f));
@@ -585,9 +592,7 @@ impl Program {
         self.cse_stack.iter_mut().for_each(Vec::clear);
         self.cse_depth = 0;
         self.cse_fill = false;
-        self.elem_cache.clear();
-        self.fixup_cache.clear();
-        self.inf_cache.clear();
+        self.geo_cache.clear();
         self.reentries = 0;
         self.oneof_cursor = 0;
         self.rand_counter = 0;

@@ -9,8 +9,8 @@
 //! * inside a parallel construct each enclosing iteration point needs its
 //!   own fold, which compiles to a **combining router send** addressed by
 //!   the enclosing point's linear index (`p / rest`). That address is
-//!   built when the reduction's space is entered, before any arm mask, so
-//!   every arm's send can use it.
+//!   built once per run for each geometry, on the base context before any
+//!   arm mask, so every arm's send, in every round, can use it.
 //!
 //! The operand reads the enclosing construct's elements from the
 //! reduction space's own coordinates, and inside a construct with no mask
@@ -201,19 +201,16 @@ impl Program {
         if key_expr.any(&mut uses_outer) || operand.any(&mut uses_outer) {
             return Ok(None);
         }
-        let (identity, combine) = match r.op {
-            RedOpToken::Add => (Scalar::Int(0), Combine::Add),
-            RedOpToken::Mul => (Scalar::Int(1), Combine::Mul),
-            RedOpToken::Min => (Scalar::Int(i64::MAX), Combine::Min),
-            RedOpToken::Max => (Scalar::Int(i64::MIN), Combine::Max),
-            _ => return Ok(None),
-        };
+        if !matches!(r.op, RedOpToken::Add | RedOpToken::Mul | RedOpToken::Min | RedOpToken::Max) {
+            return Ok(None);
+        }
+        let (identity, combine) = identity_combine(r.op, ElemType::Int);
 
         let outer_vp = self.ctx[0].vp;
         let outer_extent = self.ctx[0].dims[0] as i64;
-        // Evaluate key and operand on the reduction-only space.
-        let saved = std::mem::take(&mut self.ctx);
-        let hist = self.in_space(&r.sets, |p| {
+        // Evaluate key and operand on the reduction-only space, which may
+        // be the enclosing space's VP set: the enclosing mask goes too.
+        let hist = self.detached(|p| p.in_space(&r.sets, |p| {
             let key = p.eval(key_expr)?;
             let key = p.coerce_field(key, ElemType::Int)?;
             let PV::Field { id: keyf, .. } = key else { unreachable!() };
@@ -235,8 +232,7 @@ impl Program {
             p.release(key);
             p.release(val);
             Ok(PV::owned(dst))
-        })?;
-        self.ctx = saved;
+        }))?;
         Ok(Some(hist))
     }
 }

@@ -28,14 +28,20 @@ use super::{Program, RResult, PV};
 use crate::ast::{SetId, ValueId};
 use crate::opt::ElemForm;
 
-/// The values an index element takes along its axis, as far as they
-/// identify its cached value field: the extent is in the space's dims, so
-/// a contiguous set is its first element, and only an arbitrary list is
-/// its (shared, never copied) contents.
+/// What a geometry-cache field ([`Program::geo_field`]) holds. None
+/// depends on a mask, so each is valid on every VP.
 #[derive(Debug, PartialEq, Eq, Hash)]
-pub(crate) enum ElemValues {
-    From(i64),
-    List(Arc<Vec<i64>>),
+pub(crate) enum Geo {
+    /// A contiguous set's element along an axis, by its first value.
+    ElemFrom(usize, i64),
+    /// A list's element along an axis, by the (shared) list.
+    ElemList(usize, Arc<Vec<i64>>),
+    /// "Coordinate along the axis + offset is inside the extent".
+    Fixup(usize, i64),
+    /// INF of an element type, broadcast.
+    Inf(ElemType),
+    /// Each VP's address `p / rest` in the space it extends by `rest`.
+    Lift(usize),
 }
 
 /// One level of the parallel-context stack.
@@ -47,8 +53,6 @@ pub struct ParCtx {
     /// is (what a `Ref::Elem` names), its value field on this space, and
     /// the symbolic form for the optimizer.
     pub(crate) elems: Vec<(SetId, FieldId, ElemForm)>,
-    /// Fields to free when the level pops.
-    pub(crate) owned: Vec<FieldId>,
     /// The invariant values ([`crate::sema::ValueInfo::invariant`]) of a
     /// `*par`'s predicate, computed in its first sweep under this level's
     /// base context, which every later sweep's predicates run under too;
@@ -60,14 +64,14 @@ pub struct ParCtx {
     /// enclosing mask, and pops it.
     pub(crate) full: bool,
     /// Each VP's address in the enclosing level's space (`p / rest`),
-    /// valid on every VP; `None` at the outermost level.
+    /// valid on every VP and kept in the geometry cache; `None` at the
+    /// outermost level.
     pub(crate) lift: Option<FieldId>,
 }
 
-/// A popped [`ParCtx`]'s buffers — `dims`, `elems`, `owned` and `kept`,
-/// cleared — so entering a construct allocates nothing.
-pub(crate) type CtxBuffers =
-    (Vec<usize>, Vec<(SetId, FieldId, ElemForm)>, Vec<FieldId>, Vec<(ValueId, FieldId)>);
+/// A popped [`ParCtx`]'s buffers — `dims`, `elems` and `kept`, cleared —
+/// so entering a construct allocates nothing.
+pub(crate) type CtxBuffers = (Vec<usize>, Vec<(SetId, FieldId, ElemForm)>, Vec<(ValueId, FieldId)>);
 
 impl Program {
     /// Push a new parallel-context level for the given index sets,
@@ -76,7 +80,7 @@ impl Program {
     ///
     /// Returns the level index (for symmetric [`Program::pop_space`]).
     pub(crate) fn push_space(&mut self, sets: &[SetId]) -> RResult<usize> {
-        let (mut dims, elems, owned, kept) = self.ctx_spare.pop().unwrap_or_default();
+        let (mut dims, elems, kept) = self.ctx_spare.pop().unwrap_or_default();
         let outer_dims = self.ctx.last().map_or(&[][..], |c| &c.dims);
         let outer_rank = outer_dims.len();
         dims.extend_from_slice(outer_dims);
@@ -89,7 +93,7 @@ impl Program {
             None => true,
         };
 
-        let mut level = ParCtx { vp, dims, elems, owned, kept, full, lift: None };
+        let mut level = ParCtx { vp, dims, elems, kept, full, lift: None };
         let dims = &level.dims;
 
         // Bind each set's element as a field on the new space. Done
@@ -104,44 +108,38 @@ impl Program {
         for (axis_off, &set) in sets.iter().enumerate() {
             let info = &self.checked.sets[set];
             let axis = outer_rank + axis_off;
-            let (form, values) = match info.contiguous_lo() {
-                Some(lo) => (ElemForm::AxisPlus { axis, lo }, ElemValues::From(lo)),
-                None => (ElemForm::Opaque, ElemValues::List(info.elements.clone())),
+            let (form, geo) = match info.contiguous_lo() {
+                Some(lo) => (ElemForm::AxisPlus { axis, lo }, Geo::ElemFrom(axis, lo)),
+                None => (ElemForm::Opaque, Geo::ElemList(axis, info.elements.clone())),
             };
-            let key = (vp, axis, values);
-            let field = match self.elem_cache.get(&key) {
-                Some(&f) => f,
-                None => {
-                    let field = self.machine.alloc_int(vp, &info.elem)?;
-                    match form {
-                        ElemForm::AxisPlus { lo, .. } => self.coordinate(field, axis, lo)?,
-                        ElemForm::Opaque => {
-                            // Arbitrary list: front-end table write.
-                            let size: usize = dims.iter().product();
-                            let stride: usize = dims[axis + 1..].iter().product();
-                            let extent = info.elements.len();
-                            let values: Vec<i64> = (0..size)
-                                .map(|p| info.elements[(p / stride) % extent])
-                                .collect();
-                            self.machine.write_all(field, uc_cm::FieldData::I64(values))?;
-                        }
+            let field = self.geo_field(vp, geo, |p| {
+                let info = &p.checked.sets[set];
+                let field = p.machine.alloc_int(vp, &info.elem)?;
+                match form {
+                    ElemForm::AxisPlus { lo, .. } => p.coordinate(field, axis, lo)?,
+                    ElemForm::Opaque => {
+                        // Arbitrary list: front-end table write.
+                        let size: usize = dims.iter().product();
+                        let stride: usize = dims[axis + 1..].iter().product();
+                        let extent = info.elements.len();
+                        let values: Vec<i64> =
+                            (0..size).map(|q| info.elements[(q / stride) % extent]).collect();
+                        p.machine.write_all(field, uc_cm::FieldData::I64(values))?;
                     }
-                    self.elem_cache.insert(key, field);
-                    field
                 }
-            };
+                Ok(field)
+            })?;
             // Cached fields are owned by the cache, not the level.
             level.elems.push((set, field, form));
         }
 
-        // The address of the enclosing point, also built on the base
-        // context, so it is valid on every VP: a reduction's combining
+        // The address of the enclosing point, also cached and built on the
+        // base context, so it is valid on every VP: a reduction's combining
         // send and each lift of a per-VP local use it under any mask.
         if let Some(outer) = self.ctx.last() {
             let outer_vp = outer.vp;
             let rest: usize = level.dims[outer_rank..].iter().product();
-            let addr = self.level_addr(vp, rest)?;
-            level.owned.push(addr);
+            let addr = self.geo_field(vp, Geo::Lift(rest), |p| p.level_addr(vp, rest))?;
             level.lift = Some(addr);
             // Transfer the enclosing activity mask onto this space.
             if !full {
@@ -163,18 +161,33 @@ impl Program {
     /// its fields.
     pub(crate) fn pop_space(&mut self, level: usize) -> RResult<()> {
         debug_assert_eq!(level + 1, self.ctx.len(), "unbalanced space push/pop");
-        let ParCtx { vp, mut dims, mut elems, mut owned, mut kept, full, .. } =
+        let ParCtx { vp, mut dims, mut elems, mut kept, full, .. } =
             self.ctx.pop().expect("pop_space on empty stack");
         if !full {
             self.machine.pop_context(vp)?;
         }
-        for f in owned.drain(..).chain(kept.drain(..).map(|(_, f)| f)) {
+        for (_, f) in kept.drain(..) {
             let _ = self.machine.free(f);
         }
         dims.clear();
         elems.clear();
-        self.ctx_spare.push((dims, elems, owned, kept));
+        self.ctx_spare.push((dims, elems, kept));
         Ok(())
+    }
+
+    /// Run `f` with the open iteration spaces and their VP sets' masks
+    /// detached (host-side, uncharged), so a construct it opens starts
+    /// from the base context, whatever arm it was reached from.
+    pub(crate) fn detached<T>(&mut self, f: impl FnOnce(&mut Self) -> RResult<T>) -> RResult<T> {
+        let ctx = std::mem::take(&mut self.ctx);
+        let masks = ctx.iter().map(|c| self.machine.hide_context(c.vp));
+        let masks = masks.collect::<Result<Vec<_>, _>>()?;
+        let v = f(self)?;
+        for (c, m) in ctx.iter().zip(masks).rev() {
+            self.machine.restore_context(c.vp, m)?;
+        }
+        self.ctx = ctx;
+        Ok(v)
     }
 
     /// `field = coordinate along axis + lo` under the current mask: the
@@ -228,7 +241,7 @@ impl Program {
         debug_assert!(from_level < cur_level);
         let cur = &self.ctx[cur_level];
         let vp = cur.vp;
-        // The enclosing level's address is the level's own. One to an
+        // The enclosing level's address is the cached one. One to an
         // ancestor further out is built under the current mask, so it
         // holds only on this mask's lanes: it serves this get and goes.
         let kept = cur.lift.filter(|_| from_level + 1 == cur_level);

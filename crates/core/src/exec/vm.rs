@@ -48,18 +48,8 @@ pub(crate) fn call(p: &mut Program, fi: usize, args: &[Scalar]) -> RResult<Scala
     p.reentries += 1;
     let ir = p.ir.clone();
     // A user function runs on the front end even when called from a
-    // parallel construct (its arguments are scalars): hide the caller's
-    // iteration spaces, and the masks of their VP sets, for the duration
-    // of the call, so a construct in the callee starts from the base
-    // context whatever arm it was called from.
-    let ctx = std::mem::take(&mut p.ctx);
-    let masks = ctx.iter().map(|c| p.machine.hide_context(c.vp));
-    let masks = masks.collect::<Result<Vec<_>, _>>()?;
-    let v = exec(p, &ir, fi, args)?;
-    for (c, m) in ctx.iter().zip(masks).rev() {
-        p.machine.restore_context(c.vp, m)?;
-    }
-    p.ctx = ctx;
+    // parallel construct: its arguments are scalars.
+    let v = p.detached(|p| exec(p, &ir, fi, args))?;
     p.reentries -= 1;
     Ok(v)
 }

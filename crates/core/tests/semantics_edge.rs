@@ -430,6 +430,16 @@ fn a_callee_runs_its_constructs_outside_its_callers_mask() {
     assert_eq!(p.read_int_array("c").unwrap(), vec![7; 5]);
 }
 
+/// The processor optimisation runs a histogram under an enclosing `st`
+/// arm on the reduction's space alone, and `J` has `I`'s extent, so that
+/// space is `I`'s masked VP set: it must run from the base context and
+/// count the `j` that `i < 3` does not enable too.
+#[test]
+fn a_histogram_under_an_enclosing_arm_counts_every_element() {
+    let p = run(include_str!("../../../tests/corpus/histogram_under_mask.uc"));
+    assert_eq!(p.read_int_array("count").unwrap(), [2, 2, 0, 0]);
+}
+
 /// A value two levels out, read under `st` and then under `others`: a
 /// per-VP local (`a`, lifted) and an element (`b`, computed from the
 /// coordinate) hold under both arms, and a reduction's arms each reach
@@ -885,4 +895,58 @@ fn a_histogram_key_is_read_before_an_operand_that_writes_it() {
     assert_eq!(p.read_int_array("samples").unwrap(), [3; 16]);
     let p = run_both(&src("f()")).unwrap();
     assert_eq!(p.read_int_array("count").unwrap(), histogram(1));
+}
+
+/// The enclosing point's address is kept per VP set *and* split. `par (I)`
+/// with `$+(J, K; …)` and `par (I, J)` with `$+(K; …)` reduce on one VP
+/// set, `[2, |J|, 3]`, to addresses `p / (|J|·3)` and `p / 3`: for
+/// `|J| ≥ 2` each needs its own, for `|J| = 1` they are one. And the
+/// address a first, unmasked entry keeps lifts a per-VP local under `st`
+/// and `others` arms of a masked entry later on.
+#[test]
+fn an_enclosing_points_address_is_kept_per_vp_set_and_split() {
+    for nj in [1, 3] {
+        let p = run_both(&format!(
+            "index_set I:i = {{0..1}}, J:j = {{0..{}}}, K:k = {{0..2}};
+             int s[2], t[2][{nj}], u[2];
+             main() {{
+                 par (I) s[i] = $+(J, K; 100 * i + 10 * j + k);
+                 par (I, J) t[i][j] = $+(K; 100 * i + 10 * j + k);
+                 par (I) u[i] = $+(J, K; 100 * i + 10 * j + k);
+             }}",
+            nj - 1
+        ))
+        .unwrap();
+        let t: Vec<i64> = (0..2 * nj)
+            .map(|ij| (0..3).map(|k| 100 * (ij / nj) + 10 * (ij % nj) + k).sum())
+            .collect();
+        let s: Vec<i64> = t.chunks(nj as usize).map(|row| row.iter().sum()).collect();
+        assert_eq!(p.read_int_array("t").unwrap(), t, "|J| = {nj}");
+        assert_eq!(p.read_int_array("s").unwrap(), s, "|J| = {nj}");
+        assert_eq!(p.read_int_array("u").unwrap(), s, "|J| = {nj}");
+    }
+    let p = run_both(
+        "index_set I:i = {0..3}, J:j = {0..3};
+         int a[4][4], b[4][4];
+         main() {
+             par (I) { int v; v = 10 * i; par (J) a[i][j] = v + j; }
+             par (I) st (i % 2 == 1) {
+                 int v;
+                 v = 10 * i;
+                 par (J) st (j < 2) b[i][j] = v + j;
+                 others b[i][j] = v;
+             }
+         }",
+    )
+    .unwrap();
+    let a: Vec<i64> = (0..16).map(|ij| 10 * (ij / 4) + ij % 4).collect();
+    let b: Vec<i64> = (0..16)
+        .map(|ij| match (ij / 4, ij % 4) {
+            (i, j) if i % 2 == 1 && j < 2 => 10 * i + j,
+            (i, _) if i % 2 == 1 => 10 * i,
+            _ => 0,
+        })
+        .collect();
+    assert_eq!(p.read_int_array("a").unwrap(), a);
+    assert_eq!(p.read_int_array("b").unwrap(), b);
 }

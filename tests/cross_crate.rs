@@ -453,10 +453,16 @@ fn per(from: &OpCounters, to: &OpCounters, k: u64) -> OpCounters {
 /// issues C\*'s router traffic — Figure 10's two gets and one send — and
 /// no context op: the reduction binds `i` and `j` from its coordinates and
 /// transfers no mask out of the unmasked `par`. What is left is ALU work:
-/// 14 ops against C\*'s 7 (five calls, two of them with an immediate,
+/// 11 ops against C\*'s 7 (five calls, two of them with an immediate,
 /// which the machine charges as a broadcast and the op). Each gather
 /// builds its address as C\* does (`i*N + k`, `k*N + j`: a multiply with
-/// an immediate and an add) plus the outer element's coordinate.
+/// an immediate and an add). The 4 more are the two gathers' outer
+/// coordinates `i` and `j`, which C\* keeps as members, and the identity
+/// fill before the send and the copy that stores its result, which C\*'s
+/// reduce-assign does without. The send's address `p / N` depends only on
+/// the geometry, so only the first round builds it (an `iota` and a `Div`
+/// with an immediate: 3 ops), with `k`'s coordinate: 4 ops once, where
+/// C\* computes `i*N + j` once before its loop, in 3.
 ///
 /// A k-step of fig6's `apsp_n2.uc` is 2 router and 2 context ops and 9
 /// ALU ops, of which 6 build the two addresses `i*N + k` and `j + k*N`;
@@ -470,13 +476,16 @@ fn figure_programs_issue_cstars_router_ops_per_round() {
     let counts = |src, defines: &[(&str, i64)]| run_uc(src, defines).machine().counters();
     let round = per(&counts(n3, &[("LOGN", 3)]), &counts(n3, &[("LOGN", 4)]), 1);
     let only = |alu, router, context| OpCounters { alu, router, context, ..Default::default() };
-    assert_eq!(round, only(14, 3, 0));
+    assert_eq!(round, only(11, 3, 0));
+    let init = include_str!("../crates/bench/programs/apsp_init.uc");
+    assert_eq!(per(&counts(init, &[]), &counts(n3, &[("LOGN", 1)]), 1), only(15, 3, 0));
     // C* runs ⌈log₂ N⌉ = 3 rounds at N = 8 after three ALU ops of setup.
     let (.., cstar) = programs::apsp_n3(&oracle::bench_graph(8), 8, PHYS);
-    assert_eq!(per(&only(3, 0, 0), &cstar, 3), only(7, round.router, 0));
+    let cstar_round = per(&only(3, 0, 0), &cstar, 3);
+    assert_eq!(cstar_round, only(7, 3, 0));
+    assert_eq!(round, OpCounters { alu: cstar_round.alu + 4, ..cstar_round });
 
     let n2 = include_str!("../crates/bench/programs/apsp_n2.uc");
-    let init = include_str!("../crates/bench/programs/apsp_init.uc");
     let steps = only(6 + 7 * 9, 8 * 2, 8 * 2);
     assert_eq!(per(&counts(init, &[]), &counts(n2, &[]), 1), steps);
 }
