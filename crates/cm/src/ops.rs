@@ -55,8 +55,8 @@ use crate::{CmError, Result, Scalar};
 ///
 /// Arithmetic ops preserve the operand type; comparisons produce `Bool`;
 /// `LogAnd`/`LogOr`/`LogXor` operate on `Bool` fields (C truthiness is the
-/// executor's job). `Shl`/`Shr`/`BitAnd`/`BitOr`/`BitXor`/`Mod` are
-/// integer-only.
+/// executor's job). `Shl`/`Shr`/`BitAnd`/`BitOr`/`BitXor`/`Mod` and
+/// `ULt` are integer-only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     Add,
@@ -80,12 +80,19 @@ pub enum BinOp {
     Le,
     Gt,
     Ge,
+    /// Unsigned less-than: `(p as u64) < (q as u64)`, so `v ULt n` tests
+    /// `0 <= v < n` in one op for `n >= 0` — a subscript's bounds check,
+    /// the router's own address test.
+    ULt,
 }
 
 impl BinOp {
     /// Whether this op yields a `Bool` field regardless of operand type.
     pub fn is_comparison(self) -> bool {
-        matches!(self, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
+        matches!(
+            self,
+            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::ULt
+        )
     }
 
     /// Whether this op is defined only on `Bool` operands.
@@ -97,7 +104,13 @@ impl BinOp {
     pub fn int_only(self) -> bool {
         matches!(
             self,
-            BinOp::Mod | BinOp::BitAnd | BinOp::BitOr | BinOp::BitXor | BinOp::Shl | BinOp::Shr
+            BinOp::Mod
+                | BinOp::BitAnd
+                | BinOp::BitOr
+                | BinOp::BitXor
+                | BinOp::Shl
+                | BinOp::Shr
+                | BinOp::ULt
         )
     }
 
@@ -534,6 +547,10 @@ impl Machine {
         let (d, peers) = self.split_dst(dst)?;
         let mask = peers.mask(dst.vp)?;
         match ta {
+            ElemType::Int if op == BinOp::ULt => {
+                let (x, y) = Src::<i64>::resolve2(&peers, dst, a, b)?;
+                zip_cmp(bool::slice_mut(d), x, y, mask, |p, q| (p as u64) < (q as u64))
+            }
             ElemType::Int if op.is_comparison() => {
                 let (x, y) = Src::<i64>::resolve2(&peers, dst, a, b)?;
                 compare(op, bool::slice_mut(d), x, y, mask)
@@ -838,6 +855,30 @@ mod tests {
         assert_eq!(m.bool_data(t).unwrap(), &[true, true, false, false]);
         m.binop_imm(BinOp::Eq, t, a, Scalar::Int(3)).unwrap();
         assert_eq!(m.bool_data(t).unwrap(), &[false, false, false, true]);
+    }
+
+    #[test]
+    fn unsigned_less_than_is_one_bounds_check() {
+        let (mut m, vp) = setup(6);
+        let (a, t) = (m.alloc_int(vp, "a").unwrap(), m.alloc_bool(vp, "t").unwrap());
+        let n = 5;
+        let lanes = vec![i64::MIN, -1, 0, n - 1, n, i64::MAX];
+        m.write_all(a, FieldData::I64(lanes)).unwrap();
+        let before = m.counters().alu;
+        m.binop_imm(BinOp::ULt, t, a, Scalar::Int(n)).unwrap();
+        assert_eq!(m.bool_data(t).unwrap(), &[false, false, true, true, false, false]);
+        assert_eq!(m.counters().alu - before, 2, "the broadcast and the compare");
+        // Field against field, and the immediate on the left.
+        let b = m.alloc_int(vp, "b").unwrap();
+        m.set_imm(b, Scalar::Int(n)).unwrap();
+        m.binop(BinOp::ULt, t, a, b).unwrap();
+        assert_eq!(m.bool_data(t).unwrap(), &[false, false, true, true, false, false]);
+        m.binop_imm_l(BinOp::ULt, t, Scalar::Int(-1), a).unwrap();
+        assert_eq!(m.bool_data(t).unwrap(), &[false, false, false, false, false, false]);
+        // Only Int operands.
+        let (f, g) = (m.alloc_float(vp, "f").unwrap(), m.alloc_bool(vp, "g").unwrap());
+        assert!(m.binop_imm(BinOp::ULt, t, f, Scalar::Float(1.0)).is_err());
+        assert!(m.binop(BinOp::ULt, t, g, g).is_err());
     }
 
     #[test]

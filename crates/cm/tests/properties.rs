@@ -330,7 +330,7 @@ use uc_cm::{CmError, ElemType, FieldId, UnOp, VpSetId};
 
 const SIZES: [usize; 3] = [PAR_THRESHOLD - 1, PAR_THRESHOLD, PAR_THRESHOLD + 517];
 const TYPES: [ElemType; 3] = [ElemType::Int, ElemType::Float, ElemType::Bool];
-const BINOPS: [BinOp; 21] = [
+const BINOPS: [BinOp; 22] = [
     BinOp::Add,
     BinOp::Sub,
     BinOp::Mul,
@@ -352,6 +352,7 @@ const BINOPS: [BinOp; 21] = [
     BinOp::Le,
     BinOp::Gt,
     BinOp::Ge,
+    BinOp::ULt,
 ];
 
 /// `a op b` for one lane, or `None` where the machine defines no such op.
@@ -377,6 +378,7 @@ fn ref_binop(op: BinOp, a: Scalar, b: Scalar) -> Option<Scalar> {
             Le => Scalar::Bool(p <= q),
             Gt => Scalar::Bool(p > q),
             Ge => Scalar::Bool(p >= q),
+            ULt => Scalar::Bool((p as u64) < (q as u64)),
             LogAnd | LogOr | LogXor => return None,
         },
         (Scalar::Float(p), Scalar::Float(q)) => match op {

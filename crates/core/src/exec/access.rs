@@ -12,8 +12,9 @@
 //! (offset 0 after the mapping transform) or a **NEWS** shift (constant
 //! offset). Anything else goes through the general **router**, whose
 //! address is built axis by axis with the ops Figure 10's C\* uses —
-//! `i*N + k` is a multiply by an immediate and an add — plus the bounds
-//! check where a subscript is not statically in range. The map
+//! `i*N + k` is a multiply by an immediate and an add — plus, where a
+//! subscript is not statically in range, the bounds check PARIS issues:
+//! one unsigned compare per axis ([`Program::in_range`]). The map
 //! section changes the transform, which is how
 //! `permute (I) b[i+1] :- a[i]` turns a router/NEWS access into a local
 //! one (§4 of the paper).
@@ -24,8 +25,10 @@
 //! of an unmapped array fills its border with INF itself, as C\*'s does;
 //! a `permute`d array, stored displaced from its logical bounds, shifts
 //! toroidally and then selects INF through a cached mask of the lanes
-//! whose logical index is in range. Out-of-range *writes* by enabled
-//! elements are errors.
+//! whose logical index is in range. A router read fills its result with
+//! INF and fetches only where the check holds, so an out-of-range lane
+//! never reaches the router. Out-of-range *writes* by enabled elements
+//! are errors; disabled ones are ignored.
 //!
 //! A local read copies the array's field unless sema lent it the field
 //! itself (`Expr::Index`'s `borrow`): where its consumer is an operator,
@@ -56,8 +59,7 @@
 //!   computes it under the level's base context, and the level keeps it
 //!   (`ParCtx::kept`) until the construct ends.
 //!
-//! Both are decisions over the program text; none reads a mask. Not yet
-//! kept: a reduction's send address, rebuilt every round (Figure 7).
+//! Both are decisions over the program text; none reads a mask.
 //!
 //! A warm access allocates nothing: its storage is found by a `Copy` key
 //! ([`Storage`]) wherever it is used, and its subscript forms share one
@@ -343,29 +345,46 @@ impl Program {
         })
     }
 
-    /// General gather through the router, with bounds handling.
+    /// General gather through the router. Where a subscript may leave the
+    /// array, `dst` is INF everywhere first and the get runs only where
+    /// the subscripts are in range, so an out-of-range lane never reaches
+    /// the router and reads INF. Filled before the push, the value is
+    /// whole on the enclosing mask, so it may still enter the step cache.
     fn router_read(&mut self, arr: Storage, subs: &[Expr], start: usize) -> RResult<PV> {
         let vp = self.cur_ctx().vp;
-        let (addr, valid) = self.storage_address(arr, subs, start)?;
+        let ((addr, owned), valid) = self.storage_address(arr, subs, start)?;
         let st = self.storage(arr);
         let (field, ty) = (st.field, st.ty);
         let dst = self.machine.alloc_result(vp, "~gather", ty)?;
-        self.machine.get(dst, addr, field)?;
-        self.machine.free(addr)?;
+        if valid.is_some() {
+            self.machine.fill_unconditional(dst, inf_of(ty))?;
+        }
+        self.under(valid, |p| Ok(p.machine.get(dst, addr, field)?))?;
+        if owned {
+            self.machine.free(addr)?;
+        }
         if let Some(valid) = valid {
-            // Out-of-range reads yield INF.
-            let inf = self.inf_field(ty)?;
-            self.machine.select(dst, valid, dst, inf)?;
             self.machine.free(valid)?;
         }
         Ok(PV::owned(dst))
     }
 
-    /// The storage address field and an optional validity mask for a
-    /// subscripted access on the current space, whose subscript forms
-    /// start at `forms[start]`. `None` validity means every enabled
-    /// element is statically in bounds (axis-identity and in-range
-    /// constant subscripts).
+    /// A fresh mask of the lanes where the `Int` field `v` lies in
+    /// `[0, n)`: one unsigned compare, the test PARIS issues for a
+    /// subscript and the router runs on an address.
+    pub(crate) fn in_range(&mut self, v: FieldId, n: i64) -> RResult<FieldId> {
+        let ok = self.machine.alloc_result(v.vp_set(), "~ok", ElemType::Bool)?;
+        self.machine.binop_imm(BinOp::ULt, ok, v, Scalar::Int(n))?;
+        Ok(ok)
+    }
+
+    /// The storage address, as `(field, owned)`, and an optional validity
+    /// mask for a subscripted access on the current space, whose
+    /// subscript forms start at `forms[start]`. `None` validity means
+    /// every enabled element is statically in bounds (axis-identity and
+    /// in-range constant subscripts). Where the mask is false the address
+    /// is left as the arithmetic made it: the caller acts only where the
+    /// mask holds, so such a lane never reaches the router.
     ///
     /// Addresses are row-major over the storage shape, one axis at a time:
     /// logical axis `d` keeps its extent and strides over the axes after
@@ -376,13 +395,18 @@ impl Program {
     /// enclosing level's coordinate) becomes its term in place, and a
     /// binding field is read where it lives by the op that first writes
     /// its term; a stride of 1 multiplies nothing. The address is filled
-    /// only when every subscript is constant.
+    /// only when every subscript is constant, and a lone borrowed term
+    /// (a coordinate, a lent `p[i]`) is the address itself, not a copy.
+    ///
+    /// The bounds check is one unsigned compare per checked axis
+    /// ([`Program::in_range`]): the first writes the mask, each later one
+    /// is ANDed into it.
     fn storage_address(
         &mut self,
         arr: Storage,
         subs: &[Expr],
         start: usize,
-    ) -> RResult<(FieldId, Option<FieldId>)> {
+    ) -> RResult<((FieldId, bool), Option<FieldId>)> {
         let vp = self.cur_ctx().vp;
         let (mut base, mut static_oob) = (0i64, false);
         let st = self.storage(arr);
@@ -429,21 +453,15 @@ impl Program {
             let mut term = (id, owned);
             if !statically_safe {
                 // Validity: 0 <= v < n (logical bounds, before mapping).
-                let va = match valid {
-                    Some(va) => va,
-                    None => {
-                        let va = self.machine.alloc_result(vp, "~valid", ElemType::Bool)?;
-                        self.machine.fill_unconditional(va, Scalar::Bool(true))?;
-                        valid = Some(va);
+                let ok = self.in_range(id, n)?;
+                valid = Some(match valid {
+                    None => ok,
+                    Some(va) => {
+                        self.machine.binop(BinOp::LogAnd, va, va, ok)?;
+                        self.machine.free(ok)?;
                         va
                     }
-                };
-                let tmpb = self.machine.alloc_result(vp, "~vb", ElemType::Bool)?;
-                self.machine.binop_imm(BinOp::Ge, tmpb, id, Scalar::Int(0))?;
-                self.machine.binop(BinOp::LogAnd, va, va, tmpb)?;
-                self.machine.binop_imm(BinOp::Lt, tmpb, id, Scalar::Int(n))?;
-                self.machine.binop(BinOp::LogAnd, va, va, tmpb)?;
-                self.machine.free(tmpb)?;
+                });
             }
             // Mapping transform.
             if permuted != 0 {
@@ -474,16 +492,6 @@ impl Program {
                     self.machine.free(f)?;
                 }
             }
-            if let Some(va) = valid {
-                // Zero out-of-range values so the router accepts them
-                // (they are replaced by INF / excluded from writes
-                // afterwards). Every lane is then in `[0, n)`: a valid
-                // lane's folded value is, for odd and even `n` alike.
-                let vi = self.machine.alloc_result(vp, "~vi", ElemType::Int)?;
-                self.machine.convert(vi, va)?;
-                self.rewrite(&mut term, |m, t, v| m.binop(BinOp::Mul, t, v, vi))?;
-                self.machine.free(vi)?;
-            }
             if stride != 1 {
                 let stride = Scalar::Int(stride as i64);
                 self.rewrite(&mut term, |m, t, v| m.binop_imm(BinOp::Mul, t, v, stride))?;
@@ -505,18 +513,15 @@ impl Program {
             None => {
                 let addr = self.machine.alloc_result(vp, "~addr", ElemType::Int)?;
                 self.machine.fill_unconditional(addr, Scalar::Int(base))?;
-                addr
+                (addr, true)
             }
             Some(mut acc) => {
                 if base != 0 {
                     self.rewrite(&mut acc, |m, t, v| {
                         m.binop_imm(BinOp::Add, t, v, Scalar::Int(base))
                     })?;
-                } else if !acc.1 {
-                    // The caller frees (and a copy scatter bumps) the address.
-                    self.rewrite(&mut acc, |m, t, v| m.copy(t, v))?;
                 }
-                acc.0
+                acc
             }
         };
         Ok((addr, valid))
@@ -571,16 +576,12 @@ impl Program {
             self.machine.copy(field, vfield)?;
         } else {
             // General scatter.
-            let (addr, valid) = self.storage_address(arr, subs, start)?;
+            let (mut addr, valid) = self.storage_address(arr, subs, start)?;
             if let Some(valid) = valid {
                 // An enabled element writing out of range is an error.
-                let vp = self.cur_ctx().vp;
-                let bad = self.machine.alloc_result(vp, "~bad", ElemType::Bool)?;
-                self.machine.unop(uc_cm::UnOp::Not, bad, valid)?;
-                let any_bad = self.machine.reduce(bad, ReduceOp::Or)?.as_bool();
-                self.machine.free(bad)?;
+                let in_range = self.machine.reduce(valid, ReduceOp::And)?.as_bool();
                 self.machine.free(valid)?;
-                if any_bad {
+                if !in_range {
                     return Err(RuntimeError::OutOfBounds { name: name.to_string() });
                 }
             }
@@ -589,11 +590,14 @@ impl Program {
             let mut conflict = false;
             for r in 0..replicas {
                 if r > 0 {
-                    self.machine.binop_imm(BinOp::Add, addr, addr, Scalar::Int(size as i64))?;
+                    let size = Scalar::Int(size as i64);
+                    self.rewrite(&mut addr, |m, t, v| m.binop_imm(BinOp::Add, t, v, size))?;
                 }
-                conflict |= self.machine.send_detect(field, addr, vfield, Combine::Overwrite)?;
+                conflict |= self.machine.send_detect(field, addr.0, vfield, Combine::Overwrite)?;
             }
-            self.machine.free(addr)?;
+            if addr.1 {
+                self.machine.free(addr.0)?;
+            }
             if conflict && check_conflicts {
                 return Err(RuntimeError::MultipleAssignment { name: name.to_string() });
             }

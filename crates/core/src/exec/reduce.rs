@@ -217,14 +217,8 @@ impl Program {
             let val = p.eval(operand)?;
             let val = p.coerce_field(val, ElemType::Int)?;
             let PV::Field { id: valf, .. } = val else { unreachable!() };
-            let vp = p.cur_ctx().vp;
             // Only keys inside the enclosing extent participate.
-            let ok = p.machine.alloc_bool(vp, "~kok")?;
-            p.machine.binop_imm(BinOp::Ge, ok, keyf, Scalar::Int(0))?;
-            let hi = p.machine.alloc_bool(vp, "~khi")?;
-            p.machine.binop_imm(BinOp::Lt, hi, keyf, Scalar::Int(outer_extent))?;
-            p.machine.binop(BinOp::LogAnd, ok, ok, hi)?;
-            p.machine.free(hi)?;
+            let ok = p.in_range(keyf, outer_extent)?;
             let dst = p.machine.alloc_int(outer_vp, "~hist")?;
             p.machine.set_imm(dst, identity)?;
             p.under(Some(ok), |p| Ok(p.machine.send(dst, keyf, valf, combine)?))?;

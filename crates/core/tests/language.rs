@@ -603,7 +603,7 @@ fn one_set_bound_on_two_axes_is_two_elements_to_the_gather_cache() {
          par (I) st ($+(J; a[j]) > 0) s[i] = $+(J; a[j]); }}"
     ));
     assert_eq!(shared.read_int_array("s").unwrap(), [10; 4]);
-    assert_eq!(shared.cycles(), 2870);
+    assert_eq!(shared.cycles(), 2840);
 }
 
 /// A local declared in an inner block shadows the enclosing `par`'s

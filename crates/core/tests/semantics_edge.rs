@@ -950,3 +950,61 @@ fn an_enclosing_points_address_is_kept_per_vp_set_and_split() {
     assert_eq!(p.read_int_array("a").unwrap(), a);
     assert_eq!(p.read_int_array("b").unwrap(), b);
 }
+
+/// Data-dependent subscripts that leave the array, against plain `Vec`s.
+/// A read yields INF whether its subscript is negative, past the end or
+/// INF itself, under an enclosing `st`, on a two-axis read with one axis
+/// out of range, and through the array itself (`b[b[i]]`). A store
+/// through a data subscript — into a `copy`-mapped array, and `p[p[i]]`
+/// through its own target — writes its enabled lanes: an out-of-range
+/// lane that `st` disables is ignored, an enabled one is an error that
+/// names the array.
+#[test]
+fn data_dependent_subscripts_out_of_range_read_inf_and_store_enabled_lanes() {
+    let src = |cond: &str| {
+        format!(
+            "#define N 8
+             index_set I:i = {{0..N-1}}, J:j = {{0..2}}, K:k = {{0..3}};
+             int b[N], p[N], q[N], c[N][4], r[N], s[N], t[N], u[N], w[N];
+             map (I) {{ copy (J) w[i] :- w[i]; }}
+             main() {{
+                 par (I) {{ b[i] = (3 * i + 2) % 11 - 1; p[i] = 3 * i - 6; q[i] = (5 * i) % 7 - 1; }}
+                 par (I, K) c[i][k] = 10 * i + k;
+                 par (I) st (i != 3) {{
+                     r[i] = b[p[i]];
+                     s[i] = b[b[p[i] + 100]];
+                     t[i] = c[p[i]][q[i]];
+                     u[i] = b[b[i]];
+                 }}
+                 par (I) w[i] = -1;
+                 par (I) st (p[i] >= 0 && p[i] < N) w[p[i]] = i;
+                 par (I) st ({cond}) p[p[i]] = i;
+             }}"
+        )
+    };
+    let p = run_both(&src("p[i] >= 0 && p[i] < N")).unwrap();
+    let n = 8;
+    let b: Vec<i64> = (0..n).map(|i| (3 * i + 2) % 11 - 1).collect();
+    let old_p: Vec<i64> = (0..n).map(|i| 3 * i - 6).collect();
+    let q: Vec<i64> = (0..n).map(|i| (5 * i) % 7 - 1).collect();
+    let at = |v: &[i64], x: i64| usize::try_from(x).ok().and_then(|x| v.get(x)).map_or(INF, |&y| y);
+    let c = |x: i64, y: i64| if (0..n).contains(&x) && (0..4).contains(&y) { 10 * x + y } else { INF };
+    let enabled = |f: &dyn Fn(usize) -> i64| -> Vec<i64> {
+        (0..n as usize).map(|i| if i == 3 { 0 } else { f(i) }).collect()
+    };
+    assert_eq!(p.read_int_array("r").unwrap(), enabled(&|i| at(&b, old_p[i])));
+    assert_eq!(p.read_int_array("s").unwrap(), enabled(&|i| at(&b, at(&b, old_p[i] + 100))));
+    assert_eq!(p.read_int_array("t").unwrap(), enabled(&|i| c(old_p[i], q[i])));
+    assert_eq!(p.read_int_array("u").unwrap(), enabled(&|i| at(&b, b[i])));
+    let (mut w, mut new_p) = (vec![-1; n as usize], old_p.clone());
+    for (i, &to) in old_p.iter().enumerate() {
+        if (0..n).contains(&to) {
+            w[to as usize] = i as i64;
+            new_p[to as usize] = i as i64;
+        }
+    }
+    assert_eq!(p.read_int_array("w").unwrap(), w);
+    assert_eq!(p.read_int_array("p").unwrap(), new_p);
+    let Err(err) = run_both(&src("p[i] < N")) else { panic!("p[p[i]] leaves p for i < 2") };
+    assert!(matches!(err, RuntimeError::OutOfBounds { ref name } if name == "p"), "{err}");
+}

@@ -467,7 +467,7 @@ fn per(from: &OpCounters, to: &OpCounters, k: u64) -> OpCounters {
 /// A k-step of fig6's `apsp_n2.uc` is 2 router and 2 context ops and 9
 /// ALU ops, of which 6 build the two addresses `i*N + k` and `j + k*N`;
 /// at k = 0 the constant part is 0, so the first address adds nothing
-/// and the second is a copy of `j`: 6 ALU ops. The predicate compares
+/// and the second is `j`'s field itself: 5 ALU ops. The predicate compares
 /// with the local `d[i][j]` in place, and the body stores the
 /// `d[i][k] + d[k][j]` its predicate computed.
 #[test]
@@ -486,8 +486,29 @@ fn figure_programs_issue_cstars_router_ops_per_round() {
     assert_eq!(round, OpCounters { alu: cstar_round.alu + 4, ..cstar_round });
 
     let n2 = include_str!("../crates/bench/programs/apsp_n2.uc");
-    let steps = only(6 + 7 * 9, 8 * 2, 8 * 2);
+    let steps = only(5 + 7 * 9, 8 * 2, 8 * 2);
     assert_eq!(per(&counts(init, &[]), &counts(n2, &[]), 1), steps);
+}
+
+/// A sweep of `a[i] = a[i] + b[p[i]]`, op for op: what PARIS issues for a
+/// data-dependent gather. The lent `p[i]` is the address itself; one
+/// unsigned compare with an immediate (2 ALU ops: the broadcast and the
+/// compare) is the bounds check; the result is filled with INF, then the
+/// get runs under the check's mask (1 router op, a context push and
+/// pop), so an out-of-range lane never reaches the router. The add and
+/// the store's copy make 5 ALU ops.
+#[test]
+fn a_data_dependent_gather_is_one_compare_and_a_guarded_get() {
+    let src = "#define N 64
+         index_set I:i = {0..N-1}, T:t = {0..ITERS-1};
+         int a[N], b[N], p[N];
+         main() {
+             par (I) { a[i] = i; b[i] = 3 * i; p[i] = (5 * i + 7) % N; }
+             seq (T) par (I) a[i] = a[i] + b[p[i]];
+         }";
+    let counts = |iters| run_uc(src, &[("ITERS", iters)]).machine().counters();
+    let sweep = OpCounters { alu: 5, router: 1, context: 2, ..Default::default() };
+    assert_eq!(per(&counts(1), &counts(2), 1), sweep);
 }
 
 /// A sweep of fig8's `*par` after the first, op for op: C\*'s 4 NEWS
