@@ -4,9 +4,9 @@
 //! Every subscript is first classified *symbolically* by
 //! [`opt::classify_index`] — the same function `uc check`'s UC110/UC111
 //! lints call, here fed the open constructs' element bindings and
-//! [`Program::try_pure_scalar`] ([`opt::eval_pure`] over the `#define`s,
+//! [`Run::try_pure_scalar`] ([`opt::eval_pure`] over the `#define`s,
 //! the live globals and the activation's registers) — once per access,
-//! onto `Program::forms`. If each dimension
+//! onto `Run::forms`. If each dimension
 //! is `axis-coordinate + constant` and the array conforms to the
 //! iteration space, the access is **local**
 //! (offset 0 after the mapping transform) or a **NEWS** shift (constant
@@ -14,7 +14,7 @@
 //! address is built axis by axis with the ops Figure 10's C\* uses —
 //! `i*N + k` is a multiply by an immediate and an add — plus, where a
 //! subscript is not statically in range, the bounds check PARIS issues:
-//! one unsigned compare per axis ([`Program::in_range`]). The map
+//! one unsigned compare per axis ([`Run::in_range`]). The map
 //! section changes the transform, which is how
 //! `permute (I) b[i+1] :- a[i]` turns a router/NEWS access into a local
 //! one (§4 of the paper).
@@ -41,7 +41,7 @@
 //!
 //! A step computes each value once (§4's common sub-expression
 //! detection). Sema gives a value id to every access, and to an operator
-//! or builtin call only where it is worth keeping; [`Program::eval_kept`]
+//! or builtin call only where it is worth keeping; [`Run::eval_kept`]
 //! serves both kinds alike:
 //!
 //! * a value a step's predicates compute — a gather, or an expression the
@@ -68,13 +68,13 @@
 use uc_cm::{BinOp, Combine, ElemType, FieldId, ReduceOp, Scalar};
 
 use super::space::Geo;
-use super::{ArrayStorage, LocalVar, Program, RResult, RuntimeError, Storage, PV};
+use super::{ArrayStorage, LocalVar, RResult, Run, RuntimeError, Storage, PV};
 use crate::ast::{BinaryOp, Expr, Name, Ref, ValueId};
 use crate::mapping::ArrayMapping;
 use crate::opt::{self, IdxForm};
 use crate::sema::LocalKind;
 
-impl Program {
+impl Run<'_> {
     /// The storage behind a key: for an array base, what sema resolved it
     /// to.
     pub(crate) fn storage(&self, key: Storage) -> &ArrayStorage {
@@ -399,7 +399,7 @@ impl Program {
     /// (a coordinate, a lent `p[i]`) is the address itself, not a copy.
     ///
     /// The bounds check is one unsigned compare per checked axis
-    /// ([`Program::in_range`]): the first writes the mask, each later one
+    /// ([`Run::in_range`]): the first writes the mask, each later one
     /// is ANDed into it.
     fn storage_address(
         &mut self,
@@ -540,7 +540,7 @@ impl Program {
             (id, true) => id,
             _ => self.machine.alloc_result(self.cur_ctx().vp, "~addr", ElemType::Int)?,
         };
-        op(&mut self.machine, dst, term.0)?;
+        op(self.machine, dst, term.0)?;
         *term = (dst, true);
         Ok(())
     }

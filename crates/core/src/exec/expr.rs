@@ -14,12 +14,12 @@
 
 use uc_cm::{BinOp, ElemType, Scalar, UnOp};
 
-use super::{LocalVar, Program, RResult, RuntimeError, Storage, PV};
+use super::{LocalVar, RResult, Run, RuntimeError, Storage, PV};
 use crate::ast::{BinaryOp, Callee, Expr, LocalId, Name, Ref, UnaryOp};
 use crate::sema::{LocalInfo, LocalKind};
 use crate::stdlib::{self, Builtin};
 
-impl Program {
+impl Run<'_> {
     /// Evaluate an expression in the current context: a value sema gave
     /// an id may be kept (see `access`).
     pub(crate) fn eval(&mut self, e: &Expr) -> RResult<PV> {
@@ -153,42 +153,24 @@ impl Program {
     fn apply_unary(&mut self, op: UnaryOp, v: PV) -> RResult<PV> {
         match (op, v) {
             (op, PV::Scalar(s)) => Ok(PV::Scalar(scalar_unary(op, s))),
-            (op, v @ PV::Field { .. }) => {
+            (UnaryOp::Neg, v) => {
                 let ty = self.pv_type(&v)?;
-                let vp = self.cur_ctx().vp;
-                match op {
-                    UnaryOp::Neg => {
-                        let v = if ty == ElemType::Bool {
-                            self.coerce_field(v, ElemType::Int)?
-                        } else {
-                            v
-                        };
-                        let ty = self.pv_type(&v)?;
-                        let PV::Field { id, .. } = v else { unreachable!() };
-                        let dst = self.machine.alloc_result(vp, "~neg", ty)?;
-                        self.machine.unop(UnOp::Neg, dst, id)?;
-                        self.release(v);
-                        Ok(PV::owned(dst))
-                    }
-                    UnaryOp::Not => {
-                        let b = self.truthify(v)?;
-                        let PV::Field { id, .. } = b else { unreachable!() };
-                        let dst = self.machine.alloc_result(vp, "~not", ElemType::Bool)?;
-                        self.machine.unop(UnOp::Not, dst, id)?;
-                        self.release(b);
-                        Ok(PV::owned(dst))
-                    }
-                    UnaryOp::BitNot => {
-                        let v = self.coerce_field(v, ElemType::Int)?;
-                        let PV::Field { id, .. } = v else { unreachable!() };
-                        let dst = self.machine.alloc_result(vp, "~bnot", ElemType::Int)?;
-                        self.machine.unop(UnOp::BitNot, dst, id)?;
-                        self.release(v);
-                        Ok(PV::owned(dst))
-                    }
-                }
+                let ty = if ty == ElemType::Bool { ElemType::Int } else { ty };
+                self.unop_field(UnOp::Neg, v, ty, "~neg")
             }
+            (UnaryOp::Not, v) => self.unop_field(UnOp::Not, v, ElemType::Bool, "~not"),
+            (UnaryOp::BitNot, v) => self.unop_field(UnOp::BitNot, v, ElemType::Int, "~bnot"),
         }
+    }
+
+    /// `op` on the field `v` converted to `ty`, as an owned field of `ty`.
+    fn unop_field(&mut self, op: UnOp, v: PV, ty: ElemType, name: &str) -> RResult<PV> {
+        let v = self.coerce_field(v, ty)?;
+        let PV::Field { id, .. } = v else { unreachable!() };
+        let dst = self.machine.alloc_result(self.cur_ctx().vp, name, ty)?;
+        self.machine.unop(op, dst, id)?;
+        self.release(v);
+        Ok(PV::owned(dst))
     }
 
     pub(crate) fn apply_binary(&mut self, op: BinaryOp, l: PV, r: PV) -> RResult<PV> {
@@ -201,10 +183,6 @@ impl Program {
             BinaryOp::LogAnd | BinaryOp::LogOr => {
                 (self.truthify(l)?, self.truthify(r)?)
             }
-            _ if op.is_comparison() => {
-                let ty = self.common_type(&l, &r)?;
-                (self.coerce_operand(l, ty)?, self.coerce_operand(r, ty)?)
-            }
             BinaryOp::Mod
             | BinaryOp::Shl
             | BinaryOp::Shr
@@ -213,6 +191,7 @@ impl Program {
             | BinaryOp::BitXor => {
                 (self.coerce_operand(l, ElemType::Int)?, self.coerce_operand(r, ElemType::Int)?)
             }
+            // Arithmetic and comparisons: in the common type.
             _ => {
                 let ty = self.common_type(&l, &r)?;
                 (self.coerce_operand(l, ty)?, self.coerce_operand(r, ty)?)
@@ -277,22 +256,14 @@ impl Program {
                 self.machine.rand_int(dst, 1 << 31, seed)?;
                 Ok(PV::owned(dst))
             }
-            Callee::Builtin(Builtin::Abs) => {
-                let v = self.eval(&args[0])?;
-                match v {
-                    PV::Scalar(s) => Ok(PV::Scalar(scalar_abs(s))),
-                    PV::Field { .. } => {
-                        let ty = self.pv_type(&v)?;
-                        let ty = if ty == ElemType::Bool { ElemType::Int } else { ty };
-                        let v = self.coerce_field(v, ty)?;
-                        let PV::Field { id, .. } = v else { unreachable!() };
-                        let dst = self.machine.alloc_result(self.cur_ctx().vp, "~abs", ty)?;
-                        self.machine.unop(UnOp::Abs, dst, id)?;
-                        self.release(v);
-                        Ok(PV::owned(dst))
-                    }
+            Callee::Builtin(Builtin::Abs) => match self.eval(&args[0])? {
+                PV::Scalar(s) => Ok(PV::Scalar(scalar_abs(s))),
+                v => {
+                    let ty = self.pv_type(&v)?;
+                    let ty = if ty == ElemType::Bool { ElemType::Int } else { ty };
+                    self.unop_field(UnOp::Abs, v, ty, "~abs")
                 }
-            }
+            },
             Callee::Builtin(f @ (Builtin::Min | Builtin::Max)) => {
                 let l = self.eval(&args[0])?;
                 let r = self.eval(&args[1])?;

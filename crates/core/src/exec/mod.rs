@@ -44,9 +44,10 @@
 //! arms a step runs and in what ends the repetition.
 //!
 //! A trap unwinds nothing: the failing op's error returns through `?`,
-//! leaving masks pushed and fields live. Every run starts from the
-//! compiled state instead ([`Program::run`]), so a failed `Program` holds
-//! its leftovers until its next run or until it is dropped.
+//! leaving masks pushed and fields live. The executor's per-run state
+//! goes with the `Run` that [`Program::run`] builds for each run; only
+//! the machine's fields and masks wait for the next run's
+//! `Machine::retain`, or for the `Program`'s drop.
 
 mod access;
 mod expr;
@@ -127,7 +128,7 @@ impl Default for ExecLimits {
 
 /// A vestige of the removed second pipeline: one variant, read by no
 /// one. `benchmark/src/bin/ucprobe.rs` still names `IrOpt::Balanced`
-/// and passes it to [`crate::ir::lower_program`]; ROADMAP item 11(c)
+/// and passes it to [`crate::ir::lower_program`]; ROADMAP item 13(b)
 /// deletes this type together with the probe's import.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IrOpt {
@@ -302,7 +303,7 @@ pub(crate) enum LocalVar {
 }
 
 /// What an array access reads or writes: the array its base was resolved
-/// to, or a `solve` defined-bitmap in [`Program::defined`]. The access
+/// to, or a `solve` defined-bitmap in [`Run::defined`]. The access
 /// paths look it up where they use it, holding no handle across an `eval`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Storage {
@@ -333,7 +334,7 @@ impl Hasher for FxHasher {
 pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// One function activation — the only record of it: which function,
-/// where its registers sit in [`Program::regs`], what the VM needs to
+/// where its registers sit in [`Run::regs`], what the VM needs to
 /// resume its caller, and its machine-backed locals.
 #[derive(Debug)]
 pub(crate) struct Frame {
@@ -341,7 +342,7 @@ pub(crate) struct Frame {
     pub func: usize,
     /// Its register file starts at `regs[base]`. A `LocalKind::Reg` local
     /// is the register sema numbered it; tree-evaluated fragments read
-    /// and write it there ([`Program::reg`]).
+    /// and write it there ([`Run::reg`]).
     pub base: usize,
     /// Where the VM resumes this activation when its callee returns, and
     /// the caller's register that receives this activation's value.
@@ -360,7 +361,8 @@ pub(crate) struct Frame {
 ///
 /// See the crate docs for a quickstart. `Program` owns the simulated
 /// machine; [`Program::cycles`] exposes the elapsed simulated time that
-/// the paper's figures plot.
+/// the paper's figures plot. It holds what compile built and what
+/// outlives a run; each run's own state is a `Run`.
 #[derive(Debug)]
 pub struct Program {
     pub(crate) checked: Checked,
@@ -370,30 +372,63 @@ pub struct Program {
     pub(crate) spaces: FxMap<Vec<usize>, VpSetId>,
     /// Global arrays, by `Ref::Array` id (`checked.array_names` order).
     pub(crate) arrays: Vec<ArrayStorage>,
-    /// The defined-bitmaps of the open `solve`s, innermost last.
-    pub(crate) defined: Vec<ArrayStorage>,
     /// Global scalar values, by `Ref::Global` id
     /// (`checked.global_names` order).
     pub(crate) globals: Vec<Scalar>,
     /// The lowered register IR the VM executes.
-    pub(crate) ir: Arc<IrProgram>,
+    pub(crate) ir: IrProgram,
+    /// The last run's buffers, for the next.
+    spare: Spare,
+}
+
+/// The buffers a [`Run`] leaves, empty, kept only for their capacity, so
+/// a warm run allocates nothing (`exec_alloc.rs`, `call_alloc.rs`). Each
+/// is the `Run` field of its name.
+#[derive(Debug, Default)]
+struct Spare {
+    ctx: Vec<ParCtx>,
+    ctx_spare: Vec<space::CtxBuffers>,
+    mask_spare: Vec<Vec<Option<FieldId>>>,
+    defined: Vec<ArrayStorage>,
+    forms: Vec<opt::IdxForm>,
+    frames: Vec<Frame>,
+    regs: Vec<Scalar>,
+    cse_stack: Vec<Vec<(VpSetId, Option<ValueId>, FieldId)>>,
+    geo_cache: FxMap<(VpSetId, space::Geo), FieldId>,
+    call_stack: Vec<(usize, Span)>,
+}
+
+/// One run of a [`Program`]: the executor's per-run state, which
+/// [`Run::new`] starts fresh and which goes when the run does, beside
+/// borrows of the compiled parts and of what outlives runs — the machine,
+/// the VP sets and the global scalars.
+pub(crate) struct Run<'p> {
+    checked: &'p Checked,
+    config: &'p ExecConfig,
+    ir: &'p IrProgram,
+    arrays: &'p [ArrayStorage],
+    machine: &'p mut Machine,
+    spaces: &'p mut FxMap<Vec<usize>, VpSetId>,
+    globals: &'p mut [Scalar],
+    /// The defined-bitmaps of the open `solve`s, innermost last.
+    defined: Vec<ArrayStorage>,
     /// Parallel-context stack (innermost last).
-    pub(crate) ctx: Vec<ParCtx>,
+    ctx: Vec<ParCtx>,
     /// The buffers of popped levels, cleared, for the next `push_space`.
-    pub(crate) ctx_spare: Vec<space::CtxBuffers>,
+    ctx_spare: Vec<space::CtxBuffers>,
     /// Cleared arm-mask lists, for the next step's predicates.
-    pub(crate) mask_spare: Vec<Vec<Option<FieldId>>>,
+    mask_spare: Vec<Vec<Option<FieldId>>>,
     /// The subscript forms of the accesses in progress, innermost last:
     /// each access classifies its subscripts once, here, and truncates
     /// back when it is done.
-    pub(crate) forms: Vec<opt::IdxForm>,
+    forms: Vec<opt::IdxForm>,
     /// Function activation stack.
-    pub(crate) frames: Vec<Frame>,
+    frames: Vec<Frame>,
     /// The registers of every live activation, innermost last: entering
     /// a function appends its image, returning truncates.
-    pub(crate) regs: Vec<Scalar>,
-    pub(crate) rand_counter: u64,
-    pub(crate) oneof_cursor: usize,
+    regs: Vec<Scalar>,
+    rand_counter: u64,
+    oneof_cursor: usize,
     /// Common-subexpression cache for the values sema marks within one
     /// synchronous step (§4 "common sub-expression detection"), gathers
     /// and computed values alike: a stack of per-step lists of (space,
@@ -402,28 +437,28 @@ pub struct Program {
     /// makes an entry stale (`None`); its field lives on until the step
     /// ends, so a value already handed out stays readable. Levels from
     /// `cse_depth` up are spare: empty, kept for their capacity.
-    pub(crate) cse_stack: Vec<Vec<(VpSetId, Option<ValueId>, FieldId)>>,
-    pub(crate) cse_depth: usize,
+    cse_stack: Vec<Vec<(VpSetId, Option<ValueId>, FieldId)>>,
+    cse_depth: usize,
     /// Whether values may currently be inserted into the cache: while a
     /// step's predicates evaluate, under the step's own context.
-    pub(crate) cse_fill: bool,
+    cse_fill: bool,
     /// The geometry cache: fields that depend only on a VP set's geometry
     /// ([`space::Geo`]), which `spaces` maps one-to-one to a VP set. Each
     /// is built on every VP when a run first needs it, charged then, and
     /// kept for the rest of the run, so re-entering a construct (e.g. a
     /// `par` nested in a front-end loop) reuses it instead of recomputing,
     /// as a compiler hoists it out of loops.
-    pub(crate) geo_cache: FxMap<(VpSetId, space::Geo), FieldId>,
+    geo_cache: FxMap<(VpSetId, space::Geo), FieldId>,
     /// Span of the statement currently executing, for [`RunError`].
-    pub(crate) exec_span: Span,
+    exec_span: Span,
     /// Live UC call stack, outermost first: `(callee, call-site span)`,
     /// the callee by position in `ir.funcs`. Entries are popped on
     /// successful return only, so on error the stack still describes
     /// where execution was.
-    pub(crate) call_stack: Vec<(usize, Span)>,
+    call_stack: Vec<(usize, Span)>,
     /// Live native entries of the VM (`vm::call`): `main`'s, and one per
     /// user call met by tree-evaluated code.
-    pub(crate) reentries: usize,
+    reentries: usize,
 }
 
 impl Program {
@@ -462,17 +497,12 @@ impl Program {
         // on (`body: None`) cannot run at all.
         let unlowered = checked.funcs_in_order().zip(&ir.funcs).find(|(_, f)| f.body.is_none());
         if let Some((def, f)) = unlowered {
-            diags.error(
-                def.span,
-                format!(
-                    "function `{}` needs more than {} registers; split it up",
-                    f.name,
-                    crate::ir::Reg::MAX
-                ),
-            );
+            let (name, max) = (&f.name, crate::ir::Reg::MAX);
+            let msg = format!("function `{name}` needs more than {max} registers; split it up");
+            diags.error(def.span, msg);
             return Err(diags);
         }
-        let machine = Machine::new(MachineConfig {
+        let mut machine = Machine::new(MachineConfig {
             phys_procs: config.phys_procs,
             limits: MachineLimits {
                 fuel: config.limits.fuel,
@@ -480,37 +510,14 @@ impl Program {
             },
             ..MachineConfig::default()
         });
-        let mut p = Program {
-            checked,
-            config,
-            machine,
-            spaces: FxMap::default(),
-            arrays: Vec::new(),
-            defined: Vec::new(),
-            globals,
-            ir: Arc::new(ir),
-            ctx: Vec::new(),
-            ctx_spare: Vec::new(),
-            mask_spare: Vec::new(),
-            forms: Vec::new(),
-            frames: Vec::new(),
-            regs: Vec::new(),
-            rand_counter: 0,
-            oneof_cursor: 0,
-            cse_stack: Vec::new(),
-            cse_depth: 0,
-            cse_fill: false,
-            geo_cache: FxMap::default(),
-            exec_span: Span::default(),
-            call_stack: Vec::new(),
-            reentries: 0,
-        };
-        p.allocate_arrays(&maps).map_err(|e| {
+        let mut spaces = FxMap::default();
+        let arrays = allocate_arrays(&checked, &maps, &mut machine, &mut spaces).map_err(|e| {
             let mut d = Diagnostics::default();
             d.error(crate::span::Span::default(), format!("allocation failed: {e}"));
             d
         })?;
-        Ok(p)
+        let spare = Spare::default();
+        Ok(Program { checked, config, machine, spaces, arrays, globals, ir, spare })
     }
 
     /// The optimized register IR in its stable text form (`uc run
@@ -519,84 +526,21 @@ impl Program {
         crate::ir::text::render(&self.ir, &self.checked)
     }
 
-    fn allocate_arrays(&mut self, maps: &[(String, ArrayMapping)]) -> RResult<()> {
-        for id in 0..self.checked.array_names.len() {
-            let name = self.checked.array_names[id].clone();
-            let info = self.checked.array(id as u32).clone();
-            let mapping = maps
-                .iter()
-                .rev()
-                .find(|(n, _)| *n == name)
-                .map(|(_, m)| m.clone())
-                .unwrap_or(ArrayMapping::Default);
-            let storage_shape = mapping.storage_shape(&info.shape);
-            let vp = self.space_vp(&storage_shape)?;
-            let ty = elem_type(info.ty);
-            let field = self.machine.alloc(vp, &name, ty)?;
-            self.arrays.push(ArrayStorage { field, ty, shape: info.shape, mapping });
-        }
-        Ok(())
-    }
-
-    /// Get (or create) the VP set for a geometry. Arrays and iteration
-    /// spaces of the same shape share a VP set, which is exactly the
-    /// paper's default mapping: conforming arrays live on common
-    /// processors and element-wise operations are local.
-    pub(crate) fn space_vp(&mut self, dims: &[usize]) -> RResult<VpSetId> {
-        if let Some(vp) = self.spaces.get(dims) {
-            return Ok(*vp);
-        }
-        let vp = self.machine.new_vp_set("space", dims)?;
-        self.spaces.insert(dims.to_vec(), vp);
-        Ok(vp)
-    }
-
-    /// The geometry-cache field `geo` on `vp`, which `build` makes valid
-    /// on every VP on its first use in a run.
-    pub(crate) fn geo_field(
-        &mut self,
-        vp: VpSetId,
-        geo: space::Geo,
-        build: impl FnOnce(&mut Self) -> RResult<FieldId>,
-    ) -> RResult<FieldId> {
-        let key = (vp, geo);
-        if let Some(&f) = self.geo_cache.get(&key) {
-            return Ok(f);
-        }
-        let f = build(self)?;
-        self.geo_cache.insert(key, f);
-        Ok(f)
-    }
-
     /// Run `main()` to completion.
     ///
     /// Errors come back as a [`RunError`] carrying the span of the failing
     /// statement and the UC call stack. The run is a fault boundary: a
     /// panic escaping the executor internals is caught here and reported
     /// as [`RuntimeError::Internal`] instead of aborting the process. It is
-    /// the only recovery: each run first puts the machine and the executor
-    /// back in the state `compile` left them in, the global arrays' and
-    /// scalars' values aside, so no run depends on how the last one ended.
+    /// the only recovery: the machine first frees all but the global
+    /// arrays, and the executor's state is a fresh `Run`, so no run
+    /// depends on how the last one ended.
     pub fn run(&mut self) -> Result<(), RunError> {
-        // Back to the compiled state, whatever the last run left: only the
-        // global arrays' storage survives. The geometry cache goes too, so
-        // every run pays for its fills and a program's tally does not
-        // depend on the runs before it.
+        // Only the global arrays' storage survives on the machine. The
+        // geometry cache is the `Run`'s, so every run pays for its fills
+        // and a program's tally does not depend on the runs before it.
         let arrays = &self.arrays;
         self.machine.retain(|f| arrays.iter().any(|a| a.field == f));
-        self.ctx.clear();
-        self.defined.clear();
-        self.frames.clear();
-        self.regs.clear();
-        self.forms.clear();
-        self.cse_stack.iter_mut().for_each(Vec::clear);
-        self.cse_depth = 0;
-        self.cse_fill = false;
-        self.geo_cache.clear();
-        self.reentries = 0;
-        self.oneof_cursor = 0;
-        self.rand_counter = 0;
-        self.exec_span = Span::default();
         if let Some(ms) = self.config.limits.timeout_ms {
             self.machine.arm_deadline(ms);
         }
@@ -610,47 +554,37 @@ impl Program {
         // would dominate short repeated runs; otherwise it gets a
         // dedicated thread with enough stack that the call-depth budget —
         // not the host stack — is the limit.
-        let main = self.checked.main;
-        let outcome = if self.ir.inline_ok {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| vm::call(self, main, &[])))
+        let (main, inline) = (self.checked.main, self.ir.inline_ok);
+        let mut run = Run::new(self);
+        let mut go = || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| vm::call(&mut run, main, &[])))
+        };
+        let outcome = if inline {
+            go()
         } else {
             std::thread::scope(|scope| {
                 std::thread::Builder::new()
                     .name("uc-exec".into())
                     .stack_size(EXEC_STACK_BYTES)
-                    .spawn_scoped(scope, || {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            vm::call(self, main, &[])
-                        }))
-                    })
+                    .spawn_scoped(scope, go)
                     .expect("spawn uc-exec thread")
                     .join()
                     .unwrap_or_else(Err)
             })
         };
-        self.machine.clear_deadline();
-        match outcome {
+        run.machine.clear_deadline();
+        let result = match outcome {
             Ok(Ok(_)) => Ok(()),
-            Ok(Err(error)) => Err(self.run_error(error)),
+            Ok(Err(error)) => Err(run.run_error(error)),
             Err(payload) => {
-                let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "unknown panic payload".to_string()
-                };
-                Err(self.run_error(RuntimeError::Internal(msg)))
+                let msg = payload.downcast_ref::<&str>().map(|s| s.to_string());
+                let msg = msg.or_else(|| payload.downcast_ref::<String>().cloned());
+                let msg = msg.unwrap_or_else(|| "unknown panic payload".to_string());
+                Err(run.run_error(RuntimeError::Internal(msg)))
             }
-        }
-    }
-
-    /// Annotate `error` with where the run was, naming the call stack's
-    /// functions (which it then clears).
-    fn run_error(&mut self, error: RuntimeError) -> RunError {
-        let stack = self.call_stack.drain(..);
-        let stack = stack.map(|(f, site)| (self.ir.funcs[f].name.clone(), site)).collect();
-        RunError { error, span: self.exec_span, stack }
+        };
+        self.spare = run.finish();
+        result
     }
 
     /// Elapsed simulated cycles.
@@ -746,8 +680,85 @@ impl Program {
     pub fn define(&self, name: &str) -> Option<i64> {
         self.checked.consts.get(name).copied()
     }
+}
+
+impl<'p> Run<'p> {
+    /// A fresh run of `p`, its buffers taken from `p`'s spare ones. Every
+    /// per-run field starts here, so one missing from this literal does
+    /// not compile.
+    fn new(p: &'p mut Program) -> Self {
+        let Program { checked, config, machine, spaces, arrays, globals, ir, spare } = p;
+        let s = std::mem::take(spare);
+        Run {
+            checked, config, ir, arrays, machine, spaces, globals,
+            defined: s.defined,
+            ctx: s.ctx,
+            ctx_spare: s.ctx_spare,
+            mask_spare: s.mask_spare,
+            forms: s.forms,
+            frames: s.frames,
+            regs: s.regs,
+            rand_counter: 0,
+            oneof_cursor: 0,
+            cse_stack: s.cse_stack,
+            cse_depth: 0,
+            cse_fill: false,
+            geo_cache: s.geo_cache,
+            exec_span: Span::default(),
+            call_stack: s.call_stack,
+            reentries: 0,
+        }
+    }
+
+    /// End the run, handing its buffers back emptied: what a trap left in
+    /// them goes here, and the fields it names wait for the next run's
+    /// `Machine::retain`.
+    fn finish(mut self) -> Spare {
+        fn empty<T>(mut v: Vec<T>) -> Vec<T> {
+            v.clear();
+            v
+        }
+        self.cse_stack.iter_mut().for_each(Vec::clear);
+        self.geo_cache.clear();
+        Spare {
+            ctx: empty(self.ctx),
+            ctx_spare: self.ctx_spare,
+            mask_spare: self.mask_spare,
+            defined: empty(self.defined),
+            forms: empty(self.forms),
+            frames: empty(self.frames),
+            regs: empty(self.regs),
+            cse_stack: self.cse_stack,
+            geo_cache: self.geo_cache,
+            call_stack: empty(self.call_stack),
+        }
+    }
+
+    /// Annotate `error` with where the run was, naming the call stack's
+    /// functions.
+    fn run_error(&self, error: RuntimeError) -> RunError {
+        let stack = self.call_stack.iter().map(|&(f, site)| (self.ir.funcs[f].name.clone(), site));
+        RunError { error, span: self.exec_span, stack: stack.collect() }
+    }
 
     // ---- internals shared by the exec submodules -------------------------
+
+    /// The geometry-cache field `geo` on `vp`, which `build` makes valid
+    /// on every VP on its first use in a run.
+    pub(crate) fn geo_field(
+        &mut self,
+        vp: VpSetId,
+        geo: space::Geo,
+        build: impl FnOnce(&mut Self) -> RResult<FieldId>,
+    ) -> RResult<FieldId> {
+        let key = (vp, geo);
+        if let Some(&f) = self.geo_cache.get(&key) {
+            return Ok(f);
+        }
+        let f = build(self)?;
+        self.geo_cache.insert(key, f);
+        Ok(f)
+    }
 
     /// The innermost parallel context. Tree code runs only inside one, and
     /// a parallel value exists only under one (sema's rank rule); a
@@ -775,6 +786,44 @@ impl Program {
             let _ = self.machine.free(id);
         }
     }
+}
+
+/// Get (or create) the VP set for a geometry. Arrays and iteration
+/// spaces of the same shape share a VP set, which is exactly the paper's
+/// default mapping: conforming arrays live on common processors and
+/// element-wise operations are local.
+fn space_vp(
+    machine: &mut Machine,
+    spaces: &mut FxMap<Vec<usize>, VpSetId>,
+    dims: &[usize],
+) -> RResult<VpSetId> {
+    if let Some(vp) = spaces.get(dims) {
+        return Ok(*vp);
+    }
+    let vp = machine.new_vp_set("space", dims)?;
+    spaces.insert(dims.to_vec(), vp);
+    Ok(vp)
+}
+
+/// The storage of the global arrays, by `Ref::Array` id, each laid out as
+/// the map section says.
+fn allocate_arrays(
+    checked: &Checked,
+    maps: &[(String, ArrayMapping)],
+    machine: &mut Machine,
+    spaces: &mut FxMap<Vec<usize>, VpSetId>,
+) -> RResult<Vec<ArrayStorage>> {
+    let mut arrays = Vec::new();
+    for (id, name) in checked.array_names.iter().enumerate() {
+        let info = checked.array(id as u32).clone();
+        let found = maps.iter().rev().find(|(n, _)| n == name);
+        let mapping = found.map(|(_, m)| m.clone()).unwrap_or(ArrayMapping::Default);
+        let vp = space_vp(machine, spaces, &mapping.storage_shape(&info.shape))?;
+        let ty = elem_type(info.ty);
+        let field = machine.alloc(vp, name, ty)?;
+        arrays.push(ArrayStorage { field, ty, shape: info.shape, mapping });
+    }
+    Ok(arrays)
 }
 
 /// Initial values of the global scalars, in `Ref::Global` order.

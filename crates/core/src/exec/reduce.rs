@@ -26,12 +26,12 @@
 
 use uc_cm::{BinOp, Combine, ElemType, FieldId, ReduceOp, Scalar};
 
-use super::{Program, RResult, PV};
+use super::{RResult, Run, PV};
 use crate::ast::{BinaryOp, Expr, Name, ReduceExpr, Ref};
 use crate::sema::LocalKind;
 use crate::token::RedOpToken;
 
-impl Program {
+impl Run<'_> {
     pub(crate) fn eval_reduce(&mut self, r: &ReduceExpr) -> RResult<PV> {
         if self.config.procopt {
             if let Some(pv) = self.try_procopt(r)? {
@@ -247,30 +247,17 @@ fn machine_reduce_op(op: RedOpToken) -> ReduceOp {
 
 /// Identity value and router combiner for per-point reductions.
 fn identity_combine(op: RedOpToken, ty: ElemType) -> (Scalar, Combine) {
-    let float = ty == ElemType::Float;
+    let of_ty = |i, f| if ty == ElemType::Float { Scalar::Float(f) } else { Scalar::Int(i) };
     match op {
-        RedOpToken::Add => {
-            (if float { Scalar::Float(0.0) } else { Scalar::Int(0) }, Combine::Add)
-        }
-        RedOpToken::Mul => {
-            (if float { Scalar::Float(1.0) } else { Scalar::Int(1) }, Combine::Mul)
-        }
-        RedOpToken::Min => (
-            if float { Scalar::Float(f64::INFINITY) } else { Scalar::Int(i64::MAX) },
-            Combine::Min,
-        ),
-        RedOpToken::Max => (
-            if float { Scalar::Float(f64::NEG_INFINITY) } else { Scalar::Int(i64::MIN) },
-            Combine::Max,
-        ),
+        RedOpToken::Add => (of_ty(0, 0.0), Combine::Add),
+        RedOpToken::Mul => (of_ty(1, 1.0), Combine::Mul),
+        RedOpToken::Min => (of_ty(i64::MAX, f64::INFINITY), Combine::Min),
+        RedOpToken::Max => (of_ty(i64::MIN, f64::NEG_INFINITY), Combine::Max),
         // Logical reductions run on 0/1 ints.
         RedOpToken::And => (Scalar::Int(1), Combine::Min),
         RedOpToken::Or => (Scalar::Int(0), Combine::Max),
         RedOpToken::Xor => (Scalar::Int(0), Combine::Add),
-        RedOpToken::Arb => (
-            if float { Scalar::Float(f64::INFINITY) } else { Scalar::Int(i64::MAX) },
-            Combine::Overwrite,
-        ),
+        RedOpToken::Arb => (of_ty(i64::MAX, f64::INFINITY), Combine::Overwrite),
     }
 }
 
@@ -287,13 +274,9 @@ fn scalar_reduce(op: RedOpToken, a: Scalar, b: Scalar) -> Scalar {
             RedOpToken::And => ((x != 0.0) && (y != 0.0)) as i64 as f64,
             RedOpToken::Or => ((x != 0.0) || (y != 0.0)) as i64 as f64,
             RedOpToken::Xor => ((x != 0.0) ^ (y != 0.0)) as i64 as f64,
-            RedOpToken::Arb => {
-                if x != f64::INFINITY {
-                    x
-                } else {
-                    y
-                }
-            }
+            // The first partial that is not the identity INF.
+            RedOpToken::Arb if x != f64::INFINITY => x,
+            RedOpToken::Arb => y,
         })
     } else {
         let (x, y) = (a.as_int(), b.as_int());
@@ -305,13 +288,8 @@ fn scalar_reduce(op: RedOpToken, a: Scalar, b: Scalar) -> Scalar {
             RedOpToken::And => ((x != 0) && (y != 0)) as i64,
             RedOpToken::Or => ((x != 0) || (y != 0)) as i64,
             RedOpToken::Xor => ((x != 0) ^ (y != 0)) as i64,
-            RedOpToken::Arb => {
-                if x != i64::MAX {
-                    x
-                } else {
-                    y
-                }
-            }
+            RedOpToken::Arb if x != i64::MAX => x,
+            RedOpToken::Arb => y,
         })
     }
 }

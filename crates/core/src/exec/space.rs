@@ -24,11 +24,11 @@ use std::sync::Arc;
 
 use uc_cm::{BinOp, ElemType, FieldId, Scalar, VpSetId};
 
-use super::{Program, RResult, PV};
+use super::{RResult, Run, PV};
 use crate::ast::{SetId, ValueId};
 use crate::opt::ElemForm;
 
-/// What a geometry-cache field ([`Program::geo_field`]) holds. None
+/// What a geometry-cache field ([`Run::geo_field`]) holds. None
 /// depends on a mask, so each is valid on every VP.
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub(crate) enum Geo {
@@ -73,19 +73,19 @@ pub struct ParCtx {
 /// so entering a construct allocates nothing.
 pub(crate) type CtxBuffers = (Vec<usize>, Vec<(SetId, FieldId, ElemForm)>, Vec<(ValueId, FieldId)>);
 
-impl Program {
+impl Run<'_> {
     /// Push a new parallel-context level for the given index sets,
     /// transferring the enclosing enabled set onto the extended space
     /// unless the enclosing level is statically full.
     ///
-    /// Returns the level index (for symmetric [`Program::pop_space`]).
+    /// Returns the level index (for symmetric [`Run::pop_space`]).
     pub(crate) fn push_space(&mut self, sets: &[SetId]) -> RResult<usize> {
         let (mut dims, elems, kept) = self.ctx_spare.pop().unwrap_or_default();
         let outer_dims = self.ctx.last().map_or(&[][..], |c| &c.dims);
         let outer_rank = outer_dims.len();
         dims.extend_from_slice(outer_dims);
         dims.extend(sets.iter().map(|&s| self.checked.sets[s].elements.len()));
-        let vp = self.space_vp(&dims)?;
+        let vp = super::space_vp(self.machine, self.spaces, &dims)?;
         // The depth counts the masks the program pushed on the enclosing
         // space — arms, reduction arms, `solve` steps — whatever they hold.
         let full = match self.ctx.last() {

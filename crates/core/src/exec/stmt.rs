@@ -17,7 +17,7 @@
 
 use uc_cm::{BinOp, ElemType, FieldId, ReduceOp, Scalar};
 
-use super::{elem_type, ArrayStorage, LocalVar, Program, RResult, RuntimeError, Storage, PV};
+use super::{elem_type, ArrayStorage, LocalVar, RResult, Run, RuntimeError, Storage, PV};
 use crate::ast::{
     BinaryOp, Block, Callee, Expr, LocalId, Ref, ScBlock, SetId, Stmt, UcKind, UcStmt,
 };
@@ -25,7 +25,7 @@ use crate::mapping::ArrayMapping;
 use crate::sema::LocalKind;
 use crate::stdlib::Builtin;
 
-impl Program {
+impl Run<'_> {
     /// Release the machine storage of a local that goes out of scope.
     pub(crate) fn free_local(&mut self, var: LocalVar) {
         let field = match var {
@@ -112,7 +112,7 @@ impl Program {
                 LocalVar::ParField { field, level: self.ctx.len() - 1 }
             }
             LocalKind::Array(shape) => {
-                let vp = self.space_vp(&shape)?;
+                let vp = super::space_vp(self.machine, self.spaces, &shape)?;
                 let field = self.machine.alloc(vp, &v.name, ty)?;
                 let mapping = ArrayMapping::Default;
                 LocalVar::Array(ArrayStorage { field, ty, shape, mapping })
@@ -339,7 +339,7 @@ impl Program {
         for array in solve_targets(uc) {
             let st = self.storage(Storage::Array(array));
             let (shape, mapping) = (st.shape.clone(), st.mapping.clone());
-            let dvp = self.space_vp(&mapping.storage_shape(&shape))?;
+            let dvp = super::space_vp(self.machine, self.spaces, &mapping.storage_shape(&shape))?;
             let field = self.machine.alloc_bool(dvp, "~defined")?;
             self.defined.push(ArrayStorage { field, ty: ElemType::Bool, shape, mapping });
             self.machine.fill_unconditional(field, Scalar::Bool(false))?;

@@ -4,8 +4,8 @@
 //! all sequential control flow — `if`/loops/`return`, front-end `seq`
 //! sweeps, recursion — keeping UC activations on explicit heap stacks, so
 //! the VM itself never recurses natively: a [`Frame`] per activation on
-//! `Program::frames`, and every activation's registers end to end on
-//! `Program::regs` (entering appends the function's image, returning
+//! [`Run::frames`], and every activation's registers end to end on
+//! [`Run::regs`] (entering appends the function's image, returning
 //! truncates). It reads and writes array elements too. Parallel
 //! constructs, reductions and local array declarations are tree escapes
 //! into the sibling modules; a user call met inside one comes back
@@ -13,7 +13,7 @@
 //!
 //! The loop keeps the running activation's code, register base and pc in
 //! locals and reloads them only on `Call` and `Ret`. The statement it is
-//! in is `spans[pc]`, copied to `Program::exec_span` only where someone
+//! in is `spans[pc]`, copied to [`Run::exec_span`] only where someone
 //! can look: before a call (the call-stack site), before a reduction, and
 //! on every trap.
 
@@ -21,7 +21,7 @@ use uc_cm::{ElemType, Scalar};
 
 use super::{
     coerce_scalar, front_end_rand, int_binary, scalar_abs, scalar_binary, scalar_minmax,
-    scalar_unary, Frame, Program, RResult, RuntimeError, Storage, EXEC_STACK_BYTES, PV,
+    scalar_unary, Frame, RResult, Run, RuntimeError, Storage, EXEC_STACK_BYTES, PV,
 };
 use crate::ast::Ref;
 use crate::ir::{Instr, IrBody, IrProgram, Reg};
@@ -40,16 +40,15 @@ const MAX_REENTRIES: usize = EXEC_STACK_BYTES / (64 * 1024);
 /// returns none). This is the entry for `main` and the re-entry for user
 /// calls met by tree-evaluated code, which nests one native `exec` per
 /// such call.
-pub(crate) fn call(p: &mut Program, fi: usize, args: &[Scalar]) -> RResult<Scalar> {
+pub(crate) fn call(p: &mut Run, fi: usize, args: &[Scalar]) -> RResult<Scalar> {
     if p.reentries == MAX_REENTRIES {
         // The host stack, not the frame budget, is the limit here.
         return Err(RuntimeError::CallDepthExceeded { max: p.frames.len() });
     }
     p.reentries += 1;
-    let ir = p.ir.clone();
     // A user function runs on the front end even when called from a
     // parallel construct: its arguments are scalars.
-    let v = p.detached(|p| exec(p, &ir, fi, args))?;
+    let v = p.detached(|p| exec(p, fi, args))?;
     p.reentries -= 1;
     Ok(v)
 }
@@ -57,7 +56,7 @@ pub(crate) fn call(p: &mut Program, fi: usize, args: &[Scalar]) -> RResult<Scala
 /// Drop the innermost frame — its registers, and its machine-backed
 /// locals innermost-first — and say which register of the caller its
 /// value goes to.
-fn pop_frame(p: &mut Program) -> Reg {
+fn pop_frame(p: &mut Run) -> Reg {
     let frame = p.frames.pop().expect("frame per activation");
     p.regs.truncate(frame.base);
     for var in frame.locals.into_iter().rev().flatten() {
@@ -69,14 +68,14 @@ fn pop_frame(p: &mut Program) -> Reg {
 /// Push an activation of `fi`: depth check, a fresh register file, the
 /// frame, the call-stack entry. Returns the base of its registers; the
 /// caller stores the arguments with [`typed`].
-fn enter(p: &mut Program, ir: &IrProgram, fi: usize, ret_dst: Reg) -> RResult<usize> {
+fn enter(p: &mut Run, fi: usize, ret_dst: Reg) -> RResult<usize> {
     let max_depth = p.config.limits.max_call_depth;
     if p.frames.len() >= max_depth {
         // `max_depth` frames may be live; the call creating one more traps.
         return Err(RuntimeError::CallDepthExceeded { max: max_depth });
     }
     let base = p.regs.len();
-    p.regs.extend_from_slice(&ir.funcs[fi].image);
+    p.regs.extend_from_slice(&p.ir.funcs[fi].image);
     let info = &p.checked.func_infos[fi];
     let n_locals = if info.machine_locals { info.locals.len() } else { 0 };
     let locals = std::iter::repeat_with(|| None).take(n_locals).collect();
@@ -95,7 +94,7 @@ fn typed(v: Scalar, float: bool) -> Scalar {
 
 /// The row-major index of `array[subs...]`, the subscripts in registers
 /// from `base`, each checked against its axis.
-fn elem_index(p: &Program, base: usize, array: Ref, subs: &[Reg]) -> RResult<usize> {
+fn elem_index(p: &Run, base: usize, array: Ref, subs: &[Reg]) -> RResult<usize> {
     let shape = &p.storage(Storage::Array(array)).shape;
     let mut logical = 0;
     for (s, &n) in subs.iter().zip(shape) {
@@ -116,7 +115,7 @@ fn elem_index(p: &Program, base: usize, array: Ref, subs: &[Reg]) -> RResult<usi
 /// `array[subs...]`: one front-end read. Out of line, as is `store_elem`:
 /// inlined into `exec`, they slow the dispatch of every instruction.
 #[inline(never)]
-fn load_elem(p: &mut Program, base: usize, array: Ref, subs: &[Reg]) -> RResult<Scalar> {
+fn load_elem(p: &mut Run, base: usize, array: Ref, subs: &[Reg]) -> RResult<Scalar> {
     let logical = elem_index(p, base, array, subs)?;
     let st = p.storage(Storage::Array(array));
     let (field, idx) = (st.field, st.mapping.storage_index(logical, &st.shape, 0));
@@ -126,7 +125,7 @@ fn load_elem(p: &mut Program, base: usize, array: Ref, subs: &[Reg]) -> RResult<
 /// `array[subs...] = v` as the array's type: one front-end write per
 /// replica. A gather cached by an open step that reads `array` is stale.
 #[inline(never)]
-fn store_elem(p: &mut Program, base: usize, array: Ref, subs: &[Reg], v: Scalar) -> RResult<()> {
+fn store_elem(p: &mut Run, base: usize, array: Ref, subs: &[Reg], v: Scalar) -> RResult<()> {
     p.cse_invalidate(Some(array));
     let logical = elem_index(p, base, array, subs)?;
     let st = p.storage(Storage::Array(array));
@@ -143,11 +142,11 @@ fn body_of(ir: &IrProgram, fi: usize) -> &IrBody {
     ir.funcs[fi].body.as_ref().expect("compile rejects unlowered functions")
 }
 
-fn exec(p: &mut Program, ir: &IrProgram, entry: usize, args: &[Scalar]) -> RResult<Scalar> {
+fn exec(p: &mut Run, entry: usize, args: &[Scalar]) -> RResult<Scalar> {
     // This `exec` returns when the frame it pushes here pops.
-    let floor = p.frames.len();
+    let (ir, floor) = (p.ir, p.frames.len());
     let max_iterations = p.config.limits.max_iterations;
-    let mut base = enter(p, ir, entry, 0)?;
+    let mut base = enter(p, entry, 0)?;
     for (i, (&v, &float)) in args.iter().zip(&ir.funcs[entry].params).enumerate() {
         p.regs[base + i] = typed(v, float);
     }
@@ -232,7 +231,7 @@ fn exec(p: &mut Program, ir: &IrProgram, entry: usize, args: &[Scalar]) -> RResu
                 let f = *f as usize;
                 p.exec_span = body.spans[at];
                 p.frames.last_mut().expect("active function").pc = pc;
-                let callee = enter(p, ir, f, *dst)?;
+                let callee = enter(p, f, *dst)?;
                 for (i, (r, &float)) in args.iter().zip(&ir.funcs[f].params).enumerate() {
                     p.regs[callee + i] = typed(r!(r), float);
                 }

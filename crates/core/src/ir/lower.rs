@@ -56,7 +56,7 @@ const MAX_INLINE_TREE_DEPTH: usize = 96;
 ///
 /// `global_index` and `opt` are read by no one: global slots are sema's
 /// (`Checked::global_names` order) and there is one pipeline.
-/// `benchmark/src/bin/ucprobe.rs` still passes both; ROADMAP item 11(c)
+/// `benchmark/src/bin/ucprobe.rs` still passes both; ROADMAP item 13(b)
 /// drops them together with the probe's call.
 pub fn lower_program(
     checked: &Checked,

@@ -3,11 +3,12 @@
 //! The VM used to build a `Vec` of argument values and a fresh register
 //! file for every call — two allocations each, 20 022 per run on the
 //! benchmark's `scalar_vm`. Activations now share one register stack
-//! (`Program::regs`): entering a function appends its image, arguments are
-//! coerced from the caller's registers straight into the callee's, and
-//! returning truncates. This test installs a byte-counting global
-//! allocator and checks that a warmed run making 10 000 calls, one of them
-//! recursing 200 deep, allocates less than 1 KB in total.
+//! (`Run::regs`, whose buffer each run hands the next): entering a
+//! function appends its image, arguments are coerced from the caller's
+//! registers straight into the callee's, and returning truncates. This
+//! test installs a byte-counting global allocator and checks that a
+//! warmed run making 10 000 calls, one of them recursing 200 deep,
+//! allocates less than 1 KB in total.
 //!
 //! The test lives alone in this file so the process-wide counter
 //! attributes every byte to the run under measurement.

@@ -2,7 +2,7 @@
 //!
 //! Entering a construct, classifying its subscripts, computing router
 //! addresses, caching a step's gathers and masking its arms all reuse
-//! buffers the program keeps (`Program::ctx_spare`, `forms`,
+//! buffers each run is handed from the last (`Run::ctx_spare`, `forms`,
 //! `mask_spare`, `cse_stack`), and the machine's arena serves every field
 //! (`crates/cm/tests/alloc_count.rs`). This test installs a counting
 //! global allocator, warms each program with two runs, and asserts that a

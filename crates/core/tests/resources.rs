@@ -217,7 +217,9 @@ fn a_budget_trap_leaves_nothing_behind() {
 /// A run after a trapped one computes what a fresh program would: the
 /// first run, from `a = [100, 0, ...]`, traps midway through the `*par`'s
 /// fifteen sweeps; the second, from `a = [5; 16]`, needs one sweep, fits
-/// the budget and must find every prefix sum.
+/// the budget and must find every prefix sum. It must also cost what a
+/// fresh program's run does, op class by op class: a geometry-cache field
+/// that outlived the trap would make it cheaper.
 #[test]
 fn a_run_after_a_trap_computes_what_a_fresh_one_would() {
     let src = "#define N 16
@@ -234,9 +236,9 @@ fn a_run_after_a_trap_computes_what_a_fresh_one_would() {
         p.write_int_array("a", a).unwrap();
         p.reset_clock();
         p.run().unwrap();
-        p.cycles()
+        (p.cycles(), *p.machine().tally())
     };
-    let (flat_cost, steep_cost) = (cost(&[5; 16]), cost(&steep));
+    let ((flat_cost, flat_tally), (steep_cost, _)) = (cost(&[5; 16]), cost(&steep));
     let prefix: Vec<i64> = (1..=16).map(|k| 5 * k).collect();
     for fuel in (flat_cost..steep_cost).step_by(10) {
         let mut p = with_fuel(src, Some(fuel));
@@ -249,5 +251,6 @@ fn a_run_after_a_trap_computes_what_a_fresh_one_would() {
         p.reset_clock();
         p.run().unwrap_or_else(|e| panic!("fuel {fuel}: {e}"));
         assert_eq!(p.read_int_array("s").unwrap(), prefix, "fuel {fuel}");
+        assert_eq!(*p.machine().tally(), flat_tally, "fuel {fuel}");
     }
 }
