@@ -31,6 +31,7 @@
 use super::{Finding, Pass};
 use crate::ast::*;
 use crate::opt::{self, ElemForm, IdxForm};
+use crate::mapping::ArrayMapping;
 use crate::sema::Checked;
 
 pub(crate) struct CommPass;
@@ -143,7 +144,7 @@ impl Walker<'_> {
             return; // a function-local array
         };
         let info = self.checked.array(id);
-        if self.checked.maps.iter().any(|m| *m.target.array == *base.text) {
+        if info.mapping != ArrayMapping::Default {
             return; // re-mapped arrays follow their own transform
         }
         // Full-rank only: partial-rank gathers are genuine router traffic.

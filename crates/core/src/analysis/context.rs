@@ -38,10 +38,8 @@ impl Pass for ContextPass {
                         w.stmt(s);
                     }
                 }
-                // A map section names global sets, outside any scope.
                 Item::Map(ms) => {
-                    let named = ms.idxs.iter().chain(ms.decls.iter().flat_map(|d| &d.idxs));
-                    w.use_sets(named.filter_map(|name| checked.global_sets.get(name).copied()));
+                    w.use_sets(ms.sets.iter().chain(ms.decls.iter().flat_map(|d| &d.sets)).copied());
                 }
                 Item::Var(v) => {
                     if let Some(init) = &v.init {

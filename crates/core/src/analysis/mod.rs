@@ -219,21 +219,15 @@ impl LintConfig {
     }
 }
 
-/// Front-end + analysis entry point used by `uc check`: parse, apply the
-/// `-D` overrides, sema-check, interpret the map section, then run every
-/// lint pass under `cfg`. The returned diagnostics are normalized
+/// Front-end + analysis entry point used by `uc check`: the one front end
+/// ([`sema::front_end`]: parse, the `-D` overrides, sema and the map
+/// section), then every lint pass under `cfg`. The returned diagnostics are normalized
 /// (sorted, deduped); with `--deny warnings` all warnings come back as
 /// errors.
 pub fn check_source(src: &str, defines: &[(&str, i64)], cfg: &LintConfig) -> Diagnostics {
     let mut diags = Diagnostics::default();
-    if let Some(mut unit) = crate::parser::parse(src, &mut diags) {
-        unit.override_defines(defines);
-        if let Some(checked) = sema::check(unit, &mut diags) {
-            let _ = crate::mapping::interpret_maps(&checked, &mut diags);
-            if !diags.has_errors() {
-                cfg.apply(analyze(&checked), &mut diags);
-            }
-        }
+    if let Some(checked) = sema::front_end(src, defines, &mut diags) {
+        cfg.apply(analyze(&checked), &mut diags);
     }
     if cfg.deny_warnings {
         diags.promote_warnings();

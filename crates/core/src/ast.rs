@@ -74,7 +74,7 @@ pub type LocalId = u32;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Ref {
     /// Not resolved: straight from the parser, or a name only ever read
-    /// by spelling (map-section patterns, constant extents and bounds).
+    /// by spelling (constant extents and bounds).
     #[default]
     Unresolved,
     /// A `#define`: its position in [`Unit::defines`].
@@ -433,6 +433,9 @@ pub struct ReduceExpr {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MapSection {
     pub idxs: Vec<String>,
+    /// The global definition each name in `idxs` denotes — empty from the
+    /// parser, filled by sema.
+    pub sets: Vec<SetId>,
     pub decls: Vec<MapDecl>,
     pub span: Span,
 }
@@ -460,6 +463,8 @@ impl MapKind {
 pub struct MapDecl {
     pub kind: MapKind,
     pub idxs: Vec<String>,
+    /// As [`MapSection::sets`], for this declaration's own sets.
+    pub sets: Vec<SetId>,
     /// The array being re-mapped, with index expressions over `idxs`.
     pub target: ArrayPattern,
     /// The array it is aligned against.
@@ -467,10 +472,12 @@ pub struct MapDecl {
     pub span: Span,
 }
 
-/// `name[e][e]...` in a map declaration.
+/// `name[e][e]...` in a map declaration. Sema resolves `array` to a
+/// [`Ref::Array`] and every identifier of a subscript to a [`Ref::Elem`]
+/// of the section's or the declaration's sets, or to a [`Ref::Const`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrayPattern {
-    pub array: String,
+    pub array: Name,
     pub subs: Vec<Expr>,
     pub span: Span,
 }

@@ -65,9 +65,8 @@ use uc_cm::{CmError, ElemType, FieldId, Machine, MachineConfig, MachineLimits, S
 use crate::ast::{Ref, ValueId};
 use crate::diag::Diagnostics;
 use crate::ir::IrProgram;
-use crate::mapping::{self, ArrayMapping};
+use crate::mapping::ArrayMapping;
 use crate::opt;
-use crate::parser;
 use crate::sema::{self, Checked};
 use crate::span::Span;
 
@@ -480,17 +479,9 @@ impl Program {
         defines: &[(&str, i64)],
     ) -> Result<Program, Diagnostics> {
         let mut diags = Diagnostics::default();
-        let Some(mut unit) = parser::parse(src, &mut diags) else {
+        let Some(checked) = sema::front_end(src, defines, &mut diags) else {
             return Err(diags);
         };
-        unit.override_defines(defines);
-        let Some(checked) = sema::check(unit, &mut diags) else {
-            return Err(diags);
-        };
-        let maps = mapping::interpret_maps(&checked, &mut diags);
-        if diags.has_errors() {
-            return Err(diags);
-        }
         let globals = global_scalars(&checked);
         let ir = crate::ir::lower_program(&checked, &HashMap::new(), IrOpt::Balanced);
         // The VM is the only executor, so a function the lowering gave up
@@ -511,7 +502,7 @@ impl Program {
             ..MachineConfig::default()
         });
         let mut spaces = FxMap::default();
-        let arrays = allocate_arrays(&checked, &maps, &mut machine, &mut spaces).map_err(|e| {
+        let arrays = allocate_arrays(&checked, &mut machine, &mut spaces).map_err(|e| {
             let mut d = Diagnostics::default();
             d.error(crate::span::Span::default(), format!("allocation failed: {e}"));
             d
@@ -809,19 +800,16 @@ fn space_vp(
 /// the map section says.
 fn allocate_arrays(
     checked: &Checked,
-    maps: &[(String, ArrayMapping)],
     machine: &mut Machine,
     spaces: &mut FxMap<Vec<usize>, VpSetId>,
 ) -> RResult<Vec<ArrayStorage>> {
     let mut arrays = Vec::new();
     for (id, name) in checked.array_names.iter().enumerate() {
-        let info = checked.array(id as u32).clone();
-        let found = maps.iter().rev().find(|(n, _)| n == name);
-        let mapping = found.map(|(_, m)| m.clone()).unwrap_or(ArrayMapping::Default);
-        let vp = space_vp(machine, spaces, &mapping.storage_shape(&info.shape))?;
-        let ty = elem_type(info.ty);
+        let sema::ArrayInfo { ty, shape, mapping } = checked.array(id as u32).clone();
+        let vp = space_vp(machine, spaces, &mapping.storage_shape(&shape))?;
+        let ty = elem_type(ty);
         let field = machine.alloc(vp, name, ty)?;
-        arrays.push(ArrayStorage { field, ty, shape: info.shape, mapping });
+        arrays.push(ArrayStorage { field, ty, shape, mapping });
     }
     Ok(arrays)
 }

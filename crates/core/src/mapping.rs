@@ -13,13 +13,22 @@
 //!   broadcasts: `copy (J) a[i] :- a[i];` keeps `|J|` replicas; reads use
 //!   a local replica, writes update all of them.
 //!
+//! Sema resolves the section like any other code — its sets and each
+//! declaration's to [`SetId`]s, each pattern's array to a [`Ref::Array`],
+//! every subscript identifier to an element of those sets or a `#define`
+//! — and [`crate::sema::check`] runs [`interpret_maps`] once over the
+//! result, reading subscripts through `opt::classify_index`, the
+//! classifier the executor and the lints use. Each array's mapping is
+//! then a field of its [`crate::sema::ArrayInfo`].
+//!
 //! The executor consults [`ArrayMapping`] on every array access: reads and
 //! writes are transformed exactly like the paper's source-to-source
 //! subscript rewriting, so **mappings never change program results** —
 //! only where elements live and therefore what communication costs.
 
-use crate::ast::{BinaryOp, Expr, MapDecl, MapKind};
+use crate::ast::{BinaryOp, Expr, Item, MapDecl, MapKind, Name, Ref, SetId};
 use crate::diag::Diagnostics;
+use crate::opt::{self, ElemForm, IdxForm};
 use crate::sema::Checked;
 
 /// How one array is laid out on the machine.
@@ -89,135 +98,100 @@ impl ArrayMapping {
     }
 }
 
-/// Interpret the map section of a checked program: produce the mapping for
-/// every mapped array. Unmapped arrays default to [`ArrayMapping::Default`].
-pub fn interpret_maps(
-    checked: &Checked,
-    diags: &mut Diagnostics,
-) -> Vec<(String, ArrayMapping)> {
-    let mut out = Vec::new();
-    for decl in &checked.maps {
-        match interpret_one(checked, decl) {
-            Ok(m) => out.push((decl.target.array.clone(), m)),
+/// Interpret the map section of a program sema has resolved: the mapping
+/// of every global array, by [`Ref::Array`] id, [`ArrayMapping::Default`]
+/// where no declaration names it. A declaration that fits none of the
+/// three classes, or that maps an array a second time, is an error at
+/// that declaration. [`crate::sema::check`] calls this once and writes
+/// the result on each [`crate::sema::ArrayInfo`].
+pub fn interpret_maps(checked: &Checked, diags: &mut Diagnostics) -> Vec<ArrayMapping> {
+    let mut out = vec![ArrayMapping::Default; checked.array_names.len()];
+    let mut mapped = vec![false; out.len()];
+    let sections = checked.unit.items.iter().filter_map(|it| match it {
+        Item::Map(m) => Some(m),
+        _ => None,
+    });
+    for decl in sections.flat_map(|m| &m.decls) {
+        let Ref::Array(id) = decl.target.array.to else { continue };
+        if std::mem::replace(&mut mapped[id as usize], true) {
+            let msg = format!("array `{}` is mapped a second time", decl.target.array);
+            diags.error(decl.span, msg);
+            continue;
+        }
+        match interpret_one(checked, decl, &checked.array(id).shape) {
+            Ok(m) => out[id as usize] = m,
             Err(msg) => diags.error(decl.span, msg),
         }
     }
     out
 }
 
-fn interpret_one(checked: &Checked, decl: &MapDecl) -> Result<ArrayMapping, String> {
-    let target_info = checked
-        .arrays
-        .get(&decl.target.array)
-        .ok_or_else(|| format!("unknown array `{}`", decl.target.array))?;
+fn interpret_one(checked: &Checked, decl: &MapDecl, shape: &[usize]) -> Result<ArrayMapping, String> {
+    // Each bound set is an axis of its own, its element that axis's
+    // coordinate (`lo = 0`, whatever the set's elements), so the one
+    // classifier reads a subscript as `(set, constant)`.
+    let elem_form = |n: &Name| match n.to {
+        Ref::Elem(set) => Some(ElemForm::AxisPlus { axis: set as usize, lo: 0 }),
+        _ => None,
+    };
+    let konst = |e: &Expr| checked.const_int(e);
+    let form = |e: &Expr| match opt::classify_index(e, &elem_form, &konst) {
+        IdxForm::AxisPlus { axis, offset } => Some((axis, offset)),
+        _ => None,
+    };
+    let (target, source) = (&decl.target.subs, &decl.source.subs);
     match decl.kind {
         MapKind::Permute => {
             // `permute (I) b[i+c] :- a[i+c'];` per dimension:
-            // offset_d = c_target - c_source.
-            let mut offsets = Vec::new();
-            for (t, s) in decl.target.subs.iter().zip(&decl.source.subs) {
-                let (te, tc) = elem_plus_const(t)
+            // offset_d = c - c'.
+            let mut offsets = Vec::with_capacity(target.len());
+            for (t, s) in target.iter().zip(source) {
+                let ((ts, tc), (ss, sc)) = form(t)
+                    .zip(form(s))
                     .ok_or("permute patterns must be `elem + constant` per dimension")?;
-                let (se, sc) = elem_plus_const(s)
-                    .ok_or("permute patterns must be `elem + constant` per dimension")?;
-                if te != se {
+                if ts != ss {
+                    let (te, se) = (&checked.sets[ts].elem, &checked.sets[ss].elem);
                     return Err(format!(
                         "permute dimensions must use the same element (found `{te}` vs `{se}`)"
                     ));
                 }
-                offsets.push(
-                    tc.checked_sub(sc)
-                        .ok_or("permute offset overflows a 64-bit integer")?,
-                );
+                offsets.push(tc.checked_sub(sc).ok_or("permute offset overflows a 64-bit integer")?);
             }
-            if offsets.len() != target_info.shape.len() {
+            if offsets.len() != shape.len() {
                 return Err("permute pattern rank does not match the array".into());
             }
             Ok(ArrayMapping::Permute { offsets })
         }
         MapKind::Fold => {
-            // `fold (I) a[i] :- a[N-1-i];` — find the reflected axis.
-            for (d, (t, s)) in decl.target.subs.iter().zip(&decl.source.subs).enumerate() {
-                let Some((te, 0)) = elem_plus_const(t) else { continue };
-                if let Some((se, c)) = const_minus_elem(s, &checked.consts) {
-                    if te == se && c == target_info.shape[d] as i64 - 1 {
-                        return Ok(ArrayMapping::Fold { axis: d });
-                    }
-                }
-            }
-            Err("fold expects a pattern like `a[i] :- a[N-1-i]`".into())
+            // `fold (I) a[i] :- a[N-1-i];` — the axis whose target is an
+            // element and whose source mirrors it.
+            let mirrored = |(d, (t, s)): (usize, (&Expr, &Expr))| {
+                let (set, 0) = form(t)? else { return None };
+                let Expr::Binary { op: BinaryOp::Sub, lhs, rhs, .. } = s else { return None };
+                let Expr::Ident(elem, _) = rhs.as_ref() else { return None };
+                let top = shape[d] as i64 - 1;
+                (elem.to == Ref::Elem(set as u32) && konst(lhs)? == top).then_some(d)
+            };
+            let axis = target.iter().zip(source).enumerate().find_map(mirrored);
+            let axis = axis.ok_or("fold expects a pattern like `a[i] :- a[N-1-i]`")?;
+            Ok(ArrayMapping::Fold { axis })
         }
         MapKind::Copy => {
-            // `copy (J) a[i] :- a[i];` — replicate over the sets named in
-            // the decl whose element does not appear in the pattern.
+            // `copy (J) a[i] :- a[i];` — a replica per element of each of
+            // the declaration's sets whose element the target leaves out.
+            let elem = |set: SetId| move |x: &Expr| matches!(x, Expr::Ident(n, _) if n.to == Ref::Elem(set as u32));
             let mut replicas = 1usize;
-            for set in &decl.idxs {
-                let info = checked
-                    .index_set(set)
-                    .ok_or_else(|| format!("unknown index set `{set}` in copy mapping"))?;
-                let used = decl
-                    .target
-                    .subs
-                    .iter()
-                    .any(|e| matches!(elem_plus_const(e), Some((n, _)) if n == info.elem));
-                if !used {
+            for &set in &decl.sets {
+                if !target.iter().any(|e| e.any(&mut elem(set))) {
                     replicas = replicas
-                        .checked_mul(info.elements.len())
+                        .checked_mul(checked.sets[set].elements.len())
                         .ok_or("copy mapping replica count overflows")?;
                 }
             }
-            if replicas <= 1 {
-                return Err(
-                    "copy mapping needs at least one replication set not used in the pattern"
-                        .into(),
-                );
-            }
-            Ok(ArrayMapping::Copy { replicas })
+            let msg = "copy mapping needs at least one replication set not used in the pattern";
+            (replicas > 1).then_some(ArrayMapping::Copy { replicas }).ok_or(msg.into())
         }
     }
-}
-
-/// Match `elem`, `elem + c`, `elem - c` returning `(elem, c)`.
-fn elem_plus_const(e: &Expr) -> Option<(String, i64)> {
-    match e {
-        Expr::Ident(n, _) => Some((n.to_string(), 0)),
-        Expr::Binary { op: BinaryOp::Add, lhs, rhs, .. } => {
-            if let (Expr::Ident(n, _), Expr::IntLit(c, _)) = (lhs.as_ref(), rhs.as_ref()) {
-                Some((n.to_string(), *c))
-            } else if let (Expr::IntLit(c, _), Expr::Ident(n, _)) = (lhs.as_ref(), rhs.as_ref()) {
-                Some((n.to_string(), *c))
-            } else {
-                None
-            }
-        }
-        Expr::Binary { op: BinaryOp::Sub, lhs, rhs, .. } => {
-            if let (Expr::Ident(n, _), Expr::IntLit(c, _)) = (lhs.as_ref(), rhs.as_ref()) {
-                // checked: `elem - (i64::MIN)` must not abort the compiler.
-                Some((n.to_string(), c.checked_neg()?))
-            } else {
-                None
-            }
-        }
-        _ => None,
-    }
-}
-
-/// Match `c - elem` (possibly written `N-1-i`, i.e. `(N-1) - i` after
-/// constant folding of the left side) returning `(elem, c)`.
-fn const_minus_elem(
-    e: &Expr,
-    consts: &std::collections::HashMap<String, i64>,
-) -> Option<(String, i64)> {
-    if let Expr::Binary { op: BinaryOp::Sub, lhs, rhs, .. } = e {
-        if let Expr::Ident(n, _) = rhs.as_ref() {
-            if !consts.contains_key(&*n.text) {
-                if let Ok(c) = crate::sema::const_eval(lhs, consts) {
-                    return Some((n.to_string(), c));
-                }
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -226,13 +200,14 @@ mod tests {
     use crate::parser::parse;
     use crate::sema::check;
 
+    /// The mapping `sema::check` gives each mapped array, by name.
     fn maps_for(src: &str) -> Vec<(String, ArrayMapping)> {
         let mut d = Diagnostics::default();
         let unit = parse(src, &mut d).expect("parse");
-        let checked = check(unit, &mut d).expect("sema");
-        let maps = interpret_maps(&checked, &mut d);
-        assert!(!d.has_errors(), "{d}");
-        maps
+        let checked = check(unit, &mut d).unwrap_or_else(|| panic!("{d}"));
+        let mapping = |name: &String| (name.clone(), checked.arrays[name].mapping.clone());
+        let maps = checked.array_names.iter().map(mapping);
+        maps.filter(|(_, m)| *m != ArrayMapping::Default).collect()
     }
 
     /// Unflattening an index into axes and flattening it back, as
@@ -248,12 +223,21 @@ mod tests {
         }
     }
 
+    /// An offset is any constant over literals and `#define`s, and a
+    /// list set binds its element like a range does.
     #[test]
     fn permute_offsets() {
-        let maps = maps_for(
-            "#define N 8\nindex_set I:i = {0..N-1};\nint a[N], b[N];\nmap (I) { permute (I) b[i+1] :- a[i]; }\nmain() {}",
-        );
-        assert_eq!(maps, vec![("b".to_string(), ArrayMapping::Permute { offsets: vec![1] })]);
+        let prelude = "#define N 8\n#define K 1\nindex_set I:i = {0..N-1}, L:l = {4, 2, 9};\nint a[N], b[N];\n";
+        for decl in [
+            "map (I) { permute (I) b[i+1] :- a[i]; }",
+            "map (I) { permute (I) b[i+K] :- a[i]; }",
+            "map (I) { permute (I) b[(i+K)+2] :- a[i+2]; }",
+            "map (L) { permute (L) b[l+1] :- a[l]; }",
+        ] {
+            let maps = maps_for(&format!("{prelude}{decl}\nmain() {{}}"));
+            let expected = vec![("b".to_string(), ArrayMapping::Permute { offsets: vec![1] })];
+            assert_eq!(maps, expected, "{decl}");
+        }
     }
 
     #[test]
@@ -307,15 +291,20 @@ mod tests {
 
     #[test]
     fn bad_patterns_are_errors() {
-        let mut d = Diagnostics::default();
-        let unit = parse(
-            "#define N 4\nindex_set I:i = {0..N-1};\nint a[N], b[N];\nmap (I) { permute (I) b[i*2] :- a[i]; }\nmain() {}",
-            &mut d,
-        )
-        .unwrap();
-        let checked = check(unit, &mut d).unwrap();
-        interpret_maps(&checked, &mut d);
-        assert!(d.has_errors());
+        let prelude = "#define N 4\nindex_set I:i = {0..N-1}, J:j = I;\nint a[N], b[N], c[N][N];\n";
+        for (decl, expected) in [
+            ("permute (I) b[i*2] :- a[i];", "permute patterns must be `elem + constant`"),
+            ("permute (I,J) b[i] :- a[j];", "same element (found `i` vs `j`)"),
+            ("fold (I) a[i] :- a[N-2-i];", "fold expects"),
+            ("copy (I) a[i] :- a[i];", "at least one replication set"),
+            ("permute (I) c[i][i] :- a[i];", "rank does not match"),
+        ] {
+            let mut d = Diagnostics::default();
+            let src = format!("{prelude}map (I) {{ {decl} }}\nmain() {{}}");
+            let unit = parse(&src, &mut d).unwrap();
+            assert!(check(unit, &mut d).is_none(), "{decl}");
+            assert!(d.to_string().contains(expected), "{decl}: {d}");
+        }
     }
 
     #[test]

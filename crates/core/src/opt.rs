@@ -21,7 +21,8 @@
 //! * `classify_index` — **the** subscript classifier (`IdxForm`): is a
 //!   subscript `axis coordinate + constant`, a front-end constant, or
 //!   neither. The executor picks local / NEWS / router from it at run
-//!   time and lints UC110/UC111 report from it at check time; each says
+//!   time, lints UC110/UC111 report from it at check time and the map
+//!   section's `permute` and `fold` are read through it; each says
 //!   how the element an identifier refers to is bound and which
 //!   sub-expressions it can prove constant, so the two agree on the
 //!   classification by construction.

@@ -283,15 +283,16 @@ impl<'a> Parser<'a> {
             self.expect(&T::MapsTo, "`:-` between mapping patterns")?;
             let source = self.array_pattern()?;
             self.expect(&T::Semi, "`;` after mapping declaration")?;
-            decls.push(MapDecl { kind, idxs, target, source, span: dstart.to(self.prev_span()) });
+            let span = dstart.to(self.prev_span());
+            decls.push(MapDecl { kind, idxs, sets: Vec::new(), target, source, span });
         }
         self.expect(&T::RBrace, "`}` closing the map section")?;
-        Ok(MapSection { idxs, decls, span: start.to(self.prev_span()) })
+        Ok(MapSection { idxs, sets: Vec::new(), decls, span: start.to(self.prev_span()) })
     }
 
     fn array_pattern(&mut self) -> PResult<ArrayPattern> {
         let start = self.span();
-        let array = self.ident("an array name")?;
+        let array = Name::new(self.ident("an array name")?);
         let mut subs = Vec::new();
         while self.eat(&T::LBracket) {
             subs.push(self.expr()?);
@@ -872,8 +873,8 @@ mod tests {
         let Item::Map(m) = u.items.last().unwrap() else { panic!() };
         assert_eq!(m.decls.len(), 2);
         assert_eq!(m.decls[0].kind, MapKind::Permute);
-        assert_eq!(m.decls[0].target.array, "b");
-        assert_eq!(m.decls[0].source.array, "a");
+        assert_eq!(&*m.decls[0].target.array.text, "b");
+        assert_eq!(&*m.decls[0].source.array.text, "a");
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //!   sets are *constant data items* in UC — §3.1), every definition —
 //!   global or function-local — into one table, [`Checked::sets`];
 //! * array shapes are computed from constant expressions;
+//! * the map section (§4) is resolved like a body — its sets, each
+//!   pattern's array and every identifier of a pattern subscript, which
+//!   must be an element of those sets or a `#define` — and interpreted
+//!   once ([`mapping::interpret_maps`]): each array's layout is written
+//!   on its [`ArrayInfo`], and a second mapping of one array is an error;
 //! * every identifier is resolved against the scope rules of the paper,
 //!   including index-element shadowing in nested constructs (§3.4):
 //!   innermost scope outwards, then the globals, then the `#define`s.
@@ -39,6 +44,7 @@ use uc_cm::Scalar;
 use crate::ast::*;
 use crate::diag::Diagnostics;
 use crate::ir::Reg;
+use crate::mapping::{self, ArrayMapping};
 use crate::opt;
 use crate::span::Span;
 use crate::stdlib::Builtin;
@@ -93,6 +99,8 @@ pub(crate) fn scan_contiguous_lo(elements: &[i64]) -> Option<i64> {
 pub struct ArrayInfo {
     pub ty: Type,
     pub shape: Vec<usize>,
+    /// Its layout on the machine, as the map section decides it.
+    pub mapping: ArrayMapping,
 }
 
 /// How a function's local lives at run time.
@@ -176,14 +184,13 @@ struct Reads {
 /// optimizer and the lints.
 #[derive(Debug, Clone)]
 pub struct Checked {
-    /// The unit, with every construct's and reduction's `sets` filled in.
+    /// The unit, with every construct's, reduction's and map section's
+    /// `sets` filled in.
     pub unit: Unit,
     pub consts: HashMap<String, i64>,
     /// Every index-set definition, global or local, in the order sema met
     /// it; a [`SetId`] indexes this table.
     pub sets: Vec<IndexSetInfo>,
-    /// The global definition each name denotes (the last one wins).
-    pub global_sets: HashMap<String, SetId>,
     pub arrays: HashMap<String, ArrayInfo>,
     /// Global array names in name order; a [`Ref::Array`] indexes this.
     pub array_names: Vec<String>,
@@ -198,16 +205,9 @@ pub struct Checked {
     pub func_infos: Vec<FuncInfo>,
     /// Every value the executor may keep; a [`ValueId`] indexes this.
     pub values: Vec<ValueInfo>,
-    pub maps: Vec<MapDecl>,
 }
 
 impl Checked {
-    /// A global index set by name — for map sections, which name sets
-    /// outside any function. Constructs and reductions carry [`SetId`]s.
-    pub fn index_set(&self, name: &str) -> Option<&IndexSetInfo> {
-        self.global_sets.get(name).map(|&id| &self.sets[id])
-    }
-
     /// Function definitions in source order; a [`Callee::Func`] is a
     /// position in it.
     pub fn funcs_in_order(&self) -> impl Iterator<Item = &FuncDef> {
@@ -237,7 +237,7 @@ impl Checked {
 /// Evaluate a compile-time constant integer expression against a constant
 /// table (`#define`s), every identifier read by its spelling: for what is
 /// evaluated outside any scope — array extents, index-set bounds, global
-/// initialisers, map patterns. Returns the span of the first non-constant
+/// initialisers. Returns the span of the first non-constant
 /// subexpression on failure.
 pub fn const_eval(e: &Expr, consts: &HashMap<String, i64>) -> Result<i64, Span> {
     int_const(e, |n| consts.get(&*n.text).map(|v| Scalar::Int(*v)))
@@ -260,8 +260,17 @@ fn int_const(e: &Expr, names: impl FnMut(&Name) -> Option<Scalar>) -> Result<i64
     }
 }
 
-/// Run semantic analysis. Errors are recorded in `diags`; returns `None`
-/// if any were produced.
+/// The one front end: parse `src`, apply the `-D` overrides, check.
+/// `Program::compile_with_defines` and `analysis::check_source` both
+/// start here.
+pub fn front_end(src: &str, defines: &[(&str, i64)], diags: &mut Diagnostics) -> Option<Checked> {
+    let mut unit = crate::parser::parse(src, diags)?;
+    unit.override_defines(defines);
+    check(unit, diags)
+}
+
+/// Run semantic analysis, the map section's interpretation included.
+/// Errors are recorded in `diags`; returns `None` if any were produced.
 pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
     let mut cx = Checker {
         diags,
@@ -277,30 +286,31 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         func_infos: Vec::new(),
         values: Vec::new(),
         value_ids: HashMap::new(),
-        maps: Vec::new(),
         scopes: Vec::new(),
         nest: Nesting::default(),
         effects: 0,
     };
     cx.run(&mut unit);
     if cx.diags.has_errors() {
-        None
-    } else {
-        Some(Checked {
-            unit,
-            consts: cx.consts,
-            sets: cx.sets,
-            global_sets: cx.global_sets,
-            arrays: cx.arrays,
-            array_names: cx.array_names,
-            scalars: cx.scalars,
-            global_names: cx.global_names,
-            main: cx.funcs["main"].index as usize,
-            func_infos: cx.func_infos,
-            values: cx.values,
-            maps: cx.maps,
-        })
+        return None;
     }
+    let mut checked = Checked {
+        unit,
+        consts: cx.consts,
+        sets: cx.sets,
+        arrays: cx.arrays,
+        array_names: cx.array_names,
+        scalars: cx.scalars,
+        global_names: cx.global_names,
+        main: cx.funcs["main"].index as usize,
+        func_infos: cx.func_infos,
+        values: cx.values,
+    };
+    let maps = mapping::interpret_maps(&checked, diags);
+    for (name, mapping) in checked.array_names.iter().zip(maps) {
+        checked.arrays.get_mut(name).expect("every array is named").mapping = mapping;
+    }
+    (!diags.has_errors()).then_some(checked)
 }
 
 /// What a name denotes: beside the [`Ref`] to write on an identifier,
@@ -350,7 +360,6 @@ struct Checker<'a> {
     values: Vec<ValueInfo>,
     /// Canonical form of a resolved access or kept value → its id.
     value_ids: HashMap<Vec<u8>, ValueId>,
-    maps: Vec<MapDecl>,
     /// Scope stack for function bodies: name → binding.
     scopes: Vec<HashMap<String, (Ref, Denotes)>>,
     nest: Nesting,
@@ -609,7 +618,8 @@ impl<'a> Checker<'a> {
             if v.init.is_some() {
                 self.diags.error(v.span, "array initializers are not supported");
             }
-            if self.arrays.insert(v.name.clone(), ArrayInfo { ty: v.ty, shape }).is_some() {
+            let info = ArrayInfo { ty: v.ty, shape, mapping: ArrayMapping::Default };
+            if self.arrays.insert(v.name.clone(), info).is_some() {
                 self.diags.error(v.span, format!("array `{}` redefined", v.name));
             }
         }
@@ -1541,33 +1551,55 @@ fn step_exprs(s: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
 }
 
 impl<'a> Checker<'a> {
-    fn check_map(&mut self, m: &MapSection) {
-        for decl in &m.decls {
-            for pat in [&decl.target, &decl.source] {
-                match self.arrays.get(&pat.array) {
-                    Some(info) => {
-                        if pat.subs.len() != info.shape.len() {
-                            self.diags.error(
-                                pat.span,
-                                format!(
-                                    "mapping pattern for `{}` has {} subscripts, array has rank {}",
-                                    pat.array,
-                                    pat.subs.len(),
-                                    info.shape.len()
-                                ),
-                            );
+    /// Resolve a map section: its sets and each declaration's, binding
+    /// their elements; each pattern's array; and every identifier of a
+    /// pattern subscript, which must be one of those elements or a
+    /// `#define`. [`mapping::interpret_maps`] reads what this writes.
+    fn check_map(&mut self, m: &mut MapSection) {
+        m.sets = self.bind_sets(&m.idxs, m.span, " in map section");
+        for decl in &mut m.decls {
+            decl.sets = self.bind_sets(&decl.idxs, decl.span, " in mapping");
+            for pat in [&mut decl.target, &mut decl.source] {
+                match self.lookup(&pat.array.text) {
+                    Some((to, Denotes::Array { rank, .. })) => {
+                        pat.array.to = to;
+                        if pat.subs.len() != rank {
+                            let (name, n) = (&pat.array, pat.subs.len());
+                            let msg = format!("mapping pattern for `{name}` has {n} subscripts");
+                            self.diags.error(pat.span, format!("{msg}, array has rank {rank}"));
                         }
                     }
-                    None => {
-                        self.diags.error(
-                            pat.span,
-                            format!("mapping references unknown array `{}`", pat.array),
-                        );
+                    _ => {
+                        let msg = format!("mapping references unknown array `{}`", pat.array);
+                        self.diags.error(pat.span, msg);
                     }
                 }
+                pat.subs.iter_mut().for_each(|e| self.check_pattern_sub(e));
             }
-            self.maps.push(decl.clone());
+            self.scopes.pop();
         }
+        self.scopes.pop();
+    }
+
+    fn check_pattern_sub(&mut self, e: &mut Expr) {
+        let bad = match e {
+            Expr::Ident(name, _) => match self.lookup(&name.text) {
+                Some((to @ (Ref::Elem(_) | Ref::Const(_)), _)) => {
+                    name.to = to;
+                    None
+                }
+                Some(_) => Some(format!("`{name}` in a mapping pattern is no bound element or #define")),
+                None => Some(format!("unknown identifier `{name}`")),
+            },
+            Expr::Index { .. } | Expr::Call { .. } | Expr::Assign { .. } | Expr::Reduce(_) => {
+                Some("a mapping pattern subscript holds only elements, #defines and operators".into())
+            }
+            _ => None,
+        };
+        if let Some(msg) = bad {
+            self.diags.error(e.span(), msg);
+        }
+        e.for_each_child_mut(|c| self.check_pattern_sub(c));
     }
 }
 
@@ -1592,15 +1624,20 @@ mod tests {
         d.to_string()
     }
 
+    /// The one definition named `name` in a program with no shadowing.
+    fn set<'c>(c: &'c Checked, name: &str) -> &'c IndexSetInfo {
+        c.sets.iter().find(|s| s.name == name).unwrap()
+    }
+
     #[test]
     fn index_sets_evaluated() {
         let c = check_ok(
             "#define N 5\nindex_set I:i = {0..N-1}, J:j = I, K:k = {4,2,9};\nmain() {}",
         );
-        assert_eq!(*c.index_set("I").unwrap().elements, vec![0, 1, 2, 3, 4]);
-        assert_eq!(*c.index_set("J").unwrap().elements, vec![0, 1, 2, 3, 4]);
-        assert_eq!(c.index_set("J").unwrap().elem, "j");
-        assert_eq!(*c.index_set("K").unwrap().elements, vec![4, 2, 9]);
+        assert_eq!(*set(&c, "I").elements, vec![0, 1, 2, 3, 4]);
+        assert_eq!(*set(&c, "J").elements, vec![0, 1, 2, 3, 4]);
+        assert_eq!(set(&c, "J").elem, "j");
+        assert_eq!(*set(&c, "K").elements, vec![4, 2, 9]);
     }
 
     /// Contiguity is decided at definition: a range by its bounds, an
@@ -1611,7 +1648,7 @@ mod tests {
             "index_set R:r = {-3..60000}, A:a = R, L:l = {5, 6, 7}, O:o = {9}, \
              S:s = {1, 0, 2}, B:b = S;\nmain() {}",
         );
-        let lo = |name| c.index_set(name).unwrap().contiguous_lo();
+        let lo = |name| set(&c, name).contiguous_lo();
         assert_eq!(lo("R"), Some(-3));
         assert_eq!(lo("A"), Some(-3));
         assert_eq!(lo("L"), Some(5));
@@ -1696,7 +1733,7 @@ mod tests {
         );
         // Globals by name order, the local `g` before the global, the
         // `seq` element before the `par` element, `#define`s last.
-        let (i_set, info) = (c.global_sets["I"] as u32, &c.func_infos[0]);
+        let (i_set, info) = (c.sets.iter().position(|s| s.name == "I").unwrap() as u32, &c.func_infos[0]);
         assert_eq!(c.global_names, ["b", "g"]);
         assert_eq!(c.array_names, ["a", "zs"]);
         assert_eq!(
@@ -1972,7 +2009,14 @@ mod tests {
         let c = check_ok(
             "#define N 4\nindex_set I:i = {0..N-1};\nint a[N], b[N];\nmap (I) { permute (I) b[i+1] :- a[i]; }\nmain() {}",
         );
-        assert_eq!(c.maps.len(), 1);
+        assert_eq!(c.arrays["b"].mapping, ArrayMapping::Permute { offsets: vec![1] });
+        assert_eq!(c.arrays["a"].mapping, ArrayMapping::Default);
+        let m = c.unit.items.iter().find_map(|it| if let Item::Map(m) = it { Some(m) } else { None });
+        let m = m.expect("a map section");
+        let (decl, i_set) = (&m.decls[0], Ref::Elem(0));
+        assert_eq!((&m.sets, &decl.sets), (&vec![0], &vec![0]));
+        assert_eq!((decl.target.array.to, decl.source.array.to), (Ref::Array(1), Ref::Array(0)));
+        assert!(matches!(&decl.source.subs[0], Expr::Ident(n, _) if n.to == i_set));
         let msg = check_err(
             "index_set I:i = {0..3};\nint a[4];\nmap (I) { permute (I) q[i] :- a[i]; }\nmain() {}",
         );

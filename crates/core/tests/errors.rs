@@ -257,6 +257,33 @@ fn independent_errors_yield_one_diagnostic_each() {
     }
 }
 
+/// The map section is resolved like the rest of a program: an unknown
+/// set, a pattern element no set binds and a second mapping of one array
+/// are spanned sema errors from `compile` and `uc check` alike.
+#[test]
+fn map_section_names_and_arrays_are_checked() {
+    let prelude = "index_set I:i = {0..7};\nint a[8], b[8];\n";
+    let main = "\nmain() { par (I) b[i] = a[i] + i; }";
+    for (map, expected, at) in [
+        ("map (Z) { permute (Q) b[i+1] :- a[i]; }", "unknown index set `Z` in map section", "3:1"),
+        ("map (Z) { permute (Q) b[i+1] :- a[i]; }", "unknown index set `Q` in mapping", "3:11"),
+        ("map (I) { permute (I) b[x+1] :- a[x]; }", "unknown identifier `x`", "3:25"),
+        (
+            "map (I) { permute (I) b[i+1] :- a[i]; permute (I) b[i+2] :- a[i]; }",
+            "array `b` is mapped a second time",
+            "3:39",
+        ),
+    ] {
+        let src = format!("{prelude}{map}{main}");
+        let msg = compile_err(&src);
+        assert!(msg.contains(&format!("error: {expected} at {at}")), "{map}: {msg}");
+        let checked = check_source(&src, &[], &LintConfig::default());
+        assert!(checked.has_errors(), "{map}");
+        let msg = checked.to_string();
+        assert!(msg.contains(&format!("error: {expected} at {at}")), "{map}: {msg}");
+    }
+}
+
 /// A builtin's name is taken: a definition could never be called.
 #[test]
 fn a_function_named_like_a_builtin_is_rejected() {

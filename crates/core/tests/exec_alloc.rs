@@ -153,7 +153,7 @@ fn mapped_router_stores_allocate_nothing_per_entry() {
             permute (I) b[i+1] :- a[i];
             fold (I) c[i] :- c[N-1-i];
             copy (J) r[i] :- r[i];
-            fold (I) f[i][j] :- f[N-1-i][j];
+            fold (I, J) f[i][j] :- f[N-1-i][j];
         }
         main() {
             seq (T) {

@@ -560,6 +560,25 @@ fn map_permute_preserves_results() {
     );
 }
 
+/// The lint corpus's map-section program, one mapping of each class,
+/// computes exactly what the same program without its map section does.
+#[test]
+fn the_corpus_map_sections_change_no_result() {
+    let mapped = include_str!("../../../tests/corpus/map_sections.uc");
+    let (head, rest) = mapped.split_once("map (I) {").expect("a map section");
+    let (_, main) = rest.split_once("\n}\n").expect("a closing brace");
+    let unmapped = format!("{head}{main}");
+    let results = |src: &str| {
+        let p = run(src);
+        let arrays: Vec<_> = p.array_names().iter().map(|a| p.read_int_array(a).unwrap()).collect();
+        (arrays, p.read_int("s"), p.cycles())
+    };
+    let ((mapped, s, mapped_cycles), (unmapped, t, unmapped_cycles)) =
+        (results(mapped), results(&unmapped));
+    assert_eq!((mapped, s), (unmapped, t));
+    assert_ne!(mapped_cycles, unmapped_cycles, "the map section must be in effect");
+}
+
 #[test]
 fn cycles_advance_and_reset() {
     let mut p = run(r#"

@@ -3,8 +3,8 @@
 //! Every `tests/corpus/*.uc` file declares the exact findings `uc check`
 //! must report in a leading `// expect: CODE@LINE ...` header (an empty
 //! list marks a program every pass must stay silent on). The harness
-//! runs the full pipeline — lex, parse, sema, map interpretation, all
-//! lint passes — and compares code + line against the header, so lint
+//! runs the full pipeline — lex, parse, sema (which resolves and
+//! interprets the map section), all lint passes — and compares code + line against the header, so lint
 //! spans are pinned by the corpus, not just by unit tests.
 
 use std::fs;
