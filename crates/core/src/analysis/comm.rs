@@ -28,13 +28,11 @@
 //! `oneof` and a reduction. A `solve`'s sets open none here (see
 //! `Walker::binders`), so its accesses are not classified.
 
-use super::{Finding, Pass};
+use super::Finding;
 use crate::ast::*;
 use crate::opt::{self, ElemForm, IdxForm};
 use crate::mapping::ArrayMapping;
 use crate::sema::Checked;
-
-pub(crate) struct CommPass;
 
 struct Walker<'c> {
     checked: &'c Checked,
@@ -52,29 +50,20 @@ struct Walker<'c> {
     out: Vec<Finding>,
 }
 
-impl Pass for CommPass {
-    fn name(&self) -> &'static str {
-        "comm"
-    }
-
-    fn lints(&self) -> &'static [&'static str] {
-        &["UC110", "UC111"]
-    }
-
-    fn run(&self, checked: &Checked, out: &mut Vec<Finding>) {
-        let mut w = Walker {
-            checked,
-            binders: Vec::new(),
-            dims: Vec::new(),
-            out: Vec::new(),
-        };
-        for f in checked.funcs_in_order() {
-            for s in &f.body.stmts {
-                w.stmt(s);
-            }
+/// Report UC110/UC111 on every function, in declaration order.
+pub(crate) fn run(checked: &Checked, out: &mut Vec<Finding>) {
+    let mut w = Walker {
+        checked,
+        binders: Vec::new(),
+        dims: Vec::new(),
+        out: Vec::new(),
+    };
+    for f in checked.funcs_in_order() {
+        for s in &f.body.stmts {
+            w.stmt(s);
         }
-        out.append(&mut w.out);
     }
+    out.append(&mut w.out);
 }
 
 impl Walker<'_> {
@@ -216,7 +205,7 @@ mod tests {
     fn findings(src: &str) -> Vec<Finding> {
         let checked = check_str(src);
         let mut out = Vec::new();
-        CommPass.run(&checked, &mut out);
+        run(&checked, &mut out);
         out
     }
 

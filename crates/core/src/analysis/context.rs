@@ -11,58 +11,47 @@
 //! table, so a set shadowed by another of the same name is judged on
 //! its own uses.
 
-use super::{const_false, Finding, Pass};
+use super::{const_false, Finding};
 use crate::ast::*;
 use crate::sema::Checked;
 
-pub(crate) struct ContextPass;
-
-impl Pass for ContextPass {
-    fn name(&self) -> &'static str {
-        "context"
-    }
-
-    fn lints(&self) -> &'static [&'static str] {
-        &["UC120", "UC121"]
-    }
-
-    fn run(&self, checked: &Checked, out: &mut Vec<Finding>) {
-        let used = vec![false; checked.sets.len()];
-        let mut w = Walker { checked, used, out: Vec::new() };
-        w.use_sets(checked.sets.iter().filter_map(|s| s.alias_of));
-        for item in &checked.unit.items {
-            match item {
-                Item::IndexSets(_) => {}
-                Item::Func(f) => {
-                    for s in &f.body.stmts {
-                        w.stmt(s);
-                    }
+/// Report UC120 on every item, then UC121 on every unused set.
+pub(crate) fn run(checked: &Checked, out: &mut Vec<Finding>) {
+    let used = vec![false; checked.sets.len()];
+    let mut w = Walker { checked, used, out: Vec::new() };
+    w.use_sets(checked.sets.iter().filter_map(|s| s.alias_of));
+    for item in &checked.unit.items {
+        match item {
+            Item::IndexSets(_) => {}
+            Item::Func(f) => {
+                for s in &f.body.stmts {
+                    w.stmt(s);
                 }
-                Item::Map(ms) => {
-                    w.use_sets(ms.sets.iter().chain(ms.decls.iter().flat_map(|d| &d.sets)).copied());
-                }
-                Item::Var(v) => {
-                    if let Some(init) = &v.init {
-                        w.expr(init);
-                    }
+            }
+            Item::Map(ms) => {
+                w.use_sets(ms.sets.iter().chain(ms.decls.iter().flat_map(|d| &d.sets)).copied());
+            }
+            Item::Var(v) => {
+                if let Some(init) = &v.init {
+                    w.expr(init);
                 }
             }
         }
-        for (set, used) in checked.sets.iter().zip(&w.used) {
-            if !used {
-                w.out.push(Finding {
-                    code: "UC121",
-                    span: set.span,
-                    message: format!(
-                        "index set `{}` is never used by any construct, reduction, \
-                         alias or map declaration (§4 processor optimization)",
-                        set.name
-                    ),
-                });
-            }
-        }
-        out.append(&mut w.out);
     }
+    for (set, used) in checked.sets.iter().zip(&w.used) {
+        if !used {
+            w.out.push(Finding {
+                code: "UC121",
+                span: set.span,
+                message: format!(
+                    "index set `{}` is never used by any construct, reduction, \
+                     alias or map declaration (§4 processor optimization)",
+                    set.name
+                ),
+            });
+        }
+    }
+    out.append(&mut w.out);
 }
 
 struct Walker<'c> {
@@ -127,7 +116,7 @@ mod tests {
     fn findings(src: &str) -> Vec<Finding> {
         let checked = check_str(src);
         let mut out = Vec::new();
-        ContextPass.run(&checked, &mut out);
+        run(&checked, &mut out);
         out
     }
 

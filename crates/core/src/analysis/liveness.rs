@@ -15,39 +15,28 @@
 
 use std::collections::{HashMap, HashSet};
 
-use super::{Finding, Pass};
+use super::Finding;
 use crate::ast::*;
 use crate::sema::{Checked, FuncInfo, LocalKind};
 use crate::span::Span;
 
-pub(crate) struct LivenessPass;
-
-impl Pass for LivenessPass {
-    fn name(&self) -> &'static str {
-        "liveness"
-    }
-
-    fn lints(&self) -> &'static [&'static str] {
-        &["UC130", "UC131", "UC132"]
-    }
-
-    fn run(&self, checked: &Checked, out: &mut Vec<Finding>) {
-        for (f, info) in checked.funcs_in_order().zip(&checked.func_infos) {
-            let mut w = FnWalker {
-                info,
-                params: f.params.len() as LocalId,
-                uninit: HashSet::new(),
-                reported: HashSet::new(),
-                pending: HashMap::new(),
-                out: Vec::new(),
-            };
-            for s in &f.body.stmts {
-                w.stmt(s);
-            }
-            out.append(&mut w.out);
+/// Report UC130/UC131 per function, then UC132.
+pub(crate) fn run(checked: &Checked, out: &mut Vec<Finding>) {
+    for (f, info) in checked.funcs_in_order().zip(&checked.func_infos) {
+        let mut w = FnWalker {
+            info,
+            params: f.params.len() as LocalId,
+            uninit: HashSet::new(),
+            reported: HashSet::new(),
+            pending: HashMap::new(),
+            out: Vec::new(),
+        };
+        for s in &f.body.stmts {
+            w.stmt(s);
         }
-        unused_functions(checked, out);
+        out.append(&mut w.out);
     }
+    unused_functions(checked, out);
 }
 
 /// Call-graph reachability from `main` (UC132), over the callee sema
@@ -293,7 +282,7 @@ mod tests {
     fn findings(src: &str) -> Vec<Finding> {
         let checked = check_str(src);
         let mut out = Vec::new();
-        LivenessPass.run(&checked, &mut out);
+        run(&checked, &mut out);
         out
     }
 

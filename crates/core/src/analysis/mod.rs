@@ -1,4 +1,5 @@
-//! Static analysis: the multi-pass lint framework behind `uc check`.
+//! Static analysis behind `uc check`: four lint passes, each a plain
+//! function over [`Checked`].
 //!
 //! The paper's §4 describes three optimization classes — standard code
 //! optimizations, processor optimization, and communication-cost
@@ -17,14 +18,15 @@
 //! | UC131 | liveness  | dead store (value overwritten before any read) |
 //! | UC132 | liveness  | function never called from `main` |
 //!
-//! Every pass is a pure function over [`Checked`] — the AST sema
-//! resolved and the tables its references index: the index sets every
+//! Each pass module exports one `run(&Checked, &mut Vec<Finding>)`, and
+//! [`analyze`] calls the four in the table's order. [`Checked`] is the
+//! AST sema resolved and the tables its references index: the index sets every
 //! construct and reduction names by [`crate::ast::SetId`], the locals of
 //! each function by [`crate::ast::LocalId`], the global arrays by id. No
 //! pass keeps a scope of its own or looks a spelling up: a binder is the
 //! set a `Ref::Elem` names, a variable the local a `Ref::Local` names,
 //! and spellings appear only in the messages — so the same passes can
-//! later run over the compiled IR (ROADMAP item 3) without changing
+//! later run over the compiled IR (ROADMAP item 8) without changing
 //! their reporting.
 
 mod comm;
@@ -47,111 +49,24 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Static metadata of one lint code.
-#[derive(Debug, Clone, Copy)]
-pub struct LintInfo {
-    pub code: &'static str,
-    pub name: &'static str,
-    pub summary: &'static str,
-    /// Which §4 optimization class the lint reports on.
-    pub paper: &'static str,
+/// Every lint code the passes emit.
+pub const LINTS: &[&str] =
+    &["UC101", "UC110", "UC111", "UC120", "UC121", "UC130", "UC131", "UC132"];
+
+/// Look a code up in [`LINTS`].
+pub fn lint(code: &str) -> Option<&'static str> {
+    LINTS.iter().copied().find(|&l| l == code)
 }
 
-/// Registry of every lint code the passes can emit.
-pub const LINTS: &[LintInfo] = &[
-    LintInfo {
-        code: "UC101",
-        name: "par-race",
-        summary: "multiple virtual processors store distinct values to one \
-                  mono array location inside a `par` without a combining reduction",
-        paper: "§3.4 single-assignment rule / §4 processor optimization",
-    },
-    LintInfo {
-        code: "UC110",
-        name: "router-grid-shift",
-        summary: "a general-router access is provably a regular grid shift on \
-                  several axes; single-axis NEWS shifts would be cheaper",
-        paper: "§4 communication cost optimization",
-    },
-    LintInfo {
-        code: "UC111",
-        name: "router-misaligned",
-        summary: "a regular access pattern is misaligned with the iteration \
-                  space and takes the general router; a `map` declaration \
-                  could make it local or NEWS",
-        paper: "§4 communication cost optimization / map section",
-    },
-    LintInfo {
-        code: "UC120",
-        name: "dead-context",
-        summary: "statement executes under a provably-empty (constant-false) context",
-        paper: "§3.4 context semantics / §4 standard code optimizations",
-    },
-    LintInfo {
-        code: "UC121",
-        name: "unused-index-set",
-        summary: "index set (virtual-processor set) is declared but never used",
-        paper: "§3.1 index sets / §4 processor optimization",
-    },
-    LintInfo {
-        code: "UC130",
-        name: "use-before-init",
-        summary: "local scalar is read before any assignment on every path",
-        paper: "§4 standard code optimizations (dataflow)",
-    },
-    LintInfo {
-        code: "UC131",
-        name: "dead-store",
-        summary: "stored value is overwritten before it is ever read",
-        paper: "§4 standard code optimizations (dataflow)",
-    },
-    LintInfo {
-        code: "UC132",
-        name: "unused-function",
-        summary: "function is never called (directly or transitively) from `main`",
-        paper: "§4 standard code optimizations",
-    },
-];
-
-/// Look a code up in the registry.
-pub fn lint(code: &str) -> Option<&'static LintInfo> {
-    LINTS.iter().find(|l| l.code == code)
-}
-
-/// One analysis pass over the checked program.
-pub trait Pass {
-    /// Pass name (used in docs and debugging).
-    fn name(&self) -> &'static str;
-    /// Lint codes this pass can emit.
-    fn lints(&self) -> &'static [&'static str];
-    /// Run, appending findings.
-    fn run(&self, checked: &Checked, out: &mut Vec<Finding>);
-}
-
-/// The default pass registry, in execution order.
-pub fn passes() -> Vec<Box<dyn Pass>> {
-    vec![
-        Box::new(races::RacePass),
-        Box::new(comm::CommPass),
-        Box::new(context::ContextPass),
-        Box::new(liveness::LivenessPass),
-    ]
-}
-
-/// Run every registered pass and return the findings sorted by source
+/// Run the four passes and return the findings sorted by source
 /// position (then code) — deterministic regardless of pass order or table
 /// iteration order.
 pub fn analyze(checked: &Checked) -> Vec<Finding> {
     let mut out = Vec::new();
-    for pass in passes() {
-        let before = out.len();
-        pass.run(checked, &mut out);
-        debug_assert!(
-            out[before..].iter().all(|f| pass.lints().contains(&f.code)),
-            "pass {} emitted an unregistered lint code",
-            pass.name()
-        );
-    }
+    races::run(checked, &mut out);
+    comm::run(checked, &mut out);
+    context::run(checked, &mut out);
+    liveness::run(checked, &mut out);
     out.sort_by(|a, b| {
         (a.span.start, a.span.end, a.code, &a.message).cmp(&(
             b.span.start,
@@ -221,7 +136,7 @@ impl LintConfig {
 
 /// Front-end + analysis entry point used by `uc check`: the one front end
 /// ([`sema::front_end`]: parse, the `-D` overrides, sema and the map
-/// section), then every lint pass under `cfg`. The returned diagnostics are normalized
+/// section), then the four lint passes under `cfg`. The returned diagnostics are normalized
 /// (sorted, deduped); with `--deny warnings` all warnings come back as
 /// errors.
 pub fn check_source(src: &str, defines: &[(&str, i64)], cfg: &LintConfig) -> Diagnostics {
@@ -288,15 +203,13 @@ mod tests {
 
     #[test]
     fn registry_is_consistent() {
-        // Codes are unique and sorted registrations resolve.
-        let mut codes: Vec<_> = LINTS.iter().map(|l| l.code).collect();
+        // Codes are unique and each resolves.
+        let mut codes = LINTS.to_vec();
         codes.sort_unstable();
         codes.dedup();
         assert_eq!(codes.len(), LINTS.len());
-        for p in passes() {
-            for c in p.lints() {
-                assert!(lint(c).is_some(), "pass {} lists unknown code {c}", p.name());
-            }
+        for c in LINTS {
+            assert_eq!(lint(c), Some(*c));
         }
         assert!(lint("UC101").is_some());
         assert!(lint("UC999").is_none());

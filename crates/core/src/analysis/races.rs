@@ -21,12 +21,10 @@
 
 use std::collections::HashSet;
 
-use super::{Finding, Pass};
+use super::Finding;
 use crate::ast::*;
 use crate::sema::{Checked, FuncInfo, LocalKind};
 use crate::span::Span;
-
-pub(crate) struct RacePass;
 
 /// How a construct binds its index elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,30 +55,21 @@ struct Walker<'c> {
     out: Vec<Finding>,
 }
 
-impl Pass for RacePass {
-    fn name(&self) -> &'static str {
-        "races"
-    }
-
-    fn lints(&self) -> &'static [&'static str] {
-        &["UC101"]
-    }
-
-    fn run(&self, checked: &Checked, out: &mut Vec<Finding>) {
-        for (f, info) in checked.funcs_in_order().zip(&checked.func_infos) {
-            let mut w = Walker {
-                checked,
-                info,
-                binders: Vec::new(),
-                guards: Vec::new(),
-                steps: Vec::new(),
-                out: Vec::new(),
-            };
-            for s in &f.body.stmts {
-                w.stmt(s);
-            }
-            out.append(&mut w.out);
+/// Report UC101 on every function, in declaration order.
+pub(crate) fn run(checked: &Checked, out: &mut Vec<Finding>) {
+    for (f, info) in checked.funcs_in_order().zip(&checked.func_infos) {
+        let mut w = Walker {
+            checked,
+            info,
+            binders: Vec::new(),
+            guards: Vec::new(),
+            steps: Vec::new(),
+            out: Vec::new(),
+        };
+        for s in &f.body.stmts {
+            w.stmt(s);
         }
+        out.append(&mut w.out);
     }
 }
 
@@ -247,7 +236,7 @@ mod tests {
     fn findings(src: &str) -> Vec<Finding> {
         let checked = check_str(src);
         let mut out = Vec::new();
-        RacePass.run(&checked, &mut out);
+        run(&checked, &mut out);
         out
     }
 

@@ -135,13 +135,14 @@ pub enum IrOpt {
     Balanced,
 }
 
+/// Seed of the machine's deterministic `rand()` stream.
+const RAND_SEED: u64 = 0x5EED;
+
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Physical processors of the simulated CM (the paper used 16K).
     pub phys_procs: usize,
-    /// Seed for the machine's deterministic `rand()`.
-    pub seed: u64,
     /// Enable the communication-class optimization (local/NEWS detection).
     /// Off ⇒ every array access uses the general router, which is what the
     /// mapping ablation compares against.
@@ -157,7 +158,6 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             phys_procs: 16 * 1024,
-            seed: 0x5EED,
             optimize_access: true,
             procopt: true,
             limits: ExecLimits::default(),
@@ -604,7 +604,7 @@ impl Program {
 
     /// Logical shape of a global array.
     pub fn shape(&self, name: &str) -> Option<&[usize]> {
-        self.checked.arrays.get(name).map(|a| a.shape.as_slice())
+        self.global_array(name).ok().map(|a| self.checked.arrays[a].shape.as_slice())
     }
 
     /// Read a global integer array in logical (row-major) order,
@@ -667,9 +667,10 @@ impl Program {
         self.read_scalar(name).map(|v| v.as_int())
     }
 
-    /// The value of a `#define` constant after overrides.
+    /// The value of a `#define` constant after overrides (its last
+    /// definition, as sema resolves it).
     pub fn define(&self, name: &str) -> Option<i64> {
-        self.checked.consts.get(name).copied()
+        self.checked.unit.defines.iter().rev().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 }
 
@@ -768,7 +769,7 @@ impl<'p> Run<'p> {
     /// A fresh deterministic seed for one `rand()` instruction.
     pub(crate) fn next_rand_seed(&mut self) -> u64 {
         self.rand_counter += 1;
-        self.config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(self.rand_counter)
+        RAND_SEED.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(self.rand_counter)
     }
 
     /// Release a PV's temporary field, if it owns one.

@@ -205,8 +205,8 @@ mod tests {
         let mut d = Diagnostics::default();
         let unit = parse(src, &mut d).expect("parse");
         let checked = check(unit, &mut d).unwrap_or_else(|| panic!("{d}"));
-        let mapping = |name: &String| (name.clone(), checked.arrays[name].mapping.clone());
-        let maps = checked.array_names.iter().map(mapping);
+        let mappings = checked.arrays.iter().map(|a| a.mapping.clone());
+        let maps = checked.array_names.iter().cloned().zip(mappings);
         maps.filter(|(_, m)| *m != ArrayMapping::Default).collect()
     }
 

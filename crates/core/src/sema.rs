@@ -187,12 +187,12 @@ pub struct Checked {
     /// The unit, with every construct's, reduction's and map section's
     /// `sets` filled in.
     pub unit: Unit,
-    pub consts: HashMap<String, i64>,
     /// Every index-set definition, global or local, in the order sema met
     /// it; a [`SetId`] indexes this table.
     pub sets: Vec<IndexSetInfo>,
-    pub arrays: HashMap<String, ArrayInfo>,
-    /// Global array names in name order; a [`Ref::Array`] indexes this.
+    /// Global arrays in name order; a [`Ref::Array`] indexes this.
+    pub arrays: Vec<ArrayInfo>,
+    /// Their names, in the same order.
     pub array_names: Vec<String>,
     /// Global scalar variables (type, constant initializer if any).
     pub scalars: HashMap<String, (Type, Option<i64>)>,
@@ -219,7 +219,7 @@ impl Checked {
 
     /// The global array a [`Ref::Array`] denotes.
     pub fn array(&self, id: u32) -> &ArrayInfo {
-        &self.arrays[&self.array_names[id as usize]]
+        &self.arrays[id as usize]
     }
 
     /// The value of `e` if it is an integer constant over literals and
@@ -294,11 +294,11 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
     if cx.diags.has_errors() {
         return None;
     }
+    let arrays = cx.array_names.iter().map(|n| cx.arrays.remove(n).expect("named")).collect();
     let mut checked = Checked {
         unit,
-        consts: cx.consts,
         sets: cx.sets,
-        arrays: cx.arrays,
+        arrays,
         array_names: cx.array_names,
         scalars: cx.scalars,
         global_names: cx.global_names,
@@ -307,8 +307,8 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         values: cx.values,
     };
     let maps = mapping::interpret_maps(&checked, diags);
-    for (name, mapping) in checked.array_names.iter().zip(maps) {
-        checked.arrays.get_mut(name).expect("every array is named").mapping = mapping;
+    for (array, mapping) in checked.arrays.iter_mut().zip(maps) {
+        array.mapping = mapping;
     }
     (!diags.has_errors()).then_some(checked)
 }
@@ -453,9 +453,8 @@ impl<'a> Checker<'a> {
             match it {
                 Item::IndexSets(defs) => {
                     for def in defs {
-                        if let Some(id) = self.define_index_set(def) {
-                            self.global_sets.insert(def.name.clone(), id);
-                        }
+                        let id = self.define_index_set(def);
+                        self.global_sets.insert(def.name.clone(), id);
                     }
                 }
                 Item::Var(v) => self.declare_global(v),
@@ -499,10 +498,28 @@ impl<'a> Checker<'a> {
         }
     }
 
+    /// Evaluate one definition and enter it in the table. A definition
+    /// that fails is entered with no elements, which no valid set has: its
+    /// uses (and its element's) then report nothing more, and sema fails
+    /// on the error already reported.
+    fn define_index_set(&mut self, def: &IndexSetDef) -> SetId {
+        let info = self.index_set_info(def).unwrap_or_else(|| IndexSetInfo {
+            name: def.name.clone(),
+            elem: def.elem.clone(),
+            elements: Arc::default(),
+            span: def.span,
+            alias_of: None,
+            lo: None,
+        });
+        self.sets.push(info);
+        self.sets.len() - 1
+    }
+
     /// Evaluate one definition — the only place a set's elements are
-    /// computed — and enter it in the table. A range is checked against
-    /// [`MAX_CONST_INDEX_SET`] before anything is materialised.
-    fn define_index_set(&mut self, def: &IndexSetDef) -> Option<SetId> {
+    /// computed. A range is checked against [`MAX_CONST_INDEX_SET`] before
+    /// anything is materialised. `None` once an error is reported, or
+    /// silently for an alias of a failed definition.
+    fn index_set_info(&mut self, def: &IndexSetDef) -> Option<IndexSetInfo> {
         let mut alias_of = None;
         let contiguous;
         let elements = match &def.init {
@@ -536,6 +553,7 @@ impl<'a> Checker<'a> {
                 Arc::new(elements)
             }
             IndexSetInit::Alias(src) => match self.lookup_index_set(src) {
+                Some(id) if self.sets[id].elements.is_empty() => return None,
                 Some(id) => {
                     alias_of = Some(id);
                     contiguous = self.sets[id].lo;
@@ -552,15 +570,14 @@ impl<'a> Checker<'a> {
             self.diags.error(def.span, format!("index set `{}` is empty", def.name));
             return None;
         }
-        self.sets.push(IndexSetInfo {
+        Some(IndexSetInfo {
             name: def.name.clone(),
             elem: def.elem.clone(),
             elements,
             span: def.span,
             alias_of,
             lo: contiguous,
-        });
-        Some(self.sets.len() - 1)
+        })
     }
 
     /// The definition a set name denotes here: innermost local first,
@@ -608,13 +625,15 @@ impl<'a> Checker<'a> {
                 self.diags.error(v.span, format!("variable `{}` redefined", v.name));
             }
         } else {
-            let mut shape = Vec::with_capacity(v.dims.len());
-            for d in &v.dims {
-                match self.extent(d) {
-                    Some(n) => shape.push(n),
-                    None => return,
-                }
-            }
+            let shape: Option<Vec<usize>> = v.dims.iter().map(|d| self.extent(d)).collect();
+            let Some(shape) = shape else {
+                // Bound with zero extents, which no valid array has: its
+                // uses report nothing more, and sema fails on the error.
+                let shape = vec![0; v.dims.len()];
+                let poisoned = ArrayInfo { ty: v.ty, shape, mapping: ArrayMapping::Default };
+                self.arrays.entry(v.name.clone()).or_insert(poisoned);
+                return;
+            };
             if v.init.is_some() {
                 self.diags.error(v.span, "array initializers are not supported");
             }
@@ -745,12 +764,11 @@ impl<'a> Checker<'a> {
             Stmt::Decl(v) => self.declare_local(v),
             Stmt::IndexSets(defs) => {
                 for def in defs {
-                    if let Some(id) = self.define_index_set(def) {
-                        self.scopes
-                            .last_mut()
-                            .expect("inside a scope")
-                            .insert(def.name.clone(), (Ref::Unresolved, Denotes::IndexSet(id)));
-                    }
+                    let id = self.define_index_set(def);
+                    self.scopes
+                        .last_mut()
+                        .expect("inside a scope")
+                        .insert(def.name.clone(), (Ref::Unresolved, Denotes::IndexSet(id)));
                 }
             }
             Stmt::Block(b) => self.check_block(b),
@@ -1663,9 +1681,10 @@ mod tests {
     #[test]
     fn array_shapes() {
         let c = check_ok("#define N 4\nint d[N][N*2];\nfloat f[3];\nmain() {}");
-        assert_eq!(c.arrays["d"].shape, vec![4, 8]);
-        assert_eq!(c.arrays["f"].shape, vec![3]);
-        assert_eq!(c.arrays["f"].ty, Type::Float);
+        assert_eq!(c.array_names, ["d", "f"]);
+        assert_eq!(c.array(0).shape, vec![4, 8]);
+        assert_eq!(c.array(1).shape, vec![3]);
+        assert_eq!(c.array(1).ty, Type::Float);
     }
 
     #[test]
@@ -2009,8 +2028,9 @@ mod tests {
         let c = check_ok(
             "#define N 4\nindex_set I:i = {0..N-1};\nint a[N], b[N];\nmap (I) { permute (I) b[i+1] :- a[i]; }\nmain() {}",
         );
-        assert_eq!(c.arrays["b"].mapping, ArrayMapping::Permute { offsets: vec![1] });
-        assert_eq!(c.arrays["a"].mapping, ArrayMapping::Default);
+        assert_eq!(c.array_names, ["a", "b"]);
+        assert_eq!(c.array(1).mapping, ArrayMapping::Permute { offsets: vec![1] });
+        assert_eq!(c.array(0).mapping, ArrayMapping::Default);
         let m = c.unit.items.iter().find_map(|it| if let Item::Map(m) = it { Some(m) } else { None });
         let m = m.expect("a map section");
         let (decl, i_set) = (&m.decls[0], Ref::Elem(0));

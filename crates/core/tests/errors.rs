@@ -257,6 +257,25 @@ fn independent_errors_yield_one_diagnostic_each() {
     }
 }
 
+/// A failed definition stays bound: the uses of an empty set, of its
+/// element, of an alias of it and of an array with a zero extent report
+/// nothing beyond the two errors, from both entry points.
+#[test]
+fn a_failed_definition_reports_no_follow_on_errors() {
+    let src = "#define N 4\nindex_set I:i = {0..N-1};\n\
+               index_set J:j = {0..N-5}, K:k = J;\nint a[N-4];\n\
+               main() { par (I) a[i] = i; par (J) a[j] = j; par (K) a[k] = k; a[0] = 1; }";
+    let expected = [
+        "error: index-set range {0..-1} is empty or reversed at 3:11",
+        "error: array extent must be positive, got 0 at 4:8",
+    ];
+    let compiled = compile_err(src);
+    assert_eq!(compiled.lines().collect::<Vec<_>>(), expected, "{compiled}");
+    let checked = check_source(src, &[], &LintConfig::default());
+    let lines: Vec<String> = checked.items.iter().map(|d| d.to_string()).collect();
+    assert_eq!(lines, expected, "{checked}");
+}
+
 /// The map section is resolved like the rest of a program: an unknown
 /// set, a pattern element no set binds and a second mapping of one array
 /// are spanned sema errors from `compile` and `uc check` alike.

@@ -2,7 +2,7 @@
 //! multi-arm constructs, oneof choice behaviour, local declarations,
 //! user functions, mapping variants, and the host API.
 
-use uc_core::{ExecConfig, Program};
+use uc_core::Program;
 
 fn run(src: &str) -> Program {
     let mut p = Program::compile(src).unwrap_or_else(|d| panic!("compile failed:\n{d}"));
@@ -541,10 +541,6 @@ fn rand_is_deterministic_per_seed() {
     let first = p1.read_int_array("a").unwrap();
     p1.run().unwrap();
     assert_eq!(p1.read_int_array("a").unwrap(), first, "a re-run draws anew");
-    let cfg = ExecConfig { seed: 999, ..Default::default() };
-    let mut p3 = Program::compile_with(src, cfg).unwrap();
-    p3.run().unwrap();
-    assert_ne!(p1.read_int_array("a").unwrap(), p3.read_int_array("a").unwrap());
     assert!(p1.read_int_array("a").unwrap().iter().all(|&v| (0..100).contains(&v)));
 }
 

@@ -605,5 +605,10 @@ fn define_overrides() {
     p.run().unwrap();
     assert_eq!(p.read_int("s"), Some(32));
     assert_eq!(p.shape("a"), Some(&[32usize][..]));
+    assert_eq!((p.shape("s"), p.shape("b")), (None, None));
     assert_eq!(p.define("N"), Some(32));
+    // A redefinition's last value is the one every use reads.
+    let mut p = Program::compile("#define N 4\n#define N 8\nint s;\nmain() { s = N; }").unwrap();
+    p.run().unwrap();
+    assert_eq!((p.define("N"), p.read_int("s")), (Some(8), Some(8)));
 }

@@ -3,12 +3,12 @@
 //! The build environment has no registry access, so this crate implements
 //! the subset of proptest's API the workspace's property tests use:
 //!
-//! * the [`proptest!`] macro (with `#![proptest_config(..)]`, `#[test]`
-//!   attributes, doc comments, and `pat in strategy` bindings, including
-//!   `mut` bindings);
-//! * integer-range strategies (`-1000i64..1000`), [`any`]`::<bool>()`,
-//!   [`collection::vec`] and [`strategy::Just`];
-//! * [`prop_assert!`] / [`prop_assert_eq!`] / [`prop_assert_ne!`];
+//! * the [`proptest!`] macro (with a leading `#![proptest_config(..)]`,
+//!   `#[test]` attributes, doc comments, and `pat in strategy` bindings,
+//!   including `mut` bindings);
+//! * integer-range strategies (`-1000i64..1000`), [`any`]`::<bool>()`
+//!   and [`collection::vec`];
+//! * [`prop_assert!`] / [`prop_assert_eq!`];
 //! * **shrinking**: a failing case is reduced by a bounded greedy halving
 //!   search ([`Strategy::shrink`]) before it is reported, so the panic
 //!   message names a (locally) minimal failing input instead of the raw
@@ -29,12 +29,6 @@ pub mod test_runner {
     impl ProptestConfig {
         pub fn with_cases(cases: u32) -> Self {
             ProptestConfig { cases }
-        }
-    }
-
-    impl Default for ProptestConfig {
-        fn default() -> Self {
-            ProptestConfig { cases: 64 }
         }
     }
 
@@ -112,25 +106,10 @@ pub mod strategy {
                         .collect()
                 }
             }
-            impl Strategy for ::std::ops::RangeInclusive<$t> {
-                type Value = $t;
-                fn sample(&self, rng: &mut TestRng) -> $t {
-                    let (start, end) = (*self.start(), *self.end());
-                    assert!(start <= end, "empty range strategy");
-                    let span = (end as i128 - start as i128 + 1) as u64;
-                    (start as i128 + rng.below(span) as i128) as $t
-                }
-                fn shrink(&self, value: &$t) -> Vec<$t> {
-                    int_shrink(*self.start() as i128, *value as i128)
-                        .into_iter()
-                        .map(|v| v as $t)
-                        .collect()
-                }
-            }
         )*};
     }
 
-    int_range_strategy!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
+    int_range_strategy!(i64, u32, u64, usize);
 
     /// Halving toward the range start: `start` itself, the midpoint, and
     /// the predecessor — simplest first, `value` excluded.
@@ -162,17 +141,6 @@ pub mod strategy {
             } else {
                 Vec::new()
             }
-        }
-    }
-
-    /// Constant strategy.
-    #[derive(Debug, Clone)]
-    pub struct Just<T: Clone>(pub T);
-
-    impl<T: Clone> Strategy for Just<T> {
-        type Value = T;
-        fn sample(&self, _rng: &mut TestRng) -> T {
-            self.0.clone()
         }
     }
 
@@ -215,30 +183,6 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Acceptable size arguments to [`vec`]: a range or an exact length.
-    pub trait IntoSizeRange {
-        /// `(min, max_exclusive)`.
-        fn bounds(self) -> (usize, usize);
-    }
-
-    impl IntoSizeRange for std::ops::Range<usize> {
-        fn bounds(self) -> (usize, usize) {
-            (self.start, self.end)
-        }
-    }
-
-    impl IntoSizeRange for std::ops::RangeInclusive<usize> {
-        fn bounds(self) -> (usize, usize) {
-            (*self.start(), *self.end() + 1)
-        }
-    }
-
-    impl IntoSizeRange for usize {
-        fn bounds(self) -> (usize, usize) {
-            (self, self + 1)
-        }
-    }
-
     /// Strategy producing `Vec`s of `elem` with length drawn from `size`.
     pub struct VecStrategy<S> {
         elem: S,
@@ -246,8 +190,8 @@ pub mod collection {
         max: usize,
     }
 
-    pub fn vec<S: Strategy>(elem: S, size: impl IntoSizeRange) -> VecStrategy<S> {
-        let (min, max) = size.bounds();
+    pub fn vec<S: Strategy>(elem: S, size: std::ops::Range<usize>) -> VecStrategy<S> {
+        let (min, max) = (size.start, size.end);
         assert!(min < max, "empty vec size range");
         VecStrategy { elem, min, max }
     }
@@ -287,9 +231,9 @@ pub mod collection {
 }
 
 pub mod prelude {
-    pub use crate::strategy::{any, Any, Just, Strategy};
-    pub use crate::test_runner::{ProptestConfig, TestRng};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
+    pub use crate::strategy::{any, Strategy};
+    pub use crate::test_runner::ProptestConfig;
+    pub use crate::{prop_assert, prop_assert_eq, proptest};
 
     /// Mirror of real proptest's `prelude::prop` module path
     /// (`prop::collection::vec(..)`).
@@ -381,22 +325,6 @@ macro_rules! prop_assert_eq {
     }};
 }
 
-/// Fails the current case if the two expressions are equal.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (left, right) = (&$left, &$right);
-        if *left == *right {
-            return Err(format!(
-                "assertion failed: `{} != {}`\n  both: {:?}",
-                stringify!($left),
-                stringify!($right),
-                left
-            ));
-        }
-    }};
-}
-
 /// The property-test macro: each contained `#[test] fn name(bindings)`
 /// becomes a zero-argument test running `cases` deterministic samples,
 /// shrinking any failure before reporting it.
@@ -404,12 +332,6 @@ macro_rules! prop_assert_ne {
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
         $crate::__proptest_impl!{ cfg = ($cfg); $($rest)* }
-    };
-    ($($rest:tt)*) => {
-        $crate::__proptest_impl!{
-            cfg = ($crate::test_runner::ProptestConfig::default());
-            $($rest)*
-        }
     };
 }
 
@@ -498,6 +420,7 @@ macro_rules! __proptest_unbind {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
+    use crate::test_runner::TestRng;
 
     #[test]
     fn rng_is_deterministic() {
@@ -593,7 +516,6 @@ mod tests {
             data.sort_unstable();
             prop_assert!(data.windows(2).all(|w| w[0] <= w[1]));
             prop_assert_eq!(k.signum(), 1);
-            prop_assert_ne!(k, 0);
         }
     }
 }

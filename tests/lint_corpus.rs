@@ -11,6 +11,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use uc::lang::analysis::{self, LintConfig, LINTS};
+use uc::lang::diag::Diagnostics;
+use uc::lang::sema;
 
 fn corpus() -> Vec<(PathBuf, String)> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
@@ -67,19 +69,27 @@ fn corpus_covers_every_lint_code() {
     let mut covered: Vec<&str> = Vec::new();
     for (path, src) in &corpus() {
         for entry in expectations(path, src) {
-            let code = entry.split('@').next().unwrap().to_string();
-            let info = analysis::lint(&code)
+            let code = entry.split('@').next().unwrap();
+            let code = analysis::lint(code)
                 .unwrap_or_else(|| panic!("{}: unknown code {code}", path.display()));
-            covered.push(info.code);
+            covered.push(code);
         }
     }
-    for lint in LINTS {
-        assert!(
-            covered.contains(&lint.code),
-            "no positive corpus program triggers {} ({})",
-            lint.code,
-            lint.name
-        );
+    for code in LINTS {
+        assert!(covered.contains(code), "no positive corpus program triggers {code}");
+    }
+}
+
+/// Every code a pass emits is one `--deny`/`--allow` accepts.
+#[test]
+fn every_finding_code_is_a_lint_code() {
+    for (path, src) in &corpus() {
+        let mut diags = Diagnostics::default();
+        let checked = sema::front_end(src, &[], &mut diags)
+            .unwrap_or_else(|| panic!("{} must be a valid program:\n{diags}", path.display()));
+        for f in analysis::analyze(&checked) {
+            assert_eq!(analysis::lint(f.code), Some(f.code), "{}: {}", path.display(), f.message);
+        }
     }
 }
 
