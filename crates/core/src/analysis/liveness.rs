@@ -11,7 +11,7 @@
 //!   within the same straight-line run; any control flow conservatively
 //!   clears the tracking.
 //! * **UC132** — a function that `main` never reaches through the call
-//!   graph.
+//!   graph, as sema found it ([`Checked::reachable`]).
 
 use std::collections::{HashMap, HashSet};
 
@@ -36,29 +36,8 @@ pub(crate) fn run(checked: &Checked, out: &mut Vec<Finding>) {
         }
         out.append(&mut w.out);
     }
-    unused_functions(checked, out);
-}
-
-/// Call-graph reachability from `main` (UC132), over the callee sema
-/// resolved every call to.
-fn unused_functions(checked: &Checked, out: &mut Vec<Finding>) {
-    let funcs: Vec<&FuncDef> = checked.funcs_in_order().collect();
-    let mut reachable = vec![false; funcs.len()];
-    let mut queue = vec![checked.main];
-    while let Some(f) = queue.pop() {
-        if std::mem::replace(&mut reachable[f], true) {
-            continue;
-        }
-        let mut note_call = |e: &Expr| {
-            if let Expr::Call { callee: Callee::Func(g), .. } = e {
-                queue.push(*g as usize);
-            }
-        };
-        for s in &funcs[f].body.stmts {
-            s.for_each_expr(&mut |e| e.walk(&mut note_call));
-        }
-    }
-    for (f, _) in funcs.iter().zip(reachable).filter(|(_, reached)| !reached) {
+    let funcs = checked.funcs_in_order().zip(&checked.reachable);
+    for (f, _) in funcs.filter(|(_, &reached)| !reached) {
         out.push(Finding {
             code: "UC132",
             span: f.span,

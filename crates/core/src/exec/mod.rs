@@ -484,10 +484,11 @@ impl Program {
         };
         let globals = global_scalars(&checked);
         let ir = crate::ir::lower_program(&checked, &HashMap::new(), IrOpt::Balanced);
-        // The VM is the only executor, so a function the lowering gave up
-        // on (`body: None`) cannot run at all.
-        let unlowered = checked.funcs_in_order().zip(&ir.funcs).find(|(_, f)| f.body.is_none());
-        if let Some((def, f)) = unlowered {
+        // The VM is the only executor, so a reachable function the
+        // lowering gave up on (`body: None`) cannot run at all.
+        let unlowered = (checked.funcs_in_order().zip(&ir.funcs).zip(&checked.reachable))
+            .find(|((_, f), &reached)| reached && f.body.is_none());
+        if let Some(((def, f), _)) = unlowered {
             let (name, max) = (&f.name, crate::ir::Reg::MAX);
             let msg = format!("function `{name}` needs more than {max} registers; split it up");
             diags.error(def.span, msg);

@@ -52,7 +52,11 @@ use crate::stdlib::Builtin;
 /// natively, so escapes deeper than this force the big-stack thread.
 const MAX_INLINE_TREE_DEPTH: usize = 96;
 
-/// Lower every function of a checked program.
+/// Lower and optimise the functions `main` reaches
+/// ([`Checked::reachable`]), the only ones that can run. `funcs` still
+/// has one entry per function, since a [`Callee::Func`] indexes it; a
+/// function `main` never reaches gets no body, and neither decides
+/// `inline_ok` nor can fail the register-file check.
 ///
 /// `global_index` and `opt` are read by no one: global slots are sema's
 /// (`Checked::global_names` order) and there is one pipeline.
@@ -64,15 +68,20 @@ pub fn lower_program(
     _opt: IrOpt,
 ) -> IrProgram {
     let rets: Vec<Type> = checked.funcs_in_order().map(|f| f.ret).collect();
-    let mut funcs = Vec::with_capacity(rets.len());
     let mut inline_ok = true;
-    for (f, info) in checked.funcs_in_order().zip(&checked.func_infos) {
+    let defs = checked.funcs_in_order().zip(&checked.func_infos).zip(&checked.reachable);
+    let mut funcs = Vec::with_capacity(rets.len());
+    funcs.extend(defs.map(|((f, info), &reached)| {
+        if !reached {
+            let (name, params, image) = (f.name.clone(), Vec::new(), Vec::new());
+            return IrFunc { name, params, n_perm: 0, const_base: 0, image, body: None };
+        }
         let (func, stats) = Lowerer::new(checked, info, &rets, f.ret).run(f);
         inline_ok &= func.body.is_some()
             && !stats.tree_user_call
             && stats.max_tree_depth <= MAX_INLINE_TREE_DEPTH;
-        funcs.push(func);
-    }
+        func
+    }));
     funcs.iter_mut().for_each(super::passes::optimize);
     IrProgram { funcs, inline_ok }
 }

@@ -258,8 +258,9 @@ pub struct IrFunc {
     /// The register file of a fresh activation: zeros below `const_base`,
     /// the constants above.
     pub image: Vec<Scalar>,
-    /// `None` when lowering overflowed the register file; such a program
-    /// is rejected at compile time.
+    /// `None` for a function `main` never reaches, which is not lowered,
+    /// or when lowering overflowed the register file — a program where a
+    /// reachable function did is rejected at compile time.
     pub body: Option<IrBody>,
 }
 
@@ -269,10 +270,10 @@ pub struct IrProgram {
     /// In `Checked::funcs_in_order` order: a `Callee::Func` indexes both.
     pub funcs: Vec<IrFunc>,
     /// Whether the whole program may run on the caller's thread: every
-    /// function lowered, no user calls inside tree escapes (a call from a
-    /// parallel construct or a reduction re-enters the VM natively, once
-    /// per UC activation), and every escape's AST shallow enough that tree
-    /// recursion stays within a small bound. When false,
+    /// reachable function lowered, no user calls inside their tree escapes
+    /// (a call from a parallel construct or a reduction re-enters the VM
+    /// natively, once per UC activation), and every escape's AST shallow
+    /// enough that tree recursion stays within a small bound. When false,
     /// [`crate::exec::Program::run`] spawns a big-stack interpreter thread.
     pub inline_ok: bool,
 }

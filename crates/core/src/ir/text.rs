@@ -16,8 +16,9 @@ use crate::pretty;
 use crate::sema::Checked;
 use crate::span::Span;
 
-/// Render a whole program; names come from the tables of the `checked`
-/// program it was lowered from.
+/// Render the functions of a program that can run — those with a body,
+/// since a compiled program lowered every one `main` reaches; names come
+/// from the tables of the `checked` program it was lowered from.
 pub fn render(p: &IrProgram, checked: &Checked) -> String {
     let mut out = String::new();
     let _ = writeln!(out, ";; uc register ir, inline={}", if p.inline_ok { "yes" } else { "no" });
@@ -28,7 +29,7 @@ pub fn render(p: &IrProgram, checked: &Checked) -> String {
         }
         out.push('\n');
     }
-    for f in &p.funcs {
+    for (f, body) in p.funcs.iter().filter_map(|f| Some((f, f.body.as_ref()?))) {
         out.push('\n');
         let params = f
             .params
@@ -39,21 +40,14 @@ pub fn render(p: &IrProgram, checked: &Checked) -> String {
         let (name, slots, perm) = (&f.name, f.image.len(), f.n_perm);
         let consts = slots - f.const_base as usize;
         let _ = writeln!(out, "func {name}({params}) slots={slots} perm={perm} consts={consts}");
-        match &f.body {
-            None => {
-                out.push_str("  <unlowered: register file overflow>\n");
+        let mut owner = Span::default();
+        for (i, (ins, &span)) in body.code.iter().zip(&body.spans).enumerate() {
+            let _ = write!(out, "  {i:>4}  {}", instr(ins, f, body, checked));
+            if span != owner && span != Span::default() {
+                let _ = write!(out, "  ; {span}");
             }
-            Some(body) => {
-                let mut owner = Span::default();
-                for (i, (ins, &span)) in body.code.iter().zip(&body.spans).enumerate() {
-                    let _ = write!(out, "  {i:>4}  {}", instr(ins, f, body, checked));
-                    if span != owner && span != Span::default() {
-                        let _ = write!(out, "  ; {span}");
-                    }
-                    owner = span;
-                    out.push('\n');
-                }
-            }
+            owner = span;
+            out.push('\n');
         }
     }
     out

@@ -20,7 +20,11 @@
 //!   declaration or `seq` introduces, the [`Callee`] of every call — and
 //!   [`Checked`] carries the tables those index. This is the only place
 //!   names are resolved: the lowerer, the executor and the lints index,
-//!   and none looks a spelling up;
+//!   and none looks a spelling up. A scope declares a variable once, a
+//!   function's parameters and its outer block being one scope, as in C;
+//! * the call graph is recorded as calls resolve, and what `main` reaches
+//!   through it — the only code that can run — is
+//!   [`Checked::reachable`], which lowering and UC132 read;
 //! * every expression gets its rank (`Rank`: a front-end scalar, or one
 //!   value per virtual processor), and what only a front-end scalar can do
 //!   is checked: be stored to a global or register local (by `=`, `op=` or
@@ -36,6 +40,7 @@
 //!   `main` takes no parameters);
 //! * expressions get basic int/float/bool checking with C-style coercion.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -203,6 +208,11 @@ pub struct Checked {
     pub main: usize,
     /// Per function, in [`Checked::funcs_in_order`] order.
     pub func_infos: Vec<FuncInfo>,
+    /// Per function, in [`Checked::funcs_in_order`] order: whether `main`
+    /// reaches it through user calls — from anywhere in a body, parallel
+    /// constructs and reductions included. Nothing else can run: lowering
+    /// skips the rest, and UC132 reports them.
+    pub reachable: Vec<bool>,
     /// Every value the executor may keep; a [`ValueId`] indexes this.
     pub values: Vec<ValueInfo>,
 }
@@ -284,6 +294,7 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         global_names: Vec::new(),
         funcs: HashMap::new(),
         func_infos: Vec::new(),
+        callees: Vec::new(),
         values: Vec::new(),
         value_ids: HashMap::new(),
         scopes: Vec::new(),
@@ -295,6 +306,7 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         return None;
     }
     let arrays = cx.array_names.iter().map(|n| cx.arrays.remove(n).expect("named")).collect();
+    let main = cx.funcs["main"].index as usize;
     let mut checked = Checked {
         unit,
         sets: cx.sets,
@@ -302,8 +314,9 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         array_names: cx.array_names,
         scalars: cx.scalars,
         global_names: cx.global_names,
-        main: cx.funcs["main"].index as usize,
+        main,
         func_infos: cx.func_infos,
+        reachable: reachable(main, &cx.callees),
         values: cx.values,
     };
     let maps = mapping::interpret_maps(&checked, diags);
@@ -311,6 +324,18 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         array.mapping = mapping;
     }
     (!diags.has_errors()).then_some(checked)
+}
+
+/// Which functions `main` reaches, given each function's user callees.
+fn reachable(main: usize, callees: &[Vec<u32>]) -> Vec<bool> {
+    let mut reached = vec![false; callees.len()];
+    let mut queue = vec![main];
+    while let Some(f) = queue.pop() {
+        if !std::mem::replace(&mut reached[f], true) {
+            queue.extend(callees[f].iter().map(|&g| g as usize));
+        }
+    }
+    reached
 }
 
 /// What a name denotes: beside the [`Ref`] to write on an identifier,
@@ -357,6 +382,8 @@ struct Checker<'a> {
     funcs: HashMap<String, FuncSig>,
     /// One per function checked so far; the last is the one being checked.
     func_infos: Vec<FuncInfo>,
+    /// Beside each of them, the user functions its calls resolved to.
+    callees: Vec<Vec<u32>>,
     values: Vec<ValueInfo>,
     /// Canonical form of a resolved access or kept value → its id.
     value_ids: HashMap<Vec<u8>, ValueId>,
@@ -611,17 +638,25 @@ impl<'a> Checker<'a> {
         sets
     }
 
-    fn declare_global(&mut self, v: &VarDecl) {
-        if v.ty == Type::Void {
-            self.diags.error(v.span, "variables cannot have type void");
-            return;
+    /// A variable's declared type. A `void` one is an error, and the
+    /// variable is bound as an `int`: its uses report nothing more, and
+    /// sema fails on the error.
+    fn variable_type(&mut self, v: &VarDecl) -> Type {
+        if v.ty != Type::Void {
+            return v.ty;
         }
+        self.diags.error(v.span, "variables cannot have type void");
+        Type::Int
+    }
+
+    fn declare_global(&mut self, v: &VarDecl) {
+        let ty = self.variable_type(v);
         if v.dims.is_empty() {
             let init = match &v.init {
                 Some(e) => self.const_expr(e),
                 None => Some(0),
             };
-            if self.scalars.insert(v.name.clone(), (v.ty, init)).is_some() {
+            if self.scalars.insert(v.name.clone(), (ty, init)).is_some() {
                 self.diags.error(v.span, format!("variable `{}` redefined", v.name));
             }
         } else {
@@ -630,14 +665,14 @@ impl<'a> Checker<'a> {
                 // Bound with zero extents, which no valid array has: its
                 // uses report nothing more, and sema fails on the error.
                 let shape = vec![0; v.dims.len()];
-                let poisoned = ArrayInfo { ty: v.ty, shape, mapping: ArrayMapping::Default };
+                let poisoned = ArrayInfo { ty, shape, mapping: ArrayMapping::Default };
                 self.arrays.entry(v.name.clone()).or_insert(poisoned);
                 return;
             };
             if v.init.is_some() {
                 self.diags.error(v.span, "array initializers are not supported");
             }
-            let info = ArrayInfo { ty: v.ty, shape, mapping: ArrayMapping::Default };
+            let info = ArrayInfo { ty, shape, mapping: ArrayMapping::Default };
             if self.arrays.insert(v.name.clone(), info).is_some() {
                 self.diags.error(v.span, format!("array `{}` redefined", v.name));
             }
@@ -669,21 +704,37 @@ impl<'a> Checker<'a> {
 
     // ---- function bodies ------------------------------------------------
 
+    /// A function's parameters and its body's outer block are one scope,
+    /// as in C: a local there may not take a parameter's name.
     fn check_func(&mut self, f: &mut FuncDef) {
         self.func_infos.push(FuncInfo::default());
-        let mut scope = HashMap::new();
+        self.callees.push(Vec::new());
+        self.scopes.push(HashMap::new());
         for (ty, name) in &f.params {
             if *ty == Type::Void {
                 self.diags.error(f.span, format!("parameter `{name}` cannot be void"));
             }
             let id = self.new_local(name, *ty, None);
             let what = Denotes::Scalar { ty: *ty, depth: 0, read_only: false };
-            scope.insert(name.clone(), (Ref::Local(id), what));
+            self.bind_local(name, (Ref::Local(id), what), f.span);
         }
-        self.scopes.push(scope);
         self.nest = Nesting::default();
-        self.check_block(&mut f.body);
+        for s in &mut f.body.stmts {
+            self.check_stmt(s);
+        }
         self.scopes.pop();
+    }
+
+    /// Bind `name` in the innermost scope; a second declaration there is
+    /// an error at `span`, the first stays bound.
+    fn bind_local(&mut self, name: &str, binding: (Ref, Denotes), span: Span) {
+        let scope = self.scopes.last_mut().expect("inside a scope");
+        match scope.entry(name.to_string()) {
+            Entry::Vacant(slot) => _ = slot.insert(binding),
+            Entry::Occupied(_) => {
+                self.diags.error(span, format!("`{name}` is already declared in this scope"))
+            }
+        }
     }
 
     /// The table of the function being checked.
@@ -727,17 +778,14 @@ impl<'a> Checker<'a> {
     }
 
     fn declare_local(&mut self, v: &mut VarDecl) {
-        if v.ty == Type::Void {
-            self.diags.error(v.span, "variables cannot have type void");
-            return;
-        }
+        let ty = self.variable_type(v);
         let what = if v.dims.is_empty() {
             if let Some(init) = &mut v.init {
                 self.check_expr(init);
             }
             let depth = self.nest.depth;
-            v.local = self.new_local(&v.name, v.ty, (depth > 0).then_some(LocalKind::PerVp));
-            Denotes::Scalar { ty: v.ty, depth, read_only: false }
+            v.local = self.new_local(&v.name, ty, (depth > 0).then_some(LocalKind::PerVp));
+            Denotes::Scalar { ty, depth, read_only: false }
         } else {
             if self.nest.parallel {
                 self.diags
@@ -747,13 +795,10 @@ impl<'a> Checker<'a> {
             if v.init.is_some() {
                 self.diags.error(v.span, "array initializers are not supported");
             }
-            v.local = self.new_local(&v.name, v.ty, Some(LocalKind::Array(shape)));
-            Denotes::Array { ty: v.ty, rank: v.dims.len() }
+            v.local = self.new_local(&v.name, ty, Some(LocalKind::Array(shape)));
+            Denotes::Array { ty, rank: v.dims.len() }
         };
-        self.scopes
-            .last_mut()
-            .expect("inside a scope")
-            .insert(v.name.clone(), (Ref::Local(v.local), what));
+        self.bind_local(&v.name, (Ref::Local(v.local), what), v.span);
     }
 
     fn check_stmt(&mut self, s: &mut Stmt) {
@@ -1355,6 +1400,7 @@ impl<'a> Checker<'a> {
             _ => match self.funcs.get(&**name) {
                 Some(f) => {
                     *callee = Callee::Func(f.index);
+                    self.callees.last_mut().expect("inside a function").push(f.index);
                     ("function", f.params, ExprTy::of(f.ret))
                 }
                 None => {

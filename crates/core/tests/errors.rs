@@ -276,6 +276,54 @@ fn a_failed_definition_reports_no_follow_on_errors() {
     assert_eq!(lines, expected, "{checked}");
 }
 
+/// One scope declares a name once, as in C — and a function's parameters
+/// and its body's outer block are one scope. Each redeclaration is one
+/// spanned error, from both entry points.
+#[test]
+fn a_name_is_declared_once_per_scope() {
+    for (src, expected) in [
+        (
+            "int s;\nint f(int x, int x) { return x; }\nmain() { s = f(1, 2); }",
+            "error: `x` is already declared in this scope at 2:5",
+        ),
+        (
+            "int s;\nmain() { { int y; int y; } s = 1; }",
+            "error: `y` is already declared in this scope at 2:23",
+        ),
+        (
+            "int s;\nint f(int x) { int x; x = 3; return x; }\nmain() { s = f(1); }",
+            "error: `x` is already declared in this scope at 2:20",
+        ),
+    ] {
+        let compiled = compile_err(src);
+        assert_eq!(compiled.lines().collect::<Vec<_>>(), [expected], "{src}");
+        let checked = check_source(src, &[], &LintConfig::default());
+        let lines: Vec<String> = checked.items.iter().map(|d| d.to_string()).collect();
+        assert_eq!(lines, [expected], "{src}");
+    }
+    // A nested block is a scope of its own: shadowing stays legal.
+    let src = "int s, t;\nint f(int x) { { int x; x = 3; t = x; } return x; }\nmain() { s = f(1); }";
+    let mut p = Program::compile(src).unwrap_or_else(|d| panic!("compile failed:\n{d}"));
+    p.run().unwrap();
+    assert_eq!((p.read_int("s"), p.read_int("t")), (Some(1), Some(3)));
+}
+
+/// A `void` variable is bound as an `int`: its uses report nothing
+/// beyond the two real errors, from both entry points.
+#[test]
+fn a_void_variable_reports_no_follow_on_errors() {
+    let src = "int s;\nvoid v; void w[4];\nmain() { v = 1; w[0] = 2; s = v + w[1]; }";
+    let expected = [
+        "error: variables cannot have type void at 2:6",
+        "error: variables cannot have type void at 2:14",
+    ];
+    let compiled = compile_err(src);
+    assert_eq!(compiled.lines().collect::<Vec<_>>(), expected, "{compiled}");
+    let checked = check_source(src, &[], &LintConfig::default());
+    let lines: Vec<String> = checked.items.iter().map(|d| d.to_string()).collect();
+    assert_eq!(lines, expected, "{checked}");
+}
+
 /// The map section is resolved like the rest of a program: an unknown
 /// set, a pattern element no set binds and a second mapping of one array
 /// are spanned sema errors from `compile` and `uc check` alike.

@@ -69,6 +69,16 @@ fn seq_ir_is_stable() {
     assert_eq!(emit("run", "tests/corpus/seq_st_others.uc"), golden("seq_st_others.ir"));
 }
 
+/// Only what `main` reaches is lowered and printed: `used` and `main`,
+/// not `orphan`.
+#[test]
+fn unused_function_ir_is_stable_and_has_no_dead_function() {
+    let ir = emit("run", "tests/corpus/unused_function.uc");
+    assert_eq!(ir, golden("unused_function.ir"));
+    assert!(ir.contains("func used()") && ir.contains("func main()"), "{ir}");
+    assert!(!ir.contains("orphan"), "{ir}");
+}
+
 /// `uc check --emit ir` prints the same artifact after the lint passes.
 #[test]
 fn check_emits_the_same_ir() {
@@ -79,9 +89,9 @@ fn check_emits_the_same_ir() {
     );
 }
 
-/// Every function in every committed example lowers, and parallel
-/// statements appear as single `tree` escapes inside registerized
-/// control flow.
+/// Every function in every committed example lowers: the examples have
+/// no dead code (CI lints them with `--deny warnings`, UC132 included),
+/// so the IR prints each function the source defines.
 #[test]
 fn examples_lower_without_fallback() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/uc");
@@ -90,7 +100,12 @@ fn examples_lower_without_fallback() {
         if path.extension().is_some_and(|e| e == "uc") {
             let rel = path.strip_prefix(env!("CARGO_MANIFEST_DIR")).unwrap();
             let ir = emit("run", rel.to_str().unwrap());
-            assert!(!ir.contains("<unlowered"), "{}:\n{ir}", path.display());
+            let src = std::fs::read_to_string(&path).unwrap();
+            let mut diags = uc::lang::Diagnostics::default();
+            let checked = uc::lang::sema::front_end(&src, &[], &mut diags).unwrap();
+            for f in checked.funcs_in_order() {
+                assert!(ir.contains(&format!("func {}(", f.name)), "{}:\n{ir}", path.display());
+            }
             assert!(ir.contains("inline="), "{}:\n{ir}", path.display());
         }
     }

@@ -159,7 +159,8 @@ pub const SETS: usize = 6;
 
 /// One statement of a generated variable-scope nest.
 pub enum NameStmt {
-    /// `int <name> = <fresh constant>;`, or declare and assign apart.
+    /// `int <name> = <fresh constant>;`, or declare and assign apart;
+    /// nothing where the scope already declares `<name>`.
     Decl { name: usize, split: bool },
     /// `hits[k] = <name>;`, or `hits[k] = $+(S<via>; <name>);`.
     Probe { name: usize, via: Option<usize> },
@@ -246,6 +247,8 @@ impl NameModel {
     pub fn walk(&mut self, items: &[NameStmt]) {
         for item in items {
             match *item {
+                // A second declaration in one scope is an error, as in C.
+                NameStmt::Decl { name, .. } if self.scopes.last().unwrap().contains_key(&name) => {}
                 NameStmt::Decl { name, split } => {
                     self.decls += 1;
                     let (v, value) = (VARS[name], 1000 + self.decls);
