@@ -186,19 +186,20 @@ pub struct Block {
     pub stmts: Vec<Stmt>,
 }
 
-/// Statements.
+/// Statements. A declaration and a `for` header are boxed: they are
+/// rare, and inline they would set the size of every statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     Expr(Expr),
-    Decl(VarDecl),
+    Decl(Box<VarDecl>),
     IndexSets(Vec<IndexSetDef>),
     Block(Block),
     If { cond: Expr, then_branch: Box<Stmt>, else_branch: Option<Box<Stmt>>, span: Span },
     While { cond: Expr, body: Box<Stmt>, span: Span },
     For {
-        init: Option<Expr>,
-        cond: Option<Expr>,
-        step: Option<Expr>,
+        init: Option<Box<Expr>>,
+        cond: Option<Box<Expr>>,
+        step: Option<Box<Expr>>,
         body: Box<Stmt>,
         span: Span,
     },
@@ -694,12 +695,15 @@ mod tests {
 
     /// `Index` and `Call` set the size; a resolved reference, a value id
     /// and a callee ride in what the base's `String` and the padding used
-    /// to take.
+    /// to take. An `if` sets a statement's size (a declaration and a `for`
+    /// header are boxed), and a token carries no text.
     #[test]
     fn a_resolved_expr_is_no_bigger_than_a_parsed_one_was() {
         assert!(std::mem::size_of::<Ref>() <= 8 && std::mem::size_of::<Callee>() <= 8);
         assert_eq!(std::mem::size_of::<Name>(), std::mem::size_of::<String>());
         assert_eq!(std::mem::size_of::<Expr>(), 80);
+        assert!(std::mem::size_of::<Stmt>() <= 128);
+        assert!(std::mem::size_of::<crate::token::Token>() <= 40);
     }
 
     /// The VM walks a `Vec<Instr>`: `LoadElem`'s array and subscript list

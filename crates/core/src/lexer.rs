@@ -4,6 +4,11 @@
 //! comments, `#define NAME <integer>` directives (the only preprocessor
 //! feature the paper's programs use — they configure problem sizes with
 //! it), decimal/float literals, and the `$op` reduction sigils.
+//!
+//! A word is a slice of the source: keywords and `#define` names are
+//! matched on it, and an identifier token keeps only its span, whose
+//! source slice is its text. Lexing allocates the token vector and the
+//! defines table, nothing per token.
 
 use crate::diag::Diagnostics;
 use crate::span::Span;
@@ -20,11 +25,11 @@ pub struct LexOutput {
 /// Lex UC source. Lexical errors are reported in `diags`; scanning
 /// continues so later errors are also found.
 pub fn lex(src: &str, diags: &mut Diagnostics) -> LexOutput {
-    Lexer { src: src.as_bytes(), pos: 0, line: 1, col: 1, diags }.run()
+    Lexer { src, pos: 0, line: 1, col: 1, diags }.run()
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: u32,
     col: u32,
@@ -49,7 +54,7 @@ impl<'a> Lexer<'a> {
             match c {
                 b'#' => {
                     if let Some((name, value)) = self.directive() {
-                        defines.push((name, value));
+                        defines.push((name.to_string(), value));
                     }
                 }
                 b'0'..=b'9' => {
@@ -136,15 +141,15 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
     fn bump(&mut self) {
-        if let Some(&c) = self.src.get(self.pos) {
+        if let Some(&c) = self.src.as_bytes().get(self.pos) {
             self.pos += 1;
             if c == b'\n' {
                 self.line += 1;
@@ -194,7 +199,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// `#define NAME <integer>`; other directives are reported as errors.
-    fn directive(&mut self) -> Option<(String, i64)> {
+    fn directive(&mut self) -> Option<(&'a str, i64)> {
         let (line, col, start) = (self.line, self.col, self.pos);
         self.bump(); // '#'
         let word = self.word();
@@ -215,7 +220,7 @@ impl<'a> Lexer<'a> {
             self.skip_to_eol();
             return None;
         }
-        if TokenKind::keyword(&name).is_some() {
+        if TokenKind::keyword(name).is_some() {
             // The lexer would keep producing the keyword token, so the
             // constant could never be referenced.
             self.diags.error(
@@ -228,19 +233,14 @@ impl<'a> Lexer<'a> {
         while matches!(self.peek(), Some(b' ' | b'\t')) {
             self.bump();
         }
-        let mut digits = String::new();
+        let digits = self.pos;
         if self.peek() == Some(b'-') {
-            digits.push('-');
             self.bump();
         }
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() {
-                digits.push(c as char);
-                self.bump();
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.bump();
         }
+        let digits = &self.src[digits..self.pos];
         self.skip_to_eol();
         match digits.parse::<i64>() {
             Ok(v) => Some((name, v)),
@@ -263,21 +263,18 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn word(&mut self) -> String {
-        let mut s = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == b'_' {
-                s.push(c as char);
-                self.bump();
-            } else {
-                break;
-            }
+    /// The identifier-shaped word at the cursor (possibly empty), as a
+    /// slice of the source.
+    fn word(&mut self) -> &'a str {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == b'_') {
+            self.bump();
         }
-        s
+        &self.src[start..self.pos]
     }
 
     fn number(&mut self) -> TokenKind {
-        let start = self.pos;
+        let (start, line, col) = (self.pos, self.line, self.col);
         while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.bump();
         }
@@ -304,17 +301,22 @@ impl<'a> Lexer<'a> {
                 self.pos = save; // not an exponent; leave `e` for the ident lexer
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         if is_float {
-            TokenKind::FloatLit(text.parse().unwrap_or(0.0))
-        } else {
-            TokenKind::IntLit(text.parse().unwrap_or(0))
+            return TokenKind::FloatLit(text.parse().unwrap_or(0.0));
         }
+        // Only digits: the parse fails on overflow alone.
+        TokenKind::IntLit(text.parse().unwrap_or_else(|_| {
+            self.diags.error(
+                Span::new(start, self.pos, line, col),
+                "integer literal does not fit in 64 bits",
+            );
+            0
+        }))
     }
 
     fn ident(&mut self) -> TokenKind {
-        let w = self.word();
-        TokenKind::keyword(&w).unwrap_or(TokenKind::Ident(w))
+        TokenKind::keyword(self.word()).unwrap_or(TokenKind::Ident)
     }
 
     fn punct(&mut self) -> Option<TokenKind> {
@@ -394,10 +396,15 @@ impl<'a> Lexer<'a> {
             b'|' => two(self, b'|', PipePipe, Pipe),
             b'^' => Caret,
             b'~' => Tilde,
-            other => {
+            _ => {
+                // One error for the whole character, however many bytes
+                // it takes: `start` is a character boundary, since only
+                // this arm consumes a non-ASCII byte outside a comment.
+                let other = self.src[start..].chars().next().expect("a byte was peeked");
+                self.pos = start + other.len_utf8();
                 self.diags.error(
                     Span::new(start, self.pos, line, col),
-                    format!("unexpected character `{}`", other as char),
+                    format!("unexpected character `{other}`"),
                 );
                 return None;
             }
@@ -410,35 +417,48 @@ mod tests {
     use super::*;
     use crate::token::TokenKind::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    /// Each token but `Eof`, with the source text its span covers.
+    fn lexemes(src: &str) -> Vec<(TokenKind, &str)> {
         let mut d = Diagnostics::default();
         let out = lex(src, &mut d);
         assert!(!d.has_errors(), "unexpected lex errors: {d}");
-        out.tokens.into_iter().map(|t| t.kind).filter(|k| *k != Eof).collect()
+        let text = |t: &Token| &src[t.span.start..t.span.end];
+        out.tokens.iter().filter(|t| t.kind != Eof).map(|t| (t.kind, text(t))).collect()
+    }
+
+    fn kinds(src: &str) -> Vec<TokenKind> {
+        lexemes(src).into_iter().map(|(k, _)| k).collect()
+    }
+
+    /// The text of each identifier, read through its span.
+    fn idents(src: &str) -> Vec<&str> {
+        lexemes(src).into_iter().filter(|(k, _)| *k == Ident).map(|(_, t)| t).collect()
     }
 
     #[test]
     fn lexes_index_set_declaration() {
-        let ks = kinds("index_set I:i = {0..N-1}, idx2:j = {4,2,9};");
+        let src = "index_set I:i = {0..N-1}, idx2:j = {4,2,9};";
+        assert_eq!(idents(src), ["I", "i", "N", "idx2", "j"]);
+        let ks = kinds(src);
         assert_eq!(
             ks,
             vec![
                 KwIndexSet,
-                Ident("I".into()),
+                Ident,
                 Colon,
-                Ident("i".into()),
+                Ident,
                 Assign,
                 LBrace,
                 IntLit(0),
                 DotDot,
-                Ident("N".into()),
+                Ident,
                 Minus,
                 IntLit(1),
                 RBrace,
                 Comma,
-                Ident("idx2".into()),
+                Ident,
                 Colon,
-                Ident("j".into()),
+                Ident,
                 Assign,
                 LBrace,
                 IntLit(4),
@@ -485,7 +505,7 @@ mod tests {
     #[test]
     fn number_then_ident_e() {
         // `3element` lexes as 3 then `element` (error-free split).
-        assert_eq!(kinds("3 elements"), vec![IntLit(3), Ident("elements".into())]);
+        assert_eq!(lexemes("3 elements"), [(IntLit(3), "3"), (Ident, "elements")]);
     }
 
     #[test]
@@ -509,18 +529,18 @@ mod tests {
 
     #[test]
     fn comments_skipped() {
-        let ks = kinds("a /* inline */ b // trailing\nc");
-        assert_eq!(ks, vec![Ident("a".into()), Ident("b".into()), Ident("c".into())]);
+        assert_eq!(idents("a /* inline */ b // trailing\nc"), ["a", "b", "c"]);
+        assert_eq!(kinds("a /* inline */ b // trailing\nc"), [Ident, Ident, Ident]);
     }
 
     #[test]
     fn maps_to_vs_colon() {
-        assert_eq!(kinds("a :- b : c"), vec![
-            Ident("a".into()),
-            MapsTo,
-            Ident("b".into()),
-            Colon,
-            Ident("c".into())
+        assert_eq!(lexemes("a :- b : c"), [
+            (Ident, "a"),
+            (MapsTo, ":-"),
+            (Ident, "b"),
+            (Colon, ":"),
+            (Ident, "c")
         ]);
     }
 
@@ -553,6 +573,41 @@ mod tests {
         let mut d = Diagnostics::default();
         lex("$#", &mut d);
         assert!(d.has_errors());
+    }
+
+    #[test]
+    fn a_keyword_is_no_identifier_and_a_longer_word_is() {
+        assert_eq!(lexemes("par parx int_ INF"), [
+            (KwPar, "par"),
+            (Ident, "parx"),
+            (Ident, "int_"),
+            (KwInf, "INF")
+        ]);
+    }
+
+    #[test]
+    fn an_overflowing_integer_literal_is_one_spanned_error() {
+        let src = "x = 99999999999999999999;";
+        let mut d = Diagnostics::default();
+        lex(src, &mut d);
+        assert_eq!(d.items.len(), 1, "{d}");
+        assert!(d.items[0].message.contains("does not fit in 64 bits"), "{d}");
+        let span = d.items[0].span;
+        assert_eq!(&src[span.start..span.end], "99999999999999999999");
+        assert_eq!(kinds("9223372036854775807"), [IntLit(i64::MAX)]);
+    }
+
+    #[test]
+    fn a_non_ascii_character_is_one_error_naming_it() {
+        let src = "int x\u{e9};";
+        let mut d = Diagnostics::default();
+        let out = lex(src, &mut d);
+        assert_eq!(d.items.len(), 1, "{d}");
+        assert_eq!(d.items[0].message, "unexpected character `\u{e9}`");
+        let span = d.items[0].span;
+        assert_eq!((&src[span.start..span.end], span.col), ("\u{e9}", 6));
+        // Scanning goes on after the whole character.
+        assert_eq!(out.tokens.iter().map(|t| t.kind).collect::<Vec<_>>(), [KwInt, Ident, Semi, Eof]);
     }
 
     #[test]

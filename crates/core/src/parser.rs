@@ -5,6 +5,10 @@
 //! declarations, reduction expressions, the four constructs with their
 //! `st`/`others` arms and `*` iteration prefix, and the map section of §4.
 //!
+//! Tokens are `Copy` and carry no text; the parser reads an identifier's
+//! spelling from the source through its span, and allocates a name only
+//! where the AST keeps one.
+//!
 //! `sc-block` binding follows the paper's dangling-`else`-style rule: an
 //! `st`/`others` arm binds to the innermost construct; braces force a
 //! different binding.
@@ -23,7 +27,7 @@ pub fn parse(src: &str, diags: &mut Diagnostics) -> Option<Unit> {
     if diags.has_errors() {
         return None;
     }
-    let mut p = Parser { tokens, pos: 0, diags };
+    let mut p = Parser { src, tokens, pos: 0, diags };
     let unit = p.unit(defines);
     if p.diags.has_errors() {
         None
@@ -33,6 +37,7 @@ pub fn parse(src: &str, diags: &mut Diagnostics) -> Option<Unit> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     tokens: Vec<Token>,
     pos: usize,
     diags: &'a mut Diagnostics,
@@ -43,35 +48,53 @@ type PResult<T> = Result<T, ()>;
 impl<'a> Parser<'a> {
     // ---- token plumbing ---------------------------------------------------
 
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+    fn cur(&self) -> Token {
+        self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek2(&self) -> &TokenKind {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
+    fn peek(&self) -> TokenKind {
+        self.cur().kind
+    }
+
+    fn peek2(&self) -> TokenKind {
+        self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
     }
 
     fn span(&self) -> Span {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].span
+        self.cur().span
     }
 
     fn prev_span(&self) -> Span {
         self.tokens[self.pos.saturating_sub(1).min(self.tokens.len() - 1)].span
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].kind.clone();
+    fn bump(&mut self) -> Token {
+        let t = self.cur();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
         t
     }
 
-    fn at(&self, k: &TokenKind) -> bool {
+    /// The source text a token covers: an identifier's spelling.
+    fn text(&self, t: Token) -> &'a str {
+        &self.src[t.span.start..t.span.end]
+    }
+
+    /// A token as a diagnostic names it: its kind, with an identifier's
+    /// spelling.
+    fn describe(&self, t: Token) -> String {
+        match t.kind {
+            T::Ident => format!("Ident({:?})", self.text(t)),
+            k => format!("{k:?}"),
+        }
+    }
+
+    fn at(&self, k: TokenKind) -> bool {
         self.peek() == k
     }
 
-    fn eat(&mut self, k: &TokenKind) -> bool {
+    fn eat(&mut self, k: TokenKind) -> bool {
         if self.at(k) {
             self.bump();
             true
@@ -80,24 +103,27 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, k: &TokenKind, what: &str) -> PResult<()> {
+    fn expect(&mut self, k: TokenKind, what: &str) -> PResult<()> {
         if self.eat(k) {
             Ok(())
         } else {
-            let msg = format!("expected {what}, found {:?}", self.peek());
-            self.diags.error(self.span(), msg);
-            Err(())
+            self.expected(what)
         }
     }
 
-    fn ident(&mut self, what: &str) -> PResult<String> {
-        if let T::Ident(name) = self.peek().clone() {
-            self.bump();
-            Ok(name)
+    /// Report that the current token is not `what`.
+    fn expected<X>(&mut self, what: &str) -> PResult<X> {
+        let msg = format!("expected {what}, found {}", self.describe(self.cur()));
+        self.diags.error(self.span(), msg);
+        Err(())
+    }
+
+    fn ident(&mut self, what: &str) -> PResult<&'a str> {
+        if self.at(T::Ident) {
+            let t = self.bump();
+            Ok(self.text(t))
         } else {
-            let msg = format!("expected {what}, found {:?}", self.peek());
-            self.diags.error(self.span(), msg);
-            Err(())
+            self.expected(what)
         }
     }
 
@@ -121,7 +147,7 @@ impl<'a> Parser<'a> {
 
     fn unit(&mut self, defines: Vec<(String, i64)>) -> Unit {
         let mut items = Vec::new();
-        while !self.at(&T::Eof) {
+        while !self.at(T::Eof) {
             let before = self.pos;
             match self.item() {
                 Ok(batch) => items.extend(batch),
@@ -130,7 +156,7 @@ impl<'a> Parser<'a> {
             // `synchronize` stops *before* `}` (it must not eat the brace
             // when recovering inside a block), so a stray `}` at top level
             // would otherwise leave the cursor parked and loop forever.
-            if self.pos == before && !self.at(&T::Eof) {
+            if self.pos == before && !self.at(T::Eof) {
                 self.bump();
             }
         }
@@ -144,7 +170,7 @@ impl<'a> Parser<'a> {
             T::KwInt | T::KwFloat | T::KwVoid => {
                 let ty = self.type_name()?;
                 let name = self.ident("a declarator name")?;
-                if self.at(&T::LParen) {
+                if self.at(T::LParen) {
                     Ok(vec![self.func_rest(ty, name)?])
                 } else {
                     let (first, rest) = self.var_decl_rest(ty, name)?;
@@ -153,26 +179,23 @@ impl<'a> Parser<'a> {
                     Ok(items)
                 }
             }
-            T::Ident(_) if *self.peek2() == T::LParen => {
+            T::Ident if self.peek2() == T::LParen => {
                 // `main() { ... }` — return type defaults to int, as in C.
                 let name = self.ident("a function name")?;
                 Ok(vec![self.func_rest(Type::Int, name)?])
             }
-            _ => {
-                let msg = format!("expected a declaration, found {:?}", self.peek());
-                self.diags.error(self.span(), msg);
-                Err(())
-            }
+            _ => self.expected("a declaration"),
         }
     }
 
     fn type_name(&mut self) -> PResult<Type> {
-        match self.bump() {
+        let t = self.bump();
+        match t.kind {
             T::KwInt => Ok(Type::Int),
             T::KwFloat => Ok(Type::Float),
             T::KwVoid => Ok(Type::Void),
-            other => {
-                let msg = format!("expected a type, found {other:?}");
+            _ => {
+                let msg = format!("expected a type, found {}", self.describe(t));
                 self.diags.error(self.prev_span(), msg);
                 Err(())
             }
@@ -182,111 +205,116 @@ impl<'a> Parser<'a> {
     // ---- declarations -----------------------------------------------------
 
     fn index_set_decl(&mut self) -> PResult<Vec<IndexSetDef>> {
-        self.expect(&T::KwIndexSet, "`index_set`")?;
+        self.expect(T::KwIndexSet, "`index_set`")?;
         let mut defs = Vec::new();
         loop {
             let start = self.span();
-            let name = self.ident("an index-set name")?;
-            self.expect(&T::Colon, "`:` between set and element names")?;
-            let elem = self.ident("an element identifier")?;
-            self.expect(&T::Assign, "`=` in index-set definition")?;
-            let init = if self.eat(&T::LBrace) {
+            let name = self.ident("an index-set name")?.to_string();
+            self.expect(T::Colon, "`:` between set and element names")?;
+            let elem = self.ident("an element identifier")?.to_string();
+            self.expect(T::Assign, "`=` in index-set definition")?;
+            let init = if self.eat(T::LBrace) {
                 let first = self.expr()?;
-                if self.eat(&T::DotDot) {
+                if self.eat(T::DotDot) {
                     let hi = self.expr()?;
-                    self.expect(&T::RBrace, "`}` after range")?;
+                    self.expect(T::RBrace, "`}` after range")?;
                     IndexSetInit::Range(first, hi)
                 } else {
                     let mut elems = vec![first];
-                    while self.eat(&T::Comma) {
+                    while self.eat(T::Comma) {
                         elems.push(self.expr()?);
                     }
-                    self.expect(&T::RBrace, "`}` after element list")?;
+                    self.expect(T::RBrace, "`}` after element list")?;
                     IndexSetInit::List(elems)
                 }
             } else {
-                IndexSetInit::Alias(self.ident("an index-set name to alias")?)
+                IndexSetInit::Alias(self.ident("an index-set name to alias")?.to_string())
             };
             defs.push(IndexSetDef { name, elem, init, span: start.to(self.prev_span()) });
-            if !self.eat(&T::Comma) {
+            if !self.eat(T::Comma) {
                 break;
             }
         }
-        self.expect(&T::Semi, "`;` after index-set declaration")?;
+        self.expect(T::Semi, "`;` after index-set declaration")?;
         Ok(defs)
     }
 
     /// Parse the declarators of a variable declaration after `ty name`.
     /// Returns the first declaration plus any further comma declarators.
-    fn var_decl_rest(&mut self, ty: Type, name: String) -> PResult<(VarDecl, Vec<VarDecl>)> {
+    fn var_decl_rest(&mut self, ty: Type, name: &str) -> PResult<(VarDecl, Vec<VarDecl>)> {
         let first = self.one_declarator(ty, name)?;
         let mut rest = Vec::new();
-        while self.eat(&T::Comma) {
+        while self.eat(T::Comma) {
             let name = self.ident("a declarator name")?;
             rest.push(self.one_declarator(ty, name)?);
         }
-        self.expect(&T::Semi, "`;` after declaration")?;
+        self.expect(T::Semi, "`;` after declaration")?;
         Ok((first, rest))
     }
 
-    fn one_declarator(&mut self, ty: Type, name: String) -> PResult<VarDecl> {
+    fn one_declarator(&mut self, ty: Type, name: &str) -> PResult<VarDecl> {
         let start = self.prev_span();
         let mut dims = Vec::new();
-        while self.eat(&T::LBracket) {
+        while self.eat(T::LBracket) {
             dims.push(self.expr()?);
-            self.expect(&T::RBracket, "`]` after array extent")?;
+            self.expect(T::RBracket, "`]` after array extent")?;
         }
-        let init = if self.eat(&T::Assign) { Some(self.expr()?) } else { None };
-        Ok(VarDecl { ty, name, dims, init, span: start.to(self.prev_span()), local: 0 })
+        let init = if self.eat(T::Assign) { Some(self.expr()?) } else { None };
+        let span = start.to(self.prev_span());
+        Ok(VarDecl { ty, name: name.to_string(), dims, init, span, local: 0 })
     }
 
-    fn func_rest(&mut self, ret: Type, name: String) -> PResult<Item> {
+    fn func_rest(&mut self, ret: Type, name: &str) -> PResult<Item> {
         let start = self.prev_span();
-        self.expect(&T::LParen, "`(`")?;
+        self.expect(T::LParen, "`(`")?;
         let mut params = Vec::new();
-        if !self.at(&T::RParen) {
+        if !self.at(T::RParen) {
             loop {
                 let ty = self.type_name()?;
                 let pname = self.ident("a parameter name")?;
-                params.push((ty, pname));
-                if !self.eat(&T::Comma) {
+                params.push((ty, pname.to_string()));
+                if !self.eat(T::Comma) {
                     break;
                 }
             }
         }
-        self.expect(&T::RParen, "`)` after parameters")?;
+        self.expect(T::RParen, "`)` after parameters")?;
         let body = self.block()?;
-        Ok(Item::Func(FuncDef { ret, name, params, body, span: start.to(self.prev_span()) }))
+        let (name, span) = (name.to_string(), start.to(self.prev_span()));
+        Ok(Item::Func(FuncDef { ret, name, params, body, span }))
     }
 
     fn map_section(&mut self) -> PResult<MapSection> {
         let start = self.span();
-        self.expect(&T::KwMap, "`map`")?;
+        self.expect(T::KwMap, "`map`")?;
         let idxs = self.idx_list()?;
-        self.expect(&T::LBrace, "`{` opening the map section")?;
+        self.expect(T::LBrace, "`{` opening the map section")?;
         let mut decls = Vec::new();
-        while !self.at(&T::RBrace) && !self.at(&T::Eof) {
+        while !self.at(T::RBrace) && !self.at(T::Eof) {
             let dstart = self.span();
-            let kind = match self.bump() {
+            let t = self.bump();
+            let kind = match t.kind {
                 T::KwPermute => MapKind::Permute,
                 T::KwFold => MapKind::Fold,
                 T::KwCopy => MapKind::Copy,
-                other => {
-                    let msg =
-                        format!("expected `permute`, `fold` or `copy`, found {other:?}");
+                _ => {
+                    let msg = format!(
+                        "expected `permute`, `fold` or `copy`, found {}",
+                        self.describe(t)
+                    );
                     self.diags.error(self.prev_span(), msg);
                     return Err(());
                 }
             };
             let idxs = self.idx_list()?;
             let target = self.array_pattern()?;
-            self.expect(&T::MapsTo, "`:-` between mapping patterns")?;
+            self.expect(T::MapsTo, "`:-` between mapping patterns")?;
             let source = self.array_pattern()?;
-            self.expect(&T::Semi, "`;` after mapping declaration")?;
+            self.expect(T::Semi, "`;` after mapping declaration")?;
             let span = dstart.to(self.prev_span());
             decls.push(MapDecl { kind, idxs, sets: Vec::new(), target, source, span });
         }
-        self.expect(&T::RBrace, "`}` closing the map section")?;
+        self.expect(T::RBrace, "`}` closing the map section")?;
         Ok(MapSection { idxs, sets: Vec::new(), decls, span: start.to(self.prev_span()) })
     }
 
@@ -294,29 +322,35 @@ impl<'a> Parser<'a> {
         let start = self.span();
         let array = Name::new(self.ident("an array name")?);
         let mut subs = Vec::new();
-        while self.eat(&T::LBracket) {
+        while self.eat(T::LBracket) {
             subs.push(self.expr()?);
-            self.expect(&T::RBracket, "`]`")?;
+            self.expect(T::RBracket, "`]`")?;
         }
         Ok(ArrayPattern { array, subs, span: start.to(self.prev_span()) })
     }
 
     fn idx_list(&mut self) -> PResult<Vec<String>> {
-        self.expect(&T::LParen, "`(` before index-set list")?;
-        let mut idxs = vec![self.ident("an index-set name")?];
-        while self.eat(&T::Comma) {
-            idxs.push(self.ident("an index-set name")?);
+        self.expect(T::LParen, "`(` before index-set list")?;
+        let idxs = self.set_names()?;
+        self.expect(T::RParen, "`)` after index-set list")?;
+        Ok(idxs)
+    }
+
+    /// `I, J, ...`: one or more index-set names.
+    fn set_names(&mut self) -> PResult<Vec<String>> {
+        let mut idxs = vec![self.ident("an index-set name")?.to_string()];
+        while self.eat(T::Comma) {
+            idxs.push(self.ident("an index-set name")?.to_string());
         }
-        self.expect(&T::RParen, "`)` after index-set list")?;
         Ok(idxs)
     }
 
     // ---- statements -------------------------------------------------------
 
     fn block(&mut self) -> PResult<Block> {
-        self.expect(&T::LBrace, "`{`")?;
+        self.expect(T::LBrace, "`{`")?;
         let mut stmts = Vec::new();
-        while !self.at(&T::RBrace) && !self.at(&T::Eof) {
+        while !self.at(T::RBrace) && !self.at(T::Eof) {
             // Parse declarations here (not via `stmt`) so a multi-
             // declarator `int x, y;` contributes every name to *this*
             // block's scope.
@@ -328,7 +362,7 @@ impl<'a> Parser<'a> {
                 self.synchronize();
             }
         }
-        self.expect(&T::RBrace, "`}`")?;
+        self.expect(T::RBrace, "`}`")?;
         Ok(Block { stmts })
     }
 
@@ -337,8 +371,8 @@ impl<'a> Parser<'a> {
         let ty = self.type_name()?;
         let name = self.ident("a declarator name")?;
         let (first, rest) = self.var_decl_rest(ty, name)?;
-        let mut stmts = vec![Stmt::Decl(first)];
-        stmts.extend(rest.into_iter().map(Stmt::Decl));
+        let mut stmts = vec![Stmt::Decl(Box::new(first))];
+        stmts.extend(rest.into_iter().map(|v| Stmt::Decl(Box::new(v))));
         Ok(stmts)
     }
 
@@ -367,11 +401,11 @@ impl<'a> Parser<'a> {
             }
             T::KwIf => {
                 self.bump();
-                self.expect(&T::LParen, "`(` after `if`")?;
+                self.expect(T::LParen, "`(` after `if`")?;
                 let cond = self.expr()?;
-                self.expect(&T::RParen, "`)` after condition")?;
+                self.expect(T::RParen, "`)` after condition")?;
                 let then_branch = Box::new(self.stmt()?);
-                let else_branch = if self.eat(&T::KwElse) {
+                let else_branch = if self.eat(T::KwElse) {
                     Some(Box::new(self.stmt()?))
                 } else {
                     None
@@ -380,38 +414,38 @@ impl<'a> Parser<'a> {
             }
             T::KwWhile => {
                 self.bump();
-                self.expect(&T::LParen, "`(` after `while`")?;
+                self.expect(T::LParen, "`(` after `while`")?;
                 let cond = self.expr()?;
-                self.expect(&T::RParen, "`)` after condition")?;
+                self.expect(T::RParen, "`)` after condition")?;
                 let body = Box::new(self.stmt()?);
                 Ok(Stmt::While { cond, body, span })
             }
             T::KwFor => {
                 self.bump();
-                self.expect(&T::LParen, "`(` after `for`")?;
-                let init = if self.at(&T::Semi) { None } else { Some(self.expr()?) };
-                self.expect(&T::Semi, "`;` in for header")?;
-                let cond = if self.at(&T::Semi) { None } else { Some(self.expr()?) };
-                self.expect(&T::Semi, "`;` in for header")?;
-                let step = if self.at(&T::RParen) { None } else { Some(self.expr()?) };
-                self.expect(&T::RParen, "`)` after for header")?;
+                self.expect(T::LParen, "`(` after `for`")?;
+                let init = if self.at(T::Semi) { None } else { Some(Box::new(self.expr()?)) };
+                self.expect(T::Semi, "`;` in for header")?;
+                let cond = if self.at(T::Semi) { None } else { Some(Box::new(self.expr()?)) };
+                self.expect(T::Semi, "`;` in for header")?;
+                let step = if self.at(T::RParen) { None } else { Some(Box::new(self.expr()?)) };
+                self.expect(T::RParen, "`)` after for header")?;
                 let body = Box::new(self.stmt()?);
                 Ok(Stmt::For { init, cond, step, body, span })
             }
             T::KwReturn => {
                 self.bump();
-                let e = if self.at(&T::Semi) { None } else { Some(self.expr()?) };
-                self.expect(&T::Semi, "`;` after return")?;
+                let e = if self.at(T::Semi) { None } else { Some(self.expr()?) };
+                self.expect(T::Semi, "`;` after return")?;
                 Ok(Stmt::Return(e, span))
             }
             T::KwBreak => {
                 self.bump();
-                self.expect(&T::Semi, "`;` after break")?;
+                self.expect(T::Semi, "`;` after break")?;
                 Ok(Stmt::Break(span))
             }
             T::KwContinue => {
                 self.bump();
-                self.expect(&T::Semi, "`;` after continue")?;
+                self.expect(T::Semi, "`;` after continue")?;
                 Ok(Stmt::Continue(span))
             }
             T::Star | T::KwPar | T::KwSeq | T::KwSolve | T::KwOneof
@@ -421,7 +455,7 @@ impl<'a> Parser<'a> {
             }
             _ => {
                 let e = self.expr()?;
-                self.expect(&T::Semi, "`;` after expression statement")?;
+                self.expect(T::Semi, "`;` after expression statement")?;
                 Ok(Stmt::Expr(e))
             }
         }
@@ -442,14 +476,15 @@ impl<'a> Parser<'a> {
 
     fn uc_stmt(&mut self) -> PResult<Stmt> {
         let span = self.span();
-        let star = self.eat(&T::Star);
-        let kind = match self.bump() {
+        let star = self.eat(T::Star);
+        let t = self.bump();
+        let kind = match t.kind {
             T::KwPar => UcKind::Par,
             T::KwSeq => UcKind::Seq,
             T::KwSolve => UcKind::Solve,
             T::KwOneof => UcKind::Oneof,
-            other => {
-                let msg = format!("expected a UC construct keyword, found {other:?}");
+            _ => {
+                let msg = format!("expected a UC construct keyword, found {}", self.describe(t));
                 self.diags.error(self.prev_span(), msg);
                 return Err(());
             }
@@ -457,15 +492,15 @@ impl<'a> Parser<'a> {
         let idxs = self.idx_list()?;
         let mut arms = Vec::new();
         let mut others = None;
-        if self.at(&T::KwSt) {
-            while self.eat(&T::KwSt) {
-                self.expect(&T::LParen, "`(` after `st`")?;
+        if self.at(T::KwSt) {
+            while self.eat(T::KwSt) {
+                self.expect(T::LParen, "`(` after `st`")?;
                 let pred = self.expr()?;
-                self.expect(&T::RParen, "`)` after predicate")?;
+                self.expect(T::RParen, "`)` after predicate")?;
                 let body = self.stmt()?;
                 arms.push(ScBlock { pred: Some(pred), body });
             }
-            if self.eat(&T::KwOthers) {
+            if self.eat(T::KwOthers) {
                 others = Some(Box::new(self.stmt()?));
             }
         } else {
@@ -518,10 +553,10 @@ impl<'a> Parser<'a> {
 
     fn ternary(&mut self) -> PResult<Expr> {
         let cond = self.binary(0)?;
-        if self.eat(&T::Question) {
+        if self.eat(T::Question) {
             let span = self.prev_span();
             let then_e = self.expr()?;
-            self.expect(&T::Colon, "`:` in conditional expression")?;
+            self.expect(T::Colon, "`:` in conditional expression")?;
             let else_e = self.ternary()?;
             Ok(Expr::Ternary {
                 cond: Box::new(cond),
@@ -595,7 +630,7 @@ impl<'a> Parser<'a> {
                 self.unary()
             }
             T::PlusPlus | T::MinusMinus => {
-                let op = if self.bump() == T::PlusPlus { BinaryOp::Add } else { BinaryOp::Sub };
+                let op = if self.bump().kind == T::PlusPlus { BinaryOp::Add } else { BinaryOp::Sub };
                 let e = self.unary()?;
                 self.desugar_incdec(e, op, span)
             }
@@ -621,15 +656,18 @@ impl<'a> Parser<'a> {
         loop {
             match self.peek() {
                 T::LBracket => {
-                    let Expr::Ident(name, span) = e.clone() else {
-                        self.diags
-                            .error(e.span(), "only named arrays can be subscripted in UC");
-                        return Err(());
+                    let (name, span) = match e {
+                        Expr::Ident(name, span) => (name, span),
+                        other => {
+                            self.diags
+                                .error(other.span(), "only named arrays can be subscripted in UC");
+                            return Err(());
+                        }
                     };
                     let mut subs = Vec::new();
-                    while self.eat(&T::LBracket) {
+                    while self.eat(T::LBracket) {
                         subs.push(self.expr()?);
-                        self.expect(&T::RBracket, "`]`")?;
+                        self.expect(T::RBracket, "`]`")?;
                     }
                     let span = span.to(self.prev_span());
                     e = Expr::Index { base: name, subs, span, access: 0, borrow: false };
@@ -651,8 +689,9 @@ impl<'a> Parser<'a> {
     }
 
     fn primary(&mut self) -> PResult<Expr> {
-        let span = self.span();
-        match self.peek().clone() {
+        let t = self.cur();
+        let span = t.span;
+        match t.kind {
             T::IntLit(v) => {
                 self.bump();
                 Ok(Expr::IntLit(v, span))
@@ -668,60 +707,54 @@ impl<'a> Parser<'a> {
             T::LParen => {
                 self.bump();
                 let e = self.expr()?;
-                self.expect(&T::RParen, "`)`")?;
+                self.expect(T::RParen, "`)`")?;
                 Ok(e)
             }
             T::Reduce(op) => {
                 self.bump();
                 self.reduction(op, span)
             }
-            T::Ident(name) => {
+            T::Ident => {
                 self.bump();
-                if self.eat(&T::LParen) {
+                let name = self.text(t);
+                if self.eat(T::LParen) {
                     let mut args = Vec::new();
-                    if !self.at(&T::RParen) {
+                    if !self.at(T::RParen) {
                         loop {
                             args.push(self.expr()?);
-                            if !self.eat(&T::Comma) {
+                            if !self.eat(T::Comma) {
                                 break;
                             }
                         }
                     }
-                    self.expect(&T::RParen, "`)` after arguments")?;
-                    let callee = Builtin::named(&name).map_or(Callee::Unresolved, Callee::Builtin);
+                    self.expect(T::RParen, "`)` after arguments")?;
+                    let callee = Builtin::named(name).map_or(Callee::Unresolved, Callee::Builtin);
                     let (name, span) = (name.into(), span.to(self.prev_span()));
                     Ok(Expr::Call { name, callee, args, span, value: NO_VALUE })
                 } else {
                     Ok(Expr::Ident(Name::new(name), span))
                 }
             }
-            other => {
-                let msg = format!("expected an expression, found {other:?}");
-                self.diags.error(span, msg);
-                Err(())
-            }
+            _ => self.expected("an expression"),
         }
     }
 
     /// `$op ( I, J  (';' expr | ['st' '(' p ')' expr]+ ) [others expr] )`
     fn reduction(&mut self, op: crate::token::RedOpToken, span: Span) -> PResult<Expr> {
-        self.expect(&T::LParen, "`(` after reduction operator")?;
-        let mut idxs = vec![self.ident("an index-set name")?];
-        while self.eat(&T::Comma) {
-            idxs.push(self.ident("an index-set name")?);
-        }
-        let semi = self.eat(&T::Semi);
+        self.expect(T::LParen, "`(` after reduction operator")?;
+        let idxs = self.set_names()?;
+        let semi = self.eat(T::Semi);
         let mut arms = Vec::new();
         let mut others = None;
-        if self.at(&T::KwSt) {
-            while self.eat(&T::KwSt) {
-                self.expect(&T::LParen, "`(` after `st`")?;
+        if self.at(T::KwSt) {
+            while self.eat(T::KwSt) {
+                self.expect(T::LParen, "`(` after `st`")?;
                 let pred = self.expr()?;
-                self.expect(&T::RParen, "`)` after predicate")?;
+                self.expect(T::RParen, "`)` after predicate")?;
                 let operand = self.expr()?;
                 arms.push((Some(pred), operand));
             }
-            if self.eat(&T::KwOthers) {
+            if self.eat(T::KwOthers) {
                 others = Some(self.expr()?);
             }
         } else {
@@ -734,7 +767,7 @@ impl<'a> Parser<'a> {
             let operand = self.expr()?;
             arms.push((None, operand));
         }
-        self.expect(&T::RParen, "`)` closing the reduction")?;
+        self.expect(T::RParen, "`)` closing the reduction")?;
         Ok(Expr::Reduce(Box::new(ReduceExpr {
             op,
             idxs,

@@ -72,7 +72,7 @@ pub fn stmt_to_string(s: &Stmt, indent: usize) -> String {
             format!("while ({}) {}", expr(cond), stmt_to_string(body, indent))
         }
         Stmt::For { init, cond, step, body, .. } => {
-            let p = |o: &Option<Expr>| o.as_ref().map(expr).unwrap_or_default();
+            let p = |o: &Option<Box<Expr>>| o.as_deref().map(expr).unwrap_or_default();
             format!(
                 "for ({}; {}; {}) {}",
                 p(init),

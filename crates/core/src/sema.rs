@@ -481,10 +481,24 @@ impl<'a> Checker<'a> {
                 Item::IndexSets(defs) => {
                     for def in defs {
                         let id = self.define_index_set(def);
-                        self.global_sets.insert(def.name.clone(), id);
+                        // The first definition stays bound.
+                        match self.global_sets.entry(def.name.clone()) {
+                            Entry::Vacant(slot) => _ = slot.insert(id),
+                            Entry::Occupied(_) => self
+                                .diags
+                                .error(def.span, format!("index set `{}` redefined", def.name)),
+                        }
                     }
                 }
-                Item::Var(v) => self.declare_global(v),
+                Item::Var(v) => {
+                    // One global namespace holds variables and functions,
+                    // as in C.
+                    if self.funcs.contains_key(&v.name) {
+                        let msg = format!("`{}` is already declared as a function", v.name);
+                        self.diags.error(v.span, msg);
+                    }
+                    self.declare_global(v);
+                }
                 Item::Func(f) => {
                     // Its position among the functions, if every name is
                     // new — and a program where one is not never runs.
@@ -497,6 +511,10 @@ impl<'a> Checker<'a> {
                     } else if self.funcs.insert(f.name.clone(), sig).is_some() {
                         self.diags
                             .error(f.span, format!("function `{}` redefined", f.name));
+                    } else if self.scalars.contains_key(&f.name) || self.arrays.contains_key(&f.name)
+                    {
+                        let msg = format!("`{}` is already declared as a variable", f.name);
+                        self.diags.error(f.span, msg);
                     }
                 }
                 Item::Map(_) => {}
@@ -810,10 +828,7 @@ impl<'a> Checker<'a> {
             Stmt::IndexSets(defs) => {
                 for def in defs {
                     let id = self.define_index_set(def);
-                    self.scopes
-                        .last_mut()
-                        .expect("inside a scope")
-                        .insert(def.name.clone(), (Ref::Unresolved, Denotes::IndexSet(id)));
+                    self.bind_local(&def.name, (Ref::Unresolved, Denotes::IndexSet(id)), def.span);
                 }
             }
             Stmt::Block(b) => self.check_block(b),

@@ -4,23 +4,28 @@
 //! plus the keywords `index_set`, `par`, `seq`, `solve`, `oneof`, `st`,
 //! `others`, `map`, `permute`, `fold`, `copy`, and the reduction sigil `$`.
 //! `goto` is recognised so the parser can reject it with a proper message.
+//!
+//! A token carries no text: an identifier's spelling is the source slice
+//! its span covers (`&src[span.start..span.end]`), so tokens are `Copy`
+//! and lexing allocates nothing per token.
 
 use crate::span::Span;
 
 /// A lexed token.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Token {
     pub kind: TokenKind,
     pub span: Span,
 }
 
 /// All UC token kinds.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TokenKind {
     // Literals and identifiers
     IntLit(i64),
     FloatLit(f64),
-    Ident(String),
+    /// An identifier; its text is the source its token's span covers.
+    Ident,
 
     // Keywords
     KwIndexSet,

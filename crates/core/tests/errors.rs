@@ -308,6 +308,70 @@ fn a_name_is_declared_once_per_scope() {
     assert_eq!((p.read_int("s"), p.read_int("t")), (Some(1), Some(3)));
 }
 
+/// An index set is defined once per scope, and one global namespace
+/// holds variables and functions, as in C. Each second declaration is one
+/// spanned error at that declaration, from both entry points.
+#[test]
+fn a_set_or_a_global_name_is_defined_once() {
+    for (src, expected) in [
+        (
+            "int a[4];\nindex_set I:i = {0..3};\nindex_set I:i = {0..1};\nmain() { par (I) a[i] = 1; }",
+            "error: index set `I` redefined at 3:11",
+        ),
+        (
+            "int a[4];\nmain() { index_set I:i = {0..3};\n index_set I:i = {0..1}; par (I) a[i] = 1; }",
+            "error: `I` is already declared in this scope at 3:12",
+        ),
+        (
+            "int g;\nint g(int x) { return x + 1; }\nmain() { g = g(3); }",
+            "error: `g` is already declared as a variable at 2:5",
+        ),
+        (
+            "int g[2];\nint g(int x) { return x + 1; }\nmain() { g[0] = g(3); }",
+            "error: `g` is already declared as a variable at 2:5",
+        ),
+        (
+            "int g(int x) { return x + 1; }\nint g;\nmain() { g = g(3); }",
+            "error: `g` is already declared as a function at 2:5",
+        ),
+    ] {
+        let compiled = compile_err(src);
+        assert_eq!(compiled.lines().collect::<Vec<_>>(), [expected], "{src}");
+        let checked = check_source(src, &[], &LintConfig::default());
+        let lines: Vec<String> = checked.items.iter().map(|d| d.to_string()).collect();
+        assert_eq!(lines, [expected], "{src}");
+    }
+    // An index set in an inner scope still shadows an outer one.
+    let src = "int s;\nindex_set I:i = {0..3};\nmain() { { index_set I:i = {0..1}; s = $+(I; i); } }";
+    let mut p = Program::compile(src).unwrap_or_else(|d| panic!("compile failed:\n{d}"));
+    p.run().unwrap();
+    assert_eq!(p.read_int("s"), Some(1));
+}
+
+/// A literal that does not fit in 64 bits, and a character outside the
+/// language's ASCII alphabet, are each one spanned lexical error naming
+/// what is wrong, from both entry points.
+#[test]
+fn lexical_errors_name_the_whole_lexeme_once() {
+    for (src, expected) in [
+        (
+            "int x;\nmain() { x = 99999999999999999999; }",
+            "error: integer literal does not fit in 64 bits at 2:14",
+        ),
+        ("int x\u{e9};\nmain() {}", "error: unexpected character `\u{e9}` at 1:6"),
+    ] {
+        let compiled = compile_err(src);
+        assert_eq!(compiled.lines().collect::<Vec<_>>(), [expected], "{src}");
+        let checked = check_source(src, &[], &LintConfig::default());
+        let lines: Vec<String> = checked.items.iter().map(|d| d.to_string()).collect();
+        assert_eq!(lines, [expected], "{src}");
+    }
+    // The largest literal still lexes.
+    let mut p = Program::compile("int x;\nmain() { x = 9223372036854775807; }").unwrap();
+    p.run().unwrap();
+    assert_eq!(p.read_int("x"), Some(i64::MAX));
+}
+
 /// A `void` variable is bound as an `int`: its uses report nothing
 /// beyond the two real errors, from both entry points.
 #[test]

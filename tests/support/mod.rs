@@ -101,6 +101,8 @@ impl ScopeModel {
     pub fn walk(&mut self, items: &[Nest]) {
         for item in items {
             match *item {
+                // A second definition in one scope is an error, as in C.
+                Nest::Def { name, .. } if self.scopes.last().unwrap().contains_key(&name) => {}
                 Nest::Def { name, init } => {
                     let d = self.defs.len();
                     let lo = 10 * d as i64;
