@@ -1,19 +1,17 @@
 //! UC110/UC111 — communication-pattern lints.
 //!
-//! The executor classifies every parallel array access as local, NEWS or
-//! general-router traffic (`exec/access.rs`) from the [`IdxForm`] of its
-//! subscripts. This pass asks the same classifier,
-//! [`opt::classify_index`], at check time — with the binders it tracks
-//! while walking, keyed like the executor's by the set a `Ref::Elem`
-//! names, and the `#define`s in place of the executor's live values —
-//! and reports the two cases where a provably-regular
-//! pattern still pays router cost, the paper's §4 communication-cost
-//! optimization surfaced as a diagnostic instead of silently applied:
+//! [`opt::path`] picks local, NEWS or router for an access from its
+//! subscripts' forms — sema's plan, valued by [`opt::resolve_index`] —
+//! the space's extents and the array's mapping. The executor asks it
+//! where an access runs; this pass asks it with the `#define`s in place
+//! of the live values, and reports the two cases where it sends a
+//! provably regular pattern to the router — the paper's §4
+//! communication-cost optimization surfaced as a diagnostic:
 //!
 //! * **UC110** — every subscript is `axis + constant` on the matching
-//!   axis, but two or more axes are displaced (`a[i-1][j-1]`). The
-//!   runtime's NEWS fast path handles at most one displaced axis, so the
-//!   access takes the router even though it is a regular grid shift.
+//!   axis, but two or more axes are displaced (`a[i-1][j-1]`). The NEWS
+//!   path handles at most one displaced axis, so the access takes the
+//!   router even though it is a regular grid shift.
 //! * **UC111** — the pattern is regular but misaligned with the iteration
 //!   space: transposed axes (`a[j][i]`) or an array whose shape does not
 //!   conform to the space. A `map` declaration (permute/fold/copy) could
@@ -24,40 +22,30 @@
 //! extended the space) and re-mapped arrays legitimately use the router
 //! or follow a different transform.
 //!
-//! The walk opens the space axes the executor opens for a `par`, a
-//! `oneof` and a reduction. A `solve`'s sets open none here (see
-//! `Walker::binders`), so its accesses are not classified.
+//! The walk tracks the extents of the axes a `par`, a `oneof` and a
+//! reduction open. It leaves the accesses under a `solve` unclassified:
+//! that would flag `examples/uc/wavefront.uc`'s `a[i-1][j-1]`, which does
+//! take the router.
 
 use super::Finding;
 use crate::ast::*;
-use crate::opt::{self, ElemForm, IdxForm};
 use crate::mapping::ArrayMapping;
+use crate::opt::{self, IdxForm, Path};
 use crate::sema::Checked;
 
 struct Walker<'c> {
     checked: &'c Checked,
-    /// Index elements in scope, innermost last, by the set each is the
-    /// element of. Elements of a space axis — a `par`'s, a `oneof`'s, a
-    /// reduction's — bind as the executor binds them. Those of a `solve`
-    /// stay [`ElemForm::Opaque`] although the executor opens axes for them
-    /// too: binding them would flag `examples/uc/wavefront.uc`'s
-    /// `a[i-1][j-1]`, which does take the router. (A `seq` element is a
-    /// front-end local, not a constant either.)
-    binders: Vec<(SetId, ElemForm)>,
     /// Extents of the current space axes (outer constructs are a prefix,
     /// as in the executor).
     dims: Vec<usize>,
+    /// Open `solve`s.
+    solves: usize,
     out: Vec<Finding>,
 }
 
 /// Report UC110/UC111 on every function, in declaration order.
 pub(crate) fn run(checked: &Checked, out: &mut Vec<Finding>) {
-    let mut w = Walker {
-        checked,
-        binders: Vec::new(),
-        dims: Vec::new(),
-        out: Vec::new(),
-    };
+    let mut w = Walker { checked, dims: Vec::new(), solves: 0, out: Vec::new() };
     for f in checked.funcs_in_order() {
         for s in &f.body.stmts {
             w.stmt(s);
@@ -68,15 +56,15 @@ pub(crate) fn run(checked: &Checked, out: &mut Vec<Finding>) {
 
 impl Walker<'_> {
     fn stmt(&mut self, s: &Stmt) {
-        match s {
-            Stmt::Uc(uc) => {
-                let space = matches!(uc.kind, UcKind::Par | UcKind::Oneof);
-                let pushed = self.push_sets(&uc.sets, space);
-                self.children(s);
-                self.pop_sets(pushed);
-            }
-            _ => self.children(s),
-        }
+        let Stmt::Uc(uc) = s else { return self.children(s) };
+        let (axes, solve) = match uc.kind {
+            UcKind::Par | UcKind::Oneof => (&uc.sets[..], 0),
+            UcKind::Solve => (&[][..], 1),
+            UcKind::Seq => (&[][..], 0),
+        };
+        self.solves += solve;
+        self.open(axes, |w| w.children(s));
+        self.solves -= solve;
     }
 
     fn children(&mut self, s: &Stmt) {
@@ -86,48 +74,30 @@ impl Walker<'_> {
         });
     }
 
-    /// Bind the constructs' elements; `parallel` sets extend the space.
-    /// Returns (binders pushed, axes pushed).
-    fn push_sets(&mut self, sets: &[SetId], parallel: bool) -> (usize, usize) {
-        for &set in sets {
-            let info = &self.checked.sets[set];
-            let mut form = ElemForm::Opaque;
-            if parallel {
-                if let Some(lo) = info.contiguous_lo() {
-                    form = ElemForm::AxisPlus { axis: self.dims.len(), lo };
-                }
-                self.dims.push(info.elements.len());
-            }
-            self.binders.push((set, form));
-        }
-        (sets.len(), if parallel { sets.len() } else { 0 })
-    }
-
-    fn pop_sets(&mut self, (binders, axes): (usize, usize)) {
-        self.binders.truncate(self.binders.len() - binders);
-        self.dims.truncate(self.dims.len() - axes);
+    /// Run `f` with the axes of `sets` open.
+    fn open(&mut self, sets: &[SetId], f: impl FnOnce(&mut Self)) {
+        let outer = self.dims.len();
+        self.dims.extend(sets.iter().map(|&set| self.checked.sets[set].elements.len()));
+        f(self);
+        self.dims.truncate(outer);
     }
 
     fn expr(&mut self, e: &Expr) {
-        let pushed = match e {
-            Expr::Index { base, subs, span, .. } => {
-                self.classify(base, subs, *span);
-                (0, 0)
-            }
+        match e {
+            Expr::Index { base, subs, span, access, .. } => self.classify(base, subs, *access, *span),
             // A reduction evaluates its operands on the space extended
             // by its own sets, exactly like a nested `par`.
-            Expr::Reduce(r) => self.push_sets(&r.sets, true),
-            _ => (0, 0),
-        };
+            Expr::Reduce(r) => return self.open(&r.sets, |w| e.for_each_child(|c| w.expr(c))),
+            _ => {}
+        }
         e.for_each_child(|c| self.expr(c));
-        self.pop_sets(pushed);
     }
 
-    /// Classify one access and report UC110/UC111 when a regular pattern
-    /// pays router cost.
-    fn classify(&mut self, base: &Name, subs: &[Expr], span: crate::span::Span) {
-        if self.dims.is_empty() {
-            return; // front-end access, no communication
+    /// Report UC110/UC111 when the path rule sends a regular access to the
+    /// router.
+    fn classify(&mut self, base: &Name, subs: &[Expr], access: ValueId, span: crate::span::Span) {
+        if self.dims.is_empty() || self.solves > 0 {
+            return; // a front-end access, or one under a `solve`
         }
         let Ref::Array(id) = base.to else {
             return; // a function-local array
@@ -140,44 +110,37 @@ impl Walker<'_> {
         if subs.len() != info.shape.len() || subs.len() != self.dims.len() {
             return;
         }
-        // (axis, offset) per subscript; anything but `axis + constant`
-        // is a true gather.
-        let elem_form = |name: &Name| match name.to {
-            Ref::Elem(set) => {
-                self.binders.iter().rev().find(|(s, _)| *s == set as SetId).map(|(_, form)| *form)
-            }
+        // Anything but `axis + constant` is a true gather.
+        let plan = &self.checked.values[access as usize].forms;
+        let resolve = |(sub, &form): (&Expr, _)| opt::resolve_index(form, sub, |n| self.checked.define(n));
+        let forms: Vec<IdxForm> = subs.iter().zip(plan).map(resolve).collect();
+        let axis = |f: &IdxForm| match *f {
+            IdxForm::AxisPlus { axis, .. } => Some(axis),
             _ => None,
         };
-        let konst = |e: &Expr| self.checked.const_int(e);
-        let mut forms = Vec::with_capacity(subs.len());
-        for sub in subs {
-            let form = opt::classify_index(sub, &elem_form, &konst);
-            let IdxForm::AxisPlus { axis, offset } = form else { return };
-            forms.push((axis, offset));
-        }
-        let identity_axes = forms.iter().enumerate().all(|(d, &(a, _))| a == d);
-        let conforms = info.shape == self.dims;
-        let access = crate::pretty::access(&base.text, subs);
-        if identity_axes && conforms {
-            let displaced = forms.iter().filter(|&&(_, offset)| offset != 0).count();
-            if displaced > 1 {
-                self.out.push(Finding {
-                    code: "UC110",
-                    span,
-                    message: format!(
-                        "`{access}` is a regular grid shift on {displaced} axes but goes \
-                         through the general router; splitting it into single-axis NEWS \
-                         shifts (or a `map permute`) is cheaper (§4 communication cost)"
-                    ),
-                });
-            }
+        let Some(mut axes) = forms.iter().map(axis).collect::<Option<Vec<usize>>>() else { return };
+        if opt::path(&forms, &self.dims, &info.shape, &info.mapping) != Path::Router {
             return; // local or single-axis NEWS: optimal
+        }
+        let identity_axes = axes.iter().enumerate().all(|(d, &a)| a == d);
+        let access = crate::pretty::access(&base.text, subs);
+        if identity_axes && info.shape == self.dims {
+            let displaced = forms.iter().filter(|f| !matches!(f, IdxForm::AxisPlus { offset: 0, .. })).count();
+            self.out.push(Finding {
+                code: "UC110",
+                span,
+                message: format!(
+                    "`{access}` is a regular grid shift on {displaced} axes but goes \
+                     through the general router; splitting it into single-axis NEWS \
+                     shifts (or a `map permute`) is cheaper (§4 communication cost)"
+                ),
+            });
+            return;
         }
         // Regular but misaligned. Only flag patterns a `map` declaration
         // could actually align: axes forming a permutation of the space.
-        let mut sorted: Vec<usize> = forms.iter().map(|&(a, _)| a).collect();
-        sorted.sort_unstable();
-        if sorted.iter().enumerate().any(|(d, &a)| a != d) {
+        axes.sort_unstable();
+        if axes.iter().enumerate().any(|(d, &a)| a != d) {
             return; // duplicated/partial axes: a true gather
         }
         let reason = if identity_axes {

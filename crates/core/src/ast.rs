@@ -428,6 +428,16 @@ pub struct ReduceExpr {
     pub arms: Vec<(Option<Expr>, Expr)>,
     pub others: Option<Expr>,
     pub span: Span,
+    /// Sema's mark for §4's processor optimisation: this reduction is a
+    /// histogram whose key is this side of its `==`. `None` from the parser.
+    pub histogram: Option<HistogramKey>,
+}
+
+/// Which operand of a histogram's `key == elem` is the key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HistogramKey {
+    Lhs,
+    Rhs,
 }
 
 /// The declarative map section: `map (I) { permute (I) b[i+1] :- a[i]; }`.

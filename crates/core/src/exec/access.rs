@@ -1,23 +1,16 @@
 //! Array access in an iteration space: the three communication classes.
 //! (A front-end element is a VM instruction; see `vm`.)
 //!
-//! Every subscript is first classified *symbolically* by
-//! [`opt::classify_index`] — the same function `uc check`'s UC110/UC111
-//! lints call, here fed the open constructs' element bindings and
-//! [`Run::try_pure_scalar`] ([`opt::eval_pure`] over the `#define`s,
-//! the live globals and the activation's registers) — once per access,
-//! onto `Run::forms`. If each dimension
-//! is `axis-coordinate + constant` and the array conforms to the
-//! iteration space, the access is **local**
-//! (offset 0 after the mapping transform) or a **NEWS** shift (constant
-//! offset). Anything else goes through the general **router**, whose
-//! address is built axis by axis with the ops Figure 10's C\* uses —
-//! `i*N + k` is a multiply by an immediate and an add — plus, where a
+//! Nothing here classifies a subscript: sema did, once per access id.
+//! An access values its plan's forms over the live front-end scalars
+//! ([`Run::resolve_subs`]) and [`opt::path`], the rule UC110/UC111 apply
+//! too, picks **local**, a **NEWS** shift or the general **router**,
+//! whose address is built axis by axis with the ops Figure 10's C\* uses
+//! — `i*N + k` is a multiply by an immediate and an add — plus, where a
 //! subscript is not statically in range, the bounds check PARIS issues:
-//! one unsigned compare per axis ([`Run::in_range`]). The map
-//! section changes the transform, which is how
-//! `permute (I) b[i+1] :- a[i]` turns a router/NEWS access into a local
-//! one (§4 of the paper).
+//! one unsigned compare per axis ([`Run::in_range`]). The map section
+//! changes the transform, which is how `permute (I) b[i+1] :- a[i]`
+//! turns a router/NEWS access into a local one (§4 of the paper).
 //!
 //! Out-of-range *reads* yield `INF`, modelling the CM convention that
 //! off-edge fetches return the border register (the paper's programs rely
@@ -46,14 +39,11 @@
 //!
 //! * a value a step's predicates compute — a gather, or an expression the
 //!   arm bodies or `others` compute again, like the grid's
-//!   `min(...) + 1` — is cached for the bodies, keyed by the space and
-//!   the id. Two accesses share an id iff their resolved bases and
-//!   subscripts are structurally equal, so `a[j]` under two reductions
-//!   whose `j` are different elements are two entries. The cache is a
-//!   short list per step, scanned rather than hashed. Sema's `ValueInfo`
-//!   lists every array a value reads, so a write to `a` makes `b[a[i]]`
-//!   stale as well as `a[i]`; a stale entry's field lives until the step
-//!   ends, so the value an arm is storing stays readable while it stores;
+//!   `min(...) + 1` — is cached for the bodies in a short list per step,
+//!   keyed by the space and the id (two accesses share one iff their
+//!   resolved bases and subscripts are equal). A write to any array the
+//!   value reads (`ValueInfo::arrays`) makes it stale, but its field lives
+//!   until the step ends, so the value an arm is storing stays readable;
 //! * an index-only value in a `*par` predicate, like the grid's
 //!   `(i != 0 || j != 0)`, is the same in every sweep: the first sweep
 //!   computes it under the level's base context, and the level keeps it
@@ -71,7 +61,7 @@ use super::space::Geo;
 use super::{ArrayStorage, LocalVar, RResult, Run, RuntimeError, Storage, PV};
 use crate::ast::{BinaryOp, Expr, Name, Ref, ValueId};
 use crate::mapping::ArrayMapping;
-use crate::opt::{self, IdxForm};
+use crate::opt::{self, IdxForm, Path, SubForm};
 use crate::sema::LocalKind;
 
 impl Run<'_> {
@@ -91,31 +81,18 @@ impl Run<'_> {
         }
     }
 
-    // ---- symbolic analysis ------------------------------------------------
-
-    /// Pure front-end evaluation: the scalar value of `e` iff it involves
-    /// no parallel bindings and no side effects — [`opt::eval_pure`] over
-    /// the identifiers that denote a front-end value right now.
-    pub(crate) fn try_pure_scalar(&self, e: &Expr) -> Option<Scalar> {
-        opt::eval_pure(e, |name| self.scalar_value(name.to)).ok()
-    }
-
-    /// Classify a subscript expression against the open constructs.
-    pub(crate) fn symbolic_index(&self, e: &Expr) -> IdxForm {
-        let elem_form = |name: &Name| match name.to {
-            Ref::Elem(set) => Some(self.elem_binding(set).2),
-            _ => None,
-        };
-        opt::classify_index(e, &elem_form, &|e| self.try_pure_scalar(e).map(|s| s.as_int()))
-    }
-
-    /// Classify an access's subscripts onto `forms`; returns where they
-    /// start. The caller truncates back to it when the access is done.
-    fn classify_subs(&mut self, subs: &[Expr]) -> usize {
-        let start = self.forms.len();
-        for sub in subs {
-            let form = self.symbolic_index(sub);
-            self.forms.push(form);
+    /// Sema's plan for `access` valued over the live front-end scalars,
+    /// its axes re-based onto the open spaces, onto `forms`. Returns where
+    /// they start; the caller truncates back to it when the access is done.
+    pub(crate) fn resolve_subs(&mut self, access: ValueId, subs: &[Expr]) -> usize {
+        let (start, checked, rebase) = (self.forms.len(), self.checked, self.cur_ctx().rebase);
+        for (sub, &form) in subs.iter().zip(&checked.values[access as usize].forms) {
+            let form = match form {
+                SubForm::Axis { axis, lo } => SubForm::Axis { axis: axis - rebase, lo },
+                form => form,
+            };
+            let resolved = opt::resolve_index(form, sub, |n| self.scalar_value(n.to));
+            self.forms.push(resolved);
         }
         start
     }
@@ -196,10 +173,11 @@ impl Run<'_> {
     pub(crate) fn read_storage(
         &mut self,
         arr: Storage,
+        access: ValueId,
         subs: &[Expr],
         borrow: bool,
     ) -> RResult<PV> {
-        let start = self.classify_subs(subs);
+        let start = self.resolve_subs(access, subs);
         let read = match self.try_fast_read(arr, start, borrow)? {
             Some(pv) => pv,
             None => self.router_read(arr, subs, start)?,
@@ -208,73 +186,29 @@ impl Run<'_> {
         Ok(read)
     }
 
-    /// Local/NEWS read when the array conforms to the iteration space:
-    /// the array's field itself where sema lent it (`borrow`), a copy, a
-    /// NEWS shift with an INF border, or for a `permute`d array a
-    /// toroidal shift (or none) and INF selected at the logical edges.
-    /// `None` without `optimize_access`.
+    /// Local/NEWS read, as [`opt::path`] decides: the array's field itself
+    /// where sema lent it (`borrow`), a copy, a NEWS shift with an INF
+    /// border, or for a `permute`d array a toroidal shift (or none) and
+    /// INF selected at the logical edges. `None` for the router, and
+    /// without `optimize_access`.
     fn try_fast_read(&mut self, arr: Storage, start: usize, borrow: bool) -> RResult<Option<PV>> {
         if !self.config.optimize_access {
             return Ok(None);
         }
         let (st, ctx, forms) = (self.storage(arr), self.cur_ctx(), &self.forms[start..]);
         let (field, ty, vp, rank) = (st.field, st.ty, ctx.vp, forms.len());
-        let stored_at = match &st.mapping {
-            ArrayMapping::Default => None,
-            ArrayMapping::Permute { offsets } => Some(offsets),
-            ArrayMapping::Copy { replicas } => {
-                // §4's broadcast elimination: when the iteration space is
-                // [replicas, ...shape] and the logical subscripts are the
-                // trailing axis identities, every iteration point reads
-                // its own replica locally instead of broadcasting from a
-                // single copy through the router.
-                let identity = ctx.dims.split_first() == Some((replicas, &st.shape[..]))
-                    && forms.iter().enumerate().all(|(d, &form)| {
-                        matches!(form, IdxForm::AxisPlus { axis, offset: 0 } if axis == d + 1)
-                    });
-                if !identity {
-                    return Ok(None);
-                }
-                return self.local_read(field, ty, borrow).map(Some);
-            }
-            ArrayMapping::Fold { .. } => return Ok(None),
-        };
-        if st.shape != ctx.dims {
-            return Ok(None);
-        }
-        // At most one displaced axis: a NEWS shift writes only *active*
-        // positions, so chaining shifts would read garbage at inactive
-        // intermediate positions. Multi-axis displacement (`a[i-1][j-1]`)
-        // takes the router.
-        let (mut shift, mut displaced, mut edges) = (None, 0, false);
-        for (d, &form) in forms.iter().enumerate() {
-            match form {
-                IdxForm::AxisPlus { axis, offset } if axis == d => {
-                    let s = offset - stored_at.map_or(0, |o| o[d]);
-                    if s != 0 {
-                        displaced += 1;
-                        shift = shift.or(Some((d, s)));
-                    }
-                    edges |= offset != 0;
-                }
-                _ => return Ok(None),
-            }
-        }
-        if displaced > 1 {
-            return Ok(None);
-        }
-        // `edges`: some lane's logical index may leave the array.
-        match shift {
-            None if !edges => return self.local_read(field, ty, borrow).map(Some),
+        let shift = match opt::path(forms, &ctx.dims, &st.shape, &st.mapping) {
+            Path::Router => return Ok(None),
+            Path::Local => return self.local_read(field, ty, borrow).map(Some),
             // Unmapped, the off-grid lanes are the ones that left it.
-            Some((d, s)) if stored_at.is_none() => {
+            Path::News { axis, by } => {
                 let dst = self.machine.alloc_result(vp, "~rd", ty)?;
                 let border = uc_cm::news::Border::Fill(inf_of(ty));
-                self.machine.news_shift(dst, field, d, s, border)?;
+                self.machine.news_shift(dst, field, axis, by, border)?;
                 return Ok(Some(PV::owned(dst)));
             }
-            _ => {}
-        }
+            Path::Permuted { shift } => shift,
+        };
         // A permuted array: a toroidal shift, or none, then INF wherever
         // the *logical* index fell outside the array. The validity masks
         // depend only on the geometry, so they are computed once and
@@ -378,29 +312,20 @@ impl Run<'_> {
         Ok(ok)
     }
 
-    /// The storage address, as `(field, owned)`, and an optional validity
-    /// mask for a subscripted access on the current space, whose
-    /// subscript forms start at `forms[start]`. `None` validity means
-    /// every enabled element is statically in bounds (axis-identity and
-    /// in-range constant subscripts). Where the mask is false the address
-    /// is left as the arithmetic made it: the caller acts only where the
-    /// mask holds, so such a lane never reaches the router.
+    /// The storage address, as `(field, owned)`, and a validity mask for
+    /// an access on the current space whose subscript forms start at
+    /// `forms[start]`: `None` where every enabled element is statically in
+    /// bounds (axis identities, in-range constants). Where the mask is
+    /// false the caller does not act, so the lane never reaches the router.
     ///
-    /// Addresses are row-major over the storage shape, one axis at a time:
-    /// logical axis `d` keeps its extent and strides over the axes after
-    /// it, and a `copy` mapping's replica axis leads (replica 0 occupies
-    /// the first block). The arithmetic is what a C\* programmer writes:
-    /// constant subscripts fold into a host-side `base`, added once; a
-    /// subscript that is already an owned temporary (`p[i]`, `i+1`, an
-    /// enclosing level's coordinate) becomes its term in place, and a
-    /// binding field is read where it lives by the op that first writes
-    /// its term; a stride of 1 multiplies nothing. The address is filled
-    /// only when every subscript is constant, and a lone borrowed term
-    /// (a coordinate, a lent `p[i]`) is the address itself, not a copy.
-    ///
-    /// The bounds check is one unsigned compare per checked axis
-    /// ([`Run::in_range`]): the first writes the mask, each later one
-    /// is ANDed into it.
+    /// Addresses are row-major over the storage shape, a `copy` mapping's
+    /// replica axis leading. The arithmetic is what a C\* programmer
+    /// writes: constant subscripts fold into a host-side `base`, added
+    /// once; an owned temporary (`p[i]`, `i+1`, an enclosing coordinate)
+    /// becomes its term in place, and a binding field is read where it
+    /// lives; a stride of 1 multiplies nothing; a lone borrowed term is the
+    /// address itself. The bounds check is one unsigned compare per checked
+    /// axis ([`Run::in_range`]), ANDed into the mask.
     fn storage_address(
         &mut self,
         arr: Storage,
@@ -554,6 +479,7 @@ impl Run<'_> {
     pub(crate) fn write_storage(
         &mut self,
         arr: Storage,
+        access: ValueId,
         subs: &[Expr],
         value: PV,
         check_conflicts: bool,
@@ -562,16 +488,13 @@ impl Run<'_> {
         let ty = self.storage(arr).ty;
         let value = self.coerce_field(value, ty)?;
         let PV::Field { id: vfield, .. } = value else { unreachable!() };
-        let start = self.classify_subs(subs);
-        // Fast path: identity store onto a conforming default-mapped array.
+        let start = self.resolve_subs(access, subs);
+        // Fast path: a local store onto a default-mapped array.
         let (st, dims) = (self.storage(arr), &self.cur_ctx().dims);
         let field = st.field;
         if self.config.optimize_access
             && st.mapping == ArrayMapping::Default
-            && st.shape == *dims
-            && self.forms[start..].iter().enumerate().all(|(d, &form)| {
-                matches!(form, IdxForm::AxisPlus { axis, offset: 0 } if axis == d)
-            })
+            && opt::path(&self.forms[start..], dims, &st.shape, &st.mapping) == Path::Local
         {
             self.machine.copy(field, vfield)?;
         } else {
@@ -635,7 +558,7 @@ impl Run<'_> {
     ) -> RResult<PV> {
         match target {
             Expr::Ident(name, _) => self.store_ident(name, value)?,
-            Expr::Index { base, subs, .. } => {
+            Expr::Index { base, subs, access, .. } => {
                 // write_storage consumes/releases a copy; keep the caller's
                 // PV alive by duplicating the handle (fields are Copy ids).
                 let dup = match value {
@@ -643,7 +566,7 @@ impl Run<'_> {
                     PV::Field { id, .. } => PV::Field { id, owned: false },
                 };
                 let arr = Storage::Array(base.to);
-                self.write_storage(arr, subs, dup, check_conflicts, &base.text)?;
+                self.write_storage(arr, *access, subs, dup, check_conflicts, &base.text)?;
                 // What the step keeps of `base` is stale from here on (the
                 // value just stored may be one of them).
                 self.cse_invalidate(Some(base.to));

@@ -417,9 +417,8 @@ pub(crate) struct Run<'p> {
     ctx_spare: Vec<space::CtxBuffers>,
     /// Cleared arm-mask lists, for the next step's predicates.
     mask_spare: Vec<Vec<Option<FieldId>>>,
-    /// The subscript forms of the accesses in progress, innermost last:
-    /// each access classifies its subscripts once, here, and truncates
-    /// back when it is done.
+    /// The resolved subscript forms of the accesses in progress,
+    /// innermost last.
     forms: Vec<opt::IdxForm>,
     /// Function activation stack.
     frames: Vec<Frame>,

@@ -18,28 +18,24 @@
 //! Figure 5's `$<(K; d[i][k] + d[k][j])` under `par (I, J)` costs what
 //! Figure 10's C\* does in router ops: two gets and one send per round.
 //!
-//! The *processor optimization* of §4 is implemented here too: a
-//! histogram-shaped reduction `$op(I st (key[i] == j) e)` evaluated under
-//! `par (J)` does not need the full `|J|·|I|` VP set — the operand is
-//! computed on `|I|` processors and scattered by key, exactly the
-//! `10·N → N` example of the paper.
+//! The *processor optimization* of §4 is applied here too: a histogram
+//! `$op(I st (key[i] == j) e)` under `par (J)` computes its operand on
+//! `|I|` processors, not `|J|·|I|`, and sends it by key — the paper's
+//! `10·N → N`. Sema marks the histograms (`ReduceExpr::histogram`); this
+//! checks only the mark and `ExecConfig::procopt`.
 
 use uc_cm::{BinOp, Combine, ElemType, FieldId, ReduceOp, Scalar};
 
 use super::{RResult, Run, PV};
-use crate::ast::{BinaryOp, Expr, Name, ReduceExpr, Ref};
-use crate::sema::LocalKind;
+use crate::ast::{Expr, HistogramKey, ReduceExpr};
 use crate::token::RedOpToken;
 
 impl Run<'_> {
     pub(crate) fn eval_reduce(&mut self, r: &ReduceExpr) -> RResult<PV> {
-        if self.config.procopt {
-            if let Some(pv) = self.try_procopt(r)? {
-                return Ok(pv);
-            }
+        match r.histogram {
+            Some(side) if self.config.procopt => self.histogram(r, side),
+            _ => self.in_space(&r.sets, |p| p.eval_reduce_arms(r)),
         }
-
-        self.in_space(&r.sets, |p| p.eval_reduce_arms(r))
     }
 
     fn eval_reduce_arms(&mut self, r: &ReduceExpr) -> RResult<PV> {
@@ -155,62 +151,22 @@ impl Run<'_> {
 
     // ---- processor optimization (§4) --------------------------------------
 
-    /// Histogram peephole: `$op(SETS st (key == elem) operand)` under a
-    /// rank-1 enclosing space, where `key` and `operand` use only the
-    /// reduction's own sets and `elem` is the enclosing construct's index
-    /// element. Evaluated on the reduction-only space and scattered by
-    /// key — the paper's `10·N → N` processor optimization.
-    fn try_procopt(&mut self, r: &ReduceExpr) -> RResult<Option<PV>> {
-        if self.ctx.len() != 1 || self.ctx[0].dims.len() != 1 || r.arms.len() != 1 {
-            return Ok(None);
-        }
-        if r.others.is_some() {
-            return Ok(None);
-        }
-        let (Some(pred), operand) = (&r.arms[0].0, &r.arms[0].1) else {
-            return Ok(None);
+    /// A histogram sema marked, `$op(SETS st (key == elem) operand)` under
+    /// the one-axis level of `elem`: evaluated on the reduction's own sets
+    /// alone and sent by key.
+    fn histogram(&mut self, r: &ReduceExpr, side: HistogramKey) -> RResult<PV> {
+        let [(Some(Expr::Binary { lhs, rhs, .. }), operand)] = &r.arms[..] else {
+            unreachable!("sema marks only a reduction of one `key == elem` arm")
         };
-        let Expr::Binary { op: BinaryOp::Eq, lhs, rhs, .. } = pred else {
-            return Ok(None);
-        };
-        // One side must be the (sole) outer element with identity form —
-        // the outer one: a reduction over the same set rebinds it.
-        let outer = match &self.ctx[0].elems[..] {
-            [(set, _, crate::opt::ElemForm::AxisPlus { axis: 0, lo: 0 })]
-                if !r.sets.contains(set) =>
-            {
-                Ref::Elem(*set as u32)
-            }
-            _ => return Ok(None),
-        };
-        let is_outer_elem = |e: &Expr| matches!(e, Expr::Ident(n, _) if n.to == outer);
-        let key_expr = if is_outer_elem(rhs) {
-            lhs.as_ref()
-        } else if is_outer_elem(lhs) {
-            rhs.as_ref()
-        } else {
-            return Ok(None);
-        };
-        // Key and operand must live on the reduction's own space: no use
-        // of the outer element, nor of a per-VP local of the outer body.
-        let on_outer_space = |n: &Name| match n.to {
-            Ref::Local(id) => matches!(self.local(id).kind, LocalKind::PerVp),
-            to => to == outer,
-        };
-        let mut uses_outer = |x: &Expr| matches!(x, Expr::Ident(n, _) if on_outer_space(n));
-        if key_expr.any(&mut uses_outer) || operand.any(&mut uses_outer) {
-            return Ok(None);
-        }
-        if !matches!(r.op, RedOpToken::Add | RedOpToken::Mul | RedOpToken::Min | RedOpToken::Max) {
-            return Ok(None);
-        }
+        let key_expr = if side == HistogramKey::Lhs { lhs } else { rhs };
         let (identity, combine) = identity_combine(r.op, ElemType::Int);
-
         let outer_vp = self.ctx[0].vp;
         let outer_extent = self.ctx[0].dims[0] as i64;
         // Evaluate key and operand on the reduction-only space, which may
         // be the enclosing space's VP set: the enclosing mask goes too.
-        let hist = self.detached(|p| p.in_space(&r.sets, |p| {
+        // Its sets sit at axis 0, one below where sema counts them.
+        self.detached(|p| p.in_space(&r.sets, |p| {
+            p.ctx.last_mut().expect("a space is open").rebase = 1;
             let key = p.eval(key_expr)?;
             let key = p.coerce_field(key, ElemType::Int)?;
             let PV::Field { id: keyf, .. } = key else { unreachable!() };
@@ -226,8 +182,7 @@ impl Run<'_> {
             p.release(key);
             p.release(val);
             Ok(PV::owned(dst))
-        }))?;
-        Ok(Some(hist))
+        }))
     }
 }
 

@@ -26,7 +26,6 @@ use uc_cm::{BinOp, ElemType, FieldId, Scalar, VpSetId};
 
 use super::{RResult, Run, PV};
 use crate::ast::{SetId, ValueId};
-use crate::opt::ElemForm;
 
 /// What a geometry-cache field ([`Run::geo_field`]) holds. None
 /// depends on a mask, so each is valid on every VP.
@@ -49,14 +48,12 @@ pub(crate) enum Geo {
 pub struct ParCtx {
     pub(crate) vp: VpSetId,
     pub(crate) dims: Vec<usize>,
-    /// Element bindings this level introduced — the set whose element it
-    /// is (what a `Ref::Elem` names), its value field on this space, and
-    /// the symbolic form for the optimizer.
-    pub(crate) elems: Vec<(SetId, FieldId, ElemForm)>,
+    /// Per axis this level adds, the set whose element it binds (what a
+    /// `Ref::Elem` names) and the element's value field on this space.
+    pub(crate) elems: Vec<(SetId, FieldId)>,
     /// The invariant values ([`crate::sema::ValueInfo::invariant`]) of a
     /// `*par`'s predicate, computed in its first sweep under this level's
-    /// base context, which every later sweep's predicates run under too;
-    /// freed when the level pops.
+    /// base context; freed when the level pops.
     pub(crate) kept: Vec<(ValueId, FieldId)>,
     /// Every VP of the space is active, statically: there is no enclosing
     /// level, or the enclosing level is full and had no mask of its own
@@ -67,11 +64,14 @@ pub struct ParCtx {
     /// valid on every VP and kept in the geometry cache; `None` at the
     /// outermost level.
     pub(crate) lift: Option<FieldId>,
+    /// Axes sema counts that the open spaces lack: 1 inside a histogram,
+    /// which runs on its own sets alone, else 0.
+    pub(crate) rebase: usize,
 }
 
 /// A popped [`ParCtx`]'s buffers — `dims`, `elems` and `kept`, cleared —
 /// so entering a construct allocates nothing.
-pub(crate) type CtxBuffers = (Vec<usize>, Vec<(SetId, FieldId, ElemForm)>, Vec<(ValueId, FieldId)>);
+pub(crate) type CtxBuffers = (Vec<usize>, Vec<(SetId, FieldId)>, Vec<(ValueId, FieldId)>);
 
 impl Run<'_> {
     /// Push a new parallel-context level for the given index sets,
@@ -92,8 +92,9 @@ impl Run<'_> {
             Some(outer) => outer.full && self.machine.context_depth(outer.vp)? == 1,
             None => true,
         };
+        let rebase = self.ctx.last().map_or(0, |outer| outer.rebase);
 
-        let mut level = ParCtx { vp, dims, elems, kept, full, lift: None };
+        let mut level = ParCtx { vp, dims, elems, kept, full, lift: None, rebase };
         let dims = &level.dims;
 
         // Bind each set's element as a field on the new space. Done
@@ -108,16 +109,16 @@ impl Run<'_> {
         for (axis_off, &set) in sets.iter().enumerate() {
             let info = &self.checked.sets[set];
             let axis = outer_rank + axis_off;
-            let (form, geo) = match info.contiguous_lo() {
-                Some(lo) => (ElemForm::AxisPlus { axis, lo }, Geo::ElemFrom(axis, lo)),
-                None => (ElemForm::Opaque, Geo::ElemList(axis, info.elements.clone())),
+            let geo = match info.contiguous_lo() {
+                Some(lo) => Geo::ElemFrom(axis, lo),
+                None => Geo::ElemList(axis, info.elements.clone()),
             };
             let field = self.geo_field(vp, geo, |p| {
                 let info = &p.checked.sets[set];
                 let field = p.machine.alloc_int(vp, &info.elem)?;
-                match form {
-                    ElemForm::AxisPlus { lo, .. } => p.coordinate(field, axis, lo)?,
-                    ElemForm::Opaque => {
+                match info.contiguous_lo() {
+                    Some(lo) => p.coordinate(field, axis, lo)?,
+                    None => {
                         // Arbitrary list: front-end table write.
                         let size: usize = dims.iter().product();
                         let stride: usize = dims[axis + 1..].iter().product();
@@ -130,7 +131,7 @@ impl Run<'_> {
                 Ok(field)
             })?;
             // Cached fields are owned by the cache, not the level.
-            level.elems.push((set, field, form));
+            level.elems.push((set, field));
         }
 
         // The address of the enclosing point, also cached and built on the
@@ -206,9 +207,9 @@ impl Run<'_> {
     /// are a prefix of this space's, so its coordinate is this space's
     /// coordinate along the same axis. A list element is lifted.
     pub(crate) fn elem_value(&mut self, set: u32) -> RResult<PV> {
-        let (level, field, form) = self.elem_binding(set);
-        match form {
-            ElemForm::AxisPlus { axis, lo } if level + 1 < self.ctx.len() => {
+        let (level, field, axis) = self.elem_binding(set);
+        match self.checked.sets[set as usize].contiguous_lo() {
+            Some(lo) if level + 1 < self.ctx.len() => {
                 let vp = self.cur_ctx().vp;
                 let dst = self.machine.alloc_result(vp, "~elem", ElemType::Int)?;
                 self.coordinate(dst, axis, lo)?;
@@ -219,13 +220,13 @@ impl Run<'_> {
     }
 
     /// The binding of the element of `set` (a `Ref::Elem`): the innermost
-    /// open level that bound it — its level, value field and symbolic
-    /// form. Found by the set, not by a static level index: `try_procopt`
-    /// evaluates under a context stack other than the lexical one.
-    pub(crate) fn elem_binding(&self, set: u32) -> (usize, FieldId, ElemForm) {
+    /// open level that bound it — its level, value field and axis. Found
+    /// by the set, not by a static level index: a histogram evaluates
+    /// under a context stack other than the lexical one.
+    fn elem_binding(&self, set: u32) -> (usize, FieldId, usize) {
         let bound = self.ctx.iter().enumerate().rev().find_map(|(level, ctx)| {
-            let elem = ctx.elems.iter().find(|(s, ..)| *s == set as usize)?;
-            Some((level, elem.1, elem.2))
+            let k = ctx.elems.iter().position(|&(s, _)| s == set as usize)?;
+            Some((level, ctx.elems[k].1, ctx.dims.len() - ctx.elems.len() + k))
         });
         bound.expect("sema resolves an element only under a construct over its set")
     }

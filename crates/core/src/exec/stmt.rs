@@ -358,10 +358,10 @@ impl Run<'_> {
         let vp = self.cur_ctx().vp;
         let mut progress = false;
         for (target, _, value) in uc.arms.iter().flat_map(|arm| solve_assignments(&arm.body)) {
-            let Expr::Index { base, subs, .. } = target else { unreachable!() };
+            let Expr::Index { base, subs, access, .. } = target else { unreachable!() };
             let def_st = def_maps.iter().find(|(n, _)| *n == base.to).unwrap().1;
             // ready = !defined(target) && rhs_defined
-            let tdef = self.read_storage(def_st, subs, false)?;
+            let tdef = self.read_storage(def_st, *access, subs, false)?;
             let PV::Field { id: tdef_id, .. } = tdef else { unreachable!() };
             let ready = self.machine.alloc_result(vp, "~ready", ElemType::Bool)?;
             self.machine.unop(uc_cm::UnOp::Not, ready, tdef_id)?;
@@ -378,7 +378,7 @@ impl Run<'_> {
                     p.release(v);
                     // Mark the just-written elements defined.
                     let defined = PV::Scalar(Scalar::Bool(true));
-                    p.write_storage(def_st, subs, defined, false, "~storage")
+                    p.write_storage(def_st, *access, subs, defined, false, "~storage")
                 })?;
                 progress = true;
             }
@@ -398,9 +398,9 @@ impl Run<'_> {
             Expr::IntLit(..) | Expr::FloatLit(..) | Expr::Inf(_) | Expr::Ident(..) => {
                 Ok(PV::Scalar(Scalar::Bool(true)))
             }
-            Expr::Index { base, subs, .. } => {
+            Expr::Index { base, subs, access, .. } => {
                 let elem_def = match def_maps.iter().find(|(n, _)| *n == base.to) {
-                    Some(&(_, def_st)) => self.read_storage(def_st, subs, false)?,
+                    Some(&(_, def_st)) => self.read_storage(def_st, *access, subs, false)?,
                     None => PV::Scalar(Scalar::Bool(true)),
                 };
                 // Subscripts themselves may read target arrays.

@@ -287,7 +287,7 @@ impl<'a> Lexer<'a> {
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
-            let save = self.pos;
+            let save = (self.pos, self.col);
             self.bump();
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.bump();
@@ -298,7 +298,7 @@ impl<'a> Lexer<'a> {
                     self.bump();
                 }
             } else {
-                self.pos = save; // not an exponent; leave `e` for the ident lexer
+                (self.pos, self.col) = save; // not an exponent: `e` starts an ident
             }
         }
         let text = &self.src[start..self.pos];
@@ -608,6 +608,18 @@ mod tests {
         assert_eq!((&src[span.start..span.end], span.col), ("\u{e9}", 6));
         // Scanning goes on after the whole character.
         assert_eq!(out.tokens.iter().map(|t| t.kind).collect::<Vec<_>>(), [KwInt, Ident, Semi, Eof]);
+    }
+
+    #[test]
+    fn a_failed_exponent_leaves_the_column_where_the_ident_starts() {
+        let mut d = Diagnostics::default();
+        for (src, ident) in [("x = 3ex;", "ex"), ("x = 3e-y;", "e"), ("x = 3.5E+z;", "E")] {
+            let out = lex(src, &mut d);
+            let t = out.tokens[3];
+            assert_eq!((t.kind, &src[t.span.start..t.span.end]), (Ident, ident), "{src}");
+            assert_eq!(t.span.col as usize, t.span.start + 1, "{src}");
+        }
+        assert!(!d.has_errors(), "{d}");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! every subscript identifier to an element of those sets or a `#define`
 //! — and [`crate::sema::check`] runs [`interpret_maps`] once over the
 //! result, reading subscripts through `opt::classify_index`, the
-//! classifier the executor and the lints use. Each array's mapping is
+//! classifier sema's access plan uses. Each array's mapping is
 //! then a field of its [`crate::sema::ArrayInfo`].
 //!
 //! The executor consults [`ArrayMapping`] on every array access: reads and
@@ -28,7 +28,7 @@
 
 use crate::ast::{BinaryOp, Expr, Item, MapDecl, MapKind, Name, Ref, SetId};
 use crate::diag::Diagnostics;
-use crate::opt::{self, ElemForm, IdxForm};
+use crate::opt::{self, IdxForm, SubForm};
 use crate::sema::Checked;
 
 /// How one array is laid out on the machine.
@@ -131,13 +131,16 @@ fn interpret_one(checked: &Checked, decl: &MapDecl, shape: &[usize]) -> Result<A
     // coordinate (`lo = 0`, whatever the set's elements), so the one
     // classifier reads a subscript as `(set, constant)`.
     let elem_form = |n: &Name| match n.to {
-        Ref::Elem(set) => Some(ElemForm::AxisPlus { axis: set as usize, lo: 0 }),
+        Ref::Elem(set) => Some(SubForm::Axis { axis: set as usize, lo: 0 }),
         _ => None,
     };
     let konst = |e: &Expr| checked.const_int(e);
-    let form = |e: &Expr| match opt::classify_index(e, &elem_form, &konst) {
-        IdxForm::AxisPlus { axis, offset } => Some((axis, offset)),
-        _ => None,
+    let form = |e: &Expr| {
+        let shape = opt::classify_index(e, &elem_form, &|e| konst(e).is_some());
+        match opt::resolve_index(shape, e, |n| checked.define(n)) {
+            IdxForm::AxisPlus { axis, offset } => Some((axis, offset)),
+            _ => None,
+        }
     };
     let (target, source) = (&decl.target.subs, &decl.source.subs);
     match decl.kind {

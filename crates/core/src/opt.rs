@@ -6,51 +6,38 @@
 //! implementation of each, and every layer that needs the fact calls it:
 //!
 //! * [`eval_pure`] — **the** evaluator of a constant [`Expr`]. It owns no
-//!   arithmetic: every value comes out of `scalar_unary`,
-//!   `scalar_binary`, `scalar_abs`, `scalar_minmax` and
-//!   [`stdlib::power2`], the primitives the register VM and the IR-level
-//!   `passes::const_fold` compute with, so a value known here is the
-//!   value the run produces, bit for bit (ints wrap, `/0` and `%0` are
-//!   "not a constant", never a panic). Callers differ only in which
-//!   identifiers they can give a value, and are handed the identifier
-//!   node to decide: before sema has run (`const_eval` on extents and set
-//!   bounds, [`fold_unit`]) that is its spelling against the `#define`s;
-//!   afterwards it is the reference sema wrote on it — the lints read
-//!   `#define`s, the executor's `try_pure_scalar` also the live globals
-//!   and registers.
-//! * `classify_index` — **the** subscript classifier (`IdxForm`): is a
-//!   subscript `axis coordinate + constant`, a front-end constant, or
-//!   neither. The executor picks local / NEWS / router from it at run
-//!   time, lints UC110/UC111 report from it at check time and the map
-//!   section's `permute` and `fold` are read through it; each says
-//!   how the element an identifier refers to is bound and which
-//!   sub-expressions it can prove constant, so the two agree on the
-//!   classification by construction.
+//!   arithmetic: every value comes out of the primitives the register VM
+//!   and `passes::const_fold` compute with, so a value known here is the
+//!   value the run produces, bit for bit (ints wrap; `/0` and `%0` are
+//!   "not a constant", never a panic). Callers differ only in the values
+//!   they give identifiers: before sema (`const_eval`, [`fold_unit`]) by
+//!   spelling against the `#define`s, afterwards by the reference sema
+//!   wrote — the lints the `#define`s, the executor also the live scalars.
+//! * `classify_index` — **the** subscript classifier ([`SubForm`]): is a
+//!   subscript an element's axis plus front-end scalars, a front-end
+//!   scalar, or neither. Sema calls it once per access for its plan, and
+//!   the map section's `permute` and `fold` are read through it.
+//!   `resolve_index` values a form with `eval_pure` where the values are
+//!   known — the executor where the access runs, UC110/UC111 from the
+//!   `#define`s — and `path` picks local, NEWS or router from the
+//!   values. Neither classifies again.
 //! * [`fold_unit`] / [`fold_expr`] — an AST fold driver that no pipeline
-//!   runs: `Program::compile*` and `analysis::check_source` hand the
-//!   parsed unit to sema as written, and the IR's `passes::const_fold`
-//!   folds what the program computes. It stays public only because the
-//!   benchmark's `ucprobe` times it. Its **policy** is deliberately
-//!   narrow, because it would run before sema and know neither types nor
-//!   effects: replace a node whose operands are all int literals (and
-//!   `-` of a float literal) by its value, pick the taken branch of a
-//!   ternary with a literal condition, and apply the identities that
-//!   keep their operand: `x-0`, `x*1`, `1*x`, `x/1`.
-//!   `e*0 → 0` is *not* among them: it would discard `e`'s effects
-//!   (`bump()*0` must still call `bump`, `rand()*0` must still draw) and
-//!   its type (`f*0` is a float zero, so `(f*0+1)/2` is `0.5`, not `0`).
-//!   `x+0` and `0+x` are out for the same reason in miniature: IEEE
-//!   `-0.0 + 0` is `+0.0`, so dropping the addition changes a float's
-//!   sign bit.
+//!   runs (the IR's `passes::const_fold` folds what a program computes);
+//!   public only because the benchmark's `ucprobe` times it. Knowing
+//!   neither types nor effects, it folds int literals (and `-` of a float
+//!   literal), a ternary's literal condition, and `x-0`, `x*1`, `1*x`,
+//!   `x/1`: not `e*0`, which would drop `e`'s effects and type, nor `x+0`,
+//!   which would turn IEEE `-0.0` into `+0.0`.
 //!
-//! The other two optimization classes of §4 — *processor optimization*
-//! and the map section — live where they act: `try_procopt` in the
-//! executor's reduction engine and [`crate::mapping`].
+//! The other two optimization classes of §4 live where they are decided:
+//! the *processor optimization* in sema (`ReduceExpr::histogram`), the
+//! map section in [`crate::mapping`].
 
 use uc_cm::Scalar;
 
 use crate::ast::*;
 use crate::exec::{scalar_abs, scalar_binary, scalar_minmax, scalar_unary};
+use crate::mapping::ArrayMapping;
 use crate::span::Span;
 use crate::stdlib::{self, Builtin};
 
@@ -97,18 +84,20 @@ fn eval(e: &Expr, names: &mut dyn FnMut(&Name) -> Option<Scalar>) -> Result<Scal
     })
 }
 
-/// How an index element relates to its space axis: contiguous sets
-/// (`{lo..hi}`) bind as `coordinate + lo`.
+/// The shape of one subscript, as sema's plan records it: what the
+/// access's id determines, and no value only the run knows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ElemForm {
-    /// `value = coordinate(axis) + lo`.
-    AxisPlus { axis: usize, lo: i64 },
-    /// Arbitrary element list, or an element bound one value at a time
-    /// (`seq`/`oneof`/`solve`): no relation to an axis coordinate.
-    Opaque,
+pub enum SubForm {
+    /// The element along `axis` of a set from `lo`, plus or minus
+    /// front-end scalars.
+    Axis { axis: usize, lo: i64 },
+    /// A front-end scalar [`eval_pure`] can value.
+    Scalar,
+    /// Anything else.
+    General,
 }
 
-/// Symbolic form of one subscript expression.
+/// Value form of one subscript where it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum IdxForm {
     /// `coordinate(axis) + offset` on the current space.
@@ -119,43 +108,113 @@ pub(crate) enum IdxForm {
     General,
 }
 
-/// Classify a subscript. `elem_form` says how an identifier is bound if it
-/// denotes an open index element; `konst` evaluates a sub-expression the caller
-/// can prove constant. An offset that overflows `i64` is `General`, not
-/// an abort.
-pub(crate) fn classify_index<E, K>(e: &Expr, elem_form: &E, konst: &K) -> IdxForm
+/// Classify a subscript by its shape. `elem` gives the form of an index
+/// element's identifier (`General` for a set that is no range); `scalar`
+/// says whether a sub-expression is a front-end scalar.
+pub(crate) fn classify_index<E, S>(e: &Expr, elem: &E, scalar: &S) -> SubForm
 where
-    E: Fn(&Name) -> Option<ElemForm>,
-    K: Fn(&Expr) -> Option<i64>,
+    E: Fn(&Name) -> Option<SubForm>,
+    S: Fn(&Expr) -> bool,
 {
-    if let Expr::Ident(name, _) = e {
-        match elem_form(name) {
-            Some(ElemForm::AxisPlus { axis, lo }) => return IdxForm::AxisPlus { axis, offset: lo },
-            Some(ElemForm::Opaque) => return IdxForm::General,
-            None => {}
+    if let Some(form) = match e {
+        Expr::Ident(name, _) => elem(name),
+        _ => None,
+    } {
+        return form;
+    }
+    if scalar(e) {
+        return SubForm::Scalar;
+    }
+    if let Expr::Binary { op: op @ (BinaryOp::Add | BinaryOp::Sub), lhs, rhs, .. } = e {
+        let l = classify_index(lhs.as_ref(), elem, scalar);
+        let r = classify_index(rhs.as_ref(), elem, scalar);
+        match (op, l, r) {
+            (_, axis @ SubForm::Axis { .. }, SubForm::Scalar)
+            | (BinaryOp::Add, SubForm::Scalar, axis @ SubForm::Axis { .. }) => return axis,
+            _ => {}
         }
     }
-    if let Some(c) = konst(e) {
-        return IdxForm::Const(c);
-    }
-    if let Expr::Binary { op, lhs, rhs, .. } = e {
-        let l = classify_index(lhs.as_ref(), elem_form, konst);
-        let r = classify_index(rhs.as_ref(), elem_form, konst);
-        let shifted = match (op, l, r) {
-            (BinaryOp::Add, IdxForm::AxisPlus { axis, offset }, IdxForm::Const(c))
-            | (BinaryOp::Add, IdxForm::Const(c), IdxForm::AxisPlus { axis, offset }) => {
-                offset.checked_add(c).map(|offset| IdxForm::AxisPlus { axis, offset })
-            }
-            (BinaryOp::Sub, IdxForm::AxisPlus { axis, offset }, IdxForm::Const(c)) => {
-                offset.checked_sub(c).map(|offset| IdxForm::AxisPlus { axis, offset })
-            }
-            _ => None,
-        };
-        if let Some(form) = shifted {
-            return form;
+    SubForm::General
+}
+
+/// The value form of subscript `e`, whose shape is `form`, with the
+/// values `names` gives the front-end scalars. An axis subscript is its
+/// element plus scalars, so its value where the element is 0 is its
+/// offset from `lo`. A value [`eval_pure`] declines (a division by zero),
+/// or an offset that leaves `i64`, makes the subscript `General`.
+pub(crate) fn resolve_index(
+    form: SubForm,
+    e: &Expr,
+    mut names: impl FnMut(&Name) -> Option<Scalar>,
+) -> IdxForm {
+    match form {
+        SubForm::Axis { axis, lo } => {
+            let at_zero = |n: &Name| match n.to {
+                Ref::Elem(_) => Some(Scalar::Int(0)),
+                _ => names(n),
+            };
+            let offset = eval_pure(e, at_zero).ok().and_then(|c| lo.checked_add(c.as_int()));
+            offset.map_or(IdxForm::General, |offset| IdxForm::AxisPlus { axis, offset })
         }
+        SubForm::Scalar => eval_pure(e, names).map_or(IdxForm::General, |c| IdxForm::Const(c.as_int())),
+        SubForm::General => IdxForm::General,
     }
-    IdxForm::General
+}
+
+/// How a parallel access reaches its elements: §4's communication class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Path {
+    /// The array's own field (a `copy` mapping's local replica).
+    Local,
+    /// One NEWS shift of an unmapped array, with an INF border.
+    News { axis: usize, by: i64 },
+    /// A `permute`d array: a toroidal shift on at most one axis, then INF
+    /// selected at the logical edges.
+    Permuted { shift: Option<(usize, i64)> },
+    Router,
+}
+
+/// The one rule that picks an access's [`Path`] from its subscripts'
+/// value forms, the extents of the space it runs on, and the array's
+/// shape and mapping. A NEWS shift writes only active positions, so two
+/// chained shifts would read garbage at inactive intermediate positions:
+/// an access displaced on two axes (`a[i-1][j-1]`) takes the router.
+pub(crate) fn path(forms: &[IdxForm], dims: &[usize], shape: &[usize], mapping: &ArrayMapping) -> Path {
+    let stored_at = match mapping {
+        ArrayMapping::Default => None,
+        ArrayMapping::Permute { offsets } => Some(offsets),
+        ArrayMapping::Copy { replicas } => {
+            // §4's broadcast elimination: on [replicas, ...shape], the
+            // trailing axis identities read each point's own replica.
+            let identity = dims.split_first() == Some((replicas, shape))
+                && forms.iter().enumerate().all(|(d, &form)| {
+                    form == IdxForm::AxisPlus { axis: d + 1, offset: 0 }
+                });
+            return if identity { Path::Local } else { Path::Router };
+        }
+        ArrayMapping::Fold { .. } => return Path::Router,
+    };
+    if shape != dims {
+        return Path::Router;
+    }
+    // `edges`: some lane's logical index may leave the array.
+    let (mut shift, mut displaced, mut edges) = (None, 0, false);
+    for (d, &form) in forms.iter().enumerate() {
+        let IdxForm::AxisPlus { axis, offset } = form else { return Path::Router };
+        let s = offset.checked_sub(stored_at.map_or(0, |o| o[d]));
+        let Some(s) = s.filter(|_| axis == d) else { return Path::Router };
+        if s != 0 {
+            displaced += 1;
+            shift = shift.or(Some((d, s)));
+        }
+        edges |= offset != 0;
+    }
+    match (shift, stored_at) {
+        _ if displaced > 1 => Path::Router,
+        (None, _) if !edges => Path::Local,
+        (Some((axis, by)), None) => Path::News { axis, by },
+        (shift, _) => Path::Permuted { shift },
+    }
 }
 
 /// Fold constant subexpressions in place across a whole unit: every
@@ -320,9 +379,14 @@ mod tests {
 
     #[test]
     fn classify_index_shares_one_overflow_rule() {
-        let elem = |n: &Name| (&*n.text == "i").then_some(ElemForm::AxisPlus { axis: 0, lo: 1 });
-        let konst = |e: &Expr| eval_pure(e, |_| None).ok().map(|s| s.as_int());
-        let form = |src: &str| classify_index(&parse_expr(src), &elem, &konst);
+        let elem = |n: &Name| (&*n.text == "i").then_some(SubForm::Axis { axis: 0, lo: 1 });
+        let scalar = |e: &Expr| !e.any(&mut |x| matches!(x, Expr::Ident(n, _) if &*n.text == "i"));
+        // Parsed, not resolved: `i` reads as the element at coordinate 0.
+        let zero = |n: &Name| (&*n.text == "i").then_some(Scalar::Int(0));
+        let form = |src: &str| {
+            let e = parse_expr(src);
+            resolve_index(classify_index(&e, &elem, &scalar), &e, zero)
+        };
         assert_eq!(form("i"), IdxForm::AxisPlus { axis: 0, offset: 1 });
         assert_eq!(form("2 + i"), IdxForm::AxisPlus { axis: 0, offset: 3 });
         assert_eq!(form("i - 1"), IdxForm::AxisPlus { axis: 0, offset: 0 });
@@ -332,6 +396,29 @@ mod tests {
         // `1 + INF` and `1 - (0 - INF)` overflow: general, never a panic.
         assert_eq!(form("i + INF"), IdxForm::General);
         assert_eq!(form("i - (0 - INF)"), IdxForm::General);
+        // A division by zero is no value: general.
+        assert_eq!(form("i + 1 / 0"), IdxForm::General);
+    }
+
+    #[test]
+    fn one_path_rule() {
+        let axis = |axis, offset| IdxForm::AxisPlus { axis, offset };
+        let grid = [8, 8];
+        let unmapped = |forms: &[IdxForm], dims: &[usize]| path(forms, dims, &grid, &ArrayMapping::Default);
+        assert_eq!(unmapped(&[axis(0, 0), axis(1, 0)], &grid), Path::Local);
+        assert_eq!(unmapped(&[axis(0, -1), axis(1, 0)], &grid), Path::News { axis: 0, by: -1 });
+        assert_eq!(unmapped(&[axis(0, -1), axis(1, -1)], &grid), Path::Router);
+        assert_eq!(unmapped(&[axis(1, 0), axis(0, 0)], &grid), Path::Router);
+        assert_eq!(unmapped(&[axis(0, 0), IdxForm::Const(3)], &grid), Path::Router);
+        assert_eq!(unmapped(&[axis(0, 0), axis(1, 0)], &[8, 8, 2]), Path::Router);
+        // `permute (I) b[i+1] :- a[i]`: `b[i+1]` is where `a[i]` lives.
+        let permuted = ArrayMapping::Permute { offsets: vec![1] };
+        assert_eq!(path(&[axis(0, 1)], &[8], &[8], &permuted), Path::Permuted { shift: None });
+        assert_eq!(path(&[axis(0, 0)], &[8], &[8], &permuted), Path::Permuted { shift: Some((0, -1)) });
+        let copied = ArrayMapping::Copy { replicas: 4 };
+        assert_eq!(path(&[axis(1, 0)], &[4, 8], &[8], &copied), Path::Local);
+        assert_eq!(path(&[axis(0, 0)], &[8], &[8], &copied), Path::Router);
+        assert_eq!(path(&[axis(0, 0)], &[8], &[8], &ArrayMapping::Fold { axis: 0 }), Path::Router);
     }
 
     /// Source text of a well-typed pure expression drawn from `tape`

@@ -775,6 +775,7 @@ impl<'a> Parser<'a> {
             arms,
             others,
             span: span.to(self.prev_span()),
+            histogram: None,
         })))
     }
 }

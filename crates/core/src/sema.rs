@@ -29,6 +29,9 @@
 //!   value per virtual processor), and what only a front-end scalar can do
 //!   is checked: be stored to a global or register local (by `=`, `op=` or
 //!   `swap`), be passed to a user function;
+//! * every access is planned once, by its id ([`ValueInfo::forms`]), and
+//!   every histogram marked for §4's processor optimisation
+//!   (`ReduceExpr::histogram`): the executor and UC110/UC111 read both;
 //! * UC restrictions are enforced (no `goto` — already a parse error; an
 //!   index element is read-only; `solve` arms must be proper assignments
 //!   to array elements, without `st`, and a plain `solve`'s right-hand
@@ -82,8 +85,7 @@ pub struct IndexSetInfo {
 
 impl IndexSetInfo {
     /// `lo` if the elements are `lo, lo+1, …` — the sets (`{lo..hi}`)
-    /// whose element is `axis coordinate + lo`
-    /// (`opt::ElemForm::AxisPlus`).
+    /// whose element is `axis coordinate + lo` (`opt::SubForm::Axis`).
     pub fn contiguous_lo(&self) -> Option<i64> {
         self.lo
     }
@@ -169,6 +171,10 @@ pub struct ValueInfo {
     /// same in every sweep of the `*par` whose predicate computes it: the
     /// first sweep computes it and the construct keeps it.
     pub invariant: bool,
+    /// An access's plan: each subscript's shape, an element's axis
+    /// counted from the function's outermost construct. The executor and
+    /// UC110/UC111 value it and pick a path from it. Empty for any other.
+    pub forms: Vec<opt::SubForm>,
 }
 
 /// What a side-effect-free expression reads, as [`Checker::reads`]
@@ -236,11 +242,15 @@ impl Checked {
     /// the `#define`s its identifiers were resolved to — [`const_eval`]
     /// for code sema has been through, where a spelling may be shadowed.
     pub fn const_int(&self, e: &Expr) -> Option<i64> {
-        let define = |n: &Name| match n.to {
+        int_const(e, |n| self.define(n)).ok()
+    }
+
+    /// The value of `n` if it was resolved to a `#define`.
+    pub fn define(&self, n: &Name) -> Option<Scalar> {
+        match n.to {
             Ref::Const(id) => Some(Scalar::Int(self.unit.defines[id as usize].1)),
             _ => None,
-        };
-        int_const(e, define).ok()
+        }
     }
 }
 
@@ -669,6 +679,15 @@ impl<'a> Checker<'a> {
 
     fn declare_global(&mut self, v: &VarDecl) {
         let ty = self.variable_type(v);
+        // A scalar and an array share one namespace; the first stays bound.
+        let (clash, what) = if v.dims.is_empty() {
+            (self.arrays.contains_key(&v.name), "an array")
+        } else {
+            (self.scalars.contains_key(&v.name), "a variable")
+        };
+        if clash {
+            return self.diags.error(v.span, format!("`{}` is already declared as {what}", v.name));
+        }
         if v.dims.is_empty() {
             let init = match &v.init {
                 Some(e) => self.const_expr(e),
@@ -1088,7 +1107,48 @@ impl<'a> Checker<'a> {
         let mut arrays = vec![base];
         subs.iter().for_each(|sub| arrays_read(sub, &mut arrays));
         let cacheable = subs.iter().all(|sub| self.reads(sub).is_some());
-        self.push_value(key, ValueInfo { arrays, cacheable, invariant: false })
+        let forms = subs.iter().map(|sub| self.sub_form(sub)).collect();
+        self.push_value(key, ValueInfo { arrays, cacheable, invariant: false, forms })
+    }
+
+    /// The shape of subscript `sub`, by the one classifier, decided once
+    /// per id (which fixes every element's axis). A front-end scalar is
+    /// what `opt::eval_pure` values from the live scalars: no element,
+    /// array, per-VP local, assignment, reduction, user call or `rand()`.
+    fn sub_form(&self, sub: &Expr) -> opt::SubForm {
+        let elem = |n: &Name| match n.to {
+            Ref::Elem(set) => Some(match (self.elem_axis(set), self.sets[set as usize].lo) {
+                (Some(axis), Some(lo)) => opt::SubForm::Axis { axis, lo },
+                _ => opt::SubForm::General,
+            }),
+            _ => None,
+        };
+        let reg = |to: Ref| matches!(to, Ref::Local(id) if matches!(self.local_kind(id), LocalKind::Reg(_)));
+        let scalar = |e: &Expr| {
+            !e.any(&mut |x| match x {
+                Expr::Ident(n, _) => !matches!(n.to, Ref::Const(_) | Ref::Global(_)) && !reg(n.to),
+                Expr::Call { callee: Callee::Builtin(b), .. } => {
+                    !matches!(b, Builtin::Power2 | Builtin::Abs | Builtin::Min | Builtin::Max)
+                }
+                Expr::Index { .. } | Expr::Assign { .. } | Expr::Reduce(_) | Expr::Call { .. } => true,
+                _ => false,
+            })
+        };
+        opt::classify_index(sub, &elem, &scalar)
+    }
+
+    /// The axis the element of `set` is, if its spelling is bound to it (a
+    /// reduction inside a subscript closes its scope before the access).
+    fn elem_axis(&self, set: u32) -> Option<usize> {
+        match self.lookup(&self.sets[set as usize].elem) {
+            Some((Ref::Elem(s), Denotes::Elem { axis })) if s == set => Some(axis),
+            _ => None,
+        }
+    }
+
+    /// What the local `id` of the function being checked is.
+    fn local_kind(&self, id: LocalId) -> &LocalKind {
+        &self.func_infos.last().expect("in a function").locals[id as usize].kind
     }
 
     fn push_value(&mut self, key: Vec<u8>, info: ValueInfo) -> ValueId {
@@ -1109,8 +1169,7 @@ impl<'a> Checker<'a> {
                 Ref::Const(_) => {}
                 Ref::Local(id) => {
                     reads.state = true;
-                    let local = &self.func_infos.last().expect("in a function").locals[id as usize];
-                    reads.parallel |= local.kind == LocalKind::PerVp;
+                    reads.parallel |= *self.local_kind(id) == LocalKind::PerVp;
                 }
                 _ => reads.state = true,
             },
@@ -1207,7 +1266,8 @@ impl<'a> Checker<'a> {
                     None => {
                         let mut arrays = Vec::new();
                         arrays_read(e, &mut arrays);
-                        self.push_value(interned, ValueInfo { arrays, cacheable: true, invariant })
+                        let info = ValueInfo { arrays, cacheable: true, invariant, forms: Vec::new() };
+                        self.push_value(interned, info)
                     }
                 };
                 *e.value_slot().expect("keepable") = id;
@@ -1504,8 +1564,36 @@ impl<'a> Checker<'a> {
             ty = ExprTy::Int;
         }
         self.nest = outer;
+        r.histogram = self.histogram_key(r);
         self.scopes.pop();
         ty
+    }
+
+    /// The key's side if `r` (checked, its sets still bound) is a histogram:
+    /// `$op(SETS st (key == elem) operand)` right under one level of one
+    /// `{0..}` set of element `elem`, `op` one of `+ * < >`, no `others`,
+    /// and a key and operand that live on `SETS`: no `elem`, no per-VP local.
+    fn histogram_key(&self, r: &ReduceExpr) -> Option<HistogramKey> {
+        use crate::token::RedOpToken as R;
+        let [(Some(Expr::Binary { op: BinaryOp::Eq, lhs, rhs, .. }), operand)] = &r.arms[..] else {
+            return None;
+        };
+        let shaped = self.nest.depth == 1 && self.nest.axes == 1 && r.others.is_none();
+        // The enclosing level's element: the one binding at axis 0.
+        let outer = self.scopes.iter().flat_map(|s| s.values()).find(|b| b.1 == Denotes::Elem { axis: 0 })?.0;
+        let Ref::Elem(set) = outer else { return None };
+        let from_zero = self.sets[set as usize].lo == Some(0) && !r.sets.contains(&(set as SetId));
+        if !shaped || !from_zero || !matches!(r.op, R::Add | R::Mul | R::Min | R::Max) {
+            return None;
+        }
+        let (key, side) = match (lhs.as_ref(), rhs.as_ref()) {
+            (key, Expr::Ident(n, _)) if n.to == outer => (key, HistogramKey::Lhs),
+            (Expr::Ident(n, _), key) if n.to == outer => (key, HistogramKey::Rhs),
+            _ => return None,
+        };
+        let per_vp = |to: Ref| matches!(to, Ref::Local(id) if *self.local_kind(id) == LocalKind::PerVp);
+        let mut on_outer = |x: &Expr| matches!(x, Expr::Ident(n, _) if n.to == outer || per_vp(n.to));
+        (!key.any(&mut on_outer) && !operand.any(&mut on_outer)).then_some(side)
     }
 
     /// Append the canonical form of a resolved expression of the function
@@ -1570,14 +1658,9 @@ impl<'a> Checker<'a> {
             Ref::Global(id) => (b'G', id, 0),
             Ref::Array(id) => (b'A', id, 0),
             Ref::Local(id) => (b'L', id, self.func_infos.len() as u32),
-            Ref::Elem(id) => match self.lookup(&self.sets[id as usize].elem) {
-                Some((Ref::Elem(set), Denotes::Elem { axis })) if set == id => {
-                    (b'E', id, axis as u32)
-                }
-                // Bound by a reduction inside the subscript being interned
-                // (its scope is closed): such an access is never cached.
-                _ => (b'E', id, u32::MAX),
-            },
+            // Bound by a reduction inside the subscript being interned
+            // (its scope is closed): such an access is never cached.
+            Ref::Elem(id) => (b'E', id, self.elem_axis(id).map_or(u32::MAX, |axis| axis as u32)),
         };
         out.push(tag);
         out.extend(id.to_le_bytes());
@@ -1977,6 +2060,109 @@ mod tests {
             });
         }
         reads
+    }
+
+    type Plan = (String, Vec<opt::SubForm>);
+
+    /// Every access, in walk order, as its text and its plan; and every
+    /// reduction's histogram mark.
+    fn plans(c: &Checked) -> (Vec<Plan>, Vec<Option<HistogramKey>>) {
+        let (mut plans, mut marks) = (Vec::new(), Vec::new());
+        for s in c.funcs_in_order().flat_map(|f| &f.body.stmts) {
+            s.for_each_expr(&mut |e| {
+                e.walk(&mut |x| match x {
+                    Expr::Index { access, .. } => {
+                        plans.push((crate::pretty::expr(x), c.values[*access as usize].forms.clone()))
+                    }
+                    Expr::Reduce(r) => marks.push(r.histogram),
+                    _ => {}
+                })
+            });
+        }
+        (plans, marks)
+    }
+
+    /// Sema plans each access once: an element of a range is its axis, a
+    /// `seq` register or a `power2` of one is a front-end scalar, and a
+    /// subscript read from an array is neither. Resolved with the values
+    /// the run will have, the plan gives the executor's local, NEWS or
+    /// router path.
+    #[test]
+    fn sema_plans_every_access() {
+        use opt::SubForm::{Axis, General, Scalar};
+        let (i, j) = (Axis { axis: 0, lo: 0 }, Axis { axis: 1, lo: 0 });
+        let planned = |src: &str, access: &str| {
+            let c = check_ok(src);
+            let (plans, _) = plans(&c);
+            plans.into_iter().filter(|(text, _)| text == access).map(|(_, forms)| forms).collect::<Vec<_>>()
+        };
+        // Figure 4: `k` is a `seq` register, so `d[i][k]` has a constant
+        // subscript beside an axis.
+        let apsp = include_str!("../../bench/programs/apsp_n2.uc");
+        assert_eq!(planned(apsp, "d[i][k]"), vec![vec![i, Scalar]; 2]);
+        assert_eq!(planned(apsp, "d[k][j]"), vec![vec![Scalar, j]; 2]);
+        assert_eq!(planned(apsp, "d[i][j]")[0], [i, j]);
+        // §5's grid: four single-axis shifts, whose offsets are values.
+        let grid = format!("#define C 64\n#define H 8\n{}", include_str!("../../../benchmark/programs/grid_news.uc"));
+        for shift in ["a[i - 1][j]", "a[i + 1][j]", "a[i][j - 1]", "a[i][j + 1]"] {
+            assert_eq!(planned(&grid, shift), vec![vec![i, j]; 2], "{shift}");
+        }
+        // A data-dependent subscript.
+        let gather = format!("#define A 5\n#define S 3\n{}", include_str!("../../../benchmark/programs/gather_router.uc"));
+        assert_eq!(planned(&gather, "b[p[i]]"), [vec![General]]);
+        assert_eq!(planned(&gather, "p[i]"), vec![vec![i]; 2]);
+        // `l` is the `seq`'s register: `s[i - power2(l)]` stays a shift.
+        let seq = include_str!("../../../tests/corpus/seq_in_par.uc");
+        assert_eq!(planned(seq, "s[i - power2(l)]"), [vec![i]]);
+        let c = check_ok(seq);
+        let Some(Item::Func(main)) = c.unit.items.last() else { panic!("no main") };
+        let mut shift = None;
+        main.body.stmts[1].for_each_expr(&mut |e| {
+            e.walk(&mut |x| match x {
+                Expr::Index { subs, access, .. } if crate::pretty::expr(x) == "s[i - power2(l)]" => {
+                    let l = |n: &Name| (&*n.text == "l").then_some(uc_cm::Scalar::Int(2));
+                    shift = Some(opt::resolve_index(c.values[*access as usize].forms[0], &subs[0], l));
+                }
+                _ => {}
+            })
+        });
+        assert_eq!(shift, Some(opt::IdxForm::AxisPlus { axis: 0, offset: -4 }));
+        // Under a reduction, its element is the axis after the construct's.
+        let hist = include_str!("../../bench/programs/histogram.uc");
+        assert_eq!(planned(hist, "samples[i]"), [vec![i], vec![j]]);
+    }
+
+    /// §4's processor optimisation is sema's decision: a histogram
+    /// directly under one level of one `{0..}` set, whose `st` is one
+    /// `key == elem`, is marked with its key's side. An enclosing `st` keeps
+    /// the mark (`tests/corpus/histogram_under_mask.uc` pins its run);
+    /// anything else loses it.
+    #[test]
+    fn sema_marks_the_histograms() {
+        let mark = |src: &str| plans(&check_ok(src)).1;
+        assert_eq!(mark(include_str!("../../bench/programs/histogram.uc")), [Some(HistogramKey::Lhs)]);
+        let masked = include_str!("../../../tests/corpus/histogram_under_mask.uc");
+        assert_eq!(mark(masked), [Some(HistogramKey::Lhs)]);
+        let decl = "index_set I:i = {0..7}, J:j = {0..3}, K:k = {1..4};\nint s[8], n[4], m[4][4];\n";
+        let at = |body: &str| mark(&format!("{decl}main() {{ {body} }}"));
+        assert_eq!(at("par (J) n[j] = $+(I st (j == s[i]) 1);"), [Some(HistogramKey::Rhs)]);
+        for body in [
+            // A rank-2 level, a nested level, a set not from 0.
+            "par (J, K) m[j][k - 1] = $+(I st (s[i] == j) 1);",
+            "par (J) par (K) m[j][k - 1] = $+(I st (s[i] == j) 1);",
+            "par (K) n[k - 1] = $+(I st (s[i] == k) 1);",
+            // A reduction masked by more than `key == elem`, or with `others`.
+            "par (J) n[j] = $+(I st (s[i] == j && i > 0) 1);",
+            "par (J) n[j] = $+(I st (s[i] == j) 1 others 2);",
+            // An operand that reads the element, or a per-VP local.
+            "par (J) n[j] = $+(I st (s[i] == j) j);",
+            "par (J) { int t = j; n[j] = $+(I st (s[i] == j) t); }",
+            // An operator with no combining send, and a front-end fold.
+            "par (J) n[j] = $||(I st (s[i] == j) 1);",
+            "n[0] = $+(I st (s[i] == 0) 1);",
+        ] {
+            assert_eq!(at(body), [None], "{body}");
+        }
     }
 
     /// Figure 8's sweep and Figure 6's step lend every read: each is an

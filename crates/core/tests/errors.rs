@@ -309,7 +309,7 @@ fn a_name_is_declared_once_per_scope() {
 }
 
 /// An index set is defined once per scope, and one global namespace
-/// holds variables and functions, as in C. Each second declaration is one
+/// holds scalars, arrays and functions, as in C. Each second declaration is one
 /// spanned error at that declaration, from both entry points.
 #[test]
 fn a_set_or_a_global_name_is_defined_once() {
@@ -334,6 +334,8 @@ fn a_set_or_a_global_name_is_defined_once() {
             "int g(int x) { return x + 1; }\nint g;\nmain() { g = g(3); }",
             "error: `g` is already declared as a function at 2:5",
         ),
+        ("int a;\nint a[4];\nmain() { a = 1; }", "error: `a` is already declared as a variable at 2:5"),
+        ("int a[4];\nint a;\nmain() { a[0] = 1; }", "error: `a` is already declared as an array at 2:5"),
     ] {
         let compiled = compile_err(src);
         assert_eq!(compiled.lines().collect::<Vec<_>>(), [expected], "{src}");

@@ -55,8 +55,8 @@ struct Case {
     limits: ExecLimits,
 }
 
-fn observe(case: &Case, optimize_access: bool) -> Result<Outcome, String> {
-    let cfg = ExecConfig { limits: case.limits.clone(), optimize_access, ..Default::default() };
+fn observe(case: &Case, optimize_access: bool, procopt: bool) -> Result<Outcome, String> {
+    let cfg = ExecConfig { limits: case.limits.clone(), optimize_access, procopt, ..Default::default() };
     let mut p =
         Program::compile_with_defines(&case.src, cfg, &case.defines).map_err(|d| d.to_string())?;
     let run = p.run();
@@ -147,7 +147,7 @@ fn corpus() -> Vec<Case> {
 /// A program's row without its name: the FNV-1a digest of its results,
 /// its cycles and its six op counts. A compile rejection is all zeroes.
 fn row(case: &Case) -> String {
-    let Ok(o) = observe(case, true) else { return format!("{:016} 0 0 0 0 0 0 0", 0) };
+    let Ok(o) = observe(case, true, true) else { return format!("{:016} 0 0 0 0 0 0 0", 0) };
     let counts: Vec<String> = o.counters.iter().map(u64::to_string).collect();
     format!("{} {} {}", digest(&o), o.cycles, counts.join(" "))
 }
@@ -178,22 +178,25 @@ fn pinned_digests_match_on_every_corpus_program() {
     assert_eq!(computed, rows(include_str!("corpus/pinned_digests.txt").lines()));
 }
 
-/// §4's law: the communication optimisations change cost, never results.
-/// With `optimize_access` off every gather and scatter goes through the
-/// router and builds its address from its subscripts, so every program
-/// outside the hostile corpus (whose budgets trap on cycles) must end
-/// with the same results, or the same error, either way. An access with a
-/// constant subscript is routed either way, so the routed results are
-/// also held to the pinned digest.
+/// §4's law: the communication and processor optimisations change cost,
+/// never results. With `optimize_access` off every gather and scatter
+/// goes through the router and builds its address from its subscripts;
+/// with `procopt` off a histogram folds on the full space. So every
+/// program outside the hostile corpus (whose budgets trap on cycles) must
+/// end with the same results, or the same error, either way, and each
+/// way is held to the pinned digest.
 #[test]
 fn access_optimisation_changes_cycles_never_results() {
     let pinned = rows(include_str!("corpus/pinned_digests.txt").lines());
     let cases: Vec<Case> = corpus().into_iter().filter(|c| !c.name.contains("/hostile/")).collect();
     assert!(cases.len() >= 45, "only {} programs", cases.len());
     for case in &cases {
-        let [on, off] = [true, false].map(|on| observe(case, on).unwrap());
-        assert_eq!(on.result, off.result, "{}", case.name);
-        assert!(pinned[&case.name].starts_with(&digest(&off)), "{}", case.name);
+        let on = observe(case, true, true).unwrap();
+        for (access, procopt) in [(false, true), (true, false)] {
+            let off = observe(case, access, procopt).unwrap();
+            assert_eq!(on.result, off.result, "{} access {access} procopt {procopt}", case.name);
+            assert!(pinned[&case.name].starts_with(&digest(&off)), "{} {access} {procopt}", case.name);
+        }
     }
 }
 

@@ -942,9 +942,11 @@ fn real_state(src: &str, defines: &[(&str, i64)]) -> R<Vec<String>> {
     Ok(state)
 }
 
-/// Every program the pinned table holds outside the hostile corpus, with
-/// its `#define` overrides.
-fn pinned_programs() -> Vec<(String, String, Vec<(&'static str, i64)>)> {
+/// A program's name, source and `#define` overrides.
+type Case = (String, String, Vec<(&'static str, i64)>);
+
+/// Every program the pinned table holds outside the hostile corpus.
+fn pinned_programs() -> Vec<Case> {
     let bench = [
         ("uc_bench/fig6", uc_bench::UC_APSP_N2, vec![("N", 6)]),
         ("uc_bench/fig7", uc_bench::UC_APSP_N3, vec![("N", 8), ("LOGN", 3)]),
