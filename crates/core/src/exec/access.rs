@@ -84,7 +84,7 @@ impl Run<'_> {
     /// Sema's plan for `access` valued over the live front-end scalars,
     /// its axes re-based onto the open spaces, onto `forms`. Returns where
     /// they start; the caller truncates back to it when the access is done.
-    pub(crate) fn resolve_subs(&mut self, access: ValueId, subs: &[Expr]) -> usize {
+    fn resolve_subs(&mut self, access: ValueId, subs: &[Expr]) -> usize {
         let (start, checked, rebase) = (self.forms.len(), self.checked, self.cur_ctx().rebase);
         for (sub, &form) in subs.iter().zip(&checked.values[access as usize].forms) {
             let form = match form {

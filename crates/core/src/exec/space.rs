@@ -53,7 +53,8 @@ pub struct ParCtx {
     pub(crate) elems: Vec<(SetId, FieldId)>,
     /// The invariant values ([`crate::sema::ValueInfo::invariant`]) of a
     /// `*par`'s predicate, computed in its first sweep under this level's
-    /// base context; freed when the level pops.
+    /// base context, which every later sweep's predicates run under too;
+    /// freed when the level pops.
     pub(crate) kept: Vec<(ValueId, FieldId)>,
     /// Every VP of the space is active, statically: there is no enclosing
     /// level, or the enclosing level is full and had no mask of its own
