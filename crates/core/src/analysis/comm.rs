@@ -38,14 +38,12 @@ struct Walker<'c> {
     /// Extents of the current space axes (outer constructs are a prefix,
     /// as in the executor).
     dims: Vec<usize>,
-    /// Open `solve`s.
-    solves: usize,
     out: Vec<Finding>,
 }
 
 /// Report UC110/UC111 on every function, in declaration order.
 pub(crate) fn run(checked: &Checked, out: &mut Vec<Finding>) {
-    let mut w = Walker { checked, dims: Vec::new(), solves: 0, out: Vec::new() };
+    let mut w = Walker { checked, dims: Vec::new(), out: Vec::new() };
     for f in checked.funcs_in_order() {
         for s in &f.body.stmts {
             w.stmt(s);
@@ -56,15 +54,12 @@ pub(crate) fn run(checked: &Checked, out: &mut Vec<Finding>) {
 
 impl Walker<'_> {
     fn stmt(&mut self, s: &Stmt) {
-        let Stmt::Uc(uc) = s else { return self.children(s) };
-        let (axes, solve) = match uc.kind {
-            UcKind::Par | UcKind::Oneof => (&uc.sets[..], 0),
-            UcKind::Solve => (&[][..], 1),
-            UcKind::Seq => (&[][..], 0),
-        };
-        self.solves += solve;
-        self.open(axes, |w| w.children(s));
-        self.solves -= solve;
+        match s {
+            // What is under a `solve` stays unclassified.
+            Stmt::Uc(uc) if uc.kind == UcKind::Solve => {}
+            Stmt::Uc(uc) if uc.kind != UcKind::Seq => self.open(&uc.sets, |w| w.children(s)),
+            _ => self.children(s),
+        }
     }
 
     fn children(&mut self, s: &Stmt) {
@@ -96,9 +91,6 @@ impl Walker<'_> {
     /// Report UC110/UC111 when the path rule sends a regular access to the
     /// router.
     fn classify(&mut self, base: &Name, subs: &[Expr], access: ValueId, span: crate::span::Span) {
-        if self.dims.is_empty() || self.solves > 0 {
-            return; // a front-end access, or one under a `solve`
-        }
         let Ref::Array(id) = base.to else {
             return; // a function-local array
         };
@@ -106,7 +98,8 @@ impl Walker<'_> {
         if info.mapping != ArrayMapping::Default {
             return; // re-mapped arrays follow their own transform
         }
-        // Full-rank only: partial-rank gathers are genuine router traffic.
+        // Full-rank only: partial-rank gathers are genuine router traffic,
+        // and a front-end access (no axis open) has no communication.
         if subs.len() != info.shape.len() || subs.len() != self.dims.len() {
             return;
         }

@@ -312,20 +312,29 @@ impl Run<'_> {
         Ok(ok)
     }
 
-    /// The storage address, as `(field, owned)`, and a validity mask for
-    /// an access on the current space whose subscript forms start at
-    /// `forms[start]`: `None` where every enabled element is statically in
-    /// bounds (axis identities, in-range constants). Where the mask is
-    /// false the caller does not act, so the lane never reaches the router.
+    /// The storage address, as `(field, owned)`, and an optional validity
+    /// mask for a subscripted access on the current space, whose
+    /// subscript forms start at `forms[start]`. `None` validity means
+    /// every enabled element is statically in bounds (axis-identity and
+    /// in-range constant subscripts). Where the mask is false the address
+    /// is left as the arithmetic made it: the caller acts only where the
+    /// mask holds, so such a lane never reaches the router.
     ///
-    /// Addresses are row-major over the storage shape, a `copy` mapping's
-    /// replica axis leading. The arithmetic is what a C\* programmer
-    /// writes: constant subscripts fold into a host-side `base`, added
-    /// once; an owned temporary (`p[i]`, `i+1`, an enclosing coordinate)
-    /// becomes its term in place, and a binding field is read where it
-    /// lives; a stride of 1 multiplies nothing; a lone borrowed term is the
-    /// address itself. The bounds check is one unsigned compare per checked
-    /// axis ([`Run::in_range`]), ANDed into the mask.
+    /// Addresses are row-major over the storage shape, one axis at a time:
+    /// logical axis `d` keeps its extent and strides over the axes after
+    /// it, and a `copy` mapping's replica axis leads (replica 0 occupies
+    /// the first block). The arithmetic is what a C\* programmer writes:
+    /// constant subscripts fold into a host-side `base`, added once; a
+    /// subscript that is already an owned temporary (`p[i]`, `i+1`, an
+    /// enclosing level's coordinate) becomes its term in place, and a
+    /// binding field is read where it lives by the op that first writes
+    /// its term; a stride of 1 multiplies nothing. The address is filled
+    /// only when every subscript is constant, and a lone borrowed term
+    /// (a coordinate, a lent `p[i]`) is the address itself, not a copy.
+    ///
+    /// The bounds check is one unsigned compare per checked axis
+    /// ([`Run::in_range`]): the first writes the mask, each later one
+    /// is ANDed into it.
     fn storage_address(
         &mut self,
         arr: Storage,

@@ -116,11 +116,10 @@ where
     E: Fn(&Name) -> Option<SubForm>,
     S: Fn(&Expr) -> bool,
 {
-    if let Some(form) = match e {
-        Expr::Ident(name, _) => elem(name),
-        _ => None,
-    } {
-        return form;
+    if let Expr::Ident(name, _) = e {
+        if let Some(form) = elem(name) {
+            return form;
+        }
     }
     if scalar(e) {
         return SubForm::Scalar;
