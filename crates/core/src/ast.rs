@@ -112,8 +112,9 @@ impl std::fmt::Display for Name {
 }
 
 /// What an [`Expr::Call`] calls. The parser recognises a builtin by its
-/// spelling (so [`crate::opt::eval_pure`] folds one before sema has run),
-/// sema resolves every other call, and no later layer compares a name.
+/// spelling — a call of `abs`, `power2`, `min` or `max` with the right
+/// number of arguments is an operator node instead — sema resolves every
+/// other call, and no later layer compares a name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Callee {
     /// Not a builtin, and sema has not looked the function up yet.
@@ -127,8 +128,8 @@ pub enum Callee {
 /// Which value the executor may keep a node's result as: its position in
 /// [`crate::sema::Checked::values`]. Every [`Expr::Index`] has one (two
 /// accesses share it iff their resolved bases and subscripts are
-/// structurally equal); an operator or builtin call has one only where
-/// sema decided its result is worth keeping, and [`NO_VALUE`] elsewhere.
+/// structurally equal); an operator node has one only where sema
+/// decided its result is worth keeping, and [`NO_VALUE`] elsewhere.
 pub type ValueId = u32;
 
 /// The id of a node whose result is recomputed wherever it is evaluated:
@@ -277,15 +278,39 @@ pub struct UcStmt {
     pub span: Span,
 }
 
-/// Unary expression operators.
+/// Unary expression operators: C's, and the builtins `abs`/`ABS` and
+/// `power2`, which the parser reads as operators ([`crate::stdlib`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnaryOp {
     Neg,
     Not,
     BitNot,
+    /// Keeps an int or a float; a bool becomes an int.
+    Abs,
+    /// `1 << k`, an int.
+    Power2,
 }
 
-/// Binary expression operators (C subset).
+impl UnaryOp {
+    /// C operator spelling, or the builtin's name.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            UnaryOp::Neg => "-",
+            UnaryOp::Not => "!",
+            UnaryOp::BitNot => "~",
+            UnaryOp::Abs => "abs",
+            UnaryOp::Power2 => "power2",
+        }
+    }
+
+    /// Whether it is written as a call: `abs(x)`.
+    pub fn is_call(self) -> bool {
+        matches!(self, UnaryOp::Abs | UnaryOp::Power2)
+    }
+}
+
+/// Binary expression operators: a C subset, and the builtins `min` and
+/// `max` (float if either operand is).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinaryOp {
     Mul,
@@ -306,10 +331,12 @@ pub enum BinaryOp {
     BitOr,
     LogAnd,
     LogOr,
+    Min,
+    Max,
 }
 
 impl BinaryOp {
-    /// C operator spelling.
+    /// C operator spelling, or the builtin's name.
     pub fn symbol(self) -> &'static str {
         use BinaryOp::*;
         match self {
@@ -331,7 +358,14 @@ impl BinaryOp {
             BitOr => "|",
             LogAnd => "&&",
             LogOr => "||",
+            Min => "min",
+            Max => "max",
         }
+    }
+
+    /// Whether it is written as a call: `min(a, b)`.
+    pub fn is_call(self) -> bool {
+        matches!(self, BinaryOp::Min | BinaryOp::Max)
     }
 
     /// Whether the result is boolean (0/1) in C.
@@ -355,9 +389,11 @@ pub enum Expr {
     /// array, so a local read may hand it the array's own storage.
     Index { base: Name, subs: Vec<Expr>, span: Span, access: ValueId, borrow: bool },
     /// `name(args...)`; `name` is the spelling, for diagnostics and
-    /// rendering. `value` (like that of the three operator nodes) is
-    /// [`NO_VALUE`] from the parser; sema may fill it.
-    Call { name: Box<str>, callee: Callee, args: Vec<Expr>, span: Span, value: ValueId },
+    /// rendering. No call's value is kept: `rand()` draws anew, a user
+    /// function may do anything, and `swap` is a statement. The three
+    /// operator nodes' `value` is [`NO_VALUE`] from the parser; sema may
+    /// fill it.
+    Call { name: Box<str>, callee: Callee, args: Vec<Expr>, span: Span },
     Unary { op: UnaryOp, expr: Box<Expr>, span: Span, value: ValueId },
     Binary { op: BinaryOp, lhs: Box<Expr>, rhs: Box<Expr>, span: Span, value: ValueId },
     Ternary {
@@ -393,7 +429,6 @@ impl Expr {
     pub fn value(&self) -> Option<ValueId> {
         match *self {
             Expr::Index { access: v, .. }
-            | Expr::Call { value: v, .. }
             | Expr::Unary { value: v, .. }
             | Expr::Binary { value: v, .. }
             | Expr::Ternary { value: v, .. } => (v != NO_VALUE).then_some(v),
@@ -401,12 +436,11 @@ impl Expr {
         }
     }
 
-    /// Where an operator or builtin call keeps its value id; `None` for
-    /// every other node.
+    /// Where an operator node keeps its value id; `None` for every other
+    /// node.
     pub fn value_slot(&mut self) -> Option<&mut ValueId> {
         match self {
-            Expr::Call { value, .. }
-            | Expr::Unary { value, .. }
+            Expr::Unary { value, .. }
             | Expr::Binary { value, .. }
             | Expr::Ternary { value, .. } => Some(value),
             _ => None,

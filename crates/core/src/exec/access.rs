@@ -24,8 +24,9 @@
 //! are errors; disabled ones are ignored.
 //!
 //! A local read copies the array's field unless sema lent it the field
-//! itself (`Expr::Index`'s `borrow`): where its consumer is an operator,
-//! a builtin, a `?:` condition or a read's subscript, and no operand of
+//! itself (`Expr::Index`'s `borrow`): where its consumer is an operator
+//! (`min` and `abs` among them), a `?:` condition or a read's subscript,
+//! and no operand of
 //! that consumer assigns, swaps or calls a user function, nothing writes
 //! the array while the value is live. A store's source, a `swap`
 //! operand, a declaration's initialiser and a reduction's operand get a
@@ -34,7 +35,7 @@
 //!
 //! A step computes each value once (§4's common sub-expression
 //! detection). Sema gives a value id to every access, and to an operator
-//! or builtin call only where it is worth keeping; [`Run::eval_kept`]
+//! only where it is worth keeping; [`Run::eval_kept`]
 //! serves both kinds alike:
 //!
 //! * a value a step's predicates compute — a gather, or an expression the
@@ -58,7 +59,7 @@
 use uc_cm::{BinOp, Combine, ElemType, FieldId, ReduceOp, Scalar};
 
 use super::space::Geo;
-use super::{ArrayStorage, LocalVar, RResult, Run, RuntimeError, Storage, PV};
+use super::{coerce_scalar, ArrayStorage, LocalVar, RResult, Run, RuntimeError, Storage, PV};
 use crate::ast::{BinaryOp, Expr, Name, Ref, ValueId};
 use crate::mapping::ArrayMapping;
 use crate::opt::{self, IdxForm, Path, SubForm};
@@ -259,8 +260,9 @@ impl Run<'_> {
             let extent = dims[axis];
             let bits: Vec<bool> = (0..size)
                 .map(|q| {
-                    let coord = ((q / stride) % extent) as i64 + c;
-                    coord >= 0 && coord < n
+                    // An offset near INF leaves `i64`: out of range.
+                    let coord = ((q / stride) % extent) as i64;
+                    coord.checked_add(c).is_some_and(|x| (0..n).contains(&x))
                 })
                 .collect();
             let ok = p.machine.alloc_bool(vp, "~ok")?;
@@ -484,7 +486,8 @@ impl Run<'_> {
     /// Parallel store into a storage (an array or a solve's
     /// defined-bitmap); `name` is the array an error names.
     /// `check_conflicts` enforces the `par` rule that distinct values may
-    /// not land on one element (relaxed inside `*solve`).
+    /// not land on one element (relaxed inside `*solve`). Returns what it
+    /// stored, which the caller owns: `value` as the storage's type.
     pub(crate) fn write_storage(
         &mut self,
         arr: Storage,
@@ -493,10 +496,9 @@ impl Run<'_> {
         value: PV,
         check_conflicts: bool,
         name: &str,
-    ) -> RResult<()> {
-        let ty = self.storage(arr).ty;
-        let value = self.coerce_field(value, ty)?;
-        let PV::Field { id: vfield, .. } = value else { unreachable!() };
+    ) -> RResult<PV> {
+        let (value, src) = self.stored_as(value, self.storage(arr).ty)?;
+        let PV::Field { id: vfield, .. } = src else { unreachable!() };
         let start = self.resolve_subs(access, subs);
         // Fast path: a local store onto a default-mapped array.
         let (st, dims) = (self.storage(arr), &self.cur_ctx().dims);
@@ -535,12 +537,27 @@ impl Run<'_> {
             }
         }
         self.forms.truncate(start);
-        self.release(value);
-        Ok(())
+        self.release(src);
+        Ok(value)
+    }
+
+    /// `value` as `ty`, the type of the storage it goes to — the value of
+    /// the assignment — and a field holding it, which [`Run::release`]
+    /// frees: a scalar's broadcast, or the value itself, borrowed.
+    fn stored_as(&mut self, value: PV, ty: ElemType) -> RResult<(PV, PV)> {
+        let value = match value {
+            PV::Scalar(s) => PV::Scalar(coerce_scalar(s, ty)),
+            v => self.coerce_field(v, ty)?,
+        };
+        let src = match value {
+            PV::Scalar(_) => self.coerce_field(value, ty)?,
+            PV::Field { id, .. } => PV::Field { id, owned: false },
+        };
+        Ok((value, src))
     }
 
     /// Evaluate an assignment expression (including compound ops),
-    /// returning the stored value.
+    /// returning the stored value, as the target's type.
     pub(crate) fn eval_assign(
         &mut self,
         target: &Expr,
@@ -558,7 +575,8 @@ impl Run<'_> {
         self.store(target, combined, true)
     }
 
-    /// Store a PV into an lvalue; returns the PV (still owned by caller).
+    /// Store a PV into an lvalue; returns what it stored (owned by the
+    /// caller): `value` as the target's type.
     pub(crate) fn store(
         &mut self,
         target: &Expr,
@@ -566,29 +584,24 @@ impl Run<'_> {
         check_conflicts: bool,
     ) -> RResult<PV> {
         match target {
-            Expr::Ident(name, _) => self.store_ident(name, value)?,
+            Expr::Ident(name, _) => self.store_ident(name, value),
             Expr::Index { base, subs, access, .. } => {
-                // write_storage consumes/releases a copy; keep the caller's
-                // PV alive by duplicating the handle (fields are Copy ids).
-                let dup = match value {
-                    PV::Scalar(s) => PV::Scalar(s),
-                    PV::Field { id, .. } => PV::Field { id, owned: false },
-                };
                 let arr = Storage::Array(base.to);
-                self.write_storage(arr, *access, subs, dup, check_conflicts, &base.text)?;
+                let stored =
+                    self.write_storage(arr, *access, subs, value, check_conflicts, &base.text)?;
                 // What the step keeps of `base` is stale from here on (the
                 // value just stored may be one of them).
                 self.cse_invalidate(Some(base.to));
+                Ok(stored)
             }
             other => unreachable!("sema admits only lvalues as targets, not {other:?}"),
         }
-        Ok(value)
     }
 
     /// Store to a scalar: a register local or global (sema admits only
     /// those and per-VP locals as targets) takes a front-end value, a
-    /// per-VP local a field on its own space.
-    fn store_ident(&mut self, name: &Name, value: PV) -> RResult<()> {
+    /// per-VP local a field on its own space. Returns what it stored.
+    fn store_ident(&mut self, name: &Name, value: PV) -> RResult<PV> {
         // A scalar or par-local may appear inside cached subscripts:
         // conservatively drop the whole gather cache.
         self.cse_invalidate(None);
@@ -601,12 +614,11 @@ impl Run<'_> {
                     self.ctx.len() - 1,
                     "sema admits stores to a per-VP local only at its own depth"
                 );
-                let ty = self.machine.elem_type(field)?;
-                let v = self.coerce_field(value, ty)?;
-                let PV::Field { id, .. } = v else { unreachable!() };
+                let (value, src) = self.stored_as(value, self.machine.elem_type(field)?)?;
+                let PV::Field { id, .. } = src else { unreachable!() };
                 self.machine.copy(field, id)?;
-                self.release(v);
-                return Ok(());
+                self.release(src);
+                return Ok(value);
             }
         }
         let PV::Scalar(s) = value else {
@@ -620,8 +632,8 @@ impl Run<'_> {
             },
             to => unreachable!("sema admits only scalar variables as targets; `{name}` is {to:?}"),
         };
-        *place = super::space::coerce_scalar(s, place.elem_type());
-        Ok(())
+        *place = coerce_scalar(s, place.elem_type());
+        Ok(PV::Scalar(*place))
     }
 }
 

@@ -7,7 +7,11 @@
 //! function's parameter): the `match`es here implement the rule, and the
 //! arms it excludes are `unreachable!`. Mixed scalar/field operations
 //! broadcast the scalar as an immediate (one SIMD instruction), mirroring
-//! the CM's front-end-broadcast execution model. A space is always open
+//! the CM's front-end-broadcast execution model. Every operator, the
+//! builtins `abs`, `power2`, `min` and `max` included, is one machine op
+//! on fields ([`Run::apply_unary`], [`Run::apply_binary`]) and the
+//! front end's [`scalar_unary`]/[`scalar_binary`] on scalars; a call is
+//! `rand()` or a user function. A space is always open
 //! here — front-end expressions are VM instructions — so `&&`/`||` and
 //! `?:` evaluate both sides synchronously (no short-circuit: all enabled
 //! processors execute every instruction).
@@ -17,7 +21,7 @@ use uc_cm::{BinOp, ElemType, Scalar, UnOp};
 use super::{LocalVar, RResult, Run, RuntimeError, Storage, PV};
 use crate::ast::{BinaryOp, Callee, Expr, LocalId, Name, Ref, UnaryOp};
 use crate::sema::{LocalInfo, LocalKind};
-use crate::stdlib::{self, Builtin};
+use crate::stdlib::Builtin;
 
 impl Run<'_> {
     /// Evaluate an expression in the current context: a value sema gave
@@ -153,13 +157,24 @@ impl Run<'_> {
     fn apply_unary(&mut self, op: UnaryOp, v: PV) -> RResult<PV> {
         match (op, v) {
             (op, PV::Scalar(s)) => Ok(PV::Scalar(scalar_unary(op, s))),
-            (UnaryOp::Neg, v) => {
+            (op @ (UnaryOp::Neg | UnaryOp::Abs), v) => {
                 let ty = self.pv_type(&v)?;
                 let ty = if ty == ElemType::Bool { ElemType::Int } else { ty };
-                self.unop_field(UnOp::Neg, v, ty, "~neg")
+                let (mop, name) =
+                    if op == UnaryOp::Neg { (UnOp::Neg, "~neg") } else { (UnOp::Abs, "~abs") };
+                self.unop_field(mop, v, ty, name)
             }
             (UnaryOp::Not, v) => self.unop_field(UnOp::Not, v, ElemType::Bool, "~not"),
             (UnaryOp::BitNot, v) => self.unop_field(UnOp::BitNot, v, ElemType::Int, "~bnot"),
+            // `1 << k`: the machine's shift by a broadcast 1.
+            (UnaryOp::Power2, v) => {
+                let v = self.coerce_field(v, ElemType::Int)?;
+                let PV::Field { id, .. } = v else { unreachable!() };
+                let dst = self.machine.alloc_result(self.cur_ctx().vp, "~pow2", ElemType::Int)?;
+                self.machine.binop_imm_l(BinOp::Shl, dst, Scalar::Int(1), id)?;
+                self.release(v);
+                Ok(PV::owned(dst))
+            }
         }
     }
 
@@ -233,61 +248,15 @@ impl Run<'_> {
 
     // ---- calls ------------------------------------------------------------
 
+    /// `rand()` or a user function: sema has made every other builtin
+    /// an operator, and admits `swap` only as a statement.
     fn eval_call(&mut self, callee: Callee, args: &[Expr]) -> RResult<PV> {
         match callee {
-            Callee::Builtin(Builtin::Power2) => {
-                let v = self.eval(&args[0])?;
-                match v {
-                    PV::Scalar(s) => Ok(PV::Scalar(Scalar::Int(stdlib::power2(s.as_int())))),
-                    PV::Field { .. } => {
-                        let v = self.coerce_field(v, ElemType::Int)?;
-                        let PV::Field { id, .. } = v else { unreachable!() };
-                        let vp = self.cur_ctx().vp;
-                        let dst = self.machine.alloc_result(vp, "~pow2", ElemType::Int)?;
-                        self.machine.binop_imm_l(BinOp::Shl, dst, Scalar::Int(1), id)?;
-                        self.release(v);
-                        Ok(PV::owned(dst))
-                    }
-                }
-            }
             Callee::Builtin(Builtin::Rand) => {
                 let seed = self.next_rand_seed();
                 let dst = self.machine.alloc_result(self.cur_ctx().vp, "~rand", ElemType::Int)?;
                 self.machine.rand_int(dst, 1 << 31, seed)?;
                 Ok(PV::owned(dst))
-            }
-            Callee::Builtin(Builtin::Abs) => match self.eval(&args[0])? {
-                PV::Scalar(s) => Ok(PV::Scalar(scalar_abs(s))),
-                v => {
-                    let ty = self.pv_type(&v)?;
-                    let ty = if ty == ElemType::Bool { ElemType::Int } else { ty };
-                    self.unop_field(UnOp::Abs, v, ty, "~abs")
-                }
-            },
-            Callee::Builtin(f @ (Builtin::Min | Builtin::Max)) => {
-                let l = self.eval(&args[0])?;
-                let r = self.eval(&args[1])?;
-                let is_min = f == Builtin::Min;
-                match (&l, &r) {
-                    (PV::Scalar(a), PV::Scalar(b)) => {
-                        Ok(PV::Scalar(scalar_minmax(*a, *b, is_min)))
-                    }
-                    _ => {
-                        let ty = self.common_type(&l, &r)?;
-                        let l = self.coerce_field(l, ty)?;
-                        let r = self.coerce_field(r, ty)?;
-                        let (PV::Field { id: a, .. }, PV::Field { id: b, .. }) = (&l, &r)
-                        else {
-                            unreachable!()
-                        };
-                        let dst = self.machine.alloc_result(self.cur_ctx().vp, "~mm", ty)?;
-                        let mop = if is_min { BinOp::Min } else { BinOp::Max };
-                        self.machine.binop(mop, dst, *a, *b)?;
-                        self.release(l);
-                        self.release(r);
-                        Ok(PV::owned(dst))
-                    }
-                }
             }
             Callee::Func(f) => {
                 // A front-end call, re-entering the VM — also from a
@@ -302,41 +271,27 @@ impl Run<'_> {
                 }
                 Ok(PV::Scalar(super::vm::call(self, f as usize, &vals)?))
             }
-            Callee::Builtin(Builtin::Swap) | Callee::Unresolved => {
-                unreachable!("sema resolves every call, and admits `swap` only as a statement")
+            Callee::Builtin(_) | Callee::Unresolved => {
+                unreachable!("sema resolves every call and its arity")
             }
         }
     }
 }
 
-/// Front-end unary arithmetic on scalars (C semantics, wrapping ints).
+/// Front-end unary arithmetic on scalars (C semantics, wrapping ints):
+/// `-` and `abs` keep an int or a float and make a bool an int.
 pub(crate) fn scalar_unary(op: UnaryOp, s: Scalar) -> Scalar {
     match (op, s) {
         (UnaryOp::Neg, Scalar::Int(x)) => Scalar::Int(x.wrapping_neg()),
         (UnaryOp::Neg, Scalar::Float(x)) => Scalar::Float(-x),
         (UnaryOp::Neg, Scalar::Bool(b)) => Scalar::Int(-(b as i64)),
+        (UnaryOp::Abs, Scalar::Int(x)) => Scalar::Int(x.wrapping_abs()),
+        (UnaryOp::Abs, Scalar::Float(x)) => Scalar::Float(x.abs()),
+        (UnaryOp::Abs, Scalar::Bool(b)) => Scalar::Int(b as i64),
         (UnaryOp::Not, s) => Scalar::Int(!s.as_bool() as i64),
         (UnaryOp::BitNot, s) => Scalar::Int(!s.as_int()),
-    }
-}
-
-/// Front-end `abs` (type-preserving; bool becomes int).
-pub(crate) fn scalar_abs(s: Scalar) -> Scalar {
-    match s {
-        Scalar::Int(x) => Scalar::Int(x.wrapping_abs()),
-        Scalar::Float(x) => Scalar::Float(x.abs()),
-        Scalar::Bool(b) => Scalar::Int(b as i64),
-    }
-}
-
-/// Front-end `min`/`max` with float promotion.
-pub(crate) fn scalar_minmax(a: Scalar, b: Scalar, is_min: bool) -> Scalar {
-    if a.elem_type() == ElemType::Float || b.elem_type() == ElemType::Float {
-        let (x, y) = (a.as_float(), b.as_float());
-        Scalar::Float(if is_min { x.min(y) } else { x.max(y) })
-    } else {
-        let (x, y) = (a.as_int(), b.as_int());
-        Scalar::Int(if is_min { x.min(y) } else { x.max(y) })
+        // `1 << k`, wrapped as `int_binary`'s `Shl` (and the machine's).
+        (UnaryOp::Power2, s) => Scalar::Int(1i64.wrapping_shl(s.as_int() as u32)),
     }
 }
 
@@ -368,6 +323,8 @@ pub(crate) fn int_binary(op: BinaryOp, x: i64, y: i64) -> Option<i64> {
         Ne => (x != y) as i64,
         LogAnd => (x != 0 && y != 0) as i64,
         LogOr => (x != 0 || y != 0) as i64,
+        Min => x.min(y),
+        Max => x.max(y),
     })
 }
 
@@ -379,12 +336,14 @@ pub(crate) fn scalar_binary(op: BinaryOp, a: Scalar, b: Scalar) -> RResult<Scala
     let float = a.elem_type() == ElemType::Float || b.elem_type() == ElemType::Float;
     let (x, y) = (a.as_float(), b.as_float());
     let ints = match op {
-        Add | Sub | Mul | Div if float => {
+        Add | Sub | Mul | Div | Min | Max if float => {
             return Ok(Scalar::Float(match op {
                 Add => x + y,
                 Sub => x - y,
                 Mul => x * y,
-                _ => x / y,
+                Div => x / y,
+                Min => x.min(y),
+                _ => x.max(y),
             }))
         }
         Lt | Le | Gt | Ge | Eq | Ne if float => {
@@ -426,6 +385,8 @@ fn machine_op(op: BinaryOp) -> BinOp {
         BitOr => BinOp::BitOr,
         LogAnd => BinOp::LogAnd,
         LogOr => BinOp::LogOr,
+        Min => BinOp::Min,
+        Max => BinOp::Max,
     }
 }
 

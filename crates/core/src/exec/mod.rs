@@ -74,9 +74,7 @@ pub use space::ParCtx;
 
 // Scalar semantics shared by the tree evaluators, the IR passes' constant
 // folder and the register VM, so all three compute bit-identical values.
-pub(crate) use expr::{
-    front_end_rand, int_binary, scalar_abs, scalar_binary, scalar_minmax, scalar_unary,
-};
+pub(crate) use expr::{front_end_rand, int_binary, scalar_binary, scalar_unary};
 pub(crate) use space::coerce_scalar;
 
 /// Native stack for the interpreter thread. Sized so the default

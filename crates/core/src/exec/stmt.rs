@@ -378,7 +378,8 @@ impl Run<'_> {
                     p.release(v);
                     // Mark the just-written elements defined.
                     let defined = PV::Scalar(Scalar::Bool(true));
-                    p.write_storage(def_st, *access, subs, defined, false, "~storage")
+                    p.write_storage(def_st, *access, subs, defined, false, "~storage")?;
+                    Ok(())
                 })?;
                 progress = true;
             }

@@ -20,12 +20,11 @@
 use uc_cm::{ElemType, Scalar};
 
 use super::{
-    coerce_scalar, front_end_rand, int_binary, scalar_abs, scalar_binary, scalar_minmax,
-    scalar_unary, Frame, RResult, Run, RuntimeError, Storage, EXEC_STACK_BYTES, PV,
+    coerce_scalar, front_end_rand, int_binary, scalar_binary, scalar_unary, Frame, RResult, Run,
+    RuntimeError, Storage, EXEC_STACK_BYTES, PV,
 };
 use crate::ast::Ref;
 use crate::ir::{Instr, IrBody, IrProgram, Reg};
-use crate::stdlib;
 
 /// How many native `exec`s one run may nest: each user call met by
 /// tree-evaluated code re-enters the VM on the host stack, under the tree
@@ -240,11 +239,6 @@ fn exec(p: &mut Run, entry: usize, args: &[Scalar]) -> RResult<Scalar> {
             Instr::Rand { dst } => {
                 let seed = p.next_rand_seed();
                 r!(dst) = Scalar::Int(front_end_rand(seed));
-            }
-            Instr::Power2 { dst, a } => r!(dst) = Scalar::Int(stdlib::power2(r!(a).as_int())),
-            Instr::Abs { dst, a } => r!(dst) = scalar_abs(r!(a)),
-            Instr::MinMax { dst, a, b, is_min } => {
-                r!(dst) = scalar_minmax(r!(a), r!(b), *is_min)
             }
             Instr::Ret { src } => {
                 // A valueless return yields 0.

@@ -12,10 +12,9 @@
 //! what it denotes ([`Ref`]), on every call what it calls ([`Callee`]),
 //! and numbered every front-end scalar local's register
 //! (`sema::FuncInfo`), so an identifier lowers by a `match` on its
-//! reference — register local, global or `#define` — a call by
-//! one on its callee, to the builtin's instruction or a `Call` of the
-//! function's index, and the registers the function needs are sema's
-//! count plus nothing.
+//! reference — register local, global or `#define` — a call by one on
+//! its callee, to `Rand` or a `Call` of the function's index, and the
+//! registers the function needs are sema's count plus nothing.
 //! Scoping leaves one trace: a block that declares a local array ends
 //! in a `FreeLocals` over the ids it declared. Index sets leave none: a
 //! definition lowers to nothing.
@@ -123,7 +122,7 @@ type Lowered = (Reg, Repr);
 fn bin_repr(op: BinaryOp, a: Repr, b: Repr) -> Repr {
     use BinaryOp::*;
     match op {
-        Add | Sub | Mul | Div => Some(a? | b?),
+        Add | Sub | Mul | Div | Min | Max => Some(a? | b?),
         _ => Some(false),
     }
 }
@@ -389,11 +388,17 @@ impl<'a> Lowerer<'a> {
     /// Lower an expression evaluated for effect (expression statement,
     /// `for` init/step); DSE cleans up the pure leftovers of its value.
     fn lower_effect(&mut self, e: &Expr) {
-        if let Expr::Reduce(_) = e {
-            let e = self.escape(e);
-            self.emit(Instr::EvalEffect { e });
-        } else {
-            self.lower_value(e);
+        match e {
+            Expr::Reduce(_) => {
+                let e = self.escape(e);
+                self.emit(Instr::EvalEffect { e });
+            }
+            // Nothing reads the assignment's value.
+            Expr::Assign { target, op, value, .. } => {
+                self.copy_reads = reads_need_copies(e);
+                self.go_assign(self.target(target), *op, value);
+            }
+            _ => _ = self.lower_value(e),
         }
     }
 
@@ -435,7 +440,7 @@ impl<'a> Lowerer<'a> {
             }
             Expr::Unary { op, expr, .. } => {
                 let (a, of) = self.go_expr(expr, None);
-                let repr = if *op == UnaryOp::Neg { of } else { Some(false) };
+                let repr = if matches!(op, UnaryOp::Neg | UnaryOp::Abs) { of } else { Some(false) };
                 let t = self.dst(want, repr);
                 self.emit(Instr::Un { op: *op, dst: t, a });
                 (t, repr)
@@ -480,10 +485,25 @@ impl<'a> Lowerer<'a> {
             }
             Expr::Call { callee: Callee::Builtin(Builtin::Swap), args, .. } => self.go_swap(args),
             Expr::Call { callee, args, .. } => self.go_call(*callee, args, want),
-            Expr::Assign { target, op, value, .. } => match target.as_ref() {
-                Expr::Ident(name, _) => self.go_assign(Ok(self.place(name)), *op, value),
-                target => self.go_assign(Err(target), *op, value),
-            },
+            Expr::Assign { target, op, value, .. } => {
+                let (float, (r, repr)) = self.go_assign(self.target(target), *op, value);
+                if repr == Some(float) {
+                    return (r, repr);
+                }
+                // The assignment's value is what it stored: as the target's type.
+                let t = self.temp();
+                self.emit(Instr::StoreSlot { slot: t, src: r, float });
+                (t, Some(float))
+            }
+        }
+    }
+
+    /// An assignment's target: a scalar's place, or an element whose
+    /// subscripts are evaluated after the value.
+    fn target<'e>(&self, target: &'e Expr) -> Result<Place, &'e Expr> {
+        match target {
+            Expr::Ident(name, _) => Ok(self.place(name)),
+            target => Err(target),
         }
     }
 
@@ -502,14 +522,10 @@ impl<'a> Lowerer<'a> {
     /// The value at `place`, read into the slot `want` names if that has
     /// its declared type.
     fn read_place(&mut self, place: Place, want: Option<&Place>) -> Lowered {
-        let ty = match place {
-            Place::Slot { idx, float } => return (self.read_local(idx), Some(float)),
-            Place::Global(g) => self.checked.scalars[&self.checked.global_names[g as usize]].0,
-            Place::Elem(Ref::Array(id), _) => self.checked.array(id).ty,
-            Place::Elem(Ref::Local(id), _) => self.info.locals[id as usize].ty,
-            Place::Elem(to, _) => unreachable!("sema resolves every array base; this is {to:?}"),
-        };
-        let repr = Some(ty == Type::Float);
+        if let Place::Slot { idx, float } = place {
+            return (self.read_local(idx), Some(float));
+        }
+        let repr = Some(self.is_float(&place));
         let dst = self.dst(want, repr);
         self.emit(match place {
             Place::Global(g) => Instr::LoadGlobal { dst, g },
@@ -544,16 +560,29 @@ impl<'a> Lowerer<'a> {
         t
     }
 
-    /// `target op= value`, yielding the assignment's value (the one before
-    /// coercion to the target's type). `target` is a scalar's place, or an
-    /// element whose subscripts are evaluated here. Tree order: the value,
-    /// the subscripts, the old value of a compound assignment, the store.
+    /// Whether `place` holds a float.
+    fn is_float(&self, place: &Place) -> bool {
+        let ty = match *place {
+            Place::Slot { float, .. } => return float,
+            Place::Global(g) => self.checked.scalars[&self.checked.global_names[g as usize]].0,
+            Place::Elem(Ref::Array(id), _) => self.checked.array(id).ty,
+            Place::Elem(Ref::Local(id), _) => self.info.locals[id as usize].ty,
+            Place::Elem(to, _) => unreachable!("sema resolves every array base; this is {to:?}"),
+        };
+        ty == Type::Float
+    }
+
+    /// `target op= value`, yielding whether the target is a float and the
+    /// value it was given, before the store coerced it. `target` is a
+    /// scalar's place, or an element whose subscripts are evaluated here.
+    /// Tree order: the value, the subscripts, the old value of a compound
+    /// assignment, the store.
     fn go_assign(
         &mut self,
         target: Result<Place, &Expr>,
         op: Option<BinaryOp>,
         value: &Expr,
-    ) -> Lowered {
+    ) -> (bool, Lowered) {
         let want = target.as_ref().ok().filter(|_| !self.copy_reads).cloned();
         let (mut r, mut repr) = self.go_expr(value, want.as_ref().filter(|_| op.is_none()));
         let place = target.unwrap_or_else(|e| self.go_place(e));
@@ -564,6 +593,7 @@ impl<'a> Lowerer<'a> {
             self.emit(Instr::Bin { op: bop, dst: t, a: old, b: r });
             r = t;
         }
+        let float = self.is_float(&place);
         match place {
             Place::Slot { idx, .. } if r == idx => {}
             Place::Slot { idx, float } if want.is_some() && repr == Some(float) => {
@@ -572,7 +602,7 @@ impl<'a> Lowerer<'a> {
             }
             place => self.emit_store(place, r),
         }
-        (r, repr)
+        (float, (r, repr))
     }
 
     /// `place = coerce(r[src])`.
@@ -584,32 +614,19 @@ impl<'a> Lowerer<'a> {
         });
     }
 
-    /// A call, by what sema resolved it to; sema has checked every arity.
+    /// A call of `rand()` or a user function: sema has made every other
+    /// builtin an operator, and `swap` is lowered on its own.
     fn go_call(&mut self, callee: Callee, args: &[Expr], want: Option<&Place>) -> Lowered {
-        let mut regs = Vec::with_capacity(args.len());
-        // Float if any argument is, unknown if any is.
-        let mut joined = Some(false);
-        for a in args {
-            let (r, of) = self.go_expr(a, None);
-            regs.push(r);
-            joined = bin_repr(BinaryOp::Add, joined, of);
-        }
+        let args: Box<[Reg]> = args.iter().map(|a| self.go_expr(a, None).0).collect();
         let repr = match callee {
-            Callee::Builtin(Builtin::Abs | Builtin::Min | Builtin::Max) => joined,
-            Callee::Builtin(_) => Some(false),
             // A valueless `return` yields int 0 whatever the type.
             Callee::Func(f) => (self.rets[f as usize] == Type::Int).then_some(false),
-            Callee::Unresolved => None,
+            _ => Some(false),
         };
         let dst = self.dst(want, repr);
-        self.emit(match (callee, regs.as_slice()) {
-            (Callee::Builtin(Builtin::Power2), &[a]) => Instr::Power2 { dst, a },
-            (Callee::Builtin(Builtin::Rand), _) => Instr::Rand { dst },
-            (Callee::Builtin(Builtin::Abs), &[a]) => Instr::Abs { dst, a },
-            (Callee::Builtin(f @ (Builtin::Min | Builtin::Max)), &[a, b]) => {
-                Instr::MinMax { dst, a, b, is_min: f == Builtin::Min }
-            }
-            (Callee::Func(f), _) => Instr::Call { dst, f, args: regs.into() },
+        self.emit(match callee {
+            Callee::Func(f) => Instr::Call { dst, f, args },
+            Callee::Builtin(Builtin::Rand) => Instr::Rand { dst },
             _ => unreachable!("sema resolves every call and its arity"),
         });
         (dst, repr)

@@ -15,11 +15,13 @@
 //!
 //! * **Registers** (`Const`, `Copy`, `Bin`, `Un`, `Truthy`, `StoreSlot`,
 //!   `LoadGlobal`, `StoreGlobal`, `LoadElem`, `StoreElem`, `Jump*`,
-//!   `Call`, `Ret`, builtins) — front-end control flow, scalar arithmetic
-//!   and array elements, fully compiled, over four register families,
-//!   lowest first: **named** — every front-end scalar local (parameter,
-//!   declaration, `seq` element) is the register sema numbered it
-//!   (`sema::LocalKind::Reg`); **loop** — iteration counters and `seq`
+//!   `Call`, `Rand`, `Ret`) — front-end control flow, scalar arithmetic
+//!   (`Bin`/`Un` carry `min`, `max`, `abs` and `power2` too, one op each,
+//!   as the machine's elementwise ops do) and array elements, fully
+//!   compiled, over four register families, lowest first: **named** —
+//!   every front-end scalar local (parameter, declaration, `seq` element)
+//!   is the register sema numbered it (`sema::LocalKind::Reg`);
+//!   **loop** — iteration counters and `seq`
 //!   flags; **temporaries**, reset per statement; **constants** — one per
 //!   distinct literal, `#define` or `INF` of the function, preloaded by
 //!   [`IrFunc::image`], never written. A local or a constant is an operand
@@ -99,14 +101,15 @@ pub enum Instr {
     /// `r[dst] = r[src]`
     Copy { dst: Reg, src: Reg },
     /// `r[dst] = r[a] op r[b]` (front-end C semantics, wrapping ints;
-    /// traps on division by zero).
+    /// traps on division by zero), `min`/`max` included.
     Bin { op: BinaryOp, dst: Reg, a: Reg, b: Reg },
-    /// `r[dst] = op r[a]`
+    /// `r[dst] = op r[a]`, `abs` and `power2` included.
     Un { op: UnaryOp, dst: Reg, a: Reg },
     /// `r[dst] = (r[src] != 0) as int` — the value `&&`/`||` produce.
     Truthy { dst: Reg, src: Reg },
-    /// `r[slot] = coerce(r[src], declared type)` — assignment to a named
-    /// local, coercing to its declared type (`float` or int).
+    /// `r[slot] = coerce(r[src], float or int)` — assignment to a named
+    /// local, coercing to its declared type, or an assignment's value as
+    /// its target's type.
     StoreSlot { slot: Reg, src: Reg, float: bool },
     /// `r[dst] = globals[g]`
     LoadGlobal { dst: Reg, g: u32 },
@@ -138,12 +141,6 @@ pub enum Instr {
     /// `r[dst] = rand()` — consumes one seed from the deterministic
     /// stream shared with the parallel `rand()`.
     Rand { dst: Reg },
-    /// `r[dst] = power2(r[a])`
-    Power2 { dst: Reg, a: Reg },
-    /// `r[dst] = abs(r[a])` (type-preserving; bool becomes int).
-    Abs { dst: Reg, a: Reg },
-    /// `r[dst] = min/max(r[a], r[b])` with float promotion.
-    MinMax { dst: Reg, a: Reg, b: Reg, is_min: bool },
     /// Return from the current activation (`None` returns int 0; the
     /// lowering has coerced a value to the declared return type),
     /// freeing the frame's machine-backed locals.
@@ -186,13 +183,11 @@ impl Instr {
             Instr::Copy { dst, src }
             | Instr::Truthy { dst, src }
             | Instr::StoreSlot { slot: dst, src, .. }
-            | Instr::Un { dst, a: src, .. }
-            | Instr::Power2 { dst, a: src }
-            | Instr::Abs { dst, a: src } => {
+            | Instr::Un { dst, a: src, .. } => {
                 f(dst, true);
                 f(src, false);
             }
-            Instr::Bin { dst, a, b, .. } | Instr::MinMax { dst, a, b, .. } => {
+            Instr::Bin { dst, a, b, .. } => {
                 f(dst, true);
                 f(a, false);
                 f(b, false);

@@ -12,8 +12,7 @@ use uc_cm::{ElemType, Scalar};
 
 use super::{Instr, IrBody, IrFunc, Reg};
 use crate::ast::BinaryOp;
-use crate::exec::{coerce_scalar, scalar_abs, scalar_binary, scalar_minmax, scalar_unary};
-use crate::stdlib;
+use crate::exec::{coerce_scalar, scalar_binary, scalar_unary};
 
 /// Run the balanced pass pipeline over one lowered function.
 pub fn optimize(f: &mut IrFunc) {
@@ -77,11 +76,6 @@ fn const_fold(code: &mut [Instr], n_perm: u16, const_base: Reg, image: &[Scalar]
             }
             Instr::Un { op, a, .. } => val(a).map(|x| scalar_unary(*op, x)),
             Instr::Truthy { src, .. } => val(src).map(|x| Scalar::Int(x.as_bool() as i64)),
-            Instr::Power2 { a, .. } => val(a).map(|x| Scalar::Int(stdlib::power2(x.as_int()))),
-            Instr::Abs { a, .. } => val(a).map(scalar_abs),
-            Instr::MinMax { a, b, is_min, .. } => {
-                val(a).zip(val(b)).map(|(x, y)| scalar_minmax(x, y, *is_min))
-            }
             Instr::StoreSlot { src, float, .. } => {
                 let ty = if *float { ElemType::Float } else { ElemType::Int };
                 val(src).map(|v| coerce_scalar(v, ty))
@@ -170,10 +164,7 @@ fn dead_stores(code: &mut [Instr], temps: std::ops::Range<Reg>) {
                 | Instr::Copy { dst, .. }
                 | Instr::Un { dst, .. }
                 | Instr::Truthy { dst, .. }
-                | Instr::LoadGlobal { dst, .. }
-                | Instr::Power2 { dst, .. }
-                | Instr::Abs { dst, .. }
-                | Instr::MinMax { dst, .. } => *dst,
+                | Instr::LoadGlobal { dst, .. } => *dst,
                 // Div/Mod can trap; Rand consumes the seed stream.
                 Instr::Bin { op, dst, .. }
                     if !matches!(op, BinaryOp::Div | BinaryOp::Mod) =>

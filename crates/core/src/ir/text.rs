@@ -84,17 +84,16 @@ fn instr(ins: &Instr, f: &IrFunc, body: &IrBody, checked: &Checked) -> String {
     match ins {
         Instr::Const { dst, v } => format!("const      r{dst} = {}", scalar(v)),
         Instr::Copy { dst, src } => format!("copy       r{dst} = {}", r(src)),
+        Instr::Bin { op, dst, a, b } if op.is_call() => {
+            format!("bin        r{dst} = {}({}, {})", op.symbol(), r(a), r(b))
+        }
         Instr::Bin { op, dst, a, b } => {
             format!("bin        r{dst} = {} {} {}", r(a), op.symbol(), r(b))
         }
-        Instr::Un { op, dst, a } => {
-            let sym = match op {
-                crate::ast::UnaryOp::Neg => "-",
-                crate::ast::UnaryOp::Not => "!",
-                crate::ast::UnaryOp::BitNot => "~",
-            };
-            format!("un         r{dst} = {sym}{}", r(a))
+        Instr::Un { op, dst, a } if op.is_call() => {
+            format!("un         r{dst} = {}({})", op.symbol(), r(a))
         }
+        Instr::Un { op, dst, a } => format!("un         r{dst} = {}{}", op.symbol(), r(a)),
         Instr::Truthy { dst, src } => format!("truthy     r{dst} = ({} != 0)", r(src)),
         Instr::StoreSlot { slot, src, float } => format!(
             "store      r{slot} = {} as {}",
@@ -119,14 +118,6 @@ fn instr(ins: &Instr, f: &IrFunc, body: &IrBody, checked: &Checked) -> String {
             format!("call       r{dst} = fn#{f}({args})")
         }
         Instr::Rand { dst } => format!("rand       r{dst}"),
-        Instr::Power2 { dst, a } => format!("power2     r{dst} = power2({})", r(a)),
-        Instr::Abs { dst, a } => format!("abs        r{dst} = abs({})", r(a)),
-        Instr::MinMax { dst, a, b, is_min } => format!(
-            "minmax     r{dst} = {}({}, {})",
-            if *is_min { "min" } else { "max" },
-            r(a),
-            r(b)
-        ),
         Instr::Ret { src: Some(src) } => format!("ret        {}", r(src)),
         Instr::Ret { src: None } => "ret".into(),
         Instr::FreeLocals { lo, hi } => format!("free       l{lo}..l{hi}"),

@@ -6,13 +6,15 @@
 //! implementation of each, and every layer that needs the fact calls it:
 //!
 //! * [`eval_pure`] — **the** evaluator of a constant [`Expr`]. It owns no
-//!   arithmetic: every value comes out of the primitives the register VM
-//!   and `passes::const_fold` compute with, so a value known here is the
-//!   value the run produces, bit for bit (ints wrap; `/0` and `%0` are
-//!   "not a constant", never a panic). Callers differ only in the values
-//!   they give identifiers: before sema (`const_eval`, [`fold_unit`]) by
-//!   spelling against the `#define`s, afterwards by the reference sema
-//!   wrote — the lints the `#define`s, the executor also the live scalars.
+//!   arithmetic: every value comes out of `scalar_unary`/`scalar_binary`,
+//!   the primitives the register VM and `passes::const_fold` compute with
+//!   (`abs`, `power2`, `min` and `max` are operators there too), so a
+//!   value known here is the value the run produces, bit for bit (ints
+//!   wrap; `/0` and `%0` are "not a constant", never a panic). Callers
+//!   differ only in the values they give identifiers: before sema
+//!   (`const_eval`, [`fold_unit`]) by spelling against the `#define`s,
+//!   afterwards by the reference sema wrote — the lints the `#define`s,
+//!   the executor also the live scalars.
 //! * `classify_index` — **the** subscript classifier ([`SubForm`]): is a
 //!   subscript an element's axis plus front-end scalars, a front-end
 //!   scalar, or neither. Sema calls it once per access for its plan, and
@@ -36,18 +38,17 @@
 use uc_cm::Scalar;
 
 use crate::ast::*;
-use crate::exec::{scalar_abs, scalar_binary, scalar_minmax, scalar_unary};
+use crate::exec::{scalar_binary, scalar_unary};
 use crate::mapping::ArrayMapping;
 use crate::span::Span;
-use crate::stdlib::{self, Builtin};
 
 /// Evaluate `e` if it is a pure constant: literals, `INF`, identifiers
-/// that `names` gives a value, unary/binary/ternary operators and the pure builtins
-/// (`power2`, `abs`/`ABS`, `min`, `max`) over those. `Err` carries the
+/// that `names` gives a value, and unary/binary/ternary operators over
+/// those — `abs`, `power2`, `min` and `max` among them. `Err` carries the
 /// span of the first sub-expression that is not — an unresolved name, an
-/// array access, an assignment, a reduction, a user call, `rand()`, or a
-/// `/` or `%` by zero. Both operands of `&&`/`||` are evaluated, but only
-/// the taken branch of `?:`.
+/// array access, an assignment, a reduction, a call (`rand()` or a user
+/// function), or a `/` or `%` by zero. Both operands of `&&`/`||` are
+/// evaluated, but only the taken branch of `?:`.
 pub fn eval_pure(
     e: &Expr,
     mut names: impl FnMut(&Name) -> Option<Scalar>,
@@ -70,17 +71,9 @@ fn eval(e: &Expr, names: &mut dyn FnMut(&Name) -> Option<Scalar>) -> Result<Scal
             let taken = if eval(cond, names)?.as_bool() { then_e } else { else_e };
             eval(taken, names)?
         }
-        // Arities are matched here: this may run before sema checks them.
-        Expr::Call { callee: Callee::Builtin(f), args, span, .. } => match (f, args.as_slice()) {
-            (Builtin::Power2, [a]) => Scalar::Int(stdlib::power2(eval(a, names)?.as_int())),
-            (Builtin::Abs, [a]) => scalar_abs(eval(a, names)?),
-            (Builtin::Min | Builtin::Max, [a, b]) => {
-                scalar_minmax(eval(a, names)?, eval(b, names)?, *f == Builtin::Min)
-            }
-            _ => return Err(*span),
-        },
-        Expr::Call { span, .. } => return Err(*span),
-        Expr::Index { .. } | Expr::Assign { .. } | Expr::Reduce(_) => return Err(e.span()),
+        Expr::Index { .. } | Expr::Call { .. } | Expr::Assign { .. } | Expr::Reduce(_) => {
+            return Err(e.span())
+        }
     })
 }
 

@@ -728,9 +728,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.expect(T::RParen, "`)` after arguments")?;
-                    let callee = Builtin::named(name).map_or(Callee::Unresolved, Callee::Builtin);
-                    let (name, span) = (name.into(), span.to(self.prev_span()));
-                    Ok(Expr::Call { name, callee, args, span, value: NO_VALUE })
+                    Ok(call(name, args, span.to(self.prev_span())))
                 } else {
                     Ok(Expr::Ident(Name::new(name), span))
                 }
@@ -777,6 +775,31 @@ impl<'a> Parser<'a> {
             span: span.to(self.prev_span()),
             histogram: None,
         })))
+    }
+}
+
+/// A call of `name`. One of the builtins `abs`/`ABS`, `power2`, `min` and
+/// `max` with its number of arguments is an operator node; every other
+/// call stays a call, so sema reports a wrong number of arguments.
+fn call(name: &str, mut args: Vec<Expr>, span: Span) -> Expr {
+    let builtin = Builtin::named(name);
+    let unary = |op, mut args: Vec<Expr>| {
+        let expr = Box::new(args.pop().expect("one argument"));
+        Expr::Unary { op, expr, span, value: NO_VALUE }
+    };
+    match (builtin, args.len()) {
+        (Some(Builtin::Abs), 1) => unary(UnaryOp::Abs, args),
+        (Some(Builtin::Power2), 1) => unary(UnaryOp::Power2, args),
+        (Some(b @ (Builtin::Min | Builtin::Max)), 2) => {
+            let op = if b == Builtin::Min { BinaryOp::Min } else { BinaryOp::Max };
+            let rhs = Box::new(args.pop().expect("two arguments"));
+            let lhs = Box::new(args.pop().expect("two arguments"));
+            Expr::Binary { op, lhs, rhs, span, value: NO_VALUE }
+        }
+        _ => {
+            let callee = builtin.map_or(Callee::Unresolved, Callee::Builtin);
+            Expr::Call { name: name.into(), callee, args, span }
+        }
     }
 }
 

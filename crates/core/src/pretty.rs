@@ -143,13 +143,13 @@ pub fn expr(e: &Expr) -> String {
         Expr::Call { name, args, .. } => {
             format!("{name}({})", args.iter().map(expr).collect::<Vec<_>>().join(", "))
         }
-        Expr::Unary { op, expr: inner, .. } => {
-            let sym = match op {
-                UnaryOp::Neg => "-",
-                UnaryOp::Not => "!",
-                UnaryOp::BitNot => "~",
-            };
-            format!("{sym}{}", atom(inner))
+        // `abs`, `power2`, `min` and `max` print as the calls they are written as.
+        Expr::Unary { op, expr: inner, .. } if op.is_call() => {
+            format!("{}({})", op.symbol(), expr(inner))
+        }
+        Expr::Unary { op, expr: inner, .. } => format!("{}{}", op.symbol(), atom(inner)),
+        Expr::Binary { op, lhs, rhs, .. } if op.is_call() => {
+            format!("{}({}, {})", op.symbol(), expr(lhs), expr(rhs))
         }
         Expr::Binary { op, lhs, rhs, .. } => {
             format!("{} {} {}", atom(lhs), op.symbol(), atom(rhs))
@@ -189,9 +189,8 @@ pub fn expr(e: &Expr) -> String {
 /// Parenthesise compound subexpressions.
 fn atom(e: &Expr) -> String {
     match e {
-        Expr::Binary { .. } | Expr::Ternary { .. } | Expr::Assign { .. } => {
-            format!("({})", expr(e))
-        }
+        Expr::Binary { op, .. } if !op.is_call() => format!("({})", expr(e)),
+        Expr::Ternary { .. } | Expr::Assign { .. } => format!("({})", expr(e)),
         _ => expr(e),
     }
 }

@@ -153,8 +153,8 @@ pub struct FuncInfo {
 }
 
 /// One value the executor may keep (see [`ValueId`]): a distinct array
-/// access, or an operator or builtin call whose result a construct
-/// computes more than once. What the executor's caches need to know about
+/// access, or an operator whose result a construct computes more than
+/// once. What the executor's caches need to know about
 /// it, decided once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValueInfo {
@@ -1127,9 +1127,6 @@ impl<'a> Checker<'a> {
         let scalar = |e: &Expr| {
             !e.any(&mut |x| match x {
                 Expr::Ident(n, _) => !matches!(n.to, Ref::Const(_) | Ref::Global(_)) && !reg(n.to),
-                Expr::Call { callee: Callee::Builtin(b), .. } => {
-                    !matches!(b, Builtin::Power2 | Builtin::Abs | Builtin::Min | Builtin::Max)
-                }
                 Expr::Index { .. } | Expr::Assign { .. } | Expr::Reduce(_) | Expr::Call { .. } => true,
                 _ => false,
             })
@@ -1175,19 +1172,15 @@ impl<'a> Checker<'a> {
             },
             Expr::Index { .. } => (reads.state, reads.parallel) = (true, true),
             Expr::Ternary { .. } => reads.parallel = true,
-            Expr::Assign { .. } | Expr::Reduce(_) => pure = false,
-            Expr::Call { callee, .. } => {
-                pure &= matches!(callee, Callee::Builtin(b) if *b != Builtin::Rand)
-            }
+            Expr::Assign { .. } | Expr::Reduce(_) | Expr::Call { .. } => pure = false,
             _ => {}
         });
         reads.parallel |= reads.elems;
         pure.then_some(reads)
     }
 
-    /// What `e` reads if it is a value a step may keep — an operator or a
-    /// builtin call, side-effect-free, one per VP — with its canonical
-    /// form in `key`.
+    /// What `e` reads if it is a value a step may keep — an operator,
+    /// side-effect-free, one per VP — with its canonical form in `key`.
     fn keepable(&self, e: &mut Expr, key: &mut Vec<u8>) -> Option<Reads> {
         e.value_slot()?;
         let reads = self.reads(e).filter(|r| r.parallel)?;
@@ -1288,12 +1281,7 @@ impl<'a> Checker<'a> {
         key: &mut Vec<u8>,
         kept: &mut HashMap<Vec<u8>, ValueId>,
     ) {
-        let opaque = match e {
-            Expr::Assign { .. } | Expr::Reduce(_) => true,
-            Expr::Call { callee, .. } => !matches!(callee, Callee::Builtin(_)),
-            _ => false,
-        };
-        if !opaque {
+        if !matches!(e, Expr::Assign { .. } | Expr::Reduce(_) | Expr::Call { .. }) {
             e.for_each_child_mut(|c| self.keep_in_predicate(c, hoist, computed, key, kept));
         }
     }
@@ -1393,6 +1381,9 @@ impl<'a> Checker<'a> {
                         }
                         t
                     }
+                    // A bool becomes an int.
+                    UnaryOp::Abs => t.join(ExprTy::Int),
+                    UnaryOp::Power2 => ExprTy::Int,
                     UnaryOp::Not => ExprTy::Bool,
                     UnaryOp::BitNot => {
                         if !t.int_like() {
@@ -1421,7 +1412,7 @@ impl<'a> Checker<'a> {
                     }
                     Lt | Le | Gt | Ge | Eq | Ne => ExprTy::Bool,
                     LogAnd | LogOr => ExprTy::Bool,
-                    Add | Sub | Mul | Div => lt.join(rt),
+                    Add | Sub | Mul | Div | Min | Max => lt.join(rt),
                 };
                 (ty, lrank.max(rrank))
             }
@@ -1467,11 +1458,9 @@ impl<'a> Checker<'a> {
     /// an expression statement — may it be to `swap`.
     fn check_call(&mut self, call: &mut Expr, as_stmt: bool) -> (ExprTy, Rank) {
         let Expr::Call { name, callee, args, span, .. } = call else { unreachable!("not a call") };
-        let before = self.effects;
-        let (tys, ranks): (Vec<_>, Vec<_>) = args.iter_mut().map(|a| self.check_expr(a)).unzip();
-        let pure = self.effects == before;
+        let ranks: Vec<_> = args.iter_mut().map(|a| self.check_expr(a).1).collect();
         let (what, takes, ty) = match *callee {
-            Callee::Builtin(b) => ("builtin", b.arity(), b.result(&tys)),
+            Callee::Builtin(b) => ("builtin", b.arity(), b.result()),
             _ => match self.funcs.get(&**name) {
                 Some(f) => {
                     *callee = Callee::Func(f.index);
@@ -1511,10 +1500,7 @@ impl<'a> Checker<'a> {
                 Rank::Scalar
             }
             Callee::Builtin(Builtin::Rand) if self.nest.depth > 0 => Rank::Parallel,
-            Callee::Builtin(_) => {
-                lend(args, pure);
-                ranks.iter().copied().max().unwrap_or(Rank::Scalar)
-            }
+            Callee::Builtin(_) => ranks.iter().copied().max().unwrap_or(Rank::Scalar),
             // A user function runs on the front end, once, also when called
             // from a parallel construct.
             _ => {
@@ -1672,8 +1658,8 @@ impl<'a> Checker<'a> {
 /// the array's own storage instead of a copy (`Expr::Index`'s `borrow`)
 /// iff `pure`: no operand assigns, swaps or calls a user function, so no
 /// array changes between the reads and the consumer's use of them. The
-/// consumers that lend are the operators, the builtins but `swap`, a
-/// `?:`'s condition and a read's subscripts; every other consumer — a
+/// consumers that lend are the operators (`abs`, `power2`, `min` and
+/// `max` among them), a `?:`'s condition and a read's subscripts; every other consumer — a
 /// store, a `swap`, a declaration, a bare predicate, a reduction — gets
 /// a copy. A borrowed read is never kept for the step (`exec::access`).
 fn lend<'e>(operands: impl IntoIterator<Item = &'e mut Expr>, pure: bool) {
@@ -2184,7 +2170,7 @@ mod tests {
         assert_eq!(lent_reads(&c), ["d[i][j]", "d[i][j]", ik, kj, ij, "d[i][j]", ik, kj]);
     }
 
-    /// A read is lent only to an operator, a builtin, a `?:` condition or
+    /// A read is lent only to an operator, a `?:` condition or
     /// a read's subscripts, and only where no operand of its consumer
     /// assigns, swaps or calls a user function: not a `swap` operand, not
     /// `b[k]` beside `(b[k] = 5)`, not a store's source, a declaration's
@@ -2333,20 +2319,24 @@ mod tests {
         assert!(msg.contains("function `abs` redefines a builtin at 2:5"), "{msg}");
     }
 
+    /// A call is resolved to what it calls; `ABS(n)` and `min(n, 0)` are
+    /// operators, and a builtin with the wrong number of arguments stays a
+    /// call (an error).
     #[test]
     fn every_call_carries_what_it_calls() {
         let c = check_ok(
             "int s;\nint g(int n) { return ABS(n); }\nint f(int n) { return g(n) + f(min(n, 0)); }\n\
              main() { s = f(rand()); }",
         );
-        let mut callees = Vec::new();
+        let (mut callees, mut ops) = (Vec::new(), Vec::new());
         for f in c.funcs_in_order() {
             for s in &f.body.stmts {
                 s.for_each_expr(&mut |e| {
-                    e.walk(&mut |x| {
-                        if let Expr::Call { name, callee, .. } = x {
-                            callees.push((&**name, *callee));
-                        }
+                    e.walk(&mut |x| match x {
+                        Expr::Call { name, callee, .. } => callees.push((&**name, *callee)),
+                        Expr::Unary { op, .. } => ops.push(op.symbol()),
+                        Expr::Binary { op, .. } => ops.push(op.symbol()),
+                        _ => {}
                     })
                 });
             }
@@ -2355,14 +2345,16 @@ mod tests {
         assert_eq!(
             callees,
             [
-                ("ABS", Callee::Builtin(Builtin::Abs)),
                 ("g", Callee::Func(0)),
                 ("f", Callee::Func(1)),
-                ("min", Callee::Builtin(Builtin::Min)),
                 ("f", Callee::Func(1)),
                 ("rand", Callee::Builtin(Builtin::Rand)),
             ]
         );
+        assert_eq!(ops, ["abs", "+", "min"]);
+        let msg = check_err("int s;\nmain() { s = min(1) + ABS(1, 2); }");
+        assert!(msg.contains("builtin `min` takes 2 argument(s), got 1 at 2:14"), "{msg}");
+        assert!(msg.contains("builtin `ABS` takes 1 argument(s), got 2 at 2:23"), "{msg}");
     }
 
     #[test]

@@ -1008,3 +1008,29 @@ fn data_dependent_subscripts_out_of_range_read_inf_and_store_enabled_lanes() {
     let Err(err) = run_both(&src("p[i] < N")) else { panic!("p[p[i]] leaves p for i < 2") };
     assert!(matches!(err, RuntimeError::OutOfBounds { ref name } if name == "p"), "{err}");
 }
+
+/// As in C, an assignment's value is the value it stored, in its target's
+/// type: on the front end, into an array element, and in a `par` into an
+/// array element or a per-VP local.
+#[test]
+fn an_assignment_is_worth_what_it_stored() {
+    let p = run(r#"
+        #define N 4
+        index_set I:i = {0..N-1};
+        int x, a[N], e[2], l[N];
+        float g, h, k, b[N], c[N];
+        main() {
+            g = (x = 2.5);
+            h = (x += 0.75);
+            k = (e[1] = 3.5);
+            par (I) b[i] = (a[i] = 2.5);
+            par (I) { int t; c[i] = (t = i + 0.5); l[i] = t; }
+        }
+    "#);
+    assert_eq!(p.read_scalar("g").unwrap().as_float(), 2.0);
+    assert_eq!(p.read_scalar("h").unwrap().as_float(), 2.0);
+    assert_eq!(p.read_scalar("k").unwrap().as_float(), 3.0);
+    assert_eq!(p.read_float_array("b").unwrap(), vec![2.0; 4]);
+    assert_eq!(p.read_float_array("c").unwrap(), vec![0.0, 1.0, 2.0, 3.0]);
+    assert_eq!(p.read_int_array("l").unwrap(), vec![0, 1, 2, 3]);
+}

@@ -18,7 +18,9 @@
 //!   progress; `*solve` repeats its assignments until no target changes;
 //! * `seq` runs its elements in set order;
 //! * a parallel read outside an array gives INF; a write outside one, or
-//!   two different values written to one element by a step, is an error.
+//!   two different values written to one element by a step, is an error;
+//! * as in C, an assignment's value is the value it stored, in the
+//!   target's type.
 //!
 //! `oneof` may run any enabled arm. This one takes them in rotation, the
 //! executor's documented choice, so that the corpus's `oneof` programs
@@ -88,6 +90,8 @@ fn binary(op: BinaryOp, a: V, b: V) -> Option<V> {
             Sub => return Some(V::F(x - y)),
             Mul => return Some(V::F(x * y)),
             Div => return Some(V::F(x / y)),
+            Min => return Some(V::F(x.min(y))),
+            Max => return Some(V::F(x.max(y))),
             Lt => return Some(bit(x < y)),
             Le => return Some(bit(x <= y)),
             Gt => return Some(bit(x > y)),
@@ -118,6 +122,8 @@ fn binary(op: BinaryOp, a: V, b: V) -> Option<V> {
         Ne => (x != y) as i64,
         LogAnd => (a.truth() && b.truth()) as i64,
         LogOr => (a.truth() || b.truth()) as i64,
+        Min => x.min(y),
+        Max => x.max(y),
     }))
 }
 
@@ -127,29 +133,10 @@ fn unary(op: UnaryOp, a: V) -> V {
         (UnaryOp::Neg, V::F(x)) => V::F(-x),
         (UnaryOp::Not, a) => bit(!a.truth()),
         (UnaryOp::BitNot, a) => V::I(!a.int()),
-    }
-}
-
-fn builtin(f: Builtin, args: &[V]) -> V {
-    match (f, args) {
-        (Builtin::Power2, [k]) => V::I(match k.int() {
-            k @ 0..=62 => 1 << k,
-            k if k < 0 => 0,
-            _ => i64::MAX,
-        }),
-        (Builtin::Abs, [V::I(x)]) => V::I(x.wrapping_abs()),
-        (Builtin::Abs, [V::F(x)]) => V::F(x.abs()),
-        (Builtin::Min | Builtin::Max, [a, b]) => {
-            let min = f == Builtin::Min;
-            if a.is_float() || b.is_float() {
-                let (x, y) = (a.float(), b.float());
-                V::F(if min { x.min(y) } else { x.max(y) })
-            } else {
-                let (x, y) = (a.int(), b.int());
-                V::I(if min { x.min(y) } else { x.max(y) })
-            }
-        }
-        _ => unreachable!("sema checks builtin arities; rand and swap are handled apart"),
+        (UnaryOp::Abs, V::I(x)) => V::I(x.wrapping_abs()),
+        (UnaryOp::Abs, V::F(x)) => V::F(x.abs()),
+        // `1 << k` on a 64-bit shifter, which takes the count mod 64.
+        (UnaryOp::Power2, k) => V::I(1 << (k.int() & 63)),
     }
 }
 
@@ -160,8 +147,8 @@ fn fold(op: RedOpToken, a: V, b: V) -> V {
     match op {
         RedOpToken::Add => binary(BinaryOp::Add, a, b).unwrap(),
         RedOpToken::Mul => binary(BinaryOp::Mul, a, b).unwrap(),
-        RedOpToken::Min | RedOpToken::And => builtin(Builtin::Min, &[a, b]),
-        RedOpToken::Max | RedOpToken::Or => builtin(Builtin::Max, &[a, b]),
+        RedOpToken::Min | RedOpToken::And => binary(BinaryOp::Min, a, b).unwrap(),
+        RedOpToken::Max | RedOpToken::Or => binary(BinaryOp::Max, a, b).unwrap(),
         RedOpToken::Xor => V::I((a.int() + b.int()) % 2),
         RedOpToken::Arb if a.to(float) != inf(float) => a.to(float),
         RedOpToken::Arb => b.to(float),
@@ -196,6 +183,12 @@ impl Val {
         match self {
             Val::S(v) => v.is_float(),
             Val::P(vs) => vs.iter().any(|v| v.is_float()),
+        }
+    }
+    fn to(&self, float: bool) -> Val {
+        match self {
+            Val::S(v) => Val::S(v.to(float)),
+            Val::P(vs) => Val::P(vs.iter().map(|v| v.to(float)).collect()),
         }
     }
 }
@@ -734,11 +727,7 @@ impl<'c> Interp<'c> {
                 Val::S(self.call(*f as usize, &args)?)
             }
             Expr::Call { callee: Callee::Builtin(Builtin::Rand), .. } => return Err("rand() is not modelled".into()),
-            Expr::Call { callee: Callee::Builtin(f), args, .. } => {
-                let args: Vec<Val> = args.iter().map(|a| self.eval(a, sp)).collect::<R<_>>()?;
-                lanes(n, &args, |vs| Ok(builtin(*f, vs)))?
-            }
-            Expr::Call { .. } => unreachable!("sema resolves every call"),
+            Expr::Call { .. } => unreachable!("sema resolves every call; `abs` and `min` are operators"),
             Expr::Unary { op, expr, .. } => {
                 let a = self.eval(expr, sp)?;
                 lanes(n, &[a], |vs| Ok(unary(*op, vs[0])))?
@@ -773,8 +762,9 @@ impl<'c> Interp<'c> {
                     }
                     None => v,
                 };
-                self.store(target, &v, true, sp)?;
-                v
+                // As in C, the value is the one stored: the target's type.
+                let float = self.store(target, &v, true, sp)?;
+                v.to(float)
             }
             Expr::Reduce(r) => self.reduce(r, sp)?,
         })
@@ -823,14 +813,16 @@ impl<'c> Interp<'c> {
 
     /// Store `v` to `target` on every point that is on: an error where a
     /// subscript leaves the array, or, with `check`, where two points
-    /// write different values to one element.
-    fn store(&mut self, target: &Expr, v: &Val, check: bool, sp: &mut Space) -> R<()> {
+    /// write different values to one element. Says whether the target
+    /// holds floats.
+    fn store(&mut self, target: &Expr, v: &Val, check: bool, sp: &mut Space) -> R<bool> {
         let n = sp.pts.len();
-        match target {
+        Ok(match target {
             Expr::Ident(name, _) => match name.to {
                 Ref::Global(g) => {
                     let float = self.globals[g as usize].is_float();
                     self.globals[g as usize] = v.at(0).to(float);
+                    float
                 }
                 Ref::Local(id) => {
                     let float = self.local_float(id);
@@ -841,6 +833,7 @@ impl<'c> Interp<'c> {
                             bind(&mut sp.pts[k], Key::Local(id), v.at(k).to(float));
                         }
                     }
+                    float
                 }
                 to => unreachable!("sema admits only variables as targets; this is {to:?}"),
             },
@@ -860,10 +853,10 @@ impl<'c> Interp<'c> {
                 for (at, value) in writes {
                     arr.data[at] = value;
                 }
+                arr.float
             }
             other => unreachable!("sema admits only lvalues as targets, not {other:?}"),
-        }
-        Ok(())
+        })
     }
 }
 

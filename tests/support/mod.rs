@@ -644,8 +644,8 @@ impl SVal {
 
 /// The model: every variable's value and `m`, evaluated strictly left to
 /// right with wrapping ints, the operands of an int-only operator
-/// truncated, and an assignment yielding the value it was given (not the
-/// one the variable keeps). A store to `m[i]` evaluates the value, then
+/// truncated, and an assignment yielding the value it stored, in its
+/// target's type, as in C. A store to `m[i]` evaluates the value, then
 /// `i`, then reads the old element of `op=`, then stores.
 pub struct ScalarModel {
     pub vars: [SVal; 7],
@@ -696,7 +696,7 @@ impl ScalarModel {
                 }
                 let kept = if SCALARS[*v].1 { SVal::F(value.float()) } else { SVal::I(value.int()) };
                 self.vars[*v] = kept;
-                value
+                kept
             }
             SExpr::Bin("&&", a, b) => SVal::I((self.eval(a).truth() && self.eval(b).truth()) as i64),
             SExpr::Bin("%", a, b) => SVal::I(self.eval(a).int().wrapping_rem(self.eval(b).int())),
@@ -738,7 +738,7 @@ impl ScalarModel {
                     value = Self::arith(&op.to_string(), SVal::I(self.m[i]), value);
                 }
                 self.m[i] = value.int();
-                value
+                SVal::I(self.m[i])
             }
         }
     }
