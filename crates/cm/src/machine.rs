@@ -12,12 +12,12 @@
 //!
 //! The dominant per-step costs of any UC program are the router and scan
 //! (the paper's §4 cost model), so those paths must not copy whole fields
-//! just to satisfy the borrow checker. [`Machine::split_dst`] is the
+//! just to satisfy the borrow checker. `Machine::split_dst` is the
 //! split-borrow accessor every hot path uses: it partitions the machine's
 //! storage *around* the destination field and returns
 //!
 //! * `&mut FieldData` for the destination, and
-//! * a [`Peers`] view that resolves `&FieldData` for any *other* field
+//! * a `Peers` view that resolves `&FieldData` for any *other* field
 //!   (same or different VP set) and the current context mask of any VP
 //!   set — borrowed, never cloned.
 //!
@@ -27,13 +27,13 @@
 //! ever reads its own position (see [`crate::ops`]). An operation that
 //! reads *other* lanes of its destination (an in-place NEWS shift, a
 //! router op whose source or address field is its destination) first
-//! copies that operand into a scratch buffer ([`Machine::scratch_copy`])
+//! copies that operand into a scratch buffer (`Machine::scratch_copy`)
 //! and reads the copy. Because every alias is by definition equal to the
 //! destination, at most one scratch copy is ever needed per operation.
 //!
 //! # The scratch arena
 //!
-//! [`Scratch`] is a per-machine pool of typed buffers (`Vec<i64>`,
+//! `Scratch` is a per-machine pool of typed buffers (`Vec<i64>`,
 //! `Vec<f64>`, `Vec<bool>`). Hot paths check
 //! buffers out (`take_*`) and return them (`put_*`) around each
 //! operation; [`Machine::free`] retires a field's storage into the pool
@@ -41,7 +41,7 @@
 //! a warm-up pass, the steady-state `send`/`get`/scan/reduce/elementwise
 //! chain performs zero heap allocations (enforced by the `alloc_count`
 //! integration test and a CI leg). The arena is bounded: at most
-//! [`MAX_POOL`] parked buffers per type, and
+//! `MAX_POOL` parked buffers per type, and
 //! [`Machine::scratch_high_water`] reports the peak number checked out at
 //! once.
 //!
@@ -57,7 +57,7 @@
 //!   (see [`crate::ops`]) skips the zero-fill; any other first write
 //!   zero-fills first, so a lane no op wrote still reads 0. Reading an
 //!   undefined field — as a source, through `int_data`/`read_elem`/
-//!   `read_all`, or by [`Machine::scratch_copy`] — is an error, never
+//!   `read_all`, or by `Machine::scratch_copy` — is an error, never
 //!   stale data. At most one field is undefined at a time: allocating the
 //!   next result first zero-fills the previous one. A failed op leaves its
 //!   destination undefined.
@@ -535,7 +535,7 @@ impl Machine {
     // ---- Split borrows and scratch --------------------------------------
 
     /// Split the machine's storage around `dst`: a mutable borrow of the
-    /// destination field's data alongside a [`Peers`] view of everything
+    /// destination field's data alongside a `Peers` view of everything
     /// else (see the module docs for the aliasing invariant).
     pub(crate) fn split_dst(&mut self, dst: FieldId) -> Result<(&mut FieldData, Peers<'_>)> {
         if dst.vp.0 >= self.vpsets.len() {

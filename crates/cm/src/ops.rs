@@ -12,7 +12,7 @@
 //! `zip*` kernel over its operands. The operation is matched **once**,
 //! outside the loop, and each arm hands the kernel its own closure, so the
 //! inner loop is monomorphic and vectorises. An operand is one of three
-//! things by the time the kernel runs ([`Src`]):
+//! things by the time the kernel runs (`Src`):
 //!
 //! * another field — a source slice borrowed through `Peers`;
 //! * the destination itself — read in place from the old value the kernel

@@ -166,7 +166,7 @@ const PARTS_PER_THREAD: usize = 2;
 
 /// The driver of every elementwise pass: run `f(range, &mut dst[range])`
 /// over disjoint ranges covering `dst` — one range below
-/// [`PAR_THRESHOLD`] or on a single-threaded pool, [`PARTS_PER_THREAD`]
+/// [`PAR_THRESHOLD`] or on a single-threaded pool, `PARTS_PER_THREAD`
 /// equal parts per pool thread above it. The kernel slices its sources
 /// and the mask by `range`. Only position-independent maps may use this:
 /// the split follows the pool size (folds use [`chunk_at`] instead).

@@ -6,106 +6,63 @@
 //! elimination uses, reported here instead of silently exploited (UC120,
 //! also covering `if (0)` / `while (0)`). UC121 flags index-set
 //! definitions — virtual-processor sets — that no construct, reduction,
-//! alias or map declaration ever resolves to: they only cost processors
-//! (§4 processor optimization). A definition is an entry of sema's set
-//! table, so a set shadowed by another of the same name is judged on
-//! its own uses.
+//! alias or map section ever resolves to: they only cost processors (§4
+//! processor optimization). Sema marks each definition it resolves a set
+//! name to ([`IndexSetInfo::used`](crate::sema::IndexSetInfo::used)), so a
+//! set shadowed by another of the same name is judged on its own uses;
+//! this pass walks only the guards.
 
 use super::{const_false, Finding};
 use crate::ast::*;
 use crate::sema::Checked;
 
-/// Report UC120 on every item, then UC121 on every unused set.
+/// Report UC120 on every function, then UC121 on every unused set.
 pub(crate) fn run(checked: &Checked, out: &mut Vec<Finding>) {
-    let used = vec![false; checked.sets.len()];
-    let mut w = Walker { checked, used, out: Vec::new() };
-    w.use_sets(checked.sets.iter().filter_map(|s| s.alias_of));
-    for item in &checked.unit.items {
-        match item {
-            Item::IndexSets(_) => {}
-            Item::Func(f) => {
-                for s in &f.body.stmts {
-                    w.stmt(s);
-                }
-            }
-            Item::Map(ms) => {
-                w.use_sets(ms.sets.iter().chain(ms.decls.iter().flat_map(|d| &d.sets)).copied());
-            }
-            Item::Var(v) => {
-                if let Some(init) = &v.init {
-                    w.expr(init);
-                }
-            }
+    for f in checked.funcs_in_order() {
+        for s in &f.body.stmts {
+            guards(checked, s, out);
         }
     }
-    for (set, used) in checked.sets.iter().zip(&w.used) {
-        if !used {
-            w.out.push(Finding {
-                code: "UC121",
-                span: set.span,
-                message: format!(
-                    "index set `{}` is never used by any construct, reduction, \
-                     alias or map declaration (§4 processor optimization)",
-                    set.name
-                ),
-            });
-        }
-    }
-    out.append(&mut w.out);
-}
-
-struct Walker<'c> {
-    checked: &'c Checked,
-    /// Per entry of `checked.sets`: whether anything resolves to it.
-    used: Vec<bool>,
-    out: Vec<Finding>,
-}
-
-impl Walker<'_> {
-    fn use_sets(&mut self, sets: impl IntoIterator<Item = SetId>) {
-        for set in sets {
-            self.used[set] = true;
-        }
-    }
-
-    fn stmt(&mut self, s: &Stmt) {
-        match s {
-            Stmt::If { cond, .. } => self.guard(cond, "`if` condition is constant-false"),
-            Stmt::While { cond, .. } => self.guard(cond, "`while` condition is constant-false"),
-            Stmt::For { cond: Some(c), .. } => self.guard(c, "`for` condition is constant-false"),
-            Stmt::Uc(uc) => {
-                self.use_sets(uc.sets.iter().copied());
-                for pred in uc.arms.iter().filter_map(|arm| arm.pred.as_ref()) {
-                    self.guard(pred, "`st` predicate is constant-false: the context is empty");
-                }
-            }
-            _ => {}
-        }
-        s.for_each_child(|n| match n {
-            Node::Expr(e) => self.expr(e),
-            Node::Stmt(s) => self.stmt(s),
+    for set in checked.sets.iter().filter(|set| !set.used) {
+        out.push(Finding {
+            code: "UC121",
+            span: set.span,
+            message: format!(
+                "index set `{}` is never used by any construct, reduction, \
+                 alias or map declaration (§4 processor optimization)",
+                set.name
+            ),
         });
     }
+}
 
-    /// Report UC120 if the guard `e` is a constant zero.
-    fn guard(&mut self, e: &Expr, what: &str) {
-        if const_false(e, self.checked) {
-            self.out.push(Finding {
+/// Report UC120 on every constant-false guard in `s`.
+fn guards(checked: &Checked, s: &Stmt, out: &mut Vec<Finding>) {
+    let mut guard = |e: &Expr, what: &str| {
+        if const_false(e, checked) {
+            out.push(Finding {
                 code: "UC120",
                 span: e.span(),
                 message: format!("{what}; the guarded statement can never execute (§3.4 context)"),
             });
         }
-    }
-
-    /// Reductions name index sets too.
-    fn expr(&mut self, e: &Expr) {
-        e.walk(&mut |x| {
-            if let Expr::Reduce(r) = x {
-                self.use_sets(r.sets.iter().copied());
+    };
+    match s {
+        Stmt::If { cond, .. } => guard(cond, "`if` condition is constant-false"),
+        Stmt::While { cond, .. } => guard(cond, "`while` condition is constant-false"),
+        Stmt::For { cond: Some(c), .. } => guard(c, "`for` condition is constant-false"),
+        Stmt::Uc(uc) => {
+            for pred in uc.arms.iter().filter_map(|arm| arm.pred.as_ref()) {
+                guard(pred, "`st` predicate is constant-false: the context is empty");
             }
-        });
+        }
+        _ => {}
     }
+    s.for_each_child(|n| {
+        if let Node::Stmt(s) = n {
+            guards(checked, s, out);
+        }
+    });
 }
 
 #[cfg(test)]

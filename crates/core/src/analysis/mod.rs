@@ -27,7 +27,9 @@
 //! set a `Ref::Elem` names, a variable the local a `Ref::Local` names,
 //! and spellings appear only in the messages — so the same passes can
 //! later run over the compiled IR (ROADMAP item 8) without changing
-//! their reporting.
+//! their reporting. UC101 and UC121 walk nothing: they report what sema
+//! recorded as it checked the program (`Checked::races`,
+//! `IndexSetInfo::used`).
 
 mod comm;
 mod context;

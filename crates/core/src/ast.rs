@@ -176,7 +176,8 @@ pub struct VarDecl {
 pub struct FuncDef {
     pub ret: Type,
     pub name: String,
-    pub params: Vec<(Type, String)>,
+    /// Each parameter's type, name and the span of its name.
+    pub params: Vec<(Type, String, Span)>,
     pub body: Block,
     pub span: Span,
 }

@@ -28,7 +28,7 @@
 //! (`x + (x = 3)`, `f(x, x = 2)`, `m[x = 1] = x`),
 //! every read of a local copies to a temporary and every store goes
 //! through `StoreSlot`. Otherwise a value whose run-time representation
-//! the lowerer can name ([`Repr`]) and finds to be the slot's declared
+//! the lowerer can name (`Repr`) and finds to be the slot's declared
 //! type is computed straight into the slot; `StoreSlot` coerces the
 //! rest, and a `return` coerces to the declared type by the same rule.
 
@@ -239,7 +239,7 @@ impl<'a> Lowerer<'a> {
         let n_consts = self.const_vals.len() as u32;
         self.failed |= self.watermark + n_consts > u16::MAX as u32;
         let const_base = if self.failed { 0 } else { self.watermark as Reg };
-        let params = f.params.iter().map(|(ty, _)| *ty == Type::Float).collect();
+        let params = f.params.iter().map(|(ty, ..)| *ty == Type::Float).collect();
         let mut image = vec![Scalar::Int(0); const_base as usize];
         let body = if self.failed {
             None

@@ -272,7 +272,7 @@ impl<'a> Parser<'a> {
             loop {
                 let ty = self.type_name()?;
                 let pname = self.ident("a parameter name")?;
-                params.push((ty, pname.to_string()));
+                params.push((ty, pname.to_string(), self.prev_span()));
                 if !self.eat(T::Comma) {
                     break;
                 }

@@ -32,6 +32,10 @@
 //! * every access is planned once, by its id ([`ValueInfo::forms`]), and
 //!   every histogram marked for §4's processor optimisation
 //!   (`ReduceExpr::histogram`): the executor and UC110/UC111 read both;
+//! * every store that may give one array element distinct values in a
+//!   step that traps on them is recorded ([`Checked::races`]), and every
+//!   index set that anything resolves to is marked
+//!   ([`IndexSetInfo::used`]): UC101 and UC121 read them;
 //! * UC restrictions are enforced (no `goto` — already a parse error; an
 //!   index element is read-only; `solve` arms must be proper assignments
 //!   to array elements, without `st`, and a plain `solve`'s right-hand
@@ -77,6 +81,9 @@ pub struct IndexSetInfo {
     pub span: Span,
     /// For `= J` definitions, the set `J` resolved to.
     pub alias_of: Option<SetId>,
+    /// Whether a construct, reduction, alias or map section resolves to
+    /// it: a set nothing uses only costs processors (UC121).
+    pub used: bool,
     /// `lo` if the elements are `lo, lo+1, …`, decided once by
     /// `define_index_set`: a range is contiguous by construction, an alias
     /// is whatever its source is, and only a list is scanned.
@@ -191,6 +198,23 @@ struct Reads {
     parallel: bool,
 }
 
+/// A store that may give one array element distinct values in one step
+/// (§3.4): its value varies along an open axis that its location neither
+/// varies along nor has pinned by a guard. UC101 reports it; the executor
+/// traps on the values it actually stores.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Race {
+    /// The assignment, or the `swap` that stores each operand to the other.
+    pub span: Span,
+    /// What runs the step: the construct's keyword, or the reduction's
+    /// operator for a store in a reduction's operand.
+    pub step: &'static str,
+    /// The set whose element is such an axis (the first by element name).
+    pub elem: SetId,
+    /// The location, as written.
+    pub target: String,
+}
+
 /// The output of semantic analysis, consumed by the executor, the
 /// optimizer and the lints.
 #[derive(Debug, Clone)]
@@ -221,6 +245,8 @@ pub struct Checked {
     pub reachable: Vec<bool>,
     /// Every value the executor may keep; a [`ValueId`] indexes this.
     pub values: Vec<ValueInfo>,
+    /// Every store that may race, in the order sema met it.
+    pub races: Vec<Race>,
 }
 
 impl Checked {
@@ -309,6 +335,10 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         value_ids: HashMap::new(),
         scopes: Vec::new(),
         nest: Nesting::default(),
+        open: Vec::new(),
+        pins: Vec::new(),
+        local_axes: Vec::new(),
+        races: Vec::new(),
         effects: 0,
     };
     cx.run(&mut unit);
@@ -328,6 +358,7 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         func_infos: cx.func_infos,
         reachable: reachable(main, &cx.callees),
         values: cx.values,
+        races: cx.races,
     };
     let maps = mapping::interpret_maps(&checked, diags);
     for (array, mapping) in checked.arrays.iter_mut().zip(maps) {
@@ -354,9 +385,9 @@ fn reachable(main: usize, callees: &[Vec<u32>]) -> Vec<bool> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Denotes {
     /// The element of an open `par`/`oneof`/`solve` or reduction
-    /// (read-only integer): the coordinate along this axis of the
-    /// iteration space, counted from the function's outermost construct.
-    Elem { axis: usize },
+    /// (read-only integer): the coordinate along its axis of the iteration
+    /// space ([`Checker::elem_axis`]).
+    Elem,
     /// A `#define` (read-only integer).
     Const,
     /// A scalar of this type, declared under `depth` iteration spaces of
@@ -372,7 +403,8 @@ enum Denotes {
 /// What a call site needs to know about a user function.
 struct FuncSig {
     ret: Type,
-    params: usize,
+    /// How many parameters it takes; `None` if its list repeats a name.
+    params: Option<usize>,
     span: Span,
     /// Position of the definition in [`Checked::funcs_in_order`].
     index: u32,
@@ -400,6 +432,19 @@ struct Checker<'a> {
     /// Scope stack for function bodies: name → binding.
     scopes: Vec<HashMap<String, (Ref, Denotes)>>,
     nest: Nesting,
+    /// The set of each axis of the iteration space open here, outermost
+    /// first, counted from the function's outermost construct: one per set
+    /// an enclosing `par`/`oneof`/`solve` or reduction binds (a `seq`
+    /// extends no space).
+    open: Vec<SetId>,
+    /// The axes the enclosing guards pin: `(axis, along)` where the
+    /// element of `axis` equals a value that varies only along the open
+    /// axes `along` marks (see [`Checker::pin`]).
+    pins: Vec<(usize, Vec<bool>)>,
+    /// Per local of the function being checked: the axes open where it was
+    /// declared. A per-VP local varies along all of them.
+    local_axes: Vec<usize>,
+    races: Vec<Race>,
     /// Assignments, `swap`s and user calls checked so far: an expression
     /// writes nothing iff checking it leaves this unchanged (see [`lend`]).
     effects: u32,
@@ -423,8 +468,11 @@ struct Nesting {
     /// Iteration spaces open here: one per enclosing `par`/`oneof`/`solve`
     /// and per enclosing reduction (a `seq` extends no space).
     depth: usize,
-    /// Axes of the innermost of them: one per set bound so far.
-    axes: usize,
+    /// What runs a store here, if it traps on distinct values stored to one
+    /// element (§3.4): the innermost construct's keyword — `seq` does not
+    /// count — or a reduction's operator. `None` on the front end and in a
+    /// `*solve`, which stores without the check.
+    step: Option<&'static str>,
 }
 
 /// Whether a value is one front-end scalar or a parallel value, one per
@@ -486,6 +534,7 @@ impl<'a> Checker<'a> {
         }
         // First pass: collect all top-level declarations so functions can
         // reference globals declared after them.
+        let mut functions = 0;
         for it in &unit.items {
             match it {
                 Item::IndexSets(defs) => {
@@ -510,21 +559,28 @@ impl<'a> Checker<'a> {
                     self.declare_global(v);
                 }
                 Item::Func(f) => {
-                    // Its position among the functions, if every name is
-                    // new — and a program where one is not never runs.
-                    let index = self.funcs.len() as u32;
-                    let sig = FuncSig { ret: f.ret, params: f.params.len(), span: f.span, index };
+                    // A parameter list that repeats a name is an error
+                    // there; a call then counts no arguments against it.
+                    let repeats = f.params.iter().enumerate().any(|(k, (_, name, _))| {
+                        f.params[..k].iter().any(|(_, first, _)| first == name)
+                    });
+                    let params = (!repeats).then_some(f.params.len());
+                    let sig = FuncSig { ret: f.ret, params, span: f.span, index: functions };
+                    functions += 1;
                     // A call by that name would never reach the definition.
                     if Builtin::named(&f.name).is_some() {
                         self.diags
                             .error(f.span, format!("function `{}` redefines a builtin", f.name));
-                    } else if self.funcs.insert(f.name.clone(), sig).is_some() {
+                    } else if self.funcs.contains_key(&f.name) {
+                        // The first stays bound.
                         self.diags
                             .error(f.span, format!("function `{}` redefined", f.name));
-                    } else if self.scalars.contains_key(&f.name) || self.arrays.contains_key(&f.name)
-                    {
-                        let msg = format!("`{}` is already declared as a variable", f.name);
-                        self.diags.error(f.span, msg);
+                    } else {
+                        if self.scalars.contains_key(&f.name) || self.arrays.contains_key(&f.name) {
+                            let msg = format!("`{}` is already declared as a variable", f.name);
+                            self.diags.error(f.span, msg);
+                        }
+                        self.funcs.insert(f.name.clone(), sig);
                     }
                 }
                 Item::Map(_) => {}
@@ -546,7 +602,7 @@ impl<'a> Checker<'a> {
         }
         match self.funcs.get("main") {
             None => self.diags.error(Span::default(), "program has no `main` function"),
-            Some(main) if main.params != 0 => {
+            Some(main) if main.params != Some(0) => {
                 self.diags.error(main.span, "`main` takes no parameters");
             }
             Some(_) => {}
@@ -564,6 +620,7 @@ impl<'a> Checker<'a> {
             elements: Arc::default(),
             span: def.span,
             alias_of: None,
+            used: false,
             lo: None,
         });
         self.sets.push(info);
@@ -610,6 +667,7 @@ impl<'a> Checker<'a> {
             IndexSetInit::Alias(src) => match self.lookup_index_set(src) {
                 Some(id) if self.sets[id].elements.is_empty() => return None,
                 Some(id) => {
+                    self.sets[id].used = true;
                     alias_of = Some(id);
                     contiguous = self.sets[id].lo;
                     self.sets[id].elements.clone()
@@ -631,6 +689,7 @@ impl<'a> Checker<'a> {
             elements,
             span: def.span,
             alias_of,
+            used: false,
             lo: contiguous,
         })
     }
@@ -655,8 +714,8 @@ impl<'a> Checker<'a> {
         for name in idxs {
             match self.lookup_index_set(name) {
                 Some(id) => {
-                    let what = Denotes::Elem { axis: self.nest.axes + sets.len() };
-                    scope.insert(self.sets[id].elem.clone(), (Ref::Elem(id as u32), what));
+                    self.sets[id].used = true;
+                    scope.insert(self.sets[id].elem.clone(), (Ref::Elem(id as u32), Denotes::Elem));
                     sets.push(id);
                 }
                 None => self.diags.error(span, format!("unknown index set `{name}`{whose}")),
@@ -693,8 +752,10 @@ impl<'a> Checker<'a> {
                 Some(e) => self.const_expr(e),
                 None => Some(0),
             };
-            if self.scalars.insert(v.name.clone(), (ty, init)).is_some() {
-                self.diags.error(v.span, format!("variable `{}` redefined", v.name));
+            // The first stays bound.
+            match self.scalars.entry(v.name.clone()) {
+                Entry::Vacant(slot) => _ = slot.insert((ty, init)),
+                Entry::Occupied(_) => self.diags.error(v.span, format!("variable `{}` redefined", v.name)),
             }
         } else {
             let shape: Option<Vec<usize>> = v.dims.iter().map(|d| self.extent(d)).collect();
@@ -710,8 +771,9 @@ impl<'a> Checker<'a> {
                 self.diags.error(v.span, "array initializers are not supported");
             }
             let info = ArrayInfo { ty, shape, mapping: ArrayMapping::Default };
-            if self.arrays.insert(v.name.clone(), info).is_some() {
-                self.diags.error(v.span, format!("array `{}` redefined", v.name));
+            match self.arrays.entry(v.name.clone()) {
+                Entry::Vacant(slot) => _ = slot.insert(info),
+                Entry::Occupied(_) => self.diags.error(v.span, format!("array `{}` redefined", v.name)),
             }
         }
     }
@@ -746,14 +808,15 @@ impl<'a> Checker<'a> {
     fn check_func(&mut self, f: &mut FuncDef) {
         self.func_infos.push(FuncInfo::default());
         self.callees.push(Vec::new());
+        self.local_axes.clear();
         self.scopes.push(HashMap::new());
-        for (ty, name) in &f.params {
+        for (ty, name, span) in &f.params {
             if *ty == Type::Void {
-                self.diags.error(f.span, format!("parameter `{name}` cannot be void"));
+                self.diags.error(*span, format!("parameter `{name}` cannot be void"));
             }
             let id = self.new_local(name, *ty, None);
             let what = Denotes::Scalar { ty: *ty, depth: 0, read_only: false };
-            self.bind_local(name, (Ref::Local(id), what), f.span);
+            self.bind_local(name, (Ref::Local(id), what), *span);
         }
         self.nest = Nesting::default();
         for s in &mut f.body.stmts {
@@ -791,7 +854,9 @@ impl<'a> Checker<'a> {
         });
         f.machine_locals |= !matches!(kind, LocalKind::Reg(_));
         f.locals.push(LocalInfo { name: name.to_string(), ty, kind });
-        (f.locals.len() - 1) as LocalId
+        let id = (f.locals.len() - 1) as LocalId;
+        self.local_axes.push(self.open.len());
+        id
     }
 
     /// Reject control-flow statement `what` where the front end cannot
@@ -913,12 +978,21 @@ impl<'a> Checker<'a> {
                 self.func_info().loop_regs += 1 + uc.star as u32 + uc.others.is_some() as u32;
             }
         }
+        let (axes, pins) = (self.open.len(), self.pins.len());
+        if parallel {
+            self.open.extend(&uc.sets);
+        }
+        let step = match uc.kind {
+            UcKind::Seq => outer.step,
+            UcKind::Solve if uc.star => None,
+            kind => Some(kind.keyword()),
+        };
         self.nest = Nesting {
             parallel: outer.parallel || parallel,
             construct: true,
             loops: 0,
             depth: outer.depth + parallel as usize,
-            axes: outer.axes + if parallel { uc.sets.len() } else { 0 },
+            step,
         };
         for arm in &mut uc.arms {
             if let Some(p) = &mut arm.pred {
@@ -927,8 +1001,10 @@ impl<'a> Checker<'a> {
                         .error(p.span(), "`st` predicates are not supported on `solve` statements");
                 }
                 self.check_expr(p);
+                self.pin(p, BinaryOp::Eq);
             }
             self.check_stmt(&mut arm.body);
+            self.pins.truncate(pins);
         }
         if let Some(o) = &mut uc.others {
             if uc.kind == UcKind::Oneof {
@@ -940,7 +1016,12 @@ impl<'a> Checker<'a> {
                     "`others` requires at least one `st`-guarded arm before it",
                 );
             }
+            // `others` runs where every arm predicate is false.
+            for p in uc.arms.iter().filter_map(|a| a.pred.as_ref()) {
+                self.pin(p, BinaryOp::Ne);
+            }
             self.check_stmt(o);
+            self.pins.truncate(pins);
         }
         self.nest = outer;
         if uc.kind == UcKind::Par || (uc.kind == UcKind::Seq && outer.parallel) {
@@ -953,6 +1034,7 @@ impl<'a> Checker<'a> {
             self.diags
                 .error(uc.span, "`seq` iterates a single index set at a time");
         }
+        self.open.truncate(axes);
         self.scopes.pop();
     }
 
@@ -1081,7 +1163,7 @@ impl<'a> Checker<'a> {
                 return Some((ty, if depth > 0 { Rank::Parallel } else { Rank::Scalar }));
             }
             Some((_, Denotes::Const)) => format!("cannot assign to constant `{name}`"),
-            Some((_, Denotes::Elem { .. } | Denotes::Scalar { .. })) => {
+            Some((_, Denotes::Elem | Denotes::Scalar { .. })) => {
                 format!("cannot assign to index element `{name}` (read-only)")
             }
             Some(_) => format!("`{name}` cannot be assigned directly"),
@@ -1089,6 +1171,89 @@ impl<'a> Checker<'a> {
         };
         self.diags.error(span, problem);
         None
+    }
+
+    /// Record a [`Race`] if storing `value` to `target`, both resolved,
+    /// may give one array element distinct values in a step that traps on
+    /// them: the value varies along an open axis that the location neither
+    /// varies along nor has pinned. A scalar target never races: a per-VP
+    /// local is one location per point, and a front-end scalar takes only
+    /// a front-end value.
+    fn check_race(&mut self, target: &Expr, value: &Expr, span: Span) {
+        let (Some(step), Expr::Index { base, subs, .. }) = (self.nest.step, target) else {
+            return;
+        };
+        let mut along = vec![false; self.open.len()];
+        self.varies(value, &mut Vec::new(), &mut along);
+        if !along.contains(&true) {
+            return;
+        }
+        let mut at = vec![false; self.open.len()];
+        subs.iter().for_each(|sub| self.varies(sub, &mut Vec::new(), &mut at));
+        let within = |x: &[bool]| x.iter().zip(&at).all(|(&x, &at)| at || !x);
+        let pinned = |axis| self.pins.iter().any(|(a, x)| *a == axis && within(x));
+        let racing = (0..along.len()).filter(|&a| along[a] && !at[a] && !pinned(a));
+        if let Some(axis) = racing.min_by_key(|&a| &self.sets[self.open[a]].elem) {
+            let (elem, target) = (self.open[axis], crate::pretty::access(&base.text, subs));
+            self.races.push(Race { span, step, elem, target });
+        }
+    }
+
+    /// Mark in `out`, one flag per open axis, the axes the value of `e`
+    /// may vary along: an element's own axis; every axis of the space that
+    /// declared a per-VP local, read in place or lifted from an outer
+    /// level; every axis for `rand()`. A reduction folds its own elements
+    /// (`hidden` while its operands are walked): they vary along nothing
+    /// outside it. An `=` assignment's value is what it stores.
+    fn varies(&self, e: &Expr, hidden: &mut Vec<SetId>, out: &mut [bool]) {
+        match e {
+            Expr::Ident(n, _) => match n.to {
+                Ref::Elem(set) if !hidden.contains(&(set as SetId)) => {
+                    if let Some(axis) = self.elem_axis(set) {
+                        out[axis] = true;
+                    }
+                }
+                Ref::Local(id) if *self.local_kind(id) == LocalKind::PerVp => {
+                    out[..self.local_axes[id as usize]].fill(true);
+                }
+                _ => {}
+            },
+            Expr::Call { callee: Callee::Builtin(Builtin::Rand), .. } => out.fill(true),
+            Expr::Assign { op: None, value, .. } => self.varies(value, hidden, out),
+            Expr::Reduce(r) => {
+                let outside = hidden.len();
+                hidden.extend(&r.sets);
+                e.for_each_child(|c| self.varies(c, hidden, out));
+                hidden.truncate(outside);
+            }
+            _ => e.for_each_child(|c| self.varies(c, hidden, out)),
+        }
+    }
+
+    /// Record the axes an arm predicate `pred` pins for the stores it
+    /// guards. With `op` `==`, each conjunct `e == x` or `x == e`; with `op`
+    /// `!=`, under `others`, the whole predicate `e != x`. There the
+    /// element `e` takes one value wherever `x` does, so a store whose
+    /// location varies along every axis `x` varies along stores one value
+    /// of `e` per element.
+    fn pin(&mut self, pred: &Expr, op: BinaryOp) {
+        let Expr::Binary { op: this, lhs, rhs, .. } = pred else { return };
+        if op == BinaryOp::Eq && *this == BinaryOp::LogAnd {
+            self.pin(lhs, op);
+            return self.pin(rhs, op);
+        }
+        if *this != op || self.nest.step.is_none() {
+            return;
+        }
+        for (e, x) in [(lhs, rhs), (rhs, lhs)] {
+            if let Expr::Ident(Name { to: Ref::Elem(set), .. }, _) = **e {
+                if let Some(axis) = self.elem_axis(set) {
+                    let mut along = vec![false; self.open.len()];
+                    self.varies(x, &mut Vec::new(), &mut along);
+                    self.pins.push((axis, along));
+                }
+            }
+        }
     }
 
     /// The id of the access `base[subs...]`, both already resolved:
@@ -1134,13 +1299,11 @@ impl<'a> Checker<'a> {
         opt::classify_index(sub, &elem, &scalar)
     }
 
-    /// The axis the element of `set` is, if its spelling is bound to it (a
-    /// reduction inside a subscript closes its scope before the access).
+    /// The axis the element of `set` is: the innermost open one that
+    /// binds it, if any (a reduction inside a subscript closes its space
+    /// before the access).
     fn elem_axis(&self, set: u32) -> Option<usize> {
-        match self.lookup(&self.sets[set as usize].elem) {
-            Some((Ref::Elem(s), Denotes::Elem { axis })) if s == set => Some(axis),
-            _ => None,
-        }
+        self.open.iter().rposition(|&s| s == set as SetId)
     }
 
     /// What the local `id` of the function being checked is.
@@ -1309,11 +1472,11 @@ impl<'a> Checker<'a> {
                 };
                 name.to = to;
                 let rank = match what {
-                    Denotes::Elem { .. } | Denotes::Scalar { depth: 1.., .. } => Rank::Parallel,
+                    Denotes::Elem | Denotes::Scalar { depth: 1.., .. } => Rank::Parallel,
                     _ => Rank::Scalar,
                 };
                 let ty = match what {
-                    Denotes::Elem { .. } | Denotes::Const => ExprTy::Int,
+                    Denotes::Elem | Denotes::Const => ExprTy::Int,
                     Denotes::Scalar { ty, .. } => ExprTy::of(ty),
                     Denotes::Array { .. } => {
                         self.diags.error(
@@ -1442,6 +1605,7 @@ impl<'a> Checker<'a> {
                     }
                     _ => unreachable!("parser enforces lvalue targets"),
                 };
+                self.check_race(target, value, *span);
                 if tt == ExprTy::Int && vt == ExprTy::Float {
                     self.diags
                         .warning(*span, "float value truncated in assignment to int");
@@ -1460,7 +1624,7 @@ impl<'a> Checker<'a> {
         let Expr::Call { name, callee, args, span, .. } = call else { unreachable!("not a call") };
         let ranks: Vec<_> = args.iter_mut().map(|a| self.check_expr(a).1).collect();
         let (what, takes, ty) = match *callee {
-            Callee::Builtin(b) => ("builtin", b.arity(), b.result()),
+            Callee::Builtin(b) => ("builtin", Some(b.arity()), b.result()),
             _ => match self.funcs.get(&**name) {
                 Some(f) => {
                     *callee = Callee::Func(f.index);
@@ -1473,7 +1637,7 @@ impl<'a> Checker<'a> {
                 }
             },
         };
-        if takes != args.len() {
+        if let Some(takes) = takes.filter(|&takes| takes != args.len()) {
             let got = args.len();
             self.diags.error(*span, format!("{what} `{name}` takes {takes} argument(s), got {got}"));
         }
@@ -1497,6 +1661,10 @@ impl<'a> Checker<'a> {
                         ),
                     }
                 }
+                if let [a, b] = &args[..] {
+                    self.check_race(a, b, *span);
+                    self.check_race(b, a, *span);
+                }
                 Rank::Scalar
             }
             Callee::Builtin(Builtin::Rand) if self.nest.depth > 0 => Rank::Parallel,
@@ -1518,9 +1686,12 @@ impl<'a> Checker<'a> {
 
     fn check_reduce(&mut self, r: &mut ReduceExpr) -> ExprTy {
         r.sets = self.bind_sets(&r.idxs, r.span, " in reduction");
-        let outer = self.nest;
+        let (outer, axes) = (self.nest, self.open.len());
         self.nest.depth += 1;
-        self.nest.axes += r.sets.len();
+        self.open.extend(&r.sets);
+        // A store in an operand runs on the reduction's space, which traps
+        // on distinct values as a `par` does — also in a `*solve`.
+        self.nest.step = Some(r.op.symbol());
         let mut ty = ExprTy::Int;
         for (pred, operand) in &mut r.arms {
             if let Some(p) = pred {
@@ -1550,6 +1721,7 @@ impl<'a> Checker<'a> {
             ty = ExprTy::Int;
         }
         self.nest = outer;
+        self.open.truncate(axes);
         r.histogram = self.histogram_key(r);
         self.scopes.pop();
         ty
@@ -1564,10 +1736,10 @@ impl<'a> Checker<'a> {
         let [(Some(Expr::Binary { op: BinaryOp::Eq, lhs, rhs, .. }), operand)] = &r.arms[..] else {
             return None;
         };
-        let shaped = self.nest.depth == 1 && self.nest.axes == 1 && r.others.is_none();
-        // The enclosing level's element: the one binding at axis 0.
-        let outer = self.scopes.iter().flat_map(|s| s.values()).find(|b| b.1 == Denotes::Elem { axis: 0 })?.0;
-        let Ref::Elem(set) = outer else { return None };
+        let shaped = self.nest.depth == 1 && self.open.len() == 1 && r.others.is_none();
+        // The enclosing level's element: the one at axis 0.
+        let set = *self.open.first()? as u32;
+        let outer = Ref::Elem(set);
         let from_zero = self.sets[set as usize].lo == Some(0) && !r.sets.contains(&(set as SetId));
         if !shaped || !from_zero || !matches!(r.op, R::Add | R::Mul | R::Min | R::Max) {
             return None;

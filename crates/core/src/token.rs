@@ -117,9 +117,9 @@ pub enum RedOpToken {
     Arb,
 }
 
-impl std::fmt::Display for RedOpToken {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl RedOpToken {
+    pub fn symbol(self) -> &'static str {
+        match self {
             RedOpToken::Add => "$+",
             RedOpToken::Mul => "$*",
             RedOpToken::And => "$&&",
@@ -128,8 +128,13 @@ impl std::fmt::Display for RedOpToken {
             RedOpToken::Min => "$<",
             RedOpToken::Xor => "$^",
             RedOpToken::Arb => "$,",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for RedOpToken {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.symbol())
     }
 }
 

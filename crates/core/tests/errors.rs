@@ -1,8 +1,12 @@
 //! Error behaviour: compile-time diagnostics and runtime failures, each
 //! exercising a rule of the paper.
 
+use std::path::Path;
+
 use uc_core::analysis::{check_source, LintConfig};
-use uc_core::{Program, RuntimeError};
+use uc_core::ast::*;
+use uc_core::parser::parse;
+use uc_core::{sema, Diagnostics, Program, RuntimeError, Severity, Span};
 
 fn compile_err(src: &str) -> String {
     match Program::compile(src) {
@@ -284,7 +288,7 @@ fn a_name_is_declared_once_per_scope() {
     for (src, expected) in [
         (
             "int s;\nint f(int x, int x) { return x; }\nmain() { s = f(1, 2); }",
-            "error: `x` is already declared in this scope at 2:5",
+            "error: `x` is already declared in this scope at 2:18",
         ),
         (
             "int s;\nmain() { { int y; int y; } s = 1; }",
@@ -348,6 +352,109 @@ fn a_set_or_a_global_name_is_defined_once() {
     let mut p = Program::compile(src).unwrap_or_else(|d| panic!("compile failed:\n{d}"));
     p.run().unwrap();
     assert_eq!(p.read_int("s"), Some(1));
+}
+
+/// A second declaration of each name `unit` declares, in the same scope:
+/// where to insert it in `src`, and its text. It goes after a global's,
+/// local's or index set's statement (as another arm after a guarded
+/// arm's), after a function, and after a parameter in its list.
+fn redeclarations(src: &str, unit: &Unit) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    for item in &unit.items {
+        match item {
+            Item::Var(v) => out.push(redeclare_var(src, v, "")),
+            Item::IndexSets(defs) => out.extend(defs.iter().map(|def| redeclare_set(src, def))),
+            Item::Func(f) => {
+                out.push((f.span.end, format!("\nint {}() {{ return 0; }}", f.name)));
+                out.extend(f.params.iter().map(|(_, name, span)| (span.end, format!(", int {name}"))));
+                redeclare_locals(src, &f.body.stmts, &mut out);
+            }
+            Item::Map(_) => {}
+        }
+    }
+    out
+}
+
+/// Every local and index set declared in the block `stmts` or below it.
+fn redeclare_locals(src: &str, stmts: &[Stmt], out: &mut Vec<(usize, String)>) {
+    for s in stmts {
+        match s {
+            Stmt::Decl(v) => out.push(redeclare_var(src, v, "")),
+            Stmt::IndexSets(defs) => out.extend(defs.iter().map(|def| redeclare_set(src, def))),
+            _ => {}
+        }
+        redeclare_nested(src, s, out);
+    }
+}
+
+fn redeclare_nested(src: &str, s: &Stmt, out: &mut Vec<(usize, String)>) {
+    match s {
+        Stmt::Block(b) => return redeclare_locals(src, &b.stmts, out),
+        // A guarded arm's declaration is in the construct's scope, so the
+        // second is another arm.
+        Stmt::Uc(uc) => {
+            for arm in &uc.arms {
+                if let (Some(_), Stmt::Decl(v)) = (&arm.pred, &arm.body) {
+                    out.push(redeclare_var(src, v, " st (1)"));
+                }
+            }
+        }
+        _ => {}
+    }
+    s.for_each_child(|n| {
+        if let Node::Stmt(s) = n {
+            redeclare_nested(src, s, out);
+        }
+    });
+}
+
+/// The end of the statement whose declaration ends at `span`.
+fn after_statement(src: &str, span: Span) -> usize {
+    span.end + src[span.end..].find(';').expect("a `;`") + 1
+}
+
+fn redeclare_var(src: &str, v: &VarDecl, arm: &str) -> (usize, String) {
+    let dims = if v.dims.is_empty() { "" } else { "[1]" };
+    (after_statement(src, v.span), format!("{arm} int {}{dims};", v.name))
+}
+
+fn redeclare_set(src: &str, def: &IndexSetDef) -> (usize, String) {
+    (after_statement(src, def.span), format!(" index_set {}:again = {{0..0}};", def.name))
+}
+
+/// The redeclaration law: in every program of the examples, the lint
+/// corpus and the figures, a second declaration of any name it declares —
+/// a global, a parameter, a local, an index set, an array or a function —
+/// in the same scope is exactly one error, at the second declaration.
+#[test]
+fn every_redeclaration_is_one_error_at_the_second() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (mut cases, mut wrong) = (0, Vec::new());
+    for dir in ["examples/uc", "tests/corpus", "crates/bench/programs"] {
+        let mut files: Vec<_> = std::fs::read_dir(root.join(dir))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "uc"))
+            .collect();
+        files.sort();
+        for path in files {
+            let src = std::fs::read_to_string(&path).unwrap();
+            let unit = parse(&src, &mut Diagnostics::default()).expect("the program parses");
+            for (at, text) in redeclarations(&src, &unit) {
+                let redeclared = format!("{}{text}{}", &src[..at], &src[at..]);
+                let mut diags = Diagnostics::default();
+                sema::front_end(&redeclared, &[], &mut diags);
+                let errors: Vec<_> = diags.items.iter().filter(|d| d.severity == Severity::Error).collect();
+                let inserted = at..at + text.len();
+                if errors.len() != 1 || !inserted.contains(&errors[0].span.start) {
+                    wrong.push(format!("{} + `{}` at byte {at}:\n{diags}", path.display(), text.trim()));
+                }
+                cases += 1;
+            }
+        }
+    }
+    assert!(cases > 200, "only {cases} declarations");
+    assert!(wrong.is_empty(), "{} of {cases} cases:\n{}", wrong.len(), wrong.join("\n"));
 }
 
 /// A literal that does not fit in 64 bits, and a character outside the

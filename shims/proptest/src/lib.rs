@@ -6,11 +6,11 @@
 //! * the [`proptest!`] macro (with a leading `#![proptest_config(..)]`,
 //!   `#[test]` attributes, doc comments, and `pat in strategy` bindings,
 //!   including `mut` bindings);
-//! * integer-range strategies (`-1000i64..1000`), [`any`]`::<bool>()`
+//! * integer-range strategies (`-1000i64..1000`), [`any`](strategy::any)`::<bool>()`
 //!   and [`collection::vec`];
 //! * [`prop_assert!`] / [`prop_assert_eq!`];
 //! * **shrinking**: a failing case is reduced by a bounded greedy halving
-//!   search ([`Strategy::shrink`]) before it is reported, so the panic
+//!   search ([`Strategy::shrink`](strategy::Strategy::shrink)) before it is reported, so the panic
 //!   message names a (locally) minimal failing input instead of the raw
 //!   random sample.
 //!

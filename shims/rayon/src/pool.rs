@@ -13,7 +13,7 @@
 //! queues, a worker pops from the front of its own queue, and an idle
 //! worker (or a caller waiting on a [`scope`]) steals from the back of its
 //! peers' queues. A worker that finds every queue empty keeps polling for
-//! [`SPIN_BEFORE_PARK`], then sleeps on a condvar.
+//! `SPIN_BEFORE_PARK`, then sleeps on a condvar.
 //!
 //! [`scope`] mirrors `rayon::scope`: jobs spawned inside it may borrow
 //! from the enclosing stack frame (`'scope` data), the call returns only

@@ -175,6 +175,27 @@ fn check_reports_lints_as_warnings() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("ok (1 warnings)"));
 }
 
+/// The store facts hold an axis of any depth: 70 nested `par`s, each
+/// over a one-element set, race only where the innermost element goes
+/// into a location the outermost picks.
+#[test]
+fn check_tracks_seventy_nested_axes() {
+    let sets: Vec<String> = (1..70).map(|k| format!(", I{k}:i{k} = I0")).collect();
+    let pars: Vec<String> = (0..70).map(|k| format!("par (I{k}) ")).collect();
+    let src = format!(
+        "index_set I0:i0 = {{0..0}}{};\nint a[1];\nmain() {{\n{}{{ a[i0] = i69; a[i69] = i69; }}\n}}\n",
+        sets.concat(),
+        pars.concat()
+    );
+    let path = write_temp("uc_cli_deep_axes.uc", &src);
+    let out = uc().args(["check", path.to_str().unwrap()]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.matches("warning[UC101]").count(), 1, "{stderr}");
+    assert!(stderr.contains(":4:") && stderr.contains("varies with `i69`"), "{stderr}");
+    assert!(stderr.contains("location `a[i0]`"), "{stderr}");
+}
+
 #[test]
 fn deny_warnings_fails_the_check() {
     let path = write_temp("uc_cli_racy_deny.uc", RACY);

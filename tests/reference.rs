@@ -24,7 +24,9 @@
 //!
 //! `oneof` may run any enabled arm. This one takes them in rotation, the
 //! executor's documented choice, so that the corpus's `oneof` programs
-//! compare too. No program of the corpus calls `rand()`.
+//! compare too. `rand()` may give any value: this one counts its draws,
+//! one per point, so the one corpus program that calls it
+//! (`race_rand.uc`) compares by the rule it traps on.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -261,6 +263,8 @@ struct Interp<'c> {
     arrays: Vec<Arr>,
     frames: Vec<Frame>,
     oneof_cursor: usize,
+    /// `rand()`'s draws so far.
+    draws: i64,
     budget: u64,
 }
 
@@ -277,6 +281,7 @@ impl<'c> Interp<'c> {
             arrays: c.arrays.iter().map(|a| Arr::new(a.ty, &a.shape)).collect(),
             frames: Vec::new(),
             oneof_cursor: 0,
+            draws: 0,
             budget: BUDGET,
         }
     }
@@ -726,7 +731,13 @@ impl<'c> Interp<'c> {
                 let args: Vec<V> = args.iter().map(|a| self.scalar(a, sp)).collect::<R<_>>()?;
                 Val::S(self.call(*f as usize, &args)?)
             }
-            Expr::Call { callee: Callee::Builtin(Builtin::Rand), .. } => return Err("rand() is not modelled".into()),
+            Expr::Call { callee: Callee::Builtin(Builtin::Rand), .. } => {
+                let mut draw = || {
+                    self.draws += 1;
+                    V::I(self.draws)
+                };
+                if sp.depth == 0 { Val::S(draw()) } else { Val::P((0..n).map(|_| draw()).collect()) }
+            }
             Expr::Call { .. } => unreachable!("sema resolves every call; `abs` and `min` are operators"),
             Expr::Unary { op, expr, .. } => {
                 let a = self.eval(expr, sp)?;
