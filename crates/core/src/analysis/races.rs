@@ -4,23 +4,28 @@
 //! synchronously, and so it does in the arm a `oneof` step chooses, in an
 //! assignment a plain `solve` round runs and in a reduction's operand. A
 //! store whose *stored value* varies along an axis of the open space that
-//! its *location* does not vary along makes several virtual processors
+//! its *location* does not tell apart makes several virtual processors
 //! write distinct values to one mono array location — the write-write
 //! conflict the paper's §3.4 single-assignment rule forbids (the runtime
 //! detects it with the router's collision detection; this pass reports it
-//! statically). A `*solve` stores without the check, and a scalar target
-//! cannot race.
+//! statically). Which steps check is one table, `ast::step`, that the
+//! executor reads too: a `*solve` stores without the check, nested
+//! stores included, and a scalar target cannot race.
 //!
 //! Sema finds the racing stores as it checks them ([`Checked::races`]),
 //! from what it already knows: each element's axis, the space that
-//! declared each per-VP local, the elements a reduction folds. A value
-//! varies along its elements' axes, along every axis of the space that
-//! declared a per-VP local it reads (in place or lifted), and along every
-//! open axis when it draws `rand()`; a reduction's own elements vary
-//! nothing outside it. A guard removes an axis only when it pins it: an
-//! arm conjunct `e == x`, or under `others` an arm predicate `e != x`,
-//! where `x` varies only along the location's axes. This pass only
-//! reports what sema found.
+//! declared each per-VP local, the elements a reduction folds, the access
+//! plan. A value varies along its elements' axes, along every axis of the
+//! space that declared a per-VP local it reads (in place or lifted), and
+//! along every open axis when it draws `rand()`; a reduction's own
+//! elements vary nothing outside it. A location tells apart the axis of
+//! each subscript the plan calls an element plus scalars; a subscript
+//! over elements and `#define`s only, the axes it varies along unless
+//! its values over their sets' elements repeat (`a[i / 2]`, `a[i % 2]`);
+//! any other subscript, every axis it varies along. A guard removes an
+//! axis only when it pins it: an arm conjunct `e == x`, or under `others`
+//! an arm predicate `e != x`, where `x` varies only along the location's
+//! axes. This pass only reports what sema found.
 
 use super::Finding;
 use crate::sema::Checked;
@@ -210,6 +215,45 @@ mod tests {
         );
         assert_eq!(codes_of(&f), vec!["UC101"]);
         assert!(f[0].message.contains("race in `par`"), "{f:?}");
+        // Nor does a store nested in a `*solve`'s right-hand side.
+        let f = findings(
+            "index_set I:i = {0..3};\nint a[4], b[1];\nmain() { *solve (I) a[i] = (b[0] = i); }",
+        );
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn a_subscript_that_folds_elements_together_races() {
+        let race = |store: &str| {
+            let src = format!(
+                "#define N 8\nindex_set I:i = {{0..N-1}}, J:j = I, K:k = {{0..8191}};\n\
+                 int a[2*N], m[N][N], p[N], q[N*N], w[8192];\nmain() {{ {store} }}"
+            );
+            codes_of(&findings(&src))
+        };
+        assert_eq!(race("par (I) a[i / 2] = i;"), ["UC101"]);
+        assert_eq!(race("par (I) a[i % 2] = i;"), ["UC101"]);
+        assert_eq!(race("par (I, J) q[i + j] = i;"), ["UC101"]);
+        // Distinct at every point: a location each.
+        for clean in [
+            "par (I) a[2*i] = i;",
+            "par (I) a[N-1-i] = i;",
+            "par (I) a[(i + 3) % N] = i;",
+            "par (I, J) q[i*N + j] = i - j;",
+            // `i / 2` folds only `I`, along which the value does not vary.
+            "par (I, J) m[i / 2][j] = j;",
+            // Data in a subscript, or more points than the cap: as if
+            // every point had its own location.
+            "par (I) a[p[i] / 2] = i;",
+            "par (K) w[k / 2] = k;",
+        ] {
+            assert!(race(clean).is_empty(), "{clean}");
+        }
+        // A list that repeats an element gives two points one location.
+        let f = findings(
+            "index_set K:k = {3, 3};\nint a[8];\nmain() { par (K) { int t; t = rand(); a[k] = t; } }",
+        );
+        assert_eq!(codes_of(&f), vec!["UC101"]);
     }
 
     #[test]

@@ -254,6 +254,30 @@ impl UcKind {
     }
 }
 
+/// What a level of iteration belongs to: a construct, by its kind and
+/// whether it is a `*` form, or a reduction, by its operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Opener {
+    Construct(UcKind, bool),
+    Reduce(RedOpToken),
+}
+
+/// The step table: what runs a store at a level that `opener` opens
+/// inside a level whose step is `enclosing`, if that step traps on
+/// distinct values stored to one element (§3.4). A `seq` takes its
+/// enclosing step; `*solve` has none, since it drops single assignment
+/// (§3.6); any other construct has its keyword, and a reduction its
+/// operator. Sema's UC101 facts and the executor's collision check both
+/// read it.
+pub fn step(opener: Opener, enclosing: Option<&'static str>) -> Option<&'static str> {
+    match opener {
+        Opener::Construct(UcKind::Seq, _) => enclosing,
+        Opener::Construct(UcKind::Solve, true) => None,
+        Opener::Construct(kind, _) => Some(kind.keyword()),
+        Opener::Reduce(op) => Some(op.symbol()),
+    }
+}
+
 /// One `st (pred) stmt` arm. A construct with a bare statement is a single
 /// arm with no predicate.
 #[derive(Debug, Clone, PartialEq)]
@@ -397,12 +421,16 @@ pub enum Expr {
     Call { name: Box<str>, callee: Callee, args: Vec<Expr>, span: Span },
     Unary { op: UnaryOp, expr: Box<Expr>, span: Span, value: ValueId },
     Binary { op: BinaryOp, lhs: Box<Expr>, rhs: Box<Expr>, span: Span, value: ValueId },
+    /// `cond ? then_e : else_e`; `float` is false from the parser, and
+    /// sema sets it where the arms' joined type is a float, which both
+    /// arms are coerced to.
     Ternary {
         cond: Box<Expr>,
         then_e: Box<Expr>,
         else_e: Box<Expr>,
         span: Span,
         value: ValueId,
+        float: bool,
     },
     /// `lhs = value` or a compound assignment `lhs op= value`.
     Assign { target: Box<Expr>, op: Option<BinaryOp>, value: Box<Expr>, span: Span },

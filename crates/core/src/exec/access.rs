@@ -484,17 +484,16 @@ impl Run<'_> {
     // ---- writes -------------------------------------------------------------
 
     /// Parallel store into a storage (an array or a solve's
-    /// defined-bitmap); `name` is the array an error names.
-    /// `check_conflicts` enforces the `par` rule that distinct values may
-    /// not land on one element (relaxed inside `*solve`). Returns what it
-    /// stored, which the caller owns: `value` as the storage's type.
+    /// defined-bitmap); `name` is the array an error names. Where the
+    /// level has a step, distinct values landing on one element trap
+    /// (§3.4). Returns what it stored, which the caller owns: `value` as
+    /// the storage's type.
     pub(crate) fn write_storage(
         &mut self,
         arr: Storage,
         access: ValueId,
         subs: &[Expr],
         value: PV,
-        check_conflicts: bool,
         name: &str,
     ) -> RResult<PV> {
         let (value, src) = self.stored_as(value, self.storage(arr).ty)?;
@@ -532,8 +531,8 @@ impl Run<'_> {
             if addr.1 {
                 self.machine.free(addr.0)?;
             }
-            if conflict && check_conflicts {
-                return Err(RuntimeError::MultipleAssignment { name: name.to_string() });
+            if let (true, Some(step)) = (conflict, self.cur_ctx().step) {
+                return Err(RuntimeError::MultipleAssignment { step, name: name.to_string() });
             }
         }
         self.forms.truncate(start);
@@ -572,23 +571,17 @@ impl Run<'_> {
                 self.apply_binary(op, old, rhs)?
             }
         };
-        self.store(target, combined, true)
+        self.store(target, combined)
     }
 
     /// Store a PV into an lvalue; returns what it stored (owned by the
     /// caller): `value` as the target's type.
-    pub(crate) fn store(
-        &mut self,
-        target: &Expr,
-        value: PV,
-        check_conflicts: bool,
-    ) -> RResult<PV> {
+    pub(crate) fn store(&mut self, target: &Expr, value: PV) -> RResult<PV> {
         match target {
             Expr::Ident(name, _) => self.store_ident(name, value),
             Expr::Index { base, subs, access, .. } => {
                 let arr = Storage::Array(base.to);
-                let stored =
-                    self.write_storage(arr, *access, subs, value, check_conflicts, &base.text)?;
+                let stored = self.write_storage(arr, *access, subs, value, &base.text)?;
                 // What the step keeps of `base` is stale from here on (the
                 // value just stored may be one of them).
                 self.cse_invalidate(Some(base.to));

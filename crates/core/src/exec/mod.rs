@@ -23,9 +23,10 @@
 //!   (the communication classes whose costs the map section optimises);
 //! * reductions evaluate their operand on the extended space and combine
 //!   into the enclosing space through the router's combining sends;
-//! * the `par` single-assignment rule ("multiple values assigned to one
+//! * the single-assignment rule of §3.4 ("multiple values assigned to one
 //!   variable must be identical") is enforced by the router's collision
-//!   detection.
+//!   detection on each level the step table ([`crate::ast::step`]), which
+//!   UC101 reads too, gives a step: not in a `*solve` (§3.6).
 //!
 //! The VM hands each parallel construct, reduction and local array
 //! declaration — the tree escapes — to the evaluators in the other
@@ -168,9 +169,9 @@ impl Default for ExecConfig {
 pub enum RuntimeError {
     /// An error surfaced by the simulated machine.
     Cm(CmError),
-    /// The `par` rule of §3.4: two enabled index elements assigned
-    /// distinct values to one variable.
-    MultipleAssignment { name: String },
+    /// §3.4: in one step of `step` (a keyword or a reduction's operator),
+    /// enabled elements assigned distinct values to one element of `name`.
+    MultipleAssignment { step: &'static str, name: String },
     /// An enabled index element wrote outside an array.
     OutOfBounds { name: String },
     /// A `*`-construct or loop exceeded [`ExecLimits::max_iterations`].
@@ -202,9 +203,9 @@ impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RuntimeError::Cm(e) => write!(f, "machine error: {e}"),
-            RuntimeError::MultipleAssignment { name } => write!(
+            RuntimeError::MultipleAssignment { step, name } => write!(
                 f,
-                "par statement assigned distinct values to a single element of `{name}`"
+                "`{step}` step assigned distinct values to a single element of `{name}`"
             ),
             RuntimeError::OutOfBounds { name } => {
                 write!(f, "parallel write outside the bounds of `{name}`")

@@ -27,14 +27,14 @@
 use uc_cm::{BinOp, Combine, ElemType, FieldId, ReduceOp, Scalar};
 
 use super::{RResult, Run, PV};
-use crate::ast::{Expr, HistogramKey, ReduceExpr};
+use crate::ast::{Expr, HistogramKey, Opener, ReduceExpr};
 use crate::token::RedOpToken;
 
 impl Run<'_> {
     pub(crate) fn eval_reduce(&mut self, r: &ReduceExpr) -> RResult<PV> {
         match r.histogram {
             Some(side) if self.config.procopt => self.histogram(r, side),
-            _ => self.in_space(&r.sets, |p| p.eval_reduce_arms(r)),
+            _ => self.in_space(&r.sets, Opener::Reduce(r.op), |p| p.eval_reduce_arms(r)),
         }
     }
 
@@ -165,7 +165,7 @@ impl Run<'_> {
         // Evaluate key and operand on the reduction-only space, which may
         // be the enclosing space's VP set: the enclosing mask goes too.
         // Its sets sit at axis 0, one below where sema counts them.
-        self.detached(|p| p.in_space(&r.sets, |p| {
+        self.detached(|p| p.in_space(&r.sets, Opener::Reduce(r.op), |p| {
             p.ctx.last_mut().expect("a space is open").rebase = 1;
             let key = p.eval(key_expr)?;
             let key = p.coerce_field(key, ElemType::Int)?;

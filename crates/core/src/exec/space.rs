@@ -25,7 +25,7 @@ use std::sync::Arc;
 use uc_cm::{BinOp, ElemType, FieldId, Scalar, VpSetId};
 
 use super::{RResult, Run, PV};
-use crate::ast::{SetId, ValueId};
+use crate::ast::{Opener, SetId, ValueId};
 
 /// What a geometry-cache field ([`Run::geo_field`]) holds. None
 /// depends on a mask, so each is valid on every VP.
@@ -68,6 +68,9 @@ pub struct ParCtx {
     /// Axes sema counts that the open spaces lack: 1 inside a histogram,
     /// which runs on its own sets alone, else 0.
     pub(crate) rebase: usize,
+    /// The step a store here traps in on distinct values, if any
+    /// ([`crate::ast::step`]).
+    pub(crate) step: Option<&'static str>,
 }
 
 /// A popped [`ParCtx`]'s buffers — `dims`, `elems` and `kept`, cleared —
@@ -75,12 +78,12 @@ pub struct ParCtx {
 pub(crate) type CtxBuffers = (Vec<usize>, Vec<(SetId, FieldId)>, Vec<(ValueId, FieldId)>);
 
 impl Run<'_> {
-    /// Push a new parallel-context level for the given index sets,
-    /// transferring the enclosing enabled set onto the extended space
-    /// unless the enclosing level is statically full.
+    /// Push a new parallel-context level for the given index sets, which
+    /// `opener` opens, transferring the enclosing enabled set onto the
+    /// extended space unless the enclosing level is statically full.
     ///
     /// Returns the level index (for symmetric [`Run::pop_space`]).
-    pub(crate) fn push_space(&mut self, sets: &[SetId]) -> RResult<usize> {
+    pub(crate) fn push_space(&mut self, sets: &[SetId], opener: Opener) -> RResult<usize> {
         let (mut dims, elems, kept) = self.ctx_spare.pop().unwrap_or_default();
         let outer_dims = self.ctx.last().map_or(&[][..], |c| &c.dims);
         let outer_rank = outer_dims.len();
@@ -94,8 +97,9 @@ impl Run<'_> {
             None => true,
         };
         let rebase = self.ctx.last().map_or(0, |outer| outer.rebase);
+        let step = crate::ast::step(opener, self.ctx.last().and_then(|outer| outer.step));
 
-        let mut level = ParCtx { vp, dims, elems, kept, full, lift: None, rebase };
+        let mut level = ParCtx { vp, dims, elems, kept, full, lift: None, rebase, step };
         let dims = &level.dims;
 
         // Bind each set's element as a field on the new space. Done

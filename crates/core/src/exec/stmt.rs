@@ -19,7 +19,7 @@ use uc_cm::{BinOp, ElemType, FieldId, ReduceOp, Scalar};
 
 use super::{elem_type, ArrayStorage, LocalVar, RResult, Run, RuntimeError, Storage, PV};
 use crate::ast::{
-    BinaryOp, Block, Callee, Expr, LocalId, Ref, ScBlock, SetId, Stmt, UcKind, UcStmt,
+    BinaryOp, Block, Callee, Expr, LocalId, Opener, Ref, ScBlock, SetId, Stmt, UcKind, UcStmt,
 };
 use crate::mapping::ArrayMapping;
 use crate::sema::LocalKind;
@@ -72,8 +72,8 @@ impl Run<'_> {
                 if let Expr::Call { callee: Callee::Builtin(Builtin::Swap), args, .. } = e {
                     let a = self.eval(&args[0])?;
                     let b = self.eval(&args[1])?;
-                    let a = self.store(&args[1], a, true)?;
-                    let b = self.store(&args[0], b, true)?;
+                    let a = self.store(&args[1], a)?;
+                    let b = self.store(&args[0], b)?;
                     self.release(a);
                     self.release(b);
                     return Ok(());
@@ -128,14 +128,15 @@ impl Run<'_> {
 
     // ---- the step: masks, arms and fixpoints --------------------------------
 
-    /// Open the iteration space over `sets`, run `f` in it, and close the
-    /// space.
+    /// Open the iteration space over `sets`, which `opener` opens, run `f`
+    /// in it, and close the space.
     pub(crate) fn in_space<T>(
         &mut self,
         sets: &[SetId],
+        opener: Opener,
         f: impl FnOnce(&mut Self) -> RResult<T>,
     ) -> RResult<T> {
-        let level = self.push_space(sets)?;
+        let level = self.push_space(sets, opener)?;
         let result = f(self)?;
         self.pop_space(level)?;
         Ok(result)
@@ -243,7 +244,7 @@ impl Run<'_> {
     fn exec_uc(&mut self, uc: &UcStmt) -> RResult<()> {
         match uc.kind {
             UcKind::Seq => self.exec_seq(uc)?,
-            kind => self.in_space(&uc.sets, |p| match kind {
+            kind => self.in_space(&uc.sets, Opener::Construct(kind, uc.star), |p| match kind {
                 UcKind::Par if uc.star => p.fixpoint("*par", |p| p.run_arms(uc, true)),
                 UcKind::Par => p.run_arms(uc, false).map(drop),
                 UcKind::Oneof => p.exec_oneof(uc),
@@ -374,11 +375,11 @@ impl Run<'_> {
             if self.enabled(Some(ready))? {
                 self.under(Some(ready), |p| {
                     let v = p.eval(value)?;
-                    let v = p.store(target, v, true)?;
+                    let v = p.store(target, v)?;
                     p.release(v);
                     // Mark the just-written elements defined.
                     let defined = PV::Scalar(Scalar::Bool(true));
-                    p.write_storage(def_st, *access, subs, defined, false, "~storage")?;
+                    p.write_storage(def_st, *access, subs, defined, "~storage")?;
                     Ok(())
                 })?;
                 progress = true;
@@ -484,7 +485,7 @@ impl Run<'_> {
                     }
                     None => p.eval(value)?,
                 };
-                let v = p.store(target, v, false)?;
+                let v = p.store(target, v)?;
                 p.release(v);
             }
             let mut changed = false;

@@ -468,20 +468,18 @@ impl<'a> Lowerer<'a> {
                 self.emit(Instr::Bin { op: *op, dst: t, a, b });
                 (t, repr)
             }
-            Expr::Ternary { cond, then_e, else_e, .. } => {
+            Expr::Ternary { cond, then_e, else_e, float, .. } => {
                 let (c, _) = self.go_expr(cond, None);
                 let t = self.temp();
                 let lelse = self.new_label();
                 let lend = self.new_label();
                 self.emit_jump(lelse, |tg| Instr::JumpIfFalse { c, t: tg });
-                let (a, ra) = self.go_expr(then_e, None);
-                self.emit(Instr::Copy { dst: t, src: a });
+                self.go_arm(then_e, t, *float);
                 self.emit_jump(lend, |tg| Instr::Jump { t: tg });
                 self.bind(lelse);
-                let (b, rb) = self.go_expr(else_e, None);
-                self.emit(Instr::Copy { dst: t, src: b });
+                self.go_arm(else_e, t, *float);
                 self.bind(lend);
-                (t, ra.filter(|_| ra == rb))
+                (t, Some(*float))
             }
             Expr::Call { callee: Callee::Builtin(Builtin::Swap), args, .. } => self.go_swap(args),
             Expr::Call { callee, args, .. } => self.go_call(*callee, args, want),
@@ -496,6 +494,18 @@ impl<'a> Lowerer<'a> {
                 (t, Some(float))
             }
         }
+    }
+
+    /// A `?:` arm into `dst`, as the arms' joined type sema gave the `?:`
+    /// (`float`), as in C: copied where its representation is that type,
+    /// else coerced.
+    fn go_arm(&mut self, arm: &Expr, dst: Reg, float: bool) {
+        let (src, repr) = self.go_expr(arm, None);
+        self.emit(if repr == Some(float) {
+            Instr::Copy { dst, src }
+        } else {
+            Instr::StoreSlot { slot: dst, src, float }
+        });
     }
 
     /// An assignment's target: a scalar's place, or an element whose

@@ -27,9 +27,10 @@
 //!   runs (the IR's `passes::const_fold` folds what a program computes);
 //!   public only because the benchmark's `ucprobe` times it. Knowing
 //!   neither types nor effects, it folds int literals (and `-` of a float
-//!   literal), a ternary's literal condition, and `x-0`, `x*1`, `1*x`,
-//!   `x/1`: not `e*0`, which would drop `e`'s effects and type, nor `x+0`,
-//!   which would turn IEEE `-0.0` into `+0.0`.
+//!   literal), a ternary's literal condition where the other arm is a
+//!   literal expression that would not make the value a float, and `x-0`,
+//!   `x*1`, `1*x`, `x/1`: not `e*0`, which would drop `e`'s effects and
+//!   type, nor `x+0`, which would turn IEEE `-0.0` into `+0.0`.
 //!
 //! The other two optimization classes of §4 live where they are decided:
 //! the *processor optimization* in sema (`ReduceExpr::histogram`), the
@@ -48,7 +49,8 @@ use crate::span::Span;
 /// span of the first sub-expression that is not — an unresolved name, an
 /// array access, an assignment, a reduction, a call (`rand()` or a user
 /// function), or a `/` or `%` by zero. Both operands of `&&`/`||` are
-/// evaluated, but only the taken branch of `?:`.
+/// evaluated, but only the taken branch of `?:`, whose value takes the
+/// arms' joined type, as in C.
 pub fn eval_pure(
     e: &Expr,
     mut names: impl FnMut(&Name) -> Option<Scalar>,
@@ -69,7 +71,12 @@ fn eval(e: &Expr, names: &mut dyn FnMut(&Name) -> Option<Scalar>) -> Result<Scal
         }
         Expr::Ternary { cond, then_e, else_e, .. } => {
             let taken = if eval(cond, names)?.as_bool() { then_e } else { else_e };
-            eval(taken, names)?
+            let value = eval(taken, names)?;
+            if floats(then_e, names) || floats(else_e, names) {
+                Scalar::Float(value.as_float())
+            } else {
+                value
+            }
         }
         Expr::Index { .. } | Expr::Call { .. } | Expr::Assign { .. } | Expr::Reduce(_) => {
             return Err(e.span())
@@ -88,6 +95,23 @@ pub enum SubForm {
     Scalar,
     /// Anything else.
     General,
+}
+
+/// Whether a pure expression's type is a float, by sema's rules, without
+/// evaluating it: an identifier has the type of the value `names` gives
+/// it (an unknown one is an int).
+fn floats(e: &Expr, names: &mut dyn FnMut(&Name) -> Option<Scalar>) -> bool {
+    use BinaryOp::*;
+    match e {
+        Expr::FloatLit(..) => true,
+        Expr::Ident(name, _) => matches!(names(name), Some(Scalar::Float(_))),
+        Expr::Unary { op: UnaryOp::Neg | UnaryOp::Abs, expr, .. } => floats(expr, names),
+        Expr::Binary { op: Add | Sub | Mul | Div | Min | Max, lhs, rhs, .. } => {
+            floats(lhs, names) || floats(rhs, names)
+        }
+        Expr::Ternary { then_e, else_e, .. } => floats(then_e, names) || floats(else_e, names),
+        _ => false,
+    }
 }
 
 /// Value form of one subscript where it runs.
@@ -248,7 +272,17 @@ pub fn fold_expr(e: &mut Expr) {
             }
         }
         Expr::Ternary { cond, then_e, else_e, .. } => match **cond {
-            Expr::IntLit(c, _) => Some(if c != 0 { (**then_e).clone() } else { (**else_e).clone() }),
+            Expr::IntLit(c, _) => {
+                // The value has the arms' joined type, which the taken arm
+                // has unless the other one is a float.
+                let (taken, other) = if c != 0 { (then_e, else_e) } else { (else_e, then_e) };
+                let literal = !other.any(&mut |x| {
+                    use Expr::*;
+                    matches!(x, Ident(..) | Index { .. } | Call { .. } | Reduce(_))
+                });
+                let float = |e: &Expr| floats(e, &mut |_| None);
+                (literal && (float(taken) || !float(other))).then(|| (**taken).clone())
+            }
             _ => None,
         },
         _ => None,
@@ -313,6 +347,10 @@ mod tests {
     #[test]
     fn folds_unary_and_ternary() {
         assert!(matches!(folded(parse_expr("1 == 1 ? 10 : 20")), Expr::IntLit(10, _)));
+        // The value has the arms' joined type: a float arm keeps the `?:`.
+        assert!(matches!(folded(parse_expr("1 ? 10 : 2.5")), Expr::Ternary { .. }));
+        assert!(matches!(folded(parse_expr("1 ? 10 : x")), Expr::Ternary { .. }));
+        assert!(matches!(folded(parse_expr("0 ? 10 : 2.5")), Expr::FloatLit(v, _) if v == 2.5));
         assert!(matches!(folded(parse_expr("-5")), Expr::IntLit(-5, _)));
         assert!(matches!(folded(parse_expr("-2.5")), Expr::FloatLit(v, _) if v == -2.5));
     }

@@ -564,6 +564,7 @@ impl<'a> Parser<'a> {
                 else_e: Box::new(else_e),
                 span,
                 value: NO_VALUE,
+                float: false,
             })
         } else {
             Ok(cond)

@@ -33,7 +33,9 @@
 //!   every histogram marked for §4's processor optimisation
 //!   (`ReduceExpr::histogram`): the executor and UC110/UC111 read both;
 //! * every store that may give one array element distinct values in a
-//!   step that traps on them is recorded ([`Checked::races`]), and every
+//!   step that traps on them — which steps do is the step table
+//!   ([`step`]) the executor reads too — is recorded
+//!   ([`Checked::races`]), its location judged by the access plan, and every
 //!   index set that anything resolves to is marked
 //!   ([`IndexSetInfo::used`]): UC101 and UC121 read them;
 //! * UC restrictions are enforced (no `goto` — already a parse error; an
@@ -65,6 +67,11 @@ use crate::stdlib::Builtin;
 /// `{0..1<<40}` is a diagnostic, not an OOM. Sets are compile-time
 /// constants, so this is the only place their size is ever decided.
 pub const MAX_CONST_INDEX_SET: u64 = 1 << 22;
+
+/// The most points UC101 values a subscript at to show that two of them
+/// share an element ([`Checker::located`]); past it, the subscript tells
+/// apart every point it varies along.
+const DISTINCT_CAP: usize = 1 << 12;
 
 /// One evaluated index-set definition, global or function-local: ordered
 /// constant integers plus the element identifier used to range over it.
@@ -200,14 +207,15 @@ struct Reads {
 
 /// A store that may give one array element distinct values in one step
 /// (§3.4): its value varies along an open axis that its location neither
-/// varies along nor has pinned by a guard. UC101 reports it; the executor
-/// traps on the values it actually stores.
+/// tells apart nor has pinned by a guard. UC101 reports it; the executor
+/// traps on the values it actually stores, naming the same step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Race {
     /// The assignment, or the `swap` that stores each operand to the other.
     pub span: Span,
-    /// What runs the step: the construct's keyword, or the reduction's
-    /// operator for a store in a reduction's operand.
+    /// What runs the step, by the step table ([`step`]): the construct's
+    /// keyword, or the reduction's operator for a store in a reduction's
+    /// operand.
     pub step: &'static str,
     /// The set whose element is such an axis (the first by element name).
     pub elem: SetId,
@@ -469,9 +477,10 @@ struct Nesting {
     /// and per enclosing reduction (a `seq` extends no space).
     depth: usize,
     /// What runs a store here, if it traps on distinct values stored to one
-    /// element (§3.4): the innermost construct's keyword — `seq` does not
-    /// count — or a reduction's operator. `None` on the front end and in a
-    /// `*solve`, which stores without the check.
+    /// element (§3.4), by the step table ([`step`]): the innermost
+    /// construct's keyword — `seq` does not count — or a reduction's
+    /// operator. `None` on the front end and in a `*solve`, which stores
+    /// without the check.
     step: Option<&'static str>,
 }
 
@@ -540,7 +549,14 @@ impl<'a> Checker<'a> {
                 Item::IndexSets(defs) => {
                     for def in defs {
                         let id = self.define_index_set(def);
-                        // The first definition stays bound.
+                        // One global namespace holds sets and variables
+                        // too; the first definition stays bound.
+                        let name = &def.name;
+                        if self.scalars.contains_key(name) || self.arrays.contains_key(name) {
+                            let msg = format!("`{name}` is already declared as a variable");
+                            self.diags.error(def.span, msg);
+                            continue;
+                        }
                         match self.global_sets.entry(def.name.clone()) {
                             Entry::Vacant(slot) => _ = slot.insert(id),
                             Entry::Occupied(_) => self
@@ -738,8 +754,11 @@ impl<'a> Checker<'a> {
 
     fn declare_global(&mut self, v: &VarDecl) {
         let ty = self.variable_type(v);
-        // A scalar and an array share one namespace; the first stays bound.
-        let (clash, what) = if v.dims.is_empty() {
+        // Scalars, arrays and index sets share one namespace; the first
+        // stays bound.
+        let (clash, what) = if self.global_sets.contains_key(&v.name) {
+            (true, "an index set")
+        } else if v.dims.is_empty() {
             (self.arrays.contains_key(&v.name), "an array")
         } else {
             (self.scalars.contains_key(&v.name), "a variable")
@@ -982,17 +1001,12 @@ impl<'a> Checker<'a> {
         if parallel {
             self.open.extend(&uc.sets);
         }
-        let step = match uc.kind {
-            UcKind::Seq => outer.step,
-            UcKind::Solve if uc.star => None,
-            kind => Some(kind.keyword()),
-        };
         self.nest = Nesting {
             parallel: outer.parallel || parallel,
             construct: true,
             loops: 0,
             depth: outer.depth + parallel as usize,
-            step,
+            step: step(Opener::Construct(uc.kind, uc.star), outer.step),
         };
         for arm in &mut uc.arms {
             if let Some(p) = &mut arm.pred {
@@ -1176,11 +1190,11 @@ impl<'a> Checker<'a> {
     /// Record a [`Race`] if storing `value` to `target`, both resolved,
     /// may give one array element distinct values in a step that traps on
     /// them: the value varies along an open axis that the location neither
-    /// varies along nor has pinned. A scalar target never races: a per-VP
-    /// local is one location per point, and a front-end scalar takes only
-    /// a front-end value.
+    /// tells apart ([`Checker::located`]) nor has pinned. A scalar target
+    /// never races: a per-VP local is one location per point, and a
+    /// front-end scalar takes only a front-end value.
     fn check_race(&mut self, target: &Expr, value: &Expr, span: Span) {
-        let (Some(step), Expr::Index { base, subs, .. }) = (self.nest.step, target) else {
+        let (Some(step), Expr::Index { base, subs, access, .. }) = (self.nest.step, target) else {
             return;
         };
         let mut along = vec![false; self.open.len()];
@@ -1188,8 +1202,7 @@ impl<'a> Checker<'a> {
         if !along.contains(&true) {
             return;
         }
-        let mut at = vec![false; self.open.len()];
-        subs.iter().for_each(|sub| self.varies(sub, &mut Vec::new(), &mut at));
+        let at = self.located(subs, *access);
         let within = |x: &[bool]| x.iter().zip(&at).all(|(&x, &at)| at || !x);
         let pinned = |axis| self.pins.iter().any(|(a, x)| *a == axis && within(x));
         let racing = (0..along.len()).filter(|&a| along[a] && !at[a] && !pinned(a));
@@ -1197,6 +1210,66 @@ impl<'a> Checker<'a> {
             let (elem, target) = (self.open[axis], crate::pretty::access(&base.text, subs));
             self.races.push(Race { span, step, elem, target });
         }
+    }
+
+    /// One flag per open axis: whether the location `subs`, the access
+    /// `access`, gives each point along it an element of its own, so that
+    /// points apart on it never share one. The access plan decides: an
+    /// `Axis` subscript does so on its axis; one that reads only elements
+    /// and `#define`s does on the axes it varies along if its values over
+    /// their sets' elements are distinct — or if there are more than
+    /// [`DISTINCT_CAP`] points to value, or a value is no constant; any
+    /// other does on every axis it varies along.
+    fn located(&self, subs: &[Expr], access: ValueId) -> Vec<bool> {
+        let mut at = vec![false; self.open.len()];
+        for (sub, &form) in subs.iter().zip(&self.values[access as usize].forms) {
+            match form {
+                opt::SubForm::Axis { axis, .. } => at[axis] = true,
+                opt::SubForm::Scalar => {}
+                opt::SubForm::General => {
+                    let mut along = vec![false; self.open.len()];
+                    self.varies(sub, &mut Vec::new(), &mut along);
+                    let elements_only = self.reads(sub).is_some_and(|r| !r.state);
+                    if !elements_only || self.distinct(sub, &along) {
+                        at.iter_mut().zip(along).for_each(|(at, x)| *at |= x);
+                    }
+                }
+            }
+        }
+        at
+    }
+
+    /// Whether `sub`, which reads only elements and `#define`s, may take a
+    /// distinct value at every point of the open axes `along` marks: false
+    /// only where valuing it over their sets' elements, at no more than
+    /// [`DISTINCT_CAP`] points, finds two points that share a value.
+    fn distinct(&self, sub: &Expr, along: &[bool]) -> bool {
+        let axes: Vec<usize> = (0..along.len()).filter(|&a| along[a]).collect();
+        let extent = |a: usize| self.sets[self.open[a]].elements.len();
+        let points = axes.iter().try_fold(1usize, |n, &a| n.checked_mul(extent(a)));
+        let Some(points) = points.filter(|&n| n <= DISTINCT_CAP) else { return true };
+        let mut seen = HashSet::with_capacity(points);
+        for point in 0..points {
+            let value = opt::eval_pure(sub, |n| match n.to {
+                Ref::Elem(set) => {
+                    // The point's coordinate along the element's axis, the
+                    // last axis fastest.
+                    let axis = self.elem_axis(set)?;
+                    let k = axes.iter().position(|&a| a == axis)?;
+                    let stride: usize = axes[k + 1..].iter().map(|&a| extent(a)).product();
+                    let elements = &self.sets[self.open[axis]].elements;
+                    Some(Scalar::Int(elements[point / stride % elements.len()]))
+                }
+                Ref::Const(_) => self.consts.get(&*n.text).map(|&v| Scalar::Int(v)),
+                _ => None,
+            });
+            match value {
+                Ok(v) if seen.insert(v.as_int()) => {}
+                Ok(_) => return false,
+                Err(_) => return true,
+            }
+        }
+        true
     }
 
     /// Mark in `out`, one flag per open axis, the axes the value of `e`
@@ -1579,14 +1652,16 @@ impl<'a> Checker<'a> {
                 };
                 (ty, lrank.max(rrank))
             }
-            Expr::Ternary { cond, then_e, else_e, .. } => {
+            Expr::Ternary { cond, then_e, else_e, float, .. } => {
                 let before = self.effects;
                 self.check_expr(cond);
                 let (t, _) = self.check_expr(then_e);
                 let (f, _) = self.check_expr(else_e);
                 // The arms are selected between, not consumed: kept copies.
                 lend([&mut **cond], self.effects == before);
-                (t.join(f), here)
+                let ty = t.join(f);
+                *float = ty == ExprTy::Float;
+                (ty, here)
             }
             Expr::Assign { target, op, value, span } => {
                 self.effects += 1;
@@ -1691,7 +1766,7 @@ impl<'a> Checker<'a> {
         self.open.extend(&r.sets);
         // A store in an operand runs on the reduction's space, which traps
         // on distinct values as a `par` does — also in a `*solve`.
-        self.nest.step = Some(r.op.symbol());
+        self.nest.step = step(Opener::Reduce(r.op), outer.step);
         let mut ty = ExprTy::Int;
         for (pred, operand) in &mut r.arms {
             if let Some(p) = pred {

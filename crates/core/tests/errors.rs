@@ -313,8 +313,9 @@ fn a_name_is_declared_once_per_scope() {
 }
 
 /// An index set is defined once per scope, and one global namespace
-/// holds scalars, arrays and functions, as in C. Each second declaration is one
-/// spanned error at that declaration, from both entry points.
+/// holds scalars, arrays, functions and index sets, as in C. Each second
+/// declaration is one spanned error at that declaration, from both entry
+/// points.
 #[test]
 fn a_set_or_a_global_name_is_defined_once() {
     for (src, expected) in [
@@ -340,6 +341,23 @@ fn a_set_or_a_global_name_is_defined_once() {
         ),
         ("int a;\nint a[4];\nmain() { a = 1; }", "error: `a` is already declared as a variable at 2:5"),
         ("int a[4];\nint a;\nmain() { a[0] = 1; }", "error: `a` is already declared as an array at 2:5"),
+        // Index sets share the global namespace, whichever comes first.
+        (
+            "int a[4];\nindex_set I:i = {0..3};\nint I;\nmain() { par (I) a[i] = 1; }",
+            "error: `I` is already declared as an index set at 3:5",
+        ),
+        (
+            "int a[4];\nindex_set I:i = {0..3};\nint I[2];\nmain() { par (I) a[i] = 1; }",
+            "error: `I` is already declared as an index set at 3:5",
+        ),
+        (
+            "int a[4], I;\nindex_set I:i = {0..3};\nmain() { I = 1; a[0] = I; }",
+            "error: `I` is already declared as a variable at 2:11",
+        ),
+        (
+            "int I[4];\nindex_set I:i = {0..3};\nmain() { I[0] = 1; }",
+            "error: `I` is already declared as a variable at 2:11",
+        ),
     ] {
         let compiled = compile_err(src);
         assert_eq!(compiled.lines().collect::<Vec<_>>(), [expected], "{src}");
@@ -571,7 +589,8 @@ fn distinct_multiple_assignment() {
         }
         "#,
     );
-    assert!(matches!(err, RuntimeError::MultipleAssignment { ref name } if name == "a"), "{err}");
+    let named = matches!(err, RuntimeError::MultipleAssignment { step: "par", ref name } if name == "a");
+    assert!(named, "{err}");
 }
 
 #[test]
@@ -756,8 +775,8 @@ fn register_file_overflow_is_a_compile_error() {
 
 #[test]
 fn runtime_errors_display_cleanly() {
-    let e = RuntimeError::MultipleAssignment { name: "a".into() };
-    assert!(e.to_string().contains("distinct values"));
+    let e = RuntimeError::MultipleAssignment { step: "$+", name: "a".into() };
+    assert!(e.to_string().contains("`$+` step assigned distinct values"), "{e}");
     let e = RuntimeError::OutOfBounds { name: "a".into() };
     assert!(e.to_string().contains("bounds"));
     let e = RuntimeError::IterationLimit("*par");

@@ -141,6 +141,31 @@ fn duplicate_elements_in_list_sets() {
     assert_eq!(p.read_int_array("a").unwrap()[3], 6);
 }
 
+/// A `?:` has its arms' joined type, as in C, on the front end and in a
+/// `par` alike — also where only sema knows an arm's type (a reduction,
+/// a float function). `tests/reference.rs` holds its reference
+/// interpreter to the same, by hand and on `ternary_joined_type.uc`.
+#[test]
+fn a_conditional_has_its_arms_joined_type() {
+    let p = run(r#"
+        index_set I:i = {0..3};
+        int c = 1, k;
+        float g, r, f, h[4];
+        float half() { return 0.5; }
+        main() {
+            g = (c ? 1 : 2.5) / 2;
+            r = (c ? $+(I; i) : 2.5) / 4;
+            f = (c ? 1 : half()) / 2;
+            k = (c ? 3 : 2) / 2;
+            par (I) h[i] = (c ? 1 : 2.5) / 2;
+        }
+    "#);
+    let float = |name| p.read_scalar(name).unwrap().as_float();
+    assert_eq!((float("g"), float("r"), float("f")), (0.5, 1.5, 0.5));
+    assert_eq!(p.read_int("k"), Some(1));
+    assert_eq!(p.read_float_array("h").unwrap(), vec![0.5; 4]);
+}
+
 #[test]
 fn swap_on_plain_scalars() {
     let p = run(r#"

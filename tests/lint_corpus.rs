@@ -13,11 +13,18 @@ use std::path::{Path, PathBuf};
 use uc::lang::analysis::{self, LintConfig, LINTS};
 use uc::lang::diag::Diagnostics;
 use uc::lang::sema;
+use uc::lang::{ExecConfig, ExecLimits, Program, RunError, RuntimeError};
 
 fn corpus() -> Vec<(PathBuf, String)> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    programs_in("tests/corpus")
+}
+
+/// The `.uc` files of `dir`, relative to the repository, sorted, with
+/// their text.
+fn programs_in(dir: &str) -> Vec<(PathBuf, String)> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(dir);
     let mut files: Vec<PathBuf> = fs::read_dir(&dir)
-        .expect("tests/corpus must exist")
+        .expect("the corpus directory exists")
         .map(|e| e.expect("readable dir entry").path())
         .filter(|p| p.extension().is_some_and(|e| e == "uc"))
         .collect();
@@ -123,4 +130,37 @@ fn allowing_a_code_silences_it() {
         "{}: UC101 still reported under --allow UC101",
         path.display()
     );
+}
+
+/// The lint and the trap are one rule (ROADMAP law 1(d)): every corpus
+/// program whose run ends in `MultipleAssignment` has a UC101 naming the
+/// same step and array, and no `clean_*.uc` run ends in one. The hostile
+/// programs run under tight budgets, the others under a deadline only.
+#[test]
+fn every_collision_trap_has_its_uc101() {
+    let hostile = programs_in("tests/corpus/hostile").into_iter().map(|(p, src)| (p, src, true));
+    let mut traps = 0;
+    for (path, src, tight) in corpus().into_iter().map(|(p, src)| (p, src, false)).chain(hostile) {
+        let limits = match tight {
+            true => ExecLimits { fuel: Some(2_000_000), max_iterations: 1_000, ..Default::default() },
+            false => ExecLimits::default(),
+        };
+        let limits = ExecLimits { timeout_ms: Some(5_000), ..limits };
+        let Ok(mut p) = Program::compile_with(&src, ExecConfig { limits, ..Default::default() }) else {
+            continue;
+        };
+        let Err(RunError { error: RuntimeError::MultipleAssignment { step, name }, .. }) = p.run() else {
+            continue;
+        };
+        traps += 1;
+        let file = path.file_name().unwrap().to_string_lossy();
+        assert!(!file.starts_with("clean_"), "{file} traps on distinct values in `{step}`");
+        let (step_text, location) = (format!("race in `{step}`"), format!("location `{name}["));
+        let diags = analysis::check_source(&src, &[], &LintConfig::default());
+        let named = diags.items.iter().any(|d| {
+            d.code == Some("UC101") && d.message.contains(&step_text) && d.message.contains(&location)
+        });
+        assert!(named, "{file} traps in `{step}` on `{name}`, and no UC101 says so:\n{diags}");
+    }
+    assert!(traps >= 10, "only {traps} programs trap on distinct values");
 }

@@ -18,9 +18,11 @@
 //!   progress; `*solve` repeats its assignments until no target changes;
 //! * `seq` runs its elements in set order;
 //! * a parallel read outside an array gives INF; a write outside one, or
-//!   two different values written to one element by a step, is an error;
+//!   two different values written to one element by a step, is an error
+//!   — but directly in a `*solve`, whose stores drop single assignment,
+//!   nested ones included, the last write wins;
 //! * as in C, an assignment's value is the value it stored, in the
-//!   target's type.
+//!   target's type, and a `?:` has its arms' joined type.
 //!
 //! `oneof` may run any enabled arm. This one takes them in rotation, the
 //! executor's documented choice, so that the corpus's `oneof` programs
@@ -211,6 +213,9 @@ struct Space {
     pts: Vec<Point>,
     on: Vec<bool>,
     depth: usize,
+    /// Whether a store here is checked for distinct values: everywhere
+    /// but directly in a `*solve`, which drops single assignment.
+    checks: bool,
 }
 
 #[derive(Clone, PartialEq)]
@@ -317,7 +322,7 @@ impl<'c> Interp<'c> {
             regs[k] = a.to(info.locals[k].ty == Type::Float);
         }
         self.frames.push(Frame { func: f, regs, arrays: HashMap::new() });
-        let mut front = Space { pts: vec![Vec::new()], on: vec![true], depth: 0 };
+        let mut front = Space { pts: vec![Vec::new()], on: vec![true], depth: 0, checks: true };
         let flow = self.block(&def.body, &mut front)?;
         self.frames.pop();
         let value = match flow {
@@ -351,8 +356,8 @@ impl<'c> Interp<'c> {
         match s {
             Stmt::Expr(Expr::Call { callee: Callee::Builtin(Builtin::Swap), args, .. }) => {
                 let (a, b) = (self.eval(&args[0], sp)?, self.eval(&args[1], sp)?);
-                self.store(&args[1], &a, true, sp)?;
-                self.store(&args[0], &b, true, sp)?;
+                self.store(&args[1], &a, sp)?;
+                self.store(&args[0], &b, sp)?;
             }
             Stmt::Expr(e) => _ = self.eval(e, sp)?,
             Stmt::Decl(v) => self.decl(v, sp)?,
@@ -440,6 +445,7 @@ impl<'c> Interp<'c> {
             return self.seq(uc, sp);
         }
         let (mut inner, _) = self.extend(sp, &uc.sets);
+        inner.checks = !(uc.kind == UcKind::Solve && uc.star);
         match uc.kind {
             UcKind::Par => {
                 while self.step(uc, &mut inner, uc.star)? {
@@ -464,7 +470,7 @@ impl<'c> Interp<'c> {
                 .flat_map(|t| elems.iter().map(move |&v| [&t[..], &[(Key::Elem(set as u32), V::I(v))]].concat()))
                 .collect();
         }
-        let mut inner = Space { pts: Vec::new(), on: Vec::new(), depth: sp.depth + 1 };
+        let mut inner = Space { pts: Vec::new(), on: Vec::new(), depth: sp.depth + 1, checks: true };
         let mut parent = Vec::new();
         for (k, pt) in sp.pts.iter().enumerate() {
             for t in &tuples {
@@ -605,7 +611,7 @@ impl<'c> Interp<'c> {
                 progress = true;
                 let subs_now = self.filtered(sp, |k| ready[k], |p, sp| {
                     let v = p.eval(value, sp)?;
-                    p.store(target, &v, true, sp)?;
+                    p.store(target, &v, sp)?;
                     subs.iter().map(|s| p.eval(s, sp)).collect::<R<Vec<Val>>>()
                 })?;
                 let arr = self.storage(base.to).clone();
@@ -677,7 +683,7 @@ impl<'c> Interp<'c> {
                     }
                     None => self.eval(value, sp)?,
                 };
-                self.store(target, &v, false, sp)?;
+                self.store(target, &v, sp)?;
             }
             let locals = &self.frames.last().expect("in a function").arrays;
             if (&self.arrays, locals) == (&snapshot.0, &snapshot.1) {
@@ -754,9 +760,10 @@ impl<'c> Interp<'c> {
                 let (a, b) = (self.eval(lhs, sp)?, self.eval(rhs, sp)?);
                 self.zip(*op, &a, &b, sp)?
             }
-            Expr::Ternary { cond, then_e, else_e, .. } if sp.depth == 0 => {
+            // As in C, the value has the arms' joined type.
+            Expr::Ternary { cond, then_e, else_e, float, .. } if sp.depth == 0 => {
                 let taken = if self.scalar(cond, sp)?.truth() { then_e } else { else_e };
-                self.eval(taken, sp)?
+                Val::S(self.scalar(taken, sp)?.to(*float))
             }
             Expr::Ternary { cond, then_e, else_e, .. } => {
                 let c = self.eval(cond, sp)?;
@@ -774,7 +781,7 @@ impl<'c> Interp<'c> {
                     None => v,
                 };
                 // As in C, the value is the one stored: the target's type.
-                let float = self.store(target, &v, true, sp)?;
+                let float = self.store(target, &v, sp)?;
                 v.to(float)
             }
             Expr::Reduce(r) => self.reduce(r, sp)?,
@@ -823,10 +830,10 @@ impl<'c> Interp<'c> {
     }
 
     /// Store `v` to `target` on every point that is on: an error where a
-    /// subscript leaves the array, or, with `check`, where two points
-    /// write different values to one element. Says whether the target
-    /// holds floats.
-    fn store(&mut self, target: &Expr, v: &Val, check: bool, sp: &mut Space) -> R<bool> {
+    /// subscript leaves the array, or, where the space checks, where two
+    /// points write different values to one element. Says whether the
+    /// target holds floats.
+    fn store(&mut self, target: &Expr, v: &Val, sp: &mut Space) -> R<bool> {
         let n = sp.pts.len();
         Ok(match target {
             Expr::Ident(name, _) => match name.to {
@@ -856,7 +863,7 @@ impl<'c> Interp<'c> {
                     let at = arr.index(subs.iter().map(|s| s.at(k).int()));
                     let at = at.ok_or_else(|| format!("`{base}` written out of bounds"))?;
                     let value = v.at(k).to(arr.float);
-                    if check && writes.iter().any(|&(a, w)| a == at && w != value) {
+                    if sp.checks && writes.iter().any(|&(a, w)| a == at && w != value) {
                         return Err(format!("distinct values assigned to an element of `{base}`"));
                     }
                     writes.push((at, value));
@@ -1012,7 +1019,13 @@ fn the_reference_reads_the_paper() {
     let prefix = "index_set I:i = {0..3};\nint s[4];\n\
                   main() { solve (I) s[i] = i == 0 ? 1 : s[i - 1] * 2; }";
     assert_eq!(state(prefix), "s = [\"1\", \"2\", \"4\", \"8\"]");
-    // Two values to one element is an error.
+    // Two values to one element is an error, but not in a `*solve`,
+    // where the last store wins.
     let race = "index_set I:i = {0..3};\nint a[4];\nmain() { par (I) a[0] = i; }";
     assert!(reference_state(race, &[]).is_err());
+    let star = "index_set I:i = {0..3};\nint a[4], b[1];\nmain() { *solve (I) a[i] = (b[0] = i); }";
+    assert_eq!(state(star), "a = [\"0\", \"1\", \"2\", \"3\"]; b = [\"3\"]");
+    // A `?:` has its arms' joined type: 1.0 / 2 on the front end.
+    let joined = "int c = 1;\nfloat g;\nmain() { g = (c ? 1 : 2.5) / 2; }";
+    assert_eq!(state(joined), format!("c = 1; g = {:#x}", 0.5f64.to_bits()));
 }
