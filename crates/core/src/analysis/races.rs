@@ -21,8 +21,10 @@
 //! elements vary nothing outside it. A location tells apart the axis of
 //! each subscript the plan calls an element plus scalars; a subscript
 //! over elements and `#define`s only, the axes it varies along unless
-//! its values over their sets' elements repeat (`a[i / 2]`, `a[i % 2]`);
-//! any other subscript, every axis it varies along. A guard removes an
+//! its values over their sets' elements repeat (`a[i / 2]`, `a[i % 2]`)
+//! at points that store distinct values — a stored value over elements
+//! and `#define`s is valued there too, so `a[i / 2] = (i / 2) * 10` is
+//! clean; any other subscript, every axis it varies along. A guard removes an
 //! axis only when it pins it: an arm conjunct `e == x`, or under `others`
 //! an arm predicate `e != x`, where `x` varies only along the location's
 //! axes. This pass only reports what sema found.
@@ -34,13 +36,17 @@ use crate::sema::Checked;
 pub(crate) fn run(checked: &Checked, out: &mut Vec<Finding>) {
     for race in &checked.races {
         let (step, elem, target) = (race.step, &checked.sets[race.elem].elem, &race.target);
+        let location = if race.moves {
+            format!("the location `{target}` does not tell the elements apart")
+        } else {
+            format!("every enabled element stores to the same location `{target}`")
+        };
         out.push(Finding {
             code: "UC101",
             span: race.span,
             message: format!(
                 "write-write race in `{step}`: the stored value varies with `{elem}` but \
-                 every enabled element stores to the same location `{target}` — \
-                 distinct values collide without a combining reduction (§3.4)"
+                 {location} — distinct values collide without a combining reduction (§3.4)"
             ),
         });
     }
@@ -254,6 +260,27 @@ mod tests {
             "index_set K:k = {3, 3};\nint a[8];\nmain() { par (K) { int t; t = rand(); a[k] = t; } }",
         );
         assert_eq!(codes_of(&f), vec!["UC101"]);
+    }
+
+    #[test]
+    fn points_that_share_a_location_race_only_on_distinct_values() {
+        let race = |decls: &str, store: &str| {
+            findings(&format!(
+                "#define N 8\nindex_set I:i = {{0..N-1}}{decls};\nint a[N], p[N];\nmain() {{ {store} }}"
+            ))
+        };
+        for clean in ["par (I) a[i / 2] = (i / 2) * 10;", "par (I) a[i % 2] = i % 2 + N;"] {
+            assert!(race("", clean).is_empty(), "{clean}");
+        }
+        assert!(race(", K:k = {3, 3, 5}", "par (K) a[k] = k * 2;").is_empty());
+        // A value that differs, or reads data, at points sharing a location.
+        for store in ["par (I) a[i / 2] = i;", "par (I) a[i / 2] = i / 2 + p[0];"] {
+            let f = race("", store);
+            assert_eq!(codes_of(&f), vec!["UC101"], "{store}");
+            assert!(f[0].message.contains("`a[i / 2]` does not tell the elements apart"), "{f:?}");
+        }
+        let f = race("", "par (I) a[0] = i;");
+        assert!(f[0].message.contains("every enabled element stores to the same location `a[0]`"));
     }
 
     #[test]

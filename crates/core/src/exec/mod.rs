@@ -59,11 +59,10 @@ mod vm;
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 
 use uc_cm::{CmError, ElemType, FieldId, Machine, MachineConfig, MachineLimits, Scalar, VpSetId};
 
-use crate::ast::{Ref, ValueId};
+use crate::ast::{Ref, SetId, ValueId};
 use crate::diag::Diagnostics;
 use crate::ir::IrProgram;
 use crate::mapping::ArrayMapping;
@@ -73,8 +72,8 @@ use crate::span::Span;
 
 pub use space::ParCtx;
 
-// Scalar semantics shared by the tree evaluators, the IR passes' constant
-// folder and the register VM, so all three compute bit-identical values.
+// Scalar semantics shared by the tree evaluators, the register VM and
+// `opt::eval_pure`, so all three compute bit-identical values.
 pub(crate) use expr::{front_end_rand, int_binary, scalar_binary, scalar_unary};
 pub(crate) use space::coerce_scalar;
 
@@ -332,8 +331,9 @@ impl Hasher for FxHasher {
 pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// One function activation — the only record of it: which function,
-/// where its registers sit in [`Run::regs`], what the VM needs to
-/// resume its caller, and its machine-backed locals.
+/// where its registers and sweeps start in [`Run::regs`] and
+/// [`Run::seqs`], what the VM needs to resume its caller, and its
+/// machine-backed locals.
 #[derive(Debug)]
 pub(crate) struct Frame {
     /// Position in `ir.funcs` and `checked.func_infos`.
@@ -346,9 +346,8 @@ pub(crate) struct Frame {
     /// the caller's register that receives this activation's value.
     pub pc: usize,
     pub ret_dst: crate::ir::Reg,
-    /// Open front-end `seq` sweeps, innermost last: the set's elements
-    /// and the position of the next one.
-    pub seqs: Vec<(Arc<Vec<i64>>, usize)>,
+    /// Its open front-end `seq` sweeps are [`Run::seqs`] from here.
+    pub seq_base: usize,
     /// Indexed by `LocalId`; `Some` between a machine-backed local's
     /// declaration and the exit of its block. Empty (and unallocated) for
     /// a function that declares none.
@@ -391,6 +390,7 @@ struct Spare {
     forms: Vec<opt::IdxForm>,
     frames: Vec<Frame>,
     regs: Vec<Scalar>,
+    seqs: Vec<(SetId, usize)>,
     cse_stack: Vec<Vec<(VpSetId, Option<ValueId>, FieldId)>>,
     geo_cache: FxMap<(VpSetId, space::Geo), FieldId>,
     call_stack: Vec<(usize, Span)>,
@@ -424,6 +424,10 @@ pub(crate) struct Run<'p> {
     /// The registers of every live activation, innermost last: entering
     /// a function appends its image, returning truncates.
     regs: Vec<Scalar>,
+    /// The open front-end `seq` sweeps of every live activation, innermost
+    /// last: the set and the position of its next element. Returning
+    /// truncates.
+    seqs: Vec<(SetId, usize)>,
     rand_counter: u64,
     oneof_cursor: usize,
     /// Common-subexpression cache for the values sema marks within one
@@ -510,7 +514,7 @@ impl Program {
         Ok(Program { checked, config, machine, spaces, arrays, globals, ir, spare })
     }
 
-    /// The optimized register IR in its stable text form (`uc run
+    /// The register IR the VM runs, in its stable text form (`uc run
     /// --emit ir`). See [`crate::ir`] for the format.
     pub fn emit_ir(&self) -> String {
         crate::ir::text::render(&self.ir, &self.checked)
@@ -689,6 +693,7 @@ impl<'p> Run<'p> {
             forms: s.forms,
             frames: s.frames,
             regs: s.regs,
+            seqs: s.seqs,
             rand_counter: 0,
             oneof_cursor: 0,
             cse_stack: s.cse_stack,
@@ -719,6 +724,7 @@ impl<'p> Run<'p> {
             forms: empty(self.forms),
             frames: empty(self.frames),
             regs: empty(self.regs),
+            seqs: empty(self.seqs),
             cse_stack: self.cse_stack,
             geo_cache: self.geo_cache,
             call_stack: empty(self.call_stack),

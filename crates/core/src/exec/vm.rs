@@ -4,8 +4,9 @@
 //! all sequential control flow — `if`/loops/`return`, front-end `seq`
 //! sweeps, recursion — keeping UC activations on explicit heap stacks, so
 //! the VM itself never recurses natively: a [`Frame`] per activation on
-//! [`Run::frames`], and every activation's registers end to end on
+//! [`Run::frames`], every activation's registers end to end on
 //! [`Run::regs`] (entering appends the function's image, returning
+//! truncates) and its open `seq` sweeps on [`Run::seqs`] (returning
 //! truncates). It reads and writes array elements too. Parallel
 //! constructs, reductions and local array declarations are tree escapes
 //! into the sibling modules; a user call met inside one comes back
@@ -58,6 +59,7 @@ pub(crate) fn call(p: &mut Run, fi: usize, args: &[Scalar]) -> RResult<Scalar> {
 fn pop_frame(p: &mut Run) -> Reg {
     let frame = p.frames.pop().expect("frame per activation");
     p.regs.truncate(frame.base);
+    p.seqs.truncate(frame.seq_base);
     for var in frame.locals.into_iter().rev().flatten() {
         p.free_local(var);
     }
@@ -78,7 +80,8 @@ fn enter(p: &mut Run, fi: usize, ret_dst: Reg) -> RResult<usize> {
     let info = &p.checked.func_infos[fi];
     let n_locals = if info.machine_locals { info.locals.len() } else { 0 };
     let locals = std::iter::repeat_with(|| None).take(n_locals).collect();
-    p.frames.push(Frame { func: fi, base, pc: 0, ret_dst, seqs: Vec::new(), locals });
+    let seq_base = p.seqs.len();
+    p.frames.push(Frame { func: fi, base, pc: 0, ret_dst, seq_base, locals });
     // exec_span points at the calling statement — that is the call site
     // recorded for the error stack. Popped on return only, so a failing
     // run still shows where it was.
@@ -265,14 +268,10 @@ fn exec(p: &mut Run, entry: usize, args: &[Scalar]) -> RResult<Scalar> {
                 p.eval(&body.exprs[*e as usize])?;
             }
             Instr::Tree { s } => p.exec_stmt(&body.stmts[*s as usize])?,
-            Instr::SeqEnter { set } => {
-                let elements = p.checked.sets[*set].elements.clone();
-                p.frames.last_mut().expect("active function").seqs.push((elements, 0));
-            }
+            Instr::SeqEnter { set } => p.seqs.push((*set, 0)),
             Instr::SeqNext { elem, more } => {
-                let seqs = &mut p.frames.last_mut().expect("active function").seqs;
-                let (elements, pos) = seqs.last_mut().expect("inside a seq");
-                let next = elements.get(*pos).copied();
+                let (set, pos) = p.seqs.last_mut().expect("inside a seq");
+                let next = p.checked.sets[*set].elements.get(*pos).copied();
                 // An exhausted sweep rewinds, ready for `*seq` to repeat it.
                 *pos = if next.is_some() { *pos + 1 } else { 0 };
                 if let Some(v) = next {
@@ -281,9 +280,8 @@ fn exec(p: &mut Run, entry: usize, args: &[Scalar]) -> RResult<Scalar> {
                 r!(more) = Scalar::Int(next.is_some() as i64);
             }
             Instr::SeqExit => {
-                p.frames.last_mut().expect("active function").seqs.pop();
+                p.seqs.pop();
             }
-            Instr::Nop => {}
         }
     }
 }

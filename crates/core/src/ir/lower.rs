@@ -31,6 +31,11 @@
 //! the lowerer can name (`Repr`) and finds to be the slot's declared
 //! type is computed straight into the slot; `StoreSlot` coerces the
 //! rest, and a `return` coerces to the declared type by the same rule.
+//!
+//! What this emits is what the VM runs: no pass folds a literal
+//! expression or drops an unreachable instruction (the implicit `ret`
+//! after a final `return`). Front-end code charges no cycles, so neither
+//! would change a result, a cycle or a trap.
 
 use std::collections::HashMap;
 
@@ -51,7 +56,7 @@ use crate::stdlib::Builtin;
 /// natively, so escapes deeper than this force the big-stack thread.
 const MAX_INLINE_TREE_DEPTH: usize = 96;
 
-/// Lower and optimise the functions `main` reaches
+/// Lower the functions `main` reaches
 /// ([`Checked::reachable`]), the only ones that can run. `funcs` still
 /// has one entry per function, since a [`Callee::Func`] indexes it; a
 /// function `main` never reaches gets no body, and neither decides
@@ -81,7 +86,6 @@ pub fn lower_program(
             && stats.max_tree_depth <= MAX_INLINE_TREE_DEPTH;
         func
     }));
-    funcs.iter_mut().for_each(super::passes::optimize);
     IrProgram { funcs, inline_ok }
 }
 
@@ -245,7 +249,7 @@ impl<'a> Lowerer<'a> {
             None
         } else {
             for ins in &mut self.code {
-                ins.for_each_reg(|r, _| {
+                ins.for_each_reg(|r| {
                     let k = Reg::MAX - *r;
                     if (k as u32) < n_consts {
                         *r = const_base + k;
@@ -253,7 +257,10 @@ impl<'a> Lowerer<'a> {
                 });
             }
             image.extend(self.const_vals);
-            let (code, spans) = (self.code, self.spans);
+            // The body lives as long as the program: keep no growth slack.
+            let (mut code, mut spans) = (self.code, self.spans);
+            code.shrink_to_fit();
+            spans.shrink_to_fit();
             Some(IrBody { code, spans, stmts: self.stmts, exprs: self.exprs })
         };
         let (name, n_perm) = (f.name.clone(), self.perm_limit as u16);

@@ -57,24 +57,18 @@
 //! `body: None`, which `Program::compile_with_defines` reports as a
 //! compile error.
 //!
-//! ## Pass pipeline
+//! ## No pass pipeline
 //!
-//! [`passes::optimize`] runs per-instruction passes after lowering:
-//! constant folding within basic blocks, jump simplification against
-//! known conditions, dead-store elimination on expression temporaries,
-//! and unreachable-code removal. None of these removes or reorders a
-//! charged instruction (an element access, a tree escape), so results,
-//! simulated cycles, and errors do not depend on them. There is one
-//! pipeline: nothing rewrites a parallel construct before lowering, and
-//! what the machine is charged for is the program as written (and as
-//! mapped, §4).
+//! The VM runs exactly what the lowerer emits. Front-end code is
+//! uncharged, so folding or deleting it could only save host time, and
+//! measured it saved none; what the machine is charged for is the
+//! program as written (and as mapped, §4).
 //!
 //! `uc run --emit ir` (and `uc check --emit ir`) print the program in
 //! the stable text form produced by [`text::render`], which takes its
 //! names from sema's tables.
 
 pub mod lower;
-pub mod passes;
 pub mod text;
 
 pub use lower::lower_program;
@@ -95,8 +89,8 @@ pub type Target = u32;
 /// One IR instruction. See the module docs for the four families.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
-    /// `r[dst] = v` — where a value is assigned (a `seq` flag, a folded
-    /// result); a constant *operand* is a register of its own.
+    /// `r[dst] = v` — where a value is assigned (a `seq` flag); a constant
+    /// *operand* is a register of its own.
     Const { dst: Reg, v: Scalar },
     /// `r[dst] = r[src]`
     Copy { dst: Reg, src: Reg },
@@ -166,60 +160,48 @@ pub enum Instr {
     SeqNext { elem: Reg, more: Reg },
     /// Close the innermost sweep.
     SeqExit,
-    /// No operation (pass output; compacted away).
-    Nop,
 }
 
 impl Instr {
-    /// Visit every register operand: `f(reg, true)` for each one written,
-    /// `f(reg, false)` for each one read (`IterCheck`'s counter is both).
-    pub(crate) fn for_each_reg(&mut self, mut f: impl FnMut(&mut Reg, bool)) {
+    /// Visit every register operand once, written or read.
+    pub(crate) fn for_each_reg(&mut self, mut f: impl FnMut(&mut Reg)) {
         match self {
-            Instr::Const { dst, .. }
-            | Instr::LoadGlobal { dst, .. }
-            | Instr::Rand { dst }
-            | Instr::EvalExpr { dst, .. }
-            | Instr::IterInit { slot: dst } => f(dst, true),
-            Instr::Copy { dst, src }
-            | Instr::Truthy { dst, src }
-            | Instr::StoreSlot { slot: dst, src, .. }
-            | Instr::Un { dst, a: src, .. } => {
-                f(dst, true);
-                f(src, false);
-            }
-            Instr::Bin { dst, a, b, .. } => {
-                f(dst, true);
-                f(a, false);
-                f(b, false);
-            }
-            Instr::Call { dst, args: subs, .. } | Instr::LoadElem { dst, subs, .. } => {
-                f(dst, true);
-                subs.iter_mut().for_each(|a| f(a, false));
-            }
-            Instr::StoreElem { subs, src, .. } => {
-                subs.iter_mut().for_each(|a| f(a, false));
-                f(src, false);
-            }
-            Instr::SeqNext { elem, more } => {
-                f(elem, true);
-                f(more, true);
-            }
-            Instr::IterCheck { slot, .. } => {
-                f(slot, true);
-                f(slot, false);
-            }
-            Instr::StoreGlobal { src: r, .. }
+            Instr::Const { dst: r, .. }
+            | Instr::LoadGlobal { dst: r, .. }
+            | Instr::Rand { dst: r }
+            | Instr::EvalExpr { dst: r, .. }
+            | Instr::IterInit { slot: r }
+            | Instr::IterCheck { slot: r, .. }
+            | Instr::StoreGlobal { src: r, .. }
             | Instr::JumpIfFalse { c: r, .. }
             | Instr::JumpIfTrue { c: r, .. }
-            | Instr::Ret { src: Some(r) } => f(r, false),
+            | Instr::Ret { src: Some(r) } => f(r),
+            Instr::Copy { dst, src: a }
+            | Instr::Truthy { dst, src: a }
+            | Instr::StoreSlot { slot: dst, src: a, .. }
+            | Instr::Un { dst, a, .. }
+            | Instr::SeqNext { elem: dst, more: a } => {
+                f(dst);
+                f(a);
+            }
+            Instr::Bin { dst, a, b, .. } => {
+                f(dst);
+                f(a);
+                f(b);
+            }
+            Instr::Call { dst, args: subs, .. }
+            | Instr::LoadElem { dst, subs, .. }
+            | Instr::StoreElem { src: dst, subs, .. } => {
+                f(dst);
+                subs.iter_mut().for_each(f);
+            }
             Instr::Jump { .. }
             | Instr::Ret { src: None }
             | Instr::FreeLocals { .. }
             | Instr::EvalEffect { .. }
             | Instr::Tree { .. }
             | Instr::SeqEnter { .. }
-            | Instr::SeqExit
-            | Instr::Nop => {}
+            | Instr::SeqExit => {}
         }
     }
 }

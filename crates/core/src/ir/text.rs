@@ -135,6 +135,5 @@ fn instr(ins: &Instr, f: &IrFunc, body: &IrBody, checked: &Checked) -> String {
         Instr::SeqEnter { set } => format!("seq_enter  {}", checked.sets[*set].name),
         Instr::SeqNext { elem, more } => format!("seq_next   r{elem}, r{more}"),
         Instr::SeqExit => "seq_exit".into(),
-        Instr::Nop => "nop".into(),
     }
 }

@@ -54,6 +54,10 @@ impl<'a> Lexer<'a> {
             match c {
                 b'#' => {
                     if let Some((name, value)) = self.directive() {
+                        if defines.iter().any(|(n, _)| n == name) {
+                            let span = Span::new(start, self.pos, line, col);
+                            self.diags.warning(span, format!("#define {name} redefined"));
+                        }
                         defines.push((name.to_string(), value));
                     }
                 }

@@ -7,7 +7,7 @@
 //!
 //! * [`eval_pure`] — **the** evaluator of a constant [`Expr`]. It owns no
 //!   arithmetic: every value comes out of `scalar_unary`/`scalar_binary`,
-//!   the primitives the register VM and `passes::const_fold` compute with
+//!   the primitives the register VM and the tree evaluators compute with
 //!   (`abs`, `power2`, `min` and `max` are operators there too), so a
 //!   value known here is the value the run produces, bit for bit (ints
 //!   wrap; `/0` and `%0` are "not a constant", never a panic). Callers
@@ -24,7 +24,7 @@
 //!   `#define`s — and `path` picks local, NEWS or router from the
 //!   values. Neither classifies again.
 //! * [`fold_unit`] / [`fold_expr`] — an AST fold driver that no pipeline
-//!   runs (the IR's `passes::const_fold` folds what a program computes);
+//!   runs (the VM runs what the lowerer emits, literal operands and all);
 //!   public only because the benchmark's `ucprobe` times it. Knowing
 //!   neither types nor effects, it folds int literals (and `-` of a float
 //!   literal), a ternary's literal condition where the other arm is a
@@ -511,9 +511,9 @@ mod tests {
         }
     }
 
-    /// `ri = e; rf = e;` compiled (so folded by the IR's `const_fold`)
-    /// and run by the VM: the value as an int and as float bits, or the
-    /// runtime error.
+    /// `ri = e; rf = e;` compiled and run by the VM, literal operands
+    /// and all: the value as an int and as float bits, or the runtime
+    /// error.
     fn run_vm(e: &str) -> Result<(i64, u64), String> {
         let src = format!("int ri;\nfloat rf;\nmain() {{ ri = {e}; rf = {e}; }}");
         let mut p = Program::compile(&src).unwrap_or_else(|d| panic!("{src}\n{d}"));
@@ -559,7 +559,7 @@ mod tests {
         ] {
             check_agreement(src).unwrap();
         }
-        // Operands the IR's `const_fold` must keep: `bump()*0` still
+        // Operands the VM must evaluate: `bump()*0` still
         // calls `bump` (once for `ri`, once for `rf`), `rand()*0` still
         // draws, and `f*0` is a float zero — `-0.0`, and `0.5` after
         // `+ 1` and `/ 2`.

@@ -221,6 +221,9 @@ pub struct Race {
     pub elem: SetId,
     /// The location, as written.
     pub target: String,
+    /// Whether the location varies along that axis — without telling its
+    /// elements apart (`a[i / 2]`) — rather than staying one location.
+    pub moves: bool,
 }
 
 /// The output of semantic analysis, consumed by the executor, the
@@ -536,10 +539,7 @@ impl<'a> Checker<'a> {
     fn run(&mut self, unit: &mut Unit) {
         for (id, (name, value)) in unit.defines.iter().enumerate() {
             self.define_ids.insert(name.clone(), id as u32);
-            if self.consts.insert(name.clone(), *value).is_some() {
-                self.diags
-                    .warning(Span::default(), format!("#define {name} redefined"));
-            }
+            self.consts.insert(name.clone(), *value);
         }
         // First pass: collect all top-level declarations so functions can
         // reference globals declared after them.
@@ -1202,25 +1202,26 @@ impl<'a> Checker<'a> {
         if !along.contains(&true) {
             return;
         }
-        let at = self.located(subs, *access);
+        let at = self.located(subs, *access, value);
         let within = |x: &[bool]| x.iter().zip(&at).all(|(&x, &at)| at || !x);
         let pinned = |axis| self.pins.iter().any(|(a, x)| *a == axis && within(x));
         let racing = (0..along.len()).filter(|&a| along[a] && !at[a] && !pinned(a));
         if let Some(axis) = racing.min_by_key(|&a| &self.sets[self.open[a]].elem) {
             let (elem, target) = (self.open[axis], crate::pretty::access(&base.text, subs));
-            self.races.push(Race { span, step, elem, target });
+            let mut moves = vec![false; self.open.len()];
+            subs.iter().for_each(|sub| self.varies(sub, &mut Vec::new(), &mut moves));
+            self.races.push(Race { span, step, elem, target, moves: moves[axis] });
         }
     }
 
-    /// One flag per open axis: whether the location `subs`, the access
-    /// `access`, gives each point along it an element of its own, so that
-    /// points apart on it never share one. The access plan decides: an
-    /// `Axis` subscript does so on its axis; one that reads only elements
-    /// and `#define`s does on the axes it varies along if its values over
-    /// their sets' elements are distinct — or if there are more than
-    /// [`DISTINCT_CAP`] points to value, or a value is no constant; any
-    /// other does on every axis it varies along.
-    fn located(&self, subs: &[Expr], access: ValueId) -> Vec<bool> {
+    /// One flag per open axis: whether storing `value` to the location
+    /// `subs`, the access `access`, never gives two points apart on it one
+    /// element with distinct values. The access plan decides: an `Axis`
+    /// subscript tells its axis apart; one that reads only elements and
+    /// `#define`s does so on the axes it varies along if [`Checker::distinct`]
+    /// finds no two points there that share its value and store distinct
+    /// values; any other does on every axis it varies along.
+    fn located(&self, subs: &[Expr], access: ValueId, value: &Expr) -> Vec<bool> {
         let mut at = vec![false; self.open.len()];
         for (sub, &form) in subs.iter().zip(&self.values[access as usize].forms) {
             match form {
@@ -1230,7 +1231,7 @@ impl<'a> Checker<'a> {
                     let mut along = vec![false; self.open.len()];
                     self.varies(sub, &mut Vec::new(), &mut along);
                     let elements_only = self.reads(sub).is_some_and(|r| !r.state);
-                    if !elements_only || self.distinct(sub, &along) {
+                    if !elements_only || self.distinct(sub, &along, value) {
                         at.iter_mut().zip(along).for_each(|(at, x)| *at |= x);
                     }
                 }
@@ -1239,18 +1240,21 @@ impl<'a> Checker<'a> {
         at
     }
 
-    /// Whether `sub`, which reads only elements and `#define`s, may take a
-    /// distinct value at every point of the open axes `along` marks: false
-    /// only where valuing it over their sets' elements, at no more than
-    /// [`DISTINCT_CAP`] points, finds two points that share a value.
-    fn distinct(&self, sub: &Expr, along: &[bool]) -> bool {
+    /// Whether `sub`, which reads only elements and `#define`s, gives no
+    /// two points of the open axes `along` marks one location with distinct
+    /// values of `value`: false only where valuing `sub` over their sets'
+    /// elements, at no more than [`DISTINCT_CAP`] points, finds two points
+    /// that share a location, unless `value` too reads only elements and
+    /// `#define`s and takes one value at both.
+    fn distinct(&self, sub: &Expr, along: &[bool], value: &Expr) -> bool {
         let axes: Vec<usize> = (0..along.len()).filter(|&a| along[a]).collect();
         let extent = |a: usize| self.sets[self.open[a]].elements.len();
         let points = axes.iter().try_fold(1usize, |n, &a| n.checked_mul(extent(a)));
         let Some(points) = points.filter(|&n| n <= DISTINCT_CAP) else { return true };
-        let mut seen = HashSet::with_capacity(points);
-        for point in 0..points {
-            let value = opt::eval_pure(sub, |n| match n.to {
+        let valued = self.reads(value).is_some_and(|r| !r.state);
+        let mut seen = HashMap::with_capacity(points);
+        let at = |e: &Expr, point: usize| {
+            opt::eval_pure(e, |n| match n.to {
                 Ref::Elem(set) => {
                     // The point's coordinate along the element's axis, the
                     // last axis fastest.
@@ -1262,11 +1266,14 @@ impl<'a> Checker<'a> {
                 }
                 Ref::Const(_) => self.consts.get(&*n.text).map(|&v| Scalar::Int(v)),
                 _ => None,
-            });
-            match value {
-                Ok(v) if seen.insert(v.as_int()) => {}
-                Ok(_) => return false,
-                Err(_) => return true,
+            })
+        };
+        for point in 0..points {
+            let Ok(location) = at(sub, point) else { return true };
+            let stored = if valued { at(value, point).ok() } else { None };
+            match seen.insert(location.as_int(), stored) {
+                Some(other) if stored.is_none() || other != stored => return false,
+                _ => {}
             }
         }
         true

@@ -8,7 +8,8 @@
 //! registers straight into the callee's, and returning truncates. This
 //! test installs a byte-counting global allocator and checks that a
 //! warmed run making 10 000 calls, one of them recursing 200 deep,
-//! allocates less than 1 KB in total.
+//! allocates less than 1 KB in total — also when each call of `add`
+//! sweeps a front-end `seq`.
 //!
 //! The test lives alone in this file so the process-wide counter
 //! attributes every byte to the run under measurement.
@@ -45,34 +46,45 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn scalar_calls_allocate_nothing() {
-    let mut p = Program::compile(
-        r#"
-        int total, deep;
-        float half;
-        int add(int a, int b) { return a + b; }
-        float halve(int n) { return n / 2.0; }
-        int down(int n) { if (n == 0) return 0; return 1 + down(n - 1); }
-        main() {
-            int k;
-            total = 0;
-            for (k = 0; k < 5000; k = k + 1) {
-                total = add(total, k);
-                half = halve(k);
-            }
-            deep = down(200);
-        }
-        "#,
-    )
-    .unwrap_or_else(|d| panic!("compile failed:\n{d}"));
-    // Grow the register and frame stacks to their high-water mark.
+/// `src` compiled, then the bytes its second run allocates — the first
+/// grows the register, frame and sweep stacks to their high-water mark.
+fn warm_run_bytes(src: &str) -> (Program, u64) {
+    let mut p = Program::compile(src).unwrap_or_else(|d| panic!("compile failed:\n{d}"));
     p.run().unwrap_or_else(|e| panic!("runtime error: {e}"));
     let before = BYTES.load(Ordering::Relaxed);
     p.run().unwrap();
-    let bytes = BYTES.load(Ordering::Relaxed) - before;
-    assert_eq!(p.read_int("total"), Some(4999 * 5000 / 2));
-    assert_eq!(p.read_int("deep"), Some(200));
-    assert_eq!(p.read_scalar("half").unwrap().as_float(), 2499.5);
-    assert!(bytes < 1024, "{bytes} bytes allocated by a run of 10 201 scalar calls");
+    (p, BYTES.load(Ordering::Relaxed) - before)
+}
+
+/// The calls of `main` below, with `ADD` the body of `add`.
+const CALLS: &str = r#"
+    index_set T:t = {0..1};
+    int total, deep;
+    float half;
+    int add(int a, int b) { ADD }
+    float halve(int n) { return n / 2.0; }
+    int down(int n) { if (n == 0) return 0; return 1 + down(n - 1); }
+    main() {
+        int k;
+        total = 0;
+        for (k = 0; k < 5000; k = k + 1) {
+            total = add(total, k);
+            half = halve(k);
+        }
+        deep = down(200);
+    }
+"#;
+
+/// Both cases run in this one test, so the counter sees one at a time.
+/// The second sweeps a front-end `seq` in every call of `add`: the open
+/// sweeps share one stack (`Run::seqs`) as the registers do.
+#[test]
+fn scalar_calls_allocate_nothing() {
+    for add in ["return a + b;", "seq (T) a = a + 0; return a + b;"] {
+        let (p, bytes) = warm_run_bytes(&CALLS.replace("ADD", add));
+        assert_eq!(p.read_int("total"), Some(4999 * 5000 / 2), "{add}");
+        assert_eq!(p.read_int("deep"), Some(200));
+        assert_eq!(p.read_scalar("half").unwrap().as_float(), 2499.5);
+        assert!(bytes < 1024, "{bytes} bytes allocated by a run of 10 201 scalar calls ({add})");
+    }
 }

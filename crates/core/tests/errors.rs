@@ -499,6 +499,25 @@ fn lexical_errors_name_the_whole_lexeme_once() {
     assert_eq!(p.read_int("x"), Some(i64::MAX));
 }
 
+/// A second `#define` of one name warns at that directive, from both
+/// entry points, and the last definition is the one that counts.
+#[test]
+fn a_redefined_define_warns_at_the_second() {
+    let src = "#define N 4\nint a[N];\n  #define N 8\nmain() { N = 5; }";
+    let expected = [
+        "warning: #define N redefined at 3:3",
+        "error: cannot assign to constant `N` at 4:10",
+    ];
+    let compiled = compile_err(src);
+    assert_eq!(compiled.lines().collect::<Vec<_>>(), expected, "{compiled}");
+    let checked = check_source(src, &[], &LintConfig::default());
+    let lines: Vec<String> = checked.items.iter().map(|d| d.to_string()).collect();
+    assert_eq!(lines, expected);
+    let mut p = Program::compile("#define N 4\n#define N 8\nint x;\nmain() { x = N; }").unwrap();
+    p.run().unwrap();
+    assert_eq!(p.read_int("x"), Some(8));
+}
+
 /// A `void` variable is bound as an `int`: its uses report nothing
 /// beyond the two real errors, from both entry points.
 #[test]

@@ -1,8 +1,8 @@
-//! Each operator means one thing. The front end (the register VM on
-//! values it cannot fold), a one-lane `par` (the machine's elementwise
-//! op), `opt::eval_pure` and the IR's constant folder give every unary and
-//! binary operator — `abs`, `power2`, `min` and `max` among them — the
-//! same value on the edge operands, bit for bit, as an `int` and as a
+//! Each operator means one thing. The front end (the register VM, on
+//! literal operands and on values read from globals), a one-lane `par`
+//! (the machine's elementwise op) and `opt::eval_pure` give every unary
+//! and binary operator — `abs`, `power2`, `min` and `max` among them —
+//! the same value on the edge operands, bit for bit, as an `int` and as a
 //! `float` target holds it.
 
 use std::fmt::Write;
@@ -57,7 +57,7 @@ fn held(p: &Program, ints: &str, floats: &str, k: usize) -> Held {
 }
 
 /// Declarations and statements that compute `template` over operands
-/// `a` and `b` on the front end from globals the folder cannot see (into
+/// `a` and `b` on the front end from globals (into
 /// `si`/`sf`) and in a one-lane `par` from array elements (`mi`/`mf`), as
 /// the `k`th case.
 fn live(template: &str, (a, af): (&str, bool), (b, bf): (&str, bool), k: usize) -> String {
@@ -86,11 +86,11 @@ fn agree(template: &str, ints_only: bool) {
     };
     let prelude = "index_set I:i = {0..0};\nint ia, ib, pia[1], pib[1], li[1];\n\
                    float fa, fb, pfa[1], pfb[1], lf[1];\n";
-    let (mut cases, mut folded, mut live_body) = (Vec::new(), String::new(), String::new());
+    let (mut cases, mut literals, mut live_body) = (Vec::new(), String::new(), String::new());
     for (a, b) in pairs {
         let literal = fill(template, a.0, b.0);
         let Some(value) = evaluated(&literal) else {
-            // Nothing to fold; the front end and the machine trap alike.
+            // No value; the front end and the machine trap alike.
             let body = live(template, a, b, 0);
             let src = format!("{prelude}int si[1], mi[1];\nfloat sf[1], mf[1];\nmain() {{\n{body}}}\n");
             let front_end = body.lines().next().unwrap();
@@ -101,22 +101,19 @@ fn agree(template: &str, ints_only: bool) {
             continue;
         };
         let k = cases.len();
-        writeln!(folded, "    ri[{k}] = {literal}; rf[{k}] = {literal};").unwrap();
+        writeln!(literals, "    ri[{k}] = {literal}; rf[{k}] = {literal};").unwrap();
         live_body.push_str(&live(template, a, b, k));
         cases.push((literal, value));
     }
     let n = cases.len();
-    let folded = format!("int ri[{n}];\nfloat rf[{n}];\nmain() {{\n{folded}}}\n");
+    let literals = format!("int ri[{n}];\nfloat rf[{n}];\nmain() {{\n{literals}}}\n");
     let live_src =
         format!("{prelude}int si[{n}], mi[{n}];\nfloat sf[{n}], mf[{n}];\nmain() {{\n{live_body}}}\n");
-    let f = run(&folded).unwrap_or_else(|e| panic!("{e}\n{folded}"));
-    // The folder computed every value: no operator is left to run.
-    let ir = f.emit_ir();
-    assert!(!ir.contains(" bin ") && !ir.contains(" un "), "not folded:\n{ir}");
+    let f = run(&literals).unwrap_or_else(|e| panic!("{e}\n{literals}"));
     let l = run(&live_src).unwrap_or_else(|e| panic!("{e}\n{live_src}"));
     for (k, (literal, value)) in cases.iter().enumerate() {
         let readings = [
-            ("the folder", held(&f, "ri", "rf", k)),
+            ("literal operands", held(&f, "ri", "rf", k)),
             ("the front end", held(&l, "si", "sf", k)),
             ("a one-lane par", held(&l, "mi", "mf", k)),
         ];

@@ -2,7 +2,7 @@
 //!
 //! The rendered IR is a public, line-oriented artifact (`uc run --emit
 //! ir` / `uc check --emit ir`): these tests pin it byte-for-byte for a
-//! few corpus programs so lowering, pass-pipeline, and renderer changes
+//! few corpus programs so lowering and renderer changes
 //! are always deliberate — the operands (a register, or the value of a
 //! constant one) and, as a trailing `; line:col` where it changes, the
 //! statement each instruction reports a trap at. To refresh after an
