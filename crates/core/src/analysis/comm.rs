@@ -1,155 +1,71 @@
 //! UC110/UC111 — communication-pattern lints.
 //!
-//! [`opt::path`] picks local, NEWS or router for an access from its
-//! subscripts' forms — sema's plan, valued by [`opt::resolve_index`] —
-//! the space's extents and the array's mapping. The executor asks it
-//! where an access runs; this pass asks it with the `#define`s in place
-//! of the live values, and reports the two cases where it sends a
-//! provably regular pattern to the router — the paper's §4
-//! communication-cost optimization surfaced as a diagnostic:
+//! The executor picks local, NEWS or router for a read with
+//! [`opt::path`](crate::opt::path), from sema's access plan valued over
+//! the live scalars, and for a store with
+//! [`opt::store_path`](crate::opt::store_path), which never shifts. Sema
+//! asks the same rules with the `#define`s as it checks each access, and
+//! records every occurrence of a provably regular pattern they send to
+//! the router ([`Checked::routed`]). This pass reports those facts — the
+//! paper's §4 communication-cost optimization surfaced as a diagnostic:
 //!
 //! * **UC110** — every subscript is `axis + constant` on the matching
-//!   axis, but two or more axes are displaced (`a[i-1][j-1]`). The NEWS
-//!   path handles at most one displaced axis, so the access takes the
-//!   router even though it is a regular grid shift.
+//!   axis, but a read is displaced on two or more axes (`a[i-1][j-1]`:
+//!   the NEWS path handles one) or a store on any (`b[i-1][j] = …`): a
+//!   regular grid shift that takes the router.
 //! * **UC111** — the pattern is regular but misaligned with the iteration
 //!   space: transposed axes (`a[j][i]`) or an array whose shape does not
 //!   conform to the space. A `map` declaration (permute/fold/copy) could
 //!   turn it into local or NEWS traffic.
 //!
 //! Only full-rank accesses to default-mapped global arrays are
-//! classified; partial-rank gathers (e.g. `a[j]` under a reduction that
-//! extended the space) and re-mapped arrays legitimately use the router
-//! or follow a different transform.
-//!
-//! The walk tracks the extents of the axes a `par`, a `oneof` and a
-//! reduction open. It leaves the accesses under a `solve` unclassified:
-//! that would flag `examples/uc/wavefront.uc`'s `a[i-1][j-1]`, which does
-//! take the router.
+//! classified: partial-rank gathers (`a[j]` under a reduction that
+//! extended the space) are true router traffic, and this pass drops the
+//! facts about arrays the map section re-mapped. An access under a
+//! `solve` or `*solve` stays unclassified: that would flag
+//! `examples/uc/wavefront.uc`'s `a[i-1][j-1]`, which does take the router.
 
 use super::Finding;
-use crate::ast::*;
 use crate::mapping::ArrayMapping;
-use crate::opt::{self, IdxForm, Path};
+use crate::opt::Routing;
 use crate::sema::Checked;
 
-struct Walker<'c> {
-    checked: &'c Checked,
-    /// Extents of the current space axes (outer constructs are a prefix,
-    /// as in the executor).
-    dims: Vec<usize>,
-    out: Vec<Finding>,
-}
-
-/// Report UC110/UC111 on every function, in declaration order.
+/// Report UC110/UC111 on every routed access sema recorded, but those to
+/// an array the map section re-mapped.
 pub(crate) fn run(checked: &Checked, out: &mut Vec<Finding>) {
-    let mut w = Walker { checked, dims: Vec::new(), out: Vec::new() };
-    for f in checked.funcs_in_order() {
-        for s in &f.body.stmts {
-            w.stmt(s);
+    for routed in &checked.routed {
+        if checked.array(routed.array).mapping != ArrayMapping::Default {
+            continue; // re-mapped arrays follow their own transform
         }
-    }
-    out.append(&mut w.out);
-}
-
-impl Walker<'_> {
-    fn stmt(&mut self, s: &Stmt) {
-        match s {
-            // What is under a `solve` stays unclassified.
-            Stmt::Uc(uc) if uc.kind == UcKind::Solve => {}
-            Stmt::Uc(uc) if uc.kind != UcKind::Seq => self.open(&uc.sets, |w| w.children(s)),
-            _ => self.children(s),
-        }
-    }
-
-    fn children(&mut self, s: &Stmt) {
-        s.for_each_child(|n| match n {
-            Node::Expr(e) => self.expr(e),
-            Node::Stmt(s) => self.stmt(s),
-        });
-    }
-
-    /// Run `f` with the axes of `sets` open.
-    fn open(&mut self, sets: &[SetId], f: impl FnOnce(&mut Self)) {
-        let outer = self.dims.len();
-        self.dims.extend(sets.iter().map(|&set| self.checked.sets[set].elements.len()));
-        f(self);
-        self.dims.truncate(outer);
-    }
-
-    fn expr(&mut self, e: &Expr) {
-        match e {
-            Expr::Index { base, subs, span, access, .. } => self.classify(base, subs, *access, *span),
-            // A reduction evaluates its operands on the space extended
-            // by its own sets, exactly like a nested `par`.
-            Expr::Reduce(r) => return self.open(&r.sets, |w| e.for_each_child(|c| w.expr(c))),
-            _ => {}
-        }
-        e.for_each_child(|c| self.expr(c));
-    }
-
-    /// Report UC110/UC111 when the path rule sends a regular access to the
-    /// router.
-    fn classify(&mut self, base: &Name, subs: &[Expr], access: ValueId, span: crate::span::Span) {
-        let Ref::Array(id) = base.to else {
-            return; // a function-local array
-        };
-        let info = self.checked.array(id);
-        if info.mapping != ArrayMapping::Default {
-            return; // re-mapped arrays follow their own transform
-        }
-        // Full-rank only: partial-rank gathers are genuine router traffic,
-        // and a front-end access (no axis open) has no communication.
-        if subs.len() != info.shape.len() || subs.len() != self.dims.len() {
-            return;
-        }
-        // Anything but `axis + constant` is a true gather.
-        let plan = &self.checked.values[access as usize].forms;
-        let resolve = |(sub, &form): (&Expr, _)| opt::resolve_index(form, sub, |n| self.checked.define(n));
-        let forms: Vec<IdxForm> = subs.iter().zip(plan).map(resolve).collect();
-        let axis = |f: &IdxForm| match *f {
-            IdxForm::AxisPlus { axis, .. } => Some(axis),
-            _ => None,
-        };
-        let Some(mut axes) = forms.iter().map(axis).collect::<Option<Vec<usize>>>() else { return };
-        if opt::path(&forms, &self.dims, &info.shape, &info.mapping) != Path::Router {
-            return; // local or single-axis NEWS: optimal
-        }
-        let identity_axes = axes.iter().enumerate().all(|(d, &a)| a == d);
-        let access = crate::pretty::access(&base.text, subs);
-        if identity_axes && info.shape == self.dims {
-            let displaced = forms.iter().filter(|f| !matches!(f, IdxForm::AxisPlus { offset: 0, .. })).count();
-            self.out.push(Finding {
-                code: "UC110",
-                span,
-                message: format!(
-                    "`{access}` is a regular grid shift on {displaced} axes but goes \
-                     through the general router; splitting it into single-axis NEWS \
-                     shifts (or a `map permute`) is cheaper (§4 communication cost)"
-                ),
-            });
-            return;
-        }
-        // Regular but misaligned. Only flag patterns a `map` declaration
-        // could actually align: axes forming a permutation of the space.
-        axes.sort_unstable();
-        if axes.iter().enumerate().any(|(d, &a)| a != d) {
-            return; // duplicated/partial axes: a true gather
-        }
-        let reason = if identity_axes {
-            "the array's shape does not conform to the iteration space"
-        } else {
-            "its axes are transposed relative to the iteration space"
-        };
-        self.out.push(Finding {
-            code: "UC111",
-            span,
-            message: format!(
-                "`{access}` is a regular access pattern but {reason}, so it goes through \
-                 the general router; a `map` declaration could make it local or NEWS \
-                 (§4 communication cost)"
+        let access = &routed.access;
+        let message = match routed.why {
+            Routing::Shift { displaced, store: true } => format!(
+                "`{access}` stores a regular grid shift on {displaced} {} through the \
+                 general router, since no store takes NEWS; storing in place and reading \
+                 the operand shifted the other way, one axis per NEWS shift, is cheaper \
+                 (§4 communication cost)",
+                if displaced == 1 { "axis" } else { "axes" },
             ),
-        });
+            Routing::Shift { displaced, store: false } => format!(
+                "`{access}` is a regular grid shift on {displaced} axes but goes \
+                 through the general router; splitting it into single-axis NEWS \
+                 shifts (or a `map permute`) is cheaper (§4 communication cost)"
+            ),
+            Routing::Misaligned { transposed } => {
+                let reason = if transposed {
+                    "its axes are transposed relative to the iteration space"
+                } else {
+                    "the array's shape does not conform to the iteration space"
+                };
+                format!(
+                    "`{access}` is a regular access pattern but {reason}, so it goes through \
+                     the general router; a `map` declaration could make it local or NEWS \
+                     (§4 communication cost)"
+                )
+            }
+        };
+        let code = if let Routing::Shift { .. } = routed.why { "UC110" } else { "UC111" };
+        out.push(Finding { code, span: routed.span, message });
     }
 }
 
@@ -233,6 +149,70 @@ mod tests {
             "index_set I:i = {0..7};\nint a[8], b[8];\n\
              map (I) { permute (I) a[i+1] :- b[i]; }\n\
              main() { par (I) b[i] = a[i-1]; }",
+        );
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    /// A `solve` and a `*solve` run their accesses unclassified, a
+    /// reduction under a `*solve` included.
+    #[test]
+    fn solve_leaves_shifts_unclassified() {
+        for body in [
+            "solve (I, J) b[i][j] = a[i-1][j-1];",
+            "*solve (I, J) b[i][j] = a[i-1][j-1];",
+            "*solve (I) c[i] = $+(J; a[i-1][j-1]);",
+        ] {
+            let f = findings(&format!("{GRID}int c[8];\nmain() {{ {body} }}"));
+            assert!(f.is_empty(), "{body}: {f:?}");
+        }
+    }
+
+    /// A `oneof` opens its axes as a `par` does, and a reduction extends
+    /// the space its operand runs on: a full-rank access there is judged.
+    #[test]
+    fn oneof_and_reduction_spaces_are_classified() {
+        let f = findings(&format!("{GRID}main() {{ oneof (I, J) b[i][j] = a[i-1][j-1]; }}"));
+        assert_eq!(codes_of(&f), vec!["UC110"]);
+        let f = findings(&format!(
+            "{GRID}int c[8];\nmain() {{ par (I) c[i] = $+(J; a[i-1][j-1]) + $+(J; a[j][i]); }}"
+        ));
+        assert_eq!(codes_of(&f), vec!["UC110", "UC111"]);
+    }
+
+    /// `a[i]` is one access id under `par (I)` and under `par (I) par (J)`,
+    /// but only the first is full-rank: each occurrence is judged on the
+    /// space it runs on.
+    #[test]
+    fn each_occurrence_is_judged_on_its_own_space() {
+        let f = findings(
+            "index_set I:i = {0..7}, J:j = I;\nint a[16], b[8];\n\
+             main() {\npar (I) b[i] = a[i];\npar (I) par (J) b[i] = a[i];\n}",
+        );
+        assert_eq!(codes_of(&f), vec!["UC111"]);
+        assert_eq!(f[0].span.line, 4);
+    }
+
+    /// A store takes the router wherever it is displaced, so one displaced
+    /// axis is enough; the same shift read takes NEWS.
+    #[test]
+    fn displaced_stores_are_flagged() {
+        let f = findings(&format!(
+            "{GRID}main() {{ par (I, J) st (i > 0) b[i-1][j] = a[i][j]; par (I, J) b[i][j] = a[i-1][j]; }}"
+        ));
+        assert_eq!(codes_of(&f), vec!["UC110"]);
+        assert!(f[0].message.contains("`b[i - 1][j]` stores a regular grid shift on 1 axis"), "{}", f[0].message);
+        let f = findings(&format!("{GRID}main() {{ par (I, J) st (i > 0 && j > 0) b[i-1][j-1] = a[i][j]; }}"));
+        assert!(f[0].message.contains("stores") && f[0].message.contains("2 axes"), "{}", f[0].message);
+    }
+
+    /// A map section's patterns are no accesses: a source pattern that
+    /// would not conform as an access reports nothing.
+    #[test]
+    fn map_patterns_are_no_accesses() {
+        let f = findings(
+            "index_set I:i = {0..7};\nint a[16], b[8];\n\
+             map (I) { permute (I) b[i+1] :- a[i]; }\n\
+             main() { par (I) b[i] = 1; }",
         );
         assert!(f.is_empty(), "{f:?}");
     }

@@ -2,26 +2,33 @@
 //!
 //! UC's constructs narrow the activity context with `st` predicates
 //! (§3.4): a constant-false predicate empties the context, so the guarded
-//! statement can never execute — the same fact the §4 dead-context
-//! elimination uses, reported here instead of silently exploited (UC120,
-//! also covering `if (0)` / `while (0)`). UC121 flags index-set
-//! definitions — virtual-processor sets — that no construct, reduction,
-//! alias or map section ever resolves to: they only cost processors (§4
-//! processor optimization). Sema marks each definition it resolves a set
-//! name to ([`IndexSetInfo::used`](crate::sema::IndexSetInfo::used)), so a
-//! set shadowed by another of the same name is judged on its own uses;
-//! this pass walks only the guards.
+//! statement — or a reduction's guarded operand — can never execute: the
+//! same fact the §4 dead-context elimination uses, reported here instead
+//! of silently exploited (UC120, also covering `if (0)`, `while (0)` and
+//! `for (;0;)`). UC121 flags index-set definitions — virtual-processor
+//! sets — that no construct, reduction, alias or map section ever
+//! resolves to: they only cost processors (§4 processor optimization).
+//! This pass walks nothing: sema records each guard it values to 0 with
+//! the `#define`s ([`Checked::empty_guards`]) and marks each definition it
+//! resolves a set name to
+//! ([`IndexSetInfo::used`](crate::sema::IndexSetInfo::used)).
 
-use super::{const_false, Finding};
-use crate::ast::*;
+use super::Finding;
 use crate::sema::Checked;
 
-/// Report UC120 on every function, then UC121 on every unused set.
+/// Report UC120 on every empty guard, then UC121 on every unused set.
 pub(crate) fn run(checked: &Checked, out: &mut Vec<Finding>) {
-    for f in checked.funcs_in_order() {
-        for s in &f.body.stmts {
-            guards(checked, s, out);
-        }
+    for guard in &checked.empty_guards {
+        let what = match guard.what {
+            "st" => "`st` predicate is constant-false: the context is empty".to_string(),
+            keyword => format!("`{keyword}` condition is constant-false"),
+        };
+        let guarded = if guard.operand { "operand" } else { "statement" };
+        out.push(Finding {
+            code: "UC120",
+            span: guard.span,
+            message: format!("{what}; the guarded {guarded} can never execute (§3.4 context)"),
+        });
     }
     for set in checked.sets.iter().filter(|set| !set.used) {
         out.push(Finding {
@@ -34,35 +41,6 @@ pub(crate) fn run(checked: &Checked, out: &mut Vec<Finding>) {
             ),
         });
     }
-}
-
-/// Report UC120 on every constant-false guard in `s`.
-fn guards(checked: &Checked, s: &Stmt, out: &mut Vec<Finding>) {
-    let mut guard = |e: &Expr, what: &str| {
-        if const_false(e, checked) {
-            out.push(Finding {
-                code: "UC120",
-                span: e.span(),
-                message: format!("{what}; the guarded statement can never execute (§3.4 context)"),
-            });
-        }
-    };
-    match s {
-        Stmt::If { cond, .. } => guard(cond, "`if` condition is constant-false"),
-        Stmt::While { cond, .. } => guard(cond, "`while` condition is constant-false"),
-        Stmt::For { cond: Some(c), .. } => guard(c, "`for` condition is constant-false"),
-        Stmt::Uc(uc) => {
-            for pred in uc.arms.iter().filter_map(|arm| arm.pred.as_ref()) {
-                guard(pred, "`st` predicate is constant-false: the context is empty");
-            }
-        }
-        _ => {}
-    }
-    s.for_each_child(|n| {
-        if let Node::Stmt(s) = n {
-            guards(checked, s, out);
-        }
-    });
 }
 
 #[cfg(test)]
@@ -90,6 +68,25 @@ mod tests {
     fn constant_false_if_and_while_are_flagged() {
         let f = findings("main() { int x; x = 1; if (0) x = 2; while (1 > 2) x = 3; }");
         assert_eq!(codes_of(&f), vec!["UC120", "UC120"]);
+    }
+
+    #[test]
+    fn constant_false_for_and_defined_zero_are_flagged() {
+        let f = findings("#define OFF 0\nmain() { int x; x = 1; for (;0;) x = 2; if (OFF) x = 3; }");
+        assert_eq!(codes_of(&f), vec!["UC120", "UC120"]);
+        assert!(f[0].message.starts_with("`for` condition"), "{}", f[0].message);
+        assert!(f[1].message.starts_with("`if` condition"), "{}", f[1].message);
+    }
+
+    /// A reduction's `st` predicate guards its operand.
+    #[test]
+    fn constant_false_reduction_arm_is_flagged() {
+        let f = findings(
+            "index_set I:i = {0..7}, J:j = I;\nint a[8], s;\n\
+             main() { par (I) a[i] = $+(J st (0) 1); s = $+(I st (1 > 2) a[i]); }",
+        );
+        assert_eq!(codes_of(&f), vec!["UC120", "UC120"]);
+        assert!(f[0].message.contains("the guarded operand"), "{}", f[0].message);
     }
 
     #[test]

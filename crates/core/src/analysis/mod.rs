@@ -10,9 +10,9 @@
 //! | code  | pass      | finding |
 //! |-------|-----------|---------|
 //! | UC101 | races     | par write-write conflict on a mono array location |
-//! | UC110 | comm      | regular multi-axis grid shift through the general router |
+//! | UC110 | comm      | regular grid shift through the general router (a read displaced on 2+ axes, a store on any) |
 //! | UC111 | comm      | regular access misaligned with the iteration space |
-//! | UC120 | context   | statement under a constant-false (empty) context |
+//! | UC120 | context   | statement or reduction operand under a constant-false (empty) context |
 //! | UC121 | context   | index set declared but never used |
 //! | UC130 | liveness  | local scalar read before initialisation |
 //! | UC131 | liveness  | dead store (value overwritten before any read) |
@@ -27,16 +27,16 @@
 //! set a `Ref::Elem` names, a variable the local a `Ref::Local` names,
 //! and spellings appear only in the messages — so the same passes can
 //! later run over the compiled IR (ROADMAP item 8) without changing
-//! their reporting. UC101 and UC121 walk nothing: they report what sema
-//! recorded as it checked the program (`Checked::races`,
-//! `IndexSetInfo::used`).
+//! their reporting. Only `liveness` walks the AST, for its dataflow; the
+//! others report what sema recorded as it checked the program:
+//! `Checked::races` (UC101), `Checked::routed` (UC110/UC111),
+//! `Checked::empty_guards` (UC120) and `IndexSetInfo::used` (UC121).
 
 mod comm;
 mod context;
 mod liveness;
 mod races;
 
-use crate::ast::Expr;
 use crate::diag::{Diagnostic, Diagnostics, Severity};
 use crate::json::{self, Value};
 use crate::sema::{self, Checked};
@@ -177,14 +177,6 @@ pub fn diagnostics_to_json(diags: &Diagnostics) -> String {
         Value::Obj(fields.collect())
     });
     json::to_string_pretty(&Value::Arr(items.collect()))
-}
-
-// ---- shared pass helpers -------------------------------------------------
-
-/// Whether `e` is a compile-time constant equal to zero (a provably-false
-/// predicate / provably-empty context).
-pub(crate) fn const_false(e: &Expr, checked: &Checked) -> bool {
-    checked.const_int(e) == Some(0)
 }
 
 #[cfg(test)]

@@ -34,14 +34,14 @@ pub struct Unit {
 }
 
 impl Unit {
-    /// Apply `-D NAME=VALUE` overrides: each replaces the `#define` of
-    /// that name, or adds one.
+    /// Apply `-D NAME=VALUE` overrides: each replaces every `#define` of
+    /// that name — sema binds the last — or adds one.
     pub fn override_defines(&mut self, defines: &[(&str, i64)]) {
         for &(name, value) in defines {
-            match self.defines.iter_mut().find(|(n, _)| n == name) {
-                Some(slot) => slot.1 = value,
-                None => self.defines.push((name.to_string(), value)),
+            if !self.defines.iter().any(|(n, _)| n == name) {
+                self.defines.push((name.to_string(), value));
             }
+            self.defines.iter_mut().filter(|(n, _)| n == name).for_each(|slot| slot.1 = value);
         }
     }
 }

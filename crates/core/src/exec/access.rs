@@ -3,13 +3,14 @@
 //!
 //! Nothing here classifies a subscript: sema did, once per access id.
 //! An access values its plan's forms over the live front-end scalars
-//! ([`Run::resolve_subs`]) and [`opt::path`], the rule UC110/UC111 apply
-//! too, picks **local**, a **NEWS** shift or the general **router**,
-//! whose address is built axis by axis with the ops Figure 10's C\* uses
-//! — `i*N + k` is a multiply by an immediate and an add — plus, where a
-//! subscript is not statically in range, the bounds check PARIS issues:
-//! one unsigned compare per axis ([`Run::in_range`]). The map section
-//! changes the transform, which is how `permute (I) b[i+1] :- a[i]`
+//! ([`Run::resolve_subs`]) and [`opt::path`] — for a store
+//! [`opt::store_path`], which never shifts — the rules sema applies for
+//! UC110/UC111 too, pick **local**, a **NEWS** shift or the general
+//! **router**, whose address is built axis by axis with the ops Figure
+//! 10's C\* uses — `i*N + k` is a multiply by an immediate and an add —
+//! plus, where a subscript is not statically in range, the bounds check
+//! PARIS issues: one unsigned compare per axis ([`Run::in_range`]). The
+//! map section changes the transform, which is how `permute (I) b[i+1] :- a[i]`
 //! turns a router/NEWS access into a local one (§4 of the paper).
 //!
 //! Out-of-range *reads* yield `INF`, modelling the CM convention that
@@ -499,12 +500,11 @@ impl Run<'_> {
         let (value, src) = self.stored_as(value, self.storage(arr).ty)?;
         let PV::Field { id: vfield, .. } = src else { unreachable!() };
         let start = self.resolve_subs(access, subs);
-        // Fast path: a local store onto a default-mapped array.
+        // Fast path: a local store, by the store rule.
         let (st, dims) = (self.storage(arr), &self.cur_ctx().dims);
         let field = st.field;
         if self.config.optimize_access
-            && st.mapping == ArrayMapping::Default
-            && opt::path(&self.forms[start..], dims, &st.shape, &st.mapping) == Path::Local
+            && opt::store_path(&self.forms[start..], dims, &st.shape, &st.mapping) == Path::Local
         {
             self.machine.copy(field, vfield)?;
         } else {

@@ -13,16 +13,18 @@
 //!   wrap; `/0` and `%0` are "not a constant", never a panic). Callers
 //!   differ only in the values they give identifiers: before sema
 //!   (`const_eval`, [`fold_unit`]) by spelling against the `#define`s,
-//!   afterwards by the reference sema wrote — the lints the `#define`s,
+//!   afterwards by the reference sema wrote — the lint facts the `#define`s,
 //!   the executor also the live scalars.
 //! * `classify_index` — **the** subscript classifier ([`SubForm`]): is a
 //!   subscript an element's axis plus front-end scalars, a front-end
 //!   scalar, or neither. Sema calls it once per access for its plan, and
 //!   the map section's `permute` and `fold` are read through it.
 //!   `resolve_index` values a form with `eval_pure` where the values are
-//!   known — the executor where the access runs, UC110/UC111 from the
-//!   `#define`s — and `path` picks local, NEWS or router from the
-//!   values. Neither classifies again.
+//!   known — the executor where the access runs, sema for UC110/UC111
+//!   from the `#define`s — and `path` picks local, NEWS or router from
+//!   the values (`store_path`, local or router, for a store). Neither
+//!   classifies again; `routing` says why a regular access takes the
+//!   router.
 //! * [`fold_unit`] / [`fold_expr`] — an AST fold driver that no pipeline
 //!   runs (the VM runs what the lowerer emits, literal operands and all);
 //!   public only because the benchmark's `ucprobe` times it. Knowing
@@ -231,6 +233,48 @@ pub(crate) fn path(forms: &[IdxForm], dims: &[usize], shape: &[usize], mapping: 
         (Some((axis, by)), None) => Path::News { axis, by },
         (shift, _) => Path::Permuted { shift },
     }
+}
+
+/// The store rule: a store is local where [`path`] says so for a
+/// default-mapped array, and a router send everywhere else — never NEWS.
+pub(crate) fn store_path(forms: &[IdxForm], dims: &[usize], shape: &[usize], mapping: &ArrayMapping) -> Path {
+    match path(forms, dims, shape, mapping) {
+        Path::Local if *mapping == ArrayMapping::Default => Path::Local,
+        _ => Path::Router,
+    }
+}
+
+/// Why a rule sends a regular access to the router (UC110/UC111).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Routing {
+    /// A shift on the space's own axes of a conforming array, displaced on
+    /// `displaced` axes; `store` if the store rule routed it.
+    Shift { displaced: usize, store: bool },
+    /// Misaligned with the space: axes transposed, or else a shape that
+    /// does not conform to it.
+    Misaligned { transposed: bool },
+}
+
+/// The [`Routing`] of a full-rank access with the value forms `forms` on a
+/// space of extents `dims` to a default-mapped array of `shape`, by the
+/// read rule ([`path`]) or the store rule: `None` where the rule picks
+/// local or NEWS, and for a true gather — a subscript that is no axis plus
+/// a constant, or axes that are no permutation of the space's.
+pub(crate) fn routing(forms: &[IdxForm], dims: &[usize], shape: &[usize], store: bool) -> Option<Routing> {
+    let axis = |f: &IdxForm| if let IdxForm::AxisPlus { axis, .. } = *f { Some(axis) } else { None };
+    let mut axes = forms.iter().map(axis).collect::<Option<Vec<usize>>>()?;
+    let rule = if store { store_path } else { path };
+    if rule(forms, dims, shape, &ArrayMapping::Default) != Path::Router {
+        return None;
+    }
+    let identity = axes.iter().enumerate().all(|(d, &a)| a == d);
+    if identity && shape == dims {
+        let displaced = forms.iter().filter(|f| !matches!(f, IdxForm::AxisPlus { offset: 0, .. })).count();
+        return Some(Routing::Shift { displaced, store });
+    }
+    axes.sort_unstable();
+    let permutation = axes.iter().enumerate().all(|(d, &a)| a == d);
+    permutation.then_some(Routing::Misaligned { transposed: !identity })
 }
 
 /// Fold constant subexpressions in place across a whole unit: every

@@ -31,13 +31,16 @@
 //!   `swap`), be passed to a user function;
 //! * every access is planned once, by its id ([`ValueInfo::forms`]), and
 //!   every histogram marked for §4's processor optimisation
-//!   (`ReduceExpr::histogram`): the executor and UC110/UC111 read both;
-//! * every store that may give one array element distinct values in a
-//!   step that traps on them — which steps do is the step table
-//!   ([`step`]) the executor reads too — is recorded
-//!   ([`Checked::races`]), its location judged by the access plan, and every
-//!   index set that anything resolves to is marked
-//!   ([`IndexSetInfo::used`]): UC101 and UC121 read them;
+//!   (`ReduceExpr::histogram`): the executor reads both;
+//! * what the lints report is recorded as it is checked: every store that
+//!   may give one array element distinct values in a step that traps on
+//!   them — which steps do is the step table ([`step`]) the executor
+//!   reads too — its location judged by the access plan
+//!   ([`Checked::races`]); every occurrence of a regular parallel access
+//!   the path rule routes, valued with the `#define`s, none under a
+//!   `solve` ([`Checked::routed`]); every constant-false guard
+//!   ([`Checked::empty_guards`]); and every index set that anything
+//!   resolves to ([`IndexSetInfo::used`]);
 //! * UC restrictions are enforced (no `goto` — already a parse error; an
 //!   index element is read-only; `solve` arms must be proper assignments
 //!   to array elements, without `st`, and a plain `solve`'s right-hand
@@ -186,8 +189,9 @@ pub struct ValueInfo {
     /// first sweep computes it and the construct keeps it.
     pub invariant: bool,
     /// An access's plan: each subscript's shape, an element's axis
-    /// counted from the function's outermost construct. The executor and
-    /// UC110/UC111 value it and pick a path from it. Empty for any other.
+    /// counted from the function's outermost construct. The executor, and
+    /// sema for UC110/UC111, value it and pick a path from it. Empty for
+    /// any other.
     pub forms: Vec<opt::SubForm>,
 }
 
@@ -226,6 +230,29 @@ pub struct Race {
     pub moves: bool,
 }
 
+/// A regular parallel access to a global array that the path rule routes
+/// ([`opt::Routing`]), judged as default-mapped: the map section is
+/// interpreted after the bodies. UC110/UC111 report it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoutedAccess {
+    pub span: Span,
+    /// A [`Ref::Array`] id.
+    pub array: u32,
+    /// As written.
+    pub access: String,
+    pub why: opt::Routing,
+}
+
+/// A constant-false guard (UC120): what it guards never runs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EmptyGuard {
+    pub span: Span,
+    /// `if`, `while`, `for` or `st`.
+    pub what: &'static str,
+    /// Whether it guards a reduction's operand rather than a statement.
+    pub operand: bool,
+}
+
 /// The output of semantic analysis, consumed by the executor, the
 /// optimizer and the lints.
 #[derive(Debug, Clone)]
@@ -258,6 +285,11 @@ pub struct Checked {
     pub values: Vec<ValueInfo>,
     /// Every store that may race, in the order sema met it.
     pub races: Vec<Race>,
+    /// Every regular access the router serves, per occurrence; none under
+    /// a `solve`.
+    pub routed: Vec<RoutedAccess>,
+    /// Every constant-false guard, in the order sema met it.
+    pub empty_guards: Vec<EmptyGuard>,
 }
 
 impl Checked {
@@ -350,6 +382,8 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         pins: Vec::new(),
         local_axes: Vec::new(),
         races: Vec::new(),
+        routed: Vec::new(),
+        empty_guards: Vec::new(),
         effects: 0,
     };
     cx.run(&mut unit);
@@ -370,6 +404,8 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         reachable: reachable(main, &cx.callees),
         values: cx.values,
         races: cx.races,
+        routed: cx.routed,
+        empty_guards: cx.empty_guards,
     };
     let maps = mapping::interpret_maps(&checked, diags);
     for (array, mapping) in checked.arrays.iter_mut().zip(maps) {
@@ -456,6 +492,8 @@ struct Checker<'a> {
     /// declared. A per-VP local varies along all of them.
     local_axes: Vec<usize>,
     races: Vec<Race>,
+    routed: Vec<RoutedAccess>,
+    empty_guards: Vec<EmptyGuard>,
     /// Assignments, `swap`s and user calls checked so far: an expression
     /// writes nothing iff checking it leaves this unchanged (see [`lend`]).
     effects: u32,
@@ -485,6 +523,9 @@ struct Nesting {
     /// operator. `None` on the front end and in a `*solve`, which stores
     /// without the check.
     step: Option<&'static str>,
+    /// Inside a `solve` or `*solve`, whose accesses sema leaves
+    /// unclassified ([`RoutedAccess`]).
+    solve: bool,
 }
 
 /// Whether a value is one front-end scalar or a parallel value, one per
@@ -938,6 +979,7 @@ impl<'a> Checker<'a> {
             Stmt::If { cond, then_branch, else_branch, span } => {
                 self.check_flow("if", false, *span);
                 self.check_expr(cond);
+                self.guard(cond, "if", false);
                 self.check_stmt(then_branch);
                 if let Some(e) = else_branch {
                     self.check_stmt(e);
@@ -947,6 +989,7 @@ impl<'a> Checker<'a> {
                 self.check_flow("while", false, *span);
                 self.func_info().loop_regs += 1;
                 self.check_expr(cond);
+                self.guard(cond, "while", false);
                 self.nest.loops += 1;
                 self.check_stmt(body);
                 self.nest.loops -= 1;
@@ -954,9 +997,10 @@ impl<'a> Checker<'a> {
             Stmt::For { init, cond, step, body, span } => {
                 self.check_flow("for", false, *span);
                 self.func_info().loop_regs += 1;
-                for e in [init, cond, step].into_iter().flatten() {
+                for e in [&mut *init, &mut *cond, step].into_iter().flatten() {
                     self.check_expr(e);
                 }
+                cond.iter().for_each(|cond| self.guard(cond, "for", false));
                 self.nest.loops += 1;
                 self.check_stmt(body);
                 self.nest.loops -= 1;
@@ -1007,6 +1051,7 @@ impl<'a> Checker<'a> {
             loops: 0,
             depth: outer.depth + parallel as usize,
             step: step(Opener::Construct(uc.kind, uc.star), outer.step),
+            solve: outer.solve || uc.kind == UcKind::Solve,
         };
         for arm in &mut uc.arms {
             if let Some(p) = &mut arm.pred {
@@ -1015,6 +1060,7 @@ impl<'a> Checker<'a> {
                         .error(p.span(), "`st` predicates are not supported on `solve` statements");
                 }
                 self.check_expr(p);
+                self.guard(p, "st", false);
                 self.pin(p, BinaryOp::Eq);
             }
             self.check_stmt(&mut arm.body);
@@ -1264,8 +1310,7 @@ impl<'a> Checker<'a> {
                     let elements = &self.sets[self.open[axis]].elements;
                     Some(Scalar::Int(elements[point / stride % elements.len()]))
                 }
-                Ref::Const(_) => self.consts.get(&*n.text).map(|&v| Scalar::Int(v)),
-                _ => None,
+                _ => self.define(n),
             })
         };
         for point in 0..points {
@@ -1575,43 +1620,7 @@ impl<'a> Checker<'a> {
                 };
                 (ty, rank)
             }
-            Expr::Index { base, subs, span, access, .. } => {
-                let ty = match self.lookup(&base.text) {
-                    Some((to, Denotes::Array { ty, rank })) => {
-                        base.to = to;
-                        if subs.len() != rank {
-                            self.diags.error(
-                                *span,
-                                format!(
-                                    "array `{base}` has rank {rank}, subscripted with {}",
-                                    subs.len()
-                                ),
-                            );
-                        }
-                        ExprTy::of(ty)
-                    }
-                    Some(_) => {
-                        self.diags
-                            .error(*span, format!("`{base}` is not an array"));
-                        ExprTy::Int
-                    }
-                    None => {
-                        self.diags.error(*span, format!("unknown array `{base}`"));
-                        ExprTy::Int
-                    }
-                };
-                let before = self.effects;
-                for sub in subs.iter_mut() {
-                    if !self.check_expr(sub).0.int_like() {
-                        self.diags
-                            .error(sub.span(), "array subscripts must be integers");
-                    }
-                }
-                // A read's subscripts; a store target takes its back.
-                lend(subs.iter_mut(), self.effects == before);
-                *access = self.intern_access(base.to, subs);
-                (ty, here)
-            }
+            Expr::Index { .. } => self.check_access(e, false),
             Expr::Call { .. } => self.check_call(e, false),
             Expr::Unary { op, expr, span, .. } => {
                 let before = self.effects;
@@ -1680,11 +1689,7 @@ impl<'a> Checker<'a> {
                             None => return (ExprTy::Int, vrank),
                         }
                     }
-                    Expr::Index { .. } => {
-                        let checked = self.check_expr(target);
-                        take_back(target);
-                        checked
-                    }
+                    Expr::Index { .. } => self.check_access(target, true),
                     _ => unreachable!("parser enforces lvalue targets"),
                 };
                 self.check_race(target, value, *span);
@@ -1698,6 +1703,73 @@ impl<'a> Checker<'a> {
             }
             Expr::Reduce(r) => (self.check_reduce(r), here),
         }
+    }
+
+    /// An array element, read or — when `store` — an assignment's target (a
+    /// `swap` operand is a read here: UC110's store advice cannot serve it).
+    fn check_access(&mut self, e: &mut Expr, store: bool) -> (ExprTy, Rank) {
+        let Expr::Index { base, subs, span, access, .. } = e else { unreachable!("not an access") };
+        let ty = match self.lookup(&base.text) {
+            Some((to, Denotes::Array { ty, rank })) => {
+                base.to = to;
+                if subs.len() != rank {
+                    let msg = format!("array `{base}` has rank {rank}, subscripted with {}", subs.len());
+                    self.diags.error(*span, msg);
+                }
+                ExprTy::of(ty)
+            }
+            Some(_) => {
+                self.diags.error(*span, format!("`{base}` is not an array"));
+                ExprTy::Int
+            }
+            None => {
+                self.diags.error(*span, format!("unknown array `{base}`"));
+                ExprTy::Int
+            }
+        };
+        let before = self.effects;
+        for sub in subs.iter_mut() {
+            if !self.check_expr(sub).0.int_like() {
+                self.diags.error(sub.span(), "array subscripts must be integers");
+            }
+        }
+        // A read's subscripts; a store target's keep copies.
+        lend(subs.iter_mut(), !store && self.effects == before);
+        *access = self.intern_access(base.to, subs);
+        self.route(base, subs, *access, *span, store);
+        (ty, if self.nest.depth > 0 { Rank::Parallel } else { Rank::Scalar })
+    }
+
+    /// Record a [`RoutedAccess`] if the read rule, or the store rule when
+    /// `store`, sends `base[subs]` — the access `access`, to a global array —
+    /// to the router although it is regular ([`opt::routing`]): its plan
+    /// valued with the `#define`s over the extents of the open space.
+    fn route(&mut self, base: &Name, subs: &[Expr], access: ValueId, span: Span, store: bool) {
+        let Ref::Array(array) = base.to else { return };
+        let plan = &self.values[access as usize].forms;
+        let regular = plan.iter().all(|form| matches!(form, opt::SubForm::Axis { .. }));
+        if self.nest.solve || subs.len() != self.open.len() || !regular {
+            return;
+        }
+        let dims: Vec<usize> = self.open.iter().map(|&set| self.sets[set].elements.len()).collect();
+        let resolve = |(sub, &form): (&Expr, _)| opt::resolve_index(form, sub, |n| self.define(n));
+        let forms: Vec<_> = subs.iter().zip(plan).map(resolve).collect();
+        if let Some(why) = opt::routing(&forms, &dims, &self.arrays[&*base.text].shape, store) {
+            let access = crate::pretty::access(&base.text, subs);
+            self.routed.push(RoutedAccess { span, array, access, why });
+        }
+    }
+
+    /// Record an [`EmptyGuard`] if `guard`, checked, is constant-false.
+    fn guard(&mut self, guard: &Expr, what: &'static str, operand: bool) {
+        if int_const(guard, |n| self.define(n)) == Ok(0) {
+            self.empty_guards.push(EmptyGuard { span: guard.span(), what, operand });
+        }
+    }
+
+    /// The value of `n` if it was resolved to a `#define`.
+    fn define(&self, n: &Name) -> Option<Scalar> {
+        matches!(n.to, Ref::Const(_)).then(|| Scalar::Int(self.consts[&*n.text]))
     }
 
     /// A call, resolved to what it calls. Only `as_stmt` — as the whole of
@@ -1736,7 +1808,8 @@ impl<'a> Checker<'a> {
                         Expr::Ident(name, span) => {
                             self.check_store_target(name, *span, other);
                         }
-                        Expr::Index { .. } => take_back(a),
+                        // Read and stored: its subscripts keep copies.
+                        Expr::Index { subs, .. } => lend(subs.iter_mut(), false),
                         _ => self.diags.error(
                             a.span(),
                             "swap arguments must be variables or array elements",
@@ -1778,6 +1851,7 @@ impl<'a> Checker<'a> {
         for (pred, operand) in &mut r.arms {
             if let Some(p) = pred {
                 self.check_expr(p);
+                self.guard(p, "st", true);
             }
             let before = self.effects;
             ty = ty.join(self.check_expr(operand).0);
@@ -1921,13 +1995,6 @@ fn lend<'e>(operands: impl IntoIterator<Item = &'e mut Expr>, pure: bool) {
         if let Expr::Index { borrow, .. } = e {
             *borrow = pure;
         }
-    }
-}
-
-/// A store target's subscripts are not a read's: they keep copies.
-fn take_back(target: &mut Expr) {
-    if let Expr::Index { subs, .. } = target {
-        lend(subs.iter_mut(), false);
     }
 }
 

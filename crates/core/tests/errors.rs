@@ -500,7 +500,8 @@ fn lexical_errors_name_the_whole_lexeme_once() {
 }
 
 /// A second `#define` of one name warns at that directive, from both
-/// entry points, and the last definition is the one that counts.
+/// entry points, and the last definition is the one that counts — also
+/// for a `-D` override, which replaces them all.
 #[test]
 fn a_redefined_define_warns_at_the_second() {
     let src = "#define N 4\nint a[N];\n  #define N 8\nmain() { N = 5; }";
@@ -513,9 +514,22 @@ fn a_redefined_define_warns_at_the_second() {
     let checked = check_source(src, &[], &LintConfig::default());
     let lines: Vec<String> = checked.items.iter().map(|d| d.to_string()).collect();
     assert_eq!(lines, expected);
-    let mut p = Program::compile("#define N 4\n#define N 8\nint x;\nmain() { x = N; }").unwrap();
+    let twice = "#define N 4\n#define N 8\nint x;\nmain() { x = N; }";
+    let mut p = Program::compile(twice).unwrap();
     p.run().unwrap();
     assert_eq!(p.read_int("x"), Some(8));
+    // `-D` replaces every definition, so the one sema binds takes it too.
+    let mut p = Program::compile_with_defines(twice, Default::default(), &[("N", 2)]).unwrap();
+    p.run().unwrap();
+    assert_eq!(p.read_int("x"), Some(2));
+    let guarded = "#define N 1\n#define N 4\nindex_set I:i = {0..7};\nint a[8];\n\
+                   main() { par (I) st (N > 2) a[i] = 1; }";
+    let uc120 = |defines: &[(&str, i64)]| {
+        let diags = check_source(guarded, defines, &LintConfig::default());
+        diags.items.iter().filter(|d| d.code == Some("UC120")).count()
+    };
+    assert_eq!(uc120(&[]), 0);
+    assert_eq!(uc120(&[("N", 1)]), 1);
 }
 
 /// A `void` variable is bound as an `int`: its uses report nothing
