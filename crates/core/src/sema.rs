@@ -39,8 +39,11 @@
 //!   ([`Checked::races`]); every occurrence of a regular parallel access
 //!   the path rule routes, valued with the `#define`s, none under a
 //!   `solve` ([`Checked::routed`]); every constant-false guard
-//!   ([`Checked::empty_guards`]); and every index set that anything
-//!   resolves to ([`IndexSetInfo::used`]);
+//!   ([`Checked::empty_guards`]); every index set that anything
+//!   resolves to ([`IndexSetInfo::used`]); and, in evaluation order, every
+//!   read of a scalar local no path has initialised and every store the
+//!   next one overwrites unread (`Flow`: [`Checked::uninit_reads`],
+//!   [`Checked::dead_stores`]);
 //! * UC restrictions are enforced (no `goto` — already a parse error; an
 //!   index element is read-only; `solve` arms must be proper assignments
 //!   to array elements, without `st`, and a plain `solve`'s right-hand
@@ -253,6 +256,17 @@ pub struct EmptyGuard {
     pub operand: bool,
 }
 
+/// A read or store of a scalar local that UC130 or UC131 reports.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LocalUse {
+    /// The identifier read, or the assignment or declaration that stores.
+    pub span: Span,
+    /// Its function, as a position in [`Checked::funcs_in_order`].
+    pub func: usize,
+    /// The local, in that function's [`FuncInfo::locals`].
+    pub local: LocalId,
+}
+
 /// The output of semantic analysis, consumed by the executor, the
 /// optimizer and the lints.
 #[derive(Debug, Clone)]
@@ -290,6 +304,12 @@ pub struct Checked {
     pub routed: Vec<RoutedAccess>,
     /// Every constant-false guard, in the order sema met it.
     pub empty_guards: Vec<EmptyGuard>,
+    /// The first read of each scalar local while it is definitely
+    /// uninitialised, in evaluation order.
+    pub uninit_reads: Vec<LocalUse>,
+    /// Every store to a scalar local that a later store overwrites within
+    /// one straight-line run, no read between, in evaluation order.
+    pub dead_stores: Vec<LocalUse>,
 }
 
 impl Checked {
@@ -384,6 +404,7 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         races: Vec::new(),
         routed: Vec::new(),
         empty_guards: Vec::new(),
+        flow: Flow::default(),
         effects: 0,
     };
     cx.run(&mut unit);
@@ -406,6 +427,8 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         races: cx.races,
         routed: cx.routed,
         empty_guards: cx.empty_guards,
+        uninit_reads: cx.flow.uninit_reads,
+        dead_stores: cx.flow.dead_stores,
     };
     let maps = mapping::interpret_maps(&checked, diags);
     for (array, mapping) in checked.arrays.iter_mut().zip(maps) {
@@ -494,6 +517,7 @@ struct Checker<'a> {
     races: Vec<Race>,
     routed: Vec<RoutedAccess>,
     empty_guards: Vec<EmptyGuard>,
+    flow: Flow,
     /// Assignments, `swap`s and user calls checked so far: an expression
     /// writes nothing iff checking it leaves this unchanged (see [`lend`]).
     effects: u32,
@@ -526,6 +550,134 @@ struct Nesting {
     /// Inside a `solve` or `*solve`, whose accesses sema leaves
     /// unclassified ([`RoutedAccess`]).
     solve: bool,
+}
+
+/// The dataflow of the function being checked over its declared scalar
+/// locals, register or per-VP — not its parameters, which the caller
+/// initialises, nor its arrays — applied in evaluation order as sema checks
+/// the body (§4's "standard code optimizations" as diagnostics):
+///
+/// * **UC130** — a read while the local is *definitely* uninitialised, the
+///   first per local. At a [`Fork`] each path starts from the fork's state
+///   (an `if`'s branches, a loop's body, a construct's arms and `others`),
+///   and past the join a local stays uninitialised only if no path
+///   initialises it: the path that skips a loop or an `else`-less `if`
+///   initialises nothing, so a maybe-initialised read is never reported.
+/// * **UC131** — a store that the next store to the local overwrites with
+///   no read between, within one straight-line run: every fork, join and
+///   `return` drops the stores waiting for a read.
+#[derive(Default)]
+struct Flow {
+    /// Its position in [`Checked::funcs_in_order`].
+    func: usize,
+    /// Locals `0..params` are the parameters.
+    params: LocalId,
+    /// Per local: whether it is definitely uninitialised here.
+    uninit: Vec<bool>,
+    /// Per local: whether UC130 has reported it.
+    reported: Vec<bool>,
+    /// Each local a store initialised, in order: a path rewinds to its
+    /// fork by marking those it initialised uninitialised again.
+    inits: Vec<LocalId>,
+    /// The stores of this straight-line run that nothing has read yet.
+    pending: Vec<(LocalId, Span)>,
+    /// While a `for`'s step is checked: its uses, which run after the body.
+    deferred: Option<Vec<(Use, LocalId, Span)>>,
+    uninit_reads: Vec<LocalUse>,
+    dead_stores: Vec<LocalUse>,
+}
+
+#[derive(Clone, Copy)]
+enum Use {
+    Read,
+    Store,
+}
+
+/// Where control flow branches: the state its paths start from.
+struct Fork {
+    inits: usize,
+    locals: usize,
+}
+
+impl Flow {
+    /// Begin function `func`, whose first `params` locals are parameters.
+    fn start(&mut self, func: usize, params: usize) {
+        (self.func, self.params) = (func, params as LocalId);
+        self.uninit.clear();
+        self.reported.clear();
+        self.inits.clear();
+        self.pending.clear();
+    }
+
+    /// A new local, initialised until a declaration says otherwise.
+    fn local(&mut self) {
+        self.uninit.push(false);
+        self.reported.push(false);
+    }
+
+    /// A scalar declaration: a store of its initialiser, if it has one.
+    fn declared(&mut self, id: LocalId, init: Option<Span>) {
+        match init {
+            Some(span) => self.apply(Use::Store, id, span),
+            None => self.uninit[id as usize] = true,
+        }
+    }
+
+    /// A read or store of local `id`, or of a parameter (which nothing
+    /// tracks): applied now, or once the body runs if it is in a step.
+    fn apply(&mut self, what: Use, id: LocalId, span: Span) {
+        if id < self.params {
+            return;
+        }
+        if let Some(deferred) = &mut self.deferred {
+            return deferred.push((what, id, span));
+        }
+        let at = |span| LocalUse { span, func: self.func, local: id };
+        let k = id as usize;
+        match what {
+            Use::Read => {
+                self.pending.retain(|&(pending, _)| pending != id);
+                if self.uninit[k] && !std::mem::replace(&mut self.reported[k], true) {
+                    self.uninit_reads.push(at(span));
+                }
+            }
+            Use::Store => {
+                if std::mem::replace(&mut self.uninit[k], false) {
+                    self.inits.push(id);
+                }
+                match self.pending.iter_mut().find(|(pending, _)| *pending == id) {
+                    Some((_, last)) => self.dead_stores.push(at(std::mem::replace(last, span))),
+                    None => self.pending.push((id, span)),
+                }
+            }
+        }
+    }
+
+    /// Open a branch point; the straight-line run ends.
+    fn fork(&mut self) -> Fork {
+        self.pending.clear();
+        Fork { inits: self.inits.len(), locals: self.uninit.len() }
+    }
+
+    /// Start a path of `fork` from its state: what the paths since
+    /// initialised is uninitialised again, and the locals they declared
+    /// are out of scope.
+    fn rewind(&mut self, fork: &Fork) {
+        self.pending.clear();
+        for &id in &self.inits[fork.inits..] {
+            self.uninit[id as usize] = true;
+        }
+        self.uninit[fork.locals..].fill(false);
+    }
+
+    /// Close `fork`: what any of its paths initialised is initialised.
+    fn join(&mut self, fork: Fork) {
+        self.pending.clear();
+        for &id in &self.inits[fork.inits..] {
+            self.uninit[id as usize] = false;
+        }
+        self.uninit[fork.locals..].fill(false);
+    }
 }
 
 /// Whether a value is one front-end scalar or a parallel value, one per
@@ -869,6 +1021,7 @@ impl<'a> Checker<'a> {
         self.func_infos.push(FuncInfo::default());
         self.callees.push(Vec::new());
         self.local_axes.clear();
+        self.flow.start(self.func_infos.len() - 1, f.params.len());
         self.scopes.push(HashMap::new());
         for (ty, name, span) in &f.params {
             if *ty == Type::Void {
@@ -916,6 +1069,7 @@ impl<'a> Checker<'a> {
         f.locals.push(LocalInfo { name: name.to_string(), ty, kind });
         let id = (f.locals.len() - 1) as LocalId;
         self.local_axes.push(self.open.len());
+        self.flow.local();
         id
     }
 
@@ -947,6 +1101,7 @@ impl<'a> Checker<'a> {
             }
             let depth = self.nest.depth;
             v.local = self.new_local(&v.name, ty, (depth > 0).then_some(LocalKind::PerVp));
+            self.flow.declared(v.local, v.init.as_ref().map(|_| v.span));
             Denotes::Scalar { ty, depth, read_only: false }
         } else {
             if self.nest.parallel {
@@ -980,36 +1135,51 @@ impl<'a> Checker<'a> {
                 self.check_flow("if", false, *span);
                 self.check_expr(cond);
                 self.guard(cond, "if", false);
+                let fork = self.flow.fork();
                 self.check_stmt(then_branch);
                 if let Some(e) = else_branch {
+                    self.flow.rewind(&fork);
                     self.check_stmt(e);
                 }
+                self.flow.join(fork);
             }
             Stmt::While { cond, body, span } => {
                 self.check_flow("while", false, *span);
                 self.func_info().loop_regs += 1;
                 self.check_expr(cond);
                 self.guard(cond, "while", false);
+                let fork = self.flow.fork();
                 self.nest.loops += 1;
                 self.check_stmt(body);
                 self.nest.loops -= 1;
+                self.flow.join(fork);
             }
             Stmt::For { init, cond, step, body, span } => {
                 self.check_flow("for", false, *span);
                 self.func_info().loop_regs += 1;
-                for e in [&mut *init, &mut *cond, step].into_iter().flatten() {
+                for e in [&mut *init, &mut *cond].into_iter().flatten() {
                     self.check_expr(e);
                 }
+                // The step runs after the body: so do its uses.
+                self.flow.deferred = Some(Vec::new());
+                step.iter_mut().for_each(|step| _ = self.check_expr(step));
+                let step_uses = self.flow.deferred.take().unwrap_or_default();
                 cond.iter().for_each(|cond| self.guard(cond, "for", false));
+                let fork = self.flow.fork();
                 self.nest.loops += 1;
                 self.check_stmt(body);
                 self.nest.loops -= 1;
+                for (what, id, span) in step_uses {
+                    self.flow.apply(what, id, span);
+                }
+                self.flow.join(fork);
             }
             Stmt::Return(e, span) => {
                 self.check_flow("return", self.nest.construct, *span);
                 if let Some(e) = e {
                     self.check_expr(e);
                 }
+                self.flow.pending.clear();
             }
             Stmt::Break(span) | Stmt::Continue(span) => {
                 let span = *span;
@@ -1053,7 +1223,9 @@ impl<'a> Checker<'a> {
             step: step(Opener::Construct(uc.kind, uc.star), outer.step),
             solve: outer.solve || uc.kind == UcKind::Solve,
         };
+        let fork = self.flow.fork();
         for arm in &mut uc.arms {
+            self.flow.rewind(&fork);
             if let Some(p) = &mut arm.pred {
                 if uc.kind == UcKind::Solve {
                     self.diags
@@ -1080,9 +1252,11 @@ impl<'a> Checker<'a> {
             for p in uc.arms.iter().filter_map(|a| a.pred.as_ref()) {
                 self.pin(p, BinaryOp::Ne);
             }
+            self.flow.rewind(&fork);
             self.check_stmt(o);
             self.pins.truncate(pins);
         }
+        self.flow.join(fork);
         self.nest = outer;
         if uc.kind == UcKind::Par || (uc.kind == UcKind::Seq && outer.parallel) {
             self.keep_values(uc);
@@ -1596,6 +1770,9 @@ impl<'a> Checker<'a> {
                     return (ExprTy::Int, Rank::Scalar);
                 };
                 name.to = to;
+                if let (Ref::Local(id), Denotes::Scalar { .. }) = (to, what) {
+                    self.flow.apply(Use::Read, id, *span);
+                }
                 let rank = match what {
                     Denotes::Elem | Denotes::Scalar { depth: 1.., .. } => Rank::Parallel,
                     _ => Rank::Scalar,
@@ -1684,10 +1861,17 @@ impl<'a> Checker<'a> {
                 let (vt, vrank) = self.check_expr(value);
                 let (tt, trank) = match target.as_mut() {
                     Expr::Ident(name, tspan) => {
-                        match self.check_store_target(name, *tspan, vrank) {
-                            Some((t, rank)) => (ExprTy::of(t), rank),
-                            None => return (ExprTy::Int, vrank),
+                        let Some((t, rank)) = self.check_store_target(name, *tspan, vrank) else {
+                            return (ExprTy::Int, vrank);
+                        };
+                        if let Ref::Local(id) = name.to {
+                            // `op=` reads its target, then stores.
+                            if op.is_some() {
+                                self.flow.apply(Use::Read, id, *tspan);
+                            }
+                            self.flow.apply(Use::Store, id, *span);
                         }
+                        (ExprTy::of(t), rank)
                     }
                     Expr::Index { .. } => self.check_access(target, true),
                     _ => unreachable!("parser enforces lvalue targets"),
