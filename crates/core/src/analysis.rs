@@ -11,7 +11,7 @@
 //! |-------|---------|------|
 //! | UC101 | par write-write conflict on a mono array location | `Checked::races` |
 //! | UC110 | regular grid shift through the general router (a read displaced on 2+ axes, a store on any) | `Checked::routed` |
-//! | UC111 | regular access misaligned with the iteration space | `Checked::routed` |
+//! | UC111 | regular access misaligned with the iteration space, or routed by its array's mapping | `Checked::routed` |
 //! | UC120 | statement or reduction operand under a constant-false (empty) context | `Checked::empty_guards` |
 //! | UC121 | index set declared but never used | `IndexSetInfo::used` |
 //! | UC130 | local scalar read before initialisation | `Checked::uninit_reads` |
@@ -24,13 +24,13 @@
 //! `#define`s, a guard is empty when it values to 0 with them, a set is
 //! used when a construct, reduction, alias or map section resolves to it,
 //! and the dataflow of UC130/UC131 runs over each function body in
-//! evaluation order. UC110/UC111 skip the arrays the map section re-mapped,
-//! which follow their own transform. This module keeps no scope, walks no
-//! AST and looks no spelling up: names appear only in the messages.
+//! evaluation order. UC110/UC111 judge each access under its array's
+//! mapping, which sema fixes before it checks any body. This module keeps
+//! no scope, walks no AST and looks no spelling up: names appear only in
+//! the messages.
 
 use crate::diag::{Diagnostic, Diagnostics, Severity};
 use crate::json::{self, Value};
-use crate::mapping::ArrayMapping;
 use crate::opt::Routing;
 use crate::sema::{self, Checked, LocalUse};
 use crate::span::Span;
@@ -74,8 +74,7 @@ pub fn analyze(checked: &Checked) -> Vec<Finding> {
             ),
         );
     }
-    let default_mapped = |id| checked.array(id).mapping == ArrayMapping::Default;
-    for routed in checked.routed.iter().filter(|r| default_mapped(r.array)) {
+    for routed in &checked.routed {
         let access = &routed.access;
         let message = match routed.why {
             Routing::Shift { displaced, store: true } => format!(
@@ -98,10 +97,14 @@ pub fn analyze(checked: &Checked) -> Vec<Finding> {
                 };
                 format!(
                     "`{access}` is a regular access pattern but {reason}, so it goes through \
-                     the general router; a `map` declaration could make it local or NEWS \
-                     (§4 communication cost)"
+                     the general router under any `map` declaration (§4 communication cost)"
                 )
             }
+            Routing::Mapped => format!(
+                "`{access}` would be local or a NEWS shift under the default layout, but \
+                 the map section's layout of its array sends it through the general router \
+                 (§4 communication cost)"
+            ),
         };
         let code = if let Routing::Shift { .. } = routed.why { "UC110" } else { "UC111" };
         push(code, routed.span, message);
@@ -681,14 +684,19 @@ mod comm {
             assert!(f.is_empty(), "{f:?}");
         }
 
+        /// Each access is judged under its array's mapping: a `permute`d
+        /// read that one toroidal shift serves is clean, while a store to the
+        /// re-mapped array and a read of a folded one take the router.
         #[test]
-        fn mapped_arrays_are_skipped() {
+        fn mapped_arrays_are_judged_under_their_mapping() {
             let f = findings(
-                "index_set I:i = {0..7};\nint a[8], b[8];\n\
-                 map (I) { permute (I) a[i+1] :- b[i]; }\n\
-                 main() { par (I) b[i] = a[i-1]; }",
+                "index_set I:i = {0..7};\nint a[8], b[8], c[8];\n\
+                 map (I) { permute (I) a[i+1] :- b[i]; fold (I) c[i] :- c[7-i]; }\n\
+                 main() {\npar (I) b[i] = a[i-1];\npar (I) a[i] = c[i];\n}",
             );
-            assert!(f.is_empty(), "{f:?}");
+            let at: Vec<_> = f.iter().map(|f| (f.code, f.span.line, f.span.col)).collect();
+            assert_eq!(at, [("UC111", 6, 9), ("UC111", 6, 16)]);
+            assert!(f.iter().all(|f| f.message.contains("under the default layout")), "{f:?}");
         }
 
         /// A `solve` and a `*solve` run their accesses unclassified, a
@@ -750,7 +758,7 @@ mod comm {
             let f = findings(
                 "index_set I:i = {0..7};\nint a[16], b[8];\n\
                  map (I) { permute (I) b[i+1] :- a[i]; }\n\
-                 main() { par (I) b[i] = 1; }",
+                 main() {}",
             );
             assert!(f.is_empty(), "{f:?}");
         }

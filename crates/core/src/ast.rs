@@ -507,9 +507,6 @@ pub enum HistogramKey {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MapSection {
     pub idxs: Vec<String>,
-    /// The global definition each name in `idxs` denotes — empty from the
-    /// parser, filled by sema.
-    pub sets: Vec<SetId>,
     pub decls: Vec<MapDecl>,
     pub span: Span,
 }
@@ -522,23 +519,11 @@ pub enum MapKind {
     Copy,
 }
 
-impl MapKind {
-    pub fn keyword(self) -> &'static str {
-        match self {
-            MapKind::Permute => "permute",
-            MapKind::Fold => "fold",
-            MapKind::Copy => "copy",
-        }
-    }
-}
-
 /// One mapping declaration: `kind (I) target_pattern :- source_pattern;`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MapDecl {
     pub kind: MapKind,
     pub idxs: Vec<String>,
-    /// As [`MapSection::sets`], for this declaration's own sets.
-    pub sets: Vec<SetId>,
     /// The array being re-mapped, with index expressions over `idxs`.
     pub target: ArrayPattern,
     /// The array it is aligned against.
@@ -741,7 +726,6 @@ mod tests {
     fn uc_kind_keywords() {
         assert_eq!(UcKind::Par.keyword(), "par");
         assert_eq!(UcKind::Solve.keyword(), "solve");
-        assert_eq!(MapKind::Copy.keyword(), "copy");
     }
 
     #[test]

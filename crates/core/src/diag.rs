@@ -80,12 +80,6 @@ impl Diagnostics {
         self.items.iter().filter(|d| d.severity == Severity::Warning).count()
     }
 
-    /// Make the list deterministic for golden tests and CI diffs: sort by
-    /// span (then code, severity, message) and drop duplicates. Two coded
-    /// diagnostics are duplicates when their `(code, span)` pair is
-    /// identical (the same lint refiring on the same site, e.g. from an
-    /// access analysed both as a read and as a write); uncoded diagnostics
-    /// are deduped only when the full message also matches.
     /// Render every diagnostic prefixed with a file path, the
     /// `path:line:col: severity: message` shape editors and CI annotate.
     pub fn render_with_path(&self, path: &str) -> String {
@@ -106,6 +100,12 @@ impl Diagnostics {
         out
     }
 
+    /// Make the list deterministic for golden tests and CI diffs: sort by
+    /// span (then code, severity, message) and drop duplicates. Two coded
+    /// diagnostics are duplicates when their `(code, span)` pair is
+    /// identical (the same lint refiring on the same site, e.g. from an
+    /// access analysed both as a read and as a write); uncoded diagnostics
+    /// are deduped only when the full message also matches.
     pub fn normalize(&mut self) {
         self.items.sort_by(|a, b| {
             (a.span.start, a.span.end, a.code, a.severity, &a.message).cmp(&(

@@ -13,23 +13,27 @@
 //!   broadcasts: `copy (J) a[i] :- a[i];` keeps `|J|` replicas; reads use
 //!   a local replica, writes update all of them.
 //!
-//! Sema resolves the section like any other code — its sets and each
+//! Sema checks the section after the global declarations and before any
+//! function body. It resolves it like any other code — its sets and each
 //! declaration's to [`SetId`]s, each pattern's array to a [`Ref::Array`],
 //! every subscript identifier to an element of those sets or a `#define`
-//! — and [`crate::sema::check`] runs [`interpret_maps`] once over the
-//! result, reading subscripts through `opt::classify_index`, the
-//! classifier sema's access plan uses. Each array's mapping is
-//! then a field of its [`crate::sema::ArrayInfo`].
+//! — and interprets each declaration as it resolves it, reading
+//! subscripts through `opt::classify_index`, the classifier sema's access
+//! plan uses. Each array's mapping is then a field of its
+//! [`crate::sema::ArrayInfo`], fixed before the bodies' accesses are
+//! judged under it.
 //!
 //! The executor consults [`ArrayMapping`] on every array access: reads and
 //! writes are transformed exactly like the paper's source-to-source
 //! subscript rewriting, so **mappings never change program results** —
 //! only where elements live and therefore what communication costs.
 
-use crate::ast::{BinaryOp, Expr, Item, MapDecl, MapKind, Name, Ref, SetId};
+use uc_cm::Scalar;
+
+use crate::ast::{BinaryOp, Expr, MapDecl, MapKind, Name, Ref, SetId};
 use crate::diag::Diagnostics;
 use crate::opt::{self, IdxForm, SubForm};
-use crate::sema::Checked;
+use crate::sema::{self, Checked, IndexSetInfo};
 
 /// How one array is laid out on the machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,35 +102,25 @@ impl ArrayMapping {
     }
 }
 
-/// Interpret the map section of a program sema has resolved: the mapping
-/// of every global array, by [`Ref::Array`] id, [`ArrayMapping::Default`]
-/// where no declaration names it. A declaration that fits none of the
-/// three classes, or that maps an array a second time, is an error at
-/// that declaration. [`crate::sema::check`] calls this once and writes
-/// the result on each [`crate::sema::ArrayInfo`].
-pub fn interpret_maps(checked: &Checked, diags: &mut Diagnostics) -> Vec<ArrayMapping> {
-    let mut out = vec![ArrayMapping::Default; checked.array_names.len()];
-    let mut mapped = vec![false; out.len()];
-    let sections = checked.unit.items.iter().filter_map(|it| match it {
-        Item::Map(m) => Some(m),
-        _ => None,
-    });
-    for decl in sections.flat_map(|m| &m.decls) {
-        let Ref::Array(id) = decl.target.array.to else { continue };
-        if std::mem::replace(&mut mapped[id as usize], true) {
-            let msg = format!("array `{}` is mapped a second time", decl.target.array);
-            diags.error(decl.span, msg);
-            continue;
-        }
-        match interpret_one(checked, decl, &checked.array(id).shape) {
-            Ok(m) => out[id as usize] = m,
-            Err(msg) => diags.error(decl.span, msg),
-        }
-    }
-    out
+/// Every global array's mapping, by [`Ref::Array`] id: a copy of what
+/// sema wrote on each [`crate::sema::ArrayInfo`] as it checked the map
+/// section, whose errors it reported then, so `diags` gains nothing. Kept
+/// only for the benchmark probe, which times it, until ROADMAP item 13(b).
+pub fn interpret_maps(checked: &Checked, _diags: &mut Diagnostics) -> Vec<ArrayMapping> {
+    checked.arrays.iter().map(|a| a.mapping.clone()).collect()
 }
 
-fn interpret_one(checked: &Checked, decl: &MapDecl, shape: &[usize]) -> Result<ArrayMapping, String> {
+/// The mapping one resolved declaration gives its target array of
+/// `shape`, or why it fits none of the three classes. `sets` are the
+/// declaration's own, `table` every index-set definition, and `define`
+/// the value of an identifier resolved to a `#define`.
+pub(crate) fn interpret_one(
+    decl: &MapDecl,
+    sets: &[SetId],
+    shape: &[usize],
+    table: &[IndexSetInfo],
+    define: &dyn Fn(&Name) -> Option<Scalar>,
+) -> Result<ArrayMapping, String> {
     // Each bound set is an axis of its own, its element that axis's
     // coordinate (`lo = 0`, whatever the set's elements), so the one
     // classifier reads a subscript as `(set, constant)`.
@@ -134,10 +128,10 @@ fn interpret_one(checked: &Checked, decl: &MapDecl, shape: &[usize]) -> Result<A
         Ref::Elem(set) => Some(SubForm::Axis { axis: set as usize, lo: 0 }),
         _ => None,
     };
-    let konst = |e: &Expr| checked.const_int(e);
+    let konst = |e: &Expr| sema::int_const(e, define).ok();
     let form = |e: &Expr| {
         let shape = opt::classify_index(e, &elem_form, &|e| konst(e).is_some());
-        match opt::resolve_index(shape, e, |n| checked.define(n)) {
+        match opt::resolve_index(shape, e, define) {
             IdxForm::AxisPlus { axis, offset } => Some((axis, offset)),
             _ => None,
         }
@@ -153,7 +147,7 @@ fn interpret_one(checked: &Checked, decl: &MapDecl, shape: &[usize]) -> Result<A
                     .zip(form(s))
                     .ok_or("permute patterns must be `elem + constant` per dimension")?;
                 if ts != ss {
-                    let (te, se) = (&checked.sets[ts].elem, &checked.sets[ss].elem);
+                    let (te, se) = (&table[ts].elem, &table[ss].elem);
                     return Err(format!(
                         "permute dimensions must use the same element (found `{te}` vs `{se}`)"
                     ));
@@ -184,10 +178,10 @@ fn interpret_one(checked: &Checked, decl: &MapDecl, shape: &[usize]) -> Result<A
             // the declaration's sets whose element the target leaves out.
             let elem = |set: SetId| move |x: &Expr| matches!(x, Expr::Ident(n, _) if n.to == Ref::Elem(set as u32));
             let mut replicas = 1usize;
-            for &set in &decl.sets {
+            for &set in sets {
                 if !target.iter().any(|e| e.any(&mut elem(set))) {
                     replicas = replicas
-                        .checked_mul(checked.sets[set].elements.len())
+                        .checked_mul(table[set].elements.len())
                         .ok_or("copy mapping replica count overflows")?;
                 }
             }

@@ -43,6 +43,7 @@ use uc_cm::Scalar;
 use crate::ast::*;
 use crate::exec::{scalar_binary, scalar_unary};
 use crate::mapping::ArrayMapping;
+use crate::sema::ArrayInfo;
 use crate::span::Span;
 
 /// Evaluate `e` if it is a pure constant: literals, `INF`, identifiers
@@ -253,19 +254,25 @@ pub enum Routing {
     /// Misaligned with the space: axes transposed, or else a shape that
     /// does not conform to it.
     Misaligned { transposed: bool },
+    /// Routed only by the array's mapping: a store to a re-mapped array, a
+    /// read of a folded one, a `permute` that leaves a read displaced twice.
+    Mapped,
 }
 
 /// The [`Routing`] of a full-rank access with the value forms `forms` on a
-/// space of extents `dims` to a default-mapped array of `shape`, by the
-/// read rule ([`path`]) or the store rule: `None` where the rule picks
-/// local or NEWS, and for a true gather — a subscript that is no axis plus
-/// a constant, or axes that are no permutation of the space's.
-pub(crate) fn routing(forms: &[IdxForm], dims: &[usize], shape: &[usize], store: bool) -> Option<Routing> {
+/// space of extents `dims` to `array`, under its shape and mapping, by the
+/// read rule ([`path`]) or the store rule: `None` where the rule does not
+/// pick the router, and for a true gather — a subscript that is no axis
+/// plus a constant, or axes that are no permutation of the space's.
+pub(crate) fn routing(forms: &[IdxForm], dims: &[usize], array: &ArrayInfo, store: bool) -> Option<Routing> {
     let axis = |f: &IdxForm| if let IdxForm::AxisPlus { axis, .. } = *f { Some(axis) } else { None };
     let mut axes = forms.iter().map(axis).collect::<Option<Vec<usize>>>()?;
-    let rule = if store { store_path } else { path };
-    if rule(forms, dims, shape, &ArrayMapping::Default) != Path::Router {
+    let (rule, shape) = (if store { store_path } else { path }, &array.shape[..]);
+    if rule(forms, dims, shape, &array.mapping) != Path::Router {
         return None;
+    }
+    if rule(forms, dims, shape, &ArrayMapping::Default) != Path::Router {
+        return Some(Routing::Mapped);
     }
     let identity = axes.iter().enumerate().all(|(d, &a)| a == d);
     if identity && shape == dims {
@@ -493,6 +500,35 @@ mod tests {
         assert_eq!(path(&[axis(1, 0)], &[4, 8], &[8], &copied), Path::Local);
         assert_eq!(path(&[axis(0, 0)], &[8], &[8], &copied), Path::Router);
         assert_eq!(path(&[axis(0, 0)], &[8], &[8], &ArrayMapping::Fold { axis: 0 }), Path::Router);
+        // Why each rule routes a read and a store under each class:
+        // `Mapped` where only the mapping sends it to the router.
+        let why = |forms: &[IdxForm], mapping: &ArrayMapping, store| {
+            let array = ArrayInfo { ty: Type::Int, shape: grid.to_vec(), mapping: mapping.clone() };
+            routing(forms, &grid, &array, store)
+        };
+        let (own, shifted, twice) = ([axis(0, 0), axis(1, 0)], [axis(0, -1), axis(1, 0)], [axis(0, -1), axis(1, -1)]);
+        let shift = |displaced, store| Some(Routing::Shift { displaced, store });
+        let transposed = Some(Routing::Misaligned { transposed: true });
+        let default = ArrayMapping::Default;
+        assert_eq!((why(&own, &default, false), why(&own, &default, true)), (None, None));
+        assert_eq!((why(&shifted, &default, false), why(&shifted, &default, true)), (None, shift(1, true)));
+        assert_eq!(why(&twice, &default, false), shift(2, false));
+        // `permute (I, J) b[i+1][j] :- a[i][j]`.
+        let permuted = ArrayMapping::Permute { offsets: vec![1, 0] };
+        assert_eq!(why(&[axis(0, 1), axis(1, 0)], &permuted, false), None);
+        assert_eq!(why(&shifted, &permuted, false), None);
+        assert_eq!(why(&[axis(0, 0), axis(1, 1)], &permuted, false), Some(Routing::Mapped));
+        assert_eq!(why(&twice, &permuted, false), shift(2, false));
+        assert_eq!(why(&own, &permuted, true), Some(Routing::Mapped));
+        assert_eq!(why(&shifted, &permuted, true), shift(1, true));
+        for mapping in [ArrayMapping::Fold { axis: 0 }, ArrayMapping::Copy { replicas: 4 }] {
+            for store in [false, true] {
+                assert_eq!(why(&own, &mapping, store), Some(Routing::Mapped), "{mapping:?}");
+                assert_eq!(why(&[axis(1, 0), axis(0, 0)], &mapping, store), transposed, "{mapping:?}");
+            }
+            assert_eq!(why(&shifted, &mapping, false), Some(Routing::Mapped), "{mapping:?}");
+            assert_eq!(why(&twice, &mapping, false), shift(2, false), "{mapping:?}");
+        }
     }
 
     /// Source text of a well-typed pure expression drawn from `tape`

@@ -312,10 +312,10 @@ impl<'a> Parser<'a> {
             let source = self.array_pattern()?;
             self.expect(T::Semi, "`;` after mapping declaration")?;
             let span = dstart.to(self.prev_span());
-            decls.push(MapDecl { kind, idxs, sets: Vec::new(), target, source, span });
+            decls.push(MapDecl { kind, idxs, target, source, span });
         }
         self.expect(T::RBrace, "`}` closing the map section")?;
-        Ok(MapSection { idxs, sets: Vec::new(), decls, span: start.to(self.prev_span()) })
+        Ok(MapSection { idxs, decls, span: start.to(self.prev_span()) })
     }
 
     fn array_pattern(&mut self) -> PResult<ArrayPattern> {

@@ -6,10 +6,11 @@
 //!   sets are *constant data items* in UC — §3.1), every definition —
 //!   global or function-local — into one table, [`Checked::sets`];
 //! * array shapes are computed from constant expressions;
-//! * the map section (§4) is resolved like a body — its sets, each
-//!   pattern's array and every identifier of a pattern subscript, which
-//!   must be an element of those sets or a `#define` — and interpreted
-//!   once ([`mapping::interpret_maps`]): each array's layout is written
+//! * the map section (§4) is checked before any function body: it is
+//!   resolved like a body — its sets, each pattern's array and every
+//!   identifier of a pattern subscript, which must be an element of those
+//!   sets or a `#define` — and each declaration is interpreted as it
+//!   resolves (`mapping::interpret_one`): each array's layout is written
 //!   on its [`ArrayInfo`], and a second mapping of one array is an error;
 //! * every identifier is resolved against the scope rules of the paper,
 //!   including index-element shadowing in nested constructs (§3.4):
@@ -37,13 +38,13 @@
 //!   them — which steps do is the step table ([`step`]) the executor
 //!   reads too — its location judged by the access plan
 //!   ([`Checked::races`]); every occurrence of a regular parallel access
-//!   the path rule routes, valued with the `#define`s, none under a
-//!   `solve` ([`Checked::routed`]); every constant-false guard
-//!   ([`Checked::empty_guards`]); every index set that anything
-//!   resolves to ([`IndexSetInfo::used`]); and, in evaluation order, every
-//!   read of a scalar local no path has initialised and every store the
-//!   next one overwrites unread (`Flow`: [`Checked::uninit_reads`],
-//!   [`Checked::dead_stores`]);
+//!   the path rule routes under its array's mapping, valued with the
+//!   `#define`s, none under a `solve` ([`Checked::routed`]); every
+//!   constant-false guard ([`Checked::empty_guards`]); every index set
+//!   that anything resolves to ([`IndexSetInfo::used`]); and, in
+//!   evaluation order, every read of a scalar local no path has
+//!   initialised and every store the next one overwrites unread (`Flow`:
+//!   [`Checked::uninit_reads`], [`Checked::dead_stores`]);
 //! * UC restrictions are enforced (no `goto` — already a parse error; an
 //!   index element is read-only; `solve` arms must be proper assignments
 //!   to array elements, without `st`, and a plain `solve`'s right-hand
@@ -234,8 +235,7 @@ pub struct Race {
 }
 
 /// A regular parallel access to a global array that the path rule routes
-/// ([`opt::Routing`]), judged as default-mapped: the map section is
-/// interpreted after the bodies. UC110/UC111 report it.
+/// under the array's mapping ([`opt::Routing`]). UC110/UC111 report it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutedAccess {
     pub span: Span,
@@ -271,8 +271,7 @@ pub struct LocalUse {
 /// optimizer and the lints.
 #[derive(Debug, Clone)]
 pub struct Checked {
-    /// The unit, with every construct's, reduction's and map section's
-    /// `sets` filled in.
+    /// The unit, with every construct's and reduction's `sets` filled in.
     pub unit: Unit,
     /// Every index-set definition, global or local, in the order sema met
     /// it; a [`SetId`] indexes this table.
@@ -326,21 +325,6 @@ impl Checked {
     pub fn array(&self, id: u32) -> &ArrayInfo {
         &self.arrays[id as usize]
     }
-
-    /// The value of `e` if it is an integer constant over literals and
-    /// the `#define`s its identifiers were resolved to — [`const_eval`]
-    /// for code sema has been through, where a spelling may be shadowed.
-    pub fn const_int(&self, e: &Expr) -> Option<i64> {
-        int_const(e, |n| self.define(n)).ok()
-    }
-
-    /// The value of `n` if it was resolved to a `#define`.
-    pub fn define(&self, n: &Name) -> Option<Scalar> {
-        match n.to {
-            Ref::Const(id) => Some(Scalar::Int(self.unit.defines[id as usize].1)),
-            _ => None,
-        }
-    }
 }
 
 /// Evaluate a compile-time constant integer expression against a constant
@@ -354,7 +338,7 @@ pub fn const_eval(e: &Expr, consts: &HashMap<String, i64>) -> Result<i64, Span> 
 
 /// [`opt::eval_pure`] restricted to integers — a float literal anywhere,
 /// or a non-integer result, is not a constant here.
-fn int_const(e: &Expr, names: impl FnMut(&Name) -> Option<Scalar>) -> Result<i64, Span> {
+pub(crate) fn int_const(e: &Expr, names: impl FnMut(&Name) -> Option<Scalar>) -> Result<i64, Span> {
     let value = opt::eval_pure(e, names)?;
     let mut float = None;
     e.any(&mut |x| {
@@ -378,8 +362,8 @@ pub fn front_end(src: &str, defines: &[(&str, i64)], diags: &mut Diagnostics) ->
     check(unit, diags)
 }
 
-/// Run semantic analysis, the map section's interpretation included.
-/// Errors are recorded in `diags`; returns `None` if any were produced.
+/// Run semantic analysis. Errors are recorded in `diags`; returns `None`
+/// if any were produced.
 pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
     let mut cx = Checker {
         diags,
@@ -413,7 +397,7 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
     }
     let arrays = cx.array_names.iter().map(|n| cx.arrays.remove(n).expect("named")).collect();
     let main = cx.funcs["main"].index as usize;
-    let mut checked = Checked {
+    Some(Checked {
         unit,
         sets: cx.sets,
         arrays,
@@ -429,12 +413,7 @@ pub fn check(mut unit: Unit, diags: &mut Diagnostics) -> Option<Checked> {
         empty_guards: cx.empty_guards,
         uninit_reads: cx.flow.uninit_reads,
         dead_stores: cx.flow.dead_stores,
-    };
-    let maps = mapping::interpret_maps(&checked, diags);
-    for (array, mapping) in checked.arrays.iter_mut().zip(maps) {
-        array.mapping = mapping;
-    }
-    (!diags.has_errors()).then_some(checked)
+    })
 }
 
 /// Which functions `main` reaches, given each function's user callees.
@@ -800,13 +779,17 @@ impl<'a> Checker<'a> {
         self.global_names.sort_unstable();
         self.array_names = self.arrays.keys().cloned().collect();
         self.array_names.sort_unstable();
-        // Second pass: check function bodies — resolving their index-set
-        // names in place — and map sections.
+        // The map section, then the bodies (resolving their index-set names
+        // in place): each access is judged under its array's mapping.
+        let mut mapped = vec![false; self.array_names.len()];
         for item in &mut unit.items {
-            match item {
-                Item::Func(f) => self.check_func(f),
-                Item::Map(m) => self.check_map(m),
-                _ => {}
+            if let Item::Map(m) = item {
+                self.check_map(m, &mut mapped);
+            }
+        }
+        for item in &mut unit.items {
+            if let Item::Func(f) = item {
+                self.check_func(f);
             }
         }
         match self.funcs.get("main") {
@@ -1938,7 +1921,7 @@ impl<'a> Checker<'a> {
         let dims: Vec<usize> = self.open.iter().map(|&set| self.sets[set].elements.len()).collect();
         let resolve = |(sub, &form): (&Expr, _)| opt::resolve_index(form, sub, |n| self.define(n));
         let forms: Vec<_> = subs.iter().zip(plan).map(resolve).collect();
-        if let Some(why) = opt::routing(&forms, &dims, &self.arrays[&*base.text].shape, store) {
+        if let Some(why) = opt::routing(&forms, &dims, &self.arrays[&*base.text], store) {
             let access = crate::pretty::access(&base.text, subs);
             self.routed.push(RoutedAccess { span, array, access, why });
         }
@@ -1984,13 +1967,18 @@ impl<'a> Checker<'a> {
                 if !as_stmt {
                     self.diags.error(*span, "`swap` is a statement: it has no value");
                 }
-                // Each operand is stored the other's value.
+                // Each operand is stored the other's value once both are
+                // read: one store per operand, at the operand's own span
+                // (two at the swap's would be one deduplicated finding).
                 self.effects += 1;
                 for (k, a) in args.iter_mut().enumerate() {
                     let other = ranks.get(k ^ 1).copied().unwrap_or(Rank::Scalar);
                     match a {
                         Expr::Ident(name, span) => {
-                            self.check_store_target(name, *span, other);
+                            let stored = self.check_store_target(name, *span, other).is_some();
+                            if let (true, Ref::Local(id)) = (stored, name.to) {
+                                self.flow.apply(Use::Store, id, *span);
+                            }
                         }
                         // Read and stored: its subscripts keep copies.
                         Expr::Index { subs, .. } => lend(subs.iter_mut(), false),
@@ -2207,11 +2195,14 @@ impl<'a> Checker<'a> {
     /// Resolve a map section: its sets and each declaration's, binding
     /// their elements; each pattern's array; and every identifier of a
     /// pattern subscript, which must be one of those elements or a
-    /// `#define`. [`mapping::interpret_maps`] reads what this writes.
-    fn check_map(&mut self, m: &mut MapSection) {
-        m.sets = self.bind_sets(&m.idxs, m.span, " in map section");
+    /// `#define`. A declaration that resolves is interpreted at once and
+    /// written on its target's [`ArrayInfo`]; `mapped` marks, by array id,
+    /// what an earlier one mapped, and a second mapping is an error.
+    fn check_map(&mut self, m: &mut MapSection, mapped: &mut [bool]) {
+        self.bind_sets(&m.idxs, m.span, " in map section");
         for decl in &mut m.decls {
-            decl.sets = self.bind_sets(&decl.idxs, decl.span, " in mapping");
+            let errors = self.diags.items.len();
+            let sets = self.bind_sets(&decl.idxs, decl.span, " in mapping");
             for pat in [&mut decl.target, &mut decl.source] {
                 match self.lookup(&pat.array.text) {
                     Some((to, Denotes::Array { rank, .. })) => {
@@ -2230,6 +2221,18 @@ impl<'a> Checker<'a> {
                 pat.subs.iter_mut().for_each(|e| self.check_pattern_sub(e));
             }
             self.scopes.pop();
+            let Ref::Array(id) = decl.target.array.to else { continue };
+            if std::mem::replace(&mut mapped[id as usize], true) {
+                let msg = format!("array `{}` is mapped a second time", decl.target.array);
+                self.diags.error(decl.span, msg);
+            } else if self.diags.items.len() == errors {
+                let array = &self.array_names[id as usize];
+                let shape = &self.arrays[array].shape;
+                match mapping::interpret_one(decl, &sets, shape, &self.sets, &|n| self.define(n)) {
+                    Ok(layout) => self.arrays.get_mut(array).expect("named").mapping = layout,
+                    Err(msg) => self.diags.error(decl.span, msg),
+                }
+            }
         }
         self.scopes.pop();
     }
@@ -2772,7 +2775,7 @@ mod tests {
         let m = c.unit.items.iter().find_map(|it| if let Item::Map(m) = it { Some(m) } else { None });
         let m = m.expect("a map section");
         let (decl, i_set) = (&m.decls[0], Ref::Elem(0));
-        assert_eq!((&m.sets, &decl.sets), (&vec![0], &vec![0]));
+        assert!(set(&c, "I").used);
         assert_eq!((decl.target.array.to, decl.source.array.to), (Ref::Array(1), Ref::Array(0)));
         assert!(matches!(&decl.source.subs[0], Expr::Ident(n, _) if n.to == i_set));
         let msg = check_err(
