@@ -1,14 +1,19 @@
 //! The UC lexer.
 //!
-//! Hand-written scanner producing a token vector. Handles C and C++
-//! comments, `#define NAME <integer>` directives (the only preprocessor
-//! feature the paper's programs use — they configure problem sizes with
-//! it), decimal/float literals, and the `$op` reduction sigils.
+//! Hand-written scanner that hands out one token at a time: the parser
+//! pulls each with [`Lexer::next_token`] as it needs it, so no token
+//! outlives the parser's look at it. Handles C and C++ comments,
+//! `#define NAME <integer>` directives (the only preprocessor feature the
+//! paper's programs use — they configure problem sizes with it),
+//! decimal/float literals, and the `$op` reduction sigils. The lexer
+//! gathers the `#define` table as it scans and hands it over with
+//! [`Lexer::finish`]. [`lex`] collects a whole source's tokens into a
+//! vector; no pipeline calls it.
 //!
 //! A word is a slice of the source: keywords and `#define` names are
 //! matched on it, and an identifier token keeps only its span, whose
-//! source slice is its text. Lexing allocates the token vector and the
-//! defines table, nothing per token.
+//! source slice is its text. Lexing allocates the defines table, nothing
+//! per token.
 
 use crate::diag::Diagnostics;
 use crate::span::Span;
@@ -22,126 +27,116 @@ pub struct LexOutput {
     pub defines: Vec<(String, i64)>,
 }
 
-/// Lex UC source. Lexical errors are reported in `diags`; scanning
-/// continues so later errors are also found.
+/// Lex UC source into a token vector ending in `Eof`. Lexical errors are
+/// reported in `diags`; scanning continues so later errors are also
+/// found.
 pub fn lex(src: &str, diags: &mut Diagnostics) -> LexOutput {
-    Lexer { src, pos: 0, line: 1, col: 1, diags }.run()
+    let mut lexer = Lexer::new(src);
+    let mut tokens = Vec::new();
+    loop {
+        let t = lexer.next_token(diags);
+        tokens.push(t);
+        if t.kind == TokenKind::Eof {
+            break;
+        }
+    }
+    LexOutput { tokens, defines: lexer.finish(diags) }
 }
 
-struct Lexer<'a> {
+/// A pull-based scanner over one source.
+pub struct Lexer<'a> {
     src: &'a str,
     pos: usize,
     line: u32,
     col: u32,
-    diags: &'a mut Diagnostics,
+    defines: Vec<(String, i64)>,
 }
 
 impl<'a> Lexer<'a> {
-    fn run(mut self) -> LexOutput {
-        let mut tokens = Vec::new();
-        let mut defines = Vec::new();
+    pub fn new(src: &'a str) -> Self {
+        Lexer { src, pos: 0, line: 1, col: 1, defines: Vec::new() }
+    }
+
+    /// The next token; `Eof` at the end of the source, and again on every
+    /// later call. Lexical errors go to `diags`, and scanning goes on
+    /// past them.
+    pub fn next_token(&mut self, diags: &mut Diagnostics) -> Token {
         loop {
-            self.skip_trivia();
+            self.skip_trivia(diags);
             let start = self.pos;
             let (line, col) = (self.line, self.col);
             let Some(c) = self.peek() else {
-                tokens.push(Token {
-                    kind: TokenKind::Eof,
-                    span: Span::new(start, start, line, col),
-                });
-                break;
+                return Token { kind: TokenKind::Eof, span: Span::new(start, start, line, col) };
             };
-            match c {
+            let kind = match c {
                 b'#' => {
-                    if let Some((name, value)) = self.directive() {
-                        if defines.iter().any(|(n, _)| n == name) {
+                    if let Some((name, value)) = self.directive(diags) {
+                        if self.defines.iter().any(|(n, _)| n == name) {
                             let span = Span::new(start, self.pos, line, col);
-                            self.diags.warning(span, format!("#define {name} redefined"));
+                            diags.warning(span, format!("#define {name} redefined"));
                         }
-                        defines.push((name.to_string(), value));
+                        self.defines.push((name.to_string(), value));
                     }
+                    continue;
                 }
-                b'0'..=b'9' => {
-                    let kind = self.number();
-                    tokens.push(self.tok(kind, start, line, col));
-                }
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
-                    let kind = self.ident();
-                    tokens.push(self.tok(kind, start, line, col));
-                }
-                b'$' => {
-                    self.bump();
-                    let kind = match self.peek() {
-                        Some(b'+') => {
-                            self.bump();
-                            TokenKind::Reduce(RedOpToken::Add)
-                        }
-                        Some(b'*') => {
-                            self.bump();
-                            TokenKind::Reduce(RedOpToken::Mul)
-                        }
-                        Some(b'>') => {
-                            self.bump();
-                            TokenKind::Reduce(RedOpToken::Max)
-                        }
-                        Some(b'<') => {
-                            self.bump();
-                            TokenKind::Reduce(RedOpToken::Min)
-                        }
-                        Some(b'^') => {
-                            self.bump();
-                            TokenKind::Reduce(RedOpToken::Xor)
-                        }
-                        Some(b',') => {
-                            self.bump();
-                            TokenKind::Reduce(RedOpToken::Arb)
-                        }
-                        Some(b'&') => {
-                            self.bump();
-                            if self.peek() == Some(b'&') {
-                                self.bump();
-                            } else {
-                                self.diags.error(
-                                    Span::new(start, self.pos, line, col),
-                                    "expected `$&&` (logical-and reduction)",
-                                );
-                            }
-                            TokenKind::Reduce(RedOpToken::And)
-                        }
-                        Some(b'|') => {
-                            self.bump();
-                            if self.peek() == Some(b'|') {
-                                self.bump();
-                            } else {
-                                self.diags.error(
-                                    Span::new(start, self.pos, line, col),
-                                    "expected `$||` (logical-or reduction)",
-                                );
-                            }
-                            TokenKind::Reduce(RedOpToken::Or)
-                        }
-                        _ => {
-                            self.diags.error(
-                                Span::new(start, self.pos, line, col),
-                                "`$` must be followed by a reduction operator (+ * && || > < ^ ,)",
-                            );
-                            continue;
-                        }
-                    };
-                    tokens.push(self.tok(kind, start, line, col));
-                }
-                _ => {
-                    if let Some(kind) = self.punct() {
-                        tokens.push(self.tok(kind, start, line, col));
-                    }
-                }
-            }
+                b'0'..=b'9' => self.number(diags),
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident(),
+                b'$' => match self.reduce(diags) {
+                    Some(kind) => kind,
+                    None => continue,
+                },
+                _ => match self.punct(diags) {
+                    Some(kind) => kind,
+                    None => continue,
+                },
+            };
+            return Token { kind, span: Span::new(start, self.pos, line, col) };
         }
-        LexOutput { tokens, defines }
     }
 
-    fn tok(&self, kind: TokenKind, start: usize, line: u32, col: u32) -> Token {
-        Token { kind, span: Span::new(start, self.pos, line, col) }
+    /// Scan to the end of the source, reporting any lexical error left,
+    /// and hand over the `#define` table.
+    pub fn finish(mut self, diags: &mut Diagnostics) -> Vec<(String, i64)> {
+        while self.next_token(diags).kind != TokenKind::Eof {}
+        self.defines
+    }
+
+    /// `$` and its reduction operator; `None` after reporting a `$`
+    /// followed by none.
+    fn reduce(&mut self, diags: &mut Diagnostics) -> Option<TokenKind> {
+        let (line, col, start) = (self.line, self.col, self.pos);
+        self.bump();
+        let op = match self.peek() {
+            Some(b'+') => RedOpToken::Add,
+            Some(b'*') => RedOpToken::Mul,
+            Some(b'>') => RedOpToken::Max,
+            Some(b'<') => RedOpToken::Min,
+            Some(b'^') => RedOpToken::Xor,
+            Some(b',') => RedOpToken::Arb,
+            Some(b'&') => RedOpToken::And,
+            Some(b'|') => RedOpToken::Or,
+            _ => {
+                diags.error(
+                    Span::new(start, self.pos, line, col),
+                    "`$` must be followed by a reduction operator (+ * && || > < ^ ,)",
+                );
+                return None;
+            }
+        };
+        self.bump();
+        let doubled = match op {
+            RedOpToken::And => Some((b'&', "expected `$&&` (logical-and reduction)")),
+            RedOpToken::Or => Some((b'|', "expected `$||` (logical-or reduction)")),
+            _ => None,
+        };
+        if let Some((c, msg)) = doubled {
+            if self.peek() == Some(c) {
+                self.bump();
+            } else {
+                diags.error(Span::new(start, self.pos, line, col), msg);
+            }
+        }
+        Some(TokenKind::Reduce(op))
     }
 
     fn peek(&self) -> Option<u8> {
@@ -164,51 +159,40 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn skip_trivia(&mut self) {
+    fn skip_trivia(&mut self, diags: &mut Diagnostics) {
         loop {
             match self.peek() {
                 Some(c) if c.is_ascii_whitespace() => self.bump(),
-                Some(b'/') if self.peek2() == Some(b'/') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                Some(b'/') if self.peek2() == Some(b'*') => {
-                    let (line, col, start) = (self.line, self.col, self.pos);
-                    self.bump();
-                    self.bump();
-                    let mut closed = false;
-                    while let Some(c) = self.peek() {
-                        if c == b'*' && self.peek2() == Some(b'/') {
-                            self.bump();
-                            self.bump();
-                            closed = true;
-                            break;
-                        }
-                        self.bump();
-                    }
-                    if !closed {
-                        self.diags.error(
-                            Span::new(start, self.pos, line, col),
-                            "unterminated block comment",
-                        );
-                    }
-                }
+                Some(b'/') if self.peek2() == Some(b'/') => self.skip_to_eol(),
+                Some(b'/') if self.peek2() == Some(b'*') => self.block_comment(diags),
                 _ => break,
             }
         }
     }
 
+    /// The `/* ... */` comment at the cursor; one never closed is an error.
+    fn block_comment(&mut self, diags: &mut Diagnostics) {
+        let (line, col, start) = (self.line, self.col, self.pos);
+        self.bump();
+        self.bump();
+        while let Some(c) = self.peek() {
+            if c == b'*' && self.peek2() == Some(b'/') {
+                self.bump();
+                self.bump();
+                return;
+            }
+            self.bump();
+        }
+        diags.error(Span::new(start, self.pos, line, col), "unterminated block comment");
+    }
+
     /// `#define NAME <integer>`; other directives are reported as errors.
-    fn directive(&mut self) -> Option<(&'a str, i64)> {
+    fn directive(&mut self, diags: &mut Diagnostics) -> Option<(&'a str, i64)> {
         let (line, col, start) = (self.line, self.col, self.pos);
         self.bump(); // '#'
         let word = self.word();
         if word != "define" {
-            self.diags.error(
+            diags.error(
                 Span::new(start, self.pos, line, col),
                 format!("unsupported preprocessor directive `#{word}` (only #define NAME <int>)"),
             );
@@ -220,14 +204,14 @@ impl<'a> Lexer<'a> {
         }
         let name = self.word();
         if name.is_empty() {
-            self.diags.error(Span::new(start, self.pos, line, col), "#define needs a name");
+            diags.error(Span::new(start, self.pos, line, col), "#define needs a name");
             self.skip_to_eol();
             return None;
         }
         if TokenKind::keyword(name).is_some() {
             // The lexer would keep producing the keyword token, so the
             // constant could never be referenced.
-            self.diags.error(
+            diags.error(
                 Span::new(start, self.pos, line, col),
                 format!("#define {name}: `{name}` is a reserved word"),
             );
@@ -245,15 +229,29 @@ impl<'a> Lexer<'a> {
             self.bump();
         }
         let digits = &self.src[digits..self.pos];
+        // The value is the whole rest of the line: `#define N 1.5` and
+        // `#define N 4 5` define nothing.
+        let value = digits.parse::<i64>().ok().filter(|_| self.only_comments_to_eol(diags));
         self.skip_to_eol();
-        match digits.parse::<i64>() {
-            Ok(v) => Some((name, v)),
-            Err(_) => {
-                self.diags.error(
-                    Span::new(start, self.pos, line, col),
-                    format!("#define {name}: expected an integer value"),
-                );
-                None
+        if value.is_none() {
+            diags.error(
+                Span::new(start, self.pos, line, col),
+                format!("#define {name}: expected an integer value"),
+            );
+        }
+        Some((name, value?))
+    }
+
+    /// Skip blanks and comments up to the end of the line; false at
+    /// anything else, which is left at the cursor.
+    fn only_comments_to_eol(&mut self, diags: &mut Diagnostics) -> bool {
+        loop {
+            match self.peek() {
+                None | Some(b'\n') => return true,
+                Some(b' ' | b'\t' | b'\r') => self.bump(),
+                Some(b'/') if self.peek2() == Some(b'/') => return true,
+                Some(b'/') if self.peek2() == Some(b'*') => self.block_comment(diags),
+                _ => return false,
             }
         }
     }
@@ -277,7 +275,7 @@ impl<'a> Lexer<'a> {
         &self.src[start..self.pos]
     }
 
-    fn number(&mut self) -> TokenKind {
+    fn number(&mut self, diags: &mut Diagnostics) -> TokenKind {
         let (start, line, col) = (self.pos, self.line, self.col);
         while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.bump();
@@ -311,7 +309,7 @@ impl<'a> Lexer<'a> {
         }
         // Only digits: the parse fails on overflow alone.
         TokenKind::IntLit(text.parse().unwrap_or_else(|_| {
-            self.diags.error(
+            diags.error(
                 Span::new(start, self.pos, line, col),
                 "integer literal does not fit in 64 bits",
             );
@@ -323,7 +321,7 @@ impl<'a> Lexer<'a> {
         TokenKind::keyword(self.word()).unwrap_or(TokenKind::Ident)
     }
 
-    fn punct(&mut self) -> Option<TokenKind> {
+    fn punct(&mut self, diags: &mut Diagnostics) -> Option<TokenKind> {
         use TokenKind::*;
         let (line, col, start) = (self.line, self.col, self.pos);
         let c = self.peek()?;
@@ -352,7 +350,7 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     DotDot
                 } else {
-                    self.diags.error(
+                    diags.error(
                         Span::new(start, self.pos, line, col),
                         "stray `.` (ranges are written `{lo..hi}`)",
                     );
@@ -406,7 +404,7 @@ impl<'a> Lexer<'a> {
                 // this arm consumes a non-ASCII byte outside a comment.
                 let other = self.src[start..].chars().next().expect("a byte was peeked");
                 self.pos = start + other.len_utf8();
-                self.diags.error(
+                diags.error(
                     Span::new(start, self.pos, line, col),
                     format!("unexpected character `{other}`"),
                 );
@@ -624,6 +622,24 @@ mod tests {
             assert_eq!(t.span.col as usize, t.span.start + 1, "{src}");
         }
         assert!(!d.has_errors(), "{d}");
+    }
+
+    #[test]
+    fn the_token_source_repeats_eof_and_finish_reports_what_is_left() {
+        let src = "#define N 2\nint a;\n@ #define M 3";
+        let mut d = Diagnostics::default();
+        let mut lexer = Lexer::new(src);
+        assert_eq!(lexer.next_token(&mut d).kind, KwInt);
+        assert!(d.is_empty());
+        // `finish` scans the rest: the stray `@`, then the second define.
+        let defines = lexer.finish(&mut d);
+        assert_eq!(defines, [("N".to_string(), 2), ("M".to_string(), 3)]);
+        assert_eq!(d.items.len(), 1, "{d}");
+        let mut lexer = Lexer::new("x");
+        assert_eq!(lexer.next_token(&mut d).kind, Ident);
+        let eof = lexer.next_token(&mut d);
+        assert_eq!((eof.kind, eof.span.start), (Eof, 1));
+        assert_eq!(lexer.next_token(&mut d), eof);
     }
 
     #[test]

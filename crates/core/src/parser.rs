@@ -5,9 +5,11 @@
 //! declarations, reduction expressions, the four constructs with their
 //! `st`/`others` arms and `*` iteration prefix, and the map section of §4.
 //!
-//! Tokens are `Copy` and carry no text; the parser reads an identifier's
-//! spelling from the source through its span, and allocates a name only
-//! where the AST keeps one.
+//! The parser pulls its tokens from a [`Lexer`] one at a time and keeps
+//! three of them: the previous, the current and the next, the most any
+//! rule looks at. Tokens are `Copy` and carry no text; the parser reads
+//! an identifier's spelling from the source through its span, and
+//! allocates a name only where the AST keeps one.
 //!
 //! `sc-block` binding follows the paper's dangling-`else`-style rule: an
 //! `st`/`others` arm binds to the innermost construct; braces force a
@@ -15,32 +17,54 @@
 
 use crate::ast::*;
 use crate::diag::Diagnostics;
-use crate::lexer::{lex, LexOutput};
+use crate::lexer::Lexer;
 use crate::span::Span;
 use crate::stdlib::Builtin;
 use crate::token::{Token, TokenKind, TokenKind as T};
 
 /// Parse a UC translation unit. Returns `None` if errors were found (all
 /// recorded in `diags`).
+///
+/// A source with a lexical error reports its lexical diagnostics only:
+/// the parser's own are kept apart and added after the lexer's only when
+/// the lexer reported no error (nor had `diags` one already).
 pub fn parse(src: &str, diags: &mut Diagnostics) -> Option<Unit> {
-    let LexOutput { tokens, defines } = lex(src, diags);
-    if diags.has_errors() {
-        return None;
+    let mut lexer = Lexer::new(src);
+    let first = lexer.next_token(diags);
+    let next = lexer.next_token(diags);
+    let mut p = Parser {
+        src,
+        lexer,
+        lex_diags: diags,
+        prev: first,
+        cur: first,
+        next,
+        consumed: 0,
+        diags: Diagnostics::default(),
+    };
+    let items = p.unit();
+    let Parser { lexer, lex_diags: diags, diags: parsed, .. } = p;
+    let defines = lexer.finish(diags);
+    if !diags.has_errors() {
+        diags.items.extend(parsed.items);
     }
-    let mut p = Parser { src, tokens, pos: 0, diags };
-    let unit = p.unit(defines);
-    if p.diags.has_errors() {
-        None
-    } else {
-        Some(unit)
-    }
+    (!diags.has_errors()).then_some(Unit { items, defines })
 }
 
 struct Parser<'a> {
     src: &'a str,
-    tokens: Vec<Token>,
-    pos: usize,
-    diags: &'a mut Diagnostics,
+    lexer: Lexer<'a>,
+    /// Where the lexer reports: the caller's list.
+    lex_diags: &'a mut Diagnostics,
+    /// The token before `cur` (`cur` itself before the first `bump`).
+    prev: Token,
+    cur: Token,
+    next: Token,
+    /// Tokens `bump` has moved past, for the top level's progress check.
+    consumed: usize,
+    /// The parser's own reports, which `parse` keeps only if lexing had
+    /// no error.
+    diags: Diagnostics,
 }
 
 type PResult<T> = Result<T, ()>;
@@ -48,30 +72,30 @@ type PResult<T> = Result<T, ()>;
 impl<'a> Parser<'a> {
     // ---- token plumbing ---------------------------------------------------
 
-    fn cur(&self) -> Token {
-        self.tokens[self.pos.min(self.tokens.len() - 1)]
-    }
-
     fn peek(&self) -> TokenKind {
-        self.cur().kind
+        self.cur.kind
     }
 
     fn peek2(&self) -> TokenKind {
-        self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
+        self.next.kind
     }
 
     fn span(&self) -> Span {
-        self.cur().span
+        self.cur.span
     }
 
     fn prev_span(&self) -> Span {
-        self.tokens[self.pos.saturating_sub(1).min(self.tokens.len() - 1)].span
+        self.prev.span
     }
 
+    /// Consume the current token; at `Eof`, stay there.
     fn bump(&mut self) -> Token {
-        let t = self.cur();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+        let t = self.cur;
+        if t.kind != T::Eof {
+            self.prev = t;
+            self.cur = self.next;
+            self.next = self.lexer.next_token(self.lex_diags);
+            self.consumed += 1;
         }
         t
     }
@@ -81,12 +105,12 @@ impl<'a> Parser<'a> {
         &self.src[t.span.start..t.span.end]
     }
 
-    /// A token as a diagnostic names it: its kind, with an identifier's
-    /// spelling.
+    /// A token as a diagnostic names it: as it is written.
     fn describe(&self, t: Token) -> String {
         match t.kind {
-            T::Ident => format!("Ident({:?})", self.text(t)),
-            k => format!("{k:?}"),
+            T::Eof => "end of input".to_string(),
+            T::Ident => format!("identifier `{}`", self.text(t)),
+            _ => format!("`{}`", self.text(t)),
         }
     }
 
@@ -113,7 +137,7 @@ impl<'a> Parser<'a> {
 
     /// Report that the current token is not `what`.
     fn expected<X>(&mut self, what: &str) -> PResult<X> {
-        let msg = format!("expected {what}, found {}", self.describe(self.cur()));
+        let msg = format!("expected {what}, found {}", self.describe(self.cur));
         self.diags.error(self.span(), msg);
         Err(())
     }
@@ -145,10 +169,10 @@ impl<'a> Parser<'a> {
 
     // ---- top level --------------------------------------------------------
 
-    fn unit(&mut self, defines: Vec<(String, i64)>) -> Unit {
+    fn unit(&mut self) -> Vec<Item> {
         let mut items = Vec::new();
         while !self.at(T::Eof) {
-            let before = self.pos;
+            let before = self.consumed;
             match self.item() {
                 Ok(batch) => items.extend(batch),
                 Err(()) => self.synchronize(),
@@ -156,11 +180,11 @@ impl<'a> Parser<'a> {
             // `synchronize` stops *before* `}` (it must not eat the brace
             // when recovering inside a block), so a stray `}` at top level
             // would otherwise leave the cursor parked and loop forever.
-            if self.pos == before && !self.at(T::Eof) {
+            if self.consumed == before && !self.at(T::Eof) {
                 self.bump();
             }
         }
-        Unit { items, defines }
+        items
     }
 
     fn item(&mut self) -> PResult<Vec<Item>> {
@@ -690,7 +714,7 @@ impl<'a> Parser<'a> {
     }
 
     fn primary(&mut self) -> PResult<Expr> {
-        let t = self.cur();
+        let t = self.cur;
         let span = t.span;
         match t.kind {
             T::IntLit(v) => {

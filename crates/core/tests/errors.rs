@@ -532,6 +532,79 @@ fn a_redefined_define_warns_at_the_second() {
     assert_eq!(uc120(&[("N", 1)]), 1);
 }
 
+/// Every diagnostic `parse` gives `src`, as `Display` prints it.
+fn parse_diagnostics(src: &str) -> Vec<String> {
+    let mut diags = Diagnostics::default();
+    let unit = parse(src, &mut diags);
+    assert_eq!(unit.is_none(), diags.has_errors(), "{src}: {diags}");
+    diags.items.iter().map(|d| d.to_string()).collect()
+}
+
+/// A `#define`'s value is an integer and nothing after it but blanks and
+/// comments: text after the digits is an error, never dropped.
+#[test]
+fn a_define_value_is_the_whole_rest_of_its_line() {
+    for src in ["#define N 1.5\nint a;\n", "#define N 4 5\nint a;\n", "#define N 4;\nint a;\n"] {
+        assert_eq!(
+            parse_diagnostics(src),
+            ["error: #define N: expected an integer value at 1:1"],
+            "{src}"
+        );
+    }
+    for src in [
+        "#define N 4\nint a;\n",
+        "#define N 4 \t\r\nint a;\n",
+        "#define N 4 // four\nint a;\n",
+        "#define N 4 /* four */\nint a;\n",
+        "#define N 4 /* four,\n   over two lines */\nint a;\n",
+        "#define N 4",
+    ] {
+        let mut diags = Diagnostics::default();
+        let unit = parse(src, &mut diags).unwrap_or_else(|| panic!("{src:?}: {diags}"));
+        assert_eq!(unit.defines, [("N".to_string(), 4)], "{src:?}");
+    }
+}
+
+/// A parse error names the token it found as the source writes it.
+#[test]
+fn a_parse_error_names_the_token_as_written() {
+    for (src, found) in [
+        ("main() { a = N }", "`}`"),
+        ("main() { a = 1 b; }", "identifier `b`"),
+        ("main() { a = b 2; }", "`2`"),
+        ("main() { a = b 2.5; }", "`2.5`"),
+        ("main() { a = b par (I) ; }", "`par`"),
+        ("main() { a = b $+(I; 1); }", "`$+`"),
+        ("main() { a = 1", "end of input"),
+    ] {
+        let diags = parse_diagnostics(src);
+        let expected = format!("expected `;` after expression statement, found {found}");
+        assert!(diags[0].starts_with(&format!("error: {expected} at ")), "{src}: {diags:?}");
+    }
+}
+
+/// A lexical error silences every parse error, before it or after it, and
+/// every lexical error is reported; a lexer warning comes before the
+/// parse errors.
+#[test]
+fn lexical_errors_come_alone_and_all_of_them() {
+    let cases: [(&str, &[&str]); 4] = [
+        ("int a @;\nmain() { a = }", &["error: unexpected character `@` at 1:7"]),
+        ("main() { a = }\nint b @;", &["error: unexpected character `@` at 2:7"]),
+        ("int a @;\nint b $;\nmain() { a = }", &[
+            "error: unexpected character `@` at 1:7",
+            "error: `$` must be followed by a reduction operator (+ * && || > < ^ ,) at 2:7",
+        ]),
+        ("#define N 1\n#define N 2\nint a;\nmain() { a = N }", &[
+            "warning: #define N redefined at 2:1",
+            "error: expected `;` after expression statement, found `}` at 4:16",
+        ]),
+    ];
+    for (src, expected) in cases {
+        assert_eq!(parse_diagnostics(src), expected, "{src}");
+    }
+}
+
 /// A `void` variable is bound as an `int`: its uses report nothing
 /// beyond the two real errors, from both entry points.
 #[test]

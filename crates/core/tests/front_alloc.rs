@@ -2,10 +2,13 @@
 //!
 //! A token carries no text (an identifier's is the source its span
 //! covers), and keywords and `#define` names are matched on slices of the
-//! source, so `lexer::lex` allocates the token vector, the defines table
-//! and nothing else. This test installs a counting global allocator and
-//! lexes declarations of 100 and of 10 000 distinct identifiers: the two
-//! counts may differ only by the token vector's extra doublings.
+//! source, so `Lexer::next_token`, which the parser pulls its tokens
+//! from, allocates nothing but the defines table's entries. This test
+//! installs a counting global allocator and runs `lexer::lex`, which
+//! collects those tokens into a vector, over declarations of 100 and of
+//! 10 000 distinct identifiers: the two counts may differ only by the
+//! token vector's extra doublings. (`parse_heap.rs` shows that `parse`
+//! keeps no such vector.)
 //!
 //! The counter is process-wide, so the test lives alone in this file.
 
