@@ -14,6 +14,8 @@
 //! and stores they treat specially — delegates to these instead of
 //! spelling out its own pass-through arms.
 
+use std::sync::Arc;
+
 use crate::span::Span;
 use crate::token::RedOpToken;
 
@@ -93,14 +95,20 @@ pub enum Ref {
 
 /// One occurrence of an identifier: its spelling, for diagnostics and
 /// rendering, and what sema resolved it to.
+///
+/// The spelling is shared: the parser allocates one `Arc<str>` per
+/// distinct identifier of a source and hands every occurrence a clone,
+/// so a name costs a reference count, not an allocation, and dropping
+/// the tree frees each spelling once. An `Arc<str>` is two words, so a
+/// `Name` is the size of a `String`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Name {
-    pub text: Box<str>,
+    pub text: Arc<str>,
     pub to: Ref,
 }
 
 impl Name {
-    pub fn new(text: impl Into<Box<str>>) -> Name {
+    pub fn new(text: impl Into<Arc<str>>) -> Name {
         Name { text: text.into(), to: Ref::Unresolved }
     }
 }
@@ -401,6 +409,16 @@ impl BinaryOp {
 }
 
 /// Expressions.
+///
+/// The allocation rule: one block per operator node, none per operand
+/// and none per identifier. An operator's operands sit side by side in
+/// one box (`[lhs, rhs]` of an [`Expr::Binary`] or an [`Expr::Assign`],
+/// `[cond, then, else]` of an [`Expr::Ternary`]; a match destructures
+/// them with `let [lhs, rhs] = &**ops;`), and an identifier shares its
+/// spelling ([`Name`]). The reason is the tree's drop, which frees every
+/// block one at a time: a box per operand and a string per occurrence
+/// make a large program's tree take as long to free as to parse, most of
+/// it in the allocator consolidating small blocks.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     IntLit(i64, Span),
@@ -413,27 +431,22 @@ pub enum Expr {
     /// consumer is done with the value before anything can write the
     /// array, so a local read may hand it the array's own storage.
     Index { base: Name, subs: Vec<Expr>, span: Span, access: ValueId, borrow: bool },
-    /// `name(args...)`; `name` is the spelling, for diagnostics and
-    /// rendering. No call's value is kept: `rand()` draws anew, a user
-    /// function may do anything, and `swap` is a statement. The three
-    /// operator nodes' `value` is [`NO_VALUE`] from the parser; sema may
-    /// fill it.
-    Call { name: Box<str>, callee: Callee, args: Vec<Expr>, span: Span },
+    /// `name(args...)`; `name` is the spelling, shared as a [`Name`]'s
+    /// is, for diagnostics and rendering. No call's value is kept:
+    /// `rand()` draws anew, a user function may do anything, and `swap`
+    /// is a statement. The three operator nodes' `value` is [`NO_VALUE`]
+    /// from the parser; sema may fill it.
+    Call { name: Arc<str>, callee: Callee, args: Vec<Expr>, span: Span },
     Unary { op: UnaryOp, expr: Box<Expr>, span: Span, value: ValueId },
-    Binary { op: BinaryOp, lhs: Box<Expr>, rhs: Box<Expr>, span: Span, value: ValueId },
-    /// `cond ? then_e : else_e`; `float` is false from the parser, and
-    /// sema sets it where the arms' joined type is a float, which both
-    /// arms are coerced to.
-    Ternary {
-        cond: Box<Expr>,
-        then_e: Box<Expr>,
-        else_e: Box<Expr>,
-        span: Span,
-        value: ValueId,
-        float: bool,
-    },
-    /// `lhs = value` or a compound assignment `lhs op= value`.
-    Assign { target: Box<Expr>, op: Option<BinaryOp>, value: Box<Expr>, span: Span },
+    /// `lhs op rhs`, its operands `[lhs, rhs]`.
+    Binary { op: BinaryOp, ops: Box<[Expr; 2]>, span: Span, value: ValueId },
+    /// `cond ? then : else`, its operands `[cond, then, else]`; `float`
+    /// is false from the parser, and sema sets it where the arms' joined
+    /// type is a float, which both arms are coerced to.
+    Ternary { ops: Box<[Expr; 3]>, span: Span, value: ValueId, float: bool },
+    /// `target = value` or a compound assignment `target op= value`, its
+    /// operands `[target, value]`.
+    Assign { op: Option<BinaryOp>, ops: Box<[Expr; 2]>, span: Span },
     Reduce(Box<ReduceExpr>),
 }
 
@@ -569,18 +582,15 @@ macro_rules! child_walkers {
                         }
                     }
                     Expr::Unary { expr, .. } => f(expr),
-                    Expr::Binary { lhs, rhs, .. } => {
-                        f(lhs);
-                        f(rhs);
+                    Expr::Binary { ops, .. } | Expr::Assign { ops, .. } => {
+                        for e in &$($mt)? **ops {
+                            f(e);
+                        }
                     }
-                    Expr::Ternary { cond, then_e, else_e, .. } => {
-                        f(cond);
-                        f(then_e);
-                        f(else_e);
-                    }
-                    Expr::Assign { target, value, .. } => {
-                        f(target);
-                        f(value);
+                    Expr::Ternary { ops, .. } => {
+                        for e in &$($mt)? **ops {
+                            f(e);
+                        }
                     }
                     Expr::Reduce(r) => {
                         for (pred, operand) in &$($mt)? r.arms {

@@ -48,12 +48,13 @@ impl Run<'_> {
                 let v = self.eval(expr)?;
                 self.apply_unary(*op, v)
             }
-            Expr::Binary { op, lhs, rhs, .. } => {
-                let l = self.eval(lhs)?;
-                let r = self.eval(rhs)?;
+            Expr::Binary { op, ops, .. } => {
+                let l = self.eval(&ops[0])?;
+                let r = self.eval(&ops[1])?;
                 self.apply_binary(*op, l, r)
             }
-            Expr::Ternary { cond, then_e, else_e, .. } => {
+            Expr::Ternary { ops, .. } => {
+                let [cond, then_e, else_e] = &**ops;
                 let c = self.eval(cond)?;
                 let c = self.truthify(c)?;
                 let t = self.eval(then_e)?;
@@ -61,7 +62,7 @@ impl Run<'_> {
                 let ty = self.common_type(&t, &f)?;
                 self.select(c, t, f, ty)
             }
-            Expr::Assign { target, op, value, .. } => self.eval_assign(target, *op, value),
+            Expr::Assign { op, ops, .. } => self.eval_assign(&ops[0], *op, &ops[1]),
             Expr::Reduce(r) => self.eval_reduce(r),
         }
     }

@@ -58,7 +58,6 @@ mod stmt;
 mod vm;
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use uc_cm::{CmError, ElemType, FieldId, Machine, MachineConfig, MachineLimits, Scalar, VpSetId};
 
@@ -68,6 +67,7 @@ use crate::ir::IrProgram;
 use crate::mapping::ArrayMapping;
 use crate::opt;
 use crate::sema::{self, Checked};
+use crate::FxMap;
 use crate::span::Span;
 
 pub use space::ParCtx;
@@ -307,28 +307,6 @@ pub(crate) enum Storage {
     Array(Ref),
     Defined(usize),
 }
-
-/// The executor caches' hasher, FxHash's multiply-rotate: their keys come
-/// from the program text and each entry holds machine storage charged to
-/// the memory budget, so SipHash's flooding resistance buys nothing.
-#[derive(Default)]
-pub(crate) struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            let word = u64::from_ne_bytes(word);
-            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// One function activation — the only record of it: which function,
 /// where its registers and sweeps start in [`Run::regs`] and

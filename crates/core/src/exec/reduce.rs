@@ -155,10 +155,10 @@ impl Run<'_> {
     /// the one-axis level of `elem`: evaluated on the reduction's own sets
     /// alone and sent by key.
     fn histogram(&mut self, r: &ReduceExpr, side: HistogramKey) -> RResult<PV> {
-        let [(Some(Expr::Binary { lhs, rhs, .. }), operand)] = &r.arms[..] else {
+        let [(Some(Expr::Binary { ops, .. }), operand)] = &r.arms[..] else {
             unreachable!("sema marks only a reduction of one `key == elem` arm")
         };
-        let key_expr = if side == HistogramKey::Lhs { lhs } else { rhs };
+        let key_expr = &ops[if side == HistogramKey::Lhs { 0 } else { 1 }];
         let (identity, combine) = identity_combine(r.op, ElemType::Int);
         let outer_vp = self.ctx[0].vp;
         let outer_extent = self.ctx[0].dims[0] as i64;

@@ -409,10 +409,11 @@ impl Run<'_> {
                 self.all_defined(elem_def, subs.iter(), def_maps)
             }
             Expr::Unary { expr, .. } => self.rhs_defined(expr, def_maps),
-            Expr::Binary { lhs, rhs, .. } => {
-                self.all_defined(PV::Scalar(Scalar::Bool(true)), [&**lhs, &**rhs], def_maps)
+            Expr::Binary { ops, .. } => {
+                self.all_defined(PV::Scalar(Scalar::Bool(true)), ops.iter(), def_maps)
             }
-            Expr::Ternary { cond, then_e, else_e, .. } => {
+            Expr::Ternary { ops, .. } => {
+                let [cond, then_e, else_e] = &**ops;
                 // defined(cond) && (cond ? defined(then) : defined(else))
                 let cdef = self.rhs_defined(cond, def_maps)?;
                 let tdef = self.rhs_defined(then_e, def_maps)?;
@@ -506,9 +507,7 @@ impl Run<'_> {
 /// in an arm but blocks of them.
 fn solve_assignments(s: &Stmt) -> Box<dyn Iterator<Item = (&Expr, Option<BinaryOp>, &Expr)> + '_> {
     match s {
-        Stmt::Expr(Expr::Assign { target, op, value, .. }) => {
-            Box::new(std::iter::once((&**target, *op, &**value)))
-        }
+        Stmt::Expr(Expr::Assign { op, ops, .. }) => Box::new(std::iter::once((&ops[0], *op, &ops[1]))),
         Stmt::Block(b) => Box::new(b.stmts.iter().flat_map(solve_assignments)),
         _ => Box::new(std::iter::empty()),
     }

@@ -104,8 +104,9 @@ struct FuncStats {
 fn reads_need_copies(e: &Expr) -> bool {
     let assigns = |e: &Expr| e.any(&mut |x| matches!(x, Expr::Assign { .. }));
     let mut v = e;
-    while let Expr::Assign { target, value, .. } = v {
-        if matches!(**target, Expr::Index { .. }) && assigns(target) {
+    while let Expr::Assign { ops, .. } = v {
+        let [target, value] = &**ops;
+        if matches!(target, Expr::Index { .. }) && assigns(target) {
             return true;
         }
         v = value;
@@ -401,8 +402,9 @@ impl<'a> Lowerer<'a> {
                 self.emit(Instr::EvalEffect { e });
             }
             // Nothing reads the assignment's value.
-            Expr::Assign { target, op, value, .. } => {
+            Expr::Assign { op, ops, .. } => {
                 self.copy_reads = reads_need_copies(e);
+                let [target, value] = &**ops;
                 self.go_assign(self.target(target), *op, value);
             }
             _ => _ = self.lower_value(e),
@@ -452,7 +454,8 @@ impl<'a> Lowerer<'a> {
                 self.emit(Instr::Un { op: *op, dst: t, a });
                 (t, repr)
             }
-            Expr::Binary { op: op @ (BinaryOp::LogAnd | BinaryOp::LogOr), lhs, rhs, .. } => {
+            Expr::Binary { op: op @ (BinaryOp::LogAnd | BinaryOp::LogOr), ops, .. } => {
+                let [lhs, rhs] = &**ops;
                 let (a, _) = self.go_expr(lhs, None);
                 let t = self.temp();
                 self.emit(Instr::Truthy { dst: t, src: a });
@@ -467,7 +470,8 @@ impl<'a> Lowerer<'a> {
                 self.bind(end);
                 (t, Some(false))
             }
-            Expr::Binary { op, lhs, rhs, .. } => {
+            Expr::Binary { op, ops, .. } => {
+                let [lhs, rhs] = &**ops;
                 let (a, ra) = self.go_expr(lhs, None);
                 let (b, rb) = self.go_expr(rhs, None);
                 let repr = bin_repr(*op, ra, rb);
@@ -475,7 +479,8 @@ impl<'a> Lowerer<'a> {
                 self.emit(Instr::Bin { op: *op, dst: t, a, b });
                 (t, repr)
             }
-            Expr::Ternary { cond, then_e, else_e, float, .. } => {
+            Expr::Ternary { ops, float, .. } => {
+                let [cond, then_e, else_e] = &**ops;
                 let (c, _) = self.go_expr(cond, None);
                 let t = self.temp();
                 let lelse = self.new_label();
@@ -490,7 +495,8 @@ impl<'a> Lowerer<'a> {
             }
             Expr::Call { callee: Callee::Builtin(Builtin::Swap), args, .. } => self.go_swap(args),
             Expr::Call { callee, args, .. } => self.go_call(*callee, args, want),
-            Expr::Assign { target, op, value, .. } => {
+            Expr::Assign { op, ops, .. } => {
+                let [target, value] = &**ops;
                 let (float, (r, repr)) = self.go_assign(self.target(target), *op, value);
                 if repr == Some(float) {
                     return (r, repr);

@@ -4,7 +4,9 @@
 //! pulls each with [`Lexer::next_token`] as it needs it, so no token
 //! outlives the parser's look at it. Handles C and C++ comments,
 //! `#define NAME <integer>` directives (the only preprocessor feature the
-//! paper's programs use — they configure problem sizes with it),
+//! paper's programs use — they configure problem sizes with it; as in C,
+//! a `#` starts a directive only as the first non-blank character of its
+//! line, and is an error anywhere else),
 //! decimal/float literals, and the `$op` reduction sigils. The lexer
 //! gathers the `#define` table as it scans and hands it over with
 //! [`Lexer::finish`]. [`lex`] collects a whole source's tokens into a
@@ -14,6 +16,8 @@
 //! matched on it, and an identifier token keeps only its span, whose
 //! source slice is its text. Lexing allocates the defines table, nothing
 //! per token.
+
+use std::collections::HashSet;
 
 use crate::diag::Diagnostics;
 use crate::span::Span;
@@ -50,11 +54,14 @@ pub struct Lexer<'a> {
     line: u32,
     col: u32,
     defines: Vec<(String, i64)>,
+    /// The names in `defines`, so spotting a redefinition does not scan
+    /// every earlier directive.
+    defined: HashSet<&'a str>,
 }
 
 impl<'a> Lexer<'a> {
     pub fn new(src: &'a str) -> Self {
-        Lexer { src, pos: 0, line: 1, col: 1, defines: Vec::new() }
+        Lexer { src, pos: 0, line: 1, col: 1, defines: Vec::new(), defined: HashSet::new() }
     }
 
     /// The next token; `Eof` at the end of the source, and again on every
@@ -69,14 +76,22 @@ impl<'a> Lexer<'a> {
                 return Token { kind: TokenKind::Eof, span: Span::new(start, start, line, col) };
             };
             let kind = match c {
-                b'#' => {
+                b'#' if self.starts_its_line(start) => {
                     if let Some((name, value)) = self.directive(diags) {
-                        if self.defines.iter().any(|(n, _)| n == name) {
+                        if !self.defined.insert(name) {
                             let span = Span::new(start, self.pos, line, col);
                             diags.warning(span, format!("#define {name} redefined"));
                         }
                         self.defines.push((name.to_string(), value));
                     }
+                    continue;
+                }
+                b'#' => {
+                    self.bump();
+                    diags.error(
+                        Span::new(start, self.pos, line, col),
+                        "stray `#`: a directive must be the first thing on its line",
+                    );
                     continue;
                 }
                 b'0'..=b'9' => self.number(diags),
@@ -137,6 +152,12 @@ impl<'a> Lexer<'a> {
             }
         }
         Some(TokenKind::Reduce(op))
+    }
+
+    /// Whether only blanks stand between the start of its line and `pos`.
+    fn starts_its_line(&self, pos: usize) -> bool {
+        let before = self.src.as_bytes()[..pos].iter().rev();
+        before.take_while(|&&c| c != b'\n').all(u8::is_ascii_whitespace)
     }
 
     fn peek(&self) -> Option<u8> {
@@ -626,7 +647,7 @@ mod tests {
 
     #[test]
     fn the_token_source_repeats_eof_and_finish_reports_what_is_left() {
-        let src = "#define N 2\nint a;\n@ #define M 3";
+        let src = "#define N 2\nint a;\n@\n#define M 3";
         let mut d = Diagnostics::default();
         let mut lexer = Lexer::new(src);
         assert_eq!(lexer.next_token(&mut d).kind, KwInt);

@@ -62,3 +62,29 @@ pub mod token;
 pub use diag::{Diagnostic, Diagnostics, Severity};
 pub use exec::{ExecConfig, ExecLimits, IrOpt, Program, RunError, RuntimeError};
 pub use span::Span;
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// FxHash's multiply-rotate, for the tables whose keys come from the
+/// program text: the parser's spellings and the executor's caches. Their
+/// entries are bounded by the source or charged to the memory budget, so
+/// SipHash's flooding resistance buys nothing.
+#[derive(Default)]
+pub(crate) struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let word = u64::from_ne_bytes(word);
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        }
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;

@@ -164,8 +164,8 @@ pub(crate) fn interpret_one(
             // element and whose source mirrors it.
             let mirrored = |(d, (t, s)): (usize, (&Expr, &Expr))| {
                 let (set, 0) = form(t)? else { return None };
-                let Expr::Binary { op: BinaryOp::Sub, lhs, rhs, .. } = s else { return None };
-                let Expr::Ident(elem, _) = rhs.as_ref() else { return None };
+                let Expr::Binary { op: BinaryOp::Sub, ops, .. } = s else { return None };
+                let [lhs, Expr::Ident(elem, _)] = &**ops else { return None };
                 let top = shape[d] as i64 - 1;
                 (elem.to == Ref::Elem(set as u32) && konst(lhs)? == top).then_some(d)
             };

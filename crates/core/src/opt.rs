@@ -68,11 +68,13 @@ fn eval(e: &Expr, names: &mut dyn FnMut(&Name) -> Option<Scalar>) -> Result<Scal
         Expr::Inf(_) => Scalar::Int(i64::MAX),
         Expr::Ident(name, span) => names(name).ok_or(*span)?,
         Expr::Unary { op, expr, .. } => scalar_unary(*op, eval(expr, names)?),
-        Expr::Binary { op, lhs, rhs, span, .. } => {
+        Expr::Binary { op, ops, span, .. } => {
+            let [lhs, rhs] = &**ops;
             let (l, r) = (eval(lhs, names)?, eval(rhs, names)?);
             scalar_binary(*op, l, r).map_err(|_| *span)?
         }
-        Expr::Ternary { cond, then_e, else_e, .. } => {
+        Expr::Ternary { ops, .. } => {
+            let [cond, then_e, else_e] = &**ops;
             let taken = if eval(cond, names)?.as_bool() { then_e } else { else_e };
             let value = eval(taken, names)?;
             if floats(then_e, names) || floats(else_e, names) {
@@ -109,10 +111,13 @@ fn floats(e: &Expr, names: &mut dyn FnMut(&Name) -> Option<Scalar>) -> bool {
         Expr::FloatLit(..) => true,
         Expr::Ident(name, _) => matches!(names(name), Some(Scalar::Float(_))),
         Expr::Unary { op: UnaryOp::Neg | UnaryOp::Abs, expr, .. } => floats(expr, names),
-        Expr::Binary { op: Add | Sub | Mul | Div | Min | Max, lhs, rhs, .. } => {
-            floats(lhs, names) || floats(rhs, names)
+        Expr::Binary { op: Add | Sub | Mul | Div | Min | Max, ops, .. } => {
+            ops.iter().any(|e| floats(e, names))
         }
-        Expr::Ternary { then_e, else_e, .. } => floats(then_e, names) || floats(else_e, names),
+        Expr::Ternary { ops, .. } => {
+            let [_, then_e, else_e] = &**ops;
+            floats(then_e, names) || floats(else_e, names)
+        }
         _ => false,
     }
 }
@@ -144,9 +149,9 @@ where
     if scalar(e) {
         return SubForm::Scalar;
     }
-    if let Expr::Binary { op: op @ (BinaryOp::Add | BinaryOp::Sub), lhs, rhs, .. } = e {
-        let l = classify_index(lhs.as_ref(), elem, scalar);
-        let r = classify_index(rhs.as_ref(), elem, scalar);
+    if let Expr::Binary { op: op @ (BinaryOp::Add | BinaryOp::Sub), ops, .. } = e {
+        let [lhs, rhs] = &**ops;
+        let (l, r) = (classify_index(lhs, elem, scalar), classify_index(rhs, elem, scalar));
         match (op, l, r) {
             (_, axis @ SubForm::Axis { .. }, SubForm::Scalar)
             | (BinaryOp::Add, SubForm::Scalar, axis @ SubForm::Axis { .. }) => return axis,
@@ -312,27 +317,27 @@ pub fn fold_expr(e: &mut Expr) {
         {
             literal(e)
         }
-        Expr::Binary { lhs, rhs, .. } if int(lhs) && int(rhs) => literal(e),
-        Expr::Binary { op, lhs, rhs, .. } => {
+        Expr::Binary { ops, .. } if ops.iter().all(int) => literal(e),
+        Expr::Binary { op, ops, .. } => {
             use BinaryOp::*;
-            match (op, &**lhs, &**rhs) {
+            match (op, &ops[0], &ops[1]) {
                 (Sub, x, Expr::IntLit(0, _))
                 | (Mul | Div, x, Expr::IntLit(1, _))
                 | (Mul, Expr::IntLit(1, _), x) => Some(x.clone()),
                 _ => None,
             }
         }
-        Expr::Ternary { cond, then_e, else_e, .. } => match **cond {
-            Expr::IntLit(c, _) => {
+        Expr::Ternary { ops, .. } => match &**ops {
+            [Expr::IntLit(c, _), then_e, else_e] => {
                 // The value has the arms' joined type, which the taken arm
                 // has unless the other one is a float.
-                let (taken, other) = if c != 0 { (then_e, else_e) } else { (else_e, then_e) };
+                let (taken, other) = if *c != 0 { (then_e, else_e) } else { (else_e, then_e) };
                 let literal = !other.any(&mut |x| {
                     use Expr::*;
                     matches!(x, Ident(..) | Index { .. } | Call { .. } | Reduce(_))
                 });
                 let float = |e: &Expr| floats(e, &mut |_| None);
-                (literal && (float(taken) || !float(other))).then(|| (**taken).clone())
+                (literal && (float(taken) || !float(other))).then(|| taken.clone())
             }
             _ => None,
         },
@@ -363,8 +368,8 @@ mod tests {
     }
 
     fn bin(op: BinaryOp, l: Expr, r: Expr) -> Expr {
-        let (lhs, rhs) = (Box::new(l), Box::new(r));
-        Expr::Binary { op, lhs, rhs, span: Span::default(), value: crate::ast::NO_VALUE }
+        let ops = Box::new([l, r]);
+        Expr::Binary { op, ops, span: Span::default(), value: crate::ast::NO_VALUE }
     }
 
     fn folded(mut e: Expr) -> Expr {
@@ -378,10 +383,10 @@ mod tests {
         let unit = crate::parser::parse(&format!("int x;\nmain() {{ x = {src}; }}"), &mut diags)
             .unwrap_or_else(|| panic!("parse `{src}`:\n{diags}"));
         let Some(Item::Func(main)) = unit.items.last() else { panic!("no main") };
-        let Stmt::Expr(Expr::Assign { value, .. }) = &main.body.stmts[0] else {
+        let Stmt::Expr(Expr::Assign { ops, .. }) = &main.body.stmts[0] else {
             panic!("not an assignment")
         };
-        (**value).clone()
+        ops[1].clone()
     }
 
     #[test]

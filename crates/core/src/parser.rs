@@ -9,11 +9,19 @@
 //! three of them: the previous, the current and the next, the most any
 //! rule looks at. Tokens are `Copy` and carry no text; the parser reads
 //! an identifier's spelling from the source through its span, and
-//! allocates a name only where the AST keeps one.
+//! allocates a name only where the AST keeps one. An identifier in an
+//! expression (a variable, an array, a called function, a map pattern's
+//! array) shares one `Arc<str>` per spelling, from a table keyed by the
+//! source slice that lives only as long as the parse; declared names are
+//! owned strings. With each operator's operands in one box, an
+//! expression statement costs one allocation per operator node
+//! ([`Expr`]'s allocation rule).
 //!
 //! `sc-block` binding follows the paper's dangling-`else`-style rule: an
 //! `st`/`others` arm binds to the innermost construct; braces force a
 //! different binding.
+
+use std::sync::Arc;
 
 use crate::ast::*;
 use crate::diag::Diagnostics;
@@ -21,6 +29,7 @@ use crate::lexer::Lexer;
 use crate::span::Span;
 use crate::stdlib::Builtin;
 use crate::token::{Token, TokenKind, TokenKind as T};
+use crate::FxMap;
 
 /// Parse a UC translation unit. Returns `None` if errors were found (all
 /// recorded in `diags`).
@@ -41,6 +50,7 @@ pub fn parse(src: &str, diags: &mut Diagnostics) -> Option<Unit> {
         next,
         consumed: 0,
         diags: Diagnostics::default(),
+        spellings: FxMap::default(),
     };
     let items = p.unit();
     let Parser { lexer, lex_diags: diags, diags: parsed, .. } = p;
@@ -65,6 +75,8 @@ struct Parser<'a> {
     /// The parser's own reports, which `parse` keeps only if lexing had
     /// no error.
     diags: Diagnostics,
+    /// The one shared spelling of each identifier an expression uses.
+    spellings: FxMap<&'a str, Arc<str>>,
 }
 
 type PResult<T> = Result<T, ()>;
@@ -149,6 +161,11 @@ impl<'a> Parser<'a> {
         } else {
             self.expected(what)
         }
+    }
+
+    /// The shared spelling of `text`, allocated at its first use.
+    fn intern(&mut self, text: &'a str) -> Arc<str> {
+        self.spellings.entry(text).or_insert_with(|| text.into()).clone()
     }
 
     /// Skip to the next statement boundary after an error.
@@ -344,7 +361,8 @@ impl<'a> Parser<'a> {
 
     fn array_pattern(&mut self) -> PResult<ArrayPattern> {
         let start = self.span();
-        let array = Name::new(self.ident("an array name")?);
+        let array = self.ident("an array name")?;
+        let array = Name::new(self.intern(array));
         let mut subs = Vec::new();
         while self.eat(T::LBracket) {
             subs.push(self.expr()?);
@@ -567,12 +585,7 @@ impl<'a> Parser<'a> {
             return Err(());
         }
         let value = self.assignment()?; // right associative
-        Ok(Expr::Assign {
-            target: Box::new(lhs),
-            op,
-            value: Box::new(value),
-            span,
-        })
+        Ok(Expr::Assign { op, ops: Box::new([lhs, value]), span })
     }
 
     fn ternary(&mut self) -> PResult<Expr> {
@@ -582,14 +595,8 @@ impl<'a> Parser<'a> {
             let then_e = self.expr()?;
             self.expect(T::Colon, "`:` in conditional expression")?;
             let else_e = self.ternary()?;
-            Ok(Expr::Ternary {
-                cond: Box::new(cond),
-                then_e: Box::new(then_e),
-                else_e: Box::new(else_e),
-                span,
-                value: NO_VALUE,
-                float: false,
-            })
+            let ops = Box::new([cond, then_e, else_e]);
+            Ok(Expr::Ternary { ops, span, value: NO_VALUE, float: false })
         } else {
             Ok(cond)
         }
@@ -626,8 +633,7 @@ impl<'a> Parser<'a> {
             let span = self.span();
             self.bump();
             let rhs = self.binary(prec + 1)?;
-            let (l, r) = (Box::new(lhs), Box::new(rhs));
-            lhs = Expr::Binary { op, lhs: l, rhs: r, span, value: NO_VALUE };
+            lhs = Expr::Binary { op, ops: Box::new([lhs, rhs]), span, value: NO_VALUE };
         }
         Ok(lhs)
     }
@@ -668,12 +674,7 @@ impl<'a> Parser<'a> {
             self.diags.error(span, "++/-- requires a variable or array element");
             return Err(());
         }
-        Ok(Expr::Assign {
-            target: Box::new(e),
-            op: Some(op),
-            value: Box::new(Expr::IntLit(1, span)),
-            span,
-        })
+        Ok(Expr::Assign { op: Some(op), ops: Box::new([e, Expr::IntLit(1, span)]), span })
     }
 
     fn postfix(&mut self) -> PResult<Expr> {
@@ -753,9 +754,9 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.expect(T::RParen, "`)` after arguments")?;
-                    Ok(call(name, args, span.to(self.prev_span())))
+                    Ok(self.call(name, args, span.to(self.prev_span())))
                 } else {
-                    Ok(Expr::Ident(Name::new(name), span))
+                    Ok(Expr::Ident(Name::new(self.intern(name)), span))
                 }
             }
             _ => self.expected("an expression"),
@@ -801,29 +802,30 @@ impl<'a> Parser<'a> {
             histogram: None,
         })))
     }
-}
 
-/// A call of `name`. One of the builtins `abs`/`ABS`, `power2`, `min` and
-/// `max` with its number of arguments is an operator node; every other
-/// call stays a call, so sema reports a wrong number of arguments.
-fn call(name: &str, mut args: Vec<Expr>, span: Span) -> Expr {
-    let builtin = Builtin::named(name);
-    let unary = |op, mut args: Vec<Expr>| {
-        let expr = Box::new(args.pop().expect("one argument"));
-        Expr::Unary { op, expr, span, value: NO_VALUE }
-    };
-    match (builtin, args.len()) {
-        (Some(Builtin::Abs), 1) => unary(UnaryOp::Abs, args),
-        (Some(Builtin::Power2), 1) => unary(UnaryOp::Power2, args),
-        (Some(b @ (Builtin::Min | Builtin::Max)), 2) => {
-            let op = if b == Builtin::Min { BinaryOp::Min } else { BinaryOp::Max };
-            let rhs = Box::new(args.pop().expect("two arguments"));
-            let lhs = Box::new(args.pop().expect("two arguments"));
-            Expr::Binary { op, lhs, rhs, span, value: NO_VALUE }
-        }
-        _ => {
-            let callee = builtin.map_or(Callee::Unresolved, Callee::Builtin);
-            Expr::Call { name: name.into(), callee, args, span }
+    /// A call of `name`. One of the builtins `abs`/`ABS`, `power2`, `min`
+    /// and `max` with its number of arguments is an operator node; every
+    /// other call stays a call, so sema reports a wrong number of
+    /// arguments.
+    fn call(&mut self, name: &'a str, mut args: Vec<Expr>, span: Span) -> Expr {
+        let builtin = Builtin::named(name);
+        let unary = |op, mut args: Vec<Expr>| {
+            let expr = Box::new(args.pop().expect("one argument"));
+            Expr::Unary { op, expr, span, value: NO_VALUE }
+        };
+        match (builtin, args.len()) {
+            (Some(Builtin::Abs), 1) => unary(UnaryOp::Abs, args),
+            (Some(Builtin::Power2), 1) => unary(UnaryOp::Power2, args),
+            (Some(b @ (Builtin::Min | Builtin::Max)), 2) => {
+                let op = if b == Builtin::Min { BinaryOp::Min } else { BinaryOp::Max };
+                let rhs = args.pop().expect("two arguments");
+                let lhs = args.pop().expect("two arguments");
+                Expr::Binary { op, ops: Box::new([lhs, rhs]), span, value: NO_VALUE }
+            }
+            _ => {
+                let callee = builtin.map_or(Callee::Unresolved, Callee::Builtin);
+                Expr::Call { name: self.intern(name), callee, args, span }
+            }
         }
     }
 }
@@ -920,8 +922,8 @@ mod tests {
         );
         let Item::Func(f) = u.items.last().unwrap() else { panic!() };
         assert_eq!(f.body.stmts.len(), 4);
-        let Stmt::Expr(Expr::Assign { value, .. }) = &f.body.stmts[2] else { panic!() };
-        let Expr::Reduce(r) = value.as_ref() else { panic!() };
+        let Stmt::Expr(Expr::Assign { ops, .. }) = &f.body.stmts[2] else { panic!() };
+        let Expr::Reduce(r) = &ops[1] else { panic!() };
         assert!(r.others.is_some());
     }
 
@@ -984,10 +986,10 @@ mod tests {
     fn precedence() {
         let u = parse_ok("main() { int x; x = 1 + 2 * 3 == 7 && 1; }");
         let Item::Func(f) = u.items.last().unwrap() else { panic!() };
-        let Stmt::Expr(Expr::Assign { value, .. }) = &f.body.stmts[1] else { panic!() };
+        let Stmt::Expr(Expr::Assign { ops, .. }) = &f.body.stmts[1] else { panic!() };
         // Top node must be `&&`.
-        let Expr::Binary { op: BinaryOp::LogAnd, .. } = value.as_ref() else {
-            panic!("expected && at top, got {value:?}")
+        let Expr::Binary { op: BinaryOp::LogAnd, .. } = &ops[1] else {
+            panic!("expected && at top, got {:?}", ops[1])
         };
     }
 }

@@ -148,16 +148,18 @@ pub fn expr(e: &Expr) -> String {
             format!("{}({})", op.symbol(), expr(inner))
         }
         Expr::Unary { op, expr: inner, .. } => format!("{}{}", op.symbol(), atom(inner)),
-        Expr::Binary { op, lhs, rhs, .. } if op.is_call() => {
-            format!("{}({}, {})", op.symbol(), expr(lhs), expr(rhs))
+        Expr::Binary { op, ops, .. } if op.is_call() => {
+            format!("{}({}, {})", op.symbol(), expr(&ops[0]), expr(&ops[1]))
         }
-        Expr::Binary { op, lhs, rhs, .. } => {
-            format!("{} {} {}", atom(lhs), op.symbol(), atom(rhs))
+        Expr::Binary { op, ops, .. } => {
+            format!("{} {} {}", atom(&ops[0]), op.symbol(), atom(&ops[1]))
         }
-        Expr::Ternary { cond, then_e, else_e, .. } => {
+        Expr::Ternary { ops, .. } => {
+            let [cond, then_e, else_e] = &**ops;
             format!("{} ? {} : {}", atom(cond), expr(then_e), expr(else_e))
         }
-        Expr::Assign { target, op, value, .. } => {
+        Expr::Assign { op, ops, .. } => {
+            let [target, value] = &**ops;
             let sym = match op {
                 None => "=".to_string(),
                 Some(o) => format!("{}=", o.symbol()),

@@ -1285,7 +1285,8 @@ impl<'a> Checker<'a> {
 
     fn collect_solve_targets(&mut self, s: &Stmt, star: bool, out: &mut Vec<String>) {
         match s {
-            Stmt::Expr(Expr::Assign { target, op, value, .. }) => {
+            Stmt::Expr(Expr::Assign { op, ops, .. }) => {
+                let [target, value] = &**ops;
                 if op.is_some() && !star {
                     self.diags.error(
                         s.span().unwrap_or_default(),
@@ -1303,7 +1304,7 @@ impl<'a> Checker<'a> {
                          reduction (use `*solve`)",
                     );
                 }
-                match target.as_ref() {
+                match target {
                     Expr::Index { base, .. } => out.push(base.to_string()),
                     // `solve` orders element definitions; a scalar has none.
                     other => self
@@ -1501,7 +1502,7 @@ impl<'a> Checker<'a> {
                 _ => {}
             },
             Expr::Call { callee: Callee::Builtin(Builtin::Rand), .. } => out.fill(true),
-            Expr::Assign { op: None, value, .. } => self.varies(value, hidden, out),
+            Expr::Assign { op: None, ops, .. } => self.varies(&ops[1], hidden, out),
             Expr::Reduce(r) => {
                 let outside = hidden.len();
                 hidden.extend(&r.sets);
@@ -1519,7 +1520,8 @@ impl<'a> Checker<'a> {
     /// location varies along every axis `x` varies along stores one value
     /// of `e` per element.
     fn pin(&mut self, pred: &Expr, op: BinaryOp) {
-        let Expr::Binary { op: this, lhs, rhs, .. } = pred else { return };
+        let Expr::Binary { op: this, ops, .. } = pred else { return };
+        let [lhs, rhs] = &**ops;
         if op == BinaryOp::Eq && *this == BinaryOp::LogAnd {
             self.pin(lhs, op);
             return self.pin(rhs, op);
@@ -1528,7 +1530,7 @@ impl<'a> Checker<'a> {
             return;
         }
         for (e, x) in [(lhs, rhs), (rhs, lhs)] {
-            if let Expr::Ident(Name { to: Ref::Elem(set), .. }, _) = **e {
+            if let Expr::Ident(Name { to: Ref::Elem(set), .. }, _) = *e {
                 if let Some(axis) = self.elem_axis(set) {
                     let mut along = vec![false; self.open.len()];
                     self.varies(x, &mut Vec::new(), &mut along);
@@ -1806,11 +1808,12 @@ impl<'a> Checker<'a> {
                 };
                 (ty, rank)
             }
-            Expr::Binary { op, lhs, rhs, span, .. } => {
+            Expr::Binary { op, ops, span, .. } => {
                 let before = self.effects;
+                let [lhs, rhs] = &mut **ops;
                 let (lt, lrank) = self.check_expr(lhs);
                 let (rt, rrank) = self.check_expr(rhs);
-                lend([&mut **lhs, &mut **rhs], self.effects == before);
+                lend([lhs, rhs], self.effects == before);
                 use BinaryOp::*;
                 let ty = match op {
                     Mod | Shl | Shr | BitAnd | BitOr | BitXor => {
@@ -1828,21 +1831,23 @@ impl<'a> Checker<'a> {
                 };
                 (ty, lrank.max(rrank))
             }
-            Expr::Ternary { cond, then_e, else_e, float, .. } => {
+            Expr::Ternary { ops, float, .. } => {
                 let before = self.effects;
+                let [cond, then_e, else_e] = &mut **ops;
                 self.check_expr(cond);
                 let (t, _) = self.check_expr(then_e);
                 let (f, _) = self.check_expr(else_e);
                 // The arms are selected between, not consumed: kept copies.
-                lend([&mut **cond], self.effects == before);
+                lend([cond], self.effects == before);
                 let ty = t.join(f);
                 *float = ty == ExprTy::Float;
                 (ty, here)
             }
-            Expr::Assign { target, op, value, span } => {
+            Expr::Assign { op, ops, span } => {
                 self.effects += 1;
+                let [target, value] = &mut **ops;
                 let (vt, vrank) = self.check_expr(value);
-                let (tt, trank) = match target.as_mut() {
+                let (tt, trank) = match target {
                     Expr::Ident(name, tspan) => {
                         let Some((t, rank)) = self.check_store_target(name, *tspan, vrank) else {
                             return (ExprTy::Int, vrank);
@@ -2031,8 +2036,8 @@ impl<'a> Checker<'a> {
             // live while the operand evaluates: one that writes takes it
             // back.
             let writes = self.effects != before;
-            if let (Some(Expr::Binary { lhs, rhs, .. }), true) = (pred, writes) {
-                lend([&mut **lhs, &mut **rhs], false);
+            if let (Some(Expr::Binary { ops, .. }), true) = (pred, writes) {
+                lend(&mut **ops, false);
             }
         }
         if let Some(o) = &mut r.others {
@@ -2061,7 +2066,7 @@ impl<'a> Checker<'a> {
     /// and a key and operand that live on `SETS`: no `elem`, no per-VP local.
     fn histogram_key(&self, r: &ReduceExpr) -> Option<HistogramKey> {
         use crate::token::RedOpToken as R;
-        let [(Some(Expr::Binary { op: BinaryOp::Eq, lhs, rhs, .. }), operand)] = &r.arms[..] else {
+        let [(Some(Expr::Binary { op: BinaryOp::Eq, ops, .. }), operand)] = &r.arms[..] else {
             return None;
         };
         let shaped = self.nest.depth == 1 && self.open.len() == 1 && r.others.is_none();
@@ -2072,9 +2077,9 @@ impl<'a> Checker<'a> {
         if !shaped || !from_zero || !matches!(r.op, R::Add | R::Mul | R::Min | R::Max) {
             return None;
         }
-        let (key, side) = match (lhs.as_ref(), rhs.as_ref()) {
-            (key, Expr::Ident(n, _)) if n.to == outer => (key, HistogramKey::Lhs),
-            (Expr::Ident(n, _), key) if n.to == outer => (key, HistogramKey::Rhs),
+        let (key, side) = match &**ops {
+            [key, Expr::Ident(n, _)] if n.to == outer => (key, HistogramKey::Lhs),
+            [Expr::Ident(n, _), key] if n.to == outer => (key, HistogramKey::Rhs),
             _ => return None,
         };
         let per_vp = |to: Ref| matches!(to, Ref::Local(id) if *self.local_kind(id) == LocalKind::PerVp);

@@ -530,6 +530,19 @@ fn a_redefined_define_warns_at_the_second() {
     };
     assert_eq!(uc120(&[]), 0);
     assert_eq!(uc120(&[("N", 1)]), 1);
+    // Each redefinition warns once, at its own directive, and the table
+    // keeps every directive in source order.
+    let src = "#define N 1\n#define M 2\n#define N 3\n#define K 4\n#define N 5\n#define M 6\nint a;\n";
+    let mut diags = Diagnostics::default();
+    let unit = parse(src, &mut diags).unwrap_or_else(|| panic!("{diags}"));
+    let warnings: Vec<String> = diags.items.iter().map(|d| d.to_string()).collect();
+    assert_eq!(warnings, [
+        "warning: #define N redefined at 3:1",
+        "warning: #define N redefined at 5:1",
+        "warning: #define M redefined at 6:1",
+    ]);
+    let order: Vec<_> = unit.defines.iter().map(|(n, v)| format!("{n}{v}")).collect();
+    assert_eq!(order, ["N1", "M2", "N3", "K4", "N5", "M6"]);
 }
 
 /// Every diagnostic `parse` gives `src`, as `Display` prints it.
@@ -563,6 +576,20 @@ fn a_define_value_is_the_whole_rest_of_its_line() {
         let unit = parse(src, &mut diags).unwrap_or_else(|| panic!("{src:?}: {diags}"));
         assert_eq!(unit.defines, [("N".to_string(), 4)], "{src:?}");
     }
+}
+
+/// As in C, a `#` starts a directive only as the first non-blank
+/// character of its line; after a word on the same line it is a lexical
+/// error, and nothing is defined.
+#[test]
+fn a_hash_after_a_word_is_no_directive() {
+    for (src, col) in [("index_#define Q 4\nint a[Q];\n", 7), ("map#define Q 1\nint a[Q];\n", 4)] {
+        let expected = format!("error: stray `#`: a directive must be the first thing on its line at 1:{col}");
+        assert_eq!(parse_diagnostics(src), [expected], "{src}");
+    }
+    let mut diags = Diagnostics::default();
+    let unit = parse(" \t#define Q 4\nint a[Q];\n", &mut diags).unwrap_or_else(|| panic!("{diags}"));
+    assert_eq!(unit.defines, [("Q".to_string(), 4)]);
 }
 
 /// A parse error names the token it found as the source writes it.

@@ -40,8 +40,8 @@ fn evaluated(src: &str) -> Option<Held> {
     let unit = parser::parse(&format!("int x;\nmain() {{ x = {src}; }}"), &mut diags)
         .unwrap_or_else(|| panic!("parse `{src}`:\n{diags}"));
     let Some(Item::Func(main)) = unit.items.last() else { panic!("no main") };
-    let Stmt::Expr(Expr::Assign { value, .. }) = &main.body.stmts[0] else { panic!("no assignment") };
-    let v = opt::eval_pure(value, |_| None).ok()?;
+    let Stmt::Expr(Expr::Assign { ops, .. }) = &main.body.stmts[0] else { panic!("no assignment") };
+    let v = opt::eval_pure(&ops[1], |_| None).ok()?;
     Some((v.as_int(), v.as_float().to_bits()))
 }
 

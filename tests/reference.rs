@@ -655,9 +655,10 @@ impl<'c> Interp<'c> {
                 all(self, sp, here, &subs.iter().collect::<Vec<_>>())
             }
             Expr::Unary { expr, .. } => self.rhs_defined(expr, defined, sp),
-            Expr::Binary { lhs, rhs, .. } => all(self, sp, vec![true; n], &[lhs, rhs]),
+            Expr::Binary { ops, .. } => all(self, sp, vec![true; n], &[&ops[0], &ops[1]]),
             Expr::Call { args, .. } => all(self, sp, vec![true; n], &args.iter().collect::<Vec<_>>()),
-            Expr::Ternary { cond, then_e, else_e, .. } => {
+            Expr::Ternary { ops, .. } => {
+                let [cond, then_e, else_e] = &**ops;
                 let c = self.rhs_defined(cond, defined, sp)?;
                 let (t, f) = (self.rhs_defined(then_e, defined, sp)?, self.rhs_defined(else_e, defined, sp)?);
                 if t.iter().chain(&f).all(|&d| d) {
@@ -749,29 +750,33 @@ impl<'c> Interp<'c> {
                 let a = self.eval(expr, sp)?;
                 lanes(n, &[a], |vs| Ok(unary(*op, vs[0])))?
             }
-            Expr::Binary { op: op @ (BinaryOp::LogAnd | BinaryOp::LogOr), lhs, rhs, .. } if sp.depth == 0 => {
+            Expr::Binary { op: op @ (BinaryOp::LogAnd | BinaryOp::LogOr), ops, .. } if sp.depth == 0 => {
+                let [lhs, rhs] = &**ops;
                 let l = self.scalar(lhs, sp)?.truth();
                 if l == (*op == BinaryOp::LogOr) {
                     return Ok(Val::S(bit(l)));
                 }
                 Val::S(bit(self.scalar(rhs, sp)?.truth()))
             }
-            Expr::Binary { op, lhs, rhs, .. } => {
-                let (a, b) = (self.eval(lhs, sp)?, self.eval(rhs, sp)?);
+            Expr::Binary { op, ops, .. } => {
+                let (a, b) = (self.eval(&ops[0], sp)?, self.eval(&ops[1], sp)?);
                 self.zip(*op, &a, &b, sp)?
             }
             // As in C, the value has the arms' joined type.
-            Expr::Ternary { cond, then_e, else_e, float, .. } if sp.depth == 0 => {
+            Expr::Ternary { ops, float, .. } if sp.depth == 0 => {
+                let [cond, then_e, else_e] = &**ops;
                 let taken = if self.scalar(cond, sp)?.truth() { then_e } else { else_e };
                 Val::S(self.scalar(taken, sp)?.to(*float))
             }
-            Expr::Ternary { cond, then_e, else_e, .. } => {
+            Expr::Ternary { ops, .. } => {
+                let [cond, then_e, else_e] = &**ops;
                 let c = self.eval(cond, sp)?;
                 let (t, f) = (self.eval(then_e, sp)?, self.eval(else_e, sp)?);
                 let float = t.is_float() || f.is_float();
                 Val::P((0..n).map(|k| if c.at(k).truth() { t.at(k) } else { f.at(k) }.to(float)).collect())
             }
-            Expr::Assign { target, op, value, .. } => {
+            Expr::Assign { op, ops, .. } => {
+                let [target, value] = &**ops;
                 let v = self.eval(value, sp)?;
                 let v = match op {
                     Some(op) => {
@@ -904,7 +909,7 @@ fn bind(pt: &mut Point, key: Key, v: V) {
 fn assignments(uc: &UcStmt) -> Vec<(&Expr, Option<BinaryOp>, &Expr)> {
     fn walk<'s>(s: &'s Stmt, out: &mut Vec<(&'s Expr, Option<BinaryOp>, &'s Expr)>) {
         match s {
-            Stmt::Expr(Expr::Assign { target, op, value, .. }) => out.push((target, *op, value)),
+            Stmt::Expr(Expr::Assign { op, ops, .. }) => out.push((&ops[0], *op, &ops[1])),
             Stmt::Block(b) => b.stmts.iter().for_each(|s| walk(s, out)),
             _ => {}
         }
