@@ -61,7 +61,7 @@ use std::collections::HashMap;
 
 use uc_cm::{CmError, ElemType, FieldId, Machine, MachineConfig, MachineLimits, Scalar, VpSetId};
 
-use crate::ast::{Ref, SetId, ValueId};
+use crate::ast::{Ref, ValueId};
 use crate::diag::Diagnostics;
 use crate::ir::IrProgram;
 use crate::mapping::ArrayMapping;
@@ -309,13 +309,15 @@ pub(crate) enum Storage {
 }
 
 /// One function activation — the only record of it: which function,
-/// where its registers and sweeps start in [`Run::regs`] and
-/// [`Run::seqs`], what the VM needs to resume its caller, and its
-/// machine-backed locals.
+/// where it was called from, where its registers start in [`Run::regs`],
+/// what the VM needs to resume its caller, and its machine-backed locals.
 #[derive(Debug)]
 pub(crate) struct Frame {
     /// Position in `ir.funcs` and `checked.func_infos`.
     pub func: usize,
+    /// The statement that called it, for a [`RunError`]'s call stack: a
+    /// trap leaves the frames in place, showing where the run was.
+    pub site: Span,
     /// Its register file starts at `regs[base]`. A `LocalKind::Reg` local
     /// is the register sema numbered it; tree-evaluated fragments read
     /// and write it there ([`Run::reg`]).
@@ -324,8 +326,6 @@ pub(crate) struct Frame {
     /// the caller's register that receives this activation's value.
     pub pc: usize,
     pub ret_dst: crate::ir::Reg,
-    /// Its open front-end `seq` sweeps are [`Run::seqs`] from here.
-    pub seq_base: usize,
     /// Indexed by `LocalId`; `Some` between a machine-backed local's
     /// declaration and the exit of its block. Empty (and unallocated) for
     /// a function that declares none.
@@ -368,10 +368,8 @@ struct Spare {
     forms: Vec<opt::IdxForm>,
     frames: Vec<Frame>,
     regs: Vec<Scalar>,
-    seqs: Vec<(SetId, usize)>,
     cse_stack: Vec<Vec<(VpSetId, Option<ValueId>, FieldId)>>,
     geo_cache: FxMap<(VpSetId, space::Geo), FieldId>,
-    call_stack: Vec<(usize, Span)>,
 }
 
 /// One run of a [`Program`]: the executor's per-run state, which
@@ -397,15 +395,11 @@ pub(crate) struct Run<'p> {
     /// The resolved subscript forms of the accesses in progress,
     /// innermost last.
     forms: Vec<opt::IdxForm>,
-    /// Function activation stack.
+    /// Function activation stack, outermost first: the UC call stack.
     frames: Vec<Frame>,
     /// The registers of every live activation, innermost last: entering
     /// a function appends its image, returning truncates.
     regs: Vec<Scalar>,
-    /// The open front-end `seq` sweeps of every live activation, innermost
-    /// last: the set and the position of its next element. Returning
-    /// truncates.
-    seqs: Vec<(SetId, usize)>,
     rand_counter: u64,
     oneof_cursor: usize,
     /// Common-subexpression cache for the values sema marks within one
@@ -430,11 +424,6 @@ pub(crate) struct Run<'p> {
     geo_cache: FxMap<(VpSetId, space::Geo), FieldId>,
     /// Span of the statement currently executing, for [`RunError`].
     exec_span: Span,
-    /// Live UC call stack, outermost first: `(callee, call-site span)`,
-    /// the callee by position in `ir.funcs`. Entries are popped on
-    /// successful return only, so on error the stack still describes
-    /// where execution was.
-    call_stack: Vec<(usize, Span)>,
     /// Live native entries of the VM (`vm::call`): `main`'s, and one per
     /// user call met by tree-evaluated code.
     reentries: usize,
@@ -671,7 +660,6 @@ impl<'p> Run<'p> {
             forms: s.forms,
             frames: s.frames,
             regs: s.regs,
-            seqs: s.seqs,
             rand_counter: 0,
             oneof_cursor: 0,
             cse_stack: s.cse_stack,
@@ -679,7 +667,6 @@ impl<'p> Run<'p> {
             cse_fill: false,
             geo_cache: s.geo_cache,
             exec_span: Span::default(),
-            call_stack: s.call_stack,
             reentries: 0,
         }
     }
@@ -702,17 +689,15 @@ impl<'p> Run<'p> {
             forms: empty(self.forms),
             frames: empty(self.frames),
             regs: empty(self.regs),
-            seqs: empty(self.seqs),
             cse_stack: self.cse_stack,
             geo_cache: self.geo_cache,
-            call_stack: empty(self.call_stack),
         }
     }
 
-    /// Annotate `error` with where the run was, naming the call stack's
-    /// functions.
+    /// Annotate `error` with where the run was: the live frames, each
+    /// function by name with its call site.
     fn run_error(&self, error: RuntimeError) -> RunError {
-        let stack = self.call_stack.iter().map(|&(f, site)| (self.ir.funcs[f].name.clone(), site));
+        let stack = self.frames.iter().map(|f| (self.ir.funcs[f.func].name.clone(), f.site));
         RunError { error, span: self.exec_span, stack: stack.collect() }
     }
 

@@ -2,21 +2,21 @@
 //!
 //! Executes [`crate::ir::IrProgram`] bodies. It owns every user call and
 //! all sequential control flow — `if`/loops/`return`, front-end `seq`
-//! sweeps, recursion — keeping UC activations on explicit heap stacks, so
-//! the VM itself never recurses natively: a [`Frame`] per activation on
-//! [`Run::frames`], every activation's registers end to end on
-//! [`Run::regs`] (entering appends the function's image, returning
-//! truncates) and its open `seq` sweeps on [`Run::seqs`] (returning
-//! truncates). It reads and writes array elements too. Parallel
-//! constructs, reductions and local array declarations are tree escapes
-//! into the sibling modules; a user call met inside one comes back
-//! through [`call`].
+//! sweeps, recursion — keeping UC activations on two heap stacks, so the
+//! VM itself never recurses natively: a [`Frame`] per activation on
+//! [`Run::frames`], the call stack a [`super::RunError`] reports, and
+//! every activation's registers, its loops' counters and cursors among
+//! them, end to end on [`Run::regs`] (entering appends the function's
+//! image, returning truncates). It reads and writes array elements too.
+//! Parallel constructs, reductions and local array declarations are tree
+//! escapes into the sibling modules; a user call met inside one comes
+//! back through [`call`].
 //!
 //! The loop keeps the running activation's code, register base and pc in
 //! locals and reloads them only on `Call` and `Ret`. The statement it is
 //! in is `spans[pc]`, copied to [`Run::exec_span`] only where someone
-//! can look: before a call (the call-stack site), before a reduction, and
-//! on every trap.
+//! can look: before a call (the callee frame's site), before a reduction,
+//! and on every trap.
 
 use uc_cm::{ElemType, Scalar};
 
@@ -59,7 +59,6 @@ pub(crate) fn call(p: &mut Run, fi: usize, args: &[Scalar]) -> RResult<Scalar> {
 fn pop_frame(p: &mut Run) -> Reg {
     let frame = p.frames.pop().expect("frame per activation");
     p.regs.truncate(frame.base);
-    p.seqs.truncate(frame.seq_base);
     for var in frame.locals.into_iter().rev().flatten() {
         p.free_local(var);
     }
@@ -67,8 +66,8 @@ fn pop_frame(p: &mut Run) -> Reg {
 }
 
 /// Push an activation of `fi`: depth check, a fresh register file, the
-/// frame, the call-stack entry. Returns the base of its registers; the
-/// caller stores the arguments with [`typed`].
+/// frame. Returns the base of its registers; the caller stores the
+/// arguments with [`typed`].
 fn enter(p: &mut Run, fi: usize, ret_dst: Reg) -> RResult<usize> {
     let max_depth = p.config.limits.max_call_depth;
     if p.frames.len() >= max_depth {
@@ -80,12 +79,8 @@ fn enter(p: &mut Run, fi: usize, ret_dst: Reg) -> RResult<usize> {
     let info = &p.checked.func_infos[fi];
     let n_locals = if info.machine_locals { info.locals.len() } else { 0 };
     let locals = std::iter::repeat_with(|| None).take(n_locals).collect();
-    let seq_base = p.seqs.len();
-    p.frames.push(Frame { func: fi, base, pc: 0, ret_dst, seq_base, locals });
-    // exec_span points at the calling statement — that is the call site
-    // recorded for the error stack. Popped on return only, so a failing
-    // run still shows where it was.
-    p.call_stack.push((fi, p.exec_span));
+    // exec_span points at the calling statement: the call site.
+    p.frames.push(Frame { func: fi, site: p.exec_span, base, pc: 0, ret_dst, locals });
     Ok(base)
 }
 
@@ -186,7 +181,6 @@ fn exec(p: &mut Run, entry: usize, args: &[Scalar]) -> RResult<Scalar> {
                 }
             }
             Instr::Un { op, dst, a } => r!(dst) = scalar_unary(*op, r!(a)),
-            Instr::Truthy { dst, src } => r!(dst) = Scalar::Int(r!(src).as_bool() as i64),
             Instr::StoreSlot { slot, src, float } => r!(slot) = typed(r!(src), *float),
             Instr::LoadGlobal { dst, g } => r!(dst) = p.globals[*g as usize],
             Instr::StoreGlobal { g, src } => {
@@ -218,7 +212,6 @@ fn exec(p: &mut Run, entry: usize, args: &[Scalar]) -> RResult<Scalar> {
                     pc = *t as usize;
                 }
             }
-            Instr::IterInit { slot } => r!(slot) = Scalar::Int(0),
             Instr::IterCheck { slot, label } => {
                 let n = r!(slot).as_int() + 1;
                 r!(slot) = Scalar::Int(n);
@@ -247,7 +240,6 @@ fn exec(p: &mut Run, entry: usize, args: &[Scalar]) -> RResult<Scalar> {
                 // A valueless return yields 0.
                 let v = src.as_ref().map_or(Scalar::Int(0), |src| r!(src));
                 let ret_dst = pop_frame(p);
-                p.call_stack.pop();
                 if p.frames.len() == floor {
                     return Ok(v);
                 }
@@ -268,19 +260,15 @@ fn exec(p: &mut Run, entry: usize, args: &[Scalar]) -> RResult<Scalar> {
                 p.eval(&body.exprs[*e as usize])?;
             }
             Instr::Tree { s } => p.exec_stmt(&body.stmts[*s as usize])?,
-            Instr::SeqEnter { set } => p.seqs.push((*set, 0)),
-            Instr::SeqNext { elem, more } => {
-                let (set, pos) = p.seqs.last_mut().expect("inside a seq");
-                let next = p.checked.sets[*set].elements.get(*pos).copied();
+            Instr::SeqNext { set, pos, elem, more } => {
+                let i = r!(pos).as_int();
+                let next = p.checked.sets[*set].elements.get(i as usize).copied();
                 // An exhausted sweep rewinds, ready for `*seq` to repeat it.
-                *pos = if next.is_some() { *pos + 1 } else { 0 };
+                r!(pos) = Scalar::Int(if next.is_some() { i + 1 } else { 0 });
                 if let Some(v) = next {
                     r!(elem) = Scalar::Int(v);
                 }
                 r!(more) = Scalar::Int(next.is_some() as i64);
-            }
-            Instr::SeqExit => {
-                p.seqs.pop();
             }
         }
     }

@@ -286,7 +286,7 @@ impl<'a> Lowerer<'a> {
         self.next_temp = self.perm_limit;
     }
 
-    /// A register a loop keeps across statements (counter or flag).
+    /// A register a loop keeps across statements (counter, cursor or flag).
     fn alloc_perm(&mut self) -> Reg {
         let r = self.next_perm;
         self.next_perm += 1;
@@ -295,6 +295,14 @@ impl<'a> Lowerer<'a> {
             return 0;
         }
         r as Reg
+    }
+
+    /// A loop's counter or a sweep's cursor: a register of its own, zeroed
+    /// where the construct starts.
+    fn loop_reg(&mut self) -> Reg {
+        let r = self.alloc_perm();
+        self.emit(Instr::Const { dst: r, v: Scalar::Int(0) });
+        r
     }
 
     fn new_label(&mut self) -> usize {
@@ -457,8 +465,9 @@ impl<'a> Lowerer<'a> {
             Expr::Binary { op: op @ (BinaryOp::LogAnd | BinaryOp::LogOr), ops, .. } => {
                 let [lhs, rhs] = &**ops;
                 let (a, _) = self.go_expr(lhs, None);
-                let t = self.temp();
-                self.emit(Instr::Truthy { dst: t, src: a });
+                // Each operand's truth, as `!= 0` gives it: an int 0 or 1.
+                let (t, zero) = (self.temp(), self.const_reg(Scalar::Int(0)));
+                self.emit(Instr::Bin { op: BinaryOp::Ne, dst: t, a, b: zero });
                 let end = self.new_label();
                 if *op == BinaryOp::LogAnd {
                     self.emit_jump(end, |tg| Instr::JumpIfFalse { c: t, t: tg });
@@ -466,7 +475,7 @@ impl<'a> Lowerer<'a> {
                     self.emit_jump(end, |tg| Instr::JumpIfTrue { c: t, t: tg });
                 }
                 let (b, _) = self.go_expr(rhs, None);
-                self.emit(Instr::Truthy { dst: t, src: b });
+                self.emit(Instr::Bin { op: BinaryOp::Ne, dst: t, a: b, b: zero });
                 self.bind(end);
                 (t, Some(false))
             }
@@ -725,57 +734,13 @@ impl<'a> Lowerer<'a> {
                     self.bind(lelse);
                 }
             }
-            Stmt::While { cond, body, .. } => {
-                let cnt = self.alloc_perm();
-                self.emit(Instr::IterInit { slot: cnt });
-                let head = self.new_label();
-                let exit = self.new_label();
-                self.bind(head);
-                self.reset_temps();
-                let (c, _) = self.lower_value(cond);
-                self.emit_jump(exit, |t| Instr::JumpIfFalse { c, t });
-                self.emit(Instr::IterCheck { slot: cnt, label: "while loop" });
-                self.loops.push(LoopCtx {
-                    break_to: exit,
-                    continue_to: head,
-                    open_arrays: self.open_arrays.len(),
-                });
-                self.lower_branch(body);
-                self.loops.pop();
-                self.emit_jump(head, |t| Instr::Jump { t });
-                self.bind(exit);
-            }
+            Stmt::While { cond, body, .. } => self.lower_loop(Some(cond), None, body, "while loop"),
             Stmt::For { init, cond, step, body, .. } => {
                 if let Some(e) = init {
                     self.reset_temps();
                     self.lower_effect(e);
                 }
-                let cnt = self.alloc_perm();
-                self.emit(Instr::IterInit { slot: cnt });
-                let head = self.new_label();
-                let stepl = self.new_label();
-                let exit = self.new_label();
-                self.bind(head);
-                self.reset_temps();
-                if let Some(c) = cond {
-                    let (cv, _) = self.lower_value(c);
-                    self.emit_jump(exit, |t| Instr::JumpIfFalse { c: cv, t });
-                }
-                self.emit(Instr::IterCheck { slot: cnt, label: "for loop" });
-                self.loops.push(LoopCtx {
-                    break_to: exit,
-                    continue_to: stepl,
-                    open_arrays: self.open_arrays.len(),
-                });
-                self.lower_branch(body);
-                self.loops.pop();
-                self.bind(stepl);
-                self.reset_temps();
-                if let Some(e) = step {
-                    self.lower_effect(e);
-                }
-                self.emit_jump(head, |t| Instr::Jump { t });
-                self.bind(exit);
+                self.lower_loop(cond.as_deref(), step.as_deref(), body, "for loop");
             }
             Stmt::Return(e, _) => {
                 let src = e.as_ref().map(|e| self.lower_return(e));
@@ -796,16 +761,45 @@ impl<'a> Lowerer<'a> {
         }
     }
 
+    /// A `while` or `for` loop, after a `for`'s init: the test, the
+    /// iteration check, the body, the step and the jump back.
+    fn lower_loop(
+        &mut self,
+        cond: Option<&Expr>,
+        step: Option<&Expr>,
+        body: &Stmt,
+        label: &'static str,
+    ) {
+        let cnt = self.loop_reg();
+        let (head, next, exit) = (self.new_label(), self.new_label(), self.new_label());
+        self.bind(head);
+        self.reset_temps();
+        if let Some(c) = cond {
+            let (c, _) = self.lower_value(c);
+            self.emit_jump(exit, |t| Instr::JumpIfFalse { c, t });
+        }
+        self.emit(Instr::IterCheck { slot: cnt, label });
+        let open_arrays = self.open_arrays.len();
+        self.loops.push(LoopCtx { break_to: exit, continue_to: next, open_arrays });
+        self.lower_branch(body);
+        self.loops.pop();
+        self.bind(next);
+        self.reset_temps();
+        if let Some(e) = step {
+            self.lower_effect(e);
+        }
+        self.emit_jump(head, |t| Instr::Jump { t });
+        self.bind(exit);
+    }
+
     /// Front-end `seq` / `*seq` (§3.5). Function bodies always run with
     /// no parallel construct open, so every `seq` the lowerer reaches
     /// sweeps on the front end; a `seq` nested in a `par` body is part of
     /// that construct's tree escape and runs under context masks instead.
     fn lower_seq(&mut self, uc: &UcStmt) {
-        let set = uc.sets[0];
-        self.emit(Instr::SeqEnter { set });
         let (elem, _) = self.local_reg(uc.elem).expect("a seq element is a front-end scalar");
-        let cnt = self.alloc_perm();
-        self.emit(Instr::IterInit { slot: cnt });
+        let pos = self.loop_reg();
+        let cnt = self.loop_reg();
         // `*seq` sweeps again while some arm ran during the last sweep;
         // `others` runs for an element when none of its arms did.
         let swept = uc.star.then(|| self.alloc_perm());
@@ -817,7 +811,7 @@ impl<'a> Lowerer<'a> {
         self.bind(next);
         self.reset_temps();
         let more = self.temp();
-        self.emit(Instr::SeqNext { elem, more });
+        self.emit(Instr::SeqNext { set: uc.sets[0], pos, elem, more });
         self.emit_jump(done, |t| Instr::JumpIfFalse { c: more, t });
         self.set_flag(matched, 0);
         for arm in &uc.arms {
@@ -843,7 +837,6 @@ impl<'a> Lowerer<'a> {
         if let Some(c) = swept {
             self.emit_jump(sweep, |t| Instr::JumpIfTrue { c, t });
         }
-        self.emit(Instr::SeqExit);
     }
 
     /// `r[flag] = v`, for a `seq` flag the construct needs.

@@ -11,27 +11,28 @@
 //! ## Shape of the IR
 //!
 //! A function body is a `Vec<Instr>`, a span per instruction, and two
-//! side tables of AST fragments. Four instruction families split the work:
+//! side tables of AST fragments. Three instruction families split the work:
 //!
-//! * **Registers** (`Const`, `Copy`, `Bin`, `Un`, `Truthy`, `StoreSlot`,
+//! * **Registers** (`Const`, `Copy`, `Bin`, `Un`, `StoreSlot`,
 //!   `LoadGlobal`, `StoreGlobal`, `LoadElem`, `StoreElem`, `Jump*`,
-//!   `Call`, `Rand`, `Ret`) — front-end control flow, scalar arithmetic
+//!   `IterCheck`, `Call`, `Rand`, `Ret`) — front-end control flow, its
+//!   iteration caps and deadline polls included, scalar arithmetic
 //!   (`Bin`/`Un` carry `min`, `max`, `abs` and `power2` too, one op each,
-//!   as the machine's elementwise ops do) and array elements, fully
+//!   as the machine's elementwise ops do; the 0/1 value of `&&`/`||` is a
+//!   `Bin` `!=` against the constant 0) and array elements, fully
 //!   compiled, over four register families, lowest first: **named** —
 //!   every front-end scalar local (parameter, declaration, `seq` element)
 //!   is the register sema numbered it (`sema::LocalKind::Reg`);
-//!   **loop** — iteration counters and `seq`
-//!   flags; **temporaries**, reset per statement; **constants** — one per
-//!   distinct literal, `#define` or `INF` of the function, preloaded by
-//!   [`IrFunc::image`], never written. A local or a constant is an operand
-//!   as it stands, and a value that already has a slot's declared
+//!   **loop** — iteration counters, `seq` cursors and `seq` flags, set
+//!   by `Const`; **temporaries**, reset per statement; **constants** — one
+//!   per distinct literal, `#define` or `INF` of the function, preloaded
+//!   by [`IrFunc::image`], never written. A local or a constant is an
+//!   operand as it stands, and a value that already has a slot's declared
 //!   representation is computed straight into it; `StoreSlot` coerces the
-//!   rest.
-//! * **Sweeps** (`SeqEnter`/`SeqNext`/`SeqExit`) — front-end `seq` and
-//!   `*seq` over the set sema resolved the construct to: the element
-//!   binding, the `st` arms, `others` and the repeat-while-enabled test
-//!   are ordinary register code around them.
+//!   rest. A front-end `seq` or `*seq` sweeps the set sema resolved it to
+//!   from a cursor register (`SeqNext`): the element binding, the `st`
+//!   arms, `others` and the repeat-while-enabled test are ordinary
+//!   register code around it.
 //! * **Tree escapes** (`Tree`, `EvalExpr`, `EvalEffect`) — one parallel
 //!   construct (a `seq` nested in one runs under its masks), one
 //!   reduction or one local array declaration — the work of ROADMAP item
@@ -43,8 +44,6 @@
 //!   (per-VP scalar, local array) in the activation's table by `LocalId`.
 //!   `FreeLocals` is the one trace of scoping left: it frees the local
 //!   arrays of a block at its exit.
-//! * **Budget ops** (`IterInit`/`IterCheck`) — iteration caps and
-//!   deadline polls.
 //!
 //! The statement an instruction belongs to is not an instruction:
 //! [`IrBody::spans`] holds, per pc, the span of the innermost statement
@@ -79,18 +78,18 @@ use crate::ast::{BinaryOp, Expr, LocalId, Ref, SetId, Stmt, UnaryOp};
 use crate::span::Span;
 
 /// Register index. Slots `0..n_perm` are parameters, named locals and
-/// loop counters, `n_perm..const_base` per-statement temporaries, and
+/// loop registers, `n_perm..const_base` per-statement temporaries, and
 /// `const_base..` the function's constants.
 pub type Reg = u16;
 
 /// Instruction index (jump target).
 pub type Target = u32;
 
-/// One IR instruction. See the module docs for the four families.
+/// One IR instruction. See the module docs for the three families.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
-    /// `r[dst] = v` — where a value is assigned (a `seq` flag); a constant
-    /// *operand* is a register of its own.
+    /// `r[dst] = v` — where a value is assigned (a loop register); a
+    /// constant *operand* is a register of its own.
     Const { dst: Reg, v: Scalar },
     /// `r[dst] = r[src]`
     Copy { dst: Reg, src: Reg },
@@ -99,8 +98,6 @@ pub enum Instr {
     Bin { op: BinaryOp, dst: Reg, a: Reg, b: Reg },
     /// `r[dst] = op r[a]`, `abs` and `power2` included.
     Un { op: UnaryOp, dst: Reg, a: Reg },
-    /// `r[dst] = (r[src] != 0) as int` — the value `&&`/`||` produce.
-    Truthy { dst: Reg, src: Reg },
     /// `r[slot] = coerce(r[src], float or int)` — assignment to a named
     /// local, coercing to its declared type, or an assignment's value as
     /// its target's type.
@@ -118,12 +115,10 @@ pub enum Instr {
     StoreElem { array: Ref, subs: Box<[Reg]>, src: Reg },
     /// Unconditional jump.
     Jump { t: Target },
-    /// Jump when `r[c]` is falsy.
+    /// Jump when `r[c]` is zero.
     JumpIfFalse { c: Reg, t: Target },
-    /// Jump when `r[c]` is truthy.
+    /// Jump when `r[c]` is non-zero.
     JumpIfTrue { c: Reg, t: Target },
-    /// `r[slot] = 0` — reset a loop's iteration counter.
-    IterInit { slot: Reg },
     /// Bump the counter, trap on [`crate::exec::ExecLimits::max_iterations`],
     /// poll the wall-clock deadline. Placed after a loop's condition and
     /// before its body, or at the top of a `seq` sweep.
@@ -151,15 +146,12 @@ pub enum Instr {
     /// Execute `stmts[s]` by the tree evaluator: a parallel construct or a
     /// local array declaration. Neither transfers control.
     Tree { s: u32 },
-    /// Open a front-end `seq` sweep over the elements of `sets[set]`, the
-    /// definition sema resolved the construct's set name to.
-    SeqEnter { set: SetId },
-    /// Advance the innermost sweep: `r[elem]` = the next element and
+    /// Advance a front-end `seq` sweep over `sets[set]`, the definition
+    /// sema resolved the construct's set name to, whose position is
+    /// `r[pos]`: `r[elem]` = the element there, `r[pos]` += 1 and
     /// `r[more] = 1`, or `r[more] = 0` once the sweep is exhausted — which
-    /// also rewinds it, so `*seq` can sweep again.
-    SeqNext { elem: Reg, more: Reg },
-    /// Close the innermost sweep.
-    SeqExit,
+    /// also rewinds `r[pos]` to 0, so `*seq` can sweep again.
+    SeqNext { set: SetId, pos: Reg, elem: Reg, more: Reg },
 }
 
 impl Instr {
@@ -170,21 +162,18 @@ impl Instr {
             | Instr::LoadGlobal { dst: r, .. }
             | Instr::Rand { dst: r }
             | Instr::EvalExpr { dst: r, .. }
-            | Instr::IterInit { slot: r }
             | Instr::IterCheck { slot: r, .. }
             | Instr::StoreGlobal { src: r, .. }
             | Instr::JumpIfFalse { c: r, .. }
             | Instr::JumpIfTrue { c: r, .. }
             | Instr::Ret { src: Some(r) } => f(r),
             Instr::Copy { dst, src: a }
-            | Instr::Truthy { dst, src: a }
             | Instr::StoreSlot { slot: dst, src: a, .. }
-            | Instr::Un { dst, a, .. }
-            | Instr::SeqNext { elem: dst, more: a } => {
+            | Instr::Un { dst, a, .. } => {
                 f(dst);
                 f(a);
             }
-            Instr::Bin { dst, a, b, .. } => {
+            Instr::Bin { dst, a, b, .. } | Instr::SeqNext { pos: dst, elem: a, more: b, .. } => {
                 f(dst);
                 f(a);
                 f(b);
@@ -199,9 +188,7 @@ impl Instr {
             | Instr::Ret { src: None }
             | Instr::FreeLocals { .. }
             | Instr::EvalEffect { .. }
-            | Instr::Tree { .. }
-            | Instr::SeqEnter { .. }
-            | Instr::SeqExit => {}
+            | Instr::Tree { .. } => {}
         }
     }
 }
@@ -228,7 +215,7 @@ pub struct IrFunc {
     /// non-float coerces to int).
     pub params: Vec<bool>,
     /// Registers `0..n_perm` are named locals / parameters / loop
-    /// counters; `n_perm..const_base` are statement temporaries.
+    /// registers; `n_perm..const_base` are statement temporaries.
     pub n_perm: u16,
     /// Registers from `const_base` up hold the function's constants.
     pub const_base: u16,

@@ -94,7 +94,6 @@ fn instr(ins: &Instr, f: &IrFunc, body: &IrBody, checked: &Checked) -> String {
             format!("un         r{dst} = {}({})", op.symbol(), r(a))
         }
         Instr::Un { op, dst, a } => format!("un         r{dst} = {}{}", op.symbol(), r(a)),
-        Instr::Truthy { dst, src } => format!("truthy     r{dst} = ({} != 0)", r(src)),
         Instr::StoreSlot { slot, src, float } => format!(
             "store      r{slot} = {} as {}",
             r(src),
@@ -111,7 +110,6 @@ fn instr(ins: &Instr, f: &IrFunc, body: &IrBody, checked: &Checked) -> String {
         Instr::Jump { t } => format!("jump       @{t}"),
         Instr::JumpIfFalse { c, t } => format!("jump_if_f  {} -> @{t}", r(c)),
         Instr::JumpIfTrue { c, t } => format!("jump_if_t  {} -> @{t}", r(c)),
-        Instr::IterInit { slot } => format!("iter_init  r{slot}"),
         Instr::IterCheck { slot, label } => format!("iter_check r{slot} ({label})"),
         Instr::Call { dst, f, args } => {
             let args = args.iter().map(r).collect::<Vec<_>>().join(", ");
@@ -132,8 +130,8 @@ fn instr(ins: &Instr, f: &IrFunc, body: &IrBody, checked: &Checked) -> String {
             "tree       `{}`",
             frag(&pretty::stmt_to_string(&body.stmts[*s as usize], 0))
         ),
-        Instr::SeqEnter { set } => format!("seq_enter  {}", checked.sets[*set].name),
-        Instr::SeqNext { elem, more } => format!("seq_next   r{elem}, r{more}"),
-        Instr::SeqExit => "seq_exit".into(),
+        Instr::SeqNext { set, pos, elem, more } => {
+            format!("seq_next   r{elem}, r{more} = {}[r{pos}]", checked.sets[*set].name)
+        }
     }
 }

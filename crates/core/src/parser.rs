@@ -31,6 +31,15 @@ use crate::stdlib::Builtin;
 use crate::token::{Token, TokenKind, TokenKind as T};
 use crate::FxMap;
 
+/// How deep statements and expressions may nest: the levels of the tree
+/// a parse builds (each operator of a left-associative chain is one) and
+/// the parentheses around them, on which the parser, sema, lowering,
+/// `pretty`, the tree evaluator and `Drop` recurse. On a debug build's
+/// 2 MiB thread the parser overflows first, past 182 levels of
+/// parentheses; 160 leaves room for the caller's frames. Deeper nesting
+/// is a spanned error that stops the parse, not a host stack overflow.
+pub const MAX_NESTING: usize = 160;
+
 /// Parse a UC translation unit. Returns `None` if errors were found (all
 /// recorded in `diags`).
 ///
@@ -51,9 +60,15 @@ pub fn parse(src: &str, diags: &mut Diagnostics) -> Option<Unit> {
         consumed: 0,
         diags: Diagnostics::default(),
         spellings: FxMap::default(),
+        depth: 0,
+        reach: 0,
+        halted: None,
     };
     let items = p.unit();
-    let Parser { lexer, lex_diags: diags, diags: parsed, .. } = p;
+    let Parser { lexer, lex_diags: diags, diags: mut parsed, halted, .. } = p;
+    if let Some(n) = halted {
+        parsed.items.truncate(n);
+    }
     let defines = lexer.finish(diags);
     if !diags.has_errors() {
         diags.items.extend(parsed.items);
@@ -77,6 +92,12 @@ struct Parser<'a> {
     diags: Diagnostics,
     /// The one shared spelling of each identifier an expression uses.
     spellings: FxMap<&'a str, Arc<str>>,
+    /// The nesting level being parsed, and the deepest one the tree
+    /// reaches ([`Parser::binary`] measures its operands by it).
+    depth: usize,
+    reach: usize,
+    /// After a tree nested too deep, how many of `diags` to keep.
+    halted: Option<usize>,
 }
 
 type PResult<T> = Result<T, ()>;
@@ -166,6 +187,31 @@ impl<'a> Parser<'a> {
     /// The shared spelling of `text`, allocated at its first use.
     fn intern(&mut self, text: &'a str) -> Arc<str> {
         self.spellings.entry(text).or_insert_with(|| text.into()).clone()
+    }
+
+    /// Parse `f` one nesting level down.
+    fn deeper<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.depth += 1;
+        let parsed = self.reached(self.depth).and_then(|()| f(self));
+        self.depth -= 1;
+        parsed
+    }
+
+    /// Note that the tree reaches `level`. Past [`MAX_NESTING`] the parse
+    /// stops: the rest of the input is skipped, and `parse` drops what the
+    /// enclosing rules report on the way out.
+    fn reached(&mut self, level: usize) -> PResult<()> {
+        self.reach = self.reach.max(level);
+        if level <= MAX_NESTING {
+            return Ok(());
+        }
+        let msg = format!("statements and expressions nest deeper than {MAX_NESTING} levels");
+        self.diags.error(self.span(), msg);
+        self.halted = Some(self.diags.items.len());
+        while !self.at(T::Eof) {
+            self.bump();
+        }
+        Err(())
     }
 
     /// Skip to the next statement boundary after an error.
@@ -419,6 +465,10 @@ impl<'a> Parser<'a> {
     }
 
     fn stmt(&mut self) -> PResult<Stmt> {
+        self.deeper(Self::stmt_here)
+    }
+
+    fn stmt_here(&mut self) -> PResult<Stmt> {
         let span = self.span();
         match self.peek() {
             T::Semi => {
@@ -564,7 +614,7 @@ impl<'a> Parser<'a> {
     // ---- expressions -------------------------------------------------------
 
     fn expr(&mut self) -> PResult<Expr> {
-        self.assignment()
+        self.deeper(Self::assignment)
     }
 
     fn assignment(&mut self) -> PResult<Expr> {
@@ -584,7 +634,7 @@ impl<'a> Parser<'a> {
             self.diags.error(lhs.span(), "assignment target must be a variable or array element");
             return Err(());
         }
-        let value = self.assignment()?; // right associative
+        let value = self.deeper(Self::assignment)?; // right associative
         Ok(Expr::Assign { op, ops: Box::new([lhs, value]), span })
     }
 
@@ -594,7 +644,7 @@ impl<'a> Parser<'a> {
             let span = self.prev_span();
             let then_e = self.expr()?;
             self.expect(T::Colon, "`:` in conditional expression")?;
-            let else_e = self.ternary()?;
+            let else_e = self.deeper(Self::ternary)?;
             let ops = Box::new([cond, then_e, else_e]);
             Ok(Expr::Ternary { ops, span, value: NO_VALUE, float: false })
         } else {
@@ -602,9 +652,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Precedence-climbing binary expression parser (C precedence).
+    /// Precedence-climbing binary expression parser (C precedence). Each
+    /// operator puts its whole left operand one level deeper.
     fn binary(&mut self, min_prec: u8) -> PResult<Expr> {
+        let outer = std::mem::replace(&mut self.reach, self.depth);
         let mut lhs = self.unary()?;
+        let mut reach = self.reach;
         loop {
             let (op, prec) = match self.peek() {
                 T::Star => (BinaryOp::Mul, 10),
@@ -632,44 +685,44 @@ impl<'a> Parser<'a> {
             }
             let span = self.span();
             self.bump();
+            self.reach = self.depth;
             let rhs = self.binary(prec + 1)?;
+            reach = reach.max(self.reach) + 1;
+            self.reached(reach)?;
             lhs = Expr::Binary { op, ops: Box::new([lhs, rhs]), span, value: NO_VALUE };
         }
+        self.reach = outer.max(reach);
         Ok(lhs)
     }
 
     fn unary(&mut self) -> PResult<Expr> {
         let span = self.span();
         match self.peek() {
-            T::Minus => {
-                self.bump();
-                let e = self.unary()?;
-                Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(e), span, value: NO_VALUE })
-            }
-            T::Bang => {
-                self.bump();
-                let e = self.unary()?;
-                Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(e), span, value: NO_VALUE })
-            }
-            T::Tilde => {
-                self.bump();
-                let e = self.unary()?;
-                Ok(Expr::Unary { op: UnaryOp::BitNot, expr: Box::new(e), span, value: NO_VALUE })
+            T::Minus | T::Bang | T::Tilde => {
+                let op = match self.bump().kind {
+                    T::Minus => UnaryOp::Neg,
+                    T::Bang => UnaryOp::Not,
+                    _ => UnaryOp::BitNot,
+                };
+                let expr = Box::new(self.deeper(Self::unary)?);
+                Ok(Expr::Unary { op, expr, span, value: NO_VALUE })
             }
             T::Plus => {
                 self.bump();
-                self.unary()
+                self.deeper(Self::unary)
             }
             T::PlusPlus | T::MinusMinus => {
-                let op = if self.bump().kind == T::PlusPlus { BinaryOp::Add } else { BinaryOp::Sub };
-                let e = self.unary()?;
+                let op = self.bump().kind;
+                let e = self.deeper(Self::unary)?;
                 self.desugar_incdec(e, op, span)
             }
             _ => self.postfix(),
         }
     }
 
-    fn desugar_incdec(&mut self, e: Expr, op: BinaryOp, span: Span) -> PResult<Expr> {
+    /// `e op` or `op e`, `op` being `++` or `--`: `e op= 1`.
+    fn desugar_incdec(&mut self, e: Expr, op: TokenKind, span: Span) -> PResult<Expr> {
+        let op = if op == T::PlusPlus { BinaryOp::Add } else { BinaryOp::Sub };
         if !matches!(e, Expr::Ident(..) | Expr::Index { .. }) {
             self.diags.error(span, "++/-- requires a variable or array element");
             return Err(());
@@ -698,15 +751,9 @@ impl<'a> Parser<'a> {
                     let span = span.to(self.prev_span());
                     e = Expr::Index { base: name, subs, span, access: 0, borrow: false };
                 }
-                T::PlusPlus => {
-                    let span = self.span();
-                    self.bump();
-                    e = self.desugar_incdec(e, BinaryOp::Add, span)?;
-                }
-                T::MinusMinus => {
-                    let span = self.span();
-                    self.bump();
-                    e = self.desugar_incdec(e, BinaryOp::Sub, span)?;
+                T::PlusPlus | T::MinusMinus => {
+                    let (span, op) = (self.span(), self.bump().kind);
+                    e = self.desugar_incdec(e, op, span)?;
                 }
                 _ => break,
             }

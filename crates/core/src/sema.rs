@@ -164,8 +164,9 @@ pub struct FuncInfo {
     /// `locals` order.
     pub regs: u32,
     /// Registers the lowered body keeps beside them: an iteration counter
-    /// per loop or front-end `seq`, and such a `seq`'s flags (`*`: an arm
-    /// ran this sweep; `others`: an arm ran for this element).
+    /// per loop or front-end `seq`, and such a `seq`'s cursor (its next
+    /// element's position, one per activation) and flags (`*`: an arm ran
+    /// this sweep; `others`: an arm ran for this element).
     pub loop_regs: u32,
     /// Whether any local is machine-backed ([`LocalKind::PerVp`] or
     /// [`LocalKind::Array`]): an activation of a function with none
@@ -1191,7 +1192,7 @@ impl<'a> Checker<'a> {
             }
             if !outer.parallel {
                 // Swept by the front end: the lowered loop's registers.
-                self.func_info().loop_regs += 1 + uc.star as u32 + uc.others.is_some() as u32;
+                self.func_info().loop_regs += 2 + uc.star as u32 + uc.others.is_some() as u32;
             }
         }
         let (axes, pins) = (self.open.len(), self.pins.len());

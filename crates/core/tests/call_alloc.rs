@@ -76,8 +76,8 @@ const CALLS: &str = r#"
 "#;
 
 /// Both cases run in this one test, so the counter sees one at a time.
-/// The second sweeps a front-end `seq` in every call of `add`: the open
-/// sweeps share one stack (`Run::seqs`) as the registers do.
+/// The second sweeps a front-end `seq` in every call of `add`: a sweep's
+/// cursor is a register of the activation, so it costs what a loop does.
 #[test]
 fn scalar_calls_allocate_nothing() {
     for add in ["return a + b;", "seq (T) a = a + 0; return a + b;"] {

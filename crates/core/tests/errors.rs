@@ -923,3 +923,51 @@ fn compile_error_recovery_reports_several() {
     );
     assert!(msg.matches("error").count() >= 3, "{msg}");
 }
+
+/// One bound, `parser::MAX_NESTING`, holds every kind of nesting: a
+/// program at the bound compiles, prints its IR and runs on this test's
+/// thread, and one level past it is one spanned parse error, from both
+/// entry points, instead of a stack overflow in a later layer. Each shape
+/// gives the level of its deepest node at `n`: `main`'s statement is level
+/// 1, its expression 2, an assignment's value one more, and so is each
+/// parenthesis, block, `else if` arm and left-associative operator.
+#[test]
+fn nesting_stops_at_one_bound() {
+    use uc_core::parser::MAX_NESTING;
+    const HEAD: &str = "#define N 4\nindex_set I:i = {0..N-1};\nint a[N], x;\n";
+    let parens = |n| format!("{HEAD}main() {{ x = {}1{}; }}\n", "(".repeat(n), ")".repeat(n));
+    let sum = |n| format!("{HEAD}main() {{ x = {}1; }}\n", "0+".repeat(n - 1));
+    let blocks = |n| format!("{HEAD}main() {{{} x = 1; {}}}\n", "{".repeat(n), "}".repeat(n));
+    let arms = |n| {
+        let arms: String = (1..n).map(|k| format!(" else if (x == {k}) x = {k};")).collect();
+        format!("{HEAD}main() {{ if (x == 0) x = 1;{arms} }}\n")
+    };
+    let par = |n| {
+        let (open, close) = ("(".repeat(n), ")".repeat(n));
+        format!("{HEAD}main() {{ par (I) a[i] = {open}i{close}; x = a[1]; }}\n")
+    };
+    let shapes = [
+        ("parentheses", parens as fn(usize) -> String, 3),
+        ("sum", sum, 2),
+        ("blocks", blocks, 3),
+        ("else if", arms, 3),
+        ("par operand", par, 4),
+    ];
+    for (what, shape, extra) in shapes {
+        let src = shape(MAX_NESTING - extra);
+        let mut p = Program::compile(&src).unwrap_or_else(|d| panic!("{what} at the bound:\n{d}"));
+        assert!(p.emit_ir().contains("func main()"), "{what}");
+        p.run().unwrap_or_else(|e| panic!("{what} at the bound: {e}"));
+        assert_eq!(p.read_int("x"), Some(1), "{what}");
+
+        let src = shape(MAX_NESTING - extra + 1);
+        let msg = format!("statements and expressions nest deeper than {MAX_NESTING} levels");
+        let (compiled, checked) = (Program::compile(&src), check_source(&src, &[], &LintConfig::default()));
+        for diags in [compiled.unwrap_err(), checked] {
+            assert_eq!(diags.items.len(), 1, "{what} past the bound: {diags}");
+            let d = &diags.items[0];
+            assert!(d.severity == Severity::Error && d.message == msg, "{what}: {diags}");
+            assert_ne!(d.span, Span::default(), "{what}");
+        }
+    }
+}

@@ -171,6 +171,10 @@ fn main() -> ExitCode {
             }
         }
     }
+    if emit_ir && format == Format::Json {
+        eprintln!("error: --emit ir and --format json cannot be combined: the IR is text");
+        return ExitCode::FAILURE;
+    }
     let Some(path) = path else {
         eprintln!("error: missing input file");
         return ExitCode::FAILURE;

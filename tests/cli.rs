@@ -333,3 +333,21 @@ fn an_unknown_option_is_an_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("error: unknown option --ir-opt"), "{stderr}");
 }
+
+/// `--emit ir` prints the IR as text, so asking for it as JSON is an
+/// error that names both flags, in either order, and prints nothing.
+#[test]
+fn emit_ir_and_json_format_are_rejected_together() {
+    let path = write_temp("uc_cli_emit_json.uc", PROGRAM);
+    let path = path.to_str().unwrap();
+    for args in [
+        ["check", "--format", "json", "--emit", "ir", path],
+        ["check", "--emit", "ir", "--format", "json", path],
+    ] {
+        let out = uc().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("error: --emit ir and --format json"), "{args:?}: {stderr}");
+    }
+}

@@ -5,8 +5,10 @@
 //! few corpus programs so lowering and renderer changes
 //! are always deliberate — the operands (a register, or the value of a
 //! constant one) and, as a trailing `; line:col` where it changes, the
-//! statement each instruction reports a trap at. To refresh after an
-//! intentional change:
+//! statement each instruction reports a trap at. Loop state is registers:
+//! a loop's counter and a `seq`'s cursor are zeroed by a `const` where
+//! the construct starts, and `seq_next r<elem>, r<more> = <set>[r<cursor>]`
+//! advances a sweep. To refresh after an intentional change:
 //!
 //! ```text
 //! uc run <input> --emit ir > tests/corpus/golden/<name>.ir
@@ -62,8 +64,9 @@ fn dead_store_ir_is_stable() {
     assert_eq!(emit("run", "tests/corpus/dead_store.uc"), golden("dead_store.ir"));
 }
 
-/// Front-end `seq` with `st` arms and `others` lowers to a VM loop:
-/// `seq_enter`/`seq_next`/`seq_exit` around ordinary register code.
+/// Front-end `seq` with `st` arms and `others` lowers to a VM loop: a
+/// cursor register zeroed by a `const`, and `seq_next` reading the set at
+/// it, around ordinary register code.
 #[test]
 fn seq_ir_is_stable() {
     assert_eq!(emit("run", "tests/corpus/seq_st_others.uc"), golden("seq_st_others.ir"));
